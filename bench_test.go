@@ -20,6 +20,7 @@ import (
 	"graphitti/internal/core"
 	"graphitti/internal/interval"
 	"graphitti/internal/ontology"
+	"graphitti/internal/persist"
 	"graphitti/internal/query"
 	"graphitti/internal/relstore"
 	"graphitti/internal/rtree"
@@ -687,6 +688,42 @@ func BenchmarkA7BulkLoadVsIncremental(b *testing.B) {
 				x := float64((i * 7919) % 9900)
 				bulk.Count(rtree.Rect2D(x, x, x+80, x+80))
 			}
+		})
+	}
+}
+
+// --- Snapshot load: restart / restore cost per annotation ---
+
+// BenchmarkLoadSnapshot measures persist.Load of an exported influenza
+// study — what every restart, restore and -snapshot start pays — and
+// reports it per annotation, so the two sizes read directly as "is load
+// cost linear in the store". One op is one whole load.
+func BenchmarkLoadSnapshot(b *testing.B) {
+	for _, n := range []int{10_000, 40_000} {
+		b.Run(fmt.Sprintf("anns=%d", n), func(b *testing.B) {
+			src := fluStudy(b, n).Store
+			snap, err := persist.Export(src)
+			if err != nil {
+				b.Fatal(err)
+			}
+			want := src.Stats()
+			var ms0, ms1 runtime.MemStats
+			runtime.ReadMemStats(&ms0)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s, err := persist.Load(snap)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if got := s.Stats(); got != want {
+					b.Fatalf("loaded store differs:\n got %+v\nwant %+v", got, want)
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&ms1)
+			anns := float64(b.N) * float64(len(snap.Annotations))
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/anns, "ns/ann")
+			b.ReportMetric(float64(ms1.TotalAlloc-ms0.TotalAlloc)/anns, "B/ann")
 		})
 	}
 }

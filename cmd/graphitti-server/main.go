@@ -233,11 +233,7 @@ func buildHandler(cfg serverConfig) (http.Handler, closableStore, string, error)
 	if ds.Seq == 0 && (cfg.snapshot != "" || cfg.study != "") {
 		// Fresh directory: seed it from the requested study/snapshot and
 		// checkpoint immediately.
-		seed, err := buildStore(cfg.study, cfg.anns, cfg.images, cfg.snapshot)
-		if err != nil {
-			return nil, nil, "", err
-		}
-		snap, err := persist.Export(seed)
+		snap, err := seedSnapshot(cfg)
 		if err != nil {
 			return nil, nil, "", err
 		}
@@ -292,11 +288,7 @@ func buildShardedHandler(cfg serverConfig, rules []prop.Rule) (http.Handler, clo
 	}
 	report += "\n"
 	if fresh && (cfg.snapshot != "" || cfg.study != "") {
-		seed, err := buildStore(cfg.study, cfg.anns, cfg.images, cfg.snapshot)
-		if err != nil {
-			return nil, nil, "", err
-		}
-		snap, err := persist.Export(seed)
+		snap, err := seedSnapshot(cfg)
 		if err != nil {
 			return nil, nil, "", err
 		}
@@ -370,14 +362,36 @@ func seedSource(study, snapshot string) string {
 	return "study " + study
 }
 
+// seedSnapshot returns what a fresh data directory is restored from. A
+// snapshot file is only decoded — Restore is its one load; a generated
+// study has to be built into a store first and exported.
+func seedSnapshot(cfg serverConfig) (*persist.Snapshot, error) {
+	if cfg.snapshot != "" {
+		return readSnapshot(cfg.snapshot)
+	}
+	seed, err := buildStore(cfg.study, cfg.anns, cfg.images, "")
+	if err != nil {
+		return nil, err
+	}
+	return persist.Export(seed)
+}
+
+func readSnapshot(path string) (*persist.Snapshot, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return persist.Decode(f)
+}
+
 func buildStore(study string, anns, images int, snapshot string) (*graphitti.Store, error) {
 	if snapshot != "" {
-		f, err := os.Open(snapshot)
+		snap, err := readSnapshot(snapshot)
 		if err != nil {
 			return nil, err
 		}
-		defer f.Close()
-		return persist.Read(f)
+		return persist.Load(snap)
 	}
 	switch study {
 	case "", "none":

@@ -9,12 +9,17 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"graphitti/internal/durable"
+	"graphitti/internal/obs"
+	"graphitti/internal/persist"
 	"graphitti/internal/prop"
 	"graphitti/internal/shard"
+	"graphitti/internal/workload"
 )
 
 // TestGracefulShutdownClosesStore runs the real server loop against a
@@ -144,5 +149,75 @@ func TestShardedDirSurvivesDefaultFlags(t *testing.T) {
 	}
 	if _, _, _, err := buildHandler(serverConfig{dataDir: dir, shards: 1}); err == nil {
 		t.Fatal("manifest-less shard directory opened as an unsharded store")
+	}
+}
+
+// commitsTotal sums graphitti_store_commits_total over every shard label:
+// the number of annotations this process has committed, batch or not.
+func commitsTotal(t *testing.T) uint64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := obs.Default.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var total uint64
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if !strings.HasPrefix(line, "graphitti_store_commits_total{") {
+			continue
+		}
+		n, err := strconv.ParseUint(line[strings.LastIndexByte(line, ' ')+1:], 10, 64)
+		if err != nil {
+			t.Fatalf("parsing %q: %v", line, err)
+		}
+		total += n
+	}
+	return total
+}
+
+// TestSeedFromSnapshotFileLoadsOnce: seeding a fresh data directory from
+// -snapshot decodes the file and hands it to Restore — one load. Loading
+// it into a throw-away store first (as the server used to) would commit
+// every annotation twice.
+func TestSeedFromSnapshotFileLoadsOnce(t *testing.T) {
+	cfg := workload.DefaultInfluenza
+	cfg.Annotations = 40
+	study, err := workload.Influenza(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := study.Store.Stats()
+	file := filepath.Join(t.TempDir(), "seed.json")
+	f, err := os.Create(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := persist.Write(study.Store, f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{1, 2} {
+		before := commitsTotal(t)
+		_, store, _, err := buildHandler(serverConfig{snapshot: file, dataDir: t.TempDir(), shards: shards, shardsSet: true})
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		if got := commitsTotal(t) - before; got != uint64(want.Annotations) {
+			t.Errorf("shards=%d: seeding committed %d annotations, want %d (one load)", shards, got, want.Annotations)
+		}
+		var got int
+		switch s := store.(type) {
+		case *durable.Store:
+			got = s.Core().Stats().Annotations
+		case *shard.Store:
+			got = s.Stats().Annotations
+		}
+		if got != want.Annotations {
+			t.Errorf("shards=%d: serving %d annotations, want %d", shards, got, want.Annotations)
+		}
+		if err := store.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -146,6 +147,13 @@ func (b *Builder) recordErr(err error) {
 	}
 }
 
+// MaxID is the largest annotation or referent ID a caller may pin
+// (CommitWithIDs, RestoreIDCounters). The ID tables are dense arrays whose
+// spine costs 8 bytes per 256 IDs, so the ceiling bounds what a hostile
+// snapshot or WAL record can make the store allocate (32 MiB per table)
+// while leaving room for a billion IDs per store.
+const MaxID = 1 << 30
+
 // Commit validates the annotation, stores its content document, registers
 // its referents in the sub-structure indexes, and wires the a-graph. It
 // implements the paper's commit flow: the user assembles referents and
@@ -154,17 +162,35 @@ func (b *Builder) recordErr(err error) {
 // atomically, as one published view — a concurrent reader sees either the
 // whole annotation or none of it.
 func (s *Store) Commit(b *Builder) (*Annotation, error) {
-	return s.commit(b, 0, nil)
+	s.w.Lock()
+	defer s.w.Unlock()
+	tx := Tx{s: s}
+	defer tx.publish()
+	return tx.Commit(b)
 }
 
 // CommitWithIDs commits with a pinned annotation ID and pinned referent
 // IDs (one per builder referent; 0 leaves a referent unpinned). Snapshot
 // load and WAL replay use it so a recovered store assigns exactly the IDs
 // the original store assigned, even when deletions left gaps in the
-// sequence. Pinned IDs may not collide with existing objects, and a
-// pinned referent that dedups into an existing shared mark must carry
-// that mark's ID.
+// sequence. Pinned IDs may not exceed MaxID or collide with existing
+// objects, and a pinned referent that dedups into an existing shared mark
+// must carry that mark's ID.
 func (s *Store) CommitWithIDs(b *Builder, annID uint64, refIDs []uint64) (*Annotation, error) {
+	s.w.Lock()
+	defer s.w.Unlock()
+	tx := Tx{s: s}
+	defer tx.publish()
+	return tx.CommitWithIDs(b, annID, refIDs)
+}
+
+// Commit is Store.Commit as one op of the session.
+func (x *Tx) Commit(b *Builder) (*Annotation, error) {
+	return x.commit(b, 0, nil)
+}
+
+// CommitWithIDs is Store.CommitWithIDs as one op of the session.
+func (x *Tx) CommitWithIDs(b *Builder, annID uint64, refIDs []uint64) (*Annotation, error) {
 	if annID == 0 {
 		return nil, fmt.Errorf("core: pinned annotation ID must be non-zero")
 	}
@@ -172,11 +198,25 @@ func (s *Store) CommitWithIDs(b *Builder, annID uint64, refIDs []uint64) (*Annot
 		return nil, fmt.Errorf("core: %d pinned referent IDs for %d referents",
 			len(refIDs), len(b.refs))
 	}
-	return s.commit(b, annID, refIDs)
+	top := annID
+	for _, id := range refIDs {
+		top = max(top, id)
+	}
+	if top > MaxID {
+		return nil, fmt.Errorf("core: pinned ID %d exceeds MaxID (%d)", top, uint64(MaxID))
+	}
+	return x.commit(b, annID, refIDs)
 }
 
-func (s *Store) commit(b *Builder, pinnedAnn uint64, pinnedRefs []uint64) (*Annotation, error) {
+// newReferent is a mark an op is about to store, with its canonical key.
+type newReferent struct {
+	ref *Referent
+	key string
+}
+
+func (x *Tx) commit(b *Builder, pinnedAnn uint64, pinnedRefs []uint64) (*Annotation, error) {
 	start := time.Now()
+	s := x.s
 	if b.store != nil && b.store != s {
 		return nil, fmt.Errorf("core: builder belongs to a different store")
 	}
@@ -190,18 +230,17 @@ func (s *Store) commit(b *Builder, pinnedAnn uint64, pinnedRefs []uint64) (*Anno
 		return nil, ErrEmptyAnnotation
 	}
 
-	s.w.Lock()
-	defer s.w.Unlock()
-	// The "commit" span covers exactly the writer critical section; time
-	// spent queueing for s.w.Lock() shows up as the gap between this
-	// span's start and its parent's.
+	// The "commit" span covers the op's share of the writer critical
+	// section; time spent queueing for the writer mutex shows up as the
+	// gap between this span's start and its parent's.
 	csp := b.span.StartChild("commit")
 	defer csp.Finish()
-	v := s.v.Load()
+	x.open()
+	nv := x.nv
 
 	// Validate ontology references before mutating anything.
 	for _, tr := range b.terms {
-		o, ok := v.ontologies[tr.Ontology]
+		o, ok := nv.ontologies[tr.Ontology]
 		if !ok {
 			return nil, fmt.Errorf("%w: %s", ErrNoSuchOntology, tr.Ontology)
 		}
@@ -211,16 +250,16 @@ func (s *Store) commit(b *Builder, pinnedAnn uint64, pinnedRefs []uint64) (*Anno
 	}
 	// Validate pre-committed referents.
 	for _, r := range b.refs {
-		if r.ID != 0 && v.referents.get(r.ID) == nil {
+		if r.ID != 0 && x.refs.get(r.ID) == nil {
 			return nil, fmt.Errorf("%w: %d", ErrNoSuchReferent, r.ID)
 		}
 	}
 
-	nextAnn := v.nextAnn
+	nextAnn := nv.nextAnn
 	var annID uint64
 	switch {
 	case pinnedAnn != 0:
-		if v.annotations.get(pinnedAnn) != nil {
+		if x.anns.get(pinnedAnn) != nil {
 			return nil, fmt.Errorf("core: pinned annotation ID %d already committed", pinnedAnn)
 		}
 		annID = pinnedAnn
@@ -239,30 +278,28 @@ func (s *Store) commit(b *Builder, pinnedAnn uint64, pinnedRefs []uint64) (*Anno
 		annID = nextAnn
 	}
 
-	// Resolve referents against the pinned view plus this commit's own
+	// Resolve referents against the session's state plus this op's own
 	// pending marks: reuse identical marks, assign IDs to new ones.
-	// Nothing is mutated yet — resolution errors leave the store exactly
+	// Nothing is mutated yet — resolution errors leave the session exactly
 	// as it was.
-	nextRef := v.nextRef
+	nextRef := nv.nextRef
 	refIDs := make([]uint64, 0, len(b.refs))
 	resolved := make([]*Referent, 0, len(b.refs))
-	var newRefs []*Referent
-	var newKeys []string
-	pendingByKey := make(map[string]*Referent)
-	pendingByID := make(map[uint64]bool)
+	var newRefs []newReferent // a handful at most: scanned, not indexed
 	for i, r := range b.refs {
 		var pin uint64
 		if pinnedRefs != nil {
 			pin = pinnedRefs[i]
 		}
 		if r.ID != 0 {
-			stored := v.referents.get(r.ID)
+			stored := x.refs.get(r.ID)
 			resolved = append(resolved, stored)
 			refIDs = append(refIDs, stored.ID)
 			continue
 		}
 		key := markKey(r)
-		if p, ok := pendingByKey[key]; ok {
+		if i := slices.IndexFunc(newRefs, func(n newReferent) bool { return n.key == key }); i >= 0 {
+			p := newRefs[i].ref
 			if pin != 0 && pin != p.ID {
 				return nil, fmt.Errorf("core: pinned referent ID %d, but identical mark stored as %d", pin, p.ID)
 			}
@@ -270,11 +307,11 @@ func (s *Store) commit(b *Builder, pinnedAnn uint64, pinnedRefs []uint64) (*Anno
 			refIDs = append(refIDs, p.ID)
 			continue
 		}
-		if id, ok := v.refByMark.get(key); ok {
+		if id, ok := x.markID(key); ok {
 			if pin != 0 && pin != id {
 				return nil, fmt.Errorf("core: pinned referent ID %d, but identical mark stored as %d", pin, id)
 			}
-			stored := v.referents.get(id)
+			stored := x.refs.get(id)
 			resolved = append(resolved, stored)
 			refIDs = append(refIDs, id)
 			continue
@@ -282,7 +319,7 @@ func (s *Store) commit(b *Builder, pinnedAnn uint64, pinnedRefs []uint64) (*Anno
 		stored := *r
 		switch {
 		case pin != 0:
-			if v.referents.get(pin) != nil || pendingByID[pin] {
+			if x.refs.get(pin) != nil || slices.ContainsFunc(newRefs, func(n newReferent) bool { return n.ref.ID == pin }) {
 				return nil, fmt.Errorf("core: pinned referent ID %d already used by a different mark", pin)
 			}
 			stored.ID = pin
@@ -298,10 +335,7 @@ func (s *Store) commit(b *Builder, pinnedAnn uint64, pinnedRefs []uint64) (*Anno
 			nextRef++
 			stored.ID = nextRef
 		}
-		pendingByKey[key] = &stored
-		pendingByID[stored.ID] = true
-		newRefs = append(newRefs, &stored)
-		newKeys = append(newKeys, key)
+		newRefs = append(newRefs, newReferent{&stored, key})
 		resolved = append(resolved, &stored)
 		refIDs = append(refIDs, stored.ID)
 	}
@@ -309,20 +343,14 @@ func (s *Store) commit(b *Builder, pinnedAnn uint64, pinnedRefs []uint64) (*Anno
 	// Index the new referents in the writer-owned spatial trees. The
 	// trees are path-copying, so a failure is rolled back by deleting the
 	// entries inserted so far — views already published are untouched.
-	touchedDomains, touchedSystems := map[string]bool{}, map[string]bool{}
-	for i, ref := range newRefs {
-		if err := s.indexReferent(ref); err != nil {
+	for i, n := range newRefs {
+		if err := s.indexReferent(n.ref); err != nil {
 			for _, done := range newRefs[:i] {
-				s.unindexReferent(done)
+				s.unindexReferent(done.ref)
 			}
 			return nil, err
 		}
-		switch ref.Kind {
-		case IntervalReferent:
-			touchedDomains[ref.Domain] = true
-		case RegionReferent:
-			touchedSystems[ref.Domain] = true
-		}
+		x.touch(n.ref)
 	}
 
 	doc := buildContentDoc(annID, &b.dc, b.body, b.tags, resolved, b.terms)
@@ -338,9 +366,9 @@ func (s *Store) commit(b *Builder, pinnedAnn uint64, pinnedRefs []uint64) (*Anno
 	// referent and content -> term. The graph is a shared handle with its
 	// own synchronization; it is fully wired before the view publishes,
 	// so a reader of the new view always finds the complete join index.
-	for _, ref := range newRefs {
-		s.graph.AddEdge(agraph.Referent(ref.ID),
-			agraph.Object(string(ref.ObjectType), ref.ObjectID), agraph.LabelMarks)
+	for _, n := range newRefs {
+		s.graph.AddEdge(agraph.Referent(n.ref.ID),
+			agraph.Object(string(n.ref.ObjectType), n.ref.ObjectID), agraph.LabelMarks)
 	}
 	contentNode := agraph.ContentRoot(annID)
 	s.graph.AddNode(contentNode)
@@ -351,45 +379,24 @@ func (s *Store) commit(b *Builder, pinnedAnn uint64, pinnedRefs []uint64) (*Anno
 		s.graph.AddEdge(contentNode, agraph.Term(tr.Ontology, tr.TermID), agraph.LabelRefersTo)
 	}
 
-	// Build and publish the successor view.
-	nv := v.clone()
-	nv.annotations = v.annotations.with(annID, ann)
+	// Apply to the successor view under construction.
+	x.anns.set(annID, ann)
 	nv.nextAnn, nv.nextRef = nextAnn, nextRef
-	if len(newRefs) > 0 {
-		refTable := v.referents
-		rbm := v.refByMark.edit()
-		for i, ref := range newRefs {
-			refTable = refTable.with(ref.ID, ref)
-			rbm.set(newKeys[i], ref.ID)
-		}
-		nv.referents = refTable
-		nv.refByMark = rbm.done()
-		if len(touchedDomains) > 0 {
-			nv.itrees = s.snapshotITrees(v, touchedDomains)
-		}
-		if len(touchedSystems) > 0 {
-			nv.rtrees = s.snapshotRTrees(v, touchedSystems)
-		}
+	for _, n := range newRefs {
+		x.refs.set(n.ref.ID, n.ref)
+		x.marks().set(n.key, n.ref.ID)
 	}
 	// Keyword index over the content document (ablation A6). IDs ascend
 	// across the writer chain, so each posting list stays sorted.
-	kw := v.keywordIdx.edit()
+	kw := x.keywords()
 	for _, word := range doc.Keywords() {
 		ids, _ := kw.get(word)
 		kw.set(word, appendSortedID(ids, annID))
 	}
-	nv.keywordIdx = kw.done()
-	// Derived annotations: the propagator sees the fully-built successor
-	// view and returns the delta for every affected source, so the new
-	// annotation and its derived consequences publish as one view.
-	if p := s.getPropagator(); p != nil {
-		deltaStart := time.Now()
-		s.applyDerivedDelta(nv, propagatorDelta(p, v, nv, ann, false, csp))
-		s.m.propDelta.Observe(time.Since(deltaStart).Seconds())
-	}
+	x.ops++
+	x.propagate(ann, false, csp)
 	csp.SetAttrInt("ann", int64(annID))
 	csp.SetAttrInt("referents", int64(len(refIDs)))
-	s.publish(nv)
 	s.m.commits.Inc()
 	s.m.commitSeconds.Observe(time.Since(start).Seconds())
 	return ann, nil

@@ -6,10 +6,14 @@ import (
 )
 
 // Persistent (copy-on-write) containers backing the store's published read
-// views. A View shares structure with its predecessor; the writer clones
-// only the pieces a mutation touches, so publishing a view after a commit
-// costs O(touched state), not O(store size), and a pinned view is
-// immutable for as long as a reader holds it.
+// views. A View shares structure with its predecessor, and a pinned view is
+// immutable for as long as a reader holds it. The writer mutates through
+// edit handles (tableEdit, smapEdit) that clone a piece — an ID-table
+// chunk, a map shard — the first time a session touches it and write in
+// place after that. So an op costs the pieces it is first to touch, a
+// writer session (see Tx) clones no piece twice however many ops it
+// carries, and a publish is a handful of pointer stores plus the spatial
+// snapshot maps — none of it proportional to the store.
 
 // --- idtable: persistent chunked array keyed by dense uint64 IDs ---
 
@@ -41,40 +45,52 @@ func (t idtable[T]) get(id uint64) *T {
 	return t.chunks[ci][id&tableSlotMask]
 }
 
-// with returns a table holding v under id, sharing all untouched chunks.
-func (t idtable[T]) with(id uint64, v *T) idtable[T] {
-	ci := int(id >> tableChunkBits)
-	n := len(t.chunks)
-	if ci >= n {
-		n = ci + 1
-	}
-	chunks := make([]*tableChunk[T], n)
-	copy(chunks, t.chunks)
-	var ch tableChunk[T]
-	if chunks[ci] != nil {
-		ch = *chunks[ci]
-	}
-	count := t.count
-	if ch[id&tableSlotMask] == nil {
-		count++
-	}
-	ch[id&tableSlotMask] = v
-	chunks[ci] = &ch
-	return idtable[T]{chunks: chunks, count: count}
+// tableEdit batches mutations against a base idtable, copying the chunk
+// spine and each touched chunk at most once; the embedded table is the
+// edited state (reads see earlier writes) and the successor to publish.
+// Writer-side only, and not to be used after that table is published.
+type tableEdit[T any] struct {
+	idtable[T]
+	// base is the spine edited from: a chunk base does not hold was
+	// allocated by this edit and may be written in place.
+	base  []*tableChunk[T]
+	spine bool // chunks is a private copy of base
 }
 
-// without returns a table with id removed, sharing all untouched chunks.
-func (t idtable[T]) without(id uint64) idtable[T] {
-	if t.get(id) == nil {
-		return t
+func (t idtable[T]) edit() tableEdit[T] {
+	return tableEdit[T]{idtable: t, base: t.chunks}
+}
+
+func (e *tableEdit[T]) mutable(ci uint64) *tableChunk[T] {
+	if n := uint64(len(e.chunks)); !e.spine || ci >= n {
+		chunks := make([]*tableChunk[T], max(n, ci+1))
+		copy(chunks, e.chunks)
+		e.chunks, e.spine = chunks, true
 	}
-	ci := id >> tableChunkBits
-	chunks := make([]*tableChunk[T], len(t.chunks))
-	copy(chunks, t.chunks)
-	ch := *chunks[ci]
-	ch[id&tableSlotMask] = nil
-	chunks[ci] = &ch
-	return idtable[T]{chunks: chunks, count: t.count - 1}
+	ch := e.chunks[ci]
+	if ch == nil || ci < uint64(len(e.base)) && ch == e.base[ci] {
+		own := new(tableChunk[T])
+		if ch != nil {
+			*own = *ch
+		}
+		e.chunks[ci], ch = own, own
+	}
+	return ch
+}
+
+func (e *tableEdit[T]) set(id uint64, v *T) {
+	slot := &e.mutable(id >> tableChunkBits)[id&tableSlotMask]
+	if *slot == nil {
+		e.count++
+	}
+	*slot = v
+}
+
+func (e *tableEdit[T]) delete(id uint64) {
+	if e.get(id) != nil {
+		e.mutable(id >> tableChunkBits)[id&tableSlotMask] = nil
+		e.count--
+	}
 }
 
 // each visits every present entry in ascending ID order until fn returns

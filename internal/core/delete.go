@@ -18,19 +18,25 @@ import (
 // still hold (they never surface one its tables lack; see the View
 // contract in view.go).
 func (s *Store) DeleteAnnotation(id uint64) error {
-	start := time.Now()
 	s.w.Lock()
 	defer s.w.Unlock()
-	v := s.v.Load()
-	ann := v.annotations.get(id)
+	tx := Tx{s: s}
+	defer tx.publish()
+	return tx.DeleteAnnotation(id)
+}
+
+// DeleteAnnotation is Store.DeleteAnnotation as one op of the session.
+func (x *Tx) DeleteAnnotation(id uint64) error {
+	start := time.Now()
+	s := x.s
+	x.open()
+	ann := x.anns.get(id)
 	if ann == nil {
 		return errNoSuchAnnotation(id)
 	}
 
-	nv := v.clone()
-
 	// Keyword index entries: fresh (never shared) posting slices.
-	kw := v.keywordIdx.edit()
+	kw := x.keywords()
 	for _, word := range ann.Content.Keywords() {
 		ids, _ := kw.get(word)
 		if pruned := withoutID(ids, id); len(pruned) == 0 {
@@ -39,20 +45,16 @@ func (s *Store) DeleteAnnotation(id uint64) error {
 			kw.set(word, pruned)
 		}
 	}
-	nv.keywordIdx = kw.done()
 
 	// a-graph: drop the content node (and its annotates/refersTo edges).
 	contentNode := agraph.ContentRoot(id)
 	_ = s.graph.RemoveNode(contentNode) // node exists for every commit
 
-	nv.annotations = v.annotations.without(id)
+	x.anns.delete(id)
 
 	// Garbage-collect now-unreferenced referents.
-	refTable := v.referents
-	rbm := v.refByMark.edit()
-	touchedDomains, touchedSystems := map[string]bool{}, map[string]bool{}
 	for _, refID := range ann.ReferentIDs {
-		ref := refTable.get(refID)
+		ref := x.refs.get(refID)
 		if ref == nil {
 			continue
 		}
@@ -61,35 +63,18 @@ func (s *Store) DeleteAnnotation(id uint64) error {
 			continue // still referenced
 		}
 		s.unindexReferent(ref)
-		switch ref.Kind {
-		case IntervalReferent:
-			touchedDomains[ref.Domain] = true
-		case RegionReferent:
-			touchedSystems[ref.Domain] = true
-		}
-		rbm.delete(markKey(ref))
-		refTable = refTable.without(refID)
+		x.touch(ref)
+		x.marks().delete(markKey(ref))
+		x.refs.delete(refID)
 		_ = s.graph.RemoveNode(refNode)
-	}
-	nv.referents = refTable
-	nv.refByMark = rbm.done()
-	if len(touchedDomains) > 0 {
-		nv.itrees = s.snapshotITrees(v, touchedDomains)
-	}
-	if len(touchedSystems) > 0 {
-		nv.rtrees = s.snapshotRTrees(v, touchedSystems)
 	}
 	// Derived annotations: drop the deleted source's facts and recompute
 	// its neighborhood, so no derived fact survives its source or targets
-	// a garbage-collected referent. The pre-delete view v still holds the
+	// a garbage-collected referent. The pre-delete view still holds the
 	// GC'd referents in its tree snapshots, which is how the propagator
 	// finds the affected neighbors.
-	if p := s.getPropagator(); p != nil {
-		deltaStart := time.Now()
-		s.applyDerivedDelta(nv, propagatorDelta(p, v, nv, ann, true, nil))
-		s.m.propDelta.Observe(time.Since(deltaStart).Seconds())
-	}
-	s.publish(nv)
+	x.ops++
+	x.propagate(ann, true, nil)
 	s.m.deletes.Inc()
 	s.m.deleteSeconds.Observe(time.Since(start).Seconds())
 	return nil

@@ -146,16 +146,16 @@ func (s *Store) recomputeDerivedInto(nv *View) {
 		return
 	}
 	nv.derivedEpoch++
-	var t idtable[derivedEntry]
+	t := idtable[derivedEntry]{}.edit()
 	count := 0
 	for src, facts := range p.Recompute(nv) {
 		if len(facts) == 0 {
 			continue
 		}
-		t = t.with(src, &derivedEntry{epoch: nv.derivedEpoch, facts: facts})
+		t.set(src, &derivedEntry{epoch: nv.derivedEpoch, facts: facts})
 		count += len(facts)
 	}
-	nv.derived = t
+	nv.derived = t.idtable
 	nv.derivedCount = count
 	// Rebuild the target index in table order: sources ascend and each
 	// source's facts are canonical, so plain appends leave every
@@ -180,7 +180,7 @@ func (s *Store) applyDerivedDelta(nv *View, delta map[uint64][]DerivedFact) {
 		return
 	}
 	nv.derivedEpoch++
-	t := nv.derived
+	t := nv.derived.edit()
 	count := nv.derivedCount
 	idx := nv.derivedByTarget.edit()
 	for src, facts := range delta {
@@ -216,13 +216,13 @@ func (s *Store) applyDerivedDelta(nv *View, delta map[uint64][]DerivedFact) {
 			indexDerivedFact(idx, facts[j])
 		}
 		if len(facts) == 0 {
-			t = t.without(src)
+			t.delete(src)
 			continue
 		}
-		t = t.with(src, &derivedEntry{epoch: nv.derivedEpoch, facts: facts})
+		t.set(src, &derivedEntry{epoch: nv.derivedEpoch, facts: facts})
 		count += len(facts)
 	}
-	nv.derived = t
+	nv.derived = t.idtable
 	nv.derivedCount = count
 	nv.derivedByTarget = idx.done()
 }

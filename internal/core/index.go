@@ -54,37 +54,23 @@ func (s *Store) unindexReferent(r *Referent) {
 	}
 }
 
-// snapshotITrees rebuilds the published interval-snapshot map: untouched
-// domains keep their existing snapshots; touched domains get fresh ones
-// (including dropping domains whose tree emptied). Caller holds w.
-func (s *Store) snapshotITrees(v *View, touched map[string]bool) map[string]interval.Snapshot[string] {
+// snapshotITrees returns the interval-snapshot map a view publishes: one
+// O(1) snapshot per live domain (a domain whose tree emptied is gone).
+// Caller holds w.
+func (s *Store) snapshotITrees() map[string]interval.Snapshot[string] {
 	out := make(map[string]interval.Snapshot[string], len(s.itrees))
-	for d, snap := range v.itrees {
-		if !touched[d] {
-			out[d] = snap
-		}
-	}
-	for d := range touched {
-		if tree, ok := s.itrees[d]; ok {
-			out[d] = tree.Snapshot()
-		}
+	for d, tree := range s.itrees {
+		out[d] = tree.Snapshot()
 	}
 	return out
 }
 
 // snapshotRTrees is snapshotITrees for the per-system R-trees. Caller
 // holds w.
-func (s *Store) snapshotRTrees(v *View, touched map[string]bool) map[string]rtree.Snapshot[string] {
+func (s *Store) snapshotRTrees() map[string]rtree.Snapshot[string] {
 	out := make(map[string]rtree.Snapshot[string], len(s.rtrees))
-	for d, snap := range v.rtrees {
-		if !touched[d] {
-			out[d] = snap
-		}
-	}
-	for d := range touched {
-		if tree, ok := s.rtrees[d]; ok {
-			out[d] = tree.Snapshot()
-		}
+	for d, tree := range s.rtrees {
+		out[d] = tree.Snapshot()
 	}
 	return out
 }

@@ -3,9 +3,9 @@ package core
 import "graphitti/internal/obs"
 
 // Writer-path metric families (see internal/obs for the scope model):
-// commit/delete latency covers the full critical section — validation,
-// indexing, graph wiring, propagation delta, publish — and the gauges
-// track the latest published view. Every family carries a "shard" label
+// commit/delete latency covers one op of a writer session — validation,
+// indexing, graph wiring, index edits, and with a propagator its delta
+// and publish — and the gauges track the latest published view. Every family carries a "shard" label
 // so a sharded deployment can tell its writer pipelines apart; an
 // unsharded store reports as shard "0". All are documented in
 // docs/METRICS.md, which a test keeps in sync.
@@ -23,7 +23,7 @@ var (
 	mSearchSecondsVec = obs.NewHistogramVec("graphitti_store_search_duration_seconds",
 		"Keyword/content search latency against a pinned view.", nil, "shard")
 	mViewEpochVec = obs.NewGaugeVec("graphitti_store_view_epoch",
-		"Publication number of the current view; increments on every mutation.", "shard")
+		"Mutation count of the current view; advances by the number of mutations a publish carries.", "shard")
 	mAnnotationsVec = obs.NewGaugeVec("graphitti_store_annotations",
 		"Annotations in the current view.", "shard")
 	mDerivedFactsVec = obs.NewGaugeVec("graphitti_store_derived_facts",

@@ -89,9 +89,13 @@ func (s *Store) IDCounters() (nextAnn, nextRef uint64) {
 // RestoreIDCounters sets the ID counters after a snapshot load. Counters
 // may only move forward: lowering them would re-issue IDs that earlier
 // annotations (possibly deleted ones recorded in a log) already used.
+// They may not pass MaxID, the ceiling on pinned IDs.
 // Like every mutation, the change commits through the writer and
 // publishes a new view.
 func (s *Store) RestoreIDCounters(nextAnn, nextRef uint64) error {
+	if max(nextAnn, nextRef) > MaxID {
+		return fmt.Errorf("core: ID counters (%d, %d) exceed MaxID (%d)", nextAnn, nextRef, uint64(MaxID))
+	}
 	s.w.Lock()
 	defer s.w.Unlock()
 	v := s.v.Load()

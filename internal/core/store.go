@@ -155,10 +155,14 @@ func NewStoreWithOptions(opts StoreOptions) *Store {
 // mutually consistent.
 func (s *Store) View() *View { return s.v.Load() }
 
-// publish installs nv as the current view, stamping its epoch and
-// updating the view gauges. Caller holds w.
-func (s *Store) publish(nv *View) {
-	nv.epoch = s.v.Load().epoch + 1
+// publish installs nv as the current view, one mutation after the last.
+// Caller holds w.
+func (s *Store) publish(nv *View) { s.publishOps(nv, 1) }
+
+// publishOps installs nv as the current view, advancing the epoch by the
+// ops mutations it carries and updating the view gauges. Caller holds w.
+func (s *Store) publishOps(nv *View, ops uint64) {
+	nv.epoch = s.v.Load().epoch + ops
 	s.v.Store(nv)
 	s.m.viewEpoch.Set(int64(nv.epoch))
 	s.m.annotations.Set(int64(nv.annotations.len()))

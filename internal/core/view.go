@@ -12,6 +12,10 @@
 //     mark-dedup indexes, chunked ID tables for annotations/referents),
 //     and the interval/R-trees are path-copying, so a view's snapshots
 //     share structure with the live trees without observing mutation.
+//     What that costs the writer: per op, a copy of each map shard and
+//     table chunk the op is the first of its session (Tx) to touch; per
+//     session, one publish — pointer stores and one O(1) snapshot per
+//     spatial domain — whether it carries one op or a whole snapshot.
 //   - Annotation atomicity: an annotation is visible in a view with all
 //     of its referents, its complete keyword postings and its content
 //     document, or not at all — never half-applied.
@@ -104,9 +108,10 @@ type View struct {
 
 	nextAnn, nextRef uint64
 
-	// epoch numbers this view in publication order: the empty view is 0
-	// and every publish increments it, so readers (and the view-epoch
-	// gauge) can tell how far a pinned snapshot lags the live store.
+	// epoch counts the mutations behind this view: the empty view is 0 and
+	// every publish adds the mutations it carries, so readers (and the
+	// view-epoch gauge) can tell how far a pinned snapshot lags the live
+	// store.
 	epoch uint64
 
 	// m is the owning store's shard-labelled metric set; read-side
@@ -115,9 +120,10 @@ type View struct {
 	m *storeMetrics
 }
 
-// Epoch returns the view's publication number: 0 for a fresh store,
-// incremented by every committed mutation. The difference between two
-// epochs is the number of mutations published between them.
+// Epoch returns the view's mutation count: 0 for a fresh store, advanced
+// at each publish by the number of mutations the publish carries (one for
+// a live commit, many for a batch). The difference between two epochs is
+// the number of mutations published between them.
 func (v *View) Epoch() uint64 { return v.epoch }
 
 // emptyView returns the view of a fresh store.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"graphitti/internal/core"
+	"graphitti/internal/persist"
 	"graphitti/internal/wal"
 	"graphitti/internal/workload"
 )
@@ -44,6 +45,21 @@ func FuzzOpEnvelope(f *testing.F) {
 		f.Add(b)
 		b, _ = json.Marshal(map[string]any{"seq": 1, "kind": kind, "image": map[string]any{}, "row": []any{map[string]any{}}})
 		f.Add(b)
+	}
+	// Hostile pinned IDs: a well-formed commit whose annotation or referent
+	// ID would size the dense ID tables (an index panic at 1<<62, a 32 GiB
+	// allocation at 1<<40) unless core refuses it above core.MaxID.
+	for _, id := range []uint64{1 << 62, 1 << 40} {
+		for _, pin := range [][2]uint64{{id, 1}, {1, id}} {
+			b, _ := json.Marshal(record{Seq: 1, Kind: core.OpCommitAnnotation,
+				Annotation: &persist.AnnotationDump{
+					ID: pin[0],
+					DC: map[string][]string{"creator": {"u"}, "date": {"2008-01-01"}},
+					Referents: []persist.ReferentDump{{ID: pin[1], ObjectType: "dna",
+						ObjectID: "x", Domain: "d", Lo: 1, Hi: 5}},
+				}})
+			f.Add(b)
+		}
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -104,6 +104,30 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if code, body := fetch(t, "POST", dst.URL+"/api/restore", []byte("{nonsense")); code != 400 {
 		t.Fatalf("bad restore body: %d (%s)", code, body)
 	}
+
+	// A snapshot pinning an ID past core.MaxID is a client error with the
+	// JSON envelope — not a crashed process — and the served store stays.
+	var hostile persist.Snapshot
+	if err := json.Unmarshal(snap, &hostile); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []uint64{1 << 62, 1 << 40} {
+		hostile.Annotations[0].ID = id
+		body, err := json.Marshal(&hostile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, resp := fetch(t, "POST", dst.URL+"/api/restore", body)
+		var envelope struct {
+			Error string `json:"error"`
+		}
+		if code != 400 || json.Unmarshal(resp, &envelope) != nil || envelope.Error == "" {
+			t.Fatalf("restore with annotation ID %d: %d (%s)", id, code, resp)
+		}
+	}
+	if _, after := fetch(t, "GET", dst.URL+"/api/stats", nil); !bytes.Equal(after, gotStats) {
+		t.Fatalf("refused restore changed the store:\n got %s\nwant %s", after, gotStats)
+	}
 }
 
 // TestDurableHandler exercises the durable-mode API: mutations are

@@ -688,11 +688,18 @@ func ApplyRecord(s *core.Store, table string, rd []ValueDump) error {
 	return nil
 }
 
+// Committer is what ApplyAnnotation commits through: a *core.Store (one
+// published view per annotation) or a *core.Tx (one for the whole batch).
+type Committer interface {
+	Commit(*core.Builder) (*core.Annotation, error)
+	CommitWithIDs(*core.Builder, uint64, []uint64) (*core.Annotation, error)
+}
+
 // ApplyAnnotation rebuilds and commits a dumped annotation. When the dump
 // carries IDs (v2), the annotation and its referents are committed with
 // exactly those IDs; otherwise the store assigns the next free ones.
-func ApplyAnnotation(s *core.Store, ad AnnotationDump) error {
-	b := s.NewAnnotation()
+func ApplyAnnotation(c Committer, ad AnnotationDump) error {
+	b := core.NewBuilder()
 	elems := make([]string, 0, len(ad.DC))
 	for e := range ad.DC {
 		elems = append(elems, e)
@@ -728,15 +735,16 @@ func ApplyAnnotation(s *core.Store, ad AnnotationDump) error {
 	}
 	var err error
 	if ad.ID != 0 {
-		_, err = s.CommitWithIDs(b, ad.ID, refIDs)
+		_, err = c.CommitWithIDs(b, ad.ID, refIDs)
 	} else {
-		_, err = s.Commit(b)
+		_, err = c.Commit(b)
 	}
 	return err
 }
 
 // Load rebuilds a store from a snapshot by replaying registrations and
-// commits through the normal pipeline.
+// commits through the normal pipeline, the annotations as one writer
+// session: one published view for all of them, not one each.
 func Load(snap *Snapshot) (*core.Store, error) {
 	return LoadWith(snap, core.StoreOptions{})
 }
@@ -744,6 +752,26 @@ func Load(snap *Snapshot) (*core.Store, error) {
 // LoadWith is Load into a store built with opts — how one shard of a
 // sharded deployment rebuilds with its shard label and shared ID source.
 func LoadWith(snap *Snapshot, opts core.StoreOptions) (*core.Store, error) {
+	return loadWith(snap, opts, commitBatch)
+}
+
+// commitBatch commits a snapshot's annotations as one writer session. On
+// a failing annotation the ones before it are published and stay.
+func commitBatch(s *core.Store, anns []AnnotationDump) error {
+	return s.Batch(func(tx *core.Tx) error {
+		for i, ad := range anns {
+			if err := ApplyAnnotation(tx, ad); err != nil {
+				return fmt.Errorf("persist: annotation %d: %w", i, err)
+			}
+		}
+		return nil
+	})
+}
+
+// loadWith is LoadWith with the annotation step as a parameter, so the
+// tests can run the one-publish-per-annotation loop as the oracle.
+func loadWith(snap *Snapshot, opts core.StoreOptions,
+	commit func(*core.Store, []AnnotationDump) error) (*core.Store, error) {
 	if snap.Version < 1 || snap.Version > Version {
 		return nil, fmt.Errorf("persist: snapshot version %d, want 1..%d", snap.Version, Version)
 	}
@@ -788,10 +816,8 @@ func LoadWith(snap *Snapshot, opts core.StoreOptions) (*core.Store, error) {
 			return nil, err
 		}
 	}
-	for i, ad := range snap.Annotations {
-		if err := ApplyAnnotation(s, ad); err != nil {
-			return nil, fmt.Errorf("persist: annotation %d: %w", i, err)
-		}
+	if err := commit(s, snap.Annotations); err != nil {
+		return nil, err
 	}
 	// Rules last, installed as one batch: the derived table is rebuilt
 	// once over the full store, instead of every replayed commit paying

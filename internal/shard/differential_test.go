@@ -95,6 +95,28 @@ func TestShardedDifferentialExport(t *testing.T) {
 				if g, w := annIDs(s.Annotations()), annIDs(want.Annotations()); !reflect.DeepEqual(g, w) {
 					t.Errorf("n=%d annotation list diverged", n)
 				}
+
+				// Batch ≡ serial under partitioning: restoring the serial
+				// store's export loads each shard's partition as one
+				// writer session, and must land on the same state.
+				restored := shard.New(n)
+				if err := restored.Restore(wantSnap); err != nil {
+					t.Fatalf("n=%d restore: %v", n, err)
+				}
+				gotSnap, err = restored.Export()
+				if err != nil {
+					t.Fatalf("n=%d restored export: %v", n, err)
+				}
+				if !bytes.Equal(exportJSON(t, gotSnap), wantJSON) {
+					t.Errorf("n=%d batch-loaded partitions diverged from the serial store", n)
+					diffSnapshots(t, gotSnap, wantSnap)
+				}
+				if g, w := restored.Stats(), want.Stats(); g != w {
+					t.Errorf("n=%d restored stats diverged:\n got %+v\nwant %+v", n, g, w)
+				}
+				if g, w := restored.DerivedAll(), want.DerivedAll(); !reflect.DeepEqual(g, w) {
+					t.Errorf("n=%d restored derived facts diverged: %d vs %d", n, len(g), len(w))
+				}
 			}
 		})
 	}
