@@ -214,6 +214,66 @@ func BenchmarkF2AnnotateWorkflow(b *testing.B) {
 	})
 }
 
+// BenchmarkCommitAtStoreSize is the write path at three store sizes: the
+// live benchmark's annotate mix (create 90 / delete 10, a delete removing
+// the oldest annotation the run created) on an influenza study preloaded
+// with n annotations. One op is one mutation, and B/op is the mean over
+// them — the number the per-commit medians of the live benchmark hide,
+// because a delete costs several creates. The run's own annotations are
+// dropped, off the clock, whenever they reach an eighth of the preload, so
+// every op runs against a store of n to 1.125n annotations whatever b.N
+// is. The study has a sequence per 64 annotations and the run's marks are
+// spread over all of them: the a-graph copies a data object's whole
+// adjacency list when a mark on it goes, which is a cost of hot objects
+// and not of the store's size or of the indexes measured here.
+func BenchmarkCommitAtStoreSize(b *testing.B) {
+	for _, n := range []int{2_000, 8_000, 32_000} {
+		b.Run(fmt.Sprintf("anns=%d", n), func(b *testing.B) {
+			cfg := workload.DefaultInfluenza
+			cfg.Annotations, cfg.SeqsPerSeg = n, n/64/cfg.Segments
+			study, err := workload.Influenza(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			s := study.Store
+			var mine []uint64 // oldest first
+			drop := func(id uint64) {
+				if err := s.DeleteAnnotation(id); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%10 == 9 && len(mine) > 0 {
+					drop(mine[0])
+					mine = mine[1:]
+					continue
+				}
+				lo := int64(i*37) % int64(cfg.SeqLen-25)
+				m, err := s.MarkSequenceInterval(study.SequenceIDs[i%len(study.SequenceIDs)],
+					interval.Interval{Lo: lo, Hi: lo + 25})
+				if err != nil {
+					b.Fatal(err)
+				}
+				ann, err := s.Commit(s.NewAnnotation().Creator("u").Date("2008-01-01").
+					Title(fmt.Sprintf("note-%d", i)).Body(fmt.Sprintf("binding footprint near gene%04d", i%2000)).Refer(m))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if mine = append(mine, ann.ID); len(mine) >= n/8 {
+					b.StopTimer()
+					for _, id := range mine {
+						drop(id)
+					}
+					mine = mine[:0]
+					b.StartTimer()
+				}
+			}
+		})
+	}
+}
+
 // --- F3: Fig. 3 — query-tab graph query + correlated data ---
 
 func BenchmarkF3QueryTab(b *testing.B) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"graphitti/internal/agraph"
@@ -307,7 +308,7 @@ func (x *Tx) commit(b *Builder, pinnedAnn uint64, pinnedRefs []uint64) (*Annotat
 			refIDs = append(refIDs, p.ID)
 			continue
 		}
-		if id, ok := x.markID(key); ok {
+		if id, ok := x.rbm.get(key); ok {
 			if pin != 0 && pin != id {
 				return nil, fmt.Errorf("core: pinned referent ID %d, but identical mark stored as %d", pin, id)
 			}
@@ -384,14 +385,18 @@ func (x *Tx) commit(b *Builder, pinnedAnn uint64, pinnedRefs []uint64) (*Annotat
 	nv.nextAnn, nv.nextRef = nextAnn, nextRef
 	for _, n := range newRefs {
 		x.refs.set(n.ref.ID, n.ref)
-		x.marks().set(n.key, n.ref.ID)
+		x.rbm.set(n.key, n.ref.ID)
 	}
 	// Keyword index over the content document (ablation A6). IDs ascend
-	// across the writer chain, so each posting list stays sorted.
-	kw := x.keywords()
+	// across the writer chain, so the usual insert is a tail append.
 	for _, word := range doc.Keywords() {
-		ids, _ := kw.get(word)
-		kw.set(word, appendSortedID(ids, annID))
+		ids, known := x.kw.get(word)
+		if !known {
+			// The index keeps a key as long as any annotation has the
+			// word; it must not keep this document's text with it.
+			word = strings.Clone(word)
+		}
+		x.kw.set(word, ids.with(annID))
 	}
 	x.ops++
 	x.propagate(ann, false, csp)

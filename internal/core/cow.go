@@ -2,18 +2,28 @@ package core
 
 import (
 	"maps"
+	"math/bits"
+	"slices"
 	"sort"
 )
 
 // Persistent (copy-on-write) containers backing the store's published read
-// views. A View shares structure with its predecessor, and a pinned view is
-// immutable for as long as a reader holds it. The writer mutates through
-// edit handles (tableEdit, smapEdit) that clone a piece — an ID-table
-// chunk, a map shard — the first time a session touches it and write in
-// place after that. So an op costs the pieces it is first to touch, a
-// writer session (see Tx) clones no piece twice however many ops it
-// carries, and a publish is a handful of pointer stores plus the spatial
-// snapshot maps — none of it proportional to the store.
+// views: the chunked ID table (idtable), the string-keyed hash trie (pmap)
+// behind the keyword index, the mark-dedup index and the derived-fact
+// target index, and the chunked posting list (postings) the keyword index
+// maps to. A View shares structure with its predecessor, and a pinned view
+// is immutable for as long as a reader holds it. The writer mutates
+// through edit handles (tableEdit, pmapEdit) that copy a piece — an
+// ID-table chunk, a trie node — the first time a session touches it and
+// write in place after that. So an op costs the pieces it is first to
+// touch: a chunk of 256 slots per table, a root-to-entry path of three or
+// four small nodes per key, one posting chunk per list it removes from and
+// nothing but the ID per list it appends to. A writer session (see Tx)
+// copies no piece twice however many ops it carries, and a publish is a
+// handful of pointer stores plus the spatial snapshot maps. None of it is
+// proportional to the store, except logarithmically (trie depth) and
+// through two spines of chunk pointers (8 bytes per 256 IDs a table holds,
+// 24 per 256 IDs of a posting list that loses one from its middle).
 
 // --- idtable: persistent chunked array keyed by dense uint64 IDs ---
 
@@ -122,26 +132,26 @@ func (t idtable[T]) ids() []uint64 {
 	return out
 }
 
-// --- smap: persistent sharded string-keyed map ---
+// --- pmap: persistent hash-array-mapped trie keyed by string ---
 
-// smapShards trades read-side indirection (none — shard lookup is one
-// hash) against write-side clone cost (per touched shard, size/shards
-// entries). Commits touch one shard per distinct content word, so shard
-// count matters most for the keyword index: at 512 shards a 10k-word
-// vocabulary costs ~20 copied entries per touched shard.
-const smapShards = 512
+// A pmap is a CHAMP-style hash trie: a node consumes pmapBits of the
+// key's hash and holds, compactly and in slot order, the entries that are
+// alone in their slot and the child nodes of the slots several keys share.
+// A lookup is one bitmap test and one index per level, log32(n) levels.
+// Fanout 32 is the classic trade: at 10k-100k keys a key sits three to
+// four nodes deep, and a root-to-entry path copy is a few hundred bytes,
+// whatever the map holds. Entries are boxed, so copying a node copies
+// pointers, not keys and values.
+const (
+	pmapBits     = 5
+	pmapMask     = 1<<pmapBits - 1
+	pmapHashBits = 32 // below this depth keys with equal hashes share a bucket node
+)
 
-type smapArr[V any] [smapShards]map[string]V
-
-// smap is a string-keyed map sharded by FNV-1a hash. Reads index straight
-// into the shard; the writer clones only the shards a mutation touches
-// (via edit), so per-op publish cost is (#touched shards) x (shard size)
-// instead of the whole map.
-type smap[V any] struct {
-	shards *smapArr[V]
-}
-
-func smapShardOf(k string) int {
+// pmapHash is FNV-1a with a final avalanche (the trie consumes the low
+// bits first, FNV's weakest). Deterministic, so a trie's shape and its
+// iteration order depend on its keys alone.
+func pmapHash(k string) uint32 {
 	const (
 		offset32 = 2166136261
 		prime32  = 16777619
@@ -151,123 +161,447 @@ func smapShardOf(k string) int {
 		h ^= uint32(k[i])
 		h *= prime32
 	}
-	return int(h % smapShards)
+	h ^= h >> 16
+	h *= 0x85ebca6b
+	h ^= h >> 13
+	h *= 0xc2b2ae35
+	h ^= h >> 16
+	return h
 }
 
-func (m smap[V]) get(k string) (V, bool) {
-	if m.shards == nil {
-		var zero V
-		return zero, false
-	}
-	v, ok := m.shards[smapShardOf(k)][k]
-	return v, ok
+type pentry[V any] struct {
+	key string
+	val V
 }
 
-func (m smap[V]) len() int {
-	if m.shards == nil {
-		return 0
+type pnode[V any] struct {
+	datamap uint32 // slots holding an entry
+	nodemap uint32 // slots holding a child
+	// stamp is the generation of the edit session that allocated the node
+	// (see pmapEdit), shifted over two flags. The arrays of a node copied
+	// for writing stay shared with the original until one is written — a
+	// path copy pays for the array it changes, not for both — and the
+	// flags say which the node has made its own.
+	stamp   uint64
+	entries []*pentry[V] // by slot; a plain list in a bucket node
+	kids    []*pnode[V]  // by slot
+}
+
+const (
+	pnodeOwnsEntries = 1 << iota
+	pnodeOwnsKids
+	pnodeFlagBits = iota
+)
+
+// own records that the array flagged f is private to n and reports
+// whether it already was.
+func (n *pnode[V]) own(f uint64) bool {
+	had := n.stamp&f != 0
+	n.stamp |= f
+	return had
+}
+
+// pmap is an immutable string-keyed map. The zero value is the empty map.
+type pmap[V any] struct {
+	root  *pnode[V]
+	count int
+	gen   uint64 // edit sessions behind this map; no node in it has a later stamp
+}
+
+func (m pmap[V]) len() int { return m.count }
+
+func (m pmap[V]) get(k string) (V, bool) {
+	h := pmapHash(k)
+	n := m.root
+	for shift := uint(0); n != nil; shift += pmapBits {
+		if shift >= pmapHashBits {
+			for _, e := range n.entries {
+				if e.key == k {
+					return e.val, true
+				}
+			}
+			break
+		}
+		bit := uint32(1) << (h >> shift & pmapMask)
+		if n.datamap&bit != 0 {
+			if e := n.entries[bits.OnesCount32(n.datamap&(bit-1))]; e.key == k {
+				return e.val, true
+			}
+			break
+		}
+		if n.nodemap&bit == 0 {
+			break
+		}
+		n = n.kids[bits.OnesCount32(n.nodemap&(bit-1))]
 	}
-	n := 0
-	for _, sh := range m.shards {
-		n += len(sh)
+	var zero V
+	return zero, false
+}
+
+// each visits all entries in unspecified order until fn returns false.
+func (m pmap[V]) each(fn func(string, V) bool) {
+	if m.root != nil {
+		m.root.each(fn)
+	}
+}
+
+func (n *pnode[V]) each(fn func(string, V) bool) bool {
+	for _, e := range n.entries {
+		if !fn(e.key, e.val) {
+			return false
+		}
+	}
+	for _, kid := range n.kids {
+		if !kid.each(fn) {
+			return false
+		}
+	}
+	return true
+}
+
+// pmapEdit batches mutations against a base pmap. A session takes the
+// generation after its base's: every node reachable from the base carries
+// an earlier one, so a node stamped with the session's own was allocated
+// by it and is reachable from no published map. The session copies a node
+// the first time it writes it and stamps the copy; a stamped node is
+// written in place from then on, so a session copies no node twice. The
+// embedded map is the edited state (reads see earlier writes) and the
+// successor to publish: sealing is a root-pointer store. Writer-side
+// only, and not to be used after that map is published.
+type pmapEdit[V any] struct{ pmap[V] }
+
+func (m pmap[V]) edit() pmapEdit[V] {
+	m.gen++
+	return pmapEdit[V]{m}
+}
+
+// mutable returns n if this session allocated it, else a stamped copy
+// that still shares n's arrays.
+func (e *pmapEdit[V]) mutable(n *pnode[V]) *pnode[V] {
+	if n.stamp>>pnodeFlagBits == e.gen {
+		return n
+	}
+	c := *n
+	c.stamp = e.gen << pnodeFlagBits
+	return &c
+}
+
+// insertAt, removeAt and replaceAt edit a node's array: in place when the
+// node owns it (append-style growth keeps a bulk load amortised), as an
+// exact-size copy when it is still shared.
+func insertAt[T any](s []T, own bool, i int, x T) []T {
+	if own {
+		return slices.Insert(s, i, x)
+	}
+	out := make([]T, len(s)+1)
+	copy(out, s[:i])
+	out[i] = x
+	copy(out[i+1:], s[i:])
+	return out
+}
+
+func removeAt[T any](s []T, own bool, i int) []T {
+	if own {
+		return slices.Delete(s, i, i+1)
+	}
+	out := make([]T, len(s)-1)
+	copy(out, s[:i])
+	copy(out[i:], s[i+1:])
+	return out
+}
+
+func replaceAt[T any](s []T, own bool, i int, x T) []T {
+	if !own {
+		s = slices.Clone(s)
+	}
+	s[i] = x
+	return s
+}
+
+func (e *pmapEdit[V]) set(k string, v V) {
+	ent := &pentry[V]{k, v}
+	if e.root == nil {
+		e.root = new(pnode[V])
+	}
+	e.root = e.insert(e.root, pmapHash(k), 0, ent)
+}
+
+func (e *pmapEdit[V]) insert(n *pnode[V], h uint32, shift uint, ent *pentry[V]) *pnode[V] {
+	if shift >= pmapHashBits {
+		n = e.mutable(n)
+		for i, old := range n.entries {
+			if old.key == ent.key {
+				ent.key = old.key
+				n.entries = replaceAt(n.entries, n.own(pnodeOwnsEntries), i, ent)
+				return n
+			}
+		}
+		n.entries = insertAt(n.entries, n.own(pnodeOwnsEntries), len(n.entries), ent)
+		e.count++
+		return n
+	}
+	bit := uint32(1) << (h >> shift & pmapMask)
+	di := bits.OnesCount32(n.datamap & (bit - 1))
+	ki := bits.OnesCount32(n.nodemap & (bit - 1))
+	switch {
+	case n.nodemap&bit != 0:
+		kid := e.insert(n.kids[ki], h, shift+pmapBits, ent)
+		if kid != n.kids[ki] {
+			n = e.mutable(n)
+			n.kids = replaceAt(n.kids, n.own(pnodeOwnsKids), ki, kid)
+		}
+	case n.datamap&bit == 0:
+		n = e.mutable(n)
+		n.entries = insertAt(n.entries, n.own(pnodeOwnsEntries), di, ent)
+		n.datamap |= bit
+		e.count++
+	case n.entries[di].key == ent.key:
+		ent.key = n.entries[di].key
+		n = e.mutable(n)
+		n.entries = replaceAt(n.entries, n.own(pnodeOwnsEntries), di, ent)
+	default:
+		// A second key in the slot: both move one level down.
+		old := n.entries[di]
+		kid := e.pair(old, pmapHash(old.key), ent, h, shift+pmapBits)
+		n = e.mutable(n)
+		n.entries = removeAt(n.entries, n.own(pnodeOwnsEntries), di)
+		n.kids = insertAt(n.kids, n.own(pnodeOwnsKids), ki, kid)
+		n.datamap &^= bit
+		n.nodemap |= bit
+		e.count++
 	}
 	return n
 }
 
-// each visits all entries in unspecified order until fn returns false.
-func (m smap[V]) each(fn func(string, V) bool) {
-	if m.shards == nil {
+// pair builds the subtree holding two entries whose hashes agree on
+// every bit above shift.
+func (e *pmapEdit[V]) pair(a *pentry[V], ha uint32, b *pentry[V], hb uint32, shift uint) *pnode[V] {
+	n := &pnode[V]{stamp: e.gen<<pnodeFlagBits | pnodeOwnsEntries | pnodeOwnsKids}
+	sa, sb := ha>>shift&pmapMask, hb>>shift&pmapMask
+	switch {
+	case shift >= pmapHashBits:
+		n.entries = []*pentry[V]{a, b}
+	case sa == sb:
+		n.nodemap = 1 << sa
+		n.kids = []*pnode[V]{e.pair(a, ha, b, hb, shift+pmapBits)}
+	default:
+		if sa > sb {
+			a, b = b, a
+		}
+		n.datamap = 1<<sa | 1<<sb
+		n.entries = []*pentry[V]{a, b}
+	}
+	return n
+}
+
+func (e *pmapEdit[V]) delete(k string) {
+	if e.root == nil {
 		return
 	}
-	for _, sh := range m.shards {
-		for k, v := range sh {
-			if !fn(k, v) {
-				return
+	if n, ok := e.remove(e.root, pmapHash(k), 0, k); ok {
+		e.root = n
+		e.count--
+		if e.count == 0 {
+			e.root = nil
+		}
+	}
+}
+
+// remove deletes k below n and keeps the trie canonical: a child left
+// with a single entry and no children folds back into its parent's slot,
+// so a map's shape depends on its keys and not on its history.
+func (e *pmapEdit[V]) remove(n *pnode[V], h uint32, shift uint, k string) (*pnode[V], bool) {
+	if shift >= pmapHashBits {
+		for i, old := range n.entries {
+			if old.key == k {
+				n = e.mutable(n)
+				n.entries = removeAt(n.entries, n.own(pnodeOwnsEntries), i)
+				return n, true
+			}
+		}
+		return n, false
+	}
+	bit := uint32(1) << (h >> shift & pmapMask)
+	di := bits.OnesCount32(n.datamap & (bit - 1))
+	ki := bits.OnesCount32(n.nodemap & (bit - 1))
+	switch {
+	case n.datamap&bit != 0:
+		if n.entries[di].key != k {
+			return n, false
+		}
+		n = e.mutable(n)
+		n.entries = removeAt(n.entries, n.own(pnodeOwnsEntries), di)
+		n.datamap &^= bit
+		return n, true
+	case n.nodemap&bit != 0:
+		kid, ok := e.remove(n.kids[ki], h, shift+pmapBits, k)
+		if !ok {
+			return n, false
+		}
+		n = e.mutable(n)
+		if len(kid.kids) == 0 && len(kid.entries) == 1 {
+			n.kids = removeAt(n.kids, n.own(pnodeOwnsKids), ki)
+			n.entries = insertAt(n.entries, n.own(pnodeOwnsEntries), di, kid.entries[0])
+			n.nodemap &^= bit
+			n.datamap |= bit
+		} else if kid != n.kids[ki] {
+			n.kids = replaceAt(n.kids, n.own(pnodeOwnsKids), ki, kid)
+		}
+		return n, true
+	}
+	return n, false
+}
+
+// --- postings: persistent ascending ID list ---
+
+// postChunk bounds a posting chunk, like tableChunkSize bounds an ID-table
+// chunk: a delete or an out-of-order insert copies one chunk of at most
+// this many IDs plus the spine of chunk headers, whatever the list holds.
+const postChunk = 256
+
+// postings is one keyword's annotation IDs, ascending, in chunks. A list
+// that fits one chunk is just tail — a unique word costs its 8 bytes and
+// a slice header. The chunks before tail sit behind head.
+//
+// Appending the highest ID yet writes into tail's spare capacity in
+// place: a reader pinned to an older postings value never indexes past
+// its own length, so sharing the backing array along the single-writer
+// chain is safe. Every other edit copies what it changes. Only the latest
+// value of a chain may be extended.
+type postings struct {
+	tail []uint64
+	head *postHead
+}
+
+type postHead struct {
+	chunks [][]uint64 // none empty; ascending within and across, all below tail
+	n      int        // IDs in chunks
+}
+
+func (p postings) len() int {
+	if p.head == nil {
+		return len(p.tail)
+	}
+	return p.head.n + len(p.tail)
+}
+
+// each visits the IDs in ascending order until fn returns false.
+func (p postings) each(fn func(uint64) bool) {
+	if p.head != nil {
+		for _, c := range p.head.chunks {
+			for _, id := range c {
+				if !fn(id) {
+					return
+				}
 			}
 		}
 	}
-}
-
-// smapEdit batches mutations against a base smap, cloning each shard at
-// most once; done() assembles the successor map. Writer-side only.
-type smapEdit[V any] struct {
-	shards smapArr[V]
-	cloned [smapShards]bool
-}
-
-func (m smap[V]) edit() *smapEdit[V] {
-	e := &smapEdit[V]{}
-	if m.shards != nil {
-		e.shards = *m.shards
-	}
-	return e
-}
-
-func (e *smapEdit[V]) mutable(si int) map[string]V {
-	if !e.cloned[si] {
-		if e.shards[si] == nil {
-			e.shards[si] = make(map[string]V, 1)
-		} else {
-			e.shards[si] = maps.Clone(e.shards[si])
+	for _, id := range p.tail {
+		if !fn(id) {
+			return
 		}
-		e.cloned[si] = true
-	}
-	return e.shards[si]
-}
-
-func (e *smapEdit[V]) get(k string) (V, bool) {
-	v, ok := e.shards[smapShardOf(k)][k]
-	return v, ok
-}
-
-func (e *smapEdit[V]) set(k string, v V) {
-	e.mutable(smapShardOf(k))[k] = v
-}
-
-func (e *smapEdit[V]) delete(k string) {
-	si := smapShardOf(k)
-	if _, ok := e.shards[si][k]; ok {
-		delete(e.mutable(si), k)
 	}
 }
 
-// done publishes the edited map. It aliases the edit's own shard array
-// (already a copy of the base), so the edit must not be used afterwards.
-func (e *smapEdit[V]) done() smap[V] {
-	return smap[V]{shards: &e.shards}
-}
-
-// appendSortedID extends a sorted posting list with id. The common case
-// (ascending IDs) appends in place: readers pinned to an older slice
-// header never index past their own length, so sharing the backing array
-// with the single-writer chain is safe. Out-of-order or duplicate IDs
-// fall back to a fresh sorted insert.
-func appendSortedID(ids []uint64, id uint64) []uint64 {
-	if n := len(ids); n == 0 || ids[n-1] < id {
-		return append(ids, id)
-	}
-	i := sort.Search(len(ids), func(k int) bool { return ids[k] >= id })
-	if i < len(ids) && ids[i] == id {
-		return ids
-	}
-	out := make([]uint64, 0, len(ids)+1)
-	out = append(out, ids[:i]...)
-	out = append(out, id)
-	return append(out, ids[i:]...)
-}
-
-// withoutID returns a fresh posting list without id (order preserved).
-func withoutID(ids []uint64, id uint64) []uint64 {
-	i := sort.Search(len(ids), func(k int) bool { return ids[k] >= id })
-	if i >= len(ids) || ids[i] != id {
-		return ids
-	}
-	if len(ids) == 1 {
+// chunks returns the head chunks (nil for a short list).
+func (p postings) chunks() [][]uint64 {
+	if p.head == nil {
 		return nil
 	}
-	out := make([]uint64, 0, len(ids)-1)
-	out = append(out, ids[:i]...)
-	return append(out, ids[i+1:]...)
+	return p.head.chunks
+}
+
+// locate returns the chunk that holds id or would take it — the first
+// whose last ID is >= id — and its index; tail is chunk len(p.chunks()).
+func (p postings) locate(id uint64) (int, []uint64) {
+	cs := p.chunks()
+	i := sort.Search(len(cs), func(k int) bool { return cs[k][len(cs[k])-1] >= id })
+	if i < len(cs) {
+		return i, cs[i]
+	}
+	return i, p.tail
+}
+
+// room is the capacity a copy of chunk c, with one ID more or fewer,
+// should have: the tail keeps its own, so the appends that follow stay in
+// place; a head chunk is never appended to.
+func (p postings) room(i int, c []uint64) int {
+	if i == len(p.chunks()) {
+		return cap(c)
+	}
+	return len(c) - 1
+}
+
+// splice returns p with chunk i replaced by repl: no chunk, one, or the
+// two halves of a split. The last replacement of the tail is the new
+// tail; anything else lands in a fresh spine.
+func (p postings) splice(i int, repl ...[]uint64) postings {
+	cs := p.chunks()
+	rest := cs[i:]
+	if i == len(cs) {
+		p.tail = nil
+		if len(repl) > 0 {
+			p.tail, repl = repl[len(repl)-1], repl[:len(repl)-1]
+		}
+		if len(repl) == 0 {
+			return p
+		}
+	} else {
+		rest = rest[1:]
+	}
+	spine := make([][]uint64, 0, i+len(repl)+len(rest))
+	spine = append(append(append(spine, cs[:i]...), repl...), rest...)
+	p.head = nil
+	if len(spine) > 0 {
+		p.head = &postHead{chunks: spine}
+		for _, c := range spine {
+			p.head.n += len(c)
+		}
+	}
+	return p
+}
+
+// with returns the list with id added; a duplicate returns p unchanged.
+func (p postings) with(id uint64) postings {
+	if n := len(p.tail); n == 0 && p.head == nil || n > 0 && n < postChunk && p.tail[n-1] < id {
+		p.tail = append(p.tail, id)
+		return p
+	}
+	i, c := p.locate(id)
+	at, found := slices.BinarySearch(c, id)
+	switch {
+	case found:
+		return p
+	case at == postChunk: // above a full tail: it joins the head
+		return p.splice(i, c, []uint64{id})
+	}
+	grown := make([]uint64, len(c)+1, max(p.room(i, c), len(c)+1))
+	copy(grown, c[:at])
+	grown[at] = id
+	copy(grown[at+1:], c[at:])
+	if len(grown) > postChunk {
+		half := len(grown) / 2
+		return p.splice(i, grown[:half:half], grown[half:])
+	}
+	return p.splice(i, grown)
+}
+
+// without returns the list with id removed, if present. Chunks shrink
+// and vanish but are not merged: like an ID table's, a list's spine
+// follows the chunks it ever filled that still hold an ID.
+func (p postings) without(id uint64) postings {
+	i, c := p.locate(id)
+	at, found := slices.BinarySearch(c, id)
+	switch {
+	case !found:
+		return p
+	case len(c) == 1:
+		return p.splice(i)
+	}
+	shrunk := make([]uint64, len(c)-1, p.room(i, c))
+	copy(shrunk, c[:at])
+	copy(shrunk[at:], c[at+1:])
+	return p.splice(i, shrunk)
 }
 
 // --- small helpers for the rarely-mutated registration maps/slices ---

@@ -35,14 +35,14 @@ func (x *Tx) DeleteAnnotation(id uint64) error {
 		return errNoSuchAnnotation(id)
 	}
 
-	// Keyword index entries: fresh (never shared) posting slices.
-	kw := x.keywords()
+	// Keyword index entries: each posting list copies the one chunk that
+	// held the ID.
 	for _, word := range ann.Content.Keywords() {
-		ids, _ := kw.get(word)
-		if pruned := withoutID(ids, id); len(pruned) == 0 {
-			kw.delete(word)
+		ids, _ := x.kw.get(word)
+		if pruned := ids.without(id); pruned.len() == 0 {
+			x.kw.delete(word)
 		} else {
-			kw.set(word, pruned)
+			x.kw.set(word, pruned)
 		}
 	}
 
@@ -64,7 +64,7 @@ func (x *Tx) DeleteAnnotation(id uint64) error {
 		}
 		s.unindexReferent(ref)
 		x.touch(ref)
-		x.marks().delete(markKey(ref))
+		x.rbm.delete(markKey(ref))
 		x.refs.delete(refID)
 		_ = s.graph.RemoveNode(refNode)
 	}

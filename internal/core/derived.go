@@ -160,7 +160,7 @@ func (s *Store) recomputeDerivedInto(nv *View) {
 	// Rebuild the target index in table order: sources ascend and each
 	// source's facts are canonical, so plain appends leave every
 	// per-target list already (source, rule, witness)-sorted.
-	idx := smap[[]DerivedFact]{}.edit()
+	idx := pmap[[]DerivedFact]{}.edit()
 	t.each(func(_ uint64, e *derivedEntry) bool {
 		for _, f := range e.facts {
 			key := f.Target.String()
@@ -169,7 +169,7 @@ func (s *Store) recomputeDerivedInto(nv *View) {
 		}
 		return true
 	})
-	nv.derivedByTarget = idx.done()
+	nv.derivedByTarget = idx.pmap
 }
 
 // applyDerivedDelta folds a propagator delta into nv, updating the
@@ -202,18 +202,18 @@ func (s *Store) applyDerivedDelta(nv *View, delta map[uint64][]DerivedFact) {
 				i++
 				j++
 			case derivedFactLess(oldFacts[i], facts[j]):
-				unindexDerivedFact(idx, oldFacts[i])
+				unindexDerivedFact(&idx, oldFacts[i])
 				i++
 			default:
-				indexDerivedFact(idx, facts[j])
+				indexDerivedFact(&idx, facts[j])
 				j++
 			}
 		}
 		for ; i < len(oldFacts); i++ {
-			unindexDerivedFact(idx, oldFacts[i])
+			unindexDerivedFact(&idx, oldFacts[i])
 		}
 		for ; j < len(facts); j++ {
-			indexDerivedFact(idx, facts[j])
+			indexDerivedFact(&idx, facts[j])
 		}
 		if len(facts) == 0 {
 			t.delete(src)
@@ -224,7 +224,7 @@ func (s *Store) applyDerivedDelta(nv *View, delta map[uint64][]DerivedFact) {
 	}
 	nv.derived = t.idtable
 	nv.derivedCount = count
-	nv.derivedByTarget = idx.done()
+	nv.derivedByTarget = idx.pmap
 }
 
 // derivedTargetLess orders one target's index list: ascending source,
@@ -243,7 +243,7 @@ func derivedTargetLess(a, b DerivedFact) bool {
 
 // indexDerivedFact inserts f into its target's sorted list. The list is
 // replaced, never mutated: published views may share the old slice.
-func indexDerivedFact(idx *smapEdit[[]DerivedFact], f DerivedFact) {
+func indexDerivedFact(idx *pmapEdit[[]DerivedFact], f DerivedFact) {
 	key := f.Target.String()
 	facts, _ := idx.get(key)
 	i := sort.Search(len(facts), func(k int) bool { return !derivedTargetLess(facts[k], f) })
@@ -255,7 +255,7 @@ func indexDerivedFact(idx *smapEdit[[]DerivedFact], f DerivedFact) {
 
 // unindexDerivedFact removes f from its target's list (fresh slice; the
 // key is dropped when the last fact goes).
-func unindexDerivedFact(idx *smapEdit[[]DerivedFact], f DerivedFact) {
+func unindexDerivedFact(idx *pmapEdit[[]DerivedFact], f DerivedFact) {
 	key := f.Target.String()
 	facts, _ := idx.get(key)
 	for i, g := range facts {

@@ -167,14 +167,18 @@ func (v *View) SearchKeyword(word string, useIndex bool) []*Annotation {
 	token := NormalizeKeyword(word)
 	var out []*Annotation
 	if useIndex {
-		// Posting lists are maintained sorted by annotation ID, so the
-		// result needs no per-call sort.
+		// Posting lists ascend by annotation ID, so the result needs no
+		// per-call sort.
 		ids, _ := v.keywordIdx.get(token)
-		for _, id := range ids {
+		if n := ids.len(); n > 0 {
+			out = make([]*Annotation, 0, n)
+		}
+		ids.each(func(id uint64) bool {
 			if ann := v.annotations.get(id); ann != nil {
 				out = append(out, ann)
 			}
-		}
+			return true
+		})
 		return out
 	}
 	v.annotations.each(func(_ uint64, ann *Annotation) bool {

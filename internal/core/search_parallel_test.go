@@ -126,7 +126,8 @@ func TestKeywordIndexSorted(t *testing.T) {
 	}
 	v := s.View()
 	checked := 0
-	v.keywordIdx.each(func(word string, ids []uint64) bool {
+	v.keywordIdx.each(func(word string, post postings) bool {
+		ids := post.ids()
 		if len(ids) == 0 {
 			t.Fatalf("keyword %q has an empty posting list (should have been deleted)", word)
 		}

@@ -29,9 +29,8 @@ type Tx struct {
 
 	anns tableEdit[Annotation]
 	refs tableEdit[Referent]
-	// Opened on first write; nil means nv's own map is current.
-	kw  *smapEdit[[]uint64]
-	rbm *smapEdit[uint64]
+	kw   pmapEdit[postings]
+	rbm  pmapEdit[uint64]
 	// An op changed the writer's interval / R-trees: re-snapshot at seal.
 	itreesDirty, rtreesDirty bool
 }
@@ -57,28 +56,7 @@ func (x *Tx) open() {
 	x.base = x.s.v.Load()
 	x.nv = x.base.clone()
 	x.anns, x.refs = x.base.annotations.edit(), x.base.referents.edit()
-}
-
-func (x *Tx) keywords() *smapEdit[[]uint64] {
-	if x.kw == nil {
-		x.kw = x.nv.keywordIdx.edit()
-	}
-	return x.kw
-}
-
-func (x *Tx) marks() *smapEdit[uint64] {
-	if x.rbm == nil {
-		x.rbm = x.nv.refByMark.edit()
-	}
-	return x.rbm
-}
-
-// markID is the session's current refByMark lookup.
-func (x *Tx) markID(key string) (uint64, bool) {
-	if x.rbm != nil {
-		return x.rbm.get(key)
-	}
-	return x.nv.refByMark.get(key)
+	x.kw, x.rbm = x.base.keywordIdx.edit(), x.base.refByMark.edit()
 }
 
 // touch records that an op changed r's spatial index.
@@ -96,12 +74,7 @@ func (x *Tx) touch(r *Referent) {
 func (x *Tx) seal() *View {
 	nv := x.nv
 	nv.annotations, nv.referents = x.anns.idtable, x.refs.idtable
-	if x.kw != nil {
-		nv.keywordIdx = x.kw.done()
-	}
-	if x.rbm != nil {
-		nv.refByMark = x.rbm.done()
-	}
+	nv.keywordIdx, nv.refByMark = x.kw.pmap, x.rbm.pmap
 	if x.itreesDirty {
 		nv.itrees, x.itreesDirty = x.s.snapshotITrees(), false
 	}

@@ -3,9 +3,13 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
+	"graphitti/internal/biodata/seq"
 	"graphitti/internal/interval"
 	"graphitti/internal/rtree"
 )
@@ -129,17 +133,41 @@ func TestBatchRollsBackFailedOp(t *testing.T) {
 }
 
 // TestBatchIsOnePublishForReaders: readers pinning views throughout a
-// batch only ever get the pre-batch or the post-batch view, each with
-// table counts that match its epoch. (GraphNodes/GraphEdges come from the
-// shared a-graph handle, which is live by contract, so they are not
-// compared.) Run with -race.
+// batch of creates and deletes only ever get the pre-batch or the
+// post-batch view, each with table counts that match its epoch and, for a
+// word every annotation carries, exactly that view's posting list — the
+// batch appends to the list's tail in place and rewrites chunks of its
+// head while they read. (GraphNodes/GraphEdges come from the shared
+// a-graph handle, which is live by contract, so they are not compared.)
+// Run with -race.
 func TestBatchIsOnePublishForReaders(t *testing.T) {
-	const ops = 400
+	const seeds, creates, deletes = 280, 300, 120 // the list spans chunks before and after
 	s := newDemoStore(t)
-	_, err := s.Commit(segmentNote(t, s, 0, "seed"))
-	mustNoErr(t, err)
+	var preIDs []uint64
+	for i := 0; i < seeds; i++ {
+		ann, err := s.Commit(segmentNote(t, s, int64(i), fmt.Sprintf("seed %d", i)))
+		mustNoErr(t, err)
+		preIDs = append(preIDs, ann.ID)
+	}
 	pre := s.View()
 	preStats := pre.Stats()
+	// The batch deletes every third seed, then every fifth of its own
+	// creates, whose IDs follow the view's counter.
+	next, _ := pre.IDCounters()
+	var doomed []uint64
+	postIDs := slices.Clone(preIDs)
+	for i := 0; i < creates; i++ {
+		postIDs = append(postIDs, next+uint64(i)+1)
+	}
+	for i := 0; len(doomed) < deletes; i++ {
+		if i%3 == 0 && i < seeds {
+			doomed = append(doomed, preIDs[i])
+		} else if i >= seeds && i%5 == 0 {
+			doomed = append(doomed, next+uint64(i-seeds)+1)
+		}
+	}
+	postIDs = slices.DeleteFunc(postIDs, func(id uint64) bool { return slices.Contains(doomed, id) })
+	const ops = creates + deletes
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -155,12 +183,13 @@ func TestBatchIsOnePublishForReaders(t *testing.T) {
 				}
 				v := s.View()
 				st := v.Stats()
-				want := preStats
+				want, wantIDs := preStats, preIDs
 				switch v.Epoch() {
 				case pre.Epoch():
 				case pre.Epoch() + ops:
-					want.Annotations += ops
-					want.Referents += ops
+					want.Annotations += creates - deletes
+					want.Referents += creates - deletes
+					wantIDs = postIDs
 				default:
 					t.Errorf("reader pinned epoch %d: neither pre-batch %d nor post-batch %d",
 						v.Epoch(), pre.Epoch(), pre.Epoch()+ops)
@@ -172,12 +201,25 @@ func TestBatchIsOnePublishForReaders(t *testing.T) {
 					t.Errorf("epoch %d: stats %+v inconsistent with %+v", v.Epoch(), st, want)
 					return
 				}
+				var got []uint64
+				for _, ann := range v.SearchKeyword("2008-01-01", true) {
+					got = append(got, ann.ID)
+				}
+				if !slices.Equal(got, wantIDs) {
+					t.Errorf("epoch %d: keyword search returned %d annotations, want %d: %v", v.Epoch(), len(got), len(wantIDs), got)
+					return
+				}
 			}
 		}()
 	}
-	err = s.Batch(func(tx *Tx) error {
-		for i := 0; i < ops; i++ {
-			if _, err := tx.Commit(segmentNote(t, s, int64(20+i), fmt.Sprintf("note %d", i))); err != nil {
+	err := s.Batch(func(tx *Tx) error {
+		for i := 0; i < creates; i++ {
+			if _, err := tx.Commit(segmentNote(t, s, int64(seeds+i), fmt.Sprintf("note %d", i))); err != nil {
+				return err
+			}
+		}
+		for _, id := range doomed {
+			if err := tx.DeleteAnnotation(id); err != nil {
 				return err
 			}
 		}
@@ -234,5 +276,70 @@ func TestTableEditAgainstOracle(t *testing.T) {
 		table = e.idtable
 		check(table, oracle)
 		check(base, baseOracle)
+	}
+}
+
+// TestCommitCostIsFlatInStoreSize: the bytes a commit and a delete
+// allocate follow the mutation, not the store. Each annotation carries a
+// word of its own, a few words one annotation in sixteen has and several
+// that all have, so the keyword index grows with the store and its longest
+// posting lists hold every annotation; the deletes hit old annotations,
+// whose IDs sit deep in those lists. Marks are spread 64 to a sequence, in
+// eight domains: the a-graph copies a data object's whole adjacency list
+// per mark and a publish copies the map of domains, which are costs of
+// hot objects and of many domains, not of the store's size.
+func TestCommitCostIsFlatInStoreSize(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 16k-annotation store")
+	}
+	const perSeq, pairs = 64, 200
+	note := func(s *Store, i int) *Builder {
+		m, err := s.MarkSequenceInterval(fmt.Sprintf("seq%d", i/perSeq),
+			interval.Interval{Lo: int64(i % perSeq), Hi: int64(i%perSeq + 10)})
+		mustNoErr(t, err)
+		return s.NewAnnotation().Creator("p").Date("2008-01-01").Title(fmt.Sprintf("note-%d", i)).
+			Body(fmt.Sprintf("binding footprint confirmed near gene%04d", i%16*(i%977))).Refer(m)
+	}
+	perPair := func(n int) float64 {
+		s := NewStore()
+		for i := 0; i <= (n+pairs)/perSeq; i++ {
+			sq, err := seq.New(fmt.Sprintf("seq%d", i), seq.DNA, strings.Repeat("ACGT", perSeq/4+3))
+			mustNoErr(t, err)
+			sq.Domain, sq.Offset = fmt.Sprintf("segment%d", i%8), int64(i/8)*2*perSeq
+			mustNoErr(t, s.RegisterSequence(sq))
+		}
+		var ids []uint64
+		mustNoErr(t, s.Batch(func(tx *Tx) error {
+			for i := 0; i < n; i++ {
+				ann, err := tx.Commit(note(s, i))
+				if err != nil {
+					return err
+				}
+				ids = append(ids, ann.ID)
+			}
+			return nil
+		}))
+		rng := rand.New(rand.NewSource(int64(n)))
+		builders := make([]*Builder, pairs)
+		for i := range builders {
+			builders[i] = note(s, n+i)
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for _, b := range builders {
+			ann, err := s.Commit(b)
+			mustNoErr(t, err)
+			k := rng.Intn(len(ids))
+			mustNoErr(t, s.DeleteAnnotation(ids[k]))
+			ids[k] = ann.ID
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / pairs
+	}
+	small, large := perPair(2_000), perPair(16_000)
+	t.Logf("bytes per commit+delete pair: %.0f at 2k annotations, %.0f at 16k (%.2fx)", small, large, large/small)
+	if large > 1.5*small {
+		t.Fatalf("a commit+delete pair allocates %.0f bytes at 16k annotations, %.0f at 2k: more than 1.5x", large, small)
 	}
 }

@@ -8,11 +8,16 @@
 // What a view guarantees:
 //
 //   - Immutability: nothing reachable from a View changes after Publish.
-//     Maps are copy-on-write (sharded for the high-churn keyword and
-//     mark-dedup indexes, chunked ID tables for annotations/referents),
-//     and the interval/R-trees are path-copying, so a view's snapshots
-//     share structure with the live trees without observing mutation.
-//     What that costs the writer: per op, a copy of each map shard and
+//     Maps are copy-on-write (a persistent hash trie for the high-churn
+//     keyword, mark-dedup and derived-target indexes, chunked posting
+//     lists under the keyword index, chunked ID tables for
+//     annotations/referents; see cow.go), and the interval/R-trees are
+//     path-copying, so a view's snapshots share structure with the live
+//     trees without observing mutation. The one write a published
+//     structure does see lands past its end: a posting list's newest IDs
+//     are appended into spare capacity beyond the length every earlier
+//     view holds, which no reader of those views indexes. What it costs
+//     the writer: per op, a copy of each trie node, posting chunk and
 //     table chunk the op is the first of its session (Tx) to touch; per
 //     session, one publish — pointer stores and one O(1) snapshot per
 //     spatial domain — whether it carries one op or a whole snapshot.
@@ -86,8 +91,8 @@ type View struct {
 
 	annotations idtable[Annotation]
 	referents   idtable[Referent]
-	refByMark   smap[uint64]   // canonical mark -> shared referent ID
-	keywordIdx  smap[[]uint64] // keyword -> sorted annotation IDs
+	refByMark   pmap[uint64]   // canonical mark -> shared referent ID
+	keywordIdx  pmap[postings] // keyword -> ascending annotation IDs
 
 	// derived is the materialized derived-annotation table, keyed by
 	// source annotation ID (see derived.go). Maintained by the attached
@@ -104,7 +109,7 @@ type View struct {
 	// lists are kept in (source, rule, witness) order — the per-target
 	// subsequence of the global DerivedEach order — which keeps
 	// index-driven reads byte-identical to table scans.
-	derivedByTarget smap[[]DerivedFact]
+	derivedByTarget pmap[[]DerivedFact]
 
 	nextAnn, nextRef uint64
 
@@ -305,7 +310,7 @@ func (v *View) IDCounters() (nextAnn, nextRef uint64) { return v.nextAnn, v.next
 // the distinct-keyword union across shards without materialising posting
 // lists.
 func (v *View) EachKeyword(fn func(word string) bool) {
-	v.keywordIdx.each(func(word string, _ []uint64) bool { return fn(word) })
+	v.keywordIdx.each(func(word string, _ postings) bool { return fn(word) })
 }
 
 // Stats returns the view's component sizes.

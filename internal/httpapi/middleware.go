@@ -27,7 +27,7 @@ var (
 		"HTTP request latency, handler entry to response completion, by route pattern.",
 		nil, "route")
 	mHTTPInFlight = obs.NewGauge("graphitti_http_in_flight_requests",
-		"HTTP requests currently being served.")
+		"HTTP requests being served and not yet counted in graphitti_http_requests_total.")
 )
 
 // requestIDHeader is honored on ingress (so upstream proxies correlate)
@@ -101,8 +101,9 @@ const traceParentHeader = "traceparent"
 // opens the request's root span (honoring an incoming W3C traceparent),
 // tracks the in-flight gauge, and — after dispatch, when ServeMux has
 // populated r.Pattern — records the route-labelled counter and latency
-// sample. 5xx responses are logged with the request ID; requests at or
-// above Options.SlowRequest are logged with the span breakdown.
+// sample, and only then leaves the gauge. 5xx responses are logged with
+// the request ID; requests at or above Options.SlowRequest are logged
+// with the span breakdown.
 //
 // The request ID and traceparent are written to the response header
 // BEFORE dispatch, so every route — including /metrics and /debug/pprof,
@@ -130,9 +131,15 @@ func (s *server) instrument(next http.Handler) http.Handler {
 			tb = &traceBuffer{dst: sw}
 			out = tb
 		}
+		// A handler that streams its body can have all of it at the client
+		// before it returns here. The gauge therefore drops only after the
+		// counter and the histogram have the request: at every instant a
+		// request that reached a handler is in one or the other, so a
+		// scrape that shows nothing else in flight has counted everything
+		// answered before it.
 		mHTTPInFlight.Add(1)
+		defer mHTTPInFlight.Add(-1)
 		next.ServeHTTP(out, r)
-		mHTTPInFlight.Add(-1)
 
 		// ServeMux fills r.Pattern on the request it dispatched; an empty
 		// pattern is a 404/405 that matched no route.

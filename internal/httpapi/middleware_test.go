@@ -8,9 +8,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"graphitti/internal/core"
 	"graphitti/internal/obs"
@@ -108,6 +110,15 @@ func TestMiddlewareRouteConformance(t *testing.T) {
 			t.Fatalf("%s %s: %v", tgt.method, tgt.path, err)
 		}
 		resp.Body.Close()
+		// A streamed body (/metrics, /api/snapshot) is at the client before
+		// its handler returns and is counted; the in-flight gauge drops
+		// only after the request is.
+		for deadline := time.Now().Add(5 * time.Second); mHTTPInFlight.Value() != 0; {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s %s: still %d requests in flight", tgt.method, tgt.path, mHTTPInFlight.Value())
+			}
+			runtime.Gosched()
+		}
 		after, afterDur := routeMetricSnapshot(t)
 
 		if got := after[tgt.pattern] - before[tgt.pattern]; got != 1 {

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -70,36 +71,38 @@ type Node struct {
 
 // Document owns a tree of nodes and assigns their IDs.
 type Document struct {
-	Root   *Node
-	nextID uint64
-	byID   map[uint64]*Node
+	Root *Node
+	// nodes holds every node the document ever created, in ID order: IDs
+	// are assigned 1..n and never removed, so node ID i is nodes[i-1].
+	nodes []*Node
 }
 
 // NewDocument returns an empty document with a root element of the given
 // name.
 func NewDocument(rootName string) *Document {
-	d := &Document{byID: make(map[uint64]*Node)}
+	d := &Document{}
 	d.Root = d.newNode(ElementNode)
 	d.Root.Name = rootName
 	return d
 }
 
 func (d *Document) newNode(kind Kind) *Node {
-	d.nextID++
-	n := &Node{ID: d.nextID, Kind: kind, doc: d}
-	d.byID[n.ID] = n
+	n := &Node{ID: uint64(len(d.nodes)) + 1, Kind: kind, doc: d}
+	d.nodes = append(d.nodes, n)
 	return n
 }
 
 // NodeByID returns the node with the given ID, if it exists in this
 // document.
 func (d *Document) NodeByID(id uint64) (*Node, bool) {
-	n, ok := d.byID[id]
-	return n, ok
+	if id == 0 || id > uint64(len(d.nodes)) {
+		return nil, false
+	}
+	return d.nodes[id-1], true
 }
 
 // Len reports the number of nodes in the document.
-func (d *Document) Len() int { return len(d.byID) }
+func (d *Document) Len() int { return len(d.nodes) }
 
 // CreateElement returns a new, unattached element node.
 func (d *Document) CreateElement(name string) *Node {
@@ -273,7 +276,7 @@ func (n *Node) Document() *Document { return n.doc }
 // Parse reads an XML document from r.
 func Parse(r io.Reader) (*Document, error) {
 	dec := xml.NewDecoder(r)
-	d := &Document{byID: make(map[uint64]*Node)}
+	d := &Document{}
 	var stack []*Node
 	for {
 		tok, err := dec.Token()
@@ -499,58 +502,55 @@ func nodeEqual(a, b *Node) bool {
 	return true
 }
 
-// Keywords returns the lower-cased word tokens appearing in the document's
-// text content and attribute values. Used by the annotation store's keyword
-// index (ablation A6).
+// Keywords returns the distinct lower-cased word tokens appearing in the
+// document's text content and attribute values, sorted. Used by the
+// annotation store's keyword index (ablation A6), which calls it on every
+// commit and delete: the tokens are gathered in a stack buffer and only
+// the distinct ones are copied out. A token may share memory with the
+// text it was cut from.
 func (d *Document) Keywords() []string {
-	seen := make(map[string]bool)
-	var words []string
-	add := func(s string) {
-		for _, w := range Tokenize(s) {
-			if !seen[w] {
-				seen[w] = true
-				words = append(words, w)
-			}
-		}
+	var buf [64]string
+	words := d.Root.appendKeywords(buf[:0])
+	slices.Sort(words)
+	return slices.Clone(slices.Compact(words))
+}
+
+func (n *Node) appendKeywords(dst []string) []string {
+	if n.Kind == TextNode {
+		dst = appendTokens(dst, n.Value)
 	}
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		if n.Kind == TextNode {
-			add(n.Value)
-		}
-		for _, a := range n.Attrs {
-			add(a.Value)
-		}
-		for _, c := range n.Children {
-			walk(c)
-		}
+	for _, a := range n.Attrs {
+		dst = appendTokens(dst, a.Value)
 	}
-	walk(d.Root)
-	sort.Strings(words)
-	return words
+	for _, c := range n.Children {
+		dst = c.appendKeywords(dst)
+	}
+	return dst
 }
 
 // Tokenize splits s into lower-cased word tokens. Letters, digits, '.', '-'
 // and '_' are word characters (so terms like "protein.TP53" survive as one
 // token); everything else separates tokens.
-func Tokenize(s string) []string {
-	var out []string
-	var cur strings.Builder
-	flush := func() {
-		if cur.Len() > 0 {
-			out = append(out, strings.ToLower(cur.String()))
-			cur.Reset()
+func Tokenize(s string) []string { return appendTokens(nil, s) }
+
+// appendTokens appends s's tokens to dst. Word characters are ASCII, so a
+// token is a substring of s, copied only when it has to be lower-cased.
+func appendTokens(dst []string, s string) []string {
+	start := -1
+	for i := 0; i <= len(s); i++ {
+		if i < len(s) && isWordByte(s[i]) {
+			if start < 0 {
+				start = i
+			}
+		} else if start >= 0 {
+			dst = append(dst, strings.ToLower(s[start:i]))
+			start = -1
 		}
 	}
-	for _, r := range s {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '.', r == '-', r == '_':
-			cur.WriteRune(r)
-		default:
-			flush()
-		}
-	}
-	flush()
-	return out
+	return dst
+}
+
+func isWordByte(c byte) bool {
+	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' ||
+		c == '.' || c == '-' || c == '_'
 }
