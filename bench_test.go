@@ -8,9 +8,12 @@
 package graphitti
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
+	"net/http/httptest"
 	"runtime"
 	"sync"
 	"testing"
@@ -18,6 +21,7 @@ import (
 
 	"graphitti/internal/agraph"
 	"graphitti/internal/core"
+	"graphitti/internal/httpapi"
 	"graphitti/internal/interval"
 	"graphitti/internal/ontology"
 	"graphitti/internal/persist"
@@ -1102,6 +1106,18 @@ func propStudy(b *testing.B, annotations int) *workload.PropagationStudy {
 	return s
 }
 
+// join3 is the planner suite's three-variable join, also the query of
+// BenchmarkReadPath.
+const join3 = `
+select contents
+where {
+  ?a isa annotation ; contains "protease" .
+  ?r isa referent ; kind interval .
+  ?o isa object ; type dna_sequences .
+  ?a annotates ?r .
+  ?r marks ?o .
+}`
+
 // BenchmarkPlanner measures the cost-based planner's two tentpole wins
 // at 10k annotations:
 //
@@ -1118,15 +1134,7 @@ func propStudy(b *testing.B, annotations int) *workload.PropagationStudy {
 func BenchmarkPlanner(b *testing.B) {
 	study := fluStudy(b, 10_000)
 	p := query.NewProcessor(study.Store)
-	join := query.MustParse(`
-select contents
-where {
-  ?a isa annotation ; contains "protease" .
-  ?r isa referent ; kind interval .
-  ?o isa object ; type dna_sequences .
-  ?a annotates ?r .
-  ?r marks ?o .
-}`)
+	join := query.MustParse(join3)
 	semiOpts := query.Options{OrderBySelectivity: true}
 	nestedOpts := query.Options{OrderBySelectivity: true, Join: query.JoinNestedLoop}
 	semi, err := p.ExecuteParsed(join, semiOpts)
@@ -1181,6 +1189,53 @@ where {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkReadPath drives the three read routes that answer with
+// annotations through the HTTP handler, in process, with a recorder: what
+// a reader pays per request from routing to the last response byte, store
+// work and encoding together. related walks the a-graph from each of 32
+// annotations in turn (hundreds of related annotations per answer),
+// keyword lists one word's postings, query runs the planner suite's join.
+// After the first round every annotation's wire fragment is warm, as on a
+// server that has been read from; run with -benchtime=1x in a fresh
+// process for the cold first touch.
+func BenchmarkReadPath(b *testing.B) {
+	study := fluStudy(b, 10_000)
+	h := httpapi.NewHandler(study.Store)
+	ids := study.Store.AnnotationIDs()
+	var related []string
+	for i := 0; i < 32; i++ {
+		related = append(related, fmt.Sprintf("/api/annotations/%d/related", ids[i*len(ids)/32]))
+	}
+	queryBody, err := json.Marshal(map[string]string{"query": join3})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, route := range []struct {
+		name, method string
+		targets      []string
+		body         []byte
+	}{
+		{"related", "GET", related, nil},
+		{"keyword", "GET", []string{"/api/annotations?keyword=protease"}, nil},
+		{"query", "POST", []string{"/api/query"}, queryBody},
+	} {
+		b.Run(route.name+"/anns=10k", func(b *testing.B) {
+			b.ReportAllocs()
+			sent := 0
+			for i := 0; i < b.N; i++ {
+				rr := httptest.NewRecorder()
+				h.ServeHTTP(rr, httptest.NewRequest(route.method,
+					route.targets[i%len(route.targets)], bytes.NewReader(route.body)))
+				if rr.Code != 200 || rr.Body.Len() < 100 {
+					b.Fatalf("%s: status %d, %d bytes", route.name, rr.Code, rr.Body.Len())
+				}
+				sent += rr.Body.Len()
+			}
+			b.ReportMetric(float64(sent)/float64(b.N), "resp-B/op")
 		})
 	}
 }

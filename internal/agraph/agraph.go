@@ -37,6 +37,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -82,8 +83,14 @@ type NodeRef struct {
 func (r NodeRef) String() string { return r.Kind.String() + ":" + r.Key }
 
 // Content references node xmlNode of annotation ann's content document.
+// The key is "<ann>/<xmlNode>" in decimal, built in a stack buffer: the
+// constructors run several times in every commit, delete and join step.
 func Content(ann uint64, xmlNode uint64) NodeRef {
-	return NodeRef{ContentNode, fmt.Sprintf("%d/%d", ann, xmlNode)}
+	var buf [41]byte // two 20-digit uint64s and the slash
+	b := strconv.AppendUint(buf[:0], ann, 10)
+	b = append(b, '/')
+	b = strconv.AppendUint(b, xmlNode, 10)
+	return NodeRef{ContentNode, string(b)}
 }
 
 // ContentRoot references the root of annotation ann's content document.
@@ -91,7 +98,8 @@ func ContentRoot(ann uint64) NodeRef { return Content(ann, 1) }
 
 // Referent references a marked sub-structure by referent ID.
 func Referent(id uint64) NodeRef {
-	return NodeRef{ReferentNode, fmt.Sprintf("%d", id)}
+	var buf [20]byte
+	return NodeRef{ReferentNode, string(strconv.AppendUint(buf[:0], id, 10))}
 }
 
 // Term references a term of a named ontology.

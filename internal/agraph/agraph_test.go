@@ -2,6 +2,8 @@ package agraph
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -27,6 +29,31 @@ func TestNodeRefConstructors(t *testing.T) {
 	}
 	if Content(1, 2) == Content(1, 3) {
 		t.Fatal("distinct XML nodes must produce distinct refs")
+	}
+}
+
+// TestNodeRefKeyFormat pins the integer keys to the decimal format the
+// constructors used to print through fmt, and to their parsers, at the
+// digit-count boundaries and at the largest ID the store assigns
+// (core.MaxID, 1<<30) and the type allows.
+func TestNodeRefKeyFormat(t *testing.T) {
+	for _, id := range []uint64{0, 9, 10, 1 << 30, math.MaxUint64} {
+		for _, node := range []uint64{0, 1, 10, math.MaxUint64} {
+			ref := Content(id, node)
+			if want := fmt.Sprintf("%d/%d", id, node); ref.Kind != ContentNode || ref.Key != want {
+				t.Errorf("Content(%d, %d) = %v, want content:%s", id, node, ref, want)
+			}
+			if a, n, ok := ContentID(ref); !ok || a != id || n != node {
+				t.Errorf("ContentID(%v) = %d, %d, %v", ref, a, n, ok)
+			}
+		}
+		ref := Referent(id)
+		if want := fmt.Sprintf("%d", id); ref.Kind != ReferentNode || ref.Key != want {
+			t.Errorf("Referent(%d) = %v, want referent:%s", id, ref, want)
+		}
+		if got, ok := ReferentID(ref); !ok || got != id {
+			t.Errorf("ReferentID(%v) = %d, %v", ref, got, ok)
+		}
 	}
 }
 

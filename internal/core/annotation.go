@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"graphitti/internal/agraph"
@@ -27,7 +28,30 @@ type Annotation struct {
 	ReferentIDs []uint64
 	// Terms are the ontology references.
 	Terms []TermRef
+
+	// encoded is a serving layer's rendering of the annotation, kept
+	// beside it (see Encoded).
+	encoded atomic.Pointer[string]
 }
+
+// Encoded returns the rendering a reader stored with SetEncoded, or ""
+// when none has yet. A committed annotation never changes, so a rendering
+// of it is a pure function of the pointer: the slot needs no invalidation
+// and is freed with the annotation. Its content is opaque to core, which
+// never fills it — commit, load and replay leave it empty, so a store
+// that is only written to carries the eight bytes of the slot and nothing
+// more. The slot has one owner, internal/httpapi's wire encoder; a second
+// rendering would need a slot of its own.
+func (a *Annotation) Encoded() string {
+	if p := a.encoded.Load(); p != nil {
+		return *p
+	}
+	return ""
+}
+
+// SetEncoded stores s as the annotation's rendering. Concurrent callers
+// must be storing equal strings: whichever store lands last is kept.
+func (a *Annotation) SetEncoded(s string) { a.encoded.Store(&s) }
 
 // Builder assembles an annotation prior to Commit. Builders are not safe
 // for concurrent use; each goroutine should use its own.
@@ -355,10 +379,14 @@ func (x *Tx) commit(b *Builder, pinnedAnn uint64, pinnedRefs []uint64) (*Annotat
 	}
 
 	doc := buildContentDoc(annID, &b.dc, b.body, b.tags, resolved, b.terms)
+	// The record header is copied out: a pointer into the builder would
+	// keep all of it — the uncommitted marks, the tags, the request's span
+	// tree — alive for as long as the annotation.
+	dc := b.dc
 	ann := &Annotation{
 		ID:          annID,
 		Content:     doc,
-		DC:          &b.dc,
+		DC:          &dc,
 		ReferentIDs: refIDs,
 		Terms:       append([]TermRef(nil), b.terms...),
 	}

@@ -301,6 +301,12 @@ func (v *View) Referents() []*Referent {
 	return out
 }
 
+// ReferentsEach visits every committed referent in ascending ID order,
+// without copying, until fn returns false.
+func (v *View) ReferentsEach(fn func(*Referent) bool) {
+	v.referents.each(func(_ uint64, r *Referent) bool { return fn(r) })
+}
+
 // IDCounters returns the annotation and referent ID counters as of this
 // view (the next commit assigns nextAnn+1 / nextRef+1).
 func (v *View) IDCounters() (nextAnn, nextRef uint64) { return v.nextAnn, v.nextRef }

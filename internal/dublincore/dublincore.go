@@ -10,7 +10,7 @@ package dublincore
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"graphitti/internal/xmldoc"
 )
@@ -43,21 +43,60 @@ var Elements = []Element{
 	Type, Format, Identifier, Source, Language, Relation, Coverage, Rights,
 }
 
-var valid = func() map[Element]bool {
-	m := make(map[Element]bool, len(Elements))
-	for _, e := range Elements {
-		m[e] = true
+// rank is an element's position in canonical order.
+var rank = func() map[Element]int {
+	m := make(map[Element]int, len(Elements))
+	for i, e := range Elements {
+		m[e] = i
 	}
 	return m
 }()
 
+// xmlNames holds each element's "dc:"-prefixed tag, in canonical order:
+// every document's nodes share these strings.
+var xmlNames = func() []string {
+	names := make([]string, len(Elements))
+	for i, e := range Elements {
+		names[i] = "dc:" + string(e)
+	}
+	return names
+}()
+
 // IsValid reports whether e is one of the fifteen Dublin Core elements.
-func (e Element) IsValid() bool { return valid[e] }
+func (e Element) IsValid() bool {
+	_, ok := rank[e]
+	return ok
+}
+
+// field is one element of a record with its values.
+type field struct {
+	elem Element
+	vals []string // never empty
+}
 
 // Record is a set of Dublin Core element values. All elements are optional
-// and repeatable, per the DCMES specification.
+// and repeatable, per the DCMES specification. An annotation's record
+// holds three to five elements and every committed annotation keeps one,
+// so the elements sit in a small slice in canonical order, scanned, not
+// in a map.
 type Record struct {
-	values map[Element][]string
+	fields []field
+}
+
+// find returns the position of element e in r.fields, or where it would be
+// inserted to keep canonical order.
+func (r *Record) find(e Element) (int, bool) {
+	for i := range r.fields {
+		if r.fields[i].elem == e {
+			return i, true
+		}
+	}
+	at := rank[e]
+	i := len(r.fields)
+	for i > 0 && rank[r.fields[i-1].elem] > at {
+		i--
+	}
+	return i, false
 }
 
 // Set replaces the values of element e.
@@ -65,10 +104,17 @@ func (r *Record) Set(e Element, vals ...string) error {
 	if !e.IsValid() {
 		return fmt.Errorf("dublincore: unknown element %q", e)
 	}
-	if r.values == nil {
-		r.values = make(map[Element][]string)
+	i, ok := r.find(e)
+	switch {
+	case len(vals) == 0:
+		if ok {
+			r.fields = slices.Delete(r.fields, i, i+1)
+		}
+	case ok:
+		r.fields[i].vals = slices.Clone(vals)
+	default:
+		r.fields = slices.Insert(r.fields, i, field{e, slices.Clone(vals)})
 	}
-	r.values[e] = append([]string(nil), vals...)
 	return nil
 }
 
@@ -77,21 +123,27 @@ func (r *Record) Add(e Element, val string) error {
 	if !e.IsValid() {
 		return fmt.Errorf("dublincore: unknown element %q", e)
 	}
-	if r.values == nil {
-		r.values = make(map[Element][]string)
+	if i, ok := r.find(e); ok {
+		r.fields[i].vals = append(r.fields[i].vals, val)
+	} else {
+		r.fields = slices.Insert(r.fields, i, field{e, []string{val}})
 	}
-	r.values[e] = append(r.values[e], val)
 	return nil
 }
 
 // Get returns the values of element e (nil when unset).
 func (r *Record) Get(e Element) []string {
-	return r.values[e]
+	for i := range r.fields {
+		if r.fields[i].elem == e {
+			return r.fields[i].vals
+		}
+	}
+	return nil
 }
 
 // First returns the first value of element e, or "".
 func (r *Record) First(e Element) string {
-	if vs := r.values[e]; len(vs) > 0 {
+	if vs := r.Get(e); len(vs) > 0 {
 		return vs[0]
 	}
 	return ""
@@ -100,8 +152,8 @@ func (r *Record) First(e Element) string {
 // Len returns the total number of element values.
 func (r *Record) Len() int {
 	n := 0
-	for _, vs := range r.values {
-		n += len(vs)
+	for i := range r.fields {
+		n += len(r.fields[i].vals)
 	}
 	return n
 }
@@ -110,10 +162,8 @@ func (r *Record) Len() int {
 // order.
 func (r *Record) Elements() []Element {
 	var out []Element
-	for _, e := range Elements {
-		if len(r.values[e]) > 0 {
-			out = append(out, e)
-		}
+	for i := range r.fields {
+		out = append(out, r.fields[i].elem)
 	}
 	return out
 }
@@ -121,11 +171,15 @@ func (r *Record) Elements() []Element {
 // AppendXML writes the record's elements as children of parent, one
 // <dc:element> child per value, in canonical element order.
 func (r *Record) AppendXML(doc *xmldoc.Document, parent *xmldoc.Node) {
-	for _, e := range r.Elements() {
-		vs := append([]string(nil), r.values[e]...)
-		sort.Strings(vs)
+	for i := range r.fields {
+		f := &r.fields[i]
+		name, vs := xmlNames[rank[f.elem]], f.vals
+		if len(vs) > 1 {
+			vs = slices.Clone(vs)
+			slices.Sort(vs)
+		}
 		for _, v := range vs {
-			doc.AddElementText(parent, "dc:"+string(e), v)
+			doc.AddElementText(parent, name, v)
 		}
 	}
 }

@@ -120,3 +120,34 @@ func TestValidate(t *testing.T) {
 		t.Fatalf("valid record rejected: %v", err)
 	}
 }
+
+// TestSetReplacesAndClears covers the slice-backed record's edit paths: a
+// Set over an existing element replaces it in place (no duplicate entry,
+// no aliasing of the caller's slice), and a Set with no values unsets it.
+func TestSetReplacesAndClears(t *testing.T) {
+	var r Record
+	vals := []string{"b", "a"}
+	_ = r.Set(Subject, vals...)
+	vals[0] = "mutated"
+	_ = r.Set(Creator, "gupta")
+	_ = r.Set(Subject, "c")
+	if got := r.Get(Subject); len(got) != 1 || got[0] != "c" {
+		t.Fatalf("Subject after replace = %v", got)
+	}
+	if got := r.Elements(); len(got) != 2 || got[0] != Creator || got[1] != Subject {
+		t.Fatalf("Elements = %v, want [creator subject]", got)
+	}
+	_ = r.Set(Subject)
+	if r.Get(Subject) != nil || r.Len() != 1 || len(r.Elements()) != 1 {
+		t.Fatalf("Set with no values should unset: %v, len %d", r.Get(Subject), r.Len())
+	}
+	_ = r.Set(Subject, "b", "a")
+	d := xmldoc.NewDocument("m")
+	r.AppendXML(d, d.Root)
+	if got, want := d.String(), "<m>\n  <dc:creator>gupta</dc:creator>\n  <dc:subject>a</dc:subject>\n  <dc:subject>b</dc:subject>\n</m>\n"; got != want {
+		t.Fatalf("AppendXML = %q, want %q", got, want)
+	}
+	if got := r.Get(Subject); got[0] != "b" {
+		t.Fatalf("AppendXML sorted the record's own values: %v", got)
+	}
+}

@@ -531,43 +531,13 @@ func (s *server) stats(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// annotationView is the JSON projection of an annotation.
-type annotationView struct {
-	ID       uint64         `json:"id"`
-	Creator  string         `json:"creator"`
-	Date     string         `json:"date"`
-	Title    string         `json:"title,omitempty"`
-	Terms    []core.TermRef `json:"terms,omitempty"`
-	Referent []uint64       `json:"referents,omitempty"`
-	XML      string         `json:"xml"`
-}
-
-func viewOf(ann *core.Annotation) annotationView {
-	return annotationView{
-		ID:       ann.ID,
-		Creator:  ann.DC.First("creator"),
-		Date:     ann.DC.First("date"),
-		Title:    ann.DC.First("title"),
-		Terms:    ann.Terms,
-		Referent: ann.ReferentIDs,
-		XML:      ann.Content.String(),
-	}
-}
-
 func (s *server) listAnnotations(w http.ResponseWriter, r *http.Request) {
 	store, _ := s.view()
-	keyword := r.URL.Query().Get("keyword")
-	var out []annotationView
-	if keyword != "" {
-		for _, ann := range store.SearchKeyword(keyword, true) {
-			out = append(out, viewOf(ann))
-		}
+	if keyword := r.URL.Query().Get("keyword"); keyword != "" {
+		writeAnnotations(w, r, store.SearchKeyword(keyword, true))
 	} else {
-		for _, ann := range store.Annotations() {
-			out = append(out, viewOf(ann))
-		}
+		writeAnnotations(w, r, store.Annotations())
 	}
-	writeJSON(w, http.StatusOK, out)
 }
 
 func (s *server) getAnnotation(w http.ResponseWriter, r *http.Request) {
@@ -582,7 +552,7 @@ func (s *server) getAnnotation(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, viewOf(ann))
+	writeAnnotation(w, r, http.StatusOK, ann, true)
 }
 
 func (s *server) deleteAnnotation(w http.ResponseWriter, r *http.Request) {
@@ -673,7 +643,7 @@ func (s *server) createAnnotation(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, viewOf(ann))
+	writeAnnotation(w, r, http.StatusCreated, ann, false)
 }
 
 // commitOp routes the commit through the router/WAL when present.
@@ -741,11 +711,7 @@ func (s *server) related(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, err)
 		return
 	}
-	out := make([]annotationView, 0, len(rel))
-	for _, ann := range rel {
-		out = append(out, viewOf(ann))
-	}
-	writeJSON(w, http.StatusOK, out)
+	writeAnnotations(w, r, rel)
 }
 
 func (s *server) correlated(w http.ResponseWriter, r *http.Request) {
@@ -799,11 +765,7 @@ func (s *server) search(w http.ResponseWriter, r *http.Request) {
 		jsonError(w, r, http.StatusBadRequest, err.Error())
 		return
 	}
-	out := make([]annotationView, 0, len(anns))
-	for _, ann := range anns {
-		out = append(out, viewOf(ann))
-	}
-	writeJSON(w, http.StatusOK, out)
+	writeAnnotations(w, r, anns)
 }
 
 type queryRequest struct {
@@ -812,12 +774,13 @@ type queryRequest struct {
 }
 
 type queryResponse struct {
-	Matches     int              `json:"matches"`
-	Order       []string         `json:"order"`
-	Annotations []annotationView `json:"annotations,omitempty"`
-	Referents   []string         `json:"referents,omitempty"`
-	Subgraphs   []subgraphView   `json:"subgraphs,omitempty"`
-	Explain     *explainView     `json:"explain,omitempty"`
+	Matches int      `json:"matches"`
+	Order   []string `json:"order"`
+	// Annotations is the wire encoder's array (see wire.go), spliced in.
+	Annotations json.RawMessage `json:"annotations,omitempty"`
+	Referents   []string        `json:"referents,omitempty"`
+	Subgraphs   []subgraphView  `json:"subgraphs,omitempty"`
+	Explain     *explainView    `json:"explain,omitempty"`
 }
 
 // explainView surfaces the planner's decisions (POST /api/query with
@@ -868,8 +831,12 @@ func (s *server) runQuery(w http.ResponseWriter, r *http.Request) {
 			BindingsTried:   res.Stats.BindingsTried,
 		}
 	}
-	for _, ann := range res.Annotations {
-		resp.Annotations = append(resp.Annotations, viewOf(ann))
+	if len(res.Annotations) > 0 {
+		wb := startEncode(r)
+		defer wb.release()
+		wb.list(res.Annotations)
+		wb.done()
+		resp.Annotations = wb.out
 	}
 	for _, ref := range res.Referents {
 		resp.Referents = append(resp.Referents, ref.String())

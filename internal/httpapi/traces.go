@@ -65,6 +65,8 @@ func (b *traceBuffer) flush(root *trace.Span) {
 	}
 	ct := b.Header().Get("Content-Type")
 	if strings.HasPrefix(ct, "application/json") && len(b.buf) > 0 && json.Valid(b.buf) {
+		// The handler's Content-Length, if it set one, is the payload's.
+		b.Header().Del("Content-Length")
 		b.dst.WriteHeader(status)
 		_ = json.NewEncoder(b.dst).Encode(tracedEnvelope{
 			Trace:    root.Tree(),

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"graphitti/internal/agraph"
 	"graphitti/internal/biodata/imaging"
 	"graphitti/internal/biodata/seq"
 	"graphitti/internal/core"
@@ -24,77 +23,213 @@ import (
 // cost-based planner with semi-join enumeration, the same order with
 // the candidate×candidate nested loop, declaration order (ablation A5),
 // and the retired greedy connected-smallest order — must produce
-// identical matches, annotations and referents. Runs under -race in CI
+// identical matches, annotations and referents. The nested loop scans
+// every domain as a slice and probes edges one by one, so it is also the
+// materialised reference for the lazy referent domains the other three
+// count, filter against and build on demand. Runs under -race in CI
 // (the candidate sub-queries fan out across goroutines).
 func TestDifferentialPlannerEquivalence(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			s := randomDiffStore(t, rng)
-			p := NewProcessor(s)
 			queries := 40
 			if testing.Short() {
 				queries = 12
 			}
 			for qi := 0; qi < queries; qi++ {
-				q := randomDiffQuery(rng)
-				src := q.src
-				parsed, err := Parse(src)
-				if err != nil {
-					t.Fatalf("generated query does not parse: %v\n%s", err, src)
-				}
-
-				// The cap bounds runtime on unconstrained cross products.
-				// A query that hits it was truncated mid-exploration —
-				// different orders would truncate different subsets — so
-				// such queries are skipped below; for everything under
-				// the cap the exploration is exhaustive and the cap is
-				// invisible.
-				const matchCap = 3000
-				auto, err := p.ExecuteParsed(parsed, Options{OrderBySelectivity: true, MaxResults: matchCap})
-				must(t, err)
-				if auto.Stats.Matches >= matchCap || auto.Stats.BindingsTried > 100_000 {
-					continue
-				}
-				nested, err := p.ExecuteParsed(parsed, Options{OrderBySelectivity: true, Join: JoinNestedLoop, MaxResults: matchCap})
-				must(t, err)
-				decl, err := p.ExecuteParsed(parsed, Options{OrderBySelectivity: false, MaxResults: matchCap})
-				must(t, err)
-				// Replay the retired greedy connected-smallest order
-				// (sizes are all it consulted).
-				fakeDomains := make(map[string][]agraph.NodeRef, len(auto.Stats.CandidateCounts))
-				for name, n := range auto.Stats.CandidateCounts {
-					fakeDomains[name] = make([]agraph.NodeRef, n)
-				}
-				run := &execution{view: s.View(), ctx: context.Background()}
-				greedy, err := run.executeOrdered(parsed, Options{OrderBySelectivity: true, MaxResults: matchCap}, planOrderGreedy(parsed, fakeDomains))
-				must(t, err)
-
-				// Same order ⇒ the match stream itself must be identical.
-				if !reflect.DeepEqual(auto.Matches, nested.Matches) {
-					t.Fatalf("semi-join diverged from nested loop on:\n%s\n got %v\nwant %v",
-						src, auto.Matches, nested.Matches)
-				}
-				// Different orders ⇒ the match set must be identical.
-				want := canonicalMatches(auto.Matches)
-				for name, res := range map[string]*Result{
-					"declaration-order": decl, "greedy-order": greedy,
-				} {
-					if got := canonicalMatches(res.Matches); !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s diverged from cost planner on:\n%s\n got %v\nwant %v",
-							name, src, got, want)
-					}
-					if !reflect.DeepEqual(annIDs(res.Annotations), annIDs(auto.Annotations)) {
-						t.Fatalf("%s annotations diverged on:\n%s\n got %v\nwant %v",
-							name, src, annIDs(res.Annotations), annIDs(auto.Annotations))
-					}
-					if !reflect.DeepEqual(refIDs(res.Referents), refIDs(auto.Referents)) {
-						t.Fatalf("%s referents diverged on:\n%s\n got %v\nwant %v",
-							name, src, refIDs(res.Referents), refIDs(auto.Referents))
-					}
-				}
+				checkFourWays(t, s, randomDiffQuery(rng).src)
+			}
+			for _, src := range lazyRoleQueries {
+				checkFourWays(t, s, src)
 			}
 		})
+	}
+}
+
+// checkFourWays runs src the four ways and compares them.
+func checkFourWays(t *testing.T, s *core.Store, src string) {
+	t.Helper()
+	p := NewProcessor(s)
+	parsed, err := Parse(src)
+	if err != nil {
+		t.Fatalf("generated query does not parse: %v\n%s", err, src)
+	}
+
+	// The cap bounds runtime on unconstrained cross products. A query
+	// that hits it was truncated mid-exploration — different orders would
+	// truncate different subsets — so such queries are skipped below; for
+	// everything under the cap the exploration is exhaustive and the cap
+	// is invisible.
+	const matchCap = 3000
+	auto, err := p.ExecuteParsed(parsed, Options{OrderBySelectivity: true, MaxResults: matchCap})
+	must(t, err)
+	if auto.Stats.Matches >= matchCap || auto.Stats.BindingsTried > 100_000 {
+		return
+	}
+	nested, err := p.ExecuteParsed(parsed, Options{OrderBySelectivity: true, Join: JoinNestedLoop, MaxResults: matchCap})
+	must(t, err)
+	decl, err := p.ExecuteParsed(parsed, Options{OrderBySelectivity: false, MaxResults: matchCap})
+	must(t, err)
+	// Replay the retired greedy connected-smallest order (sizes are all
+	// it consulted).
+	fakeDomains := make(map[string]*domain, len(auto.Stats.CandidateCounts))
+	for name, n := range auto.Stats.CandidateCounts {
+		fakeDomains[name] = &domain{size: n, listed: true}
+	}
+	run := &execution{view: s.View(), ctx: context.Background()}
+	greedy, err := run.executeOrdered(parsed, Options{OrderBySelectivity: true, MaxResults: matchCap}, planOrderGreedy(parsed, fakeDomains))
+	must(t, err)
+
+	// Same order ⇒ the match stream itself must be identical.
+	if !reflect.DeepEqual(auto.Matches, nested.Matches) {
+		t.Fatalf("semi-join diverged from nested loop on:\n%s\n got %v\nwant %v",
+			src, auto.Matches, nested.Matches)
+	}
+	// Different orders ⇒ the match set must be identical.
+	want := canonicalMatches(auto.Matches)
+	for name, res := range map[string]*Result{
+		"nested-loop": nested, "declaration-order": decl, "greedy-order": greedy,
+	} {
+		if !reflect.DeepEqual(res.Stats.CandidateCounts, auto.Stats.CandidateCounts) {
+			t.Fatalf("%s candidate counts diverged on:\n%s\n got %v\nwant %v",
+				name, src, res.Stats.CandidateCounts, auto.Stats.CandidateCounts)
+		}
+		if got := canonicalMatches(res.Matches); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s diverged from cost planner on:\n%s\n got %v\nwant %v",
+				name, src, got, want)
+		}
+		if !reflect.DeepEqual(annIDs(res.Annotations), annIDs(auto.Annotations)) {
+			t.Fatalf("%s annotations diverged on:\n%s\n got %v\nwant %v",
+				name, src, annIDs(res.Annotations), annIDs(auto.Annotations))
+		}
+		if !reflect.DeepEqual(refIDs(res.Referents), refIDs(auto.Referents)) {
+			t.Fatalf("%s referents diverged on:\n%s\n got %v\nwant %v",
+				name, src, refIDs(res.Referents), refIDs(auto.Referents))
+		}
+	}
+}
+
+// lazyRoleQueries put a predicate-only referent variable — one each of
+// kind, domain, object and an unseeded overlaps, and combinations — in a
+// join with a selective annotation variable before it and an object
+// variable after it, so that across the four executions it is scanned
+// first, bound by a semi-join, and sampled as the bound endpoint of the
+// next semi-join. TestLazyDomainRoles pins each role; here they ride the
+// four-way comparison on every random store.
+var lazyRoleQueries = func() []string {
+	var out []string
+	for _, props := range []string{
+		`kind interval`,
+		`kind region`,
+		`domain "chrA"`,
+		`object "NC_chrB"`,
+		`overlaps [200, 700)`,
+		`kind interval ; domain "chrB" ; object "NC_chrB"`,
+		`kind interval ; overlaps [0, 400)`,
+		`kind block`,
+	} {
+		for _, sel := range []string{"contents", "referents"} {
+			out = append(out, fmt.Sprintf(`select %s
+where {
+  ?a isa annotation ; contains "alpha" .
+  ?r isa referent ; %s .
+  ?o isa object .
+  ?a annotates ?r .
+  ?r marks ?o .
+}`, sel, props))
+		}
+	}
+	return out
+}()
+
+// TestLazyDomainRoles forces the binding orders that put a lazy referent
+// domain in each of its three roles and checks, against the nested loop
+// under the same order, that the match stream is identical — and that the
+// domain was in fact listed or left as a predicate as the role says.
+func TestLazyDomainRoles(t *testing.T) {
+	s := randomDiffStore(t, rand.New(rand.NewSource(11)))
+	for _, src := range lazyRoleQueries {
+		parsed := MustParse(src)
+		for _, role := range []struct {
+			name     string
+			order    []string
+			semiJoin bool // ?r is bound by a semi-join
+			lazy     int  // domains never built
+		}{
+			// ?r is the first scan: listed by the scan, then sampled for
+			// ?a out of the list.
+			{"scanned first", []string{"r", "a", "o"}, false, 0},
+			// ?r is filtered against ?a's edges; ?o scans, so nothing
+			// samples ?r.
+			{"bound by semi-join", []string{"o", "a", "r"}, true, 1},
+			// ?r is filtered against ?a's edges, and the planner samples
+			// it to estimate ?o's fan-out from it — out of a pass over the
+			// referents, still without listing it.
+			{"sampled as bound endpoint", []string{"a", "r", "o"}, true, 1},
+		} {
+			run := &execution{view: s.View(), ctx: context.Background()}
+			got, err := run.executeOrdered(parsed, Options{OrderBySelectivity: true}, role.order)
+			must(t, err)
+			run = &execution{view: s.View(), ctx: context.Background()}
+			want, err := run.executeOrdered(parsed, Options{OrderBySelectivity: true, Join: JoinNestedLoop}, role.order)
+			must(t, err)
+			if !reflect.DeepEqual(got.Matches, want.Matches) {
+				t.Fatalf("%s: match stream diverged from the nested loop on:\n%s\n got %v\nwant %v",
+					role.name, src, got.Matches, want.Matches)
+			}
+			if !reflect.DeepEqual(got.Stats.CandidateCounts, want.Stats.CandidateCounts) {
+				t.Fatalf("%s: counted %v, listed %v on:\n%s", role.name,
+					got.Stats.CandidateCounts, want.Stats.CandidateCounts, src)
+			}
+			if got.Stats.CandidateCounts["r"] == 0 {
+				continue // an empty domain is never scanned, sampled or filtered against
+			}
+			if semi := strings.HasPrefix(got.Stats.Strategies["r"], "semi-join("); semi != role.semiJoin {
+				t.Fatalf("%s: strategy for ?r = %q on:\n%s", role.name, got.Stats.Strategies["r"], src)
+			}
+			if got.Stats.LazyDomains != role.lazy {
+				t.Fatalf("%s: %d domains never built, want %d, on:\n%s",
+					role.name, got.Stats.LazyDomains, role.lazy, src)
+			}
+		}
+	}
+}
+
+// TestFanSampleListedOrNot: the planner's fan-out sample of a lazy domain
+// is the same nodes whether it is drawn from a pass over the referents or
+// out of the list a scan built — so the plan does not depend on which
+// happened first — for domains smaller and larger than the sample.
+func TestFanSampleListedOrNot(t *testing.T) {
+	s := randomDiffStore(t, rand.New(rand.NewSource(5)))
+	for _, src := range []string{
+		`select referents where { ?r isa referent . }`,
+		`select referents where { ?r isa referent ; kind region . }`,
+		`select referents where { ?r isa referent ; domain "chrA" ; kind interval . }`,
+		`select referents where { ?r isa referent ; overlaps [0, 150) . }`,
+		`select referents where { ?r isa referent ; kind clade . }`,
+	} {
+		v := &MustParse(src).Vars[0]
+		e := &execution{view: s.View(), ctx: context.Background()}
+		unlisted, err := e.candidates(v)
+		must(t, err)
+		listed, err := e.candidates(v)
+		must(t, err)
+		if unlisted.listed || listed.listed {
+			t.Fatalf("not a lazy domain: %s", src)
+		}
+		nodes, err := e.nodes(listed)
+		must(t, err)
+		if len(nodes) != listed.size || !listed.listed || unlisted.listed {
+			t.Fatalf("listed %d of %d members: %s", len(nodes), listed.size, src)
+		}
+		want, err := e.fanSample(listed)
+		must(t, err)
+		got, err := e.fanSample(unlisted)
+		must(t, err)
+		if len(got) != min(listed.size, fanSampleSize) || !reflect.DeepEqual(got, want) {
+			t.Fatalf("sample of the unlisted domain differs on %s:\n got %v\nwant %v", src, got, want)
+		}
 	}
 }
 
@@ -228,9 +363,9 @@ func randomDiffQuery(rng *rand.Rand) diffQuery {
 				props = ` ; derived "ov"`
 			}
 		case "referent":
-			switch rng.Intn(5) {
+			switch rng.Intn(8) {
 			case 0:
-				props = ` ; kind interval`
+				props = fmt.Sprintf(` ; kind %s`, []string{"interval", "region"}[rng.Intn(2)])
 			case 1:
 				props = fmt.Sprintf(` ; domain "%s"`, []string{"chrA", "chrB", "atlas"}[rng.Intn(3)])
 			case 2:
@@ -238,6 +373,15 @@ func randomDiffQuery(rng *rand.Rand) diffQuery {
 				props = fmt.Sprintf(` ; overlaps [%d, %d)`, lo, lo+100+rng.Intn(200))
 			case 3:
 				props = ` ; provenance`
+			case 4:
+				props = fmt.Sprintf(` ; object "%s"`, []string{"NC_chrA", "NC_chrB", "img-1"}[rng.Intn(3)])
+			case 5:
+				// Domain and overlaps together seed from the interval
+				// index: a listed domain beside the lazy ones.
+				lo := rng.Intn(900)
+				props = fmt.Sprintf(` ; domain "chrA" ; overlaps [%d, %d)`, lo, lo+100+rng.Intn(200))
+			case 6:
+				props = fmt.Sprintf(` ; kind interval ; object "%s" ; provenance`, []string{"NC_chrA", "NC_chrB"}[rng.Intn(2)])
 			}
 		case "object":
 			if rng.Intn(2) == 0 {

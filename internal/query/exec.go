@@ -1,9 +1,11 @@
 package query
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -101,6 +103,7 @@ func (p *Processor) ExecuteParsedCtx(ctx context.Context, q *Query, opts Options
 	if err == nil && sp != nil {
 		sp.SetAttrInt("vars", int64(len(q.Vars)))
 		sp.SetAttrInt("matches", int64(len(res.Matches)))
+		sp.SetAttrInt("lazy_domains", int64(res.Stats.LazyDomains))
 	}
 	return res, err
 }
@@ -110,9 +113,118 @@ type execution struct {
 	view *core.View
 	ctx  context.Context
 	// posIndex lazily maps a variable's candidates to their positions in
-	// its domain slice; semi-join steps use it to intersect enumerated
-	// neighbors with the candidate set and restore candidate order.
+	// its domain slice; semi-join steps over a listed domain use it
+	// to intersect enumerated neighbors with the candidate set and restore
+	// candidate order.
 	posIndex map[string]map[agraph.NodeRef]int
+}
+
+// domain is one variable's candidate set: its exact size and, once listed,
+// the candidates in canonical order.
+//
+// Most domains are listed by the sub-query that resolves them. A lazy
+// domain belongs to a referent variable that is defined by a predicate
+// alone (see lazyReferent): its members are the view's referents that
+// pass props, in ID order, and phase 1 only counts them. A semi-join step
+// tests the bound endpoint's few neighbors against props instead of
+// intersecting them with a list of every member, and the planner picks
+// its fan-out sample out of one more pass, so the list is built (by
+// execution.nodes) only for the step that has to walk it: a candidate
+// scan. A variable is bound by one step, so a lazy domain is either
+// listed by its scan or never.
+type domain struct {
+	size   int
+	listed bool
+	nodes  []agraph.NodeRef // when listed
+	props  []Prop           // of a lazy domain: its membership test
+	// sample is the planner's fan-out sample (see fanSample), kept because
+	// the planner asks for it once per variable it might bind next.
+	sample []agraph.NodeRef
+}
+
+// lazyReferent reports whether a referent variable's candidate set can
+// stay a predicate: every property is an O(1) test on the referent itself
+// and no spatial index seeds the candidates (a seeded set is small, comes
+// in index order rather than ID order, and is kept as a slice).
+func lazyReferent(v *VarDecl) bool {
+	domain, overlaps := false, false
+	for _, prop := range v.Props {
+		switch prop.Kind {
+		case PropKindIs, PropObjectIs:
+		case PropDomain:
+			domain = true
+		case PropOverlapsIv, PropOverlapsRect:
+			overlaps = true
+		default:
+			return false
+		}
+	}
+	return !(domain && overlaps)
+}
+
+// nodes returns d's candidates in canonical order, listing a lazy domain
+// on first use.
+func (e *execution) nodes(d *domain) ([]agraph.NodeRef, error) {
+	if d.listed {
+		return d.nodes, nil
+	}
+	nodes := make([]agraph.NodeRef, 0, d.size)
+	err := e.eachReferent(d.props, func(r *core.Referent) {
+		nodes = append(nodes, agraph.Referent(r.ID))
+	})
+	if err != nil {
+		return nil, err
+	}
+	d.nodes, d.listed = nodes, true
+	return nodes, nil
+}
+
+// fanSample returns the members of d the planner inspects when d is the
+// bound endpoint of a step: up to fanSampleSize of them, evenly spaced in
+// canonical order. A lazy domain that has not been listed gives them up
+// in one pass, without being listed for it.
+func (e *execution) fanSample(d *domain) ([]agraph.NodeRef, error) {
+	if d.sample != nil || d.size == 0 {
+		return d.sample, nil
+	}
+	k := min(fanSampleSize, d.size)
+	sample := make([]agraph.NodeRef, 0, k)
+	if d.listed {
+		for i := 0; i < k; i++ {
+			sample = append(sample, d.nodes[i*d.size/k])
+		}
+	} else {
+		pos := 0
+		err := e.eachReferent(d.props, func(r *core.Referent) {
+			if len(sample) < k && pos == len(sample)*d.size/k {
+				sample = append(sample, agraph.Referent(r.ID))
+			}
+			pos++
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	d.sample = sample
+	return sample, nil
+}
+
+// eachReferent visits, in ID order, the view's referents that pass
+// props, polling ctx every cancelCheckStride referents scanned.
+func (e *execution) eachReferent(props []Prop, fn func(*core.Referent)) error {
+	var err error
+	i := 0
+	e.view.ReferentsEach(func(r *core.Referent) bool {
+		if err = e.strideCheck(i); err != nil {
+			return false
+		}
+		i++
+		if referentMatches(r, props) {
+			fn(r)
+		}
+		return true
+	})
+	return err
 }
 
 func (e *execution) execute(q *Query, opts Options) (*Result, error) {
@@ -128,7 +240,7 @@ func (e *execution) executeOrdered(q *Query, opts Options, forcedOrder []string)
 	// The per-variable sub-queries are independent reads of the same
 	// immutable view, so they fan out across the available cores; results
 	// land in declaration order, keeping execution deterministic.
-	domains := make(map[string][]agraph.NodeRef, len(q.Vars))
+	domains := make(map[string]*domain, len(q.Vars))
 	stats := Stats{CandidateCounts: make(map[string]int, len(q.Vars))}
 	cands, err := e.candidateSets(q)
 	if err != nil {
@@ -137,12 +249,15 @@ func (e *execution) executeOrdered(q *Query, opts Options, forcedOrder []string)
 	for i := range q.Vars {
 		v := &q.Vars[i]
 		domains[v.Name] = cands[i]
-		stats.CandidateCounts[v.Name] = len(cands[i])
+		stats.CandidateCounts[v.Name] = cands[i].size
 	}
 
 	// Phase 2 — cost-based planning: a feasible order plus a per-variable
 	// join strategy (see plan.go).
-	pl := buildPlan(q, domains, e.view.Graph(), opts, forcedOrder)
+	pl, err := e.buildPlan(q, domains, opts, forcedOrder)
+	if err != nil {
+		return nil, err
+	}
 	stats.Order = pl.order
 	stats.Costs = pl.costs
 	stats.Strategies = pl.strategies
@@ -159,6 +274,11 @@ func (e *execution) executeOrdered(q *Query, opts Options, forcedOrder []string)
 		return nil, err
 	}
 	stats.Matches = len(matches)
+	for _, d := range domains {
+		if !d.listed {
+			stats.LazyDomains++
+		}
+	}
 
 	// Phase 4 — collation into the selected result form.
 	res := &Result{Kind: q.Select, Matches: matches, Stats: stats}
@@ -190,28 +310,31 @@ func observeQuery(q *Query, stats *Stats, elapsed time.Duration) {
 }
 
 // candidateSets resolves every variable's sub-query, in parallel when the
-// query has several variables and the machine has the cores for it.
-func (e *execution) candidateSets(q *Query) ([][]agraph.NodeRef, error) {
-	out := make([][]agraph.NodeRef, len(q.Vars))
+// query has several variables and the machine has the cores for it; the
+// last one runs on the calling goroutine, which would only wait otherwise.
+func (e *execution) candidateSets(q *Query) ([]*domain, error) {
+	out := make([]*domain, len(q.Vars))
 	if len(q.Vars) <= 1 || runtime.GOMAXPROCS(0) <= 1 {
 		for i := range q.Vars {
-			cands, err := e.candidates(&q.Vars[i])
+			d, err := e.candidates(&q.Vars[i])
 			if err != nil {
 				return nil, err
 			}
-			out[i] = cands
+			out[i] = d
 		}
 		return out, nil
 	}
 	errs := make([]error, len(q.Vars))
+	last := len(q.Vars) - 1
 	var wg sync.WaitGroup
-	for i := range q.Vars {
+	for i := 0; i < last; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			out[i], errs[i] = e.candidates(&q.Vars[i])
 		}(i)
 	}
+	out[last], errs[last] = e.candidates(&q.Vars[last])
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
@@ -222,9 +345,14 @@ func (e *execution) candidateSets(q *Query) ([][]agraph.NodeRef, error) {
 }
 
 // candidates resolves one variable's sub-query against the pinned view.
-func (e *execution) candidates(v *VarDecl) ([]agraph.NodeRef, error) {
+func (e *execution) candidates(v *VarDecl) (*domain, error) {
 	if err := e.ctx.Err(); err != nil {
 		return nil, err
+	}
+	if v.Class == ClassReferent && lazyReferent(v) {
+		d := &domain{props: v.Props}
+		err := e.eachReferent(v.Props, func(*core.Referent) { d.size++ })
+		return d, err
 	}
 	var out []agraph.NodeRef
 	var err error
@@ -257,7 +385,7 @@ func (e *execution) candidates(v *VarDecl) ([]agraph.NodeRef, error) {
 			out = kept
 		}
 	}
-	return out, nil
+	return &domain{size: len(out), listed: true, nodes: out}, nil
 }
 
 // derivesMatch reports whether an annotation sources at least one
@@ -358,42 +486,36 @@ func (e *execution) annotationMatches(ann *core.Annotation, props []Prop) (bool,
 }
 
 func (e *execution) referentCandidates(v *VarDecl) ([]agraph.NodeRef, error) {
+	var out []agraph.NodeRef
+	collect := func(r *core.Referent) { out = append(out, agraph.Referent(r.ID)) }
 	// Index-driven seeding when a spatial predicate names its space.
-	var seed []*core.Referent
-	seeded := false
 	var domain string
 	for _, prop := range v.Props {
 		if prop.Kind == PropDomain {
 			domain = prop.Str
 		}
 	}
+	var mark subx.Mark
 	for _, prop := range v.Props {
-		switch prop.Kind {
-		case PropOverlapsIv:
-			if domain != "" {
-				seed = e.view.ReferentsOverlapping(subx.IntervalMark{Domain: domain, IV: prop.Iv})
-				seeded = true
-			}
-		case PropOverlapsRect:
-			if domain != "" {
-				seed = e.view.ReferentsOverlapping(subx.RegionMark{System: domain, R: prop.Rect})
-				seeded = true
-			}
-		}
-		if seeded {
+		if domain == "" || mark != nil {
 			break
 		}
+		switch prop.Kind {
+		case PropOverlapsIv:
+			mark = subx.IntervalMark{Domain: domain, IV: prop.Iv}
+		case PropOverlapsRect:
+			mark = subx.RegionMark{System: domain, R: prop.Rect}
+		}
 	}
-	if !seeded {
-		seed = e.view.Referents()
+	if mark == nil {
+		return out, e.eachReferent(v.Props, collect)
 	}
-	var out []agraph.NodeRef
-	for i, r := range seed {
+	for i, r := range e.view.ReferentsOverlapping(mark) {
 		if err := e.strideCheck(i); err != nil {
 			return nil, err
 		}
 		if referentMatches(r, v.Props) {
-			out = append(out, agraph.Referent(r.ID))
+			collect(r)
 		}
 	}
 	return out, nil
@@ -534,7 +656,7 @@ func filterStrings(in []string, keep func(string) bool) []string {
 // enumeration). It returns a non-nil error only on context cancellation;
 // running out of candidates or hitting the result cap end the walk
 // normally.
-func (e *execution) backtrack(q *Query, domains map[string][]agraph.NodeRef,
+func (e *execution) backtrack(q *Query, domains map[string]*domain,
 	pl *plan, depth int, binding Match, out *[]Match, stats *Stats, maxResults int) error {
 	if maxResults > 0 && len(*out) >= maxResults {
 		return nil
@@ -549,7 +671,10 @@ func (e *execution) backtrack(q *Query, domains map[string][]agraph.NodeRef,
 	}
 	step := &pl.steps[depth]
 	name := step.name
-	cands := e.stepCandidates(step, domains, binding)
+	cands, err := e.stepCandidates(step, domains, binding)
+	if err != nil {
+		return err
+	}
 	skipEdge := -1
 	if step.enum != nil {
 		skipEdge = step.enum.edgeIdx // already satisfied by enumeration
@@ -579,31 +704,37 @@ func (e *execution) backtrack(q *Query, domains map[string][]agraph.NodeRef,
 // stepCandidates yields the candidates to try for one step, in the
 // variable's canonical candidate order. Scan steps return the domain
 // as-is. Semi-join steps enumerate the bound endpoint's a-graph edges,
-// intersect with the candidate set, and re-sort the survivors into
+// keep the neighbors that are candidates, and sort the survivors into
 // domain order — the same candidates a scan would accept, in the same
 // order, found in O(fan-out) instead of O(|domain|) edge probes.
-func (e *execution) stepCandidates(step *planStep, domains map[string][]agraph.NodeRef, binding Match) []agraph.NodeRef {
+func (e *execution) stepCandidates(step *planStep, domains map[string]*domain, binding Match) ([]agraph.NodeRef, error) {
 	dom := domains[step.name]
 	if step.enum == nil {
-		return dom
+		return e.nodes(dom)
 	}
-	pos := e.positionsOf(step.name, dom)
-	bval := binding[step.enum.other]
-	g := e.view.Graph()
+	// neighbors visits the far end of each of the bound endpoint's edges
+	// along the step's pattern edge until fn returns false.
+	neighbors := func(fn func(agraph.NodeRef) bool) {
+		g, bval := e.view.Graph(), binding[step.enum.other]
+		if step.enum.varIsTo {
+			g.OutEach(bval, func(ed agraph.Edge) bool { return fn(ed.To) }, step.enum.label)
+		} else {
+			g.InEach(bval, func(ed agraph.Edge) bool { return fn(ed.From) }, step.enum.label)
+		}
+	}
+	if !dom.listed {
+		return e.lazySurvivors(dom, neighbors)
+	}
+	pos := e.positionsOf(step.name, dom.nodes)
 	var hits []int
-	collect := func(n agraph.NodeRef) bool {
+	neighbors(func(n agraph.NodeRef) bool {
 		if p, ok := pos[n]; ok {
 			hits = append(hits, p)
 		}
 		return true
-	}
-	if step.enum.varIsTo {
-		g.OutEach(bval, func(ed agraph.Edge) bool { return collect(ed.To) }, step.enum.label)
-	} else {
-		g.InEach(bval, func(ed agraph.Edge) bool { return collect(ed.From) }, step.enum.label)
-	}
+	})
 	if len(hits) == 0 {
-		return nil
+		return nil, nil
 	}
 	sort.Ints(hits)
 	out := make([]agraph.NodeRef, 0, len(hits))
@@ -611,9 +742,50 @@ func (e *execution) stepCandidates(step *planStep, domains map[string][]agraph.N
 		if i > 0 && p == hits[i-1] {
 			continue // parallel edges to the same candidate
 		}
-		out = append(out, dom[p])
+		out = append(out, dom.nodes[p])
 	}
-	return out
+	return out, nil
+}
+
+// lazySurvivors is the semi-join filter of a lazy domain: membership is
+// the domain's predicate on the pinned view's referent, domain order is
+// referent ID order, and a survivor reuses the graph's own node ref.
+func (e *execution) lazySurvivors(dom *domain, neighbors func(func(agraph.NodeRef) bool)) ([]agraph.NodeRef, error) {
+	type hit struct {
+		id   uint64
+		node agraph.NodeRef
+	}
+	var hits []hit
+	var err error
+	i := 0
+	neighbors(func(n agraph.NodeRef) bool {
+		// A hot endpoint's fan-out is a scan of its own.
+		if i++; i%cancelCheckStride == 0 {
+			if err = e.ctx.Err(); err != nil {
+				return false
+			}
+		}
+		id, ok := agraph.ReferentID(n)
+		if !ok {
+			return true
+		}
+		if r, rerr := e.view.Referent(id); rerr == nil && referentMatches(r, dom.props) {
+			hits = append(hits, hit{id, n})
+		}
+		return true
+	})
+	if err != nil || len(hits) == 0 {
+		return nil, err
+	}
+	slices.SortFunc(hits, func(a, b hit) int { return cmp.Compare(a.id, b.id) })
+	out := make([]agraph.NodeRef, 0, len(hits))
+	for i, h := range hits {
+		if i > 0 && h.id == hits[i-1].id {
+			continue // parallel edges to the same candidate
+		}
+		out = append(out, h.node)
+	}
+	return out, nil
 }
 
 // positionsOf returns (building lazily, once per execution) the map from

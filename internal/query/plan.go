@@ -59,8 +59,8 @@ type plan struct {
 // A5) or the caller's forced order (differential tests). Join strategy
 // selection is independent of the order source, so every order produces
 // identical results.
-func buildPlan(q *Query, domains map[string][]agraph.NodeRef, g *agraph.Graph,
-	opts Options, forced []string) *plan {
+func (e *execution) buildPlan(q *Query, domains map[string]*domain,
+	opts Options, forced []string) (*plan, error) {
 	pl := &plan{
 		costs:      make(map[string]float64, len(q.Vars)),
 		strategies: make(map[string]string, len(q.Vars)),
@@ -69,14 +69,21 @@ func buildPlan(q *Query, domains map[string][]agraph.NodeRef, g *agraph.Graph,
 	case forced != nil:
 		pl.order = forced
 	case opts.OrderBySelectivity:
-		pl.order = planOrderCost(q, domains, g, pl.costs)
+		order, err := e.planOrderCost(q, domains, pl.costs)
+		if err != nil {
+			return nil, err
+		}
+		pl.order = order
 	default:
 		pl.order = declarationOrder(q)
 	}
 	bound := make(map[string]bool, len(pl.order))
 	prefixRows := 1.0
 	for _, name := range pl.order {
-		enum, cost, perParent := chooseStrategy(q, domains, g, name, bound, prefixRows)
+		enum, cost, perParent, err := e.chooseStrategy(q, domains, name, bound, prefixRows)
+		if err != nil {
+			return nil, err
+		}
 		if opts.Join == JoinNestedLoop {
 			enum = nil
 		}
@@ -88,7 +95,7 @@ func buildPlan(q *Query, domains map[string][]agraph.NodeRef, g *agraph.Graph,
 		prefixRows = advanceRows(prefixRows, perParent)
 		bound[name] = true
 	}
-	return pl
+	return pl, nil
 }
 
 // chooseStrategy picks how to bind name given the bound prefix: the
@@ -96,21 +103,24 @@ func buildPlan(q *Query, domains map[string][]agraph.NodeRef, g *agraph.Graph,
 // beats scanning the candidate set, a scan otherwise. It returns the
 // enumeration edge (nil for scan), the estimated cost of binding name
 // across all prefixRows partial bindings, and the estimated per-binding
-// survivor count.
-func chooseStrategy(q *Query, domains map[string][]agraph.NodeRef, g *agraph.Graph,
-	name string, bound map[string]bool, prefixRows float64) (enum *stepEdge, cost, perParent float64) {
-	domainSize := float64(len(domains[name]))
+// survivor count. The error is estFan's.
+func (e *execution) chooseStrategy(q *Query, domains map[string]*domain,
+	name string, bound map[string]bool, prefixRows float64) (enum *stepEdge, cost, perParent float64, err error) {
+	domainSize := float64(domains[name].size)
 	var best *stepEdge
 	bestFan := 0.0
 	for _, se := range boundEdges(q, name, bound) {
-		fan := estFan(g, domains[se.other], se)
+		fan, err := e.estFan(domains[se.other], se)
+		if err != nil {
+			return nil, 0, 0, err
+		}
 		if best == nil || fan < bestFan {
 			e := se
 			best, bestFan = &e, fan
 		}
 	}
 	if best == nil {
-		return nil, prefixRows * domainSize, domainSize
+		return nil, prefixRows * domainSize, domainSize, nil
 	}
 	perParent = bestFan
 	if domainSize < perParent {
@@ -120,9 +130,9 @@ func chooseStrategy(q *Query, domains map[string][]agraph.NodeRef, g *agraph.Gra
 		// Enumeration would visit more edges than a candidate scan
 		// probes; scan, but keep the semi-join cost estimate (the scan
 		// still filters on the same edge).
-		return nil, prefixRows * perParent, perParent
+		return nil, prefixRows * perParent, perParent, nil
 	}
-	return best, prefixRows * perParent, perParent
+	return best, prefixRows * perParent, perParent, nil
 }
 
 // advanceRows updates the running partial-binding estimate after
@@ -141,8 +151,8 @@ func advanceRows(prefixRows, perParent float64) float64 {
 // the exact candidate count with the sampled per-edge fan-out from the
 // bound prefix. Ties break toward the smaller candidate set, then
 // declaration order, keeping plans deterministic.
-func planOrderCost(q *Query, domains map[string][]agraph.NodeRef, g *agraph.Graph,
-	costs map[string]float64) []string {
+func (e *execution) planOrderCost(q *Query, domains map[string]*domain,
+	costs map[string]float64) ([]string, error) {
 	names := declarationOrder(q)
 	bound := make(map[string]bool, len(names))
 	prefixRows := 1.0
@@ -154,9 +164,12 @@ func planOrderCost(q *Query, domains map[string][]agraph.NodeRef, g *agraph.Grap
 			if bound[name] {
 				continue
 			}
-			_, cost, perParent := chooseStrategy(q, domains, g, name, bound, prefixRows)
+			_, cost, perParent, err := e.chooseStrategy(q, domains, name, bound, prefixRows)
+			if err != nil {
+				return nil, err
+			}
 			better := best == "" || cost < bestCost ||
-				(cost == bestCost && len(domains[name]) < len(domains[best]))
+				(cost == bestCost && domains[name].size < domains[best].size)
 			if better {
 				best, bestCost, bestPerParent = name, cost, perParent
 			}
@@ -166,7 +179,7 @@ func planOrderCost(q *Query, domains map[string][]agraph.NodeRef, g *agraph.Grap
 		prefixRows = advanceRows(prefixRows, bestPerParent)
 		bound[best] = true
 	}
-	return order
+	return order, nil
 }
 
 // planOrderGreedy is the retired connected-smallest heuristic (the
@@ -174,7 +187,7 @@ func planOrderCost(q *Query, domains map[string][]agraph.NodeRef, g *agraph.Grap
 // set joined to the bound set goes next, falling back to the global
 // smallest. Kept as a differential-test oracle — the cost planner must
 // produce identical results under this order too.
-func planOrderGreedy(q *Query, domains map[string][]agraph.NodeRef) []string {
+func planOrderGreedy(q *Query, domains map[string]*domain) []string {
 	names := declarationOrder(q)
 	adjacent := make(map[string]map[string]bool)
 	for _, e := range q.Edges {
@@ -210,7 +223,7 @@ func planOrderGreedy(q *Query, domains map[string][]agraph.NodeRef) []string {
 			switch {
 			case connected && !bestConnected:
 				best, bestConnected = name, connected
-			case connected == bestConnected && len(domains[name]) < len(domains[best]):
+			case connected == bestConnected && domains[name].size < domains[best].size:
 				best, bestConnected = name, connected
 			}
 		}
@@ -246,28 +259,24 @@ func boundEdges(q *Query, name string, bound map[string]bool) []stepEdge {
 }
 
 // estFan estimates the mean number of a-graph edges a binding of the
-// bound endpoint offers toward the step variable, by sampling degree
-// counts over (up to fanSampleSize, evenly spaced) candidates of the
-// bound endpoint's domain.
-func estFan(g *agraph.Graph, boundDomain []agraph.NodeRef, se stepEdge) float64 {
-	n := len(boundDomain)
-	if n == 0 {
-		return 0
+// bound endpoint offers toward the step variable, from the degree counts
+// of a sample of the bound endpoint's domain (see fanSample). The error is
+// a cancellation met while drawing the sample from a lazy domain.
+func (e *execution) estFan(bound *domain, se stepEdge) (float64, error) {
+	sample, err := e.fanSample(bound)
+	if err != nil || len(sample) == 0 {
+		return 0, err
 	}
-	k := fanSampleSize
-	if n < k {
-		k = n
-	}
+	g := e.view.Graph()
 	total := 0
-	for i := 0; i < k; i++ {
-		cand := boundDomain[i*n/k]
+	for _, cand := range sample {
 		if se.varIsTo {
 			total += g.OutCount(cand, se.label)
 		} else {
 			total += g.InCount(cand, se.label)
 		}
 	}
-	return float64(total) / float64(k)
+	return float64(total) / float64(len(sample)), nil
 }
 
 // describeStrategy renders a step's strategy for the explain surface.

@@ -179,6 +179,36 @@ limit 1`, DefaultOptions)
 	}
 }
 
+// TestSemiJoinFilterHonorsCancellation is the twin for a lazy referent
+// domain's other scan: the semi-join filter walks the bound endpoint's
+// edges, and a hot endpoint — here the one sequence all 700 referents
+// mark — makes that walk as long as a candidate scan. Phase 1 polls six
+// times (?o: entry and one stride; ?r: entry and the counting scan's
+// three strides), `limit 1` keeps the join itself from polling, so the
+// seventh poll can only come from inside the filter.
+func TestSemiJoinFilterHonorsCancellation(t *testing.T) {
+	s := plannerTestStore(t, 700, 2)
+	p := NewProcessor(s)
+	const src = `
+select referents
+where {
+  ?o isa object ; type dna_sequences .
+  ?r isa referent ; kind interval .
+  ?r marks ?o .
+}
+limit 1`
+	res, err := p.Execute(src, DefaultOptions)
+	must(t, err)
+	if got := res.Stats.Strategies["r"]; !strings.HasPrefix(got, "semi-join(") || res.Stats.LazyDomains != 1 {
+		t.Fatalf("fixture no longer filters a lazy ?r by semi-join: strategy %q, %d lazy domains",
+			got, res.Stats.LazyDomains)
+	}
+	ctx := &stingyCtx{Context: context.Background(), after: 6}
+	if _, err := p.ExecuteCtx(ctx, src, DefaultOptions); err != context.Canceled {
+		t.Fatalf("semi-join filter over a 700-edge endpoint ignored cancellation: err = %v", err)
+	}
+}
+
 // TestObjectAndTermScansHonorCancellation covers the other two unseeded
 // scans the fix added strides to.
 func TestObjectAndTermScansHonorCancellation(t *testing.T) {

@@ -36,4 +36,8 @@ type Stats struct {
 	BindingsTried int
 	// Matches is the number of accepted bindings.
 	Matches int
+	// LazyDomains counts the referent variables whose candidate set stayed
+	// a predicate from start to finish: counted, filtered against by
+	// semi-joins, never built as a list.
+	LazyDomains int
 }

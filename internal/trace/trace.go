@@ -11,9 +11,10 @@
 // emitting one on the response), hands it down the call path, and each
 // instrumented layer opens a child around its own work. Span kinds are
 // a small fixed vocabulary ("http", "router", "shard.writer", "commit",
-// "prop.delta", "wal.flush", "query", "search", "delete"); every span
-// finish also feeds the graphitti_trace_* metric families, so each kind
-// observed in a trace has a matching duration histogram in /metrics.
+// "prop.delta", "wal.flush", "query", "search", "delete", "encode");
+// every span finish also feeds the graphitti_trace_* metric families, so
+// each kind observed in a trace has a matching duration histogram in
+// /metrics.
 //
 // The API is nil-safe end to end: every method on a nil *Span is a
 // no-op, so deep layers (the core writer, the WAL flusher) carry a span

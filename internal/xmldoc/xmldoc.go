@@ -17,6 +17,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"unicode/utf8"
 )
 
 // Kind discriminates node types.
@@ -349,55 +350,50 @@ func ParseString(s string) (*Document, error) {
 
 // WriteTo serialises the document to w with two-space indentation.
 func (d *Document) WriteTo(w io.Writer) (int64, error) {
-	var sb strings.Builder
-	writeNode(&sb, d.Root, 0)
-	n, err := io.WriteString(w, sb.String())
+	n, err := w.Write(d.AppendTo(nil))
 	return int64(n), err
 }
 
 // String returns the serialised document.
 func (d *Document) String() string {
-	var sb strings.Builder
-	writeNode(&sb, d.Root, 0)
-	return sb.String()
+	return string(d.AppendTo(nil))
 }
 
-func writeNode(sb *strings.Builder, n *Node, depth int) {
-	indent := strings.Repeat("  ", depth)
-	switch n.Kind {
-	case TextNode:
-		sb.WriteString(indent)
-		xmlEscape(sb, n.Value)
-		sb.WriteByte('\n')
-	case CommentNode:
-		sb.WriteString(indent)
-		sb.WriteString("<!--")
-		sb.WriteString(n.Value)
-		sb.WriteString("-->\n")
-	case ElementNode:
-		sb.WriteString(indent)
-		if len(n.Children) == 0 {
-			writeOpenTag(sb, n, true)
-			sb.WriteByte('\n')
-			return
-		}
-		// Elements with text children are rendered inline: injecting
-		// indentation inside mixed content would alter the text.
-		if n.hasTextChild() {
-			writeInline(sb, n)
-			sb.WriteByte('\n')
-			return
-		}
-		writeOpenTag(sb, n, false)
-		sb.WriteByte('\n')
-		for _, c := range n.Children {
-			writeNode(sb, c, depth+1)
-		}
-		sb.WriteString(indent)
-		sb.WriteString("</")
-		sb.WriteString(n.Name)
-		sb.WriteString(">\n")
+// AppendTo appends the serialised document (two-space indentation, one
+// node per line except under mixed content) to dst and returns the
+// extended buffer — the one serializer behind String and WriteTo, for
+// callers that own a buffer.
+func (d *Document) AppendTo(dst []byte) []byte {
+	return appendNode(dst, d.Root, 0)
+}
+
+func appendIndent(dst []byte, depth int) []byte {
+	const spaces = "                                                                "
+	for n := 2 * depth; n > 0; n -= len(spaces) {
+		dst = append(dst, spaces[:min(n, len(spaces))]...)
 	}
+	return dst
+}
+
+// appendNode serialises n on lines of its own: an element with only
+// element and comment children gets a line per child, anything else —
+// text, a comment, an empty element, an element with a text child — is
+// one line. Elements with text children are rendered inline because
+// injecting indentation inside mixed content would alter the text.
+func appendNode(dst []byte, n *Node, depth int) []byte {
+	dst = appendIndent(dst, depth)
+	if n.Kind == ElementNode && len(n.Children) > 0 && !n.hasTextChild() {
+		dst = appendOpenTag(dst, n, false)
+		dst = append(dst, '\n')
+		for _, c := range n.Children {
+			dst = appendNode(dst, c, depth+1)
+		}
+		dst = appendIndent(dst, depth)
+		dst = appendCloseTag(dst, n)
+	} else {
+		dst = appendInline(dst, n)
+	}
+	return append(dst, '\n')
 }
 
 func (n *Node) hasTextChild() bool {
@@ -409,64 +405,87 @@ func (n *Node) hasTextChild() bool {
 	return false
 }
 
-func writeOpenTag(sb *strings.Builder, n *Node, selfClose bool) {
-	sb.WriteByte('<')
-	sb.WriteString(n.Name)
+func appendOpenTag(dst []byte, n *Node, selfClose bool) []byte {
+	dst = append(dst, '<')
+	dst = append(dst, n.Name...)
 	for _, a := range n.Attrs {
-		sb.WriteByte(' ')
-		sb.WriteString(a.Name)
-		sb.WriteString(`="`)
-		xmlEscape(sb, a.Value)
-		sb.WriteByte('"')
+		dst = append(dst, ' ')
+		dst = append(dst, a.Name...)
+		dst = append(dst, `="`...)
+		dst = appendEscaped(dst, a.Value)
+		dst = append(dst, '"')
 	}
 	if selfClose {
-		sb.WriteString("/>")
-	} else {
-		sb.WriteByte('>')
+		return append(dst, "/>"...)
 	}
+	return append(dst, '>')
 }
 
-// writeInline serialises the subtree with no added whitespace.
-func writeInline(sb *strings.Builder, n *Node) {
+func appendCloseTag(dst []byte, n *Node) []byte {
+	dst = append(dst, "</"...)
+	dst = append(dst, n.Name...)
+	return append(dst, '>')
+}
+
+// appendInline serialises the subtree with no added whitespace.
+func appendInline(dst []byte, n *Node) []byte {
 	switch n.Kind {
 	case TextNode:
-		xmlEscape(sb, n.Value)
+		dst = appendEscaped(dst, n.Value)
 	case CommentNode:
-		sb.WriteString("<!--")
-		sb.WriteString(n.Value)
-		sb.WriteString("-->")
+		dst = append(dst, "<!--"...)
+		dst = append(dst, n.Value...)
+		dst = append(dst, "-->"...)
 	case ElementNode:
 		if len(n.Children) == 0 {
-			writeOpenTag(sb, n, true)
-			return
+			return appendOpenTag(dst, n, true)
 		}
-		writeOpenTag(sb, n, false)
+		dst = appendOpenTag(dst, n, false)
 		for _, c := range n.Children {
-			writeInline(sb, c)
+			dst = appendInline(dst, c)
 		}
-		sb.WriteString("</")
-		sb.WriteString(n.Name)
-		sb.WriteString(">")
+		dst = appendCloseTag(dst, n)
 	}
+	return dst
 }
 
-func xmlEscape(sb *strings.Builder, s string) {
-	for _, r := range s {
-		switch r {
-		case '<':
-			sb.WriteString("&lt;")
-		case '>':
-			sb.WriteString("&gt;")
-		case '&':
-			sb.WriteString("&amp;")
-		case '"':
-			sb.WriteString("&quot;")
-		case '\'':
-			sb.WriteString("&apos;")
+// appendEscaped appends s with the five XML special characters replaced
+// by their entities and every byte that is not part of a valid UTF-8
+// sequence replaced by U+FFFD. Runs of bytes needing neither are copied
+// whole.
+func appendEscaped(dst []byte, s string) []byte {
+	start := 0
+	for i := 0; i < len(s); {
+		var esc string
+		width := 1
+		switch c := s[i]; {
+		case c == '<':
+			esc = "&lt;"
+		case c == '>':
+			esc = "&gt;"
+		case c == '&':
+			esc = "&amp;"
+		case c == '"':
+			esc = "&quot;"
+		case c == '\'':
+			esc = "&apos;"
+		case c < utf8.RuneSelf:
+			i++
+			continue
 		default:
-			sb.WriteRune(r)
+			var r rune
+			if r, width = utf8.DecodeRuneInString(s[i:]); r != utf8.RuneError || width != 1 {
+				i += width
+				continue
+			}
+			esc = "\uFFFD"
 		}
+		dst = append(dst, s[start:i]...)
+		dst = append(dst, esc...)
+		i += width
+		start = i
 	}
+	return append(dst, s[start:]...)
 }
 
 // Equal reports whether two documents have the same structure and content,

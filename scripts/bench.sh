@@ -38,9 +38,11 @@ COUNT="${COUNT:-1}"
 # did), and the rest of the write path: the commit/delete mix at three
 # store sizes (CommitAtStoreSize: its rows growing apart is commit cost
 # following the store again), snapshot load, the keyword index the commit
-# maintains (A6) and index build on load (A7). A benchmark the baseline
-# file predates is skipped until the baseline is regenerated.
-GUARDS="${GUARDS:-BenchmarkQ1TP53|BenchmarkO3AGraphPrimitives|BenchmarkF1AGraphScenario|BenchmarkW2MixedReadWrite|BenchmarkSearchContentsParallel|BenchmarkPropagation|BenchmarkPlanner|BenchmarkF2AnnotateWorkflow|BenchmarkW1DurableCommit|BenchmarkCommitAtStoreSize|BenchmarkLoadSnapshot|BenchmarkA6ContentIndex|BenchmarkA7BulkLoadVsIncremental}"
+# maintains (A6) and index build on load (A7), and the read path end to
+# end through the HTTP handler (ReadPath: related, keyword, query — store
+# work and response encoding together). A benchmark the baseline file
+# predates is skipped until the baseline is regenerated.
+GUARDS="${GUARDS:-BenchmarkReadPath|BenchmarkQ1TP53|BenchmarkO3AGraphPrimitives|BenchmarkF1AGraphScenario|BenchmarkW2MixedReadWrite|BenchmarkSearchContentsParallel|BenchmarkPropagation|BenchmarkPlanner|BenchmarkF2AnnotateWorkflow|BenchmarkW1DurableCommit|BenchmarkCommitAtStoreSize|BenchmarkLoadSnapshot|BenchmarkA6ContentIndex|BenchmarkA7BulkLoadVsIncremental}"
 REGRESSION_FACTOR="${REGRESSION_FACTOR:-2.0}"
 DATE="$(date +%Y-%m-%d)"
 TXT="BENCH_${DATE}.txt"
@@ -53,7 +55,7 @@ if [ -n "$BASELINE" ]; then
     JSON="BENCH_current.json"
 fi
 
-PATTERN='BenchmarkF1AGraphScenario|BenchmarkF2AnnotateWorkflow|BenchmarkF3QueryTab|BenchmarkQ1TP53|BenchmarkQ2Protease|BenchmarkO1SubXOps|BenchmarkO2OntologyOps|BenchmarkO3AGraphPrimitives|BenchmarkA1IndexConsolidation|BenchmarkA2IntervalVsScan|BenchmarkA3RTreeVsScan|BenchmarkA4ConnectStrategies|BenchmarkA5PlannerOrdering|BenchmarkA6ContentIndex|BenchmarkA7BulkLoadVsIncremental|BenchmarkLoadSnapshot|BenchmarkCommitAtStoreSize|BenchmarkW1DurableCommit|BenchmarkW2MixedReadWrite|BenchmarkSearchContentsParallel|BenchmarkPropagation|BenchmarkPlanner'
+PATTERN='BenchmarkF1AGraphScenario|BenchmarkF2AnnotateWorkflow|BenchmarkF3QueryTab|BenchmarkQ1TP53|BenchmarkQ2Protease|BenchmarkO1SubXOps|BenchmarkO2OntologyOps|BenchmarkO3AGraphPrimitives|BenchmarkA1IndexConsolidation|BenchmarkA2IntervalVsScan|BenchmarkA3RTreeVsScan|BenchmarkA4ConnectStrategies|BenchmarkA5PlannerOrdering|BenchmarkA6ContentIndex|BenchmarkA7BulkLoadVsIncremental|BenchmarkLoadSnapshot|BenchmarkCommitAtStoreSize|BenchmarkW1DurableCommit|BenchmarkW2MixedReadWrite|BenchmarkSearchContentsParallel|BenchmarkPropagation|BenchmarkPlanner|BenchmarkReadPath'
 
 echo "running benchmark suites (benchtime=${BENCHTIME}, count=${COUNT})…" >&2
 go test -run '^$' -bench "$PATTERN" -benchmem \
