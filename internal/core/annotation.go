@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sort"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -448,10 +448,48 @@ func propagatorDelta(p Propagator, pre, post *View, ann *Annotation,
 	return p.Delta(pre, post, ann, deleted)
 }
 
+// buildContentDoc writes the annotation's content document. It knows what
+// it is about to write, so the document's two slabs are allocated once at
+// their final size, and the decimal attribute values (the annotation's id,
+// each referent's id, lo and hi) are formatted into one buffer and cut
+// from its string.
 func buildContentDoc(annID uint64, dc *dublincore.Record, body string,
 	tags []tagPair, refs []*Referent, terms []TermRef) *xmldoc.Document {
-	doc := xmldoc.NewDocument("annotation")
-	doc.Root.SetAttr("id", fmt.Sprintf("%d", annID))
+	nodes, attrs := 2+2*dc.Len(), 1+2*len(terms)
+	if body != "" {
+		nodes += 2
+	}
+	if len(tags) > 0 {
+		nodes += 1 + 2*len(tags)
+	}
+	if len(refs) > 0 {
+		nodes += 1 + len(refs)
+	}
+	if len(terms) > 0 {
+		nodes += 1 + len(terms)
+	}
+	var digits [96]byte
+	dec := strconv.AppendUint(digits[:0], annID, 10)
+	for _, r := range refs {
+		dec = strconv.AppendUint(append(dec, ' '), r.ID, 10)
+		attrs += 6 // id, kind, type, object, domain; region or keys
+		if r.Kind == IntervalReferent || r.Kind == BlockReferent {
+			dec = strconv.AppendInt(append(dec, ' '), r.Interval.Lo, 10)
+			dec = strconv.AppendInt(append(dec, ' '), r.Interval.Hi, 10)
+			attrs++ // lo, hi in place of the sixth
+		}
+		if r.Kind == BlockReferent {
+			attrs++ // rows
+		}
+	}
+	decimals := string(dec)
+	nextDecimal := func() (d string) {
+		d, decimals, _ = strings.Cut(decimals, " ")
+		return d
+	}
+
+	doc := xmldoc.NewDocumentCap("annotation", nodes, attrs)
+	doc.Root.SetAttr("id", nextDecimal())
 	meta := doc.AddElement(doc.Root, "meta")
 	dc.AppendXML(doc, meta)
 	if body != "" {
@@ -467,20 +505,20 @@ func buildContentDoc(annID uint64, dc *dublincore.Record, body string,
 		refsEl := doc.AddElement(doc.Root, "referents")
 		for _, r := range refs {
 			el := doc.AddElement(refsEl, "referent")
-			el.SetAttr("id", fmt.Sprintf("%d", r.ID))
+			el.SetAttr("id", nextDecimal())
 			el.SetAttr("kind", r.Kind.String())
 			el.SetAttr("type", string(r.ObjectType))
 			el.SetAttr("object", r.ObjectID)
 			el.SetAttr("domain", r.Domain)
 			switch r.Kind {
 			case IntervalReferent:
-				el.SetAttr("lo", fmt.Sprintf("%d", r.Interval.Lo))
-				el.SetAttr("hi", fmt.Sprintf("%d", r.Interval.Hi))
+				el.SetAttr("lo", nextDecimal())
+				el.SetAttr("hi", nextDecimal())
 			case RegionReferent:
 				el.SetAttr("region", r.Region.String())
 			case BlockReferent:
-				el.SetAttr("lo", fmt.Sprintf("%d", r.Interval.Lo))
-				el.SetAttr("hi", fmt.Sprintf("%d", r.Interval.Hi))
+				el.SetAttr("lo", nextDecimal())
+				el.SetAttr("hi", nextDecimal())
 				el.SetAttr("rows", joinKeys(r.Keys))
 			default:
 				el.SetAttr("keys", joinKeys(r.Keys))
@@ -498,17 +536,12 @@ func buildContentDoc(annID uint64, dc *dublincore.Record, body string,
 	return doc
 }
 
+// joinKeys renders a key set the way the content document carries it:
+// sorted, comma-separated.
 func joinKeys(keys []string) string {
-	sorted := append([]string(nil), keys...)
-	sort.Strings(sorted)
-	out := ""
-	for i, k := range sorted {
-		if i > 0 {
-			out += ","
-		}
-		out += k
-	}
-	return out
+	sorted := slices.Clone(keys)
+	slices.Sort(sorted)
+	return strings.Join(sorted, ",")
 }
 
 // Annotation returns a committed annotation by ID.

@@ -118,20 +118,22 @@ func isCtxErr(err error) bool {
 	return err == context.Canceled || err == context.DeadlineExceeded
 }
 
-// searchChunk evaluates q over one ascending-ID slice of annotations.
+// searchChunk evaluates q over one ascending-ID slice of annotations, all
+// in one evaluation scratch.
 func searchChunk(ctx context.Context, q *xquery.Query, expr string, anns []*Annotation) ([]*Annotation, error) {
 	var out []*Annotation
+	var scratch xquery.Scratch
 	for i, ann := range anns {
 		if i%cancelCheckStride == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
-		val, err := q.EvalValue(ann.Content)
+		hit, err := scratch.EvalBool(q, ann.Content)
 		if err != nil {
 			return nil, fmt.Errorf("core: evaluating %q on annotation %d: %w", expr, ann.ID, err)
 		}
-		if val.AsBool() {
+		if hit {
 			out = append(out, ann)
 		}
 	}
@@ -472,7 +474,7 @@ func parseContentRef(ref agraph.NodeRef) (uint64, bool) {
 // ContentFragments evaluates a path expression against one annotation and
 // returns the matching XML nodes (the paper's "XQuery fragments to
 // retrieve fragments of annotation").
-func (v *View) ContentFragments(annID uint64, expr string) ([]*xmldoc.Node, error) {
+func (v *View) ContentFragments(annID uint64, expr string) ([]xmldoc.Node, error) {
 	ann, err := v.Annotation(annID)
 	if err != nil {
 		return nil, err
@@ -485,6 +487,6 @@ func (v *View) ContentFragments(annID uint64, expr string) ([]*xmldoc.Node, erro
 }
 
 // ContentFragments evaluates a path expression against one annotation.
-func (s *Store) ContentFragments(annID uint64, expr string) ([]*xmldoc.Node, error) {
+func (s *Store) ContentFragments(annID uint64, expr string) ([]xmldoc.Node, error) {
 	return s.View().ContentFragments(annID, expr)
 }

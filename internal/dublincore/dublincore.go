@@ -170,7 +170,7 @@ func (r *Record) Elements() []Element {
 
 // AppendXML writes the record's elements as children of parent, one
 // <dc:element> child per value, in canonical element order.
-func (r *Record) AppendXML(doc *xmldoc.Document, parent *xmldoc.Node) {
+func (r *Record) AppendXML(doc *xmldoc.Document, parent xmldoc.Node) {
 	for i := range r.fields {
 		f := &r.fields[i]
 		name, vs := xmlNames[rank[f.elem]], f.vals
@@ -187,10 +187,10 @@ func (r *Record) AppendXML(doc *xmldoc.Document, parent *xmldoc.Node) {
 // FromXML reads Dublin Core values from the children of parent. Elements
 // are recognised both with and without the "dc:" prefix; non-DC children
 // are ignored.
-func FromXML(parent *xmldoc.Node) *Record {
+func FromXML(parent xmldoc.Node) *Record {
 	r := &Record{}
 	for _, c := range parent.ChildElements("") {
-		name := c.Name
+		name := c.Name()
 		if len(name) > 3 && name[:3] == "dc:" {
 			name = name[3:]
 		}

@@ -224,7 +224,7 @@ type ReferentDump struct {
 	Domain     string        `json:"domain"`
 	Lo         int64         `json:"lo,omitempty"`
 	Hi         int64         `json:"hi,omitempty"`
-	Rect       [2][3]float64 `json:"rect,omitempty"`
+	Rect       [2][3]float64 `json:"rect,omitzero"`
 	RectDims   int           `json:"rectDims,omitempty"`
 	Keys       []string      `json:"keys,omitempty"`
 }
@@ -324,11 +324,10 @@ func Write(s *core.Store, w io.Writer) error {
 
 // WriteSnapshot serializes an already-exported snapshot in the same
 // format Write produces — the sharded store merges per-shard exports and
-// emits the result through this.
+// emits the result through this. The JSON is compact, one line — a
+// restart reads every byte of it; `jq .` is the form for reading.
 func WriteSnapshot(snap *Snapshot, w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(snap)
+	return json.NewEncoder(w).Encode(snap)
 }
 
 // DumpOntology serialises a term graph.
@@ -501,12 +500,12 @@ func DumpAnnotation(s *core.Store, ann *core.Annotation) (AnnotationDump, error)
 		d.DC[string(e)] = ann.DC.Get(e)
 	}
 	// Body and user tags live in the content document.
-	if body := ann.Content.Root.FirstChildElement("body"); body != nil {
+	if body := ann.Content.Root.FirstChildElement("body"); body.Valid() {
 		d.Body = body.Text()
 	}
-	if tags := ann.Content.Root.FirstChildElement("tags"); tags != nil {
-		for _, el := range tags.ChildElements("") {
-			d.Tags = append(d.Tags, TagDump{Name: el.Name, Value: el.Text()})
+	if tags := ann.Content.Root.FirstChildElement("tags"); tags.Valid() {
+		for el := tags.FirstChild(); el.Valid(); el = el.NextSibling() {
+			d.Tags = append(d.Tags, TagDump{Name: el.Name(), Value: el.Text()})
 		}
 	}
 	for _, refID := range ann.ReferentIDs {

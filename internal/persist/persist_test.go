@@ -2,6 +2,7 @@ package persist
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -199,3 +200,85 @@ func graphittiDNA(id string) (*seq.Sequence, error) {
 }
 
 func span(lo, hi int64) interval.Interval { return interval.Interval{Lo: lo, Hi: hi} }
+
+// TestSnapshotFormsLoadAlike: WriteSnapshot now writes compact JSON and
+// leaves the all-zero rect of a non-region mark out. Readers did not
+// change, so the forms older writers produced — indented, a zero rect on
+// every referent, with IDs (v2) or without (v1) — and the new one must
+// load to stores whose exports are byte-identical.
+func TestSnapshotFormsLoadAlike(t *testing.T) {
+	for name, s := range map[string]*core.Store{"influenza": influenzaStore(t), "neuro": neuroStore(t)} {
+		t.Run(name, func(t *testing.T) {
+			var compact bytes.Buffer
+			if err := Write(s, &compact); err != nil {
+				t.Fatal(err)
+			}
+			if n := bytes.Count(compact.Bytes(), []byte("\n")); n != 1 || !bytes.HasSuffix(compact.Bytes(), []byte("\n")) {
+				t.Fatalf("the written snapshot has %d newlines, want one, at the end", n)
+			}
+			regions, marks := 0, 0
+			for _, ann := range exportOf(t, s).Annotations {
+				for _, r := range ann.Referents {
+					marks++
+					if core.ReferentKind(r.Kind) == core.RegionReferent {
+						regions++
+					}
+				}
+			}
+			if got := bytes.Count(compact.Bytes(), []byte(`"rect":`)); got != regions {
+				t.Fatalf("%d rects written for %d region marks among %d", got, regions, marks)
+			}
+
+			// The older forms, rebuilt from the new one: every referent
+			// gets its zero rect back, the file its indentation, and for
+			// v1 the IDs and counters go.
+			oldForm := func(v1 bool) []byte {
+				var doc map[string]any
+				if err := json.Unmarshal(compact.Bytes(), &doc); err != nil {
+					t.Fatal(err)
+				}
+				if v1 {
+					doc["version"] = 1
+					delete(doc, "nextAnn")
+					delete(doc, "nextRef")
+				}
+				zero := []any{[]any{0, 0, 0}, []any{0, 0, 0}}
+				for _, a := range doc["annotations"].([]any) {
+					ann := a.(map[string]any)
+					if v1 {
+						delete(ann, "id")
+					}
+					refs, _ := ann["referents"].([]any)
+					for _, r := range refs {
+						ref := r.(map[string]any)
+						if _, ok := ref["rect"]; !ok {
+							ref["rect"] = zero
+						}
+						if v1 {
+							delete(ref, "id")
+						}
+					}
+				}
+				out, err := json.MarshalIndent(doc, "", " ")
+				if err != nil {
+					t.Fatal(err)
+				}
+				return out
+			}
+			v2, v1 := oldForm(false), oldForm(true)
+			if got := bytes.Count(v2, []byte(`"rect": [`)); got != marks || len(v2) <= compact.Len() {
+				t.Fatalf("the old form has %d rects for %d marks and %d bytes to the compact form's %d", got, marks, len(v2), compact.Len())
+			}
+			want := mustJSON(t, exportOf(t, s))
+			for form, file := range map[string][]byte{"compact": compact.Bytes(), "indented v2 with rects": v2, "v1": v1} {
+				loaded, err := Read(bytes.NewReader(file))
+				if err != nil {
+					t.Fatalf("%s: %v", form, err)
+				}
+				if got := mustJSON(t, exportOf(t, loaded)); !bytes.Equal(got, want) {
+					t.Errorf("%s: the loaded store exports %d bytes that differ from the original's %d", form, len(got), len(want))
+				}
+			}
+		})
+	}
+}

@@ -1,7 +1,6 @@
 package xmldoc
 
 import (
-	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -9,15 +8,14 @@ import (
 
 func TestNewDocument(t *testing.T) {
 	d := NewDocument("annotation")
-	if d.Root == nil || d.Root.Name != "annotation" || d.Root.Kind != ElementNode {
+	if !d.Root.Valid() || d.Root.Name() != "annotation" || d.Root.Kind() != ElementNode {
 		t.Fatalf("Root = %+v", d.Root)
 	}
 	if d.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", d.Len())
 	}
-	got, ok := d.NodeByID(d.Root.ID)
-	if !ok || got != d.Root {
-		t.Fatal("NodeByID failed to find the root")
+	if d.Root.ID() != 1 || d.Root.Parent().Valid() || d.Root.FirstChild().Valid() {
+		t.Fatalf("root ID = %d, parent %v, child %v", d.Root.ID(), d.Root.Parent(), d.Root.FirstChild())
 	}
 }
 
@@ -29,8 +27,8 @@ func TestBuildTree(t *testing.T) {
 	body.SetAttr("lang", "en")
 	body.SetAttr("lang", "en-US") // replace
 
-	if len(d.Root.Children) != 2 {
-		t.Fatalf("root has %d children", len(d.Root.Children))
+	if n := countChildren(d.Root); n != 2 {
+		t.Fatalf("root has %d children", n)
 	}
 	if v, ok := body.Attr("lang"); !ok || v != "en-US" {
 		t.Fatalf("attr lang = (%q,%v)", v, ok)
@@ -41,27 +39,55 @@ func TestBuildTree(t *testing.T) {
 	if got := d.Root.Text(); got != "conditcontains protease domain" {
 		t.Fatalf("Text() = %q", got)
 	}
-	if meta.FirstChildElement("creator") == nil {
+	if !meta.FirstChildElement("creator").Valid() {
 		t.Fatal("FirstChildElement missed creator")
 	}
-	if meta.FirstChildElement("nope") != nil {
+	if meta.FirstChildElement("nope").Valid() {
 		t.Fatal("FirstChildElement invented a node")
 	}
 }
 
-func TestAppendChildErrors(t *testing.T) {
-	d1 := NewDocument("a")
-	d2 := NewDocument("b")
-	n2 := d2.CreateElement("x")
-	if err := d1.AppendChild(d1.Root, n2); !errors.Is(err, ErrForeignNode) {
-		t.Fatalf("foreign node: err = %v", err)
+func countChildren(n Node) int {
+	count := 0
+	for c := n.FirstChild(); c.Valid(); c = c.NextSibling() {
+		count++
 	}
-	child := d1.AddElement(d1.Root, "c")
-	if err := d1.AppendChild(d1.Root, child); err == nil {
-		t.Fatal("re-attaching an attached node should fail")
+	return count
+}
+
+// TestBuildOrder pins the one rule of the append-only slab: a node goes
+// under an element whose subtree still reaches the end of the document,
+// and a handle is only good for its own document.
+func TestBuildOrder(t *testing.T) {
+	mustPanic := func(name string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", name)
+			}
+		}()
+		fn()
 	}
-	if err := d1.AppendChild(d1.Root, d1.Root); err == nil {
-		t.Fatal("attaching the root to itself should fail")
+	d := NewDocument("a")
+	b := d.AddElement(d.Root, "b")
+	c := d.AddElement(b, "c")
+	d.AddText(c, "deep")
+	e := d.AddElement(b, "e") // closes c
+	mustPanic("adding under a closed element", func() { d.AddElement(c, "late") })
+	mustPanic("adding under a text node", func() { d.AddElement(c.FirstChild(), "x") })
+	mustPanic("a foreign parent", func() { NewDocument("other").AddElement(d.Root, "x") })
+	mustPanic("SetAttr on a text node", func() { c.FirstChild().SetAttr("k", "v") })
+	// Attributes may still be set on any element, in any order.
+	c.SetAttr("k", "1")
+	e.SetAttr("k", "2")
+	c.SetAttr("l", "3")
+	d.AddElement(d.Root, "f") // closes b and e
+	const want = "<a>\n  <b>\n    <c k=\"1\" l=\"3\">deep</c>\n    <e k=\"2\"/>\n  </b>\n  <f/>\n</a>\n"
+	if got := d.String(); got != want {
+		t.Fatalf("String() =\n%s\nwant\n%s", got, want)
+	}
+	if kws := strings.Join(d.Keywords(), ","); kws != "1,2,3,deep" {
+		t.Fatalf("Keywords = %s", kws)
 	}
 }
 
@@ -78,18 +104,18 @@ func TestParseRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Root.Name != "annotation" {
-		t.Fatalf("root = %q", d.Root.Name)
+	if d.Root.Name() != "annotation" {
+		t.Fatalf("root = %q", d.Root.Name())
 	}
 	if v, _ := d.Root.Attr("id"); v != "a42" {
 		t.Fatalf("id attr = %q", v)
 	}
 	dc := d.Root.FirstChildElement("dc")
-	if dc == nil || len(dc.ChildElements("")) != 2 {
+	if !dc.Valid() || len(dc.ChildElements("")) != 2 {
 		t.Fatal("dc children wrong")
 	}
 	body := d.Root.FirstChildElement("body")
-	if body == nil || !strings.Contains(body.Text(), "protease") {
+	if !body.Valid() || !strings.Contains(body.Text(), "protease") {
 		t.Fatalf("body text = %q", body.Text())
 	}
 	// Round trip: serialise and reparse, then compare structure.
@@ -122,8 +148,8 @@ func TestParseSkipsInterElementWhitespace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(d.Root.Children) != 1 {
-		t.Fatalf("root children = %d, want 1 (whitespace dropped)", len(d.Root.Children))
+	if n := countChildren(d.Root); n != 1 {
+		t.Fatalf("root children = %d, want 1 (whitespace dropped)", n)
 	}
 }
 
@@ -154,9 +180,9 @@ func TestDescendantsOrderAndStop(t *testing.T) {
 		t.Fatal(err)
 	}
 	var names []string
-	d.Root.Descendants(func(n *Node) bool {
-		if n.Kind == ElementNode {
-			names = append(names, n.Name)
+	d.Root.Descendants(func(n Node) bool {
+		if n.Kind() == ElementNode {
+			names = append(names, n.Name())
 		}
 		return true
 	})
@@ -165,7 +191,7 @@ func TestDescendantsOrderAndStop(t *testing.T) {
 		t.Fatalf("Descendants order = %v, want %v", names, want)
 	}
 	count := 0
-	d.Root.Descendants(func(*Node) bool {
+	d.Root.Descendants(func(Node) bool {
 		count++
 		return count < 2
 	})

@@ -3,7 +3,7 @@ package xquery
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -24,16 +24,16 @@ const (
 // Value is the result of evaluating an expression.
 type Value struct {
 	Kind  ValueKind
-	Nodes []*xmldoc.Node
+	Nodes []xmldoc.Node
 	Str   string
 	Num   float64
 	Bool  bool
 }
 
-func nodeSet(ns []*xmldoc.Node) Value { return Value{Kind: NodeSetValue, Nodes: ns} }
-func str(s string) Value              { return Value{Kind: StringValue, Str: s} }
-func num(f float64) Value             { return Value{Kind: NumberValue, Num: f} }
-func boolean(b bool) Value            { return Value{Kind: BooleanValue, Bool: b} }
+func nodeSet(ns []xmldoc.Node) Value { return Value{Kind: NodeSetValue, Nodes: ns} }
+func str(s string) Value             { return Value{Kind: StringValue, Str: s} }
+func num(f float64) Value            { return Value{Kind: NumberValue, Num: f} }
+func boolean(b bool) Value           { return Value{Kind: BooleanValue, Bool: b} }
 
 // AsBool converts the value to a boolean using XPath rules.
 func (v Value) AsBool() bool {
@@ -98,24 +98,38 @@ func formatNumber(f float64) string {
 }
 
 // nodeString is the XPath string-value of a node.
-func nodeString(n *xmldoc.Node) string {
-	switch n.Kind {
+func nodeString(n xmldoc.Node) string {
+	switch n.Kind() {
 	case xmldoc.TextNode, xmldoc.CommentNode:
-		return n.Value
+		return n.Value()
 	default:
 		return n.Text()
 	}
 }
 
+// Scratch is the working memory of an evaluation: one stack of node
+// handles on which a path expression builds its node lists, step by step
+// and predicate by predicate. The zero Scratch is ready to use. A caller
+// that evaluates many documents in a row keeps one and evaluates through
+// its methods: once the stack has grown to what the expression needs, no
+// further evaluation allocates for node lists. A Scratch is not safe for
+// concurrent use, and holds on to the last document it evaluated.
+type Scratch struct {
+	// nodes is the stack. A node list is a run of it; an evaluation step
+	// appends its result above its inputs, and whoever asked for a list
+	// cuts the stack back once done with it.
+	nodes []xmldoc.Node
+}
+
 type evalCtx struct {
-	node *xmldoc.Node
+	node xmldoc.Node
 	pos  int // 1-based position in the current node list
 	size int
 }
 
 // Eval evaluates the query against doc and returns the resulting node set.
 // Non-node-set results produce an error; use EvalValue for those.
-func (q *Query) Eval(doc *xmldoc.Document) ([]*xmldoc.Node, error) {
+func (q *Query) Eval(doc *xmldoc.Document) ([]xmldoc.Node, error) {
 	v, err := q.EvalValue(doc)
 	if err != nil {
 		return nil, err
@@ -128,20 +142,14 @@ func (q *Query) Eval(doc *xmldoc.Document) ([]*xmldoc.Node, error) {
 
 // EvalValue evaluates the query against doc and returns the raw value.
 func (q *Query) EvalValue(doc *xmldoc.Document) (Value, error) {
-	if doc == nil || doc.Root == nil {
-		return Value{}, fmt.Errorf("xquery: nil document")
-	}
-	ctx := evalCtx{node: doc.Root, pos: 1, size: 1}
-	return evalExpr(q.expr, ctx)
+	var s Scratch // fresh, so the value's node list is the caller's to keep
+	return s.eval(q, doc)
 }
 
 // EvalBool evaluates the query and converts the result to a boolean.
 func (q *Query) EvalBool(doc *xmldoc.Document) (bool, error) {
-	v, err := q.EvalValue(doc)
-	if err != nil {
-		return false, err
-	}
-	return v.AsBool(), nil
+	var s Scratch
+	return s.EvalBool(q, doc)
 }
 
 // EvalString evaluates the query and converts the result to a string.
@@ -151,6 +159,25 @@ func (q *Query) EvalString(doc *xmldoc.Document) (string, error) {
 		return "", err
 	}
 	return v.AsString(), nil
+}
+
+// EvalBool is Query.EvalBool in s's memory.
+func (s *Scratch) EvalBool(q *Query, doc *xmldoc.Document) (bool, error) {
+	v, err := s.eval(q, doc)
+	if err != nil {
+		return false, err
+	}
+	return v.AsBool(), nil
+}
+
+// eval evaluates q against doc from an empty stack. A node-set result is
+// a run of the stack: it is good until s evaluates again.
+func (s *Scratch) eval(q *Query, doc *xmldoc.Document) (Value, error) {
+	if doc == nil || !doc.Root.Valid() {
+		return Value{}, fmt.Errorf("xquery: nil document")
+	}
+	s.nodes = s.nodes[:0]
+	return s.evalExpr(q.expr, evalCtx{node: doc.Root, pos: 1, size: 1})
 }
 
 func kindName(k ValueKind) string {
@@ -166,18 +193,18 @@ func kindName(k ValueKind) string {
 	}
 }
 
-func evalExpr(e Expr, ctx evalCtx) (Value, error) {
+func (s *Scratch) evalExpr(e Expr, ctx evalCtx) (Value, error) {
 	switch v := e.(type) {
 	case NumberLit:
 		return num(float64(v)), nil
 	case StringLit:
 		return str(string(v)), nil
 	case *BinaryExpr:
-		return evalBinary(v, ctx)
+		return s.evalBinary(v, ctx)
 	case *FuncCall:
-		return evalFunc(v, ctx)
+		return s.evalFunc(v, ctx)
 	case *PathExpr:
-		ns, err := evalPath(v, ctx)
+		ns, err := s.evalPath(v, ctx)
 		if err != nil {
 			return Value{}, err
 		}
@@ -187,40 +214,40 @@ func evalExpr(e Expr, ctx evalCtx) (Value, error) {
 	}
 }
 
-func evalBinary(b *BinaryExpr, ctx evalCtx) (Value, error) {
+func (s *Scratch) evalBinary(b *BinaryExpr, ctx evalCtx) (Value, error) {
 	switch b.Op {
 	case "or":
-		l, err := evalExpr(b.L, ctx)
+		l, err := s.evalExpr(b.L, ctx)
 		if err != nil {
 			return Value{}, err
 		}
 		if l.AsBool() {
 			return boolean(true), nil
 		}
-		r, err := evalExpr(b.R, ctx)
+		r, err := s.evalExpr(b.R, ctx)
 		if err != nil {
 			return Value{}, err
 		}
 		return boolean(r.AsBool()), nil
 	case "and":
-		l, err := evalExpr(b.L, ctx)
+		l, err := s.evalExpr(b.L, ctx)
 		if err != nil {
 			return Value{}, err
 		}
 		if !l.AsBool() {
 			return boolean(false), nil
 		}
-		r, err := evalExpr(b.R, ctx)
+		r, err := s.evalExpr(b.R, ctx)
 		if err != nil {
 			return Value{}, err
 		}
 		return boolean(r.AsBool()), nil
 	}
-	l, err := evalExpr(b.L, ctx)
+	l, err := s.evalExpr(b.L, ctx)
 	if err != nil {
 		return Value{}, err
 	}
-	r, err := evalExpr(b.R, ctx)
+	r, err := s.evalExpr(b.R, ctx)
 	if err != nil {
 		return Value{}, err
 	}
@@ -301,182 +328,155 @@ func cmpAtoms(op string, l, r Value) bool {
 	}
 }
 
-func evalPath(p *PathExpr, ctx evalCtx) ([]*xmldoc.Node, error) {
-	var current []*xmldoc.Node
+// evalPath leaves the path's node list — in document order, without
+// duplicates — on the stack where the stack stood at the call, and returns
+// it.
+func (s *Scratch) evalPath(p *PathExpr, ctx evalCtx) ([]xmldoc.Node, error) {
+	base := len(s.nodes)
+	steps := p.Steps
 	if p.Absolute {
 		root := ctx.node
-		for root.Parent != nil {
-			root = root.Parent
+		for up := root.Parent(); up.Valid(); up = up.Parent() {
+			root = up
 		}
-		if len(p.Steps) == 0 {
-			return []*xmldoc.Node{root}, nil
+		if len(steps) == 0 {
+			s.nodes = append(s.nodes, root)
+			return s.nodes[base:], nil
 		}
 		// The context for the first absolute step is a virtual document
-		// node whose only child is the root element; model it by running
-		// the first step against the root's "self or children".
-		first := p.Steps[0]
+		// node whose only child is the root element: /a matches the root
+		// element named a; //a matches any descendant-or-self element
+		// named a. The document node has no attributes, self or parent.
+		first := &steps[0]
+		switch first.Axis {
+		case AxisChild:
+			s.pushIfMatch(first, root)
+		case AxisDescendant:
+			s.pushIfMatch(first, root)
+			s.pushDescendants(first, root)
+		}
+		if err := s.applyPreds(first.Preds, base); err != nil {
+			return nil, err
+		}
+		steps = steps[1:]
+	} else {
+		s.nodes = append(s.nodes, ctx.node)
+	}
+	cur := s.nodes[base:]
+	for i := range steps {
 		var err error
-		current, err = applyStepFromDocument(first, root, ctx)
-		if err != nil {
-			return nil, err
-		}
-		for _, s := range p.Steps[1:] {
-			current, err = applyStepAll(s, current, ctx)
-			if err != nil {
-				return nil, err
-			}
-		}
-		return current, nil
-	}
-	current = []*xmldoc.Node{ctx.node}
-	var err error
-	for _, s := range p.Steps {
-		current, err = applyStepAll(s, current, ctx)
-		if err != nil {
+		if cur, err = s.applyStepAll(&steps[i], cur); err != nil {
 			return nil, err
 		}
 	}
-	return current, nil
+	// The last list sits above the ones it was derived from: move it down.
+	s.nodes = s.nodes[:base+copy(s.nodes[base:], cur)]
+	return s.nodes[base:], nil
 }
 
-// applyStepFromDocument runs the first step of an absolute path, where the
-// conceptual context node is the document: /a matches the root element
-// named a; //a matches any descendant-or-self element named a.
-func applyStepFromDocument(s Step, root *xmldoc.Node, outer evalCtx) ([]*xmldoc.Node, error) {
-	var candidates []*xmldoc.Node
-	switch s.Axis {
-	case AxisChild:
-		candidates = matchTest(s, []*xmldoc.Node{root})
-	case AxisDescendant:
-		all := []*xmldoc.Node{root}
-		root.Descendants(func(n *xmldoc.Node) bool {
-			all = append(all, n)
-			return true
-		})
-		candidates = matchTest(s, all)
-	case AxisAttribute:
-		candidates = nil // the document node has no attributes
-	case AxisSelf, AxisParent:
-		candidates = nil
-	}
-	return applyPreds(s.Preds, candidates, outer)
-}
-
-func applyStepAll(s Step, nodes []*xmldoc.Node, outer evalCtx) ([]*xmldoc.Node, error) {
-	var out []*xmldoc.Node
-	seen := map[*xmldoc.Node]bool{}
-	for _, n := range nodes {
-		res, err := applyStep(s, n, outer)
-		if err != nil {
+// applyStepAll applies the step to every node of cur and returns the union
+// of the results, a new list on top of the stack. Slab order is document
+// order, so the results of successive context nodes usually arrive sorted
+// and distinct already; only when a context node lies inside another's
+// subtree (or two share a parent, under "..") do they need merging.
+func (s *Scratch) applyStepAll(st *Step, cur []xmldoc.Node) ([]xmldoc.Node, error) {
+	lo := len(s.nodes)
+	for _, n := range cur {
+		if err := s.applyStep(st, n); err != nil {
 			return nil, err
 		}
-		for _, r := range res {
-			if !seen[r] {
-				seen[r] = true
-				out = append(out, r)
-			}
+	}
+	out := s.nodes[lo:]
+	for i := 1; i < len(out); i++ {
+		if out[i-1].Compare(out[i]) >= 0 {
+			slices.SortFunc(out, xmldoc.Node.Compare)
+			out = slices.Compact(out)
+			s.nodes = s.nodes[:lo+len(out)]
+			break
 		}
 	}
-	sortDocOrder(out)
 	return out, nil
 }
 
-func applyStep(s Step, n *xmldoc.Node, outer evalCtx) ([]*xmldoc.Node, error) {
-	var candidates []*xmldoc.Node
-	switch s.Axis {
+// applyStep pushes the nodes the step selects from context node n.
+func (s *Scratch) applyStep(st *Step, n xmldoc.Node) error {
+	lo := len(s.nodes)
+	switch st.Axis {
 	case AxisChild:
-		candidates = matchTest(s, n.Children)
+		for c := n.FirstChild(); c.Valid(); c = c.NextSibling() {
+			s.pushIfMatch(st, c)
+		}
 	case AxisDescendant:
-		var all []*xmldoc.Node
-		n.Descendants(func(d *xmldoc.Node) bool {
-			all = append(all, d)
-			return true
-		})
-		candidates = matchTest(s, all)
+		s.pushDescendants(st, n)
 	case AxisSelf:
-		candidates = matchTest(s, []*xmldoc.Node{n})
+		s.pushIfMatch(st, n)
 	case AxisParent:
-		if n.Parent != nil {
-			candidates = matchTest(s, []*xmldoc.Node{n.Parent})
+		if p := n.Parent(); p.Valid() {
+			s.pushIfMatch(st, p)
 		}
 	case AxisAttribute:
-		// Attributes are surfaced as synthetic text nodes so that string
-		// conversion and comparison work uniformly.
-		for _, a := range n.Attrs {
-			if s.Kind == TestAny || a.Name == s.Name {
-				candidates = append(candidates, syntheticAttrNode(n, a))
+		// An attribute is surfaced as a handle that reads as a text node, so
+		// that string conversion and comparison work uniformly; its parent
+		// is the owning element, so ".." still works.
+		for k, a := range n.Attrs() {
+			if st.Kind == TestAny || a.Name == st.Name {
+				s.nodes = append(s.nodes, n.AttrNode(k))
 			}
 		}
 	}
-	return applyPreds(s.Preds, candidates, outer)
+	return s.applyPreds(st.Preds, lo)
 }
 
-// syntheticAttrNode materialises an attribute as a detached text node.
-// Its value is the attribute value. The node is not part of the document
-// tree; Parent points at the owning element so ".." still works.
-func syntheticAttrNode(owner *xmldoc.Node, a xmldoc.Attr) *xmldoc.Node {
-	return &xmldoc.Node{
-		ID:     owner.ID, // attribute results map back to the owning element
-		Kind:   xmldoc.TextNode,
-		Name:   a.Name,
-		Value:  a.Value,
-		Parent: owner,
+func (s *Scratch) pushDescendants(st *Step, n xmldoc.Node) {
+	n.Descendants(func(d xmldoc.Node) bool {
+		s.pushIfMatch(st, d)
+		return true
+	})
+}
+
+// pushIfMatch pushes n if it passes the step's node test.
+func (s *Scratch) pushIfMatch(st *Step, n xmldoc.Node) {
+	var ok bool
+	switch st.Kind {
+	case TestName:
+		ok = n.Kind() == xmldoc.ElementNode && n.Name() == st.Name
+	case TestAny:
+		ok = n.Kind() == xmldoc.ElementNode
+	case TestText:
+		ok = n.Kind() == xmldoc.TextNode
+	case TestNode:
+		ok = true
+	}
+	if ok {
+		s.nodes = append(s.nodes, n)
 	}
 }
 
-func matchTest(s Step, nodes []*xmldoc.Node) []*xmldoc.Node {
-	var out []*xmldoc.Node
-	for _, n := range nodes {
-		switch s.Kind {
-		case TestName:
-			if n.Kind == xmldoc.ElementNode && n.Name == s.Name {
-				out = append(out, n)
-			}
-		case TestAny:
-			if n.Kind == xmldoc.ElementNode {
-				out = append(out, n)
-			}
-		case TestText:
-			if n.Kind == xmldoc.TextNode {
-				out = append(out, n)
-			}
-		case TestNode:
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-func applyPreds(preds []Expr, nodes []*xmldoc.Node, outer evalCtx) ([]*xmldoc.Node, error) {
-	cur := nodes
+// applyPreds filters the list on top of the stack, s.nodes[lo:], by each
+// predicate in turn, in place. A predicate's own lists live above the
+// list while it runs and are dropped before the next candidate.
+func (s *Scratch) applyPreds(preds []Expr, lo int) error {
 	for _, pred := range preds {
-		var kept []*xmldoc.Node
-		size := len(cur)
-		for i, n := range cur {
-			v, err := evalExpr(pred, evalCtx{node: n, pos: i + 1, size: size})
+		top := len(s.nodes)
+		size, kept := top-lo, lo
+		for i := 0; i < size; i++ {
+			n := s.nodes[lo+i]
+			v, err := s.evalExpr(pred, evalCtx{node: n, pos: i + 1, size: size})
 			if err != nil {
-				return nil, err
+				return err
 			}
 			// A numeric predicate is a position test.
-			if v.Kind == NumberValue {
-				if float64(i+1) == v.Num {
-					kept = append(kept, n)
-				}
-				continue
-			}
-			if v.AsBool() {
-				kept = append(kept, n)
+			keep := v.Kind == NumberValue && float64(i+1) == v.Num ||
+				v.Kind != NumberValue && v.AsBool()
+			s.nodes = s.nodes[:top]
+			if keep {
+				s.nodes[kept] = n
+				kept++
 			}
 		}
-		cur = kept
+		s.nodes = s.nodes[:kept]
 	}
-	return cur, nil
-}
-
-// sortDocOrder sorts nodes by their document node ID, which xmldoc assigns
-// in creation order (document order for parsed documents).
-func sortDocOrder(ns []*xmldoc.Node) {
-	sort.SliceStable(ns, func(i, j int) bool { return ns[i].ID < ns[j].ID })
+	return nil
 }
 
 // --- core function library ---
@@ -502,14 +502,15 @@ var arity = map[string][2]int{
 
 var coreFunctions = arity // presence check shares the table
 
-func evalFunc(f *FuncCall, ctx evalCtx) (Value, error) {
-	argv := make([]Value, len(f.Args))
-	for i, a := range f.Args {
-		v, err := evalExpr(a, ctx)
+func (s *Scratch) evalFunc(f *FuncCall, ctx evalCtx) (Value, error) {
+	var few [4]Value // all but concat take at most two
+	argv := few[:0]
+	for _, a := range f.Args {
+		v, err := s.evalExpr(a, ctx)
 		if err != nil {
 			return Value{}, err
 		}
-		argv[i] = v
+		argv = append(argv, v)
 	}
 	switch f.Name {
 	case "contains":
@@ -533,7 +534,7 @@ func evalFunc(f *FuncCall, ctx evalCtx) (Value, error) {
 			}
 			n = argv[0].Nodes[0]
 		}
-		return str(n.Name), nil
+		return str(n.Name()), nil
 	case "not":
 		return boolean(!argv[0].AsBool()), nil
 	case "string":

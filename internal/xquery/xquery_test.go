@@ -29,7 +29,7 @@ func doc(t *testing.T) *xmldoc.Document {
 	return d
 }
 
-func evalNodes(t *testing.T, d *xmldoc.Document, expr string) []*xmldoc.Node {
+func evalNodes(t *testing.T, d *xmldoc.Document, expr string) []xmldoc.Node {
 	t.Helper()
 	q, err := Compile(expr)
 	if err != nil {
@@ -107,7 +107,7 @@ func TestRelativePathFromRoot(t *testing.T) {
 func TestTextNodes(t *testing.T) {
 	d := doc(t)
 	ns := evalNodes(t, d, "/annotation/body/text()")
-	if len(ns) != 1 || !strings.Contains(ns[0].Value, "protease") {
+	if len(ns) != 1 || !strings.Contains(ns[0].Value(), "protease") {
 		t.Fatalf("body text() = %v", ns)
 	}
 }
@@ -211,11 +211,11 @@ func TestStringFunctions(t *testing.T) {
 func TestParentAndSelf(t *testing.T) {
 	d := doc(t)
 	ns := evalNodes(t, d, "//creator/..")
-	if len(ns) != 1 || ns[0].Name != "dc" {
+	if len(ns) != 1 || ns[0].Name() != "dc" {
 		t.Fatalf("//creator/.. = %v", ns)
 	}
 	ns = evalNodes(t, d, "//creator/.")
-	if len(ns) != 1 || ns[0].Name != "creator" {
+	if len(ns) != 1 || ns[0].Name() != "creator" {
 		t.Fatalf("//creator/. = %v", ns)
 	}
 }
@@ -236,10 +236,10 @@ func TestDescendantDeduplication(t *testing.T) {
 	}
 	seen := map[uint64]bool{}
 	for _, n := range ns {
-		if seen[n.ID] {
+		if seen[n.ID()] {
 			t.Fatal("duplicate node in result")
 		}
-		seen[n.ID] = true
+		seen[n.ID()] = true
 	}
 }
 

@@ -26,6 +26,10 @@ fi
 
 BENCHTIME="${BENCHTIME:-1s}"
 COUNT="${COUNT:-1}"
+# go test kills a run after ten minutes unless told otherwise, which the
+# main suite passes at COUNT=3 BENCHTIME=500ms; an hour outlasts any
+# setting this script is run with and still ends a hung benchmark.
+TIMEOUT=60m
 # Guard benchmarks for --check: the paper queries and graph primitives
 # whose regressions previous PRs fought hardest for, plus the mixed
 # read/write contention suite (W2), the parallel collection scan that
@@ -59,7 +63,7 @@ PATTERN='BenchmarkF1AGraphScenario|BenchmarkF2AnnotateWorkflow|BenchmarkF3QueryT
 
 echo "running benchmark suites (benchtime=${BENCHTIME}, count=${COUNT})…" >&2
 go test -run '^$' -bench "$PATTERN" -benchmem \
-    -benchtime "$BENCHTIME" -count "$COUNT" . | tee "$TXT"
+    -benchtime "$BENCHTIME" -count "$COUNT" -timeout "$TIMEOUT" . | tee "$TXT"
 
 # Convert the standard benchmark lines to JSON:
 #   BenchmarkName/sub=1-8  123  456 ns/op  789 B/op  12 allocs/op
@@ -96,7 +100,7 @@ SHARD_PATTERN='BenchmarkW2ShardedCommits|BenchmarkW1ShardedDurableCommit'
 SHARD_TMP="$(mktemp)"
 echo "running sharded scaling matrix (benchtime=${BENCHTIME}, count=${COUNT})…" >&2
 go test -run '^$' -bench "$SHARD_PATTERN" -benchmem \
-    -benchtime "$BENCHTIME" -count "$COUNT" . | tee "$SHARD_TMP"
+    -benchtime "$BENCHTIME" -count "$COUNT" -timeout "$TIMEOUT" . | tee "$SHARD_TMP"
 # One artifact set per date: the raw lines ride along in the main TXT
 # (benchstat handles the mixed file fine) instead of a .shards.txt fork.
 grep '^Benchmark' "$SHARD_TMP" >>"$TXT" || true
@@ -130,7 +134,7 @@ TRACE_PATTERN='BenchmarkW2TracedMixedReadWrite'
 TRACE_TMP="$(mktemp)"
 echo "running traced W2 overhead probe (benchtime=${BENCHTIME}, count=${COUNT})…" >&2
 go test -run '^$' -bench "$TRACE_PATTERN" -benchmem \
-    -benchtime "$BENCHTIME" -count "$COUNT" . | tee "$TRACE_TMP"
+    -benchtime "$BENCHTIME" -count "$COUNT" -timeout "$TIMEOUT" . | tee "$TRACE_TMP"
 grep '^Benchmark' "$TRACE_TMP" >>"$TXT" || true
 awk -v date="$DATE" '
 /^Benchmark/ {
