@@ -1,10 +1,8 @@
-// Benchmarks regenerating every experiment in EXPERIMENTS.md. The paper
-// (an ICDE 2008 demonstration) publishes no quantitative tables; the
-// experiment set is DESIGN.md §5: the three figures' scenarios (F1–F3),
-// the two fully-specified queries (Q1, Q2), the operator inventories
-// (O1–O3), and ablations of the design choices stated in prose (A1–A6).
-// cmd/graphitti-bench runs the same harness and prints the rows recorded
-// in EXPERIMENTS.md.
+// The in-process benchmark suites. The paper (an ICDE 2008 demonstration)
+// publishes no quantitative tables; the experiment set is the three
+// figures' scenarios (F1–F3), the two fully-specified queries (Q1, Q2),
+// the operator inventories (O1–O3), and ablations of the design choices
+// stated in prose (A1–A7). scripts/bench.sh records their rows.
 package graphitti
 
 import (

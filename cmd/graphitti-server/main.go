@@ -10,8 +10,10 @@
 //	curl localhost:8080/api/stats
 //	curl -X POST localhost:8080/api/search -d '{"expr":"contains(/annotation/body, \"protease\")"}'
 //
-// In durable mode a -study or -snapshot seeds the directory only when it
-// holds no prior state; an existing directory always wins.
+// Every deployment is one shard set: -shards pipelines (default 1), each
+// with a WAL + snapshot chain under -data-dir or, without it, no log. A
+// -study or -snapshot seeds the set only when it holds no prior state; an
+// existing directory always wins, including over -shards left unset.
 //
 // The server is production-shaped: read-header and idle timeouts bound
 // slow clients, SIGINT/SIGTERM triggers a graceful drain (bounded by
@@ -35,7 +37,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
@@ -160,154 +161,80 @@ func run(ctx context.Context, cfg serverConfig, logger *slog.Logger) error {
 		logger.Error("serve failed", "err", err)
 	}
 
-	if store != nil {
-		if cerr := store.Close(); cerr != nil {
-			logger.Error("closing durable store", "dataDir", cfg.dataDir, "err", cerr)
-			if err == nil {
-				err = cerr
-			}
-		} else {
-			switch st := store.(type) {
-			case *durable.Store:
-				logger.Info("durable store closed", "dataDir", cfg.dataDir, "seq", st.Stats().Seq)
-			default:
-				logger.Info("durable store closed", "dataDir", cfg.dataDir)
-			}
+	if cerr := store.Close(); cerr != nil {
+		logger.Error("closing store", "dataDir", cfg.dataDir, "err", cerr)
+		if err == nil {
+			err = cerr
 		}
+	} else if store.Durable() {
+		logger.Info("durable store closed", "dataDir", cfg.dataDir)
 	}
 	return err
 }
 
-// closableStore is what run flushes and closes on exit: the durable
-// store, or the sharded store closing every pipeline.
-type closableStore interface {
-	Close() error
-}
-
-// buildHandler assembles the HTTP handler and, in durable mode, returns
-// the store so run can close it on exit.
-func buildHandler(cfg serverConfig) (http.Handler, closableStore, string, error) {
+// buildHandler assembles the deployment — -shards writer pipelines behind
+// the router, without a log or (with -data-dir) each with its own WAL +
+// snapshot chain — and returns the shard set so run can close it on exit.
+func buildHandler(cfg serverConfig) (http.Handler, *shard.Store, string, error) {
 	rules, err := loadRules(cfg.rulesFile)
 	if err != nil {
 		return nil, nil, "", err
 	}
-	// -shards >1 runs the sharded pipeline. So does a data directory that
-	// was created sharded (its SHARDS.json names the count), whatever the
-	// flag says: falling through to the unsharded path would serve an
-	// empty store and fork the directory with a second top-level WAL
-	// beside the untouched shard-<k>/ data. A defaulted flag adopts the
-	// recorded count; an explicit mismatch is refused by shard.Open.
-	if cfg.shards > 1 || hasShardsManifest(cfg.dataDir) {
-		return buildShardedHandler(cfg, rules)
-	}
-	if cfg.dataDir == "" {
-		store, err := buildStore(cfg.study, cfg.anns, cfg.images, cfg.snapshot)
-		if err != nil {
-			return nil, nil, "", err
-		}
-		if err := installRules(rules, func(r graphitti.Rule) error {
-			return graphitti.AddRule(store, r)
-		}); err != nil {
-			return nil, nil, "", err
-		}
-		st := store.Stats()
-		report := fmt.Sprintf("graphitti-server: %d annotations, %d referents, %d a-graph edges, %d derived facts via %d rules (in-memory)\n",
-			st.Annotations, st.Referents, st.GraphEdges, st.Derived, len(graphitti.Rules(store)))
-		return httpapi.NewHandlerWithOptions(store, cfg.opts), nil, report, nil
-	}
-
-	// A directory with shard-<k>/ data but no manifest is a sharded
-	// deployment whose SHARDS.json was lost, not an unsharded store:
-	// opening it here would fork it with a top-level WAL while the shard
-	// data sits invisible.
-	if hasShardDirs(cfg.dataDir) {
-		return nil, nil, "", fmt.Errorf("data directory %s contains shard-* data but no SHARDS.json; restore the manifest with the original shard count", cfg.dataDir)
-	}
-	d, err := durable.Open(cfg.dataDir, durable.Options{CompactThreshold: cfg.compactMiB << 20})
-	if err != nil {
-		return nil, nil, "", err
-	}
-	ds := d.Stats()
-	report := fmt.Sprintf("graphitti-server: durable store in %s (seq %d, %d replayed, %d torn bytes truncated)\n",
-		cfg.dataDir, ds.Seq, ds.ReplayedRecords, ds.TornBytes)
-	if ds.Seq == 0 && (cfg.snapshot != "" || cfg.study != "") {
-		// Fresh directory: seed it from the requested study/snapshot and
-		// checkpoint immediately.
-		snap, err := seedSnapshot(cfg)
-		if err != nil {
-			return nil, nil, "", err
-		}
-		if _, err := d.Restore(snap); err != nil {
-			return nil, nil, "", err
-		}
-		report += fmt.Sprintf("seeded empty data dir from %s\n", seedSource(cfg.study, cfg.snapshot))
-	}
-	// Rules from -rules are durable ops: logged, so they survive
-	// restarts whether or not the file is passed again. Ones already
-	// present (replayed from a previous run) are kept, not duplicated.
-	if err := installRules(rules, d.AddRule); err != nil {
-		return nil, nil, "", err
-	}
-	st := d.Core().Stats()
-	report += fmt.Sprintf("serving %d annotations, %d referents, %d a-graph edges, %d derived facts via %d rules (durable)\n",
-		st.Annotations, st.Referents, st.GraphEdges, st.Derived, len(graphitti.Rules(d.Core())))
-	return httpapi.NewDurableHandlerWithOptions(d, cfg.opts), d, report, nil
-}
-
-// buildShardedHandler assembles the sharded deployment: -shards writer
-// pipelines behind the router, in-memory or (with -data-dir) each with
-// its own WAL + snapshot chain under dir/shard-<k>/.
-func buildShardedHandler(cfg serverConfig, rules []prop.Rule) (http.Handler, closableStore, string, error) {
-	var (
-		sh  *shard.Store
-		err error
-	)
+	var sh *shard.Store
+	report := "graphitti-server: "
+	fresh := true
 	if cfg.dataDir == "" {
 		sh = shard.New(cfg.shards)
+		report += fmt.Sprintf("%d shards (in-memory)\n", sh.NumShards())
 	} else {
+		// What the directory holds decides its layout and pins its shard
+		// count (shard.Open); a flag left at its default adopts that, an
+		// explicit mismatch is refused there.
 		n := cfg.shards
-		if !cfg.shardsSet && hasShardsManifest(cfg.dataDir) {
-			// Restart with the flag left at its default: adopt the
-			// directory's recorded count instead of imposing 1.
+		if !cfg.shardsSet {
 			n = 0
 		}
 		sh, err = shard.Open(cfg.dataDir, n, durable.Options{CompactThreshold: cfg.compactMiB << 20})
 		if err != nil {
 			return nil, nil, "", err
 		}
-	}
-	report := fmt.Sprintf("graphitti-server: %d shards", sh.NumShards())
-	fresh := true
-	if sh.Durable() {
 		var seq uint64
+		var replayed int
+		var torn int64
 		for _, st := range sh.DurabilityStats() {
 			seq += st.Seq
+			replayed += st.ReplayedRecords
+			torn += st.TornBytes
 		}
 		fresh = seq == 0
-		report += fmt.Sprintf(" in %s (summed seq %d)", cfg.dataDir, seq)
+		report += fmt.Sprintf("%d shards in %s (summed seq %d, %d replayed, %d torn bytes truncated)\n",
+			sh.NumShards(), cfg.dataDir, seq, replayed, torn)
 	}
-	report += "\n"
 	if fresh && (cfg.snapshot != "" || cfg.study != "") {
+		// Nothing served yet: seed from the requested study/snapshot
+		// (checkpointed immediately where there is a log).
 		snap, err := seedSnapshot(cfg)
+		if err == nil {
+			err = sh.Restore(snap)
+		}
 		if err != nil {
+			_ = sh.Close() // the seeding error is the one to report
 			return nil, nil, "", err
 		}
-		if err := sh.Restore(snap); err != nil {
-			return nil, nil, "", err
-		}
-		report += fmt.Sprintf("seeded shards from %s\n", seedSource(cfg.study, cfg.snapshot))
+		report += fmt.Sprintf("seeded from %s\n", seedSource(cfg.study, cfg.snapshot))
 	}
+	// Rules from -rules are ops like any other: logged where there is a
+	// log, so they survive restarts whether or not the file is passed
+	// again. Ones already present (replayed from a previous run) are kept,
+	// not duplicated.
 	if err := installRules(rules, sh.AddRule); err != nil {
+		_ = sh.Close() // the rule error is the one to report
 		return nil, nil, "", err
 	}
 	st := sh.Stats()
-	report += fmt.Sprintf("serving %d annotations, %d referents, %d a-graph edges, %d derived facts via %d rules (%d shards)\n",
-		st.Annotations, st.Referents, st.GraphEdges, st.Derived, len(sh.Rules()), sh.NumShards())
-	var closer closableStore
-	if sh.Durable() {
-		closer = sh
-	}
-	return httpapi.NewShardedHandlerWithOptions(sh, cfg.opts), closer, report, nil
+	report += fmt.Sprintf("serving %d annotations, %d referents, %d a-graph edges, %d derived facts via %d rules\n",
+		st.Annotations, st.Referents, st.GraphEdges, st.Derived, len(sh.Rules()))
+	return httpapi.New(sh, cfg.opts), sh, report, nil
 }
 
 // loadRules parses the -rules file (nil when the flag is unset).
@@ -334,27 +261,6 @@ func installRules(rules []prop.Rule, add func(prop.Rule) error) error {
 	return nil
 }
 
-// hasShardsManifest reports whether dir was initialised as a sharded
-// data directory.
-func hasShardsManifest(dir string) bool {
-	if dir == "" {
-		return false
-	}
-	_, err := os.Stat(filepath.Join(dir, "SHARDS.json"))
-	return err == nil
-}
-
-// hasShardDirs reports whether dir holds shard-<k> subdirectories.
-func hasShardDirs(dir string) bool {
-	matches, _ := filepath.Glob(filepath.Join(dir, "shard-*"))
-	for _, m := range matches {
-		if fi, err := os.Stat(m); err == nil && fi.IsDir() {
-			return true
-		}
-	}
-	return false
-}
-
 func seedSource(study, snapshot string) string {
 	if snapshot != "" {
 		return "snapshot " + snapshot
@@ -362,37 +268,26 @@ func seedSource(study, snapshot string) string {
 	return "study " + study
 }
 
-// seedSnapshot returns what a fresh data directory is restored from. A
+// seedSnapshot returns what a fresh deployment is restored from. A
 // snapshot file is only decoded — Restore is its one load; a generated
 // study has to be built into a store first and exported.
 func seedSnapshot(cfg serverConfig) (*persist.Snapshot, error) {
 	if cfg.snapshot != "" {
-		return readSnapshot(cfg.snapshot)
+		f, err := os.Open(cfg.snapshot)
+		if err != nil {
+			return nil, err
+		}
+		defer f.Close()
+		return persist.Decode(f)
 	}
-	seed, err := buildStore(cfg.study, cfg.anns, cfg.images, "")
+	seed, err := buildStudy(cfg.study, cfg.anns, cfg.images)
 	if err != nil {
 		return nil, err
 	}
 	return persist.Export(seed)
 }
 
-func readSnapshot(path string) (*persist.Snapshot, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return persist.Decode(f)
-}
-
-func buildStore(study string, anns, images int, snapshot string) (*graphitti.Store, error) {
-	if snapshot != "" {
-		snap, err := readSnapshot(snapshot)
-		if err != nil {
-			return nil, err
-		}
-		return persist.Load(snap)
-	}
+func buildStudy(study string, anns, images int) (*graphitti.Store, error) {
 	switch study {
 	case "", "none":
 		return graphitti.New(), nil

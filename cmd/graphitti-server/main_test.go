@@ -101,9 +101,9 @@ func TestBuildHandlerUnknownStudy(t *testing.T) {
 // TestShardedDirSurvivesDefaultFlags pins the restart contract for a
 // sharded data directory: rerunning the server with -shards left at its
 // default must adopt the count SHARDS.json records and serve the shard
-// data — not fall through to the unsharded path, which would serve an
-// empty store and fork the directory with a second top-level WAL. An
-// explicit mismatching -shards must refuse outright.
+// data — not open one pipeline at the root, which would serve an empty
+// store and fork the directory with a second top-level WAL. An explicit
+// mismatching -shards must refuse outright.
 func TestShardedDirSurvivesDefaultFlags(t *testing.T) {
 	dir := t.TempDir()
 	sh, err := shard.Open(dir, 2, durable.Options{})
@@ -118,13 +118,9 @@ func TestShardedDirSurvivesDefaultFlags(t *testing.T) {
 	}
 
 	// The CLI default: -shards 1, not explicitly set.
-	_, store, _, err := buildHandler(serverConfig{dataDir: dir, shards: 1})
+	_, s2, _, err := buildHandler(serverConfig{dataDir: dir, shards: 1})
 	if err != nil {
 		t.Fatalf("restart with default flags: %v", err)
-	}
-	s2, ok := store.(*shard.Store)
-	if !ok {
-		t.Fatalf("restart served a %T, want the sharded store", store)
 	}
 	if got := s2.NumShards(); got != 2 {
 		t.Fatalf("adopted %d shards, want the directory's 2", got)
@@ -142,13 +138,13 @@ func TestShardedDirSurvivesDefaultFlags(t *testing.T) {
 		t.Fatal("explicit -shards 1 over a 2-shard directory was accepted")
 	}
 
-	// A directory whose manifest was lost must refuse the unsharded path
-	// too, instead of opening a fresh WAL beside the shard data.
+	// A directory whose manifest was lost must be refused too, instead
+	// of opening a fresh WAL at the root beside the shard data.
 	if err := os.Remove(filepath.Join(dir, "SHARDS.json")); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, _, err := buildHandler(serverConfig{dataDir: dir, shards: 1}); err == nil {
-		t.Fatal("manifest-less shard directory opened as an unsharded store")
+		t.Fatal("manifest-less shard directory opened as a one-pipeline store")
 	}
 }
 
@@ -206,14 +202,7 @@ func TestSeedFromSnapshotFileLoadsOnce(t *testing.T) {
 		if got := commitsTotal(t) - before; got != uint64(want.Annotations) {
 			t.Errorf("shards=%d: seeding committed %d annotations, want %d (one load)", shards, got, want.Annotations)
 		}
-		var got int
-		switch s := store.(type) {
-		case *durable.Store:
-			got = s.Core().Stats().Annotations
-		case *shard.Store:
-			got = s.Stats().Annotations
-		}
-		if got != want.Annotations {
+		if got := store.Stats().Annotations; got != want.Annotations {
 			t.Errorf("shards=%d: serving %d annotations, want %d", shards, got, want.Annotations)
 		}
 		if err := store.Close(); err != nil {

@@ -18,7 +18,7 @@
 //	correlated -ann ID             correlated-data view of an annotation
 //	q1                             the paper's intro query (neuro study)
 //	q2 [-k K] [-keyword W]         the query-tab query (influenza study)
-//	metrics [-format prom|json|csv]
+//	metrics [-format prom|json]
 //	                               dump the process metric registry
 //	metrics-lint                   validate the Prometheus exposition format
 //	traces [-url U | -f FILE]      render /debug/traces output as ASCII
@@ -158,7 +158,7 @@ func run(args []string) error {
 // it — useful for eyeballing instrument output without a server.
 func cmdMetrics(args []string) error {
 	fs := flag.NewFlagSet("metrics", flag.ContinueOnError)
-	format := fs.String("format", "prom", "output format: prom (Prometheus text), json, or csv")
+	format := fs.String("format", "prom", "output format: prom (Prometheus text) or json")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -167,10 +167,8 @@ func cmdMetrics(args []string) error {
 		return obs.Default.WritePrometheus(os.Stdout)
 	case "json":
 		return obs.Default.WriteJSON(os.Stdout)
-	case "csv":
-		return obs.Default.WriteCSV(os.Stdout)
 	default:
-		return fmt.Errorf("unknown format %q (want prom, json or csv)", *format)
+		return fmt.Errorf("unknown format %q (want prom or json)", *format)
 	}
 }
 

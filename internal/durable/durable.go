@@ -56,6 +56,17 @@
 // A compaction that fails before touching the live log (snapshot or
 // manifest write) does not degrade: the previous checkpoint, manifest,
 // and log remain the loadable truth and the store stays writable.
+//
+// # Without a log
+//
+// A Store is one writer pipeline: a core store plus an optional log.
+// Memory builds the pipeline without one — no directory, no WAL, no
+// durability metrics. Every mutation applies under the same ordering
+// lock and returns; Install swaps without a checkpoint; Reopen, Compact
+// and Sync have nothing to do; nothing can degrade it. "No log" is
+// decided here and nowhere above: internal/shard holds one slice of
+// Stores and internal/httpapi one shard set, whether or not a directory
+// is behind them.
 package durable
 
 import (
@@ -258,10 +269,14 @@ type Stats struct {
 	WAL wal.Stats
 }
 
-// Store is a crash-safe core.Store. Reads go straight to Core(); every
-// mutating method logs before acknowledging. All methods are safe for
+// Store is one writer pipeline over a core.Store: crash-safe when it was
+// opened over a directory, a plain serialized writer when built by
+// Memory. Reads go straight to Core(); every mutating method logs (when
+// there is a log) before acknowledging. All methods are safe for
 // concurrent use.
 type Store struct {
+	// dir is "" for a pipeline without a log (Memory): w and m stay nil,
+	// and every method below that would touch either returns first.
 	dir  string
 	opts Options
 
@@ -312,6 +327,14 @@ func Open(dir string, opts Options) (*Store, error) {
 	s.m.setHealthGauge(StateHealthy)
 	s.m.seq.Set(int64(s.seq))
 	return s, nil
+}
+
+// Memory returns a pipeline without a log over cs. so are the options cs
+// was built with: Stage builds a restore's replacement store with them.
+func Memory(cs *core.Store, so core.StoreOptions) *Store {
+	s := &Store{opts: Options{Store: so}}
+	s.core.Store(cs)
+	return s
 }
 
 // load validates and reads the data directory into s (a fresh Store):
@@ -499,7 +522,7 @@ func apply(cs *core.Store, rec *record) error {
 // directly bypasses the log; use the Store's own mutation methods.
 func (s *Store) Core() *core.Store { return s.core.Load() }
 
-// Dir returns the data directory.
+// Dir returns the data directory ("" for a pipeline without a log).
 func (s *Store) Dir() string { return s.dir }
 
 // logApply runs one mutation: applyFn mutates the core store and fills
@@ -518,6 +541,11 @@ func (s *Store) logApplySpan(rec *record, sp *trace.Span, applyFn func(cs *core.
 	if s.closed {
 		s.mu.Unlock()
 		return wal.ErrClosed
+	}
+	if s.dir == "" {
+		err := applyFn(s.Core())
+		s.mu.Unlock()
+		return err
 	}
 	// Refuse BEFORE mutating when the store is degraded (a sticky flush
 	// error, a failed rotation that left the log closed, or an earlier
@@ -796,6 +824,9 @@ func (s *Store) Commit(b *core.Builder) (*core.Annotation, error) {
 		if err != nil {
 			return err
 		}
+		if s.dir == "" {
+			return nil // nothing to log the dump into
+		}
 		d, err := persist.DumpAnnotation(c, ann)
 		if err != nil {
 			return err
@@ -838,6 +869,9 @@ func (s *Store) Compact() error {
 	defer s.mu.Unlock()
 	if s.closed {
 		return wal.ErrClosed
+	}
+	if s.dir == "" {
+		return nil
 	}
 	return s.compactLocked()
 }
@@ -909,25 +943,43 @@ func (s *Store) checkpointLocked(cs *core.Store, seq uint64) error {
 // Restore replaces the store's entire state with snap and checkpoints it
 // immediately (fresh snapshot + empty log). The previous state is gone.
 func (s *Store) Restore(snap *persist.Snapshot) (*core.Store, error) {
-	cs, err := persist.LoadWith(snap, s.opts.Store)
+	cs, err := s.Stage(snap)
 	if err != nil {
 		return nil, err
 	}
+	if err := s.Install(cs); err != nil {
+		return nil, err
+	}
+	return cs, nil
+}
+
+// Stage loads snap into a fresh store built like this pipeline's own,
+// without touching the pipeline: the half of Restore that can reject a
+// snapshot. A shard set stages every partition before it installs any.
+func (s *Store) Stage(snap *persist.Snapshot) (*core.Store, error) {
+	return persist.LoadWith(snap, s.opts.Store)
+}
+
+// Install makes a staged store the pipeline's state: checkpointed first
+// when there is a log, then swapped in.
+func (s *Store) Install(cs *core.Store) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return nil, wal.ErrClosed
+		return wal.ErrClosed
 	}
 	// Checkpoint the restored state BEFORE swapping it in: if the
 	// checkpoint fails, memory still matches disk and the store keeps
 	// serving its previous state. The +1 makes the restore itself an op,
 	// so stale log records can never replay over the restored state.
-	if err := s.checkpointLocked(cs, s.seq+1); err != nil {
-		return nil, err
+	if s.dir != "" {
+		if err := s.checkpointLocked(cs, s.seq+1); err != nil {
+			return err
+		}
 	}
 	s.core.Store(cs)
 	s.seq++
-	return cs, nil
+	return nil
 }
 
 // Stats returns durability counters.
@@ -947,7 +999,7 @@ func (s *Store) Stats() Stats {
 		Health:           s.healthLocked(),
 		Reopens:          s.reopens,
 	}
-	if !s.closed {
+	if s.dir != "" && !s.closed {
 		st.WAL = s.w.Stats()
 		st.LogSize = s.w.Size()
 	}
@@ -959,6 +1011,9 @@ func (s *Store) Stats() Stats {
 // It retries when a concurrent compaction rotates the writer out from
 // under it — everything the old writer held was flushed by its Close.
 func (s *Store) Sync() error {
+	if s.dir == "" {
+		return nil
+	}
 	var last *wal.Writer
 	for {
 		s.mu.Lock()
@@ -990,6 +1045,9 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
+	if s.dir == "" {
+		return nil
+	}
 	s.m.setHealthGauge(StateClosed)
 	return s.w.Close()
 }

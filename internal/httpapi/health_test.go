@@ -149,17 +149,25 @@ func TestDegradedServerServesReadsRefusesWrites(t *testing.T) {
 	}
 }
 
+// TestRecoverRequiresDurableStore: with no log there is nothing to
+// recover (400); a healthy durable store answers 200 and its health.
 func TestRecoverRequiresDurableStore(t *testing.T) {
-	ts, _ := newTestServer(t)
-	resp, body := doJSON(t, "POST", ts.URL+"/api/recover", nil)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("recover on in-memory store: %d (%s)", resp.StatusCode, body)
-	}
+	deployments(t, func(t *testing.T, d deployment) {
+		ts, _ := newTestServer(t, d)
+		want := http.StatusBadRequest
+		if d.durable {
+			want = http.StatusOK
+		}
+		for _, path := range []string{"/api/recover", "/api/recover?shard=0"} {
+			if resp, body := doJSON(t, "POST", ts.URL+path, nil); resp.StatusCode != want {
+				t.Fatalf("POST %s (durable=%v): %d (%s), want %d", path, d.durable, resp.StatusCode, body, want)
+			}
+		}
+	})
 }
 
 func TestBodyCap(t *testing.T) {
-	_, store := newTestServer(t)
-	ts := httptest.NewServer(NewHandlerWithOptions(store, Options{MaxBodyBytes: 256}))
+	ts := httptest.NewServer(New(memorySet(smallStore(t)), Options{MaxBodyBytes: 256}))
 	t.Cleanup(ts.Close)
 	big := map[string]interface{}{
 		"creator": "u", "date": "2026-08-08",

@@ -14,18 +14,22 @@
 //	propagation:     GET/POST /api/rules, DELETE /api/rules/{id},
 //	                 GET /api/provenance/{id}
 //
-// Served over a durable store (NewDurableHandler), mutations are
-// write-ahead logged before they are acknowledged, /api/stats grows a
-// "durability" section (WAL and compaction counters), and /api/restore
-// checkpoints the restored state immediately.
+// The handler serves one shard.Store — a set of N ≥ 1 writer pipelines,
+// each with or without a log — and knows no other shape: an unsharded
+// deployment is the set of one, an in-memory one a set whose pipelines
+// have no log. Over pipelines that log, mutations are write-ahead logged
+// before they are acknowledged, /api/stats carries each pipeline's
+// durability counters under "sharding", and /api/restore checkpoints the
+// restored state immediately.
 //
 // Operational endpoints: GET /healthz (liveness — always 200 while the
 // process serves) and GET /readyz (readiness — 503 + Retry-After while
 // the store is degraded to read-only after a disk fault; reads keep
 // answering 200 throughout). Mutations against a degraded store return
-// 503 JSON with Retry-After; POST /api/recover runs the store's Reopen
-// path and restores readiness once the directory re-validates. All JSON
-// bodies are size-capped (413 beyond the limit).
+// 503 JSON with Retry-After naming the shard; POST /api/recover[?shard=k]
+// runs the pipeline's Reopen path and restores readiness once the
+// directory re-validates. All JSON bodies are size-capped (413 beyond the
+// limit).
 package httpapi
 
 import (
@@ -36,7 +40,6 @@ import (
 	"log/slog"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
 	"graphitti/internal/core"
@@ -97,43 +100,39 @@ const (
 // run recovery, short enough that clients re-probe promptly.
 const retryAfterSeconds = "10"
 
-// NewHandler returns an http.Handler serving the API for one in-memory
-// store. Writes do not survive a restart; see NewDurableHandler.
+// New returns an http.Handler serving the API over sh.
+func New(sh *shard.Store, opts Options) http.Handler {
+	api := &server{sh: sh, opts: opts, tracer: trace.NewTracer(trace.Options{
+		RingSize:    opts.TraceRingSize,
+		SampleEvery: opts.TraceSampleEvery,
+	})}
+	mux := http.NewServeMux()
+	for _, def := range routeDefs {
+		mux.HandleFunc(def.pattern, def.handler(api))
+	}
+	if opts.EnablePprof {
+		mountPprof(mux)
+	}
+	return api.instrument(mux)
+}
+
+// NewHandler serves one in-memory store: a shard set of one pipeline
+// without a log over s. Writes do not survive a restart.
 func NewHandler(s *core.Store) http.Handler {
-	return NewHandlerWithOptions(s, Options{})
+	return New(shard.Single(durable.Memory(s, core.StoreOptions{})), Options{})
 }
 
-// NewHandlerWithOptions is NewHandler with explicit options.
-func NewHandlerWithOptions(s *core.Store, opts Options) http.Handler {
-	return newMux(&server{store: s, proc: query.NewProcessor(s), opts: opts})
-}
-
-// NewDurableHandler serves a durable store: every mutating endpoint is
-// logged-then-acknowledged through d, reads go to the wrapped store.
+// NewDurableHandler serves one pipeline: a shard set of one over d.
 func NewDurableHandler(d *durable.Store) http.Handler {
-	return NewDurableHandlerWithOptions(d, Options{})
+	return New(shard.Single(d), Options{})
 }
 
-// NewDurableHandlerWithOptions is NewDurableHandler with explicit options.
-func NewDurableHandlerWithOptions(d *durable.Store, opts Options) http.Handler {
-	s := d.Core()
-	return newMux(&server{store: s, proc: query.NewProcessor(s), durable: d, opts: opts})
-}
-
-// NewShardedHandler serves a sharded store (in-memory or durable): every
-// endpoint answers over the merged view set, mutations route to their
-// home shard, and a degraded shard's 503 names the shard while healthy
-// shards keep writing.
+// NewShardedHandler is New with the default options.
 func NewShardedHandler(sh *shard.Store) http.Handler {
-	return NewShardedHandlerWithOptions(sh, Options{})
+	return New(sh, Options{})
 }
 
-// NewShardedHandlerWithOptions is NewShardedHandler with explicit options.
-func NewShardedHandlerWithOptions(sh *shard.Store, opts Options) http.Handler {
-	return newMux(&server{sh: sh, opts: opts})
-}
-
-// routeDefs is the single registration table: newMux mounts every entry
+// routeDefs is the single registration table: New mounts every entry
 // and the middleware conformance test walks the same list, so a route
 // can't be added without being counted by the metrics middleware.
 var routeDefs = []struct {
@@ -165,86 +164,13 @@ var routeDefs = []struct {
 	{"GET /api/provenance/{id}", func(s *server) http.HandlerFunc { return s.provenance }},
 }
 
-func newMux(api *server) http.Handler {
-	api.tracer = trace.NewTracer(trace.Options{
-		RingSize:    api.opts.TraceRingSize,
-		SampleEvery: api.opts.TraceSampleEvery,
-	})
-	mux := http.NewServeMux()
-	for _, def := range routeDefs {
-		mux.HandleFunc(def.pattern, def.handler(api))
-	}
-	if api.opts.EnablePprof {
-		mountPprof(mux)
-	}
-	return api.instrument(mux)
-}
-
+// server is the handler's state: the shard set it serves. The set swaps
+// its pipelines' stores internally (restore, recover), so nothing here
+// changes after New.
 type server struct {
-	// mu guards store/proc, which /api/restore swaps wholesale; handlers
-	// snapshot both via view(). durable and sh are set once and never
-	// change; in sharded mode store/proc/durable stay nil (the shard
-	// store swaps its pipelines internally).
-	mu      sync.RWMutex
-	store   *core.Store
-	proc    *query.Processor
-	durable *durable.Store
-	sh      *shard.Store
-	opts    Options
-	tracer  *trace.Tracer
-}
-
-// backend is the read-and-mark surface the handlers share between one
-// core store and a sharded deployment. Mutations go through the *Op
-// helpers, which pick the WAL/router path.
-type backend interface {
-	Stats() core.Stats
-	Epoch() uint64
-	Annotation(uint64) (*core.Annotation, error)
-	Annotations() []*core.Annotation
-	SearchKeyword(string, bool) []*core.Annotation
-	SearchContentsCtx(context.Context, string) ([]*core.Annotation, error)
-	RelatedAnnotations(uint64) ([]*core.Annotation, error)
-	CorrelatedData(uint64) ([]core.CorrelatedItem, error)
-	ReferentsAt(string, int64) []*core.Referent
-	ObjectList() []core.ObjectHandle
-	NewAnnotation() *core.Builder
-	DerivedFrom(uint64) []core.DerivedFact
-	DerivedOnto(uint64) ([]core.DerivedFact, error)
-	DerivedSourceEpoch(uint64) uint64
-	MarkDomainInterval(string, interval.Interval) (*core.Referent, error)
-	MarkSequenceInterval(string, interval.Interval) (*core.Referent, error)
-	MarkImageRegion(string, rtree.Rect) (*core.Referent, error)
-	MarkClade(string, ...string) (*core.Referent, error)
-	MarkSubgraph(string, ...string) (*core.Referent, error)
-	MarkAlignmentBlock(string, []string, interval.Interval) (*core.Referent, error)
-	MarkObject(core.ObjectType, string) (*core.Referent, error)
-}
-
-// coreBackend adapts *core.Store to backend: the handful of reads the
-// handlers used to reach through a pinned View become store-level calls.
-type coreBackend struct{ *core.Store }
-
-func (b coreBackend) Epoch() uint64 { return b.Store.View().Epoch() }
-func (b coreBackend) SearchContentsCtx(ctx context.Context, expr string) ([]*core.Annotation, error) {
-	return b.Store.View().SearchContentsCtx(ctx, expr)
-}
-func (b coreBackend) DerivedOnto(id uint64) ([]core.DerivedFact, error) {
-	return b.Store.View().DerivedOnto(id)
-}
-func (b coreBackend) DerivedSourceEpoch(id uint64) uint64 {
-	return b.Store.View().DerivedSourceEpoch(id)
-}
-
-// view returns the current backend and query processor (nil processor in
-// sharded mode: runQuery fans out through the shard store instead).
-func (s *server) view() (backend, *query.Processor) {
-	if s.sh != nil {
-		return s.sh, nil
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return coreBackend{s.store}, s.proc
+	sh     *shard.Store
+	opts   Options
+	tracer *trace.Tracer
 }
 
 // queryCtx derives the execution context of a search/query request: the
@@ -263,9 +189,9 @@ type errorBody struct {
 	// the X-Request-Id response header), so a client-reported failure can
 	// be matched to its server log line.
 	RequestID string `json:"requestId,omitempty"`
-	// Shard names the pipeline that refused a sharded-mode mutation
-	// (e.g. the degraded shard behind a 503), so operators can recover
-	// that shard while the rest keep writing.
+	// Shard names the pipeline that refused a mutation (e.g. the
+	// degraded shard behind a 503), so operators can recover that shard
+	// while the rest keep writing.
 	Shard *int `json:"shard,omitempty"`
 }
 
@@ -296,6 +222,10 @@ func writeErr(w http.ResponseWriter, r *http.Request, err error) {
 		status = http.StatusRequestTimeout
 	case errors.Is(err, context.Canceled):
 		status = statusClientClosedRequest
+	case errors.Is(err, shard.ErrBadSnapshot):
+		// Ahead of the not-found cases: a snapshot naming an unknown
+		// ontology is a bad upload, not a missing resource.
+		status = http.StatusBadRequest
 	case errors.Is(err, core.ErrNoSuchAnnotation),
 		errors.Is(err, core.ErrNoSuchObject),
 		errors.Is(err, core.ErrNoSuchReferent),
@@ -331,38 +261,16 @@ type healthView struct {
 	Reads  bool   `json:"reads"`
 	Writes bool   `json:"writes"`
 	Reason string `json:"reason,omitempty"`
-	// DegradedShards lists the pipelines refusing writes in sharded mode.
-	// Writes routed to any other shard still succeed, so partial
-	// degradation keeps Reads true and most writes flowing even while
-	// /readyz reports 503.
+	// DegradedShards lists the pipelines refusing writes. Writes routed
+	// to any other shard still succeed, so partial degradation keeps
+	// Reads true and most writes flowing even while /readyz reports 503.
 	DegradedShards []int `json:"degradedShards,omitempty"`
 }
 
+// health folds the per-shard states: any degraded shard flips readiness
+// (Writes false → /readyz 503) and is named in the reason, but reads —
+// and writes routed to healthy shards — keep working.
 func (s *server) health() healthView {
-	if s.sh != nil {
-		return s.shardedHealth()
-	}
-	if s.durable == nil {
-		// In-memory mode has no disk to fail.
-		return healthView{Status: "ok", State: durable.StateHealthy.String(), Reads: true, Writes: true}
-	}
-	h := s.durable.Health()
-	v := healthView{State: h.State.String(), Reason: h.Reason}
-	switch h.State {
-	case durable.StateHealthy:
-		v.Status, v.Reads, v.Writes = "ok", true, true
-	case durable.StateDegraded:
-		v.Status, v.Reads = "degraded", true
-	case durable.StateClosed:
-		v.Status = "closed"
-	}
-	return v
-}
-
-// shardedHealth folds the per-shard states: any degraded shard flips
-// readiness (Writes false → /readyz 503) and is named in the reason,
-// but reads — and writes routed to healthy shards — keep working.
-func (s *server) shardedHealth() healthView {
 	v := healthView{Status: "ok", State: durable.StateHealthy.String(), Reads: true, Writes: true}
 	for _, h := range s.sh.Health() {
 		if h.State == durable.StateHealthy {
@@ -406,41 +314,17 @@ func (s *server) readyz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusServiceUnavailable, v)
 }
 
-// recoverStore runs the durable store's explicit recovery path —
-// re-validating the data directory and probing the log — and on success
-// swaps the reloaded core in, exactly as restore does.
+// recoverStore runs the explicit recovery path — re-validating the data
+// directory and probing the log — of one shard (?shard=k) or of every
+// degraded shard. Each shard recovers independently; the first failure
+// is reported with its shard ID and a Retry-After, like any
+// degraded-shard write.
 func (s *server) recoverStore(w http.ResponseWriter, r *http.Request) {
-	if s.sh != nil {
-		s.recoverShards(w, r)
-		return
-	}
-	if s.durable == nil {
-		jsonError(w, r, http.StatusBadRequest, "recover requires a durable store (-data-dir)")
-		return
-	}
-	s.mu.Lock()
-	store, err := s.durable.Reopen()
-	if err != nil {
-		s.mu.Unlock()
-		w.Header().Set("Retry-After", retryAfterSeconds)
-		jsonError(w, r, http.StatusServiceUnavailable, err.Error())
-		return
-	}
-	s.store = store
-	s.proc = query.NewProcessor(store)
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, s.health())
-}
-
-// recoverShards reopens one shard (?shard=k) or every degraded shard.
-// Each shard recovers independently; the first failure is reported with
-// its shard ID and a Retry-After, like any degraded-shard write.
-func (s *server) recoverShards(w http.ResponseWriter, r *http.Request) {
 	if !s.sh.Durable() {
 		jsonError(w, r, http.StatusBadRequest, "recover requires a durable store (-data-dir)")
 		return
 	}
-	var targets []int
+	targets := s.sh.DegradedShards()
 	if raw := r.URL.Query().Get("shard"); raw != "" {
 		k, err := strconv.Atoi(raw)
 		if err != nil || k < 0 || k >= s.sh.NumShards() {
@@ -449,8 +333,6 @@ func (s *server) recoverShards(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		targets = []int{k}
-	} else {
-		targets = s.sh.DegradedShards()
 	}
 	for _, k := range targets {
 		if err := s.sh.Reopen(k); err != nil {
@@ -489,18 +371,17 @@ func (s *server) decodeJSON(w http.ResponseWriter, r *http.Request, v interface{
 	return true
 }
 
-// statsView is the /api/stats payload: the store's component sizes plus
-// the published view epoch and, in durable mode, the durability counters.
+// statsView is the /api/stats payload: the store's component sizes, the
+// published view epoch, and the shard set's own section.
 type statsView struct {
 	core.Stats
-	Epoch      uint64         `json:"epoch"`
-	Durability *durable.Stats `json:"durability,omitempty"`
-	Sharding   *shardingView  `json:"sharding,omitempty"`
+	Epoch    uint64       `json:"epoch"`
+	Sharding shardingView `json:"sharding"`
 }
 
-// shardingView is the sharded-mode /api/stats section: the shard count,
-// the inter-shard channel counters, and (durable mode) each shard's
-// durability stats indexed by shard.
+// shardingView is the /api/stats section on the shard set: the shard
+// count, the inter-shard channel counters, and (over pipelines that log)
+// each shard's durability stats indexed by shard.
 type shardingView struct {
 	Shards            int             `json:"shards"`
 	CrossShardCommits uint64          `json:"crossShardCommits"`
@@ -513,30 +394,24 @@ type shardingView struct {
 }
 
 func (s *server) stats(w http.ResponseWriter, _ *http.Request) {
-	store, _ := s.view()
-	out := statsView{Stats: store.Stats(), Epoch: store.Epoch()}
-	if s.durable != nil {
-		ds := s.durable.Stats()
-		out.Durability = &ds
-	}
-	if s.sh != nil {
-		out.Sharding = &shardingView{
+	writeJSON(w, http.StatusOK, statsView{
+		Stats: s.sh.Stats(),
+		Epoch: s.sh.Epoch(),
+		Sharding: shardingView{
 			Shards:            s.sh.NumShards(),
 			CrossShardCommits: s.sh.CrossShardCommits(),
 			DeltaSeq:          s.sh.DeltaSeq(),
 			Durability:        s.sh.DurabilityStats(),
 			Load:              s.sh.LoadStats(),
-		}
-	}
-	writeJSON(w, http.StatusOK, out)
+		},
+	})
 }
 
 func (s *server) listAnnotations(w http.ResponseWriter, r *http.Request) {
-	store, _ := s.view()
 	if keyword := r.URL.Query().Get("keyword"); keyword != "" {
-		writeAnnotations(w, r, store.SearchKeyword(keyword, true))
+		writeAnnotations(w, r, s.sh.SearchKeyword(keyword, true))
 	} else {
-		writeAnnotations(w, r, store.Annotations())
+		writeAnnotations(w, r, s.sh.Annotations())
 	}
 }
 
@@ -546,8 +421,7 @@ func (s *server) getAnnotation(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, err)
 		return
 	}
-	store, _ := s.view()
-	ann, err := store.Annotation(id)
+	ann, err := s.sh.Annotation(id)
 	if err != nil {
 		writeErr(w, r, err)
 		return
@@ -561,26 +435,11 @@ func (s *server) deleteAnnotation(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, err)
 		return
 	}
-	if err := s.deleteAnnotationOp(id); err != nil {
+	if err := s.sh.DeleteAnnotation(id); err != nil {
 		writeErr(w, r, err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
-}
-
-// deleteAnnotationOp routes the mutation through the router/WAL when
-// present.
-func (s *server) deleteAnnotationOp(id uint64) error {
-	switch {
-	case s.sh != nil:
-		return s.sh.DeleteAnnotation(id)
-	case s.durable != nil:
-		return s.durable.DeleteAnnotation(id)
-	default:
-		s.mu.RLock()
-		defer s.mu.RUnlock()
-		return s.store.DeleteAnnotation(id)
-	}
 }
 
 // markSpec describes one referent in an annotation request.
@@ -616,10 +475,9 @@ func (s *server) createAnnotation(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeJSON(w, r, &req) {
 		return
 	}
-	store, _ := s.view()
 	// The middleware's root span rides the builder down the commit path
 	// (router → shard writer → commit → propagation → WAL flush).
-	b := store.NewAnnotation().WithSpan(trace.FromContext(r.Context())).
+	b := s.sh.NewAnnotation().WithSpan(trace.FromContext(r.Context())).
 		Creator(req.Creator).Date(req.Date).Body(req.Body)
 	if req.Title != "" {
 		b.Title(req.Title)
@@ -628,7 +486,7 @@ func (s *server) createAnnotation(w http.ResponseWriter, r *http.Request) {
 		b.Tag(name, val)
 	}
 	for i, m := range req.Marks {
-		ref, err := resolveMark(store, m)
+		ref, err := resolveMark(s.sh, m)
 		if err != nil {
 			writeErr(w, r, fmt.Errorf("mark %d: %w", i, err))
 			return
@@ -638,7 +496,7 @@ func (s *server) createAnnotation(w http.ResponseWriter, r *http.Request) {
 	for _, tr := range req.Terms {
 		b.OntologyRef(tr.Ontology, tr.TermID)
 	}
-	ann, err := s.commitOp(b)
+	ann, err := s.sh.Commit(b)
 	if err != nil {
 		writeErr(w, r, err)
 		return
@@ -646,23 +504,9 @@ func (s *server) createAnnotation(w http.ResponseWriter, r *http.Request) {
 	writeAnnotation(w, r, http.StatusCreated, ann, false)
 }
 
-// commitOp routes the commit through the router/WAL when present.
-func (s *server) commitOp(b *core.Builder) (*core.Annotation, error) {
-	switch {
-	case s.sh != nil:
-		return s.sh.Commit(b)
-	case s.durable != nil:
-		return s.durable.Commit(b)
-	default:
-		s.mu.RLock()
-		defer s.mu.RUnlock()
-		return s.store.Commit(b)
-	}
-}
-
 // resolveMark builds a referent from a mark spec (read-only: marks are
 // only registered at commit).
-func resolveMark(store backend, m markSpec) (*core.Referent, error) {
+func resolveMark(store *shard.Store, m markSpec) (*core.Referent, error) {
 	switch m.Type {
 	case "interval":
 		return store.MarkDomainInterval(m.Domain, interval.Interval{Lo: m.Lo, Hi: m.Hi})
@@ -705,8 +549,7 @@ func (s *server) related(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, err)
 		return
 	}
-	store, _ := s.view()
-	rel, err := store.RelatedAnnotations(id)
+	rel, err := s.sh.RelatedAnnotations(id)
 	if err != nil {
 		writeErr(w, r, err)
 		return
@@ -720,8 +563,7 @@ func (s *server) correlated(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, err)
 		return
 	}
-	store, _ := s.view()
-	items, err := store.CorrelatedData(id)
+	items, err := s.sh.CorrelatedData(id)
 	if err != nil {
 		writeErr(w, r, err)
 		return
@@ -753,10 +595,9 @@ func (s *server) search(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.queryCtx(r)
 	defer cancel()
-	store, _ := s.view()
 	// The whole scan runs against one pinned snapshot per shard,
 	// cancellable at every evaluation stride.
-	anns, err := store.SearchContentsCtx(ctx, req.Expr)
+	anns, err := s.sh.SearchContentsCtx(ctx, req.Expr)
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 			writeErr(w, r, err)
@@ -809,14 +650,7 @@ func (s *server) runQuery(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	opts := query.DefaultOptions
 	opts.MaxResults = req.MaxResults
-	var res *query.Result
-	var err error
-	if s.sh != nil {
-		res, err = s.sh.Query(ctx, req.Query, opts)
-	} else {
-		_, proc := s.view()
-		res, err = proc.ExecuteCtx(ctx, req.Query, opts)
-	}
+	res, err := s.sh.Query(ctx, req.Query, opts)
 	if err != nil {
 		writeErr(w, r, err)
 		return
@@ -863,8 +697,7 @@ func (s *server) referents(w http.ResponseWriter, r *http.Request) {
 		jsonError(w, r, http.StatusBadRequest, "pos parameter required")
 		return
 	}
-	store, _ := s.view()
-	refs := store.ReferentsAt(domain, pos)
+	refs := s.sh.ReferentsAt(domain, pos)
 	out := make([]string, 0, len(refs))
 	for _, ref := range refs {
 		out = append(out, ref.String())
@@ -879,9 +712,8 @@ func (s *server) objects(w http.ResponseWriter, r *http.Request) {
 		Type string `json:"type"`
 		ID   string `json:"id"`
 	}
-	store, _ := s.view()
 	out := []objectView{}
-	for _, h := range store.ObjectList() {
+	for _, h := range s.sh.ObjectList() {
 		if typeFilter != "" && string(h.Type) != typeFilter {
 			continue
 		}
@@ -891,18 +723,10 @@ func (s *server) objects(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) snapshot(w http.ResponseWriter, _ *http.Request) {
-	var err error
 	w.Header().Set("Content-Type", "application/json")
-	if s.sh != nil {
-		var snap *persist.Snapshot
-		if snap, err = s.sh.Export(); err == nil {
-			err = persist.WriteSnapshot(snap, w)
-		}
-	} else {
-		s.mu.RLock()
-		store := s.store
-		s.mu.RUnlock()
-		err = persist.Write(store, w)
+	snap, err := s.sh.Export()
+	if err == nil {
+		err = persist.WriteSnapshot(snap, w)
 	}
 	if err != nil {
 		// Headers are gone; best effort.
@@ -911,9 +735,12 @@ func (s *server) snapshot(w http.ResponseWriter, _ *http.Request) {
 }
 
 // restore loads a persist snapshot (the body is what GET /api/snapshot
-// produces) into a fresh store and swaps it in. In durable mode the
-// restored state is checkpointed (snapshot + empty WAL) before the
-// request is acknowledged; the previous state is discarded either way.
+// produces) and swaps it in: the shard set partitions it, loads every
+// partition, and only then installs them — checkpointed (snapshot + empty
+// WAL) before the request is acknowledged where there is a log. The
+// previous state is discarded. Only what is wrong with the snapshot is a
+// 400; a fault of the store while installing goes through writeErr like
+// any failed mutation.
 func (s *server) restore(w http.ResponseWriter, r *http.Request) {
 	limit := s.opts.MaxRestoreBytes
 	if limit <= 0 {
@@ -938,42 +765,10 @@ func (s *server) restore(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, err)
 		return
 	}
-	if s.sh != nil {
-		// The shard store partitions the snapshot and swaps its
-		// pipelines internally, under the inter-shard channel.
-		if err := s.sh.Restore(snap); err != nil {
-			if errors.Is(err, durable.ErrDegraded) {
-				writeErr(w, r, err) // 503 + Retry-After, shard named
-				return
-			}
-			jsonError(w, r, http.StatusBadRequest, err.Error())
-			return
-		}
-		s.stats(w, r)
+	if err := s.sh.Restore(snap); err != nil {
+		writeErr(w, r, err)
 		return
 	}
-	// The durable restore and the handler's store swap happen under one
-	// critical section: were they separate, two concurrent restores could
-	// interleave so s.store diverges from durable.Core() permanently.
-	s.mu.Lock()
-	var store *core.Store
-	if s.durable != nil {
-		store, err = s.durable.Restore(snap)
-	} else {
-		store, err = persist.Load(snap)
-	}
-	if err != nil {
-		s.mu.Unlock()
-		if errors.Is(err, durable.ErrDegraded) {
-			writeErr(w, r, err) // 503 + Retry-After, like any degraded write
-			return
-		}
-		jsonError(w, r, http.StatusBadRequest, err.Error())
-		return
-	}
-	s.store = store
-	s.proc = query.NewProcessor(store)
-	s.mu.Unlock()
 	s.stats(w, r)
 }
 
@@ -1003,15 +798,7 @@ func factViews(facts []core.DerivedFact) []factView {
 }
 
 func (s *server) listRules(w http.ResponseWriter, _ *http.Request) {
-	var rules []prop.Rule
-	if s.sh != nil {
-		rules = s.sh.Rules()
-	} else {
-		s.mu.RLock()
-		store := s.store
-		s.mu.RUnlock()
-		rules = prop.RulesOf(store)
-	}
+	rules := s.sh.Rules()
 	if rules == nil {
 		rules = []prop.Rule{}
 	}
@@ -1023,48 +810,19 @@ func (s *server) addRule(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeJSON(w, r, &rule) {
 		return
 	}
-	if err := s.addRuleOp(rule); err != nil {
+	if err := s.sh.AddRule(rule); err != nil {
 		writeErr(w, r, err)
 		return
 	}
 	writeJSON(w, http.StatusCreated, rule)
 }
 
-// addRuleOp routes the mutation through the router/WAL when present
-// (sharded mode broadcasts the rule to every shard).
-func (s *server) addRuleOp(rule prop.Rule) error {
-	switch {
-	case s.sh != nil:
-		return s.sh.AddRule(rule)
-	case s.durable != nil:
-		return s.durable.AddRule(rule)
-	default:
-		s.mu.RLock()
-		defer s.mu.RUnlock()
-		return prop.Attach(s.store).AddRule(rule)
-	}
-}
-
 func (s *server) deleteRule(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if err := s.deleteRuleOp(id); err != nil {
+	if err := s.sh.DeleteRule(r.PathValue("id")); err != nil {
 		writeErr(w, r, err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
-}
-
-func (s *server) deleteRuleOp(id string) error {
-	switch {
-	case s.sh != nil:
-		return s.sh.DeleteRule(id)
-	case s.durable != nil:
-		return s.durable.DeleteRule(id)
-	default:
-		s.mu.RLock()
-		defer s.mu.RUnlock()
-		return prop.Attach(s.store).DeleteRule(id)
-	}
 }
 
 // provenance traces derived annotations through one annotation: the
@@ -1076,8 +834,7 @@ func (s *server) provenance(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, err)
 		return
 	}
-	store, _ := s.view()
-	onto, err := store.DerivedOnto(id)
+	onto, err := s.sh.DerivedOnto(id)
 	if err != nil {
 		writeErr(w, r, err)
 		return
@@ -1090,8 +847,8 @@ func (s *server) provenance(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, provenanceView{
 		ID:         id,
-		Epoch:      store.DerivedSourceEpoch(id),
-		Derives:    factViews(store.DerivedFrom(id)),
+		Epoch:      s.sh.DerivedSourceEpoch(id),
+		Derives:    factViews(s.sh.DerivedFrom(id)),
 		Provenance: factViews(onto),
 	})
 }

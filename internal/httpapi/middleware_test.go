@@ -16,7 +16,6 @@ import (
 
 	"graphitti/internal/core"
 	"graphitti/internal/obs"
-	"graphitti/internal/workload"
 )
 
 // jsonDecode strictly decodes one JSON value from r.
@@ -26,16 +25,7 @@ func jsonDecode(r io.Reader, v any) error {
 
 // smallStore builds a tiny influenza study for servers the shared
 // newTestServer helper doesn't fit.
-func smallStore(t *testing.T) *core.Store {
-	t.Helper()
-	cfg := workload.DefaultInfluenza
-	cfg.Annotations = 3
-	study, err := workload.Influenza(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return study.Store
-}
+func smallStore(t *testing.T) *core.Store { return influenzaStore(t, 3) }
 
 var (
 	reReqSample = regexp.MustCompile(`^graphitti_http_requests_total\{(.*)\} (\S+)$`)
@@ -85,7 +75,7 @@ func routeMetricSnapshot(t *testing.T) (reqs, durs map[string]float64) {
 // latency histogram advance by one — so no route can be registered
 // outside the instrumented mux.
 func TestMiddlewareRouteConformance(t *testing.T) {
-	ts, _ := newTestServer(t)
+	ts, _ := newTestServer(t, overCore)
 
 	targets := make([]struct{ method, path, pattern string }, 0, len(routeDefs)+1)
 	for _, def := range routeDefs {
@@ -143,7 +133,7 @@ func TestMiddlewareRouteConformance(t *testing.T) {
 // generated when absent, echoed when acceptable, replaced when hostile,
 // and embedded in JSON error envelopes.
 func TestRequestIDPropagation(t *testing.T) {
-	ts, _ := newTestServer(t)
+	ts, _ := newTestServer(t, overCore)
 
 	t.Run("generated", func(t *testing.T) {
 		resp, err := http.Get(ts.URL + "/healthz")
@@ -214,7 +204,7 @@ func TestRequestIDPropagation(t *testing.T) {
 // strict format validator over the payload: the endpoint must always
 // serve parseable Prometheus text with the core families present.
 func TestMetricsEndpointValidExposition(t *testing.T) {
-	ts, _ := newTestServer(t)
+	ts, _ := newTestServer(t, overCore)
 
 	// Touch a few subsystems first so their samples exist.
 	for _, path := range []string{"/api/stats", "/healthz"} {
@@ -256,7 +246,7 @@ func TestMetricsEndpointValidExposition(t *testing.T) {
 // TestDebugVarsJSON checks the expvar-style endpoint serves one valid
 // JSON object.
 func TestDebugVarsJSON(t *testing.T) {
-	ts, _ := newTestServer(t)
+	ts, _ := newTestServer(t, overCore)
 	resp, err := http.Get(ts.URL + "/debug/vars")
 	if err != nil {
 		t.Fatal(err)
@@ -273,7 +263,7 @@ func TestDebugVarsJSON(t *testing.T) {
 
 // TestPprofGating: the profiling handlers exist only when opted in.
 func TestPprofGating(t *testing.T) {
-	ts, _ := newTestServer(t)
+	ts, _ := newTestServer(t, overCore)
 	resp, err := http.Get(ts.URL + "/debug/pprof/cmdline")
 	if err != nil {
 		t.Fatal(err)
@@ -283,7 +273,7 @@ func TestPprofGating(t *testing.T) {
 		t.Fatalf("pprof reachable without -pprof: %d", resp.StatusCode)
 	}
 
-	on := httptest.NewServer(NewHandlerWithOptions(smallStore(t), Options{EnablePprof: true}))
+	on := httptest.NewServer(New(memorySet(smallStore(t)), Options{EnablePprof: true}))
 	t.Cleanup(on.Close)
 	resp, err = http.Get(on.URL + "/debug/pprof/cmdline")
 	if err != nil {

@@ -7,10 +7,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"syscall"
 	"testing"
 
 	"graphitti/internal/core"
 	"graphitti/internal/durable"
+	"graphitti/internal/faultfs"
 	"graphitti/internal/persist"
 	"graphitti/internal/workload"
 )
@@ -36,15 +38,17 @@ func fetch(t *testing.T, method, url string, body []byte) (int, []byte) {
 
 const parityQuery = `{"query":"select contents where { ?a isa annotation ; contains \"protease\" . }"}`
 
-// stripEpoch decodes a /api/stats body and drops the per-process view
-// epoch so stats comparisons cover only logical state.
-func stripEpoch(t *testing.T, body []byte) map[string]any {
+// logicalStats decodes a /api/stats body and drops what is not logical
+// state: the per-process view epoch, and the shard set's own section
+// (its channel sequence counts restores).
+func logicalStats(t *testing.T, body []byte) map[string]any {
 	t.Helper()
 	var m map[string]any
 	if err := json.Unmarshal(body, &m); err != nil {
 		t.Fatalf("decoding stats %s: %v", body, err)
 	}
 	delete(m, "epoch")
+	delete(m, "sharding")
 	return m
 }
 
@@ -53,7 +57,11 @@ func stripEpoch(t *testing.T, body []byte) map[string]any {
 // /api/restore into a server seeded with a different store, and require
 // identical /api/stats and /api/query answers afterwards.
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
-	src, _ := newTestServer(t)
+	deployments(t, testSnapshotRestoreRoundTrip)
+}
+
+func testSnapshotRestoreRoundTrip(t *testing.T, d deployment) {
+	src, _ := newTestServer(t, d)
 
 	// A second server with a different (smaller) study: restore must
 	// replace this state entirely.
@@ -64,8 +72,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst := httptest.NewServer(NewHandler(other.Store))
-	t.Cleanup(dst.Close)
+	dst := d.start(t, other.Store, Options{})
 
 	code, wantStats := fetch(t, "GET", src.URL+"/api/stats", nil)
 	if code != 200 {
@@ -90,7 +97,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 	// The view epoch is a per-process publish counter, not logical state;
 	// replaying a snapshot publishes a different number of views.
-	if got, want := stripEpoch(t, gotStats), stripEpoch(t, wantStats); !reflect.DeepEqual(got, want) {
+	if got, want := logicalStats(t, gotStats), logicalStats(t, wantStats); !reflect.DeepEqual(got, want) {
 		t.Fatalf("stats after restore:\n got %v\nwant %v", got, want)
 	}
 	code, gotQuery := fetch(t, "POST", dst.URL+"/api/query", []byte(parityQuery))
@@ -130,9 +137,10 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDurableHandler exercises the durable-mode API: mutations are
-// logged, /api/stats exposes durability counters, and a reopened data
-// directory serves the same state.
+// TestDurableHandler exercises the API over one existing durable.Store
+// (NewDurableHandler): mutations are logged, /api/stats exposes the
+// pipeline's durability counters, and a reopened data directory serves
+// the same state.
 func TestDurableHandler(t *testing.T) {
 	dir := t.TempDir()
 	d, err := durable.Open(dir, durable.Options{NoSync: true})
@@ -158,16 +166,18 @@ func TestDurableHandler(t *testing.T) {
 
 	var stats struct {
 		core.Stats
-		Durability *durable.Stats `json:"durability"`
+		Sharding struct {
+			Durability []durable.Stats `json:"durability"`
+		} `json:"sharding"`
 	}
 	if code := getJSON(t, ts.URL+"/api/stats", &stats); code != 200 {
 		t.Fatal("stats failed")
 	}
-	if stats.Durability == nil {
-		t.Fatal("durable stats missing from /api/stats")
+	if len(stats.Sharding.Durability) != 1 {
+		t.Fatalf("durable stats missing from /api/stats: %+v", stats.Sharding)
 	}
-	if stats.Durability.SnapshotSeq == 0 {
-		t.Fatalf("restore did not checkpoint: %+v", stats.Durability)
+	if stats.Sharding.Durability[0].SnapshotSeq == 0 {
+		t.Fatalf("restore did not checkpoint: %+v", stats.Sharding.Durability[0])
 	}
 
 	// A mutation through the API must reach the log.
@@ -198,4 +208,55 @@ func TestDurableHandler(t *testing.T) {
 	if got := d2.Core().SearchKeyword("durable", true); len(got) != 1 {
 		t.Fatalf("API-committed annotation did not survive reopen (found %d)", len(got))
 	}
+}
+
+// TestRestoreStoreFaultIsNotAClientError: a full disk while the restored
+// state is checkpointed is the store's failure, not the snapshot's — 5xx
+// through writeErr, not the 400 a bad upload gets. The store is not
+// degraded by it (the previous checkpoint and log are intact), so /readyz
+// stays 200, and the same upload succeeds once there is room. Over one
+// pipeline the previous state is still served in between; over several
+// the shards that had room have already installed theirs (the limit
+// shard.Restore documents).
+func TestRestoreStoreFaultIsNotAClientError(t *testing.T) {
+	deployments(t, func(t *testing.T, d deployment) {
+		if !d.durable {
+			t.Skip("no disk to fill")
+		}
+		sc := faultfs.NewScript()
+		ts := httptest.NewServer(New(d.open(t, t.TempDir(), durable.Options{Inject: sc}), Options{}))
+		defer ts.Close()
+		snaps := make([][]byte, 2)
+		for i, n := range []int{5, 40} {
+			var buf bytes.Buffer
+			if err := persist.Write(influenzaStore(t, n), &buf); err != nil {
+				t.Fatal(err)
+			}
+			snaps[i] = buf.Bytes()
+		}
+		if code, body := fetch(t, "POST", ts.URL+"/api/restore", snaps[0]); code != 200 {
+			t.Fatalf("first restore: %d (%s)", code, body)
+		}
+		_, before := fetch(t, "GET", ts.URL+"/api/annotations", nil)
+
+		sc.FailPath(faultfs.OpCreate, ".snap", 1,
+			faultfs.Fault{Err: faultfs.Errno(faultfs.OpCreate, syscall.ENOSPC)})
+		if code, body := fetch(t, "POST", ts.URL+"/api/restore", snaps[1]); code < 500 {
+			t.Fatalf("restore onto a full disk: %d (%s), want 5xx", code, body)
+		}
+		if code, body := fetch(t, "GET", ts.URL+"/readyz", nil); code != 200 {
+			t.Fatalf("/readyz after the failed restore: %d (%s)", code, body)
+		}
+		if _, after := fetch(t, "GET", ts.URL+"/api/annotations", nil); d.shards == 1 && !bytes.Equal(after, before) {
+			t.Fatal("the failed restore changed the served state")
+		}
+
+		sc.Clear()
+		if code, body := fetch(t, "POST", ts.URL+"/api/restore", snaps[1]); code != 200 {
+			t.Fatalf("retry with room on the disk: %d (%s)", code, body)
+		}
+		if _, after := fetch(t, "GET", ts.URL+"/api/annotations", nil); bytes.Equal(after, before) {
+			t.Fatal("the retried restore did not replace the served state")
+		}
+	})
 }

@@ -12,6 +12,7 @@ import (
 	"graphitti/internal/durable"
 	"graphitti/internal/interval"
 	"graphitti/internal/prop"
+	"graphitti/internal/shard"
 )
 
 // newPropStore builds a store with two overlapping interval annotations
@@ -54,9 +55,11 @@ func doDelete(t *testing.T, url string) int {
 }
 
 func TestRuleCRUDAndProvenance(t *testing.T) {
-	s := newPropStore(t)
-	ts := httptest.NewServer(NewHandler(s))
-	defer ts.Close()
+	deployments(t, testRuleCRUDAndProvenance)
+}
+
+func testRuleCRUDAndProvenance(t *testing.T, d deployment) {
+	ts := d.start(t, newPropStore(t), Options{})
 
 	var rules []prop.Rule
 	if code := getJSON(t, ts.URL+"/api/rules", &rules); code != http.StatusOK || len(rules) != 0 {
@@ -111,57 +114,63 @@ func TestRuleCRUDAndProvenance(t *testing.T) {
 	}
 }
 
-// TestDurableRuleSurvivesReopen checks rules added over the durable
-// handler are WAL-logged and the derived table is rebuilt on reopen.
+// TestDurableRuleSurvivesReopen checks rules added over a handler whose
+// pipelines log are WAL-logged and the derived table is rebuilt on
+// reopen — for one pipeline at the directory root and for three under it.
 func TestDurableRuleSurvivesReopen(t *testing.T) {
-	dir := t.TempDir()
-	d, err := durable.Open(dir, durable.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sq, err := seq.New("NC_1", seq.DNA, strings.Repeat("ACGT", 500))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sq.Domain = "chr1"
-	if err := d.RegisterSequence(sq); err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(NewDurableHandler(d))
-	rule := prop.Rule{ID: "ov", Edge: prop.EdgeOverlap, Domain: "chr1"}
-	if code := postJSON(t, ts.URL+"/api/rules", rule, nil); code != http.StatusCreated {
-		t.Fatalf("add rule: %d", code)
-	}
-	for _, span := range []interval.Interval{{Lo: 100, Hi: 200}, {Lo: 150, Hi: 250}} {
-		m, err := d.MarkDomainInterval("chr1", span)
+	deployments(t, func(t *testing.T, d deployment) {
+		if !d.durable {
+			t.Skip("no log to reopen")
+		}
+		dir := t.TempDir()
+		sh, err := shard.Open(dir, d.shards, durable.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := d.Commit(d.NewAnnotation().Creator("t").Date("2026-01-01").Body("x").Refer(m)); err != nil {
+		sq, err := seq.New("NC_1", seq.DNA, strings.Repeat("ACGT", 500))
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	ts.Close()
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
+		sq.Domain = "chr1"
+		if err := sh.RegisterSequence(sq); err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(NewShardedHandler(sh))
+		rule := prop.Rule{ID: "ov", Edge: prop.EdgeOverlap, Domain: "chr1"}
+		if code := postJSON(t, ts.URL+"/api/rules", rule, nil); code != http.StatusCreated {
+			t.Fatalf("add rule: %d", code)
+		}
+		for _, span := range []interval.Interval{{Lo: 100, Hi: 200}, {Lo: 150, Hi: 250}} {
+			m, err := sh.MarkDomainInterval("chr1", span)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sh.Commit(sh.NewAnnotation().Creator("t").Date("2026-01-01").Body("x").Refer(m)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ts.Close()
+		if err := sh.Close(); err != nil {
+			t.Fatal(err)
+		}
 
-	d2, err := durable.Open(dir, durable.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d2.Close()
-	ts2 := httptest.NewServer(NewDurableHandler(d2))
-	defer ts2.Close()
-	var rules []prop.Rule
-	if code := getJSON(t, ts2.URL+"/api/rules", &rules); code != http.StatusOK || len(rules) != 1 {
-		t.Fatalf("recovered rules: code=%d rules=%v", code, rules)
-	}
-	var pv struct{ Derives []factView }
-	if code := getJSON(t, fmt.Sprintf("%s/api/provenance/%d", ts2.URL, 1), &pv); code != http.StatusOK {
-		t.Fatalf("provenance after reopen: %d", code)
-	}
-	if len(pv.Derives) != 1 {
-		t.Fatalf("derived facts not rebuilt on reopen: %+v", pv)
-	}
+		sh2, err := shard.Open(dir, 0, durable.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sh2.Close()
+		ts2 := httptest.NewServer(NewShardedHandler(sh2))
+		defer ts2.Close()
+		var rules []prop.Rule
+		if code := getJSON(t, ts2.URL+"/api/rules", &rules); code != http.StatusOK || len(rules) != 1 {
+			t.Fatalf("recovered rules: code=%d rules=%v", code, rules)
+		}
+		var pv struct{ Derives []factView }
+		if code := getJSON(t, fmt.Sprintf("%s/api/provenance/%d", ts2.URL, 1), &pv); code != http.StatusOK {
+			t.Fatalf("provenance after reopen: %d", code)
+		}
+		if len(pv.Derives) != 1 {
+			t.Fatalf("derived facts not rebuilt on reopen: %+v", pv)
+		}
+	})
 }

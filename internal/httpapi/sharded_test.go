@@ -53,100 +53,6 @@ func registerDomainSeq(t *testing.T, sh *shard.Store, domain string) {
 	}
 }
 
-// TestShardedHandlerSmoke drives the full API against an in-memory
-// 3-shard store: mutations route, reads merge, stats expose the sharding
-// section, and a snapshot/restore round-trips.
-func TestShardedHandlerSmoke(t *testing.T) {
-	const shards = 3
-	sh := shard.New(shards)
-	ts := httptest.NewServer(NewShardedHandler(sh))
-	defer ts.Close()
-
-	// One sequence per shard, one annotation in each.
-	var domains []string
-	for k := 0; k < shards; k++ {
-		d := keyOnShard(t, shards, k, "chr")
-		domains = append(domains, d)
-		registerDomainSeq(t, sh, d)
-		resp, body := doJSON(t, "POST", ts.URL+"/api/annotations", seqAnnReq(d))
-		if resp.StatusCode != http.StatusCreated {
-			t.Fatalf("create on shard %d: %d (%s)", k, resp.StatusCode, body)
-		}
-	}
-
-	resp, body := doJSON(t, "GET", ts.URL+"/api/annotations", nil)
-	if resp.StatusCode != 200 {
-		t.Fatalf("list: %d", resp.StatusCode)
-	}
-	var list []struct {
-		ID uint64 `json:"id"`
-	}
-	if err := json.Unmarshal(body, &list); err != nil {
-		t.Fatal(err)
-	}
-	if len(list) != shards {
-		t.Fatalf("listed %d annotations, want %d", len(list), shards)
-	}
-	for i := 1; i < len(list); i++ {
-		if list[i-1].ID >= list[i].ID {
-			t.Fatalf("merged list not in ID order: %v", list)
-		}
-	}
-
-	resp, body = doJSON(t, "GET", ts.URL+"/api/stats", nil)
-	if resp.StatusCode != 200 {
-		t.Fatalf("stats: %d", resp.StatusCode)
-	}
-	var st struct {
-		Annotations int `json:"annotations"`
-		Sharding    *struct {
-			Shards int `json:"shards"`
-		} `json:"sharding"`
-	}
-	if err := json.Unmarshal(body, &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Annotations != shards || st.Sharding == nil || st.Sharding.Shards != shards {
-		t.Fatalf("stats missing sharded counts: %s", body)
-	}
-
-	// Content search fans out over all shards.
-	resp, body = doJSON(t, "POST", ts.URL+"/api/search",
-		map[string]string{"expr": "contains(/annotation/body, 'written into')"})
-	if resp.StatusCode != 200 {
-		t.Fatalf("search: %d (%s)", resp.StatusCode, body)
-	}
-	var hits []json.RawMessage
-	if err := json.Unmarshal(body, &hits); err != nil {
-		t.Fatal(err)
-	}
-	if len(hits) != shards {
-		t.Fatalf("search found %d, want %d", len(hits), shards)
-	}
-
-	// Snapshot → restore round trip through the API.
-	resp, snapBody := doJSON(t, "GET", ts.URL+"/api/snapshot", nil)
-	if resp.StatusCode != 200 {
-		t.Fatalf("snapshot: %d", resp.StatusCode)
-	}
-	resp, body = doJSON(t, "POST", ts.URL+"/api/restore", json.RawMessage(snapBody))
-	if resp.StatusCode != 200 {
-		t.Fatalf("restore: %d (%s)", resp.StatusCode, body)
-	}
-	resp, body = doJSON(t, "GET", ts.URL+"/api/annotations", nil)
-	if resp.StatusCode != 200 {
-		t.Fatal("post-restore list failed")
-	}
-	var after []json.RawMessage
-	if err := json.Unmarshal(body, &after); err != nil {
-		t.Fatal(err)
-	}
-	if len(after) != shards {
-		t.Fatalf("post-restore listed %d annotations, want %d", len(after), shards)
-	}
-	_ = domains
-}
-
 // TestShardStorePartialDegradation exercises the same fault at the
 // shard.Store level: the error carries the shard tag and
 // DegradedShards/Health single out the broken pipeline.

@@ -8,72 +8,68 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"graphitti/internal/workload"
 )
 
 // newTimeoutServer serves the influenza study with a per-request query
 // budget so small that any real scan or join exceeds it.
-func newTimeoutServer(t *testing.T) *httptest.Server {
+func newTimeoutServer(t *testing.T, d deployment) *httptest.Server {
 	t.Helper()
-	cfg := workload.DefaultInfluenza
-	cfg.Annotations = 200
-	study, err := workload.Influenza(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(NewHandlerWithOptions(study.Store, Options{QueryTimeout: time.Nanosecond}))
-	t.Cleanup(ts.Close)
-	return ts
+	return d.start(t, influenzaStore(t, 200), Options{QueryTimeout: time.Nanosecond})
 }
 
 // TestSearchTimeout checks /api/search returns a 408 JSON error when the
 // configured per-request budget expires mid-scan.
 func TestSearchTimeout(t *testing.T) {
-	ts := newTimeoutServer(t)
-	var body struct {
-		Error string `json:"error"`
-	}
-	code := postJSON2(t, ts.URL+"/api/search",
-		map[string]string{"expr": `contains(/annotation/body, "protease")`}, &body)
-	if code != http.StatusRequestTimeout {
-		t.Fatalf("status = %d, want 408", code)
-	}
-	if !strings.Contains(body.Error, "deadline") {
-		t.Fatalf("error body %q does not mention the deadline", body.Error)
-	}
+	deployments(t, func(t *testing.T, d deployment) {
+		ts := newTimeoutServer(t, d)
+		var body struct {
+			Error string `json:"error"`
+		}
+		code := postJSON2(t, ts.URL+"/api/search",
+			map[string]string{"expr": `contains(/annotation/body, "protease")`}, &body)
+		if code != http.StatusRequestTimeout {
+			t.Fatalf("status = %d, want 408", code)
+		}
+		if !strings.Contains(body.Error, "deadline") {
+			t.Fatalf("error body %q does not mention the deadline", body.Error)
+		}
+	})
 }
 
 // TestQueryTimeout checks /api/query honors the same budget.
 func TestQueryTimeout(t *testing.T) {
-	ts := newTimeoutServer(t)
-	var body struct {
-		Error string `json:"error"`
-	}
-	code := postJSON2(t, ts.URL+"/api/query", map[string]string{"query": `
-select contents
-where {
-  ?a isa annotation ; contains "protease" .
-  ?r isa referent ; kind interval .
-  ?a annotates ?r .
-}`}, &body)
-	if code != http.StatusRequestTimeout {
-		t.Fatalf("status = %d, want 408", code)
-	}
-	if !strings.Contains(body.Error, "deadline") {
-		t.Fatalf("error body %q does not mention the deadline", body.Error)
-	}
+	deployments(t, func(t *testing.T, d deployment) {
+		ts := newTimeoutServer(t, d)
+		var body struct {
+			Error string `json:"error"`
+		}
+		code := postJSON2(t, ts.URL+"/api/query", map[string]string{"query": `
+	select contents
+	where {
+	  ?a isa annotation ; contains "protease" .
+	  ?r isa referent ; kind interval .
+	  ?a annotates ?r .
+	}`}, &body)
+		if code != http.StatusRequestTimeout {
+			t.Fatalf("status = %d, want 408", code)
+		}
+		if !strings.Contains(body.Error, "deadline") {
+			t.Fatalf("error body %q does not mention the deadline", body.Error)
+		}
+	})
 }
 
 // TestNoTimeoutByDefault checks the zero option imposes no budget.
 func TestNoTimeoutByDefault(t *testing.T) {
-	ts, _ := newTestServer(t)
-	var out []map[string]interface{}
-	code := postJSON2(t, ts.URL+"/api/search",
-		map[string]string{"expr": `contains(/annotation/body, "protease")`}, &out)
-	if code != http.StatusOK {
-		t.Fatalf("status = %d, want 200", code)
-	}
+	deployments(t, func(t *testing.T, d deployment) {
+		ts, _ := newTestServer(t, d)
+		var out []map[string]interface{}
+		code := postJSON2(t, ts.URL+"/api/search",
+			map[string]string{"expr": `contains(/annotation/body, "protease")`}, &out)
+		if code != http.StatusOK {
+			t.Fatalf("status = %d, want 200", code)
+		}
+	})
 }
 
 // postJSON2 posts a body and decodes the response regardless of status

@@ -209,7 +209,7 @@ func assertDebugTraces(t *testing.T, base, traceID string, homeShard int) {
 // handlers write their bodies directly — echoes X-Request-Id and a
 // traceparent.
 func TestRequestIDEchoAllRoutes(t *testing.T) {
-	ts := httptest.NewServer(NewHandlerWithOptions(smallStore(t), Options{EnablePprof: true}))
+	ts := httptest.NewServer(New(memorySet(smallStore(t)), Options{EnablePprof: true}))
 	defer ts.Close()
 	for _, path := range []string{
 		"/metrics", "/debug/vars", "/debug/traces", "/debug/pprof/",
@@ -343,7 +343,7 @@ func (b *syncBuffer) String() string {
 // the threshold gets a structured line with the span breakdown.
 func TestSlowRequestLogged(t *testing.T) {
 	var logs syncBuffer
-	ts := httptest.NewServer(NewHandlerWithOptions(smallStore(t), Options{
+	ts := httptest.NewServer(New(memorySet(smallStore(t)), Options{
 		SlowRequest: time.Nanosecond,
 		Logger:      slog.New(slog.NewTextHandler(&logs, nil)),
 	}))
@@ -370,7 +370,7 @@ func TestSlowRequestLogged(t *testing.T) {
 // TestTraceSampling checks SampleEvery drops untraced requests from the
 // rings while ?trace=1 is always retained.
 func TestTraceSampling(t *testing.T) {
-	ts := httptest.NewServer(NewHandlerWithOptions(smallStore(t), Options{
+	ts := httptest.NewServer(New(memorySet(smallStore(t)), Options{
 		TraceSampleEvery: 1000,
 	}))
 	defer ts.Close()

@@ -1,6 +1,5 @@
 // The wire form of an annotation: the one encoder behind every route that
-// answers with annotations, for the core, durable and sharded backends
-// alike.
+// answers with annotations.
 //
 // An annotation's JSON object is
 //

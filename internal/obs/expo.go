@@ -183,43 +183,6 @@ func writeJSONInst(w io.Writer, inst any) {
 	}
 }
 
-// WriteCSV renders the registry as flat CSV rows `name,labels,value`
-// (header included): one row per counter/gauge child; histograms expand
-// to _count, _sum, _p50 and _p99 rows. The flat shape diffs cleanly
-// across runs — the bench harness's -metrics-dump format.
-func (r *Registry) WriteCSV(w io.Writer) error {
-	r.collect()
-	bw := bufio.NewWriter(w)
-	bw.WriteString("name,labels,value\n")
-	row := func(name string, values, labels []string, v string) {
-		pairs := make([]string, len(values))
-		for i, val := range values {
-			pairs[i] = labels[i] + "=" + val
-		}
-		label := strings.Join(pairs, ";")
-		if strings.ContainsAny(label, ",\"\n") {
-			label = `"` + strings.ReplaceAll(label, `"`, `""`) + `"`
-		}
-		fmt.Fprintf(bw, "%s,%s,%s\n", name, label, v)
-	}
-	for _, f := range r.sorted() {
-		f.eachChild(func(values []string, inst any) {
-			switch m := inst.(type) {
-			case *Counter:
-				row(f.name, values, f.labels, strconv.FormatUint(m.Value(), 10))
-			case *Gauge:
-				row(f.name, values, f.labels, strconv.FormatInt(m.Value(), 10))
-			case *Histogram:
-				row(f.name+"_count", values, f.labels, strconv.FormatUint(m.Count(), 10))
-				row(f.name+"_sum", values, f.labels, formatValue(m.Sum()))
-				row(f.name+"_p50", values, f.labels, formatValue(m.Quantile(0.5)))
-				row(f.name+"_p99", values, f.labels, formatValue(m.Quantile(0.99)))
-			}
-		})
-	}
-	return bw.Flush()
-}
-
 // Exposition is the parsed summary ValidateExposition returns: the
 // family names seen (TYPE lines plus bare sample bases) and the sample
 // count.

@@ -371,7 +371,7 @@ func (r *Registry) register(f *family) {
 }
 
 // RegisterCollector adds a hook run at the start of every exposition
-// (WritePrometheus, WriteJSON, WriteCSV), for values that are cheaper to
+// (WritePrometheus, WriteJSON), for values that are cheaper to
 // compute at scrape time than to keep current — process gauges sampled
 // from the runtime, top-K sketches synced into a gauge vec. Collectors
 // run serially in registration order; they must not block.

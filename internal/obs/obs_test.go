@@ -252,29 +252,6 @@ func TestWriteJSONIsValidJSON(t *testing.T) {
 	}
 }
 
-func TestWriteCSV(t *testing.T) {
-	var b strings.Builder
-	if err := goldenRegistry().WriteCSV(&b); err != nil {
-		t.Fatal(err)
-	}
-	got := b.String()
-	if !strings.HasPrefix(got, "name,labels,value\n") {
-		t.Fatalf("missing header:\n%s", got)
-	}
-	for _, want := range []string{
-		"g_commits_total,,42\n",
-		"g_epoch,,17\n",
-		"g_commit_seconds_count,,3\n",
-		"g_commit_seconds_p50,,",
-		"g_commit_seconds_p99,,",
-		"g_requests_total,route=/api/query;status=200,9\n",
-	} {
-		if !strings.Contains(got, want) {
-			t.Fatalf("CSV missing %q:\n%s", want, got)
-		}
-	}
-}
-
 func BenchmarkCounterInc(b *testing.B) {
 	var c Counter
 	b.RunParallel(func(pb *testing.PB) {

@@ -9,13 +9,16 @@ package shard_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"reflect"
 	"testing"
 
 	"graphitti/internal/agraph"
 	"graphitti/internal/core"
+	"graphitti/internal/interval"
 	"graphitti/internal/persist"
+	"graphitti/internal/query"
 	"graphitti/internal/shard"
 	"graphitti/internal/workload"
 )
@@ -192,4 +195,71 @@ func annIDs(anns []*core.Annotation) []uint64 {
 		ids = append(ids, a.ID)
 	}
 	return ids
+}
+
+// TestOneShardQueryIsTheStoresOwn: over one pipeline Query returns what
+// the store's own processor returns — the planner's account included, and
+// with a cap that one match of two annotation variables overshoots in
+// annotations: the merge re-caps only what the shards together exceed.
+func TestOneShardQueryIsTheStoresOwn(t *testing.T) {
+	want := core.NewStore()
+	registerSeq(t, want.RegisterSequence, "seq-0", "dom-0")
+	for _, c := range []struct {
+		body   string
+		lo, hi int64
+	}{{"alpha", 10, 20}, {"beta", 10, 20}, {"alpha gamma", 30, 40}} {
+		m, err := want.MarkDomainInterval("dom-0", interval.Interval{Lo: c.lo, Hi: c.hi})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := want.Commit(want.NewAnnotation().Creator("t").Date("2008-01-01").Body(c.body).Refer(m)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap, err := persist.Export(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := shard.New(1)
+	if err := s.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	proc := query.NewProcessor(want)
+	overshot := false
+	for _, c := range []struct {
+		src string
+		max int
+	}{
+		{`select contents where { ?a isa annotation . }`, 0},
+		{`select contents where { ?a isa annotation ; contains "alpha" . }`, 1},
+		{`select contents where { ?a isa annotation ; contains "alpha" . ?b isa annotation ; contains "beta" . ?r isa referent . ?a annotates ?r . ?b annotates ?r . }`, 1},
+		{`select referents where { ?a isa annotation . ?r isa referent . ?a annotates ?r . }`, 2},
+		{`select graph where { ?a isa annotation . ?r isa referent . ?a annotates ?r . }`, 0},
+	} {
+		opts := query.DefaultOptions
+		opts.MaxResults = c.max
+		w, err := proc.ExecuteCtx(context.Background(), c.src, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", c.src, err)
+		}
+		g, err := s.Query(context.Background(), c.src, opts)
+		if err != nil {
+			t.Fatalf("%s: sharded: %v", c.src, err)
+		}
+		overshot = overshot || (c.max > 0 && len(w.Annotations) > c.max)
+		if !reflect.DeepEqual(annIDs(g.Annotations), annIDs(w.Annotations)) ||
+			len(g.Referents) != len(w.Referents) || len(g.Subgraphs) != len(w.Subgraphs) ||
+			!reflect.DeepEqual(g.Matches, w.Matches) {
+			t.Errorf("%s (max %d): %d/%d/%d/%d annotations/referents/subgraphs/matches, the store's own %d/%d/%d/%d",
+				c.src, c.max, len(g.Annotations), len(g.Referents), len(g.Subgraphs), len(g.Matches),
+				len(w.Annotations), len(w.Referents), len(w.Subgraphs), len(w.Matches))
+		}
+		g.Stats.LazyDomains = w.Stats.LazyDomains // a span attribute; the merge does not carry it
+		if !reflect.DeepEqual(g.Stats, w.Stats) {
+			t.Errorf("%s (max %d): planner account differs:\n got %+v\nwant %+v", c.src, c.max, g.Stats, w.Stats)
+		}
+	}
+	if !overshot {
+		t.Fatal("no capped query returned more annotations than its cap: the re-cap was never at stake")
+	}
 }

@@ -1,20 +1,21 @@
 package shard
 
 // Merged reads: every read pins one view per shard and combines the
-// per-shard answers deterministically — concatenation plus ID-order (or
-// name-order) merge, exploiting that IDs are globally unique and that
-// each object is homed on exactly one shard. The per-shard view set is
-// not a single atomic snapshot of the whole deployment: each shard's
-// view is individually consistent, and a reader can observe shard A's
-// commit before shard B's concurrent one (the anomaly-free property the
-// paper's setting needs is per-annotation atomicity, which per-shard
-// views preserve).
+// per-shard answers deterministically — a k-way merge by ID of lists that
+// are each in ID order already (or a name-order sort), exploiting that
+// IDs are globally unique and that each object is homed on exactly one
+// shard. Over one shard the merge hands back that shard's own list. The
+// per-shard view set is not a single atomic snapshot of the whole
+// deployment: each shard's view is individually consistent, and a reader
+// can observe shard A's commit before shard B's concurrent one (the
+// anomaly-free property the paper's setting needs is per-annotation
+// atomicity, which per-shard views preserve).
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
-	"strconv"
 	"sync"
 
 	"graphitti/internal/agraph"
@@ -49,8 +50,12 @@ func (s *Store) Epoch() uint64 {
 // Stats merges the per-shard component sizes. Routed components sum;
 // broadcast components (ontologies) read from shard 0; components that
 // can appear on several shards (graph nodes for shared terms, keywords,
-// interval-tree domains touched by cross-shard commits) count the union.
+// interval-tree domains touched by cross-shard commits) count the union —
+// which over one view is that view's own count.
 func (s *Store) Stats() core.Stats {
+	if s.NumShards() == 1 {
+		return s.View(0).Stats()
+	}
 	views := s.Views()
 	var st core.Stats
 	domains := map[string]bool{}
@@ -85,8 +90,8 @@ func (s *Store) Stats() core.Stats {
 
 // Annotation returns a committed annotation from its owner shard.
 func (s *Store) Annotation(id uint64) (*core.Annotation, error) {
-	for _, v := range s.Views() {
-		if ann, err := v.Annotation(id); err == nil {
+	for k := range s.pipes {
+		if ann, err := s.View(k).Annotation(id); err == nil {
 			return ann, nil
 		}
 	}
@@ -95,8 +100,8 @@ func (s *Store) Annotation(id uint64) (*core.Annotation, error) {
 
 // Referent returns a committed referent from its owner shard.
 func (s *Store) Referent(id uint64) (*core.Referent, error) {
-	for _, v := range s.Views() {
-		if r, err := v.Referent(id); err == nil {
+	for k := range s.pipes {
+		if r, err := s.View(k).Referent(id); err == nil {
 			return r, nil
 		}
 	}
@@ -106,32 +111,17 @@ func (s *Store) Referent(id uint64) (*core.Referent, error) {
 // Annotations returns all committed annotations across shards, merged in
 // ID order.
 func (s *Store) Annotations() []*core.Annotation {
-	var out []*core.Annotation
-	for _, v := range s.Views() {
-		out = append(out, v.Annotations()...)
-	}
-	sortByID(out)
-	return out
+	return mergeByID(perShard(s, (*core.View).Annotations), annotationID)
 }
 
 // AnnotationIDs returns the IDs of all committed annotations, sorted.
 func (s *Store) AnnotationIDs() []uint64 {
-	var out []uint64
-	for _, v := range s.Views() {
-		out = append(out, v.AnnotationIDs()...)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return mergeByID(perShard(s, (*core.View).AnnotationIDs), func(id uint64) uint64 { return id })
 }
 
 // Referents returns all committed referents across shards in ID order.
 func (s *Store) Referents() []*core.Referent {
-	var out []*core.Referent
-	for _, v := range s.Views() {
-		out = append(out, v.Referents()...)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return mergeByID(perShard(s, (*core.View).Referents), func(r *core.Referent) uint64 { return r.ID })
 }
 
 // ObjectList returns every registered data object across shards, sorted
@@ -161,12 +151,8 @@ func (s *Store) ReferentsAt(domain string, pos int64) []*core.Referent {
 
 // SearchKeyword merges the per-shard keyword hits in ID order.
 func (s *Store) SearchKeyword(word string, useIndex bool) []*core.Annotation {
-	var out []*core.Annotation
-	for _, v := range s.Views() {
-		out = append(out, v.SearchKeyword(word, useIndex)...)
-	}
-	sortByID(out)
-	return out
+	hits := func(v *core.View) []*core.Annotation { return v.SearchKeyword(word, useIndex) }
+	return mergeByID(perShard(s, hits), annotationID)
 }
 
 // SearchContents evaluates a content search against every shard.
@@ -195,12 +181,7 @@ func (s *Store) SearchContentsCtx(ctx context.Context, expr string) ([]*core.Ann
 			return nil, err
 		}
 	}
-	var out []*core.Annotation
-	for _, r := range results {
-		out = append(out, r...)
-	}
-	sortByID(out)
-	return out, nil
+	return mergeByID(results, annotationID), nil
 }
 
 // RelatedAnnotations answers from the annotation's owner shard (shared
@@ -327,7 +308,10 @@ func (s *Store) Query(ctx context.Context, src string, opts query.Options) (*que
 	}
 	sortByID(out.Annotations)
 	sort.Slice(out.Referents, func(i, j int) bool { return out.Referents[i].ID < out.Referents[j].ID })
-	if opts.MaxResults > 0 {
+	// Each shard kept to the cap on its own; only when together they
+	// exceed it is there anything to cut (never over one shard, whose
+	// answer is then the unsharded store's to the byte).
+	if opts.MaxResults > 0 && len(out.Matches) > opts.MaxResults {
 		capTo := func(n int) int {
 			if n > opts.MaxResults {
 				return opts.MaxResults
@@ -392,15 +376,28 @@ func (s *Store) Export() (*persist.Snapshot, error) {
 	return out, nil
 }
 
+// ErrBadSnapshot is wrapped around a Restore refused because of what the
+// snapshot holds (a version, an ID, a reference the loader rejects), as
+// opposed to a fault of the store it was being restored into.
+var ErrBadSnapshot = errors.New("shard: snapshot refused")
+
 // Restore replaces the deployment's entire state with snap: the snapshot
 // is partitioned by the same routing keys live mutations use, and each
-// shard restores (and, when durable, checkpoints) its partition. Runs
+// shard restores (and, with a log, checkpoints) its partition. Runs
 // under the inter-shard channel (excluding broadcasts and cross-shard
 // commits) and every shard's writer latch (excluding routed mutations),
 // so nothing can be acknowledged into a core this swap replaces — a
 // commit concurrent with Restore either completes before the swap and
 // is replaced with the rest of the old state, or waits and lands in the
 // restored state.
+//
+// A bad snapshot changes nothing: every partition is loaded before any is
+// installed, and a partition the loader rejects fails the call with
+// ErrBadSnapshot while memory and disk still hold the previous state on
+// every shard. The install itself is per directory, so a checkpoint I/O
+// fault during it can still stop with some shards restored and others
+// not (the error names the shard); closing that needs a deployment-level
+// commit record.
 func (s *Store) Restore(snap *persist.Snapshot) error {
 	parts := s.partition(snap)
 	s.gmu.Lock()
@@ -409,46 +406,30 @@ func (s *Store) Restore(snap *persist.Snapshot) error {
 		s.smu[k].Lock()
 		defer s.smu[k].Unlock()
 	}
+	staged := make([]*core.Store, s.NumShards())
+	if err := s.eachShard(func(k int) error {
+		var err error
+		staged[k], err = s.pipes[k].Stage(parts[k])
+		return err
+	}); err != nil {
+		return fmt.Errorf("%w: %w", ErrBadSnapshot, err)
+	}
 	s.gseq.Add(1)
-	n := s.NumShards()
-	if s.durs != nil {
-		errs := make([]error, n)
-		var wg sync.WaitGroup
-		for k := 0; k < n; k++ {
-			wg.Add(1)
-			go func(k int) {
-				defer wg.Done()
-				_, errs[k] = s.durs[k].Restore(parts[k])
-			}(k)
-		}
-		wg.Wait()
-		for k, err := range errs {
-			if err != nil {
-				return tag(k, err)
-			}
-		}
-		s.advanceIDs()
-		return nil
-	}
-	fresh := make([]*core.Store, n)
-	for k := 0; k < n; k++ {
-		cs, err := persist.LoadWith(parts[k], core.StoreOptions{Shard: strconv.Itoa(k), IDs: s.ids})
-		if err != nil {
-			return tag(k, err)
-		}
-		fresh[k] = cs
-	}
-	for k := 0; k < n; k++ {
-		s.cores[k].Store(fresh[k])
+	if err := s.eachShard(func(k int) error { return s.pipes[k].Install(staged[k]) }); err != nil {
+		return err
 	}
 	s.advanceIDs()
 	return nil
 }
 
 // partition splits a snapshot by routing key. Broadcast sections
-// (ontologies, rules) and the ID counters go to every shard.
+// (ontologies, rules) and the ID counters go to every shard. The
+// partition over one shard is the snapshot itself.
 func (s *Store) partition(snap *persist.Snapshot) []*persist.Snapshot {
 	n := s.NumShards()
+	if n == 1 {
+		return []*persist.Snapshot{snap}
+	}
 	parts := make([]*persist.Snapshot, n)
 	for k := range parts {
 		parts[k] = &persist.Snapshot{
@@ -527,17 +508,11 @@ type ShardHealth struct {
 	durable.Health
 }
 
-// Health reports every shard's degradation state (in-memory shards are
-// always healthy).
+// Health reports every shard's degradation state.
 func (s *Store) Health() []ShardHealth {
 	out := make([]ShardHealth, s.NumShards())
-	for k := range out {
-		out[k].Shard = k
-		if s.durs != nil {
-			out[k].Health = s.durs[k].Health()
-		} else {
-			out[k].Health = durable.Health{State: durable.StateHealthy}
-		}
+	for k, p := range s.pipes {
+		out[k] = ShardHealth{Shard: k, Health: p.Health()}
 	}
 	return out
 }
@@ -553,31 +528,68 @@ func (s *Store) DegradedShards() []int {
 	return out
 }
 
-// Reopen recovers one degraded shard (no-op when healthy or in-memory).
+// Reopen recovers one degraded shard (no-op when healthy).
 func (s *Store) Reopen(k int) error {
-	if s.durs == nil {
-		return nil
-	}
-	_, err := s.durs[k].Reopen()
-	if err != nil {
+	if _, err := s.pipes[k].Reopen(); err != nil {
 		return tag(k, err)
 	}
 	s.advanceIDs()
 	return nil
 }
 
-// DurabilityStats returns the per-shard durability counters (nil for an
-// in-memory store).
+// DurabilityStats returns the per-shard durability counters (nil when
+// the pipelines have no log).
 func (s *Store) DurabilityStats() []durable.Stats {
-	if s.durs == nil {
+	if !s.Durable() {
 		return nil
 	}
-	out := make([]durable.Stats, len(s.durs))
-	for k, d := range s.durs {
-		out[k] = d.Stats()
+	out := make([]durable.Stats, len(s.pipes))
+	for k, p := range s.pipes {
+		out[k] = p.Stats()
 	}
 	return out
 }
+
+// perShard collects one list from each shard's current view.
+func perShard[T any](s *Store, list func(*core.View) []T) [][]T {
+	lists := make([][]T, s.NumShards())
+	for k := range lists {
+		lists[k] = list(s.View(k))
+	}
+	return lists
+}
+
+// mergeByID merges lists that are each in ascending ID order, with IDs
+// unique across them, into one list in ID order. A single non-empty list
+// is returned as it is; otherwise the smallest head moves over, one
+// element at a time — shard counts are small, so a scan of the heads
+// beats a heap.
+func mergeByID[T any](lists [][]T, id func(T) uint64) []T {
+	total := 0
+	var only []T // the non-empty list, while there is just one
+	for _, l := range lists {
+		if len(l) > 0 {
+			total, only = total+len(l), l
+		}
+	}
+	if total == len(only) {
+		return only
+	}
+	out := make([]T, 0, total)
+	for len(out) < total {
+		best := -1
+		for k, l := range lists {
+			if len(l) > 0 && (best < 0 || id(l[0]) < id(lists[best][0])) {
+				best = k
+			}
+		}
+		out = append(out, lists[best][0])
+		lists[best] = lists[best][1:]
+	}
+	return out
+}
+
+func annotationID(a *core.Annotation) uint64 { return a.ID }
 
 func sortByID(out []*core.Annotation) {
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })

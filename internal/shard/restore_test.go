@@ -1,14 +1,19 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"graphitti/internal/biodata/seq"
 	"graphitti/internal/core"
+	"graphitti/internal/durable"
 	"graphitti/internal/interval"
+	"graphitti/internal/persist"
+	"graphitti/internal/workload"
 )
 
 // registerDomainSeq registers a DNA sequence addressed in domain so
@@ -115,5 +120,121 @@ func TestRestoreWaitsForRoutedWriters(t *testing.T) {
 	}
 	if got := len(s.Annotations()); got != 2 {
 		t.Fatalf("annotations after restore+commit = %d, want 2 (seed + concurrent)", got)
+	}
+}
+
+// influenzaSnapshot exports a generated influenza study of n annotations.
+func influenzaSnapshot(t *testing.T, n int) *persist.Snapshot {
+	t.Helper()
+	cfg := workload.DefaultInfluenza
+	cfg.Annotations = n
+	study, err := workload.Influenza(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := persist.Export(study.Store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
+}
+
+func perShardAnnotations(s *Store) []int {
+	out := make([]int, s.NumShards())
+	for k := range out {
+		out[k] = s.View(k).Stats().Annotations
+	}
+	return out
+}
+
+// TestRestoreBadSnapshotChangesNothing: Restore is all-or-nothing on a
+// snapshot the loader rejects, with or without a log. The bad snapshot's
+// one invalid annotation is its last, so on the shard that does not hold
+// it the partition loads cleanly — installing that shard before every
+// partition had loaded left a durable deployment half-restored and
+// checkpointed.
+func TestRestoreBadSnapshotChangesNothing(t *testing.T) {
+	good := influenzaSnapshot(t, 10)
+	bad := influenzaSnapshot(t, 200)
+	last := &bad.Annotations[len(bad.Annotations)-1]
+	last.Terms = append(last.Terms, persist.TermRefDump{Ontology: "no-such-ontology", Term: "x"})
+
+	dir := t.TempDir()
+	durableSet, err := Open(dir, 2, durable.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, s := range map[string]*Store{"in-memory": New(2), "durable": durableSet} {
+		if err := s.Restore(good); err != nil {
+			t.Fatalf("%s: restore of the good snapshot: %v", name, err)
+		}
+		want := perShardAnnotations(s)
+		wantSnap, err := s.Export()
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = s.Restore(bad)
+		if !errors.Is(err, ErrBadSnapshot) || !errors.Is(err, core.ErrNoSuchOntology) {
+			t.Fatalf("%s: restore of the bad snapshot: err = %v, want ErrBadSnapshot wrapping the loader's", name, err)
+		}
+		if got := perShardAnnotations(s); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: per-shard annotations after the refused restore = %v, want %v", name, got, want)
+		}
+		gotSnap, err := s.Export()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(gotSnap, wantSnap) {
+			t.Errorf("%s: export changed across the refused restore", name)
+		}
+		// The store still takes the next good restore.
+		if err := s.Restore(good); err != nil {
+			t.Errorf("%s: restore after the refused one: %v", name, err)
+		}
+	}
+
+	// What is on disk is the good snapshot too.
+	want := perShardAnnotations(durableSet)
+	if err := durableSet.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := Open(dir, 0, durable.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	if got := perShardAnnotations(reopened); !reflect.DeepEqual(got, want) {
+		t.Errorf("reopened directory holds %v annotations per shard, want %v", got, want)
+	}
+}
+
+// TestOneShardReadsCostTheShardsOwn: over one pipeline a merged read is
+// the pipeline's own answer, not a rebuilt one. Counted in allocations,
+// which repeat exactly where timings do not: Stats used to build union
+// maps over every keyword and a-graph node per call (148 ns → 84 ms at 20k
+// annotations) and Annotations to concatenate and re-sort a list already
+// in ID order (50 → 425 µs).
+func TestOneShardReadsCostTheShardsOwn(t *testing.T) {
+	s := New(1)
+	if err := s.Restore(influenzaSnapshot(t, 300)); err != nil {
+		t.Fatal(err)
+	}
+	cs := s.shardCore(0)
+	var stats core.Stats
+	var anns []*core.Annotation
+	for _, c := range []struct {
+		name       string
+		core, sets func()
+	}{
+		{"Stats", func() { stats = cs.Stats() }, func() { stats = s.Stats() }},
+		{"Annotations", func() { anns = cs.Annotations() }, func() { anns = s.Annotations() }},
+	} {
+		own, merged := testing.AllocsPerRun(20, c.core), testing.AllocsPerRun(20, c.sets)
+		if merged > 2*own {
+			t.Errorf("%s: %v allocations through the shard set of one, %v on the core store; want within 2x", c.name, merged, own)
+		}
+	}
+	if want := cs.Stats(); stats != want || len(anns) != want.Annotations {
+		t.Fatalf("read %+v and %d annotations, want %+v", stats, len(anns), want)
 	}
 }

@@ -35,12 +35,20 @@
 // referent IDs are globally unique and merged reads can order by ID.
 // Reads pin one view per shard and merge deterministically in ID order.
 //
-// Durability. Each shard owns a full durable pipeline (WAL segment,
-// snapshot chain, degradation state machine) under dir/shard-<k>/;
-// SHARDS.json at the root pins the shard count. Recovery replays all
-// shards in parallel. A degraded shard refuses its own writes — wrapped
-// in *Error so callers can name the shard — while healthy shards keep
-// accepting theirs.
+// Pipelines. A shard is one durable.Store — a core store plus an optional
+// log — and the set holds one slice of them: New builds pipelines without
+// a log, Open pipelines over a directory, Single adopts one that already
+// exists. An unsharded deployment is the set of one; nothing in this
+// package asks which kind it holds except Durable, which reports it.
+//
+// Durability. Each pipeline opened over a directory owns a WAL segment,
+// a snapshot chain and a degradation state machine. One rule places
+// them, read off the disk: SHARDS.json present means pipelines under
+// dir/shard-<k>/ with the count it records; absent means one pipeline at
+// the directory root (see Open). Recovery replays all shards in
+// parallel. A degraded shard refuses its own writes — wrapped in *Error
+// so callers can name the shard — while healthy shards keep accepting
+// theirs.
 package shard
 
 import (
@@ -98,19 +106,15 @@ func (e *Error) Unwrap() error { return e.Err }
 // routing domain so they co-home.
 var ErrCrossShardReferent = errors.New("shard: committed referent homed on another shard")
 
-// Store is a sharded Graphitti store: N independent writer pipelines
-// (in-memory or durable) behind a router. All methods are safe for
-// concurrent use.
+// Store is a shard set: N ≥ 1 independent writer pipelines behind a
+// router. All methods are safe for concurrent use.
 type Store struct {
 	router core.Router
 	ids    *core.AtomicIDs
 
-	// Exactly one of cores/durs is set: cores for in-memory shards
-	// (atomic so Restore can swap them under readers), durs for durable
-	// ones (whose core stores are reached via Core(), which Reopen and
-	// Restore swap).
-	cores []atomic.Pointer[core.Store]
-	durs  []*durable.Store
+	// pipes holds one pipeline per shard. Each swaps its own core store
+	// under readers (Restore, Reopen); the slice itself never changes.
+	pipes []*durable.Store
 
 	// gmu is the sequenced inter-shard channel: broadcasts (ontologies,
 	// rules) and cross-shard commits serialize through it, stamped by
@@ -132,28 +136,56 @@ type Store struct {
 	load *loadProfile
 }
 
-// New returns an in-memory sharded store with n writer pipelines
-// (n < 1 is treated as 1).
+// newStore returns a set of n shards with its pipelines still to fill.
+func newStore(n int) *Store {
+	return &Store{router: core.Router{Shards: n}, ids: &core.AtomicIDs{},
+		pipes: make([]*durable.Store, n), smu: make([]sync.RWMutex, n), load: newLoadProfile(n)}
+}
+
+// storeOptions are shard k's core options: its metrics label and the
+// set's shared ID source.
+func (s *Store) storeOptions(k int) core.StoreOptions {
+	return core.StoreOptions{Shard: strconv.Itoa(k), IDs: s.ids}
+}
+
+// New returns a shard set of n pipelines without a log (n < 1 is
+// treated as 1).
 func New(n int) *Store {
 	if n < 1 {
 		n = 1
 	}
-	s := &Store{router: core.Router{Shards: n}, ids: &core.AtomicIDs{},
-		smu: make([]sync.RWMutex, n), load: newLoadProfile(n)}
-	s.cores = make([]atomic.Pointer[core.Store], n)
-	for k := 0; k < n; k++ {
-		s.cores[k].Store(core.NewStoreWithOptions(core.StoreOptions{
-			Shard: strconv.Itoa(k), IDs: s.ids,
-		}))
+	s := newStore(n)
+	for k := range s.pipes {
+		so := s.storeOptions(k)
+		s.pipes[k] = durable.Memory(core.NewStoreWithOptions(so), so)
 	}
 	return s
 }
 
-// Open opens (or initialises) a durable sharded store under dir with n
-// shards, replaying all shard WALs in parallel. A directory that was
-// created with a different shard count refuses to open — routing keys
-// would land in the wrong segments; n = 0 adopts the directory's
-// recorded count (1 for a fresh directory).
+// Single puts one existing pipeline — opened over a directory, or
+// durable.Memory over a core store — behind a shard set of one. The
+// pipeline keeps the ID source it was built with.
+func Single(p *durable.Store) *Store {
+	s := newStore(1)
+	s.pipes[0] = p
+	return s
+}
+
+// Open opens (or initialises) a shard set over dir, replaying all shard
+// WALs in parallel. What is on disk decides the layout, and Open
+// migrates nothing:
+//
+//   - SHARDS.json present: pipelines under dir/shard-<k>/, as many as it
+//     records. n must be 0 (adopt) or that count — opening with another
+//     would scatter routing keys across the wrong WALs.
+//   - SHARDS.json absent: one pipeline at the directory root, the layout
+//     durable.Open writes. n ≤ 1 opens (or starts) it. n ≥ 2 starts a
+//     sharded directory — manifest first — only where no store exists
+//     yet; over a root-layout store it is refused with the directory
+//     untouched.
+//   - shard-<k>/ directories without SHARDS.json are a sharded store
+//     whose manifest was lost: refused for every n, since re-pinning a
+//     guessed count would hide or mis-route their data.
 func Open(dir string, n int, opts durable.Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -162,57 +194,75 @@ func Open(dir string, n int, opts durable.Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
+	dirs := []string{dir}
 	switch {
-	case recorded == 0:
-		// No manifest: only a directory with no prior store state may be
-		// initialised sharded — anything else would silently ignore (and
-		// then fork) the data already there.
-		if err := checkDirFresh(dir); err != nil {
-			return nil, err
+	case recorded != 0:
+		if n != 0 && n != recorded {
+			return nil, fmt.Errorf("shard: directory %s has %d shards, asked to open %d", dir, recorded, n)
 		}
+		dirs = shardDirs(dir, recorded)
+	case hasShardDirs(dir):
+		return nil, fmt.Errorf("shard: directory %s has shard-* directories but no %s; restore the manifest with the original shard count instead of re-initialising", dir, shardsFile)
+	case n <= 1:
+		// The root layout, whether a store is there yet or not.
+	case durable.HasStore(dir):
+		return nil, fmt.Errorf("shard: directory %s holds a one-pipeline store at its root, asked to open %d shards; open it with one, or migrate it via snapshot export/restore", dir, n)
+	default:
 		// Record the count before any shard writes.
-		if n == 0 {
-			n = 1
-		}
 		if err := writeShardsFile(dir, n); err != nil {
 			return nil, err
 		}
-	case n == 0:
-		n = recorded
-	case n != recorded:
-		return nil, fmt.Errorf("shard: directory %s has %d shards, asked to open %d", dir, recorded, n)
+		dirs = shardDirs(dir, n)
 	}
 
-	s := &Store{router: core.Router{Shards: n}, ids: &core.AtomicIDs{},
-		smu: make([]sync.RWMutex, n), load: newLoadProfile(n)}
-	s.durs = make([]*durable.Store, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for k := 0; k < n; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			o := opts
-			o.Store = core.StoreOptions{Shard: strconv.Itoa(k), IDs: s.ids}
-			s.durs[k], errs[k] = durable.Open(filepath.Join(dir, shardDir(k)), o)
-		}(k)
-	}
-	wg.Wait()
-	for k, err := range errs {
-		if err != nil {
-			for _, d := range s.durs {
-				if d != nil {
-					_ = d.Close()
-				}
+	s := newStore(len(dirs))
+	err = s.eachShard(func(k int) error {
+		o := opts
+		o.Store = s.storeOptions(k)
+		var err error
+		s.pipes[k], err = durable.Open(dirs[k], o)
+		return err
+	})
+	if err != nil {
+		for _, p := range s.pipes {
+			if p != nil {
+				_ = p.Close()
 			}
-			return nil, &Error{Shard: k, Err: err}
 		}
+		return nil, err
 	}
 	s.advanceIDs()
 	return s, nil
 }
 
-func shardDir(k int) string { return fmt.Sprintf("shard-%d", k) }
+// eachShard runs fn for every shard in parallel and returns the lowest
+// shard's error, tagged with its ID.
+func (s *Store) eachShard(fn func(k int) error) error {
+	errs := make([]error, s.NumShards())
+	var wg sync.WaitGroup
+	for k := range errs {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			errs[k] = fn(k)
+		}(k)
+	}
+	wg.Wait()
+	for k, err := range errs {
+		if err != nil {
+			return tag(k, err)
+		}
+	}
+	return nil
+}
+
+func shardDirs(dir string, n int) []string {
+	out := make([]string, n)
+	for k := range out {
+		out[k] = filepath.Join(dir, fmt.Sprintf("shard-%d", k))
+	}
+	return out
+}
 
 func readShardsFile(dir string) (int, error) {
 	data, err := os.ReadFile(filepath.Join(dir, shardsFile))
@@ -232,26 +282,15 @@ func readShardsFile(dir string) (int, error) {
 	return m.Shards, nil
 }
 
-// checkDirFresh refuses to lay a sharded store over a directory that
-// already holds state a manifest-less Open would otherwise silently
-// ignore: a legacy unsharded durable store (its WAL/snapshots would be
-// bypassed while shard-<k>/ dirs grow beside them), or shard-<k>/
-// subdirectories whose SHARDS.json was lost (re-pinning a guessed count
-// would hide or mis-route their data).
-func checkDirFresh(dir string) error {
-	if durable.HasStore(dir) {
-		return fmt.Errorf("shard: directory %s holds an unsharded durable store; open it without -shards, or migrate it via snapshot export/restore", dir)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return err
-	}
+// hasShardDirs reports whether dir holds shard-<k> subdirectories.
+func hasShardDirs(dir string) bool {
+	entries, _ := os.ReadDir(dir) // unreadable: the pipeline's own open reports it
 	for _, e := range entries {
 		if e.IsDir() && strings.HasPrefix(e.Name(), "shard-") {
-			return fmt.Errorf("shard: directory %s has %s but no %s; restore the manifest with the original shard count instead of re-initialising", dir, e.Name(), shardsFile)
+			return true
 		}
 	}
-	return nil
+	return false
 }
 
 func writeShardsFile(dir string, n int) error {
@@ -310,8 +349,8 @@ func (s *Store) advanceIDs() {
 // NumShards returns the shard count.
 func (s *Store) NumShards() int { return s.router.Shards }
 
-// Durable reports whether the store persists (was built by Open).
-func (s *Store) Durable() bool { return s.durs != nil }
+// Durable reports whether the pipelines log to a directory.
+func (s *Store) Durable() bool { return s.pipes[0].Dir() != "" }
 
 // DeltaSeq returns the sequence number of the inter-shard channel: the
 // count of broadcasts and cross-shard commits sequenced so far.
@@ -322,35 +361,7 @@ func (s *Store) DeltaSeq() uint64 { return s.gseq.Load() }
 func (s *Store) CrossShardCommits() uint64 { return s.cross.Load() }
 
 // shardCore returns shard k's current core store.
-func (s *Store) shardCore(k int) *core.Store {
-	if s.durs != nil {
-		return s.durs[k].Core()
-	}
-	return s.cores[k].Load()
-}
-
-// mutator is the mutation surface shared by *core.Store and
-// *durable.Store; rule ops differ and are handled explicitly.
-type mutator interface {
-	RegisterOntology(*ontology.Ontology) error
-	RegisterCoordinateSystem(*imaging.CoordinateSystem) error
-	RegisterSequence(*seq.Sequence) error
-	RegisterAlignment(*msa.Alignment) error
-	RegisterTree(*phylo.Tree) error
-	RegisterInteractionGraph(*interact.Graph) error
-	RegisterImage(*imaging.Image) error
-	CreateRecordTable(*relstore.Schema) (*relstore.Table, error)
-	InsertRecord(string, relstore.Row) error
-	Commit(*core.Builder) (*core.Annotation, error)
-	DeleteAnnotation(uint64) error
-}
-
-func (s *Store) pipe(k int) mutator {
-	if s.durs != nil {
-		return s.durs[k]
-	}
-	return s.cores[k].Load()
-}
+func (s *Store) shardCore(k int) *core.Store { return s.pipes[k].Core() }
 
 // tag wraps a shard's error with its shard ID; nil stays nil.
 func tag(k int, err error) error {
@@ -365,11 +376,11 @@ func tag(k int, err error) error {
 // the routing key that placed the mutation here; it feeds the shard's
 // load profile along with the mutation's busy time ("" records time
 // but no key).
-func (s *Store) mutate(k int, key string, fn func(m mutator) error) error {
+func (s *Store) mutate(k int, key string, fn func(p *durable.Store) error) error {
 	s.smu[k].RLock()
 	defer s.smu[k].RUnlock()
 	start := time.Now()
-	err := fn(s.pipe(k))
+	err := fn(s.pipes[k])
 	s.load.record(k, key, time.Since(start))
 	return tag(k, err)
 }
@@ -411,28 +422,18 @@ func (s *Store) broadcast(fn func(k int) error) error {
 // RegisterOntology broadcasts the ontology to every shard: term-closure
 // propagation and commit-time term validation are shard-local.
 func (s *Store) RegisterOntology(o *ontology.Ontology) error {
-	return s.broadcast(func(k int) error { return s.pipe(k).RegisterOntology(o) })
+	return s.broadcast(func(k int) error { return s.pipes[k].RegisterOntology(o) })
 }
 
 // AddRule broadcasts a propagation rule to every shard, so each shard's
 // engine derives over its own annotations with the full rule set.
 func (s *Store) AddRule(r prop.Rule) error {
-	return s.broadcast(func(k int) error {
-		if s.durs != nil {
-			return s.durs[k].AddRule(r)
-		}
-		return prop.Attach(s.cores[k].Load()).AddRule(r)
-	})
+	return s.broadcast(func(k int) error { return s.pipes[k].AddRule(r) })
 }
 
 // DeleteRule broadcasts a rule deletion to every shard.
 func (s *Store) DeleteRule(id string) error {
-	return s.broadcast(func(k int) error {
-		if s.durs != nil {
-			return s.durs[k].DeleteRule(id)
-		}
-		return prop.Attach(s.cores[k].Load()).DeleteRule(id)
-	})
+	return s.broadcast(func(k int) error { return s.pipes[k].DeleteRule(id) })
 }
 
 // Rules returns the installed propagation rules (identical on every
@@ -443,7 +444,7 @@ func (s *Store) Rules() []prop.Rule { return prop.RulesOf(s.shardCore(0)) }
 // and their region marks follow it to the same shard.
 func (s *Store) RegisterCoordinateSystem(cs *imaging.CoordinateSystem) error {
 	k := s.router.ShardOfKey(cs.Name)
-	return s.mutate(k, cs.Name, func(m mutator) error { return m.RegisterCoordinateSystem(cs) })
+	return s.mutate(k, cs.Name, func(p *durable.Store) error { return p.RegisterCoordinateSystem(cs) })
 }
 
 // RegisterSequence routes by coordinate domain, so all sequences of one
@@ -454,25 +455,25 @@ func (s *Store) RegisterSequence(sq *seq.Sequence) error {
 		key = sq.ID // core adopts the ID as the domain
 	}
 	k := s.router.ShardOfKey(key)
-	return s.mutate(k, key, func(m mutator) error { return m.RegisterSequence(sq) })
+	return s.mutate(k, key, func(p *durable.Store) error { return p.RegisterSequence(sq) })
 }
 
 // RegisterAlignment routes by alignment ID.
 func (s *Store) RegisterAlignment(a *msa.Alignment) error {
 	k := s.router.ShardOfKey(a.ID)
-	return s.mutate(k, a.ID, func(m mutator) error { return m.RegisterAlignment(a) })
+	return s.mutate(k, a.ID, func(p *durable.Store) error { return p.RegisterAlignment(a) })
 }
 
 // RegisterTree routes by tree ID.
 func (s *Store) RegisterTree(t *phylo.Tree) error {
 	k := s.router.ShardOfKey(t.ID)
-	return s.mutate(k, t.ID, func(m mutator) error { return m.RegisterTree(t) })
+	return s.mutate(k, t.ID, func(p *durable.Store) error { return p.RegisterTree(t) })
 }
 
 // RegisterInteractionGraph routes by graph ID.
 func (s *Store) RegisterInteractionGraph(g *interact.Graph) error {
 	k := s.router.ShardOfKey(g.ID)
-	return s.mutate(k, g.ID, func(m mutator) error { return m.RegisterInteractionGraph(g) })
+	return s.mutate(k, g.ID, func(p *durable.Store) error { return p.RegisterInteractionGraph(g) })
 }
 
 // RegisterImage routes by the image's coordinate system, co-locating it
@@ -480,16 +481,16 @@ func (s *Store) RegisterInteractionGraph(g *interact.Graph) error {
 // co-registration propagation intra-shard).
 func (s *Store) RegisterImage(im *imaging.Image) error {
 	k := s.router.ShardOfKey(im.System)
-	return s.mutate(k, im.System, func(m mutator) error { return m.RegisterImage(im) })
+	return s.mutate(k, im.System, func(p *durable.Store) error { return p.RegisterImage(im) })
 }
 
 // CreateRecordTable routes by table name.
 func (s *Store) CreateRecordTable(schema *relstore.Schema) (*relstore.Table, error) {
 	k := s.router.ShardOfKey(schema.Name)
 	var tbl *relstore.Table
-	err := s.mutate(k, schema.Name, func(m mutator) error {
+	err := s.mutate(k, schema.Name, func(p *durable.Store) error {
 		var err error
-		tbl, err = m.CreateRecordTable(schema)
+		tbl, err = p.CreateRecordTable(schema)
 		return err
 	})
 	return tbl, err
@@ -498,7 +499,7 @@ func (s *Store) CreateRecordTable(schema *relstore.Schema) (*relstore.Table, err
 // InsertRecord routes by table name.
 func (s *Store) InsertRecord(table string, row relstore.Row) error {
 	k := s.router.ShardOfKey(table)
-	return s.mutate(k, table, func(m mutator) error { return m.InsertRecord(table, row) })
+	return s.mutate(k, table, func(p *durable.Store) error { return p.InsertRecord(table, row) })
 }
 
 // NewAnnotation starts a store-free builder; Commit picks the shard from
@@ -535,9 +536,9 @@ func (s *Store) Commit(b *core.Builder) (*core.Annotation, error) {
 	wsp.SetShard(home)
 	b.SetSpan(wsp)
 	var ann *core.Annotation
-	err = s.mutate(home, homeKey, func(m mutator) error {
+	err = s.mutate(home, homeKey, func(p *durable.Store) error {
 		var err error
-		ann, err = m.Commit(b)
+		ann, err = p.Commit(b)
 		return err
 	})
 	b.SetSpan(root)
@@ -645,7 +646,7 @@ func (s *Store) DeleteAnnotation(id uint64) error {
 	if !ok {
 		return fmt.Errorf("%w: %d", core.ErrNoSuchAnnotation, id)
 	}
-	return s.mutate(k, "", func(m mutator) error { return m.DeleteAnnotation(id) })
+	return s.mutate(k, "", func(p *durable.Store) error { return p.DeleteAnnotation(id) })
 }
 
 // Mark constructors. Marks are read-only (registered at commit); each is
@@ -715,13 +716,10 @@ func (s *Store) MarkObject(typ core.ObjectType, objectID string) (*core.Referent
 	return nil, firstErr
 }
 
-// Sync flushes every shard's WAL (durable only).
+// Sync flushes every shard's WAL.
 func (s *Store) Sync() error {
-	if s.durs == nil {
-		return nil
-	}
-	for k, d := range s.durs {
-		if err := d.Sync(); err != nil {
+	for k, p := range s.pipes {
+		if err := p.Sync(); err != nil {
 			return tag(k, err)
 		}
 	}
@@ -731,12 +729,9 @@ func (s *Store) Sync() error {
 // Close closes every shard; the first error is reported, but all shards
 // are closed regardless.
 func (s *Store) Close() error {
-	if s.durs == nil {
-		return nil
-	}
 	var firstErr error
-	for k, d := range s.durs {
-		if err := d.Close(); err != nil && firstErr == nil {
+	for k, p := range s.pipes {
+		if err := p.Close(); err != nil && firstErr == nil {
 			firstErr = tag(k, err)
 		}
 	}

@@ -186,32 +186,6 @@ END {
 }
 ' "$TXT"
 
-# Append selected /metrics readings (the durable mixed workload's commit
-# latency quantiles and WAL flush batching) as {"name": "metrics:…",
-# "value": …} rows. They carry no ns_per_op key, so the --check guard
-# below ignores them; they exist to put observability numbers on the same
-# per-PR trajectory as the benchmarks.
-METRICS_CSV="$(mktemp)"
-trap 'rm -f "$METRICS_CSV"' EXIT
-echo "collecting /metrics deltas from the durable mixed workload…" >&2
-go run ./cmd/graphitti-bench -metrics-dump "$METRICS_CSV"
-awk -v date="$DATE" '
-BEGIN { FS = "," }
-$1 ~ /^(graphitti_store_commit_duration_seconds_(p50|p99)|graphitti_durable_commit_wait_seconds_(p50|p99)|graphitti_wal_flushes_total|graphitti_wal_flush_batch_records_(count|p50|p99)|graphitti_wal_fsync_duration_seconds_(p50|p99))$/ {
-    if ($3 == "NaN") next
-    printf ",\n  {\"date\": \"%s\", \"name\": \"metrics:%s\", \"value\": %s}", date, $1, $3
-}
-' "$METRICS_CSV" >"$JSON.metrics"
-if [ -s "$JSON.metrics" ]; then
-    # Splice the rows into the JSON array before the closing bracket.
-    head -n -1 "$JSON" >"$JSON.tmp"
-    cat "$JSON.metrics" >>"$JSON.tmp"
-    printf '\n]\n' >>"$JSON.tmp"
-    mv "$JSON.tmp" "$JSON"
-    echo "recorded $(grep -c '"name": "metrics:' "$JSON") metric rows into $JSON" >&2
-fi
-rm -f "$JSON.metrics"
-
 [ -z "$BASELINE" ] && exit 0
 
 # --check: compare per-benchmark ns/op medians for the guard suites. The

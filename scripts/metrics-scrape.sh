@@ -79,7 +79,7 @@ curl -fsS -X POST "$BASE/api/annotations?trace=1" \
     -d '{"creator":"ci","date":"2008-04-07","body":"traced probe","marks":[{"type":"interval","domain":"segment1","lo":50,"hi":80}]}' \
     >"$TRACED"
 TREE="$(go run ./cmd/graphitti traces -f "$TRACED")"
-for kind in http commit wal.flush; do
+for kind in http router shard.writer commit wal.flush; do
     echo "$TREE" | grep -q "$kind" || {
         echo "?trace=1 span tree missing kind '$kind':" >&2
         echo "$TREE" >&2; exit 1
