@@ -9,6 +9,7 @@ import (
 	"graphitti/internal/biodata/imaging"
 	"graphitti/internal/core"
 	"graphitti/internal/durable"
+	"graphitti/internal/persist"
 	"graphitti/internal/rtree"
 	"graphitti/internal/workload"
 )
@@ -52,14 +53,14 @@ func BenchmarkW1DurableCommit(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if err := s.RegisterCoordinateSystem(cs); err != nil {
+			if err := s.Apply(persist.SystemOp(cs)); err != nil {
 				b.Fatal(err)
 			}
 			im, err := imaging.NewImage("img-0", "atlas", rtree.Rect2D(0, 0, 1000, 1000), imaging.Identity(2))
 			if err != nil {
 				b.Fatal(err)
 			}
-			if err := s.RegisterImage(im); err != nil {
+			if err := s.Apply(persist.ImageOp(im)); err != nil {
 				b.Fatal(err)
 			}
 

@@ -14,11 +14,11 @@
 //	                      current and the op sequence it covers — its atomic
 //	                      rename is the compaction commit point
 //
-// Each WAL payload is a JSON op envelope carrying its global sequence
-// number and one persist dump (the same per-entity codec Export/Load use).
-// Open loads the snapshot, replays WAL records with Seq beyond the
-// manifest's snapshotSeq, truncates a torn tail instead of failing, and
-// resumes appending.
+// Each WAL payload is a JSON op envelope: its global sequence number and
+// one persist.Op (the same per-entity codec Export/Load use). Open loads
+// the snapshot, replays WAL records with Seq beyond the manifest's
+// snapshotSeq, truncates a torn tail instead of failing, and resumes
+// appending.
 //
 // # Compaction
 //
@@ -29,6 +29,15 @@
 // covers, so a stale log over a new snapshot only costs skipped records.
 //
 // # Semantics
+//
+// A pipeline's state is a function of its ops. Apply(op) is the one entry
+// point: the live mutation is op.Apply, the call replay makes, on a dump —
+// so the pipeline builds its own copy of what it registers, and nothing
+// the caller does to the original afterwards is served here and missing
+// after a restart. The package orders, logs and acknowledges ops without
+// looking inside them. Commit and AddRule alone apply something other
+// than the op they log: the live builder, whose IDs the store assigns,
+// and the live rule.
 //
 // Mutations apply to the in-memory store first (so invalid operations are
 // rejected before they reach the log), then append under the same
@@ -79,18 +88,11 @@ import (
 	"sync/atomic"
 	"time"
 
-	"graphitti/internal/biodata/imaging"
-	"graphitti/internal/biodata/interact"
-	"graphitti/internal/biodata/msa"
-	"graphitti/internal/biodata/phylo"
-	"graphitti/internal/biodata/seq"
 	"graphitti/internal/core"
 	"graphitti/internal/faultfs"
 	"graphitti/internal/interval"
-	"graphitti/internal/ontology"
 	"graphitti/internal/persist"
 	"graphitti/internal/prop"
-	"graphitti/internal/relstore"
 	"graphitti/internal/rtree"
 	"graphitti/internal/trace"
 	"graphitti/internal/wal"
@@ -215,26 +217,12 @@ type manifest struct {
 	Snapshot string `json:"snapshot,omitempty"`
 }
 
-// record is the WAL payload: one mutation, tagged with its sequence
-// number. Exactly one dump field is set, matched by Kind.
+// record is the WAL payload: one op, tagged with its sequence number. The
+// embedded op flattens into the same JSON object, so the bytes are what
+// they were when the fields were declared here.
 type record struct {
-	Seq  uint64      `json:"seq"`
-	Kind core.OpKind `json:"kind"`
-
-	Ontology   *persist.OntologyDump   `json:"ontology,omitempty"`
-	System     *persist.SystemDump     `json:"system,omitempty"`
-	Sequence   *persist.SequenceDump   `json:"sequence,omitempty"`
-	Alignment  *persist.AlignmentDump  `json:"alignment,omitempty"`
-	Tree       *persist.TreeDump       `json:"tree,omitempty"`
-	Graph      *persist.GraphDump      `json:"graph,omitempty"`
-	Image      *persist.ImageDump      `json:"image,omitempty"`
-	Table      *persist.TableDump      `json:"table,omitempty"` // schema only
-	RecTable   string                  `json:"recTable,omitempty"`
-	Row        []persist.ValueDump     `json:"row,omitempty"`
-	Annotation *persist.AnnotationDump `json:"annotation,omitempty"`
-	DeleteID   uint64                  `json:"deleteId,omitempty"`
-	Rule       *persist.RuleDump       `json:"rule,omitempty"`
-	RuleID     string                  `json:"ruleId,omitempty"`
+	Seq uint64 `json:"seq"`
+	persist.Op
 }
 
 // Stats describes the durability machinery (the wrapped store's own
@@ -271,9 +259,9 @@ type Stats struct {
 
 // Store is one writer pipeline over a core.Store: crash-safe when it was
 // opened over a directory, a plain serialized writer when built by
-// Memory. Reads go straight to Core(); every mutating method logs (when
-// there is a log) before acknowledging. All methods are safe for
-// concurrent use.
+// Memory. Reads go straight to Core(); every mutation goes through
+// logApply, which logs (when there is a log) before acknowledging. All
+// methods are safe for concurrent use.
 type Store struct {
 	// dir is "" for a pipeline without a log (Memory): w and m stay nil,
 	// and every method below that would touch either returns first.
@@ -418,7 +406,7 @@ func (s *Store) replayRecord(payload []byte) error {
 	if rec.Seq != s.seq+1 {
 		return fmt.Errorf("durable: WAL record seq %d after %d (log out of order)", rec.Seq, s.seq)
 	}
-	if err := apply(s.Core(), &rec); err != nil {
+	if err := rec.Apply(s.Core()); err != nil {
 		return fmt.Errorf("durable: replay op %d (%s): %w", rec.Seq, rec.Kind, err)
 	}
 	s.seq = rec.Seq
@@ -449,94 +437,20 @@ func (s *Store) removeStaleSnapshots(current string) {
 	}
 }
 
-// apply replays one op envelope against a store. Envelopes come off
-// disk, so a corrupt or hand-edited record must produce an error, never
-// a panic: every dump pointer is checked before it is dereferenced.
-func apply(cs *core.Store, rec *record) error {
-	missing := func(field string) error {
-		return fmt.Errorf("op %s missing %s dump", rec.Kind, field)
-	}
-	switch rec.Kind {
-	case core.OpRegisterOntology:
-		if rec.Ontology == nil {
-			return missing("ontology")
-		}
-		return persist.ApplyOntology(cs, *rec.Ontology)
-	case core.OpRegisterSystem:
-		if rec.System == nil {
-			return missing("system")
-		}
-		return persist.ApplySystem(cs, *rec.System)
-	case core.OpRegisterSequence:
-		if rec.Sequence == nil {
-			return missing("sequence")
-		}
-		return persist.ApplySequence(cs, *rec.Sequence)
-	case core.OpRegisterAlignment:
-		if rec.Alignment == nil {
-			return missing("alignment")
-		}
-		return persist.ApplyAlignment(cs, *rec.Alignment)
-	case core.OpRegisterTree:
-		if rec.Tree == nil {
-			return missing("tree")
-		}
-		return persist.ApplyTree(cs, *rec.Tree)
-	case core.OpRegisterInteractionGraph:
-		if rec.Graph == nil {
-			return missing("graph")
-		}
-		return persist.ApplyGraph(cs, *rec.Graph)
-	case core.OpRegisterImage:
-		if rec.Image == nil {
-			return missing("image")
-		}
-		return persist.ApplyImage(cs, *rec.Image)
-	case core.OpCreateRecordTable:
-		if rec.Table == nil {
-			return missing("table")
-		}
-		return persist.ApplyTable(cs, *rec.Table)
-	case core.OpInsertRecord:
-		return persist.ApplyRecord(cs, rec.RecTable, rec.Row)
-	case core.OpCommitAnnotation:
-		if rec.Annotation == nil {
-			return missing("annotation")
-		}
-		return persist.ApplyAnnotation(cs, *rec.Annotation)
-	case core.OpDeleteAnnotation:
-		return cs.DeleteAnnotation(rec.DeleteID)
-	case core.OpAddRule:
-		if rec.Rule == nil {
-			return missing("rule")
-		}
-		return persist.ApplyRule(cs, *rec.Rule)
-	case core.OpDeleteRule:
-		return prop.Attach(cs).DeleteRule(rec.RuleID)
-	default:
-		return fmt.Errorf("unknown op kind %d", rec.Kind)
-	}
-}
-
 // Core returns the wrapped store for reads and queries. Mutating it
-// directly bypasses the log; use the Store's own mutation methods.
+// directly bypasses the log; use Apply and the Store's other mutators.
 func (s *Store) Core() *core.Store { return s.core.Load() }
 
 // Dir returns the data directory ("" for a pipeline without a log).
 func (s *Store) Dir() string { return s.dir }
 
-// logApply runs one mutation: applyFn mutates the core store and fills
-// rec's dump field; on success the envelope is sequenced and enqueued
-// while still holding the ordering lock, then the caller waits for the
-// group-committed fdatasync outside it.
-func (s *Store) logApply(rec *record, applyFn func(cs *core.Store) error) error {
-	return s.logApplySpan(rec, nil, applyFn)
-}
-
-// logApplySpan is logApply with trace attribution: a non-nil sp rides
-// the WAL append, so the flusher attaches the shared "wal.flush" span
-// (batch ID included) to it before the ack fires.
-func (s *Store) logApplySpan(rec *record, sp *trace.Span, applyFn func(cs *core.Store) error) error {
+// logApply runs one mutation: applyFn mutates the core store (and, for a
+// commit, fills rec's dump); on success the envelope is sequenced and
+// enqueued while still holding the ordering lock, then the caller waits
+// for the group-committed fdatasync outside it. A non-nil sp rides the
+// WAL append, so the flusher attaches the shared "wal.flush" span (batch
+// ID included) to it before the ack fires.
+func (s *Store) logApply(rec *record, sp *trace.Span, applyFn func(cs *core.Store) error) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -714,80 +628,12 @@ func (s *Store) compactIfNeeded() error {
 	return s.compactLocked()
 }
 
-// RegisterOntology logs and registers a term graph.
-func (s *Store) RegisterOntology(o *ontology.Ontology) error {
-	d := persist.DumpOntology(o)
-	return s.logApply(&record{Kind: core.OpRegisterOntology, Ontology: &d},
-		func(cs *core.Store) error { return cs.RegisterOntology(o) })
-}
-
-// RegisterCoordinateSystem logs and registers a coordinate system.
-func (s *Store) RegisterCoordinateSystem(cs *imaging.CoordinateSystem) error {
-	d := persist.DumpSystem(cs)
-	return s.logApply(&record{Kind: core.OpRegisterSystem, System: &d},
-		func(c *core.Store) error { return c.RegisterCoordinateSystem(cs) })
-}
-
-// RegisterSequence logs and registers a sequence. The dump is taken after
-// registration: an empty Domain is resolved to the sequence ID there, and
-// the log must carry the resolved value.
-func (s *Store) RegisterSequence(sq *seq.Sequence) error {
-	rec := record{Kind: core.OpRegisterSequence}
-	return s.logApply(&rec, func(c *core.Store) error {
-		if err := c.RegisterSequence(sq); err != nil {
-			return err
-		}
-		d := persist.DumpSequence(sq)
-		rec.Sequence = &d
-		return nil
-	})
-}
-
-// RegisterAlignment logs and registers an alignment.
-func (s *Store) RegisterAlignment(a *msa.Alignment) error {
-	d := persist.DumpAlignment(a)
-	return s.logApply(&record{Kind: core.OpRegisterAlignment, Alignment: &d},
-		func(c *core.Store) error { return c.RegisterAlignment(a) })
-}
-
-// RegisterTree logs and registers a phylogenetic tree.
-func (s *Store) RegisterTree(t *phylo.Tree) error {
-	d := persist.DumpTree(t)
-	return s.logApply(&record{Kind: core.OpRegisterTree, Tree: &d},
-		func(c *core.Store) error { return c.RegisterTree(t) })
-}
-
-// RegisterInteractionGraph logs and registers an interaction graph.
-func (s *Store) RegisterInteractionGraph(g *interact.Graph) error {
-	d := persist.DumpGraph(g)
-	return s.logApply(&record{Kind: core.OpRegisterInteractionGraph, Graph: &d},
-		func(c *core.Store) error { return c.RegisterInteractionGraph(g) })
-}
-
-// RegisterImage logs and registers an image.
-func (s *Store) RegisterImage(im *imaging.Image) error {
-	d := persist.DumpImage(im)
-	return s.logApply(&record{Kind: core.OpRegisterImage, Image: &d},
-		func(c *core.Store) error { return c.RegisterImage(im) })
-}
-
-// CreateRecordTable logs and creates a user record table.
-func (s *Store) CreateRecordTable(schema *relstore.Schema) (*relstore.Table, error) {
-	var tbl *relstore.Table
-	d := persist.DumpSchema(schema)
-	err := s.logApply(&record{Kind: core.OpCreateRecordTable, Table: &d},
-		func(c *core.Store) error {
-			var err error
-			tbl, err = c.CreateRecordTable(schema)
-			return err
-		})
-	return tbl, err
-}
-
-// InsertRecord logs and inserts a row into a user record table.
-func (s *Store) InsertRecord(table string, row relstore.Row) error {
-	return s.logApply(&record{Kind: core.OpInsertRecord, RecTable: table, Row: persist.DumpRow(row)},
-		func(c *core.Store) error { return c.InsertRecord(table, row) })
+// Apply logs and applies one op — the entry point for every mutation that
+// has no method of its own below (registrations, record tables and rows;
+// persist has a constructor for each). The live mutation is op.Apply, the
+// same call replay makes.
+func (s *Store) Apply(op persist.Op) error {
+	return s.logApply(&record{Op: op}, nil, op.Apply)
 }
 
 // NewAnnotation starts an annotation builder on the wrapped store; pass
@@ -817,8 +663,8 @@ func (s *Store) MarkImageRegion(imageID string, local rtree.Rect) (*core.Referen
 // reassigns exactly the same IDs.
 func (s *Store) Commit(b *core.Builder) (*core.Annotation, error) {
 	var ann *core.Annotation
-	rec := record{Kind: core.OpCommitAnnotation}
-	err := s.logApplySpan(&rec, b.Span(), func(c *core.Store) error {
+	rec := record{Op: persist.Op{Kind: core.OpCommitAnnotation}}
+	err := s.logApply(&rec, b.Span(), func(c *core.Store) error {
 		var err error
 		ann, err = c.Commit(b)
 		if err != nil {
@@ -842,23 +688,23 @@ func (s *Store) Commit(b *core.Builder) (*core.Annotation, error) {
 
 // DeleteAnnotation logs and deletes an annotation.
 func (s *Store) DeleteAnnotation(id uint64) error {
-	return s.logApply(&record{Kind: core.OpDeleteAnnotation, DeleteID: id},
-		func(c *core.Store) error { return c.DeleteAnnotation(id) })
+	return s.Apply(persist.Op{Kind: core.OpDeleteAnnotation, DeleteID: id})
 }
 
 // AddRule logs and registers a propagation rule. The rule is a durable
 // op; the derived facts it materializes are not logged — recovery
-// re-derives them by replaying the rule among the other mutations.
+// re-derives them by replaying the rule among the other mutations. The
+// live rule is added directly: its errors reach HTTP clients without the
+// loader's prefix.
 func (s *Store) AddRule(r prop.Rule) error {
 	d := persist.DumpRule(r)
-	return s.logApply(&record{Kind: core.OpAddRule, Rule: &d},
+	return s.logApply(&record{Op: persist.Op{Kind: core.OpAddRule, Rule: &d}}, nil,
 		func(c *core.Store) error { return prop.Attach(c).AddRule(r) })
 }
 
 // DeleteRule logs and removes a propagation rule (and its derived facts).
 func (s *Store) DeleteRule(id string) error {
-	return s.logApply(&record{Kind: core.OpDeleteRule, RuleID: id},
-		func(c *core.Store) error { return prop.Attach(c).DeleteRule(id) })
+	return s.Apply(persist.Op{Kind: core.OpDeleteRule, RuleID: id})
 }
 
 // Compact checkpoints the current state as a snapshot and rotates to an
@@ -943,7 +789,7 @@ func (s *Store) checkpointLocked(cs *core.Store, seq uint64) error {
 // Restore replaces the store's entire state with snap and checkpoints it
 // immediately (fresh snapshot + empty log). The previous state is gone.
 func (s *Store) Restore(snap *persist.Snapshot) (*core.Store, error) {
-	cs, err := s.Stage(snap)
+	cs, err := s.Stage(snap, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -953,11 +799,12 @@ func (s *Store) Restore(snap *persist.Snapshot) (*core.Store, error) {
 	return cs, nil
 }
 
-// Stage loads snap into a fresh store built like this pipeline's own,
-// without touching the pipeline: the half of Restore that can reject a
-// snapshot. A shard set stages every partition before it installs any.
-func (s *Store) Stage(snap *persist.Snapshot) (*core.Store, error) {
-	return persist.LoadWith(snap, s.opts.Store)
+// Stage loads the part of snap that keep accepts (nil: all of it) into a
+// fresh store built like this pipeline's own, without touching the
+// pipeline: the half of Restore that can reject a snapshot. A shard set
+// stages every shard's part before it installs any.
+func (s *Store) Stage(snap *persist.Snapshot, keep func(persist.Op) bool) (*core.Store, error) {
+	return persist.LoadPart(snap, s.opts.Store, keep)
 }
 
 // Install makes a staged store the pipeline's state: checkpointed first

@@ -22,21 +22,21 @@ var fastOpts = Options{NoSync: true, CompactThreshold: -1}
 
 func seedStore(t *testing.T, s *Store, anns int) {
 	t.Helper()
-	if err := s.RegisterOntology(workload.BrainOntology()); err != nil {
+	if err := s.Apply(persist.OntologyOp(workload.BrainOntology())); err != nil {
 		t.Fatal(err)
 	}
 	cs, err := imaging.NewCoordinateSystem("atlas", rtree.Rect2D(0, 0, 1000, 1000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.RegisterCoordinateSystem(cs); err != nil {
+	if err := s.Apply(persist.SystemOp(cs)); err != nil {
 		t.Fatal(err)
 	}
 	im, err := imaging.NewImage("img-0", "atlas", rtree.Rect2D(0, 0, 1000, 1000), imaging.Identity(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.RegisterImage(im); err != nil {
+	if err := s.Apply(persist.ImageOp(im)); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < anns; i++ {

@@ -51,13 +51,13 @@ func FuzzOpEnvelope(f *testing.F) {
 	// allocation at 1<<40) unless core refuses it above core.MaxID.
 	for _, id := range []uint64{1 << 62, 1 << 40} {
 		for _, pin := range [][2]uint64{{id, 1}, {1, id}} {
-			b, _ := json.Marshal(record{Seq: 1, Kind: core.OpCommitAnnotation,
+			b, _ := json.Marshal(record{Seq: 1, Op: persist.Op{Kind: core.OpCommitAnnotation,
 				Annotation: &persist.AnnotationDump{
 					ID: pin[0],
 					DC: map[string][]string{"creator": {"u"}, "date": {"2008-01-01"}},
 					Referents: []persist.ReferentDump{{ID: pin[1], ObjectType: "dna",
 						ObjectID: "x", Domain: "d", Lo: 1, Hi: 5}},
-				}})
+				}}})
 			f.Add(b)
 		}
 	}
@@ -69,7 +69,7 @@ func FuzzOpEnvelope(f *testing.F) {
 		}
 		// Replay against an empty store and against one with prior state:
 		// panics can hide behind lookups that only exist in one of them.
-		_ = apply(core.NewStore(), &rec)
+		_ = rec.Apply(core.NewStore())
 
 		fresh := &Store{}
 		fresh.core.Store(core.NewStore())

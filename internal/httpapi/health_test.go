@@ -12,6 +12,7 @@ import (
 	"graphitti/internal/biodata/seq"
 	"graphitti/internal/durable"
 	"graphitti/internal/faultfs"
+	"graphitti/internal/persist"
 )
 
 // The degraded-server test drives the full production story over HTTP:
@@ -69,7 +70,7 @@ func TestDegradedServerServesReadsRefusesWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.RegisterSequence(sq); err != nil {
+	if err := d.Apply(persist.SequenceOp(sq)); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(NewDurableHandler(d))

@@ -11,6 +11,7 @@ import (
 	"graphitti/internal/core"
 	"graphitti/internal/durable"
 	"graphitti/internal/interval"
+	"graphitti/internal/persist"
 	"graphitti/internal/prop"
 	"graphitti/internal/shard"
 )
@@ -132,7 +133,7 @@ func TestDurableRuleSurvivesReopen(t *testing.T) {
 			t.Fatal(err)
 		}
 		sq.Domain = "chr1"
-		if err := sh.RegisterSequence(sq); err != nil {
+		if err := sh.Apply(persist.SequenceOp(sq)); err != nil {
 			t.Fatal(err)
 		}
 		ts := httptest.NewServer(NewShardedHandler(sh))

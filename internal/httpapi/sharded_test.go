@@ -15,6 +15,7 @@ import (
 	"graphitti/internal/durable"
 	"graphitti/internal/faultfs"
 	"graphitti/internal/interval"
+	"graphitti/internal/persist"
 	"graphitti/internal/shard"
 )
 
@@ -48,7 +49,7 @@ func registerDomainSeq(t *testing.T, sh *shard.Store, domain string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sh.RegisterSequence(sq); err != nil {
+	if err := sh.Apply(persist.SequenceOp(sq)); err != nil {
 		t.Fatalf("register %s: %v", domain, err)
 	}
 }

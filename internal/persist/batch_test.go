@@ -1,4 +1,4 @@
-package persist
+package persist_test
 
 import (
 	"bytes"
@@ -7,14 +7,15 @@ import (
 
 	"graphitti/internal/core"
 	"graphitti/internal/interval"
+	"graphitti/internal/persist"
 )
 
 // commitSerial is the load path LoadWith replaced — one full commit, one
 // published view, per annotation — kept as the oracle the batch load must
 // match byte for byte.
-func commitSerial(s *core.Store, anns []AnnotationDump) error {
+func commitSerial(s *core.Store, anns []persist.AnnotationDump) error {
 	for _, ad := range anns {
-		if err := ApplyAnnotation(s, ad); err != nil {
+		if err := persist.ApplyAnnotation(s, ad); err != nil {
 			return err
 		}
 	}
@@ -23,21 +24,21 @@ func commitSerial(s *core.Store, anns []AnnotationDump) error {
 
 // assertBatchEqualsSerial loads snap both ways and requires identical
 // exports, stats and ID counters.
-func assertBatchEqualsSerial(t *testing.T, snap *Snapshot) *core.Store {
+func assertBatchEqualsSerial(t *testing.T, snap *persist.Snapshot) *core.Store {
 	t.Helper()
-	serial, err := loadWith(snap, core.StoreOptions{}, commitSerial)
+	serial, err := persist.LoadWithCommit(snap, core.StoreOptions{}, nil, commitSerial)
 	if err != nil {
 		t.Fatalf("serial load: %v", err)
 	}
-	batch, err := Load(snap)
+	batch, err := persist.Load(snap)
 	if err != nil {
 		t.Fatalf("batch load: %v", err)
 	}
 	var want, got bytes.Buffer
-	if err := Write(serial, &want); err != nil {
+	if err := persist.Write(serial, &want); err != nil {
 		t.Fatal(err)
 	}
-	if err := Write(batch, &got); err != nil {
+	if err := persist.Write(batch, &got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
@@ -53,9 +54,9 @@ func assertBatchEqualsSerial(t *testing.T, snap *Snapshot) *core.Store {
 	return batch
 }
 
-func exportOf(t *testing.T, s *core.Store) *Snapshot {
+func exportOf(t *testing.T, s *core.Store) *persist.Snapshot {
 	t.Helper()
-	snap, err := Export(s)
+	snap, err := persist.Export(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,18 +125,18 @@ func TestBatchLoadEqualsSerialLoad(t *testing.T) {
 func TestBatchFailureKeepsPrefix(t *testing.T) {
 	snap := exportOf(t, influenzaStore(t))
 	const bad = 20
-	anns := append([]AnnotationDump(nil), snap.Annotations...)
+	anns := append([]persist.AnnotationDump(nil), snap.Annotations...)
 	anns[bad].ID = anns[0].ID // pinned ID collides with an earlier op of the batch
-	load := func(commit func(*core.Store, []AnnotationDump) error) (*core.Store, error) {
+	load := func(commit func(*core.Store, []persist.AnnotationDump) error) (*core.Store, error) {
 		empty := *snap
 		empty.Annotations, empty.NextAnn, empty.NextRef = nil, 0, 0
-		s, err := Load(&empty)
+		s, err := persist.Load(&empty)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return s, commit(s, anns)
 	}
-	batch, err := load(commitBatch)
+	batch, err := load(persist.CommitBatch)
 	if err == nil {
 		t.Fatal("colliding pinned ID accepted")
 	}
@@ -165,7 +166,7 @@ func TestBatchFailureKeepsPrefix(t *testing.T) {
 	}
 }
 
-func mustJSON(t *testing.T, snap *Snapshot) []byte {
+func mustJSON(t *testing.T, snap *persist.Snapshot) []byte {
 	t.Helper()
 	data, err := json.Marshal(snap)
 	if err != nil {
@@ -182,17 +183,17 @@ func TestLoadRejectsHostileIDs(t *testing.T) {
 	for _, id := range []uint64{1 << 62, 1 << 40, core.MaxID + 1} {
 		snap := exportOf(t, influenzaStore(t))
 		snap.Annotations[3].ID = id
-		if _, err := Load(snap); err == nil {
+		if _, err := persist.Load(snap); err == nil {
 			t.Errorf("annotation ID %d accepted", id)
 		}
 		snap = exportOf(t, influenzaStore(t))
 		snap.Annotations[3].Referents[0].ID = id
-		if _, err := Load(snap); err == nil {
+		if _, err := persist.Load(snap); err == nil {
 			t.Errorf("referent ID %d accepted", id)
 		}
 		snap = exportOf(t, influenzaStore(t))
 		snap.NextRef = id
-		if _, err := Load(snap); err == nil {
+		if _, err := persist.Load(snap); err == nil {
 			t.Errorf("counter %d accepted", id)
 		}
 	}

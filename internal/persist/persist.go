@@ -15,9 +15,10 @@
 // densely in commit order as before.
 //
 // The per-entity Dump*/Apply* pairs in this package are the single codec
-// for store mutations: Export/Load compose them over whole stores, and the
-// WAL in internal/durable encodes one Dump per logged operation and
-// replays it with the matching Apply.
+// for store mutations, and Op (op.go) is the one envelope around them:
+// what a mutation looks like and how to apply it. Export/Load compose the
+// pairs over whole stores; internal/durable logs one Op per mutation and
+// replays it with Op.Apply; internal/shard routes an Op by what it holds.
 package persist
 
 import (
@@ -751,7 +752,15 @@ func Load(snap *Snapshot) (*core.Store, error) {
 // LoadWith is Load into a store built with opts — how one shard of a
 // sharded deployment rebuilds with its shard label and shared ID source.
 func LoadWith(snap *Snapshot, opts core.StoreOptions) (*core.Store, error) {
-	return loadWith(snap, opts, commitBatch)
+	return LoadPart(snap, opts, nil)
+}
+
+// LoadPart is LoadWith over the registrations and annotations whose op
+// keep accepts (nil accepts all) — how one shard loads its part of a
+// deployment's snapshot, placed by the rule it places live ops with.
+// Rules and the ID counters load whatever keep says.
+func LoadPart(snap *Snapshot, opts core.StoreOptions, keep func(Op) bool) (*core.Store, error) {
+	return loadWith(snap, opts, keep, commitBatch)
 }
 
 // commitBatch commits a snapshot's annotations as one writer session. On
@@ -767,55 +776,31 @@ func commitBatch(s *core.Store, anns []AnnotationDump) error {
 	})
 }
 
-// loadWith is LoadWith with the annotation step as a parameter, so the
+// loadWith is LoadPart with the annotation step as a parameter, so the
 // tests can run the one-publish-per-annotation loop as the oracle.
-func loadWith(snap *Snapshot, opts core.StoreOptions,
+func loadWith(snap *Snapshot, opts core.StoreOptions, keep func(Op) bool,
 	commit func(*core.Store, []AnnotationDump) error) (*core.Store, error) {
 	if snap.Version < 1 || snap.Version > Version {
 		return nil, fmt.Errorf("persist: snapshot version %d, want 1..%d", snap.Version, Version)
 	}
 	s := core.NewStoreWithOptions(opts)
-	for _, od := range snap.Ontologies {
-		if err := ApplyOntology(s, od); err != nil {
-			return nil, err
+	for op := range snap.registrations {
+		if keep == nil || keep(op) {
+			if err := op.Apply(s); err != nil {
+				return nil, err
+			}
 		}
 	}
-	for _, sd := range snap.Systems {
-		if err := ApplySystem(s, sd); err != nil {
-			return nil, err
+	anns := snap.Annotations
+	if keep != nil {
+		anns = nil
+		for i := range snap.Annotations {
+			if d := &snap.Annotations[i]; keep(Op{Kind: core.OpCommitAnnotation, Annotation: d}) {
+				anns = append(anns, *d)
+			}
 		}
 	}
-	for _, qd := range snap.Sequences {
-		if err := ApplySequence(s, qd); err != nil {
-			return nil, err
-		}
-	}
-	for _, ad := range snap.Alignments {
-		if err := ApplyAlignment(s, ad); err != nil {
-			return nil, err
-		}
-	}
-	for _, td := range snap.Trees {
-		if err := ApplyTree(s, td); err != nil {
-			return nil, err
-		}
-	}
-	for _, gd := range snap.Graphs {
-		if err := ApplyGraph(s, gd); err != nil {
-			return nil, err
-		}
-	}
-	for _, id := range snap.Images {
-		if err := ApplyImage(s, id); err != nil {
-			return nil, err
-		}
-	}
-	for _, td := range snap.RecordTables {
-		if err := ApplyTable(s, td); err != nil {
-			return nil, err
-		}
-	}
-	if err := commit(s, snap.Annotations); err != nil {
+	if err := commit(s, anns); err != nil {
 		return nil, err
 	}
 	// Rules last, installed as one batch: the derived table is rebuilt

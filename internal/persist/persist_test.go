@@ -1,4 +1,4 @@
-package persist
+package persist_test
 
 import (
 	"bytes"
@@ -9,11 +9,12 @@ import (
 	"graphitti/internal/biodata/seq"
 	"graphitti/internal/core"
 	"graphitti/internal/interval"
+	"graphitti/internal/persist"
 	"graphitti/internal/workload"
 	"graphitti/internal/xmldoc"
 )
 
-func influenzaStore(t *testing.T) *core.Store {
+func influenzaStore(t testing.TB) *core.Store {
 	t.Helper()
 	cfg := workload.DefaultInfluenza
 	cfg.Annotations = 60
@@ -24,7 +25,7 @@ func influenzaStore(t *testing.T) *core.Store {
 	return study.Store
 }
 
-func neuroStore(t *testing.T) *core.Store {
+func neuroStore(t testing.TB) *core.Store {
 	t.Helper()
 	study, err := workload.Neuroscience(workload.DefaultNeuro)
 	if err != nil {
@@ -63,10 +64,10 @@ func assertStoresEquivalent(t *testing.T, a, b *core.Store) {
 func TestRoundTripInfluenza(t *testing.T) {
 	orig := influenzaStore(t)
 	var buf bytes.Buffer
-	if err := Write(orig, &buf); err != nil {
+	if err := persist.Write(orig, &buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := Read(&buf)
+	restored, err := persist.Read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,10 +89,10 @@ func TestRoundTripInfluenza(t *testing.T) {
 func TestRoundTripNeuro(t *testing.T) {
 	orig := neuroStore(t)
 	var buf bytes.Buffer
-	if err := Write(orig, &buf); err != nil {
+	if err := persist.Write(orig, &buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := Read(&buf)
+	restored, err := persist.Read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,15 +107,15 @@ func TestRoundTripNeuro(t *testing.T) {
 func TestRoundTripDoubleStable(t *testing.T) {
 	orig := influenzaStore(t)
 	var b1 bytes.Buffer
-	if err := Write(orig, &b1); err != nil {
+	if err := persist.Write(orig, &b1); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := Read(bytes.NewReader(b1.Bytes()))
+	restored, err := persist.Read(bytes.NewReader(b1.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var b2 bytes.Buffer
-	if err := Write(restored, &b2); err != nil {
+	if err := persist.Write(restored, &b2); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
@@ -145,10 +146,10 @@ func TestSharedReferentsSurviveReplay(t *testing.T) {
 		t.Fatal("setup: marks not shared")
 	}
 	var buf bytes.Buffer
-	if err := Write(s, &buf); err != nil {
+	if err := persist.Write(s, &buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := Read(&buf)
+	restored, err := persist.Read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,33 +165,33 @@ func TestSharedReferentsSurviveReplay(t *testing.T) {
 }
 
 func TestLoadErrors(t *testing.T) {
-	if _, err := Read(strings.NewReader("{not json")); err == nil {
+	if _, err := persist.Read(strings.NewReader("{not json")); err == nil {
 		t.Fatal("bad JSON accepted")
 	}
-	if _, err := Load(&Snapshot{Version: 99}); err == nil {
+	if _, err := persist.Load(&persist.Snapshot{Version: 99}); err == nil {
 		t.Fatal("wrong version accepted")
 	}
 	// Annotation referencing an unknown ontology term fails cleanly.
-	snap := &Snapshot{
-		Version: Version,
-		Annotations: []AnnotationDump{{
+	snap := &persist.Snapshot{
+		Version: persist.Version,
+		Annotations: []persist.AnnotationDump{{
 			DC:    map[string][]string{"creator": {"x"}, "date": {"2008-01-01"}},
-			Terms: []TermRefDump{{Ontology: "ghost", Term: "t"}},
+			Terms: []persist.TermRefDump{{Ontology: "ghost", Term: "t"}},
 		}},
 	}
-	if _, err := Load(snap); err == nil {
+	if _, err := persist.Load(snap); err == nil {
 		t.Fatal("dangling term reference accepted")
 	}
 	// Bad value tag.
-	snap2 := &Snapshot{
-		Version: Version,
-		RecordTables: []TableDump{{
+	snap2 := &persist.Snapshot{
+		Version: persist.Version,
+		RecordTables: []persist.TableDump{{
 			Name: "t", Key: "k",
-			Columns: []ColumnDump{{Name: "k", Type: 2}},
-			Rows:    [][]ValueDump{{{T: "wat"}}},
+			Columns: []persist.ColumnDump{{Name: "k", Type: 2}},
+			Rows:    [][]persist.ValueDump{{{T: "wat"}}},
 		}},
 	}
-	if _, err := Load(snap2); err == nil {
+	if _, err := persist.Load(snap2); err == nil {
 		t.Fatal("unknown value tag accepted")
 	}
 }
@@ -210,7 +211,7 @@ func TestSnapshotFormsLoadAlike(t *testing.T) {
 	for name, s := range map[string]*core.Store{"influenza": influenzaStore(t), "neuro": neuroStore(t)} {
 		t.Run(name, func(t *testing.T) {
 			var compact bytes.Buffer
-			if err := Write(s, &compact); err != nil {
+			if err := persist.Write(s, &compact); err != nil {
 				t.Fatal(err)
 			}
 			if n := bytes.Count(compact.Bytes(), []byte("\n")); n != 1 || !bytes.HasSuffix(compact.Bytes(), []byte("\n")) {
@@ -271,7 +272,7 @@ func TestSnapshotFormsLoadAlike(t *testing.T) {
 			}
 			want := mustJSON(t, exportOf(t, s))
 			for form, file := range map[string][]byte{"compact": compact.Bytes(), "indented v2 with rects": v2, "v1": v1} {
-				loaded, err := Read(bytes.NewReader(file))
+				loaded, err := persist.Read(bytes.NewReader(file))
 				if err != nil {
 					t.Fatalf("%s: %v", form, err)
 				}

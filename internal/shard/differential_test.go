@@ -203,7 +203,7 @@ func annIDs(anns []*core.Annotation) []uint64 {
 // annotations: the merge re-caps only what the shards together exceed.
 func TestOneShardQueryIsTheStoresOwn(t *testing.T) {
 	want := core.NewStore()
-	registerSeq(t, want.RegisterSequence, "seq-0", "dom-0")
+	registerSeq(t, workload.AsSink(want).Apply, "seq-0", "dom-0")
 	for _, c := range []struct {
 		body   string
 		lo, hi int64

@@ -59,14 +59,14 @@ func hasManifest(t *testing.T, dir string) bool {
 	return err == nil
 }
 
-func registerSeq(t *testing.T, register func(*seq.Sequence) error, id, domain string) {
+func registerSeq(t *testing.T, apply func(persist.Op) error, id, domain string) {
 	t.Helper()
 	sq, err := seq.New(id, seq.DNA, strings.Repeat("ACGT", 64))
 	if err != nil {
 		t.Fatal(err)
 	}
 	sq.Domain = domain
-	if err := register(sq); err != nil {
+	if err := apply(persist.SequenceOp(sq)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -171,7 +171,7 @@ func TestOpenManifestOfOneShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	registerSeq(t, d.RegisterSequence, "seq-0", "dom-0")
+	registerSeq(t, d.Apply, "seq-0", "dom-0")
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestOpenFreshDirectoryLayout(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d fresh: %v", n, err)
 		}
-		registerSeq(t, s.RegisterSequence, "seq-0", "dom-0")
+		registerSeq(t, s.Apply, "seq-0", "dom-0")
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -248,7 +248,7 @@ func TestCommitRefusesCrossShardCommittedReferent(t *testing.T) {
 			t.Fatal(err)
 		}
 		sq.Domain = dom
-		if err := s.RegisterSequence(sq); err != nil {
+		if err := s.Apply(persist.SequenceOp(sq)); err != nil {
 			t.Fatal(err)
 		}
 	}

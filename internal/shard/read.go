@@ -381,25 +381,24 @@ func (s *Store) Export() (*persist.Snapshot, error) {
 // opposed to a fault of the store it was being restored into.
 var ErrBadSnapshot = errors.New("shard: snapshot refused")
 
-// Restore replaces the deployment's entire state with snap: the snapshot
-// is partitioned by the same routing keys live mutations use, and each
-// shard restores (and, with a log, checkpoints) its partition. Runs
-// under the inter-shard channel (excluding broadcasts and cross-shard
-// commits) and every shard's writer latch (excluding routed mutations),
-// so nothing can be acknowledged into a core this swap replaces — a
-// commit concurrent with Restore either completes before the swap and
-// is replaced with the rest of the old state, or waits and lands in the
-// restored state.
+// Restore replaces the deployment's entire state with snap: each shard
+// loads the entries route — the rule live ops are placed by — puts on it
+// (broadcast ones, rules and the ID counters on every shard) and, with a
+// log, checkpoints them. Runs under the inter-shard channel (excluding
+// broadcasts and cross-shard commits) and every shard's writer latch
+// (excluding routed mutations), so nothing can be acknowledged into a
+// core this swap replaces — a commit concurrent with Restore either
+// completes before the swap and is replaced with the rest of the old
+// state, or waits and lands in the restored state.
 //
-// A bad snapshot changes nothing: every partition is loaded before any is
-// installed, and a partition the loader rejects fails the call with
+// A bad snapshot changes nothing: every shard's part is loaded before any
+// is installed, and a part the loader rejects fails the call with
 // ErrBadSnapshot while memory and disk still hold the previous state on
 // every shard. The install itself is per directory, so a checkpoint I/O
 // fault during it can still stop with some shards restored and others
 // not (the error names the shard); closing that needs a deployment-level
 // commit record.
 func (s *Store) Restore(snap *persist.Snapshot) error {
-	parts := s.partition(snap)
 	s.gmu.Lock()
 	defer s.gmu.Unlock()
 	for k := range s.smu {
@@ -409,7 +408,7 @@ func (s *Store) Restore(snap *persist.Snapshot) error {
 	staged := make([]*core.Store, s.NumShards())
 	if err := s.eachShard(func(k int) error {
 		var err error
-		staged[k], err = s.pipes[k].Stage(parts[k])
+		staged[k], err = s.pipes[k].Stage(snap, s.placedOn(k))
 		return err
 	}); err != nil {
 		return fmt.Errorf("%w: %w", ErrBadSnapshot, err)
@@ -422,73 +421,29 @@ func (s *Store) Restore(snap *persist.Snapshot) error {
 	return nil
 }
 
-// partition splits a snapshot by routing key. Broadcast sections
-// (ontologies, rules) and the ID counters go to every shard. The
-// partition over one shard is the snapshot itself.
-func (s *Store) partition(snap *persist.Snapshot) []*persist.Snapshot {
-	n := s.NumShards()
-	if n == 1 {
-		return []*persist.Snapshot{snap}
+// placedOn reports, for an op, whether route puts it on shard k. Over one
+// shard everything is, and nil says so without asking.
+func (s *Store) placedOn(k int) func(persist.Op) bool {
+	if s.NumShards() == 1 {
+		return nil
 	}
-	parts := make([]*persist.Snapshot, n)
-	for k := range parts {
-		parts[k] = &persist.Snapshot{
-			Version:    snap.Version,
-			Ontologies: snap.Ontologies,
-			Rules:      snap.Rules,
-			NextAnn:    snap.NextAnn,
-			NextRef:    snap.NextRef,
-		}
+	return func(op persist.Op) bool {
+		key, all, _ := route(op) // the loader builds only kinds route knows
+		return all || s.router.ShardOfKey(key) == k
 	}
-	of := func(key string) *persist.Snapshot { return parts[s.router.ShardOfKey(key)] }
-	for _, d := range snap.Systems {
-		p := of(d.Name)
-		p.Systems = append(p.Systems, d)
-	}
-	for _, d := range snap.Sequences {
-		key := d.Domain
-		if key == "" {
-			key = d.ID
-		}
-		p := of(key)
-		p.Sequences = append(p.Sequences, d)
-	}
-	for _, d := range snap.Alignments {
-		p := of(d.ID)
-		p.Alignments = append(p.Alignments, d)
-	}
-	for _, d := range snap.Trees {
-		p := of(d.ID)
-		p.Trees = append(p.Trees, d)
-	}
-	for _, d := range snap.Graphs {
-		p := of(d.ID)
-		p.Graphs = append(p.Graphs, d)
-	}
-	for _, d := range snap.Images {
-		p := of(d.System)
-		p.Images = append(p.Images, d)
-	}
-	for _, d := range snap.RecordTables {
-		p := of(d.Name)
-		p.RecordTables = append(p.RecordTables, d)
-	}
-	for _, d := range snap.Annotations {
-		p := parts[s.routeAnnotationDump(d)]
-		p.Annotations = append(p.Annotations, d)
-	}
-	return parts
 }
 
-// routeAnnotationDump mirrors routeBuilder for serialized annotations.
-func (s *Store) routeAnnotationDump(d persist.AnnotationDump) int {
+// routeKeyOfAnnotationDump is routeBuilder's key for a serialized
+// annotation: its first mark's route key, else its first term's ontology.
+// (Commit routes the live builder; this is its dump-side pair.)
+func routeKeyOfAnnotationDump(d persist.AnnotationDump) string {
 	for _, rd := range d.Referents {
-		return s.router.ShardOfKey(routeKeyOfDump(rd))
+		return routeKeyOfDump(rd)
 	}
 	if len(d.Terms) > 0 {
-		return s.router.ShardOfKey(d.Terms[0].Ontology)
+		return d.Terms[0].Ontology
 	}
-	return 0
+	return ""
 }
 
 // routeKeyOfDump mirrors core.Referent.RouteKey for serialized marks.

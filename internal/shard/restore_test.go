@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"reflect"
@@ -8,6 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"graphitti/internal/biodata/interact"
+	"graphitti/internal/biodata/msa"
+	"graphitti/internal/biodata/phylo"
 	"graphitti/internal/biodata/seq"
 	"graphitti/internal/core"
 	"graphitti/internal/durable"
@@ -25,7 +29,7 @@ func registerDomainSeq(t *testing.T, s *Store, id, domain string) {
 		t.Fatal(err)
 	}
 	sq.Domain = domain
-	if err := s.RegisterSequence(sq); err != nil {
+	if err := s.Apply(persist.SequenceOp(sq)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -236,5 +240,133 @@ func TestOneShardReadsCostTheShardsOwn(t *testing.T) {
 	}
 	if want := cs.Stats(); stats != want || len(anns) != want.Annotations {
 		t.Fatalf("read %+v and %d annotations, want %+v", stats, len(anns), want)
+	}
+}
+
+// perShardExports renders each shard's own export, in shard order,
+// without the ID counters: a live shard's stop at the last ID it was
+// handed, a restored shard's are the deployment's.
+func perShardExports(t *testing.T, s *Store) [][]byte {
+	t.Helper()
+	out := make([][]byte, s.NumShards())
+	for k := range out {
+		snap, err := persist.Export(s.shardCore(k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap.NextAnn, snap.NextRef = 0, 0
+		var buf bytes.Buffer
+		if err := persist.WriteSnapshot(snap, &buf); err != nil {
+			t.Fatal(err)
+		}
+		out[k] = buf.Bytes()
+	}
+	return out
+}
+
+// TestRestoredShardsEqualLiveShards: one routing rule. A scenario applied
+// live and its merged export restored into a fresh set of the same size
+// must agree shard by shard — the merged export alone would also match if
+// live ops and snapshot entries were placed by two tables that disagreed.
+// The scenario registers every sequence with an empty Domain (routed by
+// its ID); the kinds it never registers, and a sequence that names its
+// domain, ride along.
+func TestRestoredShardsEqualLiveShards(t *testing.T) {
+	live := New(3)
+	if err := workload.ApplyOps(live, workload.ShardedScenario(workload.RecoveryConfig{Seed: 11, Images: 6, Ops: 250}, 3)); err != nil {
+		t.Fatal(err)
+	}
+	registerDomainSeq(t, live, "seq-named", "chr-named")
+	for i := 0; i < 4; i++ {
+		aln, err := msa.New(fmt.Sprintf("aln-%d", i), []string{"r1", "r2"}, []string{"AC-GT", "ACGGT"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree, err := phylo.ParseNewick(fmt.Sprintf("tree-%d", i), "((a:1,b:2):0.5,c:3);")
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := interact.NewGraph(fmt.Sprintf("ppi-%d", i))
+		if _, err := g.AddMolecule("P1", "polymerase", interact.ProteinMol); err != nil {
+			t.Fatal(err)
+		}
+		for _, op := range []persist.Op{persist.AlignmentOp(aln), persist.TreeOp(tree), persist.GraphOp(g)} {
+			if err := live.Apply(op); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	snap, err := live.Export()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := New(3)
+	if err := restored.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	got, want := perShardExports(t, restored), perShardExports(t, live)
+	for k := range want {
+		if !bytes.Equal(got[k], want[k]) {
+			t.Errorf("shard %d: restored export differs from the live shard's:\n got %.1500s\nwant %.1500s", k, got[k], want[k])
+		}
+	}
+}
+
+// TestPipelineOwnsWhatItRegisters: an op holds a dump, so every pipeline
+// builds its own copy of what it registers. The registration methods this
+// replaced kept the caller's pointer — one ontology shared by all N cores,
+// and by the log's dump only at the moment it was taken — so a change the
+// caller made afterwards was served by every shard and gone after reopen.
+func TestPipelineOwnsWhatItRegisters(t *testing.T) {
+	dir := t.TempDir()
+	durableSet, err := Open(dir, 1, durable.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, s := range map[string]*Store{"in-memory N=3": New(3), "durable N=1": durableSet} {
+		o := workload.BrainOntology()
+		sq, err := seq.New("seq-0", seq.DNA, strings.Repeat("ACGT", 8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sq.Description = "as registered"
+		for _, op := range []persist.Op{persist.OntologyOp(o), persist.SequenceOp(sq)} {
+			if err := s.Apply(op); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+		want, err := s.Export()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := o.AddTerm("added-later", "added later"); err != nil {
+			t.Fatal(err)
+		}
+		sq.Description = "changed later"
+		got, err := s.Export()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: the caller's later changes reached the store:\n got %+v\nwant %+v", name, got, want)
+		}
+		if s != durableSet {
+			continue
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		reopened, err := Open(dir, 0, durable.Options{NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer reopened.Close()
+		got, err = reopened.Export()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: export after reopen differs from the one served:\n got %+v\nwant %+v", name, got, want)
+		}
 	}
 }

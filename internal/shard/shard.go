@@ -2,17 +2,17 @@
 // router, so commits to disjoint coordinate domains spend separate cores
 // instead of funnelling through a single serialized writer.
 //
-// Placement. Every mutation is routed by a stable key (core.Router,
-// FNV-1a): sequences by coordinate domain, coordinate systems by name,
-// images by their system, alignments/trees/interaction graphs by ID,
-// record tables by name, and annotations by their first mark's route key
-// (see core.Referent.RouteKey). Domain-keyed placement keeps the
-// propagation engine exact without cross-shard evaluation: SUB_X overlap
-// is intra-domain, co-registration is intra-system, and shared-referent
-// hops are intra-shard because identical marks always route identically.
-// Ontologies and propagation rules are broadcast to every shard (shard 0
-// first), so ontology-closure propagation and rule recomputation see the
-// same rule set everywhere.
+// Placement. Every mutation is one persist.Op, and route — the only
+// per-kind table in this package — says where an op goes: to the shard a
+// stable key hashes to (core.Router, FNV-1a) or to every shard. Apply
+// places live ops by it and Restore the entries of a snapshot, so there
+// is no second rule for the two to disagree on. Domain-keyed placement
+// keeps the propagation engine exact without cross-shard evaluation:
+// SUB_X overlap is intra-domain, co-registration is intra-system, and
+// shared-referent hops are intra-shard because identical marks always
+// route identically. Ontologies and propagation rules are broadcast to
+// every shard (shard 0 first), so ontology-closure propagation and rule
+// recomputation see the same rule set everywhere.
 //
 // The sequenced inter-shard channel. Broadcasts and cross-shard commits
 // (an annotation whose marks span shards) serialize through one global
@@ -63,15 +63,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"graphitti/internal/biodata/imaging"
-	"graphitti/internal/biodata/interact"
-	"graphitti/internal/biodata/msa"
-	"graphitti/internal/biodata/phylo"
-	"graphitti/internal/biodata/seq"
 	"graphitti/internal/core"
 	"graphitti/internal/durable"
 	"graphitti/internal/interval"
-	"graphitti/internal/ontology"
+	"graphitti/internal/persist"
 	"graphitti/internal/prop"
 	"graphitti/internal/relstore"
 	"graphitti/internal/rtree"
@@ -419,12 +414,6 @@ func (s *Store) broadcast(fn func(k int) error) error {
 	return nil
 }
 
-// RegisterOntology broadcasts the ontology to every shard: term-closure
-// propagation and commit-time term validation are shard-local.
-func (s *Store) RegisterOntology(o *ontology.Ontology) error {
-	return s.broadcast(func(k int) error { return s.pipes[k].RegisterOntology(o) })
-}
-
 // AddRule broadcasts a propagation rule to every shard, so each shard's
 // engine derives over its own annotations with the full rule set.
 func (s *Store) AddRule(r prop.Rule) error {
@@ -440,66 +429,72 @@ func (s *Store) DeleteRule(id string) error {
 // shard; read from shard 0).
 func (s *Store) Rules() []prop.Rule { return prop.RulesOf(s.shardCore(0)) }
 
-// RegisterCoordinateSystem routes by system name; the system's images
-// and their region marks follow it to the same shard.
-func (s *Store) RegisterCoordinateSystem(cs *imaging.CoordinateSystem) error {
-	k := s.router.ShardOfKey(cs.Name)
-	return s.mutate(k, cs.Name, func(p *durable.Store) error { return p.RegisterCoordinateSystem(cs) })
-}
-
-// RegisterSequence routes by coordinate domain, so all sequences of one
-// domain — and every interval mark in it — share a shard.
-func (s *Store) RegisterSequence(sq *seq.Sequence) error {
-	key := sq.Domain
-	if key == "" {
-		key = sq.ID // core adopts the ID as the domain
-	}
-	k := s.router.ShardOfKey(key)
-	return s.mutate(k, key, func(p *durable.Store) error { return p.RegisterSequence(sq) })
-}
-
-// RegisterAlignment routes by alignment ID.
-func (s *Store) RegisterAlignment(a *msa.Alignment) error {
-	k := s.router.ShardOfKey(a.ID)
-	return s.mutate(k, a.ID, func(p *durable.Store) error { return p.RegisterAlignment(a) })
-}
-
-// RegisterTree routes by tree ID.
-func (s *Store) RegisterTree(t *phylo.Tree) error {
-	k := s.router.ShardOfKey(t.ID)
-	return s.mutate(k, t.ID, func(p *durable.Store) error { return p.RegisterTree(t) })
-}
-
-// RegisterInteractionGraph routes by graph ID.
-func (s *Store) RegisterInteractionGraph(g *interact.Graph) error {
-	k := s.router.ShardOfKey(g.ID)
-	return s.mutate(k, g.ID, func(p *durable.Store) error { return p.RegisterInteractionGraph(g) })
-}
-
-// RegisterImage routes by the image's coordinate system, co-locating it
-// with the system and every other image registered into it (which keeps
-// co-registration propagation intra-shard).
-func (s *Store) RegisterImage(im *imaging.Image) error {
-	k := s.router.ShardOfKey(im.System)
-	return s.mutate(k, im.System, func(p *durable.Store) error { return p.RegisterImage(im) })
-}
-
-// CreateRecordTable routes by table name.
-func (s *Store) CreateRecordTable(schema *relstore.Schema) (*relstore.Table, error) {
-	k := s.router.ShardOfKey(schema.Name)
-	var tbl *relstore.Table
-	err := s.mutate(k, schema.Name, func(p *durable.Store) error {
-		var err error
-		tbl, err = p.CreateRecordTable(schema)
+// Apply places one op by route and applies it there: on every shard for a
+// broadcast op, otherwise on the one its key hashes to. It is the entry
+// point for every mutation without a method of its own here —
+// registrations, record tables and rows (persist has a constructor for
+// each). Each pipeline rebuilds what the op registers from the op's dump,
+// so no two shards, and no shard and the caller, share an object.
+func (s *Store) Apply(op persist.Op) error {
+	key, all, err := route(op)
+	switch {
+	case err != nil:
 		return err
-	})
-	return tbl, err
+	case all:
+		return s.broadcast(func(k int) error { return s.pipes[k].Apply(op) })
+	case op.Kind == core.OpDeleteAnnotation:
+		return s.DeleteAnnotation(op.DeleteID) // placed by where the annotation is; no key says
+	}
+	return s.mutate(s.router.ShardOfKey(key), key, func(p *durable.Store) error { return p.Apply(op) })
 }
 
-// InsertRecord routes by table name.
-func (s *Store) InsertRecord(table string, row relstore.Row) error {
-	k := s.router.ShardOfKey(table)
-	return s.mutate(k, table, func(p *durable.Store) error { return p.InsertRecord(table, row) })
+// route is the placement rule: the key an op is placed by, or broadcast.
+// Sequences go by coordinate domain, so all sequences of one domain and
+// every interval mark in it share a shard; coordinate systems by name and
+// images by their system; alignments, trees and interaction graphs by ID;
+// record tables and their rows by table name; annotations by their first
+// mark (Commit routes the live builder the same way, by
+// core.Referent.RouteKey). A hollow op routes by the empty key, and the
+// pipeline it lands on refuses it.
+func route(op persist.Op) (key string, broadcast bool, err error) {
+	switch op.Kind {
+	case core.OpRegisterOntology, core.OpAddRule, core.OpDeleteRule:
+		return "", true, nil
+	case core.OpRegisterSystem:
+		key = val(op.System).Name
+	case core.OpRegisterSequence:
+		if key = val(op.Sequence).Domain; key == "" {
+			key = val(op.Sequence).ID // core adopts the ID as the domain
+		}
+	case core.OpRegisterAlignment:
+		key = val(op.Alignment).ID
+	case core.OpRegisterTree:
+		key = val(op.Tree).ID
+	case core.OpRegisterInteractionGraph:
+		key = val(op.Graph).ID
+	case core.OpRegisterImage:
+		key = val(op.Image).System
+	case core.OpCreateRecordTable:
+		key = val(op.Table).Name
+	case core.OpInsertRecord:
+		key = op.RecTable
+	case core.OpCommitAnnotation:
+		key = routeKeyOfAnnotationDump(val(op.Annotation))
+	case core.OpDeleteAnnotation:
+		// The owner shard is found by probing (DeleteAnnotation).
+	default:
+		return "", false, fmt.Errorf("shard: no route for op kind %d", op.Kind)
+	}
+	return key, false, nil
+}
+
+// val is *p, or the zero value for the nil dump of a hollow op.
+func val[T any](p *T) T {
+	if p == nil {
+		var zero T
+		return zero
+	}
+	return *p
 }
 
 // NewAnnotation starts a store-free builder; Commit picks the shard from

@@ -8,24 +8,21 @@ import (
 	"graphitti/internal/biodata/seq"
 	"graphitti/internal/core"
 	"graphitti/internal/interval"
-	"graphitti/internal/ontology"
+	"graphitti/internal/persist"
 	"graphitti/internal/prop"
 	"graphitti/internal/relstore"
 	"graphitti/internal/rtree"
 )
 
-// Sink is the mutation surface a recovery scenario drives. The durable
-// store satisfies it directly; wrap a *core.Store with AsSink. The point:
-// the crash-recovery harness applies the same deterministic op stream to
-// an in-memory store and to a logged store (possibly killed and replayed
-// partway) and compares the results op-for-op.
+// Sink is the mutation surface a recovery scenario drives: Apply for
+// everything that is registered (persist has a constructor per kind),
+// plus the calls that take or return live objects. The durable store and
+// the shard set satisfy it directly; wrap a *core.Store with AsSink. The
+// point: the crash-recovery harness applies the same deterministic op
+// stream to an in-memory store and to a logged store (possibly killed and
+// replayed partway) and compares the results op-for-op.
 type Sink interface {
-	RegisterOntology(*ontology.Ontology) error
-	RegisterCoordinateSystem(*imaging.CoordinateSystem) error
-	RegisterSequence(*seq.Sequence) error
-	RegisterImage(*imaging.Image) error
-	CreateRecordTable(*relstore.Schema) (*relstore.Table, error)
-	InsertRecord(table string, row relstore.Row) error
+	Apply(persist.Op) error
 	MarkImageRegion(imageID string, local rtree.Rect) (*core.Referent, error)
 	MarkSequenceInterval(seqID string, local interval.Interval) (*core.Referent, error)
 	NewAnnotation() *core.Builder
@@ -34,11 +31,12 @@ type Sink interface {
 	AddRule(prop.Rule) error
 }
 
-// coreSink adapts *core.Store to Sink: rule ops go through the store's
-// propagation engine (attached on first use), everything else is the
-// store's own method.
+// coreSink adapts *core.Store to Sink: an op applies itself, rule ops go
+// through the store's propagation engine (attached on first use),
+// everything else is the store's own method.
 type coreSink struct{ *core.Store }
 
+func (c coreSink) Apply(op persist.Op) error { return op.Apply(c.Store) }
 func (c coreSink) AddRule(r prop.Rule) error { return prop.Attach(c.Store).AddRule(r) }
 
 // AsSink wraps an in-memory store as a scenario Sink.
@@ -95,14 +93,14 @@ func RecoveryScenario(cfg RecoveryConfig) []RecoveryOp {
 
 	// --- setup ---
 	add("register-ontology nif", func(s Sink) error {
-		return s.RegisterOntology(BrainOntology())
+		return s.Apply(persist.OntologyOp(BrainOntology()))
 	})
 	add("register-system atlas", func(s Sink) error {
 		cs, err := imaging.NewCoordinateSystem("atlas", rtree.Rect2D(0, 0, 100_000, 100_000))
 		if err != nil {
 			return err
 		}
-		return s.RegisterCoordinateSystem(cs)
+		return s.Apply(persist.SystemOp(cs))
 	})
 	var imageIDs, qualifying []string
 	for i := 0; i < cfg.Images; i++ {
@@ -120,7 +118,7 @@ func RecoveryScenario(cfg RecoveryConfig) []RecoveryOp {
 				return err
 			}
 			im.Modality = "confocal"
-			return s.RegisterImage(im)
+			return s.Apply(persist.ImageOp(im))
 		})
 	}
 	add("create-record-table findings", func(s Sink) error {
@@ -132,8 +130,7 @@ func RecoveryScenario(cfg RecoveryConfig) []RecoveryOp {
 		if err != nil {
 			return err
 		}
-		_, err = s.CreateRecordTable(schema)
-		return err
+		return s.Apply(persist.TableOp(schema))
 	})
 	// Propagation rules go in before the mixed stream so every commit and
 	// delete below exercises the engine's incremental delta path; the
@@ -222,9 +219,9 @@ func RecoveryScenario(cfg RecoveryConfig) []RecoveryOp {
 			gene := []string{"TP53", "BRCA1", "EGFR", "MYC"}[rng.Intn(4)]
 			score := rng.Float64()
 			add("insert-record "+rid, func(s Sink) error {
-				return s.InsertRecord("findings", relstore.Row{
+				return s.Apply(persist.RecordOp("findings", relstore.Row{
 					relstore.S(rid), relstore.S(gene), relstore.F(score),
-				})
+				}))
 			})
 		case p < 82: // new sequence + interval annotation on it
 			seqCount++
@@ -235,7 +232,7 @@ func RecoveryScenario(cfg RecoveryConfig) []RecoveryOp {
 				if err != nil {
 					return err
 				}
-				return s.RegisterSequence(sq)
+				return s.Apply(persist.SequenceOp(sq))
 			})
 			lo := int64(rng.Intn(60))
 			hi := lo + 10 + int64(rng.Intn(40))

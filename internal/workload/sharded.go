@@ -7,6 +7,7 @@ import (
 	"graphitti/internal/biodata/imaging"
 	"graphitti/internal/biodata/seq"
 	"graphitti/internal/interval"
+	"graphitti/internal/persist"
 	"graphitti/internal/prop"
 	"graphitti/internal/relstore"
 	"graphitti/internal/rtree"
@@ -43,7 +44,7 @@ func ShardedScenario(cfg RecoveryConfig, systems int) []RecoveryOp {
 
 	// --- setup: all broadcast ops live here ---
 	add("register-ontology nif", func(s Sink) error {
-		return s.RegisterOntology(BrainOntology())
+		return s.Apply(persist.OntologyOp(BrainOntology()))
 	})
 	sysIDs := make([]string, systems)
 	for j := range sysIDs {
@@ -54,7 +55,7 @@ func ShardedScenario(cfg RecoveryConfig, systems int) []RecoveryOp {
 			if err != nil {
 				return err
 			}
-			return s.RegisterCoordinateSystem(cs)
+			return s.Apply(persist.SystemOp(cs))
 		})
 	}
 	var imageIDs []string
@@ -71,7 +72,7 @@ func ShardedScenario(cfg RecoveryConfig, systems int) []RecoveryOp {
 				return err
 			}
 			im.Modality = "confocal"
-			return s.RegisterImage(im)
+			return s.Apply(persist.ImageOp(im))
 		})
 	}
 	tables := []string{"findings-a", "findings-b"}
@@ -85,8 +86,7 @@ func ShardedScenario(cfg RecoveryConfig, systems int) []RecoveryOp {
 			if err != nil {
 				return err
 			}
-			_, err = s.CreateRecordTable(schema)
-			return err
+			return s.Apply(persist.TableOp(schema))
 		})
 	}
 	for j, sys := range sysIDs {
@@ -182,9 +182,9 @@ func ShardedScenario(cfg RecoveryConfig, systems int) []RecoveryOp {
 			gene := []string{"TP53", "BRCA1", "EGFR", "MYC"}[rng.Intn(4)]
 			score := rng.Float64()
 			add("insert-record "+rid, func(s Sink) error {
-				return s.InsertRecord(tb, relstore.Row{
+				return s.Apply(persist.RecordOp(tb, relstore.Row{
 					relstore.S(rid), relstore.S(gene), relstore.F(score),
-				})
+				}))
 			})
 		case p < 82: // new sequence (its own domain) + interval annotation
 			seqCount++
@@ -195,7 +195,7 @@ func ShardedScenario(cfg RecoveryConfig, systems int) []RecoveryOp {
 				if err != nil {
 					return err
 				}
-				return s.RegisterSequence(sq)
+				return s.Apply(persist.SequenceOp(sq))
 			})
 			lo := int64(rng.Intn(60))
 			hi := lo + 10 + int64(rng.Intn(40))

@@ -12,6 +12,7 @@ import (
 	"graphitti/internal/core"
 	"graphitti/internal/durable"
 	"graphitti/internal/interval"
+	"graphitti/internal/persist"
 	"graphitti/internal/rtree"
 	"graphitti/internal/shard"
 )
@@ -66,7 +67,7 @@ func BenchmarkW2ShardedCommits(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if err := sh.RegisterSequence(sq); err != nil {
+				if err := sh.Apply(persist.SequenceOp(sq)); err != nil {
 					b.Fatal(err)
 				}
 				for i := 0; i < preload; i++ {
@@ -146,7 +147,7 @@ func BenchmarkW1ShardedDurableCommit(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if err := sh.RegisterCoordinateSystem(cs); err != nil {
+				if err := sh.Apply(persist.SystemOp(cs)); err != nil {
 					b.Fatal(err)
 				}
 				images[w] = sys + "-img"
@@ -154,7 +155,7 @@ func BenchmarkW1ShardedDurableCommit(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if err := sh.RegisterImage(im); err != nil {
+				if err := sh.Apply(persist.ImageOp(im)); err != nil {
 					b.Fatal(err)
 				}
 			}
