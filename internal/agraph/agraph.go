@@ -54,7 +54,7 @@ const (
 	ReferentNode
 	// TermNode references an ontology term.
 	TermNode
-	// ObjectNode references a registered data object (a relational row).
+	// ObjectNode references a registered data object.
 	ObjectNode
 )
 

@@ -60,8 +60,8 @@ func Identity(dims int) Registration {
 }
 
 // Image is a registered image: metadata plus its mapping into a shared
-// coordinate system. Pixel payloads live in the relational store as native
-// blobs; the imaging model only needs geometry.
+// coordinate system. Pixel payloads are not modelled; annotation needs only
+// the geometry.
 type Image struct {
 	// ID is the image accession (e.g. "mouse-brain-0042").
 	ID string

@@ -109,8 +109,7 @@ func newDemoStore(t testing.TB) *Store {
 		relstore.Column{Name: "host", Type: relstore.String},
 		relstore.Column{Name: "year", Type: relstore.Int64},
 	)
-	_, err = s.CreateRecordTable(schema)
-	mustNoErr(t, err)
+	mustNoErr(t, s.CreateRecordTable(schema))
 	mustNoErr(t, s.InsertRecord("isolates", relstore.Row{
 		relstore.S("A/goose/1996"), relstore.S("goose"), relstore.I(1996)}))
 	mustNoErr(t, s.InsertRecord("isolates", relstore.Row{
@@ -154,29 +153,62 @@ func TestRegistrationErrors(t *testing.T) {
 	}
 }
 
+// TestRegistrationFillsRelationalTables: what a registration stores is
+// read back from the view, which holds the only copy — the native data
+// through the typed accessor, every object through ObjectList, the record
+// rows through RecordTable.
 func TestRegistrationFillsRelationalTables(t *testing.T) {
-	s := newDemoStore(t)
-	for table, want := range map[string]int{
-		string(TypeDNA):         2,
-		string(TypeProtein):     1,
-		string(TypeAlignment):   1,
-		string(TypeTree):        1,
-		string(TypeInteraction): 1,
-		string(TypeImage):       2,
-		"isolates":              2,
+	v := newDemoStore(t).View()
+	perType := map[ObjectType]int{}
+	for _, h := range v.ObjectList() {
+		perType[h.Type]++
+	}
+	for typ, want := range map[ObjectType]int{
+		TypeDNA:         2,
+		TypeProtein:     1,
+		TypeAlignment:   1,
+		TypeTree:        1,
+		TypeInteraction: 1,
+		TypeImage:       2,
+		TypeRecord:      1,
 	} {
-		tbl, err := s.Rel().Table(table)
-		mustNoErr(t, err)
-		if tbl.Len() != want {
-			t.Errorf("table %s has %d rows, want %d", table, tbl.Len(), want)
+		if perType[typ] != want {
+			t.Errorf("ObjectList has %d %s, want %d", perType[typ], typ, want)
 		}
 	}
-	// Native data stored in the row.
-	tbl, _ := s.Rel().Table(string(TypeDNA))
-	row, err := tbl.Get(relstore.S("NC_007362"))
+	// Native data through the typed accessor.
+	sq, typ, err := v.Sequence("NC_007362")
 	mustNoErr(t, err)
-	if got := string(row[6].BytesVal()); !strings.HasPrefix(got, "ACGTACGT") {
-		t.Fatalf("native residues = %q...", got[:16])
+	if typ != TypeDNA || !strings.HasPrefix(sq.Residues, "ACGTACGT") || sq.Domain != "segment4" {
+		t.Fatalf("sequence = %s %q... in %s", typ, sq.Residues[:16], sq.Domain)
+	}
+	if _, typ, err := v.Sequence("P03452"); err != nil || typ != TypeProtein {
+		t.Fatalf("protein: %s, %v", typ, err)
+	}
+	if a, err := v.Alignment("HA-aln"); err != nil || a.NumRows() != 2 || a.NumCols() != 10 {
+		t.Fatalf("alignment: %+v, %v", a, err)
+	}
+	if tr, err := v.Tree("H5N1-tree"); err != nil || tr.NumLeaves() != 3 {
+		t.Fatalf("tree: %+v, %v", tr, err)
+	}
+	if g, err := v.InteractionGraph("NS1-net"); err != nil || g.NumMolecules() != 3 || g.NumInteractions() != 2 {
+		t.Fatalf("interaction graph: %+v, %v", g, err)
+	}
+	for id, subject := range map[string]string{"brain-1": "mouse-17", "brain-2": "mouse-18"} {
+		if im, err := v.Image(id); err != nil || im.System != "atlas" || im.Subject != subject {
+			t.Fatalf("image %s: %+v, %v", id, im, err)
+		}
+	}
+	// The record rows, in primary-key order.
+	schema, rows, err := v.RecordTable("isolates")
+	mustNoErr(t, err)
+	if schema.Key != "acc" || len(rows) != 2 ||
+		rows[0][0].Str() != "A/goose/1996" || rows[0][2].Int() != 1996 ||
+		rows[1][0].Str() != "A/hk/1997" || rows[1][1].Str() != "human" {
+		t.Fatalf("isolates = key %s, rows %v", schema.Key, rows)
+	}
+	if _, _, err := v.RecordTable(string(TypeDNA)); !errors.Is(err, ErrNoSuchObject) {
+		t.Fatalf("built-in type as a record table: %v", err)
 	}
 }
 

@@ -9,9 +9,10 @@ import (
 
 // Persistent (copy-on-write) containers backing the store's published read
 // views: the chunked ID table (idtable), the string-keyed hash trie (pmap)
-// behind the keyword index, the mark-dedup index and the derived-fact
-// target index, and the chunked posting list (postings) the keyword index
-// maps to. A View shares structure with its predecessor, and a pinned view
+// behind the keyword index, the mark-dedup index, the derived-fact target
+// index and the record tables (one of tables by name, one of rows per
+// table), and the chunked posting list (postings) the keyword index maps
+// to. A View shares structure with its predecessor, and a pinned view
 // is immutable for as long as a reader holds it. The writer mutates
 // through edit handles (tableEdit, pmapEdit) that copy a piece — an
 // ID-table chunk, a trie node — the first time a session touches it and

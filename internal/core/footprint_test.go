@@ -63,7 +63,7 @@ func TestContentDocFootprint(t *testing.T) {
 
 // TestStoreFootprint: what one annotation costs a store that holds twenty
 // thousand, everything counted — document, record, referent, index
-// entries, a-graph nodes and edges, relational rows. It was 4.04 KiB with
+// entries, a-graph nodes and edges. It was 4.04 KiB with
 // the pointer DOM.
 func TestStoreFootprint(t *testing.T) {
 	if testing.Short() {

@@ -186,20 +186,17 @@ func (s *Store) MarkAlignmentBlock(alnID string, rows []string, cols interval.In
 // MarkRecords marks a set of rows of a user record table by primary key
 // (the demo's "block set markers for relational records").
 func (v *View) MarkRecords(table string, keys ...relstore.Value) (*Referent, error) {
-	if !v.recordTables[table] {
-		return nil, fmt.Errorf("%w: record table %s", ErrNoSuchObject, table)
+	t, ok := v.recordTables.get(table)
+	if !ok {
+		return nil, errNoSuchObject("record table", table)
 	}
 	if len(keys) == 0 {
 		return nil, fmt.Errorf("%w: no record keys", ErrBadMark)
 	}
-	tbl, err := v.rel.Table(table)
-	if err != nil {
-		return nil, err
-	}
 	strKeys := make([]string, 0, len(keys))
 	for _, k := range keys {
-		if _, err := tbl.Get(k); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadMark, err)
+		if _, ok := t.rows.get(k.Key()); !ok {
+			return nil, fmt.Errorf("%w: %w: %s in %s", ErrBadMark, relstore.ErrNoSuchRow, k, table)
 		}
 		strKeys = append(strKeys, k.String())
 	}
@@ -234,7 +231,7 @@ func (v *View) MarkObject(typ ObjectType, objectID string) (*Referent, error) {
 	case TypeImage:
 		_, ok = v.images[objectID]
 	default:
-		ok = v.recordTables[string(typ)]
+		_, ok = v.recordTables.get(string(typ))
 	}
 	if !ok {
 		return nil, fmt.Errorf("%w: %s/%s", ErrNoSuchObject, typ, objectID)

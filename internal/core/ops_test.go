@@ -4,8 +4,18 @@ import (
 	"strings"
 	"testing"
 
+	"graphitti/internal/biodata/imaging"
+	"graphitti/internal/biodata/interact"
+	"graphitti/internal/biodata/msa"
+	"graphitti/internal/biodata/phylo"
+	"graphitti/internal/biodata/seq"
 	"graphitti/internal/core"
+	"graphitti/internal/interval"
+	"graphitti/internal/ontology"
 	"graphitti/internal/persist"
+	"graphitti/internal/prop"
+	"graphitti/internal/relstore"
+	"graphitti/internal/rtree"
 	"graphitti/internal/shard"
 )
 
@@ -68,6 +78,84 @@ func TestOpKindsPinned(t *testing.T) {
 	} {
 		if err == nil {
 			t.Errorf("%s accepted a kind past the last", where)
+		}
+	}
+}
+
+// TestEveryOpKindAdvancesTheEpochByOne applies one valid op of every kind
+// through persist.Op.Apply and requires each to publish exactly one view
+// one epoch on: "the difference between two epochs is the number of
+// mutations between them" holds for every kind, which is what lets a
+// test name the op prefix a pinned view stands for. The rule ops come
+// last, so the registrations run where a co-registration recompute cannot
+// publish on its own.
+func TestEveryOpKindAdvancesTheEpochByOne(t *testing.T) {
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	o := ontology.New("go")
+	_, err := o.AddTerm("GO:1", "protease")
+	must(err)
+	cs, err := imaging.NewCoordinateSystem("atlas", rtree.Rect2D(0, 0, 1000, 1000))
+	must(err)
+	sq, err := seq.New("NC_1", seq.DNA, strings.Repeat("ACGT", 50))
+	must(err)
+	aln, err := msa.New("aln", []string{"a", "b"}, []string{"ACGT-", "AC-TT"})
+	must(err)
+	tree, err := phylo.ParseNewick("tree", "((a:0.1,b:0.1):0.05,c:0.2);")
+	must(err)
+	ig := interact.NewGraph("net")
+	_, err = ig.AddMolecule("NS1", "NS1", interact.ProteinMol)
+	must(err)
+	im, err := imaging.NewImage("brain", "atlas", rtree.Rect2D(0, 0, 500, 500), imaging.Identity(2))
+	must(err)
+	schema := relstore.MustSchema("isolates", "acc", relstore.Column{Name: "acc", Type: relstore.String})
+
+	// The annotation's dump comes off a scratch store holding the sequence
+	// it marks.
+	scratch := core.NewStore()
+	must(persist.SequenceOp(sq).Apply(scratch))
+	m, err := scratch.MarkSequenceInterval("NC_1", interval.Interval{Lo: 10, Hi: 50})
+	must(err)
+	ann, err := scratch.Commit(scratch.NewAnnotation().Creator("a").Date("2008-01-01").Body("protease site").Refer(m))
+	must(err)
+	dump, err := persist.DumpAnnotation(scratch.View(), ann)
+	must(err)
+	rule := persist.DumpRule(prop.Rule{ID: "ov", Edge: prop.EdgeOverlap, Domain: "NC_1"})
+
+	ops := []persist.Op{
+		persist.OntologyOp(o),
+		persist.SystemOp(cs),
+		persist.SequenceOp(sq),
+		persist.AlignmentOp(aln),
+		persist.TreeOp(tree),
+		persist.GraphOp(ig),
+		persist.ImageOp(im),
+		persist.TableOp(schema),
+		persist.RecordOp("isolates", relstore.Row{relstore.S("A/goose/1996")}),
+		{Kind: core.OpCommitAnnotation, Annotation: &dump},
+		{Kind: core.OpDeleteAnnotation, DeleteID: dump.ID},
+		{Kind: core.OpAddRule, Rule: &rule},
+		{Kind: core.OpDeleteRule, RuleID: rule.ID},
+	}
+	s := core.NewStore()
+	applied := map[core.OpKind]bool{}
+	for _, op := range ops {
+		before := s.View().Epoch()
+		if err := op.Apply(s); err != nil {
+			t.Fatalf("%s: %v", op.Kind, err)
+		}
+		if after := s.View().Epoch(); after != before+1 {
+			t.Errorf("%s moved the epoch %d -> %d, want one publish of one op", op.Kind, before, after)
+		}
+		applied[op.Kind] = true
+	}
+	for k := core.OpInvalid + 1; !strings.HasPrefix(k.String(), "op("); k++ {
+		if !applied[k] {
+			t.Errorf("no op of kind %s in the table", k)
 		}
 	}
 }

@@ -5,7 +5,7 @@
 // XML document with Dublin Core and user-defined elements) to one or more
 // annotation referents (marked sub-structures of heterogeneous data
 // objects) and to ontology terms. Committing an annotation updates the
-// type-specific relational tables, the per-domain interval trees and
+// annotation and referent tables, the per-domain interval trees and
 // per-system R-trees, and the a-graph that joins everything together.
 package core
 
@@ -19,9 +19,12 @@ import (
 	"graphitti/internal/subx"
 )
 
-// ObjectType names a registered data type; each has its own relational
-// table, per the paper ("DNA sequences, protein sequences, images etc. all
-// have their metadata stored in separate tables").
+// ObjectType names a registered data type. The paper's "DNA sequences,
+// protein sequences, images etc. all have their metadata stored in
+// separate tables" is the view's per-type registries: one keyed
+// collection per type, holding the objects in their native form, and the
+// copy every reader uses — mark constructors, the query processor, the
+// exporter, every route. There is no second, relational copy of them.
 type ObjectType string
 
 // The data types of the two demonstration studies.

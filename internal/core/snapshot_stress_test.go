@@ -93,7 +93,7 @@ func TestSnapshotIsolationStress(t *testing.T) {
 					t.Errorf("writer %d: commit: %v", w, err)
 					return
 				}
-				dump, err := persist.DumpAnnotation(s, ann)
+				dump, err := persist.DumpAnnotation(s.View(), ann)
 				if err != nil {
 					t.Errorf("writer %d: dump: %v", w, err)
 					return

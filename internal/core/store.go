@@ -13,14 +13,13 @@ import (
 	"graphitti/internal/biodata/seq"
 	"graphitti/internal/interval"
 	"graphitti/internal/ontology"
-	"graphitti/internal/relstore"
 	"graphitti/internal/rtree"
 )
 
-// Store is the Graphitti annotation management system: the relational
-// store of data objects, the per-domain interval trees and per-system
-// R-trees of marked sub-structures, the registered ontologies, the
-// annotation content collection, and the a-graph joining them.
+// Store is the Graphitti annotation management system: the registered
+// data objects and record tables, the per-domain interval trees and
+// per-system R-trees of marked sub-structures, the registered ontologies,
+// the annotation content collection, and the a-graph joining them.
 //
 // The store is split into a serialized writer and an immutable,
 // atomically published read view (see View): mutations take the writer
@@ -33,7 +32,6 @@ import (
 // per-call conveniences that pin a fresh view each time; callers needing
 // several reads against one consistent snapshot should pin View() once.
 type Store struct {
-	rel   *relstore.Store
 	graph *agraph.Graph
 
 	// w serializes mutations. Readers never take it.
@@ -75,78 +73,20 @@ type StoreOptions struct {
 	IDs IDSource
 }
 
-var (
-	seqColumns = []relstore.Column{
-		{Name: "id", Type: relstore.String},
-		{Name: "description", Type: relstore.String},
-		{Name: "domain", Type: relstore.String, NotNull: true},
-		{Name: "offset", Type: relstore.Int64, NotNull: true},
-		{Name: "length", Type: relstore.Int64, NotNull: true},
-		{Name: "gc", Type: relstore.Float64},
-		{Name: "residues", Type: relstore.Bytes},
-	}
-	alignmentSchema = relstore.MustSchema(string(TypeAlignment), "id",
-		relstore.Column{Name: "id", Type: relstore.String},
-		relstore.Column{Name: "num_rows", Type: relstore.Int64, NotNull: true},
-		relstore.Column{Name: "num_cols", Type: relstore.Int64, NotNull: true},
-		relstore.Column{Name: "row_ids", Type: relstore.String},
-		relstore.Column{Name: "fasta", Type: relstore.Bytes},
-	)
-	treeSchema = relstore.MustSchema(string(TypeTree), "id",
-		relstore.Column{Name: "id", Type: relstore.String},
-		relstore.Column{Name: "num_leaves", Type: relstore.Int64, NotNull: true},
-		relstore.Column{Name: "newick", Type: relstore.Bytes},
-	)
-	interactionSchema = relstore.MustSchema(string(TypeInteraction), "id",
-		relstore.Column{Name: "id", Type: relstore.String},
-		relstore.Column{Name: "num_molecules", Type: relstore.Int64, NotNull: true},
-		relstore.Column{Name: "num_interactions", Type: relstore.Int64, NotNull: true},
-	)
-	imageSchema = relstore.MustSchema(string(TypeImage), "id",
-		relstore.Column{Name: "id", Type: relstore.String},
-		relstore.Column{Name: "system", Type: relstore.String, NotNull: true},
-		relstore.Column{Name: "modality", Type: relstore.String},
-		relstore.Column{Name: "subject", Type: relstore.String},
-		relstore.Column{Name: "dims", Type: relstore.Int64, NotNull: true},
-		relstore.Column{Name: "x0", Type: relstore.Float64},
-		relstore.Column{Name: "y0", Type: relstore.Float64},
-		relstore.Column{Name: "z0", Type: relstore.Float64},
-		relstore.Column{Name: "x1", Type: relstore.Float64},
-		relstore.Column{Name: "y1", Type: relstore.Float64},
-		relstore.Column{Name: "z1", Type: relstore.Float64},
-	)
-)
-
-func seqSchemaFor(t ObjectType) *relstore.Schema {
-	return relstore.MustSchema(string(t), "id", seqColumns...)
-}
-
-// NewStore returns an empty Graphitti store with the type-specific tables
-// of the demonstration studies pre-created.
+// NewStore returns an empty Graphitti store.
 func NewStore() *Store { return NewStoreWithOptions(StoreOptions{}) }
 
 // NewStoreWithOptions is NewStore for one shard of a sharded deployment:
 // metrics carry the shard label and IDs come from the shared source.
 func NewStoreWithOptions(opts StoreOptions) *Store {
 	s := &Store{
-		rel:    relstore.NewStore(),
 		graph:  agraph.New(),
 		itrees: make(map[string]*interval.Tree[string]),
 		rtrees: make(map[string]*rtree.Tree[string]),
 		m:      metricsForShard(opts.Shard),
 		ids:    opts.IDs,
 	}
-	for _, t := range []ObjectType{TypeDNA, TypeRNA, TypeProtein} {
-		if _, err := s.rel.CreateTable(seqSchemaFor(t)); err != nil {
-			panic(err) // static schemas; cannot fail
-		}
-	}
-	for _, schema := range []*relstore.Schema{alignmentSchema, treeSchema, interactionSchema, imageSchema} {
-		if _, err := s.rel.CreateTable(schema); err != nil {
-			panic(err)
-		}
-	}
-	s.v.Store(emptyView(s.rel, s.graph, s.m))
+	s.v.Store(emptyView(s.graph, s.m))
 	return s
 }
 
@@ -168,10 +108,6 @@ func (s *Store) publishOps(nv *View, ops uint64) {
 	s.m.annotations.Set(int64(nv.annotations.len()))
 	s.m.derivedFacts.Set(int64(nv.derivedCount))
 }
-
-// Rel exposes the underlying relational store (read-mostly; used by the
-// admin workflow and the record-table API).
-func (s *Store) Rel() *relstore.Store { return s.rel }
 
 // Graph exposes the a-graph for path/connect queries.
 func (s *Store) Graph() *agraph.Graph { return s.graph }
@@ -250,22 +186,6 @@ func (s *Store) RegisterSequence(sq *seq.Sequence) error {
 		sq.Domain = sq.ID
 	}
 	typ := seqObjectType(sq.Kind)
-	tbl, err := s.rel.Table(string(typ))
-	if err != nil {
-		return err
-	}
-	gc := 0.0
-	if sq.Kind != seq.Protein {
-		gc, _ = sq.GC()
-	}
-	row := relstore.Row{
-		relstore.S(sq.ID), relstore.S(sq.Description), relstore.S(sq.Domain),
-		relstore.I(sq.Offset), relstore.I(sq.Len()), relstore.F(gc),
-		relstore.Blob([]byte(sq.Residues)),
-	}
-	if err := tbl.Insert(row); err != nil {
-		return err
-	}
 	s.graph.AddNode(agraph.Object(string(typ), sq.ID))
 	nv := v.clone()
 	nv.seqs = mapWith(v.seqs, sq.ID, sq)
@@ -289,32 +209,6 @@ func (s *Store) RegisterAlignment(a *msa.Alignment) error {
 	if _, dup := v.alignments[a.ID]; dup {
 		return fmt.Errorf("%w: alignment %s", ErrDuplicate, a.ID)
 	}
-	tbl, err := s.rel.Table(string(TypeAlignment))
-	if err != nil {
-		return err
-	}
-	joined := ""
-	for i, id := range a.RowIDs {
-		if i > 0 {
-			joined += ","
-		}
-		joined += id
-	}
-	var fasta []byte
-	for i, id := range a.RowIDs {
-		fasta = append(fasta, '>')
-		fasta = append(fasta, id...)
-		fasta = append(fasta, '\n')
-		fasta = append(fasta, a.Rows[i]...)
-		fasta = append(fasta, '\n')
-	}
-	row := relstore.Row{
-		relstore.S(a.ID), relstore.I(int64(a.NumRows())), relstore.I(int64(a.NumCols())),
-		relstore.S(joined), relstore.Blob(fasta),
-	}
-	if err := tbl.Insert(row); err != nil {
-		return err
-	}
 	s.graph.AddNode(agraph.Object(string(TypeAlignment), a.ID))
 	nv := v.clone()
 	nv.alignments = mapWith(v.alignments, a.ID, a)
@@ -337,16 +231,6 @@ func (s *Store) RegisterTree(t *phylo.Tree) error {
 	if _, dup := v.trees[t.ID]; dup {
 		return fmt.Errorf("%w: tree %s", ErrDuplicate, t.ID)
 	}
-	tbl, err := s.rel.Table(string(TypeTree))
-	if err != nil {
-		return err
-	}
-	row := relstore.Row{
-		relstore.S(t.ID), relstore.I(int64(t.NumLeaves())), relstore.Blob([]byte(t.Newick())),
-	}
-	if err := tbl.Insert(row); err != nil {
-		return err
-	}
 	s.graph.AddNode(agraph.Object(string(TypeTree), t.ID))
 	nv := v.clone()
 	nv.trees = mapWith(v.trees, t.ID, t)
@@ -368,16 +252,6 @@ func (s *Store) RegisterInteractionGraph(g *interact.Graph) error {
 	v := s.v.Load()
 	if _, dup := v.igraphs[g.ID]; dup {
 		return fmt.Errorf("%w: interaction graph %s", ErrDuplicate, g.ID)
-	}
-	tbl, err := s.rel.Table(string(TypeInteraction))
-	if err != nil {
-		return err
-	}
-	row := relstore.Row{
-		relstore.S(g.ID), relstore.I(int64(g.NumMolecules())), relstore.I(int64(g.NumInteractions())),
-	}
-	if err := tbl.Insert(row); err != nil {
-		return err
 	}
 	s.graph.AddNode(agraph.Object(string(TypeInteraction), g.ID))
 	nv := v.clone()
@@ -404,20 +278,6 @@ func (s *Store) RegisterImage(im *imaging.Image) error {
 	}
 	if _, ok := v.systems[im.System]; !ok {
 		return fmt.Errorf("%w: %s (register it before image %s)", ErrNoSuchSystem, im.System, im.ID)
-	}
-	tbl, err := s.rel.Table(string(TypeImage))
-	if err != nil {
-		return err
-	}
-	fp := im.Footprint()
-	row := relstore.Row{
-		relstore.S(im.ID), relstore.S(im.System), relstore.S(im.Modality),
-		relstore.S(im.Subject), relstore.I(int64(im.Local.Dims)),
-		relstore.F(fp.Min[0]), relstore.F(fp.Min[1]), relstore.F(fp.Min[2]),
-		relstore.F(fp.Max[0]), relstore.F(fp.Max[1]), relstore.F(fp.Max[2]),
-	}
-	if err := tbl.Insert(row); err != nil {
-		return err
 	}
 	s.graph.AddNode(agraph.Object(string(TypeImage), im.ID))
 	nv := v.clone()
@@ -459,42 +319,6 @@ func (s *Store) InteractionGraphIDs() []string { return s.View().InteractionGrap
 // CoordinateSystems returns the names of all registered coordinate
 // systems, sorted.
 func (s *Store) CoordinateSystems() []string { return s.View().CoordinateSystems() }
-
-// RecordTables returns the names of all user record tables, sorted.
-func (s *Store) RecordTables() []string { return s.View().RecordTables() }
-
-// CreateRecordTable creates a user-defined relational table whose rows can
-// be annotated as record-set referents (the demo's "relational records").
-func (s *Store) CreateRecordTable(schema *relstore.Schema) (*relstore.Table, error) {
-	s.w.Lock()
-	defer s.w.Unlock()
-	tbl, err := s.rel.CreateTable(schema)
-	if err != nil {
-		return nil, err
-	}
-	v := s.v.Load()
-	nv := v.clone()
-	nv.recordTables = mapWith(v.recordTables, schema.Name, true)
-	nv.recTableNames = insertSortedStr(v.recTableNames, schema.Name)
-	nv.objects = insertSortedObject(v.objects, ObjectHandle{TypeRecord, schema.Name})
-	s.publish(nv)
-	return tbl, nil
-}
-
-// InsertRecord inserts a row into a user record table and registers the
-// row as an annotatable object. The relational store carries its own
-// synchronization; no view changes.
-func (s *Store) InsertRecord(table string, row relstore.Row) error {
-	v := s.View()
-	if !v.recordTables[table] {
-		return fmt.Errorf("%w: record table %s", ErrNoSuchObject, table)
-	}
-	tbl, err := s.rel.Table(table)
-	if err != nil {
-		return err
-	}
-	return tbl.Insert(row)
-}
 
 // Stats summarises the store for the admin workflow.
 type Stats struct {

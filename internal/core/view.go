@@ -24,16 +24,21 @@
 //   - Annotation atomicity: an annotation is visible in a view with all
 //     of its referents, its complete keyword postings and its content
 //     document, or not at all — never half-applied.
-//   - The a-graph and relational store are shared handles with their own
-//     fine-grained synchronization (the a-graph iterates over
-//     copy-on-write adjacency snapshots). Graph joins filter through the
-//     pinned view's tables, so they never surface an annotation the view
-//     does not contain. The converse is not guaranteed: a deletion
-//     committed after a view was pinned removes join edges from the
-//     shared graph immediately, so the pinned view's graph joins can
-//     miss annotations its tables still hold. Isolation is exact for
-//     table, spatial-index and keyword-index reads; graph-backed reads
-//     are bounded between the pinned snapshot and the latest state.
+//   - Registered data is in the view and nowhere else: every object
+//     registry and every record table (schema and rows) is a value the
+//     view holds, so a mark constructor, an export or a listing run
+//     against a pinned view sees exactly the registrations and record
+//     inserts published up to its epoch.
+//   - The a-graph is the only shared handle: one live graph with its own
+//     fine-grained synchronization (it iterates over copy-on-write
+//     adjacency snapshots), reached from every view. Graph joins filter
+//     through the pinned view's tables, so they never surface an
+//     annotation the view does not contain. The converse is not
+//     guaranteed: a deletion committed after a view was pinned removes
+//     join edges from the shared graph immediately, so the pinned view's
+//     graph joins can miss annotations its tables still hold. Isolation
+//     is exact for every other read; graph-backed reads are bounded
+//     between the pinned snapshot and the latest state.
 package core
 
 import (
@@ -48,7 +53,6 @@ import (
 	"graphitti/internal/biodata/seq"
 	"graphitti/internal/interval"
 	"graphitti/internal/ontology"
-	"graphitti/internal/relstore"
 	"graphitti/internal/rtree"
 )
 
@@ -56,7 +60,6 @@ import (
 // serialized writer. All methods are safe for concurrent use by any
 // number of readers and never block on (or observe) concurrent writers.
 type View struct {
-	rel   *relstore.Store
 	graph *agraph.Graph
 
 	ontologies map[string]*ontology.Ontology
@@ -82,8 +85,8 @@ type View struct {
 	images     map[string]*imaging.Image
 	imageIDs   []string // sorted
 
-	recordTables  map[string]bool
-	recTableNames []string // sorted
+	recordTables  pmap[recordTable] // by table name
+	recTableNames []string          // sorted
 
 	// objects is the (type, id)-sorted list of every registered data
 	// object, maintained at registration time so ObjectList never sorts.
@@ -132,22 +135,20 @@ type View struct {
 func (v *View) Epoch() uint64 { return v.epoch }
 
 // emptyView returns the view of a fresh store.
-func emptyView(rel *relstore.Store, graph *agraph.Graph, m *storeMetrics) *View {
+func emptyView(graph *agraph.Graph, m *storeMetrics) *View {
 	return &View{
-		rel:          rel,
-		graph:        graph,
-		m:            m,
-		ontologies:   map[string]*ontology.Ontology{},
-		systems:      map[string]*imaging.CoordinateSystem{},
-		itrees:       map[string]interval.Snapshot[string]{},
-		rtrees:       map[string]rtree.Snapshot[string]{},
-		seqs:         map[string]*seq.Sequence{},
-		seqType:      map[string]ObjectType{},
-		alignments:   map[string]*msa.Alignment{},
-		trees:        map[string]*phylo.Tree{},
-		igraphs:      map[string]*interact.Graph{},
-		images:       map[string]*imaging.Image{},
-		recordTables: map[string]bool{},
+		graph:      graph,
+		m:          m,
+		ontologies: map[string]*ontology.Ontology{},
+		systems:    map[string]*imaging.CoordinateSystem{},
+		itrees:     map[string]interval.Snapshot[string]{},
+		rtrees:     map[string]rtree.Snapshot[string]{},
+		seqs:       map[string]*seq.Sequence{},
+		seqType:    map[string]ObjectType{},
+		alignments: map[string]*msa.Alignment{},
+		trees:      map[string]*phylo.Tree{},
+		igraphs:    map[string]*interact.Graph{},
+		images:     map[string]*imaging.Image{},
 	}
 }
 
@@ -157,9 +158,6 @@ func (v *View) clone() *View {
 	nv := *v
 	return &nv
 }
-
-// Rel exposes the underlying relational store handle.
-func (v *View) Rel() *relstore.Store { return v.rel }
 
 // Graph exposes the a-graph handle for path/connect queries.
 func (v *View) Graph() *agraph.Graph { return v.graph }

@@ -673,7 +673,7 @@ func (s *Store) Commit(b *core.Builder) (*core.Annotation, error) {
 		if s.dir == "" {
 			return nil // nothing to log the dump into
 		}
-		d, err := persist.DumpAnnotation(c, ann)
+		d, err := persist.DumpAnnotation(c.View(), ann)
 		if err != nil {
 			return err
 		}

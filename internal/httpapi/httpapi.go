@@ -722,13 +722,18 @@ func (s *server) objects(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-func (s *server) snapshot(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
+// snapshot streams the deployment's export: one pinned view per shard
+// (persist.Export), so the body is a point-in-time image per shard that
+// /api/restore accepts whatever was being written meanwhile. A failed
+// export has written nothing and answers like any failed request.
+func (s *server) snapshot(w http.ResponseWriter, r *http.Request) {
 	snap, err := s.sh.Export()
-	if err == nil {
-		err = persist.WriteSnapshot(snap, w)
-	}
 	if err != nil {
+		writeErr(w, r, err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	if err := persist.WriteSnapshot(snap, w); err != nil {
 		// Headers are gone; best effort.
 		fmt.Fprintf(w, `{"error":%q}`, err.Error())
 	}

@@ -3,6 +3,7 @@ package httpapi
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -135,6 +136,68 @@ func testSnapshotRestoreRoundTrip(t *testing.T, d deployment) {
 	if _, after := fetch(t, "GET", dst.URL+"/api/stats", nil); !bytes.Equal(after, gotStats) {
 		t.Fatalf("refused restore changed the store:\n got %s\nwant %s", after, gotStats)
 	}
+}
+
+// TestSnapshotUnderDeletes: one goroutine deletes every annotation while
+// the test GETs /api/snapshot in a loop. Every answer is a 200 whose body
+// decodes and loads — an export is one pinned view per shard, so a
+// deletion beside it cannot leave it naming an annotation or a referent
+// that is gone.
+func TestSnapshotUnderDeletes(t *testing.T) {
+	deployments(t, func(t *testing.T, d deployment) {
+		anns := 1500
+		if testing.Short() {
+			anns = 400
+		}
+		seed := influenzaStore(t, anns)
+		ids := seed.AnnotationIDs()
+		ts := d.start(t, seed, Options{})
+
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for _, id := range ids {
+				req, err := http.NewRequest(http.MethodDelete, fmt.Sprintf("%s/api/annotations/%d", ts.URL, id), nil)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusNoContent {
+					t.Errorf("delete %d: status %d", id, resp.StatusCode)
+					return
+				}
+			}
+		}()
+		defer func() { <-done }()
+
+		for deleting := true; deleting; {
+			select {
+			case <-done:
+				deleting = false // one more export, of the emptied store
+			default:
+			}
+			code, body := fetch(t, "GET", ts.URL+"/api/snapshot", nil)
+			if code != 200 {
+				t.Fatalf("snapshot: %d (%s)", code, body)
+			}
+			snap, err := persist.Decode(bytes.NewReader(body))
+			if err != nil {
+				t.Fatalf("snapshot body does not decode: %v (%.200s)", err, body)
+			}
+			if snap.Version != persist.Version {
+				t.Fatalf("snapshot body is not a snapshot: %.200s", body)
+			}
+			if _, err := persist.Load(snap); err != nil {
+				t.Fatalf("snapshot body does not load: %v", err)
+			}
+		}
+	})
 }
 
 // TestDurableHandler exercises the API over one existing durable.Store

@@ -7,3 +7,6 @@ var (
 	LoadWithCommit = loadWith
 	CommitBatch    = commitBatch
 )
+
+// ExportView is the exporter itself, over a view the test pinned.
+var ExportView = exportView

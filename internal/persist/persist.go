@@ -230,87 +230,96 @@ type ReferentDump struct {
 	Keys       []string      `json:"keys,omitempty"`
 }
 
-// Export captures the store as a snapshot. It takes no store-wide lock;
-// concurrent mutations may land between sections, so a live export is a
-// consistent-enough backup, not a point-in-time one.
+// Export captures the store as a snapshot of one pinned view: every
+// section, every referent an annotation dump resolves and the ID counters
+// are read from the same core.View, so the export is a point-in-time image
+// of the store at that view's epoch whatever the writer does meanwhile —
+// nothing it names can be missing. Over a shard set (shard.Export) that
+// is one view per shard, pinned in turn: every annotation, referent and
+// record table is homed on one shard, so nothing exported can dangle. The
+// rule list is read off the propagator and is the one section not in the
+// view; derived facts are never exported, so a rule that lands beside the
+// pin changes only what a load re-derives.
 func Export(s *core.Store) (*Snapshot, error) {
+	return exportView(s.View(), prop.RulesOf(s))
+}
+
+// exportView is Export of a view already pinned, with the rule list read
+// beside it.
+func exportView(v *core.View, rules []prop.Rule) (*Snapshot, error) {
 	snap := &Snapshot{Version: Version}
 
-	for _, name := range s.Ontologies() {
-		o, err := s.Ontology(name)
+	for _, name := range v.Ontologies() {
+		o, err := v.Ontology(name)
 		if err != nil {
 			return nil, err
 		}
 		snap.Ontologies = append(snap.Ontologies, DumpOntology(o))
 	}
-	for _, name := range s.CoordinateSystems() {
-		cs, err := s.CoordinateSystem(name)
+	for _, name := range v.CoordinateSystems() {
+		cs, err := v.CoordinateSystem(name)
 		if err != nil {
 			return nil, err
 		}
 		snap.Systems = append(snap.Systems, DumpSystem(cs))
 	}
-	for _, id := range s.SequenceIDs() {
-		sq, _, err := s.Sequence(id)
+	for _, id := range v.SequenceIDs() {
+		sq, _, err := v.Sequence(id)
 		if err != nil {
 			return nil, err
 		}
 		snap.Sequences = append(snap.Sequences, DumpSequence(sq))
 	}
-	for _, id := range s.AlignmentIDs() {
-		a, err := s.Alignment(id)
+	for _, id := range v.AlignmentIDs() {
+		a, err := v.Alignment(id)
 		if err != nil {
 			return nil, err
 		}
 		snap.Alignments = append(snap.Alignments, DumpAlignment(a))
 	}
-	for _, id := range s.TreeIDs() {
-		t, err := s.Tree(id)
+	for _, id := range v.TreeIDs() {
+		t, err := v.Tree(id)
 		if err != nil {
 			return nil, err
 		}
 		snap.Trees = append(snap.Trees, DumpTree(t))
 	}
-	for _, id := range s.InteractionGraphIDs() {
-		g, err := s.InteractionGraph(id)
+	for _, id := range v.InteractionGraphIDs() {
+		g, err := v.InteractionGraph(id)
 		if err != nil {
 			return nil, err
 		}
 		snap.Graphs = append(snap.Graphs, DumpGraph(g))
 	}
-	for _, id := range s.Images() {
-		im, err := s.Image(id)
+	for _, id := range v.Images() {
+		im, err := v.Image(id)
 		if err != nil {
 			return nil, err
 		}
 		snap.Images = append(snap.Images, DumpImage(im))
 	}
-	for _, name := range s.RecordTables() {
-		td, err := dumpTable(s, name)
+	for _, name := range v.RecordTables() {
+		schema, rows, err := v.RecordTable(name)
 		if err != nil {
 			return nil, err
+		}
+		td := DumpSchema(schema)
+		for _, r := range rows {
+			td.Rows = append(td.Rows, DumpRow(r))
 		}
 		snap.RecordTables = append(snap.RecordTables, td)
 	}
-	for _, annID := range s.AnnotationIDs() {
-		ann, err := s.Annotation(annID)
-		if err != nil {
-			return nil, err
-		}
-		ad, err := DumpAnnotation(s, ann)
+	for _, ann := range v.Annotations() {
+		ad, err := DumpAnnotation(v, ann)
 		if err != nil {
 			return nil, err
 		}
 		snap.Annotations = append(snap.Annotations, ad)
 	}
-	for _, r := range prop.RulesOf(s) {
+	for _, r := range rules {
 		snap.Rules = append(snap.Rules, DumpRule(r))
 	}
-	// Counters are captured last: running AHEAD of the dumped annotations
-	// (a commit landed mid-export) only wastes IDs on load, while counters
-	// BEHIND a dumped annotation would make the snapshot unloadable
-	// (RestoreIDCounters refuses to move counters backwards).
-	snap.NextAnn, snap.NextRef = s.IDCounters()
+	snap.NextAnn, snap.NextRef = v.IDCounters()
 	return snap, nil
 }
 
@@ -427,34 +436,6 @@ func DumpRow(r relstore.Row) []ValueDump {
 	return vr
 }
 
-func dumpTable(s *core.Store, name string) (TableDump, error) {
-	tbl, err := s.Rel().Table(name)
-	if err != nil {
-		return TableDump{}, err
-	}
-	schema := tbl.Schema()
-	td := DumpSchema(schema)
-	var rows []relstore.Row
-	tbl.Scan(func(r relstore.Row) bool {
-		rows = append(rows, r.Clone())
-		return true
-	})
-	ki, err := schema.ColumnIndex(schema.Key)
-	if err != nil {
-		return TableDump{}, err
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if c, ok := rows[i][ki].Compare(rows[j][ki]); ok {
-			return c < 0
-		}
-		return false
-	})
-	for _, r := range rows {
-		td.Rows = append(td.Rows, DumpRow(r))
-	}
-	return td, nil
-}
-
 func dumpValue(v relstore.Value) ValueDump {
 	if v.IsNull() {
 		return ValueDump{T: "null"}
@@ -493,9 +474,9 @@ func RestoreValue(d ValueDump) (relstore.Value, error) {
 	}
 }
 
-// DumpAnnotation serialises an annotation, including its ID and the IDs of
-// its referents (format v2).
-func DumpAnnotation(s *core.Store, ann *core.Annotation) (AnnotationDump, error) {
+// DumpAnnotation serialises an annotation of view v, including its ID and
+// the IDs of its referents (format v2), which it resolves in v.
+func DumpAnnotation(v *core.View, ann *core.Annotation) (AnnotationDump, error) {
 	d := AnnotationDump{ID: ann.ID, DC: map[string][]string{}}
 	for _, e := range ann.DC.Elements() {
 		d.DC[string(e)] = ann.DC.Get(e)
@@ -510,7 +491,7 @@ func DumpAnnotation(s *core.Store, ann *core.Annotation) (AnnotationDump, error)
 		}
 	}
 	for _, refID := range ann.ReferentIDs {
-		ref, err := s.Referent(refID)
+		ref, err := v.Referent(refID)
 		if err != nil {
 			return d, err
 		}
@@ -661,7 +642,7 @@ func ApplyTable(s *core.Store, td TableDump) error {
 	if err != nil {
 		return fmt.Errorf("persist: table %s: %w", td.Name, err)
 	}
-	if _, err := s.CreateRecordTable(schema); err != nil {
+	if err := s.CreateRecordTable(schema); err != nil {
 		return err
 	}
 	for _, rd := range td.Rows {

@@ -2,11 +2,8 @@ package relstore
 
 import (
 	"errors"
-	"fmt"
-	"math/rand"
-	"sync"
+	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func seqSchema(t *testing.T) *Schema {
@@ -54,11 +51,56 @@ func TestValueBasics(t *testing.T) {
 	if !B(true).BoolVal() {
 		t.Fatal("bool payload wrong")
 	}
-	if I(3).hashKey() != F(3.0).hashKey() {
+	if I(3).Key() != F(3.0).Key() {
 		t.Fatal("hash keys of equal numerics must agree")
 	}
-	if S("3").hashKey() == I(3).hashKey() {
+	if S("3").Key() == I(3).Key() {
 		t.Fatal("hash keys must be type-tagged")
+	}
+}
+
+func TestValueStrings(t *testing.T) {
+	cases := map[string]Value{
+		"NULL":           Null,
+		"42":             I(42),
+		"2.5":            F(2.5),
+		`"x"`:            S("x"),
+		"true":           B(true),
+		"blob (3 bytes)": Blob([]byte("abc")),
+	}
+	for want, v := range cases {
+		got := v.String()
+		if want == "blob (3 bytes)" {
+			if !strings.Contains(got, "3 bytes") {
+				t.Errorf("Blob String = %q", got)
+			}
+			continue
+		}
+		if got != want {
+			t.Errorf("String() = %q, want %q", got, want)
+		}
+	}
+	if BytesVal := Blob([]byte("xy")).BytesVal(); string(BytesVal) != "xy" {
+		t.Error("BytesVal wrong")
+	}
+	// Key covers every type and distinguishes NULL.
+	keys := map[string]bool{}
+	for _, v := range []Value{Null, I(1), F(1.5), S("s"), B(true), B(false), Blob([]byte("b"))} {
+		k := v.Key()
+		if keys[k] {
+			t.Errorf("hash collision for %v", v)
+		}
+		keys[k] = true
+	}
+	// Bool and bytes compare.
+	if c, ok := B(false).Compare(B(true)); !ok || c >= 0 {
+		t.Error("bool compare wrong")
+	}
+	if c, ok := Blob([]byte("a")).Compare(Blob([]byte("b"))); !ok || c >= 0 {
+		t.Error("bytes compare wrong")
+	}
+	if _, ok := Null.Compare(I(1)); ok {
+		t.Error("NULL must be incomparable")
 	}
 }
 
@@ -78,532 +120,50 @@ func TestSchemaValidation(t *testing.T) {
 	}
 }
 
-func TestInsertGetUpdateDelete(t *testing.T) {
-	tbl := NewTable(seqSchema(t))
-	if err := tbl.Insert(seqRow("NC_1", "influenza", 2341, 0.41)); err != nil {
-		t.Fatal(err)
+func TestSchemaHasColumnAndAccessors(t *testing.T) {
+	s := seqSchema(t)
+	if !s.HasColumn("organism") || s.HasColumn("ghost") {
+		t.Error("HasColumn wrong")
 	}
-	if err := tbl.Insert(seqRow("NC_1", "x", 1, 0)); !errors.Is(err, ErrDuplicateKey) {
-		t.Fatalf("duplicate key: err = %v", err)
-	}
-	row, err := tbl.Get(S("NC_1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if row[1].Str() != "influenza" || row[2].Int() != 2341 {
-		t.Fatalf("Get returned %v", row)
-	}
-	// Update
-	row[2] = I(9999)
-	if err := tbl.Update(row); err != nil {
-		t.Fatal(err)
-	}
-	row2, _ := tbl.Get(S("NC_1"))
-	if row2[2].Int() != 9999 {
-		t.Fatalf("update not applied: %v", row2)
-	}
-	if err := tbl.Update(seqRow("ghost", "x", 1, 0)); !errors.Is(err, ErrNoSuchRow) {
-		t.Fatalf("update missing: err = %v", err)
-	}
-	if !tbl.Delete(S("NC_1")) {
-		t.Fatal("delete missed")
-	}
-	if tbl.Delete(S("NC_1")) {
-		t.Fatal("double delete hit")
-	}
-	if _, err := tbl.Get(S("NC_1")); !errors.Is(err, ErrNoSuchRow) {
-		t.Fatalf("get after delete: err = %v", err)
+	if s.KeyIndex() != 0 || s.Columns[s.KeyIndex()].Name != s.Key {
+		t.Error("KeyIndex wrong")
 	}
 }
 
 func TestRowValidation(t *testing.T) {
-	tbl := NewTable(seqSchema(t))
+	schema := seqSchema(t)
 	// Wrong arity.
-	if err := tbl.Insert(Row{S("x")}); !errors.Is(err, ErrBadSchema) {
+	if err := schema.CheckRow(Row{S("x")}); !errors.Is(err, ErrBadSchema) {
 		t.Fatalf("arity: err = %v", err)
 	}
 	// Type mismatch.
 	bad := seqRow("a", "org", 1, 0)
 	bad[2] = S("not-an-int")
-	if err := tbl.Insert(bad); !errors.Is(err, ErrTypeMismatch) {
+	if err := schema.CheckRow(bad); !errors.Is(err, ErrTypeMismatch) {
 		t.Fatalf("type mismatch: err = %v", err)
 	}
 	// NULL in NOT NULL column.
 	bad2 := seqRow("b", "org", 1, 0)
 	bad2[1] = Null
-	if err := tbl.Insert(bad2); !errors.Is(err, ErrNotNull) {
+	if err := schema.CheckRow(bad2); !errors.Is(err, ErrNotNull) {
 		t.Fatalf("not null: err = %v", err)
 	}
 	// NULL primary key.
 	bad3 := seqRow("c", "org", 1, 0)
 	bad3[0] = Null
-	if err := tbl.Insert(bad3); !errors.Is(err, ErrNotNull) {
+	if err := schema.CheckRow(bad3); !errors.Is(err, ErrNotNull) {
 		t.Fatalf("null pk: err = %v", err)
 	}
 	// Int into float column is fine.
 	ok := seqRow("d", "org", 1, 0)
 	ok[3] = I(1)
-	if err := tbl.Insert(ok); err != nil {
+	if err := schema.CheckRow(ok); err != nil {
 		t.Fatalf("int into float rejected: %v", err)
 	}
 	// NULL in nullable column is fine.
 	ok2 := seqRow("e", "org", 1, 0)
 	ok2[5] = Null
-	if err := tbl.Insert(ok2); err != nil {
+	if err := schema.CheckRow(ok2); err != nil {
 		t.Fatalf("null in nullable rejected: %v", err)
-	}
-}
-
-func fillOrganisms(t *testing.T, tbl *Table, n int) {
-	t.Helper()
-	orgs := []string{"influenza", "mouse", "human", "yeast"}
-	for i := 0; i < n; i++ {
-		r := seqRow(fmt.Sprintf("NC_%04d", i), orgs[i%len(orgs)], int64(100+i), float64(i%50)/100)
-		if err := tbl.Insert(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-func TestSelectScanAndResidual(t *testing.T) {
-	tbl := NewTable(seqSchema(t))
-	fillOrganisms(t, tbl, 100)
-	rows, plan, err := tbl.SelectPlan(Eq1("organism", S("mouse")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Access != AccessScan {
-		t.Fatalf("expected full scan, got %v", plan)
-	}
-	if len(rows) != 25 {
-		t.Fatalf("returned %d rows, want 25", len(rows))
-	}
-	for _, r := range rows {
-		if r[1].Str() != "mouse" {
-			t.Fatalf("wrong row %v", r)
-		}
-	}
-	// Results ordered by primary key.
-	for i := 1; i < len(rows); i++ {
-		if rows[i-1][0].Str() >= rows[i][0].Str() {
-			t.Fatal("results not ordered by key")
-		}
-	}
-}
-
-func TestSelectPrimaryKey(t *testing.T) {
-	tbl := NewTable(seqSchema(t))
-	fillOrganisms(t, tbl, 100)
-	rows, plan, err := tbl.SelectPlan(Eq1("id", S("NC_0042")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Access != AccessPrimaryKey || plan.Examined != 1 || len(rows) != 1 {
-		t.Fatalf("plan = %v, rows = %d", plan, len(rows))
-	}
-	// Missing key: no rows, still a point lookup.
-	rows, plan, _ = tbl.SelectPlan(Eq1("id", S("nope")))
-	if plan.Access != AccessPrimaryKey || len(rows) != 0 {
-		t.Fatalf("plan = %v, rows = %d", plan, len(rows))
-	}
-}
-
-func TestSelectHashIndex(t *testing.T) {
-	tbl := NewTable(seqSchema(t))
-	fillOrganisms(t, tbl, 200)
-	if err := tbl.CreateIndex("organism", HashIndex); err != nil {
-		t.Fatal(err)
-	}
-	rows, plan, err := tbl.SelectPlan(Eq1("organism", S("yeast")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Access != AccessHashIndex || plan.Column != "organism" {
-		t.Fatalf("plan = %v", plan)
-	}
-	if len(rows) != 50 || plan.Examined != 50 {
-		t.Fatalf("rows = %d, examined = %d", len(rows), plan.Examined)
-	}
-	// Residual conjunct narrows further but the probe still drives access.
-	rows, plan, err = tbl.SelectPlan(AndOf(
-		Eq1("organism", S("yeast")),
-		&Cmp{Column: "length", Op: Lt, Val: I(150)},
-	))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Access != AccessHashIndex || len(rows) >= 50 {
-		t.Fatalf("plan = %v, rows = %d", plan, len(rows))
-	}
-}
-
-func TestSelectOrderedIndex(t *testing.T) {
-	tbl := NewTable(seqSchema(t))
-	fillOrganisms(t, tbl, 500)
-	if err := tbl.CreateIndex("length", OrderedIndex); err != nil {
-		t.Fatal(err)
-	}
-	p := AndOf(
-		&Cmp{Column: "length", Op: Ge, Val: I(150)},
-		&Cmp{Column: "length", Op: Lt, Val: I(160)},
-	)
-	rows, plan, err := tbl.SelectPlan(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Access != AccessOrderedIndex || plan.Column != "length" {
-		t.Fatalf("plan = %v", plan)
-	}
-	if len(rows) != 10 {
-		t.Fatalf("rows = %d, want 10", len(rows))
-	}
-	if plan.Examined > 12 {
-		t.Fatalf("range walk examined %d rows; bound not applied", plan.Examined)
-	}
-	// Equality via ordered index also works.
-	rows, plan, err = tbl.SelectPlan(Eq1("length", I(123)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Access != AccessOrderedIndex || len(rows) != 1 {
-		t.Fatalf("plan = %v, rows = %d", plan, len(rows))
-	}
-}
-
-func TestIndexMaintenanceOnUpdateDelete(t *testing.T) {
-	tbl := NewTable(seqSchema(t))
-	_ = tbl.CreateIndex("organism", HashIndex)
-	_ = tbl.CreateIndex("length", OrderedIndex)
-	fillOrganisms(t, tbl, 50)
-
-	// Update moves a row between index buckets.
-	row, _ := tbl.Get(S("NC_0001"))
-	row[1] = S("zebrafish")
-	row[2] = I(100000)
-	if err := tbl.Update(row); err != nil {
-		t.Fatal(err)
-	}
-	rows, _ := tbl.Select(Eq1("organism", S("zebrafish")))
-	if len(rows) != 1 {
-		t.Fatalf("zebrafish rows = %d", len(rows))
-	}
-	rows, _ = tbl.Select(Eq1("organism", S("mouse")))
-	for _, r := range rows {
-		if r[0].Str() == "NC_0001" {
-			t.Fatal("stale hash index entry after update")
-		}
-	}
-	rows, _ = tbl.Select(&Cmp{Column: "length", Op: Ge, Val: I(100000)})
-	if len(rows) != 1 || rows[0][0].Str() != "NC_0001" {
-		t.Fatalf("ordered index after update: %v", rows)
-	}
-	// Delete removes index entries.
-	tbl.Delete(S("NC_0001"))
-	rows, _ = tbl.Select(Eq1("organism", S("zebrafish")))
-	if len(rows) != 0 {
-		t.Fatal("stale index entry after delete")
-	}
-}
-
-func TestCreateIndexOnExistingRows(t *testing.T) {
-	tbl := NewTable(seqSchema(t))
-	fillOrganisms(t, tbl, 80)
-	// Index created after rows exist must cover them.
-	_ = tbl.CreateIndex("organism", HashIndex)
-	rows, plan, _ := tbl.SelectPlan(Eq1("organism", S("human")))
-	if plan.Access != AccessHashIndex || len(rows) != 20 {
-		t.Fatalf("plan = %v, rows = %d", plan, len(rows))
-	}
-	if err := tbl.CreateIndex("nope", HashIndex); !errors.Is(err, ErrNoSuchColumn) {
-		t.Fatalf("index on missing column: err = %v", err)
-	}
-	// Re-creating is a no-op.
-	if err := tbl.CreateIndex("organism", HashIndex); err != nil {
-		t.Fatal(err)
-	}
-	kinds := tbl.Indexes()
-	if kinds["organism"] != HashIndex {
-		t.Fatalf("Indexes() = %v", kinds)
-	}
-}
-
-func TestPredicates(t *testing.T) {
-	schema := seqSchema(t)
-	row := seqRow("NC_1", "influenza", 2341, 0.41)
-	rowNull := seqRow("NC_2", "mouse", 0, 0)
-	rowNull[5] = Null
-
-	tests := []struct {
-		p    Pred
-		row  Row
-		want bool
-	}{
-		{Eq1("organism", S("influenza")), row, true},
-		{Eq1("organism", S("mouse")), row, false},
-		{&Cmp{Column: "length", Op: Gt, Val: I(1000)}, row, true},
-		{&Cmp{Column: "length", Op: Le, Val: I(1000)}, row, false},
-		{&Cmp{Column: "organism", Op: ContainsOp, Val: S("flu")}, row, true},
-		{&Cmp{Column: "organism", Op: ContainsOp, Val: S("xyz")}, row, false},
-		{&Cmp{Column: "data", Op: IsNullOp}, rowNull, true},
-		{&Cmp{Column: "data", Op: IsNullOp}, row, false},
-		{&Cmp{Column: "organism", Op: Ne, Val: S("mouse")}, row, true},
-		{AndOf(Eq1("organism", S("influenza")), &Cmp{Column: "length", Op: Gt, Val: I(2000)}), row, true},
-		{OrOf(Eq1("organism", S("mouse")), Eq1("organism", S("influenza"))), row, true},
-		{&Not{P: Eq1("organism", S("influenza"))}, row, false},
-		{TruePred{}, row, true},
-		// Comparisons involving NULL are false.
-		{&Cmp{Column: "data", Op: Eq, Val: Blob([]byte("x"))}, rowNull, false},
-		{&Cmp{Column: "data", Op: Ne, Val: Blob([]byte("x"))}, rowNull, false},
-	}
-	for i, tc := range tests {
-		got, err := Eval(tc.p, schema, tc.row)
-		if err != nil {
-			t.Fatalf("case %d: %v", i, err)
-		}
-		if got != tc.want {
-			t.Errorf("case %d (%s): got %v, want %v", i, tc.p, got, tc.want)
-		}
-	}
-	if _, err := Eval(Eq1("ghost", S("x")), schema, row); !errors.Is(err, ErrNoSuchColumn) {
-		t.Fatalf("ghost column: err = %v", err)
-	}
-	if err := Validate(AndOf(Eq1("ghost", S("x"))), schema); !errors.Is(err, ErrNoSuchColumn) {
-		t.Fatalf("Validate ghost: err = %v", err)
-	}
-}
-
-func TestSelectWithNullsInOrderedIndex(t *testing.T) {
-	s, err := NewSchema("t", "id",
-		Column{Name: "id", Type: Int64},
-		Column{Name: "v", Type: Int64},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl := NewTable(s)
-	_ = tbl.CreateIndex("v", OrderedIndex)
-	for i := 0; i < 20; i++ {
-		v := I(int64(i))
-		if i%3 == 0 {
-			v = Null
-		}
-		if err := tbl.Insert(Row{I(int64(i)), v}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rows, plan, err := tbl.SelectPlan(&Cmp{Column: "v", Op: Ge, Val: I(10)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Access != AccessOrderedIndex {
-		t.Fatalf("plan = %v", plan)
-	}
-	want := 0
-	for i := 10; i < 20; i++ {
-		if i%3 != 0 {
-			want++
-		}
-	}
-	if len(rows) != want {
-		t.Fatalf("rows = %d, want %d", len(rows), want)
-	}
-	// NULLs must be reachable via IsNull (scan path).
-	rows, _ = tbl.Select(&Cmp{Column: "v", Op: IsNullOp})
-	if len(rows) != 7 {
-		t.Fatalf("null rows = %d, want 7", len(rows))
-	}
-}
-
-func TestStore(t *testing.T) {
-	st := NewStore()
-	s1 := seqSchema(t)
-	if _, err := st.CreateTable(s1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.CreateTable(s1); !errors.Is(err, ErrDuplicateName) {
-		t.Fatalf("duplicate table: err = %v", err)
-	}
-	if _, err := st.Table("sequences"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Table("ghost"); !errors.Is(err, ErrNoSuchTable) {
-		t.Fatalf("ghost table: err = %v", err)
-	}
-	if names := st.TableNames(); len(names) != 1 || names[0] != "sequences" {
-		t.Fatalf("TableNames = %v", names)
-	}
-}
-
-func TestProject(t *testing.T) {
-	schema := seqSchema(t)
-	rows := []Row{seqRow("a", "x", 1, 0.5), seqRow("b", "y", 2, 0.6)}
-	out, err := Project(schema, rows, "organism", "id")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 2 || out[0][0].Str() != "x" || out[0][1].Str() != "a" {
-		t.Fatalf("Project = %v", out)
-	}
-	if _, err := Project(schema, rows, "nope"); !errors.Is(err, ErrNoSuchColumn) {
-		t.Fatalf("Project ghost: err = %v", err)
-	}
-}
-
-func TestHashJoin(t *testing.T) {
-	seqs := seqSchema(t)
-	ann, err := NewSchema("annotations", "aid",
-		Column{Name: "aid", Type: Int64},
-		Column{Name: "seq_id", Type: String},
-		Column{Name: "note", Type: String},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seqRows := []Row{
-		seqRow("NC_1", "influenza", 10, 0),
-		seqRow("NC_2", "mouse", 20, 0),
-		seqRow("NC_3", "human", 30, 0),
-	}
-	annRows := []Row{
-		{I(1), S("NC_1"), S("protease site")},
-		{I(2), S("NC_1"), S("cleavage")},
-		{I(3), S("NC_3"), S("promoter")},
-		{I(4), S("NC_9"), S("dangling")},
-		{I(5), Null, S("orphan")},
-	}
-	joined, err := HashJoin(seqs, seqRows, "id", ann, annRows, "seq_id")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(joined) != 3 {
-		t.Fatalf("join produced %d rows, want 3", len(joined))
-	}
-	for _, jr := range joined {
-		if jr.Left[0].Str() != jr.Right[1].Str() {
-			t.Fatalf("join key mismatch: %v vs %v", jr.Left[0], jr.Right[1])
-		}
-	}
-	if _, err := HashJoin(seqs, seqRows, "ghost", ann, annRows, "seq_id"); err == nil {
-		t.Fatal("join on missing column should fail")
-	}
-}
-
-func TestConcurrentAccess(t *testing.T) {
-	tbl := NewTable(seqSchema(t))
-	_ = tbl.CreateIndex("organism", HashIndex)
-	var wg sync.WaitGroup
-	errCh := make(chan error, 64)
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				id := fmt.Sprintf("w%d-%d", w, i)
-				if err := tbl.Insert(seqRow(id, "influenza", int64(i), 0)); err != nil {
-					errCh <- err
-					return
-				}
-				if _, err := tbl.Get(S(id)); err != nil {
-					errCh <- err
-					return
-				}
-				if i%3 == 0 {
-					if _, err := tbl.Select(Eq1("organism", S("influenza"))); err != nil {
-						errCh <- err
-						return
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Fatal(err)
-	}
-	if tbl.Len() != 8*200 {
-		t.Fatalf("Len = %d", tbl.Len())
-	}
-}
-
-// TestQuickPlannerNeverChangesResults: for random predicates, the indexed
-// and unindexed tables must return identical row sets.
-func TestQuickPlannerNeverChangesResults(t *testing.T) {
-	schema1 := MustSchema("a", "id",
-		Column{Name: "id", Type: Int64},
-		Column{Name: "grp", Type: String},
-		Column{Name: "n", Type: Int64},
-	)
-	schema2 := MustSchema("b", "id",
-		Column{Name: "id", Type: Int64},
-		Column{Name: "grp", Type: String},
-		Column{Name: "n", Type: Int64},
-	)
-	check := func(seed int64, eqGrp uint8, loRaw, hiRaw uint8, useLo, useHi bool) bool {
-		rng := rand.New(rand.NewSource(seed))
-		indexed := NewTable(schema1)
-		plain := NewTable(schema2)
-		_ = indexed.CreateIndex("grp", HashIndex)
-		_ = indexed.CreateIndex("n", OrderedIndex)
-		groups := []string{"g0", "g1", "g2"}
-		for i := 0; i < 200; i++ {
-			row := Row{I(int64(i)), S(groups[rng.Intn(3)]), I(int64(rng.Intn(100)))}
-			if indexed.Insert(row) != nil || plain.Insert(row) != nil {
-				return false
-			}
-		}
-		var conj []Pred
-		conj = append(conj, Eq1("grp", S(groups[int(eqGrp)%3])))
-		if useLo {
-			conj = append(conj, &Cmp{Column: "n", Op: Ge, Val: I(int64(loRaw % 100))})
-		}
-		if useHi {
-			conj = append(conj, &Cmp{Column: "n", Op: Lt, Val: I(int64(hiRaw % 100))})
-		}
-		p := AndOf(conj...)
-		r1, err1 := indexed.Select(p)
-		r2, err2 := plain.Select(p)
-		if err1 != nil || err2 != nil || len(r1) != len(r2) {
-			return false
-		}
-		for i := range r1 {
-			if !r1[i][0].Equal(r2[i][0]) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func BenchmarkSelectHashVsScan(b *testing.B) {
-	mk := func(indexed bool) *Table {
-		tbl := NewTable(MustSchema("t", "id",
-			Column{Name: "id", Type: Int64},
-			Column{Name: "grp", Type: String},
-		))
-		if indexed {
-			_ = tbl.CreateIndex("grp", HashIndex)
-		}
-		for i := 0; i < 20_000; i++ {
-			_ = tbl.Insert(Row{I(int64(i)), S(fmt.Sprintf("g%d", i%100))})
-		}
-		return tbl
-	}
-	for _, tc := range []struct {
-		name    string
-		indexed bool
-	}{{"hash", true}, {"scan", false}} {
-		tbl := mk(tc.indexed)
-		b.Run(tc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := tbl.Select(Eq1("grp", S("g42"))); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

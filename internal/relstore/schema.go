@@ -5,10 +5,9 @@ import (
 	"fmt"
 )
 
-// Errors reported by schema and table operations.
+// Errors reported by schema validation and by the record tables built
+// from these values (internal/core).
 var (
-	ErrNoSuchColumn  = errors.New("relstore: no such column")
-	ErrNoSuchTable   = errors.New("relstore: no such table")
 	ErrDuplicateKey  = errors.New("relstore: duplicate primary key")
 	ErrTypeMismatch  = errors.New("relstore: value type does not match column type")
 	ErrNotNull       = errors.New("relstore: NULL in NOT NULL column")
@@ -68,23 +67,14 @@ func MustSchema(name string, key string, cols ...Column) *Schema {
 	return s
 }
 
-// ColumnIndex returns the position of the named column.
-func (s *Schema) ColumnIndex(name string) (int, error) {
-	i, ok := s.byName[name]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s.%s", ErrNoSuchColumn, s.Name, name)
-	}
-	return i, nil
-}
-
 // HasColumn reports whether the named column exists.
 func (s *Schema) HasColumn(name string) bool {
 	_, ok := s.byName[name]
 	return ok
 }
 
-// keyIndex returns the position of the primary key column.
-func (s *Schema) keyIndex() int { return s.byName[s.Key] }
+// KeyIndex returns the position of the primary key column.
+func (s *Schema) KeyIndex() int { return s.byName[s.Key] }
 
 // CheckRow validates a row against the schema.
 func (s *Schema) CheckRow(row Row) error {

@@ -1,12 +1,10 @@
-// Package relstore is Graphitti's embedded relational storage engine.
-//
-// The paper models "data objects and their metadata … as type-specific
-// relations stored in a relational database — thus DNA sequences, protein
-// sequences, images etc. all have their metadata stored in separate
-// tables. The raw actual data is also stored in the same tables in their
-// native formats." This package provides those tables: typed schemas,
-// primary keys, hash and ordered secondary indexes, predicate evaluation
-// with index-aware planning, and blob columns for the native-format data.
+// Package relstore is the vocabulary of Graphitti's user record tables
+// (the demo's "relational records"): typed cell values, columns, schemas
+// with a primary key, and rows checked against a schema. It stores
+// nothing. A record table is a value inside a core.View — schema plus
+// rows by primary key — written by the store's one writer and read from
+// whichever view a reader pinned, like every other registered datum; the
+// snapshot and WAL formats (internal/persist) carry these values.
 package relstore
 
 import (
@@ -178,9 +176,10 @@ func (v Value) Compare(o Value) (int, bool) {
 	}
 }
 
-// hashKey returns a string key usable in hash indexes; it is injective per
-// type and consistent with Equal for same-typed values.
-func (v Value) hashKey() string {
+// Key returns the string a record table files a primary-key value under;
+// it is injective per type and consistent with Equal for same-typed
+// values.
+func (v Value) Key() string {
 	if v.null {
 		return "\x00N"
 	}

@@ -275,7 +275,7 @@ func Influenza(cfg InfluenzaConfig) (*InfluenzaStudy, error) {
 		relstore.Column{Name: "year", Type: relstore.Int64},
 		relstore.Column{Name: "country", Type: relstore.String},
 	)
-	if _, err := s.CreateRecordTable(schema); err != nil {
+	if err := s.CreateRecordTable(schema); err != nil {
 		return nil, err
 	}
 	hosts := []string{"goose", "duck", "chicken", "human"}

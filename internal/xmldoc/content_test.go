@@ -140,9 +140,8 @@ func contentStore(t *testing.T) *core.Store {
 	im, err := imaging.NewImage("brain<1>", "atlas&co", rtree.Rect2D(0, 0, 500, 500), imaging.Identity(2))
 	must(err)
 	must(s.RegisterImage(im))
-	_, err = s.CreateRecordTable(relstore.MustSchema("isolates", "acc",
-		relstore.Column{Name: "acc", Type: relstore.String}, relstore.Column{Name: "year", Type: relstore.Int64}))
-	must(err)
+	must(s.CreateRecordTable(relstore.MustSchema("isolates", "acc",
+		relstore.Column{Name: "acc", Type: relstore.String}, relstore.Column{Name: "year", Type: relstore.Int64})))
 	must(s.InsertRecord("isolates", relstore.Row{relstore.S(`A/goose/"1996"`), relstore.I(1996)}))
 	must(s.InsertRecord("isolates", relstore.Row{relstore.S("A/hk/<1997>"), relstore.I(1997)}))
 	return s
