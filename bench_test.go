@@ -387,7 +387,8 @@ func BenchmarkO1SubXOps(b *testing.B) {
 	var tr interval.Tree[string]
 	for i := 0; i < 10_000; i++ {
 		lo := int64(i * 10)
-		if err := tr.Insert(interval.Interval{Lo: lo, Hi: lo + 8}, uint64(i), "x"); err != nil {
+		var err error
+		if tr, err = tr.Insert(interval.Interval{Lo: lo, Hi: lo + 8}, uint64(i), "x"); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -524,30 +525,26 @@ func BenchmarkA1IndexConsolidation(b *testing.B) {
 		}
 	}
 	// Consolidated: one tree per domain (the paper's design).
-	consolidated := map[string]*interval.Tree[string]{}
+	consolidated := map[string]interval.Tree[string]{}
 	for i, m := range marks {
-		tr := consolidated[m.domain]
-		if tr == nil {
-			tr = &interval.Tree[string]{}
-			consolidated[m.domain] = tr
-		}
-		if err := tr.Insert(m.iv, uint64(i), m.seqID); err != nil {
+		tr, err := consolidated[m.domain].Insert(m.iv, uint64(i), m.seqID)
+		if err != nil {
 			b.Fatal(err)
 		}
+		consolidated[m.domain] = tr
 	}
 	// Fragmented: one tree per annotated sequence (the rejected design).
-	fragmented := map[string]*interval.Tree[string]{}
+	fragmented := map[string]interval.Tree[string]{}
 	perDomainSeqs := map[string][]string{}
 	for i, m := range marks {
-		tr := fragmented[m.seqID]
-		if tr == nil {
-			tr = &interval.Tree[string]{}
-			fragmented[m.seqID] = tr
+		if _, seen := fragmented[m.seqID]; !seen {
 			perDomainSeqs[m.domain] = append(perDomainSeqs[m.domain], m.seqID)
 		}
-		if err := tr.Insert(m.iv, uint64(i), m.seqID); err != nil {
+		tr, err := fragmented[m.seqID].Insert(m.iv, uint64(i), m.seqID)
+		if err != nil {
 			b.Fatal(err)
 		}
+		fragmented[m.seqID] = tr
 	}
 	b.Run("consolidated", func(b *testing.B) {
 		b.ReportAllocs()
@@ -586,7 +583,8 @@ func BenchmarkA2IntervalVsScan(b *testing.B) {
 		for i := 0; i < n; i++ {
 			lo := rng.Int63n(1_000_000)
 			iv := interval.Interval{Lo: lo, Hi: lo + 1 + rng.Int63n(500)}
-			if err := tr.Insert(iv, uint64(i), i); err != nil {
+			var err error
+			if tr, err = tr.Insert(iv, uint64(i), i); err != nil {
 				b.Fatal(err)
 			}
 			if err := sc.Insert(iv, uint64(i), i); err != nil {
@@ -624,7 +622,7 @@ func BenchmarkA3RTreeVsScan(b *testing.B) {
 		for i := 0; i < n; i++ {
 			x, y := rng.Float64()*10_000, rng.Float64()*10_000
 			r := rtree.Rect2D(x, y, x+1+rng.Float64()*40, y+1+rng.Float64()*40)
-			if err := tr.Insert(r, uint64(i), i); err != nil {
+			if tr, err = tr.Insert(r, uint64(i), i); err != nil {
 				b.Fatal(err)
 			}
 			if err := sc.Insert(r, uint64(i), i); err != nil {
@@ -716,7 +714,7 @@ func BenchmarkA7BulkLoadVsIncremental(b *testing.B) {
 					b.Fatal(err)
 				}
 				for _, e := range entries {
-					if err := tr.Insert(e.Rect, e.ID, e.Value); err != nil {
+					if tr, err = tr.Insert(e.Rect, e.ID, e.Value); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -733,7 +731,7 @@ func BenchmarkA7BulkLoadVsIncremental(b *testing.B) {
 		// Query cost on the two trees (packing quality).
 		inc, _ := rtree.NewTree[int](2)
 		for _, e := range entries {
-			_ = inc.Insert(e.Rect, e.ID, e.Value)
+			inc, _ = inc.Insert(e.Rect, e.ID, e.Value)
 		}
 		bulk, err := rtree.BulkLoad(2, entries)
 		if err != nil {

@@ -8,8 +8,8 @@ import (
 // Zero-copy traversal API.
 //
 // The visitor methods (InEach/OutEach/NeighborsEach) and the iter.Seq
-// variants (InSeq/OutSeq/NeighborsSeq) visit edges in edge-ID order —
-// the same order In/Out return — without materializing result slices.
+// variants (InSeq/OutSeq) visit edges in edge-ID order — the same order
+// In/Out return — without materializing result slices.
 // Each call snapshots the relevant adjacency list headers under the
 // read lock and iterates after releasing it: adjacency lists are
 // copy-on-write, so a snapshot observes exactly the edge set that
@@ -124,12 +124,6 @@ func (g *Graph) OutSeq(ref NodeRef, labels ...EdgeLabel) iter.Seq[Edge] {
 // order, optionally filtered by label.
 func (g *Graph) InSeq(ref NodeRef, labels ...EdgeLabel) iter.Seq[Edge] {
 	return func(yield func(Edge) bool) { g.InEach(ref, yield, labels...) }
-}
-
-// NeighborsSeq returns an iterator over the distinct peers of ref,
-// optionally filtered by label, in first-encounter order.
-func (g *Graph) NeighborsSeq(ref NodeRef, labels ...EdgeLabel) iter.Seq[NodeRef] {
-	return func(yield func(NodeRef) bool) { g.NeighborsEach(ref, yield, labels...) }
 }
 
 // OutCount reports the number of edges leaving ref, optionally filtered

@@ -365,17 +365,15 @@ func (x *Tx) commit(b *Builder, pinnedAnn uint64, pinnedRefs []uint64) (*Annotat
 		refIDs = append(refIDs, stored.ID)
 	}
 
-	// Index the new referents in the writer-owned spatial trees. The
-	// trees are path-copying, so a failure is rolled back by deleting the
-	// entries inserted so far — views already published are untouched.
-	for i, n := range newRefs {
-		if err := s.indexReferent(n.ref); err != nil {
-			for _, done := range newRefs[:i] {
-				s.unindexReferent(done.ref)
-			}
+	// Build the successor spatial trees holding the new marks. This is the
+	// op's last refusal (an invalid extent, an unregistered system); the
+	// trees are stored below, with everything else.
+	var its treeStage[intervalTree]
+	var rts treeStage[regionTree]
+	for _, n := range newRefs {
+		if err := x.index(n.ref, &its, &rts); err != nil {
 			return nil, err
 		}
-		x.touch(n.ref)
 	}
 
 	doc := buildContentDoc(annID, &b.dc, b.body, b.tags, resolved, b.terms)
@@ -415,6 +413,8 @@ func (x *Tx) commit(b *Builder, pinnedAnn uint64, pinnedRefs []uint64) (*Annotat
 		x.refs.set(n.ref.ID, n.ref)
 		x.rbm.set(n.key, n.ref.ID)
 	}
+	its.store(&x.it)
+	rts.store(&x.rt)
 	// Keyword index over the content document (ablation A6). IDs ascend
 	// across the writer chain, so the usual insert is a tail append.
 	for _, word := range doc.Keywords() {

@@ -10,21 +10,21 @@ import (
 // Persistent (copy-on-write) containers backing the store's published read
 // views: the chunked ID table (idtable), the string-keyed hash trie (pmap)
 // behind the keyword index, the mark-dedup index, the derived-fact target
-// index and the record tables (one of tables by name, one of rows per
-// table), and the chunked posting list (postings) the keyword index maps
-// to. A View shares structure with its predecessor, and a pinned view
-// is immutable for as long as a reader holds it. The writer mutates
-// through edit handles (tableEdit, pmapEdit) that copy a piece — an
-// ID-table chunk, a trie node — the first time a session touches it and
-// write in place after that. So an op costs the pieces it is first to
-// touch: a chunk of 256 slots per table, a root-to-entry path of three or
-// four small nodes per key, one posting chunk per list it removes from and
-// nothing but the ID per list it appends to. A writer session (see Tx)
+// index, the spatial trees by domain and the record tables (one of tables
+// by name, one of rows per table), and the chunked posting list (postings)
+// the keyword index maps to. A View shares structure with its predecessor,
+// and a pinned view is immutable for as long as a reader holds it. The
+// writer mutates through edit handles (tableEdit, pmapEdit) that copy a
+// piece — an ID-table chunk, a trie node — the first time a session touches
+// it and write in place after that. So an op costs the pieces it is first
+// to touch: a chunk of 256 slots per table, a root-to-entry path of three
+// or four small nodes per key, one posting chunk per list it removes from
+// and nothing but the ID per list it appends to. A writer session (see Tx)
 // copies no piece twice however many ops it carries, and a publish is a
-// handful of pointer stores plus the spatial snapshot maps. None of it is
-// proportional to the store, except logarithmically (trie depth) and
-// through two spines of chunk pointers (8 bytes per 256 IDs a table holds,
-// 24 per 256 IDs of a posting list that loses one from its middle).
+// handful of pointer stores. None of it is proportional to the store,
+// except logarithmically (trie depth, tree height) and through two spines
+// of chunk pointers (8 bytes per 256 IDs a table holds, 24 per 256 IDs of a
+// posting list that loses one from its middle).
 
 // --- idtable: persistent chunked array keyed by dense uint64 IDs ---
 

@@ -62,8 +62,7 @@ func (x *Tx) DeleteAnnotation(id uint64) error {
 		if s.graph.InCount(refNode, agraph.LabelAnnotates) > 0 {
 			continue // still referenced
 		}
-		s.unindexReferent(ref)
-		x.touch(ref)
+		x.unindex(ref)
 		x.rbm.delete(markKey(ref))
 		x.refs.delete(refID)
 		_ = s.graph.RemoveNode(refNode)
@@ -71,7 +70,7 @@ func (x *Tx) DeleteAnnotation(id uint64) error {
 	// Derived annotations: drop the deleted source's facts and recompute
 	// its neighborhood, so no derived fact survives its source or targets
 	// a garbage-collected referent. The pre-delete view still holds the
-	// GC'd referents in its tree snapshots, which is how the propagator
+	// GC'd referents in its trees, which is how the propagator
 	// finds the affected neighbors.
 	x.ops++
 	x.propagate(ann, true, nil)

@@ -16,8 +16,8 @@ import (
 // annotation back to its source.
 //
 // The store does not compute derived facts itself: a Propagator attached
-// via SetPropagator is consulted inside the writer's critical section, and
-// its delta is published atomically with the mutation that caused it. A
+// via EnsurePropagator is consulted inside the writer's critical section,
+// and its delta is published atomically with the mutation that caused it. A
 // reader therefore never observes an annotation without its derived
 // consequences, or a derived fact whose source is gone. Derived facts are
 // recomputable from committed state, which is why the durable layer never
@@ -79,15 +79,6 @@ func (s *Store) getPropagator() Propagator {
 		return *p
 	}
 	return nil
-}
-
-// SetPropagator attaches (or replaces) the store's propagation engine.
-// Attaching does not recompute; callers normally follow with
-// RecomputeDerived (prop.Attach does).
-func (s *Store) SetPropagator(p Propagator) {
-	s.w.Lock()
-	defer s.w.Unlock()
-	s.propagator.Store(&p)
 }
 
 // Propagator returns the attached propagation engine, or nil. Lock-free:
@@ -453,11 +444,6 @@ func (s *Store) DerivedOnto(annID uint64) ([]DerivedFact, error) {
 
 // DerivedCount returns the number of materialized derived facts.
 func (v *View) DerivedCount() int { return v.derivedCount }
-
-// DerivedEpoch returns the derived table's epoch: it advances on every
-// mutation that changed the table, and every fact set records the epoch
-// it was computed at.
-func (v *View) DerivedEpoch() uint64 { return v.derivedEpoch }
 
 // DerivedSourceEpoch returns the epoch at which the given source's fact
 // set was last recomputed (0 when the source has no facts).

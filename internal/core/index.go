@@ -9,70 +9,96 @@ import (
 	"graphitti/internal/subx"
 )
 
-// indexReferent inserts a freshly-assigned referent into the writer-owned
-// sub-structure index for its domain, creating per-domain trees on demand.
+// The sub-structure indexes ("simple techniques are used to keep the
+// number of the index structures small"): one interval tree per coordinate
+// domain, one R-tree per coordinate system. Both are persistent values,
+// held by domain in the view like everything else it holds and edited by
+// the writer session through a handle (Tx.it, Tx.rt). An entry carries the
+// referent ID alone; reads resolve it through the view's referent table.
 // Structural marks (clades, subgraphs, blocks, record sets, whole objects)
 // need no spatial index; they are found through refByMark and the a-graph.
-// Caller holds w.
-func (s *Store) indexReferent(r *Referent) error {
+type (
+	intervalTree = interval.Tree[struct{}]
+	regionTree   = rtree.Tree[struct{}]
+)
+
+// treeStage holds the successor trees an op has built, by domain, until the
+// op can no longer fail; only then does it store them in the session, so a
+// refused op has nothing to undo. An op marks a handful of domains at most:
+// scanned, not indexed.
+type treeStage[T any] []pentry[T]
+
+// get returns domain's tree as the op in progress has left it: its own
+// successor if it built one, else the session's.
+func (st treeStage[T]) get(e *pmapEdit[T], domain string) (T, bool) {
+	for _, p := range st {
+		if p.key == domain {
+			return p.val, true
+		}
+	}
+	return e.get(domain)
+}
+
+func (st *treeStage[T]) put(domain string, tree T) {
+	for i := range *st {
+		if (*st)[i].key == domain {
+			(*st)[i].val = tree
+			return
+		}
+	}
+	*st = append(*st, pentry[T]{domain, tree})
+}
+
+func (st treeStage[T]) store(e *pmapEdit[T]) {
+	for _, p := range st {
+		e.set(p.key, p.val)
+	}
+}
+
+// index adds a new referent's mark to the staged successor of its domain's
+// tree. An interval domain's tree exists from its first mark (the zero tree
+// is the empty one); a coordinate system's R-tree from its registration.
+func (x *Tx) index(r *Referent, its *treeStage[intervalTree], rts *treeStage[regionTree]) error {
 	switch r.Kind {
 	case IntervalReferent:
-		tree, ok := s.itrees[r.Domain]
-		if !ok {
-			tree = &interval.Tree[string]{}
-			s.itrees[r.Domain] = tree
+		tree, _ := its.get(&x.it, r.Domain)
+		tree, err := tree.Insert(r.Interval, r.ID, struct{}{})
+		if err != nil {
+			return err
 		}
-		return tree.Insert(r.Interval, r.ID, r.ObjectID)
+		its.put(r.Domain, tree)
 	case RegionReferent:
-		tree, ok := s.rtrees[r.Domain]
+		tree, ok := rts.get(&x.rt, r.Domain)
 		if !ok {
 			return fmt.Errorf("%w: %s", ErrNoSuchSystem, r.Domain)
 		}
-		return tree.Insert(r.Region, r.ID, r.ObjectID)
-	default:
-		return nil
+		tree, err := tree.Insert(r.Region, r.ID, struct{}{})
+		if err != nil {
+			return err
+		}
+		rts.put(r.Domain, tree)
 	}
+	return nil
 }
 
-// unindexReferent reverses indexReferent (commit rollback and referent
-// garbage collection). Caller holds w.
-func (s *Store) unindexReferent(r *Referent) {
+// unindex drops a garbage-collected referent's mark from the session's
+// tree for its domain. An interval domain whose tree empties disappears; a
+// per-system R-tree stays, empty: the coordinate system is still registered.
+func (x *Tx) unindex(r *Referent) {
 	switch r.Kind {
 	case IntervalReferent:
-		if tree, ok := s.itrees[r.Domain]; ok {
-			tree.Delete(r.ID)
-			if tree.Len() == 0 {
-				delete(s.itrees, r.Domain)
-			}
+		tree, _ := x.it.get(r.Domain)
+		if tree, _ = tree.Delete(r.Interval, r.ID); tree.Len() == 0 {
+			x.it.delete(r.Domain)
+		} else {
+			x.it.set(r.Domain, tree)
 		}
 	case RegionReferent:
-		if tree, ok := s.rtrees[r.Domain]; ok {
-			tree.Delete(r.ID)
-			// Per-system R-trees persist even when empty: the coordinate
-			// system stays registered.
+		if tree, ok := x.rt.get(r.Domain); ok {
+			tree, _ = tree.Delete(r.Region, r.ID)
+			x.rt.set(r.Domain, tree)
 		}
 	}
-}
-
-// snapshotITrees returns the interval-snapshot map a view publishes: one
-// O(1) snapshot per live domain (a domain whose tree emptied is gone).
-// Caller holds w.
-func (s *Store) snapshotITrees() map[string]interval.Snapshot[string] {
-	out := make(map[string]interval.Snapshot[string], len(s.itrees))
-	for d, tree := range s.itrees {
-		out[d] = tree.Snapshot()
-	}
-	return out
-}
-
-// snapshotRTrees is snapshotITrees for the per-system R-trees. Caller
-// holds w.
-func (s *Store) snapshotRTrees() map[string]rtree.Snapshot[string] {
-	out := make(map[string]rtree.Snapshot[string], len(s.rtrees))
-	for d, tree := range s.rtrees {
-		out[d] = tree.Snapshot()
-	}
-	return out
 }
 
 // ReferentsOverlapping returns the committed referents whose mark overlaps
@@ -83,16 +109,14 @@ func (v *View) ReferentsOverlapping(m subx.Mark) []*Referent {
 	var out []*Referent
 	switch mark := m.(type) {
 	case subx.IntervalMark:
-		if snap, ok := v.itrees[mark.Domain]; ok {
-			for _, e := range snap.Overlapping(mark.IV) {
-				out = append(out, v.referents.get(e.ID))
-			}
+		tree, _ := v.itrees.get(mark.Domain)
+		for _, e := range tree.Overlapping(mark.IV) {
+			out = append(out, v.referents.get(e.ID))
 		}
 	case subx.RegionMark:
-		if snap, ok := v.rtrees[mark.System]; ok {
-			for _, e := range snap.Search(mark.R) {
-				out = append(out, v.referents.get(e.ID))
-			}
+		tree, _ := v.rtrees.get(mark.System)
+		for _, e := range tree.Search(mark.R) {
+			out = append(out, v.referents.get(e.ID))
 		}
 	default:
 		v.referents.each(func(_ uint64, r *Referent) bool {
@@ -146,11 +170,8 @@ func (v *View) NextReferent(r *Referent) (*Referent, bool) {
 	if r == nil || r.Kind != IntervalReferent {
 		return nil, false
 	}
-	snap, ok := v.itrees[r.Domain]
-	if !ok {
-		return nil, false
-	}
-	e, ok := snap.Next(r.Interval)
+	tree, _ := v.itrees.get(r.Domain)
+	e, ok := tree.Next(r.Interval)
 	if !ok {
 		return nil, false
 	}
@@ -165,10 +186,11 @@ func (s *Store) NextReferent(r *Referent) (*Referent, bool) {
 // IntervalDomains returns the names of coordinate domains that currently
 // have an interval tree, sorted (diagnostics for ablation A1).
 func (v *View) IntervalDomains() []string {
-	out := make([]string, 0, len(v.itrees))
-	for d := range v.itrees {
+	out := make([]string, 0, v.itrees.len())
+	v.itrees.each(func(d string, _ intervalTree) bool {
 		out = append(out, d)
-	}
+		return true
+	})
 	sort.Strings(out)
 	return out
 }
@@ -178,10 +200,8 @@ func (s *Store) IntervalDomains() []string { return s.View().IntervalDomains() }
 
 // IntervalTreeSize returns the number of entries in one domain's tree.
 func (v *View) IntervalTreeSize(domain string) int {
-	if snap, ok := v.itrees[domain]; ok {
-		return snap.Len()
-	}
-	return 0
+	tree, _ := v.itrees.get(domain)
+	return tree.Len()
 }
 
 // IntervalTreeSize returns the number of entries in one domain's tree.

@@ -11,7 +11,6 @@ import (
 	"graphitti/internal/biodata/msa"
 	"graphitti/internal/biodata/phylo"
 	"graphitti/internal/biodata/seq"
-	"graphitti/internal/interval"
 	"graphitti/internal/ontology"
 	"graphitti/internal/rtree"
 )
@@ -37,13 +36,6 @@ type Store struct {
 	// w serializes mutations. Readers never take it.
 	w sync.Mutex
 	v atomic.Pointer[View]
-
-	// Writer-owned mutable spatial indexes ("simple techniques are used
-	// to keep the number of the index structures small"). Both trees are
-	// path-copying, so the immutable snapshots published into views share
-	// structure with these without observing later mutation. Guarded by w.
-	itrees map[string]*interval.Tree[string]
-	rtrees map[string]*rtree.Tree[string]
 
 	// propagator, when attached, computes derived annotations inside the
 	// writer's critical section (see derived.go). Attachment serializes
@@ -80,11 +72,9 @@ func NewStore() *Store { return NewStoreWithOptions(StoreOptions{}) }
 // metrics carry the shard label and IDs come from the shared source.
 func NewStoreWithOptions(opts StoreOptions) *Store {
 	s := &Store{
-		graph:  agraph.New(),
-		itrees: make(map[string]*interval.Tree[string]),
-		rtrees: make(map[string]*rtree.Tree[string]),
-		m:      metricsForShard(opts.Shard),
-		ids:    opts.IDs,
+		graph: agraph.New(),
+		m:     metricsForShard(opts.Shard),
+		ids:   opts.IDs,
 	}
 	s.v.Store(emptyView(s.graph, s.m))
 	return s
@@ -144,15 +134,16 @@ func (s *Store) RegisterCoordinateSystem(cs *imaging.CoordinateSystem) error {
 	if _, dup := v.systems[cs.Name]; dup {
 		return fmt.Errorf("%w: coordinate system %s", ErrDuplicate, cs.Name)
 	}
-	tr, err := rtree.NewTree[string](cs.Dims)
+	tree, err := rtree.NewTree[struct{}](cs.Dims)
 	if err != nil {
 		return err
 	}
-	s.rtrees[cs.Name] = tr
 	nv := v.clone()
 	nv.systems = mapWith(v.systems, cs.Name, cs)
 	nv.sysNames = insertSortedStr(v.sysNames, cs.Name)
-	nv.rtrees = mapWith(v.rtrees, cs.Name, tr.Snapshot())
+	rtrees := v.rtrees.edit()
+	rtrees.set(cs.Name, tree)
+	nv.rtrees = rtrees.pmap
 	s.publish(nv)
 	return nil
 }

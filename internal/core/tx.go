@@ -14,8 +14,8 @@ import (
 // the number of ops it carries. The Store's single-op methods are sessions
 // of one; Batch runs many ops in one session.
 //
-// The a-graph and the writer's spatial trees are not part of the session:
-// ops apply to them directly (see the View contract on graph-backed reads).
+// The a-graph alone is not part of the session: ops apply to it directly
+// (see the View contract on graph-backed reads).
 // With a propagator attached every op publishes on its own, because the
 // derived delta is defined between two published views.
 //
@@ -31,8 +31,8 @@ type Tx struct {
 	refs tableEdit[Referent]
 	kw   pmapEdit[postings]
 	rbm  pmapEdit[uint64]
-	// An op changed the writer's interval / R-trees: re-snapshot at seal.
-	itreesDirty, rtreesDirty bool
+	it   pmapEdit[intervalTree]
+	rt   pmapEdit[regionTree]
 }
 
 // Batch runs fn as one writer session: it holds the writer mutex across
@@ -57,16 +57,7 @@ func (x *Tx) open() {
 	x.nv = x.base.clone()
 	x.anns, x.refs = x.base.annotations.edit(), x.base.referents.edit()
 	x.kw, x.rbm = x.base.keywordIdx.edit(), x.base.refByMark.edit()
-}
-
-// touch records that an op changed r's spatial index.
-func (x *Tx) touch(r *Referent) {
-	switch r.Kind {
-	case IntervalReferent:
-		x.itreesDirty = true
-	case RegionReferent:
-		x.rtreesDirty = true
-	}
+	x.it, x.rt = x.base.itrees.edit(), x.base.rtrees.edit()
 }
 
 // seal folds the edit handles into nv, making it a complete view of the
@@ -75,12 +66,7 @@ func (x *Tx) seal() *View {
 	nv := x.nv
 	nv.annotations, nv.referents = x.anns.idtable, x.refs.idtable
 	nv.keywordIdx, nv.refByMark = x.kw.pmap, x.rbm.pmap
-	if x.itreesDirty {
-		nv.itrees, x.itreesDirty = x.s.snapshotITrees(), false
-	}
-	if x.rtreesDirty {
-		nv.rtrees, x.rtreesDirty = x.s.snapshotRTrees(), false
-	}
+	nv.itrees, nv.rtrees = x.it.pmap, x.rt.pmap
 	return nv
 }
 

@@ -102,8 +102,9 @@ func TestBatchSeesItsOwnOps(t *testing.T) {
 	}
 }
 
-// TestBatchRollsBackFailedOp: an op that fails after indexing some of its
-// referents leaves no trace in the session, and the ops around it publish.
+// TestBatchRollsBackFailedOp: an op that fails after building the successor
+// tree for some of its referents leaves no trace in the session, and the
+// ops around it publish.
 func TestBatchRollsBackFailedOp(t *testing.T) {
 	s := newDemoStore(t)
 	before := s.Stats()

@@ -12,15 +12,17 @@
 //     keyword, mark-dedup and derived-target indexes, chunked posting
 //     lists under the keyword index, chunked ID tables for
 //     annotations/referents; see cow.go), and the interval/R-trees are
-//     path-copying, so a view's snapshots share structure with the live
-//     trees without observing mutation. The one write a published
-//     structure does see lands past its end: a posting list's newest IDs
-//     are appended into spare capacity beyond the length every earlier
-//     view holds, which no reader of those views indexes. What it costs
-//     the writer: per op, a copy of each trie node, posting chunk and
-//     table chunk the op is the first of its session (Tx) to touch; per
-//     session, one publish — pointer stores and one O(1) snapshot per
-//     spatial domain — whether it carries one op or a whole snapshot.
+//     persistent values the view holds by domain in one more such trie:
+//     a successor tree shares all but a search path with the tree an
+//     earlier view holds and never writes a node of it. The one write a
+//     published structure does see lands past its end: a posting list's
+//     newest IDs are appended into spare capacity beyond the length every
+//     earlier view holds, which no reader of those views indexes. What it
+//     costs the writer: per op, a copy of each trie node, posting chunk
+//     and table chunk the op is the first of its session (Tx) to touch,
+//     and a search path of each spatial tree it marks; per session, one
+//     publish — pointer stores — whether it carries one op or a whole
+//     snapshot.
 //   - Annotation atomicity: an annotation is visible in a view with all
 //     of its referents, its complete keyword postings and its content
 //     document, or not at all — never half-applied.
@@ -51,9 +53,7 @@ import (
 	"graphitti/internal/biodata/msa"
 	"graphitti/internal/biodata/phylo"
 	"graphitti/internal/biodata/seq"
-	"graphitti/internal/interval"
 	"graphitti/internal/ontology"
-	"graphitti/internal/rtree"
 )
 
 // View is an immutable snapshot of the store, published atomically by the
@@ -67,11 +67,10 @@ type View struct {
 	systems    map[string]*imaging.CoordinateSystem
 	sysNames   []string // sorted
 
-	// Immutable snapshots of the per-domain interval trees and per-system
-	// R-trees (the writer owns the mutable trees; path-copying makes these
-	// O(1) to take and safe to share).
-	itrees map[string]interval.Snapshot[string]
-	rtrees map[string]rtree.Snapshot[string]
+	// The sub-structure indexes (see index.go): an interval tree per
+	// coordinate domain that has a mark, an R-tree per coordinate system.
+	itrees pmap[intervalTree]
+	rtrees pmap[regionTree]
 
 	seqs       map[string]*seq.Sequence
 	seqType    map[string]ObjectType
@@ -141,8 +140,6 @@ func emptyView(graph *agraph.Graph, m *storeMetrics) *View {
 		m:          m,
 		ontologies: map[string]*ontology.Ontology{},
 		systems:    map[string]*imaging.CoordinateSystem{},
-		itrees:     map[string]interval.Snapshot[string]{},
-		rtrees:     map[string]rtree.Snapshot[string]{},
 		seqs:       map[string]*seq.Sequence{},
 		seqType:    map[string]ObjectType{},
 		alignments: map[string]*msa.Alignment{},
@@ -328,8 +325,8 @@ func (v *View) Stats() Stats {
 		InteractionGraphs: len(v.igraphs),
 		Images:            len(v.images),
 		Ontologies:        len(v.ontologies),
-		IntervalTrees:     len(v.itrees),
-		RTrees:            len(v.rtrees),
+		IntervalTrees:     v.itrees.len(),
+		RTrees:            v.rtrees.len(),
 		GraphNodes:        v.graph.NodeCount(),
 		GraphEdges:        v.graph.EdgeCount(),
 		Keywords:          v.keywordIdx.len(),

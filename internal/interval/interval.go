@@ -13,6 +13,7 @@
 package interval
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 )
@@ -20,8 +21,8 @@ import (
 // ErrInvalid is returned when an interval with Hi <= Lo is supplied.
 var ErrInvalid = errors.New("interval: Hi must be greater than Lo")
 
-// ErrDuplicateID is returned when inserting an entry whose ID is already
-// present in the tree.
+// ErrDuplicateID is returned when inserting an entry whose (interval, ID)
+// key is already present in the tree.
 var ErrDuplicateID = errors.New("interval: duplicate entry ID")
 
 // Interval is a half-open 1-D range [Lo, Hi).
@@ -85,27 +86,28 @@ func max64(a, b int64) int64 {
 
 // Entry is an interval stored in a Tree together with the identity of the
 // mark it represents (a referent ID in Graphitti) and an arbitrary payload.
+// The payload sits before the ID so a zero-size V adds no trailing padding.
 type Entry[V any] struct {
 	Interval
-	ID    uint64
 	Value V
+	ID    uint64
 }
 
-// Tree is an augmented balanced (AVL) interval tree. Entries are ordered by
-// (Lo, Hi, ID); every node carries the maximum Hi of its subtree, which
-// lets overlap searches prune entire subtrees.
+// Tree is a persistent augmented balanced (AVL) interval tree: an immutable
+// value whose Insert and Delete return the successor. Entries are keyed and
+// ordered by (Lo, Hi, ID); every node carries the maximum Hi of its
+// subtree, which lets overlap searches prune entire subtrees.
 //
-// Mutations are path-copying: Insert and Delete allocate fresh nodes along
-// the search path and never modify nodes reachable from an earlier root, so
-// a Snapshot taken before a mutation remains a consistent, immutable view
-// of the tree at that instant. This is the mechanism core.Store uses to
-// publish lock-free read views of the per-domain sub-structure indexes.
+// Mutations are path-copying: they allocate fresh nodes along the search
+// path and never modify a node reachable from an earlier value, so every
+// value stays a consistent view of the tree at that instant, and successive
+// values share all but a path. This is what lets core hold the per-domain
+// sub-structure indexes in its published read views like any other value.
 //
-// The zero value is an empty tree ready for use. Tree is not safe for
-// concurrent mutation; Snapshots are safe for concurrent reads.
+// The zero value is the empty tree. Values are safe for concurrent reads.
 type Tree[V any] struct {
 	root *node[V]
-	ids  map[uint64]Interval
+	size int
 }
 
 type node[V any] struct {
@@ -121,84 +123,43 @@ func (n *node[V]) clone() *node[V] {
 	return &c
 }
 
-// Snapshot is an immutable point-in-time view of a Tree. The zero value is
-// an empty snapshot. Snapshots share structure with the tree they were
-// taken from; later mutations of the tree never alter a snapshot.
-type Snapshot[V any] struct {
-	root *node[V]
-	size int
-}
-
-// Snapshot returns an immutable view of the tree's current contents in
-// O(1): path-copying mutation guarantees no node reachable from the
-// current root is ever modified in place.
-func (t *Tree[V]) Snapshot() Snapshot[V] {
-	return Snapshot[V]{root: t.root, size: len(t.ids)}
-}
-
 // Len reports the number of entries.
-func (t *Tree[V]) Len() int { return len(t.ids) }
+func (t Tree[V]) Len() int { return t.size }
 
-// Len reports the number of entries in the snapshot.
-func (s Snapshot[V]) Len() int { return s.size }
-
-// Insert adds an entry. The interval must be valid and the ID must not be
-// present already.
-func (t *Tree[V]) Insert(iv Interval, id uint64, val V) error {
+// Insert returns the tree with an entry added. The interval must be valid
+// and the (interval, ID) key must not be present already.
+func (t Tree[V]) Insert(iv Interval, id uint64, val V) (Tree[V], error) {
 	if !iv.Valid() {
-		return fmt.Errorf("%w: %v", ErrInvalid, iv)
+		return t, fmt.Errorf("%w: %v", ErrInvalid, iv)
 	}
-	if t.ids == nil {
-		t.ids = make(map[uint64]Interval)
-	}
-	if _, dup := t.ids[id]; dup {
-		return fmt.Errorf("%w: %d", ErrDuplicateID, id)
-	}
-	t.ids[id] = iv
-	t.root = insert(t.root, Entry[V]{Interval: iv, ID: id, Value: val})
-	return nil
-}
-
-// Delete removes the entry with the given ID, reporting whether it existed.
-func (t *Tree[V]) Delete(id uint64) bool {
-	iv, ok := t.ids[id]
+	root, ok := insert(t.root, Entry[V]{Interval: iv, ID: id, Value: val})
 	if !ok {
-		return false
+		return t, fmt.Errorf("%w: %d", ErrDuplicateID, id)
 	}
-	delete(t.ids, id)
-	t.root = remove(t.root, iv, id)
-	return true
+	return Tree[V]{root, t.size + 1}, nil
 }
 
-// Get returns the interval stored under id.
-func (t *Tree[V]) Get(id uint64) (Interval, bool) {
-	iv, ok := t.ids[id]
-	return iv, ok
-}
-
-// Stab returns all entries whose interval contains the point p, in
-// (Lo, Hi, ID) order.
-func (t *Tree[V]) Stab(p int64) []Entry[V] {
-	return t.Snapshot().Stab(p)
+// Delete returns the tree without the entry keyed (iv, id), reporting
+// whether it was there.
+func (t Tree[V]) Delete(iv Interval, id uint64) (Tree[V], bool) {
+	root, ok := remove(t.root, iv, id)
+	if !ok {
+		return t, false
+	}
+	return Tree[V]{root, t.size - 1}, true
 }
 
 // Stab returns all entries whose interval contains the point p, in
 // (Lo, Hi, ID) order.
-func (s Snapshot[V]) Stab(p int64) []Entry[V] {
-	return s.Overlapping(Interval{p, p + 1})
+func (t Tree[V]) Stab(p int64) []Entry[V] {
+	return t.Overlapping(Interval{p, p + 1})
 }
 
 // Overlapping returns all entries overlapping the query interval, in
 // (Lo, Hi, ID) order.
-func (t *Tree[V]) Overlapping(q Interval) []Entry[V] {
-	return t.Snapshot().Overlapping(q)
-}
-
-// Overlapping returns all entries overlapping the query interval, in
-// (Lo, Hi, ID) order.
-func (s Snapshot[V]) Overlapping(q Interval) []Entry[V] {
+func (t Tree[V]) Overlapping(q Interval) []Entry[V] {
 	var out []Entry[V]
-	s.VisitOverlapping(q, func(e Entry[V]) bool {
+	t.VisitOverlapping(q, func(e Entry[V]) bool {
 		out = append(out, e)
 		return true
 	})
@@ -207,17 +168,11 @@ func (s Snapshot[V]) Overlapping(q Interval) []Entry[V] {
 
 // VisitOverlapping calls fn for each entry overlapping q in (Lo, Hi, ID)
 // order until fn returns false.
-func (t *Tree[V]) VisitOverlapping(q Interval, fn func(Entry[V]) bool) {
-	t.Snapshot().VisitOverlapping(q, fn)
-}
-
-// VisitOverlapping calls fn for each entry overlapping q in (Lo, Hi, ID)
-// order until fn returns false.
-func (s Snapshot[V]) VisitOverlapping(q Interval, fn func(Entry[V]) bool) {
+func (t Tree[V]) VisitOverlapping(q Interval, fn func(Entry[V]) bool) {
 	if !q.Valid() {
 		return
 	}
-	visitOverlap(s.root, q, fn)
+	visitOverlap(t.root, q, fn)
 }
 
 func visitOverlap[V any](n *node[V], q Interval, fn func(Entry[V]) bool) bool {
@@ -239,14 +194,9 @@ func visitOverlap[V any](n *node[V], q Interval, fn func(Entry[V]) bool) bool {
 }
 
 // CountOverlapping returns the number of entries overlapping q.
-func (t *Tree[V]) CountOverlapping(q Interval) int {
-	return t.Snapshot().CountOverlapping(q)
-}
-
-// CountOverlapping returns the number of entries overlapping q.
-func (s Snapshot[V]) CountOverlapping(q Interval) int {
+func (t Tree[V]) CountOverlapping(q Interval) int {
 	n := 0
-	s.VisitOverlapping(q, func(Entry[V]) bool {
+	t.VisitOverlapping(q, func(Entry[V]) bool {
 		n++
 		return true
 	})
@@ -257,15 +207,9 @@ func (s Snapshot[V]) CountOverlapping(q Interval) int {
 // encountered after iv in the domain ordering, i.e. the entry with the
 // smallest (Lo, Hi, ID) such that Lo >= iv.Hi. ok is false when no entry
 // follows iv.
-func (t *Tree[V]) Next(iv Interval) (Entry[V], bool) {
-	return t.Snapshot().Next(iv)
-}
-
-// Next returns the first entry after iv in the domain ordering (see
-// Tree.Next).
-func (s Snapshot[V]) Next(iv Interval) (Entry[V], bool) {
+func (t Tree[V]) Next(iv Interval) (Entry[V], bool) {
 	var best *node[V]
-	n := s.root
+	n := t.root
 	for n != nil {
 		if n.entry.Lo >= iv.Hi {
 			best = n
@@ -281,13 +225,8 @@ func (s Snapshot[V]) Next(iv Interval) (Entry[V], bool) {
 }
 
 // All returns every entry in (Lo, Hi, ID) order.
-func (t *Tree[V]) All() []Entry[V] {
-	return t.Snapshot().All()
-}
-
-// All returns every entry in (Lo, Hi, ID) order.
-func (s Snapshot[V]) All() []Entry[V] {
-	out := make([]Entry[V], 0, s.size)
+func (t Tree[V]) All() []Entry[V] {
+	out := make([]Entry[V], 0, t.size)
 	var walk func(n *node[V])
 	walk = func(n *node[V]) {
 		if n == nil {
@@ -297,31 +236,25 @@ func (s Snapshot[V]) All() []Entry[V] {
 		out = append(out, n.entry)
 		walk(n.right)
 	}
-	walk(s.root)
+	walk(t.root)
 	return out
 }
 
 // Span returns the convex hull of all stored intervals; ok is false when
 // the tree is empty.
-func (t *Tree[V]) Span() (Interval, bool) {
-	return t.Snapshot().Span()
-}
-
-// Span returns the convex hull of all stored intervals; ok is false when
-// the snapshot is empty.
-func (s Snapshot[V]) Span() (Interval, bool) {
-	if s.root == nil {
+func (t Tree[V]) Span() (Interval, bool) {
+	if t.root == nil {
 		return Interval{}, false
 	}
-	n := s.root
+	n := t.root
 	for n.left != nil {
 		n = n.left
 	}
-	return Interval{n.entry.Lo, s.root.maxHi}, true
+	return Interval{n.entry.Lo, t.root.maxHi}, true
 }
 
 // Height returns the height of the tree; used in tests and diagnostics.
-func (t *Tree[V]) Height() int { return int(height(t.root)) }
+func (t Tree[V]) Height() int { return int(height(t.root)) }
 
 // --- AVL machinery ---
 
@@ -332,15 +265,18 @@ func height[V any](n *node[V]) int8 {
 	return n.height
 }
 
-func less[V any](a, b Entry[V]) bool {
-	if a.Lo != b.Lo {
-		return a.Lo < b.Lo
+// compare orders entries by their key (Lo, Hi, ID).
+func compare[V any](a, b Entry[V]) int {
+	switch {
+	case a.Lo != b.Lo:
+		return cmp.Compare(a.Lo, b.Lo)
+	case a.Hi != b.Hi:
+		return cmp.Compare(a.Hi, b.Hi)
 	}
-	if a.Hi != b.Hi {
-		return a.Hi < b.Hi
-	}
-	return a.ID < b.ID
+	return cmp.Compare(a.ID, b.ID)
 }
+
+func less[V any](a, b Entry[V]) bool { return compare(a, b) < 0 }
 
 func update[V any](n *node[V]) {
 	hl, hr := height(n.left), height(n.right)
@@ -362,7 +298,7 @@ func balanceFactor[V any](n *node[V]) int8 { return height(n.left) - height(n.ri
 
 // The rotation helpers receive caller-owned (freshly copied) nodes but
 // defensively clone whatever they relink, so no node reachable from a
-// published snapshot root is ever modified.
+// earlier tree value is ever modified.
 
 func rotateRight[V any](n *node[V]) *node[V] {
 	l := n.left.clone()
@@ -401,47 +337,71 @@ func rebalance[V any](n *node[V]) *node[V] {
 }
 
 // insert adds e below n, copying every node on the search path (and any
-// node touched by a rotation) so earlier roots stay intact.
-func insert[V any](n *node[V], e Entry[V]) *node[V] {
+// node touched by a rotation) so earlier roots stay intact. ok is false,
+// and nothing is copied, when e's key is already below n.
+func insert[V any](n *node[V], e Entry[V]) (_ *node[V], ok bool) {
 	if n == nil {
-		return &node[V]{entry: e, height: 1, maxHi: e.Hi}
+		return &node[V]{entry: e, height: 1, maxHi: e.Hi}, true
 	}
-	c := n.clone()
-	if less(e, c.entry) {
-		c.left = insert(c.left, e)
+	c := compare(e, n.entry)
+	if c == 0 {
+		return n, false
+	}
+	kid := n.left
+	if c > 0 {
+		kid = n.right
+	}
+	grown, ok := insert(kid, e)
+	if !ok {
+		return n, false
+	}
+	n = n.clone()
+	if c < 0 {
+		n.left = grown
 	} else {
-		c.right = insert(c.right, e)
+		n.right = grown
 	}
-	return rebalance(c)
+	return rebalance(n), true
 }
 
-// remove deletes (iv, id) below n, path-copying like insert.
-func remove[V any](n *node[V], iv Interval, id uint64) *node[V] {
+// remove deletes (iv, id) below n, path-copying like insert. ok is false,
+// and nothing is copied, when the key is not below n.
+func remove[V any](n *node[V], iv Interval, id uint64) (_ *node[V], ok bool) {
 	if n == nil {
-		return nil
+		return nil, false
 	}
-	probe := Entry[V]{Interval: iv, ID: id}
-	c := n.clone()
-	switch {
-	case less(probe, c.entry):
-		c.left = remove(c.left, iv, id)
-	case less(c.entry, probe):
-		c.right = remove(c.right, iv, id)
-	default:
+	c := compare(Entry[V]{Interval: iv, ID: id}, n.entry)
+	if c == 0 {
 		// Found the node to delete.
-		if c.left == nil {
-			return c.right
+		if n.left == nil {
+			return n.right, true
 		}
-		if c.right == nil {
-			return c.left
+		if n.right == nil {
+			return n.left, true
 		}
 		// Replace with in-order successor.
-		succ := c.right
+		succ := n.right
 		for succ.left != nil {
 			succ = succ.left
 		}
-		c.entry = succ.entry
-		c.right = remove(c.right, succ.entry.Interval, succ.entry.ID)
+		n = n.clone()
+		n.entry = succ.entry
+		n.right, _ = remove(n.right, succ.entry.Interval, succ.entry.ID)
+		return rebalance(n), true
 	}
-	return rebalance(c)
+	kid := n.left
+	if c > 0 {
+		kid = n.right
+	}
+	shrunk, ok := remove(kid, iv, id)
+	if !ok {
+		return n, false
+	}
+	n = n.clone()
+	if c < 0 {
+		n.left = shrunk
+	} else {
+		n.right = shrunk
+	}
+	return rebalance(n), true
 }

@@ -3,6 +3,7 @@ package interval
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -84,14 +85,20 @@ func TestUnionPrecedesContains(t *testing.T) {
 
 func TestTreeInsertErrors(t *testing.T) {
 	var tr Tree[string]
-	if err := tr.Insert(Interval{5, 5}, 1, "x"); !errors.Is(err, ErrInvalid) {
+	if _, err := tr.Insert(Interval{5, 5}, 1, "x"); !errors.Is(err, ErrInvalid) {
 		t.Fatalf("empty interval: err = %v, want ErrInvalid", err)
 	}
-	if err := tr.Insert(Interval{0, 10}, 1, "x"); err != nil {
-		t.Fatal(err)
+	mustInsert(t, &tr, Interval{0, 10}, 1)
+	mustInsert(t, &tr, Interval{20, 30}, 2)
+	got, err := tr.Insert(Interval{0, 10}, 1, "y")
+	if !errors.Is(err, ErrDuplicateID) {
+		t.Fatalf("repeated key: err = %v, want ErrDuplicateID", err)
 	}
-	if err := tr.Insert(Interval{20, 30}, 1, "y"); !errors.Is(err, ErrDuplicateID) {
-		t.Fatalf("duplicate id: err = %v, want ErrDuplicateID", err)
+	if got != tr {
+		t.Fatal("a refused insert returned a different tree")
+	}
+	if _, ok := tr.Delete(Interval{0, 11}, 1); ok {
+		t.Fatal("Delete matched an ID under another interval")
 	}
 }
 
@@ -149,15 +156,18 @@ func TestTreeDelete(t *testing.T) {
 	var tr Tree[int]
 	const n = 2000
 	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < n; i++ {
+	ivs := make([]Interval, n)
+	for i := range ivs {
 		lo := int64(rng.Intn(100_000))
-		mustInsertVal(t, &tr, Interval{lo, lo + int64(1+rng.Intn(500))}, uint64(i), i)
+		ivs[i] = Interval{lo, lo + int64(1+rng.Intn(500))}
+		mustInsertVal(t, &tr, ivs[i], uint64(i), i)
 	}
 	if tr.Len() != n {
 		t.Fatalf("Len = %d, want %d", tr.Len(), n)
 	}
 	for _, i := range rng.Perm(n) {
-		if !tr.Delete(uint64(i)) {
+		var ok bool
+		if tr, ok = tr.Delete(ivs[i], uint64(i)); !ok {
 			t.Fatalf("Delete(%d) missed", i)
 		}
 	}
@@ -167,7 +177,7 @@ func TestTreeDelete(t *testing.T) {
 	if got := tr.Overlapping(Interval{0, 200_000}); len(got) != 0 {
 		t.Fatalf("%d entries remain after deleting all", len(got))
 	}
-	if tr.Delete(0) {
+	if _, ok := tr.Delete(ivs[0], 0); ok {
 		t.Fatal("Delete on empty tree reported a hit")
 	}
 }
@@ -240,7 +250,9 @@ func TestScanMatchesTreeSmall(t *testing.T) {
 }
 
 // TestQuickTreeVsScan drives random insert/delete/query sequences against
-// the tree and the naive oracle.
+// the tree value and the naive oracle. Every fifth intermediate value is
+// kept with a copy of the oracle at that point and checked again once the
+// whole sequence has run: a successor never disturbs its predecessors.
 func TestQuickTreeVsScan(t *testing.T) {
 	type op struct {
 		Lo   int16
@@ -248,31 +260,7 @@ func TestQuickTreeVsScan(t *testing.T) {
 		Del  bool
 		Seed uint8
 	}
-	check := func(ops []op) bool {
-		var tr Tree[int]
-		var sc Scan[int]
-		nextID := uint64(0)
-		live := []uint64{}
-		for _, o := range ops {
-			if o.Del && len(live) > 0 {
-				id := live[int(o.Seed)%len(live)]
-				live = append(live[:indexOf(live, id)], live[indexOf(live, id)+1:]...)
-				if tr.Delete(id) != sc.Delete(id) {
-					return false
-				}
-				continue
-			}
-			iv := Interval{int64(o.Lo), int64(o.Lo) + int64(o.Len) + 1}
-			id := nextID
-			nextID++
-			live = append(live, id)
-			if err := tr.Insert(iv, id, 0); err != nil {
-				return false
-			}
-			if err := sc.Insert(iv, id, 0); err != nil {
-				return false
-			}
-		}
+	agree := func(tr Tree[int], sc *Scan[int]) bool {
 		for q := int64(-300); q <= 300; q += 37 {
 			qiv := Interval{q, q + 50}
 			if !equalIDs(ids(tr.Overlapping(qiv)), ids(sc.Overlapping(qiv))) {
@@ -287,7 +275,47 @@ func TestQuickTreeVsScan(t *testing.T) {
 				return false
 			}
 		}
-		return tr.Len() == sc.Len()
+		return tr.Len() == sc.Len() && len(tr.All()) == sc.Len()
+	}
+	check := func(ops []op) bool {
+		var tr Tree[int]
+		var sc Scan[int]
+		type pinned struct {
+			tr Tree[int]
+			sc Scan[int]
+		}
+		var kept []pinned
+		var live []Entry[int]
+		for i, o := range ops {
+			if o.Del && len(live) > 0 {
+				k := int(o.Seed) % len(live)
+				e := live[k]
+				live = append(live[:k], live[k+1:]...)
+				var ok bool
+				if tr, ok = tr.Delete(e.Interval, e.ID); !ok || !sc.Delete(e.ID) {
+					return false
+				}
+			} else {
+				e := Entry[int]{Interval: Interval{int64(o.Lo), int64(o.Lo) + int64(o.Len) + 1}, ID: uint64(i)}
+				live = append(live, e)
+				var err error
+				if tr, err = tr.Insert(e.Interval, e.ID, 0); err != nil {
+					return false
+				}
+				if err := sc.Insert(e.Interval, e.ID, 0); err != nil {
+					return false
+				}
+			}
+			if i%5 == 0 {
+				kept = append(kept, pinned{tr, Scan[int]{slices.Clone(sc.entries)}})
+			}
+		}
+		for i := range kept {
+			if !agree(kept[i].tr, &kept[i].sc) {
+				return false
+			}
+		}
+		return agree(tr, &sc)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
@@ -338,15 +366,6 @@ func TestQuickIntersectAlgebra(t *testing.T) {
 	}
 }
 
-func indexOf(s []uint64, v uint64) int {
-	for i, x := range s {
-		if x == v {
-			return i
-		}
-	}
-	return -1
-}
-
 func ids[V any](es []Entry[V]) []uint64 {
 	out := make([]uint64, len(es))
 	for i, e := range es {
@@ -372,21 +391,24 @@ func equalIDs(a, b []uint64) bool {
 
 func mustInsert(t *testing.T, tr *Tree[string], iv Interval, id uint64) {
 	t.Helper()
-	if err := tr.Insert(iv, id, ""); err != nil {
+	var err error
+	if *tr, err = tr.Insert(iv, id, ""); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func mustInsertVal(t *testing.T, tr *Tree[int], iv Interval, id uint64, v int) {
 	t.Helper()
-	if err := tr.Insert(iv, id, v); err != nil {
+	var err error
+	if *tr, err = tr.Insert(iv, id, v); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func mustInsert2(t *testing.T, tr *Tree[struct{}], iv Interval, id uint64) {
 	t.Helper()
-	if err := tr.Insert(iv, id, struct{}{}); err != nil {
+	var err error
+	if *tr, err = tr.Insert(iv, id, struct{}{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -396,7 +418,8 @@ func BenchmarkTreeOverlapping(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 100_000; i++ {
 		lo := int64(rng.Intn(10_000_000))
-		if err := tr.Insert(Interval{lo, lo + int64(1+rng.Intn(1000))}, uint64(i), i); err != nil {
+		var err error
+		if tr, err = tr.Insert(Interval{lo, lo + int64(1+rng.Intn(1000))}, uint64(i), i); err != nil {
 			b.Fatal(err)
 		}
 	}

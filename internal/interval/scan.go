@@ -2,47 +2,39 @@ package interval
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
 // Scan is a naive, unindexed collection of intervals that answers the same
 // queries as Tree by linear search. It is the baseline for the A2 ablation
-// (interval tree vs. scan) and the oracle for the tree's property tests.
+// (interval tree vs. scan) and the oracle for the tree's property tests;
+// callers give each entry a distinct ID.
 type Scan[V any] struct {
 	entries []Entry[V]
-	ids     map[uint64]int
 }
 
 // Len reports the number of entries.
 func (s *Scan[V]) Len() int { return len(s.entries) }
 
-// Insert adds an entry, enforcing the same contract as Tree.Insert.
+// Insert adds an entry; the interval must be valid, as for Tree.Insert.
 func (s *Scan[V]) Insert(iv Interval, id uint64, val V) error {
 	if !iv.Valid() {
 		return fmt.Errorf("%w: %v", ErrInvalid, iv)
 	}
-	if s.ids == nil {
-		s.ids = make(map[uint64]int)
-	}
-	if _, dup := s.ids[id]; dup {
-		return fmt.Errorf("%w: %d", ErrDuplicateID, id)
-	}
-	s.ids[id] = len(s.entries)
 	s.entries = append(s.entries, Entry[V]{Interval: iv, ID: id, Value: val})
 	return nil
 }
 
 // Delete removes the entry with the given ID, reporting whether it existed.
 func (s *Scan[V]) Delete(id uint64) bool {
-	i, ok := s.ids[id]
-	if !ok {
+	i := slices.IndexFunc(s.entries, func(e Entry[V]) bool { return e.ID == id })
+	if i < 0 {
 		return false
 	}
 	last := len(s.entries) - 1
 	s.entries[i] = s.entries[last]
-	s.ids[s.entries[i].ID] = i
 	s.entries = s.entries[:last]
-	delete(s.ids, id)
 	return true
 }
 

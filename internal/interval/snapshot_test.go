@@ -6,15 +6,18 @@ import (
 	"testing"
 )
 
-// TestSnapshotImmutable pins a snapshot, keeps mutating the tree, and
-// checks the snapshot still answers exactly as it did at capture time —
-// the property core.Store relies on to publish lock-free read views.
+// TestSnapshotImmutable keeps a tree value, derives many successors from
+// it, and checks the kept value still answers exactly as it did — the
+// property core relies on to hold trees in its published read views.
 func TestSnapshotImmutable(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	var tr Tree[int]
+	ivs := map[uint64]Interval{}
 	insertRand := func(id uint64) {
 		lo := rng.Int63n(10_000)
-		if err := tr.Insert(Interval{Lo: lo, Hi: lo + 1 + rng.Int63n(300)}, id, int(id)); err != nil {
+		ivs[id] = Interval{Lo: lo, Hi: lo + 1 + rng.Int63n(300)}
+		var err error
+		if tr, err = tr.Insert(ivs[id], id, int(id)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -22,7 +25,7 @@ func TestSnapshotImmutable(t *testing.T) {
 		insertRand(i)
 	}
 
-	snap := tr.Snapshot()
+	snap := tr
 	wantAll := snap.All()
 	wantSpan, _ := snap.Span()
 	q := Interval{Lo: 2000, Hi: 2600}
@@ -31,7 +34,7 @@ func TestSnapshotImmutable(t *testing.T) {
 
 	// Churn: deletions, insertions, enough to force many rotations.
 	for i := uint64(0); i < 400; i++ {
-		tr.Delete(i)
+		tr, _ = tr.Delete(ivs[i], i)
 	}
 	for i := uint64(1000); i < 1800; i++ {
 		insertRand(i)
@@ -53,12 +56,8 @@ func TestSnapshotImmutable(t *testing.T) {
 		t.Fatalf("snapshot Len %d != %d", snap.Len(), len(wantAll))
 	}
 
-	// The live tree, meanwhile, reflects the churn.
-	if tr.Len() != 500-400+800 {
-		t.Fatalf("live tree Len = %d", tr.Len())
-	}
-	// And a fresh snapshot agrees with the live tree.
-	if got := tr.Snapshot().All(); !reflect.DeepEqual(got, tr.All()) {
-		t.Fatal("fresh snapshot disagrees with live tree")
+	// The latest value, meanwhile, reflects the churn.
+	if tr.Len() != 500-400+800 || len(tr.All()) != tr.Len() {
+		t.Fatalf("latest tree Len = %d, All = %d", tr.Len(), len(tr.All()))
 	}
 }

@@ -20,8 +20,8 @@
 //
 //   - EdgeOverlap: a triggering interval/region referent of the source
 //     propagates to every referent overlapping it in the same coordinate
-//     domain / system (SUB_X ifOverlap, answered by the O(1)
-//     interval.Snapshot / rtree.Snapshot trees of the pinned view).
+//     domain / system (SUB_X ifOverlap, answered by the interval.Tree /
+//     rtree.Tree values of the pinned view).
 //   - EdgeCoRegistered: a region referent propagates to every other
 //     image registered into the same coordinate system whose footprint
 //     overlaps the region (the biodata registration maps).

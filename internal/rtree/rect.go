@@ -23,8 +23,8 @@ const MaxDims = 3
 // ErrInvalid is returned for degenerate or dimension-mismatched rectangles.
 var ErrInvalid = errors.New("rtree: invalid rectangle")
 
-// ErrDuplicateID is returned when inserting an entry whose ID is already
-// present in the tree.
+// ErrDuplicateID is returned when inserting an entry whose (rectangle, ID)
+// key is already present in the tree.
 var ErrDuplicateID = errors.New("rtree: duplicate entry ID")
 
 // Rect is an axis-aligned box in 2 or 3 dimensions. Coordinates are
@@ -114,15 +114,8 @@ func (r Rect) Contains(o Rect) bool {
 	return true
 }
 
-// ContainsPoint reports whether the point (x,y[,z]) lies inside r.
-func (r Rect) ContainsPoint(p [MaxDims]float64) bool {
-	for d := 0; d < r.Dims; d++ {
-		if p[d] < r.Min[d] || p[d] >= r.Max[d] {
-			return false
-		}
-	}
-	return true
-}
+// equal reports whether the two rectangles cover the same box.
+func (r Rect) equal(o Rect) bool { return r.Contains(o) && o.Contains(r) }
 
 // Volume returns the area (2-D) or volume (3-D) of the rectangle.
 func (r Rect) Volume() float64 {

@@ -2,6 +2,7 @@ package rtree
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -13,24 +14,26 @@ const (
 
 // Entry is a rectangle stored in a Tree together with the identity of the
 // mark it represents (a referent ID in Graphitti) and an arbitrary payload.
+// The payload sits before the ID so a zero-size V adds no trailing padding.
 type Entry[V any] struct {
 	Rect  Rect
-	ID    uint64
 	Value V
+	ID    uint64
 }
 
-// Tree is a Guttman R-tree with quadratic split. The zero value is an empty
-// 2-D tree; use NewTree to pick a dimensionality explicitly.
+// Tree is a persistent Guttman R-tree with quadratic split: an immutable
+// value whose Insert and Delete return the successor. Entries are keyed by
+// (Rect, ID). The zero value is an empty 2-D tree; use NewTree to pick a
+// dimensionality explicitly.
 //
-// Mutations are path-copying: Insert and Delete copy every node they
-// modify instead of mutating in place, so a Snapshot taken before a
-// mutation remains a consistent, immutable view of the tree at that
-// instant (the same discipline as interval.Tree). Tree is not safe for
-// concurrent mutation; Snapshots are safe for concurrent reads.
+// Mutations are path-copying: they copy every node they modify instead of
+// mutating in place, so every value stays a consistent view of the tree at
+// that instant (the same discipline as interval.Tree). Values are safe for
+// concurrent reads.
 type Tree[V any] struct {
 	root *rnode[V]
 	dims int
-	ids  map[uint64]Rect
+	size int
 }
 
 type rnode[V any] struct {
@@ -57,43 +60,17 @@ func (n *rnode[V]) clone() *rnode[V] {
 	return c
 }
 
-// Snapshot is an immutable point-in-time view of a Tree. The zero value is
-// an empty 2-D snapshot. Snapshots share structure with the tree; later
-// mutations never alter a snapshot.
-type Snapshot[V any] struct {
-	root *rnode[V]
-	dims int
-	size int
-}
-
-// Snapshot returns an immutable view of the tree's current contents in
-// O(1).
-func (t *Tree[V]) Snapshot() Snapshot[V] {
-	return Snapshot[V]{root: t.root, dims: t.Dims(), size: t.Len()}
-}
-
-// Dims returns the snapshot's dimensionality.
-func (s Snapshot[V]) Dims() int {
-	if s.dims == 0 {
-		return 2
-	}
-	return s.dims
-}
-
-// Len reports the number of entries in the snapshot.
-func (s Snapshot[V]) Len() int { return s.size }
-
 // NewTree returns an empty tree indexing rectangles of the given
 // dimensionality (2 or 3).
-func NewTree[V any](dims int) (*Tree[V], error) {
+func NewTree[V any](dims int) (Tree[V], error) {
 	if dims < 2 || dims > MaxDims {
-		return nil, fmt.Errorf("%w: dims %d", ErrInvalid, dims)
+		return Tree[V]{}, fmt.Errorf("%w: dims %d", ErrInvalid, dims)
 	}
-	return &Tree[V]{dims: dims}, nil
+	return Tree[V]{dims: dims}, nil
 }
 
 // Dims returns the tree's dimensionality.
-func (t *Tree[V]) Dims() int {
+func (t Tree[V]) Dims() int {
 	if t.dims == 0 {
 		return 2
 	}
@@ -101,33 +78,42 @@ func (t *Tree[V]) Dims() int {
 }
 
 // Len reports the number of entries.
-func (t *Tree[V]) Len() int { return len(t.ids) }
+func (t Tree[V]) Len() int { return t.size }
 
-// Insert adds an entry. The rectangle must be valid and match the tree's
-// dimensionality; the ID must not be present already.
-func (t *Tree[V]) Insert(r Rect, id uint64, val V) error {
+// Insert returns the tree with an entry added. The rectangle must be valid
+// and match the tree's dimensionality; the (rectangle, ID) key must not be
+// present already.
+func (t Tree[V]) Insert(r Rect, id uint64, val V) (Tree[V], error) {
 	if !r.Valid() || r.Dims != t.Dims() {
-		return fmt.Errorf("%w: %v (tree dims %d)", ErrInvalid, r, t.Dims())
+		return t, fmt.Errorf("%w: %v (tree dims %d)", ErrInvalid, r, t.Dims())
 	}
-	if t.ids == nil {
-		t.ids = make(map[uint64]Rect)
+	if has(t.root, r, id) {
+		return t, fmt.Errorf("%w: %d", ErrDuplicateID, id)
 	}
-	if _, dup := t.ids[id]; dup {
-		return fmt.Errorf("%w: %d", ErrDuplicateID, id)
-	}
-	t.ids[id] = r
-	e := Entry[V]{Rect: r, ID: id, Value: val}
-	if t.root == nil {
-		t.root = &rnode[V]{leaf: true}
-	}
-	t.root = t.insertRoot(t.root, e)
-	return nil
+	t.root = insertRoot(t.root, Entry[V]{Rect: r, ID: id, Value: val})
+	t.size++
+	return t, nil
 }
 
-// insertRoot inserts e under root and returns the new root (grown by one
-// level when the old root split).
-func (t *Tree[V]) insertRoot(root *rnode[V], e Entry[V]) *rnode[V] {
-	n1, n2 := t.insert(root, e)
+// has reports whether the key (r, id) is stored below n: only a subtree
+// whose bounds contain r can hold it.
+func has[V any](n *rnode[V], r Rect, id uint64) bool {
+	if n == nil || !n.bounds.Contains(r) {
+		return false
+	}
+	if n.leaf {
+		return slices.ContainsFunc(n.entries, func(e Entry[V]) bool { return e.ID == id && e.Rect.equal(r) })
+	}
+	return slices.ContainsFunc(n.children, func(c *rnode[V]) bool { return has(c, r, id) })
+}
+
+// insertRoot inserts e under root (nil for an empty tree) and returns the
+// new root (grown by one level when the old root split).
+func insertRoot[V any](root *rnode[V], e Entry[V]) *rnode[V] {
+	if root == nil {
+		root = &rnode[V]{leaf: true}
+	}
+	n1, n2 := insert(root, e)
 	if n2 == nil {
 		return n1
 	}
@@ -143,18 +129,18 @@ func (t *Tree[V]) insertRoot(root *rnode[V], e Entry[V]) *rnode[V] {
 // insert places e into the subtree rooted at n, returning the (possibly
 // rebuilt) node and a second node when n had to split. n itself is never
 // modified: the copy of the descent path is returned instead.
-func (t *Tree[V]) insert(n *rnode[V], e Entry[V]) (*rnode[V], *rnode[V]) {
+func insert[V any](n *rnode[V], e Entry[V]) (*rnode[V], *rnode[V]) {
 	n = n.clone()
 	if n.leaf {
 		n.entries = append(n.entries, e)
 		n.recomputeBounds()
 		if len(n.entries) > maxEntries {
-			return t.splitLeaf(n)
+			return splitLeaf(n)
 		}
 		return n, nil
 	}
-	best := t.chooseSubtree(n, e.Rect)
-	c1, c2 := t.insert(n.children[best], e)
+	best := chooseSubtree(n, e.Rect)
+	c1, c2 := insert(n.children[best], e)
 	n.children[best] = c1
 	n.rects[best] = c1.bounds
 	if c2 != nil {
@@ -163,14 +149,14 @@ func (t *Tree[V]) insert(n *rnode[V], e Entry[V]) (*rnode[V], *rnode[V]) {
 	}
 	n.recomputeBounds()
 	if len(n.children) > maxEntries {
-		return t.splitInternal(n)
+		return splitInternal(n)
 	}
 	return n, nil
 }
 
 // chooseSubtree picks the child needing the least enlargement to include r,
 // breaking ties by smaller volume (Guttman's ChooseLeaf).
-func (t *Tree[V]) chooseSubtree(n *rnode[V], r Rect) int {
+func chooseSubtree[V any](n *rnode[V], r Rect) int {
 	best, bestEnl, bestVol := -1, 0.0, 0.0
 	for i, cr := range n.rects {
 		enl := cr.enlargement(r)
@@ -221,7 +207,7 @@ func pickSeeds(rects []Rect) (int, int) {
 	return s1, s2
 }
 
-func (t *Tree[V]) splitLeaf(n *rnode[V]) (*rnode[V], *rnode[V]) {
+func splitLeaf[V any](n *rnode[V]) (*rnode[V], *rnode[V]) {
 	entries := n.entries
 	rects := make([]Rect, len(entries))
 	for i, e := range entries {
@@ -241,7 +227,7 @@ func (t *Tree[V]) splitLeaf(n *rnode[V]) (*rnode[V], *rnode[V]) {
 	return a, b
 }
 
-func (t *Tree[V]) splitInternal(n *rnode[V]) (*rnode[V], *rnode[V]) {
+func splitInternal[V any](n *rnode[V]) (*rnode[V], *rnode[V]) {
 	g1, g2 := splitGroups(n.rects)
 	a := &rnode[V]{leaf: false}
 	b := &rnode[V]{leaf: false}
@@ -315,39 +301,37 @@ func splitGroups(rects []Rect) ([]int, []int) {
 	return g1, g2
 }
 
-// Delete removes the entry with the given ID, reporting whether it existed.
-// Underfull nodes are condensed by re-inserting their orphaned entries.
-func (t *Tree[V]) Delete(id uint64) bool {
-	r, ok := t.ids[id]
-	if !ok {
-		return false
+// Delete returns the tree without the entry keyed (r, id), reporting
+// whether it was there. Underfull nodes are condensed by re-inserting their
+// orphaned entries.
+func (t Tree[V]) Delete(r Rect, id uint64) (Tree[V], bool) {
+	if !has(t.root, r, id) {
+		return t, false
 	}
-	delete(t.ids, id)
 	var orphans []Entry[V]
-	t.root = t.condense(t.root, r, id, &orphans)
-	if t.root != nil && !t.root.leaf && len(t.root.children) == 1 {
-		t.root = t.root.children[0]
+	root := condense(t.root, r, id, &orphans)
+	if root != nil && !root.leaf && len(root.children) == 1 {
+		root = root.children[0]
 	}
 	for _, e := range orphans {
-		if t.root == nil {
-			t.root = &rnode[V]{leaf: true}
-		}
-		t.root = t.insertRoot(t.root, e)
+		root = insertRoot(root, e)
 	}
-	return true
+	t.root = root
+	t.size--
+	return t, true
 }
 
 // condense removes (r,id) from the subtree at n. Nodes that drop below the
 // minimum fill contribute their entries to orphans and are pruned. Like
 // insert, it works on copies: n is never modified in place.
-func (t *Tree[V]) condense(n *rnode[V], r Rect, id uint64, orphans *[]Entry[V]) *rnode[V] {
+func condense[V any](n *rnode[V], r Rect, id uint64, orphans *[]Entry[V]) *rnode[V] {
 	if n == nil {
 		return nil
 	}
 	n = n.clone()
 	if n.leaf {
 		for i, e := range n.entries {
-			if e.ID == id {
+			if e.ID == id && e.Rect.equal(r) {
 				n.entries = append(n.entries[:i], n.entries[i+1:]...)
 				break
 			}
@@ -362,7 +346,7 @@ func (t *Tree[V]) condense(n *rnode[V], r Rect, id uint64, orphans *[]Entry[V]) 
 		if !n.rects[i].Overlaps(r) && !n.rects[i].Contains(r) {
 			continue
 		}
-		child := t.condense(n.children[i], r, id, orphans)
+		child := condense(n.children[i], r, id, orphans)
 		if child == nil || (child.leaf && len(child.entries) < minEntries) || (!child.leaf && len(child.children) < minEntries) {
 			// Prune the underfull child and re-insert its entries.
 			if child != nil {
@@ -394,14 +378,9 @@ func collectEntries[V any](n *rnode[V], out *[]Entry[V]) {
 }
 
 // Search returns all entries whose rectangle overlaps q, sorted by ID.
-func (t *Tree[V]) Search(q Rect) []Entry[V] {
-	return t.Snapshot().Search(q)
-}
-
-// Search returns all entries whose rectangle overlaps q, sorted by ID.
-func (s Snapshot[V]) Search(q Rect) []Entry[V] {
+func (t Tree[V]) Search(q Rect) []Entry[V] {
 	var out []Entry[V]
-	s.Visit(q, func(e Entry[V]) bool {
+	t.Visit(q, func(e Entry[V]) bool {
 		out = append(out, e)
 		return true
 	})
@@ -411,17 +390,11 @@ func (s Snapshot[V]) Search(q Rect) []Entry[V] {
 
 // Visit calls fn for every entry overlapping q until fn returns false.
 // Visit order is unspecified.
-func (t *Tree[V]) Visit(q Rect, fn func(Entry[V]) bool) {
-	t.Snapshot().Visit(q, fn)
-}
-
-// Visit calls fn for every entry overlapping q until fn returns false.
-// Visit order is unspecified.
-func (s Snapshot[V]) Visit(q Rect, fn func(Entry[V]) bool) {
-	if !q.Valid() || q.Dims != s.Dims() {
+func (t Tree[V]) Visit(q Rect, fn func(Entry[V]) bool) {
+	if !q.Valid() || q.Dims != t.Dims() {
 		return
 	}
-	visit(s.root, q, fn)
+	visit(t.root, q, fn)
 }
 
 func visit[V any](n *rnode[V], q Rect, fn func(Entry[V]) bool) bool {
@@ -447,14 +420,9 @@ func visit[V any](n *rnode[V], q Rect, fn func(Entry[V]) bool) bool {
 }
 
 // Count returns the number of entries overlapping q.
-func (t *Tree[V]) Count(q Rect) int {
-	return t.Snapshot().Count(q)
-}
-
-// Count returns the number of entries overlapping q.
-func (s Snapshot[V]) Count(q Rect) int {
+func (t Tree[V]) Count(q Rect) int {
 	n := 0
-	s.Visit(q, func(Entry[V]) bool {
+	t.Visit(q, func(Entry[V]) bool {
 		n++
 		return true
 	})
@@ -463,21 +431,15 @@ func (s Snapshot[V]) Count(q Rect) int {
 
 // Bounds returns the bounding box of all entries; ok is false for an empty
 // tree.
-func (t *Tree[V]) Bounds() (Rect, bool) {
-	return t.Snapshot().Bounds()
-}
-
-// Bounds returns the bounding box of all entries; ok is false for an empty
-// snapshot.
-func (s Snapshot[V]) Bounds() (Rect, bool) {
-	if s.root == nil || s.size == 0 {
+func (t Tree[V]) Bounds() (Rect, bool) {
+	if t.root == nil || t.size == 0 {
 		return Rect{}, false
 	}
-	return s.root.bounds, true
+	return t.root.bounds, true
 }
 
 // Height returns the height of the tree (0 when empty).
-func (t *Tree[V]) Height() int {
+func (t Tree[V]) Height() int {
 	h, n := 0, t.root
 	for n != nil {
 		h++
@@ -493,20 +455,23 @@ func (t *Tree[V]) Height() int {
 // packing algorithm, which produces better-clustered nodes than repeated
 // insertion. Entries must all have valid rectangles of the same
 // dimensionality and distinct IDs.
-func BulkLoad[V any](dims int, entries []Entry[V]) (*Tree[V], error) {
+func BulkLoad[V any](dims int, entries []Entry[V]) (Tree[V], error) {
 	t, err := NewTree[V](dims)
 	if err != nil {
-		return nil, err
+		return t, err
 	}
-	t.ids = make(map[uint64]Rect, len(entries))
-	for _, e := range entries {
+	ids := make([]uint64, len(entries))
+	for i, e := range entries {
 		if !e.Rect.Valid() || e.Rect.Dims != dims {
-			return nil, fmt.Errorf("%w: %v", ErrInvalid, e.Rect)
+			return t, fmt.Errorf("%w: %v", ErrInvalid, e.Rect)
 		}
-		if _, dup := t.ids[e.ID]; dup {
-			return nil, fmt.Errorf("%w: %d", ErrDuplicateID, e.ID)
+		ids[i] = e.ID
+	}
+	slices.Sort(ids)
+	for i := 1; i < len(ids); i++ {
+		if ids[i] == ids[i-1] {
+			return t, fmt.Errorf("%w: %d", ErrDuplicateID, ids[i])
 		}
-		t.ids[e.ID] = e.Rect
 	}
 	if len(entries) == 0 {
 		return t, nil
@@ -536,7 +501,7 @@ func BulkLoad[V any](dims int, entries []Entry[V]) (*Tree[V], error) {
 		}
 		nodes = next
 	}
-	t.root = nodes[0]
+	t.root, t.size = nodes[0], len(entries)
 	return t, nil
 }
 

@@ -3,6 +3,7 @@ package rtree
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -78,18 +79,28 @@ func TestNewTreeDims(t *testing.T) {
 }
 
 func TestTreeInsertErrors(t *testing.T) {
-	tr, _ := NewTree[string](2)
-	if err := tr.Insert(Rect2D(0, 0, 0, 1), 1, "x"); !errors.Is(err, ErrInvalid) {
+	tr, _ := NewTree[int](2)
+	if _, err := tr.Insert(Rect2D(0, 0, 0, 1), 1, 0); !errors.Is(err, ErrInvalid) {
 		t.Fatalf("invalid rect: err = %v", err)
 	}
-	if err := tr.Insert(Rect3D(0, 0, 0, 1, 1, 1), 1, "x"); !errors.Is(err, ErrInvalid) {
+	if _, err := tr.Insert(Rect3D(0, 0, 0, 1, 1, 1), 1, 0); !errors.Is(err, ErrInvalid) {
 		t.Fatalf("dims mismatch: err = %v", err)
 	}
-	if err := tr.Insert(Rect2D(0, 0, 1, 1), 1, "x"); err != nil {
-		t.Fatal(err)
+	// Enough entries around the repeated key that it sits below the root.
+	for i := 0; i < 100; i++ {
+		x := float64(i % 10 * 5)
+		y := float64(i / 10 * 5)
+		mustInsert(t, &tr, Rect2D(x, y, x+7, y+7), uint64(i), i)
 	}
-	if err := tr.Insert(Rect2D(2, 2, 3, 3), 1, "y"); !errors.Is(err, ErrDuplicateID) {
-		t.Fatalf("duplicate id: err = %v", err)
+	got, err := tr.Insert(Rect2D(5, 5, 12, 12), 11, 0)
+	if !errors.Is(err, ErrDuplicateID) {
+		t.Fatalf("repeated key: err = %v", err)
+	}
+	if got != tr {
+		t.Fatal("a refused insert returned a different tree")
+	}
+	if _, ok := tr.Delete(Rect2D(5, 5, 12, 13), 11); ok {
+		t.Fatal("Delete matched an ID under another rectangle")
 	}
 }
 
@@ -102,9 +113,7 @@ func TestTreeSearchSmall(t *testing.T) {
 		4: Rect2D(-5, -5, 1, 1),
 	}
 	for id, r := range rects {
-		if err := tr.Insert(r, id, ""); err != nil {
-			t.Fatal(err)
-		}
+		mustInsert(t, &tr, r, id, "")
 	}
 	tests := []struct {
 		q    Rect
@@ -132,9 +141,7 @@ func TestTreeLargeRandom(t *testing.T) {
 	for i := 0; i < n; i++ {
 		x, y := rng.Float64()*1000, rng.Float64()*1000
 		r := Rect2D(x, y, x+1+rng.Float64()*20, y+1+rng.Float64()*20)
-		if err := tr.Insert(r, uint64(i), i); err != nil {
-			t.Fatal(err)
-		}
+		mustInsert(t, &tr, r, uint64(i), i)
 		if err := sc.Insert(r, uint64(i), i); err != nil {
 			t.Fatal(err)
 		}
@@ -157,15 +164,17 @@ func TestTreeDelete(t *testing.T) {
 	sc, _ := NewScan[int](2)
 	rng := rand.New(rand.NewSource(33))
 	const n = 1500
-	for i := 0; i < n; i++ {
+	rects := make([]Rect, n)
+	for i := range rects {
 		x, y := rng.Float64()*500, rng.Float64()*500
-		r := Rect2D(x, y, x+1+rng.Float64()*10, y+1+rng.Float64()*10)
-		_ = tr.Insert(r, uint64(i), i)
-		_ = sc.Insert(r, uint64(i), i)
+		rects[i] = Rect2D(x, y, x+1+rng.Float64()*10, y+1+rng.Float64()*10)
+		mustInsert(t, &tr, rects[i], uint64(i), i)
+		_ = sc.Insert(rects[i], uint64(i), i)
 	}
 	perm := rng.Perm(n)
+	var ok bool
 	for k, i := range perm[:n/2] {
-		if !tr.Delete(uint64(i)) {
+		if tr, ok = tr.Delete(rects[i], uint64(i)); !ok {
 			t.Fatalf("Delete(%d) missed at step %d", i, k)
 		}
 		sc.Delete(uint64(i))
@@ -182,14 +191,14 @@ func TestTreeDelete(t *testing.T) {
 	}
 	// Delete the rest.
 	for _, i := range perm[n/2:] {
-		if !tr.Delete(uint64(i)) {
+		if tr, ok = tr.Delete(rects[i], uint64(i)); !ok {
 			t.Fatalf("Delete(%d) missed", i)
 		}
 	}
 	if tr.Len() != 0 {
 		t.Fatalf("Len = %d after deleting all", tr.Len())
 	}
-	if tr.Delete(0) {
+	if _, ok := tr.Delete(rects[0], 0); ok {
 		t.Fatal("Delete on empty tree reported a hit")
 	}
 }
@@ -202,7 +211,7 @@ func TestTree3D(t *testing.T) {
 	for i := 0; i < n; i++ {
 		x, y, z := rng.Float64()*100, rng.Float64()*100, rng.Float64()*100
 		r := Rect3D(x, y, z, x+1+rng.Float64()*5, y+1+rng.Float64()*5, z+1+rng.Float64()*5)
-		_ = tr.Insert(r, uint64(i), i)
+		mustInsert(t, &tr, r, uint64(i), i)
 		_ = sc.Insert(r, uint64(i), i)
 	}
 	for i := 0; i < 100; i++ {
@@ -265,7 +274,7 @@ func TestBulkLoadErrors(t *testing.T) {
 func TestVisitEarlyStop(t *testing.T) {
 	tr, _ := NewTree[int](2)
 	for i := 0; i < 200; i++ {
-		_ = tr.Insert(Rect2D(0, 0, 100, 100), uint64(i), i)
+		mustInsert(t, &tr, Rect2D(0, 0, 100, 100), uint64(i), i)
 	}
 	count := 0
 	tr.Visit(Rect2D(1, 1, 2, 2), func(Entry[int]) bool {
@@ -282,8 +291,8 @@ func TestBoundsAndHeight(t *testing.T) {
 	if _, ok := tr.Bounds(); ok {
 		t.Fatal("Bounds of empty tree reported ok")
 	}
-	_ = tr.Insert(Rect2D(3, 4, 5, 6), 1, 0)
-	_ = tr.Insert(Rect2D(-1, -2, 0, 0), 2, 0)
+	mustInsert(t, &tr, Rect2D(3, 4, 5, 6), 1, 0)
+	mustInsert(t, &tr, Rect2D(-1, -2, 0, 0), 2, 0)
 	b, ok := tr.Bounds()
 	if !ok || b != Rect2D(-1, -2, 5, 6) {
 		t.Fatalf("Bounds = (%v,%v)", b, ok)
@@ -293,35 +302,17 @@ func TestBoundsAndHeight(t *testing.T) {
 	}
 }
 
-// TestQuickTreeVsScan compares the tree against the oracle under random
-// insert/delete workloads.
+// TestQuickTreeVsScan compares the tree value against the oracle under
+// random insert/delete workloads. Every fifth intermediate value is kept
+// with a copy of the oracle at that point and checked again once the whole
+// sequence has run: a successor never disturbs its predecessors.
 func TestQuickTreeVsScan(t *testing.T) {
 	type op struct {
 		X, Y uint8
 		W, H uint8
 		Del  bool
 	}
-	check := func(ops []op) bool {
-		tr, _ := NewTree[int](2)
-		sc, _ := NewScan[int](2)
-		id := uint64(0)
-		var live []uint64
-		for _, o := range ops {
-			if o.Del && len(live) > 0 {
-				victim := live[int(o.X)%len(live)]
-				live = removeID(live, victim)
-				if tr.Delete(victim) != sc.Delete(victim) {
-					return false
-				}
-				continue
-			}
-			r := Rect2D(float64(o.X), float64(o.Y), float64(o.X)+float64(o.W)+1, float64(o.Y)+float64(o.H)+1)
-			if tr.Insert(r, id, 0) != nil || sc.Insert(r, id, 0) != nil {
-				return false
-			}
-			live = append(live, id)
-			id++
-		}
+	agree := func(tr Tree[int], sc *Scan[int]) bool {
 		for qx := 0.0; qx < 256; qx += 41 {
 			for qy := 0.0; qy < 256; qy += 41 {
 				q := Rect2D(qx, qy, qx+60, qy+60)
@@ -334,6 +325,43 @@ func TestQuickTreeVsScan(t *testing.T) {
 			}
 		}
 		return tr.Len() == sc.Len()
+	}
+	check := func(ops []op) bool {
+		tr, _ := NewTree[int](2)
+		sc, _ := NewScan[int](2)
+		type pinned struct {
+			tr Tree[int]
+			sc Scan[int]
+		}
+		var kept []pinned
+		var live []Entry[int]
+		for i, o := range ops {
+			if o.Del && len(live) > 0 {
+				k := int(o.X) % len(live)
+				e := live[k]
+				live = append(live[:k], live[k+1:]...)
+				var ok bool
+				if tr, ok = tr.Delete(e.Rect, e.ID); !ok || !sc.Delete(e.ID) {
+					return false
+				}
+			} else {
+				r := Rect2D(float64(o.X), float64(o.Y), float64(o.X)+float64(o.W)+1, float64(o.Y)+float64(o.H)+1)
+				var err error
+				if tr, err = tr.Insert(r, uint64(i), 0); err != nil || sc.Insert(r, uint64(i), 0) != nil {
+					return false
+				}
+				live = append(live, Entry[int]{Rect: r, ID: uint64(i)})
+			}
+			if i%5 == 0 {
+				kept = append(kept, pinned{tr, Scan[int]{2, slices.Clone(sc.entries)}})
+			}
+		}
+		for i := range kept {
+			if !agree(kept[i].tr, &kept[i].sc) {
+				return false
+			}
+		}
+		return agree(tr, sc)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
@@ -397,13 +425,12 @@ func sameIDs(a, b []uint64) bool {
 	return true
 }
 
-func removeID(s []uint64, v uint64) []uint64 {
-	for i, x := range s {
-		if x == v {
-			return append(s[:i], s[i+1:]...)
-		}
+func mustInsert[V any](t testing.TB, tr *Tree[V], r Rect, id uint64, v V) {
+	t.Helper()
+	var err error
+	if *tr, err = tr.Insert(r, id, v); err != nil {
+		t.Fatal(err)
 	}
-	return s
 }
 
 func BenchmarkTreeSearch(b *testing.B) {
@@ -411,7 +438,7 @@ func BenchmarkTreeSearch(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 50_000; i++ {
 		x, y := rng.Float64()*10_000, rng.Float64()*10_000
-		_ = tr.Insert(Rect2D(x, y, x+1+rng.Float64()*30, y+1+rng.Float64()*30), uint64(i), i)
+		mustInsert(b, &tr, Rect2D(x, y, x+1+rng.Float64()*30, y+1+rng.Float64()*30), uint64(i), i)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

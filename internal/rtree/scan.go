@@ -2,16 +2,17 @@ package rtree
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
 // Scan is a naive, unindexed collection of rectangles answering the same
 // queries as Tree by linear search. It is the baseline for the A3 ablation
-// (R-tree vs. scan) and the oracle for the tree's property tests.
+// (R-tree vs. scan) and the oracle for the tree's property tests; callers
+// give each entry a distinct ID.
 type Scan[V any] struct {
 	dims    int
 	entries []Entry[V]
-	ids     map[uint64]int
 }
 
 // NewScan returns an empty scan baseline for rectangles of the given
@@ -26,33 +27,25 @@ func NewScan[V any](dims int) (*Scan[V], error) {
 // Len reports the number of entries.
 func (s *Scan[V]) Len() int { return len(s.entries) }
 
-// Insert adds an entry under the same contract as Tree.Insert.
+// Insert adds an entry; the rectangle must be valid and of the scan's
+// dimensionality, as for Tree.Insert.
 func (s *Scan[V]) Insert(r Rect, id uint64, val V) error {
 	if !r.Valid() || r.Dims != s.dims {
 		return fmt.Errorf("%w: %v (dims %d)", ErrInvalid, r, s.dims)
 	}
-	if s.ids == nil {
-		s.ids = make(map[uint64]int)
-	}
-	if _, dup := s.ids[id]; dup {
-		return fmt.Errorf("%w: %d", ErrDuplicateID, id)
-	}
-	s.ids[id] = len(s.entries)
 	s.entries = append(s.entries, Entry[V]{Rect: r, ID: id, Value: val})
 	return nil
 }
 
 // Delete removes the entry with the given ID, reporting whether it existed.
 func (s *Scan[V]) Delete(id uint64) bool {
-	i, ok := s.ids[id]
-	if !ok {
+	i := slices.IndexFunc(s.entries, func(e Entry[V]) bool { return e.ID == id })
+	if i < 0 {
 		return false
 	}
 	last := len(s.entries) - 1
 	s.entries[i] = s.entries[last]
-	s.ids[s.entries[i].ID] = i
 	s.entries = s.entries[:last]
-	delete(s.ids, id)
 	return true
 }
 

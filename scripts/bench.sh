@@ -42,11 +42,13 @@ TIMEOUT=60m
 # did), and the rest of the write path: the commit/delete mix at three
 # store sizes (CommitAtStoreSize: its rows growing apart is commit cost
 # following the store again), snapshot load, the keyword index the commit
-# maintains (A6) and index build on load (A7), and the read path end to
-# end through the HTTP handler (ReadPath: related, keyword, query — store
-# work and response encoding together). A benchmark the baseline file
-# predates is skipped until the baseline is regenerated.
-GUARDS="${GUARDS:-BenchmarkReadPath|BenchmarkQ1TP53|BenchmarkO3AGraphPrimitives|BenchmarkF1AGraphScenario|BenchmarkW2MixedReadWrite|BenchmarkSearchContentsParallel|BenchmarkPropagation|BenchmarkPlanner|BenchmarkF2AnnotateWorkflow|BenchmarkW1DurableCommit|BenchmarkCommitAtStoreSize|BenchmarkLoadSnapshot|BenchmarkA6ContentIndex|BenchmarkA7BulkLoadVsIncremental}"
+# maintains (A6) and index build on load (A7), the spatial trees the views
+# hold as values (A1 consolidation, A2 interval tree and A3 R-tree against
+# their scans: a successor costs a search path, a read costs what it did),
+# and the read path end to end through the HTTP handler (ReadPath: related,
+# keyword, query — store work and response encoding together). A benchmark
+# the baseline file predates is skipped until the baseline is regenerated.
+GUARDS="${GUARDS:-BenchmarkReadPath|BenchmarkQ1TP53|BenchmarkO3AGraphPrimitives|BenchmarkF1AGraphScenario|BenchmarkW2MixedReadWrite|BenchmarkSearchContentsParallel|BenchmarkPropagation|BenchmarkPlanner|BenchmarkF2AnnotateWorkflow|BenchmarkW1DurableCommit|BenchmarkCommitAtStoreSize|BenchmarkLoadSnapshot|BenchmarkA6ContentIndex|BenchmarkA7BulkLoadVsIncremental|BenchmarkA1IndexConsolidation|BenchmarkA2IntervalVsScan|BenchmarkA3RTreeVsScan}"
 REGRESSION_FACTOR="${REGRESSION_FACTOR:-2.0}"
 DATE="$(date +%Y-%m-%d)"
 TXT="BENCH_${DATE}.txt"
