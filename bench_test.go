@@ -458,7 +458,7 @@ func BenchmarkO2OntologyOps(b *testing.B) {
 // --- O3: a-graph primitives vs graph size ---
 
 func benchGraph(stars, size int) (*agraph.Graph, []agraph.NodeRef) {
-	g := agraph.New()
+	e := new(agraph.Graph).Edit()
 	hub := agraph.Object("hub", "0")
 	var terms []agraph.NodeRef
 	for s := 0; s < stars; s++ {
@@ -466,13 +466,13 @@ func benchGraph(stars, size int) (*agraph.Graph, []agraph.NodeRef) {
 		terms = append(terms, c)
 		for i := 0; i < size; i++ {
 			r := agraph.Referent(uint64(s*size + i))
-			g.AddEdge(c, r, agraph.LabelAnnotates)
+			e.AddEdge(c, r, agraph.LabelAnnotates)
 			if i == 0 {
-				g.AddEdge(r, hub, agraph.LabelMarks)
+				e.AddEdge(r, hub, agraph.LabelMarks)
 			}
 		}
 	}
-	return g, terms
+	return e.Graph(), terms
 }
 
 func BenchmarkO3AGraphPrimitives(b *testing.B) {

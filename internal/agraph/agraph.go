@@ -18,19 +18,35 @@
 //
 // # Storage layout
 //
-// Every node carries its incident edges partitioned by direction and by
-// label, ordered by edge ID. Edge IDs are allocated monotonically, so
-// insertion keeps the order for free and In/Out/the iterator API never
-// sort or filter-scan. Each node also has a dense int32 index so the
-// traversal primitives (FindPath, Connect, ReachableEach) run on
-// epoch-stamped arrays from a pooled arena instead of per-call maps.
+// A Graph is an immutable value: the zero value is the empty graph, a read
+// never blocks and never observes a writer, and a kept value is a
+// snapshot for as long as it is held. The one writer edits through an
+// Edit handle (Graph.Edit) and obtains the successor value from it; the
+// successor shares all but the touched pieces with its predecessor.
 //
-// Adjacency lists are copy-on-write: AddEdge appends (never touching
-// occupied slots) and removals build fresh slices. A slice header
-// snapshotted under the read lock therefore stays a consistent view of
-// the edge set at call time even while writers mutate the graph — this
-// is what lets the iterator API (iter.go) release the lock before
-// visiting and makes nested iteration deadlock-free.
+// Every node has a dense int32 index. The index is found through one
+// persistent map per node kind, keyed by NodeRef.Key — the refs arrive as
+// strings from every caller (core, query, prop, the wire), so a lookup
+// hashes the key it is handed and builds nothing; an ID table for the two
+// integer-keyed kinds would have to parse that string back per lookup and
+// would still need the maps for terms and objects. The index leads to the
+// node through a cow.Table, so the traversal primitives (FindPath,
+// Connect, ReachableEach) run on epoch-stamped arrays from a pooled arena
+// instead of per-call maps; the indices of removed nodes are reused.
+//
+// A node carries its incident edges partitioned by direction and by label.
+// An edge is stored as its two half-edges — {edge ID, index of the node at
+// the other end} under the label's bucket of the tail's out-direction and
+// of the head's in-direction — and nowhere else: Edge values are assembled
+// for the caller from the node table. Each partition is a chunked list
+// ordered by edge ID, like cow.Postings: edge IDs are allocated
+// monotonically, so an insertion is a tail append (in place, past the
+// length any earlier value holds), a removal copies the one chunk that
+// held the edge, and In/Out iteration never filter-scans. A visit across
+// several labels is in ID order too: their lists one after another when
+// their ID ranges follow one another, as on every node the store wires,
+// sorted together otherwise. As with Postings, only the newest value of a
+// chain may be edited: the writer's history is linear.
 package agraph
 
 import (
@@ -39,7 +55,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
+
+	"graphitti/internal/cow"
 )
 
 // NodeKind discriminates the entity a node reference points at.
@@ -56,6 +73,8 @@ const (
 	TermNode
 	// ObjectNode references a registered data object.
 	ObjectNode
+
+	nodeKinds = iota // a graph holds nodes of these kinds only
 )
 
 func (k NodeKind) String() string {
@@ -181,355 +200,77 @@ type Edge struct {
 // Errors reported by graph operations.
 var (
 	ErrNoSuchNode = errors.New("agraph: no such node")
-	ErrNoSuchEdge = errors.New("agraph: no such edge")
 	ErrNoPath     = errors.New("agraph: no path")
 	ErrTerminals  = errors.New("agraph: connect needs at least two distinct terminals")
 )
 
-// halfRef is one end of an edge as stored in a node's adjacency lists:
-// the edge plus the dense index of the node at the other end.
-type halfRef struct {
-	edge *Edge
-	peer int32
+// node is a node's identity plus its adjacency in each direction. A node
+// reachable from a Graph value is never written: an edit stores a changed
+// copy under the same index.
+type node struct {
+	ref     NodeRef
+	out, in adjacency
 }
 
-// labelBucket is the adjacency partition for one edge label.
-type labelBucket struct {
-	label EdgeLabel
-	refs  []halfRef
+// freeSlot is a stack of the dense indices removed nodes gave up.
+type freeSlot struct {
+	index int32
+	next  *freeSlot
 }
 
-// adjacency holds one direction of a node's incident edges, partitioned
-// by label and mirrored in a label-agnostic list. Both views are kept
-// ordered by edge ID.
-type adjacency struct {
-	all     []halfRef
-	buckets []labelBucket
-}
-
-// bucket returns the ID-ordered half edges carrying the label.
-func (a *adjacency) bucket(label EdgeLabel) []halfRef {
-	for i := range a.buckets {
-		if a.buckets[i].label == label {
-			return a.buckets[i].refs
-		}
-	}
-	return nil
-}
-
-func (a *adjacency) add(e *Edge, peer int32) {
-	h := halfRef{edge: e, peer: peer}
-	a.all = append(a.all, h)
-	for i := range a.buckets {
-		if a.buckets[i].label == e.Label {
-			a.buckets[i].refs = append(a.buckets[i].refs, h)
-			return
-		}
-	}
-	a.buckets = append(a.buckets, labelBucket{label: e.Label, refs: []halfRef{h}})
-}
-
-func (a *adjacency) remove(id uint64, label EdgeLabel) {
-	a.all = withoutEdge(a.all, id)
-	for i := range a.buckets {
-		if a.buckets[i].label == label {
-			a.buckets[i].refs = withoutEdge(a.buckets[i].refs, id)
-			if len(a.buckets[i].refs) == 0 {
-				a.buckets = append(a.buckets[:i], a.buckets[i+1:]...)
-			}
-			return
-		}
-	}
-}
-
-// withoutEdge returns a slice without edge id, preserving ID order. The
-// result is a fresh allocation — the input backing array is never
-// mutated, so snapshots taken by concurrent readers stay consistent.
-func withoutEdge(hs []halfRef, id uint64) []halfRef {
-	i := sort.Search(len(hs), func(k int) bool { return hs[k].edge.ID >= id })
-	if i >= len(hs) || hs[i].edge.ID != id {
-		return hs
-	}
-	if len(hs) == 1 {
-		return nil
-	}
-	out := make([]halfRef, len(hs)-1)
-	copy(out, hs[:i])
-	copy(out[i:], hs[i+1:])
-	return out
-}
-
-// nodeState is a node's identity plus its partitioned adjacency.
-type nodeState struct {
-	ref NodeRef
-	out adjacency
-	in  adjacency
-}
-
-// Graph is a directed labeled multigraph. All methods are safe for
-// concurrent use.
+// Graph is a directed labeled multigraph, as an immutable value: the zero
+// value is the empty graph, every method is a read, and all of them are
+// safe for any number of goroutines. Edit opens the writer's handle.
 type Graph struct {
-	mu     sync.RWMutex
-	index  map[NodeRef]int32 // ref -> dense index into nodes
-	nodes  []nodeState
-	free   []int32 // dense indices of removed nodes, available for reuse
-	edges  map[uint64]*Edge
+	index  [nodeKinds]cow.Map[int32] // by kind: ref.Key -> dense index
+	nodes  cow.Table[node]           // dense index -> node
+	free   *freeSlot
+	slots  int32 // dense indices ever handed out: every index is below it
+	edges  int
 	nextID uint64
-	arenas sync.Pool // *arena, reused across traversals
 }
 
-// New returns an empty graph.
-func New() *Graph {
-	return &Graph{
-		index: make(map[NodeRef]int32),
-		edges: make(map[uint64]*Edge),
-	}
-}
-
-// ensureLocked returns the dense index for ref, creating the node if
-// needed. Caller holds the write lock.
-func (g *Graph) ensureLocked(ref NodeRef) int32 {
-	if i, ok := g.index[ref]; ok {
-		return i
-	}
-	var i int32
-	if n := len(g.free); n > 0 {
-		i = g.free[n-1]
-		g.free = g.free[:n-1]
-		g.nodes[i] = nodeState{ref: ref}
-	} else {
-		i = int32(len(g.nodes))
-		g.nodes = append(g.nodes, nodeState{ref: ref})
-	}
-	g.index[ref] = i
-	return i
-}
-
-// AddNode ensures the node exists (isolated nodes are allowed).
-func (g *Graph) AddNode(ref NodeRef) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.ensureLocked(ref)
-}
-
-// HasNode reports whether the node exists.
-func (g *Graph) HasNode(ref NodeRef) bool {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	_, ok := g.index[ref]
-	return ok
-}
-
-// AddEdge inserts a directed labeled edge, creating endpoints as needed,
-// and returns the edge ID. Parallel edges (same endpoints, same or
-// different labels) are permitted — the a-graph is a multigraph.
-func (g *Graph) AddEdge(from, to NodeRef, label EdgeLabel) uint64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	fi := g.ensureLocked(from)
-	ti := g.ensureLocked(to)
-	g.nextID++
-	e := &Edge{ID: g.nextID, From: from, To: to, Label: label}
-	g.edges[e.ID] = e
-	g.nodes[fi].out.add(e, ti)
-	g.nodes[ti].in.add(e, fi)
-	return e.ID
-}
-
-// RemoveEdge deletes the edge with the given ID.
-func (g *Graph) RemoveEdge(id uint64) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	e, ok := g.edges[id]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrNoSuchEdge, id)
-	}
-	delete(g.edges, id)
-	g.nodes[g.index[e.From]].out.remove(id, e.Label)
-	g.nodes[g.index[e.To]].in.remove(id, e.Label)
-	return nil
-}
-
-// RemoveNode deletes a node and all incident edges.
-func (g *Graph) RemoveNode(ref NodeRef) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	i, ok := g.index[ref]
-	if !ok {
-		return fmt.Errorf("%w: %v", ErrNoSuchNode, ref)
-	}
-	ns := &g.nodes[i]
-	for _, h := range ns.out.all {
-		delete(g.edges, h.edge.ID)
-		if h.peer != i {
-			g.nodes[h.peer].in.remove(h.edge.ID, h.edge.Label)
+// find returns ref's dense index and node, or a nil node.
+func (g *Graph) find(ref NodeRef) (int32, *node) {
+	if ref.Kind < nodeKinds {
+		if i, ok := g.index[ref.Kind].Get(ref.Key); ok {
+			return i, g.node(i)
 		}
 	}
-	for _, h := range ns.in.all {
-		delete(g.edges, h.edge.ID)
-		if h.peer != i {
-			g.nodes[h.peer].out.remove(h.edge.ID, h.edge.Label)
-		}
+	return 0, nil
+}
+
+func (g *Graph) node(i int32) *node { return g.nodes.Get(uint64(i)) }
+
+// edge assembles the edge behind half-edge h of node at, found under at's
+// bucket via (see adjacency.each).
+func (g *Graph) edge(at *node, via int32, h halfEdge) Edge {
+	peer := g.node(h.peer).ref
+	if via >= 0 {
+		return Edge{ID: h.id, From: at.ref, To: peer, Label: at.out.at(int(via)).label}
 	}
-	g.nodes[i] = nodeState{}
-	delete(g.index, ref)
-	g.free = append(g.free, i)
-	return nil
+	return Edge{ID: h.id, From: peer, To: at.ref, Label: at.in.at(int(^via)).label}
 }
 
 // NodeCount reports the number of nodes.
-func (g *Graph) NodeCount() int {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return len(g.index)
-}
+func (g *Graph) NodeCount() int { return g.nodes.Len() }
 
 // EdgeCount reports the number of edges.
-func (g *Graph) EdgeCount() int {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return len(g.edges)
+func (g *Graph) EdgeCount() int { return g.edges }
+
+// NodesEach visits every node ref, in no particular order, until visit
+// returns false.
+func (g *Graph) NodesEach(visit func(NodeRef) bool) {
+	g.nodes.Each(func(_ uint64, n *node) bool { return visit(n.ref) })
 }
 
-// Degree reports the number of incident edges (in plus out).
-func (g *Graph) Degree(ref NodeRef) int {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	i, ok := g.index[ref]
-	if !ok {
-		return 0
-	}
-	return len(g.nodes[i].out.all) + len(g.nodes[i].in.all)
-}
-
-// Out returns the edges leaving ref in edge-ID order, optionally
-// filtered by label. Prefer OutEach/OutSeq on hot paths — they visit the
-// same edges without materializing a slice.
-func (g *Graph) Out(ref NodeRef, labels ...EdgeLabel) []Edge {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	i, ok := g.index[ref]
-	if !ok {
-		return nil
-	}
-	return materialize(&g.nodes[i].out, labels)
-}
-
-// In returns the edges entering ref in edge-ID order, optionally
-// filtered by label. Prefer InEach/InSeq on hot paths.
-func (g *Graph) In(ref NodeRef, labels ...EdgeLabel) []Edge {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	i, ok := g.index[ref]
-	if !ok {
-		return nil
-	}
-	return materialize(&g.nodes[i].in, labels)
-}
-
-// materialize copies the selected partition into an []Edge. The
-// partitions are already ID-ordered, so no sorting happens; a
-// multi-label filter is an ID-ordered merge of the label buckets.
-func materialize(a *adjacency, labels []EdgeLabel) []Edge {
-	switch len(labels) {
-	case 0:
-		return edgesOf(a.all)
-	case 1:
-		return edgesOf(a.bucket(labels[0]))
-	default:
-		return mergeBuckets(a, labels)
-	}
-}
-
-func edgesOf(hs []halfRef) []Edge {
-	if len(hs) == 0 {
-		return nil
-	}
-	out := make([]Edge, len(hs))
-	for i, h := range hs {
-		out[i] = *h.edge
-	}
-	return out
-}
-
-func mergeBuckets(a *adjacency, labels []EdgeLabel) []Edge {
-	var buf [4][]halfRef
-	lists, total := bucketsFor(a, labels, buf[:0])
-	if total == 0 {
-		return nil
-	}
-	out := make([]Edge, 0, total)
-	mergeVisit(lists, func(h halfRef) bool {
-		out = append(out, *h.edge)
+// Nodes returns all node refs, sorted (kind, key).
+func (g *Graph) Nodes() []NodeRef {
+	out := make([]NodeRef, 0, g.NodeCount())
+	g.NodesEach(func(ref NodeRef) bool {
+		out = append(out, ref)
 		return true
 	})
-	return out
-}
-
-// bucketsFor appends the buckets matching the (deduplicated) label set
-// to dst and returns them with their total length.
-func bucketsFor(a *adjacency, labels []EdgeLabel, dst [][]halfRef) ([][]halfRef, int) {
-	total := 0
-	for i, l := range labels {
-		if labelIn(l, labels[:i]) {
-			continue
-		}
-		if b := a.bucket(l); len(b) > 0 {
-			dst = append(dst, b)
-			total += len(b)
-		}
-	}
-	return dst, total
-}
-
-// mergeVisit walks ID-ordered lists in globally ascending edge-ID order.
-func mergeVisit(lists [][]halfRef, visit func(halfRef) bool) {
-	for len(lists) > 0 {
-		min := 0
-		for i := 1; i < len(lists); i++ {
-			if lists[i][0].edge.ID < lists[min][0].edge.ID {
-				min = i
-			}
-		}
-		if !visit(lists[min][0]) {
-			return
-		}
-		if lists[min] = lists[min][1:]; len(lists[min]) == 0 {
-			lists = append(lists[:min], lists[min+1:]...)
-		}
-	}
-}
-
-func labelIn(l EdgeLabel, ls []EdgeLabel) bool {
-	for _, x := range ls {
-		if x == l {
-			return true
-		}
-	}
-	return false
-}
-
-// Neighbors returns the distinct peers reachable by one edge in either
-// direction, optionally filtered by label, sorted by node key.
-func (g *Graph) Neighbors(ref NodeRef, labels ...EdgeLabel) []NodeRef {
-	var out []NodeRef
-	g.NeighborsEach(ref, func(p NodeRef) bool {
-		out = append(out, p)
-		return true
-	}, labels...)
-	sortRefs(out)
-	return out
-}
-
-// Nodes returns all node refs, sorted (kind, key). Intended for tests and
-// diagnostics; O(n log n).
-func (g *Graph) Nodes() []NodeRef {
-	g.mu.RLock()
-	out := make([]NodeRef, 0, len(g.index))
-	for ref := range g.index {
-		out = append(out, ref)
-	}
-	g.mu.RUnlock()
 	sortRefs(out)
 	return out
 }
@@ -541,6 +282,111 @@ func sortRefs(refs []NodeRef) {
 		}
 		return refs[i].Key < refs[j].Key
 	})
+}
+
+// Edit is the writer's handle on a graph: it batches mutations against the
+// value it was opened on, copying each table chunk and index node the
+// session touches once. Like a cow.Postings, a graph extends its adjacency
+// tails in place, so only the newest value of a chain may be edited and an
+// Edit belongs to one goroutine. Not to be used after the value it built
+// is kept (re-open one from that value).
+type Edit struct {
+	g     Graph
+	index [nodeKinds]cow.MapEdit[int32]
+	nodes cow.TableEdit[node]
+}
+
+// Edit opens an edit session on g, which it leaves untouched.
+func (g *Graph) Edit() Edit {
+	e := Edit{g: *g, nodes: g.nodes.Edit()}
+	for k := range e.index {
+		e.index[k] = g.index[k].Edit()
+	}
+	return e
+}
+
+// Graph returns the edited state: reads through it see the session's
+// writes, and a copy of it is the successor value once the session ends.
+func (e *Edit) Graph() *Graph {
+	for k := range e.index {
+		e.g.index[k] = e.index[k].Map
+	}
+	e.g.nodes = e.nodes.Table
+	return &e.g
+}
+
+// ensure returns the dense index for ref, creating the node if needed.
+func (e *Edit) ensure(ref NodeRef) int32 {
+	if i, ok := e.index[ref.Kind].Get(ref.Key); ok {
+		return i
+	}
+	i := e.g.slots
+	if f := e.g.free; f != nil {
+		i, e.g.free = f.index, f.next
+	} else {
+		e.g.slots++
+	}
+	e.index[ref.Kind].Set(ref.Key, i)
+	e.nodes.Set(uint64(i), &node{ref: ref})
+	return i
+}
+
+// AddNode ensures the node exists (isolated nodes are allowed). ref.Kind
+// must be one of the declared kinds.
+func (e *Edit) AddNode(ref NodeRef) { e.ensure(ref) }
+
+// AddEdge inserts a directed labeled edge, creating endpoints as needed,
+// and returns the edge ID. Parallel edges (same endpoints, same or
+// different labels) are permitted — the a-graph is a multigraph.
+func (e *Edit) AddEdge(from, to NodeRef, label EdgeLabel) uint64 {
+	fi, ti := e.ensure(from), e.ensure(to)
+	e.g.nextID++
+	e.g.edges++
+	id := e.g.nextID
+	tail := e.mutable(fi)
+	tail.out.add(label, halfEdge{id, ti})
+	head := e.mutable(ti) // after tail's change: a self-loop lands on one node
+	head.in.add(label, halfEdge{id, fi})
+	return id
+}
+
+// mutable replaces node i by a copy of itself for the caller to change.
+func (e *Edit) mutable(i int32) *node {
+	n := *e.nodes.Get(uint64(i))
+	e.nodes.Set(uint64(i), &n)
+	return &n
+}
+
+// RemoveNode deletes a node and all incident edges.
+func (e *Edit) RemoveNode(ref NodeRef) error {
+	i, n := e.Graph().find(ref)
+	if n == nil {
+		return fmt.Errorf("%w: %v", ErrNoSuchNode, ref)
+	}
+	for k := range n.out.buckets() {
+		b := n.out.at(k)
+		e.g.edges -= b.list.len()
+		b.list.each(0, func(_ int32, h halfEdge) bool {
+			if h.peer != i {
+				e.mutable(h.peer).in.remove(b.label, h.id)
+			}
+			return true
+		})
+	}
+	for k := range n.in.buckets() {
+		b := n.in.at(k)
+		b.list.each(0, func(_ int32, h halfEdge) bool {
+			if h.peer != i { // a self-loop was counted on the way out
+				e.g.edges--
+				e.mutable(h.peer).out.remove(b.label, h.id)
+			}
+			return true
+		})
+	}
+	e.nodes.Delete(uint64(i))
+	e.index[ref.Kind].Delete(ref.Key)
+	e.g.free = &freeSlot{i, e.g.free}
+	return nil
 }
 
 // Path is a walk through the graph: Nodes has one more element than Edges
@@ -558,83 +404,51 @@ func (p *Path) Len() int { return len(p.Edges) }
 // FindPath returns a shortest path between two nodes, traversing edges in
 // either direction (the paper's path(node1, node2) primitive).
 func (g *Graph) FindPath(a, b NodeRef) (*Path, error) {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	ai, ok := g.index[a]
-	if !ok {
+	ai, an := g.find(a)
+	if an == nil {
 		return nil, fmt.Errorf("%w: %v", ErrNoSuchNode, a)
 	}
-	bi, ok := g.index[b]
-	if !ok {
+	bi, bn := g.find(b)
+	if bn == nil {
 		return nil, fmt.Errorf("%w: %v", ErrNoSuchNode, b)
 	}
 	if ai == bi {
 		return &Path{Nodes: []NodeRef{a}}, nil
 	}
-	ar := g.arena()
-	defer g.release(ar)
-	if !g.bfsLocked(ar, ai, bi, false) {
+	ar := getArena()
+	defer arenas.Put(ar)
+	if !g.bfs(ar, ai, bi) {
 		return nil, fmt.Errorf("%w: %v to %v", ErrNoPath, a, b)
 	}
-	return g.buildPathLocked(ar, ai, bi), nil
+	return g.buildPath(ar, ai, bi), nil
 }
 
-// FindPathDirected returns a shortest path from a to b following edge
-// direction only.
-func (g *Graph) FindPathDirected(a, b NodeRef) (*Path, error) {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	ai, ok := g.index[a]
-	if !ok {
-		return nil, fmt.Errorf("%w: %v", ErrNoSuchNode, a)
-	}
-	bi, ok := g.index[b]
-	if !ok {
-		return nil, fmt.Errorf("%w: %v", ErrNoSuchNode, b)
-	}
-	if ai == bi {
-		return &Path{Nodes: []NodeRef{a}}, nil
-	}
-	ar := g.arena()
-	defer g.release(ar)
-	if !g.bfsLocked(ar, ai, bi, true) {
-		return nil, fmt.Errorf("%w: %v to %v (directed)", ErrNoPath, a, b)
-	}
-	return g.buildPathLocked(ar, ai, bi), nil
-}
-
-// bfsLocked runs a breadth-first search from src, stopping early when dst
-// is reached. Caller holds at least the read lock. When directed is true
-// only forward edges are followed.
-func (g *Graph) bfsLocked(ar *arena, src, dst int32, directed bool) bool {
-	ar.reset(len(g.nodes))
-	ar.mark(src, -1, nil)
-	ar.queue = append(ar.queue[:0], src)
-	for qi := 0; qi < len(ar.queue); qi++ {
+// bfs runs a breadth-first search from src over edges in either
+// direction, stopping early when dst is reached.
+func (g *Graph) bfs(ar *arena, src, dst int32) bool {
+	ar.reset(int(g.slots))
+	ar.mark(src, parentLink{prev: -1})
+	ar.queue = append(ar.queue, src)
+	found := false
+	for qi := 0; qi < len(ar.queue) && !found; qi++ {
 		cur := ar.queue[qi]
-		ns := &g.nodes[cur]
-		for dir, hs := range [2][]halfRef{ns.out.all, ns.in.all} {
-			if dir == 1 && directed {
-				break
+		eachIncident(g.node(cur), func(via int32, h halfEdge) bool {
+			if ar.seenAt(h.peer) {
+				return true
 			}
-			for _, h := range hs {
-				if ar.seenAt(h.peer) {
-					continue
-				}
-				ar.mark(h.peer, cur, h.edge)
-				if h.peer == dst {
-					return true
-				}
-				ar.queue = append(ar.queue, h.peer)
+			ar.mark(h.peer, parentLink{prev: cur, via: via, id: h.id})
+			if found = h.peer == dst; found {
+				return false
 			}
-		}
+			ar.queue = append(ar.queue, h.peer)
+			return true
+		})
 	}
-	return false
+	return found
 }
 
-// buildPathLocked reconstructs the path src→dst from the arena's parent
-// links. Caller holds at least the read lock.
-func (g *Graph) buildPathLocked(ar *arena, src, dst int32) *Path {
+// buildPath reconstructs the path src→dst from the arena's parent links.
+func (g *Graph) buildPath(ar *arena, src, dst int32) *Path {
 	n := 0
 	for cur := dst; cur != src; cur = ar.parent[cur].prev {
 		n++
@@ -643,10 +457,15 @@ func (g *Graph) buildPathLocked(ar *arena, src, dst int32) *Path {
 	cur := dst
 	for i := n; i > 0; i-- {
 		link := ar.parent[cur]
-		p.Nodes[i] = g.nodes[cur].ref
-		p.Edges[i-1] = *link.via
+		p.Nodes[i] = g.node(cur).ref
+		p.Edges[i-1] = g.linkEdge(cur, link)
 		cur = link.prev
 	}
-	p.Nodes[0] = g.nodes[src].ref
+	p.Nodes[0] = g.node(src).ref
 	return p
+}
+
+// linkEdge is the edge a traversal followed to first reach node i.
+func (g *Graph) linkEdge(i int32, link parentLink) Edge {
+	return g.edge(g.node(link.prev), link.via, halfEdge{link.id, i})
 }

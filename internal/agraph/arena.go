@@ -1,16 +1,21 @@
 package agraph
 
+import "sync"
+
 // The traversal arena: reusable epoch-stamped visited/parent/component
 // storage indexed by dense node index, plus the BFS frontier. Arenas are
-// pooled per graph, so steady-state traversals (FindPath, Connect,
-// ReachableEach) allocate nothing beyond their results: a fresh
-// map[NodeRef]parentLink per BFS used to dominate both the time and the
-// allocation profile of the path/connect primitives.
+// pooled, so steady-state traversals (FindPath, Connect, ReachableEach)
+// allocate nothing beyond their results: a fresh map[NodeRef]parentLink
+// per BFS used to dominate both the time and the allocation profile of
+// the path/connect primitives. An arena holds indices and edge IDs only,
+// nothing of the graph it last served.
 
-// parentLink records how a node was first reached during a traversal.
+// parentLink records how a node was first reached during a traversal:
+// from node prev, over the edge with this id in prev's bucket via (see
+// adjacency.each). A traversal's roots have id 0, which no edge has.
 type parentLink struct {
-	prev int32
-	via  *Edge
+	prev, via int32
+	id        uint64
 }
 
 type arena struct {
@@ -21,19 +26,9 @@ type arena struct {
 	queue  []int32      // BFS frontier, consumed by index (no pop-front copying)
 }
 
-// arena fetches a pooled arena (or a fresh one).
-func (g *Graph) arena() *arena {
-	if a, ok := g.arenas.Get().(*arena); ok {
-		return a
-	}
-	return &arena{}
-}
+var arenas = sync.Pool{New: func() any { return new(arena) }}
 
-// release returns the arena to the pool. The arena may retain *Edge
-// pointers from the last traversal until its next reuse; edges are
-// small and immutable, so this keeps at most one traversal's worth of
-// removed edges alive.
-func (g *Graph) release(a *arena) { g.arenas.Put(a) }
+func getArena() *arena { return arenas.Get().(*arena) }
 
 // reset prepares the arena for a traversal over n dense indices.
 func (a *arena) reset(n int) {
@@ -53,7 +48,7 @@ func (a *arena) reset(n int) {
 
 func (a *arena) seenAt(i int32) bool { return a.seen[i] == a.epoch }
 
-func (a *arena) mark(i, prev int32, via *Edge) {
+func (a *arena) mark(i int32, link parentLink) {
 	a.seen[i] = a.epoch
-	a.parent[i] = parentLink{prev: prev, via: via}
+	a.parent[i] = link
 }

@@ -95,21 +95,19 @@ func (g *Graph) ConnectWithStrategy(strategy ConnectStrategy, terminals ...NodeR
 	if len(distinct) < 2 {
 		return nil, ErrTerminals
 	}
-	g.mu.RLock()
-	defer g.mu.RUnlock()
 	idxs := make([]int32, len(distinct))
 	for i, t := range distinct {
-		ti, ok := g.index[t]
-		if !ok {
+		ti, tn := g.find(t)
+		if tn == nil {
 			return nil, fmt.Errorf("%w: %v", ErrNoSuchNode, t)
 		}
 		idxs[i] = ti
 	}
 	switch strategy {
 	case PairwiseBFS:
-		return g.connectPairwiseLocked(distinct, idxs)
+		return g.connectPairwise(distinct, idxs)
 	default:
-		return g.connectExpandingLocked(distinct, idxs)
+		return g.connectExpanding(distinct, idxs)
 	}
 }
 
@@ -125,17 +123,17 @@ func dedupRefs(refs []NodeRef) []NodeRef {
 	return out
 }
 
-func (g *Graph) connectPairwiseLocked(terminals []NodeRef, idxs []int32) (*Subgraph, error) {
+func (g *Graph) connectPairwise(terminals []NodeRef, idxs []int32) (*Subgraph, error) {
 	nodes := make(map[NodeRef]bool)
 	edges := make(map[uint64]Edge)
 	nodes[terminals[0]] = true
-	ar := g.arena()
-	defer g.release(ar)
+	ar := getArena()
+	defer arenas.Put(ar)
 	for k, dst := range idxs[1:] {
-		if !g.bfsLocked(ar, idxs[0], dst, false) {
+		if !g.bfs(ar, idxs[0], dst) {
 			return nil, fmt.Errorf("%w: %v to %v", ErrNoPath, terminals[0], terminals[k+1])
 		}
-		p := g.buildPathLocked(ar, idxs[0], dst)
+		p := g.buildPath(ar, idxs[0], dst)
 		for _, n := range p.Nodes {
 			nodes[n] = true
 		}
@@ -146,12 +144,12 @@ func (g *Graph) connectPairwiseLocked(terminals []NodeRef, idxs []int32) (*Subgr
 	return assembleSubgraph(terminals, nodes, edges), nil
 }
 
-// connectExpandingLocked grows BFS frontiers from every terminal at once.
+// connectExpanding grows BFS frontiers from every terminal at once.
 // Each node is claimed by the first frontier to reach it; when an edge
 // joins two different components, the joining paths are added to the result
 // and the components merge. The search stops when all terminals share one
 // component. All per-node state lives in the pooled arena.
-func (g *Graph) connectExpandingLocked(terminals []NodeRef, idxs []int32) (*Subgraph, error) {
+func (g *Graph) connectExpanding(terminals []NodeRef, idxs []int32) (*Subgraph, error) {
 	// Union-find over terminal indices.
 	comp := make([]int32, len(terminals))
 	for i := range comp {
@@ -166,14 +164,14 @@ func (g *Graph) connectExpandingLocked(terminals []NodeRef, idxs []int32) (*Subg
 	}
 	components := len(terminals)
 
-	ar := g.arena()
-	defer g.release(ar)
-	ar.reset(len(g.nodes))
+	ar := getArena()
+	defer arenas.Put(ar)
+	ar.reset(int(g.slots))
 
 	nodes := make(map[NodeRef]bool, len(terminals))
 	edges := make(map[uint64]Edge)
 	for i, t := range idxs {
-		ar.mark(t, -1, nil)
+		ar.mark(t, parentLink{prev: -1})
 		ar.comp[t] = int32(i)
 		ar.queue = append(ar.queue, t)
 		nodes[terminals[i]] = true
@@ -183,12 +181,12 @@ func (g *Graph) connectExpandingLocked(terminals []NodeRef, idxs []int32) (*Subg
 	// the traversed nodes and edges to the result.
 	addChain := func(n int32) {
 		for cur := n; ; {
-			nodes[g.nodes[cur].ref] = true
+			nodes[g.node(cur).ref] = true
 			link := ar.parent[cur]
-			if link.via == nil {
+			if link.id == 0 {
 				return
 			}
-			edges[link.via.ID] = *link.via
+			edges[link.id] = g.linkEdge(cur, link)
 			cur = link.prev
 		}
 	}
@@ -196,33 +194,24 @@ func (g *Graph) connectExpandingLocked(terminals []NodeRef, idxs []int32) (*Subg
 	for qi := 0; qi < len(ar.queue) && components > 1; qi++ {
 		cur := ar.queue[qi]
 		curComp := ar.comp[cur]
-		ns := &g.nodes[cur]
-		for _, hs := range [2][]halfRef{ns.out.all, ns.in.all} {
-			for _, h := range hs {
-				if ar.seenAt(h.peer) {
-					a, b := find(ar.comp[h.peer]), find(curComp)
-					if a != b {
-						// Frontiers meet: join the two components through
-						// cur -(h.edge)- peer.
-						addChain(cur)
-						addChain(h.peer)
-						edges[h.edge.ID] = *h.edge
-						comp[a] = b
-						components--
-						if components == 1 {
-							break
-						}
-					}
-					continue
-				}
-				ar.mark(h.peer, cur, h.edge)
+		eachIncident(g.node(cur), func(via int32, h halfEdge) bool {
+			if !ar.seenAt(h.peer) {
+				ar.mark(h.peer, parentLink{prev: cur, via: via, id: h.id})
 				ar.comp[h.peer] = curComp
 				ar.queue = append(ar.queue, h.peer)
+				return true
 			}
-			if components == 1 {
-				break
+			if a, b := find(ar.comp[h.peer]), find(curComp); a != b {
+				// Frontiers meet: join the two components through
+				// cur -(h)- peer.
+				addChain(cur)
+				addChain(h.peer)
+				edges[h.id] = g.edge(g.node(cur), via, h)
+				comp[a] = b
+				components--
 			}
-		}
+			return components > 1
+		})
 	}
 	if components > 1 {
 		return nil, fmt.Errorf("%w: terminals are not all connected", ErrNoPath)

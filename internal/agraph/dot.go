@@ -22,12 +22,7 @@ func (s *Subgraph) DOT(name string) string {
 		terminals[t] = true
 	}
 	nodes := append([]NodeRef(nil), s.Nodes...)
-	sort.Slice(nodes, func(i, j int) bool {
-		if nodes[i].Kind != nodes[j].Kind {
-			return nodes[i].Kind < nodes[j].Kind
-		}
-		return nodes[i].Key < nodes[j].Key
-	})
+	sortRefs(nodes)
 	for _, n := range nodes {
 		attrs := []string{fmt.Sprintf("label=%q", n.String()), "shape=" + dotShape(n.Kind)}
 		if terminals[n] {

@@ -54,8 +54,7 @@ func TestPathDOT(t *testing.T) {
 		t.Fatalf("expected 2 highlighted terminals:\n%s", dot)
 	}
 	// Term node shape.
-	g2 := New()
-	g2.AddEdge(ContentRoot(1), Term("go", "protease"), LabelRefersTo)
+	g2 := build(func(e *Edit) { e.AddEdge(ContentRoot(1), Term("go", "protease"), LabelRefersTo) })
 	p2, err := g2.FindPath(ContentRoot(1), Term("go", "protease"))
 	if err != nil {
 		t.Fatal(err)

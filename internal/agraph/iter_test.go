@@ -1,213 +1,93 @@
 package agraph
 
 import (
-	"math/rand"
-	"reflect"
-	"sync"
+	"slices"
 	"testing"
 )
 
-// buildMessyGraph returns a graph exercising every adjacency shape:
-// parallel edges (same and different labels), self-loops, isolated
-// nodes, high-degree hubs, and removed edges/nodes.
-func buildMessyGraph(t testing.TB, seed int64) (*Graph, []NodeRef) {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	g := New()
-	labels := []EdgeLabel{LabelAnnotates, LabelRefersTo, LabelMarks, LabelAbout}
-	refs := make([]NodeRef, 24)
-	for i := range refs {
-		switch i % 4 {
-		case 0:
-			refs[i] = ContentRoot(uint64(i))
-		case 1:
-			refs[i] = Referent(uint64(i))
-		case 2:
-			refs[i] = Term("ont", string(rune('a'+i)))
-		default:
-			refs[i] = Object("tbl", string(rune('a'+i)))
-		}
-	}
-	g.AddNode(refs[0]) // isolated until edges arrive
-	var ids []uint64
-	for i := 0; i < 160; i++ {
-		a, b := rng.Intn(len(refs)), rng.Intn(len(refs))
-		if i%17 == 0 {
-			b = a // self-loop
-		}
-		ids = append(ids, g.AddEdge(refs[a], refs[b], labels[rng.Intn(len(labels))]))
-	}
-	// Parallel edges on a fixed pair, one per label plus a duplicate.
-	for _, l := range labels {
-		ids = append(ids, g.AddEdge(refs[1], refs[2], l))
-	}
-	ids = append(ids, g.AddEdge(refs[1], refs[2], LabelAnnotates))
-	// Remove a spread of edges and one node, so order-preservation after
-	// removal is exercised too.
-	for i := 0; i < len(ids); i += 9 {
-		if err := g.RemoveEdge(ids[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := g.RemoveNode(refs[3]); err != nil {
-		t.Fatal(err)
-	}
-	refs = append(refs[:3], refs[4:]...)
-	return g, refs
-}
-
-func collectOut(g *Graph, ref NodeRef, labels ...EdgeLabel) []Edge {
-	var got []Edge
-	g.OutEach(ref, func(e Edge) bool { got = append(got, e); return true }, labels...)
-	return got
-}
-
-func collectIn(g *Graph, ref NodeRef, labels ...EdgeLabel) []Edge {
-	var got []Edge
-	g.InEach(ref, func(e Edge) bool { got = append(got, e); return true }, labels...)
-	return got
-}
-
-// TestIterSliceParity: InEach/OutEach (and the Seq variants) must visit
-// exactly the edges In/Out return, in the same (edge-ID) order, for
-// every node and label-filter shape.
+// TestIterSliceParity: InEach/OutEach must visit exactly the edges the
+// model lists, in the same (edge-ID) order, and the counts, probes and
+// traversals must agree with it, for every node and label-filter shape.
 func TestIterSliceParity(t *testing.T) {
-	g, refs := buildMessyGraph(t, 7)
-	filters := [][]EdgeLabel{
-		nil,
-		{LabelAnnotates},
-		{LabelMarks},
-		{LabelAnnotates, LabelRefersTo},
-		{LabelMarks, LabelAbout, LabelAnnotates},
-		{LabelAnnotates, LabelAnnotates}, // duplicate labels must not duplicate edges
-		{"nonexistent"},
-	}
-	for _, ref := range append(refs, Referent(99999) /* absent node */) {
-		for _, labels := range filters {
-			wantOut := g.Out(ref, labels...)
-			if gotOut := collectOut(g, ref, labels...); !sameEdges(gotOut, wantOut) {
-				t.Fatalf("OutEach(%v, %v) = %v, want %v", ref, labels, gotOut, wantOut)
-			}
-			wantIn := g.In(ref, labels...)
-			if gotIn := collectIn(g, ref, labels...); !sameEdges(gotIn, wantIn) {
-				t.Fatalf("InEach(%v, %v) = %v, want %v", ref, labels, gotIn, wantIn)
-			}
-			var gotSeq []Edge
-			for e := range g.OutSeq(ref, labels...) {
-				gotSeq = append(gotSeq, e)
-			}
-			if !sameEdges(gotSeq, wantOut) {
-				t.Fatalf("OutSeq(%v, %v) = %v, want %v", ref, labels, gotSeq, wantOut)
-			}
-			gotSeq = nil
-			for e := range g.InSeq(ref, labels...) {
-				gotSeq = append(gotSeq, e)
-			}
-			if !sameEdges(gotSeq, wantIn) {
-				t.Fatalf("InSeq(%v, %v) = %v, want %v", ref, labels, gotSeq, wantIn)
-			}
-			// Counts agree with slice lengths.
-			if got := g.OutCount(ref, labels...); got != len(wantOut) {
-				t.Fatalf("OutCount(%v, %v) = %d, want %d", ref, labels, got, len(wantOut))
-			}
-			if got := g.InCount(ref, labels...); got != len(wantIn) {
-				t.Fatalf("InCount(%v, %v) = %d, want %d", ref, labels, got, len(wantIn))
-			}
-			// NeighborsEach visits the same distinct peer set as Neighbors.
-			want := g.Neighbors(ref, labels...)
-			peerSet := make(map[NodeRef]int)
-			g.NeighborsEach(ref, func(p NodeRef) bool { peerSet[p]++; return true }, labels...)
-			if len(peerSet) != len(want) {
-				t.Fatalf("NeighborsEach(%v, %v) visited %d peers, want %d", ref, labels, len(peerSet), len(want))
-			}
-			for _, p := range want {
-				if peerSet[p] != 1 {
-					t.Fatalf("NeighborsEach(%v, %v): peer %v visited %d times", ref, labels, p, peerSet[p])
-				}
-			}
-		}
-	}
-}
-
-func sameEdges(a, b []Edge) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	return len(a) == 0 || reflect.DeepEqual(a, b)
+	g, m, _ := buildMessyGraph(t, 7)
+	checkGraph(t, g, m)
 }
 
 // TestIterOrdered: visitors see strictly ascending edge IDs (the
-// ID-ordered adjacency invariant that replaced per-call sorting).
+// ID-ordered adjacency invariant that replaced per-call sorting), within
+// one label's chunks and across the merge of several.
 func TestIterOrdered(t *testing.T) {
-	g, refs := buildMessyGraph(t, 11)
+	g, _, refs := buildMessyGraph(t, 11)
 	for _, ref := range refs {
-		for _, labels := range [][]EdgeLabel{nil, {LabelAnnotates}, {LabelMarks, LabelRefersTo}} {
-			last := uint64(0)
-			g.OutEach(ref, func(e Edge) bool {
-				if e.ID <= last {
-					t.Fatalf("OutEach(%v): id %d after %d", ref, e.ID, last)
+		for _, each := range []func(NodeRef, func(Edge) bool, ...EdgeLabel){g.OutEach, g.InEach} {
+			for _, labels := range [][]EdgeLabel{nil, {LabelAnnotates}, {LabelMarks, LabelRefersTo}} {
+				got := collect(each, ref, labels)
+				if !slices.IsSortedFunc(got, func(a, b Edge) int { return int(a.ID) - int(b.ID) }) {
+					t.Fatalf("visit of %v under %v out of order: %v", ref, labels, got)
 				}
-				last = e.ID
-				return true
-			}, labels...)
+			}
 		}
 	}
 }
 
-// TestIterEarlyStop: returning false stops iteration immediately.
+// TestIterEarlyStop: returning false stops iteration immediately, in a
+// single list and in a merge.
 func TestIterEarlyStop(t *testing.T) {
-	g := New()
 	a, b := Referent(1), Referent(2)
-	for i := 0; i < 10; i++ {
-		g.AddEdge(a, b, LabelAnnotates)
-	}
+	g := build(func(e *Edit) {
+		for i := 0; i < 10; i++ {
+			e.AddEdge(a, b, LabelAnnotates)
+			e.AddEdge(a, b, LabelMarks)
+		}
+	})
 	n := 0
-	g.OutEach(a, func(Edge) bool { n++; return n < 3 })
+	g.OutEach(a, func(Edge) bool { n++; return n < 3 }, LabelAnnotates)
 	if n != 3 {
 		t.Fatalf("visited %d edges, want 3", n)
 	}
 	n = 0
-	for range g.InSeq(b) {
-		n++
-		if n == 2 {
-			break
-		}
-	}
+	g.InEach(b, func(Edge) bool { n++; return n < 2 })
 	if n != 2 {
-		t.Fatalf("seq visited %d edges, want 2", n)
+		t.Fatalf("merge visited %d edges, want 2", n)
 	}
 }
 
-// TestIterNestedDuringMutation: a visitor may call back into the graph —
-// including mutating it — because iteration runs on a snapshot taken at
-// call time, not under the lock.
+// TestIterNestedDuringMutation: a visitor may read the graph it is
+// visiting and edit a successor of it — the visit runs on the value it
+// was called on.
 func TestIterNestedDuringMutation(t *testing.T) {
-	g := New()
 	a, b, c := Referent(1), Referent(2), Referent(3)
-	g.AddEdge(a, b, LabelAnnotates)
-	g.AddEdge(a, c, LabelAnnotates)
+	g := build(func(e *Edit) {
+		e.AddEdge(a, b, LabelAnnotates)
+		e.AddEdge(a, c, LabelAnnotates)
+	})
+	e := g.Edit()
 	visited := 0
-	g.OutEach(a, func(e Edge) bool {
+	g.OutEach(a, func(ed Edge) bool {
 		visited++
-		// Nested read and a mutation mid-iteration.
-		g.InEach(e.To, func(Edge) bool { return true })
-		g.AddEdge(e.To, Referent(100+e.ID), LabelMarks)
+		// A nested read, a nested traversal and a mutation mid-visit.
+		g.InEach(ed.To, func(Edge) bool { return true })
+		if _, err := g.FindPath(b, c); err != nil {
+			t.Fatal(err)
+		}
+		e.AddEdge(a, Referent(100+ed.ID), LabelAnnotates)
 		return true
 	}, LabelAnnotates)
 	if visited != 2 {
-		t.Fatalf("visited %d, want 2 (snapshot must not see edges added mid-iteration)", visited)
+		t.Fatalf("visited %d, want 2 (a visit must not see edges added meanwhile)", visited)
 	}
-	if g.EdgeCount() != 4 {
-		t.Fatalf("EdgeCount = %d, want 4", g.EdgeCount())
+	if g.EdgeCount() != 2 || e.Graph().EdgeCount() != 4 {
+		t.Fatalf("EdgeCount = %d, successor's %d; want 2 and 4", g.EdgeCount(), e.Graph().EdgeCount())
 	}
 }
 
 func TestHasEdgeBetween(t *testing.T) {
-	g := New()
 	a, b, c := ContentRoot(1), Referent(2), Referent(3)
-	g.AddEdge(a, b, LabelAnnotates)
-	g.AddEdge(b, c, LabelMarks)
-	g.AddEdge(a, a, LabelAbout) // self-loop
+	g := build(func(e *Edit) {
+		e.AddEdge(a, b, LabelAnnotates)
+		e.AddEdge(b, c, LabelMarks)
+		e.AddEdge(a, a, LabelAbout) // self-loop
+	})
 	cases := []struct {
 		from, to NodeRef
 		labels   []EdgeLabel
@@ -222,6 +102,7 @@ func TestHasEdgeBetween(t *testing.T) {
 		{a, c, nil, false},
 		{Referent(99), b, nil, false},
 		{a, Referent(99), nil, false},
+		{NodeRef{Kind: nodeKinds, Key: "2"}, b, nil, false}, // a kind no graph holds
 	}
 	for _, tc := range cases {
 		if got := g.HasEdgeBetween(tc.from, tc.to, tc.labels...); got != tc.want {
@@ -231,28 +112,20 @@ func TestHasEdgeBetween(t *testing.T) {
 }
 
 func TestReachableEach(t *testing.T) {
-	g, refs := buildMessyGraph(t, 13)
-	// Oracle: undirected reachability via Neighbors.
+	g, m, refs := buildMessyGraph(t, 13)
 	for _, src := range refs[:4] {
-		want := map[NodeRef]bool{}
-		queue := []NodeRef{src}
-		want[src] = true
-		for len(queue) > 0 {
-			cur := queue[0]
-			queue = queue[1:]
-			for _, nb := range g.Neighbors(cur) {
-				if !want[nb] {
-					want[nb] = true
-					queue = append(queue, nb)
-				}
-			}
-		}
+		want := m.dist(src)
 		got := map[NodeRef]bool{}
 		if err := g.ReachableEach(src, func(n NodeRef) bool { got[n] = true; return true }); err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, want) {
+		if len(got) != len(want) {
 			t.Fatalf("ReachableEach(%v): got %d nodes, want %d", src, len(got), len(want))
+		}
+		for n := range want {
+			if !got[n] {
+				t.Fatalf("ReachableEach(%v) missed %v", src, n)
+			}
 		}
 	}
 	if err := g.ReachableEach(Referent(424242), func(NodeRef) bool { return true }); err == nil {
@@ -266,87 +139,97 @@ func TestReachableEach(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("early stop visited %d, want 1", n)
 	}
+	n = 0
+	if err := g.ReachableEach(refs[1], func(NodeRef) bool { n++; return n < 3 }); err != nil || n != 3 {
+		t.Fatalf("early stop mid-traversal visited %d (%v), want 3", n, err)
+	}
 }
 
-// TestRemovePreservesOrder: removals rebuild adjacency lists without
-// disturbing the ID order of the survivors.
+// TestRemovePreservesOrder: a list thinned by the removal of peers keeps
+// the ID order of the survivors, whichever chunk loses an edge — the
+// first, one that empties, the tail — and the value it was thinned from
+// keeps them all.
 func TestRemovePreservesOrder(t *testing.T) {
-	g := New()
-	a, b := Referent(1), Referent(2)
-	var ids []uint64
-	for i := 0; i < 12; i++ {
-		ids = append(ids, g.AddEdge(a, b, LabelAnnotates))
-	}
-	for _, i := range []int{0, 5, 11} {
-		if err := g.RemoveEdge(ids[i]); err != nil {
+	a := Referent(0)
+	const n = 2*listChunk + 3
+	full := build(func(e *Edit) {
+		for i := 1; i <= n; i++ {
+			e.AddEdge(a, Referent(uint64(i)), LabelAnnotates)
+		}
+		// One peer holds a whole chunk of parallel edges: the second.
+		for i := 0; i < listChunk; i++ {
+			e.AddEdge(a, Referent(n+1), LabelMarks)
+		}
+	})
+	e := full.Edit()
+	gone := []uint64{1, 6, listChunk, listChunk + 1, n - 1, n, n + 1}
+	for _, i := range gone {
+		if err := e.RemoveNode(Referent(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	out := g.Out(a, LabelAnnotates)
-	if len(out) != 9 {
-		t.Fatalf("len = %d, want 9", len(out))
-	}
-	for i := 1; i < len(out); i++ {
-		if out[i-1].ID >= out[i].ID {
-			t.Fatalf("order broken at %d: %v", i, out)
+	thin := e.Graph()
+	var want []uint64
+	for id := uint64(1); id <= n; id++ {
+		if !slices.Contains(gone, id) {
+			want = append(want, id)
 		}
+	}
+	var got []uint64
+	thin.OutEach(a, func(ed Edge) bool { got = append(got, ed.ID); return true })
+	if !slices.Equal(got, want) {
+		t.Fatalf("survivors %v, want %v", got, want)
+	}
+	if thin.OutCount(a) != len(want) || thin.OutCount(a, LabelMarks) != 0 || thin.EdgeCount() != len(want) {
+		t.Fatalf("%d out of a, %d marks, %d edges; want %d, 0, %d", thin.OutCount(a), thin.OutCount(a, LabelMarks), thin.EdgeCount(), len(want), len(want))
+	}
+	if full.OutCount(a, LabelAnnotates) != n || full.OutCount(a, LabelMarks) != listChunk || full.EdgeCount() != n+listChunk {
+		t.Fatal("thinning a successor changed the value it was opened on")
+	}
+	// The thinned tail still takes appends.
+	id := e.AddEdge(a, Referent(5000), LabelAnnotates)
+	if got := collect(e.Graph().OutEach, a, nil); got[len(got)-1].ID != id || len(got) != len(want)+1 {
+		t.Fatalf("append after thinning: last of %d is %v, want edge %d", len(got), got[len(got)-1], id)
 	}
 }
 
-// TestConcurrentItersDuringAddEdge runs readers (iterators and
-// traversals) against concurrent writers; meant for -race. Snapshots
-// must stay internally consistent: each reader sees a prefix-closed set
-// of edge IDs in ascending order.
+// TestConcurrentItersDuringAddEdge runs readers (visitors and traversals)
+// on held values while one writer appends to and thins the list they
+// read; meant for -race. Each reader sees, in ascending order, the in-list
+// of the value it holds: as long as that value's own count says.
 func TestConcurrentItersDuringAddEdge(t *testing.T) {
-	g := New()
 	hub := Object("hub", "0")
-	for i := 0; i < 50; i++ {
-		g.AddEdge(Referent(uint64(i)), hub, LabelMarks)
-	}
-	var writers, readers sync.WaitGroup
-	stop := make(chan struct{})
-	for w := 0; w < 3; w++ {
-		writers.Add(1)
-		go func(w int) {
-			defer writers.Done()
-			for i := 0; i < 200; i++ {
-				id := g.AddEdge(Referent(uint64(1000+w*1000+i)), hub, LabelMarks)
-				if i%10 == 0 {
-					if err := g.RemoveEdge(id); err != nil {
-						t.Errorf("remove: %v", err)
-					}
-				}
+	g := build(func(e *Edit) {
+		for i := 0; i < 50; i++ {
+			e.AddEdge(Referent(uint64(i)), hub, LabelMarks)
+		}
+	})
+	last := publishEach(g, 600, 3, func(e *Edit, step int) {
+		e.AddEdge(Referent(uint64(1000+step)), hub, LabelMarks)
+		if step%10 == 9 {
+			if err := e.RemoveNode(Referent(uint64(1000 + step - 5))); err != nil {
+				t.Errorf("remove: %v", err)
 			}
-		}(w)
-	}
-	for r := 0; r < 3; r++ {
-		readers.Add(1)
-		go func() {
-			defer readers.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				last := uint64(0)
-				g.InEach(hub, func(e Edge) bool {
-					if e.ID <= last {
-						t.Errorf("iterator saw id %d after %d", e.ID, last)
-						return false
-					}
-					last = e.ID
-					return true
-				}, LabelMarks)
-				if _, err := g.FindPath(Referent(0), Referent(1)); err != nil {
-					t.Errorf("path: %v", err)
-					return
-				}
-				g.NeighborsEach(hub, func(NodeRef) bool { return true })
+		}
+	}, func(g *Graph) {
+		last, n := uint64(0), 0
+		g.InEach(hub, func(e Edge) bool {
+			if e.ID <= last || e.To != hub {
+				t.Errorf("visitor saw %v after edge %d", e, last)
+				return false
 			}
-		}()
+			last = e.ID
+			n++
+			return true
+		}, LabelMarks)
+		if n != g.InCount(hub) || n != g.EdgeCount() || n != g.NodeCount()-1 {
+			t.Errorf("visited %d of %d edges among %d nodes", n, g.EdgeCount(), g.NodeCount())
+		}
+		if p, err := g.FindPath(Referent(0), Referent(1)); err != nil || p.Len() != 2 {
+			t.Errorf("path: %v", err)
+		}
+	})
+	if want := 50 + 600 - 60; last.EdgeCount() != want || g.EdgeCount() != 50 {
+		t.Fatalf("%d edges at the end, want %d; %d in the first value", last.EdgeCount(), want, g.EdgeCount())
 	}
-	writers.Wait()
-	close(stop)
-	readers.Wait()
 }

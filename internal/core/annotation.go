@@ -275,7 +275,7 @@ func (x *Tx) commit(b *Builder, pinnedAnn uint64, pinnedRefs []uint64) (*Annotat
 	}
 	// Validate pre-committed referents.
 	for _, r := range b.refs {
-		if r.ID != 0 && x.refs.get(r.ID) == nil {
+		if r.ID != 0 && x.refs.Get(r.ID) == nil {
 			return nil, fmt.Errorf("%w: %d", ErrNoSuchReferent, r.ID)
 		}
 	}
@@ -284,7 +284,7 @@ func (x *Tx) commit(b *Builder, pinnedAnn uint64, pinnedRefs []uint64) (*Annotat
 	var annID uint64
 	switch {
 	case pinnedAnn != 0:
-		if x.anns.get(pinnedAnn) != nil {
+		if x.anns.Get(pinnedAnn) != nil {
 			return nil, fmt.Errorf("core: pinned annotation ID %d already committed", pinnedAnn)
 		}
 		annID = pinnedAnn
@@ -317,7 +317,7 @@ func (x *Tx) commit(b *Builder, pinnedAnn uint64, pinnedRefs []uint64) (*Annotat
 			pin = pinnedRefs[i]
 		}
 		if r.ID != 0 {
-			stored := x.refs.get(r.ID)
+			stored := x.refs.Get(r.ID)
 			resolved = append(resolved, stored)
 			refIDs = append(refIDs, stored.ID)
 			continue
@@ -332,11 +332,11 @@ func (x *Tx) commit(b *Builder, pinnedAnn uint64, pinnedRefs []uint64) (*Annotat
 			refIDs = append(refIDs, p.ID)
 			continue
 		}
-		if id, ok := x.rbm.get(key); ok {
+		if id, ok := x.rbm.Get(key); ok {
 			if pin != 0 && pin != id {
 				return nil, fmt.Errorf("core: pinned referent ID %d, but identical mark stored as %d", pin, id)
 			}
-			stored := x.refs.get(id)
+			stored := x.refs.Get(id)
 			resolved = append(resolved, stored)
 			refIDs = append(refIDs, id)
 			continue
@@ -344,7 +344,7 @@ func (x *Tx) commit(b *Builder, pinnedAnn uint64, pinnedRefs []uint64) (*Annotat
 		stored := *r
 		switch {
 		case pin != 0:
-			if x.refs.get(pin) != nil || slices.ContainsFunc(newRefs, func(n newReferent) bool { return n.ref.ID == pin }) {
+			if x.refs.Get(pin) != nil || slices.ContainsFunc(newRefs, func(n newReferent) bool { return n.ref.ID == pin }) {
 				return nil, fmt.Errorf("core: pinned referent ID %d already used by a different mark", pin)
 			}
 			stored.ID = pin
@@ -389,42 +389,41 @@ func (x *Tx) commit(b *Builder, pinnedAnn uint64, pinnedRefs []uint64) (*Annotat
 		Terms:       append([]TermRef(nil), b.terms...),
 	}
 
-	// a-graph wiring: referent -> object for new marks, then content ->
-	// referent and content -> term. The graph is a shared handle with its
-	// own synchronization; it is fully wired before the view publishes,
-	// so a reader of the new view always finds the complete join index.
+	// a-graph wiring, through the session's handle like every other write
+	// of the op: referent -> object for new marks, then content ->
+	// referent and content -> term.
 	for _, n := range newRefs {
-		s.graph.AddEdge(agraph.Referent(n.ref.ID),
+		x.g.AddEdge(agraph.Referent(n.ref.ID),
 			agraph.Object(string(n.ref.ObjectType), n.ref.ObjectID), agraph.LabelMarks)
 	}
 	contentNode := agraph.ContentRoot(annID)
-	s.graph.AddNode(contentNode)
+	x.g.AddNode(contentNode)
 	for _, ref := range resolved {
-		s.graph.AddEdge(contentNode, agraph.Referent(ref.ID), agraph.LabelAnnotates)
+		x.g.AddEdge(contentNode, agraph.Referent(ref.ID), agraph.LabelAnnotates)
 	}
 	for _, tr := range b.terms {
-		s.graph.AddEdge(contentNode, agraph.Term(tr.Ontology, tr.TermID), agraph.LabelRefersTo)
+		x.g.AddEdge(contentNode, agraph.Term(tr.Ontology, tr.TermID), agraph.LabelRefersTo)
 	}
 
 	// Apply to the successor view under construction.
-	x.anns.set(annID, ann)
+	x.anns.Set(annID, ann)
 	nv.nextAnn, nv.nextRef = nextAnn, nextRef
 	for _, n := range newRefs {
-		x.refs.set(n.ref.ID, n.ref)
-		x.rbm.set(n.key, n.ref.ID)
+		x.refs.Set(n.ref.ID, n.ref)
+		x.rbm.Set(n.key, n.ref.ID)
 	}
 	its.store(&x.it)
 	rts.store(&x.rt)
 	// Keyword index over the content document (ablation A6). IDs ascend
 	// across the writer chain, so the usual insert is a tail append.
 	for _, word := range doc.Keywords() {
-		ids, known := x.kw.get(word)
+		ids, known := x.kw.Get(word)
 		if !known {
 			// The index keeps a key as long as any annotation has the
 			// word; it must not keep this document's text with it.
 			word = strings.Clone(word)
 		}
-		x.kw.set(word, ids.with(annID))
+		x.kw.Set(word, ids.With(annID))
 	}
 	x.ops++
 	x.propagate(ann, false, csp)

@@ -331,8 +331,7 @@ func TestCommitPipeline(t *testing.T) {
 		t.Fatalf("stab = %v", hits)
 	}
 	// a-graph wiring.
-	g := s.Graph()
-	if g.Degree(agraph2Content(ann.ID)) == 0 {
+	if s.View().Graph().OutCount(agraph2Content(ann.ID)) == 0 {
 		t.Fatal("content node not wired")
 	}
 	anns := s.AnnotationsOnObject(TypeDNA, "NC_007362")

@@ -11,12 +11,8 @@ import (
 // other annotation references are garbage-collected from the sub-structure
 // indexes (the paper's admin tab owns this lifecycle; deletion must not
 // orphan index entries). Like Commit, the removal is published as one new
-// view: a pinned reader's table and keyword-index reads keep seeing the
-// annotation, complete, until it re-pins. The a-graph is a shared handle,
-// so the content node disappears from the join index immediately — a
-// pinned view's graph joins may stop finding an annotation its tables
-// still hold (they never surface one its tables lack; see the View
-// contract in view.go).
+// view: a pinned reader keeps seeing the annotation, complete — tables,
+// keyword index and graph joins alike — until it re-pins.
 func (s *Store) DeleteAnnotation(id uint64) error {
 	s.w.Lock()
 	defer s.w.Unlock()
@@ -30,7 +26,7 @@ func (x *Tx) DeleteAnnotation(id uint64) error {
 	start := time.Now()
 	s := x.s
 	x.open()
-	ann := x.anns.get(id)
+	ann := x.anns.Get(id)
 	if ann == nil {
 		return errNoSuchAnnotation(id)
 	}
@@ -38,40 +34,40 @@ func (x *Tx) DeleteAnnotation(id uint64) error {
 	// Keyword index entries: each posting list copies the one chunk that
 	// held the ID.
 	for _, word := range ann.Content.Keywords() {
-		ids, _ := x.kw.get(word)
-		if pruned := ids.without(id); pruned.len() == 0 {
-			x.kw.delete(word)
+		ids, _ := x.kw.Get(word)
+		if pruned := ids.Without(id); pruned.Len() == 0 {
+			x.kw.Delete(word)
 		} else {
-			x.kw.set(word, pruned)
+			x.kw.Set(word, pruned)
 		}
 	}
 
 	// a-graph: drop the content node (and its annotates/refersTo edges).
 	contentNode := agraph.ContentRoot(id)
-	_ = s.graph.RemoveNode(contentNode) // node exists for every commit
+	_ = x.g.RemoveNode(contentNode) // node exists for every commit
 
-	x.anns.delete(id)
+	x.anns.Delete(id)
 
 	// Garbage-collect now-unreferenced referents.
 	for _, refID := range ann.ReferentIDs {
-		ref := x.refs.get(refID)
+		ref := x.refs.Get(refID)
 		if ref == nil {
 			continue
 		}
 		refNode := agraph.Referent(refID)
-		if s.graph.InCount(refNode, agraph.LabelAnnotates) > 0 {
+		if x.g.Graph().InCount(refNode, agraph.LabelAnnotates) > 0 {
 			continue // still referenced
 		}
 		x.unindex(ref)
-		x.rbm.delete(markKey(ref))
-		x.refs.delete(refID)
-		_ = s.graph.RemoveNode(refNode)
+		x.rbm.Delete(markKey(ref))
+		x.refs.Delete(refID)
+		_ = x.g.RemoveNode(refNode)
 	}
 	// Derived annotations: drop the deleted source's facts and recompute
 	// its neighborhood, so no derived fact survives its source or targets
 	// a garbage-collected referent. The pre-delete view still holds the
-	// GC'd referents in its trees, which is how the propagator
-	// finds the affected neighbors.
+	// GC'd referents in its trees and its a-graph, which is how the
+	// propagator finds the affected neighbors.
 	x.ops++
 	x.propagate(ann, true, nil)
 	s.m.deletes.Inc()

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"graphitti/internal/agraph"
+	"graphitti/internal/cow"
 	"graphitti/internal/trace"
 )
 
@@ -137,30 +138,30 @@ func (s *Store) recomputeDerivedInto(nv *View) {
 		return
 	}
 	nv.derivedEpoch++
-	t := idtable[derivedEntry]{}.edit()
+	t := cow.Table[derivedEntry]{}.Edit()
 	count := 0
 	for src, facts := range p.Recompute(nv) {
 		if len(facts) == 0 {
 			continue
 		}
-		t.set(src, &derivedEntry{epoch: nv.derivedEpoch, facts: facts})
+		t.Set(src, &derivedEntry{epoch: nv.derivedEpoch, facts: facts})
 		count += len(facts)
 	}
-	nv.derived = t.idtable
+	nv.derived = t.Table
 	nv.derivedCount = count
 	// Rebuild the target index in table order: sources ascend and each
 	// source's facts are canonical, so plain appends leave every
 	// per-target list already (source, rule, witness)-sorted.
-	idx := pmap[[]DerivedFact]{}.edit()
-	t.each(func(_ uint64, e *derivedEntry) bool {
+	idx := cow.Map[[]DerivedFact]{}.Edit()
+	t.Each(func(_ uint64, e *derivedEntry) bool {
 		for _, f := range e.facts {
 			key := f.Target.String()
-			facts, _ := idx.get(key)
-			idx.set(key, append(facts, f))
+			facts, _ := idx.Get(key)
+			idx.Set(key, append(facts, f))
 		}
 		return true
 	})
-	nv.derivedByTarget = idx.pmap
+	nv.derivedByTarget = idx.Map
 }
 
 // applyDerivedDelta folds a propagator delta into nv, updating the
@@ -171,12 +172,12 @@ func (s *Store) applyDerivedDelta(nv *View, delta map[uint64][]DerivedFact) {
 		return
 	}
 	nv.derivedEpoch++
-	t := nv.derived.edit()
+	t := nv.derived.Edit()
 	count := nv.derivedCount
-	idx := nv.derivedByTarget.edit()
+	idx := nv.derivedByTarget.Edit()
 	for src, facts := range delta {
 		var oldFacts []DerivedFact
-		if old := t.get(src); old != nil {
+		if old := t.Get(src); old != nil {
 			oldFacts = old.facts
 			count -= len(oldFacts)
 		}
@@ -207,15 +208,15 @@ func (s *Store) applyDerivedDelta(nv *View, delta map[uint64][]DerivedFact) {
 			indexDerivedFact(&idx, facts[j])
 		}
 		if len(facts) == 0 {
-			t.delete(src)
+			t.Delete(src)
 			continue
 		}
-		t.set(src, &derivedEntry{epoch: nv.derivedEpoch, facts: facts})
+		t.Set(src, &derivedEntry{epoch: nv.derivedEpoch, facts: facts})
 		count += len(facts)
 	}
-	nv.derived = t.idtable
+	nv.derived = t.Table
 	nv.derivedCount = count
-	nv.derivedByTarget = idx.pmap
+	nv.derivedByTarget = idx.Map
 }
 
 // derivedTargetLess orders one target's index list: ascending source,
@@ -234,32 +235,32 @@ func derivedTargetLess(a, b DerivedFact) bool {
 
 // indexDerivedFact inserts f into its target's sorted list. The list is
 // replaced, never mutated: published views may share the old slice.
-func indexDerivedFact(idx *pmapEdit[[]DerivedFact], f DerivedFact) {
+func indexDerivedFact(idx *cow.MapEdit[[]DerivedFact], f DerivedFact) {
 	key := f.Target.String()
-	facts, _ := idx.get(key)
+	facts, _ := idx.Get(key)
 	i := sort.Search(len(facts), func(k int) bool { return !derivedTargetLess(facts[k], f) })
 	out := make([]DerivedFact, 0, len(facts)+1)
 	out = append(out, facts[:i]...)
 	out = append(out, f)
-	idx.set(key, append(out, facts[i:]...))
+	idx.Set(key, append(out, facts[i:]...))
 }
 
 // unindexDerivedFact removes f from its target's list (fresh slice; the
 // key is dropped when the last fact goes).
-func unindexDerivedFact(idx *pmapEdit[[]DerivedFact], f DerivedFact) {
+func unindexDerivedFact(idx *cow.MapEdit[[]DerivedFact], f DerivedFact) {
 	key := f.Target.String()
-	facts, _ := idx.get(key)
+	facts, _ := idx.Get(key)
 	for i, g := range facts {
 		if g != f {
 			continue
 		}
 		if len(facts) == 1 {
-			idx.delete(key)
+			idx.Delete(key)
 			return
 		}
 		out := make([]DerivedFact, 0, len(facts)-1)
 		out = append(out, facts[:i]...)
-		idx.set(key, append(out, facts[i+1:]...))
+		idx.Set(key, append(out, facts[i+1:]...))
 		return
 	}
 }
@@ -267,7 +268,7 @@ func unindexDerivedFact(idx *pmapEdit[[]DerivedFact], f DerivedFact) {
 // DerivedFrom returns the derived facts sourced at the given annotation,
 // in canonical (rule, target, witness) order.
 func (v *View) DerivedFrom(src uint64) []DerivedFact {
-	e := v.derived.get(src)
+	e := v.derived.Get(src)
 	if e == nil {
 		return nil
 	}
@@ -283,7 +284,7 @@ func (s *Store) DerivedFrom(src uint64) []DerivedFact { return s.View().DerivedF
 // until fn returns false — the zero-copy variant of DerivedFrom for
 // predicate checks on hot paths.
 func (v *View) DerivedFromEach(src uint64, fn func(DerivedFact) bool) {
-	e := v.derived.get(src)
+	e := v.derived.Get(src)
 	if e == nil {
 		return
 	}
@@ -297,7 +298,7 @@ func (v *View) DerivedFromEach(src uint64, fn func(DerivedFact) bool) {
 // DerivedEach visits every derived fact — ascending source ID, canonical
 // fact order within a source — until fn returns false.
 func (v *View) DerivedEach(fn func(DerivedFact) bool) {
-	v.derived.each(func(_ uint64, e *derivedEntry) bool {
+	v.derived.Each(func(_ uint64, e *derivedEntry) bool {
 		for _, f := range e.facts {
 			if !fn(f) {
 				return false
@@ -328,7 +329,7 @@ func (s *Store) DerivedAll() []DerivedFact { return s.View().DerivedAll() }
 // order (ascending source, canonical fact order) is identical to a
 // filtered DerivedEach scan.
 func (v *View) DerivedTargeting(target agraph.NodeRef) []DerivedFact {
-	facts, _ := v.derivedByTarget.get(target.String())
+	facts, _ := v.derivedByTarget.Get(target.String())
 	if len(facts) == 0 {
 		return nil
 	}
@@ -341,7 +342,7 @@ func (v *View) DerivedTargeting(target agraph.NodeRef) []DerivedFact {
 // (source, rule, witness) order until fn returns false — the zero-copy
 // variant of DerivedTargeting for predicate probes on hot paths.
 func (v *View) DerivedTargetingEach(target agraph.NodeRef, fn func(DerivedFact) bool) {
-	facts, _ := v.derivedByTarget.get(target.String())
+	facts, _ := v.derivedByTarget.Get(target.String())
 	for _, f := range facts {
 		if !fn(f) {
 			return
@@ -353,7 +354,7 @@ func (v *View) DerivedTargetingEach(target agraph.NodeRef, fn func(DerivedFact) 
 // given rule ("*" = any) targets the node — the query layer's
 // provenance-predicate probe. Flat in the derived-table size.
 func (v *View) HasDerivedTarget(target agraph.NodeRef, rule string) bool {
-	facts, _ := v.derivedByTarget.get(target.String())
+	facts, _ := v.derivedByTarget.Get(target.String())
 	if rule == "*" {
 		return len(facts) > 0
 	}
@@ -369,7 +370,7 @@ func (v *View) HasDerivedTarget(target agraph.NodeRef, rule string) bool {
 // fact, sorted by (kind, key) — diagnostics and the index-parity tests.
 func (v *View) DerivedTargets() []agraph.NodeRef {
 	var out []agraph.NodeRef
-	v.derivedByTarget.each(func(_ string, facts []DerivedFact) bool {
+	v.derivedByTarget.Each(func(_ string, facts []DerivedFact) bool {
 		if len(facts) > 0 {
 			out = append(out, facts[0].Target)
 		}
@@ -448,7 +449,7 @@ func (v *View) DerivedCount() int { return v.derivedCount }
 // DerivedSourceEpoch returns the epoch at which the given source's fact
 // set was last recomputed (0 when the source has no facts).
 func (v *View) DerivedSourceEpoch(src uint64) uint64 {
-	if e := v.derived.get(src); e != nil {
+	if e := v.derived.Get(src); e != nil {
 		return e.epoch
 	}
 	return 0

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"graphitti/internal/cow"
 	"graphitti/internal/interval"
 	"graphitti/internal/rtree"
 	"graphitti/internal/subx"
@@ -26,17 +27,22 @@ type (
 // op can no longer fail; only then does it store them in the session, so a
 // refused op has nothing to undo. An op marks a handful of domains at most:
 // scanned, not indexed.
-type treeStage[T any] []pentry[T]
+type treeStage[T any] []stagedTree[T]
+
+type stagedTree[T any] struct {
+	key string
+	val T
+}
 
 // get returns domain's tree as the op in progress has left it: its own
 // successor if it built one, else the session's.
-func (st treeStage[T]) get(e *pmapEdit[T], domain string) (T, bool) {
+func (st treeStage[T]) get(e *cow.MapEdit[T], domain string) (T, bool) {
 	for _, p := range st {
 		if p.key == domain {
 			return p.val, true
 		}
 	}
-	return e.get(domain)
+	return e.Get(domain)
 }
 
 func (st *treeStage[T]) put(domain string, tree T) {
@@ -46,12 +52,12 @@ func (st *treeStage[T]) put(domain string, tree T) {
 			return
 		}
 	}
-	*st = append(*st, pentry[T]{domain, tree})
+	*st = append(*st, stagedTree[T]{domain, tree})
 }
 
-func (st treeStage[T]) store(e *pmapEdit[T]) {
+func (st treeStage[T]) store(e *cow.MapEdit[T]) {
 	for _, p := range st {
-		e.set(p.key, p.val)
+		e.Set(p.key, p.val)
 	}
 }
 
@@ -87,16 +93,16 @@ func (x *Tx) index(r *Referent, its *treeStage[intervalTree], rts *treeStage[reg
 func (x *Tx) unindex(r *Referent) {
 	switch r.Kind {
 	case IntervalReferent:
-		tree, _ := x.it.get(r.Domain)
+		tree, _ := x.it.Get(r.Domain)
 		if tree, _ = tree.Delete(r.Interval, r.ID); tree.Len() == 0 {
-			x.it.delete(r.Domain)
+			x.it.Delete(r.Domain)
 		} else {
-			x.it.set(r.Domain, tree)
+			x.it.Set(r.Domain, tree)
 		}
 	case RegionReferent:
-		if tree, ok := x.rt.get(r.Domain); ok {
+		if tree, ok := x.rt.Get(r.Domain); ok {
 			tree, _ = tree.Delete(r.Region, r.ID)
-			x.rt.set(r.Domain, tree)
+			x.rt.Set(r.Domain, tree)
 		}
 	}
 }
@@ -109,17 +115,17 @@ func (v *View) ReferentsOverlapping(m subx.Mark) []*Referent {
 	var out []*Referent
 	switch mark := m.(type) {
 	case subx.IntervalMark:
-		tree, _ := v.itrees.get(mark.Domain)
+		tree, _ := v.itrees.Get(mark.Domain)
 		for _, e := range tree.Overlapping(mark.IV) {
-			out = append(out, v.referents.get(e.ID))
+			out = append(out, v.referents.Get(e.ID))
 		}
 	case subx.RegionMark:
-		tree, _ := v.rtrees.get(mark.System)
+		tree, _ := v.rtrees.Get(mark.System)
 		for _, e := range tree.Search(mark.R) {
-			out = append(out, v.referents.get(e.ID))
+			out = append(out, v.referents.Get(e.ID))
 		}
 	default:
-		v.referents.each(func(_ uint64, r *Referent) bool {
+		v.referents.Each(func(_ uint64, r *Referent) bool {
 			if subx.IfOverlap(r.Mark(), m) {
 				out = append(out, r)
 			}
@@ -170,12 +176,12 @@ func (v *View) NextReferent(r *Referent) (*Referent, bool) {
 	if r == nil || r.Kind != IntervalReferent {
 		return nil, false
 	}
-	tree, _ := v.itrees.get(r.Domain)
+	tree, _ := v.itrees.Get(r.Domain)
 	e, ok := tree.Next(r.Interval)
 	if !ok {
 		return nil, false
 	}
-	return v.referents.get(e.ID), true
+	return v.referents.Get(e.ID), true
 }
 
 // NextReferent implements the SUB_X next operator on an interval referent.
@@ -186,8 +192,8 @@ func (s *Store) NextReferent(r *Referent) (*Referent, bool) {
 // IntervalDomains returns the names of coordinate domains that currently
 // have an interval tree, sorted (diagnostics for ablation A1).
 func (v *View) IntervalDomains() []string {
-	out := make([]string, 0, v.itrees.len())
-	v.itrees.each(func(d string, _ intervalTree) bool {
+	out := make([]string, 0, v.itrees.Len())
+	v.itrees.Each(func(d string, _ intervalTree) bool {
 		out = append(out, d)
 		return true
 	})
@@ -200,7 +206,7 @@ func (s *Store) IntervalDomains() []string { return s.View().IntervalDomains() }
 
 // IntervalTreeSize returns the number of entries in one domain's tree.
 func (v *View) IntervalTreeSize(domain string) int {
-	tree, _ := v.itrees.get(domain)
+	tree, _ := v.itrees.Get(domain)
 	return tree.Len()
 }
 

@@ -186,7 +186,7 @@ func (s *Store) MarkAlignmentBlock(alnID string, rows []string, cols interval.In
 // MarkRecords marks a set of rows of a user record table by primary key
 // (the demo's "block set markers for relational records").
 func (v *View) MarkRecords(table string, keys ...relstore.Value) (*Referent, error) {
-	t, ok := v.recordTables.get(table)
+	t, ok := v.recordTables.Get(table)
 	if !ok {
 		return nil, errNoSuchObject("record table", table)
 	}
@@ -195,7 +195,7 @@ func (v *View) MarkRecords(table string, keys ...relstore.Value) (*Referent, err
 	}
 	strKeys := make([]string, 0, len(keys))
 	for _, k := range keys {
-		if _, ok := t.rows.get(k.Key()); !ok {
+		if _, ok := t.rows.Get(k.Key()); !ok {
 			return nil, fmt.Errorf("%w: %w: %s in %s", ErrBadMark, relstore.ErrNoSuchRow, k, table)
 		}
 		strKeys = append(strKeys, k.String())
@@ -231,7 +231,7 @@ func (v *View) MarkObject(typ ObjectType, objectID string) (*Referent, error) {
 	case TypeImage:
 		_, ok = v.images[objectID]
 	default:
-		_, ok = v.recordTables.get(string(typ))
+		_, ok = v.recordTables.Get(string(typ))
 	}
 	if !ok {
 		return nil, fmt.Errorf("%w: %s/%s", ErrNoSuchObject, typ, objectID)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"graphitti/internal/cow"
 	"graphitti/internal/relstore"
 )
 
@@ -13,7 +14,7 @@ import (
 // and publishes it in a successor view.
 type recordTable struct {
 	schema *relstore.Schema
-	rows   pmap[relstore.Row]
+	rows   cow.Map[relstore.Row]
 }
 
 // reservedTableName reports whether name is a built-in object type's. A
@@ -37,13 +38,13 @@ func (s *Store) CreateRecordTable(schema *relstore.Schema) error {
 	s.w.Lock()
 	defer s.w.Unlock()
 	v := s.v.Load()
-	if _, dup := v.recordTables.get(schema.Name); dup || reservedTableName(schema.Name) {
+	if _, dup := v.recordTables.Get(schema.Name); dup || reservedTableName(schema.Name) {
 		return fmt.Errorf("%w: table %s", relstore.ErrDuplicateName, schema.Name)
 	}
-	tables := v.recordTables.edit()
-	tables.set(schema.Name, recordTable{schema: schema})
+	tables := v.recordTables.Edit()
+	tables.Set(schema.Name, recordTable{schema: schema})
 	nv := v.clone()
-	nv.recordTables = tables.pmap
+	nv.recordTables = tables.Map
 	nv.recTableNames = insertSortedStr(v.recTableNames, schema.Name)
 	nv.objects = insertSortedObject(v.objects, ObjectHandle{TypeRecord, schema.Name})
 	s.publish(nv)
@@ -56,7 +57,7 @@ func (s *Store) InsertRecord(table string, row relstore.Row) error {
 	s.w.Lock()
 	defer s.w.Unlock()
 	v := s.v.Load()
-	t, ok := v.recordTables.get(table)
+	t, ok := v.recordTables.Get(table)
 	if !ok {
 		return errNoSuchObject("record table", table)
 	}
@@ -65,16 +66,16 @@ func (s *Store) InsertRecord(table string, row relstore.Row) error {
 	}
 	pk := row[t.schema.KeyIndex()]
 	key := pk.Key()
-	if _, dup := t.rows.get(key); dup {
+	if _, dup := t.rows.Get(key); dup {
 		return fmt.Errorf("%w: %s in %s", relstore.ErrDuplicateKey, pk, table)
 	}
-	rows := t.rows.edit()
-	rows.set(key, row.Clone())
-	t.rows = rows.pmap
-	tables := v.recordTables.edit()
-	tables.set(table, t)
+	rows := t.rows.Edit()
+	rows.Set(key, row.Clone())
+	t.rows = rows.Map
+	tables := v.recordTables.Edit()
+	tables.Set(table, t)
 	nv := v.clone()
-	nv.recordTables = tables.pmap
+	nv.recordTables = tables.Map
 	s.publish(nv)
 	return nil
 }
@@ -82,12 +83,12 @@ func (s *Store) InsertRecord(table string, row relstore.Row) error {
 // RecordTable returns a user record table's schema and its rows in
 // primary-key order. The rows belong to the view: read, don't modify.
 func (v *View) RecordTable(name string) (*relstore.Schema, []relstore.Row, error) {
-	t, ok := v.recordTables.get(name)
+	t, ok := v.recordTables.Get(name)
 	if !ok {
 		return nil, nil, errNoSuchObject("record table", name)
 	}
-	rows := make([]relstore.Row, 0, t.rows.len())
-	t.rows.each(func(_ string, r relstore.Row) bool {
+	rows := make([]relstore.Row, 0, t.rows.Len())
+	t.rows.Each(func(_ string, r relstore.Row) bool {
 		rows = append(rows, r)
 		return true
 	})

@@ -171,19 +171,19 @@ func (v *View) SearchKeyword(word string, useIndex bool) []*Annotation {
 	if useIndex {
 		// Posting lists ascend by annotation ID, so the result needs no
 		// per-call sort.
-		ids, _ := v.keywordIdx.get(token)
-		if n := ids.len(); n > 0 {
+		ids, _ := v.keywordIdx.Get(token)
+		if n := ids.Len(); n > 0 {
 			out = make([]*Annotation, 0, n)
 		}
-		ids.each(func(id uint64) bool {
-			if ann := v.annotations.get(id); ann != nil {
+		ids.Each(func(id uint64) bool {
+			if ann := v.annotations.Get(id); ann != nil {
 				out = append(out, ann)
 			}
 			return true
 		})
 		return out
 	}
-	v.annotations.each(func(_ uint64, ann *Annotation) bool {
+	v.annotations.Each(func(_ uint64, ann *Annotation) bool {
 		for _, w := range ann.Content.Keywords() {
 			if w == token {
 				out = append(out, ann)
@@ -203,8 +203,7 @@ func (s *Store) SearchKeyword(word string, useIndex bool) []*Annotation {
 
 // AnnotationsOnObject returns the annotations having at least one referent
 // marking the given data object, via the a-graph join index: object <-
-// referent <- content. Graph hits are filtered through the pinned view,
-// so an annotation committed after the view was pinned is never surfaced.
+// referent <- content.
 func (v *View) AnnotationsOnObject(typ ObjectType, objectID string) []*Annotation {
 	objNode := agraph.Object(string(typ), objectID)
 	seen := make(map[uint64]bool)
@@ -216,7 +215,7 @@ func (v *View) AnnotationsOnObject(typ ObjectType, objectID string) []*Annotatio
 				return true
 			}
 			seen[annID] = true
-			if ann := v.annotations.get(annID); ann != nil {
+			if ann := v.annotations.Get(annID); ann != nil {
 				out = append(out, ann)
 			}
 			return true
@@ -237,7 +236,7 @@ func (v *View) AnnotationsOfReferent(refID uint64) []*Annotation {
 	var out []*Annotation
 	v.graph.InEach(agraph.Referent(refID), func(e agraph.Edge) bool {
 		if annID, ok := parseContentRef(e.From); ok {
-			if ann := v.annotations.get(annID); ann != nil {
+			if ann := v.annotations.Get(annID); ann != nil {
 				out = append(out, ann)
 			}
 		}
@@ -260,7 +259,7 @@ func (v *View) AnnotationsWithTerm(ontologyName, termID string) []*Annotation {
 	v.graph.InEach(agraph.Term(ontologyName, termID), func(e agraph.Edge) bool {
 		if annID, ok := parseContentRef(e.From); ok && !seen[annID] {
 			seen[annID] = true
-			if ann := v.annotations.get(annID); ann != nil {
+			if ann := v.annotations.Get(annID); ann != nil {
 				out = append(out, ann)
 			}
 		}
@@ -321,7 +320,7 @@ func (v *View) RelatedAnnotations(annID uint64) ([]*Annotation, error) {
 	add := func(id uint64) {
 		if !seen[id] {
 			seen[id] = true
-			if ann := v.annotations.get(id); ann != nil {
+			if ann := v.annotations.Get(id); ann != nil {
 				out = append(out, ann)
 			}
 		}

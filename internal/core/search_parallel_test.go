@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"graphitti/internal/biodata/seq"
+	"graphitti/internal/cow"
 	"graphitti/internal/interval"
 	"graphitti/internal/xquery"
 )
@@ -126,8 +127,9 @@ func TestKeywordIndexSorted(t *testing.T) {
 	}
 	v := s.View()
 	checked := 0
-	v.keywordIdx.each(func(word string, post postings) bool {
-		ids := post.ids()
+	v.keywordIdx.Each(func(word string, post cow.Postings) bool {
+		var ids []uint64
+		post.Each(func(id uint64) bool { ids = append(ids, id); return true })
 		if len(ids) == 0 {
 			t.Fatalf("keyword %q has an empty posting list (should have been deleted)", word)
 		}
@@ -137,7 +139,7 @@ func TestKeywordIndexSorted(t *testing.T) {
 			}
 		}
 		for _, id := range ids {
-			if v.annotations.get(id) == nil {
+			if v.annotations.Get(id) == nil {
 				t.Fatalf("keyword %q references deleted annotation %d", word, id)
 			}
 		}

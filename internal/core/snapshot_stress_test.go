@@ -1,13 +1,15 @@
 // Snapshot-isolation stress test: 8 writers churn commits and deletions
 // while 8 readers pin views and check that no pinned view ever observes a
-// half-applied mutation, then the interleaved history is replayed
-// serially and the final states compared export-for-export.
+// half-applied mutation — in its tables, its indexes or its a-graph — then
+// the interleaved history is replayed serially and the final states
+// compared export-for-export.
 package core_test
 
 import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -186,6 +188,50 @@ func TestSnapshotIsolationStress(t *testing.T) {
 				if refs := v.Referents(); len(refs) != st.Referents {
 					t.Errorf("reader %d: Stats.Referents=%d but %d enumerated", r, st.Referents, len(refs))
 					return
+				}
+
+				// The a-graph is the pinned epoch's too. Its size is what
+				// this view's tables imply: a node per annotation, per
+				// referent and for the sequence; an edge per referent an
+				// annotation lists and one from each referent to the
+				// sequence. Every annotation marks that sequence, so the
+				// join from it finds exactly the view's annotations, and
+				// any one of them is related to all the others.
+				edges := st.Referents
+				for _, ann := range idx {
+					edges += len(ann.ReferentIDs)
+				}
+				if st.GraphNodes != st.Annotations+st.Referents+1 || st.GraphEdges != edges {
+					t.Errorf("reader %d: %d graph nodes, %d edges over %d annotations, %d referents (want %d edges)",
+						r, st.GraphNodes, st.GraphEdges, st.Annotations, st.Referents, edges)
+					return
+				}
+				onSeq := v.AnnotationsOnObject(core.TypeDNA, "stress-seq")
+				if len(onSeq) != len(idx) {
+					t.Errorf("reader %d: graph join finds %d annotations on the sequence, the view holds %d", r, len(onSeq), len(idx))
+					return
+				}
+				for i := range idx {
+					if onSeq[i] != idx[i] {
+						t.Errorf("reader %d: graph join hit %d is annotation %d, the view's is %d", r, i, onSeq[i].ID, idx[i].ID)
+						return
+					}
+				}
+				if len(idx) > 1 {
+					first, last := idx[0], idx[len(idx)-1]
+					related, err := v.RelatedAnnotations(first.ID)
+					if err != nil || len(related) != len(idx)-1 {
+						t.Errorf("reader %d: annotation %d related to %d of %d others: %v", r, first.ID, len(related), len(idx)-1, err)
+						return
+					}
+					if of := v.AnnotationsOfReferent(last.ReferentIDs[0]); !slices.Contains(of, last) {
+						t.Errorf("reader %d: annotation %d missing from its own referent's annotators", r, last.ID)
+						return
+					}
+					if p, err := v.PathBetweenAnnotations(first.ID, last.ID); err != nil || p.Len() > 4 {
+						t.Errorf("reader %d: path %d to %d: %v, %v", r, first.ID, last.ID, p, err)
+						return
+					}
 				}
 
 				// A content scan on the pinned view matches the keyword

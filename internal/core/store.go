@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -31,8 +33,6 @@ import (
 // per-call conveniences that pin a fresh view each time; callers needing
 // several reads against one consistent snapshot should pin View() once.
 type Store struct {
-	graph *agraph.Graph
-
 	// w serializes mutations. Readers never take it.
 	w sync.Mutex
 	v atomic.Pointer[View]
@@ -72,11 +72,10 @@ func NewStore() *Store { return NewStoreWithOptions(StoreOptions{}) }
 // metrics carry the shard label and IDs come from the shared source.
 func NewStoreWithOptions(opts StoreOptions) *Store {
 	s := &Store{
-		graph: agraph.New(),
-		m:     metricsForShard(opts.Shard),
-		ids:   opts.IDs,
+		m:   metricsForShard(opts.Shard),
+		ids: opts.IDs,
 	}
-	s.v.Store(emptyView(s.graph, s.m))
+	s.v.Store(emptyView(s.m))
 	return s
 }
 
@@ -95,12 +94,9 @@ func (s *Store) publishOps(nv *View, ops uint64) {
 	nv.epoch = s.v.Load().epoch + ops
 	s.v.Store(nv)
 	s.m.viewEpoch.Set(int64(nv.epoch))
-	s.m.annotations.Set(int64(nv.annotations.len()))
+	s.m.annotations.Set(int64(nv.annotations.Len()))
 	s.m.derivedFacts.Set(int64(nv.derivedCount))
 }
-
-// Graph exposes the a-graph for path/connect queries.
-func (s *Store) Graph() *agraph.Graph { return s.graph }
 
 // RegisterOntology makes an ontology available for annotation references.
 func (s *Store) RegisterOntology(o *ontology.Ontology) error {
@@ -141,9 +137,9 @@ func (s *Store) RegisterCoordinateSystem(cs *imaging.CoordinateSystem) error {
 	nv := v.clone()
 	nv.systems = mapWith(v.systems, cs.Name, cs)
 	nv.sysNames = insertSortedStr(v.sysNames, cs.Name)
-	rtrees := v.rtrees.edit()
-	rtrees.set(cs.Name, tree)
-	nv.rtrees = rtrees.pmap
+	rtrees := v.rtrees.Edit()
+	rtrees.Set(cs.Name, tree)
+	nv.rtrees = rtrees.Map
 	s.publish(nv)
 	return nil
 }
@@ -177,12 +173,11 @@ func (s *Store) RegisterSequence(sq *seq.Sequence) error {
 		sq.Domain = sq.ID
 	}
 	typ := seqObjectType(sq.Kind)
-	s.graph.AddNode(agraph.Object(string(typ), sq.ID))
 	nv := v.clone()
 	nv.seqs = mapWith(v.seqs, sq.ID, sq)
 	nv.seqType = mapWith(v.seqType, sq.ID, typ)
 	nv.seqIDs = insertSortedStr(v.seqIDs, sq.ID)
-	nv.objects = insertSortedObject(v.objects, ObjectHandle{typ, sq.ID})
+	nv.addObject(typ, sq.ID)
 	s.publish(nv)
 	return nil
 }
@@ -200,11 +195,10 @@ func (s *Store) RegisterAlignment(a *msa.Alignment) error {
 	if _, dup := v.alignments[a.ID]; dup {
 		return fmt.Errorf("%w: alignment %s", ErrDuplicate, a.ID)
 	}
-	s.graph.AddNode(agraph.Object(string(TypeAlignment), a.ID))
 	nv := v.clone()
 	nv.alignments = mapWith(v.alignments, a.ID, a)
 	nv.alnIDs = insertSortedStr(v.alnIDs, a.ID)
-	nv.objects = insertSortedObject(v.objects, ObjectHandle{TypeAlignment, a.ID})
+	nv.addObject(TypeAlignment, a.ID)
 	s.publish(nv)
 	return nil
 }
@@ -222,11 +216,10 @@ func (s *Store) RegisterTree(t *phylo.Tree) error {
 	if _, dup := v.trees[t.ID]; dup {
 		return fmt.Errorf("%w: tree %s", ErrDuplicate, t.ID)
 	}
-	s.graph.AddNode(agraph.Object(string(TypeTree), t.ID))
 	nv := v.clone()
 	nv.trees = mapWith(v.trees, t.ID, t)
 	nv.treeIDs = insertSortedStr(v.treeIDs, t.ID)
-	nv.objects = insertSortedObject(v.objects, ObjectHandle{TypeTree, t.ID})
+	nv.addObject(TypeTree, t.ID)
 	s.publish(nv)
 	return nil
 }
@@ -244,11 +237,10 @@ func (s *Store) RegisterInteractionGraph(g *interact.Graph) error {
 	if _, dup := v.igraphs[g.ID]; dup {
 		return fmt.Errorf("%w: interaction graph %s", ErrDuplicate, g.ID)
 	}
-	s.graph.AddNode(agraph.Object(string(TypeInteraction), g.ID))
 	nv := v.clone()
 	nv.igraphs = mapWith(v.igraphs, g.ID, g)
 	nv.igraphIDs = insertSortedStr(v.igraphIDs, g.ID)
-	nv.objects = insertSortedObject(v.objects, ObjectHandle{TypeInteraction, g.ID})
+	nv.addObject(TypeInteraction, g.ID)
 	s.publish(nv)
 	return nil
 }
@@ -270,11 +262,10 @@ func (s *Store) RegisterImage(im *imaging.Image) error {
 	if _, ok := v.systems[im.System]; !ok {
 		return fmt.Errorf("%w: %s (register it before image %s)", ErrNoSuchSystem, im.System, im.ID)
 	}
-	s.graph.AddNode(agraph.Object(string(TypeImage), im.ID))
 	nv := v.clone()
 	nv.images = mapWith(v.images, im.ID, im)
 	nv.imageIDs = insertSortedStr(v.imageIDs, im.ID)
-	nv.objects = insertSortedObject(v.objects, ObjectHandle{TypeImage, im.ID})
+	nv.addObject(TypeImage, im.ID)
 	// A new image in a shared coordinate system can become the target of
 	// existing coordinate-registration rules; registrations are rare, so
 	// a full recompute keeps the derived table exact without a dedicated
@@ -331,3 +322,48 @@ type Stats struct {
 
 // Stats returns current component sizes.
 func (s *Store) Stats() Stats { return s.View().Stats() }
+
+// --- helpers for the rarely-mutated registration maps/slices ---
+
+// mapWith clones m and sets k=v; registration-rate mutations only.
+func mapWith[K comparable, V any](m map[K]V, k K, v V) map[K]V {
+	out := maps.Clone(m)
+	if out == nil {
+		out = make(map[K]V, 1)
+	}
+	out[k] = v
+	return out
+}
+
+// insertSortedStr returns a fresh sorted slice with s inserted.
+func insertSortedStr(xs []string, s string) []string {
+	i := sort.SearchStrings(xs, s)
+	out := make([]string, 0, len(xs)+1)
+	out = append(out, xs[:i]...)
+	out = append(out, s)
+	return append(out, xs[i:]...)
+}
+
+// addObject lists a newly registered data object in nv, a successor view
+// under construction: in the (type, id)-sorted handle list and as a node
+// of the a-graph, where marks will reach it.
+func (nv *View) addObject(typ ObjectType, id string) {
+	nv.objects = insertSortedObject(nv.objects, ObjectHandle{typ, id})
+	g := nv.graph.Edit()
+	g.AddNode(agraph.Object(string(typ), id))
+	nv.graph = *g.Graph()
+}
+
+// insertSortedObject returns a fresh (type, id)-sorted slice with h added.
+func insertSortedObject(xs []ObjectHandle, h ObjectHandle) []ObjectHandle {
+	i := sort.Search(len(xs), func(k int) bool {
+		if xs[k].Type != h.Type {
+			return xs[k].Type > h.Type
+		}
+		return xs[k].ID >= h.ID
+	})
+	out := make([]ObjectHandle, 0, len(xs)+1)
+	out = append(out, xs[:i]...)
+	out = append(out, h)
+	return append(out, xs[i:]...)
+}

@@ -3,6 +3,8 @@ package core
 import (
 	"time"
 
+	"graphitti/internal/agraph"
+	"graphitti/internal/cow"
 	"graphitti/internal/trace"
 )
 
@@ -14,8 +16,6 @@ import (
 // the number of ops it carries. The Store's single-op methods are sessions
 // of one; Batch runs many ops in one session.
 //
-// The a-graph alone is not part of the session: ops apply to it directly
-// (see the View contract on graph-backed reads).
 // With a propagator attached every op publishes on its own, because the
 // derived delta is defined between two published views.
 //
@@ -27,12 +27,13 @@ type Tx struct {
 	nv   *View  // successor under construction; nil until the first op
 	ops  uint64 // ops applied to nv since base
 
-	anns tableEdit[Annotation]
-	refs tableEdit[Referent]
-	kw   pmapEdit[postings]
-	rbm  pmapEdit[uint64]
-	it   pmapEdit[intervalTree]
-	rt   pmapEdit[regionTree]
+	anns cow.TableEdit[Annotation]
+	refs cow.TableEdit[Referent]
+	kw   cow.MapEdit[cow.Postings]
+	rbm  cow.MapEdit[uint64]
+	it   cow.MapEdit[intervalTree]
+	rt   cow.MapEdit[regionTree]
+	g    agraph.Edit
 }
 
 // Batch runs fn as one writer session: it holds the writer mutex across
@@ -55,18 +56,20 @@ func (x *Tx) open() {
 	}
 	x.base = x.s.v.Load()
 	x.nv = x.base.clone()
-	x.anns, x.refs = x.base.annotations.edit(), x.base.referents.edit()
-	x.kw, x.rbm = x.base.keywordIdx.edit(), x.base.refByMark.edit()
-	x.it, x.rt = x.base.itrees.edit(), x.base.rtrees.edit()
+	x.anns, x.refs = x.base.annotations.Edit(), x.base.referents.Edit()
+	x.kw, x.rbm = x.base.keywordIdx.Edit(), x.base.refByMark.Edit()
+	x.it, x.rt = x.base.itrees.Edit(), x.base.rtrees.Edit()
+	x.g = x.base.graph.Edit()
 }
 
 // seal folds the edit handles into nv, making it a complete view of the
 // session's state; no op may follow without a publish. Idempotent.
 func (x *Tx) seal() *View {
 	nv := x.nv
-	nv.annotations, nv.referents = x.anns.idtable, x.refs.idtable
-	nv.keywordIdx, nv.refByMark = x.kw.pmap, x.rbm.pmap
-	nv.itrees, nv.rtrees = x.it.pmap, x.rt.pmap
+	nv.annotations, nv.referents = x.anns.Table, x.refs.Table
+	nv.keywordIdx, nv.refByMark = x.kw.Map, x.rbm.Map
+	nv.itrees, nv.rtrees = x.it.Map, x.rt.Map
+	nv.graph = *x.g.Graph()
 	return nv
 }
 

@@ -11,36 +11,33 @@
 //     Maps are copy-on-write (a persistent hash trie for the high-churn
 //     keyword, mark-dedup and derived-target indexes, chunked posting
 //     lists under the keyword index, chunked ID tables for
-//     annotations/referents; see cow.go), and the interval/R-trees are
-//     persistent values the view holds by domain in one more such trie:
-//     a successor tree shares all but a search path with the tree an
-//     earlier view holds and never writes a node of it. The one write a
+//     annotations/referents; see internal/cow), the interval/R-trees are
+//     persistent values the view holds by domain in one more such trie,
+//     and the a-graph is one more value built from the same containers: a
+//     successor shares all but the pieces an op touched with what an
+//     earlier view holds and never writes a piece of it. The one write a
 //     published structure does see lands past its end: a posting list's
-//     newest IDs are appended into spare capacity beyond the length every
-//     earlier view holds, which no reader of those views indexes. What it
-//     costs the writer: per op, a copy of each trie node, posting chunk
-//     and table chunk the op is the first of its session (Tx) to touch,
-//     and a search path of each spatial tree it marks; per session, one
-//     publish — pointer stores — whether it carries one op or a whole
-//     snapshot.
+//     newest IDs, and an adjacency list's newest edges, are appended into
+//     spare capacity beyond the length every earlier view holds, which no
+//     reader of those views indexes. What it costs the writer: per op, a
+//     copy of each trie node, list chunk and table chunk the op is the
+//     first of its session (Tx) to touch, and a search path of each
+//     spatial tree it marks; per session, one publish — pointer stores —
+//     whether it carries one op or a whole snapshot.
 //   - Annotation atomicity: an annotation is visible in a view with all
-//     of its referents, its complete keyword postings and its content
-//     document, or not at all — never half-applied.
+//     of its referents, its complete keyword postings, its content
+//     document and every a-graph edge that joins it to them, or not at
+//     all — never half-applied, and a deleted one is gone from all of
+//     them together.
 //   - Registered data is in the view and nowhere else: every object
 //     registry and every record table (schema and rows) is a value the
 //     view holds, so a mark constructor, an export or a listing run
 //     against a pinned view sees exactly the registrations and record
 //     inserts published up to its epoch.
-//   - The a-graph is the only shared handle: one live graph with its own
-//     fine-grained synchronization (it iterates over copy-on-write
-//     adjacency snapshots), reached from every view. Graph joins filter
-//     through the pinned view's tables, so they never surface an
-//     annotation the view does not contain. The converse is not
-//     guaranteed: a deletion committed after a view was pinned removes
-//     join edges from the shared graph immediately, so the pinned view's
-//     graph joins can miss annotations its tables still hold. Isolation
-//     is exact for every other read; graph-backed reads are bounded
-//     between the pinned snapshot and the latest state.
+//
+// Every read — table, index, tree or graph-backed — is a pure function of
+// the view it runs on: it answers from the op prefix the view's epoch
+// names and from nothing later.
 package core
 
 import (
@@ -53,6 +50,7 @@ import (
 	"graphitti/internal/biodata/msa"
 	"graphitti/internal/biodata/phylo"
 	"graphitti/internal/biodata/seq"
+	"graphitti/internal/cow"
 	"graphitti/internal/ontology"
 )
 
@@ -60,7 +58,8 @@ import (
 // serialized writer. All methods are safe for concurrent use by any
 // number of readers and never block on (or observe) concurrent writers.
 type View struct {
-	graph *agraph.Graph
+	// graph is the a-graph: the labeled join index over everything below.
+	graph agraph.Graph
 
 	ontologies map[string]*ontology.Ontology
 	ontNames   []string // sorted
@@ -69,8 +68,8 @@ type View struct {
 
 	// The sub-structure indexes (see index.go): an interval tree per
 	// coordinate domain that has a mark, an R-tree per coordinate system.
-	itrees pmap[intervalTree]
-	rtrees pmap[regionTree]
+	itrees cow.Map[intervalTree]
+	rtrees cow.Map[regionTree]
 
 	seqs       map[string]*seq.Sequence
 	seqType    map[string]ObjectType
@@ -84,23 +83,23 @@ type View struct {
 	images     map[string]*imaging.Image
 	imageIDs   []string // sorted
 
-	recordTables  pmap[recordTable] // by table name
-	recTableNames []string          // sorted
+	recordTables  cow.Map[recordTable] // by table name
+	recTableNames []string             // sorted
 
 	// objects is the (type, id)-sorted list of every registered data
 	// object, maintained at registration time so ObjectList never sorts.
 	objects []ObjectHandle
 
-	annotations idtable[Annotation]
-	referents   idtable[Referent]
-	refByMark   pmap[uint64]   // canonical mark -> shared referent ID
-	keywordIdx  pmap[postings] // keyword -> ascending annotation IDs
+	annotations cow.Table[Annotation]
+	referents   cow.Table[Referent]
+	refByMark   cow.Map[uint64]       // canonical mark -> shared referent ID
+	keywordIdx  cow.Map[cow.Postings] // keyword -> ascending annotation IDs
 
 	// derived is the materialized derived-annotation table, keyed by
 	// source annotation ID (see derived.go). Maintained by the attached
 	// Propagator inside the writer's critical section, so it is always
 	// exactly consistent with the committed annotations of this view.
-	derived      idtable[derivedEntry]
+	derived      cow.Table[derivedEntry]
 	derivedCount int
 	derivedEpoch uint64
 
@@ -111,7 +110,7 @@ type View struct {
 	// lists are kept in (source, rule, witness) order — the per-target
 	// subsequence of the global DerivedEach order — which keeps
 	// index-driven reads byte-identical to table scans.
-	derivedByTarget pmap[[]DerivedFact]
+	derivedByTarget cow.Map[[]DerivedFact]
 
 	nextAnn, nextRef uint64
 
@@ -134,9 +133,8 @@ type View struct {
 func (v *View) Epoch() uint64 { return v.epoch }
 
 // emptyView returns the view of a fresh store.
-func emptyView(graph *agraph.Graph, m *storeMetrics) *View {
+func emptyView(m *storeMetrics) *View {
 	return &View{
-		graph:      graph,
 		m:          m,
 		ontologies: map[string]*ontology.Ontology{},
 		systems:    map[string]*imaging.CoordinateSystem{},
@@ -156,8 +154,8 @@ func (v *View) clone() *View {
 	return &nv
 }
 
-// Graph exposes the a-graph handle for path/connect queries.
-func (v *View) Graph() *agraph.Graph { return v.graph }
+// Graph exposes the view's a-graph for path/connect queries.
+func (v *View) Graph() *agraph.Graph { return &v.graph }
 
 // Ontology returns a registered ontology.
 func (v *View) Ontology(name string) (*ontology.Ontology, error) {
@@ -259,7 +257,7 @@ func (v *View) ObjectList() []ObjectHandle {
 
 // Annotation returns a committed annotation by ID.
 func (v *View) Annotation(id uint64) (*Annotation, error) {
-	if a := v.annotations.get(id); a != nil {
+	if a := v.annotations.Get(id); a != nil {
 		return a, nil
 	}
 	return nil, errNoSuchAnnotation(id)
@@ -267,8 +265,8 @@ func (v *View) Annotation(id uint64) (*Annotation, error) {
 
 // Annotations returns all committed annotations, sorted by ID.
 func (v *View) Annotations() []*Annotation {
-	out := make([]*Annotation, 0, v.annotations.len())
-	v.annotations.each(func(_ uint64, a *Annotation) bool {
+	out := make([]*Annotation, 0, v.annotations.Len())
+	v.annotations.Each(func(_ uint64, a *Annotation) bool {
 		out = append(out, a)
 		return true
 	})
@@ -276,11 +274,11 @@ func (v *View) Annotations() []*Annotation {
 }
 
 // AnnotationIDs returns the IDs of all committed annotations, sorted.
-func (v *View) AnnotationIDs() []uint64 { return v.annotations.ids() }
+func (v *View) AnnotationIDs() []uint64 { return v.annotations.IDs() }
 
 // Referent returns a committed referent by ID.
 func (v *View) Referent(id uint64) (*Referent, error) {
-	if r := v.referents.get(id); r != nil {
+	if r := v.referents.Get(id); r != nil {
 		return r, nil
 	}
 	return nil, errNoSuchReferent(id)
@@ -288,8 +286,8 @@ func (v *View) Referent(id uint64) (*Referent, error) {
 
 // Referents returns all committed referents, sorted by ID.
 func (v *View) Referents() []*Referent {
-	out := make([]*Referent, 0, v.referents.len())
-	v.referents.each(func(_ uint64, r *Referent) bool {
+	out := make([]*Referent, 0, v.referents.Len())
+	v.referents.Each(func(_ uint64, r *Referent) bool {
 		out = append(out, r)
 		return true
 	})
@@ -299,7 +297,7 @@ func (v *View) Referents() []*Referent {
 // ReferentsEach visits every committed referent in ascending ID order,
 // without copying, until fn returns false.
 func (v *View) ReferentsEach(fn func(*Referent) bool) {
-	v.referents.each(func(_ uint64, r *Referent) bool { return fn(r) })
+	v.referents.Each(func(_ uint64, r *Referent) bool { return fn(r) })
 }
 
 // IDCounters returns the annotation and referent ID counters as of this
@@ -311,25 +309,25 @@ func (v *View) IDCounters() (nextAnn, nextRef uint64) { return v.nextAnn, v.next
 // the distinct-keyword union across shards without materialising posting
 // lists.
 func (v *View) EachKeyword(fn func(word string) bool) {
-	v.keywordIdx.each(func(word string, _ postings) bool { return fn(word) })
+	v.keywordIdx.Each(func(word string, _ cow.Postings) bool { return fn(word) })
 }
 
 // Stats returns the view's component sizes.
 func (v *View) Stats() Stats {
 	return Stats{
-		Annotations:       v.annotations.len(),
-		Referents:         v.referents.len(),
+		Annotations:       v.annotations.Len(),
+		Referents:         v.referents.Len(),
 		Sequences:         len(v.seqs),
 		Alignments:        len(v.alignments),
 		Trees:             len(v.trees),
 		InteractionGraphs: len(v.igraphs),
 		Images:            len(v.images),
 		Ontologies:        len(v.ontologies),
-		IntervalTrees:     v.itrees.len(),
-		RTrees:            v.rtrees.len(),
+		IntervalTrees:     v.itrees.Len(),
+		RTrees:            v.rtrees.Len(),
 		GraphNodes:        v.graph.NodeCount(),
 		GraphEdges:        v.graph.EdgeCount(),
-		Keywords:          v.keywordIdx.len(),
+		Keywords:          v.keywordIdx.Len(),
 		Derived:           v.derivedCount,
 	}
 }

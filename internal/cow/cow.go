@@ -1,32 +1,33 @@
-package core
+// Package cow holds Graphitti's persistent (copy-on-write) containers: the
+// chunked ID table (Table), the string-keyed hash trie (Map) and the
+// chunked ascending ID list (Postings). A core.View is built from them —
+// annotations and referents by ID, the keyword index and its posting lists,
+// the mark-dedup index, the derived-fact target index, the spatial trees by
+// domain, the record tables — and so is the agraph.Graph value the view
+// holds (its node table and one node index per kind).
+//
+// A value shares structure with its predecessor and never changes once a
+// reader can hold it. The writer mutates through edit handles (TableEdit,
+// MapEdit) that copy a piece — a table chunk, a trie node — the first time
+// a session touches it and write in place after that. So an op costs the
+// pieces it is first to touch: a chunk of 256 slots per table, a
+// root-to-entry path of three or four small nodes per key, one posting
+// chunk per list it removes from and nothing but the ID per list it appends
+// to. A writer session (core.Tx) copies no piece twice however many ops it
+// carries, and a publish is a handful of pointer stores. None of it is
+// proportional to the store, except logarithmically (trie depth, tree
+// height) and through two spines of chunk pointers (8 bytes per 256 IDs a
+// table holds, 24 per 256 IDs of a posting list that loses one from its
+// middle).
+package cow
 
 import (
-	"maps"
 	"math/bits"
 	"slices"
 	"sort"
 )
 
-// Persistent (copy-on-write) containers backing the store's published read
-// views: the chunked ID table (idtable), the string-keyed hash trie (pmap)
-// behind the keyword index, the mark-dedup index, the derived-fact target
-// index, the spatial trees by domain and the record tables (one of tables
-// by name, one of rows per table), and the chunked posting list (postings)
-// the keyword index maps to. A View shares structure with its predecessor,
-// and a pinned view is immutable for as long as a reader holds it. The
-// writer mutates through edit handles (tableEdit, pmapEdit) that copy a
-// piece — an ID-table chunk, a trie node — the first time a session touches
-// it and write in place after that. So an op costs the pieces it is first
-// to touch: a chunk of 256 slots per table, a root-to-entry path of three
-// or four small nodes per key, one posting chunk per list it removes from
-// and nothing but the ID per list it appends to. A writer session (see Tx)
-// copies no piece twice however many ops it carries, and a publish is a
-// handful of pointer stores. None of it is proportional to the store,
-// except logarithmically (trie depth, tree height) and through two spines
-// of chunk pointers (8 bytes per 256 IDs a table holds, 24 per 256 IDs of a
-// posting list that loses one from its middle).
-
-// --- idtable: persistent chunked array keyed by dense uint64 IDs ---
+// --- Table: persistent chunked array keyed by dense uint64 IDs ---
 
 const (
 	tableChunkBits = 8
@@ -36,19 +37,22 @@ const (
 
 type tableChunk[T any] [tableChunkSize]*T
 
-// idtable maps the store's monotonically assigned annotation/referent IDs
-// (starting at 1, dense, never reused) to objects. Iteration in chunk/slot
-// order IS ascending ID order, which is what retires the old
-// allocate-and-sort-every-ID-on-every-scan pattern: a view enumerates
-// annotations sorted by ID with no allocation and no sort.
-type idtable[T any] struct {
+// Table maps dense uint64 IDs — the store's monotonically assigned
+// annotation/referent IDs (starting at 1, never reused), the a-graph's node
+// indices — to objects. Iteration in chunk/slot order IS ascending ID
+// order, which is what retires the old allocate-and-sort-every-ID-on-
+// every-scan pattern: a view enumerates annotations sorted by ID with no
+// allocation and no sort. The zero value is the empty table.
+type Table[T any] struct {
 	chunks []*tableChunk[T]
 	count  int
 }
 
-func (t idtable[T]) len() int { return t.count }
+// Len returns the number of IDs present.
+func (t Table[T]) Len() int { return t.count }
 
-func (t idtable[T]) get(id uint64) *T {
+// Get returns the object stored under id, or nil.
+func (t Table[T]) Get(id uint64) *T {
 	ci := id >> tableChunkBits
 	if ci >= uint64(len(t.chunks)) || t.chunks[ci] == nil {
 		return nil
@@ -56,23 +60,24 @@ func (t idtable[T]) get(id uint64) *T {
 	return t.chunks[ci][id&tableSlotMask]
 }
 
-// tableEdit batches mutations against a base idtable, copying the chunk
+// TableEdit batches mutations against a base Table, copying the chunk
 // spine and each touched chunk at most once; the embedded table is the
 // edited state (reads see earlier writes) and the successor to publish.
 // Writer-side only, and not to be used after that table is published.
-type tableEdit[T any] struct {
-	idtable[T]
+type TableEdit[T any] struct {
+	Table[T]
 	// base is the spine edited from: a chunk base does not hold was
 	// allocated by this edit and may be written in place.
 	base  []*tableChunk[T]
 	spine bool // chunks is a private copy of base
 }
 
-func (t idtable[T]) edit() tableEdit[T] {
-	return tableEdit[T]{idtable: t, base: t.chunks}
+// Edit opens an edit session on t.
+func (t Table[T]) Edit() TableEdit[T] {
+	return TableEdit[T]{Table: t, base: t.chunks}
 }
 
-func (e *tableEdit[T]) mutable(ci uint64) *tableChunk[T] {
+func (e *TableEdit[T]) mutable(ci uint64) *tableChunk[T] {
 	if n := uint64(len(e.chunks)); !e.spine || ci >= n {
 		chunks := make([]*tableChunk[T], max(n, ci+1))
 		copy(chunks, e.chunks)
@@ -89,7 +94,8 @@ func (e *tableEdit[T]) mutable(ci uint64) *tableChunk[T] {
 	return ch
 }
 
-func (e *tableEdit[T]) set(id uint64, v *T) {
+// Set stores v (not nil) under id.
+func (e *TableEdit[T]) Set(id uint64, v *T) {
 	slot := &e.mutable(id >> tableChunkBits)[id&tableSlotMask]
 	if *slot == nil {
 		e.count++
@@ -97,16 +103,17 @@ func (e *tableEdit[T]) set(id uint64, v *T) {
 	*slot = v
 }
 
-func (e *tableEdit[T]) delete(id uint64) {
-	if e.get(id) != nil {
+// Delete removes id, if present.
+func (e *TableEdit[T]) Delete(id uint64) {
+	if e.Get(id) != nil {
 		e.mutable(id >> tableChunkBits)[id&tableSlotMask] = nil
 		e.count--
 	}
 }
 
-// each visits every present entry in ascending ID order until fn returns
+// Each visits every present entry in ascending ID order until fn returns
 // false.
-func (t idtable[T]) each(fn func(uint64, *T) bool) {
+func (t Table[T]) Each(fn func(uint64, *T) bool) {
 	for ci, ch := range t.chunks {
 		if ch == nil {
 			continue
@@ -122,20 +129,20 @@ func (t idtable[T]) each(fn func(uint64, *T) bool) {
 	}
 }
 
-// ids materializes the ascending ID list (for API compatibility; internal
-// paths iterate with each instead).
-func (t idtable[T]) ids() []uint64 {
+// IDs materializes the ascending ID list (for API compatibility; internal
+// paths iterate with Each instead).
+func (t Table[T]) IDs() []uint64 {
 	out := make([]uint64, 0, t.count)
-	t.each(func(id uint64, _ *T) bool {
+	t.Each(func(id uint64, _ *T) bool {
 		out = append(out, id)
 		return true
 	})
 	return out
 }
 
-// --- pmap: persistent hash-array-mapped trie keyed by string ---
+// --- Map: persistent hash-array-mapped trie keyed by string ---
 
-// A pmap is a CHAMP-style hash trie: a node consumes pmapBits of the
+// A Map is a CHAMP-style hash trie: a node consumes pmapBits of the
 // key's hash and holds, compactly and in slot order, the entries that are
 // alone in their slot and the child nodes of the slots several keys share.
 // A lookup is one bitmap test and one index per level, log32(n) levels.
@@ -179,7 +186,7 @@ type pnode[V any] struct {
 	datamap uint32 // slots holding an entry
 	nodemap uint32 // slots holding a child
 	// stamp is the generation of the edit session that allocated the node
-	// (see pmapEdit), shifted over two flags. The arrays of a node copied
+	// (see MapEdit), shifted over two flags. The arrays of a node copied
 	// for writing stay shared with the original until one is written — a
 	// path copy pays for the array it changes, not for both — and the
 	// flags say which the node has made its own.
@@ -202,16 +209,18 @@ func (n *pnode[V]) own(f uint64) bool {
 	return had
 }
 
-// pmap is an immutable string-keyed map. The zero value is the empty map.
-type pmap[V any] struct {
+// Map is an immutable string-keyed map. The zero value is the empty map.
+type Map[V any] struct {
 	root  *pnode[V]
 	count int
 	gen   uint64 // edit sessions behind this map; no node in it has a later stamp
 }
 
-func (m pmap[V]) len() int { return m.count }
+// Len returns the number of keys.
+func (m Map[V]) Len() int { return m.count }
 
-func (m pmap[V]) get(k string) (V, bool) {
+// Get returns the value stored under k.
+func (m Map[V]) Get(k string) (V, bool) {
 	h := pmapHash(k)
 	n := m.root
 	for shift := uint(0); n != nil; shift += pmapBits {
@@ -239,8 +248,8 @@ func (m pmap[V]) get(k string) (V, bool) {
 	return zero, false
 }
 
-// each visits all entries in unspecified order until fn returns false.
-func (m pmap[V]) each(fn func(string, V) bool) {
+// Each visits all entries in unspecified order until fn returns false.
+func (m Map[V]) Each(fn func(string, V) bool) {
 	if m.root != nil {
 		m.root.each(fn)
 	}
@@ -260,7 +269,7 @@ func (n *pnode[V]) each(fn func(string, V) bool) bool {
 	return true
 }
 
-// pmapEdit batches mutations against a base pmap. A session takes the
+// MapEdit batches mutations against a base Map. A session takes the
 // generation after its base's: every node reachable from the base carries
 // an earlier one, so a node stamped with the session's own was allocated
 // by it and is reachable from no published map. The session copies a node
@@ -269,16 +278,17 @@ func (n *pnode[V]) each(fn func(string, V) bool) bool {
 // embedded map is the edited state (reads see earlier writes) and the
 // successor to publish: sealing is a root-pointer store. Writer-side
 // only, and not to be used after that map is published.
-type pmapEdit[V any] struct{ pmap[V] }
+type MapEdit[V any] struct{ Map[V] }
 
-func (m pmap[V]) edit() pmapEdit[V] {
+// Edit opens an edit session on m.
+func (m Map[V]) Edit() MapEdit[V] {
 	m.gen++
-	return pmapEdit[V]{m}
+	return MapEdit[V]{m}
 }
 
 // mutable returns n if this session allocated it, else a stamped copy
 // that still shares n's arrays.
-func (e *pmapEdit[V]) mutable(n *pnode[V]) *pnode[V] {
+func (e *MapEdit[V]) mutable(n *pnode[V]) *pnode[V] {
 	if n.stamp>>pnodeFlagBits == e.gen {
 		return n
 	}
@@ -319,7 +329,8 @@ func replaceAt[T any](s []T, own bool, i int, x T) []T {
 	return s
 }
 
-func (e *pmapEdit[V]) set(k string, v V) {
+// Set stores v under k.
+func (e *MapEdit[V]) Set(k string, v V) {
 	ent := &pentry[V]{k, v}
 	if e.root == nil {
 		e.root = new(pnode[V])
@@ -327,7 +338,7 @@ func (e *pmapEdit[V]) set(k string, v V) {
 	e.root = e.insert(e.root, pmapHash(k), 0, ent)
 }
 
-func (e *pmapEdit[V]) insert(n *pnode[V], h uint32, shift uint, ent *pentry[V]) *pnode[V] {
+func (e *MapEdit[V]) insert(n *pnode[V], h uint32, shift uint, ent *pentry[V]) *pnode[V] {
 	if shift >= pmapHashBits {
 		n = e.mutable(n)
 		for i, old := range n.entries {
@@ -376,7 +387,7 @@ func (e *pmapEdit[V]) insert(n *pnode[V], h uint32, shift uint, ent *pentry[V]) 
 
 // pair builds the subtree holding two entries whose hashes agree on
 // every bit above shift.
-func (e *pmapEdit[V]) pair(a *pentry[V], ha uint32, b *pentry[V], hb uint32, shift uint) *pnode[V] {
+func (e *MapEdit[V]) pair(a *pentry[V], ha uint32, b *pentry[V], hb uint32, shift uint) *pnode[V] {
 	n := &pnode[V]{stamp: e.gen<<pnodeFlagBits | pnodeOwnsEntries | pnodeOwnsKids}
 	sa, sb := ha>>shift&pmapMask, hb>>shift&pmapMask
 	switch {
@@ -395,7 +406,8 @@ func (e *pmapEdit[V]) pair(a *pentry[V], ha uint32, b *pentry[V], hb uint32, shi
 	return n
 }
 
-func (e *pmapEdit[V]) delete(k string) {
+// Delete removes k, if present.
+func (e *MapEdit[V]) Delete(k string) {
 	if e.root == nil {
 		return
 	}
@@ -411,7 +423,7 @@ func (e *pmapEdit[V]) delete(k string) {
 // remove deletes k below n and keeps the trie canonical: a child left
 // with a single entry and no children folds back into its parent's slot,
 // so a map's shape depends on its keys and not on its history.
-func (e *pmapEdit[V]) remove(n *pnode[V], h uint32, shift uint, k string) (*pnode[V], bool) {
+func (e *MapEdit[V]) remove(n *pnode[V], h uint32, shift uint, k string) (*pnode[V], bool) {
 	if shift >= pmapHashBits {
 		for i, old := range n.entries {
 			if old.key == k {
@@ -453,23 +465,23 @@ func (e *pmapEdit[V]) remove(n *pnode[V], h uint32, shift uint, k string) (*pnod
 	return n, false
 }
 
-// --- postings: persistent ascending ID list ---
+// --- Postings: persistent ascending ID list ---
 
 // postChunk bounds a posting chunk, like tableChunkSize bounds an ID-table
 // chunk: a delete or an out-of-order insert copies one chunk of at most
 // this many IDs plus the spine of chunk headers, whatever the list holds.
 const postChunk = 256
 
-// postings is one keyword's annotation IDs, ascending, in chunks. A list
+// Postings is one keyword's annotation IDs, ascending, in chunks. A list
 // that fits one chunk is just tail — a unique word costs its 8 bytes and
 // a slice header. The chunks before tail sit behind head.
 //
 // Appending the highest ID yet writes into tail's spare capacity in
-// place: a reader pinned to an older postings value never indexes past
+// place: a reader pinned to an older Postings value never indexes past
 // its own length, so sharing the backing array along the single-writer
 // chain is safe. Every other edit copies what it changes. Only the latest
 // value of a chain may be extended.
-type postings struct {
+type Postings struct {
 	tail []uint64
 	head *postHead
 }
@@ -479,15 +491,16 @@ type postHead struct {
 	n      int        // IDs in chunks
 }
 
-func (p postings) len() int {
+// Len returns the number of IDs.
+func (p Postings) Len() int {
 	if p.head == nil {
 		return len(p.tail)
 	}
 	return p.head.n + len(p.tail)
 }
 
-// each visits the IDs in ascending order until fn returns false.
-func (p postings) each(fn func(uint64) bool) {
+// Each visits the IDs in ascending order until fn returns false.
+func (p Postings) Each(fn func(uint64) bool) {
 	if p.head != nil {
 		for _, c := range p.head.chunks {
 			for _, id := range c {
@@ -505,7 +518,7 @@ func (p postings) each(fn func(uint64) bool) {
 }
 
 // chunks returns the head chunks (nil for a short list).
-func (p postings) chunks() [][]uint64 {
+func (p Postings) chunks() [][]uint64 {
 	if p.head == nil {
 		return nil
 	}
@@ -514,7 +527,7 @@ func (p postings) chunks() [][]uint64 {
 
 // locate returns the chunk that holds id or would take it — the first
 // whose last ID is >= id — and its index; tail is chunk len(p.chunks()).
-func (p postings) locate(id uint64) (int, []uint64) {
+func (p Postings) locate(id uint64) (int, []uint64) {
 	cs := p.chunks()
 	i := sort.Search(len(cs), func(k int) bool { return cs[k][len(cs[k])-1] >= id })
 	if i < len(cs) {
@@ -526,7 +539,7 @@ func (p postings) locate(id uint64) (int, []uint64) {
 // room is the capacity a copy of chunk c, with one ID more or fewer,
 // should have: the tail keeps its own, so the appends that follow stay in
 // place; a head chunk is never appended to.
-func (p postings) room(i int, c []uint64) int {
+func (p Postings) room(i int, c []uint64) int {
 	if i == len(p.chunks()) {
 		return cap(c)
 	}
@@ -536,7 +549,7 @@ func (p postings) room(i int, c []uint64) int {
 // splice returns p with chunk i replaced by repl: no chunk, one, or the
 // two halves of a split. The last replacement of the tail is the new
 // tail; anything else lands in a fresh spine.
-func (p postings) splice(i int, repl ...[]uint64) postings {
+func (p Postings) splice(i int, repl ...[]uint64) Postings {
 	cs := p.chunks()
 	rest := cs[i:]
 	if i == len(cs) {
@@ -562,8 +575,8 @@ func (p postings) splice(i int, repl ...[]uint64) postings {
 	return p
 }
 
-// with returns the list with id added; a duplicate returns p unchanged.
-func (p postings) with(id uint64) postings {
+// With returns the list with id added; a duplicate returns p unchanged.
+func (p Postings) With(id uint64) Postings {
 	if n := len(p.tail); n == 0 && p.head == nil || n > 0 && n < postChunk && p.tail[n-1] < id {
 		p.tail = append(p.tail, id)
 		return p
@@ -587,10 +600,10 @@ func (p postings) with(id uint64) postings {
 	return p.splice(i, grown)
 }
 
-// without returns the list with id removed, if present. Chunks shrink
+// Without returns the list with id removed, if present. Chunks shrink
 // and vanish but are not merged: like an ID table's, a list's spine
 // follows the chunks it ever filled that still hold an ID.
-func (p postings) without(id uint64) postings {
+func (p Postings) Without(id uint64) Postings {
 	i, c := p.locate(id)
 	at, found := slices.BinarySearch(c, id)
 	switch {
@@ -603,39 +616,4 @@ func (p postings) without(id uint64) postings {
 	copy(shrunk, c[:at])
 	copy(shrunk[at:], c[at+1:])
 	return p.splice(i, shrunk)
-}
-
-// --- small helpers for the rarely-mutated registration maps/slices ---
-
-// mapWith clones m and sets k=v; registration-rate mutations only.
-func mapWith[K comparable, V any](m map[K]V, k K, v V) map[K]V {
-	out := maps.Clone(m)
-	if out == nil {
-		out = make(map[K]V, 1)
-	}
-	out[k] = v
-	return out
-}
-
-// insertSortedStr returns a fresh sorted slice with s inserted.
-func insertSortedStr(xs []string, s string) []string {
-	i := sort.SearchStrings(xs, s)
-	out := make([]string, 0, len(xs)+1)
-	out = append(out, xs[:i]...)
-	out = append(out, s)
-	return append(out, xs[i:]...)
-}
-
-// insertSortedObject returns a fresh (type, id)-sorted slice with h added.
-func insertSortedObject(xs []ObjectHandle, h ObjectHandle) []ObjectHandle {
-	i := sort.Search(len(xs), func(k int) bool {
-		if xs[k].Type != h.Type {
-			return xs[k].Type > h.Type
-		}
-		return xs[k].ID >= h.ID
-	})
-	out := make([]ObjectHandle, 0, len(xs)+1)
-	out = append(out, xs[:i]...)
-	out = append(out, h)
-	return append(out, xs[i:]...)
 }

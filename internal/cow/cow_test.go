@@ -1,4 +1,4 @@
-package core
+package cow
 
 import (
 	"fmt"
@@ -10,9 +10,9 @@ import (
 )
 
 // ids materialises a posting list (tests compare against plain slices).
-func (p postings) ids() []uint64 {
-	out := make([]uint64, 0, p.len())
-	p.each(func(id uint64) bool {
+func (p Postings) ids() []uint64 {
+	out := make([]uint64, 0, p.Len())
+	p.Each(func(id uint64) bool {
 		out = append(out, id)
 		return true
 	})
@@ -44,10 +44,10 @@ var containerKeys = sync.OnceValue(func() []string {
 })
 
 // checkPostings verifies a posting list's shape and contents.
-func checkPostings(t testing.TB, p postings, want []uint64) {
+func checkPostings(t testing.TB, p Postings, want []uint64) {
 	t.Helper()
-	if got := p.ids(); !slices.Equal(got, want) || p.len() != len(want) {
-		t.Fatalf("postings %v (len %d), want %v", got, p.len(), want)
+	if got := p.ids(); !slices.Equal(got, want) || p.Len() != len(want) {
+		t.Fatalf("Postings %v (len %d), want %v", got, p.Len(), want)
 	}
 	n := 0
 	for _, c := range p.chunks() {
@@ -64,10 +64,10 @@ func checkPostings(t testing.TB, p postings, want []uint64) {
 	}
 }
 
-// checkTrie verifies the structural invariants of a pmap: bitmaps match
+// checkTrie verifies the structural invariants of a Map: bitmaps match
 // the arrays, every key sits where its hash says, no node carries a later
 // stamp than the map, the shape is canonical and the count is right.
-func checkTrie[V any](t testing.TB, m pmap[V]) {
+func checkTrie[V any](t testing.TB, m Map[V]) {
 	t.Helper()
 	count := 0
 	var walk func(n *pnode[V], shift uint, prefix uint32) int
@@ -113,27 +113,27 @@ func checkTrie[V any](t testing.TB, m pmap[V]) {
 	if m.root != nil {
 		count = walk(m.root, 0, 0)
 	}
-	if count != m.count || m.len() != count {
+	if count != m.count || m.Len() != count {
 		t.Fatalf("count %d, trie holds %d", m.count, count)
 	}
 }
 
-// checkIndex compares a keyword-index-shaped pmap with its model.
-func checkIndex(t testing.TB, m pmap[postings], model map[string][]uint64) {
+// checkIndex compares a keyword-index-shaped Map with its model.
+func checkIndex(t testing.TB, m Map[Postings], model map[string][]uint64) {
 	t.Helper()
 	checkTrie(t, m)
-	if m.len() != len(model) {
-		t.Fatalf("len %d, want %d", m.len(), len(model))
+	if m.Len() != len(model) {
+		t.Fatalf("len %d, want %d", m.Len(), len(model))
 	}
 	for k, want := range model {
-		got, ok := m.get(k)
+		got, ok := m.Get(k)
 		if !ok {
 			t.Fatalf("key %q missing", k)
 		}
 		checkPostings(t, got, want)
 	}
 	seen := 0
-	m.each(func(k string, _ postings) bool {
+	m.Each(func(k string, _ Postings) bool {
 		if _, ok := model[k]; !ok {
 			t.Fatalf("each visits %q, not in the model", k)
 		}
@@ -144,13 +144,13 @@ func checkIndex(t testing.TB, m pmap[postings], model map[string][]uint64) {
 		t.Fatalf("each visited %d keys, want %d", seen, len(model))
 	}
 	for _, k := range containerKeys() {
-		if _, ok := m.get(k + "?"); ok {
+		if _, ok := m.Get(k + "?"); ok {
 			t.Fatalf("absent key %q found", k+"?")
 		}
 	}
 }
 
-// runContainerOps decodes data as edit sessions over a pmap[postings] —
+// runContainerOps decodes data as edit sessions over a Map[Postings] —
 // the shape of the keyword index — and checks every sealed version against
 // a plain map of sorted slices. Every third version is kept and checked
 // again after all later edits: a sealed map, and the posting lists whose
@@ -164,23 +164,23 @@ func runContainerOps(t testing.TB, data []byte) {
 	keys := containerKeys()
 	model := map[string][]uint64{}
 	type version struct {
-		m     pmap[postings]
+		m     Map[Postings]
 		model map[string][]uint64
 	}
 	var kept []version
-	var m pmap[postings]
-	e := m.edit()
+	var m Map[Postings]
+	e := m.Edit()
 	next, sealed := uint64(1), 0
 
 	add := func(k string, id uint64) {
-		p, _ := e.get(k)
-		e.set(k, p.with(id))
+		p, _ := e.Get(k)
+		e.Set(k, p.With(id))
 		if at, found := slices.BinarySearch(model[k], id); !found {
 			model[k] = slices.Insert(model[k], at, id)
 		}
 	}
 	seal := func() {
-		m = e.pmap
+		m = e.Map
 		checkIndex(t, m, model)
 		if sealed++; sealed%3 == 0 {
 			snap := make(map[string][]uint64, len(model))
@@ -189,7 +189,7 @@ func runContainerOps(t testing.TB, data []byte) {
 			}
 			kept = append(kept, version{m, snap})
 		}
-		e = m.edit()
+		e = m.Edit()
 	}
 	for ; len(data) >= 3; data = data[3:] {
 		k, arg := keys[int(data[1])%len(keys)], uint64(data[2])
@@ -213,11 +213,11 @@ func runContainerOps(t testing.TB, data []byte) {
 			if len(ids) > 0 && arg&1 == 0 {
 				id = ids[int(arg)*len(ids)/256]
 			}
-			p, _ := e.get(k)
-			if p = p.without(id); p.len() == 0 {
-				e.delete(k)
+			p, _ := e.Get(k)
+			if p = p.Without(id); p.Len() == 0 {
+				e.Delete(k)
 			} else {
-				e.set(k, p)
+				e.Set(k, p)
 			}
 			if at, found := slices.BinarySearch(ids, id); found {
 				model[k] = slices.Delete(ids, at, at+1)
@@ -226,13 +226,13 @@ func runContainerOps(t testing.TB, data []byte) {
 				delete(model, k)
 			}
 		case 4:
-			e.delete(k)
+			e.Delete(k)
 			delete(model, k)
 		case 5:
 			seal()
 		}
-		if got, _ := e.get(k); got.len() != len(model[k]) { // reads see the session's writes
-			t.Fatalf("key %q mid-session: %d IDs, want %d", k, got.len(), len(model[k]))
+		if got, _ := e.Get(k); got.Len() != len(model[k]) { // reads see the session's writes
+			t.Fatalf("key %q mid-session: %d IDs, want %d", k, got.Len(), len(model[k]))
 		}
 	}
 	seal()
@@ -253,18 +253,18 @@ func TestContainersAgainstModel(t *testing.T) {
 		runContainerOps(t, data)
 	}
 
-	var m pmap[int]
-	e := m.edit()
-	e.set("twice", 1)
+	var m Map[int]
+	e := m.Edit()
+	e.Set("twice", 1)
 	root := e.root
-	e.set("twice", 2)
+	e.Set("twice", 2)
 	if e.root != root {
 		t.Fatal("second write of a session copied the node the first one allocated")
 	}
-	if v, _ := e.get("twice"); v != 2 || e.len() != 1 {
-		t.Fatalf("twice = %d, len %d", v, e.len())
+	if v, _ := e.Get("twice"); v != 2 || e.Len() != 1 {
+		t.Fatalf("twice = %d, len %d", v, e.Len())
 	}
-	if _, ok := m.get("twice"); ok {
+	if _, ok := m.Get("twice"); ok {
 		t.Fatal("edit wrote through to its base")
 	}
 
@@ -274,25 +274,25 @@ func TestContainersAgainstModel(t *testing.T) {
 		t.Fatalf("fixture: %q do not collide pairwise", collide)
 	}
 	for _, order := range [][]int{{0, 1, 2, 3}, {3, 2, 1, 0}, {1, 3, 0, 2}} {
-		base := pmap[int]{}.edit()
+		base := Map[int]{}.Edit()
 		for i, k := range collide {
-			base.set(k, i)
+			base.Set(k, i)
 		}
-		full := base.pmap
+		full := base.Map
 		checkTrie(t, full)
-		e := full.edit()
+		e := full.Edit()
 		for n, i := range order {
-			e.delete(collide[i])
-			checkTrie(t, e.pmap)
-			if e.len() != len(collide)-n-1 {
-				t.Fatalf("len %d after %d deletes", e.len(), n+1)
+			e.Delete(collide[i])
+			checkTrie(t, e.Map)
+			if e.Len() != len(collide)-n-1 {
+				t.Fatalf("len %d after %d deletes", e.Len(), n+1)
 			}
 		}
 		if e.root != nil {
 			t.Fatal("emptied map keeps a root")
 		}
 		for i, k := range collide {
-			if v, ok := full.get(k); !ok || v != i {
+			if v, ok := full.Get(k); !ok || v != i {
 				t.Fatalf("base lost %q while its successor was emptied", k)
 			}
 		}

@@ -141,8 +141,9 @@ func (e *Engine) rulesSnapshot() []Rule {
 // recomputation.
 //
 // For deletions the neighborhood is taken from the pre-mutation view:
-// its trees still hold the garbage-collected referents, which is the only
-// way to find the surviving annotations whose facts targeted them.
+// its trees and its a-graph still hold the garbage-collected referents
+// and their edges, which is the only way to find the surviving
+// annotations whose facts targeted them.
 func (e *Engine) Delta(pre, post *core.View, ann *core.Annotation, deleted bool) map[uint64][]core.DerivedFact {
 	return e.delta(pre, post, ann, deleted, nil)
 }

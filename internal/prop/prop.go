@@ -30,7 +30,8 @@
 //     "serine protease" implicitly marks "protease" and "hydrolase".
 //   - EdgeSharedReferent: one labeled a-graph hop, annotates ∘
 //     annotatesᵀ — the source propagates to every annotation sharing one
-//     of its referents.
+//     of its referents (read from the a-graph of the same view: the
+//     delta's pre and post views each hold their own).
 //
 // # Durability
 //

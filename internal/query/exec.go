@@ -19,13 +19,10 @@ import (
 )
 
 // Processor executes parsed queries against a Graphitti store. Each
-// execution pins one immutable store view: every table and index read
-// across all sub-queries observes the same snapshot, and execution never
-// blocks (or is blocked by) the writer. Edge checks consult the shared
-// a-graph handle, so a concurrent deletion can prune join edges
-// mid-query — matches always resolve against the pinned view, but an
-// annotation deleted after pinning may drop out of the join (never the
-// reverse; see core.View).
+// execution pins one immutable store view: every table, index and a-graph
+// read across all sub-queries, join steps and subgraph collation observes
+// the same snapshot, and execution never blocks (or is blocked by) the
+// writer.
 type Processor struct {
 	store *core.Store
 }

@@ -1,6 +1,9 @@
 package query
 
 import (
+	"context"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -387,5 +390,63 @@ where {
 	must(t, err)
 	if res.Stats.Matches != 0 || len(res.Annotations) != 0 {
 		t.Fatalf("expected no matches, got %d", res.Stats.Matches)
+	}
+}
+
+// TestPinnedViewQuery: a query's join steps and the subgraphs it collates
+// read the a-graph of the view the execution pinned. With a view pinned,
+// one of the four protease annotations is deleted and a new one commits on
+// its neighbour's referent and on the decoy's; the same query over the
+// pinned view answers exactly as before them — in either join strategy —
+// and only a fresh view sees the new state.
+func TestPinnedViewQuery(t *testing.T) {
+	s := newQueryStore(t)
+	q, err := Parse(`
+select graph
+where {
+  ?a isa annotation ; contains "protease" .
+  ?r isa referent ; kind interval .
+  ?o isa object ; id "NC_1" .
+  ?a annotates ?r .
+  ?r marks ?o .
+}`)
+	must(t, err)
+	v := s.View()
+	// run renders the matches and their subgraphs (a match's terminals
+	// come in map order; DOT sorts them).
+	run := func(v *core.View, join JoinStrategy) []string {
+		t.Helper()
+		opts := DefaultOptions
+		opts.Join = join
+		res, err := (&execution{view: v, ctx: context.Background()}).execute(q, opts)
+		must(t, err)
+		out := make([]string, len(res.Matches))
+		for i, m := range res.Matches {
+			out[i] = fmt.Sprint(m, res.Subgraphs[i].DOT("match"))
+		}
+		return out
+	}
+	before := run(v, JoinAuto)
+	if len(before) != 4 {
+		t.Fatalf("fixture: %d matches", len(before))
+	}
+
+	anns := v.SearchKeyword("protease", true)
+	must(t, s.DeleteAnnotation(anns[1].ID))
+	shared, err := v.Referent(anns[0].ReferentIDs[0])
+	must(t, err)
+	decoy, err := s.MarkSequenceInterval("NC_1", interval.Interval{Lo: 5, Hi: 15})
+	must(t, err)
+	_, err = s.Commit(s.NewAnnotation().Creator("gupta").Date("2007-11-03").
+		Body("protease motif epsilon").Refer(shared).Refer(decoy))
+	must(t, err)
+
+	for _, join := range []JoinStrategy{JoinAuto, JoinNestedLoop} {
+		if after := run(v, join); !slices.Equal(after, before) {
+			t.Fatalf("join %v over the pinned view after the delete and the commit:\n%v\nbefore them:\n%v", join, after, before)
+		}
+	}
+	if now := run(s.View(), JoinAuto); len(now) != 5 {
+		t.Fatalf("current view: %d matches, want 5 (three survivors, the new annotation on two referents)", len(now))
 	}
 }

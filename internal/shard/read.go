@@ -77,9 +77,7 @@ func (s *Store) Stats() core.Stats {
 			domains[d] = true
 		}
 		v.EachKeyword(func(w string) bool { keywords[w] = true; return true })
-		for _, n := range v.Graph().Nodes() {
-			nodes[n] = true
-		}
+		v.Graph().NodesEach(func(n agraph.NodeRef) bool { nodes[n] = true; return true })
 	}
 	st.Ontologies = views[0].Stats().Ontologies
 	st.IntervalTrees = len(domains)

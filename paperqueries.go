@@ -60,9 +60,8 @@ type TP53Result struct {
 // nuclei'."
 //
 // The whole query runs against one pinned store view: the three
-// sub-queries read a single table/index snapshot, lock-free, regardless
-// of concurrent annotation traffic (graph-join steps consult the shared
-// a-graph handle; see the core.View contract).
+// sub-queries and the graph join read a single snapshot, lock-free,
+// regardless of concurrent annotation traffic.
 func QueryTP53Images(st *Store, opts TP53Options) (*TP53Result, error) {
 	opts.defaults()
 	s := st.View()
@@ -103,13 +102,10 @@ func QueryTP53Images(st *Store, opts TP53Options) (*TP53Result, error) {
 			// (and sorting) the annotation list per referent.
 			found := false
 			s.Graph().InEach(e.From, func(ae agraph.Edge) bool {
-				annID, ok := contentRootID(ae.From)
-				if !ok {
-					return true
-				}
+				annID, _ := contentRootID(ae.From)
 				ann, err := s.Annotation(annID)
 				if err != nil {
-					return true // committed after this view was pinned
+					return true // not an annotation's root: nothing else annotates
 				}
 				for _, tr := range ann.Terms {
 					if tr.Ontology == opts.Ontology && closure[tr.TermID] {
