@@ -187,11 +187,12 @@ const MaxID = 1 << 30
 // atomically, as one published view — a concurrent reader sees either the
 // whole annotation or none of it.
 func (s *Store) Commit(b *Builder) (*Annotation, error) {
-	s.w.Lock()
-	defer s.w.Unlock()
-	tx := Tx{s: s}
-	defer tx.publish()
-	return tx.Commit(b)
+	var ann *Annotation
+	err := s.Batch(func(x *Tx) (err error) {
+		ann, err = x.Commit(b)
+		return err
+	})
+	return ann, err
 }
 
 // CommitWithIDs commits with a pinned annotation ID and pinned referent
@@ -202,11 +203,12 @@ func (s *Store) Commit(b *Builder) (*Annotation, error) {
 // objects, and a pinned referent that dedups into an existing shared mark
 // must carry that mark's ID.
 func (s *Store) CommitWithIDs(b *Builder, annID uint64, refIDs []uint64) (*Annotation, error) {
-	s.w.Lock()
-	defer s.w.Unlock()
-	tx := Tx{s: s}
-	defer tx.publish()
-	return tx.CommitWithIDs(b, annID, refIDs)
+	var ann *Annotation
+	err := s.Batch(func(x *Tx) (err error) {
+		ann, err = x.CommitWithIDs(b, annID, refIDs)
+		return err
+	})
+	return ann, err
 }
 
 // Commit is Store.Commit as one op of the session.
@@ -260,8 +262,7 @@ func (x *Tx) commit(b *Builder, pinnedAnn uint64, pinnedRefs []uint64) (*Annotat
 	// gap between this span's start and its parent's.
 	csp := b.span.StartChild("commit")
 	defer csp.Finish()
-	x.open()
-	nv := x.nv
+	nv := x.open()
 
 	// Validate ontology references before mutating anything.
 	for _, tr := range b.terms {
@@ -432,19 +433,6 @@ func (x *Tx) commit(b *Builder, pinnedAnn uint64, pinnedRefs []uint64) (*Annotat
 	s.m.commits.Inc()
 	s.m.commitSeconds.Observe(time.Since(start).Seconds())
 	return ann, nil
-}
-
-// propagatorDelta runs the propagation delta under a "prop.delta" child
-// of parent, routing through the propagator's per-rule attribution hook
-// when it implements TracedPropagator.
-func propagatorDelta(p Propagator, pre, post *View, ann *Annotation,
-	deleted bool, parent *trace.Span) map[uint64][]DerivedFact {
-	dsp := parent.StartChild("prop.delta")
-	defer dsp.Finish()
-	if tp, ok := p.(TracedPropagator); ok {
-		return tp.DeltaTraced(pre, post, ann, deleted, dsp)
-	}
-	return p.Delta(pre, post, ann, deleted)
 }
 
 // buildContentDoc writes the annotation's content document. It knows what

@@ -14,11 +14,7 @@ import (
 // view: a pinned reader keeps seeing the annotation, complete — tables,
 // keyword index and graph joins alike — until it re-pins.
 func (s *Store) DeleteAnnotation(id uint64) error {
-	s.w.Lock()
-	defer s.w.Unlock()
-	tx := Tx{s: s}
-	defer tx.publish()
-	return tx.DeleteAnnotation(id)
+	return s.Batch(func(x *Tx) error { return x.DeleteAnnotation(id) })
 }
 
 // DeleteAnnotation is Store.DeleteAnnotation as one op of the session.

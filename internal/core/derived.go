@@ -17,12 +17,13 @@ import (
 // annotation back to its source.
 //
 // The store does not compute derived facts itself: a Propagator attached
-// via EnsurePropagator is consulted inside the writer's critical section,
-// and its delta is published atomically with the mutation that caused it. A
-// reader therefore never observes an annotation without its derived
-// consequences, or a derived fact whose source is gone. Derived facts are
-// recomputable from committed state, which is why the durable layer never
-// logs them: only rules are durable ops, and recovery re-derives.
+// via EnsurePropagator is consulted by the writer session (Tx), and its
+// result is a step of the session, published with the mutation that
+// caused it. A reader therefore never observes an annotation without its
+// derived consequences, or a derived fact whose source is gone. Derived
+// facts are recomputable from committed state, which is why the durable
+// layer never logs them: only rules are durable ops, and recovery
+// re-derives.
 
 // DerivedFact is one materialized derived annotation.
 type DerivedFact struct {
@@ -40,31 +41,22 @@ type DerivedFact struct {
 }
 
 // Propagator computes derived facts for the store. Implementations are
-// called by the writer while it holds the write lock, against fully-built
-// (but unpublished) successor views; they must not call any Store
-// mutation method, only View reads.
+// called by the writer session, against sealed (but unpublished) states
+// of it; they must not call any Store mutation method, only View reads.
 type Propagator interface {
 	// Delta returns the updated derived sets of every source annotation
 	// affected by the commit (deleted=false) or deletion (deleted=true)
-	// of ann. pre is the view before the mutation; post is the successor
-	// view about to be published. A nil/empty slice removes the source's
-	// entry. Returning nil means "no change".
-	Delta(pre, post *View, ann *Annotation, deleted bool) map[uint64][]DerivedFact
+	// of ann. pre is the session's state before the mutation; post is the
+	// state it leaves. A nil/empty slice removes the source's entry.
+	// Returning nil means "no change". sp, when not nil, is the span the
+	// delta runs under, for the propagator to attribute its work on.
+	Delta(pre, post *View, ann *Annotation, deleted bool, sp *trace.Span) map[uint64][]DerivedFact
 	// Recompute returns the complete derived map of a view from scratch.
 	Recompute(v *View) map[uint64][]DerivedFact
 	// RecomputeOnRegister reports whether registering a data object can
 	// change derived facts (e.g. a co-registration rule is installed) —
 	// when false, registrations skip the full recompute.
 	RecomputeOnRegister() bool
-}
-
-// TracedPropagator is an optional extension of Propagator: a propagator
-// that can attribute its delta per rule onto a trace span. The writer
-// prefers DeltaTraced when the commit carries a span; sp may be nil, in
-// which case the call must behave exactly like Delta.
-type TracedPropagator interface {
-	Propagator
-	DeltaTraced(pre, post *View, ann *Annotation, deleted bool, sp *trace.Span) map[uint64][]DerivedFact
 }
 
 // derivedEntry is one source annotation's fact set, tagged with the
@@ -74,69 +66,61 @@ type derivedEntry struct {
 	facts []DerivedFact
 }
 
-// getPropagator loads the attached propagator (nil when none).
-func (s *Store) getPropagator() Propagator {
+// Propagator returns the attached propagation engine, or nil. Lock-free:
+// it never waits on the writer.
+func (s *Store) Propagator() Propagator {
 	if p := s.propagator.Load(); p != nil {
 		return *p
 	}
 	return nil
 }
 
-// Propagator returns the attached propagation engine, or nil. Lock-free:
-// it never waits on the writer.
-func (s *Store) Propagator() Propagator { return s.getPropagator() }
-
 // EnsurePropagator returns the attached propagator, attaching mk() first
-// if none is present. The check-and-set serializes on the writer lock,
-// so concurrent callers agree on one instance.
+// if none is present. The check-and-set is one compare-and-swap, so
+// concurrent callers agree on one instance, and a writer session may
+// attach one without the writer mutex it already holds.
 func (s *Store) EnsurePropagator(mk func() Propagator) Propagator {
-	s.w.Lock()
-	defer s.w.Unlock()
-	if p := s.getPropagator(); p != nil {
+	if p := s.Propagator(); p != nil {
 		return p
 	}
 	p := mk()
-	s.propagator.Store(&p)
+	if !s.propagator.CompareAndSwap(nil, &p) {
+		return s.Propagator()
+	}
 	return p
 }
 
-// RecomputeDerived rebuilds the whole derived table from the attached
-// propagator and publishes it as a new view. It is a no-op without a
-// propagator.
-func (s *Store) RecomputeDerived() {
-	_ = s.UpdateDerivedRules(func() error { return nil })
+// UpdateDerivedRules runs swap — a mutation of the attached propagator's
+// rule set — as a session of one, with a full derived recompute. Because
+// commits and deletes consult the propagator in writer sessions too,
+// every published view's derived table is consistent with exactly one
+// rule set: there is no window where a delta is computed under rules the
+// table does not yet (or no longer) reflects.
+func (s *Store) UpdateDerivedRules(swap func() error) error {
+	return s.Batch(func(x *Tx) error { return x.UpdateDerivedRules(swap) })
 }
 
-// UpdateDerivedRules runs swap — a mutation of the attached propagator's
-// rule set — inside the writer's critical section and publishes a full
-// derived recompute with it. Because commits and deletes consult the
-// propagator under the same lock, every published view's derived table
-// is consistent with exactly one rule set: there is no window where a
-// delta is computed under rules the table does not yet (or no longer)
-// reflects. A swap error aborts without recomputing or publishing.
-func (s *Store) UpdateDerivedRules(swap func() error) error {
-	s.w.Lock()
-	defer s.w.Unlock()
+// UpdateDerivedRules is Store.UpdateDerivedRules as one op of the session:
+// the recompute runs over the session's sealed state. A swap error aborts
+// without recomputing; without a propagator there is nothing to recompute
+// and no op.
+func (x *Tx) UpdateDerivedRules(swap func() error) error {
 	if err := swap(); err != nil {
 		return err
 	}
-	if s.getPropagator() == nil {
+	p := x.s.Propagator()
+	if p == nil {
 		return nil
 	}
-	nv := s.v.Load().clone()
-	s.recomputeDerivedInto(nv)
-	s.publish(nv)
+	x.open()
+	x.seal().recomputeDerived(p)
+	x.ops++
 	return nil
 }
 
-// recomputeDerivedInto replaces nv's derived table (and its target
-// index) with a from-scratch recompute. Caller holds w; nv must be
-// fully built.
-func (s *Store) recomputeDerivedInto(nv *View) {
-	p := s.getPropagator()
-	if p == nil {
-		return
-	}
+// recomputeDerived replaces nv's derived table (and its target index)
+// with p's from-scratch recompute. nv is a sealed state of a session.
+func (nv *View) recomputeDerived(p Propagator) {
 	nv.derivedEpoch++
 	t := cow.Table[derivedEntry]{}.Edit()
 	count := 0
@@ -165,9 +149,9 @@ func (s *Store) recomputeDerivedInto(nv *View) {
 }
 
 // applyDerivedDelta folds a propagator delta into nv, updating the
-// derived table and its target index together. Caller holds w; nv must
-// be fully built (the delta was computed against it).
-func (s *Store) applyDerivedDelta(nv *View, delta map[uint64][]DerivedFact) {
+// derived table and its target index together. nv is the sealed state
+// the delta was computed against.
+func (nv *View) applyDerivedDelta(delta map[uint64][]DerivedFact) {
 	if len(delta) == 0 {
 		return
 	}
@@ -193,7 +177,7 @@ func (s *Store) applyDerivedDelta(nv *View, delta map[uint64][]DerivedFact) {
 			case oldFacts[i] == facts[j]:
 				i++
 				j++
-			case derivedFactLess(oldFacts[i], facts[j]):
+			case DerivedFactLess(oldFacts[i], facts[j]):
 				unindexDerivedFact(&idx, oldFacts[i])
 				i++
 			default:
@@ -417,14 +401,14 @@ func (v *View) DerivedOnto(annID uint64) ([]DerivedFact, error) {
 		if out[i].Source != out[j].Source {
 			return out[i].Source < out[j].Source
 		}
-		return derivedFactLess(out[i], out[j])
+		return DerivedFactLess(out[i], out[j])
 	})
 	return out, nil
 }
 
-// derivedFactLess is the canonical within-source fact order (rule,
-// target, witness) — the order propagators store fact sets in.
-func derivedFactLess(a, b DerivedFact) bool {
+// DerivedFactLess is the canonical within-source fact order (rule,
+// target, witness) — the order a propagator's fact sets are in.
+func DerivedFactLess(a, b DerivedFact) bool {
 	if a.Rule != b.Rule {
 		return a.Rule < b.Rule
 	}

@@ -4,10 +4,10 @@ import "graphitti/internal/obs"
 
 // Writer-path metric families (see internal/obs for the scope model):
 // commit/delete latency covers one op of a writer session — validation,
-// indexing, graph wiring, index edits, and with a propagator its delta
-// and publish — and the gauges track the latest published view. Every family carries a "shard" label
-// so a sharded deployment can tell its writer pipelines apart; an
-// unsharded store reports as shard "0". All are documented in
+// indexing, graph wiring, index edits, and with a propagator its delta —
+// and the gauges track the latest published view. Every family carries a
+// "shard" label so a sharded deployment can tell its writer pipelines
+// apart; an unsharded store reports as shard "0". All are documented in
 // docs/METRICS.md, which a test keeps in sync.
 var (
 	mCommitsVec = obs.NewCounterVec("graphitti_store_commits_total",

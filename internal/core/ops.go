@@ -2,10 +2,12 @@ package core
 
 import "fmt"
 
-// OpKind enumerates the store's mutating operations. The durable layer
-// (internal/durable) logs one op per mutation and replays them on
-// recovery; the enumeration lives in core so the set of loggable
-// mutations and the set of store mutations evolve together.
+// OpKind enumerates the store's mutating operations, each one a method of
+// Tx (the two rule kinds are Tx.UpdateDerivedRules, with the propagation
+// engine's rule swap). The durable layer (internal/durable) logs one op
+// per mutation and replays them on recovery; the enumeration lives in core
+// so the set of loggable mutations and the set of store mutations evolve
+// together.
 type OpKind uint8
 
 // The mutation operations, in rough dependency order. Values are part of
@@ -90,21 +92,21 @@ func (s *Store) IDCounters() (nextAnn, nextRef uint64) {
 // may only move forward: lowering them would re-issue IDs that earlier
 // annotations (possibly deleted ones recorded in a log) already used.
 // They may not pass MaxID, the ceiling on pinned IDs.
-// Like every mutation, the change commits through the writer and
-// publishes a new view.
 func (s *Store) RestoreIDCounters(nextAnn, nextRef uint64) error {
+	return s.Batch(func(x *Tx) error { return x.RestoreIDCounters(nextAnn, nextRef) })
+}
+
+// RestoreIDCounters is Store.RestoreIDCounters as one op of the session.
+func (x *Tx) RestoreIDCounters(nextAnn, nextRef uint64) error {
 	if max(nextAnn, nextRef) > MaxID {
 		return fmt.Errorf("core: ID counters (%d, %d) exceed MaxID (%d)", nextAnn, nextRef, uint64(MaxID))
 	}
-	s.w.Lock()
-	defer s.w.Unlock()
-	v := s.v.Load()
-	if nextAnn < v.nextAnn || nextRef < v.nextRef {
+	nv := x.open()
+	if nextAnn < nv.nextAnn || nextRef < nv.nextRef {
 		return fmt.Errorf("core: ID counters (%d, %d) behind live counters (%d, %d)",
-			nextAnn, nextRef, v.nextAnn, v.nextRef)
+			nextAnn, nextRef, nv.nextAnn, nv.nextRef)
 	}
-	nv := v.clone()
 	nv.nextAnn, nv.nextRef = nextAnn, nextRef
-	s.publish(nv)
+	x.ops++
 	return nil
 }

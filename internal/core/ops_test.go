@@ -62,7 +62,7 @@ func TestOpKindsPinned(t *testing.T) {
 	for k := core.OpInvalid + 1; k <= last; k++ {
 		hollow := persist.Op{Kind: k}
 		for where, err := range map[string]error{
-			"persist.Op.Apply": hollow.Apply(core.NewStore()),
+			"persist.Op.Apply": core.NewStore().Batch(hollow.Apply),
 			"shard.Apply":      shard.New(2).Apply(hollow),
 		} {
 			if err == nil {
@@ -73,7 +73,7 @@ func TestOpKindsPinned(t *testing.T) {
 		}
 	}
 	for where, err := range map[string]error{
-		"persist.Op.Apply": persist.Op{Kind: last + 1}.Apply(core.NewStore()),
+		"persist.Op.Apply": core.NewStore().Batch(persist.Op{Kind: last + 1}.Apply),
 		"shard.Apply":      shard.New(2).Apply(persist.Op{Kind: last + 1}),
 	} {
 		if err == nil {
@@ -117,7 +117,7 @@ func TestEveryOpKindAdvancesTheEpochByOne(t *testing.T) {
 	// The annotation's dump comes off a scratch store holding the sequence
 	// it marks.
 	scratch := core.NewStore()
-	must(persist.SequenceOp(sq).Apply(scratch))
+	must(scratch.Batch(persist.SequenceOp(sq).Apply))
 	m, err := scratch.MarkSequenceInterval("NC_1", interval.Interval{Lo: 10, Hi: 50})
 	must(err)
 	ann, err := scratch.Commit(scratch.NewAnnotation().Creator("a").Date("2008-01-01").Body("protease site").Refer(m))
@@ -145,7 +145,7 @@ func TestEveryOpKindAdvancesTheEpochByOne(t *testing.T) {
 	applied := map[core.OpKind]bool{}
 	for _, op := range ops {
 		before := s.View().Epoch()
-		if err := op.Apply(s); err != nil {
+		if err := s.Batch(op.Apply); err != nil {
 			t.Fatalf("%s: %v", op.Kind, err)
 		}
 		if after := s.View().Epoch(); after != before+1 {

@@ -35,29 +35,34 @@ func (s *Store) RecordTables() []string { return s.View().RecordTables() }
 // be annotated as record-set referents (the demo's "relational records").
 // The names of the built-in object types are taken.
 func (s *Store) CreateRecordTable(schema *relstore.Schema) error {
-	s.w.Lock()
-	defer s.w.Unlock()
-	v := s.v.Load()
-	if _, dup := v.recordTables.Get(schema.Name); dup || reservedTableName(schema.Name) {
+	return s.Batch(func(x *Tx) error { return x.CreateRecordTable(schema) })
+}
+
+// CreateRecordTable is Store.CreateRecordTable as one op of the session.
+func (x *Tx) CreateRecordTable(schema *relstore.Schema) error {
+	nv := x.open()
+	if _, dup := nv.recordTables.Get(schema.Name); dup || reservedTableName(schema.Name) {
 		return fmt.Errorf("%w: table %s", relstore.ErrDuplicateName, schema.Name)
 	}
-	tables := v.recordTables.Edit()
+	tables := nv.recordTables.Edit()
 	tables.Set(schema.Name, recordTable{schema: schema})
-	nv := v.clone()
 	nv.recordTables = tables.Map
-	nv.recTableNames = insertSortedStr(v.recTableNames, schema.Name)
-	nv.objects = insertSortedObject(v.objects, ObjectHandle{TypeRecord, schema.Name})
-	s.publish(nv)
+	nv.recTableNames = insertSortedStr(nv.recTableNames, schema.Name)
+	nv.objects = insertSortedObject(nv.objects, ObjectHandle{TypeRecord, schema.Name})
+	x.ops++
 	return nil
 }
 
 // InsertRecord inserts a row into a user record table, making it markable
 // (MarkRecords) from the view this publishes on.
 func (s *Store) InsertRecord(table string, row relstore.Row) error {
-	s.w.Lock()
-	defer s.w.Unlock()
-	v := s.v.Load()
-	t, ok := v.recordTables.Get(table)
+	return s.Batch(func(x *Tx) error { return x.InsertRecord(table, row) })
+}
+
+// InsertRecord is Store.InsertRecord as one op of the session.
+func (x *Tx) InsertRecord(table string, row relstore.Row) error {
+	nv := x.open()
+	t, ok := nv.recordTables.Get(table)
 	if !ok {
 		return errNoSuchObject("record table", table)
 	}
@@ -72,11 +77,10 @@ func (s *Store) InsertRecord(table string, row relstore.Row) error {
 	rows := t.rows.Edit()
 	rows.Set(key, row.Clone())
 	t.rows = rows.Map
-	tables := v.recordTables.Edit()
+	tables := nv.recordTables.Edit()
 	tables.Set(table, t)
-	nv := v.clone()
 	nv.recordTables = tables.Map
-	s.publish(nv)
+	x.ops++
 	return nil
 }
 

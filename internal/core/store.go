@@ -23,8 +23,9 @@ import (
 // the annotation content collection, and the a-graph joining them.
 //
 // The store is split into a serialized writer and an immutable,
-// atomically published read view (see View): mutations take the writer
-// mutex, apply, and publish a successor snapshot; reads pin the current
+// atomically published read view (see View): every mutation is an op of
+// a writer session (Tx, run by Batch), which takes the writer mutex,
+// applies, and publishes one successor snapshot; reads pin the current
 // view with a single atomic load and run lock-free against it. There is
 // no reader/writer contention — a slow collection scan never delays a
 // commit, and a burst of commits never delays a scan.
@@ -33,15 +34,17 @@ import (
 // per-call conveniences that pin a fresh view each time; callers needing
 // several reads against one consistent snapshot should pin View() once.
 type Store struct {
-	// w serializes mutations. Readers never take it.
-	w sync.Mutex
-	v atomic.Pointer[View]
+	// w serializes mutations, and tx is the writer session that runs
+	// under it (see Batch). Readers never take w.
+	w  sync.Mutex
+	tx Tx
+	v  atomic.Pointer[View]
 
 	// propagator, when attached, computes derived annotations inside the
-	// writer's critical section (see derived.go). Attachment serializes
-	// on w, but the pointer itself is atomic so read-side accessors
-	// (Propagator, prop.RulesOf) never block behind a commit or a
-	// long-running derived recompute.
+	// writer's critical section (see derived.go). It is attached by a
+	// compare-and-swap, not under w, so read-side accessors (Propagator,
+	// prop.RulesOf) never block behind a commit or a long-running derived
+	// recompute, and a writer session may attach one.
 	propagator atomic.Pointer[Propagator]
 
 	// m holds this store's shard-labelled metric children ("0" when
@@ -84,32 +87,20 @@ func NewStoreWithOptions(opts StoreOptions) *Store {
 // mutually consistent.
 func (s *Store) View() *View { return s.v.Load() }
 
-// publish installs nv as the current view, one mutation after the last.
-// Caller holds w.
-func (s *Store) publish(nv *View) { s.publishOps(nv, 1) }
-
-// publishOps installs nv as the current view, advancing the epoch by the
-// ops mutations it carries and updating the view gauges. Caller holds w.
-func (s *Store) publishOps(nv *View, ops uint64) {
-	nv.epoch = s.v.Load().epoch + ops
-	s.v.Store(nv)
-	s.m.viewEpoch.Set(int64(nv.epoch))
-	s.m.annotations.Set(int64(nv.annotations.Len()))
-	s.m.derivedFacts.Set(int64(nv.derivedCount))
-}
-
 // RegisterOntology makes an ontology available for annotation references.
 func (s *Store) RegisterOntology(o *ontology.Ontology) error {
-	s.w.Lock()
-	defer s.w.Unlock()
-	v := s.v.Load()
-	if _, dup := v.ontologies[o.Name()]; dup {
+	return s.Batch(func(x *Tx) error { return x.RegisterOntology(o) })
+}
+
+// RegisterOntology is Store.RegisterOntology as one op of the session.
+func (x *Tx) RegisterOntology(o *ontology.Ontology) error {
+	nv := x.open()
+	if _, dup := nv.ontologies[o.Name()]; dup {
 		return fmt.Errorf("%w: ontology %s", ErrDuplicate, o.Name())
 	}
-	nv := v.clone()
-	nv.ontologies = mapWith(v.ontologies, o.Name(), o)
-	nv.ontNames = insertSortedStr(v.ontNames, o.Name())
-	s.publish(nv)
+	nv.ontologies = mapWith(nv.ontologies, o.Name(), o)
+	nv.ontNames = insertSortedStr(nv.ontNames, o.Name())
+	x.ops++
 	return nil
 }
 
@@ -124,23 +115,24 @@ func (s *Store) Ontologies() []string { return s.View().Ontologies() }
 // RegisterCoordinateSystem makes a shared spatial reference available for
 // image registration.
 func (s *Store) RegisterCoordinateSystem(cs *imaging.CoordinateSystem) error {
-	s.w.Lock()
-	defer s.w.Unlock()
-	v := s.v.Load()
-	if _, dup := v.systems[cs.Name]; dup {
+	return s.Batch(func(x *Tx) error { return x.RegisterCoordinateSystem(cs) })
+}
+
+// RegisterCoordinateSystem is Store.RegisterCoordinateSystem as one op of
+// the session. The system's R-tree goes in through the session's handle.
+func (x *Tx) RegisterCoordinateSystem(cs *imaging.CoordinateSystem) error {
+	nv := x.open()
+	if _, dup := nv.systems[cs.Name]; dup {
 		return fmt.Errorf("%w: coordinate system %s", ErrDuplicate, cs.Name)
 	}
 	tree, err := rtree.NewTree[struct{}](cs.Dims)
 	if err != nil {
 		return err
 	}
-	nv := v.clone()
-	nv.systems = mapWith(v.systems, cs.Name, cs)
-	nv.sysNames = insertSortedStr(v.sysNames, cs.Name)
-	rtrees := v.rtrees.Edit()
-	rtrees.Set(cs.Name, tree)
-	nv.rtrees = rtrees.Map
-	s.publish(nv)
+	nv.systems = mapWith(nv.systems, cs.Name, cs)
+	nv.sysNames = insertSortedStr(nv.sysNames, cs.Name)
+	x.rt.Set(cs.Name, tree)
+	x.ops++
 	return nil
 }
 
@@ -163,22 +155,23 @@ func seqObjectType(k seq.Kind) ObjectType {
 // RegisterSequence registers a DNA/RNA/protein sequence. A sequence with
 // an empty Domain becomes its own coordinate domain.
 func (s *Store) RegisterSequence(sq *seq.Sequence) error {
-	s.w.Lock()
-	defer s.w.Unlock()
-	v := s.v.Load()
-	if _, dup := v.seqs[sq.ID]; dup {
+	return s.Batch(func(x *Tx) error { return x.RegisterSequence(sq) })
+}
+
+// RegisterSequence is Store.RegisterSequence as one op of the session.
+func (x *Tx) RegisterSequence(sq *seq.Sequence) error {
+	nv := x.open()
+	if _, dup := nv.seqs[sq.ID]; dup {
 		return fmt.Errorf("%w: sequence %s", ErrDuplicate, sq.ID)
 	}
 	if sq.Domain == "" {
 		sq.Domain = sq.ID
 	}
 	typ := seqObjectType(sq.Kind)
-	nv := v.clone()
-	nv.seqs = mapWith(v.seqs, sq.ID, sq)
-	nv.seqType = mapWith(v.seqType, sq.ID, typ)
-	nv.seqIDs = insertSortedStr(v.seqIDs, sq.ID)
-	nv.addObject(typ, sq.ID)
-	s.publish(nv)
+	nv.seqs = mapWith(nv.seqs, sq.ID, sq)
+	nv.seqType = mapWith(nv.seqType, sq.ID, typ)
+	nv.seqIDs = insertSortedStr(nv.seqIDs, sq.ID)
+	x.addObject(typ, sq.ID)
 	return nil
 }
 
@@ -189,17 +182,18 @@ func (s *Store) Sequence(id string) (*seq.Sequence, ObjectType, error) {
 
 // RegisterAlignment registers a multiple sequence alignment.
 func (s *Store) RegisterAlignment(a *msa.Alignment) error {
-	s.w.Lock()
-	defer s.w.Unlock()
-	v := s.v.Load()
-	if _, dup := v.alignments[a.ID]; dup {
+	return s.Batch(func(x *Tx) error { return x.RegisterAlignment(a) })
+}
+
+// RegisterAlignment is Store.RegisterAlignment as one op of the session.
+func (x *Tx) RegisterAlignment(a *msa.Alignment) error {
+	nv := x.open()
+	if _, dup := nv.alignments[a.ID]; dup {
 		return fmt.Errorf("%w: alignment %s", ErrDuplicate, a.ID)
 	}
-	nv := v.clone()
-	nv.alignments = mapWith(v.alignments, a.ID, a)
-	nv.alnIDs = insertSortedStr(v.alnIDs, a.ID)
-	nv.addObject(TypeAlignment, a.ID)
-	s.publish(nv)
+	nv.alignments = mapWith(nv.alignments, a.ID, a)
+	nv.alnIDs = insertSortedStr(nv.alnIDs, a.ID)
+	x.addObject(TypeAlignment, a.ID)
 	return nil
 }
 
@@ -210,17 +204,18 @@ func (s *Store) Alignment(id string) (*msa.Alignment, error) {
 
 // RegisterTree registers a phylogenetic tree.
 func (s *Store) RegisterTree(t *phylo.Tree) error {
-	s.w.Lock()
-	defer s.w.Unlock()
-	v := s.v.Load()
-	if _, dup := v.trees[t.ID]; dup {
+	return s.Batch(func(x *Tx) error { return x.RegisterTree(t) })
+}
+
+// RegisterTree is Store.RegisterTree as one op of the session.
+func (x *Tx) RegisterTree(t *phylo.Tree) error {
+	nv := x.open()
+	if _, dup := nv.trees[t.ID]; dup {
 		return fmt.Errorf("%w: tree %s", ErrDuplicate, t.ID)
 	}
-	nv := v.clone()
-	nv.trees = mapWith(v.trees, t.ID, t)
-	nv.treeIDs = insertSortedStr(v.treeIDs, t.ID)
-	nv.addObject(TypeTree, t.ID)
-	s.publish(nv)
+	nv.trees = mapWith(nv.trees, t.ID, t)
+	nv.treeIDs = insertSortedStr(nv.treeIDs, t.ID)
+	x.addObject(TypeTree, t.ID)
 	return nil
 }
 
@@ -231,17 +226,19 @@ func (s *Store) Tree(id string) (*phylo.Tree, error) {
 
 // RegisterInteractionGraph registers a molecular interaction graph.
 func (s *Store) RegisterInteractionGraph(g *interact.Graph) error {
-	s.w.Lock()
-	defer s.w.Unlock()
-	v := s.v.Load()
-	if _, dup := v.igraphs[g.ID]; dup {
+	return s.Batch(func(x *Tx) error { return x.RegisterInteractionGraph(g) })
+}
+
+// RegisterInteractionGraph is Store.RegisterInteractionGraph as one op of
+// the session.
+func (x *Tx) RegisterInteractionGraph(g *interact.Graph) error {
+	nv := x.open()
+	if _, dup := nv.igraphs[g.ID]; dup {
 		return fmt.Errorf("%w: interaction graph %s", ErrDuplicate, g.ID)
 	}
-	nv := v.clone()
-	nv.igraphs = mapWith(v.igraphs, g.ID, g)
-	nv.igraphIDs = insertSortedStr(v.igraphIDs, g.ID)
-	nv.addObject(TypeInteraction, g.ID)
-	s.publish(nv)
+	nv.igraphs = mapWith(nv.igraphs, g.ID, g)
+	nv.igraphIDs = insertSortedStr(nv.igraphIDs, g.ID)
+	x.addObject(TypeInteraction, g.ID)
 	return nil
 }
 
@@ -253,27 +250,29 @@ func (s *Store) InteractionGraph(id string) (*interact.Graph, error) {
 // RegisterImage registers an image; its coordinate system must have been
 // registered first.
 func (s *Store) RegisterImage(im *imaging.Image) error {
-	s.w.Lock()
-	defer s.w.Unlock()
-	v := s.v.Load()
-	if _, dup := v.images[im.ID]; dup {
+	return s.Batch(func(x *Tx) error { return x.RegisterImage(im) })
+}
+
+// RegisterImage is Store.RegisterImage as one op of the session.
+func (x *Tx) RegisterImage(im *imaging.Image) error {
+	nv := x.open()
+	if _, dup := nv.images[im.ID]; dup {
 		return fmt.Errorf("%w: image %s", ErrDuplicate, im.ID)
 	}
-	if _, ok := v.systems[im.System]; !ok {
+	if _, ok := nv.systems[im.System]; !ok {
 		return fmt.Errorf("%w: %s (register it before image %s)", ErrNoSuchSystem, im.System, im.ID)
 	}
-	nv := v.clone()
-	nv.images = mapWith(v.images, im.ID, im)
-	nv.imageIDs = insertSortedStr(v.imageIDs, im.ID)
-	nv.addObject(TypeImage, im.ID)
+	nv.images = mapWith(nv.images, im.ID, im)
+	nv.imageIDs = insertSortedStr(nv.imageIDs, im.ID)
+	x.addObject(TypeImage, im.ID)
 	// A new image in a shared coordinate system can become the target of
 	// existing coordinate-registration rules; registrations are rare, so
-	// a full recompute keeps the derived table exact without a dedicated
-	// delta path — skipped entirely when no rule can be affected.
-	if p := s.getPropagator(); p != nil && p.RecomputeOnRegister() {
-		s.recomputeDerivedInto(nv)
+	// a full recompute over the session's sealed state keeps the derived
+	// table exact without a dedicated delta path — skipped entirely when
+	// no rule can be affected.
+	if p := x.s.Propagator(); p != nil && p.RecomputeOnRegister() {
+		x.seal().recomputeDerived(p)
 	}
-	s.publish(nv)
 	return nil
 }
 
@@ -344,14 +343,13 @@ func insertSortedStr(xs []string, s string) []string {
 	return append(out, xs[i:]...)
 }
 
-// addObject lists a newly registered data object in nv, a successor view
-// under construction: in the (type, id)-sorted handle list and as a node
-// of the a-graph, where marks will reach it.
-func (nv *View) addObject(typ ObjectType, id string) {
-	nv.objects = insertSortedObject(nv.objects, ObjectHandle{typ, id})
-	g := nv.graph.Edit()
-	g.AddNode(agraph.Object(string(typ), id))
-	nv.graph = *g.Graph()
+// addObject completes the registration of a data object, as one op: it
+// lists the object in the (type, id)-sorted handle list and, through the
+// session's handle, as a node of the a-graph, where marks will reach it.
+func (x *Tx) addObject(typ ObjectType, id string) {
+	x.nv.objects = insertSortedObject(x.nv.objects, ObjectHandle{typ, id})
+	x.g.AddNode(agraph.Object(string(typ), id))
+	x.ops++
 }
 
 // insertSortedObject returns a fresh (type, id)-sorted slice with h added.

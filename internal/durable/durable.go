@@ -18,7 +18,8 @@
 // one persist.Op (the same per-entity codec Export/Load use). Open loads
 // the snapshot, replays WAL records with Seq beyond the manifest's
 // snapshotSeq, truncates a torn tail instead of failing, and resumes
-// appending.
+// appending. The replayed records are one core writer session (a Batch)
+// and publish one view, rules or not.
 //
 // # Compaction
 //
@@ -31,8 +32,9 @@
 // # Semantics
 //
 // A pipeline's state is a function of its ops. Apply(op) is the one entry
-// point: the live mutation is op.Apply, the call replay makes, on a dump —
-// so the pipeline builds its own copy of what it registers, and nothing
+// point: the live mutation is op.Apply, as a session of one, and replay
+// makes the same call, all records in one session, on a dump — so the
+// pipeline builds its own copy of what it registers, and nothing
 // the caller does to the original afterwards is served here and missing
 // after a restart. The package orders, logs and acknowledges ops without
 // looking inside them. Commit and AddRule alone apply something other
@@ -317,8 +319,9 @@ func Open(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// Memory returns a pipeline without a log over cs. so are the options cs
-// was built with: Stage builds a restore's replacement store with them.
+// Memory returns a pipeline without a log over cs. Its argument so must be
+// the core.StoreOptions cs was built with: Stage builds a restore's
+// replacement store with them.
 func Memory(cs *core.Store, so core.StoreOptions) *Store {
 	s := &Store{opts: Options{Store: so}}
 	s.core.Store(cs)
@@ -363,8 +366,14 @@ func (s *Store) load() error {
 	}
 	s.removeStaleSnapshots(man.Snapshot)
 
+	// The replayed records are one writer session: one published view for
+	// the whole log, as many epochs on as records applied.
 	logPath := filepath.Join(s.dir, logFile)
-	info, err := wal.Scan(logPath, s.replayRecord)
+	var info wal.RecoveryInfo
+	err := s.Core().Batch(func(x *core.Tx) (err error) {
+		info, err = wal.Scan(logPath, func(payload []byte) error { return s.replayRecord(x, payload) })
+		return err
+	})
 	switch {
 	case err == nil:
 		s.tornBytes = info.TornBytes
@@ -390,8 +399,9 @@ func (s *Store) walOptions() wal.Options {
 	return wal.Options{NoSync: s.opts.NoSync, Inject: s.opts.Inject, Shard: s.opts.Store.Shard}
 }
 
-// replayRecord applies one scanned WAL payload during Open.
-func (s *Store) replayRecord(payload []byte) error {
+// replayRecord applies one scanned WAL payload during Open, as one op of
+// the replay session x.
+func (s *Store) replayRecord(x *core.Tx, payload []byte) error {
 	if len(payload) == 0 {
 		return nil // Sync marker
 	}
@@ -406,7 +416,7 @@ func (s *Store) replayRecord(payload []byte) error {
 	if rec.Seq != s.seq+1 {
 		return fmt.Errorf("durable: WAL record seq %d after %d (log out of order)", rec.Seq, s.seq)
 	}
-	if err := rec.Apply(s.Core()); err != nil {
+	if err := rec.Apply(x); err != nil {
 		return fmt.Errorf("durable: replay op %d (%s): %w", rec.Seq, rec.Kind, err)
 	}
 	s.seq = rec.Seq
@@ -633,7 +643,7 @@ func (s *Store) compactIfNeeded() error {
 // persist has a constructor for each). The live mutation is op.Apply, the
 // same call replay makes.
 func (s *Store) Apply(op persist.Op) error {
-	return s.logApply(&record{Op: op}, nil, op.Apply)
+	return s.logApply(&record{Op: op}, nil, func(c *core.Store) error { return c.Batch(op.Apply) })
 }
 
 // NewAnnotation starts an annotation builder on the wrapped store; pass

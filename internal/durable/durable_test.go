@@ -115,6 +115,49 @@ func TestReopenReplaysLog(t *testing.T) {
 	}
 }
 
+// TestReplayEqualsSerial: a store logs the whole recovery scenario —
+// rules mid-stream, so most commits and deletes run the delta path,
+// deletions included — with no checkpoint, and is reopened. The replay,
+// one writer session over the log, leaves the export, derived table,
+// stats and epoch that the same ops leave applied one session each to a
+// fresh in-memory store.
+func TestReplayEqualsSerial(t *testing.T) {
+	ops := workload.RecoveryScenario(workload.DefaultRecovery)
+	dir := t.TempDir()
+	opts := Options{CompactThreshold: -1, NoSync: true}
+	s, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := workload.ApplyOps(s, ops); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	serial := core.NewStore()
+	if err := workload.ApplyOps(workload.AsSink(serial), ops); err != nil {
+		t.Fatal(err)
+	}
+
+	replayed, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer replayed.Close()
+	if st := replayed.Stats(); st.ReplayedRecords != len(ops) || st.SnapshotSeq != 0 {
+		t.Fatalf("replayed %d records over checkpoint %d, want all %d over none", st.ReplayedRecords, st.SnapshotSeq, len(ops))
+	}
+	got := replayed.Core()
+	mustEqualStores(t, got, serial)
+	if g, w := got.DerivedAll(), serial.DerivedAll(); len(w) == 0 || !reflect.DeepEqual(g, w) {
+		t.Fatalf("derived tables differ: replay %d facts, serial %d", len(g), len(w))
+	}
+	if g, w := got.View().Epoch(), serial.View().Epoch(); g != w || g != uint64(len(ops)) {
+		t.Fatalf("epoch after replay %d, serial %d, ops %d", g, w, len(ops))
+	}
+}
+
 func TestReopenAfterCompaction(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{NoSync: true, CompactThreshold: 4 << 10}

@@ -69,10 +69,10 @@ func FuzzOpEnvelope(f *testing.F) {
 		}
 		// Replay against an empty store and against one with prior state:
 		// panics can hide behind lookups that only exist in one of them.
-		_ = rec.Apply(core.NewStore())
+		_ = core.NewStore().Batch(rec.Apply)
 
 		fresh := &Store{}
 		fresh.core.Store(core.NewStore())
-		_ = fresh.replayRecord(data)
+		_ = fresh.Core().Batch(func(x *core.Tx) error { return fresh.replayRecord(x, data) })
 	})
 }

@@ -3,54 +3,79 @@ package persist_test
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
+	"slices"
 	"testing"
 
 	"graphitti/internal/core"
 	"graphitti/internal/interval"
 	"graphitti/internal/persist"
+	"graphitti/internal/prop"
 )
 
-// commitSerial is the load path LoadWith replaced — one full commit, one
-// published view, per annotation — kept as the oracle the batch load must
-// match byte for byte.
-func commitSerial(s *core.Store, anns []persist.AnnotationDump) error {
-	for _, ad := range anns {
-		if err := persist.ApplyAnnotation(s, ad); err != nil {
-			return err
+// loadSerial is the oracle the one-session load must match byte for
+// byte: every op the snapshot yields applied as its own session, one
+// published view each, then the rules as one op and the counters as one.
+func loadSerial(t *testing.T, snap *persist.Snapshot) *core.Store {
+	t.Helper()
+	s := core.NewStore()
+	for op := range snap.Ops {
+		if err := s.Batch(op.Apply); err != nil {
+			t.Fatalf("serial load: %s: %v", op.Kind, err)
 		}
 	}
-	return nil
+	if len(snap.Rules) > 0 {
+		rules := make([]prop.Rule, len(snap.Rules))
+		for i, rd := range snap.Rules {
+			rules[i] = persist.RestoreRule(rd)
+		}
+		if err := s.Batch(func(x *core.Tx) error { return prop.AddRules(x, rules...) }); err != nil {
+			t.Fatalf("serial load: rules: %v", err)
+		}
+	}
+	if snap.NextAnn != 0 || snap.NextRef != 0 {
+		if err := s.RestoreIDCounters(snap.NextAnn, snap.NextRef); err != nil {
+			t.Fatalf("serial load: counters: %v", err)
+		}
+	}
+	return s
 }
 
-// assertBatchEqualsSerial loads snap both ways and requires identical
-// exports, stats and ID counters.
+// assertSameState requires identical exports, stats, derived tables and
+// epochs: the epoch counts ops, however many publishes carried them.
+func assertSameState(t *testing.T, got, want *core.Store) {
+	t.Helper()
+	var g, w bytes.Buffer
+	if err := persist.Write(want, &w); err != nil {
+		t.Fatal(err)
+	}
+	if err := persist.Write(got, &g); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(g.Bytes(), w.Bytes()) {
+		t.Fatalf("export differs from the serial oracle's (%d vs %d bytes)", g.Len(), w.Len())
+	}
+	if gs, ws := got.Stats(), want.Stats(); gs != ws {
+		t.Fatalf("stats differ:\n   got %+v\nserial %+v", gs, ws)
+	}
+	if gd, wd := got.DerivedAll(), want.DerivedAll(); !reflect.DeepEqual(gd, wd) {
+		t.Fatalf("derived tables differ: %d facts, serial %d", len(gd), len(wd))
+	}
+	if ge, we := got.View().Epoch(), want.View().Epoch(); ge != we {
+		t.Fatalf("epoch %d, serial %d", ge, we)
+	}
+}
+
+// assertBatchEqualsSerial loads snap both ways and requires the same
+// state.
 func assertBatchEqualsSerial(t *testing.T, snap *persist.Snapshot) *core.Store {
 	t.Helper()
-	serial, err := persist.LoadWithCommit(snap, core.StoreOptions{}, nil, commitSerial)
-	if err != nil {
-		t.Fatalf("serial load: %v", err)
-	}
+	serial := loadSerial(t, snap)
 	batch, err := persist.Load(snap)
 	if err != nil {
 		t.Fatalf("batch load: %v", err)
 	}
-	var want, got bytes.Buffer
-	if err := persist.Write(serial, &want); err != nil {
-		t.Fatal(err)
-	}
-	if err := persist.Write(batch, &got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatalf("batch-loaded export differs from serial load (%d vs %d bytes)", got.Len(), want.Len())
-	}
-	if g, w := batch.Stats(), serial.Stats(); g != w {
-		t.Fatalf("stats differ:\n batch %+v\nserial %+v", g, w)
-	}
-	// The epoch counts mutations, however many publishes carried them.
-	if g, w := batch.View().Epoch(), serial.View().Epoch(); g != w {
-		t.Fatalf("epoch: batch %d, serial %d", g, w)
-	}
+	assertSameState(t, batch, serial)
 	return batch
 }
 
@@ -106,6 +131,15 @@ func TestBatchLoadEqualsSerialLoad(t *testing.T) {
 		}
 		assertBatchEqualsSerial(t, exportOf(t, s))
 	})
+	t.Run("rules", func(t *testing.T) {
+		s := neuroStore(t)
+		if err := prop.Attach(s).AddRule(prop.Rule{ID: "ov", Edge: prop.EdgeOverlap}); err != nil {
+			t.Fatal(err)
+		}
+		if len(assertBatchEqualsSerial(t, exportOf(t, s)).DerivedAll()) == 0 {
+			t.Fatal("the loaded rule derives nothing")
+		}
+	})
 	t.Run("v1-without-ids", func(t *testing.T) {
 		snap := exportOf(t, influenzaStore(t))
 		snap.Version, snap.NextAnn, snap.NextRef = 1, 0, 0
@@ -117,6 +151,64 @@ func TestBatchLoadEqualsSerialLoad(t *testing.T) {
 		}
 		assertBatchEqualsSerial(t, snap)
 	})
+}
+
+// TestRuleAttachedBatchEqualsSerial: an op stream with rules attached
+// from its start — so every commit and delete runs the delta path, every
+// image registration the co-registration recompute, and one rule is
+// deleted midway — leaves the same state applied as one Batch as applied
+// one session per op. The batch computes each delta between two sealed
+// states of its own session; the oracle between two published views.
+func TestRuleAttachedBatchEqualsSerial(t *testing.T) {
+	for name, snap := range map[string]*persist.Snapshot{
+		"influenza": exportOf(t, influenzaStore(t)),
+		"neuro":     exportOf(t, neuroStore(t)),
+	} {
+		t.Run(name, func(t *testing.T) {
+			var ops []persist.Op
+			for _, r := range []prop.Rule{
+				{ID: "closure", Edge: prop.EdgeOntologyClosure},
+				{ID: "coreg", Edge: prop.EdgeCoRegistered},
+				{ID: "overlap", Edge: prop.EdgeOverlap},
+				{ID: "shared", Edge: prop.EdgeSharedReferent},
+			} {
+				d := persist.DumpRule(r)
+				ops = append(ops, persist.Op{Kind: core.OpAddRule, Rule: &d})
+			}
+			for op := range snap.Ops {
+				ops = append(ops, op)
+			}
+			for i, ad := range snap.Annotations {
+				if i%3 == 1 {
+					ops = append(ops, persist.Op{Kind: core.OpDeleteAnnotation, DeleteID: ad.ID})
+				}
+			}
+			mid := len(ops) / 2
+			ops = slices.Insert(ops, mid, persist.Op{Kind: core.OpDeleteRule, RuleID: "shared"})
+
+			serial := core.NewStore()
+			for _, op := range ops {
+				if err := serial.Batch(op.Apply); err != nil {
+					t.Fatalf("serial: %s: %v", op.Kind, err)
+				}
+			}
+			if len(serial.DerivedAll()) == 0 {
+				t.Fatal("the stream derives nothing")
+			}
+			batch := core.NewStore()
+			if err := batch.Batch(func(x *core.Tx) error {
+				for _, op := range ops {
+					if err := op.Apply(x); err != nil {
+						return err
+					}
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			assertSameState(t, batch, serial)
+		})
+	}
 }
 
 // TestBatchFailureKeepsPrefix: a failing annotation ends the batch with
@@ -136,11 +228,27 @@ func TestBatchFailureKeepsPrefix(t *testing.T) {
 		}
 		return s, commit(s, anns)
 	}
-	batch, err := load(persist.CommitBatch)
+	batch, err := load(func(s *core.Store, anns []persist.AnnotationDump) error {
+		return s.Batch(func(x *core.Tx) error {
+			for _, ad := range anns {
+				if err := persist.ApplyAnnotation(x, ad); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	})
 	if err == nil {
 		t.Fatal("colliding pinned ID accepted")
 	}
-	serial, serr := load(commitSerial)
+	serial, serr := load(func(s *core.Store, anns []persist.AnnotationDump) error {
+		for _, ad := range anns {
+			if err := s.Batch(func(x *core.Tx) error { return persist.ApplyAnnotation(x, ad) }); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 	if serr == nil {
 		t.Fatal("oracle accepted the colliding pinned ID")
 	}

@@ -38,10 +38,11 @@ type Op struct {
 	RuleID     string          `json:"ruleId,omitempty"`
 }
 
-// Apply performs the op on a store. Ops come off disk as well as from
+// Apply performs the op as one op of a writer session; a store-level
+// caller writes s.Batch(op.Apply). Ops come off disk as well as from
 // callers, so a corrupt or hand-edited one must produce an error, never a
 // panic: every dump pointer is checked before it is dereferenced.
-func (op Op) Apply(cs *core.Store) error {
+func (op Op) Apply(x *core.Tx) error {
 	missing := func(field string) error {
 		return fmt.Errorf("op %s missing %s dump", op.Kind, field)
 	}
@@ -50,58 +51,58 @@ func (op Op) Apply(cs *core.Store) error {
 		if op.Ontology == nil {
 			return missing("ontology")
 		}
-		return ApplyOntology(cs, *op.Ontology)
+		return ApplyOntology(x, *op.Ontology)
 	case core.OpRegisterSystem:
 		if op.System == nil {
 			return missing("system")
 		}
-		return ApplySystem(cs, *op.System)
+		return ApplySystem(x, *op.System)
 	case core.OpRegisterSequence:
 		if op.Sequence == nil {
 			return missing("sequence")
 		}
-		return ApplySequence(cs, *op.Sequence)
+		return ApplySequence(x, *op.Sequence)
 	case core.OpRegisterAlignment:
 		if op.Alignment == nil {
 			return missing("alignment")
 		}
-		return ApplyAlignment(cs, *op.Alignment)
+		return ApplyAlignment(x, *op.Alignment)
 	case core.OpRegisterTree:
 		if op.Tree == nil {
 			return missing("tree")
 		}
-		return ApplyTree(cs, *op.Tree)
+		return ApplyTree(x, *op.Tree)
 	case core.OpRegisterInteractionGraph:
 		if op.Graph == nil {
 			return missing("graph")
 		}
-		return ApplyGraph(cs, *op.Graph)
+		return ApplyGraph(x, *op.Graph)
 	case core.OpRegisterImage:
 		if op.Image == nil {
 			return missing("image")
 		}
-		return ApplyImage(cs, *op.Image)
+		return ApplyImage(x, *op.Image)
 	case core.OpCreateRecordTable:
 		if op.Table == nil {
 			return missing("table")
 		}
-		return ApplyTable(cs, *op.Table)
+		return ApplyTable(x, *op.Table)
 	case core.OpInsertRecord:
-		return ApplyRecord(cs, op.RecTable, op.Row)
+		return ApplyRecord(x, op.RecTable, op.Row)
 	case core.OpCommitAnnotation:
 		if op.Annotation == nil {
 			return missing("annotation")
 		}
-		return ApplyAnnotation(cs, *op.Annotation)
+		return ApplyAnnotation(x, *op.Annotation)
 	case core.OpDeleteAnnotation:
-		return cs.DeleteAnnotation(op.DeleteID)
+		return x.DeleteAnnotation(op.DeleteID)
 	case core.OpAddRule:
 		if op.Rule == nil {
 			return missing("rule")
 		}
-		return ApplyRule(cs, *op.Rule)
+		return ApplyRule(x, *op.Rule)
 	case core.OpDeleteRule:
-		return prop.Attach(cs).DeleteRule(op.RuleID)
+		return prop.DeleteRule(x, op.RuleID)
 	default:
 		return fmt.Errorf("unknown op kind %d", op.Kind)
 	}
@@ -170,10 +171,11 @@ func RecordOp(table string, row relstore.Row) Op {
 	return Op{Kind: core.OpInsertRecord, RecTable: table, Row: DumpRow(row)}
 }
 
-// registrations yields the op that registers each object of the snapshot,
-// in load order: ontologies, systems, sequences, alignments, trees,
-// graphs, images, record tables (rows included).
-func (snap *Snapshot) registrations(yield func(Op) bool) {
+// ops yields the op that registers each object of the snapshot and the
+// op that commits each annotation, in load order: ontologies, systems,
+// sequences, alignments, trees, graphs, images, record tables (rows
+// included), annotations.
+func (snap *Snapshot) ops(yield func(Op) bool) {
 	_ = section(snap.Ontologies, yield, func(d *OntologyDump) Op { return Op{Kind: core.OpRegisterOntology, Ontology: d} }) &&
 		section(snap.Systems, yield, func(d *SystemDump) Op { return Op{Kind: core.OpRegisterSystem, System: d} }) &&
 		section(snap.Sequences, yield, func(d *SequenceDump) Op { return Op{Kind: core.OpRegisterSequence, Sequence: d} }) &&
@@ -181,7 +183,8 @@ func (snap *Snapshot) registrations(yield func(Op) bool) {
 		section(snap.Trees, yield, func(d *TreeDump) Op { return Op{Kind: core.OpRegisterTree, Tree: d} }) &&
 		section(snap.Graphs, yield, func(d *GraphDump) Op { return Op{Kind: core.OpRegisterInteractionGraph, Graph: d} }) &&
 		section(snap.Images, yield, func(d *ImageDump) Op { return Op{Kind: core.OpRegisterImage, Image: d} }) &&
-		section(snap.RecordTables, yield, func(d *TableDump) Op { return Op{Kind: core.OpCreateRecordTable, Table: d} })
+		section(snap.RecordTables, yield, func(d *TableDump) Op { return Op{Kind: core.OpCreateRecordTable, Table: d} }) &&
+		section(snap.Annotations, yield, func(d *AnnotationDump) Op { return Op{Kind: core.OpCommitAnnotation, Annotation: d} })
 }
 
 // section yields one section's ops until yield declines.

@@ -535,15 +535,15 @@ func RestoreRule(d RuleDump) prop.Rule {
 
 // ApplyRule registers a dumped propagation rule, attaching an engine to
 // the store if it has none, and rebuilds the derived table.
-func ApplyRule(s *core.Store, d RuleDump) error {
-	if err := prop.Attach(s).AddRule(RestoreRule(d)); err != nil {
+func ApplyRule(x *core.Tx, d RuleDump) error {
+	if err := prop.AddRules(x, RestoreRule(d)); err != nil {
 		return fmt.Errorf("persist: rule %s: %w", d.ID, err)
 	}
 	return nil
 }
 
 // ApplyOntology rebuilds and registers a dumped ontology.
-func ApplyOntology(s *core.Store, od OntologyDump) error {
+func ApplyOntology(x *core.Tx, od OntologyDump) error {
 	o := ontology.New(od.Name)
 	for _, td := range od.Terms {
 		t, err := o.AddTerm(td.ID, td.Name)
@@ -558,22 +558,22 @@ func ApplyOntology(s *core.Store, od OntologyDump) error {
 			return fmt.Errorf("persist: ontology %s: %w", od.Name, err)
 		}
 	}
-	return s.RegisterOntology(o)
+	return x.RegisterOntology(o)
 }
 
 // ApplySystem rebuilds and registers a dumped coordinate system.
-func ApplySystem(s *core.Store, sd SystemDump) error {
+func ApplySystem(x *core.Tx, sd SystemDump) error {
 	cs, err := imaging.NewCoordinateSystem(sd.Name, rtree.Rect{
 		Min: sd.Bounds[0], Max: sd.Bounds[1], Dims: sd.Dims,
 	})
 	if err != nil {
 		return fmt.Errorf("persist: system %s: %w", sd.Name, err)
 	}
-	return s.RegisterCoordinateSystem(cs)
+	return x.RegisterCoordinateSystem(cs)
 }
 
 // ApplySequence rebuilds and registers a dumped sequence.
-func ApplySequence(s *core.Store, qd SequenceDump) error {
+func ApplySequence(x *core.Tx, qd SequenceDump) error {
 	sq, err := seq.New(qd.ID, seq.Kind(qd.Kind), qd.Residues)
 	if err != nil {
 		return fmt.Errorf("persist: sequence %s: %w", qd.ID, err)
@@ -581,29 +581,29 @@ func ApplySequence(s *core.Store, qd SequenceDump) error {
 	sq.Description = qd.Description
 	sq.Domain = qd.Domain
 	sq.Offset = qd.Offset
-	return s.RegisterSequence(sq)
+	return x.RegisterSequence(sq)
 }
 
 // ApplyAlignment rebuilds and registers a dumped alignment.
-func ApplyAlignment(s *core.Store, ad AlignmentDump) error {
+func ApplyAlignment(x *core.Tx, ad AlignmentDump) error {
 	a, err := msa.New(ad.ID, ad.RowIDs, ad.Rows)
 	if err != nil {
 		return fmt.Errorf("persist: alignment %s: %w", ad.ID, err)
 	}
-	return s.RegisterAlignment(a)
+	return x.RegisterAlignment(a)
 }
 
 // ApplyTree rebuilds and registers a dumped phylogenetic tree.
-func ApplyTree(s *core.Store, td TreeDump) error {
+func ApplyTree(x *core.Tx, td TreeDump) error {
 	t, err := phylo.ParseNewick(td.ID, td.Newick)
 	if err != nil {
 		return fmt.Errorf("persist: tree %s: %w", td.ID, err)
 	}
-	return s.RegisterTree(t)
+	return x.RegisterTree(t)
 }
 
 // ApplyGraph rebuilds and registers a dumped interaction graph.
-func ApplyGraph(s *core.Store, gd GraphDump) error {
+func ApplyGraph(x *core.Tx, gd GraphDump) error {
 	g := interact.NewGraph(gd.ID)
 	for _, md := range gd.Molecules {
 		if _, err := g.AddMolecule(md.ID, md.Name, interact.MoleculeType(md.Type)); err != nil {
@@ -615,11 +615,11 @@ func ApplyGraph(s *core.Store, gd GraphDump) error {
 			return fmt.Errorf("persist: graph %s: %w", gd.ID, err)
 		}
 	}
-	return s.RegisterInteractionGraph(g)
+	return x.RegisterInteractionGraph(g)
 }
 
 // ApplyImage rebuilds and registers a dumped image.
-func ApplyImage(s *core.Store, id ImageDump) error {
+func ApplyImage(x *core.Tx, id ImageDump) error {
 	reg := imaging.Registration{Scale: id.Scale, Offset: id.Offset}
 	im, err := imaging.NewImage(id.ID, id.System, rtree.Rect{
 		Min: id.Local[0], Max: id.Local[1], Dims: id.Dims,
@@ -629,11 +629,11 @@ func ApplyImage(s *core.Store, id ImageDump) error {
 	}
 	im.Modality = id.Modality
 	im.Subject = id.Subject
-	return s.RegisterImage(im)
+	return x.RegisterImage(im)
 }
 
 // ApplyTable creates a dumped record table and inserts its rows.
-func ApplyTable(s *core.Store, td TableDump) error {
+func ApplyTable(x *core.Tx, td TableDump) error {
 	cols := make([]relstore.Column, len(td.Columns))
 	for i, cd := range td.Columns {
 		cols[i] = relstore.Column{Name: cd.Name, Type: relstore.Type(cd.Type), NotNull: cd.NotNull}
@@ -642,11 +642,11 @@ func ApplyTable(s *core.Store, td TableDump) error {
 	if err != nil {
 		return fmt.Errorf("persist: table %s: %w", td.Name, err)
 	}
-	if err := s.CreateRecordTable(schema); err != nil {
+	if err := x.CreateRecordTable(schema); err != nil {
 		return err
 	}
 	for _, rd := range td.Rows {
-		if err := ApplyRecord(s, td.Name, rd); err != nil {
+		if err := ApplyRecord(x, td.Name, rd); err != nil {
 			return err
 		}
 	}
@@ -654,7 +654,7 @@ func ApplyTable(s *core.Store, td TableDump) error {
 }
 
 // ApplyRecord inserts one dumped row into a record table.
-func ApplyRecord(s *core.Store, table string, rd []ValueDump) error {
+func ApplyRecord(x *core.Tx, table string, rd []ValueDump) error {
 	row := make(relstore.Row, len(rd))
 	for i, vd := range rd {
 		v, err := RestoreValue(vd)
@@ -663,23 +663,16 @@ func ApplyRecord(s *core.Store, table string, rd []ValueDump) error {
 		}
 		row[i] = v
 	}
-	if err := s.InsertRecord(table, row); err != nil {
+	if err := x.InsertRecord(table, row); err != nil {
 		return fmt.Errorf("persist: table %s: %w", table, err)
 	}
 	return nil
 }
 
-// Committer is what ApplyAnnotation commits through: a *core.Store (one
-// published view per annotation) or a *core.Tx (one for the whole batch).
-type Committer interface {
-	Commit(*core.Builder) (*core.Annotation, error)
-	CommitWithIDs(*core.Builder, uint64, []uint64) (*core.Annotation, error)
-}
-
 // ApplyAnnotation rebuilds and commits a dumped annotation. When the dump
 // carries IDs (v2), the annotation and its referents are committed with
 // exactly those IDs; otherwise the store assigns the next free ones.
-func ApplyAnnotation(c Committer, ad AnnotationDump) error {
+func ApplyAnnotation(x *core.Tx, ad AnnotationDump) error {
 	b := core.NewBuilder()
 	elems := make([]string, 0, len(ad.DC))
 	for e := range ad.DC {
@@ -716,16 +709,19 @@ func ApplyAnnotation(c Committer, ad AnnotationDump) error {
 	}
 	var err error
 	if ad.ID != 0 {
-		_, err = c.CommitWithIDs(b, ad.ID, refIDs)
+		_, err = x.CommitWithIDs(b, ad.ID, refIDs)
 	} else {
-		_, err = c.Commit(b)
+		_, err = x.Commit(b)
 	}
-	return err
+	if err != nil {
+		return fmt.Errorf("persist: annotation %d: %w", ad.ID, err)
+	}
+	return nil
 }
 
-// Load rebuilds a store from a snapshot by replaying registrations and
-// commits through the normal pipeline, the annotations as one writer
-// session: one published view for all of them, not one each.
+// Load rebuilds a store from a snapshot by replaying every registration,
+// record and annotation of it through the normal pipeline, as one writer
+// session: one published view for the whole snapshot.
 func Load(snap *Snapshot) (*core.Store, error) {
 	return LoadWith(snap, core.StoreOptions{})
 }
@@ -739,67 +735,42 @@ func LoadWith(snap *Snapshot, opts core.StoreOptions) (*core.Store, error) {
 // LoadPart is LoadWith over the registrations and annotations whose op
 // keep accepts (nil accepts all) — how one shard loads its part of a
 // deployment's snapshot, placed by the rule it places live ops with.
-// Rules and the ID counters load whatever keep says.
+// Rules and the ID counters load whatever keep says. The load is one
+// Batch: the snapshot's ops in load order, then the rules as one swap,
+// then the counters — so the view it publishes is as many epochs on as
+// it applied ops.
 func LoadPart(snap *Snapshot, opts core.StoreOptions, keep func(Op) bool) (*core.Store, error) {
-	return loadWith(snap, opts, keep, commitBatch)
-}
-
-// commitBatch commits a snapshot's annotations as one writer session. On
-// a failing annotation the ones before it are published and stay.
-func commitBatch(s *core.Store, anns []AnnotationDump) error {
-	return s.Batch(func(tx *core.Tx) error {
-		for i, ad := range anns {
-			if err := ApplyAnnotation(tx, ad); err != nil {
-				return fmt.Errorf("persist: annotation %d: %w", i, err)
-			}
-		}
-		return nil
-	})
-}
-
-// loadWith is LoadPart with the annotation step as a parameter, so the
-// tests can run the one-publish-per-annotation loop as the oracle.
-func loadWith(snap *Snapshot, opts core.StoreOptions, keep func(Op) bool,
-	commit func(*core.Store, []AnnotationDump) error) (*core.Store, error) {
 	if snap.Version < 1 || snap.Version > Version {
 		return nil, fmt.Errorf("persist: snapshot version %d, want 1..%d", snap.Version, Version)
 	}
 	s := core.NewStoreWithOptions(opts)
-	for op := range snap.registrations {
-		if keep == nil || keep(op) {
-			if err := op.Apply(s); err != nil {
-				return nil, err
+	err := s.Batch(func(x *core.Tx) error {
+		for op := range snap.ops {
+			if keep == nil || keep(op) {
+				if err := op.Apply(x); err != nil {
+					return err
+				}
 			}
 		}
-	}
-	anns := snap.Annotations
-	if keep != nil {
-		anns = nil
-		for i := range snap.Annotations {
-			if d := &snap.Annotations[i]; keep(Op{Kind: core.OpCommitAnnotation, Annotation: d}) {
-				anns = append(anns, *d)
+		// Rules last, installed as one swap: the derived table is rebuilt
+		// once over the full store, instead of every replayed commit paying
+		// the delta path or every rule paying its own recompute.
+		if len(snap.Rules) > 0 {
+			rules := make([]prop.Rule, len(snap.Rules))
+			for i, rd := range snap.Rules {
+				rules[i] = RestoreRule(rd)
+			}
+			if err := prop.AddRules(x, rules...); err != nil {
+				return fmt.Errorf("persist: rules: %w", err)
 			}
 		}
-	}
-	if err := commit(s, anns); err != nil {
+		if snap.NextAnn != 0 || snap.NextRef != 0 {
+			return x.RestoreIDCounters(snap.NextAnn, snap.NextRef)
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, err
-	}
-	// Rules last, installed as one batch: the derived table is rebuilt
-	// once over the full store, instead of every replayed commit paying
-	// the delta path or every rule paying its own recompute.
-	if len(snap.Rules) > 0 {
-		rules := make([]prop.Rule, len(snap.Rules))
-		for i, rd := range snap.Rules {
-			rules[i] = RestoreRule(rd)
-		}
-		if err := prop.Attach(s).AddRules(rules...); err != nil {
-			return nil, fmt.Errorf("persist: rules: %w", err)
-		}
-	}
-	if snap.NextAnn != 0 || snap.NextRef != 0 {
-		if err := s.RestoreIDCounters(snap.NextAnn, snap.NextRef); err != nil {
-			return nil, err
-		}
 	}
 	return s, nil
 }

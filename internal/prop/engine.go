@@ -13,8 +13,8 @@ import (
 )
 
 // Engine holds the rule set and implements core.Propagator: the store's
-// writer calls Delta inside its critical section on every commit/delete,
-// and Recompute after coarse events (rule changes, image registration).
+// writer session calls Delta on every commit/delete, and Recompute after
+// coarse events (rule changes, image registration).
 // All methods are safe for concurrent use.
 type Engine struct {
 	store *core.Store
@@ -48,26 +48,35 @@ func RulesOf(s *core.Store) []Rule {
 }
 
 // AddRule validates and registers a rule, then rebuilds the derived
-// table so every existing annotation is evaluated under it. The rule
-// swap and the rebuild happen inside the store writer's critical
-// section, so no concurrent commit can publish a view whose derived
-// table disagrees with the rule set; the rule is active once AddRule
+// table so every existing annotation is evaluated under it: AddRules as a
+// session of one of the engine's store. The rule is active once AddRule
 // returns.
 func (e *Engine) AddRule(r Rule) error {
-	return e.AddRules(r)
+	return e.store.Batch(func(x *core.Tx) error { return AddRules(x, r) })
 }
 
-// AddRules registers several rules with one derived-table rebuild —
-// what snapshot load uses so N rules cost one recompute, not N.
-// Validation and duplicate checks run first; any failure leaves the
-// rule set and the derived table untouched.
-func (e *Engine) AddRules(rules ...Rule) error {
+// DeleteRule removes a rule and every fact it derived: DeleteRule as a
+// session of one of the engine's store.
+func (e *Engine) DeleteRule(id string) error {
+	return e.store.Batch(func(x *core.Tx) error { return DeleteRule(x, id) })
+}
+
+// AddRules registers rules as one op of session x, with one derived-table
+// rebuild for all of them — what snapshot load uses so N rules cost one
+// recompute, not N. The engine is that of x's store, attached first if it
+// has none. Validation and duplicate checks run first; any failure leaves
+// the rule set and the derived table untouched. The rule swap and the
+// rebuild are one op of the writer session (core.Tx.UpdateDerivedRules),
+// so no commit can publish a view whose derived table disagrees with the
+// rule set.
+func AddRules(x *core.Tx, rules ...Rule) error {
+	e := Attach(x.Store())
 	for _, r := range rules {
 		if err := r.Validate(); err != nil {
 			return err
 		}
 	}
-	return e.store.UpdateDerivedRules(func() error {
+	return x.UpdateDerivedRules(func() error {
 		e.mu.Lock()
 		defer e.mu.Unlock()
 		for i, r := range rules {
@@ -88,10 +97,11 @@ func (e *Engine) AddRules(rules ...Rule) error {
 	})
 }
 
-// DeleteRule removes a rule and every fact it derived, atomically with
-// respect to concurrent commits (see AddRule).
-func (e *Engine) DeleteRule(id string) error {
-	return e.store.UpdateDerivedRules(func() error {
+// DeleteRule removes a rule and every fact it derived as one op of
+// session x (see AddRules).
+func DeleteRule(x *core.Tx, id string) error {
+	e := Attach(x.Store())
+	return x.UpdateDerivedRules(func() error {
 		e.mu.Lock()
 		defer e.mu.Unlock()
 		if _, ok := e.rules[id]; !ok {
@@ -136,29 +146,20 @@ func (e *Engine) rulesSnapshot() []Rule {
 // spatial index of the appropriate view). Closure and co-registration
 // facts depend only on their own source, so they need no neighbors.
 // Each affected source's fact set is then recomputed in full against the
-// successor view — exactly what a from-scratch recompute would produce
+// post state — exactly what a from-scratch recompute would produce
 // for it, which is how the delta path stays byte-identical to full
 // recomputation.
 //
-// For deletions the neighborhood is taken from the pre-mutation view:
+// For deletions the neighborhood is taken from the pre state:
 // its trees and its a-graph still hold the garbage-collected referents
 // and their edges, which is the only way to find the surviving
 // annotations whose facts targeted them.
-func (e *Engine) Delta(pre, post *core.View, ann *core.Annotation, deleted bool) map[uint64][]core.DerivedFact {
-	return e.delta(pre, post, ann, deleted, nil)
-}
-
-// DeltaTraced implements core.TracedPropagator: Delta with per-rule
-// attribution onto sp — for every rule that evaluated, the span gains
-// rule.<id>.facts (facts produced across all affected sources) and
-// rule.<id>.micros (cumulative evaluation time), plus the size of the
-// affected-source set. A nil sp behaves exactly like Delta.
-func (e *Engine) DeltaTraced(pre, post *core.View, ann *core.Annotation,
-	deleted bool, sp *trace.Span) map[uint64][]core.DerivedFact {
-	return e.delta(pre, post, ann, deleted, sp)
-}
-
-func (e *Engine) delta(pre, post *core.View, ann *core.Annotation,
+//
+// With a span, the delta attributes its work per rule onto it: for every
+// rule that evaluated, rule.<id>.facts (facts produced across all
+// affected sources) and rule.<id>.micros (cumulative evaluation time),
+// plus the size of the affected-source set.
+func (e *Engine) Delta(pre, post *core.View, ann *core.Annotation,
 	deleted bool, sp *trace.Span) map[uint64][]core.DerivedFact {
 	rules := e.rulesSnapshot()
 	if len(rules) == 0 {
@@ -220,7 +221,7 @@ func (e *Engine) delta(pre, post *core.View, ann *core.Annotation,
 			out[src] = nil
 			continue
 		}
-		out[src] = e.evalSourceStats(post, srcAnn, rules, stats)
+		out[src] = e.evalSource(post, srcAnn, rules, stats)
 	}
 	if sp != nil {
 		sp.SetAttrInt("sources", int64(len(affected)))
@@ -250,7 +251,7 @@ func (e *Engine) Recompute(v *core.View) map[uint64][]core.DerivedFact {
 	mRecomputes.Inc()
 	out := make(map[uint64][]core.DerivedFact)
 	for _, ann := range v.Annotations() {
-		if facts := e.evalSource(v, ann, rules); len(facts) > 0 {
+		if facts := e.evalSource(v, ann, rules, nil); len(facts) > 0 {
 			out[ann.ID] = facts
 		}
 	}
@@ -277,15 +278,10 @@ func spatialKind(k core.ReferentKind) bool {
 // evalSource computes one source annotation's complete derived fact set
 // under the given rules, in canonical order. It reads only the view, so
 // evaluating the same source against the same view always produces the
-// same bytes regardless of the path (delta or recompute) that asked.
-func (e *Engine) evalSource(v *core.View, ann *core.Annotation, rules []Rule) []core.DerivedFact {
-	return e.evalSourceStats(v, ann, rules, nil)
-}
-
-// evalSourceStats is evalSource with optional per-rule accounting: when
-// stats is non-nil each rule's fact output and evaluation time are
-// accumulated into it (the traced-delta path; nil costs nothing).
-func (e *Engine) evalSourceStats(v *core.View, ann *core.Annotation, rules []Rule,
+// same bytes regardless of the path (delta or recompute) that asked. When
+// stats is not nil each rule's fact output and evaluation time are
+// accumulated into it (a traced delta; nil costs nothing).
+func (e *Engine) evalSource(v *core.View, ann *core.Annotation, rules []Rule,
 	stats map[string]*ruleStat) []core.DerivedFact {
 	var facts []core.DerivedFact
 	var keywords []string // lazily fetched once per source
@@ -448,7 +444,7 @@ func canonicalize(facts []core.DerivedFact) []core.DerivedFact {
 	if len(facts) == 0 {
 		return nil
 	}
-	sort.Slice(facts, func(i, j int) bool { return factLess(facts[i], facts[j]) })
+	sort.Slice(facts, func(i, j int) bool { return core.DerivedFactLess(facts[i], facts[j]) })
 	out := facts[:1]
 	for _, f := range facts[1:] {
 		if f != out[len(out)-1] {
@@ -456,19 +452,6 @@ func canonicalize(facts []core.DerivedFact) []core.DerivedFact {
 		}
 	}
 	return out
-}
-
-func factLess(a, b core.DerivedFact) bool {
-	if a.Rule != b.Rule {
-		return a.Rule < b.Rule
-	}
-	if a.Target.Kind != b.Target.Kind {
-		return a.Target.Kind < b.Target.Kind
-	}
-	if a.Target.Key != b.Target.Key {
-		return a.Target.Key < b.Target.Key
-	}
-	return a.Witness < b.Witness
 }
 
 func containsToken(tokens []string, tok string) bool {

@@ -44,7 +44,8 @@
 //
 // Ontologies are consulted live: mutating a registered *ontology.Ontology
 // in place (AddTerm/AddEdge after registration) does not retrigger
-// propagation until the next affecting mutation or RecomputeDerived.
+// propagation until the next affecting mutation or rule change (a rule
+// change recomputes the whole derived table).
 package prop
 
 import (

@@ -129,8 +129,8 @@ func Propagation(cfg PropagationConfig) (*PropagationStudy, error) {
 		{ID: "p-closure", Edge: prop.EdgeOntologyClosure, Ontology: "go"},
 		{ID: "p-shared", Edge: prop.EdgeSharedReferent},
 	}
-	// One batch: one derived recompute over the study, not one per rule.
-	if err := study.Engine.AddRules(rules...); err != nil {
+	// One op: one derived recompute over the study, not one per rule.
+	if err := s.Batch(func(x *core.Tx) error { return prop.AddRules(x, rules...) }); err != nil {
 		return nil, err
 	}
 	for _, r := range rules {

@@ -36,7 +36,7 @@ type Sink interface {
 // everything else is the store's own method.
 type coreSink struct{ *core.Store }
 
-func (c coreSink) Apply(op persist.Op) error { return op.Apply(c.Store) }
+func (c coreSink) Apply(op persist.Op) error { return c.Batch(op.Apply) }
 func (c coreSink) AddRule(r prop.Rule) error { return prop.Attach(c.Store).AddRule(r) }
 
 // AsSink wraps an in-memory store as a scenario Sink.

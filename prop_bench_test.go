@@ -89,7 +89,9 @@ func BenchmarkPropagation(b *testing.B) {
 		b.Run(fmt.Sprintf("recompute/anns=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				s.RecomputeDerived()
+				if err := s.UpdateDerivedRules(func() error { return nil }); err != nil {
+					b.Fatal(err)
+				}
 			}
 			b.StopTimer()
 			if got := s.View().DerivedCount(); got != baseline {
