@@ -87,7 +87,7 @@ func BenchmarkF1AGraphScenario(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				a := ids[i%len(ids)]
 				c := ids[(i*7+13)%len(ids)]
-				_, _ = s.PathBetweenAnnotations(a, c)
+				_, _ = s.View().PathBetweenAnnotations(a, c)
 			}
 		})
 		b.Run(fmt.Sprintf("connect3/anns=%d", n), func(b *testing.B) {
@@ -96,7 +96,7 @@ func BenchmarkF1AGraphScenario(b *testing.B) {
 				t1 := ids[i%len(ids)]
 				t2 := ids[(i*5+1)%len(ids)]
 				t3 := ids[(i*11+2)%len(ids)]
-				_, _ = s.ConnectAnnotations(t1, t2, t3)
+				_, _ = s.View().ConnectAnnotations(t1, t2, t3)
 			}
 		})
 	}
@@ -135,7 +135,7 @@ func BenchmarkF2AnnotateWorkflow(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			m, err := s.MarkClade("H5N1-phylogeny", "duck", "chicken")
+			m, err := s.View().MarkClade("H5N1-phylogeny", "duck", "chicken")
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -150,7 +150,7 @@ func BenchmarkF2AnnotateWorkflow(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			m, err := s.MarkSubgraph("NS1-interactome", "NS1", "PKR")
+			m, err := s.View().MarkSubgraph("NS1-interactome", "NS1", "PKR")
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -165,7 +165,7 @@ func BenchmarkF2AnnotateWorkflow(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			m, err := s.MarkAlignmentBlock("HA-alignment",
+			m, err := s.View().MarkAlignmentBlock("HA-alignment",
 				[]string{"NC_00000", "NC_00001"}, interval.Interval{Lo: int64(i % 40), Hi: int64(i%40 + 10)})
 			if err != nil {
 				b.Fatal(err)
@@ -181,7 +181,7 @@ func BenchmarkF2AnnotateWorkflow(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			m, err := s.MarkRecords("isolates", relstore.S("A/goose/0/1996"))
+			m, err := s.View().MarkRecords("isolates", relstore.S("A/goose/0/1996"))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -203,7 +203,7 @@ func BenchmarkF2AnnotateWorkflow(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			x := float64(i % 900)
-			m, err := s.MarkImageRegion(study.ImageIDs[i%len(study.ImageIDs)],
+			m, err := s.View().MarkImageRegion(study.ImageIDs[i%len(study.ImageIDs)],
 				rtree.Rect2D(x, x, x+20, x+20))
 			if err != nil {
 				b.Fatal(err)
@@ -253,7 +253,7 @@ func BenchmarkCommitAtStoreSize(b *testing.B) {
 					continue
 				}
 				lo := int64(i*37) % int64(cfg.SeqLen-25)
-				m, err := s.MarkSequenceInterval(study.SequenceIDs[i%len(study.SequenceIDs)],
+				m, err := s.View().MarkSequenceInterval(study.SequenceIDs[i%len(study.SequenceIDs)],
 					interval.Interval{Lo: lo, Hi: lo + 25})
 				if err != nil {
 					b.Fatal(err)
@@ -304,7 +304,7 @@ where {
 			ids := study.AnnotationIDs
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := study.Store.CorrelatedData(ids[i%len(ids)]); err != nil {
+				if _, err := study.Store.View().CorrelatedData(ids[i%len(ids)]); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -796,7 +796,7 @@ func BenchmarkLoadSnapshot(b *testing.B) {
 func BenchmarkSearchContentsParallel(b *testing.B) {
 	study := fluStudy(b, 5000)
 	const expr = `contains(/annotation/body, "protease")`
-	serial, err := study.Store.SearchContents(expr)
+	serial, err := study.Store.View().SearchContents(expr)
 	if err != nil || len(serial) == 0 {
 		b.Fatalf("bad fixture: %d hits, err %v", len(serial), err)
 	}
@@ -814,7 +814,7 @@ func BenchmarkSearchContentsParallel(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				got, err := study.Store.SearchContents(expr)
+				got, err := study.Store.View().SearchContents(expr)
 				if err != nil || len(got) != len(serial) {
 					b.Fatalf("wrong answer: %d hits, err %v", len(got), err)
 				}
@@ -902,7 +902,7 @@ func BenchmarkW2MixedReadWrite(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := study.Store.SearchContents(`contains(/annotation/body, "protease")`); err != nil {
+			if _, err := study.Store.View().SearchContents(`contains(/annotation/body, "protease")`); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -946,7 +946,7 @@ func BenchmarkW2MixedReadWrite(b *testing.B) {
 		var wg sync.WaitGroup
 		commit := func(w, i int) (uint64, error) {
 			x := float64((w*97 + i) % 900)
-			m, err := study.Store.MarkImageRegion(study.ImageIDs[i%len(study.ImageIDs)],
+			m, err := study.Store.View().MarkImageRegion(study.ImageIDs[i%len(study.ImageIDs)],
 				rtree.Rect2D(x, x, x+15, x+15))
 			if err != nil {
 				return 0, err
@@ -1201,7 +1201,7 @@ where {
 func BenchmarkReadPath(b *testing.B) {
 	study := fluStudy(b, 10_000)
 	h := httpapi.NewHandler(study.Store)
-	ids := study.Store.AnnotationIDs()
+	ids := study.Store.View().AnnotationIDs()
 	var related []string
 	for i := 0; i < 32; i++ {
 		related = append(related, fmt.Sprintf("/api/annotations/%d/related", ids[i*len(ids)/32]))

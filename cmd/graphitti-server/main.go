@@ -231,7 +231,7 @@ func buildHandler(cfg serverConfig) (http.Handler, *shard.Store, string, error) 
 		_ = sh.Close() // the rule error is the one to report
 		return nil, nil, "", err
 	}
-	st := sh.Stats()
+	st := sh.Views().Stats()
 	report += fmt.Sprintf("serving %d annotations, %d referents, %d a-graph edges, %d derived facts via %d rules\n",
 		st.Annotations, st.Referents, st.GraphEdges, st.Derived, len(sh.Rules()))
 	return httpapi.New(sh, cfg.opts), sh, report, nil

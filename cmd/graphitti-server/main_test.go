@@ -202,7 +202,7 @@ func TestSeedFromSnapshotFileLoadsOnce(t *testing.T) {
 		if got := commitsTotal(t) - before; got != uint64(want.Annotations) {
 			t.Errorf("shards=%d: seeding committed %d annotations, want %d (one load)", shards, got, want.Annotations)
 		}
-		if got := store.Stats().Annotations; got != want.Annotations {
+		if got := store.Views().Stats().Annotations; got != want.Annotations {
 			t.Errorf("shards=%d: serving %d annotations, want %d", shards, got, want.Annotations)
 		}
 		if err := store.Close(); err != nil {

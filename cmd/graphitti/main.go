@@ -225,14 +225,15 @@ func cmdOntology(s *graphitti.Store, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	names := s.Ontologies()
+	v := s.View()
+	names := v.Ontologies()
 	if len(names) == 0 {
 		return fmt.Errorf("no ontologies registered")
 	}
 	if *name == "" {
 		*name = names[0]
 	}
-	ont, err := s.Ontology(*name)
+	ont, err := v.Ontology(*name)
 	if err != nil {
 		return err
 	}
@@ -258,7 +259,7 @@ func cmdOntology(s *graphitti.Store, args []string) error {
 			fmt.Printf("  %s -%s-> %s\n", e.From, e.Rel, e.To)
 		}
 	case *annotated != "":
-		anns, err := s.AnnotationsWithTermUnder(*name, *annotated)
+		anns, err := v.AnnotationsWithTermUnder(*name, *annotated)
 		if err != nil {
 			return err
 		}
@@ -386,7 +387,7 @@ func cmdConnect(s *graphitti.Store, args []string) error {
 	if len(ids) < 2 {
 		return fmt.Errorf("connect: -anns wants at least two IDs")
 	}
-	sg, err := s.ConnectAnnotations(ids...)
+	sg, err := s.View().ConnectAnnotations(ids...)
 	if err != nil {
 		return err
 	}
@@ -428,7 +429,7 @@ func cmdSearch(s *graphitti.Store, args []string) error {
 	if len(args) != 1 {
 		return fmt.Errorf("usage: search <xquery-expression>")
 	}
-	anns, err := s.SearchContents(args[0])
+	anns, err := s.View().SearchContents(args[0])
 	if err != nil {
 		return err
 	}
@@ -532,7 +533,7 @@ func cmdCorrelated(s *graphitti.Store, args []string) error {
 	if err != nil {
 		return err
 	}
-	items, err := s.CorrelatedData(id)
+	items, err := s.View().CorrelatedData(id)
 	if err != nil {
 		return err
 	}

@@ -108,7 +108,7 @@ func main() {
 	// The hotspot's referent carries one annotation per annotator.
 	hot := store.ReferentsAt("chr1", 4050)
 	for _, r := range hot {
-		anns := store.AnnotationsOfReferent(r.ID)
+		anns := store.View().AnnotationsOfReferent(r.ID)
 		if len(anns) < len(annotators) {
 			continue
 		}
@@ -122,7 +122,7 @@ func main() {
 		for i, a := range anns {
 			ids[i] = a.ID
 		}
-		sg, err := store.ConnectAnnotations(ids...)
+		sg, err := store.View().ConnectAnnotations(ids...)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -132,7 +132,7 @@ func main() {
 
 	// Who worked near whom? Ontology-expanded retrieval plus the keyword
 	// index make cross-annotator review queries one-liners.
-	bindingSites, err := store.AnnotationsWithTermUnder("lab", "feature")
+	bindingSites, err := store.View().AnnotationsWithTermUnder("lab", "feature")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -42,12 +42,12 @@ func main() {
 	fmt.Println("=== annotation tab: marking heterogeneous sub-structures ===")
 
 	// A clade of the phylogeny.
-	clade, err := s.MarkClade(study.TreeID, "duck", "chicken")
+	clade, err := s.View().MarkClade(study.TreeID, "duck", "chicken")
 	if err != nil {
 		log.Fatal(err)
 	}
 	// A subgraph of the interactome.
-	subgraph, err := s.MarkSubgraph(study.GraphID, "NS1", "PKR", "EIF2A")
+	subgraph, err := s.View().MarkSubgraph(study.GraphID, "NS1", "PKR", "EIF2A")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func main() {
 	for _, r := range related {
 		fmt.Printf("  annotation %d by %s (%q)\n", r.ID, r.DC.First("creator"), r.DC.First("title"))
 	}
-	path, err := s.PathBetweenAnnotations(first.ID, second.ID)
+	path, err := s.View().PathBetweenAnnotations(first.ID, second.ID)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -33,7 +33,7 @@ func main() {
 	// Cross-image spatial query: all region marks in a window of the
 	// shared atlas, regardless of which image they came from.
 	window := graphitti.Rect2D(2000, 2000, 4000, 4000)
-	regions := s.RegionsOverlapping(study.System, window)
+	regions := s.View().RegionsOverlapping(study.System, window)
 	fmt.Printf("region marks overlapping atlas window %v: %d\n", window, len(regions))
 	byImage := map[string]int{}
 	for _, r := range regions {
@@ -62,8 +62,9 @@ func main() {
 
 	// Ontology-expanded retrieval: asking at the cerebellum level catches
 	// deep-cerebellar-nuclei annotations through the CI closure.
-	exact := s.AnnotationsWithTerm("nif", "cerebellum")
-	expanded, err := s.AnnotationsWithTermUnder("nif", "cerebellum")
+	v := s.View()
+	exact := v.AnnotationsWithTerm("nif", "cerebellum")
+	expanded, err := v.AnnotationsWithTermUnder("nif", "cerebellum")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func main() {
 
 	// Correlated-data view of the first TP53 answer.
 	if len(res.Annotations) > 0 {
-		items, err := s.CorrelatedData(res.Annotations[0].ID)
+		items, err := s.View().CorrelatedData(res.Annotations[0].ID)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -82,13 +82,13 @@ func main() {
 	a2 := commit(200, 300, "high conservation window", "")
 
 	fmt.Printf("annotation %d derives:\n", a1.ID)
-	for _, f := range graphitti.DerivedFrom(store, a1.ID) {
+	for _, f := range store.View().DerivedFrom(a1.ID) {
 		fmt.Printf("  [%s] -> %s  (%s)\n", f.Rule, f.Target, f.Witness)
 	}
 
 	// Provenance walkthrough: what was derived ONTO annotation 2, and
 	// from where? The witness names the edge that carried it.
-	prov, err := graphitti.ProvenanceOf(store, a2.ID)
+	prov, err := store.View().DerivedOnto(a2.ID)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func main() {
 	}
 
 	// 3. Mark a sub-structure and commit an annotation pointing at it.
-	mark, err := store.MarkSequenceInterval("NC_007362", graphitti.Span(100, 240))
+	mark, err := store.View().MarkSequenceInterval("NC_007362", graphitti.Span(100, 240))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func main() {
 	fmt.Printf("committed annotation %d; content document:\n\n%s\n", ann.ID, ann.Content.String())
 
 	// 4. Search annotation contents with a path-expression query.
-	hits, err := store.SearchContents("contains(/annotation/body, 'protease')")
+	hits, err := store.View().SearchContents("contains(/annotation/body, 'protease')")
 	if err != nil {
 		log.Fatal(err)
 	}

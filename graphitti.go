@@ -17,14 +17,16 @@
 //	store := graphitti.New()
 //	seq, _ := graphitti.NewDNA("NC_007362", "ACGT...")
 //	store.RegisterSequence(seq)
-//	mark, _ := store.MarkSequenceInterval("NC_007362", graphitti.Span(100, 240))
+//	mark, _ := store.View().MarkSequenceInterval("NC_007362", graphitti.Span(100, 240))
 //	store.Commit(store.NewAnnotation().
 //	        Creator("gupta").Date("2007-11-02").
 //	        Body("protease cleavage site").Refer(mark))
 //
-// Queries run either through the compositional API (SearchContents,
-// ReferentsOverlapping, RelatedAnnotations, …) or through the SPARQL-like
-// graph query language (NewProcessor / Execute; see package
+// A read runs on a pinned view: store.View() returns one, and several
+// reads that must agree share it. Queries run either through the view's
+// compositional API (SearchContents, ReferentsOverlapping,
+// RelatedAnnotations, DerivedFrom, DerivedOnto, …) or through the
+// SPARQL-like graph query language (NewProcessor / Execute; see package
 // internal/query). The two queries demonstrated in the paper are available
 // directly as QueryTP53Images (the intro's "protein.TP53 … Deep Cerebellar
 // nuclei" query) and QueryConsecutiveKeyword (the query tab's "4
@@ -149,19 +151,6 @@ func DeleteRule(s *Store, id string) error { return prop.Attach(s).DeleteRule(id
 
 // Rules returns the store's propagation rules, sorted by ID.
 func Rules(s *Store) []Rule { return prop.RulesOf(s) }
-
-// DerivedFrom returns the derived annotations sourced at the given
-// annotation — what it propagated onto, with rule and witness.
-func DerivedFrom(s *Store, annID uint64) []DerivedFact { return s.DerivedFrom(annID) }
-
-// ProvenanceOf traces the derived annotations targeting the given
-// annotation — its content node or any of its referents — back to their
-// sources: which rule, which source annotation, and through what edge.
-// The error distinguishes a nonexistent annotation from one with no
-// provenance.
-func ProvenanceOf(s *Store, annID uint64) ([]DerivedFact, error) {
-	return s.DerivedOnto(annID)
-}
 
 // NewProcessor returns a query processor bound to a store.
 func NewProcessor(s *Store) *Processor { return query.NewProcessor(s) }

@@ -21,7 +21,7 @@ func TestQuickstartFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.SearchContents("contains(/annotation/body, 'protease')")
+	got, err := s.View().SearchContents("contains(/annotation/body, 'protease')")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,14 +213,14 @@ func TestFig1Scenario(t *testing.T) {
 	}
 	// connect() over three annotations on the same study.
 	ids := study.AnnotationIDs[:2]
-	sg, err := s.ConnectAnnotations(append(ids, a1.ID)...)
+	sg, err := s.View().ConnectAnnotations(append(ids, a1.ID)...)
 	if err == nil {
 		if !sg.Connected() {
 			t.Fatal("connect returned a disconnected subgraph")
 		}
 	}
 	// Correlated data view on a1 includes the marked object.
-	items, err := s.CorrelatedData(a1.ID)
+	items, err := s.View().CorrelatedData(a1.ID)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -536,26 +536,11 @@ func (s *Store) Annotation(id uint64) (*Annotation, error) {
 	return s.View().Annotation(id)
 }
 
-// Referent returns a committed referent by ID.
-func (s *Store) Referent(id uint64) (*Referent, error) {
-	return s.View().Referent(id)
-}
-
-// Referents returns all committed referents, sorted by ID.
-func (s *Store) Referents() []*Referent { return s.View().Referents() }
-
 // ObjectHandle identifies a registered data object.
 type ObjectHandle struct {
 	Type ObjectType
 	ID   string
 }
 
-// ObjectList returns every registered data object (sequences, alignments,
-// trees, interaction graphs, images, record rows), sorted by (type, id).
-func (s *Store) ObjectList() []ObjectHandle { return s.View().ObjectList() }
-
 // Annotations returns all committed annotations, sorted by ID.
 func (s *Store) Annotations() []*Annotation { return s.View().Annotations() }
-
-// AnnotationIDs returns the IDs of all committed annotations, sorted.
-func (s *Store) AnnotationIDs() []uint64 { return s.View().AnnotationIDs() }

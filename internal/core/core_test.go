@@ -142,10 +142,10 @@ func TestRegistrationErrors(t *testing.T) {
 		t.Fatalf("image w/o system: %v", err)
 	}
 	// Missing lookups.
-	if _, _, err := s.Sequence("ghost"); !errors.Is(err, ErrNoSuchObject) {
+	if _, _, err := s.View().Sequence("ghost"); !errors.Is(err, ErrNoSuchObject) {
 		t.Fatalf("ghost sequence: %v", err)
 	}
-	if _, err := s.Ontology("ghost"); !errors.Is(err, ErrNoSuchOntology) {
+	if _, err := s.View().Ontology("ghost"); !errors.Is(err, ErrNoSuchOntology) {
 		t.Fatalf("ghost ontology: %v", err)
 	}
 	if err := s.InsertRecord("not-a-record-table", nil); !errors.Is(err, ErrNoSuchObject) {
@@ -215,15 +215,15 @@ func TestRegistrationFillsRelationalTables(t *testing.T) {
 func TestMarkConstructors(t *testing.T) {
 	s := newDemoStore(t)
 
-	r, err := s.MarkSequenceInterval("NC_007363", interval.Interval{Lo: 10, Hi: 50})
+	r, err := s.View().MarkSequenceInterval("NC_007363", interval.Interval{Lo: 10, Hi: 50})
 	mustNoErr(t, err)
 	if r.Domain != "segment4" || r.Interval != (interval.Interval{Lo: 210, Hi: 250}) {
 		t.Fatalf("interval mark = %+v (domain normalisation failed)", r)
 	}
-	if _, err := s.MarkSequenceInterval("NC_007363", interval.Interval{Lo: 390, Hi: 410}); !errors.Is(err, ErrBadMark) {
+	if _, err := s.View().MarkSequenceInterval("NC_007363", interval.Interval{Lo: 390, Hi: 410}); !errors.Is(err, ErrBadMark) {
 		t.Fatalf("out-of-range mark: %v", err)
 	}
-	if _, err := s.MarkSequenceInterval("ghost", interval.Interval{Lo: 0, Hi: 1}); !errors.Is(err, ErrNoSuchObject) {
+	if _, err := s.View().MarkSequenceInterval("ghost", interval.Interval{Lo: 0, Hi: 1}); !errors.Is(err, ErrNoSuchObject) {
 		t.Fatalf("ghost sequence mark: %v", err)
 	}
 
@@ -236,58 +236,58 @@ func TestMarkConstructors(t *testing.T) {
 		t.Fatalf("uncovered domain mark: %v", err)
 	}
 
-	r, err = s.MarkImageRegion("brain-2", rtree.Rect2D(0, 0, 100, 100))
+	r, err = s.View().MarkImageRegion("brain-2", rtree.Rect2D(0, 0, 100, 100))
 	mustNoErr(t, err)
 	if r.Domain != "atlas" || r.Region != rtree.Rect2D(250, 250, 350, 350) {
 		t.Fatalf("region mark = %+v (registration failed)", r)
 	}
-	if _, err := s.MarkImageRegion("brain-2", rtree.Rect2D(400, 400, 600, 600)); !errors.Is(err, ErrBadMark) {
+	if _, err := s.View().MarkImageRegion("brain-2", rtree.Rect2D(400, 400, 600, 600)); !errors.Is(err, ErrBadMark) {
 		t.Fatalf("oversize region: %v", err)
 	}
 
-	r, err = s.MarkClade("H5N1-tree", "goose", "duck")
+	r, err = s.View().MarkClade("H5N1-tree", "goose", "duck")
 	mustNoErr(t, err)
 	if len(r.Keys) != 2 || r.Keys[0] != "duck" {
 		t.Fatalf("clade mark = %+v", r)
 	}
-	if _, err := s.MarkClade("H5N1-tree", "goose", "ghost"); !errors.Is(err, ErrBadMark) {
+	if _, err := s.View().MarkClade("H5N1-tree", "goose", "ghost"); !errors.Is(err, ErrBadMark) {
 		t.Fatalf("ghost leaf: %v", err)
 	}
 
-	r, err = s.MarkSubgraph("NS1-net", "NS1", "PKR")
+	r, err = s.View().MarkSubgraph("NS1-net", "NS1", "PKR")
 	mustNoErr(t, err)
 	if len(r.Keys) != 2 {
 		t.Fatalf("subgraph mark = %+v", r)
 	}
 
-	r, err = s.MarkAlignmentBlock("HA-aln", []string{"NC_007362"}, interval.Interval{Lo: 2, Hi: 6})
+	r, err = s.View().MarkAlignmentBlock("HA-aln", []string{"NC_007362"}, interval.Interval{Lo: 2, Hi: 6})
 	mustNoErr(t, err)
 	if r.Interval.Len() != 4 {
 		t.Fatalf("block mark = %+v", r)
 	}
 
-	r, err = s.MarkRecords("isolates", relstore.S("A/goose/1996"))
+	r, err = s.View().MarkRecords("isolates", relstore.S("A/goose/1996"))
 	mustNoErr(t, err)
 	if len(r.Keys) != 1 {
 		t.Fatalf("record mark = %+v", r)
 	}
-	if _, err := s.MarkRecords("isolates", relstore.S("ghost")); !errors.Is(err, ErrBadMark) {
+	if _, err := s.View().MarkRecords("isolates", relstore.S("ghost")); !errors.Is(err, ErrBadMark) {
 		t.Fatalf("ghost record: %v", err)
 	}
 
-	r, err = s.MarkObject(TypeTree, "H5N1-tree")
+	r, err = s.View().MarkObject(TypeTree, "H5N1-tree")
 	mustNoErr(t, err)
 	if r.Kind != ObjectReferent {
 		t.Fatalf("object mark = %+v", r)
 	}
-	if _, err := s.MarkObject(TypeTree, "ghost"); !errors.Is(err, ErrNoSuchObject) {
+	if _, err := s.View().MarkObject(TypeTree, "ghost"); !errors.Is(err, ErrNoSuchObject) {
 		t.Fatalf("ghost object: %v", err)
 	}
 }
 
 func TestCommitPipeline(t *testing.T) {
 	s := newDemoStore(t)
-	mark, err := s.MarkSequenceInterval("NC_007362", interval.Interval{Lo: 100, Hi: 240})
+	mark, err := s.View().MarkSequenceInterval("NC_007362", interval.Interval{Lo: 100, Hi: 240})
 	mustNoErr(t, err)
 
 	ann, err := s.Commit(s.NewAnnotation().
@@ -321,7 +321,7 @@ func TestCommitPipeline(t *testing.T) {
 		}
 	}
 	// Referent stored and indexed.
-	ref, err := s.Referent(ann.ReferentIDs[0])
+	ref, err := s.View().Referent(ann.ReferentIDs[0])
 	mustNoErr(t, err)
 	if ref.Interval != (interval.Interval{Lo: 100, Hi: 240}) {
 		t.Fatalf("stored referent = %+v", ref)
@@ -334,7 +334,7 @@ func TestCommitPipeline(t *testing.T) {
 	if s.View().Graph().OutCount(agraph2Content(ann.ID)) == 0 {
 		t.Fatal("content node not wired")
 	}
-	anns := s.AnnotationsOnObject(TypeDNA, "NC_007362")
+	anns := s.View().AnnotationsOnObject(TypeDNA, "NC_007362")
 	if len(anns) != 1 || anns[0].ID != ann.ID {
 		t.Fatalf("AnnotationsOnObject = %v", anns)
 	}
@@ -347,7 +347,7 @@ func TestCommitPipeline(t *testing.T) {
 
 func TestCommitValidation(t *testing.T) {
 	s := newDemoStore(t)
-	mark, _ := s.MarkSequenceInterval("NC_007362", interval.Interval{Lo: 0, Hi: 10})
+	mark, _ := s.View().MarkSequenceInterval("NC_007362", interval.Interval{Lo: 0, Hi: 10})
 
 	// Missing creator/date.
 	if _, err := s.Commit(s.NewAnnotation().Refer(mark)); err == nil {
@@ -390,8 +390,8 @@ func TestCommitValidation(t *testing.T) {
 func TestSharedReferentIndirectRelation(t *testing.T) {
 	s := newDemoStore(t)
 	// Two scientists mark the identical interval.
-	m1, _ := s.MarkSequenceInterval("NC_007362", interval.Interval{Lo: 100, Hi: 240})
-	m2, _ := s.MarkSequenceInterval("NC_007362", interval.Interval{Lo: 100, Hi: 240})
+	m1, _ := s.View().MarkSequenceInterval("NC_007362", interval.Interval{Lo: 100, Hi: 240})
+	m2, _ := s.View().MarkSequenceInterval("NC_007362", interval.Interval{Lo: 100, Hi: 240})
 
 	a1, err := s.Commit(s.NewAnnotation().Creator("gupta").Date("2007-11-01").
 		Title("first").Body("looks like a protease site").Refer(m1))
@@ -409,7 +409,7 @@ func TestSharedReferentIndirectRelation(t *testing.T) {
 		t.Fatalf("referent count = %d", s.Stats().Referents)
 	}
 	// Both annotations attach to the referent.
-	anns := s.AnnotationsOfReferent(a1.ReferentIDs[0])
+	anns := s.View().AnnotationsOfReferent(a1.ReferentIDs[0])
 	if len(anns) != 2 {
 		t.Fatalf("annotations of referent = %d", len(anns))
 	}
@@ -420,7 +420,7 @@ func TestSharedReferentIndirectRelation(t *testing.T) {
 		t.Fatalf("related = %v", rel)
 	}
 	// And there is an a-graph path content1 - referent - content2.
-	p, err := s.PathBetweenAnnotations(a1.ID, a2.ID)
+	p, err := s.View().PathBetweenAnnotations(a1.ID, a2.ID)
 	mustNoErr(t, err)
 	if p.Len() != 2 {
 		t.Fatalf("path length = %d, want 2", p.Len())
@@ -429,8 +429,8 @@ func TestSharedReferentIndirectRelation(t *testing.T) {
 
 func TestRelatedThroughSharedObject(t *testing.T) {
 	s := newDemoStore(t)
-	m1, _ := s.MarkSequenceInterval("NC_007362", interval.Interval{Lo: 0, Hi: 50})
-	m2, _ := s.MarkSequenceInterval("NC_007362", interval.Interval{Lo: 300, Hi: 350})
+	m1, _ := s.View().MarkSequenceInterval("NC_007362", interval.Interval{Lo: 0, Hi: 50})
+	m2, _ := s.View().MarkSequenceInterval("NC_007362", interval.Interval{Lo: 300, Hi: 350})
 	a1, err := s.Commit(s.NewAnnotation().Creator("a").Date("2008-01-01").Refer(m1))
 	mustNoErr(t, err)
 	a2, err := s.Commit(s.NewAnnotation().Creator("b").Date("2008-01-02").Refer(m2))
@@ -444,8 +444,8 @@ func TestRelatedThroughSharedObject(t *testing.T) {
 
 func TestSearchContents(t *testing.T) {
 	s := newDemoStore(t)
-	m1, _ := s.MarkSequenceInterval("NC_007362", interval.Interval{Lo: 0, Hi: 50})
-	m2, _ := s.MarkImageRegion("brain-1", rtree.Rect2D(10, 10, 40, 40))
+	m1, _ := s.View().MarkSequenceInterval("NC_007362", interval.Interval{Lo: 0, Hi: 50})
+	m2, _ := s.View().MarkImageRegion("brain-1", rtree.Rect2D(10, 10, 40, 40))
 	_, err := s.Commit(s.NewAnnotation().Creator("gupta").Date("2008-01-01").
 		Title("protease observation").Body("contains protease motif").Refer(m1))
 	mustNoErr(t, err)
@@ -454,22 +454,22 @@ func TestSearchContents(t *testing.T) {
 		OntologyRef("nif", "deep-cerebellar-nuclei"))
 	mustNoErr(t, err)
 
-	got, err := s.SearchContents("contains(/annotation/body, 'protease')")
+	got, err := s.View().SearchContents("contains(/annotation/body, 'protease')")
 	mustNoErr(t, err)
 	if len(got) != 1 || got[0].DC.First("creator") != "gupta" {
 		t.Fatalf("search protease = %v", got)
 	}
-	got, err = s.SearchContents("//referent[@kind='region']")
+	got, err = s.View().SearchContents("//referent[@kind='region']")
 	mustNoErr(t, err)
 	if len(got) != 1 || got[0].DC.First("creator") != "condit" {
 		t.Fatalf("search region = %v", got)
 	}
-	got, err = s.SearchContents("//ref[@term='deep-cerebellar-nuclei']")
+	got, err = s.View().SearchContents("//ref[@term='deep-cerebellar-nuclei']")
 	mustNoErr(t, err)
 	if len(got) != 1 {
 		t.Fatalf("search term = %v", got)
 	}
-	if _, err := s.SearchContents("((("); err == nil {
+	if _, err := s.View().SearchContents("((("); err == nil {
 		t.Fatal("bad query accepted")
 	}
 }
@@ -477,7 +477,7 @@ func TestSearchContents(t *testing.T) {
 func TestSearchKeywordIndexVsScan(t *testing.T) {
 	s := newDemoStore(t)
 	for i := 0; i < 20; i++ {
-		m, _ := s.MarkSequenceInterval("NC_007362", interval.Interval{Lo: int64(i * 10), Hi: int64(i*10 + 5)})
+		m, _ := s.View().MarkSequenceInterval("NC_007362", interval.Interval{Lo: int64(i * 10), Hi: int64(i*10 + 5)})
 		body := "routine observation"
 		if i%4 == 0 {
 			body = "notable protease activity"
@@ -508,8 +508,8 @@ func TestSearchKeywordIndexVsScan(t *testing.T) {
 func TestRegionQueriesAcrossImages(t *testing.T) {
 	s := newDemoStore(t)
 	// brain-1 occupies [0,500)^2, brain-2 occupies [250,750)^2 in atlas.
-	m1, _ := s.MarkImageRegion("brain-1", rtree.Rect2D(200, 200, 300, 300)) // atlas [200,300)
-	m2, _ := s.MarkImageRegion("brain-2", rtree.Rect2D(0, 0, 100, 100))     // atlas [250,350)
+	m1, _ := s.View().MarkImageRegion("brain-1", rtree.Rect2D(200, 200, 300, 300)) // atlas [200,300)
+	m2, _ := s.View().MarkImageRegion("brain-2", rtree.Rect2D(0, 0, 100, 100))     // atlas [250,350)
 	_, err := s.Commit(s.NewAnnotation().Creator("a").Date("2008-01-01").Refer(m1))
 	mustNoErr(t, err)
 	_, err = s.Commit(s.NewAnnotation().Creator("b").Date("2008-01-02").Refer(m2))
@@ -517,7 +517,7 @@ func TestRegionQueriesAcrossImages(t *testing.T) {
 
 	// A query box covering the overlap finds both marks, though they come
 	// from different images — the shared coordinate system at work.
-	hits := s.RegionsOverlapping("atlas", rtree.Rect2D(260, 260, 290, 290))
+	hits := s.View().RegionsOverlapping("atlas", rtree.Rect2D(260, 260, 290, 290))
 	if len(hits) != 2 {
 		t.Fatalf("cross-image region query = %d hits, want 2", len(hits))
 	}
@@ -535,38 +535,38 @@ func TestNextReferent(t *testing.T) {
 		mustNoErr(t, err)
 		ann, err := s.Commit(s.NewAnnotation().Creator("u").Date("2008-01-01").Refer(m))
 		mustNoErr(t, err)
-		r, err := s.Referent(ann.ReferentIDs[0])
+		r, err := s.View().Referent(ann.ReferentIDs[0])
 		mustNoErr(t, err)
 		refs = append(refs, r)
 	}
-	next, ok := s.NextReferent(refs[0])
+	next, ok := s.View().NextReferent(refs[0])
 	if !ok || next.ID != refs[1].ID {
 		t.Fatalf("next of first = %v, %v", next, ok)
 	}
-	next, ok = s.NextReferent(refs[1])
+	next, ok = s.View().NextReferent(refs[1])
 	if !ok || next.ID != refs[2].ID {
 		t.Fatalf("next of second = %v, %v", next, ok)
 	}
-	if _, ok := s.NextReferent(refs[2]); ok {
+	if _, ok := s.View().NextReferent(refs[2]); ok {
 		t.Fatal("next past the last referent")
 	}
-	if _, ok := s.NextReferent(nil); ok {
+	if _, ok := s.View().NextReferent(nil); ok {
 		t.Fatal("next of nil")
 	}
 }
 
 func TestCorrelatedData(t *testing.T) {
 	s := newDemoStore(t)
-	m1, _ := s.MarkSequenceInterval("NC_007362", interval.Interval{Lo: 0, Hi: 50})
+	m1, _ := s.View().MarkSequenceInterval("NC_007362", interval.Interval{Lo: 0, Hi: 50})
 	a1, err := s.Commit(s.NewAnnotation().Creator("a").Date("2008-01-01").
 		Title("anchor").Refer(m1).OntologyRef("go", "protease"))
 	mustNoErr(t, err)
-	m2, _ := s.MarkSequenceInterval("NC_007362", interval.Interval{Lo: 100, Hi: 150})
+	m2, _ := s.View().MarkSequenceInterval("NC_007362", interval.Interval{Lo: 100, Hi: 150})
 	_, err = s.Commit(s.NewAnnotation().Creator("b").Date("2008-01-02").
 		Title("other").Refer(m2))
 	mustNoErr(t, err)
 
-	items, err := s.CorrelatedData(a1.ID)
+	items, err := s.View().CorrelatedData(a1.ID)
 	mustNoErr(t, err)
 	var haveObject, haveTerm, haveRelated bool
 	for _, it := range items {
@@ -582,29 +582,29 @@ func TestCorrelatedData(t *testing.T) {
 	if !haveObject || !haveTerm || !haveRelated {
 		t.Fatalf("correlated view incomplete: %+v", items)
 	}
-	if _, err := s.CorrelatedData(9999); !errors.Is(err, ErrNoSuchAnnotation) {
+	if _, err := s.View().CorrelatedData(9999); !errors.Is(err, ErrNoSuchAnnotation) {
 		t.Fatalf("ghost annotation: %v", err)
 	}
 }
 
 func TestAnnotationsWithTermUnder(t *testing.T) {
 	s := newDemoStore(t)
-	m, _ := s.MarkSequenceInterval("NC_007362", interval.Interval{Lo: 0, Hi: 10})
+	m, _ := s.View().MarkSequenceInterval("NC_007362", interval.Interval{Lo: 0, Hi: 10})
 	_, err := s.Commit(s.NewAnnotation().Creator("a").Date("2008-01-01").
 		Refer(m).OntologyRef("go", "serine-protease"))
 	mustNoErr(t, err)
 
 	// Exact term: no hit for the ancestor...
-	if got := s.AnnotationsWithTerm("go", "hydrolase"); len(got) != 0 {
+	if got := s.View().AnnotationsWithTerm("go", "hydrolase"); len(got) != 0 {
 		t.Fatalf("exact ancestor = %d", len(got))
 	}
 	// ...but ontology-expanded retrieval finds it.
-	got, err := s.AnnotationsWithTermUnder("go", "hydrolase")
+	got, err := s.View().AnnotationsWithTermUnder("go", "hydrolase")
 	mustNoErr(t, err)
 	if len(got) != 1 {
 		t.Fatalf("expanded = %d", len(got))
 	}
-	if _, err := s.AnnotationsWithTermUnder("go", "ghost"); err == nil {
+	if _, err := s.View().AnnotationsWithTermUnder("go", "ghost"); err == nil {
 		t.Fatal("ghost root accepted")
 	}
 }
@@ -614,13 +614,13 @@ func TestConnectAnnotations(t *testing.T) {
 	// Three annotations share the image object through different regions.
 	var ids []uint64
 	for i := 0; i < 3; i++ {
-		m, err := s.MarkImageRegion("brain-1", rtree.Rect2D(float64(i*50), 0, float64(i*50+40), 40))
+		m, err := s.View().MarkImageRegion("brain-1", rtree.Rect2D(float64(i*50), 0, float64(i*50+40), 40))
 		mustNoErr(t, err)
 		ann, err := s.Commit(s.NewAnnotation().Creator("u").Date("2008-01-01").Refer(m))
 		mustNoErr(t, err)
 		ids = append(ids, ann.ID)
 	}
-	sg, err := s.ConnectAnnotations(ids...)
+	sg, err := s.View().ConnectAnnotations(ids...)
 	mustNoErr(t, err)
 	if !sg.Connected() {
 		t.Fatal("connection subgraph disconnected")
@@ -630,26 +630,26 @@ func TestConnectAnnotations(t *testing.T) {
 			t.Fatalf("subgraph missing annotation %d", id)
 		}
 	}
-	if _, err := s.ConnectAnnotations(ids[0], 9999); !errors.Is(err, ErrNoSuchAnnotation) {
+	if _, err := s.View().ConnectAnnotations(ids[0], 9999); !errors.Is(err, ErrNoSuchAnnotation) {
 		t.Fatalf("ghost: %v", err)
 	}
 }
 
 func TestContentFragments(t *testing.T) {
 	s := newDemoStore(t)
-	m, _ := s.MarkSequenceInterval("NC_007362", interval.Interval{Lo: 0, Hi: 10})
+	m, _ := s.View().MarkSequenceInterval("NC_007362", interval.Interval{Lo: 0, Hi: 10})
 	ann, err := s.Commit(s.NewAnnotation().Creator("gupta").Date("2008-01-01").
 		Body("fragment me").Refer(m))
 	mustNoErr(t, err)
-	nodes, err := s.ContentFragments(ann.ID, "/annotation/body")
+	nodes, err := s.View().ContentFragments(ann.ID, "/annotation/body")
 	mustNoErr(t, err)
 	if len(nodes) != 1 || nodes[0].Text() != "fragment me" {
 		t.Fatalf("fragments = %v", nodes)
 	}
-	if _, err := s.ContentFragments(ann.ID, "((("); err == nil {
+	if _, err := s.View().ContentFragments(ann.ID, "((("); err == nil {
 		t.Fatal("bad expr accepted")
 	}
-	if _, err := s.ContentFragments(999, "/a"); !errors.Is(err, ErrNoSuchAnnotation) {
+	if _, err := s.View().ContentFragments(999, "/a"); !errors.Is(err, ErrNoSuchAnnotation) {
 		t.Fatalf("ghost: %v", err)
 	}
 }
@@ -694,16 +694,16 @@ func TestConcurrentCommits(t *testing.T) {
 
 func TestSubXOnHeterogeneousReferents(t *testing.T) {
 	s := newDemoStore(t)
-	seqMark, _ := s.MarkSequenceInterval("NC_007362", interval.Interval{Lo: 0, Hi: 50})
-	imgMark, _ := s.MarkImageRegion("brain-1", rtree.Rect2D(0, 0, 50, 50))
-	cladeMark, _ := s.MarkClade("H5N1-tree", "goose", "duck")
+	seqMark, _ := s.View().MarkSequenceInterval("NC_007362", interval.Interval{Lo: 0, Hi: 50})
+	imgMark, _ := s.View().MarkImageRegion("brain-1", rtree.Rect2D(0, 0, 50, 50))
+	cladeMark, _ := s.View().MarkClade("H5N1-tree", "goose", "duck")
 	// Heterogeneous marks never overlap.
 	if subx.IfOverlap(seqMark.Mark(), imgMark.Mark()) ||
 		seqMark.Overlaps(cladeMark) || imgMark.Overlaps(cladeMark) {
 		t.Fatal("heterogeneous marks must not overlap")
 	}
 	// Same-kind overlap works through the referent layer.
-	seqMark2, _ := s.MarkSequenceInterval("NC_007362", interval.Interval{Lo: 40, Hi: 90})
+	seqMark2, _ := s.View().MarkSequenceInterval("NC_007362", interval.Interval{Lo: 40, Hi: 90})
 	if !seqMark.Overlaps(seqMark2) {
 		t.Fatal("overlapping sequence marks not detected")
 	}

@@ -261,9 +261,6 @@ func (v *View) DerivedFrom(src uint64) []DerivedFact {
 	return out
 }
 
-// DerivedFrom returns the derived facts sourced at the given annotation.
-func (s *Store) DerivedFrom(src uint64) []DerivedFact { return s.View().DerivedFrom(src) }
-
 // DerivedFromEach visits the facts sourced at src, in canonical order,
 // until fn returns false — the zero-copy variant of DerivedFrom for
 // predicate checks on hot paths.
@@ -303,9 +300,6 @@ func (v *View) DerivedAll() []DerivedFact {
 	})
 	return out
 }
-
-// DerivedAll returns every derived fact.
-func (s *Store) DerivedAll() []DerivedFact { return s.View().DerivedAll() }
 
 // DerivedTargeting returns the derived facts whose target is the given
 // node — the provenance of everything derived onto it. One target-index
@@ -369,11 +363,6 @@ func (v *View) DerivedTargets() []agraph.NodeRef {
 	return out
 }
 
-// DerivedTargeting returns the derived facts targeting the given node.
-func (s *Store) DerivedTargeting(target agraph.NodeRef) []DerivedFact {
-	return s.View().DerivedTargeting(target)
-}
-
 // DerivedOnto returns the derived facts targeting an annotation's
 // content node or any of its referents — the full provenance of what was
 // propagated onto it. One target-index lookup per target: cost is the
@@ -419,12 +408,6 @@ func DerivedFactLess(a, b DerivedFact) bool {
 		return a.Target.Key < b.Target.Key
 	}
 	return a.Witness < b.Witness
-}
-
-// DerivedOnto returns the derived facts targeting an annotation's
-// content node or any of its referents.
-func (s *Store) DerivedOnto(annID uint64) ([]DerivedFact, error) {
-	return s.View().DerivedOnto(annID)
 }
 
 // DerivedCount returns the number of materialized derived facts.

@@ -137,12 +137,6 @@ func (v *View) ReferentsOverlapping(m subx.Mark) []*Referent {
 	return out
 }
 
-// ReferentsOverlapping returns the committed referents overlapping the
-// given mark (see View.ReferentsOverlapping).
-func (s *Store) ReferentsOverlapping(m subx.Mark) []*Referent {
-	return s.View().ReferentsOverlapping(m)
-}
-
 // ReferentsAt returns the interval referents containing the given point of
 // a coordinate domain (a stab query).
 func (v *View) ReferentsAt(domain string, pos int64) []*Referent {
@@ -163,12 +157,6 @@ func (v *View) RegionsOverlapping(system string, r rtree.Rect) []*Referent {
 	return v.ReferentsOverlapping(subx.RegionMark{System: system, R: r})
 }
 
-// RegionsOverlapping returns the region referents overlapping a rectangle
-// of a coordinate system.
-func (s *Store) RegionsOverlapping(system string, r rtree.Rect) []*Referent {
-	return s.View().RegionsOverlapping(system, r)
-}
-
 // NextReferent implements the SUB_X next operator on an interval referent:
 // the first interval referent that starts at or after the end of r in the
 // same domain. ok is false when none follows or r is not an interval mark.
@@ -184,11 +172,6 @@ func (v *View) NextReferent(r *Referent) (*Referent, bool) {
 	return v.referents.Get(e.ID), true
 }
 
-// NextReferent implements the SUB_X next operator on an interval referent.
-func (s *Store) NextReferent(r *Referent) (*Referent, bool) {
-	return s.View().NextReferent(r)
-}
-
 // IntervalDomains returns the names of coordinate domains that currently
 // have an interval tree, sorted (diagnostics for ablation A1).
 func (v *View) IntervalDomains() []string {
@@ -201,16 +184,8 @@ func (v *View) IntervalDomains() []string {
 	return out
 }
 
-// IntervalDomains returns the domains that currently have interval trees.
-func (s *Store) IntervalDomains() []string { return s.View().IntervalDomains() }
-
 // IntervalTreeSize returns the number of entries in one domain's tree.
 func (v *View) IntervalTreeSize(domain string) int {
 	tree, _ := v.itrees.Get(domain)
 	return tree.Len()
-}
-
-// IntervalTreeSize returns the number of entries in one domain's tree.
-func (s *Store) IntervalTreeSize(domain string) int {
-	return s.View().IntervalTreeSize(domain)
 }

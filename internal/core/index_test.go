@@ -136,7 +136,7 @@ func TestRefusedCommitLeavesNoTrace(t *testing.T) {
 					t.Fatal("commit accepted")
 				}
 
-				if g, w := got.IntervalDomains(), want.IntervalDomains(); !slices.Equal(g, w) {
+				if g, w := got.View().IntervalDomains(), want.View().IntervalDomains(); !slices.Equal(g, w) {
 					t.Errorf("IntervalDomains = %v, want %v", g, w)
 				}
 				if g, w := got.Stats(), want.Stats(); g != w {

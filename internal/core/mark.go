@@ -39,11 +39,6 @@ func (v *View) MarkSequenceInterval(seqID string, local interval.Interval) (*Ref
 	}, nil
 }
 
-// MarkSequenceInterval marks a local interval of a registered sequence.
-func (s *Store) MarkSequenceInterval(seqID string, local interval.Interval) (*Referent, error) {
-	return s.View().MarkSequenceInterval(seqID, local)
-}
-
 // MarkDomainInterval marks an interval directly in a coordinate domain
 // (e.g. whole-chromosome coordinates), without naming a specific sequence.
 // The domain must be owned by at least one registered sequence.
@@ -100,11 +95,6 @@ func (v *View) MarkImageRegion(imageID string, local rtree.Rect) (*Referent, err
 	}, nil
 }
 
-// MarkImageRegion marks a rectangle in image-local coordinates.
-func (s *Store) MarkImageRegion(imageID string, local rtree.Rect) (*Referent, error) {
-	return s.View().MarkImageRegion(imageID, local)
-}
-
 // MarkClade marks the clade of a registered tree spanned by the given
 // leaves (the full subtree under their lowest common ancestor).
 func (v *View) MarkClade(treeID string, leaves ...string) (*Referent, error) {
@@ -125,11 +115,6 @@ func (v *View) MarkClade(treeID string, leaves ...string) (*Referent, error) {
 	}, nil
 }
 
-// MarkClade marks the clade of a registered tree spanned by the leaves.
-func (s *Store) MarkClade(treeID string, leaves ...string) (*Referent, error) {
-	return s.View().MarkClade(treeID, leaves...)
-}
-
 // MarkSubgraph marks the subgraph of a registered interaction graph
 // induced by the given molecules.
 func (v *View) MarkSubgraph(graphID string, molecules ...string) (*Referent, error) {
@@ -148,11 +133,6 @@ func (v *View) MarkSubgraph(graphID string, molecules ...string) (*Referent, err
 		Domain:     graphID,
 		Keys:       sg.Molecules,
 	}, nil
-}
-
-// MarkSubgraph marks an induced subgraph of an interaction graph.
-func (s *Store) MarkSubgraph(graphID string, molecules ...string) (*Referent, error) {
-	return s.View().MarkSubgraph(graphID, molecules...)
 }
 
 // MarkAlignmentBlock marks a block of a registered alignment: the given
@@ -176,11 +156,6 @@ func (v *View) MarkAlignmentBlock(alnID string, rows []string, cols interval.Int
 		Interval:   block.Cols,
 		Keys:       keys,
 	}, nil
-}
-
-// MarkAlignmentBlock marks a block of a registered alignment.
-func (s *Store) MarkAlignmentBlock(alnID string, rows []string, cols interval.Interval) (*Referent, error) {
-	return s.View().MarkAlignmentBlock(alnID, rows, cols)
 }
 
 // MarkRecords marks a set of rows of a user record table by primary key
@@ -208,11 +183,6 @@ func (v *View) MarkRecords(table string, keys ...relstore.Value) (*Referent, err
 		Domain:     table,
 		Keys:       strKeys,
 	}, nil
-}
-
-// MarkRecords marks a set of rows of a user record table by primary key.
-func (s *Store) MarkRecords(table string, keys ...relstore.Value) (*Referent, error) {
-	return s.View().MarkRecords(table, keys...)
 }
 
 // MarkObject marks a whole registered data object.
@@ -243,11 +213,6 @@ func (v *View) MarkObject(typ ObjectType, objectID string) (*Referent, error) {
 		Domain:     string(typ),
 		Keys:       []string{objectID},
 	}, nil
-}
-
-// MarkObject marks a whole registered data object.
-func (s *Store) MarkObject(typ ObjectType, objectID string) (*Referent, error) {
-	return s.View().MarkObject(typ, objectID)
 }
 
 // markKey canonicalises a referent's identity so that identical marks made

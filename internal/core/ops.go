@@ -79,15 +79,6 @@ func (k OpKind) String() string {
 	}
 }
 
-// IDCounters returns the annotation and referent ID counters (the next
-// commit assigns nextAnn+1 / nextRef+1). Snapshots persist them so a
-// restored store continues the exact ID sequence of the original —
-// required for the durable layer's replay determinism when IDs outlive
-// their annotations (deleted annotations leave gaps).
-func (s *Store) IDCounters() (nextAnn, nextRef uint64) {
-	return s.View().IDCounters()
-}
-
 // RestoreIDCounters sets the ID counters after a snapshot load. Counters
 // may only move forward: lowering them would re-issue IDs that earlier
 // annotations (possibly deleted ones recorded in a log) already used.

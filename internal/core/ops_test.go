@@ -118,7 +118,7 @@ func TestEveryOpKindAdvancesTheEpochByOne(t *testing.T) {
 	// it marks.
 	scratch := core.NewStore()
 	must(scratch.Batch(persist.SequenceOp(sq).Apply))
-	m, err := scratch.MarkSequenceInterval("NC_1", interval.Interval{Lo: 10, Hi: 50})
+	m, err := scratch.View().MarkSequenceInterval("NC_1", interval.Interval{Lo: 10, Hi: 50})
 	must(err)
 	ann, err := scratch.Commit(scratch.NewAnnotation().Creator("a").Date("2008-01-01").Body("protease site").Refer(m))
 	must(err)

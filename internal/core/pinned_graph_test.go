@@ -71,7 +71,7 @@ func TestPinnedViewGraphReads(t *testing.T) {
 		t.Run(fmt.Sprintf("batched=%v", batched), func(t *testing.T) {
 			s := newDemoStore(t)
 			note := func(seqID string, title string) *Builder {
-				m, err := s.MarkSequenceInterval(seqID, interval.Interval{Lo: 10, Hi: 20})
+				m, err := s.View().MarkSequenceInterval(seqID, interval.Interval{Lo: 10, Hi: 20})
 				mustNoErr(t, err)
 				return s.NewAnnotation().Creator("u").Date("2008-01-01").Title(title).Refer(m)
 			}
@@ -103,7 +103,7 @@ func TestPinnedViewGraphReads(t *testing.T) {
 				if err := del(b.ID); err != nil {
 					return err
 				}
-				zm, err := s.MarkSequenceInterval("P03452", interval.Interval{Lo: 10, Hi: 20})
+				zm, err := s.View().MarkSequenceInterval("P03452", interval.Interval{Lo: 10, Hi: 20})
 				mustNoErr(t, err)
 				c, err = commit(note("NC_007362", "c").Refer(zm).OntologyRef("go", "protease"))
 				return err
@@ -148,7 +148,7 @@ func TestQuickGraphReadsVsScan(t *testing.T) {
 				b := s.NewAnnotation().Creator("u").Date("2008-01-01")
 				for n := 1 + rng.Intn(2); n > 0; n-- {
 					lo := int64(n*60 + rng.Intn(6)*10) // few distinct marks: referents get shared, never within one annotation
-					m, err := s.MarkSequenceInterval(seqs[rng.Intn(len(seqs))], interval.Interval{Lo: lo, Hi: lo + 10})
+					m, err := s.View().MarkSequenceInterval(seqs[rng.Intn(len(seqs))], interval.Interval{Lo: lo, Hi: lo + 10})
 					mustNoErr(t, err)
 					b.Refer(m)
 				}

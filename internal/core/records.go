@@ -28,9 +28,6 @@ func reservedTableName(name string) bool {
 	return false
 }
 
-// RecordTables returns the names of all user record tables, sorted.
-func (s *Store) RecordTables() []string { return s.View().RecordTables() }
-
 // CreateRecordTable creates a user-defined relational table whose rows can
 // be annotated as record-set referents (the demo's "relational records").
 // The names of the built-in object types are taken.

@@ -51,7 +51,7 @@ func TestRecordTableNames(t *testing.T) {
 			t.Errorf("CreateRecordTable(%q) moved the epoch %d -> %d", tc.name, before, s.View().Epoch())
 		}
 	}
-	if got, want := s.RecordTables(), []string{"findings", "isolates", "records"}; !slices.Equal(got, want) {
+	if got, want := s.View().RecordTables(), []string{"findings", "isolates", "records"}; !slices.Equal(got, want) {
 		t.Fatalf("RecordTables = %v, want %v", got, want)
 	}
 }
@@ -101,7 +101,7 @@ func TestInsertRecordChecks(t *testing.T) {
 	if len(rows) != 4 || rows[0][0].Int() != 3 || rows[3][0].Int() != 9 || rows[3][1].Str() != "PB2" {
 		t.Fatalf("rows = %v", rows)
 	}
-	if _, err := s.MarkRecords("findings", relstore.F(3)); err != nil {
+	if _, err := s.View().MarkRecords("findings", relstore.F(3)); err != nil {
 		t.Errorf("3.0 does not find the row keyed 3: %v", err)
 	}
 }

@@ -140,17 +140,6 @@ func searchChunk(ctx context.Context, q *xquery.Query, expr string, anns []*Anno
 	return out, nil
 }
 
-// SearchContents evaluates a path-expression query against the current
-// view (see View.SearchContents).
-func (s *Store) SearchContents(expr string) ([]*Annotation, error) {
-	return s.View().SearchContents(expr)
-}
-
-// SearchContentsCtx is SearchContents with cancellation.
-func (s *Store) SearchContentsCtx(ctx context.Context, expr string) ([]*Annotation, error) {
-	return s.View().SearchContentsCtx(ctx, expr)
-}
-
 // NormalizeKeyword canonicalises a user-supplied keyword the way the
 // inverted index stores tokens: trimmed and lower-cased. Every keyword
 // comparison path (the index seed, the document scan, and the query
@@ -226,11 +215,6 @@ func (v *View) AnnotationsOnObject(typ ObjectType, objectID string) []*Annotatio
 	return out
 }
 
-// AnnotationsOnObject returns the annotations marking the given object.
-func (s *Store) AnnotationsOnObject(typ ObjectType, objectID string) []*Annotation {
-	return s.View().AnnotationsOnObject(typ, objectID)
-}
-
 // AnnotationsOfReferent returns the annotations attached to a referent.
 func (v *View) AnnotationsOfReferent(refID uint64) []*Annotation {
 	var out []*Annotation
@@ -244,11 +228,6 @@ func (v *View) AnnotationsOfReferent(refID uint64) []*Annotation {
 	}, agraph.LabelAnnotates)
 	sortAnnotations(out)
 	return out
-}
-
-// AnnotationsOfReferent returns the annotations attached to a referent.
-func (s *Store) AnnotationsOfReferent(refID uint64) []*Annotation {
-	return s.View().AnnotationsOfReferent(refID)
 }
 
 // AnnotationsWithTerm returns the annotations pointing at the exact
@@ -267,11 +246,6 @@ func (v *View) AnnotationsWithTerm(ontologyName, termID string) []*Annotation {
 	}, agraph.LabelRefersTo)
 	sortAnnotations(out)
 	return out
-}
-
-// AnnotationsWithTerm returns the annotations pointing at the term.
-func (s *Store) AnnotationsWithTerm(ontologyName, termID string) []*Annotation {
-	return s.View().AnnotationsWithTerm(ontologyName, termID)
 }
 
 // AnnotationsWithTermUnder returns the annotations pointing at the given
@@ -299,11 +273,6 @@ func (v *View) AnnotationsWithTermUnder(ontologyName, rootTerm string) ([]*Annot
 	}
 	sortAnnotations(out)
 	return out, nil
-}
-
-// AnnotationsWithTermUnder returns annotations under the term's closure.
-func (s *Store) AnnotationsWithTermUnder(ontologyName, rootTerm string) ([]*Annotation, error) {
-	return s.View().AnnotationsWithTermUnder(ontologyName, rootTerm)
 }
 
 // RelatedAnnotations returns annotations indirectly related to the given
@@ -421,11 +390,6 @@ func (v *View) CorrelatedData(annID uint64) ([]CorrelatedItem, error) {
 	return items, nil
 }
 
-// CorrelatedData returns the correlated-data view of an annotation.
-func (s *Store) CorrelatedData(annID uint64) ([]CorrelatedItem, error) {
-	return s.View().CorrelatedData(annID)
-}
-
 // PathBetweenAnnotations returns a shortest a-graph path between two
 // annotations' content nodes.
 func (v *View) PathBetweenAnnotations(a, b uint64) (*agraph.Path, error) {
@@ -436,12 +400,6 @@ func (v *View) PathBetweenAnnotations(a, b uint64) (*agraph.Path, error) {
 		return nil, err
 	}
 	return v.graph.FindPath(agraph.ContentRoot(a), agraph.ContentRoot(b))
-}
-
-// PathBetweenAnnotations returns a shortest a-graph path between two
-// annotations' content nodes.
-func (s *Store) PathBetweenAnnotations(a, b uint64) (*agraph.Path, error) {
-	return s.View().PathBetweenAnnotations(a, b)
 }
 
 // ConnectAnnotations returns a connection subgraph joining the given
@@ -456,12 +414,6 @@ func (v *View) ConnectAnnotations(ids ...uint64) (*agraph.Subgraph, error) {
 		refs = append(refs, agraph.ContentRoot(id))
 	}
 	return v.graph.Connect(refs...)
-}
-
-// ConnectAnnotations returns a connection subgraph joining the given
-// annotations' content nodes.
-func (s *Store) ConnectAnnotations(ids ...uint64) (*agraph.Subgraph, error) {
-	return s.View().ConnectAnnotations(ids...)
 }
 
 // parseContentRef extracts the annotation ID from a content node ref.
@@ -483,9 +435,4 @@ func (v *View) ContentFragments(annID uint64, expr string) ([]xmldoc.Node, error
 		return nil, err
 	}
 	return q.Eval(ann.Content)
-}
-
-// ContentFragments evaluates a path expression against one annotation.
-func (s *Store) ContentFragments(annID uint64, expr string) ([]xmldoc.Node, error) {
-	return s.View().ContentFragments(annID, expr)
 }

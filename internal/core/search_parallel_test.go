@@ -26,7 +26,7 @@ func seqStore(t testing.TB, n int) *Store {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		m, err := s.MarkSequenceInterval("chrP", interval.Interval{Lo: int64(i % 5000), Hi: int64(i%5000 + 10)})
+		m, err := s.View().MarkSequenceInterval("chrP", interval.Interval{Lo: int64(i % 5000), Hi: int64(i%5000 + 10)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +118,7 @@ func TestSearchContentsCancellation(t *testing.T) {
 func TestKeywordIndexSorted(t *testing.T) {
 	s := seqStore(t, 120)
 	// Churn: delete a third of the annotations.
-	for _, id := range s.AnnotationIDs() {
+	for _, id := range s.View().AnnotationIDs() {
 		if id%5 == 0 {
 			if err := s.DeleteAnnotation(id); err != nil {
 				t.Fatal(err)

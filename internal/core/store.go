@@ -30,9 +30,12 @@ import (
 // no reader/writer contention — a slow collection scan never delays a
 // commit, and a burst of commits never delays a scan.
 //
-// All methods are safe for concurrent use. The Store's read methods are
-// per-call conveniences that pin a fresh view each time; callers needing
-// several reads against one consistent snapshot should pin View() once.
+// All methods are safe for concurrent use. A read runs on a pinned view:
+// the read methods are View's, and a caller pins View() once for as many
+// reads as must agree. The few read methods left on Store (Annotation,
+// Annotations, Stats, RelatedAnnotations, ReferentsAt, SearchKeyword,
+// MarkDomainInterval) pin a fresh view per call; the benchmark harness
+// calls them.
 type Store struct {
 	// w serializes mutations, and tx is the writer session that runs
 	// under it (see Batch). Readers never take w.
@@ -104,14 +107,6 @@ func (x *Tx) RegisterOntology(o *ontology.Ontology) error {
 	return nil
 }
 
-// Ontology returns a registered ontology.
-func (s *Store) Ontology(name string) (*ontology.Ontology, error) {
-	return s.View().Ontology(name)
-}
-
-// Ontologies returns the names of registered ontologies, sorted.
-func (s *Store) Ontologies() []string { return s.View().Ontologies() }
-
 // RegisterCoordinateSystem makes a shared spatial reference available for
 // image registration.
 func (s *Store) RegisterCoordinateSystem(cs *imaging.CoordinateSystem) error {
@@ -134,11 +129,6 @@ func (x *Tx) RegisterCoordinateSystem(cs *imaging.CoordinateSystem) error {
 	x.rt.Set(cs.Name, tree)
 	x.ops++
 	return nil
-}
-
-// CoordinateSystem returns a registered coordinate system.
-func (s *Store) CoordinateSystem(name string) (*imaging.CoordinateSystem, error) {
-	return s.View().CoordinateSystem(name)
 }
 
 func seqObjectType(k seq.Kind) ObjectType {
@@ -175,11 +165,6 @@ func (x *Tx) RegisterSequence(sq *seq.Sequence) error {
 	return nil
 }
 
-// Sequence returns a registered sequence and its object type.
-func (s *Store) Sequence(id string) (*seq.Sequence, ObjectType, error) {
-	return s.View().Sequence(id)
-}
-
 // RegisterAlignment registers a multiple sequence alignment.
 func (s *Store) RegisterAlignment(a *msa.Alignment) error {
 	return s.Batch(func(x *Tx) error { return x.RegisterAlignment(a) })
@@ -195,11 +180,6 @@ func (x *Tx) RegisterAlignment(a *msa.Alignment) error {
 	nv.alnIDs = insertSortedStr(nv.alnIDs, a.ID)
 	x.addObject(TypeAlignment, a.ID)
 	return nil
-}
-
-// Alignment returns a registered alignment.
-func (s *Store) Alignment(id string) (*msa.Alignment, error) {
-	return s.View().Alignment(id)
 }
 
 // RegisterTree registers a phylogenetic tree.
@@ -219,11 +199,6 @@ func (x *Tx) RegisterTree(t *phylo.Tree) error {
 	return nil
 }
 
-// Tree returns a registered phylogenetic tree.
-func (s *Store) Tree(id string) (*phylo.Tree, error) {
-	return s.View().Tree(id)
-}
-
 // RegisterInteractionGraph registers a molecular interaction graph.
 func (s *Store) RegisterInteractionGraph(g *interact.Graph) error {
 	return s.Batch(func(x *Tx) error { return x.RegisterInteractionGraph(g) })
@@ -240,11 +215,6 @@ func (x *Tx) RegisterInteractionGraph(g *interact.Graph) error {
 	nv.igraphIDs = insertSortedStr(nv.igraphIDs, g.ID)
 	x.addObject(TypeInteraction, g.ID)
 	return nil
-}
-
-// InteractionGraph returns a registered interaction graph.
-func (s *Store) InteractionGraph(id string) (*interact.Graph, error) {
-	return s.View().InteractionGraph(id)
 }
 
 // RegisterImage registers an image; its coordinate system must have been
@@ -275,31 +245,6 @@ func (x *Tx) RegisterImage(im *imaging.Image) error {
 	}
 	return nil
 }
-
-// Image returns a registered image.
-func (s *Store) Image(id string) (*imaging.Image, error) {
-	return s.View().Image(id)
-}
-
-// Images returns the IDs of all registered images, sorted.
-func (s *Store) Images() []string { return s.View().Images() }
-
-// SequenceIDs returns the IDs of all registered sequences, sorted.
-func (s *Store) SequenceIDs() []string { return s.View().SequenceIDs() }
-
-// AlignmentIDs returns the IDs of all registered alignments, sorted.
-func (s *Store) AlignmentIDs() []string { return s.View().AlignmentIDs() }
-
-// TreeIDs returns the IDs of all registered phylogenetic trees, sorted.
-func (s *Store) TreeIDs() []string { return s.View().TreeIDs() }
-
-// InteractionGraphIDs returns the IDs of all registered interaction
-// graphs, sorted.
-func (s *Store) InteractionGraphIDs() []string { return s.View().InteractionGraphIDs() }
-
-// CoordinateSystems returns the names of all registered coordinate
-// systems, sorted.
-func (s *Store) CoordinateSystems() []string { return s.View().CoordinateSystems() }
 
 // Stats summarises the store for the admin workflow.
 type Stats struct {

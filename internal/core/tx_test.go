@@ -302,7 +302,7 @@ func TestCommitCostIsFlatInStoreSize(t *testing.T) {
 	const pairs = 200
 	perPair := func(n, perSeq int) float64 {
 		note := func(s *Store, i int) *Builder {
-			m, err := s.MarkSequenceInterval(fmt.Sprintf("seq%d", i/perSeq),
+			m, err := s.View().MarkSequenceInterval(fmt.Sprintf("seq%d", i/perSeq),
 				interval.Interval{Lo: int64(i % perSeq), Hi: int64(i%perSeq + 10)})
 			mustNoErr(t, err)
 			return s.NewAnnotation().Creator("p").Date("2008-01-01").Title(fmt.Sprintf("note-%d", i)).

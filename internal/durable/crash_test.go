@@ -153,14 +153,14 @@ func TestCrashRecovery(t *testing.T) {
 			if k > lastRuleSeq(ops) && len(gotRules) == 0 {
 				t.Fatal("crash landed after the rule ops but none were recovered")
 			}
-			if !reflect.DeepEqual(got.DerivedAll(), want.DerivedAll()) {
+			if !reflect.DeepEqual(got.View().DerivedAll(), want.View().DerivedAll()) {
 				t.Fatalf("derived facts diverged after replay: %d vs %d facts",
-					len(got.DerivedAll()), len(want.DerivedAll()))
+					len(got.View().DerivedAll()), len(want.View().DerivedAll()))
 			}
 			// Derived-query parity: provenance lookups answer identically.
 			for _, ann := range want.Annotations() {
-				gp := got.DerivedTargeting(agraph.ContentRoot(ann.ID))
-				wp := want.DerivedTargeting(agraph.ContentRoot(ann.ID))
+				gp := got.View().DerivedTargeting(agraph.ContentRoot(ann.ID))
+				wp := want.View().DerivedTargeting(agraph.ContentRoot(ann.ID))
 				if !reflect.DeepEqual(gp, wp) {
 					t.Fatalf("provenance of annotation %d diverged: got %v want %v", ann.ID, gp, wp)
 				}

@@ -650,22 +650,22 @@ func (s *Store) Apply(op persist.Op) error {
 // it to Commit.
 func (s *Store) NewAnnotation() *core.Builder { return s.Core().NewAnnotation() }
 
-// Mark constructors delegate to the wrapped store (marks are read-only
-// until committed).
+// Mark constructors resolve against the wrapped store's current view
+// (marks are read-only until committed).
 
 // MarkSequenceInterval marks a sequence span.
 func (s *Store) MarkSequenceInterval(seqID string, local interval.Interval) (*core.Referent, error) {
-	return s.Core().MarkSequenceInterval(seqID, local)
+	return s.Core().View().MarkSequenceInterval(seqID, local)
 }
 
 // MarkDomainInterval marks a span of a coordinate domain.
 func (s *Store) MarkDomainInterval(domain string, iv interval.Interval) (*core.Referent, error) {
-	return s.Core().MarkDomainInterval(domain, iv)
+	return s.Core().View().MarkDomainInterval(domain, iv)
 }
 
 // MarkImageRegion marks a rectangular image region.
 func (s *Store) MarkImageRegion(imageID string, local rtree.Rect) (*core.Referent, error) {
-	return s.Core().MarkImageRegion(imageID, local)
+	return s.Core().View().MarkImageRegion(imageID, local)
 }
 
 // Commit logs and commits an annotation. The committed annotation — with

@@ -282,8 +282,8 @@ func TestDeploymentsAgree(t *testing.T) {
 		if got := len(stats.Sharding.Durability); got != wantDurability {
 			t.Errorf("sharding.durability has %d entries, want %d", got, wantDurability)
 		}
-		for k := 0; k < sh.NumShards(); k++ {
-			if sh.View(k).Stats().Annotations == 0 {
+		for k, v := range sh.Views() {
+			if v.Stats().Annotations == 0 {
 				t.Errorf("shard %d holds no annotation: the script never crossed it", k)
 			}
 		}

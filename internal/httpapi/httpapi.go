@@ -20,7 +20,9 @@
 // have no log. Over pipelines that log, mutations are write-ahead logged
 // before they are acknowledged, /api/stats carries each pipeline's
 // durability counters under "sharding", and /api/restore checkpoints the
-// restored state immediately.
+// restored state immediately. A read request pins one view set
+// (shard.Views) once and answers from it alone, so no response mixes two
+// epochs of a shard.
 //
 // Operational endpoints: GET /healthz (liveness — always 200 while the
 // process serves) and GET /readyz (readiness — 503 + Retry-After while
@@ -394,9 +396,10 @@ type shardingView struct {
 }
 
 func (s *server) stats(w http.ResponseWriter, _ *http.Request) {
+	vs := s.sh.Views()
 	writeJSON(w, http.StatusOK, statsView{
-		Stats: s.sh.Stats(),
-		Epoch: s.sh.Epoch(),
+		Stats: vs.Stats(),
+		Epoch: vs.Epoch(),
 		Sharding: shardingView{
 			Shards:            s.sh.NumShards(),
 			CrossShardCommits: s.sh.CrossShardCommits(),
@@ -408,10 +411,11 @@ func (s *server) stats(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *server) listAnnotations(w http.ResponseWriter, r *http.Request) {
+	vs := s.sh.Views()
 	if keyword := r.URL.Query().Get("keyword"); keyword != "" {
-		writeAnnotations(w, r, s.sh.SearchKeyword(keyword, true))
+		writeAnnotations(w, r, vs.SearchKeyword(keyword, true))
 	} else {
-		writeAnnotations(w, r, s.sh.Annotations())
+		writeAnnotations(w, r, vs.Annotations())
 	}
 }
 
@@ -421,7 +425,7 @@ func (s *server) getAnnotation(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, err)
 		return
 	}
-	ann, err := s.sh.Annotation(id)
+	ann, err := s.sh.Views().Annotation(id)
 	if err != nil {
 		writeErr(w, r, err)
 		return
@@ -485,8 +489,9 @@ func (s *server) createAnnotation(w http.ResponseWriter, r *http.Request) {
 	for name, val := range req.Tags {
 		b.Tag(name, val)
 	}
+	vs := s.sh.Views() // every mark of the request resolves against one view set
 	for i, m := range req.Marks {
-		ref, err := resolveMark(s.sh, m)
+		ref, err := resolveMark(vs, m)
 		if err != nil {
 			writeErr(w, r, fmt.Errorf("mark %d: %w", i, err))
 			return
@@ -506,26 +511,26 @@ func (s *server) createAnnotation(w http.ResponseWriter, r *http.Request) {
 
 // resolveMark builds a referent from a mark spec (read-only: marks are
 // only registered at commit).
-func resolveMark(store *shard.Store, m markSpec) (*core.Referent, error) {
+func resolveMark(vs shard.Views, m markSpec) (*core.Referent, error) {
 	switch m.Type {
 	case "interval":
-		return store.MarkDomainInterval(m.Domain, interval.Interval{Lo: m.Lo, Hi: m.Hi})
+		return vs.MarkDomainInterval(m.Domain, interval.Interval{Lo: m.Lo, Hi: m.Hi})
 	case "sequence":
-		return store.MarkSequenceInterval(m.SeqID, interval.Interval{Lo: m.Lo, Hi: m.Hi})
+		return vs.MarkSequenceInterval(m.SeqID, interval.Interval{Lo: m.Lo, Hi: m.Hi})
 	case "region":
 		rect, err := rectOf(m.Rect)
 		if err != nil {
 			return nil, err
 		}
-		return store.MarkImageRegion(m.ImageID, rect)
+		return vs.MarkImageRegion(m.ImageID, rect)
 	case "clade":
-		return store.MarkClade(m.ObjectID, m.Keys...)
+		return vs.MarkClade(m.ObjectID, m.Keys...)
 	case "subgraph":
-		return store.MarkSubgraph(m.ObjectID, m.Keys...)
+		return vs.MarkSubgraph(m.ObjectID, m.Keys...)
 	case "block":
-		return store.MarkAlignmentBlock(m.ObjectID, m.Keys, interval.Interval{Lo: m.Lo, Hi: m.Hi})
+		return vs.MarkAlignmentBlock(m.ObjectID, m.Keys, interval.Interval{Lo: m.Lo, Hi: m.Hi})
 	case "object":
-		return store.MarkObject(core.ObjectType(m.ObjectType), m.ObjectID)
+		return vs.MarkObject(core.ObjectType(m.ObjectType), m.ObjectID)
 	default:
 		return nil, fmt.Errorf("%w: unknown mark type %q", core.ErrBadMark, m.Type)
 	}
@@ -549,7 +554,7 @@ func (s *server) related(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, err)
 		return
 	}
-	rel, err := s.sh.RelatedAnnotations(id)
+	rel, err := s.sh.Views().RelatedAnnotations(id)
 	if err != nil {
 		writeErr(w, r, err)
 		return
@@ -563,7 +568,7 @@ func (s *server) correlated(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, err)
 		return
 	}
-	items, err := s.sh.CorrelatedData(id)
+	items, err := s.sh.Views().CorrelatedData(id)
 	if err != nil {
 		writeErr(w, r, err)
 		return
@@ -595,9 +600,9 @@ func (s *server) search(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.queryCtx(r)
 	defer cancel()
-	// The whole scan runs against one pinned snapshot per shard,
-	// cancellable at every evaluation stride.
-	anns, err := s.sh.SearchContentsCtx(ctx, req.Expr)
+	// The whole scan runs against one pinned view set, cancellable at
+	// every evaluation stride.
+	anns, err := s.sh.Views().SearchContentsCtx(ctx, req.Expr)
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 			writeErr(w, r, err)
@@ -650,7 +655,7 @@ func (s *server) runQuery(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	opts := query.DefaultOptions
 	opts.MaxResults = req.MaxResults
-	res, err := s.sh.Query(ctx, req.Query, opts)
+	res, err := s.sh.Views().Query(ctx, req.Query, opts)
 	if err != nil {
 		writeErr(w, r, err)
 		return
@@ -697,7 +702,7 @@ func (s *server) referents(w http.ResponseWriter, r *http.Request) {
 		jsonError(w, r, http.StatusBadRequest, "pos parameter required")
 		return
 	}
-	refs := s.sh.ReferentsAt(domain, pos)
+	refs := s.sh.Views().ReferentsAt(domain, pos)
 	out := make([]string, 0, len(refs))
 	for _, ref := range refs {
 		out = append(out, ref.String())
@@ -713,7 +718,7 @@ func (s *server) objects(w http.ResponseWriter, r *http.Request) {
 		ID   string `json:"id"`
 	}
 	out := []objectView{}
-	for _, h := range s.sh.ObjectList() {
+	for _, h := range s.sh.Views().ObjectList() {
 		if typeFilter != "" && string(h.Type) != typeFilter {
 			continue
 		}
@@ -839,7 +844,8 @@ func (s *server) provenance(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, err)
 		return
 	}
-	onto, err := s.sh.DerivedOnto(id)
+	vs := s.sh.Views()
+	onto, err := vs.DerivedOnto(id)
 	if err != nil {
 		writeErr(w, r, err)
 		return
@@ -852,8 +858,8 @@ func (s *server) provenance(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, provenanceView{
 		ID:         id,
-		Epoch:      s.sh.DerivedSourceEpoch(id),
-		Derives:    factViews(s.sh.DerivedFrom(id)),
+		Epoch:      vs.DerivedSourceEpoch(id),
+		Derives:    factViews(vs.DerivedFrom(id)),
 		Provenance: factViews(onto),
 	})
 }

@@ -349,8 +349,8 @@ func TestObjectsEndpoint(t *testing.T) {
 		if code := getJSON(t, ts.URL+"/api/objects", &all); code != 200 {
 			t.Fatalf("status = %d", code)
 		}
-		if len(all) != len(store.ObjectList()) {
-			t.Fatalf("objects = %d, want %d", len(all), len(store.ObjectList()))
+		if len(all) != len(store.View().ObjectList()) {
+			t.Fatalf("objects = %d, want %d", len(all), len(store.View().ObjectList()))
 		}
 		var trees []map[string]string
 		if code := getJSON(t, ts.URL+"/api/objects?type=phylo_trees", &trees); code != 200 {

@@ -150,7 +150,7 @@ func TestSnapshotUnderDeletes(t *testing.T) {
 			anns = 400
 		}
 		seed := influenzaStore(t, anns)
-		ids := seed.AnnotationIDs()
+		ids := seed.View().AnnotationIDs()
 		ts := d.start(t, seed, Options{})
 
 		done := make(chan struct{})

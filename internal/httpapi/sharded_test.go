@@ -77,7 +77,7 @@ func TestShardStorePartialDegradation(t *testing.T) {
 
 	commitTo := func(domain string) error {
 		b := sh.NewAnnotation().Creator("u").Date("2026-08-08").Body("x")
-		m, err := sh.MarkSequenceInterval(domain, interval.Interval{Lo: 2, Hi: 9})
+		m, err := sh.Views().MarkSequenceInterval(domain, interval.Interval{Lo: 2, Hi: 9})
 		if err != nil {
 			return err
 		}

@@ -41,7 +41,7 @@ func assertStoresEquivalent(t *testing.T, a, b *core.Store) {
 	if sa != sb {
 		t.Fatalf("stats differ:\n a=%+v\n b=%+v", sa, sb)
 	}
-	idsA, idsB := a.AnnotationIDs(), b.AnnotationIDs()
+	idsA, idsB := a.View().AnnotationIDs(), b.View().AnnotationIDs()
 	if len(idsA) != len(idsB) {
 		t.Fatalf("annotation counts differ: %d vs %d", len(idsA), len(idsB))
 	}
@@ -98,7 +98,7 @@ func TestRoundTripNeuro(t *testing.T) {
 	}
 	assertStoresEquivalent(t, orig, restored)
 	// The R-tree rebuilt: same region query results.
-	imgs := orig.Images()
+	imgs := orig.View().Images()
 	if len(imgs) == 0 {
 		t.Fatal("no images")
 	}
@@ -132,8 +132,8 @@ func TestSharedReferentsSurviveReplay(t *testing.T) {
 	if err := s.RegisterSequence(d); err != nil {
 		t.Fatal(err)
 	}
-	m1, _ := s.MarkSequenceInterval("NC_1", span(10, 50))
-	m2, _ := s.MarkSequenceInterval("NC_1", span(10, 50))
+	m1, _ := s.View().MarkSequenceInterval("NC_1", span(10, 50))
+	m2, _ := s.View().MarkSequenceInterval("NC_1", span(10, 50))
 	a1, err := s.Commit(s.NewAnnotation().Creator("a").Date("2008-01-01").Refer(m1))
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +153,7 @@ func TestSharedReferentsSurviveReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids := restored.AnnotationIDs()
+	ids := restored.View().AnnotationIDs()
 	r1, _ := restored.Annotation(ids[0])
 	r2, _ := restored.Annotation(ids[1])
 	if r1.ReferentIDs[0] != r2.ReferentIDs[0] {

@@ -58,7 +58,7 @@ func TestRuleRoundTrip(t *testing.T) {
 	if got := prop.RulesOf(loaded); len(got) != 1 || !reflect.DeepEqual(got[0], rule) {
 		t.Fatalf("loaded rules = %v, want [%+v]", got, rule)
 	}
-	if !reflect.DeepEqual(loaded.DerivedAll(), s.DerivedAll()) {
-		t.Fatalf("re-derived facts diverged:\n got %v\nwant %v", loaded.DerivedAll(), s.DerivedAll())
+	if !reflect.DeepEqual(loaded.View().DerivedAll(), s.View().DerivedAll()) {
+		t.Fatalf("re-derived facts diverged:\n got %v\nwant %v", loaded.View().DerivedAll(), s.View().DerivedAll())
 	}
 }

@@ -80,7 +80,7 @@ func TestRuleAttachedBatchIsOnePublish(t *testing.T) {
 	if err := run(twin, twin, twinIDs); err != nil {
 		t.Fatal(err)
 	}
-	postStats, postDerived := twin.Stats(), twin.DerivedAll()
+	postStats, postDerived := twin.Stats(), twin.View().DerivedAll()
 	if len(postDerived) == 0 {
 		t.Fatal("the ops derive nothing")
 	}

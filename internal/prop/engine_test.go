@@ -94,14 +94,14 @@ func TestOverlapEdge(t *testing.T) {
 		t.Fatal(err)
 	}
 	// a1 and a2 overlap; each derives onto the other's referent.
-	f1 := s.DerivedFrom(a1.ID)
+	f1 := s.View().DerivedFrom(a1.ID)
 	if len(f1) != 1 || f1[0].Target != agraph.Referent(a2.ReferentIDs[0]) {
 		t.Fatalf("a1 facts = %v, want one fact targeting a2's referent", f1)
 	}
 	if f1[0].Rule != "ov" || f1[0].Source != a1.ID {
 		t.Fatalf("bad provenance: %+v", f1[0])
 	}
-	if got := s.DerivedFrom(3); got != nil {
+	if got := s.View().DerivedFrom(3); got != nil {
 		t.Fatalf("non-overlapping annotation has facts: %v", got)
 	}
 	if s.View().DerivedCount() != 2 {
@@ -111,11 +111,11 @@ func TestOverlapEdge(t *testing.T) {
 
 	// Incremental: a new annotation overlapping both extends their sets.
 	a4 := commitInterval(t, s, 180, 220, "bridges")
-	if len(s.DerivedFrom(a4.ID)) != 2 {
-		t.Fatalf("a4 facts = %v, want 2", s.DerivedFrom(a4.ID))
+	if len(s.View().DerivedFrom(a4.ID)) != 2 {
+		t.Fatalf("a4 facts = %v, want 2", s.View().DerivedFrom(a4.ID))
 	}
-	if len(s.DerivedFrom(a1.ID)) != 2 {
-		t.Fatalf("a1 facts after bridge = %v, want 2", s.DerivedFrom(a1.ID))
+	if len(s.View().DerivedFrom(a1.ID)) != 2 {
+		t.Fatalf("a1 facts after bridge = %v, want 2", s.View().DerivedFrom(a1.ID))
 	}
 	assertExact(t, s, e)
 
@@ -124,8 +124,8 @@ func TestOverlapEdge(t *testing.T) {
 	if err := s.DeleteAnnotation(a4.ID); err != nil {
 		t.Fatal(err)
 	}
-	if len(s.DerivedFrom(a1.ID)) != 1 || len(s.DerivedFrom(a4.ID)) != 0 {
-		t.Fatalf("facts after delete: a1=%v a4=%v", s.DerivedFrom(a1.ID), s.DerivedFrom(a4.ID))
+	if len(s.View().DerivedFrom(a1.ID)) != 1 || len(s.View().DerivedFrom(a4.ID)) != 0 {
+		t.Fatalf("facts after delete: a1=%v a4=%v", s.View().DerivedFrom(a1.ID), s.View().DerivedFrom(a4.ID))
 	}
 	assertExact(t, s, e)
 }
@@ -139,7 +139,7 @@ func TestSharedReferentEdge(t *testing.T) {
 	// Identical marks dedup into one shared referent.
 	a1 := commitInterval(t, s, 100, 200, "first opinion")
 	a2 := commitInterval(t, s, 100, 200, "second opinion")
-	f1 := s.DerivedFrom(a1.ID)
+	f1 := s.View().DerivedFrom(a1.ID)
 	if len(f1) != 1 || f1[0].Target != agraph.ContentRoot(a2.ID) {
 		t.Fatalf("a1 facts = %v, want one fact targeting a2", f1)
 	}
@@ -152,7 +152,7 @@ func TestSharedReferentEdge(t *testing.T) {
 	if err := s.DeleteAnnotation(a2.ID); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.DerivedFrom(a1.ID); got != nil {
+	if got := s.View().DerivedFrom(a1.ID); got != nil {
 		t.Fatalf("a1 still derives onto deleted a2: %v", got)
 	}
 	assertExact(t, s, e)
@@ -184,7 +184,7 @@ func TestOntologyClosureEdge(t *testing.T) {
 	}
 
 	ann := commitInterval(t, s, 10, 20, "cleaves", core.TermRef{Ontology: "go", TermID: "serine-protease"})
-	facts := s.DerivedFrom(ann.ID)
+	facts := s.View().DerivedFrom(ann.ID)
 	var targets []string
 	for _, f := range facts {
 		targets = append(targets, f.Target.Key)
@@ -202,7 +202,7 @@ func TestOntologyClosureEdge(t *testing.T) {
 	}
 	ann2 := commitInterval(t, s, 30, 40, "membrane bound", core.TermRef{Ontology: "go", TermID: "membrane"})
 	var poTargets []string
-	for _, f := range s.DerivedFrom(ann2.ID) {
+	for _, f := range s.View().DerivedFrom(ann2.ID) {
 		if f.Rule == "po" {
 			poTargets = append(poTargets, f.Target.Key)
 		}
@@ -241,7 +241,7 @@ func TestCoRegisteredEdge(t *testing.T) {
 	if err := e.AddRule(Rule{ID: "co", Edge: EdgeCoRegistered}); err != nil {
 		t.Fatal(err)
 	}
-	m, err := s.MarkImageRegion("img-a", rtree.Rect2D(600, 600, 900, 900))
+	m, err := s.View().MarkImageRegion("img-a", rtree.Rect2D(600, 600, 900, 900))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestCoRegisteredEdge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	facts := s.DerivedFrom(ann.ID)
+	facts := s.View().DerivedFrom(ann.ID)
 	if len(facts) != 1 || facts[0].Target != agraph.Object(string(core.TypeImage), "img-b") {
 		t.Fatalf("coreg facts = %v, want one fact targeting img-b", facts)
 	}
@@ -258,7 +258,7 @@ func TestCoRegisteredEdge(t *testing.T) {
 	// Registering a new overlapping image retroactively extends the set
 	// (the register hook recomputes).
 	addImage("img-d", 700, 700)
-	facts = s.DerivedFrom(ann.ID)
+	facts = s.View().DerivedFrom(ann.ID)
 	if len(facts) != 2 {
 		t.Fatalf("coreg facts after new image = %v, want 2", facts)
 	}
@@ -274,10 +274,10 @@ func TestTriggerFilters(t *testing.T) {
 	a1 := commitInterval(t, s, 100, 200, "protease cleavage site")
 	a2 := commitInterval(t, s, 150, 250, "unrelated signal")
 	// Keyword matching is case-insensitive; only a1 fires the rule.
-	if got := s.DerivedFrom(a1.ID); len(got) != 1 {
+	if got := s.View().DerivedFrom(a1.ID); len(got) != 1 {
 		t.Fatalf("keyword-matching source facts = %v, want 1", got)
 	}
-	if got := s.DerivedFrom(a2.ID); got != nil {
+	if got := s.View().DerivedFrom(a2.ID); got != nil {
 		t.Fatalf("non-matching source has facts: %v", got)
 	}
 	assertExact(t, s, e)
@@ -286,7 +286,7 @@ func TestTriggerFilters(t *testing.T) {
 	if err := e.AddRule(Rule{ID: "other", Edge: EdgeOverlap, Domain: "chr2"}); err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range s.DerivedAll() {
+	for _, f := range s.View().DerivedAll() {
 		if f.Rule == "other" {
 			t.Fatalf("rule for foreign domain produced fact %+v", f)
 		}
@@ -295,7 +295,7 @@ func TestTriggerFilters(t *testing.T) {
 	if err := e.AddRule(Rule{ID: "regonly", Edge: EdgeOverlap, Kind: "region"}); err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range s.DerivedAll() {
+	for _, f := range s.View().DerivedAll() {
 		if f.Rule == "regonly" {
 			t.Fatalf("region-only rule fired on interval mark: %+v", f)
 		}
@@ -339,7 +339,7 @@ func TestRuleCRUD(t *testing.T) {
 	}
 	a1 := commitInterval(t, s, 1, 50, "a")
 	commitInterval(t, s, 25, 75, "b")
-	if len(s.DerivedFrom(a1.ID)) != 1 {
+	if len(s.View().DerivedFrom(a1.ID)) != 1 {
 		t.Fatal("rule did not fire")
 	}
 	if got := RulesOf(s); len(got) != 1 || got[0].ID != "ov" {
@@ -389,7 +389,7 @@ func TestProvenanceTrace(t *testing.T) {
 	a1 := commitInterval(t, s, 100, 200, "first")
 	a2 := commitInterval(t, s, 100, 200, "second")
 
-	incoming := s.DerivedTargeting(agraph.ContentRoot(a2.ID))
+	incoming := s.View().DerivedTargeting(agraph.ContentRoot(a2.ID))
 	if len(incoming) != 1 || incoming[0].Source != a1.ID || incoming[0].Rule != "sh" {
 		t.Fatalf("provenance of a2 = %v, want one fact from a1 via sh", incoming)
 	}

@@ -128,7 +128,7 @@ func TestSameDomainAndOverlapConstraintRejections(t *testing.T) {
 	d2.Domain = "dom2"
 	must(t, s.RegisterSequence(d2))
 	for _, id := range []string{"A", "B"} {
-		m, err := s.MarkSequenceInterval(id, interval.Interval{Lo: 0, Hi: 50})
+		m, err := s.View().MarkSequenceInterval(id, interval.Interval{Lo: 0, Hi: 50})
 		must(t, err)
 		_, err = s.Commit(s.NewAnnotation().Creator("u").Date("2008-01-01").
 			Body("cross-domain").Refer(m))

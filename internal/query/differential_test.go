@@ -313,7 +313,7 @@ func randomDiffStore(t *testing.T, rng *rand.Rand) *core.Store {
 			m, err = s.MarkDomainInterval("chrB", interval.Interval{Lo: lo, Hi: lo + 10 + rng.Int63n(60)})
 		default:
 			x, y := rng.Float64()*400, rng.Float64()*400
-			m, err = s.MarkImageRegion([]string{"img-1", "img-2"}[rng.Intn(2)], rtree.Rect2D(x, y, x+30, y+30))
+			m, err = s.View().MarkImageRegion([]string{"img-1", "img-2"}[rng.Intn(2)], rtree.Rect2D(x, y, x+30, y+30))
 		}
 		must(t, err)
 		b := s.NewAnnotation().

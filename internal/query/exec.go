@@ -89,13 +89,20 @@ func (p *Processor) ExecuteParsed(q *Query, opts Options) (*Result, error) {
 }
 
 // ExecuteParsedCtx runs a parsed query against one pinned view of the
-// store, honoring ctx cancellation. When the context carries a trace
-// span (trace.FromContext), the run is wrapped in a "query" child span
-// tagged with variable and match counts.
+// store, honoring ctx cancellation (see Run).
 func (p *Processor) ExecuteParsedCtx(ctx context.Context, q *Query, opts Options) (*Result, error) {
+	return Run(ctx, p.store.View(), q, opts)
+}
+
+// Run executes a parsed query against one view, honoring ctx
+// cancellation. A parsed query is read-only here, so one can run on
+// several views at once. When the context carries a trace span
+// (trace.FromContext), the run is wrapped in a "query" child span tagged
+// with variable and match counts.
+func Run(ctx context.Context, v *core.View, q *Query, opts Options) (*Result, error) {
 	sp := trace.FromContext(ctx).StartChild("query")
 	defer sp.Finish()
-	run := &execution{view: p.store.View(), ctx: ctx}
+	run := &execution{view: v, ctx: ctx}
 	res, err := run.execute(q, opts)
 	if err == nil && sp != nil {
 		sp.SetAttrInt("vars", int64(len(q.Vars)))

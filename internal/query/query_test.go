@@ -56,7 +56,7 @@ func newQueryStore(t testing.TB) *core.Store {
 		"protease motif alpha", "protease motif beta",
 		"protease motif gamma", "protease motif delta",
 	} {
-		m, err := s.MarkSequenceInterval("NC_1", interval.Interval{Lo: int64(i * 10), Hi: int64(i*10 + 10)})
+		m, err := s.View().MarkSequenceInterval("NC_1", interval.Interval{Lo: int64(i * 10), Hi: int64(i*10 + 10)})
 		must(t, err)
 		_, err = s.Commit(s.NewAnnotation().
 			Creator("gupta").Date("2007-11-01").Body(body).
@@ -64,7 +64,7 @@ func newQueryStore(t testing.TB) *core.Store {
 		must(t, err)
 	}
 	// Decoy overlapping annotation without "protease".
-	m, err := s.MarkSequenceInterval("NC_1", interval.Interval{Lo: 5, Hi: 15})
+	m, err := s.View().MarkSequenceInterval("NC_1", interval.Interval{Lo: 5, Hi: 15})
 	must(t, err)
 	_, err = s.Commit(s.NewAnnotation().
 		Creator("condit").Date("2007-11-02").Body("replication signal").Refer(m))
@@ -84,7 +84,7 @@ func newQueryStore(t testing.TB) *core.Store {
 	for i, rect := range []rtree.Rect{
 		rtree.Rect2D(10, 10, 60, 60), rtree.Rect2D(100, 100, 160, 160),
 	} {
-		rm, err := s.MarkImageRegion("brain-1", rect)
+		rm, err := s.View().MarkImageRegion("brain-1", rect)
 		must(t, err)
 		_, err = s.Commit(s.NewAnnotation().
 			Creator("martone").Date("2007-12-01").
@@ -92,7 +92,7 @@ func newQueryStore(t testing.TB) *core.Store {
 			Refer(rm).OntologyRef("nif", "deep-cerebellar-nuclei"))
 		must(t, err)
 	}
-	rm, err := s.MarkImageRegion("brain-2", rtree.Rect2D(50, 50, 90, 90))
+	rm, err := s.View().MarkImageRegion("brain-2", rtree.Rect2D(50, 50, 90, 90))
 	must(t, err)
 	_, err = s.Commit(s.NewAnnotation().
 		Creator("martone").Date("2007-12-02").Body("single DCN site").
@@ -435,7 +435,7 @@ where {
 	must(t, s.DeleteAnnotation(anns[1].ID))
 	shared, err := v.Referent(anns[0].ReferentIDs[0])
 	must(t, err)
-	decoy, err := s.MarkSequenceInterval("NC_1", interval.Interval{Lo: 5, Hi: 15})
+	decoy, err := s.View().MarkSequenceInterval("NC_1", interval.Interval{Lo: 5, Hi: 15})
 	must(t, err)
 	_, err = s.Commit(s.NewAnnotation().Creator("gupta").Date("2007-11-03").
 		Body("protease motif epsilon").Refer(shared).Refer(decoy))

@@ -65,7 +65,7 @@ func TestShardCrashChild(t *testing.T) {
 	}
 	// Never closed: the parent kills us; the next Open must recover.
 	for _, op := range shardCrashOps() {
-		if err := op.Apply(s); err != nil {
+		if err := op.Apply(shard.AsSink(s)); err != nil {
 			t.Fatalf("child op %d (%s): %v", op.Seq, op.Name, err)
 		}
 		fmt.Printf("acked %d\n", op.Seq)
@@ -135,7 +135,7 @@ func TestShardedCrashRecovery(t *testing.T) {
 				t.Fatalf("building expected store: %v", err)
 			}
 
-			if g, w := s.Stats(), want.Stats(); g != w {
+			if g, w := s.Views().Stats(), want.Stats(); g != w {
 				t.Fatalf("stats diverged after replay:\n got %+v\nwant %+v", g, w)
 			}
 			gotSnap, err := s.Export()
@@ -151,9 +151,9 @@ func TestShardedCrashRecovery(t *testing.T) {
 			if !bytes.Equal(gotJSON, wantJSON) {
 				t.Fatal("merged export diverged from unsharded replay")
 			}
-			if !reflect.DeepEqual(s.DerivedAll(), want.DerivedAll()) {
+			if !reflect.DeepEqual(s.Views().DerivedAll(), want.View().DerivedAll()) {
 				t.Fatalf("derived facts diverged: %d vs %d",
-					len(s.DerivedAll()), len(want.DerivedAll()))
+					len(s.Views().DerivedAll()), len(want.View().DerivedAll()))
 			}
 
 			// Q1 parity via the merged snapshot re-materialized as one store.

@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -54,7 +55,7 @@ func TestShardedDifferentialExport(t *testing.T) {
 
 			for n := 1; n <= 4; n++ {
 				s := shard.New(n)
-				if err := workload.ApplyOps(s, sc.ops); err != nil {
+				if err := workload.ApplyOps(shard.AsSink(s), sc.ops); err != nil {
 					t.Fatalf("n=%d sharded apply: %v", n, err)
 				}
 				gotSnap, err := s.Export()
@@ -66,16 +67,16 @@ func TestShardedDifferentialExport(t *testing.T) {
 					diffSnapshots(t, gotSnap, wantSnap)
 					continue
 				}
-				if g, w := s.Stats(), want.Stats(); g != w {
+				if g, w := s.Views().Stats(), want.Stats(); g != w {
 					t.Errorf("n=%d stats diverged:\n got %+v\nwant %+v", n, g, w)
 				}
-				if g, w := s.DerivedAll(), want.DerivedAll(); !reflect.DeepEqual(g, w) {
+				if g, w := s.Views().DerivedAll(), want.View().DerivedAll(); !reflect.DeepEqual(g, w) {
 					t.Errorf("n=%d derived facts diverged: %d vs %d", n, len(g), len(w))
 				}
 				for _, ann := range want.Annotations() {
 					target := agraph.ContentRoot(ann.ID)
-					g := s.DerivedTargeting(target)
-					w := want.DerivedTargeting(target)
+					g := s.Views().DerivedTargeting(target)
+					w := want.View().DerivedTargeting(target)
 					if !reflect.DeepEqual(g, w) {
 						t.Errorf("n=%d provenance of annotation %d diverged: got %v want %v",
 							n, ann.ID, g, w)
@@ -84,7 +85,7 @@ func TestShardedDifferentialExport(t *testing.T) {
 				if g, w := annIDs(s.SearchKeyword("protein.TP53", true)), annIDs(want.SearchKeyword("protein.TP53", true)); !reflect.DeepEqual(g, w) {
 					t.Errorf("n=%d keyword search diverged: got %v want %v", n, g, w)
 				}
-				gc, err := s.SearchContents("contains(/annotation/body, 'Cerebellar')")
+				gc, err := s.Views().SearchContentsCtx(context.Background(), "contains(/annotation/body, 'Cerebellar')")
 				if err != nil {
 					t.Fatalf("n=%d contents search: %v", n, err)
 				}
@@ -95,7 +96,7 @@ func TestShardedDifferentialExport(t *testing.T) {
 				if !reflect.DeepEqual(annIDs(gc), annIDs(wc)) {
 					t.Errorf("n=%d contents search diverged: got %v want %v", n, annIDs(gc), annIDs(wc))
 				}
-				if g, w := annIDs(s.Annotations()), annIDs(want.Annotations()); !reflect.DeepEqual(g, w) {
+				if g, w := annIDs(s.Views().Annotations()), annIDs(want.Annotations()); !reflect.DeepEqual(g, w) {
 					t.Errorf("n=%d annotation list diverged", n)
 				}
 
@@ -114,10 +115,10 @@ func TestShardedDifferentialExport(t *testing.T) {
 					t.Errorf("n=%d batch-loaded partitions diverged from the serial store", n)
 					diffSnapshots(t, gotSnap, wantSnap)
 				}
-				if g, w := restored.Stats(), want.Stats(); g != w {
+				if g, w := restored.Views().Stats(), want.Stats(); g != w {
 					t.Errorf("n=%d restored stats diverged:\n got %+v\nwant %+v", n, g, w)
 				}
-				if g, w := restored.DerivedAll(), want.DerivedAll(); !reflect.DeepEqual(g, w) {
+				if g, w := restored.Views().DerivedAll(), want.View().DerivedAll(); !reflect.DeepEqual(g, w) {
 					t.Errorf("n=%d restored derived facts diverged: %d vs %d", n, len(g), len(w))
 				}
 			}
@@ -131,7 +132,7 @@ func TestShardedDifferentialExport(t *testing.T) {
 func TestShardedRestoreRoundTrip(t *testing.T) {
 	ops := workload.ShardedScenario(workload.RecoveryConfig{Seed: 11, Images: 6, Ops: 250}, 3)
 	src := shard.New(3)
-	if err := workload.ApplyOps(src, ops); err != nil {
+	if err := workload.ApplyOps(shard.AsSink(src), ops); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := src.Export()
@@ -242,7 +243,7 @@ func TestOneShardQueryIsTheStoresOwn(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.src, err)
 		}
-		g, err := s.Query(context.Background(), c.src, opts)
+		g, err := s.Views().Query(context.Background(), c.src, opts)
 		if err != nil {
 			t.Fatalf("%s: sharded: %v", c.src, err)
 		}
@@ -262,4 +263,60 @@ func TestOneShardQueryIsTheStoresOwn(t *testing.T) {
 	if !overshot {
 		t.Fatal("no capped query returned more annotations than its cap: the re-cap was never at stake")
 	}
+}
+
+// TestCrossShardReferentsAt: an annotation marking two domains that hash
+// to different shards commits whole to its home shard, interval trees for
+// the other domain included. A stab of that other domain must find it, as
+// it does on the unsharded store, though the domain's owner shard holds
+// nothing there.
+func TestCrossShardReferentsAt(t *testing.T) {
+	const n = 3
+	r := core.Router{Shards: n}
+	d1, d2 := "dom-0", ""
+	for i := 1; d2 == ""; i++ {
+		if d := fmt.Sprintf("dom-%d", i); r.ShardOfKey(d) != r.ShardOfKey(d1) {
+			d2 = d
+		}
+	}
+	want, s := core.NewStore(), shard.New(n)
+	for _, apply := range []func(persist.Op) error{workload.AsSink(want).Apply, s.Apply} {
+		registerSeq(t, apply, "seq-1", d1)
+		registerSeq(t, apply, "seq-2", d2)
+	}
+	type writer interface {
+		NewAnnotation() *core.Builder
+		MarkDomainInterval(string, interval.Interval) (*core.Referent, error)
+		Commit(*core.Builder) (*core.Annotation, error)
+	}
+	for _, w := range []writer{want, s} {
+		b := w.NewAnnotation().Creator("t").Date("2008-01-01").Body("spans two domains")
+		for _, d := range []string{d1, d2} {
+			m, err := w.MarkDomainInterval(d, interval.Interval{Lo: 0, Hi: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.Refer(m)
+		}
+		if _, err := w.Commit(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if c := s.CrossShardCommits(); c != 1 {
+		t.Fatalf("%d cross-shard commits, want 1", c)
+	}
+	for _, d := range []string{d1, d2} {
+		got, w := referentStrings(s.ReferentsAt(d, 3)), referentStrings(want.ReferentsAt(d, 3))
+		if len(w) != 1 || !reflect.DeepEqual(got, w) {
+			t.Errorf("ReferentsAt(%s, 3) = %v, the unsharded store answers %v", d, got, w)
+		}
+	}
+}
+
+func referentStrings(refs []*core.Referent) []string {
+	out := make([]string, 0, len(refs))
+	for _, r := range refs {
+		out = append(out, r.String())
+	}
+	return out
 }

@@ -183,7 +183,7 @@ func TestOpenManifestOfOneShard(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d over a one-shard manifest: %v", n, err)
 		}
-		if got := s.Stats().Sequences; s.NumShards() != 1 || got != 1 {
+		if got := s.Views().Stats().Sequences; s.NumShards() != 1 || got != 1 {
 			t.Errorf("n=%d: %d shards holding %d sequences, want 1 and 1", n, s.NumShards(), got)
 		}
 		if err := s.Close(); err != nil {
@@ -261,7 +261,7 @@ func TestCommitRefusesCrossShardCommittedReferent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shared, err := s.Referent(annA.ReferentIDs[0])
+	shared, err := s.Views()[0].Referent(annA.ReferentIDs[0])
 	if err != nil {
 		t.Fatal(err)
 	}

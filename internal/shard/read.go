@@ -1,15 +1,18 @@
 package shard
 
-// Merged reads: every read pins one view per shard and combines the
-// per-shard answers deterministically — a k-way merge by ID of lists that
-// are each in ID order already (or a name-order sort), exploiting that
-// IDs are globally unique and that each object is homed on exactly one
-// shard. Over one shard the merge hands back that shard's own list. The
-// per-shard view set is not a single atomic snapshot of the whole
-// deployment: each shard's view is individually consistent, and a reader
-// can observe shard A's commit before shard B's concurrent one (the
-// anomaly-free property the paper's setting needs is per-annotation
-// atomicity, which per-shard views preserve).
+// Merged reads. A read of the deployment is a method of Views: one view
+// per shard, pinned together by Store.Views. A caller that pins once and
+// answers from that one value — every HTTP request does — sees each shard
+// at one epoch, however many reads its answer takes. Each method combines
+// the per-shard answers deterministically — a k-way merge by ID of lists
+// that are each in ID order already (or a name-order sort), exploiting
+// that IDs are globally unique and that each object is homed on exactly
+// one shard. Over one shard the merge hands back that shard's own list.
+// A view set is not a single atomic snapshot of the whole deployment:
+// each shard's view is individually consistent, and a reader can observe
+// shard A's commit before shard B's concurrent one (the anomaly-free
+// property the paper's setting needs is per-annotation atomicity, which
+// per-shard views preserve).
 
 import (
 	"context"
@@ -21,27 +24,58 @@ import (
 	"graphitti/internal/agraph"
 	"graphitti/internal/core"
 	"graphitti/internal/durable"
+	"graphitti/internal/interval"
 	"graphitti/internal/persist"
 	"graphitti/internal/query"
+	"graphitti/internal/rtree"
 )
 
-// Views pins the current view of every shard, indexed by shard.
-func (s *Store) Views() []*core.View {
-	out := make([]*core.View, s.NumShards())
+// Views is one pinned view per shard, indexed by shard: the read API of a
+// shard set. It is immutable, and every answer it gives is a function of
+// these views alone.
+type Views []*core.View
+
+// Views pins the current view of every shard.
+func (s *Store) Views() Views {
+	out := make(Views, s.NumShards())
 	for k := range out {
 		out[k] = s.shardCore(k).View()
 	}
 	return out
 }
 
-// View returns shard k's current view.
-func (s *Store) View(k int) *core.View { return s.shardCore(k).View() }
+// Annotation, RelatedAnnotations, ReferentsAt, SearchKeyword and
+// MarkDomainInterval each pin a view set for one read; the benchmark
+// harness calls them on a Store.
+
+// Annotation returns a committed annotation from its owner shard.
+func (s *Store) Annotation(id uint64) (*core.Annotation, error) { return s.Views().Annotation(id) }
+
+// RelatedAnnotations answers from the annotation's owner shard.
+func (s *Store) RelatedAnnotations(id uint64) ([]*core.Annotation, error) {
+	return s.Views().RelatedAnnotations(id)
+}
+
+// ReferentsAt stabs every shard's interval tree of the domain.
+func (s *Store) ReferentsAt(domain string, pos int64) []*core.Referent {
+	return s.Views().ReferentsAt(domain, pos)
+}
+
+// SearchKeyword merges the per-shard keyword hits in ID order.
+func (s *Store) SearchKeyword(word string, useIndex bool) []*core.Annotation {
+	return s.Views().SearchKeyword(word, useIndex)
+}
+
+// MarkDomainInterval marks an interval of a coordinate domain.
+func (s *Store) MarkDomainInterval(domain string, iv interval.Interval) (*core.Referent, error) {
+	return s.Views().MarkDomainInterval(domain, iv)
+}
 
 // Epoch returns the sum of the per-shard view epochs: the total number
-// of mutations published across the deployment.
-func (s *Store) Epoch() uint64 {
+// of mutations published across the deployment up to this view set.
+func (vs Views) Epoch() uint64 {
 	var sum uint64
-	for _, v := range s.Views() {
+	for _, v := range vs {
 		sum += v.Epoch()
 	}
 	return sum
@@ -52,82 +86,85 @@ func (s *Store) Epoch() uint64 {
 // can appear on several shards (graph nodes for shared terms, keywords,
 // interval-tree domains touched by cross-shard commits) count the union —
 // which over one view is that view's own count.
-func (s *Store) Stats() core.Stats {
-	if s.NumShards() == 1 {
-		return s.View(0).Stats()
+func (vs Views) Stats() core.Stats {
+	if len(vs) == 1 {
+		return vs[0].Stats()
 	}
-	views := s.Views()
 	var st core.Stats
 	domains := map[string]bool{}
 	keywords := map[string]bool{}
 	nodes := map[agraph.NodeRef]bool{}
-	for _, v := range views {
-		vs := v.Stats()
-		st.Annotations += vs.Annotations
-		st.Referents += vs.Referents
-		st.Sequences += vs.Sequences
-		st.Alignments += vs.Alignments
-		st.Trees += vs.Trees
-		st.InteractionGraphs += vs.InteractionGraphs
-		st.Images += vs.Images
-		st.RTrees += vs.RTrees
-		st.GraphEdges += vs.GraphEdges
-		st.Derived += vs.Derived
+	for _, v := range vs {
+		vst := v.Stats()
+		st.Annotations += vst.Annotations
+		st.Referents += vst.Referents
+		st.Sequences += vst.Sequences
+		st.Alignments += vst.Alignments
+		st.Trees += vst.Trees
+		st.InteractionGraphs += vst.InteractionGraphs
+		st.Images += vst.Images
+		st.RTrees += vst.RTrees
+		st.GraphEdges += vst.GraphEdges
+		st.Derived += vst.Derived
 		for _, d := range v.IntervalDomains() {
 			domains[d] = true
 		}
 		v.EachKeyword(func(w string) bool { keywords[w] = true; return true })
 		v.Graph().NodesEach(func(n agraph.NodeRef) bool { nodes[n] = true; return true })
 	}
-	st.Ontologies = views[0].Stats().Ontologies
+	st.Ontologies = vs[0].Stats().Ontologies
 	st.IntervalTrees = len(domains)
 	st.Keywords = len(keywords)
 	st.GraphNodes = len(nodes)
 	return st
 }
 
-// Annotation returns a committed annotation from its owner shard.
-func (s *Store) Annotation(id uint64) (*core.Annotation, error) {
-	for k := range s.pipes {
-		if ann, err := s.View(k).Annotation(id); err == nil {
-			return ann, nil
+// ownerOfAnnotation finds the shard whose view holds a committed
+// annotation (0 when none does).
+func (vs Views) ownerOfAnnotation(id uint64) (int, bool) {
+	for k, v := range vs {
+		if _, err := v.Annotation(id); err == nil {
+			return k, true
 		}
 	}
-	return nil, errNoSuchAnnotation(id)
+	return 0, false
 }
 
-// Referent returns a committed referent from its owner shard.
-func (s *Store) Referent(id uint64) (*core.Referent, error) {
-	for k := range s.pipes {
-		if r, err := s.View(k).Referent(id); err == nil {
-			return r, nil
+// ownerOfReferent finds the shard whose view holds a committed referent.
+func (vs Views) ownerOfReferent(id uint64) (int, bool) {
+	for k, v := range vs {
+		if _, err := v.Referent(id); err == nil {
+			return k, true
 		}
 	}
-	return nil, errNoSuchReferent(id)
+	return 0, false
 }
+
+// owner is the view of the shard holding annotation id, which answers
+// every read about it: shared referents and the sources of the facts
+// derived onto it are intra-shard by routing. When no shard holds id,
+// shard 0's view answers, as the unsharded store would (no such
+// annotation, or nothing derived).
+func (vs Views) owner(id uint64) *core.View {
+	k, _ := vs.ownerOfAnnotation(id)
+	return vs[k]
+}
+
+// Annotation returns a committed annotation from its owner shard.
+func (vs Views) Annotation(id uint64) (*core.Annotation, error) { return vs.owner(id).Annotation(id) }
 
 // Annotations returns all committed annotations across shards, merged in
 // ID order.
-func (s *Store) Annotations() []*core.Annotation {
-	return mergeByID(perShard(s, (*core.View).Annotations), annotationID)
-}
-
-// AnnotationIDs returns the IDs of all committed annotations, sorted.
-func (s *Store) AnnotationIDs() []uint64 {
-	return mergeByID(perShard(s, (*core.View).AnnotationIDs), func(id uint64) uint64 { return id })
-}
-
-// Referents returns all committed referents across shards in ID order.
-func (s *Store) Referents() []*core.Referent {
-	return mergeByID(perShard(s, (*core.View).Referents), func(r *core.Referent) uint64 { return r.ID })
+func (vs Views) Annotations() []*core.Annotation {
+	return mergeByID(perShard(vs, (*core.View).Annotations), annotationID)
 }
 
 // ObjectList returns every registered data object across shards, sorted
 // by (type, id) — each object is homed on exactly one shard, so this is
 // the same list the unsharded store would hold.
-func (s *Store) ObjectList() []core.ObjectHandle {
+func (vs Views) ObjectList() []core.ObjectHandle {
 	var out []core.ObjectHandle
-	for _, v := range s.Views() {
+	for _, v := range vs {
 		out = append(out, v.ObjectList()...)
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -140,33 +177,33 @@ func (s *Store) ObjectList() []core.ObjectHandle {
 }
 
 // Ontologies returns the registered ontology names (broadcast; shard 0).
-func (s *Store) Ontologies() []string { return s.shardCore(0).Ontologies() }
+func (vs Views) Ontologies() []string { return vs[0].Ontologies() }
 
-// ReferentsAt routes the point stab to the domain's owner shard.
-func (s *Store) ReferentsAt(domain string, pos int64) []*core.Referent {
-	return s.shardCore(s.router.ShardOfKey(domain)).ReferentsAt(domain, pos)
+// ReferentsAt merges every shard's stab of the domain by ID. The domain's
+// owner shard holds the referents of the annotations homed there, but a
+// cross-shard annotation commits whole to its home shard, interval trees
+// for its other domains included; a stab of the owner alone misses those.
+// When nothing crosses shards the other lists are empty and the owner's
+// list comes back as it is.
+func (vs Views) ReferentsAt(domain string, pos int64) []*core.Referent {
+	stab := func(v *core.View) []*core.Referent { return v.ReferentsAt(domain, pos) }
+	return mergeByID(perShard(vs, stab), func(r *core.Referent) uint64 { return r.ID })
 }
 
 // SearchKeyword merges the per-shard keyword hits in ID order.
-func (s *Store) SearchKeyword(word string, useIndex bool) []*core.Annotation {
+func (vs Views) SearchKeyword(word string, useIndex bool) []*core.Annotation {
 	hits := func(v *core.View) []*core.Annotation { return v.SearchKeyword(word, useIndex) }
-	return mergeByID(perShard(s, hits), annotationID)
-}
-
-// SearchContents evaluates a content search against every shard.
-func (s *Store) SearchContents(expr string) ([]*core.Annotation, error) {
-	return s.SearchContentsCtx(context.Background(), expr)
+	return mergeByID(perShard(vs, hits), annotationID)
 }
 
 // SearchContentsCtx fans the scan out across shards (each shard scans
 // its own view in parallel internally) and merges the hits in ID order —
 // byte-identical to the unsharded scan of the merged annotation set.
-func (s *Store) SearchContentsCtx(ctx context.Context, expr string) ([]*core.Annotation, error) {
-	views := s.Views()
-	results := make([][]*core.Annotation, len(views))
-	errs := make([]error, len(views))
+func (vs Views) SearchContentsCtx(ctx context.Context, expr string) ([]*core.Annotation, error) {
+	results := make([][]*core.Annotation, len(vs))
+	errs := make([]error, len(vs))
 	var wg sync.WaitGroup
-	for k, v := range views {
+	for k, v := range vs {
 		wg.Add(1)
 		go func(k int, v *core.View) {
 			defer wg.Done()
@@ -182,31 +219,22 @@ func (s *Store) SearchContentsCtx(ctx context.Context, expr string) ([]*core.Ann
 	return mergeByID(results, annotationID), nil
 }
 
-// RelatedAnnotations answers from the annotation's owner shard (shared
-// referents are intra-shard by routing).
-func (s *Store) RelatedAnnotations(id uint64) ([]*core.Annotation, error) {
-	k, ok := s.ownerOfAnnotation(id)
-	if !ok {
-		return nil, errNoSuchAnnotation(id)
-	}
-	return s.shardCore(k).RelatedAnnotations(id)
+// RelatedAnnotations answers from the annotation's owner shard.
+func (vs Views) RelatedAnnotations(id uint64) ([]*core.Annotation, error) {
+	return vs.owner(id).RelatedAnnotations(id)
 }
 
 // CorrelatedData answers from the annotation's owner shard.
-func (s *Store) CorrelatedData(id uint64) ([]core.CorrelatedItem, error) {
-	k, ok := s.ownerOfAnnotation(id)
-	if !ok {
-		return nil, errNoSuchAnnotation(id)
-	}
-	return s.shardCore(k).CorrelatedData(id)
+func (vs Views) CorrelatedData(id uint64) ([]core.CorrelatedItem, error) {
+	return vs.owner(id).CorrelatedData(id)
 }
 
 // DerivedAll merges the per-shard derived tables in source-ID order,
 // preserving each source's fact order — the global DerivedEach order,
 // since every source annotation lives on exactly one shard.
-func (s *Store) DerivedAll() []core.DerivedFact {
+func (vs Views) DerivedAll() []core.DerivedFact {
 	var out []core.DerivedFact
-	for _, v := range s.Views() {
+	for _, v := range vs {
 		out = append(out, v.DerivedAll()...)
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Source < out[j].Source })
@@ -217,9 +245,9 @@ func (s *Store) DerivedAll() []core.DerivedFact {
 // shards: per-shard lists are (ascending source, canonical fact order)
 // already, and sources are globally unique, so a stable source-order
 // merge reproduces the unsharded order.
-func (s *Store) DerivedTargeting(target agraph.NodeRef) []core.DerivedFact {
+func (vs Views) DerivedTargeting(target agraph.NodeRef) []core.DerivedFact {
 	var out []core.DerivedFact
-	for _, v := range s.Views() {
+	for _, v := range vs {
 		out = append(out, v.DerivedTargeting(target)...)
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Source < out[j].Source })
@@ -228,52 +256,36 @@ func (s *Store) DerivedTargeting(target agraph.NodeRef) []core.DerivedFact {
 
 // DerivedFrom returns the facts derived from one source annotation
 // (owner shard; empty if the annotation is unknown).
-func (s *Store) DerivedFrom(src uint64) []core.DerivedFact {
-	k, ok := s.ownerOfAnnotation(src)
-	if !ok {
-		return nil
-	}
-	return s.shardCore(k).View().DerivedFrom(src)
-}
+func (vs Views) DerivedFrom(src uint64) []core.DerivedFact { return vs.owner(src).DerivedFrom(src) }
 
-// DerivedOnto returns the facts derived onto an annotation. Sources that
-// could target it share its routing domain, so the owner shard holds
-// them all.
-func (s *Store) DerivedOnto(id uint64) ([]core.DerivedFact, error) {
-	k, ok := s.ownerOfAnnotation(id)
-	if !ok {
-		return nil, errNoSuchAnnotation(id)
-	}
-	return s.shardCore(k).View().DerivedOnto(id)
+// DerivedOnto returns the facts derived onto an annotation (owner shard).
+func (vs Views) DerivedOnto(id uint64) ([]core.DerivedFact, error) {
+	return vs.owner(id).DerivedOnto(id)
 }
 
 // DerivedSourceEpoch returns the owner shard's derived epoch for src.
-func (s *Store) DerivedSourceEpoch(src uint64) uint64 {
-	k, ok := s.ownerOfAnnotation(src)
-	if !ok {
-		return 0
-	}
-	return s.shardCore(k).View().DerivedSourceEpoch(src)
-}
+func (vs Views) DerivedSourceEpoch(src uint64) uint64 { return vs.owner(src).DerivedSourceEpoch(src) }
 
-// Query executes one query against every shard and merges the results
-// in ID order (annotations, referents) / shard order (subgraphs).
+// Query executes one query against every shard's view and merges the
+// results in ID order (annotations, referents) / shard order (subgraphs).
 // Planner statistics sum across shards; Order and Strategies report
 // shard 0's plan. MaxResults caps each shard's enumeration and the
 // merged result is re-capped, so the cap holds but which matches
 // survive can differ from the unsharded store.
-func (s *Store) Query(ctx context.Context, src string, opts query.Options) (*query.Result, error) {
-	n := s.NumShards()
-	results := make([]*query.Result, n)
-	errs := make([]error, n)
+func (vs Views) Query(ctx context.Context, src string, opts query.Options) (*query.Result, error) {
+	q, err := query.Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	results := make([]*query.Result, len(vs))
+	errs := make([]error, len(vs))
 	var wg sync.WaitGroup
-	for k := 0; k < n; k++ {
+	for k, v := range vs {
 		wg.Add(1)
-		go func(k int) {
+		go func(k int, v *core.View) {
 			defer wg.Done()
-			proc := query.NewProcessor(s.shardCore(k))
-			results[k], errs[k] = proc.ExecuteCtx(ctx, src, opts)
-		}(k)
+			results[k], errs[k] = query.Run(ctx, v, q, opts)
+		}(k, v)
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -325,6 +337,71 @@ func (s *Store) Query(ctx context.Context, src string, opts query.Options) (*que
 		}
 	}
 	return out, nil
+}
+
+// Mark constructors. Marks are read-only (registered at commit); each is
+// resolved against the view of the shard that owns the underlying
+// object, found by routing key where the key is part of the call and by
+// probing otherwise.
+
+// home is the view of the shard a routing key places on.
+func (vs Views) home(key string) *core.View {
+	return vs[core.Router{Shards: len(vs)}.ShardOfKey(key)]
+}
+
+// MarkDomainInterval marks an interval in a coordinate domain.
+func (vs Views) MarkDomainInterval(domain string, iv interval.Interval) (*core.Referent, error) {
+	return vs.home(domain).MarkDomainInterval(domain, iv)
+}
+
+// MarkSequenceInterval marks an interval of a registered sequence.
+func (vs Views) MarkSequenceInterval(seqID string, local interval.Interval) (*core.Referent, error) {
+	for _, v := range vs {
+		if _, _, err := v.Sequence(seqID); err == nil {
+			return v.MarkSequenceInterval(seqID, local)
+		}
+	}
+	return nil, fmt.Errorf("%w: sequence %s", core.ErrNoSuchObject, seqID)
+}
+
+// MarkImageRegion marks a rectangle in image-local coordinates.
+func (vs Views) MarkImageRegion(imageID string, local rtree.Rect) (*core.Referent, error) {
+	for _, v := range vs {
+		if _, err := v.Image(imageID); err == nil {
+			return v.MarkImageRegion(imageID, local)
+		}
+	}
+	return nil, fmt.Errorf("%w: image %s", core.ErrNoSuchObject, imageID)
+}
+
+// MarkClade marks a clade of a registered tree.
+func (vs Views) MarkClade(treeID string, leaves ...string) (*core.Referent, error) {
+	return vs.home(treeID).MarkClade(treeID, leaves...)
+}
+
+// MarkSubgraph marks an induced subgraph of an interaction graph.
+func (vs Views) MarkSubgraph(graphID string, molecules ...string) (*core.Referent, error) {
+	return vs.home(graphID).MarkSubgraph(graphID, molecules...)
+}
+
+// MarkAlignmentBlock marks a block of a registered alignment.
+func (vs Views) MarkAlignmentBlock(alnID string, rows []string, cols interval.Interval) (*core.Referent, error) {
+	return vs.home(alnID).MarkAlignmentBlock(alnID, rows, cols)
+}
+
+// MarkObject marks a whole registered data object.
+func (vs Views) MarkObject(typ core.ObjectType, objectID string) (*core.Referent, error) {
+	var firstErr error
+	for _, v := range vs {
+		r, err := v.MarkObject(typ, objectID)
+		if err == nil {
+			return r, nil
+		}
+		if firstErr == nil {
+			firstErr = err
+		}
+	}
+	return nil, firstErr
 }
 
 // Export merges the per-shard snapshots into one, ordered exactly as the
@@ -503,11 +580,11 @@ func (s *Store) DurabilityStats() []durable.Stats {
 	return out
 }
 
-// perShard collects one list from each shard's current view.
-func perShard[T any](s *Store, list func(*core.View) []T) [][]T {
-	lists := make([][]T, s.NumShards())
-	for k := range lists {
-		lists[k] = list(s.View(k))
+// perShard collects one list from each view of the set.
+func perShard[T any](vs Views, list func(*core.View) []T) [][]T {
+	lists := make([][]T, len(vs))
+	for k, v := range vs {
+		lists[k] = list(v)
 	}
 	return lists
 }
@@ -546,12 +623,4 @@ func annotationID(a *core.Annotation) uint64 { return a.ID }
 
 func sortByID(out []*core.Annotation) {
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-}
-
-func errNoSuchAnnotation(id uint64) error {
-	return fmt.Errorf("%w: %d", core.ErrNoSuchAnnotation, id)
-}
-
-func errNoSuchReferent(id uint64) error {
-	return fmt.Errorf("%w: %d", core.ErrNoSuchReferent, id)
 }

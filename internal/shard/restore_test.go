@@ -122,7 +122,7 @@ func TestRestoreWaitsForRoutedWriters(t *testing.T) {
 	if _, err := s.Annotation(id); err != nil {
 		t.Fatalf("annotation %d acknowledged after restore is not visible: %v", id, err)
 	}
-	if got := len(s.Annotations()); got != 2 {
+	if got := len(s.Views().Annotations()); got != 2 {
 		t.Fatalf("annotations after restore+commit = %d, want 2 (seed + concurrent)", got)
 	}
 }
@@ -144,9 +144,10 @@ func influenzaSnapshot(t *testing.T, n int) *persist.Snapshot {
 }
 
 func perShardAnnotations(s *Store) []int {
-	out := make([]int, s.NumShards())
-	for k := range out {
-		out[k] = s.View(k).Stats().Annotations
+	vs := s.Views()
+	out := make([]int, len(vs))
+	for k, v := range vs {
+		out[k] = v.Stats().Annotations
 	}
 	return out
 }
@@ -223,15 +224,15 @@ func TestOneShardReadsCostTheShardsOwn(t *testing.T) {
 	if err := s.Restore(influenzaSnapshot(t, 300)); err != nil {
 		t.Fatal(err)
 	}
-	cs := s.shardCore(0)
+	cs, vs := s.shardCore(0), s.Views()
 	var stats core.Stats
 	var anns []*core.Annotation
 	for _, c := range []struct {
 		name       string
 		core, sets func()
 	}{
-		{"Stats", func() { stats = cs.Stats() }, func() { stats = s.Stats() }},
-		{"Annotations", func() { anns = cs.Annotations() }, func() { anns = s.Annotations() }},
+		{"Stats", func() { stats = cs.Stats() }, func() { stats = vs.Stats() }},
+		{"Annotations", func() { anns = cs.Annotations() }, func() { anns = vs.Annotations() }},
 	} {
 		own, merged := testing.AllocsPerRun(20, c.core), testing.AllocsPerRun(20, c.sets)
 		if merged > 2*own {
@@ -273,7 +274,7 @@ func perShardExports(t *testing.T, s *Store) [][]byte {
 // domain, ride along.
 func TestRestoredShardsEqualLiveShards(t *testing.T) {
 	live := New(3)
-	if err := workload.ApplyOps(live, workload.ShardedScenario(workload.RecoveryConfig{Seed: 11, Images: 6, Ops: 250}, 3)); err != nil {
+	if err := workload.ApplyOps(AsSink(live), workload.ShardedScenario(workload.RecoveryConfig{Seed: 11, Images: 6, Ops: 250}, 3)); err != nil {
 		t.Fatal(err)
 	}
 	registerDomainSeq(t, live, "seq-named", "chr-named")

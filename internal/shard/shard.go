@@ -19,21 +19,25 @@
 // mutex with a monotone sequence number — the bounded fallback the
 // design allows instead of asynchronous delta shipping. A cross-shard
 // annotation commits whole to its home shard (no dangling references, no
-// partial visibility); the completeness bound is that its marks dedup
-// per-shard rather than globally, and derived facts pairing it with
-// referents homed elsewhere are not materialized. Reusing an
-// already-committed referent is stricter: a committed referent homed on
-// a shard other than the annotation's home shard is refused up front
-// with ErrCrossShardReferent (the home shard cannot validate or link a
-// referent it does not hold) — re-mark the location, or keep shared
-// referents within one routing domain. Workloads that keep
-// each annotation's marks in one routing domain — the paper's studies
-// all do — get semantics identical to the unsharded store, which the
-// differential export test asserts byte-for-byte.
+// partial visibility), interval trees for its other domains included, so
+// a read by domain (Views.ReferentsAt, and Views.Stats' union of interval
+// domains) asks every shard, not the domain's owner alone. The
+// completeness bound is that its marks dedup per-shard rather than
+// globally, and derived facts pairing it with referents homed elsewhere
+// are not materialized. Reusing an already-committed referent is
+// stricter: a committed referent homed on a shard other than the
+// annotation's home shard is refused up front with ErrCrossShardReferent
+// (the home shard cannot validate or link a referent it does not hold) —
+// re-mark the location, or keep shared referents within one routing
+// domain. Workloads that keep each annotation's marks in one routing
+// domain — the paper's studies all do — get semantics identical to the
+// unsharded store, which the differential export test asserts
+// byte-for-byte.
 //
 // IDs. All shards share one core.AtomicIDs allocator, so annotation and
 // referent IDs are globally unique and merged reads can order by ID.
-// Reads pin one view per shard and merge deterministically in ID order.
+// A read is a method of Views — one view per shard, pinned together — and
+// merges the per-shard answers deterministically in ID order.
 //
 // Pipelines. A shard is one durable.Store — a core store plus an optional
 // log — and the set holds one slice of them: New builds pipelines without
@@ -65,11 +69,8 @@ import (
 
 	"graphitti/internal/core"
 	"graphitti/internal/durable"
-	"graphitti/internal/interval"
 	"graphitti/internal/persist"
 	"graphitti/internal/prop"
-	"graphitti/internal/relstore"
-	"graphitti/internal/rtree"
 )
 
 // shardsFile pins the shard count of a durable data directory; opening
@@ -573,6 +574,7 @@ func (s *Store) routeBuilder(b *core.Builder) (home, span int, homeKey string, e
 		shard int
 	}
 	var committed []owned
+	var vs Views // pinned once, on the first committed referent
 	for _, r := range b.Referents() {
 		if r == nil {
 			continue // commit reports the builder error
@@ -581,7 +583,10 @@ func (s *Store) routeBuilder(b *core.Builder) (home, span int, homeKey string, e
 			homeKey = r.RouteKey()
 		}
 		if r.ID != 0 {
-			k, ok := s.ownerOfReferent(r.ID)
+			if vs == nil {
+				vs = s.Views()
+			}
+			k, ok := vs.ownerOfReferent(r.ID)
 			if !ok {
 				return 0, 0, "", fmt.Errorf("%w: %d", core.ErrNoSuchReferent, r.ID)
 			}
@@ -615,100 +620,13 @@ func (s *Store) routeBuilder(b *core.Builder) (home, span int, homeKey string, e
 	return home, span, homeKey, nil
 }
 
-// ownerOfReferent finds the shard holding a committed referent.
-func (s *Store) ownerOfReferent(id uint64) (int, bool) {
-	for k := 0; k < s.NumShards(); k++ {
-		if _, err := s.shardCore(k).View().Referent(id); err == nil {
-			return k, true
-		}
-	}
-	return 0, false
-}
-
-// ownerOfAnnotation finds the shard holding a committed annotation.
-func (s *Store) ownerOfAnnotation(id uint64) (int, bool) {
-	for k := 0; k < s.NumShards(); k++ {
-		if _, err := s.shardCore(k).View().Annotation(id); err == nil {
-			return k, true
-		}
-	}
-	return 0, false
-}
-
 // DeleteAnnotation routes the deletion to the annotation's owner shard.
 func (s *Store) DeleteAnnotation(id uint64) error {
-	k, ok := s.ownerOfAnnotation(id)
+	k, ok := s.Views().ownerOfAnnotation(id)
 	if !ok {
 		return fmt.Errorf("%w: %d", core.ErrNoSuchAnnotation, id)
 	}
 	return s.mutate(k, "", func(p *durable.Store) error { return p.DeleteAnnotation(id) })
-}
-
-// Mark constructors. Marks are read-only (registered at commit); each is
-// resolved against the view of the shard that owns the underlying
-// object, found by routing key where the key is part of the call and by
-// probing otherwise.
-
-// MarkDomainInterval marks an interval in a coordinate domain.
-func (s *Store) MarkDomainInterval(domain string, iv interval.Interval) (*core.Referent, error) {
-	return s.shardCore(s.router.ShardOfKey(domain)).MarkDomainInterval(domain, iv)
-}
-
-// MarkSequenceInterval marks an interval of a registered sequence.
-func (s *Store) MarkSequenceInterval(seqID string, local interval.Interval) (*core.Referent, error) {
-	for k := 0; k < s.NumShards(); k++ {
-		v := s.shardCore(k).View()
-		if _, _, err := v.Sequence(seqID); err == nil {
-			return v.MarkSequenceInterval(seqID, local)
-		}
-	}
-	return nil, fmt.Errorf("%w: sequence %s", core.ErrNoSuchObject, seqID)
-}
-
-// MarkImageRegion marks a rectangle in image-local coordinates.
-func (s *Store) MarkImageRegion(imageID string, local rtree.Rect) (*core.Referent, error) {
-	for k := 0; k < s.NumShards(); k++ {
-		v := s.shardCore(k).View()
-		if _, err := v.Image(imageID); err == nil {
-			return v.MarkImageRegion(imageID, local)
-		}
-	}
-	return nil, fmt.Errorf("%w: image %s", core.ErrNoSuchObject, imageID)
-}
-
-// MarkClade marks a clade of a registered tree.
-func (s *Store) MarkClade(treeID string, leaves ...string) (*core.Referent, error) {
-	return s.shardCore(s.router.ShardOfKey(treeID)).MarkClade(treeID, leaves...)
-}
-
-// MarkSubgraph marks an induced subgraph of an interaction graph.
-func (s *Store) MarkSubgraph(graphID string, molecules ...string) (*core.Referent, error) {
-	return s.shardCore(s.router.ShardOfKey(graphID)).MarkSubgraph(graphID, molecules...)
-}
-
-// MarkAlignmentBlock marks a block of a registered alignment.
-func (s *Store) MarkAlignmentBlock(alnID string, rows []string, cols interval.Interval) (*core.Referent, error) {
-	return s.shardCore(s.router.ShardOfKey(alnID)).MarkAlignmentBlock(alnID, rows, cols)
-}
-
-// MarkRecords marks a set of rows of a user record table.
-func (s *Store) MarkRecords(table string, keys ...relstore.Value) (*core.Referent, error) {
-	return s.shardCore(s.router.ShardOfKey(table)).MarkRecords(table, keys...)
-}
-
-// MarkObject marks a whole registered data object.
-func (s *Store) MarkObject(typ core.ObjectType, objectID string) (*core.Referent, error) {
-	var firstErr error
-	for k := 0; k < s.NumShards(); k++ {
-		r, err := s.shardCore(k).View().MarkObject(typ, objectID)
-		if err == nil {
-			return r, nil
-		}
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
-	return nil, firstErr
 }
 
 // Sync flushes every shard's WAL.

@@ -24,12 +24,12 @@ func TestPropagationStudy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(study.Store.DerivedAll(), again.Store.DerivedAll()) {
+	if !reflect.DeepEqual(study.Store.View().DerivedAll(), again.Store.View().DerivedAll()) {
 		t.Fatal("propagation study is not deterministic")
 	}
 	// The closure rule fired: at least one fact targets an ontology term.
 	sawClosure := false
-	for _, f := range study.Store.DerivedAll() {
+	for _, f := range study.Store.View().DerivedAll() {
 		if f.Rule == "p-closure" {
 			sawClosure = true
 			break

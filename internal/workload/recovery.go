@@ -32,12 +32,21 @@ type Sink interface {
 }
 
 // coreSink adapts *core.Store to Sink: an op applies itself, rule ops go
-// through the store's propagation engine (attached on first use),
-// everything else is the store's own method.
+// through the store's propagation engine (attached on first use), marks
+// resolve against the current view, everything else is the store's own
+// method.
 type coreSink struct{ *core.Store }
 
 func (c coreSink) Apply(op persist.Op) error { return c.Batch(op.Apply) }
 func (c coreSink) AddRule(r prop.Rule) error { return prop.Attach(c.Store).AddRule(r) }
+
+func (c coreSink) MarkImageRegion(imageID string, local rtree.Rect) (*core.Referent, error) {
+	return c.View().MarkImageRegion(imageID, local)
+}
+
+func (c coreSink) MarkSequenceInterval(seqID string, local interval.Interval) (*core.Referent, error) {
+	return c.View().MarkSequenceInterval(seqID, local)
+}
 
 // AsSink wraps an in-memory store as a scenario Sink.
 func AsSink(s *core.Store) Sink { return coreSink{s} }

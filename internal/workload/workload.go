@@ -354,19 +354,19 @@ func Influenza(cfg InfluenzaConfig) (*InfluenzaStudy, error) {
 
 	// Structural annotations across the other data types (the Fig. 2
 	// workflow touches all six demo types).
-	cm, err := s.MarkClade(tree.ID, "duck", "chicken")
+	cm, err := s.View().MarkClade(tree.ID, "duck", "chicken")
 	if err != nil {
 		return nil, err
 	}
-	sgm, err := s.MarkSubgraph(ig.ID, "NS1", "PKR", "EIF2A")
+	sgm, err := s.View().MarkSubgraph(ig.ID, "NS1", "PKR", "EIF2A")
 	if err != nil {
 		return nil, err
 	}
-	bm, err := s.MarkAlignmentBlock(aln.ID, rowIDs[:2], interval.Interval{Lo: 10, Hi: 30})
+	bm, err := s.View().MarkAlignmentBlock(aln.ID, rowIDs[:2], interval.Interval{Lo: 10, Hi: 30})
 	if err != nil {
 		return nil, err
 	}
-	rm, err := s.MarkRecords("isolates", relstore.S("A/goose/0/1996"))
+	rm, err := s.View().MarkRecords("isolates", relstore.S("A/goose/0/1996"))
 	if err != nil {
 		return nil, err
 	}
@@ -464,7 +464,7 @@ func Neuroscience(cfg NeuroConfig) (*NeuroStudy, error) {
 		}
 		for k := 0; k < n; k++ {
 			x, y := float64(rng.Intn(800)), float64(rng.Intn(800))
-			m, err := s.MarkImageRegion(imgID, rtree.Rect2D(x, y, x+50+rng.Float64()*100, y+50+rng.Float64()*100))
+			m, err := s.View().MarkImageRegion(imgID, rtree.Rect2D(x, y, x+50+rng.Float64()*100, y+50+rng.Float64()*100))
 			if err != nil {
 				return nil, err
 			}
@@ -485,7 +485,7 @@ func Neuroscience(cfg NeuroConfig) (*NeuroStudy, error) {
 	for i := 0; i < cfg.NoiseAnnotations; i++ {
 		imgID := study.ImageIDs[rng.Intn(len(study.ImageIDs))]
 		x, y := float64(rng.Intn(900)), float64(rng.Intn(900))
-		m, err := s.MarkImageRegion(imgID, rtree.Rect2D(x, y, x+30, y+30))
+		m, err := s.View().MarkImageRegion(imgID, rtree.Rect2D(x, y, x+30, y+30))
 		if err != nil {
 			return nil, err
 		}
@@ -509,7 +509,7 @@ func Neuroscience(cfg NeuroConfig) (*NeuroStudy, error) {
 			Body("correlated expression of protein.TP53 across cerebellar sections")
 		for _, imgID := range study.QualifyingImages {
 			x := float64(100 + i*40)
-			m, err := s.MarkImageRegion(imgID, rtree.Rect2D(x, x, x+35, x+35))
+			m, err := s.View().MarkImageRegion(imgID, rtree.Rect2D(x, x, x+35, x+35))
 			if err != nil {
 				return nil, err
 			}

@@ -164,26 +164,28 @@ func TestContentDocumentsFlatVsTree(t *testing.T) {
 	}
 	marks := map[string]func() *core.Referent{
 		"interval": func() *core.Referent {
-			return mark(s.MarkSequenceInterval(`NC<1>&"x"`, interval.Interval{Lo: 10, Hi: 50}))
+			return mark(s.View().MarkSequenceInterval(`NC<1>&"x"`, interval.Interval{Lo: 10, Hi: 50}))
 		},
 		"domain interval": func() *core.Referent {
 			return mark(s.MarkDomainInterval(`segment "4" & <5>`, interval.Interval{Lo: 1100, Hi: 1180}))
 		},
-		"region": func() *core.Referent { return mark(s.MarkImageRegion("brain<1>", rtree.Rect2D(10, 20, 110, 220))) },
-		"clade":  func() *core.Referent { return mark(s.MarkClade("H5N1<tree>", "goose", "duck")) },
+		"region": func() *core.Referent {
+			return mark(s.View().MarkImageRegion("brain<1>", rtree.Rect2D(10, 20, 110, 220)))
+		},
+		"clade": func() *core.Referent { return mark(s.View().MarkClade("H5N1<tree>", "goose", "duck")) },
 		"subgraph": func() *core.Referent {
-			return mark(s.MarkSubgraph(`NS1"net"`, "PKR", "NS1"))
+			return mark(s.View().MarkSubgraph(`NS1"net"`, "PKR", "NS1"))
 		},
 		"block": func() *core.Referent {
-			return mark(s.MarkAlignmentBlock("HA&aln", []string{"row'c'", "row<b>", `row"a"`}, interval.Interval{Lo: 2, Hi: 7}))
+			return mark(s.View().MarkAlignmentBlock("HA&aln", []string{"row'c'", "row<b>", `row"a"`}, interval.Interval{Lo: 2, Hi: 7}))
 		},
 		"one-row block": func() *core.Referent {
-			return mark(s.MarkAlignmentBlock("HA&aln", []string{"row<b>"}, interval.Interval{Lo: 0, Hi: 1}))
+			return mark(s.View().MarkAlignmentBlock("HA&aln", []string{"row<b>"}, interval.Interval{Lo: 0, Hi: 1}))
 		},
 		"records": func() *core.Referent {
-			return mark(s.MarkRecords("isolates", relstore.S("A/hk/<1997>"), relstore.S(`A/goose/"1996"`)))
+			return mark(s.View().MarkRecords("isolates", relstore.S("A/hk/<1997>"), relstore.S(`A/goose/"1996"`)))
 		},
-		"object": func() *core.Referent { return mark(s.MarkObject(core.TypeTree, "H5N1<tree>")) },
+		"object": func() *core.Referent { return mark(s.View().MarkObject(core.TypeTree, "H5N1<tree>")) },
 	}
 	type input struct {
 		name  string
@@ -230,7 +232,7 @@ func TestContentDocumentsFlatVsTree(t *testing.T) {
 		}
 		var refs []*core.Referent
 		for _, id := range ann.ReferentIDs {
-			r, err := s.Referent(id)
+			r, err := s.View().Referent(id)
 			if err != nil {
 				t.Fatal(err)
 			}

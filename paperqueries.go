@@ -349,7 +349,7 @@ func annotationInClass(s *core.View, ann *Annotation, ontName, classTerm string)
 // MarkAndAnnotate is a convenience that marks a sequence interval and
 // commits a one-referent annotation in one call; the quickstart uses it.
 func MarkAndAnnotate(s *Store, seqID string, iv Interval, creator, date, body string) (*Annotation, error) {
-	m, err := s.MarkSequenceInterval(seqID, iv)
+	m, err := s.View().MarkSequenceInterval(seqID, iv)
 	if err != nil {
 		return nil, err
 	}

@@ -6,7 +6,7 @@ import (
 )
 
 // TestPropagationFacade exercises the facade surface of the propagation
-// engine: AddRule, DerivedFrom, ProvenanceOf, Rules, DeleteRule.
+// engine: AddRule, a view's DerivedFrom and DerivedOnto, Rules, DeleteRule.
 func TestPropagationFacade(t *testing.T) {
 	store := New()
 	dna, err := NewDNA("NC_1", strings.Repeat("ACGT", 500))
@@ -36,19 +36,20 @@ func TestPropagationFacade(t *testing.T) {
 	a1 := commit(100, 200)
 	a2 := commit(150, 250)
 
-	facts := DerivedFrom(store, a1.ID)
+	v := store.View()
+	facts := v.DerivedFrom(a1.ID)
 	if len(facts) != 1 || facts[0].Rule != "ov" {
 		t.Fatalf("DerivedFrom(a1) = %v", facts)
 	}
-	prov, err := ProvenanceOf(store, a2.ID)
+	prov, err := v.DerivedOnto(a2.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(prov) != 1 || prov[0].Source != a1.ID {
-		t.Fatalf("ProvenanceOf(a2) = %v", prov)
+		t.Fatalf("DerivedOnto(a2) = %v", prov)
 	}
-	if _, err := ProvenanceOf(store, 99999); err == nil {
-		t.Fatal("ProvenanceOf of a missing annotation returned no error")
+	if _, err := v.DerivedOnto(99999); err == nil {
+		t.Fatal("DerivedOnto of a missing annotation returned no error")
 	}
 	if rules := Rules(store); len(rules) != 1 || rules[0].ID != "ov" {
 		t.Fatalf("Rules = %v", rules)

@@ -71,7 +71,7 @@ func BenchmarkW2ShardedCommits(b *testing.B) {
 					b.Fatal(err)
 				}
 				for i := 0; i < preload; i++ {
-					m, err := sh.MarkSequenceInterval(domains[w],
+					m, err := sh.Views().MarkSequenceInterval(domains[w],
 						interval.Interval{Lo: int64(i * 4), Hi: int64(i*4 + 16)})
 					if err != nil {
 						b.Fatal(err)
@@ -97,7 +97,7 @@ func BenchmarkW2ShardedCommits(b *testing.B) {
 							return
 						}
 						lo := int64(i%2000) * 4
-						m, err := sh.MarkSequenceInterval(domains[g],
+						m, err := sh.Views().MarkSequenceInterval(domains[g],
 							interval.Interval{Lo: lo, Hi: lo + 20})
 						if err != nil {
 							b.Error(err)
@@ -174,7 +174,7 @@ func BenchmarkW1ShardedDurableCommit(b *testing.B) {
 						}
 						x := float64(i % 900)
 						y := float64((i / 900) % 900)
-						m, err := sh.MarkImageRegion(images[g], rtree.Rect2D(x, y, x+7, y+7))
+						m, err := sh.Views().MarkImageRegion(images[g], rtree.Rect2D(x, y, x+7, y+7))
 						if err != nil {
 							b.Error(err)
 							return
