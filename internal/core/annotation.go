@@ -54,21 +54,22 @@ func (a *Annotation) Encoded() string {
 func (a *Annotation) SetEncoded(s string) { a.encoded.Store(&s) }
 
 // Builder assembles an annotation prior to Commit. Builders are not safe
-// for concurrent use; each goroutine should use its own.
+// for concurrent use; each goroutine should use its own. What its
+// accessors return is shared with it; callers must not mutate it.
 type Builder struct {
 	store *Store
 	dc    dublincore.Record
-	title string
 	body  string
-	tags  []tagPair
+	tags  []Tag
 	refs  []*Referent
 	terms []TermRef
 	errs  []error
 	span  *trace.Span
 }
 
-type tagPair struct {
-	name, value string
+// Tag is one user-defined element of an annotation's content.
+type Tag struct {
+	Name, Value string
 }
 
 // NewAnnotation starts an annotation builder.
@@ -77,15 +78,13 @@ func (s *Store) NewAnnotation() *Builder {
 }
 
 // NewBuilder starts a store-free annotation builder: any store can commit
-// it. A sharded router uses this to assemble the annotation first and
-// pick the owning shard from the referents afterwards.
+// it, and it outlives whichever store its marks were read from.
 func NewBuilder() *Builder { return &Builder{} }
 
 // WithSpan attaches a trace span to the builder: commit-path layers
-// (router, writer, WAL) hang their child spans off it as the builder
-// crosses them. The builder is the one value that travels the whole
-// commit pipeline, so it carries the trace instead of every layer
-// growing a context parameter. Nil clears it.
+// (router, writer, commit, WAL) hang their child spans off it — the op a
+// live commit becomes (persist.CommitOp) carries it across them, so no
+// layer grows a context parameter. Nil clears it.
 func (b *Builder) WithSpan(sp *trace.Span) *Builder {
 	b.span = sp
 	return b
@@ -94,16 +93,28 @@ func (b *Builder) WithSpan(sp *trace.Span) *Builder {
 // Span returns the span attached with WithSpan, or nil.
 func (b *Builder) Span() *trace.Span { return b.span }
 
-// SetSpan is WithSpan without the chaining return, for layers that
-// re-point the builder at a child span and restore it after.
-func (b *Builder) SetSpan(sp *trace.Span) { b.span = sp }
+// Err returns the first error a setter recorded, worded as commit refuses
+// the builder with it; nil when there is none.
+func (b *Builder) Err() error {
+	if len(b.errs) == 0 {
+		return nil
+	}
+	return fmt.Errorf("core: invalid annotation: %v", b.errs[0])
+}
 
-// Referents returns the referents attached so far, in builder order. The
-// slice is shared with the builder; callers must not mutate it.
+// DC returns the Dublin Core record.
+func (b *Builder) DC() *dublincore.Record { return &b.dc }
+
+// BodyText returns the free-text comment set with Body.
+func (b *Builder) BodyText() string { return b.body }
+
+// Tags returns the user-defined tags, in builder order.
+func (b *Builder) Tags() []Tag { return b.tags }
+
+// Referents returns the referents attached so far, in builder order.
 func (b *Builder) Referents() []*Referent { return b.refs }
 
-// TermRefs returns the ontology references attached so far, in builder
-// order. The slice is shared with the builder; callers must not mutate it.
+// TermRefs returns the ontology references, in builder order.
 func (b *Builder) TermRefs() []TermRef { return b.terms }
 
 // Creator sets the Dublin Core creator element.
@@ -120,7 +131,6 @@ func (b *Builder) Date(date string) *Builder {
 
 // Title sets the Dublin Core title element.
 func (b *Builder) Title(title string) *Builder {
-	b.title = title
 	b.recordErr(b.dc.Set(dublincore.Title, title))
 	return b
 }
@@ -145,12 +155,13 @@ func (b *Builder) Body(text string) *Builder {
 
 // Tag adds a user-defined element (the paper's "other user-defined tags").
 func (b *Builder) Tag(name, value string) *Builder {
-	b.tags = append(b.tags, tagPair{name, value})
+	b.tags = append(b.tags, Tag{name, value})
 	return b
 }
 
 // Refer attaches a referent produced by one of the Mark* constructors (or
-// an already-committed referent, enabling shared referents).
+// an already-committed referent as a view returns it, enabling shared
+// referents).
 func (b *Builder) Refer(r *Referent) *Builder {
 	if r == nil {
 		b.errs = append(b.errs, fmt.Errorf("%w: nil referent", ErrBadMark))
@@ -195,28 +206,18 @@ func (s *Store) Commit(b *Builder) (*Annotation, error) {
 	return ann, err
 }
 
-// CommitWithIDs commits with a pinned annotation ID and pinned referent
-// IDs (one per builder referent; 0 leaves a referent unpinned). Snapshot
-// load and WAL replay use it so a recovered store assigns exactly the IDs
-// the original store assigned, even when deletions left gaps in the
-// sequence. Pinned IDs may not exceed MaxID or collide with existing
-// objects, and a pinned referent that dedups into an existing shared mark
-// must carry that mark's ID.
-func (s *Store) CommitWithIDs(b *Builder, annID uint64, refIDs []uint64) (*Annotation, error) {
-	var ann *Annotation
-	err := s.Batch(func(x *Tx) (err error) {
-		ann, err = x.CommitWithIDs(b, annID, refIDs)
-		return err
-	})
-	return ann, err
-}
-
 // Commit is Store.Commit as one op of the session.
 func (x *Tx) Commit(b *Builder) (*Annotation, error) {
 	return x.commit(b, 0, nil)
 }
 
-// CommitWithIDs is Store.CommitWithIDs as one op of the session.
+// CommitWithIDs is Commit with a pinned annotation ID and pinned referent
+// IDs (one per builder referent; 0 leaves a referent unpinned), as one op
+// of the session. Replaying a dump (persist.ApplyAnnotation) uses it, so a
+// recovered store assigns exactly the IDs the original store assigned,
+// even when deletions left gaps in the sequence. Pinned IDs may not
+// exceed MaxID or collide with existing objects, and a pinned referent
+// that dedups into an existing shared mark must carry that mark's ID.
 func (x *Tx) CommitWithIDs(b *Builder, annID uint64, refIDs []uint64) (*Annotation, error) {
 	if annID == 0 {
 		return nil, fmt.Errorf("core: pinned annotation ID must be non-zero")
@@ -247,8 +248,8 @@ func (x *Tx) commit(b *Builder, pinnedAnn uint64, pinnedRefs []uint64) (*Annotat
 	if b.store != nil && b.store != s {
 		return nil, fmt.Errorf("core: builder belongs to a different store")
 	}
-	if len(b.errs) > 0 {
-		return nil, fmt.Errorf("core: invalid annotation: %v", b.errs[0])
+	if err := b.Err(); err != nil {
+		return nil, err
 	}
 	if err := b.dc.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -274,10 +275,17 @@ func (x *Tx) commit(b *Builder, pinnedAnn uint64, pinnedRefs []uint64) (*Annotat
 			return nil, fmt.Errorf("%w: %s in %s", ErrNoSuchTerm, tr.TermID, tr.Ontology)
 		}
 	}
-	// Validate pre-committed referents.
+	// Validate pre-committed referents: the mark, not only the ID, since a
+	// live commit logs the mark as the caller holds it and replay finds it
+	// by its key.
 	for _, r := range b.refs {
-		if r.ID != 0 && x.refs.Get(r.ID) == nil {
+		if r.ID == 0 {
+			continue
+		}
+		if stored := x.refs.Get(r.ID); stored == nil {
 			return nil, fmt.Errorf("%w: %d", ErrNoSuchReferent, r.ID)
+		} else if markKey(r) != markKey(stored) {
+			return nil, fmt.Errorf("%w: referent %d is not the committed mark %s", ErrBadMark, r.ID, stored)
 		}
 	}
 
@@ -441,7 +449,7 @@ func (x *Tx) commit(b *Builder, pinnedAnn uint64, pinnedRefs []uint64) (*Annotat
 // each referent's id, lo and hi) are formatted into one buffer and cut
 // from its string.
 func buildContentDoc(annID uint64, dc *dublincore.Record, body string,
-	tags []tagPair, refs []*Referent, terms []TermRef) *xmldoc.Document {
+	tags []Tag, refs []*Referent, terms []TermRef) *xmldoc.Document {
 	nodes, attrs := 2+2*dc.Len(), 1+2*len(terms)
 	if body != "" {
 		nodes += 2
@@ -485,7 +493,7 @@ func buildContentDoc(annID uint64, dc *dublincore.Record, body string,
 	if len(tags) > 0 {
 		tagEl := doc.AddElement(doc.Root, "tags")
 		for _, t := range tags {
-			doc.AddElementText(tagEl, t.name, t.value)
+			doc.AddElementText(tagEl, t.Name, t.Value)
 		}
 	}
 	if len(refs) > 0 {

@@ -128,7 +128,10 @@ func TestRefusedCommitLeavesNoTrace(t *testing.T) {
 						return err
 					}))
 				} else {
-					_, refused = got.CommitWithIDs(note("torn", rf.marks...), 77, rf.pins)
+					_ = got.Batch(func(tx *core.Tx) error {
+						_, refused = tx.CommitWithIDs(note("torn", rf.marks...), 77, rf.pins)
+						return refused
+					})
 					_, err := got.Commit(good())
 					must(t, err)
 				}

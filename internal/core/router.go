@@ -6,12 +6,10 @@ import (
 )
 
 // This file is the core half of the sharded writer pipeline: the Router
-// that places every mutation on one of N independent stores, the routing
-// key each referent exposes, and the shared ID allocator that keeps
-// annotation/referent IDs globally unique across shards. The shard
-// facade itself (merged reads, broadcasts, durability) lives in
-// internal/shard; the placement rules live here so the routing function
-// and the mark/dedup semantics it depends on evolve together.
+// that hashes a routing key onto one of N independent stores, and the
+// shared ID allocator that keeps annotation/referent IDs globally unique
+// across shards. Which key an op is placed by — read off its dump — is
+// internal/shard's route, with the facade's merged reads and broadcasts.
 
 // IDSource allocates annotation and referent IDs for a store. A sharded
 // deployment hands every shard the same source so concurrently committed
@@ -42,11 +40,6 @@ func (a *AtomicIDs) Advance(nextAnn, nextRef uint64) {
 	advanceMax(&a.ref, nextRef)
 }
 
-// Counters reports the last allocated (annotation, referent) IDs.
-func (a *AtomicIDs) Counters() (nextAnn, nextRef uint64) {
-	return a.ann.Load(), a.ref.Load()
-}
-
 func advanceMax(c *atomic.Uint64, to uint64) {
 	for {
 		cur := c.Load()
@@ -72,27 +65,4 @@ func (r Router) ShardOfKey(key string) int {
 	h := fnv.New32a()
 	_, _ = h.Write([]byte(key))
 	return int(h.Sum32() % uint32(r.Shards))
-}
-
-// ShardOfReferent returns the owning shard of a mark.
-func (r Router) ShardOfReferent(ref *Referent) int {
-	return r.ShardOfKey(ref.RouteKey())
-}
-
-// RouteKey returns the placement key of a mark: the coordinate domain
-// for interval and region marks (so SUB_X overlap and co-registration
-// propagation stay intra-shard), the owning object or table for
-// structural marks, and the object ID for whole-object marks. Identical
-// marks always have identical route keys, so per-shard mark dedup is
-// exactly the unsharded dedup.
-func (r *Referent) RouteKey() string {
-	if r.Kind == ObjectReferent {
-		// Domain for a whole-object mark is the object type — far too
-		// coarse to spread load; the object's identity places it.
-		return r.ObjectID
-	}
-	if r.Domain != "" {
-		return r.Domain
-	}
-	return r.ObjectID
 }

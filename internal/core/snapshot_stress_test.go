@@ -270,7 +270,10 @@ func TestSnapshotIsolationStress(t *testing.T) {
 	}
 	for i, op := range history {
 		if op.commit != nil {
-			if err := ref.Batch(func(x *core.Tx) error { return persist.ApplyAnnotation(x, *op.commit) }); err != nil {
+			if err := ref.Batch(func(x *core.Tx) (err error) {
+				_, err = persist.ApplyAnnotation(x, *op.commit, nil)
+				return err
+			}); err != nil {
 				t.Fatalf("serial replay op %d: %v", i, err)
 			}
 		} else {

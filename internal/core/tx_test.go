@@ -36,11 +36,17 @@ func TestPinnedIDCeiling(t *testing.T) {
 				_, err := s.Commit(segmentNote(t, s, 5, "before"))
 				mustNoErr(t, err)
 				before, epoch := s.Stats(), s.View().Epoch()
+				pinned := func(annID uint64, refIDs []uint64) error {
+					return s.Batch(func(x *Tx) (err error) {
+						_, err = x.CommitWithIDs(segmentNote(t, s, 50, "pinned"), annID, refIDs)
+						return err
+					})
+				}
 				switch what {
 				case "annotation":
-					_, err = s.CommitWithIDs(segmentNote(t, s, 50, "pinned"), tc.id, nil)
+					err = pinned(tc.id, nil)
 				case "referent":
-					_, err = s.CommitWithIDs(segmentNote(t, s, 50, "pinned"), 7, []uint64{tc.id})
+					err = pinned(7, []uint64{tc.id})
 				case "counters":
 					err = s.RestoreIDCounters(tc.id, tc.id)
 				}

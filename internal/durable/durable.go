@@ -31,15 +31,16 @@
 //
 // # Semantics
 //
-// A pipeline's state is a function of its ops. Apply(op) is the one entry
-// point: the live mutation is op.Apply, as a session of one, and replay
-// makes the same call, all records in one session, on a dump — so the
-// pipeline builds its own copy of what it registers, and nothing
-// the caller does to the original afterwards is served here and missing
-// after a restart. The package orders, logs and acknowledges ops without
-// looking inside them. Commit and AddRule alone apply something other
-// than the op they log: the live builder, whose IDs the store assigns,
-// and the live rule.
+// A pipeline's state is a function of its ops. Run(op) is the one path:
+// the live mutation is op.Run, as a session of one, and replay applies
+// the same op (op.Apply, which op.Run wraps), all records in one session — so the
+// pipeline builds its own copy of what it registers, and nothing the
+// caller does to the original afterwards is served here and missing after
+// a restart. A commit is an op like any other (persist.CommitOp): the
+// session fills in the IDs it chose, and the completed op is what gets
+// logged, so replay pins them. The package orders, logs and acknowledges
+// ops without looking inside them; Apply, Commit and the other mutators
+// are each an op plus Run.
 //
 // Mutations apply to the in-memory store first (so invalid operations are
 // rejected before they reach the log), then append under the same
@@ -96,7 +97,6 @@ import (
 	"graphitti/internal/persist"
 	"graphitti/internal/prop"
 	"graphitti/internal/rtree"
-	"graphitti/internal/trace"
 	"graphitti/internal/wal"
 )
 
@@ -261,9 +261,9 @@ type Stats struct {
 
 // Store is one writer pipeline over a core.Store: crash-safe when it was
 // opened over a directory, a plain serialized writer when built by
-// Memory. Reads go straight to Core(); every mutation goes through
-// logApply, which logs (when there is a log) before acknowledging. All
-// methods are safe for concurrent use.
+// Memory. Reads go straight to Core(); every mutation goes through Run,
+// which logs (when there is a log) before acknowledging. All methods are
+// safe for concurrent use.
 type Store struct {
 	// dir is "" for a pipeline without a log (Memory): w and m stay nil,
 	// and every method below that would touch either returns first.
@@ -454,43 +454,41 @@ func (s *Store) Core() *core.Store { return s.core.Load() }
 // Dir returns the data directory ("" for a pipeline without a log).
 func (s *Store) Dir() string { return s.dir }
 
-// logApply runs one mutation: applyFn mutates the core store (and, for a
-// commit, fills rec's dump); on success the envelope is sequenced and
-// enqueued while still holding the ordering lock, then the caller waits
-// for the group-committed fdatasync outside it. A non-nil sp rides the
-// WAL append, so the flusher attaches the shared "wal.flush" span (batch
-// ID included) to it before the ack fires.
-func (s *Store) logApply(rec *record, sp *trace.Span, applyFn func(cs *core.Store) error) error {
+// Run logs and applies one op and answers with the annotation a commit op
+// committed (nil for other kinds). Under the ordering lock the op is
+// applied, completed with the IDs its session chose (persist.Op.Run) and,
+// when there is a log, sequenced and enqueued; the caller waits for the
+// group-committed fdatasync outside it. The op's span rides the WAL
+// append, so the flusher attaches the shared "wal.flush" span (batch ID
+// included) to it before the ack fires.
+func (s *Store) Run(op persist.Op) (*core.Annotation, error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return wal.ErrClosed
-	}
-	if s.dir == "" {
-		err := applyFn(s.Core())
-		s.mu.Unlock()
-		return err
+		return nil, wal.ErrClosed
 	}
 	// Refuse BEFORE mutating when the store is degraded (a sticky flush
-	// error, a failed rotation that left the log closed, or an earlier
-	// unloggable op): applying first would leave reader-visible state
-	// that vanishes on restart.
-	if s.degradeErr != nil {
-		err := fmt.Errorf("%w: %v", ErrDegraded, s.degradeErr)
-		s.mu.Unlock()
-		return err
+	// error, a failed rotation that left the log closed, an earlier
+	// unloggable op, or a WAL writer that poisoned itself asynchronously):
+	// applying first would leave reader-visible state that vanishes on
+	// restart.
+	if s.dir != "" {
+		if err := s.w.Err(); err != nil {
+			s.degradeLocked(fmt.Errorf("durable: log unavailable: %w", err))
+		}
+		if s.degradeErr != nil {
+			err := fmt.Errorf("%w: %v", ErrDegraded, s.degradeErr)
+			s.mu.Unlock()
+			return nil, err
+		}
 	}
-	if err := s.w.Err(); err != nil {
-		// The WAL writer poisoned itself asynchronously (another op's
-		// flush failed); latch the degradation here.
-		s.degradeLocked(fmt.Errorf("durable: log unavailable: %w", err))
-		err = fmt.Errorf("%w: %v", ErrDegraded, s.degradeErr)
-		s.mu.Unlock()
+	var ann *core.Annotation
+	if err := s.Core().Batch(func(x *core.Tx) (err error) {
+		op, ann, err = op.Run(x)
 		return err
-	}
-	if err := applyFn(s.Core()); err != nil {
+	}); err != nil || s.dir == "" {
 		s.mu.Unlock()
-		return err
+		return ann, err
 	}
 	// Encode and size-check BEFORE consuming a sequence number: an op that
 	// cannot be logged (marshal failure, oversize record) must not leave a
@@ -498,7 +496,7 @@ func (s *Store) logApply(rec *record, sp *trace.Span, applyFn func(cs *core.Stor
 	// log. The apply above already happened, though, so memory is now
 	// ahead of disk; degrade the store like any other log failure rather
 	// than serving state that would silently vanish on restart.
-	rec.Seq = s.seq + 1
+	rec := record{Seq: s.seq + 1, Op: op}
 	payload, err := json.Marshal(rec)
 	if err == nil && int64(len(payload)) > maxRecordSize {
 		err = fmt.Errorf("op of %d bytes exceeds max record size %d", len(payload), maxRecordSize)
@@ -507,10 +505,10 @@ func (s *Store) logApply(rec *record, sp *trace.Span, applyFn func(cs *core.Stor
 		s.degradeLocked(fmt.Errorf("durable: unloggable op %d: %w", rec.Seq, err))
 		err = fmt.Errorf("%w: %v", ErrDegraded, s.degradeErr)
 		s.mu.Unlock()
-		return err
+		return nil, err
 	}
 	s.seq++
-	ack := s.w.AppendAsyncTraced(payload, sp)
+	ack := s.w.AppendAsyncTraced(payload, op.Span())
 	size := s.w.Size()
 	s.mu.Unlock()
 
@@ -525,7 +523,7 @@ func (s *Store) logApply(rec *record, sp *trace.Span, applyFn func(cs *core.Stor
 		s.mu.Lock()
 		s.degradeLocked(fmt.Errorf("durable: log op %d: %w", rec.Seq, err))
 		s.mu.Unlock()
-		return fmt.Errorf("%w: log op %d: %w", ErrDegraded, rec.Seq, err)
+		return nil, fmt.Errorf("%w: log op %d: %w", ErrDegraded, rec.Seq, err)
 	}
 	s.m.commitWait.Observe(time.Since(waitStart).Seconds())
 	s.m.op(rec.Kind.String()).Inc()
@@ -543,7 +541,7 @@ func (s *Store) logApply(rec *record, sp *trace.Span, applyFn func(cs *core.Stor
 			s.m.compactFailures.Inc()
 		}
 	}
-	return nil
+	return ann, nil
 }
 
 // degradeLocked latches the degraded state; the first fault wins.
@@ -638,17 +636,18 @@ func (s *Store) compactIfNeeded() error {
 	return s.compactLocked()
 }
 
-// Apply logs and applies one op — the entry point for every mutation that
-// has no method of its own below (registrations, record tables and rows;
-// persist has a constructor for each). The live mutation is op.Apply, the
-// same call replay makes.
+// Apply logs and applies one op: Run without the answer. It is the entry
+// point for every mutation that has no method of its own below
+// (registrations, record tables and rows; persist has a constructor for
+// each).
 func (s *Store) Apply(op persist.Op) error {
-	return s.logApply(&record{Op: op}, nil, func(c *core.Store) error { return c.Batch(op.Apply) })
+	_, err := s.Run(op)
+	return err
 }
 
-// NewAnnotation starts an annotation builder on the wrapped store; pass
-// it to Commit.
-func (s *Store) NewAnnotation() *core.Builder { return s.Core().NewAnnotation() }
+// NewAnnotation starts a store-free annotation builder; pass it to Commit.
+// It outlives a Restore or Reopen of the pipeline.
+func (s *Store) NewAnnotation() *core.Builder { return core.NewBuilder() }
 
 // Mark constructors resolve against the wrapped store's current view
 // (marks are read-only until committed).
@@ -668,32 +667,13 @@ func (s *Store) MarkImageRegion(imageID string, local rtree.Rect) (*core.Referen
 	return s.Core().View().MarkImageRegion(imageID, local)
 }
 
-// Commit logs and commits an annotation. The committed annotation — with
-// the IDs the in-memory store assigned — is what gets logged, so replay
-// reassigns exactly the same IDs.
+// Commit logs and commits the annotation b assembles: Run of its op.
 func (s *Store) Commit(b *core.Builder) (*core.Annotation, error) {
-	var ann *core.Annotation
-	rec := record{Op: persist.Op{Kind: core.OpCommitAnnotation}}
-	err := s.logApply(&rec, b.Span(), func(c *core.Store) error {
-		var err error
-		ann, err = c.Commit(b)
-		if err != nil {
-			return err
-		}
-		if s.dir == "" {
-			return nil // nothing to log the dump into
-		}
-		d, err := persist.DumpAnnotation(c.View(), ann)
-		if err != nil {
-			return err
-		}
-		rec.Annotation = &d
-		return nil
-	})
+	op, err := persist.CommitOp(b)
 	if err != nil {
 		return nil, err
 	}
-	return ann, nil
+	return s.Run(op)
 }
 
 // DeleteAnnotation logs and deletes an annotation.
@@ -703,13 +683,9 @@ func (s *Store) DeleteAnnotation(id uint64) error {
 
 // AddRule logs and registers a propagation rule. The rule is a durable
 // op; the derived facts it materializes are not logged — recovery
-// re-derives them by replaying the rule among the other mutations. The
-// live rule is added directly: its errors reach HTTP clients without the
-// loader's prefix.
+// re-derives them by replaying the rule among the other mutations.
 func (s *Store) AddRule(r prop.Rule) error {
-	d := persist.DumpRule(r)
-	return s.logApply(&record{Op: persist.Op{Kind: core.OpAddRule, Rule: &d}}, nil,
-		func(c *core.Store) error { return prop.Attach(c).AddRule(r) })
+	return s.Apply(persist.RuleOp(r))
 }
 
 // DeleteRule logs and removes a propagation rule (and its derived facts).

@@ -2,15 +2,18 @@ package durable
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
+	"syscall"
 	"testing"
 
 	"graphitti/internal/biodata/imaging"
 	"graphitti/internal/core"
+	"graphitti/internal/faultfs"
 	"graphitti/internal/persist"
 	"graphitti/internal/rtree"
 	"graphitti/internal/workload"
@@ -372,6 +375,98 @@ func TestRestoreCheckpointsImmediately(t *testing.T) {
 	}
 	defer s2.Close()
 	mustEqualStores(t, s2.Core(), other)
+}
+
+// TestBuilderOutlivesRestore: a builder started before the pipeline's core
+// store is swapped out — by Restore, or by Reopen after a fault — commits
+// into the store that replaced it. The builder belongs to no store; its
+// commit is an op, applied by whichever core the pipeline holds then.
+func TestBuilderOutlivesRestore(t *testing.T) {
+	for _, swap := range []string{"restore", "reopen"} {
+		t.Run(swap, func(t *testing.T) {
+			sc := faultfs.NewScript()
+			s, err := Open(t.TempDir(), Options{CompactThreshold: -1, Inject: sc})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			seedStore(t, s, 2)
+			m, err := s.MarkImageRegion("img-0", rtree.Rect2D(500, 500, 510, 510))
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := s.NewAnnotation().Creator("x").Date("2026-10-15").Body("started before the swap").Refer(m)
+
+			before := s.Core()
+			switch swap {
+			case "restore":
+				snap, err := persist.Export(before)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := s.Restore(snap); err != nil {
+					t.Fatal(err)
+				}
+			case "reopen":
+				sc.FailAt(faultfs.OpSync, 1, faultfs.Fault{Err: faultfs.Errno(faultfs.OpSync, syscall.EIO)})
+				if err := s.DeleteAnnotation(1); !errors.Is(err, ErrDegraded) {
+					t.Fatalf("delete under a failing fsync: %v", err)
+				}
+				if _, err := s.Reopen(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if s.Core() == before {
+				t.Fatalf("%s kept the core store", swap)
+			}
+			ann, err := s.Commit(b)
+			if err != nil {
+				t.Fatalf("commit after %s: %v", swap, err)
+			}
+			if got, err := s.Core().View().Annotation(ann.ID); err != nil || got != ann {
+				t.Fatalf("committed annotation %d not served by the current core: %v", ann.ID, err)
+			}
+		})
+	}
+}
+
+// TestReusedReferentReplays: a commit that reuses a committed referent is
+// logged as its op, which carries the mark as the caller holds it, and
+// replays to the same store. A bare ID is not the mark: reusing one is
+// refused before anything is logged, since replay finds a reused referent
+// by its mark.
+func TestReusedReferentReplays(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, fastOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedStore(t, s, 1)
+	shared, err := s.Core().View().Referent(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := s.MarkImageRegion("img-0", rtree.Rect2D(300, 300, 310, 310))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Commit(s.NewAnnotation().Creator("x").Date("2026-10-15").Body("reuses").Refer(m).Refer(shared)); err != nil {
+		t.Fatal(err)
+	}
+	bare := &core.Referent{ID: shared.ID}
+	if _, err := s.Commit(s.NewAnnotation().Creator("x").Date("2026-10-15").Body("bare").Refer(bare)); !errors.Is(err, core.ErrBadMark) {
+		t.Fatalf("reuse by a bare referent ID: %v, want ErrBadMark", err)
+	}
+	want := s.Core()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(dir, fastOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	mustEqualStores(t, s2.Core(), want)
 }
 
 func TestConcurrentCommits(t *testing.T) {

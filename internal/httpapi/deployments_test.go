@@ -51,7 +51,7 @@ func deployments(t *testing.T, fn func(t *testing.T, d deployment)) {
 }
 
 // influenzaStore generates the influenza study with n annotations.
-func influenzaStore(t *testing.T, n int) *core.Store {
+func influenzaStore(t testing.TB, n int) *core.Store {
 	t.Helper()
 	cfg := workload.DefaultInfluenza
 	cfg.Annotations = n

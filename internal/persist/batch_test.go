@@ -231,7 +231,7 @@ func TestBatchFailureKeepsPrefix(t *testing.T) {
 	batch, err := load(func(s *core.Store, anns []persist.AnnotationDump) error {
 		return s.Batch(func(x *core.Tx) error {
 			for _, ad := range anns {
-				if err := persist.ApplyAnnotation(x, ad); err != nil {
+				if _, err := persist.ApplyAnnotation(x, ad, nil); err != nil {
 					return err
 				}
 			}
@@ -243,7 +243,10 @@ func TestBatchFailureKeepsPrefix(t *testing.T) {
 	}
 	serial, serr := load(func(s *core.Store, anns []persist.AnnotationDump) error {
 		for _, ad := range anns {
-			if err := s.Batch(func(x *core.Tx) error { return persist.ApplyAnnotation(x, ad) }); err != nil {
+			if err := s.Batch(func(x *core.Tx) (err error) {
+				_, err = persist.ApplyAnnotation(x, ad, nil)
+				return err
+			}); err != nil {
 				return err
 			}
 		}

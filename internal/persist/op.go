@@ -2,6 +2,7 @@ package persist
 
 import (
 	"fmt"
+	"slices"
 
 	"graphitti/internal/biodata/imaging"
 	"graphitti/internal/biodata/interact"
@@ -12,13 +13,15 @@ import (
 	"graphitti/internal/ontology"
 	"graphitti/internal/prop"
 	"graphitti/internal/relstore"
+	"graphitti/internal/trace"
 )
 
 // Op is one store mutation in serialised form: the op envelope a writer
 // pipeline logs (internal/durable prefixes its sequence number) and a
 // shard set routes (internal/shard). Exactly one dump field is set,
 // matched by Kind. Field names and order are the WAL record format: never
-// rename or reorder, only append.
+// rename or reorder, only append. A live commit is an op whose IDs the
+// session fills in (CommitOp, Run); once applied, an op's IDs are pins.
 type Op struct {
 	Kind core.OpKind `json:"kind"`
 
@@ -36,6 +39,19 @@ type Op struct {
 	DeleteID   uint64          `json:"deleteId,omitempty"`
 	Rule       *RuleDump       `json:"rule,omitempty"`
 	RuleID     string          `json:"ruleId,omitempty"`
+
+	// span is the request's trace span, never encoded: the layers a live op
+	// crosses (router, shard writer, commit, WAL flush) hang theirs off it.
+	span *trace.Span
+}
+
+// Span returns the op's trace span, or nil.
+func (op Op) Span() *trace.Span { return op.span }
+
+// WithSpan returns the op carrying sp as its trace span.
+func (op Op) WithSpan(sp *trace.Span) Op {
+	op.span = sp
+	return op
 }
 
 // Apply performs the op as one op of a writer session; a store-level
@@ -93,19 +109,67 @@ func (op Op) Apply(x *core.Tx) error {
 		if op.Annotation == nil {
 			return missing("annotation")
 		}
-		return ApplyAnnotation(x, *op.Annotation)
+		_, err := ApplyAnnotation(x, *op.Annotation, op.span)
+		return err
 	case core.OpDeleteAnnotation:
 		return x.DeleteAnnotation(op.DeleteID)
 	case core.OpAddRule:
 		if op.Rule == nil {
 			return missing("rule")
 		}
-		return ApplyRule(x, *op.Rule)
+		return prop.AddRules(x, RestoreRule(*op.Rule))
 	case core.OpDeleteRule:
 		return prop.DeleteRule(x, op.RuleID)
 	default:
 		return fmt.Errorf("unknown op kind %d", op.Kind)
 	}
+}
+
+// Run is Apply answering with the op as applied and what a commit
+// committed: a live commit op comes back with the IDs its session chose
+// filled in — what a log records, so replay pins them — any other op as
+// it went in. The op's dumps are never written to: a snapshot's are
+// staged on several shards and may be loaded twice.
+func (op Op) Run(x *core.Tx) (Op, *core.Annotation, error) {
+	if op.Kind != core.OpCommitAnnotation || op.Annotation == nil {
+		return op, nil, op.Apply(x)
+	}
+	ann, err := ApplyAnnotation(x, *op.Annotation, op.span)
+	if err != nil || op.Annotation.ID != 0 {
+		return op, ann, err
+	}
+	d := *op.Annotation
+	d.ID = ann.ID
+	d.Referents = slices.Clone(d.Referents)
+	for i := range d.Referents {
+		d.Referents[i].ID = ann.ReferentIDs[i]
+	}
+	op.Annotation = &d
+	return op, ann, nil
+}
+
+// CommitOp is the op that commits the annotation b assembles: its
+// annotation ID is 0, a referent b reuses keeps its committed ID and a new
+// mark has none, and it carries b's span. A builder with a recorded error
+// is refused with the error commit would give.
+func CommitOp(b *core.Builder) (Op, error) {
+	if err := b.Err(); err != nil {
+		return Op{}, err
+	}
+	d := AnnotationDump{DC: dumpDC(b.DC()), Body: b.BodyText(), Terms: dumpTerms(b.TermRefs())}
+	for _, t := range b.Tags() {
+		d.Tags = append(d.Tags, TagDump{Name: t.Name, Value: t.Value})
+	}
+	for _, ref := range b.Referents() {
+		d.Referents = append(d.Referents, dumpReferent(ref))
+	}
+	return Op{Kind: core.OpCommitAnnotation, Annotation: &d, span: b.Span()}, nil
+}
+
+// RuleOp adds a propagation rule.
+func RuleOp(r prop.Rule) Op {
+	d := DumpRule(r)
+	return Op{Kind: core.OpAddRule, Rule: &d}
 }
 
 // The constructors below build the op that registers a live object. The

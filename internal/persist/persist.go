@@ -19,12 +19,16 @@
 // what a mutation looks like and how to apply it. Export/Load compose the
 // pairs over whole stores; internal/durable logs one Op per mutation and
 // replays it with Op.Apply; internal/shard routes an Op by what it holds.
+// A live commit is an op too (CommitOp): one whose IDs the session fills
+// in (Op.Run), so what is served, logged and replayed is one value.
 package persist
 
 import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"sort"
 
 	"graphitti/internal/biodata/imaging"
@@ -39,6 +43,7 @@ import (
 	"graphitti/internal/prop"
 	"graphitti/internal/relstore"
 	"graphitti/internal/rtree"
+	"graphitti/internal/trace"
 )
 
 // Version identifies the snapshot format. Version 2 added ID preservation
@@ -477,10 +482,7 @@ func RestoreValue(d ValueDump) (relstore.Value, error) {
 // DumpAnnotation serialises an annotation of view v, including its ID and
 // the IDs of its referents (format v2), which it resolves in v.
 func DumpAnnotation(v *core.View, ann *core.Annotation) (AnnotationDump, error) {
-	d := AnnotationDump{ID: ann.ID, DC: map[string][]string{}}
-	for _, e := range ann.DC.Elements() {
-		d.DC[string(e)] = ann.DC.Get(e)
-	}
+	d := AnnotationDump{ID: ann.ID, DC: dumpDC(ann.DC), Terms: dumpTerms(ann.Terms)}
 	// Body and user tags live in the content document.
 	if body := ann.Content.Root.FirstChildElement("body"); body.Valid() {
 		d.Body = body.Text()
@@ -495,26 +497,38 @@ func DumpAnnotation(v *core.View, ann *core.Annotation) (AnnotationDump, error) 
 		if err != nil {
 			return d, err
 		}
-		rd := ReferentDump{
-			ID:         ref.ID,
-			Kind:       uint8(ref.Kind),
-			ObjectType: string(ref.ObjectType),
-			ObjectID:   ref.ObjectID,
-			Domain:     ref.Domain,
-			Lo:         ref.Interval.Lo,
-			Hi:         ref.Interval.Hi,
-			Keys:       ref.Keys,
-		}
-		if ref.Kind == core.RegionReferent {
-			rd.Rect = [2][3]float64{ref.Region.Min, ref.Region.Max}
-			rd.RectDims = ref.Region.Dims
-		}
-		d.Referents = append(d.Referents, rd)
-	}
-	for _, tr := range ann.Terms {
-		d.Terms = append(d.Terms, TermRefDump{Ontology: tr.Ontology, Term: tr.TermID})
+		d.Referents = append(d.Referents, dumpReferent(ref))
 	}
 	return d, nil
+}
+
+// dumpDC serialises a Dublin Core record.
+func dumpDC(dc *dublincore.Record) map[string][]string {
+	d := map[string][]string{}
+	for _, e := range dc.Elements() {
+		d[string(e)] = dc.Get(e)
+	}
+	return d
+}
+
+// dumpReferent serialises a mark, with its ID (0 for an uncommitted one).
+func dumpReferent(ref *core.Referent) ReferentDump {
+	rd := ReferentDump{ID: ref.ID, Kind: uint8(ref.Kind), ObjectType: string(ref.ObjectType),
+		ObjectID: ref.ObjectID, Domain: ref.Domain, Lo: ref.Interval.Lo, Hi: ref.Interval.Hi, Keys: ref.Keys}
+	if ref.Kind == core.RegionReferent {
+		rd.Rect = [2][3]float64{ref.Region.Min, ref.Region.Max}
+		rd.RectDims = ref.Region.Dims
+	}
+	return rd
+}
+
+// dumpTerms serialises ontology references.
+func dumpTerms(terms []core.TermRef) []TermRefDump {
+	var d []TermRefDump
+	for _, tr := range terms {
+		d = append(d, TermRefDump{Ontology: tr.Ontology, Term: tr.TermID})
+	}
+	return d
 }
 
 // DumpRule serialises a propagation rule.
@@ -531,15 +545,6 @@ func RestoreRule(d RuleDump) prop.Rule {
 		ID: d.ID, Keyword: d.Keyword, Ontology: d.Ontology, Term: d.Term,
 		Domain: d.Domain, Kind: d.Kind, Edge: prop.EdgeKind(d.Edge), Relations: d.Relations,
 	}
-}
-
-// ApplyRule registers a dumped propagation rule, attaching an engine to
-// the store if it has none, and rebuilds the derived table.
-func ApplyRule(x *core.Tx, d RuleDump) error {
-	if err := prop.AddRules(x, RestoreRule(d)); err != nil {
-		return fmt.Errorf("persist: rule %s: %w", d.ID, err)
-	}
-	return nil
 }
 
 // ApplyOntology rebuilds and registers a dumped ontology.
@@ -669,26 +674,22 @@ func ApplyRecord(x *core.Tx, table string, rd []ValueDump) error {
 	return nil
 }
 
-// ApplyAnnotation rebuilds and commits a dumped annotation. When the dump
-// carries IDs (v2), the annotation and its referents are committed with
-// exactly those IDs; otherwise the store assigns the next free ones.
-func ApplyAnnotation(x *core.Tx, ad AnnotationDump) error {
-	b := core.NewBuilder()
-	elems := make([]string, 0, len(ad.DC))
-	for e := range ad.DC {
-		elems = append(elems, e)
-	}
-	sort.Strings(elems)
-	for _, e := range elems {
+// ApplyAnnotation rebuilds and commits a dumped annotation and returns
+// what it committed. A dump with an ID pins it: the annotation and its
+// referents commit with exactly the dump's IDs, which is how a logged or
+// exported annotation replays. A dump without one is a live commit's op
+// (CommitOp) or a v1 snapshot's entry: the session assigns the IDs, and a
+// referent ID names a committed referent to reuse. The commit hangs its
+// span off sp. ad is not written to.
+func ApplyAnnotation(x *core.Tx, ad AnnotationDump, sp *trace.Span) (*core.Annotation, error) {
+	b := core.NewBuilder().WithSpan(sp).Body(ad.Body)
+	for _, e := range slices.Sorted(maps.Keys(ad.DC)) {
 		b.DCElement(dublincore.Element(e), ad.DC[e]...)
-	}
-	if ad.Body != "" {
-		b.Body(ad.Body)
 	}
 	for _, tg := range ad.Tags {
 		b.Tag(tg.Name, tg.Value)
 	}
-	refIDs := make([]uint64, 0, len(ad.Referents))
+	var refIDs []uint64
 	for _, rd := range ad.Referents {
 		ref := &core.Referent{
 			Kind:       core.ReferentKind(rd.Kind),
@@ -701,22 +702,24 @@ func ApplyAnnotation(x *core.Tx, ad AnnotationDump) error {
 		if ref.Kind == core.RegionReferent {
 			ref.Region = rtree.Rect{Min: rd.Rect[0], Max: rd.Rect[1], Dims: rd.RectDims}
 		}
+		if ad.ID == 0 {
+			ref.ID = rd.ID
+		} else {
+			refIDs = append(refIDs, rd.ID)
+		}
 		b.Refer(ref)
-		refIDs = append(refIDs, rd.ID)
 	}
 	for _, tr := range ad.Terms {
 		b.OntologyRef(tr.Ontology, tr.Term)
 	}
-	var err error
-	if ad.ID != 0 {
-		_, err = x.CommitWithIDs(b, ad.ID, refIDs)
-	} else {
-		_, err = x.Commit(b)
+	if ad.ID == 0 {
+		return x.Commit(b)
 	}
+	ann, err := x.CommitWithIDs(b, ad.ID, refIDs)
 	if err != nil {
-		return fmt.Errorf("persist: annotation %d: %w", ad.ID, err)
+		return nil, fmt.Errorf("persist: annotation %d: %w", ad.ID, err)
 	}
-	return nil
+	return ann, nil
 }
 
 // Load rebuilds a store from a snapshot by replaying every registration,

@@ -224,7 +224,9 @@ func TestOpenFreshDirectoryLayout(t *testing.T) {
 // referent homed on a different shard than the annotation's home shard
 // is refused up front with ErrCrossShardReferent naming the owner — not
 // a confusing "no such referent" from a home shard that cannot see it.
-// Reuse within the home shard keeps working.
+// Reuse within the home shard keeps working. Commit(b) and Apply of b's
+// op are one path: each case holds for both, and an annotation whose
+// marks span shards is one cross-shard commit through either.
 func TestCommitRefusesCrossShardCommittedReferent(t *testing.T) {
 	s := shard.New(2)
 	router := core.Router{Shards: 2}
@@ -252,12 +254,23 @@ func TestCommitRefusesCrossShardCommittedReferent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-
-	ra, err := s.MarkDomainInterval(domA, interval.Interval{Lo: 0, Hi: 10})
-	if err != nil {
-		t.Fatal(err)
+	mark := func(dom string, lo int64) *core.Referent {
+		t.Helper()
+		m, err := s.MarkDomainInterval(dom, interval.Interval{Lo: lo, Hi: lo + 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
 	}
-	annA, err := s.Commit(s.NewAnnotation().Creator("tester").Date("2026-08-08").Body("on shard 0").Refer(ra))
+	note := func(body string, refs ...*core.Referent) *core.Builder {
+		b := s.NewAnnotation().Creator("tester").Date("2026-08-08").Body(body)
+		for _, r := range refs {
+			b.Refer(r)
+		}
+		return b
+	}
+
+	annA, err := s.Commit(note("on shard 0", mark(domA, 0)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,25 +279,42 @@ func TestCommitRefusesCrossShardCommittedReferent(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Same-shard reuse of the committed referent works.
-	rb, err := s.MarkDomainInterval(domA, interval.Interval{Lo: 5, Hi: 15})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Commit(s.NewAnnotation().Creator("tester").Date("2026-08-08").Body("shares on shard 0").Refer(rb).Refer(shared)); err != nil {
-		t.Fatalf("same-shard committed-referent reuse: %v", err)
-	}
+	for _, in := range []struct {
+		name   string
+		commit func(*core.Builder) error
+	}{
+		{"Commit", func(b *core.Builder) error {
+			_, err := s.Commit(b)
+			return err
+		}},
+		{"Apply", func(b *core.Builder) error {
+			op, err := persist.CommitOp(b)
+			if err != nil {
+				return err
+			}
+			return s.Apply(op)
+		}},
+	} {
+		t.Run(in.name, func(t *testing.T) {
+			if err := in.commit(note("shares on shard 0", mark(domA, 5), shared)); err != nil {
+				t.Fatalf("same-shard committed-referent reuse: %v", err)
+			}
 
-	// Cross-shard reuse is refused with the dedicated error.
-	rc, err := s.MarkDomainInterval(domB, interval.Interval{Lo: 0, Hi: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = s.Commit(s.NewAnnotation().Creator("tester").Date("2026-08-08").Body("homes on shard 1").Refer(rc).Refer(shared))
-	if !errors.Is(err, shard.ErrCrossShardReferent) {
-		t.Fatalf("cross-shard committed-referent commit: err = %v, want ErrCrossShardReferent", err)
-	}
-	if errors.Is(err, core.ErrNoSuchReferent) {
-		t.Fatalf("cross-shard refusal still reads as no-such-referent: %v", err)
+			err := in.commit(note("homes on shard 1", mark(domB, 0), shared))
+			if !errors.Is(err, shard.ErrCrossShardReferent) {
+				t.Fatalf("cross-shard committed-referent commit: err = %v, want ErrCrossShardReferent", err)
+			}
+			if errors.Is(err, core.ErrNoSuchReferent) {
+				t.Fatalf("cross-shard refusal still reads as no-such-referent: %v", err)
+			}
+
+			before := s.CrossShardCommits()
+			if err := in.commit(note("spans both shards", mark(domA, 40), mark(domB, 40))); err != nil {
+				t.Fatal(err)
+			}
+			if got := s.CrossShardCommits(); got != before+1 {
+				t.Fatalf("a commit whose marks span shards moved CrossShardCommits %d -> %d, want one", before, got)
+			}
+		})
 	}
 }

@@ -508,30 +508,6 @@ func (s *Store) placedOn(k int) func(persist.Op) bool {
 	}
 }
 
-// routeKeyOfAnnotationDump is routeBuilder's key for a serialized
-// annotation: its first mark's route key, else its first term's ontology.
-// (Commit routes the live builder; this is its dump-side pair.)
-func routeKeyOfAnnotationDump(d persist.AnnotationDump) string {
-	for _, rd := range d.Referents {
-		return routeKeyOfDump(rd)
-	}
-	if len(d.Terms) > 0 {
-		return d.Terms[0].Ontology
-	}
-	return ""
-}
-
-// routeKeyOfDump mirrors core.Referent.RouteKey for serialized marks.
-func routeKeyOfDump(d persist.ReferentDump) string {
-	if core.ReferentKind(d.Kind) == core.ObjectReferent {
-		return d.ObjectID
-	}
-	if d.Domain != "" {
-		return d.Domain
-	}
-	return d.ObjectID
-}
-
 // ShardHealth is one shard's durability health, tagged with its ID.
 type ShardHealth struct {
 	Shard int `json:"shard"`

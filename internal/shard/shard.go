@@ -2,11 +2,13 @@
 // router, so commits to disjoint coordinate domains spend separate cores
 // instead of funnelling through a single serialized writer.
 //
-// Placement. Every mutation is one persist.Op, and route — the only
-// per-kind table in this package — says where an op goes: to the shard a
-// stable key hashes to (core.Router, FNV-1a) or to every shard. Apply
-// places live ops by it and Restore the entries of a snapshot, so there
-// is no second rule for the two to disagree on. Domain-keyed placement
+// Placement. Every mutation is one persist.Op, a live commit included
+// (Commit is Apply of persist.CommitOp), and route — the only per-kind
+// table in this package — says where an op goes: to the shard a stable
+// key hashes to (core.Router, FNV-1a) or to every shard. Apply places
+// live ops by it and Restore the entries of a snapshot, reading the same
+// dumps, so there is no second rule for the two to disagree on; a mark's
+// key is computed once (routeKey). Domain-keyed placement
 // keeps the propagation engine exact without cross-shard evaluation:
 // SUB_X overlap is intra-domain, co-registration is intra-system, and
 // shared-referent hops are intra-shard because identical marks always
@@ -61,6 +63,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -417,13 +420,11 @@ func (s *Store) broadcast(fn func(k int) error) error {
 
 // AddRule broadcasts a propagation rule to every shard, so each shard's
 // engine derives over its own annotations with the full rule set.
-func (s *Store) AddRule(r prop.Rule) error {
-	return s.broadcast(func(k int) error { return s.pipes[k].AddRule(r) })
-}
+func (s *Store) AddRule(r prop.Rule) error { return s.Apply(persist.RuleOp(r)) }
 
 // DeleteRule broadcasts a rule deletion to every shard.
 func (s *Store) DeleteRule(id string) error {
-	return s.broadcast(func(k int) error { return s.pipes[k].DeleteRule(id) })
+	return s.Apply(persist.Op{Kind: core.OpDeleteRule, RuleID: id})
 }
 
 // Rules returns the installed propagation rules (identical on every
@@ -431,11 +432,12 @@ func (s *Store) DeleteRule(id string) error {
 func (s *Store) Rules() []prop.Rule { return prop.RulesOf(s.shardCore(0)) }
 
 // Apply places one op by route and applies it there: on every shard for a
-// broadcast op, otherwise on the one its key hashes to. It is the entry
-// point for every mutation without a method of its own here —
-// registrations, record tables and rows (persist has a constructor for
-// each). Each pipeline rebuilds what the op registers from the op's dump,
-// so no two shards, and no shard and the caller, share an object.
+// broadcast op, otherwise on the one its key hashes to (a commit on its
+// home shard, see commit). It is the entry point for every mutation
+// without a method of its own here — registrations, record tables and
+// rows (persist has a constructor for each). Each pipeline rebuilds what
+// the op registers from the op's dump, so no two shards, and no shard and
+// the caller, share an object.
 func (s *Store) Apply(op persist.Op) error {
 	key, all, err := route(op)
 	switch {
@@ -445,6 +447,9 @@ func (s *Store) Apply(op persist.Op) error {
 		return s.broadcast(func(k int) error { return s.pipes[k].Apply(op) })
 	case op.Kind == core.OpDeleteAnnotation:
 		return s.DeleteAnnotation(op.DeleteID) // placed by where the annotation is; no key says
+	case op.Kind == core.OpCommitAnnotation:
+		_, err := s.commit(op)
+		return err
 	}
 	return s.mutate(s.router.ShardOfKey(key), key, func(p *durable.Store) error { return p.Apply(op) })
 }
@@ -454,8 +459,7 @@ func (s *Store) Apply(op persist.Op) error {
 // every interval mark in it share a shard; coordinate systems by name and
 // images by their system; alignments, trees and interaction graphs by ID;
 // record tables and their rows by table name; annotations by their first
-// mark (Commit routes the live builder the same way, by
-// core.Referent.RouteKey). A hollow op routes by the empty key, and the
+// mark (annotationKey). A hollow op routes by the empty key, and the
 // pipeline it lands on refuses it.
 func route(op persist.Op) (key string, broadcast bool, err error) {
 	switch op.Kind {
@@ -480,7 +484,7 @@ func route(op persist.Op) (key string, broadcast bool, err error) {
 	case core.OpInsertRecord:
 		key = op.RecTable
 	case core.OpCommitAnnotation:
-		key = routeKeyOfAnnotationDump(val(op.Annotation))
+		key = annotationKey(val(op.Annotation))
 	case core.OpDeleteAnnotation:
 		// The owner shard is found by probing (DeleteAnnotation).
 	default:
@@ -498,25 +502,59 @@ func val[T any](p *T) T {
 	return *p
 }
 
+// annotationKey is the key an annotation is placed by: its first mark's,
+// else its first term's ontology — a term-only annotation has no spatial
+// affinity, and every shard holds every ontology, so the hash only
+// spreads load.
+func annotationKey(d persist.AnnotationDump) string {
+	switch {
+	case len(d.Referents) > 0:
+		return routeKey(d.Referents[0])
+	case len(d.Terms) > 0:
+		return d.Terms[0].Ontology
+	}
+	return ""
+}
+
+// routeKey is the key a mark is placed by: its coordinate domain (so
+// SUB_X overlap and co-registration propagation stay intra-shard), or the
+// object ID for a whole-object mark, whose domain — the object type — is
+// too coarse to spread load. Identical marks have identical keys, so
+// per-shard mark dedup is exactly the unsharded dedup.
+func routeKey(d persist.ReferentDump) string {
+	if core.ReferentKind(d.Kind) == core.ObjectReferent || d.Domain == "" {
+		return d.ObjectID
+	}
+	return d.Domain
+}
+
 // NewAnnotation starts a store-free builder; Commit picks the shard from
 // the attached marks.
 func (s *Store) NewAnnotation() *core.Builder { return core.NewBuilder() }
 
-// Commit routes the annotation to its home shard — the owner of its
-// first mark's routing key (first term's ontology for term-only
-// annotations). An annotation whose marks span shards serializes through
-// the inter-shard channel and still commits whole to the home shard; see
-// the package comment for the exact semantics.
+// Commit commits the annotation b assembles: Apply of its op.
 func (s *Store) Commit(b *core.Builder) (*core.Annotation, error) {
-	rsp := b.Span().StartChild("router")
-	home, span, homeKey, err := s.routeBuilder(b)
+	op, err := persist.CommitOp(b)
+	if err != nil {
+		return nil, err
+	}
+	return s.commit(op)
+}
+
+// commit places a commit op on its home shard and applies it there: the
+// one path of Commit and of Apply's commit case. An annotation whose marks
+// span shards serializes through the inter-shard channel and still commits
+// whole to the home shard (see the package comment).
+func (s *Store) commit(op persist.Op) (*core.Annotation, error) {
+	rsp := op.Span().StartChild("router")
+	home, span, key, err := s.place(val(op.Annotation))
 	rsp.Finish()
 	if err != nil {
 		return nil, err
 	}
 	rsp.SetAttrInt("home", int64(home))
 	rsp.SetAttrInt("span", int64(span))
-	rsp.SetAttr("key", homeKey)
+	rsp.SetAttr("key", key)
 	if span > 1 {
 		s.gmu.Lock()
 		defer s.gmu.Unlock()
@@ -524,100 +562,53 @@ func (s *Store) Commit(b *core.Builder) (*core.Annotation, error) {
 		s.cross.Add(1)
 	}
 	// The "shard.writer" span covers the per-shard pipeline end to end —
-	// latch, core commit, WAL ack. Downstream layers (core, durable, WAL)
-	// read the builder's span, so re-point it at this child for the
-	// duration and restore the root after.
-	root := b.Span()
-	wsp := root.StartChild("shard.writer")
+	// latch, core commit, WAL ack; the layers below hang theirs off it.
+	wsp := op.Span().StartChild("shard.writer")
 	wsp.SetShard(home)
-	b.SetSpan(wsp)
+	defer wsp.Finish()
 	var ann *core.Annotation
-	err = s.mutate(home, homeKey, func(p *durable.Store) error {
-		var err error
-		ann, err = p.Commit(b)
+	err = s.mutate(home, key, func(p *durable.Store) (err error) {
+		ann, err = p.Run(op.WithSpan(wsp))
 		return err
 	})
-	b.SetSpan(root)
-	wsp.Finish()
 	return ann, err
 }
 
-// routeBuilder resolves the builder's home shard, how many distinct
-// shards its marks touch, and the routing key that picked the home
-// (the first mark's route key, or the first term's ontology) — the key
-// the load profile attributes the commit to.
-func (s *Store) routeBuilder(b *core.Builder) (home, span int, homeKey string, err error) {
-	home = -1
-	var seen [64]bool // shard counts are small; avoids a map per commit
-	var seenMap map[int]bool
-	mark := func(k int) {
-		if home == -1 {
-			home = k
-		}
-		if k < len(seen) {
-			if !seen[k] {
-				seen[k] = true
-				span++
-			}
-			return
-		}
-		if seenMap == nil {
-			seenMap = make(map[int]bool)
-		}
-		if !seenMap[k] {
-			seenMap[k] = true
-			span++
-		}
-	}
-	type owned struct {
-		id    uint64
-		shard int
-	}
-	var committed []owned
-	var vs Views // pinned once, on the first committed referent
-	for _, r := range b.Referents() {
-		if r == nil {
-			continue // commit reports the builder error
-		}
-		if homeKey == "" {
-			homeKey = r.RouteKey()
-		}
-		if r.ID != 0 {
+// place resolves a commit's home shard (its first mark's), how many shards
+// its marks touch, and route's key, which the load profile attributes it
+// to. In a live op (annotation ID 0) a referent ID names a committed
+// referent to reuse: it counts where it is held, which must be the home
+// shard — its core validates and links it — or the op is refused naming
+// the owner, not answered "no such referent" by a shard that cannot see it.
+func (s *Store) place(d persist.AnnotationDump) (home, span int, key string, err error) {
+	key = annotationKey(d)
+	home = s.router.ShardOfKey(key)
+	var buf [8]int
+	touched := buf[:0]
+	var vs Views // pinned once, on the first reused referent
+	for i, rd := range d.Referents {
+		k := s.router.ShardOfKey(routeKey(rd))
+		reused := d.ID == 0 && rd.ID != 0
+		if reused {
 			if vs == nil {
 				vs = s.Views()
 			}
-			k, ok := vs.ownerOfReferent(r.ID)
-			if !ok {
-				return 0, 0, "", fmt.Errorf("%w: %d", core.ErrNoSuchReferent, r.ID)
+			var ok bool
+			if k, ok = vs.ownerOfReferent(rd.ID); !ok {
+				return 0, 0, "", fmt.Errorf("%w: %d", core.ErrNoSuchReferent, rd.ID)
 			}
-			committed = append(committed, owned{r.ID, k})
-			mark(k)
-			continue
 		}
-		mark(s.router.ShardOfReferent(r))
-	}
-	if home == -1 {
-		if ts := b.TermRefs(); len(ts) > 0 {
-			// Term-only annotations have no spatial affinity; every shard
-			// holds every ontology, so the hash only spreads load.
-			homeKey = ts[0].Ontology
-			home = s.router.ShardOfKey(homeKey)
-		} else {
-			home = 0 // empty; Commit rejects with ErrEmptyAnnotation
+		if i == 0 {
+			home = k
 		}
-		span = 1
-	}
-	// Committed referents must live on the home shard: its core is what
-	// validates and links them at commit, and it cannot see a referent
-	// held elsewhere. Refuse up front with the owner named, rather than
-	// letting the home shard answer "no such referent" for one that
-	// exists.
-	for _, c := range committed {
-		if c.shard != home {
-			return 0, 0, "", fmt.Errorf("%w: referent %d is homed on shard %d, annotation on shard %d", ErrCrossShardReferent, c.id, c.shard, home)
+		if reused && k != home {
+			return 0, 0, "", fmt.Errorf("%w: referent %d is homed on shard %d, annotation on shard %d", ErrCrossShardReferent, rd.ID, k, home)
+		}
+		if !slices.Contains(touched, k) {
+			touched = append(touched, k)
 		}
 	}
-	return home, span, homeKey, nil
+	return home, max(len(touched), 1), key, nil
 }
 
 // DeleteAnnotation routes the deletion to the annotation's owner shard.
