@@ -7,19 +7,25 @@
 //
 // A data directory holds three files:
 //
-//	graphitti-<seq>.snap  persist snapshot — the checkpoint (absent
-//	                      until the first compaction)
+//	graphitti-<seq>.snap  binary persist checkpoint (absent until the
+//	                      first compaction)
 //	graphitti.wal         write-ahead log of mutations since the checkpoint
 //	MANIFEST.json         {snapshotSeq, snapshot}: which checkpoint file is
 //	                      current and the op sequence it covers — its atomic
 //	                      rename is the compaction commit point
 //
-// Each WAL payload is a JSON op envelope: its global sequence number and
-// one persist.Op (the same per-entity codec Export/Load use). Open loads
-// the snapshot, replays WAL records with Seq beyond the manifest's
-// snapshotSeq, truncates a torn tail instead of failing, and resumes
-// appending. The replayed records are one core writer session (a Batch)
-// and publish one view, rules or not.
+// Each WAL payload is one op behind its global sequence number:
+// [0x01][uvarint seq][persist.AppendOp(op)]. A payload that starts with
+// '{' is instead a JSON record, {"seq":n,"kind":k,<dump>}, the form builds
+// before the binary one logged. The form is read per record, since an
+// upgraded server appends binary records to a log that begins with JSON
+// ones. The checkpoint is the same per-dump encoding around a whole
+// snapshot (persist.WriteCheckpoint); persist.Decode reads it like any
+// snapshot file, so `graphitti -load <checkpoint> -save out.json stats`
+// turns one into JSON. Open loads the checkpoint, replays WAL records
+// with Seq beyond the manifest's snapshotSeq, truncates a torn tail
+// instead of failing, and resumes appending. The replayed records are one
+// core writer session (a Batch) and publish one view, rules or not.
 //
 // # Compaction
 //
@@ -82,6 +88,7 @@
 package durable
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -219,12 +226,41 @@ type manifest struct {
 	Snapshot string `json:"snapshot,omitempty"`
 }
 
-// record is the WAL payload: one op, tagged with its sequence number. The
-// embedded op flattens into the same JSON object, so the bytes are what
-// they were when the fields were declared here.
+// record is the WAL payload: one op, tagged with its sequence number. Its
+// JSON form is the legacy record, the embedded op flattened into the same
+// object.
 type record struct {
 	Seq uint64 `json:"seq"`
 	persist.Op
+}
+
+// recordBinary is the first byte of a binary record; a JSON one starts
+// with '{'.
+const recordBinary = 0x01
+
+// encodeRecord is the binary WAL payload of op at sequence seq.
+func encodeRecord(seq uint64, op persist.Op) []byte {
+	return persist.AppendOp(binary.AppendUvarint(append(make([]byte, 0, 256), recordBinary), seq), op)
+}
+
+// decodeRecord reads a WAL payload in either form.
+func decodeRecord(payload []byte) (record, error) {
+	var rec record
+	switch {
+	case len(payload) == 0:
+		return rec, errors.New("empty record")
+	case payload[0] == '{':
+		err := json.Unmarshal(payload, &rec)
+		return rec, err
+	case payload[0] != recordBinary:
+		return rec, fmt.Errorf("unknown record format byte 0x%02x", payload[0])
+	}
+	seq, n := binary.Uvarint(payload[1:])
+	if n <= 0 {
+		return rec, errors.New("bad sequence number")
+	}
+	op, err := persist.DecodeOp(payload[1+n:])
+	return record{Seq: seq, Op: op}, err
 }
 
 // Stats describes the durability machinery (the wrapped store's own
@@ -356,7 +392,7 @@ func (s *Store) load() error {
 		cs, lerr := persist.ReadWith(f, s.opts.Store)
 		f.Close()
 		if lerr != nil {
-			return fmt.Errorf("durable: load snapshot: %w", lerr)
+			return fmt.Errorf("durable: load snapshot %s: %w", man.Snapshot, lerr)
 		}
 		s.core.Store(cs)
 	case man.SnapshotSeq != 0:
@@ -405,8 +441,8 @@ func (s *Store) replayRecord(x *core.Tx, payload []byte) error {
 	if len(payload) == 0 {
 		return nil // Sync marker
 	}
-	var rec record
-	if err := json.Unmarshal(payload, &rec); err != nil {
+	rec, err := decodeRecord(payload)
+	if err != nil {
 		return fmt.Errorf("durable: undecodable WAL record after seq %d: %w", s.seq, err)
 	}
 	if rec.Seq <= s.snapshotSeq {
@@ -491,18 +527,16 @@ func (s *Store) Run(op persist.Op) (*core.Annotation, error) {
 		return ann, err
 	}
 	// Encode and size-check BEFORE consuming a sequence number: an op that
-	// cannot be logged (marshal failure, oversize record) must not leave a
-	// gap in the on-disk seq stream — a gap makes replay refuse the whole
-	// log. The apply above already happened, though, so memory is now
-	// ahead of disk; degrade the store like any other log failure rather
-	// than serving state that would silently vanish on restart.
-	rec := record{Seq: s.seq + 1, Op: op}
-	payload, err := json.Marshal(rec)
-	if err == nil && int64(len(payload)) > maxRecordSize {
-		err = fmt.Errorf("op of %d bytes exceeds max record size %d", len(payload), maxRecordSize)
-	}
-	if err != nil {
-		s.degradeLocked(fmt.Errorf("durable: unloggable op %d: %w", rec.Seq, err))
+	// cannot be logged (an oversize record) must not leave a gap in the
+	// on-disk seq stream — a gap makes replay refuse the whole log. The
+	// apply above already happened, though, so memory is now ahead of
+	// disk; degrade the store like any other log failure rather than
+	// serving state that would silently vanish on restart.
+	seq := s.seq + 1
+	payload := encodeRecord(seq, op)
+	if int64(len(payload)) > maxRecordSize {
+		err := fmt.Errorf("op of %d bytes exceeds max record size %d", len(payload), maxRecordSize)
+		s.degradeLocked(fmt.Errorf("durable: unloggable op %d: %w", seq, err))
 		err = fmt.Errorf("%w: %v", ErrDegraded, s.degradeErr)
 		s.mu.Unlock()
 		return nil, err
@@ -521,13 +555,13 @@ func (s *Store) Run(op persist.Op) (*core.Annotation, error) {
 		// the failing op itself to 503 + Retry-After like the refusals
 		// that follow it.
 		s.mu.Lock()
-		s.degradeLocked(fmt.Errorf("durable: log op %d: %w", rec.Seq, err))
+		s.degradeLocked(fmt.Errorf("durable: log op %d: %w", seq, err))
 		s.mu.Unlock()
-		return nil, fmt.Errorf("%w: log op %d: %w", ErrDegraded, rec.Seq, err)
+		return nil, fmt.Errorf("%w: log op %d: %w", ErrDegraded, seq, err)
 	}
 	s.m.commitWait.Observe(time.Since(waitStart).Seconds())
-	s.m.op(rec.Kind.String()).Inc()
-	s.m.seq.Set(int64(rec.Seq))
+	s.m.op(op.Kind.String()).Inc()
+	s.m.seq.Set(int64(seq))
 	// The mutation is durable from here on: a compaction failure is
 	// recorded in Stats (and wedges the log for later mutations if the
 	// writer died), but must not report this op as failed — callers would
@@ -736,7 +770,7 @@ func (s *Store) checkpointLocked(cs *core.Store, seq uint64) error {
 	}
 	name := snapName(seq)
 	if err := writeFileSync(s.opts.Inject, filepath.Join(s.dir, name), func(f *os.File) error {
-		return json.NewEncoder(f).Encode(snap)
+		return persist.WriteCheckpoint(snap, f)
 	}); err != nil {
 		return fmt.Errorf("durable: compact snapshot: %w", err)
 	}

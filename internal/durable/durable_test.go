@@ -1,17 +1,22 @@
 package durable
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"syscall"
 	"testing"
 
 	"graphitti/internal/biodata/imaging"
+	"graphitti/internal/biodata/interact"
 	"graphitti/internal/core"
 	"graphitti/internal/faultfs"
 	"graphitti/internal/persist"
@@ -522,4 +527,118 @@ func mustJSON(v interface{}) string {
 		panic(err)
 	}
 	return string(b)
+}
+
+// TestCorruptCheckpointRefused: a checkpoint with one byte flipped — in an
+// annotation's body or in its header — or cut short makes Open fail with
+// an error that names the file, never panic and never open a store that
+// serves what the damage made of it.
+func TestCorruptCheckpointRefused(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, fastOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedStore(t, s, 5)
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	name := snapName(s.Stats().SnapshotSeq)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	good, err := os.ReadFile(filepath.Join(dir, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flip := func(i int) []byte {
+		b := bytes.Clone(good)
+		b[i] ^= 0x20
+		return b
+	}
+	body := bytes.Index(good, []byte("region annotation 3"))
+	if body < 0 {
+		t.Fatal("no annotation body in the checkpoint")
+	}
+	for form, bad := range map[string][]byte{
+		"flipped":        flip(body), // still decodes: only the checksum catches it
+		"flipped header": flip(0),
+		"truncated":      good[:len(good)/2],
+	} {
+		t.Run(form, func(t *testing.T) {
+			d := t.TempDir()
+			if err := os.CopyFS(d, os.DirFS(dir)); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(d, name), bad, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s, err := Open(d, fastOpts)
+			if err == nil {
+				s.Close()
+				t.Fatal("a damaged checkpoint opened")
+			}
+			if !strings.Contains(err.Error(), name) {
+				t.Fatalf("the error does not name %s: %v", name, err)
+			}
+		})
+	}
+}
+
+// TestNonFiniteFloatRefused: an op carrying a NaN or an infinity is refused
+// before it is applied, so the pipeline neither serves it nor tries to log
+// it: it stays healthy, the next op commits, and the export still works.
+func TestNonFiniteFloatRefused(t *testing.T) {
+	s, err := Open(t.TempDir(), fastOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	seedStore(t, s, 1)
+
+	g := interact.NewGraph("ppi")
+	for _, id := range []string{"P1", "P2"} {
+		if _, err := g.AddMolecule(id, id, interact.ProteinMol); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := g.AddInteraction("P1", "P2", "binds", math.NaN()); err != nil {
+		t.Fatal(err)
+	}
+	cs, err := imaging.NewCoordinateSystem("unbounded", rtree.Rect2D(0, 0, math.Inf(1), 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := imaging.Identity(2)
+	reg.Scale[0] = math.NaN()
+	im, err := imaging.NewImage("img-nan", "atlas", rtree.Rect2D(0, 0, 10, 10), reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, op := range map[string]persist.Op{
+		"NaN interaction score": persist.GraphOp(g),
+		"+Inf system bound":     persist.SystemOp(cs),
+		"NaN registration":      persist.ImageOp(im),
+	} {
+		if err := s.Apply(op); err == nil {
+			t.Errorf("%s: applied", name)
+		}
+		if h := s.Health(); h.State != StateHealthy {
+			t.Fatalf("%s: the pipeline is %s: %s", name, h.State, h.Reason)
+		}
+	}
+	v := s.Core().View()
+	if _, err := v.InteractionGraph("ppi"); err == nil {
+		t.Error("the refused graph is served")
+	}
+	m, err := s.MarkImageRegion("img-0", rtree.Rect2D(20, 20, 30, 30))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Commit(s.NewAnnotation().Creator("x").Date("2026-10-15").Body("after the refusals").Refer(m)); err != nil {
+		t.Fatalf("commit after the refusals: %v", err)
+	}
+	if err := persist.Write(s.Core(), io.Discard); err != nil {
+		t.Fatalf("export after the refusals: %v", err)
+	}
 }

@@ -115,10 +115,12 @@ func walPayloads(t *testing.T, dir string) [][]byte {
 	return out
 }
 
-// TestParentWrittenDirectory: the op envelope moved into persist without
-// changing a byte. A directory the parent commit wrote opens to the export
-// the parent took of it, and the same op list applied here writes the
-// same checkpoint and the same WAL payloads.
+// TestParentWrittenDirectory: a directory the parent commit wrote — JSON
+// records, a JSON checkpoint — opens to the export the parent took of it.
+// The same op list applied here writes the same manifest, and a binary
+// checkpoint and binary WAL records that decode to what the parent wrote:
+// each record, marshalled as a JSON record, is the parent's payload, and
+// the checkpoint, written as JSON, is the parent's file.
 func TestParentWrittenDirectory(t *testing.T) {
 	wantExport, err := os.ReadFile(filepath.Join(parentFixture, "export.json"))
 	if err != nil {
@@ -165,18 +167,26 @@ func TestParentWrittenDirectory(t *testing.T) {
 			t.Fatal(err)
 		}
 		data := filepath.Join(parentFixture, "data")
-		for _, name := range []string{manifestFile, snapName(7)} {
-			got, err := os.ReadFile(filepath.Join(dir, name))
+		read := func(dir, name string) []byte {
+			b, err := os.ReadFile(filepath.Join(dir, name))
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := os.ReadFile(filepath.Join(data, name))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Errorf("%s differs from the parent's:\n got %s\nwant %s", name, got, want)
-			}
+			return b
+		}
+		if got, want := read(dir, manifestFile), read(data, manifestFile); !bytes.Equal(got, want) {
+			t.Errorf("%s differs from the parent's:\n got %s\nwant %s", manifestFile, got, want)
+		}
+		snap, err := persist.Decode(bytes.NewReader(read(dir, snapName(7))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var js bytes.Buffer
+		if err := persist.WriteSnapshot(snap, &js); err != nil {
+			t.Fatal(err)
+		}
+		if want := read(data, snapName(7)); !bytes.Equal(js.Bytes(), want) {
+			t.Errorf("checkpoint written as JSON differs from the parent's:\n got %s\nwant %s", js.Bytes(), want)
 		}
 		got, want := walPayloads(t, dir), walPayloads(t, data)
 		if len(got) != len(want) {
@@ -184,12 +194,19 @@ func TestParentWrittenDirectory(t *testing.T) {
 		}
 		kinds := map[core.OpKind]bool{}
 		for i := range want {
-			if !bytes.Equal(got[i], want[i]) {
-				t.Errorf("WAL record %d differs from the parent's:\n got %s\nwant %s", i, got[i], want[i])
+			if got[i][0] != recordBinary {
+				t.Errorf("WAL record %d is not binary: %q", i, got[i])
 			}
-			var rec record
-			if err := json.Unmarshal(want[i], &rec); err != nil {
+			rec, err := decodeRecord(got[i])
+			if err != nil {
+				t.Fatalf("WAL record %d: %v", i, err)
+			}
+			js, err := json.Marshal(rec)
+			if err != nil {
 				t.Fatal(err)
+			}
+			if !bytes.Equal(js, want[i]) {
+				t.Errorf("WAL record %d, as JSON, differs from the parent's:\n got %s\nwant %s", i, js, want[i])
 			}
 			kinds[rec.Kind] = true
 		}
@@ -197,4 +214,94 @@ func TestParentWrittenDirectory(t *testing.T) {
 			t.Errorf("fixture WAL holds %d op kinds, want all 13", len(kinds))
 		}
 	})
+}
+
+// mixedTail is one op of every kind, applied over the fixture's state
+// (annotations 2–4 live, rule closure-go attached).
+func mixedTail(s workload.Sink) {
+	sequence := must(seq.New("seq-c", seq.DNA, strings.Repeat("GATTACA", 8)))
+	graph := interact.NewGraph("ppi-2")
+	must(graph.AddMolecule("Q1", "kinase", interact.ProteinMol))
+	must(graph.AddMolecule("Q2", "ligase", interact.ProteinMol))
+	check(graph.AddInteraction("Q1", "Q2", "binds", 0.75))
+	image := must(imaging.NewImage("img-2", "stage", rtree.Rect2D(0, 0, 500, 500), imaging.Identity(2)))
+
+	check(s.Apply(persist.OntologyOp(workload.LayeredOntology("layers", 2, 2, 1))))
+	check(s.Apply(persist.SystemOp(must(imaging.NewCoordinateSystem("stage", rtree.Rect2D(0, 0, 2_000, 2_000))))))
+	check(s.Apply(persist.SequenceOp(sequence)))
+	check(s.Apply(persist.AlignmentOp(must(msa.New("aln-2", []string{"r1", "r2"}, []string{"GA-TC", "GATTC"})))))
+	check(s.Apply(persist.TreeOp(must(phylo.ParseNewick("tree-2", "((x:1,y:1):2,z:3);")))))
+	check(s.Apply(persist.GraphOp(graph)))
+	check(s.Apply(persist.ImageOp(image)))
+	check(s.Apply(persist.TableOp(must(relstore.NewSchema("notes", "id",
+		relstore.Column{Name: "id", Type: relstore.String},
+		relstore.Column{Name: "n", Type: relstore.Int64})))))
+	check(s.Apply(persist.RecordOp("findings", relstore.Row{relstore.S("f-2"), relstore.F(-1.5)})))
+	m := must(s.MarkImageRegion("img-2", rtree.Rect2D(5, 5, 50, 80)))
+	must(s.Commit(s.NewAnnotation().Creator("ma").Creator("lee").Date("2008-04-07").Title("collaborative").
+		Body("a mark shared by two annotators").Tag("round", "2").Refer(m).OntologyRef("go", "protease")))
+	m = must(s.MarkSequenceInterval("seq-c", interval.Interval{Lo: 1, Hi: 30}))
+	must(s.Commit(s.NewAnnotation().Creator("chen").Date("2008-04-08").Body("repeat in seq-c").Refer(m)))
+	check(s.DeleteAnnotation(3))
+	check(s.AddRule(prop.Rule{ID: "overlap-stage", Edge: prop.EdgeOverlap, Domain: "stage"}))
+	check(s.Apply(persist.Op{Kind: core.OpDeleteRule, RuleID: "closure-go"}))
+}
+
+// TestMixedLog: a server upgraded over the parent's directory appends
+// binary records behind its JSON ones, and the mixed log replays as one.
+// Reopened, the directory exports what the fixture's own export, loaded
+// into an in-memory store, exports after the same ops applied to it one
+// session each.
+func TestMixedLog(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS(filepath.Join(parentFixture, "data"))); err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{NoSync: true, CompactThreshold: -1}
+	s, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mixedTail(s)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	payloads := walPayloads(t, dir)
+	var forms []byte
+	for _, p := range payloads {
+		forms = append(forms, p[0])
+	}
+	if want := strings.Repeat("{", 14) + strings.Repeat(string(rune(recordBinary)), 14); string(forms) != want {
+		t.Fatalf("record forms %q, want the parent's 14 JSON records and then 14 binary ones", forms)
+	}
+
+	f, err := os.Open(filepath.Join(parentFixture, "export.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial, err := persist.Read(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mixedTail(workload.AsSink(serial))
+
+	replayed, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer replayed.Close()
+	if st := replayed.Stats(); st.ReplayedRecords != len(payloads) {
+		t.Fatalf("replayed %d of %d records", st.ReplayedRecords, len(payloads))
+	}
+	var got, want bytes.Buffer
+	if err := persist.Write(replayed.Core(), &got); err != nil {
+		t.Fatal(err)
+	}
+	if err := persist.Write(serial, &want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("mixed log replays to an export that differs from the serial one:\n got %s\nwant %s", got.Bytes(), want.Bytes())
+	}
 }

@@ -79,7 +79,7 @@ func assertBatchEqualsSerial(t *testing.T, snap *persist.Snapshot) *core.Store {
 	return batch
 }
 
-func exportOf(t *testing.T, s *core.Store) *persist.Snapshot {
+func exportOf(t testing.TB, s *core.Store) *persist.Snapshot {
 	t.Helper()
 	snap, err := persist.Export(s)
 	if err != nil {
@@ -277,9 +277,9 @@ func TestBatchFailureKeepsPrefix(t *testing.T) {
 	}
 }
 
-func mustJSON(t *testing.T, snap *persist.Snapshot) []byte {
+func mustJSON(t *testing.T, v any) []byte {
 	t.Helper()
-	data, err := json.Marshal(snap)
+	data, err := json.Marshal(v)
 	if err != nil {
 		t.Fatal(err)
 	}

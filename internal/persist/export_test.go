@@ -9,3 +9,6 @@ func (snap *Snapshot) Ops(yield func(Op) bool) { snap.ops(yield) }
 
 // ExportView is the exporter itself, over a view the test pinned.
 var ExportView = exportView
+
+// The binary form's code tables.
+var DCElements, ObjectTypes = dcElements, objectTypes

@@ -19,7 +19,8 @@ const v1Snapshot = `{"version":1,
 "rules":[{"id":"ov","edge":"overlap","domain":"segment1"}]}`
 
 // FuzzSnapshotLoad hammers the snapshot loader — the path -snapshot,
-// POST /api/restore and every durable.Open take — with arbitrary bytes:
+// POST /api/restore and every durable.Open take — with arbitrary bytes,
+// seeded with both forms, JSON and the binary checkpoint:
 // Decode and LoadWith must refuse or load, never panic, and whatever
 // loads must export to a snapshot that loads to the same export.
 func FuzzSnapshotLoad(f *testing.F) {
@@ -31,6 +32,11 @@ func FuzzSnapshotLoad(f *testing.F) {
 		f.Add(buf.Bytes())
 	}
 	f.Add([]byte(v1Snapshot))
+	var checkpoint bytes.Buffer
+	if err := persist.WriteCheckpoint(exportOf(f, neuroStore(f)), &checkpoint); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(checkpoint.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snap, err := persist.Decode(bytes.NewReader(data))

@@ -2,6 +2,7 @@ package persist
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"graphitti/internal/biodata/imaging"
@@ -19,9 +20,11 @@ import (
 // Op is one store mutation in serialised form: the op envelope a writer
 // pipeline logs (internal/durable prefixes its sequence number) and a
 // shard set routes (internal/shard). Exactly one dump field is set,
-// matched by Kind. Field names and order are the WAL record format: never
-// rename or reorder, only append. A live commit is an op whose IDs the
-// session fills in (CommitOp, Run); once applied, an op's IDs are pins.
+// matched by Kind. A WAL record holds the op's binary form (AppendOp); the
+// JSON field names are the export form, and the form of the records an
+// older build logged, which still replay: never rename them. A live
+// commit is an op whose IDs the session fills in (CommitOp, Run); once
+// applied, an op's IDs are pins.
 type Op struct {
 	Kind core.OpKind `json:"kind"`
 
@@ -59,70 +62,125 @@ func (op Op) WithSpan(sp *trace.Span) Op {
 // callers, so a corrupt or hand-edited one must produce an error, never a
 // panic: every dump pointer is checked before it is dereferenced.
 func (op Op) Apply(x *core.Tx) error {
+	_, err := op.apply(x)
+	return err
+}
+
+// apply is Apply answering with what a commit op committed. An op carrying
+// a float JSON cannot spell (NaN, ±Inf) is refused before it touches the
+// session: the store would take it and then fail every export, and a
+// pipeline would log it and replay it.
+func (op Op) apply(x *core.Tx) (*core.Annotation, error) {
+	if !op.finite() {
+		return nil, fmt.Errorf("op %s carries a non-finite number", op.Kind)
+	}
 	missing := func(field string) error {
 		return fmt.Errorf("op %s missing %s dump", op.Kind, field)
 	}
 	switch op.Kind {
 	case core.OpRegisterOntology:
 		if op.Ontology == nil {
-			return missing("ontology")
+			return nil, missing("ontology")
 		}
-		return ApplyOntology(x, *op.Ontology)
+		return nil, ApplyOntology(x, *op.Ontology)
 	case core.OpRegisterSystem:
 		if op.System == nil {
-			return missing("system")
+			return nil, missing("system")
 		}
-		return ApplySystem(x, *op.System)
+		return nil, ApplySystem(x, *op.System)
 	case core.OpRegisterSequence:
 		if op.Sequence == nil {
-			return missing("sequence")
+			return nil, missing("sequence")
 		}
-		return ApplySequence(x, *op.Sequence)
+		return nil, ApplySequence(x, *op.Sequence)
 	case core.OpRegisterAlignment:
 		if op.Alignment == nil {
-			return missing("alignment")
+			return nil, missing("alignment")
 		}
-		return ApplyAlignment(x, *op.Alignment)
+		return nil, ApplyAlignment(x, *op.Alignment)
 	case core.OpRegisterTree:
 		if op.Tree == nil {
-			return missing("tree")
+			return nil, missing("tree")
 		}
-		return ApplyTree(x, *op.Tree)
+		return nil, ApplyTree(x, *op.Tree)
 	case core.OpRegisterInteractionGraph:
 		if op.Graph == nil {
-			return missing("graph")
+			return nil, missing("graph")
 		}
-		return ApplyGraph(x, *op.Graph)
+		return nil, ApplyGraph(x, *op.Graph)
 	case core.OpRegisterImage:
 		if op.Image == nil {
-			return missing("image")
+			return nil, missing("image")
 		}
-		return ApplyImage(x, *op.Image)
+		return nil, ApplyImage(x, *op.Image)
 	case core.OpCreateRecordTable:
 		if op.Table == nil {
-			return missing("table")
+			return nil, missing("table")
 		}
-		return ApplyTable(x, *op.Table)
+		return nil, ApplyTable(x, *op.Table)
 	case core.OpInsertRecord:
-		return ApplyRecord(x, op.RecTable, op.Row)
+		return nil, ApplyRecord(x, op.RecTable, op.Row)
 	case core.OpCommitAnnotation:
 		if op.Annotation == nil {
-			return missing("annotation")
+			return nil, missing("annotation")
 		}
-		_, err := ApplyAnnotation(x, *op.Annotation, op.span)
-		return err
+		return ApplyAnnotation(x, *op.Annotation, op.span)
 	case core.OpDeleteAnnotation:
-		return x.DeleteAnnotation(op.DeleteID)
+		return nil, x.DeleteAnnotation(op.DeleteID)
 	case core.OpAddRule:
 		if op.Rule == nil {
-			return missing("rule")
+			return nil, missing("rule")
 		}
-		return prop.AddRules(x, RestoreRule(*op.Rule))
+		return nil, prop.AddRules(x, RestoreRule(*op.Rule))
 	case core.OpDeleteRule:
-		return prop.DeleteRule(x, op.RuleID)
+		return nil, prop.DeleteRule(x, op.RuleID)
 	default:
-		return fmt.Errorf("unknown op kind %d", op.Kind)
+		return nil, fmt.Errorf("unknown op kind %d", op.Kind)
 	}
+}
+
+// finite reports whether every float the op's dump carries is finite:
+// the bounds of a system, the geometry of an image, interaction scores,
+// record cells and region marks.
+func (op Op) finite() bool {
+	ok := true
+	check := func(fs ...float64) {
+		for _, f := range fs {
+			ok = ok && !math.IsNaN(f) && !math.IsInf(f, 0)
+		}
+	}
+	if s := op.System; s != nil {
+		check(s.Bounds[0][:]...)
+		check(s.Bounds[1][:]...)
+	}
+	if im := op.Image; im != nil {
+		check(im.Local[0][:]...)
+		check(im.Local[1][:]...)
+		check(im.Scale[:]...)
+		check(im.Offset[:]...)
+	}
+	if g := op.Graph; g != nil {
+		for _, e := range g.Interactions {
+			check(e.Score)
+		}
+	}
+	if t := op.Table; t != nil {
+		for _, row := range t.Rows {
+			for _, v := range row {
+				check(v.F)
+			}
+		}
+	}
+	for _, v := range op.Row {
+		check(v.F)
+	}
+	if a := op.Annotation; a != nil {
+		for i := range a.Referents {
+			check(a.Referents[i].Rect[0][:]...)
+			check(a.Referents[i].Rect[1][:]...)
+		}
+	}
+	return ok
 }
 
 // Run is Apply answering with the op as applied and what a commit
@@ -131,11 +189,8 @@ func (op Op) Apply(x *core.Tx) error {
 // it went in. The op's dumps are never written to: a snapshot's are
 // staged on several shards and may be loaded twice.
 func (op Op) Run(x *core.Tx) (Op, *core.Annotation, error) {
-	if op.Kind != core.OpCommitAnnotation || op.Annotation == nil {
-		return op, nil, op.Apply(x)
-	}
-	ann, err := ApplyAnnotation(x, *op.Annotation, op.span)
-	if err != nil || op.Annotation.ID != 0 {
+	ann, err := op.apply(x)
+	if err != nil || op.Kind != core.OpCommitAnnotation || op.Annotation.ID != 0 {
 		return op, ann, err
 	}
 	d := *op.Annotation

@@ -1,5 +1,8 @@
-// Package persist serialises a Graphitti store to a portable JSON snapshot
-// and rebuilds stores from snapshots.
+// Package persist serialises a Graphitti store to a portable snapshot and
+// rebuilds stores from snapshots. A snapshot has two forms: JSON, the
+// export and debug form (GET /api/snapshot, Write), and a compact binary
+// checkpoint, the form a data directory holds (WriteCheckpoint). Decode
+// reads either.
 //
 // The snapshot is a logical export — registered ontologies, coordinate
 // systems, data objects, record tables and annotations — not a byte-level
@@ -17,13 +20,16 @@
 // The per-entity Dump*/Apply* pairs in this package are the single codec
 // for store mutations, and Op (op.go) is the one envelope around them:
 // what a mutation looks like and how to apply it. Export/Load compose the
-// pairs over whole stores; internal/durable logs one Op per mutation and
-// replays it with Op.Apply; internal/shard routes an Op by what it holds.
+// pairs over whole stores; internal/durable logs one Op per mutation in
+// its binary form (binary.go: AppendOp, DecodeOp, the same per-dump
+// encoding a checkpoint is made of) and replays it with Op.Apply;
+// internal/shard routes an Op by what it holds.
 // A live commit is an op too (CommitOp): one whose IDs the session fills
 // in (Op.Run), so what is served, logged and replayed is one value.
 package persist
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -778,17 +784,26 @@ func LoadPart(snap *Snapshot, opts core.StoreOptions, keep func(Op) bool) (*core
 	return s, nil
 }
 
-// Decode parses a snapshot from JSON without loading it into a store.
+// Decode parses a snapshot without loading it into a store. It reads
+// either form, told apart by the leading bytes: the JSON export, or a
+// binary checkpoint copied out of a data directory (WriteCheckpoint).
 func Decode(r io.Reader) (*Snapshot, error) {
+	br := bufio.NewReader(r)
+	if head, _ := br.Peek(len(checkpointMagic)); string(head) == checkpointMagic {
+		data, err := io.ReadAll(br)
+		if err != nil {
+			return nil, fmt.Errorf("persist: decode: %w", err)
+		}
+		return decodeCheckpoint(data)
+	}
 	var snap Snapshot
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&snap); err != nil {
+	if err := json.NewDecoder(br).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("persist: decode: %w", err)
 	}
 	return &snap, nil
 }
 
-// Read loads a snapshot from JSON and rebuilds the store.
+// Read loads a snapshot in either form and rebuilds the store.
 func Read(r io.Reader) (*core.Store, error) {
 	return ReadWith(r, core.StoreOptions{})
 }

@@ -205,8 +205,9 @@ func span(lo, hi int64) interval.Interval { return interval.Interval{Lo: lo, Hi:
 // TestSnapshotFormsLoadAlike: WriteSnapshot now writes compact JSON and
 // leaves the all-zero rect of a non-region mark out. Readers did not
 // change, so the forms older writers produced — indented, a zero rect on
-// every referent, with IDs (v2) or without (v1) — and the new one must
-// load to stores whose exports are byte-identical.
+// every referent, with IDs (v2) or without (v1) — the new one and the
+// binary checkpoint a data directory holds must load to stores whose
+// exports are byte-identical.
 func TestSnapshotFormsLoadAlike(t *testing.T) {
 	for name, s := range map[string]*core.Store{"influenza": influenzaStore(t), "neuro": neuroStore(t)} {
 		t.Run(name, func(t *testing.T) {
@@ -270,8 +271,13 @@ func TestSnapshotFormsLoadAlike(t *testing.T) {
 			if got := bytes.Count(v2, []byte(`"rect": [`)); got != marks || len(v2) <= compact.Len() {
 				t.Fatalf("the old form has %d rects for %d marks and %d bytes to the compact form's %d", got, marks, len(v2), compact.Len())
 			}
+			var checkpoint bytes.Buffer
+			if err := persist.WriteCheckpoint(exportOf(t, s), &checkpoint); err != nil {
+				t.Fatal(err)
+			}
 			want := mustJSON(t, exportOf(t, s))
-			for form, file := range map[string][]byte{"compact": compact.Bytes(), "indented v2 with rects": v2, "v1": v1} {
+			for form, file := range map[string][]byte{"compact": compact.Bytes(), "indented v2 with rects": v2, "v1": v1,
+				"binary checkpoint": checkpoint.Bytes()} {
 				loaded, err := persist.Read(bytes.NewReader(file))
 				if err != nil {
 					t.Fatalf("%s: %v", form, err)
