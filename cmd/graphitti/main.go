@@ -27,6 +27,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -50,7 +51,9 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+// run executes one command line; with -save, a failed save is part of its
+// error.
+func run(args []string) (err error) {
 	global := flag.NewFlagSet("graphitti", flag.ContinueOnError)
 	studyName := global.String("study", "influenza", "demo study to load: influenza or neuro")
 	anns := global.Int("anns", 400, "annotation count for the influenza study")
@@ -110,14 +113,8 @@ func run(args []string) error {
 	}
 	if *save != "" {
 		defer func() {
-			f, err := os.Create(*save)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "graphitti: save:", err)
-				return
-			}
-			defer f.Close()
-			if err := persist.Write(store, f); err != nil {
-				fmt.Fprintln(os.Stderr, "graphitti: save:", err)
+			if serr := saveStore(store, *save); serr != nil {
+				err = errors.Join(err, fmt.Errorf("save: %w", serr))
 			}
 		}()
 	}
@@ -151,6 +148,19 @@ func run(args []string) error {
 	default:
 		return fmt.Errorf("unknown command %q", cmd)
 	}
+}
+
+// saveStore writes the store's JSON export to path.
+func saveStore(s *graphitti.Store, path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := persist.Write(s, f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // cmdMetrics dumps the process metric registry. Building the study above

@@ -7,8 +7,8 @@
 //
 // A data directory holds three files:
 //
-//	graphitti-<seq>.snap  binary persist checkpoint (absent until the
-//	                      first compaction)
+//	graphitti-<seq>.snap  binary persist checkpoint, its body one DEFLATE
+//	                      stream (absent until the first compaction)
 //	graphitti.wal         write-ahead log of mutations since the checkpoint
 //	MANIFEST.json         {snapshotSeq, snapshot}: which checkpoint file is
 //	                      current and the op sequence it covers — its atomic
@@ -20,7 +20,9 @@
 // before the binary one logged. The form is read per record, since an
 // upgraded server appends binary records to a log that begins with JSON
 // ones. The checkpoint is the same per-dump encoding around a whole
-// snapshot (persist.WriteCheckpoint); persist.Decode reads it like any
+// snapshot, deflated, behind a format byte and ahead of a CRC32C of the
+// compressed bytes (persist.WriteCheckpoint); the uncompressed format
+// earlier builds wrote still loads. persist.Decode reads it like any
 // snapshot file, so `graphitti -load <checkpoint> -save out.json stats`
 // turns one into JSON. Open loads the checkpoint, replays WAL records
 // with Seq beyond the manifest's snapshotSeq, truncates a torn tail

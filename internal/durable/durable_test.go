@@ -2,9 +2,11 @@ package durable
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math"
 	"os"
@@ -529,10 +531,12 @@ func mustJSON(v interface{}) string {
 	return string(b)
 }
 
-// TestCorruptCheckpointRefused: a checkpoint with one byte flipped — in an
-// annotation's body or in its header — or cut short makes Open fail with
+// TestCorruptCheckpointRefused: a checkpoint with one byte flipped — in
+// its deflate stream or in its header — or cut short makes Open fail with
 // an error that names the file, never panic and never open a store that
-// serves what the damage made of it.
+// serves what the damage made of it. So does damage the checksum was
+// recomputed over, which only the decoder can catch: a deflate stream cut
+// short, or bytes after its final block.
 func TestCorruptCheckpointRefused(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, fastOpts)
@@ -551,26 +555,37 @@ func TestCorruptCheckpointRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !bytes.HasPrefix(good, []byte("GSNAP\x02")) {
+		t.Fatalf("checkpoint starts %q, want format 2", good[:6])
+	}
 	flip := func(i int) []byte {
 		b := bytes.Clone(good)
 		b[i] ^= 0x20
 		return b
 	}
-	body := bytes.Index(good, []byte("region annotation 3"))
-	if body < 0 {
-		t.Fatal("no annotation body in the checkpoint")
+	// reseal appends the checksum of body, so only the decoder can refuse
+	// what body does wrong.
+	reseal := func(body []byte) []byte {
+		return binary.LittleEndian.AppendUint32(body, crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
 	}
-	for form, bad := range map[string][]byte{
-		"flipped":        flip(body), // still decodes: only the checksum catches it
-		"flipped header": flip(0),
-		"truncated":      good[:len(good)/2],
+	const head = len("GSNAP\x02")
+	stream := good[head : len(good)-4]
+	for form, c := range map[string]struct {
+		bad []byte
+		why string // what the error says, for the damage the checksum covers
+	}{
+		"flipped":                {bad: flip(head + len(stream)/2)},
+		"flipped header":         {bad: flip(0)},
+		"truncated":              {bad: good[:len(good)/2]},
+		"stream cut short":       {reseal(bytes.Clone(good[:head+len(stream)/2])), "ends early"},
+		"bytes after the stream": {reseal(append(bytes.Clone(good[:len(good)-4]), 0, 0, 0)), "3 bytes after"},
 	} {
 		t.Run(form, func(t *testing.T) {
 			d := t.TempDir()
 			if err := os.CopyFS(d, os.DirFS(dir)); err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(filepath.Join(d, name), bad, 0o644); err != nil {
+			if err := os.WriteFile(filepath.Join(d, name), c.bad, 0o644); err != nil {
 				t.Fatal(err)
 			}
 			s, err := Open(d, fastOpts)
@@ -578,8 +593,8 @@ func TestCorruptCheckpointRefused(t *testing.T) {
 				s.Close()
 				t.Fatal("a damaged checkpoint opened")
 			}
-			if !strings.Contains(err.Error(), name) {
-				t.Fatalf("the error does not name %s: %v", name, err)
+			if !strings.Contains(err.Error(), name) || !strings.Contains(err.Error(), c.why) {
+				t.Fatalf("the error does not name %s and say %q: %v", name, c.why, err)
 			}
 		})
 	}

@@ -216,6 +216,63 @@ func TestParentWrittenDirectory(t *testing.T) {
 	})
 }
 
+// binaryFixture is the same op list written by commit 55b73eb, the last
+// one whose checkpoint was format 1, its body in the clear, behind binary
+// WAL records (testdata/parent-55b73eb/generate.go.txt is the program).
+const binaryFixture = "testdata/parent-55b73eb"
+
+// TestParentBinaryDirectory: a directory of a format-1 checkpoint and
+// binary records opens to the export its writer took of it; compacted, it
+// holds a format-2 checkpoint and reopens to the same export.
+func TestParentBinaryDirectory(t *testing.T) {
+	wantExport, err := os.ReadFile(filepath.Join(binaryFixture, "export.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS(filepath.Join(binaryFixture, "data"))); err != nil {
+		t.Fatal(err)
+	}
+	if v1, err := os.ReadFile(filepath.Join(dir, snapName(7))); err != nil || !bytes.HasPrefix(v1, []byte("GSNAP\x01")) {
+		t.Fatalf("the fixture's checkpoint is not format 1: %.6q, %v", v1, err)
+	}
+	opts := Options{NoSync: true, CompactThreshold: -1}
+	open := func(what string) *Store {
+		s, err := Open(dir, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		if err := persist.Write(s.Core(), &got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), wantExport) {
+			t.Fatalf("export %s differs from the parent's:\n got %s\nwant %s", what, got.Bytes(), wantExport)
+		}
+		return s
+	}
+
+	s := open("of the parent's directory")
+	if st := s.Stats(); st.SnapshotSeq != 7 || st.ReplayedRecords != 14 || st.TornBytes != 0 {
+		t.Fatalf("recovery stats %+v, want checkpoint 7 and 14 replayed records", st)
+	}
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	seq := s.Stats().SnapshotSeq
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if v2, err := os.ReadFile(filepath.Join(dir, snapName(seq))); err != nil || !bytes.HasPrefix(v2, []byte("GSNAP\x02")) {
+		t.Fatalf("the compacted checkpoint is not format 2: %.6q, %v", v2, err)
+	}
+	s = open("after compacting it")
+	defer s.Close()
+	if st := s.Stats(); st.SnapshotSeq != seq || st.ReplayedRecords != 0 {
+		t.Fatalf("recovery stats %+v, want checkpoint %d and nothing replayed", st, seq)
+	}
+}
+
 // mixedTail is one op of every kind, applied over the fixture's state
 // (annotations 2–4 live, rule closure-go attached).
 func mixedTail(s workload.Sink) {

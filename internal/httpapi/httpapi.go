@@ -66,7 +66,8 @@ type Options struct {
 	// upload; oversized requests get 413 instead of an unbounded read.
 	// 0 means DefaultMaxBodyBytes.
 	MaxBodyBytes int64
-	// MaxRestoreBytes caps the POST /api/restore snapshot upload.
+	// MaxRestoreBytes caps the POST /api/restore snapshot upload, and
+	// what a compressed checkpoint in it inflates to.
 	// 0 means DefaultMaxRestoreBytes.
 	MaxRestoreBytes int64
 	// Logger, when set, receives a structured line (with the request ID)
@@ -750,19 +751,20 @@ func (s *server) snapshot(w http.ResponseWriter, r *http.Request) {
 // WAL) before the request is acknowledged where there is a log. The
 // previous state is discarded. Only what is wrong with the snapshot is a
 // 400; a fault of the store while installing goes through writeErr like
-// any failed mutation.
+// any failed mutation. The one limit bounds both the upload and what a
+// compressed checkpoint in it inflates to: past it, a 413.
 func (s *server) restore(w http.ResponseWriter, r *http.Request) {
 	limit := s.opts.MaxRestoreBytes
 	if limit <= 0 {
 		limit = DefaultMaxRestoreBytes
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, limit)
-	snap, err := persist.Decode(r.Body)
+	snap, err := persist.DecodeLimited(r.Body, limit)
 	if err != nil {
 		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
+		if errors.As(err, &tooBig) || errors.Is(err, persist.ErrInflateLimit) {
 			jsonError(w, r, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("snapshot exceeds %d bytes", tooBig.Limit))
+				fmt.Sprintf("snapshot exceeds %d bytes", limit))
 			return
 		}
 		jsonError(w, r, http.StatusBadRequest, err.Error())

@@ -2,6 +2,7 @@ package httpapi
 
 import (
 	"bytes"
+	"compress/flate"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -136,6 +137,50 @@ func testSnapshotRestoreRoundTrip(t *testing.T, d deployment) {
 	if _, after := fetch(t, "GET", dst.URL+"/api/stats", nil); !bytes.Equal(after, gotStats) {
 		t.Fatalf("refused restore changed the store:\n got %s\nwant %s", after, gotStats)
 	}
+}
+
+// TestRestoreInflateBound: a checkpoint that fits the restore route's
+// limit but whose body inflates past it is refused with a 413 before the
+// served store is touched, in memory or on disk; under a limit that
+// covers its body, the same upload restores.
+func TestRestoreInflateBound(t *testing.T) {
+	snap, err := persist.Export(influenzaStore(t, 30))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var checkpoint bytes.Buffer
+	if err := persist.WriteCheckpoint(snap, &checkpoint); err != nil {
+		t.Fatal(err)
+	}
+	c := checkpoint.Bytes()
+	body, err := io.ReadAll(flate.NewReader(bytes.NewReader(c[len("GSNAP\x02") : len(c)-4])))
+	if err != nil {
+		t.Fatal(err)
+	}
+	limit := int64(len(c)+len(body)) / 2
+	if int64(len(c)) >= limit {
+		t.Fatalf("a checkpoint of %d bytes inflates to only %d", len(c), len(body))
+	}
+	deployments(t, func(t *testing.T, d deployment) {
+		ts := d.start(t, influenzaStore(t, 5), Options{MaxRestoreBytes: limit})
+		_, snapBefore := fetch(t, "GET", ts.URL+"/api/snapshot", nil)
+		_, statsBefore := fetch(t, "GET", ts.URL+"/api/stats", nil)
+		code, resp := fetch(t, "POST", ts.URL+"/api/restore", c)
+		if want := fmt.Sprintf("snapshot exceeds %d bytes", limit); code != http.StatusRequestEntityTooLarge || !bytes.Contains(resp, []byte(want)) {
+			t.Fatalf("restore inflating %d bytes past a limit of %d: %d (%s), want 413 %q", len(body), limit, code, resp, want)
+		}
+		if _, after := fetch(t, "GET", ts.URL+"/api/snapshot", nil); !bytes.Equal(after, snapBefore) {
+			t.Fatal("the refused restore changed the snapshot")
+		}
+		if _, after := fetch(t, "GET", ts.URL+"/api/stats", nil); !bytes.Equal(after, statsBefore) {
+			t.Fatalf("the refused restore changed the stats:\n got %s\nwant %s", after, statsBefore)
+		}
+
+		roomy := d.start(t, influenzaStore(t, 5), Options{MaxRestoreBytes: int64(len(body))})
+		if code, resp := fetch(t, "POST", roomy.URL+"/api/restore", c); code != http.StatusOK {
+			t.Fatalf("restore under a limit of its inflated size: %d (%s)", code, resp)
+		}
+	})
 }
 
 // TestSnapshotUnderDeletes: one goroutine deletes every annotation while

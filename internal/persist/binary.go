@@ -2,7 +2,10 @@ package persist
 
 import (
 	"bufio"
+	"bytes"
+	"compress/flate"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -17,10 +20,18 @@ import (
 // (AppendOp, DecodeOp) and a checkpoint (WriteCheckpoint; Decode reads it).
 // JSON stays the export and debug form.
 //
+// A checkpoint is the magic GSNAP, a format byte, a body, and a CRC32C of
+// every byte before it. The body is the snapshot's version, its sections
+// (each a count and its entries, in load order), the rules and the two ID
+// counters. Format 2, the one written, holds the body as one raw DEFLATE
+// stream; format 1, which earlier builds wrote, holds it in the clear and
+// is still read. The checksum covers the bytes on disk, so a damaged file
+// is refused before anything is inflated.
+//
 // Every dump type has one hand-written append/read pair below, and the
 // order of the fields in a pair is the record format: a change to it is a
 // new format (a new record format byte in internal/durable, a new
-// checkpointVersion), never an edit. Unsigned integers are uvarints,
+// checkpoint format byte), never an edit. Unsigned integers are uvarints,
 // signed ones zigzag varints, strings and slices a uvarint length and then
 // their bytes or elements, a float64 8 little-endian bytes, a bool one
 // byte. A referent's rect is written only for a region mark, the one kind
@@ -45,13 +56,44 @@ var (
 )
 
 // checkpointMagic opens a binary checkpoint; no JSON document starts with
-// it. The byte after it is the checkpoint format version.
+// it. The byte after it is the checkpoint format: checkpointPlain or
+// checkpointDeflate, the one WriteCheckpoint writes.
 const (
 	checkpointMagic   = "GSNAP"
-	checkpointVersion = 1
+	checkpointPlain   = 1
+	checkpointDeflate = 2
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// ErrInflateLimit refuses a checkpoint whose body inflates past the cap
+// DecodeLimited was given.
+var ErrInflateLimit = errors.New("persist: checkpoint inflates past the limit")
+
+// spareCompressor holds the compressor the last checkpoint used: making
+// one allocates 1.2 MB, and a sync.Pool would drop it at the next GC, which
+// comes long before the next compaction. A checkpoint that finds it taken
+// makes its own.
+var spareCompressor = make(chan *flate.Writer, 1)
+
+func takeCompressor(w io.Writer) *flate.Writer {
+	select {
+	case zw := <-spareCompressor:
+		zw.Reset(w)
+		return zw
+	default:
+		zw, _ := flate.NewWriter(w, flate.BestSpeed) // fails only for an unknown level
+		return zw
+	}
+}
+
+func returnCompressor(zw *flate.Writer) {
+	zw.Reset(io.Discard) // let go of the file
+	select {
+	case spareCompressor <- zw:
+	default:
+	}
+}
 
 // AppendOp appends the binary form of op to b: its kind, then the kind's
 // dump. Only an op that applied is logged, and it has its dump; one
@@ -130,15 +172,20 @@ func DecodeOp(b []byte) (Op, error) {
 	return op, nil
 }
 
-// WriteCheckpoint writes snap in the binary checkpoint form: the magic and
-// format version, the snapshot's version, each section as a count and its
-// entries in load order, the rules, the two ID counters, and a CRC32C of
+// WriteCheckpoint writes snap as a format-2 binary checkpoint: the magic
+// and format byte, the body deflated (BestSpeed), and a CRC32C of
 // everything before it. Entries are encoded one at a time into a buffered
-// writer, so the encoded file is never held whole in memory.
+// writer in front of the compressor, so the file is never held whole in
+// memory, plain or compressed.
 func WriteCheckpoint(snap *Snapshot, w io.Writer) error {
 	crc := crc32.New(castagnoli)
-	bw := bufio.NewWriter(io.MultiWriter(w, crc))
-	buf := appendInt(append([]byte(checkpointMagic), checkpointVersion), int64(snap.Version))
+	out := bufio.NewWriter(io.MultiWriter(w, crc))
+	out.WriteString(checkpointMagic)
+	out.WriteByte(checkpointDeflate)
+	zw := takeCompressor(out)
+	defer returnCompressor(zw)
+	bw := bufio.NewWriter(zw)
+	buf := appendInt(nil, int64(snap.Version))
 	bw.Write(buf)
 	buf = writeSection(bw, buf, snap.Ontologies, appendOntology)
 	buf = writeSection(bw, buf, snap.Systems, appendSystem)
@@ -154,13 +201,19 @@ func WriteCheckpoint(snap *Snapshot, w io.Writer) error {
 	if err := bw.Flush(); err != nil {
 		return err
 	}
+	if err := zw.Close(); err != nil {
+		return err
+	}
+	if err := out.Flush(); err != nil {
+		return err
+	}
 	_, err := w.Write(binary.LittleEndian.AppendUint32(nil, crc.Sum32()))
 	return err
 }
 
 // writeSection writes a section's count and then each entry, encoded into
 // buf (reused, and returned for the next section). bw keeps the first
-// write error for Flush to report.
+// write error, its own or the compressor's, for Flush to report.
 func writeSection[T any](bw *bufio.Writer, buf []byte, entries []T, app func([]byte, *T) []byte) []byte {
 	buf = binary.AppendUvarint(buf[:0], uint64(len(entries)))
 	bw.Write(buf)
@@ -171,8 +224,10 @@ func writeSection[T any](bw *bufio.Writer, buf []byte, entries []T, app func([]b
 	return buf
 }
 
-// decodeCheckpoint reads a whole binary checkpoint, checksum first.
-func decodeCheckpoint(data []byte) (*Snapshot, error) {
+// decodeCheckpoint reads a whole binary checkpoint, checksum first. A
+// format-2 body is inflated, to at most limit bytes when limit is
+// positive, and then read like a format-1 one.
+func decodeCheckpoint(data []byte, limit int64) (*Snapshot, error) {
 	head := len(checkpointMagic) + 1
 	if len(data) < head+4 {
 		return nil, fmt.Errorf("persist: checkpoint of %d bytes is truncated", len(data))
@@ -181,10 +236,18 @@ func decodeCheckpoint(data []byte) (*Snapshot, error) {
 	if got, want := crc32.Checksum(body, castagnoli), binary.LittleEndian.Uint32(data[len(body):]); got != want {
 		return nil, fmt.Errorf("persist: checkpoint checksum %08x, want %08x: the file is truncated or corrupt", got, want)
 	}
-	if v := body[head-1]; v != checkpointVersion {
-		return nil, fmt.Errorf("persist: checkpoint format %d, want %d", v, checkpointVersion)
+	switch v := body[head-1]; v {
+	case checkpointPlain:
+		body = body[head:]
+	case checkpointDeflate:
+		var err error
+		if body, err = inflate(body[head:], limit); err != nil {
+			return nil, err
+		}
+	default:
+		return nil, fmt.Errorf("persist: checkpoint format %d, want %d or %d", v, checkpointPlain, checkpointDeflate)
 	}
-	d := decoder{b: body[head:]}
+	d := decoder{b: body}
 	snap := &Snapshot{Version: d.int()}
 	snap.Ontologies = readSlice(&d, (*decoder).ontology)
 	snap.Systems = readSlice(&d, (*decoder).system)
@@ -201,6 +264,31 @@ func decodeCheckpoint(data []byte) (*Snapshot, error) {
 		return nil, err
 	}
 	return snap, nil
+}
+
+// inflate reads the DEFLATE stream that must be all of z: one that ends
+// early, fails to inflate or has bytes after its final block is refused,
+// and so is one that inflates past limit bytes when limit is positive.
+// The decompressor reads z through its ReadByte, so it reads no byte past
+// the final block, and what it left is what follows the stream.
+func inflate(z []byte, limit int64) ([]byte, error) {
+	r := bytes.NewReader(z)
+	var src io.Reader = flate.NewReader(r)
+	if limit > 0 {
+		src = io.LimitReader(src, limit+1)
+	}
+	body, err := io.ReadAll(src)
+	switch {
+	case limit > 0 && int64(len(body)) > limit:
+		return nil, fmt.Errorf("%w of %d bytes", ErrInflateLimit, limit)
+	case errors.Is(err, io.ErrUnexpectedEOF):
+		return nil, errors.New("persist: checkpoint's deflate stream ends early")
+	case err != nil:
+		return nil, fmt.Errorf("persist: checkpoint does not inflate: %w", err)
+	case r.Len() > 0:
+		return nil, fmt.Errorf("persist: checkpoint has %d bytes after its deflate stream", r.Len())
+	}
+	return body, nil
 }
 
 // The append/read pairs, one per dump type, fields in declaration order.

@@ -2,11 +2,17 @@ package persist_test
 
 import (
 	"bytes"
+	"compress/flate"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
+	"hash/crc32"
+	"io"
 	"math"
 	"reflect"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 
 	"graphitti/internal/core"
@@ -99,9 +105,29 @@ func TestDecodeOpBoundedByInput(t *testing.T) {
 	}
 }
 
+// plainBody inflates a format-2 checkpoint's body: format 1's body.
+func plainBody(t testing.TB, checkpoint []byte) []byte {
+	t.Helper()
+	if !bytes.HasPrefix(checkpoint, []byte("GSNAP\x02")) {
+		t.Fatalf("checkpoint starts %.6q, want format 2", checkpoint)
+	}
+	body, err := io.ReadAll(flate.NewReader(bytes.NewReader(checkpoint[6 : len(checkpoint)-4])))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// sealed frames body as a checkpoint of the given format.
+func sealed(format byte, body []byte) []byte {
+	b := append([]byte{'G', 'S', 'N', 'A', 'P', format}, body...)
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, crc32.MakeTable(crc32.Castagnoli)))
+}
+
 // TestCheckpointRoundTrip: a binary checkpoint decodes to the snapshot it
 // was written from — written as JSON, the bytes Write gives — in fewer
-// bytes (the influenza study's are mostly residues, which no form shrinks).
+// bytes than the JSON and than its own body in the clear, which is format
+// 1 and decodes to the same snapshot.
 func TestCheckpointRoundTrip(t *testing.T) {
 	for name, s := range map[string]*core.Store{"influenza": influenzaStore(t), "neuro": neuroStore(t)} {
 		var js, bin bytes.Buffer
@@ -111,21 +137,106 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		if err := persist.WriteCheckpoint(exportOf(t, s), &bin); err != nil {
 			t.Fatal(err)
 		}
-		snap, err := persist.Decode(bytes.NewReader(bin.Bytes()))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+		plain := sealed(1, plainBody(t, bin.Bytes()))
+		for form, file := range map[string][]byte{"format 2": bin.Bytes(), "format 1": plain} {
+			snap, err := persist.Decode(bytes.NewReader(file))
+			if err != nil {
+				t.Fatalf("%s, %s: %v", name, form, err)
+			}
+			var again bytes.Buffer
+			if err := persist.WriteSnapshot(snap, &again); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(again.Bytes(), js.Bytes()) {
+				t.Fatalf("%s: the %s checkpoint decodes to a different snapshot", name, form)
+			}
 		}
-		var again bytes.Buffer
-		if err := persist.WriteSnapshot(snap, &again); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(again.Bytes(), js.Bytes()) {
-			t.Fatalf("%s: the checkpoint decodes to a different snapshot", name)
-		}
-		if bin.Len() >= js.Len() {
-			t.Errorf("%s: checkpoint of %d bytes for %d of JSON", name, bin.Len(), js.Len())
+		if bin.Len() >= len(plain) || len(plain) >= js.Len() {
+			t.Errorf("%s: checkpoint of %d bytes, %d in the clear, for %d of JSON", name, bin.Len(), len(plain), js.Len())
 		}
 	}
+}
+
+// TestCheckpointsConcurrently: checkpoints written at once from several
+// goroutines, which take turns with the one spare compressor and make
+// their own when it is taken, are each byte for byte the checkpoint of
+// the same snapshot written alone.
+func TestCheckpointsConcurrently(t *testing.T) {
+	snaps := []*persist.Snapshot{exportOf(t, influenzaStore(t)), exportOf(t, neuroStore(t))}
+	want := make([][]byte, len(snaps))
+	for i, snap := range snaps {
+		var b bytes.Buffer
+		if err := persist.WriteCheckpoint(snap, &b); err != nil {
+			t.Fatal(err)
+		}
+		want[i] = b.Bytes()
+	}
+	var wg sync.WaitGroup
+	for g := range 6 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := range 4 {
+				i := (g + r) % len(snaps)
+				var b bytes.Buffer
+				if err := persist.WriteCheckpoint(snaps[i], &b); err != nil {
+					t.Error(err)
+					return
+				}
+				if !bytes.Equal(b.Bytes(), want[i]) {
+					t.Errorf("checkpoint %d, written beside others, differs from the one written alone", i)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestDecodeLimited: a checkpoint whose body inflates past the cap is
+// refused with ErrInflateLimit, one that inflates to the cap exactly
+// decodes, and the cap leaves the JSON form and a format-1 body alone.
+func TestDecodeLimited(t *testing.T) {
+	snap := exportOf(t, neuroStore(t))
+	var bin, js bytes.Buffer
+	if err := persist.WriteCheckpoint(snap, &bin); err != nil {
+		t.Fatal(err)
+	}
+	if err := persist.WriteSnapshot(snap, &js); err != nil {
+		t.Fatal(err)
+	}
+	n := int64(len(plainBody(t, bin.Bytes())))
+	if _, err := persist.DecodeLimited(bytes.NewReader(bin.Bytes()), n-1); !errors.Is(err, persist.ErrInflateLimit) {
+		t.Fatalf("a body of %d bytes under a cap of %d: %v, want ErrInflateLimit", n, n-1, err)
+	}
+	for form, file := range map[string][]byte{
+		"format 2 at the cap": bin.Bytes(),
+		"format 1":            sealed(1, plainBody(t, bin.Bytes())),
+		"JSON":                js.Bytes(),
+	} {
+		if _, err := persist.DecodeLimited(bytes.NewReader(file), n); err != nil {
+			t.Errorf("%s: %v", form, err)
+		}
+	}
+	bomb := sealed(2, deflated(t, make([]byte, 1<<20)))
+	if _, err := persist.DecodeLimited(bytes.NewReader(bomb), n); !errors.Is(err, persist.ErrInflateLimit) {
+		t.Fatalf("a %d-byte stream of zeros: %v, want ErrInflateLimit", len(bomb), err)
+	}
+}
+
+// deflated is body as one raw DEFLATE stream.
+func deflated(t testing.TB, body []byte) []byte {
+	t.Helper()
+	var z bytes.Buffer
+	zw, err := flate.NewWriter(&z, flate.BestSpeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zw.Write(body)
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return z.Bytes()
 }
 
 // TestCodeTablesPinned: the code tables name the Dublin Core elements and

@@ -20,7 +20,8 @@ const v1Snapshot = `{"version":1,
 
 // FuzzSnapshotLoad hammers the snapshot loader — the path -snapshot,
 // POST /api/restore and every durable.Open take — with arbitrary bytes,
-// seeded with both forms, JSON and the binary checkpoint:
+// seeded with both forms, JSON and the binary checkpoint, the latter in
+// both formats, deflated and in the clear:
 // Decode and LoadWith must refuse or load, never panic, and whatever
 // loads must export to a snapshot that loads to the same export.
 func FuzzSnapshotLoad(f *testing.F) {
@@ -37,6 +38,7 @@ func FuzzSnapshotLoad(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(checkpoint.Bytes())
+	f.Add(sealed(1, plainBody(f, checkpoint.Bytes())))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snap, err := persist.Decode(bytes.NewReader(data))

@@ -1,8 +1,8 @@
 // Package persist serialises a Graphitti store to a portable snapshot and
 // rebuilds stores from snapshots. A snapshot has two forms: JSON, the
 // export and debug form (GET /api/snapshot, Write), and a compact binary
-// checkpoint, the form a data directory holds (WriteCheckpoint). Decode
-// reads either.
+// checkpoint, DEFLATE-compressed, the form a data directory holds
+// (WriteCheckpoint). Decode reads either.
 //
 // The snapshot is a logical export — registered ontologies, coordinate
 // systems, data objects, record tables and annotations — not a byte-level
@@ -787,14 +787,24 @@ func LoadPart(snap *Snapshot, opts core.StoreOptions, keep func(Op) bool) (*core
 // Decode parses a snapshot without loading it into a store. It reads
 // either form, told apart by the leading bytes: the JSON export, or a
 // binary checkpoint copied out of a data directory (WriteCheckpoint).
+// Nothing bounds what a checkpoint inflates to: Decode is for files the
+// operator owns; an upload goes through DecodeLimited.
 func Decode(r io.Reader) (*Snapshot, error) {
+	return DecodeLimited(r, 0)
+}
+
+// DecodeLimited is Decode with a cap on what a compressed checkpoint body
+// may inflate to: past limit bytes (when limit is positive) it stops
+// inflating and refuses the snapshot with ErrInflateLimit. The caller
+// bounds what r itself holds.
+func DecodeLimited(r io.Reader, limit int64) (*Snapshot, error) {
 	br := bufio.NewReader(r)
 	if head, _ := br.Peek(len(checkpointMagic)); string(head) == checkpointMagic {
 		data, err := io.ReadAll(br)
 		if err != nil {
 			return nil, fmt.Errorf("persist: decode: %w", err)
 		}
-		return decodeCheckpoint(data)
+		return decodeCheckpoint(data, limit)
 	}
 	var snap Snapshot
 	if err := json.NewDecoder(br).Decode(&snap); err != nil {
