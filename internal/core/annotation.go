@@ -443,38 +443,20 @@ func (x *Tx) commit(b *Builder, pinnedAnn uint64, pinnedRefs []uint64) (*Annotat
 	return ann, nil
 }
 
-// buildContentDoc writes the annotation's content document. It knows what
-// it is about to write, so the document's two slabs are allocated once at
-// their final size, and the decimal attribute values (the annotation's id,
-// each referent's id, lo and hi) are formatted into one buffer and cut
-// from its string.
+// buildContentDoc writes the annotation's content document and seals it:
+// a document whose shape is already interned keeps only a header and its
+// values. The decimal attribute values (the annotation's id, each
+// referent's id, lo and hi) are formatted into one buffer and cut from its
+// string.
 func buildContentDoc(annID uint64, dc *dublincore.Record, body string,
 	tags []Tag, refs []*Referent, terms []TermRef) *xmldoc.Document {
-	nodes, attrs := 2+2*dc.Len(), 1+2*len(terms)
-	if body != "" {
-		nodes += 2
-	}
-	if len(tags) > 0 {
-		nodes += 1 + 2*len(tags)
-	}
-	if len(refs) > 0 {
-		nodes += 1 + len(refs)
-	}
-	if len(terms) > 0 {
-		nodes += 1 + len(terms)
-	}
 	var digits [96]byte
 	dec := strconv.AppendUint(digits[:0], annID, 10)
 	for _, r := range refs {
 		dec = strconv.AppendUint(append(dec, ' '), r.ID, 10)
-		attrs += 6 // id, kind, type, object, domain; region or keys
 		if r.Kind == IntervalReferent || r.Kind == BlockReferent {
 			dec = strconv.AppendInt(append(dec, ' '), r.Interval.Lo, 10)
 			dec = strconv.AppendInt(append(dec, ' '), r.Interval.Hi, 10)
-			attrs++ // lo, hi in place of the sixth
-		}
-		if r.Kind == BlockReferent {
-			attrs++ // rows
 		}
 	}
 	decimals := string(dec)
@@ -483,7 +465,7 @@ func buildContentDoc(annID uint64, dc *dublincore.Record, body string,
 		return d
 	}
 
-	doc := xmldoc.NewDocumentCap("annotation", nodes, attrs)
+	doc := xmldoc.NewDocument("annotation")
 	doc.Root.SetAttr("id", nextDecimal())
 	meta := doc.AddElement(doc.Root, "meta")
 	dc.AppendXML(doc, meta)
@@ -528,6 +510,7 @@ func buildContentDoc(annID uint64, dc *dublincore.Record, body string,
 			el.SetAttr("term", tr.TermID)
 		}
 	}
+	doc.Seal()
 	return doc
 }
 

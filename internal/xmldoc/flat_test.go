@@ -228,6 +228,8 @@ func TestFlatVsTreeRandom(t *testing.T) {
 			}
 		}
 		SameAsTree(t, flat, tree)
+		flat.Seal() // the interned shape reads as the private one did
+		SameAsTree(t, flat, tree)
 
 		src := tree.String()
 		flat2, ferr := ParseString(src)
@@ -248,23 +250,29 @@ func TestFlatVsTreeRandom(t *testing.T) {
 	}
 }
 
-// TestNodeSize pins the slab entry: a wider node is paid once per node of
-// every annotation a server holds.
+// TestNodeSize pins the sizes: the header and the values are paid once per
+// annotation a server holds, a shape's node entry once per node of each
+// distinct shape.
 func TestNodeSize(t *testing.T) {
-	if size := unsafe.Sizeof(node{}); size != 32 {
-		t.Errorf("a slab entry is %d bytes, want 32", size)
+	if size := unsafe.Sizeof(node{}); size != 16 {
+		t.Errorf("a node entry is %d bytes, want 16", size)
 	}
 	if size := unsafe.Sizeof(Node{}); size != 16 {
 		t.Errorf("a handle is %d bytes, want 16", size)
 	}
-	allocs := testing.AllocsPerRun(100, func() {
-		d := NewDocumentCap("annotation", 4, 2)
+	if size := unsafe.Sizeof(Document{}); size != 48 {
+		t.Errorf("a document header is %d bytes, want 48", size)
+	}
+	build := func() {
+		d := NewDocument("annotation")
 		d.Root.SetAttr("id", "7")
 		b := d.AddElementText(d.Root, "body", "text")
 		b.SetAttr("k", "v")
 		d.AddElement(d.Root, "refs")
-	})
-	if allocs > 3 {
-		t.Errorf("a presized document took %.0f allocations, want 3 (document, nodes, attributes)", allocs)
+		d.Seal()
+	}
+	build()
+	if allocs := testing.AllocsPerRun(100, build); allocs > 2 && !raceEnabled {
+		t.Errorf("a document of an interned shape took %.0f allocations, want 2 (header, values)", allocs)
 	}
 }

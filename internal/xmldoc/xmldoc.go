@@ -4,55 +4,82 @@
 // The paper stores each annotation content as "an XML document whose
 // elements consist of Dublin core attributes and other user-defined tags",
 // and the a-graph "connects nodes of the XML annotation trees" to index and
-// ontology nodes. A server holds one such document per annotation, so the
-// model is built to be small: a document is one flat, append-only slab.
+// ontology nodes. A server holds one such document per annotation, and
+// nearly all of them are built from one template, so the model is built
+// to be small: a document is a shape, shared with every document of the
+// same structure, and its own values.
 //
 // # Layout
 //
-// Every node of a document is a value in one slice, in document order (a
-// parent before its children, a subtree before the next sibling). A node
-// carries its parent's index, the index one past its last descendant (its
-// extent), one string that is the element name or the character data, and
-// the bounds of its attributes in a second slice that all elements of the
-// document share. There is no per-node heap object, child slice or back
-// pointer: the descendants of node i are the slab entries i+1 up to its
-// extent, its children are found by hopping from extent to extent, and
-// slab order is document order, so a sorted list of indices needs no
-// further sort.
+// The shape is everything two documents of one kind have in common: the
+// node kinds, the element and attribute names, which node is whose
+// parent. It is a table of 16-byte node entries in document order (a
+// parent before its children, a subtree before the next sibling), one
+// 4-byte entry per value slot, and the shape's canonical encoding, which
+// the names are read from. A node entry carries its parent's index, the
+// index one past its last descendant (its extent), where its name starts
+// in the encoding, and its first value slot. There is no per-node heap
+// object, child slice or back pointer: the descendants of node i are the
+// entries i+1 up to its extent, its children are found by hopping from
+// extent to extent, and table order is document order, so a sorted list
+// of indices needs no further sort.
 //
-// A document is built front to back: a node can only be added under an
-// element whose subtree still reaches the end of the slab (the root, or
-// the element added last, or one of its ancestors). Every document this
-// repository builds — the commit path's content document, Parse — is
-// written in that order anyway.
+// The values are what makes each document its own: the character data of
+// its text and comment nodes and the values of its attributes, one string
+// each, in one slice in document order (an element's attributes before its
+// children). Node i's values are the slots from its entry's slot up to the
+// next entry's, so an element's attributes need no table of their own.
+//
+// # Building and sealing
+//
+// A document is built front to back, into a private shape held in a
+// scratch buffer that is reused from one document to the next: a node can
+// only be added under an element whose subtree still reaches the end of
+// the table (the root, or the element added last, or one of its
+// ancestors). Every document this repository builds — the commit path's
+// content document, Parse — is written in that order anyway. Attributes
+// may be set on any element at any time while building.
+//
+// Seal ends the building. It looks the shape up in one process-wide intern
+// table keyed by its encoding: a document whose shape is there already
+// shares that one and keeps only a 48-byte header and its values, copied
+// out of the scratch at their final size; otherwise the shape is copied out
+// of the scratch once and entered. The table holds its shapes weakly, and
+// an entry is dropped once its shape has been collected: a shape lives
+// exactly as long as some document uses it, so documents with names never
+// seen before — hostile tag names included — cost the table nothing once
+// they are gone. Every write to a sealed document panics; Parse returns
+// its documents sealed.
 //
 // # IDs and handles
 //
-// A node's ID is its slab index plus one. IDs are therefore dense, stable
+// A node's ID is its table index plus one. IDs are therefore dense, stable
 // for the life of the document and assigned in document order, which is
 // what external structures that reference individual elements (the
 // a-graph's content nodes, Path) rely on.
 //
 // Callers reach nodes through Node, a small value handle: the document and
-// an index. A handle stays valid across later additions to its document
-// and for as long as the document lives; it keeps the whole document
-// alive, not just its node. A handle must not be used with another
-// document's methods. The slice Attrs returns is a view into the shared
-// attribute slab: it is valid until the next SetAttr on the document.
-// A finished document is immutable by convention — published annotation
-// contents are read concurrently and never written.
+// an index. A handle stays valid across later additions to its document,
+// across Seal, and for as long as the document lives; it keeps the whole
+// document alive, not just its node. A handle must not be used with
+// another document's methods. Sealed documents are read concurrently and
+// never written.
 package xmldoc
 
 import (
+	"encoding/binary"
 	"encoding/xml"
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"unicode/utf8"
+	"weak"
 )
 
 // Kind discriminates node types.
@@ -89,35 +116,160 @@ type Attr struct {
 	Value string
 }
 
-// node is one slab entry (32 bytes).
+// node is one entry of a shape's node table (16 bytes).
 type node struct {
-	// text is the element name, or the character data of a text or
-	// comment node.
-	text   string
-	parent int32 // slab index of the parent; -1 for the root
+	// name is, for an element, the offset of its name's length prefix in
+	// the shape's encoding. A text or comment node keeps its kind here
+	// instead, negated.
+	name   int32
+	parent int32 // index of the parent; -1 for the root
 	// end is the index one past the node's last descendant, or 0 while the
-	// subtree still reaches the end of the slab (see Document.end).
+	// subtree still reaches the end of the table (see shape.end).
 	end int32
-	// An element's attributes are attrs[attrLo:attrHi] of its document.
-	// Text and comment nodes have none and keep their kind here instead,
-	// negated: both are -TextNode or -CommentNode.
-	attrLo, attrHi int32
+	// slot is the node's first value slot: a text or comment node's own,
+	// an element's first attribute's.
+	slot int32
 }
 
 func (nd *node) kind() Kind {
-	if nd.attrLo < 0 {
-		return Kind(-nd.attrLo)
+	if nd.name < 0 {
+		return Kind(-nd.name)
 	}
 	return ElementNode
 }
 
-// Document is one XML document: a slab of nodes in document order and the
-// attributes of all its elements.
+// attrRecord is the header of an attribute's record in an encoding; a
+// node's header is its kind and its parent's index plus one, as
+// (parent+1)<<2 | kind.
+const attrRecord = 3
+
+// shape is the structure of a document. Its canonical encoding is, in
+// document order, a record per node — the uvarint header above and, for
+// an element, its length-prefixed name — with each element's record
+// followed by a record per attribute: attrRecord and the length-prefixed
+// name. Equal encodings mean equal tables.
+type shape struct {
+	// key is the encoding of a sealed shape; "" while the shape is private.
+	key   string
+	nodes []node
+	// slots has an entry per value slot: for an attribute, the offset of
+	// its name's length prefix in the encoding; for a text or comment
+	// node, its kind, negated.
+	slots []int32
+	// b is the scratch a private shape lives in; nil once sealed.
+	b *scratch
+}
+
+// scratch is a private shape and the rest of what a document is built in:
+// the encoding so far and the values. It is reused from one document to
+// the next.
+type scratch struct {
+	shape
+	enc  []byte
+	vals []string
+}
+
+var scratches = sync.Pool{New: func() any {
+	b := new(scratch)
+	b.b = b
+	return b
+}}
+
+// shapes is the intern table: the sealed shapes, keyed by their encodings
+// and held weakly.
+var shapes = struct {
+	sync.Mutex
+	m map[string]weak.Pointer[shape]
+}{m: make(map[string]weak.Pointer[shape])}
+
+// intern returns the sealed shape whose encoding is b's, entering a copy
+// of b's private shape if there is none yet.
+func intern(b *scratch) *shape {
+	shapes.Lock()
+	defer shapes.Unlock()
+	if sh := shapes.m[string(b.enc)].Value(); sh != nil {
+		return sh
+	}
+	sh := &shape{key: string(b.enc), nodes: slices.Clone(b.nodes), slots: slices.Clone(b.slots)}
+	shapes.m[sh.key] = weak.Make(sh)
+	runtime.AddCleanup(sh, forget, sh.key)
+	return sh
+}
+
+// forget drops the entry of a collected shape, unless the key has been
+// entered again since.
+func forget(key string) {
+	shapes.Lock()
+	defer shapes.Unlock()
+	if shapes.m[key].Value() == nil {
+		delete(shapes.m, key)
+	}
+}
+
+// nameAt returns the bounds of the length-prefixed name at off in an
+// encoding.
+func nameAt[S ~string | ~[]byte](enc S, off int32) (lo, hi int32) {
+	n, shift := int32(0), 0
+	for lo = off; ; shift += 7 {
+		c := enc[lo]
+		lo++
+		n |= int32(c&0x7f) << shift
+		if c < 0x80 {
+			return lo, lo + n
+		}
+	}
+}
+
+// name returns the name whose length prefix is at off. A sealed shape's
+// names are cut from its key (a private shape's key is empty), and a name
+// shorter than 128 bytes has a one-byte prefix.
+func (sh *shape) name(off int32) string {
+	if k := sh.key; uint(off) < uint(len(k)) && k[off] < 0x80 {
+		return k[off+1:][:k[off]]
+	}
+	return sh.longName(off)
+}
+
+// longName is name for a long name, a private shape, or an offset that
+// is a node's kind ("").
+func (sh *shape) longName(off int32) string {
+	if off < 0 {
+		return ""
+	}
+	if sh.b == nil {
+		lo, hi := nameAt(sh.key, off)
+		return sh.key[lo:hi]
+	}
+	lo, hi := nameAt(sh.b.enc, off)
+	return string(sh.b.enc[lo:hi])
+}
+
+// end returns the index one past the last descendant of node i.
+func (sh *shape) end(i int32) int32 {
+	if e := sh.nodes[i].end; e != 0 {
+		return e
+	}
+	return int32(len(sh.nodes))
+}
+
+// attrs returns the value slots of node i's attributes, lo to hi.
+func (sh *shape) attrs(i int32) (lo, hi int32) {
+	if sh.nodes[i].name < 0 {
+		return 0, 0 // a text or comment node
+	}
+	lo, hi = sh.nodes[i].slot, int32(len(sh.slots))
+	if next := i + 1; int(next) < len(sh.nodes) {
+		hi = sh.nodes[next].slot
+	}
+	return lo, hi
+}
+
+// Document is one XML document: its shape and its values.
 type Document struct {
 	// Root is the root element.
-	Root  Node
-	nodes []node
-	attrs []Attr
+	Root Node
+	sh   *shape
+	vals []string
 }
 
 // Node is a handle on one node of a document, or on one attribute of an
@@ -130,67 +282,137 @@ type Document struct {
 // element's, and it has no children.
 type Node struct {
 	d    *Document
-	i    int32 // slab index
-	attr int32 // 0, or 1 + the index in d.attrs of the attribute addressed
+	i    int32 // table index
+	attr int32 // 0, or 1 + the value slot of the attribute addressed
 }
 
-// NewDocument returns a document holding a root element of the given name.
+// NewDocument returns a document holding a root element of the given name,
+// to be built and then sealed.
 func NewDocument(rootName string) *Document {
-	return NewDocumentCap(rootName, 0, 0)
-}
-
-// NewDocumentCap is NewDocument with room for the given number of nodes
-// (the root included) and attributes, for a caller that knows what it is
-// about to build.
-func NewDocumentCap(rootName string, nodes, attrs int) *Document {
-	d := &Document{nodes: make([]node, 0, nodes), attrs: make([]Attr, 0, attrs)}
+	d := newDocument()
 	d.add(-1, ElementNode, rootName)
 	return d
 }
 
+// newDocument returns an empty document in a scratch of its own.
+func newDocument() *Document {
+	return &Document{sh: &scratches.Get().(*scratch).shape}
+}
+
+// scratch returns what d is being built in. This is where every write to a
+// sealed document panics.
+func (d *Document) scratch() *scratch {
+	if d.sh.b == nil {
+		panic("xmldoc: write to a sealed document")
+	}
+	return d.sh.b
+}
+
 // add appends a node under the element at index parent (-1: as the root)
 // and returns its index. The parent's subtree must still reach the end of
-// the slab; every element between the last node and the parent ends here.
+// the table; every element between the last node and the parent ends here.
 func (d *Document) add(parent int32, kind Kind, text string) int32 {
-	i := int32(len(d.nodes))
-	nd := node{text: text, parent: parent}
-	if kind != ElementNode {
-		nd.attrLo, nd.attrHi, nd.end = -int32(kind), -int32(kind), i+1
-	}
+	b := d.scratch()
+	i := int32(len(b.nodes))
 	if parent < 0 {
 		d.Root = Node{d: d}
 	} else {
-		if p := &d.nodes[parent]; p.end != 0 {
+		if b.nodes[parent].end != 0 {
 			panic(fmt.Sprintf("xmldoc: node %d is closed: a document is built in document order", parent+1))
 		}
-		for a := i - 1; a != parent; a = d.nodes[a].parent {
-			if d.nodes[a].end == 0 {
-				d.nodes[a].end = i
+		for a := i - 1; a != parent; a = b.nodes[a].parent {
+			if b.nodes[a].end == 0 {
+				b.nodes[a].end = i
 			}
 		}
 	}
-	d.nodes = append(d.nodes, nd)
+	nd := node{parent: parent, slot: int32(len(b.slots))}
+	b.enc = binary.AppendUvarint(b.enc, uint64(parent+1)<<2|uint64(kind))
+	if kind == ElementNode {
+		nd.name = int32(len(b.enc))
+		b.enc = appendName(b.enc, text)
+	} else {
+		nd.name, nd.end = -int32(kind), i+1
+		b.slots = append(b.slots, -int32(kind))
+		b.vals = append(b.vals, text)
+		d.vals = b.vals
+	}
+	b.nodes = append(b.nodes, nd)
 	return i
 }
 
-// end returns the index one past the last descendant of node i.
-func (d *Document) end(i int32) int32 {
-	if e := d.nodes[i].end; e != 0 {
-		return e
-	}
-	return int32(len(d.nodes))
+func appendName(enc []byte, name string) []byte {
+	return append(binary.AppendUvarint(enc, uint64(len(name))), name...)
 }
 
-// attrsOf returns the attributes of a slab entry, capped so that an append
-// by the caller cannot reach the next element's.
-func (d *Document) attrsOf(nd *node) []Attr {
-	if nd.attrLo >= nd.attrHi {
-		return nil // no attributes, or a text or comment node
+// addAttr gives element i one more attribute, after the ones it has. Its
+// record goes after theirs in the encoding and its value after theirs in
+// the slots. When i is the last node, as it is whenever Parse and the
+// commit path set attributes, that is the end of both; otherwise every
+// later name moves by the record's length and every later node by a slot.
+func (d *Document) addAttr(i int32, name, value string) {
+	b := d.scratch()
+	if int(i) == len(b.nodes)-1 {
+		b.slots = append(b.slots, int32(len(b.enc))+1)
+		b.enc = appendName(append(b.enc, attrRecord), name)
+		b.vals = append(b.vals, value)
+		d.vals = b.vals
+		return
 	}
-	return d.attrs[nd.attrLo:nd.attrHi:nd.attrHi]
+	lo, hi := b.attrs(i)
+	last := b.nodes[i].name
+	if hi > lo {
+		last = b.slots[hi-1]
+	}
+	_, at := nameAt(b.enc, last)
+	size := int32(len(b.enc))
+	b.enc = appendName(append(b.enc, attrRecord), name)
+	if at < size { // rotate the record into place
+		slices.Reverse(b.enc[at:size])
+		slices.Reverse(b.enc[size:])
+		slices.Reverse(b.enc[at:])
+	}
+	size = int32(len(b.enc)) - size
+	for j := i + 1; int(j) < len(b.nodes); j++ {
+		if nd := &b.nodes[j]; nd.name >= 0 {
+			nd.name += size
+		}
+		b.nodes[j].slot++
+	}
+	for s := hi; int(s) < len(b.slots); s++ {
+		if b.slots[s] >= 0 {
+			b.slots[s] += size
+		}
+	}
+	b.slots = slices.Insert(b.slots, int(hi), at+1)
+	b.vals = slices.Insert(b.vals, int(hi), value)
+	d.vals = b.vals
 }
 
-// own returns the slab index of a handle that must address a node of d.
+// Seal ends the building of d. Its shape is looked up in the intern table,
+// and entered if it is not there yet; d keeps that shape and its values,
+// copied out of the scratch at their final size, and the scratch goes back
+// to be reused. Every write to a sealed document panics. Sealing a sealed
+// document does nothing.
+func (d *Document) Seal() {
+	b := d.sh.b
+	if b == nil {
+		return
+	}
+	d.sh = intern(b)
+	d.vals = slices.Clone(b.vals)
+	clear(b.vals)
+	b.nodes, b.slots, b.enc, b.vals = b.nodes[:0], b.slots[:0], b.enc[:0], b.vals[:0]
+	scratches.Put(b)
+}
+
+// SameShape reports whether two sealed documents share one interned shape:
+// the same nodes, names and attributes, whatever their values.
+func SameShape(a, b *Document) bool {
+	return a.sh == b.sh && a.sh.b == nil
+}
+
+// own returns the table index of a handle that must address a node of d.
 func (d *Document) own(n Node) int32 {
 	if n.d != d || n.attr != 0 {
 		panic("xmldoc: handle is not a node of this document")
@@ -199,7 +421,7 @@ func (d *Document) own(n Node) int32 {
 }
 
 // Len reports the number of nodes in the document.
-func (d *Document) Len() int { return len(d.nodes) }
+func (d *Document) Len() int { return len(d.sh.nodes) }
 
 // AddElement appends an element as the last child of parent and returns
 // it.
@@ -223,7 +445,7 @@ func (d *Document) AddElementText(parent Node, name, text string) Node {
 // Valid reports whether the handle addresses a node or attribute.
 func (n Node) Valid() bool { return n.d != nil }
 
-// ID returns the node's ID within its document: its slab index plus one.
+// ID returns the node's ID within its document: its table index plus one.
 func (n Node) ID() uint64 { return uint64(n.i) + 1 }
 
 // Kind returns the node's type.
@@ -231,28 +453,27 @@ func (n Node) Kind() Kind {
 	if n.attr != 0 {
 		return TextNode
 	}
-	return n.d.nodes[n.i].kind()
+	return n.d.sh.nodes[n.i].kind()
 }
 
 // Name returns the element name ("" for text and comment nodes).
 func (n Node) Name() string {
+	sh := n.d.sh
+	off := sh.nodes[n.i].name
 	if n.attr != 0 {
-		return n.d.attrs[n.attr-1].Name
+		off = sh.slots[n.attr-1]
 	}
-	if nd := &n.d.nodes[n.i]; nd.kind() == ElementNode {
-		return nd.text
-	}
-	return ""
+	return sh.name(off)
 }
 
 // Value returns the character data of a text or comment node ("" for
 // elements).
 func (n Node) Value() string {
 	if n.attr != 0 {
-		return n.d.attrs[n.attr-1].Value
+		return n.d.vals[n.attr-1]
 	}
-	if nd := &n.d.nodes[n.i]; nd.kind() != ElementNode {
-		return nd.text
+	if nd := &n.d.sh.nodes[n.i]; nd.name < 0 {
+		return n.d.vals[nd.slot]
 	}
 	return ""
 }
@@ -262,7 +483,7 @@ func (n Node) Parent() Node {
 	if n.attr != 0 {
 		return Node{d: n.d, i: n.i}
 	}
-	if p := n.d.nodes[n.i].parent; p >= 0 {
+	if p := n.d.sh.nodes[n.i].parent; p >= 0 {
 		return Node{d: n.d, i: p}
 	}
 	return Node{}
@@ -273,7 +494,7 @@ func (n Node) Parent() Node {
 //
 //	for c := n.FirstChild(); c.Valid(); c = c.NextSibling() { … }
 func (n Node) FirstChild() Node {
-	if n.attr == 0 && n.i+1 < n.d.end(n.i) {
+	if n.attr == 0 && n.i+1 < n.d.sh.end(n.i) {
 		return Node{d: n.d, i: n.i + 1}
 	}
 	return Node{}
@@ -285,61 +506,87 @@ func (n Node) NextSibling() Node {
 	if n.attr != 0 {
 		return Node{}
 	}
-	if p := n.d.nodes[n.i].parent; p >= 0 {
-		if next := n.d.end(n.i); next < n.d.end(p) {
+	sh := n.d.sh
+	if p := sh.nodes[n.i].parent; p >= 0 {
+		if next := sh.end(n.i); next < sh.end(p) {
 			return Node{d: n.d, i: next}
 		}
 	}
 	return Node{}
 }
 
-// Attrs returns the element's attributes, in the order they were set. The
-// slice is a view into the document; callers must not modify it.
-func (n Node) Attrs() []Attr {
+// NumAttrs returns the number of the element's attributes.
+func (n Node) NumAttrs() int {
 	if n.attr != 0 {
-		return nil
+		return 0
 	}
-	return n.d.attrsOf(&n.d.nodes[n.i])
+	lo, hi := n.d.sh.attrs(n.i)
+	return int(hi - lo)
 }
 
-// AttrNode returns a handle on the k-th attribute of Attrs.
+// attrSlot returns the value slot of the k-th attribute.
+func (n Node) attrSlot(k int) int32 {
+	lo, hi := n.d.sh.attrs(n.i)
+	if n.attr != 0 || uint(k) >= uint(hi-lo) {
+		panic(fmt.Sprintf("xmldoc: attribute %d of an element with %d", k, n.NumAttrs()))
+	}
+	return lo + int32(k)
+}
+
+// AttrAt returns the k-th of the element's attributes, in the order they
+// were set.
+func (n Node) AttrAt(k int) Attr {
+	s := n.attrSlot(k)
+	return Attr{n.d.sh.name(n.d.sh.slots[s]), n.d.vals[s]}
+}
+
+// AttrNode returns a handle on the k-th attribute.
 func (n Node) AttrNode(k int) Node {
-	_ = n.Attrs()[k]
-	return Node{d: n.d, i: n.i, attr: n.d.nodes[n.i].attrLo + int32(k) + 1}
+	return Node{d: n.d, i: n.i, attr: n.attrSlot(k) + 1}
+}
+
+// Attrs returns a copy of the element's attributes, in the order they were
+// set.
+func (n Node) Attrs() []Attr {
+	var out []Attr
+	for k := range n.NumAttrs() {
+		out = append(out, n.AttrAt(k))
+	}
+	return out
 }
 
 // Attr returns the value of the named attribute and whether it is present.
 func (n Node) Attr(name string) (string, bool) {
-	for _, a := range n.Attrs() {
-		if a.Name == name {
-			return a.Value, true
+	if n.attr != 0 {
+		return "", false
+	}
+	sh := n.d.sh
+	lo, hi := sh.attrs(n.i)
+	for s := lo; s < hi; s++ {
+		if sh.name(sh.slots[s]) == name {
+			return n.d.vals[s], true
 		}
 	}
 	return "", false
 }
 
-// SetAttr sets (or replaces) an attribute on an element node.
+// SetAttr sets (or replaces) an attribute on an element node of a document
+// still being built.
 func (n Node) SetAttr(name, value string) {
 	d := n.d
-	nd := &d.nodes[d.own(n)]
-	if nd.kind() != ElementNode {
-		panic("xmldoc: SetAttr on a " + nd.kind().String() + " node")
+	i := d.own(n)
+	b := d.scratch()
+	if k := b.nodes[i].kind(); k != ElementNode {
+		panic("xmldoc: SetAttr on a " + k.String() + " node")
 	}
-	own := d.attrs[nd.attrLo:nd.attrHi]
-	for k := range own {
-		if own[k].Name == name {
-			own[k].Value = value
+	lo, hi := b.attrs(i)
+	for s := lo; s < hi; s++ {
+		if l, h := nameAt(b.enc, b.slots[s]); string(b.enc[l:h]) == name {
+			b.vals[s] = value
 			return
 		}
 	}
-	if int(nd.attrHi) != len(d.attrs) {
-		// Another element has taken attributes since: move this one's to
-		// the tail, so that they stay one run of the slab.
-		nd.attrLo = int32(len(d.attrs))
-		d.attrs = append(d.attrs, own...)
-	}
-	d.attrs = append(d.attrs, Attr{name, value})
-	nd.attrHi = int32(len(d.attrs))
+	d.addAttr(i, name, value)
 }
 
 // Text returns the concatenation of all text content in the subtree rooted
@@ -350,16 +597,16 @@ func (n Node) Text() string {
 		return n.Value()
 	}
 	d := n.d
-	sub := d.nodes[n.i:d.end(n.i)]
+	sub := d.sh.nodes[n.i:d.sh.end(n.i)]
 	var first string
 	pieces, size := 0, 0
 	for k := range sub {
-		if sub[k].kind() == TextNode {
+		if sub[k].name == -int32(TextNode) {
 			if pieces == 0 {
-				first = sub[k].text
+				first = d.vals[sub[k].slot]
 			}
 			pieces++
-			size += len(sub[k].text)
+			size += len(d.vals[sub[k].slot])
 		}
 	}
 	if pieces <= 1 {
@@ -368,8 +615,8 @@ func (n Node) Text() string {
 	var sb strings.Builder
 	sb.Grow(size)
 	for k := range sub {
-		if sub[k].kind() == TextNode {
-			sb.WriteString(sub[k].text)
+		if sub[k].name == -int32(TextNode) {
+			sb.WriteString(d.vals[sub[k].slot])
 		}
 	}
 	return sb.String()
@@ -403,7 +650,7 @@ func (n Node) Descendants(fn func(Node) bool) {
 	if n.attr != 0 {
 		return
 	}
-	for j, end := n.i+1, n.d.end(n.i); j < end; j++ {
+	for j, end := n.i+1, n.d.sh.end(n.i); j < end; j++ {
 		if !fn(Node{d: n.d, i: j}) {
 			return
 		}
@@ -413,7 +660,7 @@ func (n Node) Descendants(fn func(Node) bool) {
 // Compare orders two handles of one document by document order: negative
 // when n comes before m, zero when they are equal. An attribute sorts after
 // its element and before the element's first child, attributes of one
-// element in the order Attrs lists them.
+// element in the order AttrAt numbers them.
 func (n Node) Compare(m Node) int {
 	if n.i != m.i {
 		return int(n.i) - int(m.i)
@@ -422,12 +669,15 @@ func (n Node) Compare(m Node) int {
 }
 
 // Path returns a simple absolute location path for the node, e.g.
-// "/annotation/content[2]". Positional predicates count same-named
-// siblings.
+// "/annotation/content[2]" or "/annotation/@id". Positional predicates
+// count same-named siblings.
 func (n Node) Path() string {
 	p := n.Parent()
 	if !p.Valid() {
 		return "/" + n.Name()
+	}
+	if n.attr != 0 {
+		return p.Path() + "/@" + n.Name()
 	}
 	name := n.Name()
 	idx, count := 0, 0
@@ -449,10 +699,10 @@ func (n Node) Path() string {
 	return p.Path() + "/" + step
 }
 
-// Parse reads an XML document from r.
+// Parse reads an XML document from r and returns it sealed.
 func Parse(r io.Reader) (*Document, error) {
 	dec := xml.NewDecoder(r)
-	d := &Document{}
+	d := newDocument()
 	open := int32(-1) // the innermost element still open
 	for {
 		tok, err := dec.Token()
@@ -464,24 +714,21 @@ func Parse(r io.Reader) (*Document, error) {
 		}
 		switch t := tok.(type) {
 		case xml.StartElement:
-			if open < 0 && len(d.nodes) > 0 {
+			if open < 0 && d.Len() > 0 {
 				return nil, errors.New("xmldoc: multiple root elements")
 			}
 			open = d.add(open, ElementNode, t.Name.Local)
-			nd := &d.nodes[open]
-			nd.attrLo = int32(len(d.attrs))
 			for _, a := range t.Attr {
 				if a.Name.Space == "xmlns" || a.Name.Local == "xmlns" {
 					continue
 				}
-				d.attrs = append(d.attrs, Attr{a.Name.Local, a.Value})
+				d.addAttr(open, a.Name.Local, a.Value)
 			}
-			nd.attrHi = int32(len(d.attrs))
 		case xml.EndElement:
 			if open < 0 {
 				return nil, errors.New("xmldoc: unbalanced end element")
 			}
-			open = d.nodes[open].parent
+			open = d.sh.nodes[open].parent
 		case xml.CharData:
 			if open < 0 {
 				continue // whitespace outside the root
@@ -498,9 +745,10 @@ func Parse(r io.Reader) (*Document, error) {
 			d.add(open, CommentNode, string(t))
 		}
 	}
-	if len(d.nodes) == 0 {
+	if d.Len() == 0 {
 		return nil, ErrNoRoot
 	}
+	d.Seal()
 	return d, nil
 }
 
@@ -543,10 +791,10 @@ func appendIndent(dst []byte, depth int) []byte {
 // injecting indentation inside mixed content would alter the text.
 func (d *Document) appendNode(dst []byte, i int32, depth int) []byte {
 	dst = appendIndent(dst, depth)
-	if end := d.end(i); i+1 < end && !d.hasTextChild(i) {
+	if end := d.sh.end(i); i+1 < end && !d.hasTextChild(i) {
 		dst = d.appendOpenTag(dst, i, false)
 		dst = append(dst, '\n')
-		for c := i + 1; c < end; c = d.end(c) {
+		for c := i + 1; c < end; c = d.sh.end(c) {
 			dst = d.appendNode(dst, c, depth+1)
 		}
 		dst = appendIndent(dst, depth)
@@ -558,8 +806,8 @@ func (d *Document) appendNode(dst []byte, i int32, depth int) []byte {
 }
 
 func (d *Document) hasTextChild(i int32) bool {
-	for c, end := i+1, d.end(i); c < end; c = d.end(c) {
-		if d.nodes[c].kind() == TextNode {
+	for c, end := i+1, d.sh.end(i); c < end; c = d.sh.end(c) {
+		if d.sh.nodes[c].kind() == TextNode {
 			return true
 		}
 	}
@@ -567,14 +815,15 @@ func (d *Document) hasTextChild(i int32) bool {
 }
 
 func (d *Document) appendOpenTag(dst []byte, i int32, selfClose bool) []byte {
-	nd := &d.nodes[i]
+	sh := d.sh
 	dst = append(dst, '<')
-	dst = append(dst, nd.text...)
-	for _, a := range d.attrsOf(nd) {
+	dst = append(dst, sh.name(sh.nodes[i].name)...)
+	lo, hi := sh.attrs(i)
+	for s := lo; s < hi; s++ {
 		dst = append(dst, ' ')
-		dst = append(dst, a.Name...)
+		dst = append(dst, sh.name(sh.slots[s])...)
 		dst = append(dst, `="`...)
-		dst = appendEscaped(dst, a.Value)
+		dst = appendEscaped(dst, d.vals[s])
 		dst = append(dst, '"')
 	}
 	if selfClose {
@@ -585,27 +834,27 @@ func (d *Document) appendOpenTag(dst []byte, i int32, selfClose bool) []byte {
 
 func (d *Document) appendCloseTag(dst []byte, i int32) []byte {
 	dst = append(dst, "</"...)
-	dst = append(dst, d.nodes[i].text...)
+	dst = append(dst, d.sh.name(d.sh.nodes[i].name)...)
 	return append(dst, '>')
 }
 
 // appendInline serialises the subtree with no added whitespace.
 func (d *Document) appendInline(dst []byte, i int32) []byte {
-	nd := &d.nodes[i]
+	nd := &d.sh.nodes[i]
 	switch nd.kind() {
 	case TextNode:
-		dst = appendEscaped(dst, nd.text)
+		dst = appendEscaped(dst, d.vals[nd.slot])
 	case CommentNode:
 		dst = append(dst, "<!--"...)
-		dst = append(dst, nd.text...)
+		dst = append(dst, d.vals[nd.slot]...)
 		dst = append(dst, "-->"...)
 	case ElementNode:
-		end := d.end(i)
+		end := d.sh.end(i)
 		if i+1 == end {
 			return d.appendOpenTag(dst, i, true)
 		}
 		dst = d.appendOpenTag(dst, i, false)
-		for c := i + 1; c < end; c = d.end(c) {
+		for c := i + 1; c < end; c = d.sh.end(c) {
 			dst = d.appendInline(dst, c)
 		}
 		dst = d.appendCloseTag(dst, i)
@@ -662,7 +911,7 @@ func nodeEqual(a, b Node) bool {
 	if a.Kind() != b.Kind() || a.Name() != b.Name() || a.Value() != b.Value() {
 		return false
 	}
-	as, bs := slices.Clone(a.Attrs()), slices.Clone(b.Attrs())
+	as, bs := a.Attrs(), b.Attrs()
 	if len(as) != len(bs) {
 		return false
 	}
@@ -689,13 +938,9 @@ func nodeEqual(a, b Node) bool {
 func (d *Document) Keywords() []string {
 	var buf [64]string
 	words := buf[:0]
-	for i := range d.nodes {
-		nd := &d.nodes[i]
-		if nd.kind() == TextNode {
-			words = appendTokens(words, nd.text)
-		}
-		for _, a := range d.attrsOf(nd) {
-			words = appendTokens(words, a.Value)
+	for s, v := range d.vals {
+		if d.sh.slots[s] != -int32(CommentNode) {
+			words = appendTokens(words, v)
 		}
 	}
 	slices.Sort(words)

@@ -216,6 +216,28 @@ func TestPath(t *testing.T) {
 	if got := v.Path(); got != "/r/u/v" {
 		t.Fatalf("Path = %q", got)
 	}
+	// An attribute handle reads as a text node, but its step is the
+	// attribute's.
+	d, err = ParseString(`<a><r lo="1" hi="2"/><r lo="3"/></a>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := d.Root.ChildElements("r")
+	for _, c := range []struct {
+		n    Node
+		want string
+	}{{rs[0].AttrNode(0), "/a/r[1]/@lo"}, {rs[0].AttrNode(1), "/a/r[1]/@hi"}, {rs[1].AttrNode(0), "/a/r[2]/@lo"}, {d.Root.FirstChild(), "/a/r[1]"}} {
+		if got := c.n.Path(); got != c.want {
+			t.Errorf("Path = %q, want %q", got, c.want)
+		}
+	}
+	d, err = ParseString(`<a><r lo="1"/></a>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := d.Root.FirstChild().AttrNode(0).Path(); got != "/a/r/@lo" {
+		t.Errorf("Path = %q, want /a/r/@lo", got)
+	}
 }
 
 func TestEqual(t *testing.T) {

@@ -375,10 +375,11 @@ func (s *Scratch) evalPath(p *PathExpr, ctx evalCtx) ([]xmldoc.Node, error) {
 }
 
 // applyStepAll applies the step to every node of cur and returns the union
-// of the results, a new list on top of the stack. Slab order is document
-// order, so the results of successive context nodes usually arrive sorted
-// and distinct already; only when a context node lies inside another's
-// subtree (or two share a parent, under "..") do they need merging.
+// of the results, a new list on top of the stack. Node-table order is
+// document order, so the results of successive context nodes usually
+// arrive sorted and distinct already; only when a context node lies inside
+// another's subtree (or two share a parent, under "..") do they need
+// merging.
 func (s *Scratch) applyStepAll(st *Step, cur []xmldoc.Node) ([]xmldoc.Node, error) {
 	lo := len(s.nodes)
 	for _, n := range cur {
@@ -418,8 +419,8 @@ func (s *Scratch) applyStep(st *Step, n xmldoc.Node) error {
 		// An attribute is surfaced as a handle that reads as a text node, so
 		// that string conversion and comparison work uniformly; its parent
 		// is the owning element, so ".." still works.
-		for k, a := range n.Attrs() {
-			if st.Kind == TestAny || a.Name == st.Name {
+		for k := range n.NumAttrs() {
+			if st.Kind == TestAny || n.AttrAt(k).Name == st.Name {
 				s.nodes = append(s.nodes, n.AttrNode(k))
 			}
 		}
