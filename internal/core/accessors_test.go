@@ -1,9 +1,11 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
+	"graphitti/internal/dublincore"
 	"graphitti/internal/interval"
 	"graphitti/internal/relstore"
 	"graphitti/internal/rtree"
@@ -91,6 +93,61 @@ func TestSubjectAndBuilderDCElements(t *testing.T) {
 	if !strings.Contains(xml, "<dc:subject>influenza</dc:subject>") ||
 		!strings.Contains(xml, "<dc:subject>hemagglutinin</dc:subject>") {
 		t.Fatalf("subjects missing:\n%s", xml)
+	}
+}
+
+// TestBuilderReuseLeavesCommittedAnnotation: a committed annotation is a
+// published value. Every setter called on its builder afterwards, and a
+// second commit of that builder, leave it reading as it was committed.
+func TestBuilderReuseLeavesCommittedAnnotation(t *testing.T) {
+	s := newDemoStore(t)
+	iv, err := s.View().MarkSequenceInterval("NC_007362", interval.Interval{Lo: 0, Hi: 10})
+	mustNoErr(t, err)
+	clade, err := s.View().MarkClade("H5N1-tree", "goose", "duck")
+	mustNoErr(t, err)
+	b := s.NewAnnotation().Creator("ma").Date("2008-01-01").Title("first").Subject("s1").
+		DCElement(dublincore.Rights, "r1").Body("first body").Tag("grade", "1").
+		Refer(iv).OntologyRef("go", "enzyme")
+	first, err := s.Commit(b)
+	mustNoErr(t, err)
+	wantDC := map[dublincore.Element][]string{
+		dublincore.Title: {"first"}, dublincore.Creator: {"ma"}, dublincore.Subject: {"s1"},
+		dublincore.Date: {"2008-01-01"}, dublincore.Rights: {"r1"},
+	}
+	content, terms, refIDs := first.Content.String(), slices.Clone(first.Terms), slices.Clone(first.ReferentIDs)
+	check := func(when string) {
+		t.Helper()
+		for _, e := range dublincore.Elements {
+			if got := first.DC.Get(e); !slices.Equal(got, wantDC[e]) {
+				t.Errorf("%s: committed %s = %q, want %q", when, e, got, wantDC[e])
+			}
+		}
+		if got := first.DC.Len(); got != len(wantDC) {
+			t.Errorf("%s: committed record has %d values, want %d", when, got, len(wantDC))
+		}
+		if got := first.Content.String(); got != content {
+			t.Errorf("%s: committed content changed:\n%s\nwant\n%s", when, got, content)
+		}
+		if !slices.Equal(first.Terms, terms) || !slices.Equal(first.ReferentIDs, refIDs) {
+			t.Errorf("%s: committed terms %v and referents %v, want %v and %v",
+				when, first.Terms, first.ReferentIDs, terms, refIDs)
+		}
+		if got, err := s.View().Annotation(first.ID); err != nil || got != first {
+			t.Errorf("%s: the view holds %p (%v), not the committed annotation", when, got, err)
+		}
+	}
+
+	b.Creator("lee").Date("2009-09-09").Title("second").Subject("s2").
+		DCElement(dublincore.Rights, "r2", "r3").DCElement(dublincore.Language, "en").
+		Body("second body").Tag("grade", "2").Refer(clade).OntologyRef("go", "protease").WithSpan(nil)
+	check("after every setter")
+	second, err := s.Commit(b)
+	mustNoErr(t, err)
+	check("after the second commit")
+	if got := second.DC.Get(dublincore.Creator); !slices.Equal(got, []string{"ma", "lee"}) ||
+		second.DC.First(dublincore.Title) != "second" || len(second.ReferentIDs) != 2 {
+		t.Errorf("the second commit reads creators %q, title %q, %d referents",
+			got, second.DC.First(dublincore.Title), len(second.ReferentIDs))
 	}
 }
 

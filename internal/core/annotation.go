@@ -22,8 +22,9 @@ type Annotation struct {
 	// Content is the annotation's XML document (Dublin Core elements,
 	// body, user-defined tags, referent and ontology-reference stanzas).
 	Content *xmldoc.Document
-	// DC is the parsed Dublin Core record.
-	DC *dublincore.Record
+	// DC reads the Dublin Core values in Content's <meta> element: the
+	// document holds the one copy of them.
+	DC dublincore.Meta
 	// ReferentIDs are the committed referents, in builder order.
 	ReferentIDs []uint64
 	// Terms are the ontology references.
@@ -385,15 +386,15 @@ func (x *Tx) commit(b *Builder, pinnedAnn uint64, pinnedRefs []uint64) (*Annotat
 		}
 	}
 
-	doc := buildContentDoc(annID, &b.dc, b.body, b.tags, resolved, b.terms)
-	// The record header is copied out: a pointer into the builder would
-	// keep all of it — the uncommitted marks, the tags, the request's span
-	// tree — alive for as long as the annotation.
-	dc := b.dc
+	// Nothing of the builder is kept: a pointer into it would keep all of it
+	// — the uncommitted marks, the tags, the request's span tree — alive for
+	// as long as the annotation, and a later setter call would rewrite a
+	// published annotation.
+	doc := buildContentDoc(annID, b, resolved)
 	ann := &Annotation{
 		ID:          annID,
 		Content:     doc,
-		DC:          &dc,
+		DC:          dublincore.MetaOf(doc),
 		ReferentIDs: refIDs,
 		Terms:       append([]TermRef(nil), b.terms...),
 	}
@@ -443,13 +444,12 @@ func (x *Tx) commit(b *Builder, pinnedAnn uint64, pinnedRefs []uint64) (*Annotat
 	return ann, nil
 }
 
-// buildContentDoc writes the annotation's content document and seals it:
-// a document whose shape is already interned keeps only a header and its
-// values. The decimal attribute values (the annotation's id, each
-// referent's id, lo and hi) are formatted into one buffer and cut from its
-// string.
-func buildContentDoc(annID uint64, dc *dublincore.Record, body string,
-	tags []Tag, refs []*Referent, terms []TermRef) *xmldoc.Document {
+// buildContentDoc writes the content document of b's annotation, with the
+// resolved referents refs, and seals it: a document whose shape is already
+// interned keeps only a header and its values. The decimal attribute
+// values (the annotation's id, each referent's id, lo and hi) are
+// formatted into one buffer and cut from its string.
+func buildContentDoc(annID uint64, b *Builder, refs []*Referent) *xmldoc.Document {
 	var digits [96]byte
 	dec := strconv.AppendUint(digits[:0], annID, 10)
 	for _, r := range refs {
@@ -468,13 +468,13 @@ func buildContentDoc(annID uint64, dc *dublincore.Record, body string,
 	doc := xmldoc.NewDocument("annotation")
 	doc.Root.SetAttr("id", nextDecimal())
 	meta := doc.AddElement(doc.Root, "meta")
-	dc.AppendXML(doc, meta)
-	if body != "" {
-		doc.AddElementText(doc.Root, "body", body)
+	b.dc.AppendXML(doc, meta)
+	if b.body != "" {
+		doc.AddElementText(doc.Root, "body", b.body)
 	}
-	if len(tags) > 0 {
+	if len(b.tags) > 0 {
 		tagEl := doc.AddElement(doc.Root, "tags")
-		for _, t := range tags {
+		for _, t := range b.tags {
 			doc.AddElementText(tagEl, t.Name, t.Value)
 		}
 	}
@@ -502,9 +502,9 @@ func buildContentDoc(annID uint64, dc *dublincore.Record, body string,
 			}
 		}
 	}
-	if len(terms) > 0 {
+	if len(b.terms) > 0 {
 		refsEl := doc.AddElement(doc.Root, "ontologyRefs")
-		for _, tr := range terms {
+		for _, tr := range b.terms {
 			el := doc.AddElement(refsEl, "ref")
 			el.SetAttr("ontology", tr.Ontology)
 			el.SetAttr("term", tr.TermID)

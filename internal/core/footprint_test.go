@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"graphitti/internal/biodata/seq"
-	"graphitti/internal/dublincore"
 	"graphitti/internal/interval"
 	"graphitti/internal/xmldoc"
 )
@@ -47,17 +46,17 @@ func liveBytes() uint64 {
 // objects and 1,958 bytes, and 726 bytes while every document held its own
 // structure.
 func TestContentDocFootprint(t *testing.T) {
-	dc := new(dublincore.Record)
-	mustNoErr(t, dc.Add(dublincore.Creator, "gupta"))
-	mustNoErr(t, dc.Set(dublincore.Date, "2008-04-07"))
-	mustNoErr(t, dc.Set(dublincore.Title, "w0000042"))
+	builder := func() *Builder {
+		return NewBuilder().Creator("gupta").Date("2008-04-07").Title("w0000042").
+			Body("putative protease cleavage region gene0017")
+	}
 	ref := &Referent{ID: 4217, Kind: IntervalReferent, ObjectType: TypeDNA, ObjectID: "seg3",
 		Domain: "segment3", Interval: interval.Interval{Lo: 104211, Hi: 104290}}
-	const body = "putative protease cleavage region gene0017"
+	b := builder()
 	shared := func(int) any {
-		return buildContentDoc(10042, dc, body, nil, []*Referent{ref}, nil)
+		return buildContentDoc(10042, b, []*Referent{ref})
 	}
-	if doc := buildContentDoc(10042, dc, body, nil, []*Referent{ref}, nil); doc.Len() != 12 {
+	if doc := buildContentDoc(10042, b, []*Referent{ref}); doc.Len() != 12 {
 		t.Fatalf("the benchmark-shaped document has %d nodes, want 12:\n%s", doc.Len(), doc)
 	}
 	if allocs := testing.AllocsPerRun(200, func() { shared(0) }); allocs > 3 && !raceEnabled {
@@ -83,7 +82,7 @@ func TestContentDocFootprint(t *testing.T) {
 	// document pays for whole: the tables, the encoding, the intern entry.
 	// That stays within what a document cost before shapes were shared.
 	per = perDoc(func(i int) any {
-		return buildContentDoc(10042, dc, body, []Tag{{Name: fmt.Sprintf("t%06d", i), Value: "x"}}, []*Referent{ref}, nil)
+		return buildContentDoc(10042, builder().Tag(fmt.Sprintf("t%06d", i), "x"), []*Referent{ref})
 	})
 	t.Logf("%.0f live bytes per document of a shape of its own", per)
 	if per > 960 {
@@ -144,10 +143,11 @@ func commitBenchmarkShaped(t *testing.T, s *Store, n int) {
 }
 
 // TestStoreFootprint: what one annotation costs a store that holds twenty
-// thousand, everything counted — document, record, referent, index
-// entries, a-graph nodes and edges. It was 4.04 KiB with the pointer DOM,
-// 2.90 with the map-and-slice a-graph and 2.42 while every document held
-// its own structure.
+// thousand, everything counted — document, referent, index entries,
+// a-graph nodes and edges. It was 4.04 KiB with the pointer DOM, 2.90 with
+// the map-and-slice a-graph, 2.42 while every document held its own
+// structure and 1.97 while every annotation kept a Dublin Core record
+// beside its document.
 func TestStoreFootprint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("commits 20k annotations")
@@ -158,8 +158,8 @@ func TestStoreFootprint(t *testing.T) {
 	commitBenchmarkShaped(t, s, anns)
 	per := float64(liveBytes()-before) / anns / 1024
 	t.Logf("%.2f KiB live per annotation", per)
-	if per > 2.1 {
-		t.Errorf("the store keeps %.2f KiB live per annotation, want at most 2.1", per)
+	if per > 1.8 {
+		t.Errorf("the store keeps %.2f KiB live per annotation, want at most 1.8", per)
 	}
 	runtime.KeepAlive(s)
 }

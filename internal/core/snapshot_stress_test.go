@@ -147,10 +147,10 @@ func TestSnapshotIsolationStress(t *testing.T) {
 				}
 
 				// Annotation atomicity: every visible annotation is
-				// complete — content, DC record, and all referents
-				// resolvable in the same view.
+				// complete — content, its Dublin Core values, and all
+				// referents resolvable in the same view.
 				for _, ann := range idx {
-					if ann.Content == nil || ann.DC == nil || len(ann.ReferentIDs) == 0 {
+					if ann.Content == nil || len(ann.ReferentIDs) == 0 {
 						t.Errorf("reader %d: annotation %d half-applied", r, ann.ID)
 						return
 					}

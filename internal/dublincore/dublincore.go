@@ -5,12 +5,16 @@
 // an XML document whose elements consist of Dublin core attributes and
 // other user-defined tags". This package provides the fifteen elements of
 // the Dublin Core Metadata Element Set 1.1, a Record holding repeatable
-// element values, validation, and conversion to/from the xmldoc model.
+// element values while an annotation is assembled, validation, the
+// record's rendering into a content document (AppendXML), and Meta, the
+// read-only view a committed annotation reads its values through: the
+// document holds the one copy of them.
 package dublincore
 
 import (
 	"fmt"
 	"slices"
+	"strings"
 
 	"graphitti/internal/xmldoc"
 )
@@ -76,9 +80,10 @@ type field struct {
 
 // Record is a set of Dublin Core element values. All elements are optional
 // and repeatable, per the DCMES specification. An annotation's record
-// holds three to five elements and every committed annotation keeps one,
-// so the elements sit in a small slice in canonical order, scanned, not
-// in a map.
+// holds three to five elements, so the elements sit in a small slice in
+// canonical order, scanned, not in a map. A record lives only as long as
+// the builder that assembles it: a committed annotation reads its values
+// from its content document, through Meta.
 type Record struct {
 	fields []field
 }
@@ -169,37 +174,100 @@ func (r *Record) Elements() []Element {
 }
 
 // AppendXML writes the record's elements as children of parent, one
-// <dc:element> child per value, in canonical element order.
+// <dc:element> child holding one text node per value: elements in
+// canonical order, an element's values in the order they were given (the
+// order of creators is meaningful).
 func (r *Record) AppendXML(doc *xmldoc.Document, parent xmldoc.Node) {
 	for i := range r.fields {
 		f := &r.fields[i]
-		name, vs := xmlNames[rank[f.elem]], f.vals
-		if len(vs) > 1 {
-			vs = slices.Clone(vs)
-			slices.Sort(vs)
-		}
-		for _, v := range vs {
+		name := xmlNames[rank[f.elem]]
+		for _, v := range f.vals {
 			doc.AddElementText(parent, name, v)
 		}
 	}
 }
 
-// FromXML reads Dublin Core values from the children of parent. Elements
-// are recognised both with and without the "dc:" prefix; non-DC children
-// are ignored.
-func FromXML(parent xmldoc.Node) *Record {
-	r := &Record{}
-	for _, c := range parent.ChildElements("") {
-		name := c.Name()
-		if len(name) > 3 && name[:3] == "dc:" {
-			name = name[3:]
-		}
-		e := Element(name)
-		if e.IsValid() {
-			_ = r.Add(e, c.Text())
+// Meta is the read-only view of the Dublin Core values a content document
+// carries in its root's <meta> element, which must hold exactly what
+// Record.AppendXML wrote there. It answers as the record it
+// was written from: each value is the one text node of its <dc:element>,
+// so an element's values are one run of the document's values, and Get
+// returns that run without copying it. The zero Meta has no values.
+type Meta struct {
+	doc *xmldoc.Document
+}
+
+// MetaOf returns the view of doc's Dublin Core values.
+func MetaOf(doc *xmldoc.Document) Meta { return Meta{doc} }
+
+// meta returns the <meta> element, or the zero Node.
+func (m Meta) meta() xmldoc.Node {
+	if m.doc == nil {
+		return xmldoc.Node{}
+	}
+	return m.doc.Root.FirstChildElement("meta")
+}
+
+// elementOf returns the element a <dc:element> child is named for.
+func elementOf(c xmldoc.Node) Element {
+	name, _ := strings.CutPrefix(c.Name(), "dc:")
+	return Element(name)
+}
+
+// Get returns the values of element e (nil when unset). The slice is the
+// document's own: callers must not write to it.
+func (m Meta) Get(e Element) []string {
+	meta := m.meta()
+	if !meta.Valid() {
+		return nil
+	}
+	lo, hi, k := -1, 0, 0
+	for c := meta.FirstChild(); c.Valid(); c, k = c.NextSibling(), k+1 {
+		if elementOf(c) == e {
+			if lo < 0 {
+				lo = k
+			}
+			hi = k + 1
+		} else if lo >= 0 {
+			break
 		}
 	}
-	return r
+	if lo < 0 {
+		return nil
+	}
+	return meta.Values()[lo:hi:hi]
+}
+
+// First returns the first value of element e, or "".
+func (m Meta) First(e Element) string {
+	if vs := m.Get(e); len(vs) > 0 {
+		return vs[0]
+	}
+	return ""
+}
+
+// Len returns the total number of element values.
+func (m Meta) Len() int {
+	if meta := m.meta(); meta.Valid() {
+		return len(meta.Values())
+	}
+	return 0
+}
+
+// Elements returns the elements that have at least one value, in canonical
+// order.
+func (m Meta) Elements() []Element {
+	meta := m.meta()
+	if !meta.Valid() {
+		return nil
+	}
+	var out []Element
+	for c := meta.FirstChild(); c.Valid(); c = c.NextSibling() {
+		if e := elementOf(c); len(out) == 0 || out[len(out)-1] != e {
+			out = append(out, e)
+		}
+	}
+	return out
 }
 
 // Validate checks that a record intended for a Graphitti annotation has the

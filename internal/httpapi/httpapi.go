@@ -239,6 +239,7 @@ func writeErr(w http.ResponseWriter, r *http.Request, err error) {
 	case errors.Is(err, core.ErrBadMark),
 		errors.Is(err, core.ErrEmptyAnnotation),
 		errors.Is(err, query.ErrSyntax),
+		errors.Is(err, query.ErrXPath),
 		errors.Is(err, prop.ErrBadRule),
 		errors.Is(err, shard.ErrCrossShardReferent):
 		status = http.StatusBadRequest

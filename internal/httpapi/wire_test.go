@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -17,6 +18,7 @@ import (
 	"graphitti/internal/ontology"
 	"graphitti/internal/persist"
 	"graphitti/internal/workload"
+	"graphitti/internal/xquery"
 )
 
 // annotationView and viewOf are the projection the routes used to build
@@ -494,5 +496,57 @@ func TestMemoIsFilledByReadsOnly(t *testing.T) {
 		if ann.Encoded() == "" {
 			t.Fatalf("annotation %d: the full listing kept no fragment", ann.ID)
 		}
+	}
+}
+
+// TestRepeatedDCElementOrder: a repeated Dublin Core element keeps the
+// order its values were given wherever the annotation is read. For creators
+// "ma" then "lee", the wire's creator, the content document's first
+// dc:creator (stored, searched, and as the wire's xml carries it) and the
+// export all start with "ma".
+func TestRepeatedDCElementOrder(t *testing.T) {
+	s := influenzaStore(t, 4)
+	m, err := s.MarkDomainInterval("segment1", span(10, 20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ann, err := s.Commit(s.NewAnnotation().Creator("ma").Creator("lee").Date("2008-01-01").Body("order").Refer(m))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := New(memorySet(s), Options{})
+	// //meta/dc:creator[1], in the subset's spelling of a prefixed name.
+	const first = "//meta/*[name() = 'dc:creator'][1]"
+	if got, err := xquery.MustCompile(first).EvalString(ann.Content); err != nil || got != "ma" {
+		t.Errorf("stored content: %s = %q (%v), want ma", first, got, err)
+	}
+	rr := serve(h, "POST", "/api/search", `{"expr":"`+first+` = 'ma'"}`)
+	var hits []annotationView
+	if err := json.Unmarshal(rr.Body.Bytes(), &hits); err != nil || len(hits) != 1 || hits[0].ID != ann.ID {
+		t.Errorf("search %s = 'ma': %d %s", first, rr.Code, rr.Body.Bytes())
+	}
+
+	rr = serve(h, "GET", fmt.Sprintf("/api/annotations/%d", ann.ID), "")
+	var wire annotationView
+	if err := json.Unmarshal(rr.Body.Bytes(), &wire); rr.Code != http.StatusOK || err != nil {
+		t.Fatalf("get: %d %v: %s", rr.Code, err, rr.Body.Bytes())
+	}
+	if wire.Creator != "ma" {
+		t.Errorf("wire creator = %q, want ma", wire.Creator)
+	}
+	if wire.XML != ann.Content.String() {
+		t.Errorf("wire xml is not the stored document:\n%s", wire.XML)
+	}
+
+	snap, err := persist.Decode(serve(h, "GET", "/api/snapshot", "").Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := slices.IndexFunc(snap.Annotations, func(d persist.AnnotationDump) bool { return d.ID == ann.ID })
+	if i < 0 {
+		t.Fatalf("annotation %d is not in the export", ann.ID)
+	}
+	if got := snap.Annotations[i].DC["creator"]; !slices.Equal(got, []string{"ma", "lee"}) {
+		t.Errorf("exported creators = %q, want [ma lee]", got)
 	}
 }

@@ -508,8 +508,12 @@ func DumpAnnotation(v *core.View, ann *core.Annotation) (AnnotationDump, error) 
 	return d, nil
 }
 
-// dumpDC serialises a Dublin Core record.
-func dumpDC(dc *dublincore.Record) map[string][]string {
+// dumpDC serialises Dublin Core values: a builder's record, or the view a
+// committed annotation reads its document through.
+func dumpDC(dc interface {
+	Elements() []dublincore.Element
+	Get(dublincore.Element) []string
+}) map[string][]string {
 	d := map[string][]string{}
 	for _, e := range dc.Elements() {
 		d[string(e)] = dc.Get(e)

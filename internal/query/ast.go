@@ -44,6 +44,7 @@ import (
 
 	"graphitti/internal/interval"
 	"graphitti/internal/rtree"
+	"graphitti/internal/xquery"
 )
 
 // SelectKind chooses the result form, per the paper's three result types.
@@ -185,6 +186,8 @@ type Prop struct {
 	Str  string
 	Iv   interval.Interval
 	Rect rtree.Rect
+
+	xpath *xquery.Query // PropXPath's expression, compiled by Parse
 }
 
 // VarDecl declares a query variable with its class and property
@@ -265,50 +268,53 @@ func (q *Query) Var(name string) (*VarDecl, bool) {
 }
 
 func (q *Query) validate() error {
+	if len(q.Vars) == 0 {
+		return fmt.Errorf("%w: the query declares no variable", ErrSyntax)
+	}
 	q.varIndex = make(map[string]int, len(q.Vars))
 	for i, v := range q.Vars {
 		if _, dup := q.varIndex[v.Name]; dup {
-			return fmt.Errorf("query: variable ?%s declared twice", v.Name)
+			return fmt.Errorf("%w: variable ?%s declared twice", ErrSyntax, v.Name)
 		}
 		q.varIndex[v.Name] = i
 	}
 	for _, e := range q.Edges {
 		from, ok := q.Var(e.From)
 		if !ok {
-			return fmt.Errorf("query: edge references undeclared ?%s", e.From)
+			return fmt.Errorf("%w: edge references undeclared ?%s", ErrSyntax, e.From)
 		}
 		to, ok := q.Var(e.To)
 		if !ok {
-			return fmt.Errorf("query: edge references undeclared ?%s", e.To)
+			return fmt.Errorf("%w: edge references undeclared ?%s", ErrSyntax, e.To)
 		}
 		switch e.Label {
 		case "annotates":
 			if from.Class != ClassAnnotation || to.Class != ClassReferent {
-				return fmt.Errorf("query: annotates joins annotation to referent, got %s to %s", from.Class, to.Class)
+				return fmt.Errorf("%w: annotates joins annotation to referent, got %s to %s", ErrSyntax, from.Class, to.Class)
 			}
 		case "marks":
 			if from.Class != ClassReferent || to.Class != ClassObject {
-				return fmt.Errorf("query: marks joins referent to object, got %s to %s", from.Class, to.Class)
+				return fmt.Errorf("%w: marks joins referent to object, got %s to %s", ErrSyntax, from.Class, to.Class)
 			}
 		case "refersTo":
 			if from.Class != ClassAnnotation || to.Class != ClassTerm {
-				return fmt.Errorf("query: refersTo joins annotation to term, got %s to %s", from.Class, to.Class)
+				return fmt.Errorf("%w: refersTo joins annotation to term, got %s to %s", ErrSyntax, from.Class, to.Class)
 			}
 		default:
-			return fmt.Errorf("query: unknown edge label %q", e.Label)
+			return fmt.Errorf("%w: unknown edge label %q", ErrSyntax, e.Label)
 		}
 	}
 	for _, c := range q.Constraints {
 		if len(c.Vars) < 2 {
-			return fmt.Errorf("query: constraint %s needs at least two variables", c.Kind)
+			return fmt.Errorf("%w: constraint %s needs at least two variables", ErrSyntax, c.Kind)
 		}
 		for _, name := range c.Vars {
 			v, ok := q.Var(name)
 			if !ok {
-				return fmt.Errorf("query: constraint references undeclared ?%s", name)
+				return fmt.Errorf("%w: constraint references undeclared ?%s", ErrSyntax, name)
 			}
 			if c.Kind != ConstraintDistinct && v.Class != ClassReferent {
-				return fmt.Errorf("query: constraint %s applies to referent variables, ?%s is a %s", c.Kind, name, v.Class)
+				return fmt.Errorf("%w: constraint %s applies to referent variables, ?%s is a %s", ErrSyntax, c.Kind, name, v.Class)
 			}
 		}
 	}
@@ -316,7 +322,7 @@ func (q *Query) validate() error {
 	for _, v := range q.Vars {
 		for _, p := range v.Props {
 			if !propAllowed(v.Class, p.Kind) {
-				return fmt.Errorf("query: property %s not valid on %s ?%s", p.Kind, v.Class, v.Name)
+				return fmt.Errorf("%w: property %s not valid on %s ?%s", ErrSyntax, p.Kind, v.Class, v.Name)
 			}
 		}
 	}

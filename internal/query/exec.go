@@ -3,6 +3,7 @@ package query
 import (
 	"cmp"
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"slices"
@@ -15,8 +16,12 @@ import (
 	"graphitti/internal/dublincore"
 	"graphitti/internal/subx"
 	"graphitti/internal/trace"
-	"graphitti/internal/xquery"
 )
+
+// ErrXPath wraps the error of an xpath property whose expression fails on
+// a document it is evaluated against (count() of a number, say): the
+// query's fault, not the store's.
+var ErrXPath = errors.New("query: xpath property")
 
 // Processor executes parsed queries against a Graphitti store. Each
 // execution pins one immutable store view: every table, index and a-graph
@@ -473,13 +478,9 @@ func (e *execution) annotationMatches(ann *core.Annotation, props []Prop) (bool,
 				return false, nil
 			}
 		case PropXPath:
-			xq, err := xquery.Compile(prop.Str)
+			truthy, err := prop.xpath.EvalBool(ann.Content)
 			if err != nil {
-				return false, fmt.Errorf("query: xpath property: %w", err)
-			}
-			truthy, err := xq.EvalBool(ann.Content)
-			if err != nil {
-				return false, err
+				return false, fmt.Errorf("%w: %v", ErrXPath, err)
 			}
 			if !truthy {
 				return false, nil

@@ -8,9 +8,12 @@ import (
 
 	"graphitti/internal/interval"
 	"graphitti/internal/rtree"
+	"graphitti/internal/xquery"
 )
 
-// ErrSyntax wraps all parse failures.
+// ErrSyntax wraps every reason Parse refuses a query: text that does not
+// parse, a query that names an undeclared variable or joins the wrong
+// classes, an xpath property whose expression does not compile.
 var ErrSyntax = errors.New("query: syntax error")
 
 // Parse compiles query text into a validated Query.
@@ -386,7 +389,14 @@ func (p *qparser) parseProp(class NodeClass) (Prop, error) {
 		return Prop{Kind: PropCreator, Str: s}, err
 	case "xpath":
 		s, err := strArg()
-		return Prop{Kind: PropXPath, Str: s}, err
+		if err != nil {
+			return Prop{}, err
+		}
+		xq, err := xquery.Compile(s)
+		if err != nil {
+			return Prop{}, fmt.Errorf("%w: xpath property: %v", ErrSyntax, err)
+		}
+		return Prop{Kind: PropXPath, Str: s, xpath: xq}, nil
 	case "kind":
 		s, err := strArg()
 		return Prop{Kind: PropKindIs, Str: strings.ToLower(s)}, err

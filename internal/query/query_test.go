@@ -2,6 +2,7 @@ package query
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -125,11 +126,23 @@ func TestParseErrors(t *testing.T) {
 		"select graph where { ?r isa referent ; overlaps [1) . }",
 		"select graph where { ?a isa annotation ",
 		"select contents where { ?a isa annotation . } constrain disjoint(?a)", // arity
+		"select contents where { }",                                            // no variable
+		"select contents where { ?a isa annotation ; xpath '(((' . }",          // xpath does not compile
 	}
 	for i, src := range bad {
-		if _, err := Parse(src); err == nil {
-			t.Errorf("case %d: %q parsed without error", i, src)
+		if _, err := Parse(src); !errors.Is(err, ErrSyntax) {
+			t.Errorf("case %d: %q parsed with error %v, want one wrapping ErrSyntax", i, src, err)
 		}
+	}
+}
+
+// TestXPathPropertyEvalError: an xpath property that compiles but fails
+// on the documents it is evaluated against refuses the query with ErrXPath.
+func TestXPathPropertyEvalError(t *testing.T) {
+	_, err := NewProcessor(newQueryStore(t)).Execute(
+		`select contents where { ?a isa annotation ; xpath "count(1) > 0" . }`, DefaultOptions)
+	if !errors.Is(err, ErrXPath) {
+		t.Fatalf("err = %v, want one wrapping ErrXPath", err)
 	}
 }
 

@@ -269,9 +269,10 @@ func (vs Views) DerivedSourceEpoch(src uint64) uint64 { return vs.owner(src).Der
 // Query executes one query against every shard's view and merges the
 // results in ID order (annotations, referents) / shard order (subgraphs).
 // Planner statistics sum across shards; Order and Strategies report
-// shard 0's plan. MaxResults caps each shard's enumeration and the
-// merged result is re-capped, so the cap holds but which matches
-// survive can differ from the unsharded store.
+// shard 0's plan. The cap — MaxResults, or the query's own limit clause
+// when that is lower — caps each shard's enumeration and the merged
+// result is re-capped, so the cap holds but which matches survive can
+// differ from the unsharded store.
 func (vs Views) Query(ctx context.Context, src string, opts query.Options) (*query.Result, error) {
 	q, err := query.Parse(src)
 	if err != nil {
@@ -321,20 +322,17 @@ func (vs Views) Query(ctx context.Context, src string, opts query.Options) (*que
 	// Each shard kept to the cap on its own; only when together they
 	// exceed it is there anything to cut (never over one shard, whose
 	// answer is then the unsharded store's to the byte).
-	if opts.MaxResults > 0 && len(out.Matches) > opts.MaxResults {
-		capTo := func(n int) int {
-			if n > opts.MaxResults {
-				return opts.MaxResults
-			}
-			return n
-		}
+	limit := opts.MaxResults
+	if q.Limit > 0 && (limit == 0 || q.Limit < limit) {
+		limit = q.Limit
+	}
+	if limit > 0 && len(out.Matches) > limit {
+		capTo := func(n int) int { return min(n, limit) }
 		out.Matches = out.Matches[:capTo(len(out.Matches))]
 		out.Annotations = out.Annotations[:capTo(len(out.Annotations))]
 		out.Referents = out.Referents[:capTo(len(out.Referents))]
 		out.Subgraphs = out.Subgraphs[:capTo(len(out.Subgraphs))]
-		if out.Stats.Matches > opts.MaxResults {
-			out.Stats.Matches = opts.MaxResults
-		}
+		out.Stats.Matches = capTo(out.Stats.Matches)
 	}
 	return out, nil
 }

@@ -2,7 +2,6 @@ package xmldoc_test
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -24,19 +23,16 @@ import (
 // treeContentDoc is core.buildContentDoc as it was when the content
 // document was a pointer DOM — NewDocument, SetAttr with fmt.Sprintf'd
 // numbers, dublincore's AppendXML inlined — writing into the retired DOM.
-// It is the oracle for every document the commit path can emit.
+// It is the oracle for every document the commit path can emit. Its Dublin
+// Core values are the builder's record, read apart from the document under
+// test, each element's values in the order they were given.
 func treeContentDoc(annID uint64, dc *dublincore.Record, body string,
 	tags [][2]string, refs []*core.Referent, terms []core.TermRef) *xmldoc.TreeDocument {
 	doc := xmldoc.NewTreeDocument("annotation")
 	doc.Root.SetAttr("id", fmt.Sprintf("%d", annID))
 	meta := doc.AddElement(doc.Root, "meta")
 	for _, e := range dc.Elements() {
-		vs := dc.Get(e)
-		if len(vs) > 1 {
-			vs = slices.Clone(vs)
-			slices.Sort(vs)
-		}
-		for _, v := range vs {
+		for _, v := range dc.Get(e) {
 			doc.AddElementText(meta, "dc:"+string(e), v)
 		}
 	}
@@ -238,7 +234,7 @@ func TestContentDocumentsFlatVsTree(t *testing.T) {
 			}
 			refs = append(refs, r)
 		}
-		tree := treeContentDoc(ann.ID, ann.DC, in.body, in.tags, refs, ann.Terms)
+		tree := treeContentDoc(ann.ID, b.DC(), in.body, in.tags, refs, ann.Terms)
 		t.Run(in.name, func(t *testing.T) { xmldoc.SameAsTree(t, ann.Content, tree) })
 	}
 }

@@ -478,6 +478,22 @@ func (n Node) Value() string {
 	return ""
 }
 
+// Values returns the values of the subtree rooted at n — its own
+// attributes' and every descendant's text, comment and attribute values —
+// in document order. They are one run of the document's values and are
+// returned as such, not copied: callers must not write to them.
+func (n Node) Values() []string {
+	if n.attr != 0 {
+		return n.d.vals[n.attr-1 : n.attr : n.attr]
+	}
+	sh := n.d.sh
+	lo, hi := sh.nodes[n.i].slot, int32(len(n.d.vals))
+	if end := sh.end(n.i); int(end) < len(sh.nodes) {
+		hi = sh.nodes[end].slot
+	}
+	return n.d.vals[lo:hi:hi]
+}
+
 // Parent returns the node's parent element; the root has none.
 func (n Node) Parent() Node {
 	if n.attr != 0 {

@@ -89,6 +89,24 @@ func TestBuildOrder(t *testing.T) {
 	if kws := strings.Join(d.Keywords(), ","); kws != "1,2,3,deep" {
 		t.Fatalf("Keywords = %s", kws)
 	}
+	// A subtree's values are one run in document order, attributes set late
+	// included, before and after sealing.
+	for _, sealed := range []bool{false, true} {
+		if sealed {
+			d.Seal()
+		}
+		for _, tc := range []struct {
+			n    Node
+			want string
+		}{
+			{d.Root, "1,3,deep,2"}, {b, "1,3,deep,2"}, {c, "1,3,deep"}, {c.FirstChild(), "deep"},
+			{c.AttrNode(1), "3"}, {e, "2"}, {d.Root.FirstChildElement("f"), ""},
+		} {
+			if got := strings.Join(tc.n.Values(), ","); got != tc.want {
+				t.Errorf("sealed=%v: %s Values() = %q, want %q", sealed, tc.n.Path(), got, tc.want)
+			}
+		}
+	}
 }
 
 func TestParseRoundTrip(t *testing.T) {
