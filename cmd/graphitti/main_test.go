@@ -20,14 +20,10 @@ func TestLoadCheckpointSaveJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, err := persist.Export(study.Store)
-	if err != nil {
-		t.Fatal(err)
-	}
 	dir := t.TempDir()
 	checkpoint, out := filepath.Join(dir, "graphitti-0000000000000001.snap"), filepath.Join(dir, "out.json")
 	var bin, want bytes.Buffer
-	if err := persist.WriteCheckpoint(snap, &bin); err != nil {
+	if err := persist.WriteCheckpoint(study.Store, &bin); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(checkpoint, bin.Bytes(), 0o644); err != nil {

@@ -273,6 +273,12 @@ func (v *View) Annotations() []*Annotation {
 	return out
 }
 
+// AnnotationsEach visits every committed annotation in ascending ID order,
+// without copying, until fn returns false.
+func (v *View) AnnotationsEach(fn func(*Annotation) bool) {
+	v.annotations.Each(func(_ uint64, a *Annotation) bool { return fn(a) })
+}
+
 // AnnotationIDs returns the IDs of all committed annotations, sorted.
 func (v *View) AnnotationIDs() []uint64 { return v.annotations.IDs() }
 

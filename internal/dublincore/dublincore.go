@@ -214,28 +214,39 @@ func elementOf(c xmldoc.Node) Element {
 	return Element(name)
 }
 
+// All visits each element that has values, in canonical order, with its
+// values, until yield returns false. The slices are the document's own:
+// callers must not write to them.
+func (m Meta) All(yield func(Element, []string) bool) {
+	meta := m.meta()
+	if !meta.Valid() {
+		return
+	}
+	vals := meta.Values()
+	var cur Element
+	lo, k := 0, 0
+	for c := meta.FirstChild(); c.Valid(); c, k = c.NextSibling(), k+1 {
+		if e := elementOf(c); k == 0 || e != cur {
+			if k > 0 && !yield(cur, vals[lo:k:k]) {
+				return
+			}
+			cur, lo = e, k
+		}
+	}
+	if k > 0 {
+		yield(cur, vals[lo:k:k])
+	}
+}
+
 // Get returns the values of element e (nil when unset). The slice is the
 // document's own: callers must not write to it.
 func (m Meta) Get(e Element) []string {
-	meta := m.meta()
-	if !meta.Valid() {
-		return nil
-	}
-	lo, hi, k := -1, 0, 0
-	for c := meta.FirstChild(); c.Valid(); c, k = c.NextSibling(), k+1 {
-		if elementOf(c) == e {
-			if lo < 0 {
-				lo = k
-			}
-			hi = k + 1
-		} else if lo >= 0 {
-			break
+	for el, vals := range m.All {
+		if el == e {
+			return vals
 		}
 	}
-	if lo < 0 {
-		return nil
-	}
-	return meta.Values()[lo:hi:hi]
+	return nil
 }
 
 // First returns the first value of element e, or "".
@@ -257,15 +268,9 @@ func (m Meta) Len() int {
 // Elements returns the elements that have at least one value, in canonical
 // order.
 func (m Meta) Elements() []Element {
-	meta := m.meta()
-	if !meta.Valid() {
-		return nil
-	}
 	var out []Element
-	for c := meta.FirstChild(); c.Valid(); c = c.NextSibling() {
-		if e := elementOf(c); len(out) == 0 || out[len(out)-1] != e {
-			out = append(out, e)
-		}
+	for e := range m.All {
+		out = append(out, e)
 	}
 	return out
 }

@@ -20,11 +20,11 @@
 // before the binary one logged. The form is read per record, since an
 // upgraded server appends binary records to a log that begins with JSON
 // ones. The checkpoint is the same per-dump encoding around a whole
-// snapshot, deflated, behind a format byte and ahead of a CRC32C of the
-// compressed bytes (persist.WriteCheckpoint); the uncompressed format
-// earlier builds wrote still loads. persist.Decode reads it like any
-// snapshot file, so `graphitti -load <checkpoint> -save out.json stats`
-// turns one into JSON. Open loads the checkpoint, replays WAL records
+// snapshot, written straight from a pinned view of the store, deflated,
+// behind a format byte and ahead of a CRC32C of the compressed bytes
+// (persist.WriteCheckpoint); the uncompressed format earlier builds wrote
+// still loads. persist.Decode reads it like any snapshot file, so
+// `graphitti -load <checkpoint> -save out.json stats` turns one into JSON. Open loads the checkpoint, replays WAL records
 // with Seq beyond the manifest's snapshotSeq, truncates a torn tail
 // instead of failing, and resumes appending. The replayed records are one
 // core writer session (a Batch) and publish one view, rules or not.
@@ -403,6 +403,7 @@ func (s *Store) load() error {
 		s.core.Store(core.NewStoreWithOptions(s.opts.Store))
 	}
 	s.removeStaleSnapshots(man.Snapshot)
+	s.removeTmpOrphans()
 
 	// The replayed records are one writer session: one published view for
 	// the whole log, as many epochs on as records applied.
@@ -471,18 +472,35 @@ func (s *Store) removeStaleSnapshots(current string) {
 	}
 	matches, _ := filepath.Glob(filepath.Join(s.dir, snapPattern))
 	for _, m := range matches {
-		if filepath.Base(m) == current {
-			continue
+		if filepath.Base(m) != current {
+			s.removeBestEffort(m)
 		}
-		// rawfileop contract: even best-effort deletes consult the
-		// injector, so the harness sees (and can fail) every file op the
-		// durability path performs. An injected failure leaves the stale
-		// file behind, exactly like a real unlink error would.
-		if faultfs.Check(s.opts.Inject, faultfs.OpRemove, m) != nil {
-			continue
-		}
-		_ = os.Remove(m)
 	}
+}
+
+// removeTmpOrphans best-effort deletes the tmp files a crash left behind
+// in the middle of writeFileSync: a checkpoint or manifest that was still
+// being filled. writeFileSync renames a tmp file only after its fsync, so
+// one present at open was never committed and never will be.
+func (s *Store) removeTmpOrphans() {
+	for _, pattern := range []string{snapPattern + ".tmp", manifestFile + ".tmp"} {
+		matches, _ := filepath.Glob(filepath.Join(s.dir, pattern))
+		for _, m := range matches {
+			s.removeBestEffort(m)
+		}
+	}
+}
+
+// removeBestEffort deletes path and ignores a failure: what it removes
+// costs disk, not correctness. rawfileop contract: even a best-effort
+// delete consults the injector, so the harness sees (and can fail) every
+// file op the durability path performs. An injected failure leaves the
+// file behind, exactly like a real unlink error would.
+func (s *Store) removeBestEffort(path string) {
+	if faultfs.Check(s.opts.Inject, faultfs.OpRemove, path) != nil {
+		return
+	}
+	_ = os.Remove(path)
 }
 
 // Core returns the wrapped store for reads and queries. Mutating it
@@ -659,7 +677,7 @@ func (s *Store) Reopen() (*core.Store, error) {
 // compactIfNeeded re-checks the log size under the lock before
 // compacting: when many concurrent writers cross the threshold together,
 // the first one's compaction empties the log and the rest skip, instead
-// of N back-to-back whole-store exports.
+// of writing N back-to-back checkpoints of the whole store.
 func (s *Store) compactIfNeeded() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -765,14 +783,11 @@ func (s *Store) checkpointLocked(cs *core.Store, seq uint64) error {
 	// 1. Checkpoint the given state (for compaction, it covers every
 	//    applied op — all enqueued log records — because applies happen
 	//    under mu) into a seq-named file. Until the manifest names it, it
-	//    is invisible.
-	snap, err := persist.Export(cs)
-	if err != nil {
-		return fmt.Errorf("durable: compact export: %w", err)
-	}
+	//    is invisible. The checkpoint streams from one pinned view of cs:
+	//    no second copy of the store is built to write it.
 	name := snapName(seq)
 	if err := writeFileSync(s.opts.Inject, filepath.Join(s.dir, name), func(f *os.File) error {
-		return persist.WriteCheckpoint(snap, f)
+		return persist.WriteCheckpoint(cs, f)
 	}); err != nil {
 		return fmt.Errorf("durable: compact snapshot: %w", err)
 	}

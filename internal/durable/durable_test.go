@@ -531,6 +531,58 @@ func mustJSON(v interface{}) string {
 	return string(b)
 }
 
+// TestOpenRemovesTmpOrphans: a kill -9 while a compaction fills its
+// checkpoint or its manifest leaves the tmp file behind, never renamed. Open
+// deletes both orphans, through the injector — a delete it fails leaves
+// the orphan for the next Open — and opens to the committed state.
+func TestOpenRemovesTmpOrphans(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, fastOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedStore(t, s, 5)
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.DeleteAnnotation(2); err != nil {
+		t.Fatal(err)
+	}
+	want := s.Core()
+	orphans := []string{
+		filepath.Join(dir, snapName(s.Stats().Seq)+".tmp"),
+		filepath.Join(dir, manifestFile+".tmp"),
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range orphans {
+		if err := os.WriteFile(o, []byte("GSNAP\x02 cut short"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	refuse := faultfs.NewScript().
+		FailPath(faultfs.OpRemove, ".tmp", 1, faultfs.Fault{Err: faultfs.Errno(faultfs.OpRemove, syscall.EIO)}).
+		FailPath(faultfs.OpRemove, ".tmp", 1, faultfs.Fault{Err: faultfs.Errno(faultfs.OpRemove, syscall.EIO)})
+	for _, inj := range []faultfs.Injector{refuse, nil} {
+		s, err := Open(dir, Options{NoSync: true, CompactThreshold: -1, Inject: inj})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustEqualStores(t, s.Core(), want)
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for _, o := range orphans {
+			_, err := os.Stat(o)
+			if left := err == nil; left != (inj != nil) {
+				t.Errorf("deletes refused: %v; %s left behind: %v", inj != nil, filepath.Base(o), left)
+			}
+		}
+	}
+}
+
 // TestCorruptCheckpointRefused: a checkpoint with one byte flipped — in
 // its deflate stream or in its header — or cut short makes Open fail with
 // an error that names the file, never panic and never open a store that

@@ -46,7 +46,8 @@ const restoreCap = 1 << 20
 // (format 1 as a build of the previous format wrote it) and a deflate
 // bomb past the route's limit.
 func FuzzRestore(f *testing.F) {
-	snap, err := persist.Export(influenzaStore(f, 3))
+	study := influenzaStore(f, 3)
+	snap, err := persist.Export(study)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -54,7 +55,7 @@ func FuzzRestore(f *testing.F) {
 	if err := persist.WriteSnapshot(snap, &js); err != nil {
 		f.Fatal(err)
 	}
-	if err := persist.WriteCheckpoint(snap, &checkpoint); err != nil {
+	if err := persist.WriteCheckpoint(study, &checkpoint); err != nil {
 		f.Fatal(err)
 	}
 	plain, err := os.ReadFile("../durable/testdata/parent-55b73eb/data/graphitti-0000000000000007.snap")

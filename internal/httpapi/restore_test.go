@@ -144,12 +144,8 @@ func testSnapshotRestoreRoundTrip(t *testing.T, d deployment) {
 // served store is touched, in memory or on disk; under a limit that
 // covers its body, the same upload restores.
 func TestRestoreInflateBound(t *testing.T) {
-	snap, err := persist.Export(influenzaStore(t, 30))
-	if err != nil {
-		t.Fatal(err)
-	}
 	var checkpoint bytes.Buffer
-	if err := persist.WriteCheckpoint(snap, &checkpoint); err != nil {
+	if err := persist.WriteCheckpoint(influenzaStore(t, 30), &checkpoint); err != nil {
 		t.Fatal(err)
 	}
 	c := checkpoint.Bytes()

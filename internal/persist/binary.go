@@ -11,14 +11,19 @@ import (
 	"io"
 	"maps"
 	"math"
+	"math/bits"
 	"slices"
+	"strings"
 
 	"graphitti/internal/core"
+	"graphitti/internal/dublincore"
+	"graphitti/internal/prop"
 )
 
 // The binary form is what a data directory holds: an op in a WAL record
-// (AppendOp, DecodeOp) and a checkpoint (WriteCheckpoint; Decode reads it).
-// JSON stays the export and debug form.
+// (AppendOp, DecodeOp) and a checkpoint (WriteCheckpoint writes one from a
+// store's pinned view; Decode reads it as a Snapshot). JSON stays the
+// export and debug form.
 //
 // A checkpoint is the magic GSNAP, a format byte, a body, and a CRC32C of
 // every byte before it. The body is the snapshot's version, its sections
@@ -28,16 +33,18 @@ import (
 // is still read. The checksum covers the bytes on disk, so a damaged file
 // is refused before anything is inflated.
 //
-// Every dump type has one hand-written append/read pair below, and the
-// order of the fields in a pair is the record format: a change to it is a
-// new format (a new record format byte in internal/durable, a new
-// checkpoint format byte), never an edit. Unsigned integers are uvarints,
-// signed ones zigzag varints, strings and slices a uvarint length and then
-// their bytes or elements, a float64 8 little-endian bytes, a bool one
-// byte. A referent's rect is written only for a region mark, the one kind
-// whose rect applies. Two code tables intern the strings records repeat
-// most: the Dublin Core element names and the object types. Code 0
-// escapes to a literal string, so a value outside a table still encodes.
+// Every dump type has one hand-written append/read pair below (an
+// annotation is appended from a dump or straight from a view, through one
+// layout), and the order of the fields in a pair is the record format: a
+// change to it is a new format (a new record format byte in
+// internal/durable, a new checkpoint format byte), never an edit.
+// Unsigned integers are uvarints, signed ones zigzag varints, strings and
+// slices a uvarint length and then their bytes or elements, a float64 8
+// little-endian bytes, a bool one byte. A referent's rect is written only
+// for a region mark, the one kind whose rect applies. Two code tables
+// intern the strings records repeat most: the Dublin Core element names
+// and the object types. Code 0 escapes to a literal string, so a value
+// outside a table still encodes.
 //
 // The decoder takes nothing on trust: every count and length is checked
 // against the input left before anything is allocated — an element takes
@@ -46,7 +53,7 @@ import (
 // from the JSON form, which omits them.
 
 // dcElements and objectTypes are the code tables: a value's code is its
-// position plus one. Append only.
+// position plus one. Append only (and dcByName with dcElements).
 var (
 	dcElements = []string{"title", "creator", "subject", "description", "publisher",
 		"contributor", "date", "type", "format", "identifier", "source", "language",
@@ -172,12 +179,21 @@ func DecodeOp(b []byte) (Op, error) {
 	return op, nil
 }
 
-// WriteCheckpoint writes snap as a format-2 binary checkpoint: the magic
-// and format byte, the body deflated (BestSpeed), and a CRC32C of
-// everything before it. Entries are encoded one at a time into a buffered
-// writer in front of the compressor, so the file is never held whole in
-// memory, plain or compressed.
-func WriteCheckpoint(snap *Snapshot, w io.Writer) error {
+// WriteCheckpoint writes the store as a format-2 binary checkpoint: the
+// magic and format byte, the body deflated (BestSpeed), and a CRC32C of
+// everything before it. Like Export it reads one pinned view and the rule
+// list beside it, and the checkpoint decodes to the snapshot Export takes
+// of that view. But no snapshot is built: the annotations, the one section
+// that grows with the store, are encoded straight from the view, one at a
+// time into a buffered writer in front of the compressor, so neither the
+// file nor a dump of the store is ever held whole in memory, and what a
+// checkpoint allocates does not grow with the number of annotations.
+func WriteCheckpoint(s *core.Store, w io.Writer) error {
+	v := s.View()
+	head, err := exportObjects(v, prop.RulesOf(s))
+	if err != nil {
+		return err
+	}
 	crc := crc32.New(castagnoli)
 	out := bufio.NewWriter(io.MultiWriter(w, crc))
 	out.WriteString(checkpointMagic)
@@ -185,19 +201,21 @@ func WriteCheckpoint(snap *Snapshot, w io.Writer) error {
 	zw := takeCompressor(out)
 	defer returnCompressor(zw)
 	bw := bufio.NewWriter(zw)
-	buf := appendInt(nil, int64(snap.Version))
+	buf := appendInt(make([]byte, 0, 1024), int64(head.Version))
 	bw.Write(buf)
-	buf = writeSection(bw, buf, snap.Ontologies, appendOntology)
-	buf = writeSection(bw, buf, snap.Systems, appendSystem)
-	buf = writeSection(bw, buf, snap.Sequences, appendSequence)
-	buf = writeSection(bw, buf, snap.Alignments, appendAlignment)
-	buf = writeSection(bw, buf, snap.Trees, appendTree)
-	buf = writeSection(bw, buf, snap.Graphs, appendGraph)
-	buf = writeSection(bw, buf, snap.Images, appendImage)
-	buf = writeSection(bw, buf, snap.RecordTables, appendTable)
-	buf = writeSection(bw, buf, snap.Annotations, appendAnnotation)
-	buf = writeSection(bw, buf, snap.Rules, appendRule)
-	bw.Write(binary.AppendUvarint(binary.AppendUvarint(buf[:0], snap.NextAnn), snap.NextRef))
+	buf = writeSection(bw, buf, head.Ontologies, appendOntology)
+	buf = writeSection(bw, buf, head.Systems, appendSystem)
+	buf = writeSection(bw, buf, head.Sequences, appendSequence)
+	buf = writeSection(bw, buf, head.Alignments, appendAlignment)
+	buf = writeSection(bw, buf, head.Trees, appendTree)
+	buf = writeSection(bw, buf, head.Graphs, appendGraph)
+	buf = writeSection(bw, buf, head.Images, appendImage)
+	buf = writeSection(bw, buf, head.RecordTables, appendTable)
+	if buf, err = writeAnnotations(bw, buf, v); err != nil {
+		return err
+	}
+	buf = writeSection(bw, buf, head.Rules, appendRule)
+	bw.Write(binary.AppendUvarint(binary.AppendUvarint(buf[:0], head.NextAnn), head.NextRef))
 	if err := bw.Flush(); err != nil {
 		return err
 	}
@@ -207,7 +225,7 @@ func WriteCheckpoint(snap *Snapshot, w io.Writer) error {
 	if err := out.Flush(); err != nil {
 		return err
 	}
-	_, err := w.Write(binary.LittleEndian.AppendUint32(nil, crc.Sum32()))
+	_, err = w.Write(binary.LittleEndian.AppendUint32(buf[:0], crc.Sum32()))
 	return err
 }
 
@@ -222,6 +240,23 @@ func writeSection[T any](bw *bufio.Writer, buf []byte, entries []T, app func([]b
 		bw.Write(buf)
 	}
 	return buf
+}
+
+// writeAnnotations writes the annotation section of v: its count, then
+// each annotation, in ascending ID order as Export dumps them, encoded
+// from the committed annotation itself.
+func writeAnnotations(bw *bufio.Writer, buf []byte, v *core.View) ([]byte, error) {
+	buf = binary.AppendUvarint(buf[:0], uint64(v.Stats().Annotations))
+	bw.Write(buf)
+	rec := &viewAnnotation{v: v}
+	var err error
+	v.AnnotationsEach(func(a *core.Annotation) bool {
+		rec.a = a
+		buf, err = appendAnnotationRecord(buf[:0], rec)
+		bw.Write(buf)
+		return err == nil
+	})
+	return buf, err
 }
 
 // decodeCheckpoint reads a whole binary checkpoint, checksum first. A
@@ -450,10 +485,30 @@ func (d *decoder) value() ValueDump {
 	return v
 }
 
+// An annotation record is written from one of two sources: a dump, which
+// is what an op holds, or a committed annotation of a pinned view, which
+// is what a checkpoint streams. appendAnnotationRecord is the record's one
+// layout, and both sources write each field through the same helper
+// (appendDCFields, appendString, appendTag, appendReferent, appendTermRef),
+// so they write the same bytes for the same annotation.
+type annotationSource interface {
+	id() uint64
+	appendDC(b []byte) []byte
+	body() string
+	appendTags(b []byte) []byte
+	appendReferents(b []byte) ([]byte, error)
+	appendTerms(b []byte) []byte
+}
+
+func appendAnnotationRecord(b []byte, a annotationSource) ([]byte, error) {
+	b = appendString(a.appendDC(binary.AppendUvarint(b, a.id())), a.body())
+	b, err := a.appendReferents(a.appendTags(b))
+	return a.appendTerms(b), err
+}
+
 func appendAnnotation(b []byte, a *AnnotationDump) []byte {
-	b = appendString(appendDC(binary.AppendUvarint(b, a.ID), a.DC), a.Body)
-	b = appendSlice(appendSlice(b, a.Tags, appendTag), a.Referents, appendReferent)
-	return appendSlice(b, a.Terms, appendTermRef)
+	b, _ = appendAnnotationRecord(b, (*dumpAnnotation)(a)) // a dump's referents are already resolved
+	return b
 }
 
 func (d *decoder) annotation() AnnotationDump {
@@ -461,14 +516,135 @@ func (d *decoder) annotation() AnnotationDump {
 		Referents: readSlice(d, (*decoder).referent), Terms: readSlice(d, (*decoder).termRef)}
 }
 
-// appendDC writes a Dublin Core record as its element count, then each
-// element, in name order, as its code and its values.
+// dumpAnnotation is an annotation record's source in a dump.
+type dumpAnnotation AnnotationDump
+
+func (a *dumpAnnotation) id() uint64                  { return a.ID }
+func (a *dumpAnnotation) appendDC(b []byte) []byte    { return appendDC(b, a.DC) }
+func (a *dumpAnnotation) body() string                { return a.Body }
+func (a *dumpAnnotation) appendTags(b []byte) []byte  { return appendSlice(b, a.Tags, appendTag) }
+func (a *dumpAnnotation) appendTerms(b []byte) []byte { return appendSlice(b, a.Terms, appendTermRef) }
+
+func (a *dumpAnnotation) appendReferents(b []byte) ([]byte, error) {
+	return appendSlice(b, a.Referents, appendReferent), nil
+}
+
+// viewAnnotation is an annotation record's source in a pinned view: it
+// reads each field off the committed annotation a, resolving its referents
+// in v, and builds no dump, slice or map for it.
+type viewAnnotation struct {
+	v *core.View
+	a *core.Annotation
+}
+
+func (r *viewAnnotation) id() uint64               { return r.a.ID }
+func (r *viewAnnotation) appendDC(b []byte) []byte { return appendDCMeta(b, r.a.DC) }
+func (r *viewAnnotation) body() string             { return bodyOf(r.a.Content) }
+
+func (r *viewAnnotation) appendTags(b []byte) []byte {
+	n := 0
+	eachTag(r.a.Content, func(TagDump) { n++ })
+	b = binary.AppendUvarint(b, uint64(n))
+	eachTag(r.a.Content, func(t TagDump) { b = appendTag(b, &t) })
+	return b
+}
+
+func (r *viewAnnotation) appendReferents(b []byte) ([]byte, error) {
+	b = binary.AppendUvarint(b, uint64(len(r.a.ReferentIDs)))
+	for _, id := range r.a.ReferentIDs {
+		ref, err := r.v.Referent(id)
+		if err != nil {
+			return b, err
+		}
+		rd := dumpReferent(ref)
+		b = appendReferent(b, &rd)
+	}
+	return b, nil
+}
+
+func (r *viewAnnotation) appendTerms(b []byte) []byte {
+	b = binary.AppendUvarint(b, uint64(len(r.a.Terms)))
+	for _, tr := range r.a.Terms {
+		b = appendTermRef(b, &TermRefDump{Ontology: tr.Ontology, Term: tr.TermID})
+	}
+	return b
+}
+
+// dcByName is the Dublin Core code table in name order, the order a
+// record's elements are written in: each element's name and code
+// (dcElements is the table in code order).
+var dcByName = [...]dcCode{
+	{"contributor", 6}, {"coverage", 14}, {"creator", 2}, {"date", 7}, {"description", 4},
+	{"format", 9}, {"identifier", 10}, {"language", 12}, {"publisher", 5}, {"relation", 13},
+	{"rights", 15}, {"source", 11}, {"subject", 3}, {"title", 1}, {"type", 8},
+}
+
+type dcCode struct {
+	name string
+	code uint64
+}
+
+// dcFields is a Dublin Core record laid out in dcByName: an element's
+// values at its position there, and a bit for each element present.
+// literal is set when an element is outside the table.
+type dcFields struct {
+	vals    [len(dcByName)][]string
+	has     uint32
+	literal bool
+}
+
+func (f *dcFields) add(name string, vals []string) {
+	i, ok := slices.BinarySearchFunc(dcByName[:], name, func(e dcCode, name string) int {
+		return strings.Compare(e.name, name)
+	})
+	if !ok {
+		f.literal = true
+		return
+	}
+	f.vals[i], f.has = vals, f.has|1<<i
+}
+
+// appendDCFields writes a Dublin Core record as its element count, then
+// each element, in name order, as its code and its values.
+func appendDCFields(b []byte, f *dcFields) []byte {
+	b = binary.AppendUvarint(b, uint64(bits.OnesCount32(f.has)))
+	for i := range dcByName {
+		if f.has&(1<<i) != 0 {
+			b = appendStrings(binary.AppendUvarint(b, dcByName[i].code), f.vals[i])
+		}
+	}
+	return b
+}
+
+// appendDC writes a dump's Dublin Core record. A name outside the code
+// table, which only a decoded record can hold, is written as code 0 and the
+// literal, in the same name order among the others.
 func appendDC(b []byte, dc map[string][]string) []byte {
+	var f dcFields
+	for e, vals := range dc {
+		f.add(e, vals)
+	}
+	if !f.literal {
+		return appendDCFields(b, &f)
+	}
 	b = binary.AppendUvarint(b, uint64(len(dc)))
 	for _, e := range slices.Sorted(maps.Keys(dc)) {
 		b = appendStrings(appendCoded(b, e, dcElements), dc[e])
 	}
 	return b
+}
+
+// appendDCMeta writes a committed annotation's Dublin Core record, read
+// through the view of its document, as appendDC writes its dump's.
+func appendDCMeta(b []byte, m dublincore.Meta) []byte {
+	var f dcFields
+	for e, vals := range m.All {
+		f.add(string(e), vals)
+	}
+	if f.literal { // a commit refuses an element outside the fifteen
+		return appendDC(b, dumpDC(m))
+	}
+	return appendDCFields(b, &f)
 }
 
 func (d *decoder) dc() map[string][]string {

@@ -134,7 +134,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		if err := persist.Write(s, &js); err != nil {
 			t.Fatal(err)
 		}
-		if err := persist.WriteCheckpoint(exportOf(t, s), &bin); err != nil {
+		if err := persist.WriteCheckpoint(s, &bin); err != nil {
 			t.Fatal(err)
 		}
 		plain := sealed(1, plainBody(t, bin.Bytes()))
@@ -160,13 +160,13 @@ func TestCheckpointRoundTrip(t *testing.T) {
 // TestCheckpointsConcurrently: checkpoints written at once from several
 // goroutines, which take turns with the one spare compressor and make
 // their own when it is taken, are each byte for byte the checkpoint of
-// the same snapshot written alone.
+// the same store written alone.
 func TestCheckpointsConcurrently(t *testing.T) {
-	snaps := []*persist.Snapshot{exportOf(t, influenzaStore(t)), exportOf(t, neuroStore(t))}
-	want := make([][]byte, len(snaps))
-	for i, snap := range snaps {
+	stores := []*core.Store{influenzaStore(t), neuroStore(t)}
+	want := make([][]byte, len(stores))
+	for i, s := range stores {
 		var b bytes.Buffer
-		if err := persist.WriteCheckpoint(snap, &b); err != nil {
+		if err := persist.WriteCheckpoint(s, &b); err != nil {
 			t.Fatal(err)
 		}
 		want[i] = b.Bytes()
@@ -177,9 +177,9 @@ func TestCheckpointsConcurrently(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for r := range 4 {
-				i := (g + r) % len(snaps)
+				i := (g + r) % len(stores)
 				var b bytes.Buffer
-				if err := persist.WriteCheckpoint(snaps[i], &b); err != nil {
+				if err := persist.WriteCheckpoint(stores[i], &b); err != nil {
 					t.Error(err)
 					return
 				}
@@ -197,12 +197,12 @@ func TestCheckpointsConcurrently(t *testing.T) {
 // refused with ErrInflateLimit, one that inflates to the cap exactly
 // decodes, and the cap leaves the JSON form and a format-1 body alone.
 func TestDecodeLimited(t *testing.T) {
-	snap := exportOf(t, neuroStore(t))
+	s := neuroStore(t)
 	var bin, js bytes.Buffer
-	if err := persist.WriteCheckpoint(snap, &bin); err != nil {
+	if err := persist.WriteCheckpoint(s, &bin); err != nil {
 		t.Fatal(err)
 	}
-	if err := persist.WriteSnapshot(snap, &js); err != nil {
+	if err := persist.Write(s, &js); err != nil {
 		t.Fatal(err)
 	}
 	n := int64(len(plainBody(t, bin.Bytes())))

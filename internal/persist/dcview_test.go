@@ -86,12 +86,8 @@ func TestDCViewMatchesRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, err := persist.Export(s)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var checkpoint bytes.Buffer
-	if err := persist.WriteCheckpoint(snap, &checkpoint); err != nil {
+	if err := persist.WriteCheckpoint(s, &checkpoint); err != nil {
 		t.Fatal(err)
 	}
 	fromCheckpoint, err := persist.Read(&checkpoint)

@@ -1,5 +1,7 @@
 package persist
 
+import "graphitti/internal/core"
+
 // The tests are package persist_test: they build stores with
 // internal/workload, which imports this package.
 
@@ -12,3 +14,21 @@ var ExportView = exportView
 
 // The binary form's code tables.
 var DCElements, ObjectTypes = dcElements, objectTypes
+
+// DCByName returns the Dublin Core code table in the order records write
+// their elements in.
+func DCByName() (names []string, codes []uint64) {
+	for _, e := range dcByName {
+		names, codes = append(names, e.name), append(codes, e.code)
+	}
+	return names, codes
+}
+
+// AppendAnnotation is an annotation record written from its dump, and
+// AppendViewAnnotation the record a checkpoint writes from the committed
+// annotation of a pinned view.
+var AppendAnnotation = appendAnnotation
+
+func AppendViewAnnotation(b []byte, v *core.View, a *core.Annotation) ([]byte, error) {
+	return appendAnnotationRecord(b, &viewAnnotation{v: v, a: a})
+}

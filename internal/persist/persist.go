@@ -2,7 +2,8 @@
 // rebuilds stores from snapshots. A snapshot has two forms: JSON, the
 // export and debug form (GET /api/snapshot, Write), and a compact binary
 // checkpoint, DEFLATE-compressed, the form a data directory holds
-// (WriteCheckpoint). Decode reads either.
+// (WriteCheckpoint, which writes it straight from a store's pinned view,
+// without building a Snapshot). Decode reads either into a Snapshot.
 //
 // The snapshot is a logical export — registered ontologies, coordinate
 // systems, data objects, record tables and annotations — not a byte-level
@@ -50,6 +51,7 @@ import (
 	"graphitti/internal/relstore"
 	"graphitti/internal/rtree"
 	"graphitti/internal/trace"
+	"graphitti/internal/xmldoc"
 )
 
 // Version identifies the snapshot format. Version 2 added ID preservation
@@ -258,6 +260,24 @@ func Export(s *core.Store) (*Snapshot, error) {
 // exportView is Export of a view already pinned, with the rule list read
 // beside it.
 func exportView(v *core.View, rules []prop.Rule) (*Snapshot, error) {
+	snap, err := exportObjects(v, rules)
+	if err != nil {
+		return nil, err
+	}
+	for _, ann := range v.Annotations() {
+		ad, err := DumpAnnotation(v, ann)
+		if err != nil {
+			return nil, err
+		}
+		snap.Annotations = append(snap.Annotations, ad)
+	}
+	return snap, nil
+}
+
+// exportObjects is exportView without the annotations: the sections a
+// checkpoint writes from dumps, which are few and small, and the ID
+// counters. WriteCheckpoint writes the annotations straight from v.
+func exportObjects(v *core.View, rules []prop.Rule) (*Snapshot, error) {
 	snap := &Snapshot{Version: Version}
 
 	for _, name := range v.Ontologies() {
@@ -319,13 +339,6 @@ func exportView(v *core.View, rules []prop.Rule) (*Snapshot, error) {
 			td.Rows = append(td.Rows, DumpRow(r))
 		}
 		snap.RecordTables = append(snap.RecordTables, td)
-	}
-	for _, ann := range v.Annotations() {
-		ad, err := DumpAnnotation(v, ann)
-		if err != nil {
-			return nil, err
-		}
-		snap.Annotations = append(snap.Annotations, ad)
 	}
 	for _, r := range rules {
 		snap.Rules = append(snap.Rules, DumpRule(r))
@@ -488,16 +501,8 @@ func RestoreValue(d ValueDump) (relstore.Value, error) {
 // DumpAnnotation serialises an annotation of view v, including its ID and
 // the IDs of its referents (format v2), which it resolves in v.
 func DumpAnnotation(v *core.View, ann *core.Annotation) (AnnotationDump, error) {
-	d := AnnotationDump{ID: ann.ID, DC: dumpDC(ann.DC), Terms: dumpTerms(ann.Terms)}
-	// Body and user tags live in the content document.
-	if body := ann.Content.Root.FirstChildElement("body"); body.Valid() {
-		d.Body = body.Text()
-	}
-	if tags := ann.Content.Root.FirstChildElement("tags"); tags.Valid() {
-		for el := tags.FirstChild(); el.Valid(); el = el.NextSibling() {
-			d.Tags = append(d.Tags, TagDump{Name: el.Name(), Value: el.Text()})
-		}
-	}
+	d := AnnotationDump{ID: ann.ID, DC: dumpDC(ann.DC), Body: bodyOf(ann.Content), Terms: dumpTerms(ann.Terms)}
+	eachTag(ann.Content, func(t TagDump) { d.Tags = append(d.Tags, t) })
 	for _, refID := range ann.ReferentIDs {
 		ref, err := v.Referent(refID)
 		if err != nil {
@@ -506,6 +511,25 @@ func DumpAnnotation(v *core.View, ann *core.Annotation) (AnnotationDump, error) 
 		d.Referents = append(d.Referents, dumpReferent(ref))
 	}
 	return d, nil
+}
+
+// bodyOf returns the body text of a committed annotation's content
+// document: body and user tags live there.
+func bodyOf(doc *xmldoc.Document) string {
+	if body := doc.Root.FirstChildElement("body"); body.Valid() {
+		return body.Text()
+	}
+	return ""
+}
+
+// eachTag visits the user tags of a committed annotation's content
+// document, in order.
+func eachTag(doc *xmldoc.Document, fn func(TagDump)) {
+	if tags := doc.Root.FirstChildElement("tags"); tags.Valid() {
+		for el := tags.FirstChild(); el.Valid(); el = el.NextSibling() {
+			fn(TagDump{Name: el.Name(), Value: el.Text()})
+		}
+	}
 }
 
 // dumpDC serialises Dublin Core values: a builder's record, or the view a
