@@ -252,6 +252,12 @@ func (g *Graph) edge(at *node, via int32, h halfEdge) Edge {
 	return Edge{ID: h.id, From: peer, To: at.ref, Label: at.in.at(int(^via)).label}
 }
 
+// HasNode reports whether ref is a node of the graph.
+func (g *Graph) HasNode(ref NodeRef) bool {
+	_, n := g.find(ref)
+	return n != nil
+}
+
 // NodeCount reports the number of nodes.
 func (g *Graph) NodeCount() int { return g.nodes.Len() }
 

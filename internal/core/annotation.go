@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"graphitti/internal/agraph"
+	"graphitti/internal/cow"
 	"graphitti/internal/dublincore"
 	"graphitti/internal/trace"
 	"graphitti/internal/xmldoc"
@@ -426,14 +427,9 @@ func (x *Tx) commit(b *Builder, pinnedAnn uint64, pinnedRefs []uint64) (*Annotat
 	rts.store(&x.rt)
 	// Keyword index over the content document (ablation A6). IDs ascend
 	// across the writer chain, so the usual insert is a tail append.
+	with := func(ids cow.Postings, _ bool) cow.Postings { return ids.With(annID) }
 	for _, word := range doc.Keywords() {
-		ids, known := x.kw.Get(word)
-		if !known {
-			// The index keeps a key as long as any annotation has the
-			// word; it must not keep this document's text with it.
-			word = strings.Clone(word)
-		}
-		x.kw.Set(word, ids.With(annID))
+		x.kw.Update(word, with)
 	}
 	x.ops++
 	x.propagate(ann, false, csp)

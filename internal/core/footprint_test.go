@@ -146,8 +146,9 @@ func commitBenchmarkShaped(t *testing.T, s *Store, n int) {
 // thousand, everything counted — document, referent, index entries,
 // a-graph nodes and edges. It was 4.04 KiB with the pointer DOM, 2.90 with
 // the map-and-slice a-graph, 2.42 while every document held its own
-// structure and 1.97 while every annotation kept a Dublin Core record
-// beside its document.
+// structure, 1.97 while every annotation kept a Dublin Core record beside
+// its document and 1.74 while every persistent map boxed each entry and a
+// posting list of one ID had an array of its own.
 func TestStoreFootprint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("commits 20k annotations")
@@ -158,8 +159,8 @@ func TestStoreFootprint(t *testing.T) {
 	commitBenchmarkShaped(t, s, anns)
 	per := float64(liveBytes()-before) / anns / 1024
 	t.Logf("%.2f KiB live per annotation", per)
-	if per > 1.8 {
-		t.Errorf("the store keeps %.2f KiB live per annotation, want at most 1.8", per)
+	if per > 1.55 {
+		t.Errorf("the store keeps %.2f KiB live per annotation, want at most 1.55", per)
 	}
 	runtime.KeepAlive(s)
 }

@@ -173,11 +173,8 @@ func (v *View) SearchKeyword(word string, useIndex bool) []*Annotation {
 		return out
 	}
 	v.annotations.Each(func(_ uint64, ann *Annotation) bool {
-		for _, w := range ann.Content.Keywords() {
-			if w == token {
-				out = append(out, ann)
-				break
-			}
+		if ann.Content.HasKeyword(token) {
+			out = append(out, ann)
 		}
 		return true
 	})

@@ -318,6 +318,13 @@ func (v *View) EachKeyword(fn func(word string) bool) {
 	v.keywordIdx.Each(func(word string, _ cow.Postings) bool { return fn(word) })
 }
 
+// IndexesKeyword reports whether the keyword index holds word, a token
+// as xmldoc.Document.Keywords produces it (see NormalizeKeyword).
+func (v *View) IndexesKeyword(word string) bool {
+	_, ok := v.keywordIdx.Get(word)
+	return ok
+}
+
 // Stats returns the view's component sizes.
 func (v *View) Stats() Stats {
 	return Stats{

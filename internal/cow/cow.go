@@ -1,28 +1,33 @@
 // Package cow holds Graphitti's persistent (copy-on-write) containers: the
-// chunked ID table (Table), the string-keyed hash trie (Map) and the
-// chunked ascending ID list (Postings). A core.View is built from them —
-// annotations and referents by ID, the keyword index and its posting lists,
-// the mark-dedup index, the derived-fact target index, the spatial trees by
-// domain, the record tables — and so is the agraph.Graph value the view
-// holds (its node table and one node index per kind).
+// chunked ID table (Table), the string-keyed hash trie with packed leaves
+// (Map) and the chunked ascending ID list (Postings). A core.View is built
+// from them — annotations and referents by ID, the keyword index and its
+// posting lists, the mark-dedup index, the derived-fact target index, the
+// spatial trees by domain, the record tables — and so is the agraph.Graph
+// value the view holds (its node table and one node index per kind).
 //
 // A value shares structure with its predecessor and never changes once a
 // reader can hold it. The writer mutates through edit handles (TableEdit,
 // MapEdit) that copy a piece — a table chunk, a trie node — the first time
 // a session touches it and write in place after that. So an op costs the
 // pieces it is first to touch: a chunk of 256 slots per table, a
-// root-to-entry path of three or four small nodes per key, one posting
-// chunk per list it removes from and nothing but the ID per list it appends
-// to. A writer session (core.Tx) copies no piece twice however many ops it
-// carries, and a publish is a handful of pointer stores. None of it is
-// proportional to the store, except logarithmically (trie depth, tree
-// height) and through two spines of chunk pointers (8 bytes per 256 IDs a
-// table holds, 24 per 256 IDs of a posting list that loses one from its
-// middle).
+// root-to-leaf path per key (a handful of four-way inner nodes and one
+// leaf of at most 32 keys), one posting chunk per list it removes from and
+// nothing but the ID per list it appends to. A writer session (core.Tx)
+// copies no piece twice however many ops it carries, and a publish is a
+// handful of pointer stores. None of it is proportional to the store,
+// except logarithmically (trie depth, tree height) and through two spines
+// of chunk pointers (8 bytes per 256 IDs a table holds, 24 per 256 IDs of
+// a posting list that loses one from its middle).
+//
+// Nothing is boxed per key: a map's keys live packed in its leaves, which
+// copy the key bytes they are given, and a posting list of one ID is that
+// ID, held in the value itself.
 package cow
 
 import (
-	"math/bits"
+	"bytes"
+	"encoding/binary"
 	"slices"
 	"sort"
 )
@@ -140,26 +145,35 @@ func (t Table[T]) IDs() []uint64 {
 	return out
 }
 
-// --- Map: persistent hash-array-mapped trie keyed by string ---
+// --- Map: persistent hash trie with packed leaves, keyed by string ---
 
-// A Map is a CHAMP-style hash trie: a node consumes pmapBits of the
-// key's hash and holds, compactly and in slot order, the entries that are
-// alone in their slot and the child nodes of the slots several keys share.
-// A lookup is one bitmap test and one index per level, log32(n) levels.
-// Fanout 32 is the classic trade: at 10k-100k keys a key sits three to
-// four nodes deep, and a root-to-entry path copy is a few hundred bytes,
-// whatever the map holds. Entries are boxed, so copying a node copies
-// pointers, not keys and values.
+// A Map is a hash trie whose leaves are packed. An inner node consumes
+// mapBits of the key's hash and points at up to four subtrees; a leaf
+// holds up to leafMax keys in one byte slice, each as a tag byte (the top
+// byte of its hash), a uvarint length and its bytes, and their values in
+// one slice, ordered by tag, then length, then bytes. A subtree of at most
+// leafMax keys is always one leaf: an insert that overflows a leaf splits
+// it by the next hash bits, and a delete that brings a subtree back to
+// leafMax keys folds it into one leaf, so a map's shape depends on its
+// keys and not on its history. Below the last hash bit the keys of equal
+// hashes share a leaf of any size.
+//
+// A key costs its bytes, two bytes and its value; a node header and two
+// slice headers are shared by the keys of a leaf. A lookup walks
+// log4(n/leafMax) inner nodes and scans one leaf, where a key of another
+// tag costs a byte comparison. An edit copies one root-to-leaf path: a
+// few inner nodes and one leaf's slices, whatever the map holds.
 const (
-	pmapBits     = 5
-	pmapMask     = 1<<pmapBits - 1
-	pmapHashBits = 32 // below this depth keys with equal hashes share a bucket node
+	mapBits     = 2
+	mapMask     = 1<<mapBits - 1
+	mapHashBits = 32 // below this depth keys with equal hashes share one leaf
+	leafMax     = 32
 )
 
 // pmapHash is FNV-1a with a final avalanche (the trie consumes the low
 // bits first, FNV's weakest). Deterministic, so a trie's shape and its
 // iteration order depend on its keys alone.
-func pmapHash(k string) uint32 {
+func pmapHash[S ~string | ~[]byte](k S) uint32 {
 	const (
 		offset32 = 2166136261
 		prime32  = 16777619
@@ -177,92 +191,128 @@ func pmapHash(k string) uint32 {
 	return h
 }
 
-type pentry[V any] struct {
-	key string
-	val V
-}
-
-type pnode[V any] struct {
-	datamap uint32 // slots holding an entry
-	nodemap uint32 // slots holding a child
+// mnode is an inner node (keys == nil) or a leaf (keys != nil: even the
+// empty key has its length byte).
+type mnode[V any] struct {
 	// stamp is the generation of the edit session that allocated the node
-	// (see MapEdit), shifted over two flags. The arrays of a node copied
-	// for writing stay shared with the original until one is written — a
-	// path copy pays for the array it changes, not for both — and the
-	// flags say which the node has made its own.
-	stamp   uint64
-	entries []*pentry[V] // by slot; a plain list in a bucket node
-	kids    []*pnode[V]  // by slot
+	// (see MapEdit), shifted over two flags. A leaf copied for writing
+	// shares its slices with the original until one is written — a path
+	// copy that replaces a value pays for the values, not for the keys —
+	// and the flags say which the leaf has made its own.
+	stamp uint64
+	count int                     // keys in the subtree
+	kids  [1 << mapBits]*mnode[V] // inner: by the next hash bits; nil is an empty quarter
+	keys  []byte                  // leaf: the keys, encoded and ordered (see Map)
+	vals  []V                     // leaf: by key
 }
 
 const (
-	pnodeOwnsEntries = 1 << iota
-	pnodeOwnsKids
-	pnodeFlagBits = iota
+	leafOwnsKeys = 1 << iota
+	leafOwnsVals
+	mnodeFlagBits = iota
 )
 
-// own records that the array flagged f is private to n and reports
+// own records that the slice flagged f is private to n and reports
 // whether it already was.
-func (n *pnode[V]) own(f uint64) bool {
+func (n *mnode[V]) own(f uint64) bool {
 	had := n.stamp&f != 0
 	n.stamp |= f
 	return had
 }
 
+// keyTag is the tag byte of a key of hash h.
+func keyTag(h uint32) byte { return byte(h >> 24) }
+
+// keyAt returns the key encoded at off in a leaf's keys and the offset of
+// the next one.
+func keyAt[S ~string | ~[]byte](keys S, off int) (S, int) {
+	off++ // the tag
+	if c := keys[off]; c < 0x80 {
+		return keys[off+1 : off+1+int(c)], off + 1 + int(c)
+	}
+	var l, shift uint
+	for {
+		c := keys[off]
+		off++
+		l |= uint(c&0x7f) << shift
+		if c < 0x80 {
+			break
+		}
+		shift += 7
+	}
+	return keys[off : off+int(l)], off + int(l)
+}
+
+// find returns the index and byte offset of k, of tag tag, in leaf n, or
+// of the first key after it, and whether k is there.
+func (n *mnode[V]) find(k string, tag byte) (i, off int, found bool) {
+	for ; off < len(n.keys); i++ {
+		t := n.keys[off]
+		if t > tag {
+			break
+		}
+		key, next := keyAt(n.keys, off)
+		if t == tag && (len(key) > len(k) || len(key) == len(k) && string(key) >= k) {
+			return i, off, len(key) == len(k) && string(key) == k
+		}
+		off = next
+	}
+	return i, off, false
+}
+
 // Map is an immutable string-keyed map. The zero value is the empty map.
 type Map[V any] struct {
-	root  *pnode[V]
-	count int
-	gen   uint64 // edit sessions behind this map; no node in it has a later stamp
+	root *mnode[V]
+	gen  uint64 // edit sessions behind this map; no node in it has a later stamp
 }
 
 // Len returns the number of keys.
-func (m Map[V]) Len() int { return m.count }
+func (m Map[V]) Len() int {
+	if m.root == nil {
+		return 0
+	}
+	return m.root.count
+}
 
 // Get returns the value stored under k.
 func (m Map[V]) Get(k string) (V, bool) {
 	h := pmapHash(k)
-	n := m.root
-	for shift := uint(0); n != nil; shift += pmapBits {
-		if shift >= pmapHashBits {
-			for _, e := range n.entries {
-				if e.key == k {
-					return e.val, true
-				}
-			}
-			break
+	n, path := m.root, h
+	for n != nil && n.keys == nil {
+		n, path = n.kids[path&mapMask], path>>mapBits
+	}
+	if n != nil {
+		if i, _, ok := n.find(k, keyTag(h)); ok {
+			return n.vals[i], true
 		}
-		bit := uint32(1) << (h >> shift & pmapMask)
-		if n.datamap&bit != 0 {
-			if e := n.entries[bits.OnesCount32(n.datamap&(bit-1))]; e.key == k {
-				return e.val, true
-			}
-			break
-		}
-		if n.nodemap&bit == 0 {
-			break
-		}
-		n = n.kids[bits.OnesCount32(n.nodemap&(bit-1))]
 	}
 	var zero V
 	return zero, false
 }
 
-// Each visits all entries in unspecified order until fn returns false.
+// Each visits all entries, in an order that depends on the keys alone,
+// until fn returns false. The keys of a leaf are copied out as one string
+// and handed to fn as substrings of it.
 func (m Map[V]) Each(fn func(string, V) bool) {
 	if m.root != nil {
 		m.root.each(fn)
 	}
 }
 
-func (n *pnode[V]) each(fn func(string, V) bool) bool {
-	for _, e := range n.entries {
-		if !fn(e.key, e.val) {
-			return false
+func (n *mnode[V]) each(fn func(string, V) bool) bool {
+	if n.keys == nil {
+		for _, kid := range n.kids {
+			if kid != nil && !kid.each(fn) {
+				return false
+			}
 		}
+		return true
 	}
-	for _, kid := range n.kids {
-		if !kid.each(fn) {
+	keys := string(n.keys)
+	var key string
+	for i, off := 0, 0; off < len(keys); i++ {
+		key, off = keyAt(keys, off)
+		if !fn(key, n.vals[i]) {
 			return false
 		}
 	}
@@ -287,182 +337,227 @@ func (m Map[V]) Edit() MapEdit[V] {
 }
 
 // mutable returns n if this session allocated it, else a stamped copy
-// that still shares n's arrays.
-func (e *MapEdit[V]) mutable(n *pnode[V]) *pnode[V] {
-	if n.stamp>>pnodeFlagBits == e.gen {
+// that still shares n's slices.
+func (e *MapEdit[V]) mutable(n *mnode[V]) *mnode[V] {
+	if n.stamp>>mnodeFlagBits == e.gen {
 		return n
 	}
 	c := *n
-	c.stamp = e.gen << pnodeFlagBits
+	c.stamp = e.gen << mnodeFlagBits
 	return &c
 }
 
-// insertAt, removeAt and replaceAt edit a node's array: in place when the
-// node owns it (append-style growth keeps a bulk load amortised), as an
-// exact-size copy when it is still shared.
-func insertAt[T any](s []T, own bool, i int, x T) []T {
-	if own {
-		return slices.Insert(s, i, x)
-	}
-	out := make([]T, len(s)+1)
-	copy(out, s[:i])
-	out[i] = x
-	copy(out[i+1:], s[i:])
-	return out
+// leaf returns a new leaf over keys and vals, which become its own.
+func (e *MapEdit[V]) leaf(keys []byte, vals []V) *mnode[V] {
+	return &mnode[V]{stamp: e.gen<<mnodeFlagBits | leafOwnsKeys | leafOwnsVals,
+		count: len(vals), keys: keys, vals: vals}
 }
 
-func removeAt[T any](s []T, own bool, i int) []T {
-	if own {
-		return slices.Delete(s, i, i+1)
+// splice replaces s[at:at+del] with ins: in place when the leaf owns s
+// and it has the room, else in a new slice. A slice the leaf owns grows
+// by a quarter, so a session that fills a leaf (a load) copies it every
+// few keys and not at every one; a shared one is copied at its size
+// (which the allocator rounds up to its size class).
+func splice[T any](s []T, own bool, at, del int, ins ...T) []T {
+	n := len(s) - del + len(ins)
+	if own && n <= cap(s) {
+		return slices.Replace(s, at, at+del, ins...)
 	}
-	out := make([]T, len(s)-1)
-	copy(out, s[:i])
-	copy(out[i:], s[i+1:])
-	return out
+	c := n
+	if own {
+		c += n / 4
+	}
+	out := slices.Grow([]T(nil), c)
+	return append(append(append(out, s[:at]...), ins...), s[at+del:]...)
 }
 
-func replaceAt[T any](s []T, own bool, i int, x T) []T {
-	if !own {
-		s = slices.Clone(s)
-	}
-	s[i] = x
-	return s
+// appendKey appends k, of tag tag, to a leaf's keys, encoded.
+func appendKey(keys []byte, k string, tag byte) []byte {
+	return append(binary.AppendUvarint(append(keys, tag), uint64(len(k))), k...)
 }
 
 // Set stores v under k.
 func (e *MapEdit[V]) Set(k string, v V) {
-	ent := &pentry[V]{k, v}
-	if e.root == nil {
-		e.root = new(pnode[V])
-	}
-	e.root = e.insert(e.root, pmapHash(k), 0, ent)
+	h := pmapHash(k)
+	e.root, _ = e.set(e.root, h, 0, k, keyTag(h), v, nil)
 }
 
-func (e *MapEdit[V]) insert(n *pnode[V], h uint32, shift uint, ent *pentry[V]) *pnode[V] {
-	if shift >= pmapHashBits {
-		n = e.mutable(n)
-		for i, old := range n.entries {
-			if old.key == ent.key {
-				ent.key = old.key
-				n.entries = replaceAt(n.entries, n.own(pnodeOwnsEntries), i, ent)
-				return n
+// Update stores fn(v, ok) under k, where v, ok are what Get(k) returns:
+// one walk of the trie where a Get and a Set take two.
+func (e *MapEdit[V]) Update(k string, fn func(v V, ok bool) V) {
+	h := pmapHash(k)
+	var zero V
+	e.root, _ = e.set(e.root, h, 0, k, keyTag(h), zero, fn)
+}
+
+// set stores v — or, with fn, fn of what k holds — under k, of hash h and
+// tag tag, in the subtree n, whose keys agree on the hash bits below
+// shift, and reports whether k is new.
+func (e *MapEdit[V]) set(n *mnode[V], h uint32, shift uint, k string, tag byte, v V, fn func(V, bool) V) (*mnode[V], bool) {
+	if n == nil {
+		if fn != nil {
+			v = fn(v, false)
+		}
+		return e.leaf(appendKey(nil, k, tag), []V{v}), true
+	}
+	if n.keys == nil {
+		slot := h >> shift & mapMask
+		kid, added := e.set(n.kids[slot], h, shift+mapBits, k, tag, v, fn)
+		if kid != n.kids[slot] || added {
+			n = e.mutable(n)
+			n.kids[slot] = kid
+			if added {
+				n.count++
 			}
 		}
-		n.entries = insertAt(n.entries, n.own(pnodeOwnsEntries), len(n.entries), ent)
-		e.count++
-		return n
+		return n, added
 	}
-	bit := uint32(1) << (h >> shift & pmapMask)
-	di := bits.OnesCount32(n.datamap & (bit - 1))
-	ki := bits.OnesCount32(n.nodemap & (bit - 1))
-	switch {
-	case n.nodemap&bit != 0:
-		kid := e.insert(n.kids[ki], h, shift+pmapBits, ent)
-		if kid != n.kids[ki] {
-			n = e.mutable(n)
-			n.kids = replaceAt(n.kids, n.own(pnodeOwnsKids), ki, kid)
+	i, off, found := n.find(k, tag)
+	if fn != nil {
+		if found {
+			v = fn(n.vals[i], true)
+		} else {
+			v = fn(v, false)
 		}
-	case n.datamap&bit == 0:
-		n = e.mutable(n)
-		n.entries = insertAt(n.entries, n.own(pnodeOwnsEntries), di, ent)
-		n.datamap |= bit
-		e.count++
-	case n.entries[di].key == ent.key:
-		ent.key = n.entries[di].key
-		n = e.mutable(n)
-		n.entries = replaceAt(n.entries, n.own(pnodeOwnsEntries), di, ent)
-	default:
-		// A second key in the slot: both move one level down.
-		old := n.entries[di]
-		kid := e.pair(old, pmapHash(old.key), ent, h, shift+pmapBits)
-		n = e.mutable(n)
-		n.entries = removeAt(n.entries, n.own(pnodeOwnsEntries), di)
-		n.kids = insertAt(n.kids, n.own(pnodeOwnsKids), ki, kid)
-		n.datamap &^= bit
-		n.nodemap |= bit
-		e.count++
 	}
-	return n
+	if found {
+		n = e.mutable(n)
+		n.vals = splice(n.vals, n.own(leafOwnsVals), i, 1, v)
+		return n, false
+	}
+	var buf [64]byte
+	enc := appendKey(buf[:0], k, tag)
+	if n.count >= leafMax && shift < mapHashBits {
+		keys := append(append(append(make([]byte, 0, len(n.keys)+len(enc)), n.keys[:off]...), enc...), n.keys[off:]...)
+		vals := append(append(append(make([]V, 0, n.count+1), n.vals[:i]...), v), n.vals[i:]...)
+		return e.build(keys, vals, shift), true
+	}
+	n = e.mutable(n)
+	n.keys = splice(n.keys, n.own(leafOwnsKeys), off, 0, enc...)
+	n.vals = splice(n.vals, n.own(leafOwnsVals), i, 0, v)
+	n.count++
+	return n, true
 }
 
-// pair builds the subtree holding two entries whose hashes agree on
-// every bit above shift.
-func (e *MapEdit[V]) pair(a *pentry[V], ha uint32, b *pentry[V], hb uint32, shift uint) *pnode[V] {
-	n := &pnode[V]{stamp: e.gen<<pnodeFlagBits | pnodeOwnsEntries | pnodeOwnsKids}
-	sa, sb := ha>>shift&pmapMask, hb>>shift&pmapMask
-	switch {
-	case shift >= pmapHashBits:
-		n.entries = []*pentry[V]{a, b}
-	case sa == sb:
-		n.nodemap = 1 << sa
-		n.kids = []*pnode[V]{e.pair(a, ha, b, hb, shift+pmapBits)}
-	default:
-		if sa > sb {
-			a, b = b, a
+// build returns the subtree over a leaf's worth of keys and values whose
+// hashes agree below shift: one leaf when they fit, else an inner node
+// over the quarters the next hash bits sort them into.
+func (e *MapEdit[V]) build(keys []byte, vals []V, shift uint) *mnode[V] {
+	if len(vals) <= leafMax || shift >= mapHashBits {
+		return e.leaf(keys, vals)
+	}
+	slots := make([]uint8, len(vals))
+	var size, count [1 << mapBits]int
+	for i, off := 0, 0; off < len(keys); i++ {
+		start := off
+		var key []byte
+		key, off = keyAt(keys, off)
+		slots[i] = uint8(pmapHash(key) >> shift & mapMask)
+		size[slots[i]] += off - start
+		count[slots[i]]++
+	}
+	n := &mnode[V]{stamp: e.gen << mnodeFlagBits, count: len(vals)}
+	for s := range n.kids {
+		if count[s] == 0 {
+			continue
 		}
-		n.datamap = 1<<sa | 1<<sb
-		n.entries = []*pentry[V]{a, b}
+		qk, qv := make([]byte, 0, size[s]), make([]V, 0, count[s])
+		for i, off := 0, 0; off < len(keys); i++ {
+			start := off
+			_, off = keyAt(keys, off)
+			if int(slots[i]) == s {
+				qk, qv = append(qk, keys[start:off]...), append(qv, vals[i])
+			}
+		}
+		n.kids[s] = e.build(qk, qv, shift+mapBits)
 	}
 	return n
 }
 
 // Delete removes k, if present.
 func (e *MapEdit[V]) Delete(k string) {
-	if e.root == nil {
-		return
-	}
 	if n, ok := e.remove(e.root, pmapHash(k), 0, k); ok {
 		e.root = n
-		e.count--
-		if e.count == 0 {
-			e.root = nil
-		}
 	}
 }
 
-// remove deletes k below n and keeps the trie canonical: a child left
-// with a single entry and no children folds back into its parent's slot,
-// so a map's shape depends on its keys and not on its history.
-func (e *MapEdit[V]) remove(n *pnode[V], h uint32, shift uint, k string) (*pnode[V], bool) {
-	if shift >= pmapHashBits {
-		for i, old := range n.entries {
-			if old.key == k {
-				n = e.mutable(n)
-				n.entries = removeAt(n.entries, n.own(pnodeOwnsEntries), i)
-				return n, true
-			}
-		}
-		return n, false
+// remove deletes k below n and keeps the trie canonical: an inner node
+// left with leafMax keys folds into one leaf.
+func (e *MapEdit[V]) remove(n *mnode[V], h uint32, shift uint, k string) (*mnode[V], bool) {
+	if n == nil {
+		return nil, false
 	}
-	bit := uint32(1) << (h >> shift & pmapMask)
-	di := bits.OnesCount32(n.datamap & (bit - 1))
-	ki := bits.OnesCount32(n.nodemap & (bit - 1))
-	switch {
-	case n.datamap&bit != 0:
-		if n.entries[di].key != k {
-			return n, false
-		}
-		n = e.mutable(n)
-		n.entries = removeAt(n.entries, n.own(pnodeOwnsEntries), di)
-		n.datamap &^= bit
-		return n, true
-	case n.nodemap&bit != 0:
-		kid, ok := e.remove(n.kids[ki], h, shift+pmapBits, k)
+	if n.keys == nil {
+		slot := h >> shift & mapMask
+		kid, ok := e.remove(n.kids[slot], h, shift+mapBits, k)
 		if !ok {
 			return n, false
 		}
-		n = e.mutable(n)
-		if len(kid.kids) == 0 && len(kid.entries) == 1 {
-			n.kids = removeAt(n.kids, n.own(pnodeOwnsKids), ki)
-			n.entries = insertAt(n.entries, n.own(pnodeOwnsEntries), di, kid.entries[0])
-			n.nodemap &^= bit
-			n.datamap |= bit
-		} else if kid != n.kids[ki] {
-			n.kids = replaceAt(n.kids, n.own(pnodeOwnsKids), ki, kid)
+		if n.count-1 <= leafMax {
+			folded := *n
+			folded.kids[slot] = kid
+			folded.count--
+			return e.fold(&folded), true
 		}
+		n = e.mutable(n)
+		n.kids[slot] = kid
+		n.count--
 		return n, true
 	}
-	return n, false
+	i, off, found := n.find(k, keyTag(h))
+	switch {
+	case !found:
+		return n, false
+	case n.count == 1:
+		return nil, true
+	}
+	_, next := keyAt(n.keys, off)
+	n = e.mutable(n)
+	n.keys = splice(n.keys, n.own(leafOwnsKeys), off, next-off)
+	n.vals = splice(n.vals, n.own(leafOwnsVals), i, 1)
+	n.count--
+	return n, true
+}
+
+// fold returns one leaf holding the keys and values of the subtree n.
+func (e *MapEdit[V]) fold(n *mnode[V]) *mnode[V] {
+	type entry struct {
+		enc, key []byte // the key as a leaf encodes it, and its bytes
+		val      V
+	}
+	order := func(a, b entry) int {
+		switch {
+		case a.enc[0] != b.enc[0]:
+			return int(a.enc[0]) - int(b.enc[0])
+		case len(a.key) != len(b.key):
+			return len(a.key) - len(b.key)
+		}
+		return bytes.Compare(a.key, b.key)
+	}
+	all, size := make([]entry, 0, n.count), 0
+	var gather func(n *mnode[V])
+	gather = func(n *mnode[V]) {
+		if n == nil {
+			return
+		}
+		for _, kid := range n.kids {
+			gather(kid)
+		}
+		for i, off := 0, 0; off < len(n.keys); i++ {
+			start := off
+			var key []byte
+			key, off = keyAt(n.keys, off)
+			all = append(all, entry{n.keys[start:off], key, n.vals[i]})
+			size += off - start
+		}
+	}
+	gather(n)
+	slices.SortFunc(all, order)
+	keys, vals := make([]byte, 0, size), make([]V, len(all))
+	for i, en := range all {
+		keys, vals[i] = append(keys, en.enc...), en.val
+	}
+	return e.leaf(keys, vals)
 }
 
 // --- Postings: persistent ascending ID list ---
@@ -472,18 +567,26 @@ func (e *MapEdit[V]) remove(n *pnode[V], h uint32, shift uint, k string) (*pnode
 // this many IDs plus the spine of chunk headers, whatever the list holds.
 const postChunk = 256
 
-// Postings is one keyword's annotation IDs, ascending, in chunks. A list
-// that fits one chunk is just tail — a unique word costs its 8 bytes and
-// a slice header. The chunks before tail sit behind head.
+// Postings is one keyword's annotation IDs, ascending, in chunks. The
+// zero value is the empty list, and a list of one ID is that ID: with no
+// list, n is the ID (ID 0, which the store never assigns, takes a list).
+// Otherwise n is how many IDs this value holds — the head's chunks, then
+// the first n minus the head's IDs of the tail.
 //
-// Appending the highest ID yet writes into tail's spare capacity in
-// place: a reader pinned to an older Postings value never indexes past
-// its own length, so sharing the backing array along the single-writer
-// chain is safe. Every other edit copies what it changes. Only the latest
-// value of a chain may be extended.
+// A tail's array is allocated with the list header (see newPostList)
+// and never reassigned. Appending the highest ID yet writes into
+// its spare room in place: a reader pinned to an older Postings value
+// never indexes past its own n, so sharing the array along the
+// single-writer chain is safe. Every other edit copies what it changes.
+// Only the latest value of a chain may be extended.
 type Postings struct {
-	tail []uint64
-	head *postHead
+	n    uint64
+	list *postList
+}
+
+type postList struct {
+	head *postHead // nil for a list of one chunk
+	tail []uint64  // len == cap: the array, spare room included
 }
 
 type postHead struct {
@@ -491,129 +594,224 @@ type postHead struct {
 	n      int        // IDs in chunks
 }
 
+// newPostList allocates a list header and a tail array of room for at
+// least c IDs. Up to 140 the two are one object, sized to fill an
+// allocator size class. A full-size tail is an array of its own: it joins
+// the head when it fills, and a head chunk must not keep the header it
+// was allocated with (whose head holds every spine before it) alive.
+func newPostList(head *postHead, c int) *postList {
+	switch {
+	case c <= 2:
+		return withTail(head, func(a *[2]uint64) []uint64 { return a[:] })
+	case c <= 4:
+		return withTail(head, func(a *[4]uint64) []uint64 { return a[:] })
+	case c <= 8:
+		return withTail(head, func(a *[8]uint64) []uint64 { return a[:] })
+	case c <= 16:
+		return withTail(head, func(a *[16]uint64) []uint64 { return a[:] })
+	case c <= 32:
+		return withTail(head, func(a *[32]uint64) []uint64 { return a[:] })
+	case c <= 68:
+		return withTail(head, func(a *[68]uint64) []uint64 { return a[:] })
+	case c <= 140:
+		return withTail(head, func(a *[140]uint64) []uint64 { return a[:] })
+	}
+	return &postList{head, make([]uint64, postChunk)}
+}
+
+// withTail allocates a list header and its tail array A as one object.
+func withTail[A any](head *postHead, ids func(*A) []uint64) *postList {
+	b := new(struct {
+		postList
+		a A
+	})
+	b.postList = postList{head, ids(&b.a)}
+	return &b.postList
+}
+
 // Len returns the number of IDs.
 func (p Postings) Len() int {
-	if p.head == nil {
-		return len(p.tail)
+	switch {
+	case p.list != nil:
+		return int(p.n)
+	case p.n != 0:
+		return 1
 	}
-	return p.head.n + len(p.tail)
+	return 0
+}
+
+// chunks returns the head chunks (nil for a short list).
+func (p Postings) chunks() [][]uint64 {
+	if p.list == nil || p.list.head == nil {
+		return nil
+	}
+	return p.list.head.chunks
+}
+
+// tail returns the IDs after the head chunks, with the array's spare room
+// as their capacity (nil for the empty list and a list of one ID).
+func (p Postings) tail() []uint64 {
+	if p.list == nil {
+		return nil
+	}
+	n := int(p.n)
+	if h := p.list.head; h != nil {
+		n -= h.n
+	}
+	return p.list.tail[:n]
 }
 
 // Each visits the IDs in ascending order until fn returns false.
 func (p Postings) Each(fn func(uint64) bool) {
-	if p.head != nil {
-		for _, c := range p.head.chunks {
-			for _, id := range c {
-				if !fn(id) {
-					return
-				}
+	if p.list == nil {
+		if p.n != 0 {
+			fn(p.n)
+		}
+		return
+	}
+	for _, c := range p.chunks() {
+		for _, id := range c {
+			if !fn(id) {
+				return
 			}
 		}
 	}
-	for _, id := range p.tail {
+	for _, id := range p.tail() {
 		if !fn(id) {
 			return
 		}
 	}
 }
 
-// chunks returns the head chunks (nil for a short list).
-func (p Postings) chunks() [][]uint64 {
-	if p.head == nil {
-		return nil
-	}
-	return p.head.chunks
-}
-
 // locate returns the chunk that holds id or would take it — the first
-// whose last ID is >= id — and its index; tail is chunk len(p.chunks()).
+// whose last ID is >= id — and its index; the tail is chunk
+// len(p.chunks()).
 func (p Postings) locate(id uint64) (int, []uint64) {
 	cs := p.chunks()
 	i := sort.Search(len(cs), func(k int) bool { return cs[k][len(cs[k])-1] >= id })
 	if i < len(cs) {
 		return i, cs[i]
 	}
-	return i, p.tail
+	return i, p.tail()
 }
 
-// room is the capacity a copy of chunk c, with one ID more or fewer,
-// should have: the tail keeps its own, so the appends that follow stay in
-// place; a head chunk is never appended to.
-func (p Postings) room(i int, c []uint64) int {
-	if i == len(p.chunks()) {
-		return cap(c)
+// makePostings returns the list of the given head chunks and tail: the
+// tail is copied into a new array of room for at least room IDs, unless
+// the list is empty or one ID.
+func makePostings(chunks [][]uint64, tail []uint64, room int) Postings {
+	var head *postHead
+	n := len(tail)
+	if len(chunks) > 0 {
+		head = &postHead{chunks: chunks}
+		for _, c := range chunks {
+			head.n += len(c)
+		}
+		n += head.n
 	}
-	return len(c) - 1
+	switch {
+	case head == nil && len(tail) == 0:
+		return Postings{}
+	case head == nil && len(tail) == 1 && tail[0] != 0:
+		return Postings{n: tail[0]}
+	}
+	l := newPostList(head, max(room, len(tail)))
+	copy(l.tail, tail)
+	return Postings{uint64(n), l}
 }
 
-// splice returns p with chunk i replaced by repl: no chunk, one, or the
-// two halves of a split. The last replacement of the tail is the new
-// tail; anything else lands in a fresh spine.
-func (p Postings) splice(i int, repl ...[]uint64) Postings {
+// withChunk returns the list with head chunk i replaced by repl (none,
+// one, or the two halves of a split); the tail is shared.
+func (p Postings) withChunk(i int, repl ...[]uint64) Postings {
 	cs := p.chunks()
-	rest := cs[i:]
-	if i == len(cs) {
-		p.tail = nil
-		if len(repl) > 0 {
-			p.tail, repl = repl[len(repl)-1], repl[:len(repl)-1]
-		}
-		if len(repl) == 0 {
-			return p
-		}
-	} else {
-		rest = rest[1:]
+	spine := make([][]uint64, 0, len(cs)-1+len(repl))
+	spine = append(append(append(spine, cs[:i]...), repl...), cs[i+1:]...)
+	tail := p.tail()
+	if len(spine) == 0 {
+		return makePostings(nil, tail, cap(tail))
 	}
-	spine := make([][]uint64, 0, i+len(repl)+len(rest))
-	spine = append(append(append(spine, cs[:i]...), repl...), rest...)
-	p.head = nil
-	if len(spine) > 0 {
-		p.head = &postHead{chunks: spine}
-		for _, c := range spine {
-			p.head.n += len(c)
-		}
+	head := &postHead{chunks: spine}
+	for _, c := range spine {
+		head.n += len(c)
 	}
-	return p
+	return Postings{uint64(head.n + len(tail)), &postList{head, p.list.tail}}
 }
 
 // With returns the list with id added; a duplicate returns p unchanged.
 func (p Postings) With(id uint64) Postings {
-	if n := len(p.tail); n == 0 && p.head == nil || n > 0 && n < postChunk && p.tail[n-1] < id {
-		p.tail = append(p.tail, id)
-		return p
+	if p.list == nil {
+		switch {
+		case p.n == 0 && id != 0:
+			return Postings{n: id}
+		case p.n == id && id != 0:
+			return p
+		case p.n == 0:
+			return makePostings(nil, []uint64{id}, 2)
+		}
+		return makePostings(nil, []uint64{min(p.n, id), max(p.n, id)}, 2)
+	}
+	tail := p.tail()
+	if t := len(tail); t > 0 && t < postChunk && tail[t-1] < id { // the usual insert: an append
+		if t < cap(tail) {
+			p.list.tail[t] = id
+			return Postings{p.n + 1, p.list}
+		}
+		l := newPostList(p.list.head, 2*t)
+		copy(l.tail, tail)
+		l.tail[t] = id
+		return Postings{p.n + 1, l}
 	}
 	i, c := p.locate(id)
 	at, found := slices.BinarySearch(c, id)
+	chunks := p.chunks()
 	switch {
 	case found:
 		return p
 	case at == postChunk: // above a full tail: it joins the head
-		return p.splice(i, c, []uint64{id})
+		return makePostings(append(slices.Clip(chunks), c), []uint64{id}, 2)
+	case i == len(chunks): // into the tail, built here and copied into its new array
+		var buf [postChunk + 1]uint64
+		grown := append(append(append(buf[:0], c[:at]...), id), c[at:]...)
+		if len(grown) > postChunk { // a full tail splits: its lower half joins the head
+			half := len(grown) / 2
+			chunks, grown = append(slices.Clip(chunks), slices.Clone(grown[:half])), grown[half:]
+		}
+		return makePostings(chunks, grown, cap(c))
 	}
-	grown := make([]uint64, len(c)+1, max(p.room(i, c), len(c)+1))
+	grown := make([]uint64, len(c)+1)
 	copy(grown, c[:at])
 	grown[at] = id
 	copy(grown[at+1:], c[at:])
 	if len(grown) > postChunk {
 		half := len(grown) / 2
-		return p.splice(i, grown[:half:half], grown[half:])
+		return p.withChunk(i, grown[:half:half], grown[half:])
 	}
-	return p.splice(i, grown)
+	return p.withChunk(i, grown)
 }
 
 // Without returns the list with id removed, if present. Chunks shrink
 // and vanish but are not merged: like an ID table's, a list's spine
 // follows the chunks it ever filled that still hold an ID.
 func (p Postings) Without(id uint64) Postings {
+	if p.list == nil {
+		if p.n == id {
+			return Postings{}
+		}
+		return p
+	}
 	i, c := p.locate(id)
 	at, found := slices.BinarySearch(c, id)
 	switch {
 	case !found:
 		return p
+	case i == len(p.chunks()):
+		var buf [postChunk]uint64
+		shrunk := append(append(buf[:0], c[:at]...), c[at+1:]...)
+		return makePostings(p.chunks(), shrunk, cap(c))
 	case len(c) == 1:
-		return p.splice(i)
+		return p.withChunk(i)
 	}
-	shrunk := make([]uint64, len(c)-1, p.room(i, c))
+	shrunk := make([]uint64, len(c)-1)
 	copy(shrunk, c[:at])
 	copy(shrunk[at:], c[at+1:])
-	return p.splice(i, shrunk)
+	return p.withChunk(i, shrunk)
 }

@@ -2,10 +2,13 @@ package cow
 
 import (
 	"fmt"
-	"math/bits"
 	"math/rand"
+	"runtime"
 	"slices"
+	"strconv"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -19,35 +22,71 @@ func (p Postings) ids() []uint64 {
 	return out
 }
 
-// containerKeys is the key pool of the container tests: plain words, two
-// pairs of keys whose 32-bit hashes are equal (they end up in a bucket
-// node below the last trie level), and keys that agree on the low 25 hash
-// bits (a path five single-child nodes deep).
+// fnvState is pmapHash before its avalanche, which is a bijection: two
+// keys hash equal exactly when their states are equal.
+func fnvState(k []byte) uint32 {
+	h := uint32(2166136261)
+	for _, c := range k {
+		h = (h ^ uint32(c)) * 16777619
+	}
+	return h
+}
+
+// equalHashKeys returns n five-byte keys whose hashes are all equal, met
+// in the middle: every state two final bytes can step back to from a
+// fixed target, matched against the states of three-byte prefixes.
+func equalHashKeys(n int) []string {
+	const prime = 16777619
+	inv := uint32(prime) // Newton's iteration for prime's inverse mod 2^32
+	for i := 0; i < 5; i++ {
+		inv *= 2 - prime*inv
+	}
+	target := fnvState([]byte("equal"))
+	back := make(map[uint32][2]byte, 1<<16)
+	for b4 := 0; b4 < 256; b4++ {
+		for b3 := 0; b3 < 256; b3++ {
+			back[((target*inv)^uint32(b4))*inv^uint32(b3)] = [2]byte{byte(b3), byte(b4)}
+		}
+	}
+	var keys []string
+	for pre := 0; len(keys) < n; pre++ {
+		k := []byte{byte(pre >> 16), byte(pre >> 8), byte(pre)}
+		if last, ok := back[fnvState(k)]; ok {
+			keys = append(keys, string(append(k, last[:]...)))
+		}
+	}
+	return keys
+}
+
+// containerKeys is the key pool of the container tests: plain words,
+// keys long enough for a two-byte length, and more keys of one hash than
+// a leaf holds (a path of single-child inner nodes down to a leaf below
+// the last hash bit).
 var containerKeys = sync.OnceValue(func() []string {
 	var keys []string
-	for i := 0; i < 40; i++ {
-		keys = append(keys, fmt.Sprintf("word%02d", i))
+	for i := 0; i < 120; i++ {
+		keys = append(keys, fmt.Sprintf("word%03d", i))
 	}
-	full, low := map[uint32]string{}, map[uint32]string{}
-	var equal, deep []string
-	for i := 0; len(equal) < 4 || len(deep) < 8; i++ {
-		k := fmt.Sprintf("k%d", i)
-		h := pmapHash(k)
-		if other, ok := full[h]; ok && len(equal) < 4 {
-			equal = append(equal, k, other)
-		} else if other, ok := low[h&(1<<25-1)]; ok && len(deep) < 8 {
-			deep = append(deep, k, other)
-		}
-		full[h], low[h&(1<<25-1)] = k, k
+	for i := 0; i < 4; i++ {
+		keys = append(keys, strings.Repeat("long", 40)+strconv.Itoa(i))
 	}
-	return append(append(keys, equal...), deep...)
+	return append(keys, equalHashKeys(leafMax+8)...)
 })
+
+// equalKeys returns the pool's keys of one hash, its last leafMax+8.
+func equalKeys() []string {
+	keys := containerKeys()
+	return keys[len(keys)-(leafMax+8):]
+}
 
 // checkPostings verifies a posting list's shape and contents.
 func checkPostings(t testing.TB, p Postings, want []uint64) {
 	t.Helper()
 	if got := p.ids(); !slices.Equal(got, want) || p.Len() != len(want) {
 		t.Fatalf("Postings %v (len %d), want %v", got, p.Len(), want)
+	}
+	if p.list == nil {
+		return
 	}
 	n := 0
 	for _, c := range p.chunks() {
@@ -56,65 +95,86 @@ func checkPostings(t testing.TB, p Postings, want []uint64) {
 		}
 		n += len(c)
 	}
-	if p.head != nil && (n != p.head.n || n == 0) {
-		t.Fatalf("head counts %d IDs, holds %d", p.head.n, n)
+	if h := p.list.head; h != nil && (n != h.n || n == 0) {
+		t.Fatalf("head counts %d IDs, holds %d", h.n, n)
 	}
-	if len(p.tail) > postChunk {
-		t.Fatalf("tail of %d IDs", len(p.tail))
+	tail, room := p.tail(), len(p.list.tail)
+	if len(tail) > room || room != cap(p.list.tail) || room < 2 || room > postChunk {
+		t.Fatalf("tail of %d IDs in an array of %d (cap %d)", len(tail), room, cap(p.list.tail))
+	}
+	if p.list.head == nil && (len(tail) == 0 || len(tail) == 1 && tail[0] != 0) {
+		t.Fatalf("list header for %v: the empty list and one ID take none", tail)
 	}
 }
 
-// checkTrie verifies the structural invariants of a Map: bitmaps match
-// the arrays, every key sits where its hash says, no node carries a later
-// stamp than the map, the shape is canonical and the count is right.
+// checkTrie verifies the structural invariants of a Map: every key sits
+// under its hash prefix with its hash's tag, a leaf's keys are in order and at most leafMax
+// above the last hash bit, a subtree of at most leafMax keys is one leaf,
+// no node carries a later stamp than the map, and the counts are right.
 func checkTrie[V any](t testing.TB, m Map[V]) {
 	t.Helper()
-	count := 0
-	var walk func(n *pnode[V], shift uint, prefix uint32) int
-	walk = func(n *pnode[V], shift uint, prefix uint32) int {
-		if n.stamp>>pnodeFlagBits > m.gen {
-			t.Fatalf("node stamped %d in a map of generation %d", n.stamp>>pnodeFlagBits, m.gen)
+	var walk func(n *mnode[V], shift uint, prefix uint64) int
+	walk = func(n *mnode[V], shift uint, prefix uint64) int {
+		if n.stamp>>mnodeFlagBits > m.gen {
+			t.Fatalf("node stamped %d in a map of generation %d", n.stamp>>mnodeFlagBits, m.gen)
 		}
-		if shift >= pmapHashBits {
-			if n.datamap != 0 || n.nodemap != 0 || len(n.kids) != 0 {
-				t.Fatalf("bucket node with bitmaps %x/%x and %d kids", n.datamap, n.nodemap, len(n.kids))
+		if n.keys == nil {
+			if shift >= mapHashBits || n.vals != nil {
+				t.Fatalf("inner node at shift %d with %d values", shift, len(n.vals))
 			}
-			for _, e := range n.entries {
-				if pmapHash(e.key) != prefix {
-					t.Fatalf("key %q in the bucket of hash %x", e.key, prefix)
+			keys := 0
+			for slot, kid := range n.kids {
+				if kid != nil {
+					keys += walk(kid, shift+mapBits, prefix|uint64(slot)<<shift)
 				}
 			}
-			return len(n.entries)
-		}
-		if n.datamap&n.nodemap != 0 || bits.OnesCount32(n.datamap) != len(n.entries) || bits.OnesCount32(n.nodemap) != len(n.kids) {
-			t.Fatalf("bitmaps %x/%x over %d entries, %d kids", n.datamap, n.nodemap, len(n.entries), len(n.kids))
-		}
-		keys, di, ki := 0, 0, 0
-		for slot := uint32(0); slot <= pmapMask; slot++ {
-			at := prefix | slot<<shift
-			switch bit := uint32(1) << slot; {
-			case n.datamap&bit != 0:
-				if h := pmapHash(n.entries[di].key); h&(1<<(shift+pmapBits)-1) != at {
-					t.Fatalf("key %q (hash %x) under prefix %x at shift %d", n.entries[di].key, h, at, shift)
-				}
-				di++
-				keys++
-			case n.nodemap&bit != 0:
-				below := walk(n.kids[ki], shift+pmapBits, at)
-				if below < 2 {
-					t.Fatalf("child holding %d keys was not folded into its parent", below)
-				}
-				ki++
-				keys += below
+			if keys != n.count || keys <= leafMax {
+				t.Fatalf("inner node counts %d keys, holds %d (a leaf holds %d)", n.count, keys, leafMax)
 			}
+			return keys
 		}
-		return keys
+		if n.count != len(n.vals) || n.count == 0 || n.count > leafMax && shift < mapHashBits {
+			t.Fatalf("leaf at shift %d counts %d keys, holds %d values", shift, n.count, len(n.vals))
+		}
+		var prev []byte
+		var prevTag byte
+		i := 0
+		for off := 0; off < len(n.keys); i++ {
+			tag := n.keys[off]
+			var key []byte
+			key, off = keyAt(n.keys, off)
+			h := pmapHash(key)
+			if uint64(h)&(1<<min(shift, mapHashBits)-1) != prefix || tag != keyTag(h) {
+				t.Fatalf("key %q (hash %x, tag %x) under prefix %x at shift %d", key, h, tag, prefix, shift)
+			}
+			if i > 0 && (prevTag > tag || prevTag == tag && (len(prev) > len(key) ||
+				len(prev) == len(key) && string(prev) >= string(key))) {
+				t.Fatalf("leaf keys %q then %q", prev, key)
+			}
+			prev, prevTag = key, tag
+		}
+		if i != n.count {
+			t.Fatalf("leaf of %d values decodes %d keys", n.count, i)
+		}
+		return i
 	}
+	count := 0
 	if m.root != nil {
 		count = walk(m.root, 0, 0)
 	}
-	if count != m.count || m.Len() != count {
-		t.Fatalf("count %d, trie holds %d", m.count, count)
+	if m.Len() != count {
+		t.Fatalf("len %d, trie holds %d", m.Len(), count)
+	}
+	seen := 0
+	m.Each(func(k string, _ V) bool {
+		if _, ok := m.Get(k); !ok {
+			t.Fatalf("each visits %q, which get does not find", k)
+		}
+		seen++
+		return true
+	})
+	if seen != count {
+		t.Fatalf("each visited %d keys, trie holds %d", seen, count)
 	}
 }
 
@@ -172,9 +232,18 @@ func runContainerOps(t testing.TB, data []byte) {
 	e := m.Edit()
 	next, sealed := uint64(1), 0
 
-	add := func(k string, id uint64) {
-		p, _ := e.Get(k)
-		e.Set(k, p.With(id))
+	add := func(k string, id uint64) { // through Update or Get and Set, by the ID's parity
+		if id%2 == 0 {
+			e.Update(k, func(p Postings, ok bool) Postings {
+				if _, had := model[k]; ok != had {
+					t.Fatalf("update of %q: ok %v, the model has it %v", k, ok, had)
+				}
+				return p.With(id)
+			})
+		} else {
+			p, _ := e.Get(k)
+			e.Set(k, p.With(id))
+		}
 		if at, found := slices.BinarySearch(model[k], id); !found {
 			model[k] = slices.Insert(model[k], at, id)
 		}
@@ -268,30 +337,37 @@ func TestContainersAgainstModel(t *testing.T) {
 		t.Fatal("edit wrote through to its base")
 	}
 
-	keys := containerKeys()
-	collide := keys[40:44] // two pairs of equal hashes
-	if pmapHash(collide[0]) != pmapHash(collide[1]) || pmapHash(collide[2]) != pmapHash(collide[3]) {
-		t.Fatalf("fixture: %q do not collide pairwise", collide)
+	// More keys of one hash than a leaf holds: a chain of single-child
+	// inner nodes down to a leaf below the last hash bit, which every
+	// delete down to leafMax keys folds back into one leaf at the root.
+	equal := equalKeys()
+	for _, k := range equal[1:] {
+		if pmapHash(k) != pmapHash(equal[0]) {
+			t.Fatalf("fixture: %q and %q hash differently", k, equal[0])
+		}
 	}
 	for _, order := range [][]int{{0, 1, 2, 3}, {3, 2, 1, 0}, {1, 3, 0, 2}} {
 		base := Map[int]{}.Edit()
-		for i, k := range collide {
+		for i, k := range equal {
 			base.Set(k, i)
 		}
 		full := base.Map
 		checkTrie(t, full)
 		e := full.Edit()
-		for n, i := range order {
-			e.Delete(collide[i])
+		for n := range equal {
+			e.Delete(equal[(n/4*4+order[n%4])%len(equal)])
 			checkTrie(t, e.Map)
-			if e.Len() != len(collide)-n-1 {
+			if e.Len() != len(equal)-n-1 {
 				t.Fatalf("len %d after %d deletes", e.Len(), n+1)
+			}
+			if e.Len() > 0 && e.Len() <= leafMax && e.root.keys == nil {
+				t.Fatalf("%d keys of one hash not folded into a leaf", e.Len())
 			}
 		}
 		if e.root != nil {
 			t.Fatal("emptied map keeps a root")
 		}
-		for i, k := range collide {
+		for i, k := range equal {
 			if v, ok := full.Get(k); !ok || v != i {
 				t.Fatalf("base lost %q while its successor was emptied", k)
 			}
@@ -309,4 +385,241 @@ func FuzzContainers(f *testing.F) {
 	rng.Read(long)
 	f.Add(long)
 	f.Fuzz(func(t *testing.T, data []byte) { runContainerOps(t, data) })
+}
+
+// TestPostingsChunkEdges walks a long list through the edits the random
+// streams rarely reach: an out-of-order insert into a full tail, which
+// splits it, and a head chunk emptied one ID at a time until the head is
+// gone.
+func TestPostingsChunkEdges(t *testing.T) {
+	var p Postings
+	var model []uint64
+	for id := uint64(2); id <= 2*(postChunk+postChunk); id += 2 { // a full head chunk and a full tail
+		p = p.With(id)
+		model = append(model, id)
+	}
+	checkPostings(t, p, model)
+	if len(p.chunks()) != 1 || len(p.tail()) != postChunk {
+		t.Fatalf("fixture: %d head chunks and a tail of %d", len(p.chunks()), len(p.tail()))
+	}
+	full := p
+	p = p.With(2*postChunk + 3) // into the full tail
+	model = slices.Insert(model, postChunk+1, 2*postChunk+3)
+	checkPostings(t, p, model)
+	if len(p.chunks()) != 2 {
+		t.Fatalf("the full tail did not split: %d head chunks", len(p.chunks()))
+	}
+	checkPostings(t, full, slices.Delete(slices.Clone(model), postChunk+1, postChunk+2))
+	for _, id := range slices.Clone(model[:postChunk]) { // the first head chunk, emptied
+		p = p.Without(id)
+		model = model[1:]
+		checkPostings(t, p, model)
+	}
+	for len(model) > 0 { // the rest, from the top
+		p = p.Without(model[len(model)-1])
+		model = model[:len(model)-1]
+		checkPostings(t, p, model)
+	}
+	if p != (Postings{}) {
+		t.Fatalf("emptied list is %+v, not the zero value", p)
+	}
+}
+
+// TestPostingsAllocations: a list of one ID is the ID, allocated nowhere,
+// and building a list by appends allocates no more often than the layout
+// this one replaced, whose tail was a slice in the value (the counts it
+// took are the bounds here).
+func TestPostingsAllocations(t *testing.T) {
+	var one, two Postings
+	if allocs := testing.AllocsPerRun(100, func() { one = Postings{}.With(7) }); allocs != 0 || one.Len() != 1 {
+		t.Fatalf("a one-ID list allocates %.0f objects (len %d)", allocs, one.Len())
+	}
+	two = one.With(9)
+	if allocs := testing.AllocsPerRun(100, func() { one = two.Without(9) }); allocs != 0 || one.ids()[0] != 7 {
+		t.Fatalf("shrinking to one ID allocates %.0f objects (%v)", allocs, one.ids())
+	}
+	for _, c := range []struct {
+		n     int
+		bound float64
+	}{{1, 1}, {2, 2}, {3, 3}, {10, 5}, {256, 9}, {257, 12}, {1000, 42}, {5000, 218}} {
+		allocs := testing.AllocsPerRun(10, func() {
+			var p Postings
+			for id := 1; id <= c.n; id++ {
+				p = p.With(uint64(id))
+			}
+		})
+		if allocs > c.bound {
+			t.Errorf("%d appends allocate %.0f objects, want at most %.0f", c.n, allocs, c.bound)
+		}
+	}
+}
+
+// liveHeap returns the heap in use once the collector has settled.
+func liveHeap() uint64 {
+	var m runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m)
+	for {
+		last := m.HeapAlloc
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		if m.HeapAlloc >= last {
+			return m.HeapAlloc
+		}
+	}
+}
+
+// TestMapFootprint bounds what an entry costs a map, everything counted:
+// trie nodes, leaf slices, keys and values (and, for the keyword shape,
+// the posting lists). Two shapes: the a-graph's node index, decimal keys
+// to an int32, and the keyword index — six-letter words, three in four
+// of them holding one ID. Each is built both ways a server builds one:
+// a key per edit session, as commits do, and all in one session, as a
+// load does. The CHAMP trie this replaced, with a boxed entry per key,
+// took 56 to 59 bytes per node-index entry and 88 to 91 per keyword
+// entry, not counting the keyword's string, which it shared with the
+// caller; these take 18 to 20 and 45 to 52, key bytes included.
+func TestMapFootprint(t *testing.T) {
+	const n = 20000
+	rng := rand.New(rand.NewSource(3))
+	words := make([]string, n)
+	lists := make([][]uint64, n)
+	for i := range words {
+		b := make([]byte, 6)
+		for j := range b {
+			b[j] = 'a' + byte(rng.Intn(26))
+		}
+		words[i] = string(b) + strconv.Itoa(i%10) // distinct
+		for id := uint64(1 + i); len(lists[i]) == 0 || rng.Intn(4) == 0 && len(lists[i]) < 8; id += n {
+			lists[i] = append(lists[i], id)
+		}
+	}
+	for _, c := range []struct {
+		name  string
+		bound float64
+		build func(perKey bool) any
+	}{
+		{"node index", 24, func(perKey bool) any {
+			e := Map[int32]{}.Edit()
+			for i := 0; i < n; i++ {
+				if perKey {
+					e = e.Map.Edit()
+				}
+				e.Set(strconv.Itoa(1+i), int32(i))
+			}
+			return e.Map
+		}},
+		{"keyword index", 56, func(perKey bool) any {
+			e := Map[Postings]{}.Edit()
+			for i, w := range words {
+				if perKey {
+					e = e.Map.Edit()
+				}
+				var p Postings
+				for _, id := range lists[i] {
+					p = p.With(id)
+				}
+				e.Set(w, p)
+			}
+			return e.Map
+		}},
+	} {
+		for _, perKey := range []bool{true, false} {
+			before := liveHeap()
+			m := c.build(perKey)
+			per := float64(liveHeap()-before) / n
+			t.Logf("%s, a session per key %v: %.1f bytes per entry", c.name, perKey, per)
+			if per > c.bound {
+				t.Errorf("%s, a session per key %v: %.1f bytes per entry, want at most %.0f", c.name, perKey, per, c.bound)
+			}
+			runtime.KeepAlive(m)
+		}
+	}
+}
+
+// TestMapReadersUnderEdits: readers Get and Each published maps, and walk
+// their posting lists, while one writer's sessions append to those lists
+// in place, insert keys that split leaves and delete keys that fold them.
+// Every map a reader holds must read as the model published with it; the
+// race detector checks that no write touches what a reader can reach.
+func TestMapReadersUnderEdits(t *testing.T) {
+	type version struct {
+		m     Map[Postings]
+		model map[string][]uint64
+	}
+	keys := containerKeys()
+	var cur atomic.Pointer[version]
+	cur.Store(&version{model: map[string][]uint64{}})
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	var reads atomic.Int64
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				v := cur.Load()
+				for k, want := range v.model {
+					got, ok := v.m.Get(k)
+					if !ok || !slices.Equal(got.ids(), want) {
+						t.Errorf("key %q reads %v (%v), published with %v", k, got.ids(), ok, want)
+						return
+					}
+				}
+				seen := 0
+				v.m.Each(func(k string, p Postings) bool {
+					if want, ok := v.model[k]; ok && p.Len() == len(want) {
+						seen++
+					}
+					return true
+				})
+				if seen != len(v.model) || v.m.Len() != len(v.model) {
+					t.Errorf("each saw %d keys as published, len %d, model %d", seen, v.m.Len(), len(v.model))
+					return
+				}
+				reads.Add(1)
+			}
+		}()
+	}
+	rng := rand.New(rand.NewSource(5))
+	next := uint64(1)
+	for s := 0; s < 400 || reads.Load() < 50 && s < 20000; s++ {
+		v := cur.Load()
+		model := make(map[string][]uint64, len(v.model))
+		for k, ids := range v.model {
+			model[k] = slices.Clip(ids)
+		}
+		e := v.m.Edit()
+		for op := 0; op < 1+rng.Intn(8); op++ {
+			k := keys[rng.Intn(len(keys))]
+			switch p, _ := e.Get(k); rng.Intn(5) {
+			case 0, 1, 2: // append: in place while the tail has room
+				e.Set(k, p.With(next))
+				model[k] = append(model[k], next)
+				next++
+			case 3:
+				if len(model[k]) > 1 {
+					id := model[k][rng.Intn(len(model[k]))]
+					e.Set(k, p.Without(id))
+					model[k] = slices.DeleteFunc(slices.Clone(model[k]), func(x uint64) bool { return x == id })
+					break
+				}
+				fallthrough
+			default:
+				e.Delete(k)
+				delete(model, k)
+			}
+		}
+		cur.Store(&version{e.Map, model})
+	}
+	close(done)
+	wg.Wait()
+	if reads.Load() == 0 {
+		t.Fatal("no reader finished a pass")
+	}
 }

@@ -3,7 +3,6 @@ package prop
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -284,19 +283,15 @@ func spatialKind(k core.ReferentKind) bool {
 func (e *Engine) evalSource(v *core.View, ann *core.Annotation, rules []Rule,
 	stats map[string]*ruleStat) []core.DerivedFact {
 	var facts []core.DerivedFact
-	var keywords []string // lazily fetched once per source
 	ownRefs := make(map[uint64]bool, len(ann.ReferentIDs))
 	for _, id := range ann.ReferentIDs {
 		ownRefs[id] = true
 	}
 	for _, rule := range rules {
-		if rule.Keyword != "" {
-			if keywords == nil {
-				keywords = ann.Content.Keywords()
-			}
-			if !containsToken(keywords, strings.ToLower(rule.Keyword)) {
-				continue
-			}
+		// The keyword trigger matches as SearchKeyword and the query
+		// engine's contains do, under the keyword index's normalization.
+		if rule.Keyword != "" && !ann.Content.HasKeyword(core.NormalizeKeyword(rule.Keyword)) {
+			continue
 		}
 		if rule.Term != "" && !referencesTerm(ann, rule.Ontology, rule.Term) {
 			continue
@@ -452,15 +447,6 @@ func canonicalize(facts []core.DerivedFact) []core.DerivedFact {
 		}
 	}
 	return out
-}
-
-func containsToken(tokens []string, tok string) bool {
-	for _, t := range tokens {
-		if t == tok {
-			return true
-		}
-	}
-	return false
 }
 
 func referencesTerm(ann *core.Annotation, ont, term string) bool {

@@ -303,6 +303,30 @@ func TestTriggerFilters(t *testing.T) {
 	assertExact(t, s, e)
 }
 
+// TestPaddedKeywordTrigger: a rule's keyword matches an annotation
+// exactly when View.SearchKeyword of the same word returns it — trimmed,
+// then lower-cased. A padded trigger once matched nothing.
+func TestPaddedKeywordTrigger(t *testing.T) {
+	s := newSeqStore(t)
+	e := Attach(s)
+	const word = " Protease "
+	if err := e.AddRule(Rule{ID: "padded", Edge: EdgeOverlap, Keyword: word}); err != nil {
+		t.Fatal(err)
+	}
+	a1 := commitInterval(t, s, 100, 200, "protease cleavage site")
+	a2 := commitInterval(t, s, 150, 250, "unrelated signal")
+	if hits := s.View().SearchKeyword(word, true); len(hits) != 1 || hits[0].ID != a1.ID {
+		t.Fatalf("SearchKeyword(%q) = %v, want annotation %d", word, hits, a1.ID)
+	}
+	if got := s.View().DerivedFrom(a1.ID); len(got) != 1 {
+		t.Fatalf("facts from the source SearchKeyword(%q) returns = %v, want 1", word, got)
+	}
+	if got := s.View().DerivedFrom(a2.ID); got != nil {
+		t.Fatalf("non-matching source has facts: %v", got)
+	}
+	assertExact(t, s, e)
+}
+
 func TestRuleCRUD(t *testing.T) {
 	s := newSeqStore(t)
 	e := Attach(s)

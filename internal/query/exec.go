@@ -455,15 +455,7 @@ func (e *execution) annotationMatches(ann *core.Annotation, props []Prop) (bool,
 			// the keyword index seeds this variable's candidates, and a
 			// re-check under a different normalization would reject the
 			// index's own hits (padded input like `contains " tp53 "`).
-			found := false
-			token := core.NormalizeKeyword(prop.Str)
-			for _, w := range ann.Content.Keywords() {
-				if w == token {
-					found = true
-					break
-				}
-			}
-			if !found {
+			if !ann.Content.HasKeyword(core.NormalizeKeyword(prop.Str)) {
 				return false, nil
 			}
 		case PropCreator:

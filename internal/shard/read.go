@@ -18,6 +18,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -85,16 +86,17 @@ func (vs Views) Epoch() uint64 {
 // broadcast components (ontologies) read from shard 0; components that
 // can appear on several shards (graph nodes for shared terms, keywords,
 // interval-tree domains touched by cross-shard commits) count the union —
-// which over one view is that view's own count.
+// which over one view is that view's own count. A keyword or a node is
+// counted on the first shard that holds it: each shard's are looked up in
+// the shards before it, so no set of the whole store is built.
 func (vs Views) Stats() core.Stats {
 	if len(vs) == 1 {
 		return vs[0].Stats()
 	}
 	var st core.Stats
 	domains := map[string]bool{}
-	keywords := map[string]bool{}
-	nodes := map[agraph.NodeRef]bool{}
-	for _, v := range vs {
+	for k, v := range vs {
+		earlier := vs[:k]
 		vst := v.Stats()
 		st.Annotations += vst.Annotations
 		st.Referents += vst.Referents
@@ -109,13 +111,21 @@ func (vs Views) Stats() core.Stats {
 		for _, d := range v.IntervalDomains() {
 			domains[d] = true
 		}
-		v.EachKeyword(func(w string) bool { keywords[w] = true; return true })
-		v.Graph().NodesEach(func(n agraph.NodeRef) bool { nodes[n] = true; return true })
+		v.EachKeyword(func(w string) bool {
+			if !slices.ContainsFunc(earlier, func(u *core.View) bool { return u.IndexesKeyword(w) }) {
+				st.Keywords++
+			}
+			return true
+		})
+		v.Graph().NodesEach(func(n agraph.NodeRef) bool {
+			if !slices.ContainsFunc(earlier, func(u *core.View) bool { return u.Graph().HasNode(n) }) {
+				st.GraphNodes++
+			}
+			return true
+		})
 	}
 	st.Ontologies = vs[0].Stats().Ontologies
 	st.IntervalTrees = len(domains)
-	st.Keywords = len(keywords)
-	st.GraphNodes = len(nodes)
 	return st
 }
 

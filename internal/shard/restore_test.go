@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"graphitti/internal/agraph"
 	"graphitti/internal/biodata/interact"
 	"graphitti/internal/biodata/msa"
 	"graphitti/internal/biodata/phylo"
@@ -241,6 +242,52 @@ func TestOneShardReadsCostTheShardsOwn(t *testing.T) {
 	}
 	if want := cs.Stats(); stats != want || len(anns) != want.Annotations {
 		t.Fatalf("read %+v and %d annotations, want %+v", stats, len(anns), want)
+	}
+}
+
+// TestStatsCountsTheUnionByLookup: the merged Stats counts a keyword or
+// an a-graph node held by several shards once, as the union sets it used
+// to build did, and over one shard costs the same allocations at 1k and
+// at 10k annotations.
+func TestStatsCountsTheUnionByLookup(t *testing.T) {
+	union := func(vs Views) (keywords, nodes int) {
+		kw, ns := map[string]bool{}, map[agraph.NodeRef]bool{}
+		for _, v := range vs {
+			v.EachKeyword(func(w string) bool { kw[w] = true; return true })
+			v.Graph().NodesEach(func(n agraph.NodeRef) bool { ns[n] = true; return true })
+		}
+		return len(kw), len(ns)
+	}
+	allocs := map[int]float64{}
+	for _, anns := range []int{1000, 10000} {
+		snap := influenzaSnapshot(t, anns)
+		for _, shards := range []int{1, 3} {
+			s := New(shards)
+			if err := s.Restore(snap); err != nil {
+				t.Fatal(err)
+			}
+			vs := s.Views()
+			st := vs.Stats()
+			kw, nodes := union(vs)
+			if st.Keywords != kw || st.GraphNodes != nodes {
+				t.Errorf("%d shards, %d annotations: %d keywords and %d nodes, the union holds %d and %d",
+					shards, anns, st.Keywords, st.GraphNodes, kw, nodes)
+			}
+			if shards == 1 {
+				allocs[anns] = testing.AllocsPerRun(20, func() { st = vs.Stats() })
+				continue
+			}
+			sum := 0
+			for _, v := range vs {
+				sum += v.Stats().Keywords
+			}
+			if sum == kw {
+				t.Errorf("fixture: no keyword is on two of the %d shards", shards)
+			}
+		}
+	}
+	if allocs[1000] != allocs[10000] {
+		t.Errorf("one-shard Stats allocates %v at 1k annotations, %v at 10k", allocs[1000], allocs[10000])
 	}
 }
 

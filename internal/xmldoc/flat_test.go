@@ -40,6 +40,7 @@ func SameAsTree(t testing.TB, flat *Document, tree *TreeDocument) {
 	if got, want := flat.Keywords(), tree.Keywords(); !slices.Equal(got, want) {
 		t.Fatalf("Keywords() = %q, tree %q", got, want)
 	}
+	checkHasKeyword(t, flat)
 	if flat.Len() != tree.Len() {
 		t.Fatalf("Len() = %d, tree %d", flat.Len(), tree.Len())
 	}

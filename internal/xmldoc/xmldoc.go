@@ -963,6 +963,51 @@ func (d *Document) Keywords() []string {
 	return slices.Clone(slices.Compact(words))
 }
 
+// HasKeyword reports whether token is one of Keywords() — a lower-cased
+// word token of the document's text content or attribute values — with
+// no allocation: each value's tokens are compared in place.
+func (d *Document) HasKeyword(token string) bool {
+	for s, v := range d.vals {
+		if d.sh.slots[s] != -int32(CommentNode) && hasToken(v, token) {
+			return true
+		}
+	}
+	return false
+}
+
+// hasToken reports whether a token of s, lower-cased, is token.
+func hasToken(s, token string) bool {
+	start := -1
+	for i := 0; i <= len(s); i++ {
+		if i < len(s) && isWordByte(s[i]) {
+			if start < 0 {
+				start = i
+			}
+		} else if start >= 0 {
+			if i-start == len(token) && lowerIs(s[start:i], token) {
+				return true
+			}
+			start = -1
+		}
+	}
+	return false
+}
+
+// lowerIs reports whether the ASCII word w, lower-cased, is lower (of
+// the same length).
+func lowerIs(w, lower string) bool {
+	for i := 0; i < len(w); i++ {
+		c := w[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		if c != lower[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // Tokenize splits s into lower-cased word tokens. Letters, digits, '.', '-'
 // and '_' are word characters (so terms like "protein.TP53" survive as one
 // token); everything else separates tokens.

@@ -1,6 +1,7 @@
 package xmldoc
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -267,6 +268,51 @@ func TestEqual(t *testing.T) {
 	}
 	if Equal(a, c) {
 		t.Fatal("different text reported equal")
+	}
+}
+
+// checkHasKeyword holds HasKeyword to membership in Keywords(): every
+// keyword, the same words in other cases, padded and cut short, the
+// tokens of every value before they are lower-cased, and a few that are
+// never keywords.
+func checkHasKeyword(t testing.TB, d *Document) {
+	t.Helper()
+	kws := d.Keywords()
+	probes := []string{"", " ", "-", "\u212a", "K", "k", "protease", "tp53", "a b"}
+	for _, w := range kws {
+		probes = append(probes, w, strings.ToUpper(w), " "+w, w+" ", w[:len(w)-1], w+"x")
+	}
+	for _, v := range d.vals {
+		probes = append(probes, strings.Fields(v)...)
+	}
+	for _, p := range probes {
+		if got, want := d.HasKeyword(p), slices.Contains(kws, p); got != want {
+			t.Fatalf("HasKeyword(%q) = %v, Keywords() %q", p, got, kws)
+		}
+	}
+}
+
+// TestHasKeyword: HasKeyword answers as membership in Keywords() does,
+// comment text is not a keyword, and no answer allocates.
+func TestHasKeyword(t *testing.T) {
+	for _, src := range []string{
+		`<a term="protein.TP53"><b>Protease in NS1; protease!</b></a>`,
+		`<annotation id="7"><body>Kinase--activity  suspected_here</body><!-- hidden --><x k="K"/></annotation>`,
+		`<a>K Ünïcode mixed WORDS, words.</a>`,
+		`<a/>`,
+	} {
+		d, err := ParseString(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkHasKeyword(t, d)
+	}
+	d, _ := ParseString(`<a><!-- hidden --><b>Shown</b></a>`)
+	if d.HasKeyword("hidden") || !d.HasKeyword("shown") {
+		t.Fatalf("HasKeyword: comment text %v, element text %v", d.HasKeyword("hidden"), d.HasKeyword("shown"))
+	}
+	if allocs := testing.AllocsPerRun(100, func() { d.HasKeyword("shown") }); allocs != 0 {
+		t.Fatalf("HasKeyword allocates %.0f objects", allocs)
 	}
 }
 
