@@ -57,7 +57,7 @@ func main() {
 	flag.IntVar(&cfg.images, "images", 12, "image count for the neuro study")
 	flag.StringVar(&cfg.snapshot, "snapshot", "", "load the store from a persist snapshot file instead")
 	flag.StringVar(&cfg.dataDir, "data-dir", "", "durable mode: WAL + snapshot directory (created if missing)")
-	flag.Int64Var(&cfg.compactMiB, "compact-threshold-mib", 0, "durable mode: WAL size triggering compaction (0 = default)")
+	flag.Int64Var(&cfg.compactMiB, "compact-threshold-mib", 0, "durable mode: decoded WAL size, every record counted as it inflates, triggering compaction (0 = default, 8 MiB)")
 	flag.IntVar(&cfg.shards, "shards", 1, "writer pipelines: >1 shards the store (per-shard WAL/snapshot under -data-dir); a durable directory pins its count, adopted when the flag is left unset (0 adopts explicitly)")
 	flag.DurationVar(&cfg.opts.QueryTimeout, "query-timeout", 0, "per-request limit for /api/search and /api/query (0 = none); timed-out requests get a 408 JSON error")
 	flag.Int64Var(&cfg.opts.MaxBodyBytes, "max-body-bytes", 0, "cap on JSON request bodies (0 = default 8 MiB); larger requests get 413")

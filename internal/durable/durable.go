@@ -14,25 +14,40 @@
 //	                      current and the op sequence it covers — its atomic
 //	                      rename is the compaction commit point
 //
-// Each WAL payload is one op behind its global sequence number:
-// [0x01][uvarint seq][persist.AppendOp(op)]. A payload that starts with
-// '{' is instead a JSON record, {"seq":n,"kind":k,<dump>}, the form builds
-// before the binary one logged. The form is read per record, since an
-// upgraded server appends binary records to a log that begins with JSON
-// ones. The checkpoint is the same per-dump encoding around a whole
+// Each WAL payload is one op behind its global sequence number, in one of
+// three forms, read per record since an upgraded server appends to a log
+// an earlier build began:
+//
+//	[0x02][uvarint n][DEFLATE chunk]  compressed: the only form written
+//	[0x01][uvarint seq][op]           binary: persist.AppendOp(op)
+//	{"seq":n,"kind":k,<dump>}         JSON, the form the first builds logged
+//
+// A compressed record inflates to the n bytes of a binary one. Its chunk
+// is what one flate.Writer, kept for the life of the log, wrote for that
+// record up to the Flush that ends it, less the sync flush's closing
+// 00 00 ff ff (as in RFC 7692), so it may refer back into the last 32 KiB
+// of the log's earlier decoded payloads, of whatever form. Replay decodes
+// every record, skipped ones included, to keep that window; a writer
+// resumed over a log starts from it as its dictionary, and one on a fresh
+// log from nothing. Builds before the compressed form refuse it.
+//
+// The checkpoint is the same per-dump encoding around a whole
 // snapshot, written straight from a pinned view of the store, deflated,
 // behind a format byte and ahead of a CRC32C of the compressed bytes
 // (persist.WriteCheckpoint); the uncompressed format earlier builds wrote
 // still loads. persist.Decode reads it like any snapshot file, so
-// `graphitti -load <checkpoint> -save out.json stats` turns one into JSON. Open loads the checkpoint, replays WAL records
-// with Seq beyond the manifest's snapshotSeq, truncates a torn tail
-// instead of failing, and resumes appending. The replayed records are one
-// core writer session (a Batch) and publish one view, rules or not.
+// `graphitti -load <checkpoint> -save out.json stats` turns one into
+// JSON. Open loads the checkpoint, replays WAL records with Seq beyond
+// the manifest's snapshotSeq, truncates a torn tail instead of failing,
+// and resumes appending. The replayed records are one core writer session
+// (a Batch) and publish one view, rules or not.
 //
 // # Compaction
 //
-// Once the log crosses Options.CompactThreshold bytes, the store writes a
-// fresh snapshot + manifest (tmp file, fdatasync, atomic rename) and
+// Once the log's decoded size — its header plus, per record, the 8-byte
+// frame header and the decoded payload, what the log would take with
+// every record stored raw — crosses Options.CompactThreshold, the store
+// writes a fresh snapshot + manifest (tmp file, fdatasync, atomic rename) and
 // rotates to an empty log. A crash at any point between those steps is
 // safe: replay skips records the manifest says the snapshot already
 // covers, so a stale log over a new snapshot only costs skipped records.
@@ -90,7 +105,6 @@
 package durable
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -132,8 +146,9 @@ func HasStore(dir string) bool {
 	return len(snaps) > 0
 }
 
-// maxRecordSize mirrors the WAL's frame bound; checked before a sequence
-// number is consumed so an oversize op cannot leave a seq gap.
+// maxRecordSize mirrors the WAL's frame bound. It bounds a record's
+// decoded length and its frame both, checked before a sequence number is
+// consumed so an oversize op cannot leave a seq gap.
 const maxRecordSize = wal.MaxRecordSize
 
 // DefaultCompactThreshold is the log size that triggers compaction when
@@ -142,9 +157,10 @@ const DefaultCompactThreshold = 8 << 20
 
 // Options tune a durable store.
 type Options struct {
-	// CompactThreshold is the WAL size in bytes beyond which a mutation
-	// triggers snapshot compaction; 0 means DefaultCompactThreshold, a
-	// negative value disables compaction.
+	// CompactThreshold is the WAL's decoded size in bytes (every record
+	// counted as if stored raw) beyond which a mutation triggers snapshot
+	// compaction; 0 means DefaultCompactThreshold, a negative value
+	// disables compaction.
 	CompactThreshold int64
 	// NoSync skips fdatasync on the log — crash safety is lost; for
 	// benchmarks contrasting group commit against raw logging only.
@@ -228,43 +244,6 @@ type manifest struct {
 	Snapshot string `json:"snapshot,omitempty"`
 }
 
-// record is the WAL payload: one op, tagged with its sequence number. Its
-// JSON form is the legacy record, the embedded op flattened into the same
-// object.
-type record struct {
-	Seq uint64 `json:"seq"`
-	persist.Op
-}
-
-// recordBinary is the first byte of a binary record; a JSON one starts
-// with '{'.
-const recordBinary = 0x01
-
-// encodeRecord is the binary WAL payload of op at sequence seq.
-func encodeRecord(seq uint64, op persist.Op) []byte {
-	return persist.AppendOp(binary.AppendUvarint(append(make([]byte, 0, 256), recordBinary), seq), op)
-}
-
-// decodeRecord reads a WAL payload in either form.
-func decodeRecord(payload []byte) (record, error) {
-	var rec record
-	switch {
-	case len(payload) == 0:
-		return rec, errors.New("empty record")
-	case payload[0] == '{':
-		err := json.Unmarshal(payload, &rec)
-		return rec, err
-	case payload[0] != recordBinary:
-		return rec, fmt.Errorf("unknown record format byte 0x%02x", payload[0])
-	}
-	seq, n := binary.Uvarint(payload[1:])
-	if n <= 0 {
-		return rec, errors.New("bad sequence number")
-	}
-	op, err := persist.DecodeOp(payload[1+n:])
-	return record{Seq: seq, Op: op}, err
-}
-
 // Stats describes the durability machinery (the wrapped store's own
 // Stats() remain available via Core()).
 type Stats struct {
@@ -281,7 +260,8 @@ type Stats struct {
 	SkippedRecords int
 	// TornBytes is the torn tail truncated at open (0 = clean shutdown).
 	TornBytes int64
-	// LogSize and CompactThreshold describe the live log.
+	// LogSize is the live log's file size. CompactThreshold is compared
+	// with its decoded size, every record counted as if stored raw.
 	LogSize          int64
 	CompactThreshold int64
 	// CompactFailures counts automatic compactions that failed after a
@@ -313,6 +293,11 @@ type Store struct {
 	mu     sync.Mutex
 	w      *wal.Writer
 	closed bool
+	// z compresses the records of w's log; nil while degraded.
+	z *deflater
+	// saved is how many bytes w's log would grow by were its records
+	// decoded: the compaction trigger reads w.Size() + saved.
+	saved int64
 
 	// core is swapped wholesale by Restore while readers keep calling
 	// Core(), hence the atomic pointer. Mutations still serialize on mu.
@@ -409,8 +394,9 @@ func (s *Store) load() error {
 	// the whole log, as many epochs on as records applied.
 	logPath := filepath.Join(s.dir, logFile)
 	var info wal.RecoveryInfo
+	var in inflater
 	err := s.Core().Batch(func(x *core.Tx) (err error) {
-		info, err = wal.Scan(logPath, func(payload []byte) error { return s.replayRecord(x, payload) })
+		info, err = wal.Scan(logPath, func(payload []byte) error { return s.replayRecord(x, &in, payload) })
 		return err
 	})
 	switch {
@@ -420,6 +406,7 @@ func (s *Store) load() error {
 		if err != nil {
 			return err
 		}
+		s.z = newDeflater(in.dict())
 	case errors.Is(err, os.ErrNotExist) || errors.Is(err, wal.ErrBadHeader):
 		// No log, or a log whose very header was torn: start a fresh one.
 		// Header-torn logs can hold no durable (acknowledged) records.
@@ -427,6 +414,7 @@ func (s *Store) load() error {
 		if err != nil {
 			return err
 		}
+		s.z, s.saved = newDeflater(nil), 0
 	default:
 		return err
 	}
@@ -439,12 +427,17 @@ func (s *Store) walOptions() wal.Options {
 }
 
 // replayRecord applies one scanned WAL payload during Open, as one op of
-// the replay session x.
-func (s *Store) replayRecord(x *core.Tx, payload []byte) error {
+// the replay session x; in decodes the log's payloads in order.
+func (s *Store) replayRecord(x *core.Tx, in *inflater, payload []byte) error {
 	if len(payload) == 0 {
 		return nil // Sync marker
 	}
-	rec, err := decodeRecord(payload)
+	raw, err := in.decode(payload)
+	if err != nil {
+		return fmt.Errorf("durable: undecodable WAL record after seq %d: %w", s.seq, err)
+	}
+	s.saved += int64(len(raw) - len(payload))
+	rec, err := decodeRecord(raw)
 	if err != nil {
 		return fmt.Errorf("durable: undecodable WAL record after seq %d: %w", s.seq, err)
 	}
@@ -546,24 +539,29 @@ func (s *Store) Run(op persist.Op) (*core.Annotation, error) {
 		s.mu.Unlock()
 		return ann, err
 	}
-	// Encode and size-check BEFORE consuming a sequence number: an op that
-	// cannot be logged (an oversize record) must not leave a gap in the
-	// on-disk seq stream — a gap makes replay refuse the whole log. The
-	// apply above already happened, though, so memory is now ahead of
+	// Encode, compress and size-check BEFORE consuming a sequence number:
+	// an op that cannot be logged (an oversize record) must not leave a gap
+	// in the on-disk seq stream — a gap makes replay refuse the whole log.
+	// The apply above already happened, though, so memory is now ahead of
 	// disk; degrade the store like any other log failure rather than
 	// serving state that would silently vanish on restart.
 	seq := s.seq + 1
-	payload := encodeRecord(seq, op)
-	if int64(len(payload)) > maxRecordSize {
-		err := fmt.Errorf("op of %d bytes exceeds max record size %d", len(payload), maxRecordSize)
+	raw := encodeRecord(seq, op)
+	var payload []byte
+	if int64(len(raw)) <= maxRecordSize {
+		payload = s.z.frame(raw)
+	}
+	if payload == nil || int64(len(payload)) > maxRecordSize {
+		err := fmt.Errorf("op of %d bytes (%d compressed) exceeds max record size %d", len(raw), len(payload), maxRecordSize)
 		s.degradeLocked(fmt.Errorf("durable: unloggable op %d: %w", seq, err))
 		err = fmt.Errorf("%w: %v", ErrDegraded, s.degradeErr)
 		s.mu.Unlock()
 		return nil, err
 	}
 	s.seq++
+	s.saved += int64(len(raw) - len(payload))
 	ack := s.w.AppendAsyncTraced(payload, op.Span())
-	size := s.w.Size()
+	size := s.w.Size() + s.saved
 	s.mu.Unlock()
 
 	waitStart := time.Now()
@@ -598,9 +596,11 @@ func (s *Store) Run(op persist.Op) (*core.Annotation, error) {
 	return ann, nil
 }
 
-// degradeLocked latches the degraded state; the first fault wins.
-// Callers hold s.mu.
+// degradeLocked latches the degraded state; the first fault wins. The
+// compressor goes with it: it may be ahead of the log, and load builds
+// the next one from what the log holds. Callers hold s.mu.
 func (s *Store) degradeLocked(cause error) {
+	s.z = nil
 	if s.degradeErr == nil && !s.closed {
 		s.degradeErr = cause
 		s.m.setHealthGauge(StateDegraded)
@@ -659,7 +659,7 @@ func (s *Store) Reopen() (*core.Store, error) {
 		_ = fresh.w.Close()
 		return nil, fmt.Errorf("durable: reopen: log probe: %w", err)
 	}
-	s.w = fresh.w
+	s.w, s.z, s.saved = fresh.w, fresh.z, fresh.saved
 	s.core.Store(fresh.Core())
 	s.seq = fresh.seq
 	s.snapshotSeq = fresh.snapshotSeq
@@ -674,7 +674,7 @@ func (s *Store) Reopen() (*core.Store, error) {
 	return fresh.Core(), nil
 }
 
-// compactIfNeeded re-checks the log size under the lock before
+// compactIfNeeded re-checks the log's decoded size under the lock before
 // compacting: when many concurrent writers cross the threshold together,
 // the first one's compaction empties the log and the rest skip, instead
 // of writing N back-to-back checkpoints of the whole store.
@@ -684,7 +684,7 @@ func (s *Store) compactIfNeeded() error {
 	if s.closed {
 		return wal.ErrClosed
 	}
-	if s.w.Size() < s.opts.CompactThreshold {
+	if s.w.Size()+s.saved < s.opts.CompactThreshold {
 		return nil
 	}
 	return s.compactLocked()
@@ -816,7 +816,7 @@ func (s *Store) checkpointLocked(cs *core.Store, seq uint64) error {
 		s.degradeLocked(err)
 		return err
 	}
-	s.w = w
+	s.w, s.z, s.saved = w, s.z.fresh(), 0
 	s.compactions++
 	s.m.compactions.Inc()
 	s.removeStaleSnapshots(name)

@@ -102,25 +102,30 @@ func fixtureSteps(s *Store) {
 	check(s.DeleteRule("overlap-atlas"))
 }
 
-func walPayloads(t *testing.T, dir string) [][]byte {
+// walPayloads returns the payloads of dir's log as logged and as
+// decoded, a compressed record inflated through the log's window.
+func walPayloads(t testing.TB, dir string) (logged, decoded [][]byte) {
 	t.Helper()
-	var out [][]byte
+	var in inflater
 	info, err := wal.Scan(filepath.Join(dir, logFile), func(p []byte) error {
-		out = append(out, append([]byte(nil), p...))
-		return nil
+		raw, err := in.decode(p)
+		logged = append(logged, append([]byte(nil), p...))
+		decoded = append(decoded, append([]byte(nil), raw...))
+		return err
 	})
 	if err != nil || info.TornBytes != 0 {
 		t.Fatalf("scan %s: %v, %d torn bytes", dir, err, info.TornBytes)
 	}
-	return out
+	return logged, decoded
 }
 
 // TestParentWrittenDirectory: a directory the parent commit wrote — JSON
 // records, a JSON checkpoint — opens to the export the parent took of it.
 // The same op list applied here writes the same manifest, and a binary
-// checkpoint and binary WAL records that decode to what the parent wrote:
-// each record, marshalled as a JSON record, is the parent's payload, and
-// the checkpoint, written as JSON, is the parent's file.
+// checkpoint and compressed WAL records that decode to what the parent
+// wrote: each record, inflated through the log's window and marshalled as
+// a JSON record, is the parent's payload, and the checkpoint, written as
+// JSON, is the parent's file.
 func TestParentWrittenDirectory(t *testing.T) {
 	wantExport, err := os.ReadFile(filepath.Join(parentFixture, "export.json"))
 	if err != nil {
@@ -188,14 +193,15 @@ func TestParentWrittenDirectory(t *testing.T) {
 		if want := read(data, snapName(7)); !bytes.Equal(js.Bytes(), want) {
 			t.Errorf("checkpoint written as JSON differs from the parent's:\n got %s\nwant %s", js.Bytes(), want)
 		}
-		got, want := walPayloads(t, dir), walPayloads(t, data)
+		logged, got := walPayloads(t, dir)
+		want, _ := walPayloads(t, data)
 		if len(got) != len(want) {
 			t.Fatalf("%d WAL records, the parent wrote %d", len(got), len(want))
 		}
 		kinds := map[core.OpKind]bool{}
 		for i := range want {
-			if got[i][0] != recordBinary {
-				t.Errorf("WAL record %d is not binary: %q", i, got[i])
+			if logged[i][0] != recordCompressed {
+				t.Errorf("WAL record %d is not compressed: %q", i, logged[i])
 			}
 			rec, err := decodeRecord(got[i])
 			if err != nil {
@@ -305,13 +311,39 @@ func mixedTail(s workload.Sink) {
 }
 
 // TestMixedLog: a server upgraded over the parent's directory appends
-// binary records behind its JSON ones, and the mixed log replays as one.
-// Reopened, the directory exports what the fixture's own export, loaded
-// into an in-memory store, exports after the same ops applied to it one
-// session each.
+// compressed records behind its JSON ones, and the mixed log replays as
+// one.
 func TestMixedLog(t *testing.T) {
+	appendBehind(t, parentFixture, 7, strings.Repeat("{", 14))
+}
+
+// uncompressedFixture is the op list of fixtureSteps without its
+// checkpoint, written by commit 799b2ec, the last one that logged its
+// records uncompressed: 21 binary records and no checkpoint
+// (testdata/parent-799b2ec/generate.go.txt is the program).
+const uncompressedFixture = "testdata/parent-799b2ec"
+
+// TestParentUncompressedLog: a log of binary records opens to the export
+// its writer took of it, compressed records are appended behind them, and
+// the mixed log replays as one.
+func TestParentUncompressedLog(t *testing.T) {
+	appendBehind(t, uncompressedFixture, 0, strings.Repeat(string(rune(recordBinary)), 21))
+}
+
+// appendBehind opens a copy of fixture's directory — a checkpoint at
+// snapshotSeq and a log of the given record forms — to its export, and
+// applies mixedTail through it. The log then holds the fixture's records
+// and 14 compressed ones behind them; reopened, the directory exports what
+// the fixture's own export, loaded into an in-memory store, exports after
+// the same ops applied to it one session each.
+func appendBehind(t *testing.T, fixture string, snapshotSeq uint64, forms string) {
+	t.Helper()
+	wantExport, err := os.ReadFile(filepath.Join(fixture, "export.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	dir := t.TempDir()
-	if err := os.CopyFS(dir, os.DirFS(filepath.Join(parentFixture, "data"))); err != nil {
+	if err := os.CopyFS(dir, os.DirFS(filepath.Join(fixture, "data"))); err != nil {
 		t.Fatal(err)
 	}
 	opts := Options{NoSync: true, CompactThreshold: -1}
@@ -319,25 +351,35 @@ func TestMixedLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if st := s.Stats(); st.SnapshotSeq != snapshotSeq || st.ReplayedRecords != len(forms) || st.TornBytes != 0 {
+		t.Fatalf("recovery stats %+v, want checkpoint %d and %d replayed records", st, snapshotSeq, len(forms))
+	}
+	var got bytes.Buffer
+	if err := persist.Write(s.Core(), &got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), wantExport) {
+		t.Fatalf("export of the parent's directory differs from the parent's own:\n got %s\nwant %s", got.Bytes(), wantExport)
+	}
 	mixedTail(s)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	payloads := walPayloads(t, dir)
-	var forms []byte
-	for _, p := range payloads {
-		forms = append(forms, p[0])
+	logged, decoded := walPayloads(t, dir)
+	var gotForms []byte
+	for _, p := range logged {
+		gotForms = append(gotForms, p[0])
 	}
-	if want := strings.Repeat("{", 14) + strings.Repeat(string(rune(recordBinary)), 14); string(forms) != want {
-		t.Fatalf("record forms %q, want the parent's 14 JSON records and then 14 binary ones", forms)
+	if want := forms + strings.Repeat(string(rune(recordCompressed)), 14); string(gotForms) != want {
+		t.Fatalf("record forms %q, want the parent's %q and then 14 compressed ones", gotForms, forms)
+	}
+	for i, raw := range decoded[len(forms):] {
+		if _, err := decodeRecord(raw); err != nil || raw[0] != recordBinary {
+			t.Fatalf("appended record %d inflates to %q: %v", i, raw, err)
+		}
 	}
 
-	f, err := os.Open(filepath.Join(parentFixture, "export.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, err := persist.Read(f)
-	f.Close()
+	serial, err := persist.Read(bytes.NewReader(wantExport))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,10 +390,11 @@ func TestMixedLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer replayed.Close()
-	if st := replayed.Stats(); st.ReplayedRecords != len(payloads) {
-		t.Fatalf("replayed %d of %d records", st.ReplayedRecords, len(payloads))
+	if st := replayed.Stats(); st.ReplayedRecords != len(logged) {
+		t.Fatalf("replayed %d of %d records", st.ReplayedRecords, len(logged))
 	}
-	var got, want bytes.Buffer
+	var want bytes.Buffer
+	got.Reset()
 	if err := persist.Write(replayed.Core(), &got); err != nil {
 		t.Fatal(err)
 	}

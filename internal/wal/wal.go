@@ -235,6 +235,7 @@ func newWriter(f *os.File, size int64, opts Options) *Writer {
 	w := &Writer{f: f, nosync: opts.NoSync, inject: opts.Inject, size: size,
 		done: make(chan struct{}), m: metricsForShard(opts.Shard), shard: shard}
 	w.cond = sync.NewCond(&w.mu)
+	w.m.sizeBytes.Set(size) // a fresh, reopened or rotated-to log is this big
 	go w.flushLoop()
 	return w
 }
