@@ -25,7 +25,7 @@ func TestNodeRefConstructors(t *testing.T) {
 		{Object("sequences", "NC_1"), ObjectNode, "sequences/NC_1"},
 	}
 	for _, tc := range tests {
-		if tc.ref.Kind != tc.kind || tc.ref.Key != tc.key {
+		if tc.ref.Kind != tc.kind || tc.ref.Key() != tc.key {
 			t.Errorf("ref = %v, want %v:%v", tc.ref, tc.kind, tc.key)
 		}
 	}
@@ -42,7 +42,7 @@ func TestNodeRefKeyFormat(t *testing.T) {
 	for _, id := range []uint64{0, 9, 10, 1 << 30, math.MaxUint64} {
 		for _, node := range []uint64{0, 1, 10, math.MaxUint64} {
 			ref := Content(id, node)
-			if want := fmt.Sprintf("%d/%d", id, node); ref.Kind != ContentNode || ref.Key != want {
+			if want := fmt.Sprintf("%d/%d", id, node); ref.Kind != ContentNode || ref.Key() != want {
 				t.Errorf("Content(%d, %d) = %v, want content:%s", id, node, ref, want)
 			}
 			if a, n, ok := ContentID(ref); !ok || a != id || n != node {
@@ -50,7 +50,7 @@ func TestNodeRefKeyFormat(t *testing.T) {
 			}
 		}
 		ref := Referent(id)
-		if want := fmt.Sprintf("%d", id); ref.Kind != ReferentNode || ref.Key != want {
+		if want := fmt.Sprintf("%d", id); ref.Kind != ReferentNode || ref.Key() != want {
 			t.Errorf("Referent(%d) = %v, want referent:%s", id, ref, want)
 		}
 		if got, ok := ReferentID(ref); !ok || got != id {

@@ -11,11 +11,22 @@ import "sync"
 // nothing of the graph it last served.
 
 // parentLink records how a node was first reached during a traversal:
-// from node prev, over the edge with this id in prev's bucket via (see
-// adjacency.each). A traversal's roots have id 0, which no edge has.
+// from node prev, over the edge with this id, whose label code is via —
+// complemented when the edge lies in prev's in-direction. A traversal's
+// roots have id 0, which no edge has.
 type parentLink struct {
 	prev, via int32
 	id        uint64
+}
+
+// linkTo is the link of the node at the far end of half-edge h of node
+// prev, found in prev's out-direction when out.
+func linkTo(prev int32, out bool, h halfEdge) parentLink {
+	via := int32(h.label)
+	if !out {
+		via = ^via
+	}
+	return parentLink{prev: prev, via: via, id: h.id}
 }
 
 type arena struct {

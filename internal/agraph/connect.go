@@ -124,24 +124,31 @@ func dedupRefs(refs []NodeRef) []NodeRef {
 }
 
 func (g *Graph) connectPairwise(terminals []NodeRef, idxs []int32) (*Subgraph, error) {
-	nodes := make(map[NodeRef]bool)
+	nodes := map[int32]bool{idxs[0]: true}
 	edges := make(map[uint64]Edge)
-	nodes[terminals[0]] = true
 	ar := getArena()
 	defer arenas.Put(ar)
 	for k, dst := range idxs[1:] {
 		if !g.bfs(ar, idxs[0], dst) {
 			return nil, fmt.Errorf("%w: %v to %v", ErrNoPath, terminals[0], terminals[k+1])
 		}
-		p := g.buildPath(ar, idxs[0], dst)
-		for _, n := range p.Nodes {
-			nodes[n] = true
-		}
-		for _, e := range p.Edges {
-			edges[e.ID] = e
-		}
+		g.addChain(ar, dst, nodes, edges)
 	}
-	return assembleSubgraph(terminals, nodes, edges), nil
+	return g.assembleSubgraph(terminals, nodes, edges), nil
+}
+
+// addChain adds the nodes and edges of the parent links from node n back
+// to the root of the arena's traversal that reached it.
+func (g *Graph) addChain(ar *arena, n int32, nodes map[int32]bool, edges map[uint64]Edge) {
+	for cur := n; ; {
+		nodes[cur] = true
+		link := ar.parent[cur]
+		if link.id == 0 {
+			return
+		}
+		edges[link.id] = g.linkEdge(cur, link)
+		cur = link.prev
+	}
 }
 
 // connectExpanding grows BFS frontiers from every terminal at once.
@@ -168,35 +175,21 @@ func (g *Graph) connectExpanding(terminals []NodeRef, idxs []int32) (*Subgraph, 
 	defer arenas.Put(ar)
 	ar.reset(int(g.slots))
 
-	nodes := make(map[NodeRef]bool, len(terminals))
+	nodes := make(map[int32]bool, len(terminals))
 	edges := make(map[uint64]Edge)
 	for i, t := range idxs {
 		ar.mark(t, parentLink{prev: -1})
 		ar.comp[t] = int32(i)
 		ar.queue = append(ar.queue, t)
-		nodes[terminals[i]] = true
-	}
-
-	// addChain walks the parent links from n back to its terminal, adding
-	// the traversed nodes and edges to the result.
-	addChain := func(n int32) {
-		for cur := n; ; {
-			nodes[g.node(cur).ref] = true
-			link := ar.parent[cur]
-			if link.id == 0 {
-				return
-			}
-			edges[link.id] = g.linkEdge(cur, link)
-			cur = link.prev
-		}
+		nodes[t] = true
 	}
 
 	for qi := 0; qi < len(ar.queue) && components > 1; qi++ {
 		cur := ar.queue[qi]
 		curComp := ar.comp[cur]
-		eachIncident(g.node(cur), func(via int32, h halfEdge) bool {
+		g.node(cur).eachIncident(func(out bool, h halfEdge) bool {
 			if !ar.seenAt(h.peer) {
-				ar.mark(h.peer, parentLink{prev: cur, via: via, id: h.id})
+				ar.mark(h.peer, linkTo(cur, out, h))
 				ar.comp[h.peer] = curComp
 				ar.queue = append(ar.queue, h.peer)
 				return true
@@ -204,9 +197,9 @@ func (g *Graph) connectExpanding(terminals []NodeRef, idxs []int32) (*Subgraph, 
 			if a, b := find(ar.comp[h.peer]), find(curComp); a != b {
 				// Frontiers meet: join the two components through
 				// cur -(h)- peer.
-				addChain(cur)
-				addChain(h.peer)
-				edges[h.id] = g.edge(g.node(cur), via, h)
+				g.addChain(ar, cur, nodes, edges)
+				g.addChain(ar, h.peer, nodes, edges)
+				edges[h.id] = g.edge(g.node(cur), out, h)
 				comp[a] = b
 				components--
 			}
@@ -216,13 +209,13 @@ func (g *Graph) connectExpanding(terminals []NodeRef, idxs []int32) (*Subgraph, 
 	if components > 1 {
 		return nil, fmt.Errorf("%w: terminals are not all connected", ErrNoPath)
 	}
-	return assembleSubgraph(terminals, nodes, edges), nil
+	return g.assembleSubgraph(terminals, nodes, edges), nil
 }
 
-func assembleSubgraph(terminals []NodeRef, nodes map[NodeRef]bool, edges map[uint64]Edge) *Subgraph {
-	s := &Subgraph{Terminals: append([]NodeRef(nil), terminals...)}
-	for n := range nodes {
-		s.Nodes = append(s.Nodes, n)
+func (g *Graph) assembleSubgraph(terminals []NodeRef, nodes map[int32]bool, edges map[uint64]Edge) *Subgraph {
+	s := &Subgraph{Terminals: append([]NodeRef(nil), terminals...), Nodes: make([]NodeRef, 0, len(nodes))}
+	for i := range nodes {
+		s.Nodes = append(s.Nodes, g.ref(g.node(i)))
 	}
 	sortRefs(s.Nodes)
 	for _, e := range edges {

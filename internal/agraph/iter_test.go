@@ -1,6 +1,7 @@
 package agraph
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 )
@@ -102,7 +103,7 @@ func TestHasEdgeBetween(t *testing.T) {
 		{a, c, nil, false},
 		{Referent(99), b, nil, false},
 		{a, Referent(99), nil, false},
-		{NodeRef{Kind: nodeKinds, Key: "2"}, b, nil, false}, // a kind no graph holds
+		{NodeRef{Kind: nodeKinds, name: "2"}, b, nil, false}, // a kind no graph holds
 	}
 	for _, tc := range cases {
 		if got := g.HasEdgeBetween(tc.from, tc.to, tc.labels...); got != tc.want {
@@ -231,5 +232,89 @@ func TestConcurrentItersDuringAddEdge(t *testing.T) {
 	})
 	if want := 50 + 600 - 60; last.EdgeCount() != want || g.EdgeCount() != 50 {
 		t.Fatalf("%d edges at the end, want %d; %d in the first value", last.EdgeCount(), want, g.EdgeCount())
+	}
+}
+
+// TestNodeEditsUnderReaders runs readers on held values while one
+// writer's sessions re-edit the nodes they walk: each session gives every
+// hub two edges (the second written in place on the node the session
+// copied for the first), takes one edge from the middle of a hub's list
+// by removing its spoke, and the hubs are the nodes of the previous
+// values the readers hold. Meant for -race. Every edge has one hub end,
+// so a value's hub lists, walked and counted, add up to its edge count.
+func TestNodeEditsUnderReaders(t *testing.T) {
+	hubs := []NodeRef{Object("hub", "0"), Object("hub", "1"), Referent(0), ContentRoot(0)}
+	spoke := func(step, h int) NodeRef { return Referent(uint64(1000 + 4*step + h)) }
+	g := build(func(e *Edit) {
+		for _, h := range hubs {
+			e.AddNode(h)
+		}
+	})
+	last := publishEach(g, 300, 3, func(e *Edit, step int) {
+		for h, hub := range hubs {
+			e.AddEdge(hub, spoke(step, h), LabelAnnotates)
+			e.AddEdge(spoke(step, h), hubs[(h+1)%len(hubs)], LabelMarks)
+		}
+		if step%5 == 4 {
+			if err := e.RemoveNode(spoke(step-3, step%len(hubs))); err != nil {
+				t.Errorf("remove: %v", err)
+			}
+		}
+	}, func(g *Graph) {
+		total := 0
+		for _, hub := range hubs {
+			for _, each := range []func(NodeRef, func(Edge) bool, ...EdgeLabel){g.OutEach, g.InEach} {
+				last, n := uint64(0), 0
+				each(hub, func(e Edge) bool {
+					if e.ID <= last || e.From != hub && e.To != hub {
+						t.Errorf("visit of %v saw %v after edge %d", hub, e, last)
+						return false
+					}
+					last = e.ID
+					n++
+					return true
+				})
+				total += n
+			}
+			if n := g.OutCount(hub) + g.InCount(hub); n != g.OutCount(hub, LabelAnnotates)+g.InCount(hub, LabelMarks) {
+				t.Errorf("%v: %d edges, not all annotates out and marks in", hub, n)
+			}
+		}
+		if total != g.EdgeCount() || g.NodeCount() != len(hubs)+g.EdgeCount()/2 {
+			t.Errorf("hubs walk %d of %d edges among %d nodes", total, g.EdgeCount(), g.NodeCount())
+		}
+	})
+	if want := 2*len(hubs)*300 - 2*300/5; last.EdgeCount() != want || g.EdgeCount() != 0 {
+		t.Fatalf("%d edges at the end, want %d; %d in the first value", last.EdgeCount(), want, g.EdgeCount())
+	}
+}
+
+// TestManyLabels: a graph that carries more labels than a filter's code
+// mask holds (64) filters by the later ones too.
+func TestManyLabels(t *testing.T) {
+	a, b := Referent(1), Referent(2)
+	label := func(i int) EdgeLabel { return EdgeLabel(fmt.Sprintf("l%d", i)) }
+	g := build(func(e *Edit) {
+		for i := 0; i < 70; i++ {
+			e.AddEdge(a, b, label(i))
+		}
+	})
+	if g.LabelCount() != 70 {
+		t.Fatalf("%d labels, want 70", g.LabelCount())
+	}
+	for _, i := range []int{0, 63, 64, 69} {
+		got := collect(g.OutEach, a, []EdgeLabel{label(i)})
+		if len(got) != 1 || got[0].ID != uint64(i+1) || got[0].Label != label(i) {
+			t.Errorf("OutEach(%s) = %v", label(i), got)
+		}
+		if g.InCount(b, label(i)) != 1 || !g.HasEdgeBetween(a, b, label(i)) || g.HasEdgeBetween(b, a, label(i)) {
+			t.Errorf("%s: counted or probed wrong", label(i))
+		}
+	}
+	if got := collect(g.InEach, b, []EdgeLabel{label(66), label(3), "l70"}); len(got) != 2 || got[0].ID != 4 || got[1].ID != 67 {
+		t.Errorf("InEach(l66, l3, l70) = %v", got)
+	}
+	if g.OutCount(a, "l70") != 0 || g.OutCount(a) != 70 {
+		t.Errorf("counts %d under an unknown label, %d in all", g.OutCount(a, "l70"), g.OutCount(a))
 	}
 }

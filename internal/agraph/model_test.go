@@ -36,6 +36,10 @@ func (m *model) removeNode(ref NodeRef) bool {
 	return had
 }
 
+func labelIn(l EdgeLabel, ls []EdgeLabel) bool {
+	return len(ls) == 0 || slices.Contains(ls, l)
+}
+
 // incident returns the edges leaving (out) or entering ref that carry one
 // of labels (any when none is given), in ID order.
 func (m *model) incident(ref NodeRef, out bool, labels []EdgeLabel) []Edge {
@@ -189,13 +193,17 @@ var editPool = func() (refs []NodeRef) {
 }()
 
 // runEditSessions decodes data as edit sessions over one graph and checks
-// every value a session ends with against the model. Every third value is
-// kept and checked again after all later edits: a value, and the adjacency
-// tails later values extend in place, must never change.
+// every value a session ends with against the model. The value a session
+// was opened on is held, as a reader would hold it, and checked again when
+// the session ends; every third value is kept and checked again after all
+// later edits: a value, and the adjacency tails later values extend in
+// place, must never change.
 //
 // An op is three bytes (code, a, b): add node a, add an edge a→b (the code
 // picks the label), add a run of b parallel edges a→pool[b] (enough of
-// them cross a chunk), remove node a, or end the session.
+// them cross a chunk), remove node a, end the session, or add an edge
+// from the a-th node of the held value — one an earlier session made —
+// and check that node in the held value at once.
 func runEditSessions(t testing.TB, data []byte) {
 	data = data[:min(len(data), 3*1024)] // each check scans the edge list per node and filter
 	labels := []EdgeLabel{LabelAnnotates, LabelRefersTo, LabelMarks, LabelAbout}
@@ -206,18 +214,21 @@ func runEditSessions(t testing.TB, data []byte) {
 	var kept []version
 	var g Graph
 	s := session{g.Edit(), newModel()}
+	held := version{g, s.m.clone()}
 	sealed := 0
 	seal := func() {
+		checkGraph(t, &held.g, held.m)
 		g = *s.e.Graph()
 		checkGraph(t, &g, s.m)
+		held = version{g, s.m.clone()}
 		if sealed++; sealed%3 == 0 {
-			kept = append(kept, version{g, s.m.clone()})
+			kept = append(kept, held)
 		}
 		s.e = g.Edit()
 	}
 	for ; len(data) >= 3; data = data[3:] {
 		a, b := editPool[int(data[1])%len(editPool)], editPool[int(data[2])%len(editPool)]
-		switch code := data[0] % 8; code {
+		switch code := data[0] % 9; code {
 		case 0:
 			s.addNode(a)
 		case 1, 2, 3, 4:
@@ -230,6 +241,22 @@ func runEditSessions(t testing.TB, data []byte) {
 			s.removeNode(t, a)
 		case 7:
 			seal()
+		case 8:
+			nodes := held.g.Nodes()
+			if len(nodes) == 0 || !s.m.nodes[nodes[int(data[1])%len(nodes)]] {
+				break
+			}
+			a = nodes[int(data[1])%len(nodes)]
+			s.addEdge(t, a, b, labels[int(data[2])%len(labels)])
+			for _, out := range []bool{true, false} {
+				each := held.g.InEach
+				if out {
+					each = held.g.OutEach
+				}
+				if got, want := collect(each, a, nil), held.m.incident(a, out, nil); !slices.Equal(got, want) {
+					t.Fatalf("held value, %v (out %v) after a later session's edit: %v, want %v", a, out, got, want)
+				}
+			}
 		}
 		if got, want := s.e.Graph().OutCount(a), len(s.m.incident(a, true, nil)); got != want { // reads see the session's writes
 			t.Fatalf("%v mid-session: %d edges out, want %d", a, got, want)

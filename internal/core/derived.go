@@ -354,12 +354,7 @@ func (v *View) DerivedTargets() []agraph.NodeRef {
 		}
 		return true
 	})
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Kind != out[j].Kind {
-			return out[i].Kind < out[j].Kind
-		}
-		return out[i].Key < out[j].Key
-	})
+	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
 	return out
 }
 
@@ -401,11 +396,8 @@ func DerivedFactLess(a, b DerivedFact) bool {
 	if a.Rule != b.Rule {
 		return a.Rule < b.Rule
 	}
-	if a.Target.Kind != b.Target.Kind {
-		return a.Target.Kind < b.Target.Kind
-	}
-	if a.Target.Key != b.Target.Key {
-		return a.Target.Key < b.Target.Key
+	if c := a.Target.Compare(b.Target); c != 0 {
+		return c < 0
 	}
 	return a.Witness < b.Witness
 }

@@ -196,7 +196,7 @@ func (v *View) AnnotationsOnObject(typ ObjectType, objectID string) []*Annotatio
 	var out []*Annotation
 	v.graph.InEach(objNode, func(re agraph.Edge) bool {
 		v.graph.InEach(re.From, func(ce agraph.Edge) bool {
-			annID, ok := parseContentRef(ce.From)
+			annID, _, ok := agraph.ContentID(ce.From)
 			if !ok || seen[annID] {
 				return true
 			}
@@ -216,7 +216,7 @@ func (v *View) AnnotationsOnObject(typ ObjectType, objectID string) []*Annotatio
 func (v *View) AnnotationsOfReferent(refID uint64) []*Annotation {
 	var out []*Annotation
 	v.graph.InEach(agraph.Referent(refID), func(e agraph.Edge) bool {
-		if annID, ok := parseContentRef(e.From); ok {
+		if annID, _, ok := agraph.ContentID(e.From); ok {
 			if ann := v.annotations.Get(annID); ann != nil {
 				out = append(out, ann)
 			}
@@ -233,7 +233,7 @@ func (v *View) AnnotationsWithTerm(ontologyName, termID string) []*Annotation {
 	var out []*Annotation
 	seen := make(map[uint64]bool)
 	v.graph.InEach(agraph.Term(ontologyName, termID), func(e agraph.Edge) bool {
-		if annID, ok := parseContentRef(e.From); ok && !seen[annID] {
+		if annID, _, ok := agraph.ContentID(e.From); ok && !seen[annID] {
 			seen[annID] = true
 			if ann := v.annotations.Get(annID); ann != nil {
 				out = append(out, ann)
@@ -280,33 +280,32 @@ func (v *View) RelatedAnnotations(annID uint64) ([]*Annotation, error) {
 	if _, err := v.Annotation(annID); err != nil {
 		return nil, err
 	}
-	content := agraph.ContentRoot(annID)
 	seen := map[uint64]bool{annID: true}
 	var out []*Annotation
-	add := func(id uint64) {
-		if !seen[id] {
-			seen[id] = true
-			if ann := v.annotations.Get(id); ann != nil {
-				out = append(out, ann)
-			}
-		}
-	}
-	addAnnotators := func(refNode agraph.NodeRef) {
-		v.graph.InEach(refNode, func(e agraph.Edge) bool {
-			if id, ok := parseContentRef(e.From); ok {
-				add(id)
+	// The nested visits start from the dense index the enclosing one
+	// hands over: no node is looked up by key but the first.
+	addAnnotators := func(ref agraph.NodeIndex) {
+		v.graph.InEachAt(ref, func(e agraph.Edge, _ agraph.NodeIndex) bool {
+			if id, _, ok := agraph.ContentID(e.From); ok && !seen[id] {
+				seen[id] = true
+				if ann := v.annotations.Get(id); ann != nil {
+					out = append(out, ann)
+				}
 			}
 			return true
 		}, agraph.LabelAnnotates)
 	}
-	v.graph.OutEach(content, func(refEdge agraph.Edge) bool {
-		refNode := refEdge.To
+	content, ok := v.graph.Lookup(agraph.ContentRoot(annID))
+	if !ok {
+		return nil, nil
+	}
+	v.graph.OutEachAt(content, func(_ agraph.Edge, ref agraph.NodeIndex) bool {
 		// Annotations sharing this referent.
-		addAnnotators(refNode)
+		addAnnotators(ref)
 		// Annotations marking the same object through other referents.
-		v.graph.OutEach(refNode, func(objEdge agraph.Edge) bool {
-			v.graph.InEach(objEdge.To, func(otherRef agraph.Edge) bool {
-				addAnnotators(otherRef.From)
+		v.graph.OutEachAt(ref, func(_ agraph.Edge, obj agraph.NodeIndex) bool {
+			v.graph.InEachAt(obj, func(_ agraph.Edge, other agraph.NodeIndex) bool {
+				addAnnotators(other)
 				return true
 			}, agraph.LabelMarks)
 			return true
@@ -345,18 +344,19 @@ func (v *View) CorrelatedData(annID uint64) ([]CorrelatedItem, error) {
 			items = append(items, CorrelatedItem{
 				Node:        objEdge.To,
 				Label:       agraph.LabelMarks,
-				Description: "object " + objEdge.To.Key,
+				Description: "object " + objEdge.To.Key(),
 			})
 			return true
 		}, agraph.LabelMarks)
 		return true
 	}, agraph.LabelAnnotates)
 	v.graph.OutEach(content, func(termEdge agraph.Edge) bool {
-		desc := "term " + termEdge.To.Key
-		if parts := strings.SplitN(termEdge.To.Key, "/", 2); len(parts) == 2 {
+		key := termEdge.To.Key()
+		desc := "term " + key
+		if parts := strings.SplitN(key, "/", 2); len(parts) == 2 {
 			if o, ok := v.ontologies[parts[0]]; ok {
 				if t, ok := o.Term(parts[1]); ok && t.Name != "" {
-					desc = fmt.Sprintf("term %s (%s)", t.Name, termEdge.To.Key)
+					desc = fmt.Sprintf("term %s (%s)", t.Name, key)
 				}
 			}
 		}
@@ -378,12 +378,7 @@ func (v *View) CorrelatedData(annID uint64) ([]CorrelatedItem, error) {
 			Description: fmt.Sprintf("annotation %d (%s)", rel.ID, rel.DC.First("title")),
 		})
 	}
-	sort.Slice(items, func(i, j int) bool {
-		if items[i].Node.Kind != items[j].Node.Kind {
-			return items[i].Node.Kind < items[j].Node.Kind
-		}
-		return items[i].Node.Key < items[j].Node.Key
-	})
+	sort.Slice(items, func(i, j int) bool { return items[i].Node.Compare(items[j].Node) < 0 })
 	return items, nil
 }
 
@@ -411,12 +406,6 @@ func (v *View) ConnectAnnotations(ids ...uint64) (*agraph.Subgraph, error) {
 		refs = append(refs, agraph.ContentRoot(id))
 	}
 	return v.graph.Connect(refs...)
-}
-
-// parseContentRef extracts the annotation ID from a content node ref.
-func parseContentRef(ref agraph.NodeRef) (uint64, bool) {
-	ann, _, ok := agraph.ContentID(ref)
-	return ann, ok
 }
 
 // ContentFragments evaluates a path expression against one annotation and

@@ -584,7 +584,7 @@ func (s *server) correlated(w http.ResponseWriter, r *http.Request) {
 	out := make([]item, 0, len(items))
 	for _, it := range items {
 		out = append(out, item{
-			Kind: it.Node.Kind.String(), Key: it.Node.Key,
+			Kind: it.Node.Kind.String(), Key: it.Node.Key(),
 			Label: string(it.Label), Description: it.Description,
 		})
 	}
@@ -797,7 +797,7 @@ type factView struct {
 func viewOfFact(f core.DerivedFact) factView {
 	return factView{
 		Rule: f.Rule, Source: f.Source,
-		TargetKind: f.Target.Kind.String(), TargetKey: f.Target.Key,
+		TargetKind: f.Target.Kind.String(), TargetKey: f.Target.Key(),
 		Witness: f.Witness,
 	}
 }

@@ -187,7 +187,7 @@ func TestOntologyClosureEdge(t *testing.T) {
 	facts := s.View().DerivedFrom(ann.ID)
 	var targets []string
 	for _, f := range facts {
-		targets = append(targets, f.Target.Key)
+		targets = append(targets, f.Target.Key())
 	}
 	want := []string{"go/enzyme", "go/hydrolase", "go/protease"}
 	if !reflect.DeepEqual(targets, want) {
@@ -204,7 +204,7 @@ func TestOntologyClosureEdge(t *testing.T) {
 	var poTargets []string
 	for _, f := range s.View().DerivedFrom(ann2.ID) {
 		if f.Rule == "po" {
-			poTargets = append(poTargets, f.Target.Key)
+			poTargets = append(poTargets, f.Target.Key())
 		}
 	}
 	if !reflect.DeepEqual(poTargets, []string{"go/cell"}) {

@@ -925,7 +925,7 @@ func (e *execution) collate(q *Query, res *Result) error {
 					continue
 				}
 				node := m[v.Name]
-				if id, ok := parseContentNode(node); ok && !seen[id] {
+				if id, _, ok := agraph.ContentID(node); ok && !seen[id] {
 					seen[id] = true
 					ann, err := e.view.Annotation(id)
 					if err != nil {
@@ -994,12 +994,7 @@ func matchSubgraph(q *Query, m Match, g *agraph.Graph) *agraph.Subgraph {
 	for n := range nodes {
 		sg.Nodes = append(sg.Nodes, n)
 	}
-	sort.Slice(sg.Nodes, func(i, j int) bool {
-		if sg.Nodes[i].Kind != sg.Nodes[j].Kind {
-			return sg.Nodes[i].Kind < sg.Nodes[j].Kind
-		}
-		return sg.Nodes[i].Key < sg.Nodes[j].Key
-	})
+	sort.Slice(sg.Nodes, func(i, j int) bool { return sg.Nodes[i].Compare(sg.Nodes[j]) < 0 })
 	for _, e := range edgeSet {
 		sg.Edges = append(sg.Edges, e)
 	}
@@ -1025,19 +1020,9 @@ func matchSubgraph(q *Query, m Match, g *agraph.Graph) *agraph.Subgraph {
 					sg.Edges = append(sg.Edges, e)
 				}
 			}
-			sort.Slice(sg.Nodes, func(i, j int) bool {
-				if sg.Nodes[i].Kind != sg.Nodes[j].Kind {
-					return sg.Nodes[i].Kind < sg.Nodes[j].Kind
-				}
-				return sg.Nodes[i].Key < sg.Nodes[j].Key
-			})
+			sort.Slice(sg.Nodes, func(i, j int) bool { return sg.Nodes[i].Compare(sg.Nodes[j]) < 0 })
 			sort.Slice(sg.Edges, func(i, j int) bool { return sg.Edges[i].ID < sg.Edges[j].ID })
 		}
 	}
 	return sg
-}
-
-func parseContentNode(ref agraph.NodeRef) (uint64, bool) {
-	ann, _, ok := agraph.ContentID(ref)
-	return ann, ok
 }
