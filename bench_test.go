@@ -1195,9 +1195,11 @@ where {
 // work and encoding together. related walks the a-graph from each of 32
 // annotations in turn (hundreds of related annotations per answer),
 // keyword lists one word's postings, query runs the planner suite's join.
-// After the first round every annotation's wire fragment is warm, as on a
-// server that has been read from; run with -benchtime=1x in a fresh
-// process for the cold first touch.
+// Every request encodes each annotation it answers with from its values
+// and its document shape's skeleton; nothing is kept per annotation, so
+// the first round costs what later ones do but for the few shapes'
+// skeletons (BenchmarkWireEncode in internal/httpapi isolates the
+// encoder).
 func BenchmarkReadPath(b *testing.B) {
 	study := fluStudy(b, 10_000)
 	h := httpapi.NewHandler(study.Store)

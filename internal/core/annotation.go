@@ -5,7 +5,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"graphitti/internal/agraph"
@@ -17,7 +16,9 @@ import (
 
 // Annotation is the linker object of the Graphitti model: it connects an
 // XML content document to referents and ontology terms. Instances are
-// immutable once committed.
+// immutable once committed, and hold the annotation and nothing else: a
+// serving layer renders one from these fields on every read and keeps
+// nothing on it.
 type Annotation struct {
 	ID uint64
 	// Content is the annotation's XML document (Dublin Core elements,
@@ -30,30 +31,7 @@ type Annotation struct {
 	ReferentIDs []uint64
 	// Terms are the ontology references.
 	Terms []TermRef
-
-	// encoded is a serving layer's rendering of the annotation, kept
-	// beside it (see Encoded).
-	encoded atomic.Pointer[string]
 }
-
-// Encoded returns the rendering a reader stored with SetEncoded, or ""
-// when none has yet. A committed annotation never changes, so a rendering
-// of it is a pure function of the pointer: the slot needs no invalidation
-// and is freed with the annotation. Its content is opaque to core, which
-// never fills it — commit, load and replay leave it empty, so a store
-// that is only written to carries the eight bytes of the slot and nothing
-// more. The slot has one owner, internal/httpapi's wire encoder; a second
-// rendering would need a slot of its own.
-func (a *Annotation) Encoded() string {
-	if p := a.encoded.Load(); p != nil {
-		return *p
-	}
-	return ""
-}
-
-// SetEncoded stores s as the annotation's rendering. Concurrent callers
-// must be storing equal strings: whichever store lands last is kept.
-func (a *Annotation) SetEncoded(s string) { a.encoded.Store(&s) }
 
 // Builder assembles an annotation prior to Commit. Builders are not safe
 // for concurrent use; each goroutine should use its own. What its

@@ -214,6 +214,27 @@ func elementOf(c xmldoc.Node) Element {
 	return Element(name)
 }
 
+// Slot returns where First(e) sits among the document's values, Root.Values(),
+// or -1 when e has no value. It reads the document's layout, not its
+// values, so it is the same for every document of one shape: a reader of
+// many documents resolves it once per shape (xmldoc.ShapeMemo).
+func (m Meta) Slot(e Element) int {
+	meta := m.meta()
+	if !meta.Valid() {
+		return -1
+	}
+	k := 0
+	for c := meta.FirstChild(); c.Valid(); c, k = c.NextSibling(), k+1 {
+		if elementOf(c) == e {
+			if k < len(meta.Values()) {
+				return meta.Slot() + k
+			}
+			break
+		}
+	}
+	return -1
+}
+
 // All visits each element that has values, in canonical order, with its
 // values, until yield returns false. The slices are the document's own:
 // callers must not write to them.

@@ -101,8 +101,13 @@ func TestXMLRoundTrip(t *testing.T) {
 	if got := back.Elements(); !slices.Equal(got, r.Elements()) || back.Len() != r.Len() {
 		t.Fatalf("round-trip elements = %v (%d values), want %v (%d)", got, back.Len(), r.Elements(), r.Len())
 	}
+	for _, e := range Elements {
+		if at := back.Slot(e); at < 0 && back.First(e) != "" || at >= 0 && d.Root.Values()[at] != back.First(e) {
+			t.Fatalf("%s: slot %d, first value %q", e, at, back.First(e))
+		}
+	}
 	var none Meta
-	if none.Get(Creator) != nil || none.Len() != 0 || none.Elements() != nil {
+	if none.Get(Creator) != nil || none.Len() != 0 || none.Elements() != nil || none.Slot(Creator) != -1 {
 		t.Fatal("the zero Meta has values")
 	}
 }

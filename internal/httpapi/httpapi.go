@@ -432,7 +432,7 @@ func (s *server) getAnnotation(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, err)
 		return
 	}
-	writeAnnotation(w, r, http.StatusOK, ann, true)
+	writeAnnotation(w, r, http.StatusOK, ann)
 }
 
 func (s *server) deleteAnnotation(w http.ResponseWriter, r *http.Request) {
@@ -508,7 +508,7 @@ func (s *server) createAnnotation(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, err)
 		return
 	}
-	writeAnnotation(w, r, http.StatusCreated, ann, false)
+	writeAnnotation(w, r, http.StatusCreated, ann)
 }
 
 // resolveMark builds a referent from a mark spec (read-only: marks are

@@ -6,14 +6,16 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"graphitti/internal/biodata/seq"
 	"graphitti/internal/core"
-	"graphitti/internal/durable"
 	"graphitti/internal/interval"
 	"graphitti/internal/ontology"
 	"graphitti/internal/persist"
@@ -150,7 +152,8 @@ func (c wireCase) commit(t testing.TB, s *core.Store) *core.Annotation {
 
 // checkWire commits the cases into a fresh store and compares the single
 // and the list form of every annotation with the reference encoding,
-// twice: the first pass encodes, the second copies the kept fragments.
+// twice: a case of a shape of its own is the first encoding of that shape
+// in the first pass, a later one in the second.
 func checkWire(t testing.TB, cases ...wireCase) {
 	t.Helper()
 	s := wireStore(t)
@@ -160,12 +163,9 @@ func checkWire(t testing.TB, cases ...wireCase) {
 	for _, c := range cases {
 		anns = append(anns, c.commit(t, s))
 	}
-	for _, pass := range []string{"encoded", "kept"} {
+	for _, pass := range []string{"first", "second"} {
 		wantBody(t, pass+" list", serve(h, "GET", "/api/annotations", ""), refList(t, anns))
 		for _, ann := range anns {
-			if ann.Encoded() == "" {
-				t.Fatalf("annotation %d: a read kept no fragment", ann.ID)
-			}
 			wantBody(t, fmt.Sprintf("%s get %d", pass, ann.ID),
 				serve(h, "GET", fmt.Sprintf("/api/annotations/%d", ann.ID), ""), refOne(t, ann))
 		}
@@ -187,7 +187,8 @@ func TestAnnotationWireMatchesEncodingJSON(t *testing.T) {
 
 // FuzzAnnotationWire: for any creator, title, body and tag strings and
 // any mix of referents and terms, the encoder's single and list forms
-// equal encoding/json's, cold and from the kept fragment.
+// equal encoding/json's, on the first encoding of the annotation's shape
+// and on a later one.
 func FuzzAnnotationWire(f *testing.F) {
 	f.Add("gupta", "title", "body text", "tag", uint8(1), uint8(0))
 	f.Add(`<>&"'\`, `</title>`, `a & b < c`, `"quoted"`, uint8(3), uint8(2))
@@ -205,7 +206,7 @@ func FuzzAnnotationWire(f *testing.F) {
 // TestAnnotationRoutesShareTheEncoder: every route that answers with
 // annotations — related, keyword, search, query, get, the full list and
 // the create's own answer — writes what the reference encoding writes,
-// whether the fragments were kept by another route or not.
+// whether another route has encoded the same annotations before or not.
 func TestAnnotationRoutesShareTheEncoder(t *testing.T) {
 	cfg := workload.DefaultInfluenza
 	cfg.Annotations = 40
@@ -254,9 +255,6 @@ func TestAnnotationRoutesShareTheEncoder(t *testing.T) {
 	if want := refOne(t, created); !bytes.Equal(rr.Body.Bytes(), want) {
 		t.Fatalf("create answered %q, want %q", rr.Body.Bytes(), want)
 	}
-	if created.Encoded() != "" {
-		t.Fatal("the answer to a create kept a fragment")
-	}
 }
 
 // TestEmptyListsAreArrays: a route that answers with a JSON array answers
@@ -286,24 +284,23 @@ func TestTracedListKeepsAValidLength(t *testing.T) {
 	if enc == nil {
 		t.Fatalf("no encode span under %+v", env.Trace)
 	}
-	if enc.Attrs["annotations"] != n || enc.Attrs["memo_misses"] != n ||
-		enc.Attrs["bytes"] != fmt.Sprint(len(env.Response)+1) {
+	if enc.Attrs["annotations"] != n || enc.Attrs["bytes"] != fmt.Sprint(len(env.Response)+1) {
 		t.Fatalf("encode span attrs %v for a %d-byte list of %s", enc.Attrs, len(env.Response)+1, n)
-	}
-	if code := getJSON(t, ts.URL+"/api/annotations?trace=1", &env); code != 200 {
-		t.Fatalf("traced list: %d", code)
-	}
-	if enc = findSpan(env.Trace, "encode"); enc == nil || enc.Attrs["memo_misses"] != "0" {
-		t.Fatalf("second read's encode span: %+v", enc)
 	}
 }
 
-// TestMemoUnderConcurrentBatch: 8 readers list, look up and keyword-search
-// the same annotations through the handler — racing to fill the same
-// fragments — while one Batch of creates and deletes publishes. Every
-// answer must be the reference encoding of the pre-batch or of the
-// post-batch state, never a mix and never a torn fragment. Run with -race.
-func TestMemoUnderConcurrentBatch(t *testing.T) {
+// freshShapes numbers the tag names that give TestSkeletonUnderConcurrentReads'
+// annotations shapes no earlier run in the process has encoded.
+var freshShapes atomic.Int64
+
+// TestSkeletonUnderConcurrentReads: 8 readers list, look up and
+// keyword-search annotations whose documents each have a shape of their
+// own, never encoded before — racing to build the same shapes' skeletons
+// and Dublin Core spans — while one Batch of creates (of fresh shapes
+// too) and deletes publishes. Every answer must be the reference encoding
+// of the pre-batch or of the post-batch state, never a mix and never a
+// torn skeleton. Run with -race.
+func TestSkeletonUnderConcurrentReads(t *testing.T) {
 	s := wireStore(t)
 	h := NewHandler(s)
 	note := func(i int) *core.Builder {
@@ -311,8 +308,9 @@ func TestMemoUnderConcurrentBatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s.NewAnnotation().Creator("u<" + fmt.Sprint(i) + ">").Date("2026-10-02").
-			Title(fmt.Sprintf("note & %d", i)).Body(fmt.Sprintf("shared word%d", i%3)).Refer(m)
+		return s.NewAnnotation().Creator("u<"+fmt.Sprint(i)+">").Date("2026-10-02").
+			Title(fmt.Sprintf("note & %d", i)).Body(fmt.Sprintf("shared word%d", i%3)).
+			Tag(fmt.Sprintf("own%d", freshShapes.Add(1)), "v").Refer(m)
 	}
 	const seeds, creates = 60, 40
 	var pre []*core.Annotation
@@ -323,18 +321,22 @@ func TestMemoUnderConcurrentBatch(t *testing.T) {
 		}
 		pre = append(pre, ann)
 	}
-	// Reference answers of the pre-batch state are taken before any read,
-	// from the annotations themselves; the post-batch ones after the
-	// batch, below — fragments play no part in either.
+	// The reference answers are taken once the readers are done, from the
+	// pre-batch view pinned here and from the post-batch store, so no
+	// shape is encoded or read before the readers race to.
+	before := s.View()
 	type answers struct{ list, keyword, first []byte }
-	reference := func() answers {
+	reference := func(v *core.View) answers {
+		first, err := v.Annotation(pre[1].ID)
+		if err != nil {
+			t.Fatal(err)
+		}
 		return answers{
-			list:    refList(t, s.Annotations()),
-			keyword: refList(t, s.SearchKeyword("shared", true)),
-			first:   refOne(t, pre[1]),
+			list:    refList(t, v.Annotations()),
+			keyword: refList(t, v.SearchKeyword("shared", true)),
+			first:   refOne(t, first),
 		}
 	}
-	before := reference()
 
 	var mu sync.Mutex
 	got := map[string][][]byte{}
@@ -392,14 +394,14 @@ func TestMemoUnderConcurrentBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := reference()
-	if bytes.Equal(before.list, after.list) || bytes.Equal(before.keyword, after.keyword) {
+	old, now := reference(before), reference(s.View())
+	if bytes.Equal(old.list, now.list) || bytes.Equal(old.keyword, now.keyword) {
 		t.Fatal("the batch did not change the answers under test")
 	}
 	for target, want := range map[string][2][]byte{
-		"/api/annotations":                            {before.list, after.list},
-		"/api/annotations?keyword=shared":             {before.keyword, after.keyword},
-		fmt.Sprintf("/api/annotations/%d", pre[1].ID): {before.first, after.first},
+		"/api/annotations":                            {old.list, now.list},
+		"/api/annotations?keyword=shared":             {old.keyword, now.keyword},
+		fmt.Sprintf("/api/annotations/%d", pre[1].ID): {old.first, now.first},
 	} {
 		sawAfter := false
 		for _, body := range got[target] {
@@ -417,84 +419,97 @@ func TestMemoUnderConcurrentBatch(t *testing.T) {
 	}
 }
 
-// unread fails if any annotation of s holds a fragment.
-func unread(t *testing.T, when string, s *core.Store) {
-	t.Helper()
-	anns := s.Annotations()
-	if len(anns) == 0 {
-		t.Fatalf("%s: no annotations to check", when)
-	}
-	for _, ann := range anns {
-		if ann.Encoded() != "" {
-			t.Fatalf("%s: annotation %d holds a fragment no read asked for", when, ann.ID)
+// liveHeap returns the live heap once collections stop shrinking it (a
+// sync.Pool's buffers outlive one collection).
+func liveHeap() uint64 {
+	var m runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m)
+	for {
+		last := m.HeapAlloc
+		time.Sleep(time.Millisecond)
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		if m.HeapAlloc >= last {
+			return m.HeapAlloc
 		}
 	}
 }
 
-// TestMemoIsFilledByReadsOnly: creating annotations over HTTP, loading a
-// snapshot and replaying a WAL leave every annotation without a fragment
-// — a store that is only written to pays nothing for the memo — and the
-// first read then fills them.
-func TestMemoIsFilledByReadsOnly(t *testing.T) {
-	dir := t.TempDir()
-	d, err := durable.Open(dir, durable.Options{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
+// TestReadsKeepNoPerAnnotationState: the full listing of a 10k-annotation
+// store, the related annotations of 64 of them and a keyword search leave
+// the live heap where it was, give or take 64 KiB: a read keeps nothing
+// per annotation it answers with. The store's document shapes keep a
+// skeleton each, a few KiB between them; a server that kept every
+// annotation's JSON fragment grew by 7.3 MiB here.
+func TestReadsKeepNoPerAnnotationState(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 10k-annotation store")
 	}
-	h := NewDurableHandler(d)
-	study, err := workload.Influenza(workload.InfluenzaConfig{
-		Seed: 5, Segments: 2, SeqsPerSeg: 2, SeqLen: 400, Annotations: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
+	s := influenzaStore(t, 10_000)
+	// A ring of one trace per shard: the traces a handler retains for
+	// /debug/traces are per request and bounded, not what is measured.
+	h := New(memorySet(s), Options{TraceRingSize: 1})
+	ids := s.View().AnnotationIDs()
+	targets := []string{"/api/annotations", "/api/annotations?keyword=protease"}
+	for i := 0; i < 64; i++ {
+		targets = append(targets, fmt.Sprintf("/api/annotations/%d/related", ids[i*len(ids)/64]))
 	}
-	var snap bytes.Buffer
-	if err := persist.Write(study.Store, &snap); err != nil {
-		t.Fatal(err)
-	}
-	if rr := serve(h, "POST", "/api/restore", snap.String()); rr.Code != http.StatusOK {
-		t.Fatalf("restore: %d (%s)", rr.Code, rr.Body.Bytes())
-	}
-	unread(t, "after a snapshot load", d.Core())
-
-	const posts = 12
-	for i := 0; i < posts; i++ {
-		rr := serve(h, "POST", "/api/annotations", fmt.Sprintf(
-			`{"creator":"w","date":"2026-10-02","body":"written %d","marks":[{"type":"sequence","seqId":%q,"lo":%d,"hi":%d}]}`,
-			i, study.SequenceIDs[0], i+1, i+30))
-		if rr.Code != http.StatusCreated {
-			t.Fatalf("create %d: %d (%s)", i, rr.Code, rr.Body.Bytes())
+	before := liveHeap()
+	sent := 0
+	for _, target := range targets {
+		rr := serve(h, "GET", target, "")
+		if rr.Code != http.StatusOK {
+			t.Fatalf("%s: status %d", target, rr.Code)
 		}
+		sent += rr.Body.Len()
 	}
-	unread(t, "after creates", d.Core())
-	if rr := serve(h, "DELETE", "/api/annotations/1", ""); rr.Code != http.StatusNoContent {
-		t.Fatalf("delete: %d", rr.Code)
+	grown := int64(liveHeap()) - int64(before)
+	t.Logf("%d reads answered %d KiB; the live heap grew by %d bytes", len(targets), sent>>10, grown)
+	if grown > 64<<10 {
+		t.Errorf("the live heap grew by %d KiB over the reads, want at most 64", grown>>10)
 	}
-	unread(t, "after a delete", d.Core())
-	want := d.Core().Stats().Annotations
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
+	runtime.KeepAlive(h)
+}
 
-	d, err = durable.Open(dir, durable.Options{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	if got := d.Stats().ReplayedRecords; got < posts {
-		t.Fatalf("reopen replayed %d WAL records, want at least the %d creates", got, posts)
-	}
-	if got := d.Core().Stats().Annotations; got != want {
-		t.Fatalf("reopened store holds %d annotations, want %d", got, want)
-	}
-	unread(t, "after a WAL replay", d.Core())
-
-	if rr := serve(NewDurableHandler(d), "GET", "/api/annotations", ""); rr.Code != http.StatusOK {
-		t.Fatalf("list: %d", rr.Code)
-	}
-	for _, ann := range d.Core().Annotations() {
-		if ann.Encoded() == "" {
-			t.Fatalf("annotation %d: the full listing kept no fragment", ann.ID)
+// BenchmarkWireEncode: one annotation's wire form, per op, over a store of
+// 2k or 20k influenza annotations. cold encodes annotations no read has
+// encoded before (fresh copies of the store's, each round); warm encodes
+// the same ones again and again. Nothing is kept per annotation, so the
+// two differ only by what a shape keeps, built once per shape.
+func BenchmarkWireEncode(b *testing.B) {
+	for _, n := range []int{2_000, 20_000} {
+		s := influenzaStore(b, n)
+		anns := s.View().Annotations()
+		for _, cold := range []bool{true, false} {
+			name := "warm"
+			if cold {
+				name = "cold"
+			}
+			b.Run(fmt.Sprintf("%s/anns=%dk", name, n/1000), func(b *testing.B) {
+				wb := new(wireBuf)
+				wb.list(anns)
+				b.ReportAllocs()
+				b.ResetTimer()
+				var round []*core.Annotation
+				for done := 0; done < b.N; {
+					round = anns[:min(b.N-done, len(anns))]
+					if cold {
+						b.StopTimer()
+						fresh := make([]*core.Annotation, len(round))
+						for i, a := range round {
+							fresh[i] = &core.Annotation{ID: a.ID, Content: a.Content, DC: a.DC,
+								ReferentIDs: a.ReferentIDs, Terms: a.Terms}
+						}
+						round = fresh
+						b.StartTimer()
+					}
+					wb.out = wb.out[:0]
+					wb.list(round)
+					done += len(round)
+				}
+				b.ReportMetric(float64(len(wb.out))/float64(len(round)), "B/ann")
+			})
 		}
 	}
 }

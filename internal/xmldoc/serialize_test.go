@@ -2,6 +2,7 @@ package xmldoc
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -106,4 +107,64 @@ func TestSerializeDeepIndent(t *testing.T) {
 	if want := strings.Repeat("  ", depth-1) + "</n>"; lines[depth+1] != want {
 		t.Fatalf("first closing line = %q, want %q", lines[depth+1], want)
 	}
+}
+
+// wantJSON fails unless AppendJSON writes d's serialisation as
+// encoding/json writes it as a JSON string, after what dst held, on the
+// first encoding of d's shape (its skeleton dropped) and on a later one.
+func wantJSON(t *testing.T, d *Document) {
+	t.Helper()
+	want, err := json.Marshal(d.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.sh.memos.Store(nil)
+	for _, pass := range []string{"first", "later"} {
+		got := d.AppendJSON([]byte("prefix"))
+		if !bytes.Equal(got, append([]byte("prefix"), want...)) {
+			t.Fatalf("%s encoding of\n%s\nAppendJSON = %q\nwant %q", pass, d, got, want)
+		}
+		if e := d.sh.memos.Load(); e == nil || e.memo != skeletons || len(e.val.(*skeleton).cuts) != len(d.vals) {
+			t.Fatalf("%s encoding: the shape keeps %+v for %d values", pass, e, len(d.vals))
+		}
+	}
+}
+
+func TestAppendJSONGolden(t *testing.T) {
+	for _, tc := range serializeCases {
+		d := tc.build()
+		d.Seal()
+		wantJSON(t, d)
+	}
+}
+
+// FuzzAppendJSON: for any document Parse accepts, and for a built one
+// whose names, values and comment are the fuzzer's bytes, AppendJSON is
+// the JSON string of AppendTo's serialisation, byte for byte.
+func FuzzAppendJSON(f *testing.F) {
+	long := strings.Repeat("n", 130)
+	f.Add(`<a k="v"><b>text</b><!-- c --><e/></a>`, "tag", "value")
+	f.Add(`<p>see <b>this</b><!--note--><br k="v"/> &amp; that</p>`, "x", "<>&\"'")
+	f.Add(`<`+long+` `+long+`="1"><`+long+`/></`+long+`>`, long, long)
+	f.Add("<a t=\"\xe2\x80\xa8\">\xe2\x80\xa9 &lt;&gt;&amp;&quot;&apos; \xc3\xa9</a>", "\xe2\x80\xa8", "\xe2\x80\xa9")
+	f.Add(`<a><![CDATA[one]]><![CDATA[two]]><!--x--></a>`, "bad\xff", "\xff\xfe\xc3 \xe2\x82 \xed\xa0\x80")
+	f.Add("<a>\x01</a>", "t\n", "\x00\x1f\x7f\\\t\r\n\b\f")
+	f.Fuzz(func(t *testing.T, src, name, value string) {
+		if d, err := ParseString(src); err == nil {
+			wantJSON(t, d)
+		}
+		if name == "" {
+			return
+		}
+		d := NewDocument(name)
+		d.Root.SetAttr(name, value)
+		d.AddElementText(d.Root, name, value)
+		_ = d.AppendChild(d.Root, d.CreateComment(value))
+		mixed := d.AddElement(d.Root, "m")
+		d.AddText(mixed, value)
+		d.AddElement(mixed, name).SetAttr("k", value)
+		d.AddText(mixed, value)
+		d.Seal()
+		wantJSON(t, d)
+	})
 }

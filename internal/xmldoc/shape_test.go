@@ -36,32 +36,66 @@ func settledTableSize(t *testing.T, want func(int) bool) int {
 	}
 }
 
-// TestShapeTableReleases: documents with names no other document has each
-// enter a shape, and once they are dropped and collected the table is back
-// at the size it had: hostile tag names cannot grow it for good.
-func TestShapeTableReleases(t *testing.T) {
-	base := settledTableSize(t, func(int) bool { return true })
-	const docs = 1000
-	keep := make([]*Document, docs)
-	for i := range keep {
-		d := NewDocument("annotation")
-		d.AddElementText(d.Root, fmt.Sprintf("tag%04d", i), "v")
-		d.Root.SetAttr(fmt.Sprintf("attr%04d", i), "w")
-		d.Seal()
-		keep[i] = d
-	}
-	if got := tableSize(); got < base+docs {
-		t.Fatalf("%d documents of distinct shapes left %d shapes in the table, want at least %d", docs, got, base+docs)
-	}
-	for i := 1; i < docs; i++ {
-		if SameShape(keep[0], keep[i]) {
-			t.Fatalf("documents 0 and %d share a shape:\n%s\n%s", i, keep[0], keep[i])
+// liveHeap returns the live heap once collections stop shrinking it.
+func liveHeap() uint64 {
+	var m runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m)
+	for {
+		last := m.HeapAlloc
+		time.Sleep(time.Millisecond)
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		if m.HeapAlloc >= last {
+			return m.HeapAlloc
 		}
 	}
-	runtime.KeepAlive(keep)
-	keep = nil
-	if got := settledTableSize(t, func(n int) bool { return n <= base }); got != base {
-		t.Fatalf("the table holds %d shapes once the documents are gone, want %d", got, base)
+}
+
+// TestShapeTableReleases: documents with names no other document has each
+// enter a shape, and once they are dropped and collected the table is back
+// at the size it had: hostile tag names cannot grow it for good. Each
+// document is encoded once, so each shape also keeps a skeleton and a
+// memo; once they are collected the live heap is back where it was too.
+// The first round sizes the table's map, which keeps its capacity; the
+// second is measured.
+func TestShapeTableReleases(t *testing.T) {
+	const docs = 10000
+	keyed := NewShapeMemo(func(d *Document) string { return d.Root.FirstChild().Name() })
+	round := func(r int) {
+		base := settledTableSize(t, func(int) bool { return true })
+		keep := make([]*Document, docs)
+		for i := range keep {
+			d := NewDocument("annotation")
+			d.AddElementText(d.Root, fmt.Sprintf("tag%d-%05d", r, i), "v")
+			d.Root.SetAttr(fmt.Sprintf("attr%05d", i), "w")
+			d.Seal()
+			if d.AppendJSON(nil) == nil || keyed.Get(d) != fmt.Sprintf("tag%d-%05d", r, i) {
+				t.Fatalf("document %d: no JSON form or a wrong memo", i)
+			}
+			keep[i] = d
+		}
+		if got := tableSize(); got < base+docs {
+			t.Fatalf("%d documents of distinct shapes left %d shapes in the table, want at least %d", docs, got, base+docs)
+		}
+		for i := 1; i < docs; i++ {
+			if SameShape(keep[0], keep[i]) {
+				t.Fatalf("documents 0 and %d share a shape:\n%s\n%s", i, keep[0], keep[i])
+			}
+		}
+		runtime.KeepAlive(keep)
+		keep = nil
+		if got := settledTableSize(t, func(n int) bool { return n <= base }); got != base {
+			t.Fatalf("the table holds %d shapes once the documents are gone, want %d", got, base)
+		}
+	}
+	round(0)
+	before := liveHeap()
+	round(1)
+	grown := int64(liveHeap()) - int64(before)
+	t.Logf("%d documents of shapes of their own, encoded and collected: the live heap grew by %d bytes", docs, grown)
+	if grown > 64<<10 {
+		t.Errorf("the live heap grew by %d KiB, want at most 64", grown>>10)
 	}
 }
 

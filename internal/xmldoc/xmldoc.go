@@ -51,6 +51,16 @@
 // they are gone. Every write to a sealed document panics; Parse returns
 // its documents sealed.
 //
+// # Serialising
+//
+// AppendTo writes a document as indented XML. AppendJSON writes the same
+// text as a JSON string without building it first: a sealed shape keeps
+// a skeleton, its serialisation with the values left out and every static
+// run JSON-escaped, built on first use, so AppendJSON copies the runs and
+// escapes only the document's values. A skeleton costs about its escaped
+// static text, once per shape, and is freed with the shape, as is
+// anything a ShapeMemo derives from it.
+//
 // # IDs and handles
 //
 // A node's ID is its table index plus one. IDs are therefore dense, stable
@@ -78,8 +88,11 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"unicode/utf8"
 	"weak"
+
+	"graphitti/internal/jsonstr"
 )
 
 // Kind discriminates node types.
@@ -158,6 +171,9 @@ type shape struct {
 	slots []int32
 	// b is the scratch a private shape lives in; nil once sealed.
 	b *scratch
+	// memos holds what ShapeMemos derived from the sealed shape, its
+	// skeleton among them.
+	memos atomic.Pointer[memoEntry]
 }
 
 // scratch is a private shape and the rest of what a document is built in:
@@ -412,6 +428,55 @@ func SameShape(a, b *Document) bool {
 	return a.sh == b.sh && a.sh.b == nil
 }
 
+// A ShapeMemo keeps a value derived from a document's shape alone — its
+// nodes, names and attributes and where each value sits, never the values
+// themselves — on the shape: it is derived once per shape, on first use,
+// and freed with the shape. A document still being built keeps nothing.
+type ShapeMemo[T any] struct {
+	derive func(*Document) T
+}
+
+// memoEntry is one ShapeMemo's value on a shape, in a list that only
+// grows at its head.
+type memoEntry struct {
+	memo any
+	val  any
+	next *memoEntry
+}
+
+// NewShapeMemo returns a memo of derive, which must read only what d's
+// shape fixes.
+func NewShapeMemo[T any](derive func(d *Document) T) *ShapeMemo[T] {
+	return &ShapeMemo[T]{derive: derive}
+}
+
+// Get returns the value derived for d's shape.
+func (m *ShapeMemo[T]) Get(d *Document) T {
+	if e := d.sh.memos.Load(); e != nil && e.memo == m {
+		return e.val.(T)
+	}
+	return m.get(d)
+}
+
+// get is Get past the head of the list. Readers that derive one memo at
+// once all keep what they derived: the first to enter it wins, and the
+// others look again.
+func (m *ShapeMemo[T]) get(d *Document) T {
+	sh := d.sh
+	for {
+		head := sh.memos.Load()
+		for e := head; e != nil; e = e.next {
+			if e.memo == m {
+				return e.val.(T)
+			}
+		}
+		v := m.derive(d)
+		if sh.b != nil || sh.memos.CompareAndSwap(head, &memoEntry{m, v, head}) {
+			return v
+		}
+	}
+}
+
 // own returns the table index of a handle that must address a node of d.
 func (d *Document) own(n Node) int32 {
 	if n.d != d || n.attr != 0 {
@@ -492,6 +557,16 @@ func (n Node) Values() []string {
 		hi = sh.nodes[end].slot
 	}
 	return n.d.vals[lo:hi:hi]
+}
+
+// Slot returns where n's values start among its document's: n.Values()
+// is a run of d.Root.Values() beginning at n.Slot(). Like the node's ID it
+// depends on the shape alone.
+func (n Node) Slot() int {
+	if n.attr != 0 {
+		return int(n.attr - 1)
+	}
+	return int(n.d.sh.nodes[n.i].slot)
 }
 
 // Parent returns the node's parent element; the root has none.
@@ -789,7 +864,96 @@ func (d *Document) String() string {
 // extended buffer — the one serializer behind String and WriteTo, for
 // callers that own a buffer.
 func (d *Document) AppendTo(dst []byte) []byte {
-	return d.appendNode(dst, 0, 0)
+	p := printer{sh: d.sh, vals: d.vals}
+	return p.appendNode(dst, 0, 0)
+}
+
+// AppendJSON appends AppendTo's serialisation of the document as a JSON
+// string, byte for byte what the jsonstr package writes for it, and
+// returns the extended buffer. The static text between the values is
+// the shape's: it is serialised and escaped once per shape, on first use,
+// and kept on the shape (see skeleton). Only the values are escaped here,
+// each in one pass: an attribute or text value XML-escaped and then
+// JSON-escaped, fused, a comment JSON-escaped alone.
+func (d *Document) AppendJSON(dst []byte) []byte {
+	sk := skeletons.Get(d)
+	size := len(sk.text)
+	for _, v := range d.vals {
+		size += len(v)
+	}
+	dst = slices.Grow(dst, size)
+	cuts, slots := sk.cuts[:len(d.vals)], d.sh.slots[:len(d.vals)]
+	at := int32(0)
+	for s, v := range d.vals {
+		dst = append(dst, sk.text[at:cuts[s]]...)
+		at = cuts[s]
+		if slots[s] == -int32(CommentNode) {
+			dst = jsonstr.AppendContents(dst, v)
+			continue
+		}
+		i := 0
+		for i+4 <= len(v) && plainJSON[v[i]] && plainJSON[v[i+1]] && plainJSON[v[i+2]] && plainJSON[v[i+3]] {
+			i += 4
+		}
+		for i < len(v) && plainJSON[v[i]] {
+			i++
+		}
+		dst = append(dst, v[:i]...)
+		if i < len(v) {
+			dst = appendEscapedJSON(dst, v[i:])
+		}
+	}
+	return append(dst, sk.text[at:]...)
+}
+
+// skeleton is a shape's serialisation as a JSON string with the values
+// left out: text holds the static runs — indentation, tags, names,
+// quotes and line ends — JSON-escaped, opening and closing quotes
+// included, and value slot s goes at text[cuts[s]]. Escaping the runs
+// apart is escaping them in place: every run begins and ends with an
+// ASCII byte (a name always sits between delimiters), and an escaped
+// value is valid UTF-8 or, for a comment, sits between ASCII delimiters.
+type skeleton struct {
+	text string
+	cuts []int32
+}
+
+// skeletons keeps each shape's skeleton on the shape.
+var skeletons = NewShapeMemo(func(d *Document) *skeleton {
+	p := printer{sh: d.sh, cuts: make([]int32, 0, len(d.sh.slots))}
+	raw := p.appendNode(nil, 0, 0)
+	text := make([]byte, 0, len(raw)+len(raw)/8+2)
+	text = append(text, '"')
+	at := int32(0)
+	for s, cut := range p.cuts {
+		text = jsonstr.AppendContents(text, raw[at:cut])
+		p.cuts[s], at = int32(len(text)), cut
+	}
+	text = append(jsonstr.AppendContents(text, raw[at:]), '"')
+	return &skeleton{text: string(text), cuts: p.cuts}
+})
+
+// printer serialises a shape: with vals, a document's; with cuts (and no
+// values), a skeleton, recording where each value slot goes instead of
+// writing it.
+type printer struct {
+	sh   *shape
+	vals []string
+	cuts []int32
+}
+
+// value appends value slot s: an attribute or text value XML-escaped, a
+// comment as it is.
+func (p *printer) value(dst []byte, s int32) []byte {
+	switch {
+	case p.cuts != nil:
+		p.cuts = append(p.cuts, int32(len(dst)))
+		return dst
+	case p.sh.slots[s] == -int32(CommentNode):
+		return append(dst, p.vals[s]...)
+	default:
+		return appendEscaped(dst, p.vals[s])
+	}
 }
 
 func appendIndent(dst []byte, depth int) []byte {
@@ -805,33 +969,33 @@ func appendIndent(dst []byte, depth int) []byte {
 // text, a comment, an empty element, an element with a text child — is
 // one line. Elements with text children are rendered inline because
 // injecting indentation inside mixed content would alter the text.
-func (d *Document) appendNode(dst []byte, i int32, depth int) []byte {
+func (p *printer) appendNode(dst []byte, i int32, depth int) []byte {
 	dst = appendIndent(dst, depth)
-	if end := d.sh.end(i); i+1 < end && !d.hasTextChild(i) {
-		dst = d.appendOpenTag(dst, i, false)
+	if end := p.sh.end(i); i+1 < end && !p.sh.hasTextChild(i) {
+		dst = p.appendOpenTag(dst, i, false)
 		dst = append(dst, '\n')
-		for c := i + 1; c < end; c = d.sh.end(c) {
-			dst = d.appendNode(dst, c, depth+1)
+		for c := i + 1; c < end; c = p.sh.end(c) {
+			dst = p.appendNode(dst, c, depth+1)
 		}
 		dst = appendIndent(dst, depth)
-		dst = d.appendCloseTag(dst, i)
+		dst = p.appendCloseTag(dst, i)
 	} else {
-		dst = d.appendInline(dst, i)
+		dst = p.appendInline(dst, i)
 	}
 	return append(dst, '\n')
 }
 
-func (d *Document) hasTextChild(i int32) bool {
-	for c, end := i+1, d.sh.end(i); c < end; c = d.sh.end(c) {
-		if d.sh.nodes[c].kind() == TextNode {
+func (sh *shape) hasTextChild(i int32) bool {
+	for c, end := i+1, sh.end(i); c < end; c = sh.end(c) {
+		if sh.nodes[c].kind() == TextNode {
 			return true
 		}
 	}
 	return false
 }
 
-func (d *Document) appendOpenTag(dst []byte, i int32, selfClose bool) []byte {
-	sh := d.sh
+func (p *printer) appendOpenTag(dst []byte, i int32, selfClose bool) []byte {
+	sh := p.sh
 	dst = append(dst, '<')
 	dst = append(dst, sh.name(sh.nodes[i].name)...)
 	lo, hi := sh.attrs(i)
@@ -839,7 +1003,7 @@ func (d *Document) appendOpenTag(dst []byte, i int32, selfClose bool) []byte {
 		dst = append(dst, ' ')
 		dst = append(dst, sh.name(sh.slots[s])...)
 		dst = append(dst, `="`...)
-		dst = appendEscaped(dst, d.vals[s])
+		dst = p.value(dst, s)
 		dst = append(dst, '"')
 	}
 	if selfClose {
@@ -848,32 +1012,32 @@ func (d *Document) appendOpenTag(dst []byte, i int32, selfClose bool) []byte {
 	return append(dst, '>')
 }
 
-func (d *Document) appendCloseTag(dst []byte, i int32) []byte {
+func (p *printer) appendCloseTag(dst []byte, i int32) []byte {
 	dst = append(dst, "</"...)
-	dst = append(dst, d.sh.name(d.sh.nodes[i].name)...)
+	dst = append(dst, p.sh.name(p.sh.nodes[i].name)...)
 	return append(dst, '>')
 }
 
 // appendInline serialises the subtree with no added whitespace.
-func (d *Document) appendInline(dst []byte, i int32) []byte {
-	nd := &d.sh.nodes[i]
+func (p *printer) appendInline(dst []byte, i int32) []byte {
+	nd := &p.sh.nodes[i]
 	switch nd.kind() {
 	case TextNode:
-		dst = appendEscaped(dst, d.vals[nd.slot])
+		dst = p.value(dst, nd.slot)
 	case CommentNode:
 		dst = append(dst, "<!--"...)
-		dst = append(dst, d.vals[nd.slot]...)
+		dst = p.value(dst, nd.slot)
 		dst = append(dst, "-->"...)
 	case ElementNode:
-		end := d.sh.end(i)
+		end := p.sh.end(i)
 		if i+1 == end {
-			return d.appendOpenTag(dst, i, true)
+			return p.appendOpenTag(dst, i, true)
 		}
-		dst = d.appendOpenTag(dst, i, false)
-		for c := i + 1; c < end; c = d.sh.end(c) {
-			dst = d.appendInline(dst, c)
+		dst = p.appendOpenTag(dst, i, false)
+		for c := i + 1; c < end; c = p.sh.end(c) {
+			dst = p.appendInline(dst, c)
 		}
-		dst = d.appendCloseTag(dst, i)
+		dst = p.appendCloseTag(dst, i)
 	}
 	return dst
 }
@@ -912,6 +1076,64 @@ func appendEscaped(dst []byte, s string) []byte {
 		dst = append(dst, s[start:i]...)
 		dst = append(dst, esc...)
 		i += width
+		start = i
+	}
+	return append(dst, s[start:]...)
+}
+
+// escapedJSON maps each ASCII byte to the JSON-escaped contents of its XML
+// escape, "" for the bytes both leave alone; invalidJSON is the same for
+// a byte that is not part of a valid UTF-8 sequence. Both are derived from
+// the two escapers they fuse.
+var escapedJSON, invalidJSON = func() (t [utf8.RuneSelf]string, invalid string) {
+	for c := range t {
+		b := []byte{byte(c)}
+		if esc := jsonstr.AppendContents(nil, appendEscaped(nil, string(b))); string(esc) != string(b) {
+			t[c] = string(esc)
+		}
+	}
+	return t, string(jsonstr.AppendContents(nil, appendEscaped(nil, "\xff")))
+}()
+
+// plainJSON tells the bytes both escapes leave alone.
+var plainJSON = func() (t [256]bool) {
+	for c, esc := range escapedJSON {
+		t[c] = esc == ""
+	}
+	return t
+}()
+
+// appendEscapedJSON appends the JSON-escaped contents of s's XML escape in
+// one pass, without the XML escape in between: a value needing neither is
+// copied whole.
+func appendEscapedJSON(dst []byte, s string) []byte {
+	start := 0
+	for i := 0; i < len(s); {
+		c := s[i]
+		if plainJSON[c] {
+			i++
+			continue
+		}
+		if c < utf8.RuneSelf {
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, escapedJSON[c]...)
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, invalidJSON...)
+		case r == '\u2028' || r == '\u2029':
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, '\\', 'u', '2', '0', '2', "89"[r&1])
+		default:
+			i += size
+			continue
+		}
+		i += size
 		start = i
 	}
 	return append(dst, s[start:]...)
