@@ -6,7 +6,9 @@ import (
 	"path/filepath"
 	"testing"
 
+	"graphitti/internal/core"
 	"graphitti/internal/persist"
+	"graphitti/internal/prop"
 	"graphitti/internal/workload"
 )
 
@@ -23,7 +25,7 @@ func TestLoadCheckpointSaveJSON(t *testing.T) {
 	dir := t.TempDir()
 	checkpoint, out := filepath.Join(dir, "graphitti-0000000000000001.snap"), filepath.Join(dir, "out.json")
 	var bin, want bytes.Buffer
-	if err := persist.WriteCheckpoint(study.Store, &bin); err != nil {
+	if err := persist.WriteCheckpoint([]*core.View{study.Store.View()}, prop.RulesOf(study.Store), &bin); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(checkpoint, bin.Bytes(), 0o644); err != nil {

@@ -39,6 +39,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -241,7 +242,8 @@ func writeErr(w http.ResponseWriter, r *http.Request, err error) {
 		errors.Is(err, query.ErrSyntax),
 		errors.Is(err, query.ErrXPath),
 		errors.Is(err, prop.ErrBadRule),
-		errors.Is(err, shard.ErrCrossShardReferent):
+		errors.Is(err, shard.ErrCrossShardReferent),
+		errors.Is(err, shard.ErrCrossProduct):
 		status = http.StatusBadRequest
 	case errors.Is(err, prop.ErrDuplicateRule):
 		status = http.StatusConflict
@@ -729,21 +731,37 @@ func (s *server) objects(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// snapshot streams the deployment's export: one pinned view per shard
-// (persist.Export), so the body is a point-in-time image per shard that
-// /api/restore accepts whatever was being written meanwhile. A failed
-// export has written nothing and answers like any failed request.
+// snapshot streams the deployment as one format-2 binary checkpoint
+// (persist.WriteCheckpoint) of the request's one pinned view set and the
+// rule list read beside it: a point-in-time image per shard that
+// /api/restore, -snapshot and graphitti -load accept, whatever was being
+// written meanwhile. A failure before the first byte answers like any
+// failed request. One after it cannot change the 200 already sent, so
+// the handler aborts the response: the client sees the body cut short,
+// and a checkpoint without its checksum trailer is refused by
+// persist.Decode.
 func (s *server) snapshot(w http.ResponseWriter, r *http.Request) {
-	snap, err := s.sh.Export()
-	if err != nil {
+	vs := s.sh.Views()
+	body := &countingWriter{w: w}
+	w.Header().Set("Content-Type", "application/octet-stream")
+	if err := persist.WriteCheckpoint(vs, s.sh.Rules(), body); err != nil {
+		if body.n > 0 {
+			panic(http.ErrAbortHandler)
+		}
 		writeErr(w, r, err)
-		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := persist.WriteSnapshot(snap, w); err != nil {
-		// Headers are gone; best effort.
-		fmt.Fprintf(w, `{"error":%q}`, err.Error())
-	}
+}
+
+// countingWriter counts the bytes written through it.
+type countingWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	return n, err
 }
 
 // restore loads a persist snapshot (the body is what GET /api/snapshot

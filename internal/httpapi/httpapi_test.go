@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -362,6 +363,9 @@ func TestObjectsEndpoint(t *testing.T) {
 	})
 }
 
+// TestSnapshotEndpoint: GET /api/snapshot serves the binary checkpoint
+// of the deployment, which is byte for byte the one-store checkpoint of
+// the same state on every deployment, and loads back to it.
 func TestSnapshotEndpoint(t *testing.T) {
 	deployments(t, func(t *testing.T, d deployment) {
 		ts, store := newTestServer(t, d)
@@ -370,7 +374,17 @@ func TestSnapshotEndpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		restored, err := persist.Read(resp.Body)
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != "application/octet-stream" {
+			t.Errorf("Content-Type %q, want application/octet-stream", ct)
+		}
+		if want := checkpointOf(t, store); !bytes.Equal(body, want) {
+			t.Fatalf("served %d bytes that differ from the %d of the store's checkpoint", len(body), len(want))
+		}
+		restored, err := persist.Read(bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -136,46 +136,55 @@ func (s *server) instrument(next http.Handler) http.Handler {
 		// counter and the histogram have the request: at every instant a
 		// request that reached a handler is in one or the other, so a
 		// scrape that shows nothing else in flight has counted everything
-		// answered before it.
+		// answered before it. A handler that aborts its response
+		// (panic(http.ErrAbortHandler), once its body has begun) is counted
+		// too, with the status it sent, on the way out.
 		mHTTPInFlight.Add(1)
 		defer mHTTPInFlight.Add(-1)
+		aborted := true
+		defer func() {
+			// ServeMux fills r.Pattern on the request it dispatched; an empty
+			// pattern is a 404/405 that matched no route.
+			route := r.Pattern
+			if route == "" {
+				route = "unmatched"
+			}
+			status := sw.status
+			if tb != nil && tb.status != 0 {
+				status = tb.status
+			}
+			if status == 0 {
+				status = http.StatusOK
+			}
+			sp.SetAttr("route", route)
+			sp.SetAttrInt("status", int64(status))
+			sp.Finish()
+			s.tracer.Record(sp, tb != nil)
+			if tb != nil {
+				tb.flush(sp)
+			}
+
+			elapsed := time.Since(start)
+			mHTTPRequests.With(route, r.Method, strconv.Itoa(status)).Inc()
+			mHTTPDuration.With(route).Observe(elapsed.Seconds())
+			if (aborted || status >= 500) && s.opts.Logger != nil {
+				msg := "request failed"
+				if aborted {
+					msg = "request aborted"
+				}
+				s.opts.Logger.Error(msg,
+					"requestId", id, "route", route, "method", r.Method,
+					"status", status, "duration", elapsed)
+			}
+			if s.opts.SlowRequest > 0 && elapsed >= s.opts.SlowRequest && s.opts.Logger != nil {
+				s.opts.Logger.Warn("slow request",
+					"requestId", id, "traceId", sp.TraceID(), "route", route,
+					"method", r.Method, "status", status, "duration", elapsed,
+					"spans", sp.Breakdown())
+			}
+		}()
 		next.ServeHTTP(out, r)
-
-		// ServeMux fills r.Pattern on the request it dispatched; an empty
-		// pattern is a 404/405 that matched no route.
-		route := r.Pattern
-		if route == "" {
-			route = "unmatched"
-		}
-		status := sw.status
-		if tb != nil && tb.status != 0 {
-			status = tb.status
-		}
-		if status == 0 {
-			status = http.StatusOK
-		}
-		sp.SetAttr("route", route)
-		sp.SetAttrInt("status", int64(status))
-		sp.Finish()
-		s.tracer.Record(sp, tb != nil)
-		if tb != nil {
-			tb.flush(sp)
-		}
-
-		elapsed := time.Since(start)
-		mHTTPRequests.With(route, r.Method, strconv.Itoa(status)).Inc()
-		mHTTPDuration.With(route).Observe(elapsed.Seconds())
-		if status >= 500 && s.opts.Logger != nil {
-			s.opts.Logger.Error("request failed",
-				"requestId", id, "route", route, "method", r.Method,
-				"status", status, "duration", elapsed)
-		}
-		if s.opts.SlowRequest > 0 && elapsed >= s.opts.SlowRequest && s.opts.Logger != nil {
-			s.opts.Logger.Warn("slow request",
-				"requestId", id, "traceId", sp.TraceID(), "route", route,
-				"method", r.Method, "status", status, "duration", elapsed,
-				"spans", sp.Breakdown())
-		}
+		aborted = false
 	})
 }
 

@@ -9,7 +9,9 @@ import (
 	"os"
 	"testing"
 
+	"graphitti/internal/core"
 	"graphitti/internal/persist"
+	"graphitti/internal/prop"
 )
 
 // sealedCheckpoint frames body as a binary checkpoint of the given format:
@@ -35,6 +37,17 @@ func deflateBomb(t testing.TB, n int) []byte {
 	return sealedCheckpoint(2, z.Bytes())
 }
 
+// checkpointOf is the checkpoint of s's one view and its rules: what
+// GET /api/snapshot serves of a deployment holding the same state.
+func checkpointOf(t testing.TB, s *core.Store) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := persist.WriteCheckpoint([]*core.View{s.View()}, prop.RulesOf(s), &b); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
 // restoreCap is the upload and inflation limit FuzzRestore serves with:
 // above the seeds, far below what a bomb could take.
 const restoreCap = 1 << 20
@@ -42,31 +55,29 @@ const restoreCap = 1 << 20
 // FuzzRestore: any POST /api/restore body sent to an in-memory
 // one-pipeline deployment over a small study is answered, never with a
 // panic or a 5xx; and an upload it refuses leaves GET /api/snapshot
-// byte-identical. Seeded with a JSON export, a checkpoint in each format
-// (format 1 as a build of the previous format wrote it) and a deflate
-// bomb past the route's limit.
+// byte-identical: the study's checkpoint. Seeded with a JSON export, a
+// checkpoint in each format (format 1 as a build of the previous format
+// wrote it) and a deflate bomb past the route's limit.
 func FuzzRestore(f *testing.F) {
 	study := influenzaStore(f, 3)
 	snap, err := persist.Export(study)
 	if err != nil {
 		f.Fatal(err)
 	}
-	var js, checkpoint bytes.Buffer
+	var js bytes.Buffer
 	if err := persist.WriteSnapshot(snap, &js); err != nil {
 		f.Fatal(err)
 	}
-	if err := persist.WriteCheckpoint(study, &checkpoint); err != nil {
-		f.Fatal(err)
-	}
+	checkpoint := checkpointOf(f, study)
 	plain, err := os.ReadFile("../durable/testdata/parent-55b73eb/data/graphitti-0000000000000007.snap")
 	if err != nil {
 		f.Fatal(err)
 	}
-	for _, seed := range [][]byte{js.Bytes(), checkpoint.Bytes(), plain, deflateBomb(f, 4*restoreCap), []byte("{nope")} {
+	for _, seed := range [][]byte{js.Bytes(), checkpoint, plain, deflateBomb(f, 4*restoreCap), []byte("{nope")} {
 		f.Add(seed)
 	}
-	// The served snapshot of the loaded study is js: IDs and counters load
-	// as they were exported.
+	// The served snapshot of the loaded study is its checkpoint: IDs and
+	// counters load as they were exported.
 	f.Fuzz(func(t *testing.T, body []byte) {
 		s, err := persist.Load(snap)
 		if err != nil {
@@ -80,7 +91,7 @@ func FuzzRestore(f *testing.F) {
 		if rr.Code == http.StatusOK {
 			return
 		}
-		if after := serve(h, "GET", "/api/snapshot", ""); !bytes.Equal(after.Body.Bytes(), js.Bytes()) {
+		if after := serve(h, "GET", "/api/snapshot", ""); !bytes.Equal(after.Body.Bytes(), checkpoint) {
 			t.Fatalf("a refused restore (%d: %s) changed the snapshot", rr.Code, rr.Body.Bytes())
 		}
 	})

@@ -116,13 +116,13 @@ func testSnapshotRestoreRoundTrip(t *testing.T, d deployment) {
 
 	// A snapshot pinning an ID past core.MaxID is a client error with the
 	// JSON envelope — not a crashed process — and the served store stays.
-	var hostile persist.Snapshot
-	if err := json.Unmarshal(snap, &hostile); err != nil {
+	hostile, err := persist.Decode(bytes.NewReader(snap))
+	if err != nil {
 		t.Fatal(err)
 	}
 	for _, id := range []uint64{1 << 62, 1 << 40} {
 		hostile.Annotations[0].ID = id
-		body, err := json.Marshal(&hostile)
+		body, err := json.Marshal(hostile)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,11 +144,7 @@ func testSnapshotRestoreRoundTrip(t *testing.T, d deployment) {
 // served store is touched, in memory or on disk; under a limit that
 // covers its body, the same upload restores.
 func TestRestoreInflateBound(t *testing.T) {
-	var checkpoint bytes.Buffer
-	if err := persist.WriteCheckpoint(influenzaStore(t, 30), &checkpoint); err != nil {
-		t.Fatal(err)
-	}
-	c := checkpoint.Bytes()
+	c := checkpointOf(t, influenzaStore(t, 30))
 	body, err := io.ReadAll(flate.NewReader(bytes.NewReader(c[len("GSNAP\x02") : len(c)-4])))
 	if err != nil {
 		t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"iter"
 	"maps"
 	"math"
 	"math/bits"
@@ -20,10 +21,11 @@ import (
 	"graphitti/internal/prop"
 )
 
-// The binary form is what a data directory holds: an op in a WAL record
-// (AppendOp, DecodeOp) and a checkpoint (WriteCheckpoint writes one from a
-// store's pinned view; Decode reads it as a Snapshot). JSON stays the
-// export and debug form.
+// The binary form is what a data directory holds and GET /api/snapshot
+// serves: an op in a WAL record (AppendOp, DecodeOp) and a checkpoint
+// (WriteCheckpoint writes one from a pinned view set; Decode reads it as
+// a Snapshot). JSON stays where a person reads the snapshot (Write, and
+// graphitti -save, which turns a checkpoint into it).
 //
 // A checkpoint is the magic GSNAP, a format byte, a body, and a CRC32C of
 // every byte before it. The body is the snapshot's version, its sections
@@ -179,18 +181,22 @@ func DecodeOp(b []byte) (Op, error) {
 	return op, nil
 }
 
-// WriteCheckpoint writes the store as a format-2 binary checkpoint: the
-// magic and format byte, the body deflated (BestSpeed), and a CRC32C of
-// everything before it. Like Export it reads one pinned view and the rule
-// list beside it, and the checkpoint decodes to the snapshot Export takes
-// of that view. But no snapshot is built: the annotations, the one section
-// that grows with the store, are encoded straight from the view, one at a
-// time into a buffered writer in front of the compressor, so neither the
-// file nor a dump of the store is ever held whole in memory, and what a
-// checkpoint allocates does not grow with the number of annotations.
-func WriteCheckpoint(s *core.Store, w io.Writer) error {
-	v := s.View()
-	head, err := exportObjects(v, prop.RulesOf(s))
+// WriteCheckpoint writes a pinned view set as a format-2 binary
+// checkpoint: the magic and format byte, the body deflated (BestSpeed),
+// and a CRC32C of everything before it. views is a store's one view, or a
+// deployment's views, one per shard; rules is the rule list read beside
+// them. The checkpoint decodes to the snapshot Export takes of the store
+// those views together hold: every section in its primary key's order,
+// the ontologies (broadcast to every shard) and rules once, and the ID
+// counters the highest of any view. Over one view its bytes are the ones
+// a compaction writes. No snapshot is built: the annotations, the one
+// section that grows with the store, are encoded straight from their
+// views, merged by ID, one at a time into a buffered writer in front of
+// the compressor, so neither the file nor a dump of the store is ever
+// held whole in memory, and what a checkpoint allocates does not grow
+// with the number of annotations.
+func WriteCheckpoint(views []*core.View, rules []prop.Rule, w io.Writer) error {
+	head, err := exportHead(views, rules)
 	if err != nil {
 		return err
 	}
@@ -211,7 +217,7 @@ func WriteCheckpoint(s *core.Store, w io.Writer) error {
 	buf = writeSection(bw, buf, head.Graphs, appendGraph)
 	buf = writeSection(bw, buf, head.Images, appendImage)
 	buf = writeSection(bw, buf, head.RecordTables, appendTable)
-	if buf, err = writeAnnotations(bw, buf, v); err != nil {
+	if buf, err = writeAnnotations(bw, buf, views); err != nil {
 		return err
 	}
 	buf = writeSection(bw, buf, head.Rules, appendRule)
@@ -229,6 +235,34 @@ func WriteCheckpoint(s *core.Store, w io.Writer) error {
 	return err
 }
 
+// exportHead is every section of views but the annotations, and the ID
+// counters. Each registered object is homed on one view, so a section
+// over several is the views' sections together, sorted by primary key;
+// the ontologies are on every view and are read from the first.
+func exportHead(views []*core.View, rules []prop.Rule) (*Snapshot, error) {
+	head, err := exportObjects(views[0], rules)
+	if err != nil || len(views) == 1 {
+		return head, err
+	}
+	for _, v := range views[1:] {
+		if err := exportRegistered(v, head); err != nil {
+			return nil, err
+		}
+	}
+	sortByKey(head.Systems, func(d SystemDump) string { return d.Name })
+	sortByKey(head.Sequences, func(d SequenceDump) string { return d.ID })
+	sortByKey(head.Alignments, func(d AlignmentDump) string { return d.ID })
+	sortByKey(head.Trees, func(d TreeDump) string { return d.ID })
+	sortByKey(head.Graphs, func(d GraphDump) string { return d.ID })
+	sortByKey(head.Images, func(d ImageDump) string { return d.ID })
+	sortByKey(head.RecordTables, func(d TableDump) string { return d.Name })
+	return head, nil
+}
+
+func sortByKey[T any](s []T, key func(T) string) {
+	slices.SortFunc(s, func(a, b T) int { return strings.Compare(key(a), key(b)) })
+}
+
 // writeSection writes a section's count and then each entry, encoded into
 // buf (reused, and returned for the next section). bw keeps the first
 // write error, its own or the compressor's, for Flush to report.
@@ -242,21 +276,60 @@ func writeSection[T any](bw *bufio.Writer, buf []byte, entries []T, app func([]b
 	return buf
 }
 
-// writeAnnotations writes the annotation section of v: its count, then
-// each annotation, in ascending ID order as Export dumps them, encoded
-// from the committed annotation itself.
-func writeAnnotations(bw *bufio.Writer, buf []byte, v *core.View) ([]byte, error) {
-	buf = binary.AppendUvarint(buf[:0], uint64(v.Stats().Annotations))
+// writeAnnotations writes the annotation section of views: the count of
+// them all, then each annotation in ascending ID order, as Export dumps
+// them, encoded from the committed annotation itself in its own view.
+func writeAnnotations(bw *bufio.Writer, buf []byte, views []*core.View) ([]byte, error) {
+	n := 0
+	for _, v := range views {
+		n += v.Stats().Annotations
+	}
+	buf = binary.AppendUvarint(buf[:0], uint64(n))
 	bw.Write(buf)
-	rec := &viewAnnotation{v: v}
+	rec := new(viewAnnotation)
 	var err error
-	v.AnnotationsEach(func(a *core.Annotation) bool {
-		rec.a = a
-		buf, err = appendAnnotationRecord(buf[:0], rec)
+	for rec.v, rec.a = range annotationsByID(views) {
+		if buf, err = appendAnnotationRecord(buf[:0], rec); err != nil {
+			return buf, err
+		}
 		bw.Write(buf)
-		return err == nil
-	})
-	return buf, err
+	}
+	return buf, nil
+}
+
+// annotationsByID yields every annotation of views, with the view it is
+// in, in ascending ID order. Each view's are in that order already and an
+// ID is in one view only, so over several views it merges them: it pulls
+// each view's walk in step and yields the smallest head (view counts are
+// small, so a scan of the heads beats a heap).
+func annotationsByID(views []*core.View) iter.Seq2[*core.View, *core.Annotation] {
+	return func(yield func(*core.View, *core.Annotation) bool) {
+		if len(views) == 1 {
+			v := views[0]
+			v.AnnotationsEach(func(a *core.Annotation) bool { return yield(v, a) })
+			return
+		}
+		heads := make([]*core.Annotation, len(views))
+		nexts := make([]func() (*core.Annotation, bool), len(views))
+		for k, v := range views {
+			next, stop := iter.Pull(iter.Seq[*core.Annotation](v.AnnotationsEach))
+			defer stop()
+			nexts[k] = next
+			heads[k], _ = next()
+		}
+		for {
+			best := -1
+			for k, a := range heads {
+				if a != nil && (best < 0 || a.ID < heads[best].ID) {
+					best = k
+				}
+			}
+			if best < 0 || !yield(views[best], heads[best]) {
+				return
+			}
+			heads[best], _ = nexts[best]()
+		}
+	}
 }
 
 // decodeCheckpoint reads a whole binary checkpoint, checksum first. A

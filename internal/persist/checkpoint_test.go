@@ -2,9 +2,7 @@ package persist_test
 
 import (
 	"bytes"
-	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"runtime"
 	"slices"
@@ -26,6 +24,12 @@ import (
 	"graphitti/internal/rtree"
 	"graphitti/internal/workload"
 )
+
+// writeCheckpoint writes the checkpoint of s as a compaction does: of its
+// one view and the rules read beside it.
+func writeCheckpoint(s *core.Store, w io.Writer) error {
+	return persist.WriteCheckpoint([]*core.View{s.View()}, prop.RulesOf(s), w)
+}
 
 // must and check build the pinned store the way its generator
 // (testdata/parent-27596f6/generate.go.txt) does, call for call; a failure
@@ -126,7 +130,7 @@ func TestCheckpointBytesPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got bytes.Buffer
-	if err := persist.WriteCheckpoint(pinnedStore(), &got); err != nil {
+	if err := writeCheckpoint(pinnedStore(), &got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Bytes(), want) {
@@ -135,7 +139,7 @@ func TestCheckpointBytesPinned(t *testing.T) {
 
 	for name, s := range checkpointStores(t) {
 		var bin, js, again bytes.Buffer
-		if err := persist.WriteCheckpoint(s, &bin); err != nil {
+		if err := writeCheckpoint(s, &bin); err != nil {
 			t.Fatal(err)
 		}
 		if err := persist.Write(s, &js); err != nil {
@@ -183,44 +187,14 @@ func TestDCByNamePinned(t *testing.T) {
 	}
 }
 
-// benchmarkShapedStore is a store of the live benchmark's shape: its eight
-// segments and n annotations, each a creator of four, a date, a unique
-// title, a phrase and a Zipf-drawn token for a body and one interval mark
-// in a Zipf-drawn segment (core's commitBenchmarkShaped).
+// benchmarkShapedStore is workload.BenchmarkShaped's store of n
+// annotations.
 func benchmarkShapedStore(t testing.TB, n int) *core.Store {
 	t.Helper()
-	s := core.NewStore()
-	for d := 1; d <= 8; d++ {
-		sq := must(seq.New(fmt.Sprintf("seg%d", d), seq.DNA, strings.Repeat("ACGT", 64)))
-		sq.Domain = fmt.Sprintf("segment%d", d)
-		check(s.RegisterSequence(sq))
+	s, err := workload.BenchmarkShaped(n)
+	if err != nil {
+		t.Fatal(err)
 	}
-	creators := []string{"gupta", "condit", "martone", "chen"}
-	phrases := []string{
-		"conserved motif near the polymerase binding site", "putative protease cleavage region",
-		"high mutation density in this window", "binding footprint confirmed by pulldown",
-		"kinase activity suspected", "glycosylation site shifts between isolates",
-		"reassortment breakpoint candidate", "host adaptation marker reported in poultry",
-	}
-	rng := rand.New(rand.NewSource(1))
-	token := rand.NewZipf(rng, 1.1, 8, 1999)
-	domain := rand.NewZipf(rng, 1.2, 1, 7)
-	check(s.Batch(func(tx *core.Tx) error {
-		for i := range n {
-			lo := rng.Int63n(200000 - 100)
-			m := &core.Referent{Kind: core.IntervalReferent, ObjectType: core.TypeDNA,
-				Interval: interval.Interval{Lo: lo, Hi: lo + 20 + rng.Int63n(80)}}
-			m.ObjectID = fmt.Sprintf("seg%d", domain.Uint64()+1)
-			m.Domain = "segment" + m.ObjectID[3:]
-			b := core.NewBuilder().Creator(creators[rng.Intn(len(creators))]).Date("2008-04-07").
-				Title(fmt.Sprintf("p%07d", i)).
-				Body(fmt.Sprintf("%s gene%04d", phrases[rng.Intn(len(phrases))], token.Uint64())).Refer(m)
-			if _, err := tx.Commit(b); err != nil {
-				return err
-			}
-		}
-		return nil
-	}))
 	return s
 }
 
@@ -238,7 +212,7 @@ func TestCheckpointAllocations(t *testing.T) {
 	for _, n := range []int{1000, 10000} {
 		s := benchmarkShapedStore(t, n)
 		counts[n] = testing.AllocsPerRun(3, func() {
-			if err := persist.WriteCheckpoint(s, io.Discard); err != nil {
+			if err := writeCheckpoint(s, io.Discard); err != nil {
 				t.Fatal(err)
 			}
 		})

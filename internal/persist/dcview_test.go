@@ -87,7 +87,7 @@ func TestDCViewMatchesRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	var checkpoint bytes.Buffer
-	if err := persist.WriteCheckpoint(s, &checkpoint); err != nil {
+	if err := writeCheckpoint(s, &checkpoint); err != nil {
 		t.Fatal(err)
 	}
 	fromCheckpoint, err := persist.Read(&checkpoint)

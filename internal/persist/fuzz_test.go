@@ -34,7 +34,7 @@ func FuzzSnapshotLoad(f *testing.F) {
 	}
 	f.Add([]byte(v1Snapshot))
 	var checkpoint bytes.Buffer
-	if err := persist.WriteCheckpoint(neuroStore(f), &checkpoint); err != nil {
+	if err := writeCheckpoint(neuroStore(f), &checkpoint); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(checkpoint.Bytes())

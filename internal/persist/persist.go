@@ -1,9 +1,10 @@
 // Package persist serialises a Graphitti store to a portable snapshot and
-// rebuilds stores from snapshots. A snapshot has two forms: JSON, the
-// export and debug form (GET /api/snapshot, Write), and a compact binary
-// checkpoint, DEFLATE-compressed, the form a data directory holds
-// (WriteCheckpoint, which writes it straight from a store's pinned view,
-// without building a Snapshot). Decode reads either into a Snapshot.
+// rebuilds stores from snapshots. A snapshot has two forms: a compact
+// binary checkpoint, DEFLATE-compressed, the form a data directory holds
+// and GET /api/snapshot serves (WriteCheckpoint, which writes it straight
+// from a pinned view set — a store's one view or a shard set's, merged —
+// without building a Snapshot), and JSON, the form for a human reader
+// (Write, graphitti -save). Decode reads either into a Snapshot.
 //
 // The snapshot is a logical export — registered ontologies, coordinate
 // systems, data objects, record tables and annotations — not a byte-level
@@ -247,8 +248,8 @@ type ReferentDump struct {
 // section, every referent an annotation dump resolves and the ID counters
 // are read from the same core.View, so the export is a point-in-time image
 // of the store at that view's epoch whatever the writer does meanwhile —
-// nothing it names can be missing. Over a shard set (shard.Export) that
-// is one view per shard, pinned in turn: every annotation, referent and
+// nothing it names can be missing. Over a shard set (WriteCheckpoint of
+// its views) that is one view per shard: every annotation, referent and
 // record table is homed on one shard, so nothing exported can dangle. The
 // rule list is read off the propagator and is the one section not in the
 // view; derived facts are never exported, so a rule that lands beside the
@@ -279,7 +280,6 @@ func exportView(v *core.View, rules []prop.Rule) (*Snapshot, error) {
 // counters. WriteCheckpoint writes the annotations straight from v.
 func exportObjects(v *core.View, rules []prop.Rule) (*Snapshot, error) {
 	snap := &Snapshot{Version: Version}
-
 	for _, name := range v.Ontologies() {
 		o, err := v.Ontology(name)
 		if err != nil {
@@ -287,52 +287,65 @@ func exportObjects(v *core.View, rules []prop.Rule) (*Snapshot, error) {
 		}
 		snap.Ontologies = append(snap.Ontologies, DumpOntology(o))
 	}
+	if err := exportRegistered(v, snap); err != nil {
+		return nil, err
+	}
+	for _, r := range rules {
+		snap.Rules = append(snap.Rules, DumpRule(r))
+	}
+	return snap, nil
+}
+
+// exportRegistered appends to snap the objects registered on v, each
+// section in its primary key's order — every section but the ontologies,
+// the annotations and the rules — and raises snap's ID counters to v's.
+func exportRegistered(v *core.View, snap *Snapshot) error {
 	for _, name := range v.CoordinateSystems() {
 		cs, err := v.CoordinateSystem(name)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		snap.Systems = append(snap.Systems, DumpSystem(cs))
 	}
 	for _, id := range v.SequenceIDs() {
 		sq, _, err := v.Sequence(id)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		snap.Sequences = append(snap.Sequences, DumpSequence(sq))
 	}
 	for _, id := range v.AlignmentIDs() {
 		a, err := v.Alignment(id)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		snap.Alignments = append(snap.Alignments, DumpAlignment(a))
 	}
 	for _, id := range v.TreeIDs() {
 		t, err := v.Tree(id)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		snap.Trees = append(snap.Trees, DumpTree(t))
 	}
 	for _, id := range v.InteractionGraphIDs() {
 		g, err := v.InteractionGraph(id)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		snap.Graphs = append(snap.Graphs, DumpGraph(g))
 	}
 	for _, id := range v.Images() {
 		im, err := v.Image(id)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		snap.Images = append(snap.Images, DumpImage(im))
 	}
 	for _, name := range v.RecordTables() {
 		schema, rows, err := v.RecordTable(name)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		td := DumpSchema(schema)
 		for _, r := range rows {
@@ -340,11 +353,9 @@ func exportObjects(v *core.View, rules []prop.Rule) (*Snapshot, error) {
 		}
 		snap.RecordTables = append(snap.RecordTables, td)
 	}
-	for _, r := range rules {
-		snap.Rules = append(snap.Rules, DumpRule(r))
-	}
-	snap.NextAnn, snap.NextRef = v.IDCounters()
-	return snap, nil
+	nextAnn, nextRef := v.IDCounters()
+	snap.NextAnn, snap.NextRef = max(snap.NextAnn, nextAnn), max(snap.NextRef, nextRef)
+	return nil
 }
 
 // Write exports the store as JSON to w.
@@ -356,10 +367,9 @@ func Write(s *core.Store, w io.Writer) error {
 	return WriteSnapshot(snap, w)
 }
 
-// WriteSnapshot serializes an already-exported snapshot in the same
-// format Write produces — the sharded store merges per-shard exports and
-// emits the result through this. The JSON is compact, one line — a
-// restart reads every byte of it; `jq .` is the form for reading.
+// WriteSnapshot serializes an already-exported or decoded snapshot in
+// the same format Write produces. The JSON is compact, one line; `jq .`
+// is the form for reading.
 func WriteSnapshot(snap *Snapshot, w io.Writer) error {
 	return json.NewEncoder(w).Encode(snap)
 }

@@ -272,7 +272,7 @@ func TestSnapshotFormsLoadAlike(t *testing.T) {
 				t.Fatalf("the old form has %d rects for %d marks and %d bytes to the compact form's %d", got, marks, len(v2), compact.Len())
 			}
 			var checkpoint bytes.Buffer
-			if err := persist.WriteCheckpoint(s, &checkpoint); err != nil {
+			if err := writeCheckpoint(s, &checkpoint); err != nil {
 				t.Fatal(err)
 			}
 			want := mustJSON(t, exportOf(t, s))

@@ -267,6 +267,40 @@ func (q *Query) Var(name string) (*VarDecl, bool) {
 	return &q.Vars[i], true
 }
 
+// Components groups the query's variables by the edge patterns that join
+// them: two variables are in one group when a chain of edges links them.
+// Each group lists its variables in declaration order, and the groups
+// come in the order of their first variable. A pattern of more than one
+// group asks for the cross product of the groups' answers.
+func (q *Query) Components() [][]string {
+	root := make([]int, len(q.Vars))
+	for i := range root {
+		root[i] = i
+	}
+	find := func(i int) int {
+		for root[i] != i {
+			i = root[i]
+		}
+		return i
+	}
+	for _, e := range q.Edges {
+		a, b := find(q.varIndex[e.From]), find(q.varIndex[e.To])
+		root[max(a, b)] = min(a, b)
+	}
+	var groups [][]string
+	at := map[int]int{} // a group's root → its index in groups
+	for i, v := range q.Vars {
+		r := find(i)
+		g, ok := at[r]
+		if !ok {
+			g, at[r] = len(groups), len(groups)
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], v.Name)
+	}
+	return groups
+}
+
 func (q *Query) validate() error {
 	if len(q.Vars) == 0 {
 		return fmt.Errorf("%w: the query declares no variable", ErrSyntax)

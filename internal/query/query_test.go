@@ -463,3 +463,19 @@ where {
 		t.Fatalf("current view: %d matches, want 5 (three survivors, the new annotation on two referents)", len(now))
 	}
 }
+
+// TestComponents: variables fall into the groups the edge patterns join,
+// whatever order the edges name them in; a constraint joins nothing.
+func TestComponents(t *testing.T) {
+	for src, want := range map[string][][]string{
+		`select contents where { ?a isa annotation . }`:                                                                                     {{"a"}},
+		`select contents where { ?x isa annotation . ?a isa annotation . }`:                                                                 {{"x"}, {"a"}},
+		`select graph where { ?a isa annotation . ?r isa referent . ?o isa object . ?r marks ?o . ?a annotates ?r . }`:                      {{"a", "r", "o"}},
+		`select graph where { ?a isa annotation . ?r isa referent . ?b isa annotation . ?t isa term . ?b refersTo ?t . ?a annotates ?r . }`: {{"a", "r"}, {"b", "t"}},
+		`select referents where { ?r isa referent . ?s isa referent . } constrain overlapping(?r, ?s)`:                                      {{"r"}, {"s"}},
+	} {
+		if got := MustParse(src).Components(); !slices.EqualFunc(got, want, slices.Equal) {
+			t.Errorf("%s: %v, want %v", src, got, want)
+		}
+	}
+}

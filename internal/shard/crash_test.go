@@ -138,7 +138,7 @@ func TestShardedCrashRecovery(t *testing.T) {
 			if g, w := s.Views().Stats(), want.Stats(); g != w {
 				t.Fatalf("stats diverged after replay:\n got %+v\nwant %+v", g, w)
 			}
-			gotSnap, err := s.Export()
+			gotSnap, err := shard.Export(s)
 			if err != nil {
 				t.Fatal(err)
 			}

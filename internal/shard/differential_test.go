@@ -11,14 +11,17 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"graphitti/internal/agraph"
 	"graphitti/internal/core"
 	"graphitti/internal/interval"
 	"graphitti/internal/persist"
+	"graphitti/internal/prop"
 	"graphitti/internal/query"
 	"graphitti/internal/shard"
 	"graphitti/internal/workload"
@@ -31,6 +34,16 @@ func exportJSON(t *testing.T, snap *persist.Snapshot) []byte {
 		t.Fatal(err)
 	}
 	return data
+}
+
+// checkpoint is the checkpoint persist writes of a pinned view set.
+func checkpoint(t *testing.T, views []*core.View, rules []prop.Rule) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := persist.WriteCheckpoint(views, rules, &b); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
 }
 
 func TestShardedDifferentialExport(t *testing.T) {
@@ -52,13 +65,14 @@ func TestShardedDifferentialExport(t *testing.T) {
 				t.Fatal(err)
 			}
 			wantJSON := exportJSON(t, wantSnap)
+			wantCheckpoint := checkpoint(t, []*core.View{want.View()}, prop.RulesOf(want))
 
 			for n := 1; n <= 4; n++ {
 				s := shard.New(n)
 				if err := workload.ApplyOps(shard.AsSink(s), sc.ops); err != nil {
 					t.Fatalf("n=%d sharded apply: %v", n, err)
 				}
-				gotSnap, err := s.Export()
+				gotSnap, err := shard.Export(s)
 				if err != nil {
 					t.Fatalf("n=%d export: %v", n, err)
 				}
@@ -66,6 +80,11 @@ func TestShardedDifferentialExport(t *testing.T) {
 					t.Errorf("n=%d merged export diverged from unsharded store", n)
 					diffSnapshots(t, gotSnap, wantSnap)
 					continue
+				}
+				// The merged checkpoint is the one store's, byte for byte.
+				if got := checkpoint(t, s.Views(), s.Rules()); !bytes.Equal(got, wantCheckpoint) {
+					t.Errorf("n=%d merged checkpoint is %d bytes that differ from the %d of the unsharded store's",
+						n, len(got), len(wantCheckpoint))
 				}
 				if g, w := s.Views().Stats(), want.Stats(); g != w {
 					t.Errorf("n=%d stats diverged:\n got %+v\nwant %+v", n, g, w)
@@ -107,7 +126,7 @@ func TestShardedDifferentialExport(t *testing.T) {
 				if err := restored.Restore(wantSnap); err != nil {
 					t.Fatalf("n=%d restore: %v", n, err)
 				}
-				gotSnap, err = restored.Export()
+				gotSnap, err = shard.Export(restored)
 				if err != nil {
 					t.Fatalf("n=%d restored export: %v", n, err)
 				}
@@ -135,7 +154,7 @@ func TestShardedRestoreRoundTrip(t *testing.T) {
 	if err := workload.ApplyOps(shard.AsSink(src), ops); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := src.Export()
+	snap, err := shard.Export(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +164,7 @@ func TestShardedRestoreRoundTrip(t *testing.T) {
 		if err := dst.Restore(snap); err != nil {
 			t.Fatalf("n=%d restore: %v", n, err)
 		}
-		got, err := dst.Export()
+		got, err := shard.Export(dst)
 		if err != nil {
 			t.Fatalf("n=%d re-export: %v", n, err)
 		}
@@ -319,4 +338,34 @@ func referentStrings(refs []*core.Referent) []string {
 		out = append(out, r.String())
 	}
 	return out
+}
+
+// TestDisconnectedQueryRefusedOverShards: a pattern whose variables no edge
+// joins asks for a cross product, and the concatenated per-shard answers
+// would miss every pair spanning two shards. Over more than one shard it
+// is refused, naming the unjoined groups; over one it is answered, as the
+// store answers it.
+func TestDisconnectedQueryRefusedOverShards(t *testing.T) {
+	const src = `select contents where { ?a isa annotation . ?r isa referent . ?a annotates ?r . ?b isa annotation . }`
+	ops := workload.ShardedScenario(workload.RecoveryConfig{Seed: 5, Images: 4, Ops: 60}, 3)
+	for n := 1; n <= 3; n++ {
+		s := shard.New(n)
+		if err := workload.ApplyOps(shard.AsSink(s), ops); err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Views().Query(context.Background(), src, query.DefaultOptions)
+		if n == 1 {
+			if err != nil || res.Stats.Matches == 0 {
+				t.Fatalf("one shard: %v, %+v", err, res)
+			}
+			continue
+		}
+		if !errors.Is(err, shard.ErrCrossProduct) || !strings.Contains(err.Error(), "{?a ?r} and {?b}") {
+			t.Errorf("%d shards: err = %v, want ErrCrossProduct naming {?a ?r} and {?b}", n, err)
+		}
+	}
+	connected := `select contents where { ?a isa annotation . ?r isa referent . ?a annotates ?r . }`
+	if _, err := shard.New(3).Views().Query(context.Background(), connected, query.DefaultOptions); err != nil {
+		t.Errorf("a connected pattern over 3 shards: %v", err)
+	}
 }

@@ -100,7 +100,7 @@ func TestOpenRefusesUnshardedDirectory(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d over a root-layout directory: %v", n, err)
 		}
-		gotSnap, err := s.Export()
+		gotSnap, err := shard.Export(s)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"graphitti/internal/agraph"
@@ -276,8 +277,17 @@ func (vs Views) DerivedOnto(id uint64) ([]core.DerivedFact, error) {
 // DerivedSourceEpoch returns the owner shard's derived epoch for src.
 func (vs Views) DerivedSourceEpoch(src uint64) uint64 { return vs.owner(src).DerivedSourceEpoch(src) }
 
+// ErrCrossProduct refuses a query, over more than one shard, whose
+// variables fall into groups no edge pattern joins. Such a pattern asks
+// for the cross product of the groups' answers, and a pair whose parts are
+// homed on two shards is in no shard's answer: Query, which concatenates
+// the per-shard answers, would miss every such pair.
+var ErrCrossProduct = errors.New("shard: a query pattern whose variables are not all joined")
+
 // Query executes one query against every shard's view and merges the
 // results in ID order (annotations, referents) / shard order (subgraphs).
+// Over more than one shard a pattern that is a cross product is refused
+// with ErrCrossProduct.
 // Planner statistics sum across shards; Order and Strategies report
 // shard 0's plan. The cap — MaxResults, or the query's own limit clause
 // when that is lower — caps each shard's enumeration and the merged
@@ -287,6 +297,14 @@ func (vs Views) Query(ctx context.Context, src string, opts query.Options) (*que
 	q, err := query.Parse(src)
 	if err != nil {
 		return nil, err
+	}
+	if groups := q.Components(); len(vs) > 1 && len(groups) > 1 {
+		names := make([]string, len(groups))
+		for i, g := range groups {
+			names[i] = "{?" + strings.Join(g, " ?") + "}"
+		}
+		return nil, fmt.Errorf("%w: no edge joins %s, over %d shards; join them with an edge pattern",
+			ErrCrossProduct, strings.Join(names, " and "), len(vs))
 	}
 	results := make([]*query.Result, len(vs))
 	errs := make([]error, len(vs))
@@ -410,53 +428,6 @@ func (vs Views) MarkObject(typ core.ObjectType, objectID string) (*core.Referent
 		}
 	}
 	return nil, firstErr
-}
-
-// Export merges the per-shard snapshots into one, ordered exactly as the
-// unsharded exporter orders it: every section sorted by its primary key
-// (each object is homed on one shard, so concatenation + sort is the
-// global sorted order); ontologies and rules from shard 0; ID counters
-// the per-shard maxima.
-func (s *Store) Export() (*persist.Snapshot, error) {
-	n := s.NumShards()
-	snaps := make([]*persist.Snapshot, n)
-	for k := 0; k < n; k++ {
-		snap, err := persist.Export(s.shardCore(k))
-		if err != nil {
-			return nil, tag(k, err)
-		}
-		snaps[k] = snap
-	}
-	out := &persist.Snapshot{
-		Version:    persist.Version,
-		Ontologies: snaps[0].Ontologies,
-		Rules:      snaps[0].Rules,
-	}
-	for _, snap := range snaps {
-		out.Systems = append(out.Systems, snap.Systems...)
-		out.Sequences = append(out.Sequences, snap.Sequences...)
-		out.Alignments = append(out.Alignments, snap.Alignments...)
-		out.Trees = append(out.Trees, snap.Trees...)
-		out.Graphs = append(out.Graphs, snap.Graphs...)
-		out.Images = append(out.Images, snap.Images...)
-		out.RecordTables = append(out.RecordTables, snap.RecordTables...)
-		out.Annotations = append(out.Annotations, snap.Annotations...)
-		if snap.NextAnn > out.NextAnn {
-			out.NextAnn = snap.NextAnn
-		}
-		if snap.NextRef > out.NextRef {
-			out.NextRef = snap.NextRef
-		}
-	}
-	sort.Slice(out.Systems, func(i, j int) bool { return out.Systems[i].Name < out.Systems[j].Name })
-	sort.Slice(out.Sequences, func(i, j int) bool { return out.Sequences[i].ID < out.Sequences[j].ID })
-	sort.Slice(out.Alignments, func(i, j int) bool { return out.Alignments[i].ID < out.Alignments[j].ID })
-	sort.Slice(out.Trees, func(i, j int) bool { return out.Trees[i].ID < out.Trees[j].ID })
-	sort.Slice(out.Graphs, func(i, j int) bool { return out.Graphs[i].ID < out.Graphs[j].ID })
-	sort.Slice(out.Images, func(i, j int) bool { return out.Images[i].ID < out.Images[j].ID })
-	sort.Slice(out.RecordTables, func(i, j int) bool { return out.RecordTables[i].Name < out.RecordTables[j].Name })
-	sort.Slice(out.Annotations, func(i, j int) bool { return out.Annotations[i].ID < out.Annotations[j].ID })
-	return out, nil
 }
 
 // ErrBadSnapshot is wrapped around a Restore refused because of what the

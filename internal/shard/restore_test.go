@@ -64,7 +64,7 @@ func TestRestoreWaitsForRoutedWriters(t *testing.T) {
 	if _, err := src.Commit(core.NewBuilder().Creator("tester").Date("2026-08-08").Body("seed").Refer(seedRef)); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := src.Export()
+	snap, err := Export(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestRestoreBadSnapshotChangesNothing(t *testing.T) {
 			t.Fatalf("%s: restore of the good snapshot: %v", name, err)
 		}
 		want := perShardAnnotations(s)
-		wantSnap, err := s.Export()
+		wantSnap, err := Export(s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,7 +186,7 @@ func TestRestoreBadSnapshotChangesNothing(t *testing.T) {
 		if got := perShardAnnotations(s); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: per-shard annotations after the refused restore = %v, want %v", name, got, want)
 		}
-		gotSnap, err := s.Export()
+		gotSnap, err := Export(s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -344,7 +344,7 @@ func TestRestoredShardsEqualLiveShards(t *testing.T) {
 			}
 		}
 	}
-	snap, err := live.Export()
+	snap, err := Export(live)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +383,7 @@ func TestPipelineOwnsWhatItRegisters(t *testing.T) {
 				t.Fatalf("%s: %v", name, err)
 			}
 		}
-		want, err := s.Export()
+		want, err := Export(s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -391,7 +391,7 @@ func TestPipelineOwnsWhatItRegisters(t *testing.T) {
 			t.Fatal(err)
 		}
 		sq.Description = "changed later"
-		got, err := s.Export()
+		got, err := Export(s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -409,7 +409,7 @@ func TestPipelineOwnsWhatItRegisters(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer reopened.Close()
-		got, err = reopened.Export()
+		got, err = Export(reopened)
 		if err != nil {
 			t.Fatal(err)
 		}
