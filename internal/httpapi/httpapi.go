@@ -623,14 +623,15 @@ type queryRequest struct {
 	MaxResults int    `json:"maxResults,omitempty"`
 }
 
-type queryResponse struct {
-	Matches int      `json:"matches"`
-	Order   []string `json:"order"`
-	// Annotations is the wire encoder's array (see wire.go), spliced in.
-	Annotations json.RawMessage `json:"annotations,omitempty"`
-	Referents   []string        `json:"referents,omitempty"`
-	Subgraphs   []subgraphView  `json:"subgraphs,omitempty"`
-	Explain     *explainView    `json:"explain,omitempty"`
+// queryTail is what a query's answer carries after its annotations. The
+// answer is {"matches":…,"order":…,"annotations":[…],…tail} with the
+// annotations streamed between the parts encoding/json writes; its bytes
+// are what encoding/json writes for the whole (stream_test.go keeps the
+// struct the route used to encode, queryResponse, as the oracle).
+type queryTail struct {
+	Referents []string       `json:"referents,omitempty"`
+	Subgraphs []subgraphView `json:"subgraphs,omitempty"`
+	Explain   *explainView   `json:"explain,omitempty"`
 }
 
 // explainView surfaces the planner's decisions (POST /api/query with
@@ -664,9 +665,16 @@ func (s *server) runQuery(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, err)
 		return
 	}
-	resp := queryResponse{Matches: res.Stats.Matches, Order: res.Stats.Order}
-	if v := r.URL.Query().Get("explain"); v == "1" || v == "true" {
-		resp.Explain = &explainView{
+	v := r.URL.Query().Get("explain")
+	writeQuery(w, r, res, v == "1" || v == "true")
+}
+
+// writeQuery answers 200 with res: the envelope's small parts in
+// encoding/json's form around the streamed annotations.
+func writeQuery(w http.ResponseWriter, r *http.Request, res *query.Result, explain bool) {
+	var tail queryTail
+	if explain {
+		tail.Explain = &explainView{
 			Order:           res.Stats.Order,
 			CandidateCounts: res.Stats.CandidateCounts,
 			Costs:           res.Stats.Costs,
@@ -674,24 +682,38 @@ func (s *server) runQuery(w http.ResponseWriter, r *http.Request) {
 			BindingsTried:   res.Stats.BindingsTried,
 		}
 	}
-	if len(res.Annotations) > 0 {
-		wb := startEncode(r)
-		defer wb.release()
-		wb.list(res.Annotations)
-		wb.done()
-		resp.Annotations = wb.out
-	}
 	for _, ref := range res.Referents {
-		resp.Referents = append(resp.Referents, ref.String())
+		tail.Referents = append(tail.Referents, ref.String())
 	}
 	for _, sg := range res.Subgraphs {
 		sv := subgraphView{Edges: sg.EdgeCount()}
 		for _, n := range sg.Nodes {
 			sv.Nodes = append(sv.Nodes, n.String())
 		}
-		resp.Subgraphs = append(resp.Subgraphs, sv)
+		tail.Subgraphs = append(tail.Subgraphs, sv)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	order, _ := json.Marshal(res.Stats.Order) // a []string always marshals
+	rest, err := json.Marshal(tail)
+	if err != nil {
+		writeErr(w, r, err)
+		return
+	}
+	wb := startEncode(w, r, http.StatusOK)
+	defer wb.release()
+	wb.out = append(wb.out, `{"matches":`...)
+	wb.out = strconv.AppendInt(wb.out, int64(res.Stats.Matches), 10)
+	wb.out = append(wb.out, `,"order":`...)
+	wb.out = append(wb.out, order...)
+	if len(res.Annotations) > 0 {
+		wb.out = append(wb.out, `,"annotations":`...)
+		wb.list(res.Annotations)
+	}
+	if len(rest) > len("{}") {
+		wb.out = append(wb.out, ',')
+	}
+	wb.out = append(wb.out, rest[1:]...) // the tail's fields and the closing brace
+	wb.out = append(wb.out, '\n')
+	wb.finish()
 }
 
 func (s *server) referents(w http.ResponseWriter, r *http.Request) {

@@ -134,13 +134,16 @@ func TestSnapshotRouteWriteFailure(t *testing.T) {
 	t.Fatal("a write failing mid-body did not abort the handler")
 }
 
-// failingResponse accepts after writes, then fails every one.
+// failingResponse accepts after writes, then fails every one; sizes is
+// the length of every write tried.
 type failingResponse struct {
 	discardResponse
 	after int
+	sizes []int
 }
 
 func (f *failingResponse) Write(p []byte) (int, error) {
+	f.sizes = append(f.sizes, len(p))
 	if f.after == 0 {
 		return 0, http.ErrHandlerTimeout
 	}

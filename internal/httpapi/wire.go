@@ -13,9 +13,16 @@
 // shape, and the xml string is the content document's own JSON form
 // (xmldoc.Document.AppendJSON), whose static text is escaped once per
 // shape, so a read escapes only the annotation's values. Nothing is kept
-// per annotation: a read leaves the store as it found it. A response is
-// '[' + objects + ']' built in the buffer and written once, with its
-// Content-Length.
+// per annotation: a read leaves the store as it found it.
+//
+// A list answer streams: once the buffer holds wireChunk bytes after an
+// annotation, they go to the connection and the buffer is reused, so a
+// read holds one chunk, not its whole answer. The first such write sends
+// the status with no Content-Length, and net/http sends the rest chunked.
+// An answer that fits in one chunk is written once, with its
+// Content-Length. A failed write ends the encoding: the client has gone.
+// The one exception is ?trace=1, whose writer (traceBuffer) keeps the
+// whole payload to wrap it in the trace envelope.
 
 package httpapi
 
@@ -31,40 +38,72 @@ import (
 	"graphitti/internal/xmldoc"
 )
 
-// wireBuf is the scratch space of one response and the tally of its
-// "encode" span.
+// wireChunk is how many bytes of an answer the encoder holds before it
+// writes them to the connection.
+const wireChunk = 32 << 10
+
+// wireBuf is the scratch space of one response, the writer its chunks go
+// to and the tally of its "encode" span.
 type wireBuf struct {
-	out  []byte // the body under construction
-	sp   *trace.Span
-	anns int // annotations appended
+	out    []byte // the answer's bytes not yet written
+	w      http.ResponseWriter
+	status int
+	sent   int   // bytes handed to w before out
+	err    error // the first failed write: nothing more is encoded
+	sp     *trace.Span
+	anns   int // annotations appended
 }
 
 var wirePool = sync.Pool{New: func() any { return new(wireBuf) }}
 
-// maxPooledWire bounds the buffers the pool keeps: one full listing of a
-// large store must not pin its megabytes behind every later 300-byte get.
-const maxPooledWire = 1 << 20
-
 // startEncode takes a buffer from the pool and opens the "encode" child of
-// the request's span; the caller appends annotations, calls done, uses
-// wb.out and releases the buffer.
-func startEncode(r *http.Request) *wireBuf {
+// the request's span; the caller appends the answer, calls finish and
+// releases the buffer.
+func startEncode(w http.ResponseWriter, r *http.Request, status int) *wireBuf {
 	wb := wirePool.Get().(*wireBuf)
-	*wb = wireBuf{out: wb.out[:0], sp: trace.FromContext(r.Context()).StartChild("encode")}
+	*wb = wireBuf{out: wb.out[:0], w: w, status: status,
+		sp: trace.FromContext(r.Context()).StartChild("encode")}
 	return wb
 }
 
-// done closes the span with the work done: annotations in the answer and
-// the bytes of them.
-func (wb *wireBuf) done() {
-	wb.sp.SetAttrInt("annotations", int64(wb.anns))
-	wb.sp.SetAttrInt("bytes", int64(len(wb.out)))
-	wb.sp.Finish()
-	wb.sp = nil
+// spill writes the buffer to the connection once it holds a chunk; the
+// first write sends the status without a Content-Length.
+func (wb *wireBuf) spill() {
+	if len(wb.out) < wireChunk || wb.err != nil {
+		return
+	}
+	if wb.sent == 0 {
+		wb.w.Header().Set("Content-Type", "application/json")
+		wb.w.WriteHeader(wb.status)
+	}
+	_, wb.err = wb.w.Write(wb.out)
+	wb.sent += len(wb.out)
+	wb.out = wb.out[:0]
 }
 
+// finish closes the span with the work done — annotations in the answer
+// and the bytes of them — and sends what is left: an answer that fits in
+// one chunk in one write with its length, after the span, so that the
+// span is the encoding alone; a streamed one's last chunk inside it.
+func (wb *wireBuf) finish() {
+	wb.sp.SetAttrInt("annotations", int64(wb.anns))
+	wb.sp.SetAttrInt("bytes", int64(wb.sent+len(wb.out)))
+	if wb.sent == 0 {
+		wb.sp.Finish()
+		writeBody(wb.w, wb.status, wb.out)
+		return
+	}
+	if wb.err == nil {
+		_, wb.err = wb.w.Write(wb.out)
+	}
+	wb.sp.Finish()
+}
+
+// release returns the buffer to the pool unless one huge annotation grew
+// it well past a chunk.
 func (wb *wireBuf) release() {
-	if cap(wb.out) <= maxPooledWire {
+	wb.w, wb.sp = nil, nil
+	if cap(wb.out) <= 2*wireChunk {
 		wirePool.Put(wb)
 	}
 }
@@ -125,15 +164,19 @@ func (wb *wireBuf) annotation(ann *core.Annotation) {
 	wb.out = append(dst, '}')
 }
 
-// list appends the JSON array of anns to wb.out (never null: no
-// annotations is []).
+// list appends the JSON array of anns (never null: no annotations is
+// []), writing each chunk as it fills; it stops at a failed write.
 func (wb *wireBuf) list(anns []*core.Annotation) {
 	wb.out = append(wb.out, '[')
 	for i, ann := range anns {
+		if wb.err != nil {
+			return
+		}
 		if i > 0 {
 			wb.out = append(wb.out, ',')
 		}
 		wb.annotation(ann)
+		wb.spill()
 	}
 	wb.out = append(wb.out, ']')
 }
@@ -149,20 +192,18 @@ func writeBody(w http.ResponseWriter, status int, body []byte) {
 
 // writeAnnotations answers 200 with the JSON array of anns.
 func writeAnnotations(w http.ResponseWriter, r *http.Request, anns []*core.Annotation) {
-	wb := startEncode(r)
+	wb := startEncode(w, r, http.StatusOK)
 	defer wb.release()
 	wb.list(anns)
 	wb.out = append(wb.out, '\n')
-	wb.done()
-	writeBody(w, http.StatusOK, wb.out)
+	wb.finish()
 }
 
 // writeAnnotation answers with one annotation.
 func writeAnnotation(w http.ResponseWriter, r *http.Request, status int, ann *core.Annotation) {
-	wb := startEncode(r)
+	wb := startEncode(w, r, status)
 	defer wb.release()
 	wb.annotation(ann)
 	wb.out = append(wb.out, '\n')
-	wb.done()
-	writeBody(w, status, wb.out)
+	wb.finish()
 }

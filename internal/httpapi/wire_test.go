@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -76,8 +77,9 @@ func serve(h http.Handler, method, target, body string) *httptest.ResponseRecord
 	return rr
 }
 
-// wantBody fails unless the response is a 200 carrying exactly want, with
-// the matching Content-Length.
+// wantBody fails unless the response is a 200 carrying exactly want: with
+// its exact Content-Length when it went out in one write, and with none
+// when it was streamed — a list whose annotations reach wireChunk bytes.
 func wantBody(t testing.TB, what string, rr *httptest.ResponseRecorder, want []byte) {
 	t.Helper()
 	if rr.Code != http.StatusOK {
@@ -86,7 +88,10 @@ func wantBody(t testing.TB, what string, rr *httptest.ResponseRecorder, want []b
 	if got := rr.Body.Bytes(); !bytes.Equal(got, want) {
 		t.Fatalf("%s: body differs from encoding/json's\n got %q\nwant %q", what, got, want)
 	}
-	if cl := rr.Header().Get("Content-Length"); cl != fmt.Sprint(len(want)) {
+	cl := rr.Header().Get("Content-Length")
+	if streamed := want[0] == '[' && len(want)-len("]\n") >= wireChunk; streamed && cl != "" {
+		t.Fatalf("%s: Content-Length %q on a streamed %d-byte answer", what, cl, len(want))
+	} else if !streamed && cl != fmt.Sprint(len(want)) {
 		t.Fatalf("%s: Content-Length %q for %d bytes", what, cl, len(want))
 	}
 }
@@ -270,22 +275,41 @@ func TestEmptyListsAreArrays(t *testing.T) {
 }
 
 // TestTracedListKeepsAValidLength: ?trace=1 wraps the body in an
-// envelope, so the payload's Content-Length must not survive.
+// envelope, so the payload's Content-Length must not survive. A list
+// several chunks long is kept whole for the envelope, which is valid JSON,
+// and the encode span's bytes are the payload's, summed over its chunks.
 func TestTracedListKeepsAValidLength(t *testing.T) {
-	s := smallStore(t)
-	ts := httptest.NewServer(NewHandler(s))
-	defer ts.Close()
-	n := fmt.Sprint(s.Stats().Annotations)
-	var env tracedEnvelope
-	if code := getJSON(t, ts.URL+"/api/annotations?trace=1", &env); code != 200 {
-		t.Fatalf("traced list: %d", code)
-	}
-	enc := findSpan(env.Trace, "encode")
-	if enc == nil {
-		t.Fatalf("no encode span under %+v", env.Trace)
-	}
-	if enc.Attrs["annotations"] != n || enc.Attrs["bytes"] != fmt.Sprint(len(env.Response)+1) {
-		t.Fatalf("encode span attrs %v for a %d-byte list of %s", enc.Attrs, len(env.Response)+1, n)
+	for i, s := range []*core.Store{smallStore(t), influenzaStore(t, 300)} {
+		ts := httptest.NewServer(NewHandler(s))
+		defer ts.Close()
+		n := fmt.Sprint(s.Stats().Annotations)
+		resp, err := http.Get(ts.URL + "/api/annotations?trace=1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("traced list of %s: %d, %v", n, resp.StatusCode, err)
+		}
+		var env tracedEnvelope
+		if err := json.Unmarshal(raw, &env); err != nil {
+			t.Fatalf("traced list of %s: the envelope is not valid JSON: %v", n, err)
+		}
+		want := refList(t, s.View().Annotations())
+		if !bytes.Equal(append(env.Response, '\n'), want) {
+			t.Fatalf("traced list of %s: the payload is not the list", n)
+		}
+		if i == 1 && len(want) < 2*wireChunk {
+			t.Fatalf("the traced list of %s is not several chunks long", n)
+		}
+		enc := findSpan(env.Trace, "encode")
+		if enc == nil {
+			t.Fatalf("no encode span under %+v", env.Trace)
+		}
+		if enc.Attrs["annotations"] != n || enc.Attrs["bytes"] != fmt.Sprint(len(env.Response)+1) {
+			t.Fatalf("encode span attrs %v for a %d-byte list of %s", enc.Attrs, len(env.Response)+1, n)
+		}
 	}
 }
 
@@ -487,7 +511,7 @@ func BenchmarkWireEncode(b *testing.B) {
 				name = "cold"
 			}
 			b.Run(fmt.Sprintf("%s/anns=%dk", name, n/1000), func(b *testing.B) {
-				wb := new(wireBuf)
+				wb := &wireBuf{w: &discardResponse{h: http.Header{}}}
 				wb.list(anns)
 				b.ReportAllocs()
 				b.ResetTimer()
@@ -504,11 +528,11 @@ func BenchmarkWireEncode(b *testing.B) {
 						round = fresh
 						b.StartTimer()
 					}
-					wb.out = wb.out[:0]
+					wb.out, wb.sent = wb.out[:0], 0
 					wb.list(round)
 					done += len(round)
 				}
-				b.ReportMetric(float64(len(wb.out))/float64(len(round)), "B/ann")
+				b.ReportMetric(float64(wb.sent+len(wb.out))/float64(len(round)), "B/ann")
 			})
 		}
 	}
