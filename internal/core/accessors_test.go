@@ -114,11 +114,11 @@ func TestBuilderReuseLeavesCommittedAnnotation(t *testing.T) {
 		dublincore.Title: {"first"}, dublincore.Creator: {"ma"}, dublincore.Subject: {"s1"},
 		dublincore.Date: {"2008-01-01"}, dublincore.Rights: {"r1"},
 	}
-	content, terms, refIDs := first.Content.String(), slices.Clone(first.Terms), slices.Clone(first.ReferentIDs)
+	content, terms, refIDs := first.Content.String(), slices.Collect(first.Terms), slices.Collect(first.ReferentIDs)
 	check := func(when string) {
 		t.Helper()
 		for _, e := range dublincore.Elements {
-			if got := first.DC.Get(e); !slices.Equal(got, wantDC[e]) {
+			if got := slices.Collect(first.DC.Get(e).All); !slices.Equal(got, wantDC[e]) {
 				t.Errorf("%s: committed %s = %q, want %q", when, e, got, wantDC[e])
 			}
 		}
@@ -128,9 +128,9 @@ func TestBuilderReuseLeavesCommittedAnnotation(t *testing.T) {
 		if got := first.Content.String(); got != content {
 			t.Errorf("%s: committed content changed:\n%s\nwant\n%s", when, got, content)
 		}
-		if !slices.Equal(first.Terms, terms) || !slices.Equal(first.ReferentIDs, refIDs) {
+		if gotTerms, gotRefs := slices.Collect(first.Terms), slices.Collect(first.ReferentIDs); !slices.Equal(gotTerms, terms) || !slices.Equal(gotRefs, refIDs) {
 			t.Errorf("%s: committed terms %v and referents %v, want %v and %v",
-				when, first.Terms, first.ReferentIDs, terms, refIDs)
+				when, gotTerms, gotRefs, terms, refIDs)
 		}
 		if got, err := s.View().Annotation(first.ID); err != nil || got != first {
 			t.Errorf("%s: the view holds %p (%v), not the committed annotation", when, got, err)
@@ -144,10 +144,10 @@ func TestBuilderReuseLeavesCommittedAnnotation(t *testing.T) {
 	second, err := s.Commit(b)
 	mustNoErr(t, err)
 	check("after the second commit")
-	if got := second.DC.Get(dublincore.Creator); !slices.Equal(got, []string{"ma", "lee"}) ||
-		second.DC.First(dublincore.Title) != "second" || len(second.ReferentIDs) != 2 {
+	if got := slices.Collect(second.DC.Get(dublincore.Creator).All); !slices.Equal(got, []string{"ma", "lee"}) ||
+		second.DC.First(dublincore.Title) != "second" || second.NumReferents() != 2 {
 		t.Errorf("the second commit reads creators %q, title %q, %d referents",
-			got, second.DC.First(dublincore.Title), len(second.ReferentIDs))
+			got, second.DC.First(dublincore.Title), second.NumReferents())
 	}
 }
 
@@ -227,5 +227,44 @@ func TestPathBetweenAnnotationsErrors(t *testing.T) {
 	p, err := s.View().PathBetweenAnnotations(ann.ID, ann.ID)
 	if err != nil || p.Len() != 0 {
 		t.Fatalf("self path = %v, %v", p, err)
+	}
+}
+
+// TestAnnotationReadsDoNotAllocate: reading a committed annotation — its
+// Dublin Core values, its referents and its ontology references — reads
+// the document's value block in place and allocates nothing.
+func TestAnnotationReadsDoNotAllocate(t *testing.T) {
+	s := newDemoStore(t)
+	iv, err := s.View().MarkSequenceInterval("NC_007362", interval.Interval{Lo: 0, Hi: 10})
+	mustNoErr(t, err)
+	clade, err := s.View().MarkClade("H5N1-tree", "goose", "duck")
+	mustNoErr(t, err)
+	ann, err := s.Commit(s.NewAnnotation().Creator("ma").Creator("lee").Date("2008-01-01").Title("t").
+		Refer(iv).Refer(clade).OntologyRef("go", "enzyme").OntologyRef("go", "protease"))
+	mustNoErr(t, err)
+	var sum int
+	read := func() {
+		for _, vals := range ann.DC.All {
+			sum += vals.Len()
+		}
+		for v := range ann.DC.Get(dublincore.Creator).All {
+			sum += len(v)
+		}
+		sum += len(ann.DC.First(dublincore.Title))
+		for id := range ann.ReferentIDs {
+			sum += int(id)
+		}
+		for tr := range ann.Terms {
+			sum += len(tr.Ontology) + len(tr.TermID)
+		}
+	}
+	if got := slices.Collect(ann.Terms); !slices.Equal(got, []TermRef{{"go", "enzyme"}, {"go", "protease"}}) {
+		t.Fatalf("Terms = %v", got)
+	}
+	if got := slices.Collect(ann.ReferentIDs); len(got) != 2 || ann.NumReferents() != 2 || ann.NumTerms() != 2 {
+		t.Fatalf("ReferentIDs = %v, %d referents and %d terms", got, ann.NumReferents(), ann.NumTerms())
+	}
+	if allocs := testing.AllocsPerRun(100, read); allocs != 0 {
+		t.Errorf("reading an annotation allocates %.0f times, want 0", allocs)
 	}
 }

@@ -18,20 +18,85 @@ import (
 // XML content document to referents and ontology terms. Instances are
 // immutable once committed, and hold the annotation and nothing else: a
 // serving layer renders one from these fields on every read and keeps
-// nothing on it.
+// nothing on it. The document holds the one copy of everything the
+// annotation says; its Dublin Core values, referents and ontology
+// references are read from it (DC, ReferentIDs, Terms).
 type Annotation struct {
 	ID uint64
 	// Content is the annotation's XML document (Dublin Core elements,
 	// body, user-defined tags, referent and ontology-reference stanzas).
 	Content *xmldoc.Document
-	// DC reads the Dublin Core values in Content's <meta> element: the
-	// document holds the one copy of them.
+	// DC reads the Dublin Core values in Content's <meta> element.
 	DC dublincore.Meta
-	// ReferentIDs are the committed referents, in builder order.
-	ReferentIDs []uint64
-	// Terms are the ontology references.
-	Terms []TermRef
 }
+
+// ReferenceSlots returns where a content document of d's shape keeps its
+// referents and ontology references: the value slot of each <referent>'s
+// decimal id, and of each <ref>'s ontology and term, among d.Root.Slots(),
+// in builder order. It reads d's shape alone, so a reader of many
+// documents derives it once per shape (xmldoc.ShapeMemo), as ReferentIDs
+// and Terms do.
+func ReferenceSlots(d *xmldoc.Document) (refs []int32, terms [][2]int32) {
+	attr := func(el xmldoc.Node, name string) int32 {
+		for k := range el.NumAttrs() {
+			if el.AttrAt(k).Name == name {
+				return int32(el.AttrNode(k).Slot())
+			}
+		}
+		panic("core: a content document's <" + el.Name() + "> has no " + name)
+	}
+	if rs := d.Root.FirstChildElement("referents"); rs.Valid() {
+		for el := rs.FirstChild(); el.Valid(); el = el.NextSibling() {
+			refs = append(refs, attr(el, "id"))
+		}
+	}
+	if ts := d.Root.FirstChildElement("ontologyRefs"); ts.Valid() {
+		for el := ts.FirstChild(); el.Valid(); el = el.NextSibling() {
+			terms = append(terms, [2]int32{attr(el, "ontology"), attr(el, "term")})
+		}
+	}
+	return refs, terms
+}
+
+type refSlots struct {
+	refs  []int32
+	terms [][2]int32
+}
+
+// contentSlots keeps ReferenceSlots on each document shape.
+var contentSlots = xmldoc.NewShapeMemo(func(d *xmldoc.Document) *refSlots {
+	refs, terms := ReferenceSlots(d)
+	return &refSlots{refs, terms}
+})
+
+// ReferentIDs visits the IDs of the annotation's committed referents, in
+// builder order, until yield returns false.
+func (a *Annotation) ReferentIDs(yield func(uint64) bool) {
+	vals := a.Content.Root.Slots()
+	for _, s := range contentSlots.Get(a.Content).refs {
+		id, _ := strconv.ParseUint(vals.At(int(s)), 10, 64)
+		if !yield(id) {
+			return
+		}
+	}
+}
+
+// NumReferents returns how many referents ReferentIDs visits.
+func (a *Annotation) NumReferents() int { return len(contentSlots.Get(a.Content).refs) }
+
+// Terms visits the annotation's ontology references, in builder order,
+// until yield returns false. Their strings are read in place.
+func (a *Annotation) Terms(yield func(TermRef) bool) {
+	vals := a.Content.Root.Slots()
+	for _, s := range contentSlots.Get(a.Content).terms {
+		if !yield(TermRef{Ontology: vals.At(int(s[0])), TermID: vals.At(int(s[1]))}) {
+			return
+		}
+	}
+}
+
+// NumTerms returns how many ontology references Terms visits.
+func (a *Annotation) NumTerms() int { return len(contentSlots.Get(a.Content).terms) }
 
 // Builder assembles an annotation prior to Commit. Builders are not safe
 // for concurrent use; each goroutine should use its own. What its
@@ -297,7 +362,6 @@ func (x *Tx) commit(b *Builder, pinnedAnn uint64, pinnedRefs []uint64) (*Annotat
 	// Nothing is mutated yet — resolution errors leave the session exactly
 	// as it was.
 	nextRef := nv.nextRef
-	refIDs := make([]uint64, 0, len(b.refs))
 	resolved := make([]*Referent, 0, len(b.refs))
 	var newRefs []newReferent // a handful at most: scanned, not indexed
 	for i, r := range b.refs {
@@ -308,7 +372,6 @@ func (x *Tx) commit(b *Builder, pinnedAnn uint64, pinnedRefs []uint64) (*Annotat
 		if r.ID != 0 {
 			stored := x.refs.Get(r.ID)
 			resolved = append(resolved, stored)
-			refIDs = append(refIDs, stored.ID)
 			continue
 		}
 		key := markKey(r)
@@ -318,7 +381,6 @@ func (x *Tx) commit(b *Builder, pinnedAnn uint64, pinnedRefs []uint64) (*Annotat
 				return nil, fmt.Errorf("core: pinned referent ID %d, but identical mark stored as %d", pin, p.ID)
 			}
 			resolved = append(resolved, p)
-			refIDs = append(refIDs, p.ID)
 			continue
 		}
 		if id, ok := x.rbm.Get(key); ok {
@@ -327,10 +389,13 @@ func (x *Tx) commit(b *Builder, pinnedAnn uint64, pinnedRefs []uint64) (*Annotat
 			}
 			stored := x.refs.Get(id)
 			resolved = append(resolved, stored)
-			refIDs = append(refIDs, id)
 			continue
 		}
 		stored := *r
+		if r.Region != nil {
+			region := *r.Region
+			stored.Region = &region
+		}
 		switch {
 		case pin != 0:
 			if x.refs.Get(pin) != nil || slices.ContainsFunc(newRefs, func(n newReferent) bool { return n.ref.ID == pin }) {
@@ -351,7 +416,6 @@ func (x *Tx) commit(b *Builder, pinnedAnn uint64, pinnedRefs []uint64) (*Annotat
 		}
 		newRefs = append(newRefs, newReferent{&stored, key})
 		resolved = append(resolved, &stored)
-		refIDs = append(refIDs, stored.ID)
 	}
 
 	// Build the successor spatial trees holding the new marks. This is the
@@ -370,13 +434,7 @@ func (x *Tx) commit(b *Builder, pinnedAnn uint64, pinnedRefs []uint64) (*Annotat
 	// as long as the annotation, and a later setter call would rewrite a
 	// published annotation.
 	doc := buildContentDoc(annID, b, resolved)
-	ann := &Annotation{
-		ID:          annID,
-		Content:     doc,
-		DC:          dublincore.MetaOf(doc),
-		ReferentIDs: refIDs,
-		Terms:       append([]TermRef(nil), b.terms...),
-	}
+	ann := &Annotation{ID: annID, Content: doc, DC: dublincore.MetaOf(doc)}
 
 	// a-graph wiring, through the session's handle like every other write
 	// of the op: referent -> object for new marks, then content ->
@@ -412,7 +470,7 @@ func (x *Tx) commit(b *Builder, pinnedAnn uint64, pinnedRefs []uint64) (*Annotat
 	x.ops++
 	x.propagate(ann, false, csp)
 	csp.SetAttrInt("ann", int64(annID))
-	csp.SetAttrInt("referents", int64(len(refIDs)))
+	csp.SetAttrInt("referents", int64(len(resolved)))
 	s.m.commits.Inc()
 	s.m.commitSeconds.Observe(time.Since(start).Seconds())
 	return ann, nil

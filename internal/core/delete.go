@@ -45,7 +45,7 @@ func (x *Tx) DeleteAnnotation(id uint64) error {
 	x.anns.Delete(id)
 
 	// Garbage-collect now-unreferenced referents.
-	for _, refID := range ann.ReferentIDs {
+	for refID := range ann.ReferentIDs {
 		ref := x.refs.Get(refID)
 		if ref == nil {
 			continue

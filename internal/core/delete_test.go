@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"graphitti/internal/interval"
@@ -46,10 +47,10 @@ func TestDeleteKeepsSharedReferent(t *testing.T) {
 	mustNoErr(t, err)
 	a2, err := s.Commit(s.NewAnnotation().Creator("b").Date("2008-01-02").Refer(m2))
 	mustNoErr(t, err)
-	if a1.ReferentIDs[0] != a2.ReferentIDs[0] {
+	if slices.Collect(a1.ReferentIDs)[0] != slices.Collect(a2.ReferentIDs)[0] {
 		t.Fatal("marks did not share a referent")
 	}
-	refID := a1.ReferentIDs[0]
+	refID := slices.Collect(a1.ReferentIDs)[0]
 
 	// Deleting one annotation keeps the shared referent alive.
 	mustNoErr(t, s.DeleteAnnotation(a1.ID))
@@ -74,7 +75,7 @@ func TestDeleteThenRemarkReusesNothingStale(t *testing.T) {
 	m, _ := s.View().MarkSequenceInterval("NC_007362", interval.Interval{Lo: 5, Hi: 25})
 	ann, err := s.Commit(s.NewAnnotation().Creator("a").Date("2008-01-01").Refer(m))
 	mustNoErr(t, err)
-	oldRef := ann.ReferentIDs[0]
+	oldRef := slices.Collect(ann.ReferentIDs)[0]
 	mustNoErr(t, s.DeleteAnnotation(ann.ID))
 
 	// Re-annotating the identical mark must mint a fresh referent (the
@@ -82,7 +83,7 @@ func TestDeleteThenRemarkReusesNothingStale(t *testing.T) {
 	m2, _ := s.View().MarkSequenceInterval("NC_007362", interval.Interval{Lo: 5, Hi: 25})
 	ann2, err := s.Commit(s.NewAnnotation().Creator("b").Date("2008-01-02").Refer(m2))
 	mustNoErr(t, err)
-	if ann2.ReferentIDs[0] == oldRef {
+	if slices.Collect(ann2.ReferentIDs)[0] == oldRef {
 		t.Fatal("deleted referent ID reused from a stale dedup entry")
 	}
 	if got := s.ReferentsAt("segment4", 10); len(got) != 1 {

@@ -369,9 +369,9 @@ func (v *View) DerivedOnto(annID uint64) ([]DerivedFact, error) {
 	if err != nil {
 		return nil, err
 	}
-	targets := make(map[agraph.NodeRef]bool, len(ann.ReferentIDs)+1)
+	targets := make(map[agraph.NodeRef]bool, ann.NumReferents()+1)
 	targets[agraph.ContentRoot(annID)] = true
-	for _, refID := range ann.ReferentIDs {
+	for refID := range ann.ReferentIDs {
 		targets[agraph.Referent(refID)] = true
 	}
 	var out []DerivedFact

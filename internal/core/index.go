@@ -74,11 +74,14 @@ func (x *Tx) index(r *Referent, its *treeStage[intervalTree], rts *treeStage[reg
 		}
 		its.put(r.Domain, tree)
 	case RegionReferent:
+		if r.Region == nil {
+			return fmt.Errorf("%w: region mark without a region", ErrBadMark)
+		}
 		tree, ok := rts.get(&x.rt, r.Domain)
 		if !ok {
 			return fmt.Errorf("%w: %s", ErrNoSuchSystem, r.Domain)
 		}
-		tree, err := tree.Insert(r.Region, r.ID, struct{}{})
+		tree, err := tree.Insert(*r.Region, r.ID, struct{}{})
 		if err != nil {
 			return err
 		}
@@ -101,7 +104,7 @@ func (x *Tx) unindex(r *Referent) {
 		}
 	case RegionReferent:
 		if tree, ok := x.rt.Get(r.Domain); ok {
-			tree, _ = tree.Delete(r.Region, r.ID)
+			tree, _ = tree.Delete(*r.Region, r.ID)
 			x.rt.Set(r.Domain, tree)
 		}
 	}

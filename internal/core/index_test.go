@@ -49,7 +49,7 @@ func intervalMark(domain string, lo, hi int64) *core.Referent {
 
 func regionMark(system string, r rtree.Rect) *core.Referent {
 	return &core.Referent{Kind: core.RegionReferent, ObjectType: core.TypeImage, ObjectID: "img1",
-		Domain: system, Region: r}
+		Domain: system, Region: &r}
 }
 
 func note(body string, marks ...*core.Referent) *core.Builder {

@@ -86,12 +86,13 @@ func (v *View) MarkImageRegion(imageID string, local rtree.Rect) (*Referent, err
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadMark, err)
 	}
+	sys := region.Sys
 	return &Referent{
 		Kind:       RegionReferent,
 		ObjectType: TypeImage,
 		ObjectID:   imageID,
 		Domain:     im.System,
-		Region:     region.Sys,
+		Region:     &sys,
 	}, nil
 }
 
@@ -232,7 +233,9 @@ func markKey(r *Referent) string {
 	case IntervalReferent:
 		fmt.Fprintf(&sb, "%d:%d", r.Interval.Lo, r.Interval.Hi)
 	case RegionReferent:
-		fmt.Fprintf(&sb, "%v", r.Region)
+		if r.Region != nil {
+			fmt.Fprintf(&sb, "%v", *r.Region)
+		}
 	case BlockReferent:
 		fmt.Fprintf(&sb, "%d:%d|%s", r.Interval.Lo, r.Interval.Hi, strings.Join(r.Keys, ","))
 	default:

@@ -116,8 +116,9 @@ type Referent struct {
 	// Interval is set for IntervalReferent (domain coordinates) and holds
 	// the column range for BlockReferent.
 	Interval interval.Interval
-	// Region is set for RegionReferent (system coordinates).
-	Region rtree.Rect
+	// Region is set for RegionReferent (system coordinates), and only
+	// there: the other kinds do not pay for a rectangle.
+	Region *rtree.Rect
 	// Keys is set for clade (leaf names), subgraph (molecule IDs), block
 	// (row IDs) and record-set (primary keys) marks; sorted.
 	Keys []string
@@ -129,7 +130,7 @@ func (r *Referent) Mark() subx.Mark {
 	case IntervalReferent:
 		return subx.IntervalMark{Domain: r.Domain, IV: r.Interval}
 	case RegionReferent:
-		return subx.RegionMark{System: r.Domain, R: r.Region}
+		return subx.RegionMark{System: r.Domain, R: *r.Region}
 	case ObjectReferent:
 		return subx.NewSetMark(string(r.ObjectType), r.ObjectID)
 	default:
@@ -148,7 +149,7 @@ func (r *Referent) String() string {
 	case IntervalReferent:
 		return fmt.Sprintf("ref%d interval %s on %s/%s %v", r.ID, r.ObjectType, r.ObjectID, r.Domain, r.Interval)
 	case RegionReferent:
-		return fmt.Sprintf("ref%d region on %s in %s %v", r.ID, r.ObjectID, r.Domain, r.Region)
+		return fmt.Sprintf("ref%d region on %s in %s %v", r.ID, r.ObjectID, r.Domain, *r.Region)
 	case ObjectReferent:
 		return fmt.Sprintf("ref%d object %s/%s", r.ID, r.ObjectType, r.ObjectID)
 	default:

@@ -150,7 +150,7 @@ func TestSnapshotIsolationStress(t *testing.T) {
 				// complete — content, its Dublin Core values, and all
 				// referents resolvable in the same view.
 				for _, ann := range idx {
-					if ann.Content == nil || len(ann.ReferentIDs) == 0 {
+					if ann.Content == nil || ann.NumReferents() == 0 {
 						t.Errorf("reader %d: annotation %d half-applied", r, ann.ID)
 						return
 					}
@@ -158,7 +158,7 @@ func TestSnapshotIsolationStress(t *testing.T) {
 						t.Errorf("reader %d: annotation %d creator %q", r, ann.ID, got)
 						return
 					}
-					for _, refID := range ann.ReferentIDs {
+					for refID := range ann.ReferentIDs {
 						ref, err := v.Referent(refID)
 						if err != nil {
 							t.Errorf("reader %d: annotation %d referent %d missing from its own view: %v",
@@ -199,7 +199,7 @@ func TestSnapshotIsolationStress(t *testing.T) {
 				// any one of them is related to all the others.
 				edges := st.Referents
 				for _, ann := range idx {
-					edges += len(ann.ReferentIDs)
+					edges += ann.NumReferents()
 				}
 				if st.GraphNodes != st.Annotations+st.Referents+1 || st.GraphEdges != edges {
 					t.Errorf("reader %d: %d graph nodes, %d edges over %d annotations, %d referents (want %d edges)",
@@ -224,7 +224,7 @@ func TestSnapshotIsolationStress(t *testing.T) {
 						t.Errorf("reader %d: annotation %d related to %d of %d others: %v", r, first.ID, len(related), len(idx)-1, err)
 						return
 					}
-					if of := v.AnnotationsOfReferent(last.ReferentIDs[0]); !slices.Contains(of, last) {
+					if of := v.AnnotationsOfReferent(slices.Collect(last.ReferentIDs)[0]); !slices.Contains(of, last) {
 						t.Errorf("reader %d: annotation %d missing from its own referent's annotators", r, last.ID)
 						return
 					}

@@ -85,7 +85,7 @@ func TestBatchSeesItsOwnOps(t *testing.T) {
 		if _, err := tx.CommitWithIDs(segmentNote(t, s, 90, "dup"), first.ID, nil); err == nil {
 			t.Error("pinned ID of an earlier op in the batch accepted")
 		}
-		if _, err := tx.CommitWithIDs(segmentNote(t, s, 90, "dup"), 50, []uint64{first.ReferentIDs[0]}); err == nil {
+		if _, err := tx.CommitWithIDs(segmentNote(t, s, 90, "dup"), 50, []uint64{slices.Collect(first.ReferentIDs)[0]}); err == nil {
 			t.Error("pinned referent ID of an earlier op's mark accepted for a different mark")
 		}
 		if got := s.View().Epoch(); got != start {
@@ -94,8 +94,8 @@ func TestBatchSeesItsOwnOps(t *testing.T) {
 		return tx.DeleteAnnotation(first.ID)
 	})
 	mustNoErr(t, err)
-	if first.ReferentIDs[0] != second.ReferentIDs[0] {
-		t.Fatalf("identical marks in one batch got referents %d and %d", first.ReferentIDs[0], second.ReferentIDs[0])
+	if slices.Collect(first.ReferentIDs)[0] != slices.Collect(second.ReferentIDs)[0] {
+		t.Fatalf("identical marks in one batch got referents %d and %d", slices.Collect(first.ReferentIDs)[0], slices.Collect(second.ReferentIDs)[0])
 	}
 	v := s.View()
 	if got := v.Epoch(); got != start+3 {
@@ -104,7 +104,7 @@ func TestBatchSeesItsOwnOps(t *testing.T) {
 	if _, err := v.Annotation(first.ID); err == nil {
 		t.Fatal("annotation deleted in the batch is visible")
 	}
-	if refs := v.ReferentsAt("segment4", 25); len(refs) != 1 || refs[0].ID != second.ReferentIDs[0] {
+	if refs := v.ReferentsAt("segment4", 25); len(refs) != 1 || refs[0].ID != slices.Collect(second.ReferentIDs)[0] {
 		t.Fatalf("shared referent after batch: %v", refs)
 	}
 }
@@ -120,8 +120,9 @@ func TestBatchRollsBackFailedOp(t *testing.T) {
 			return err
 		}
 		b := segmentNote(t, s, 300, "torn")
+		region := rtree.Rect2D(1, 1, 2, 2)
 		b.Refer(&Referent{Kind: RegionReferent, ObjectType: TypeImage, ObjectID: "brain-1",
-			Domain: "no-such-system", Region: rtree.Rect2D(1, 1, 2, 2)})
+			Domain: "no-such-system", Region: &region})
 		_, err := tx.Commit(b)
 		return err
 	})

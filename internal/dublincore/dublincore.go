@@ -191,8 +191,9 @@ func (r *Record) AppendXML(doc *xmldoc.Document, parent xmldoc.Node) {
 // carries in its root's <meta> element, which must hold exactly what
 // Record.AppendXML wrote there. It answers as the record it
 // was written from: each value is the one text node of its <dc:element>,
-// so an element's values are one run of the document's values, and Get
-// returns that run without copying it. The zero Meta has no values.
+// so an element's values are one run of the document's value slots, and
+// Get returns that run, read in place, without copying or allocating. The
+// zero Meta has no values.
 type Meta struct {
 	doc *xmldoc.Document
 }
@@ -214,10 +215,10 @@ func elementOf(c xmldoc.Node) Element {
 	return Element(name)
 }
 
-// Slot returns where First(e) sits among the document's values, Root.Values(),
-// or -1 when e has no value. It reads the document's layout, not its
-// values, so it is the same for every document of one shape: a reader of
-// many documents resolves it once per shape (xmldoc.ShapeMemo).
+// Slot returns where First(e) sits among the document's value slots,
+// Root.Slots(), or -1 when e has no value. It reads the document's layout,
+// not its values, so it is the same for every document of one shape: a
+// reader of many documents resolves it once per shape (xmldoc.ShapeMemo).
 func (m Meta) Slot(e Element) int {
 	meta := m.meta()
 	if !meta.Valid() {
@@ -226,7 +227,7 @@ func (m Meta) Slot(e Element) int {
 	k := 0
 	for c := meta.FirstChild(); c.Valid(); c, k = c.NextSibling(), k+1 {
 		if elementOf(c) == e {
-			if k < len(meta.Values()) {
+			if k < meta.Slots().Len() {
 				return meta.Slot() + k
 			}
 			break
@@ -236,44 +237,42 @@ func (m Meta) Slot(e Element) int {
 }
 
 // All visits each element that has values, in canonical order, with its
-// values, until yield returns false. The slices are the document's own:
-// callers must not write to them.
-func (m Meta) All(yield func(Element, []string) bool) {
+// values, until yield returns false.
+func (m Meta) All(yield func(Element, xmldoc.Slots) bool) {
 	meta := m.meta()
 	if !meta.Valid() {
 		return
 	}
-	vals := meta.Values()
+	vals := meta.Slots()
 	var cur Element
 	lo, k := 0, 0
 	for c := meta.FirstChild(); c.Valid(); c, k = c.NextSibling(), k+1 {
 		if e := elementOf(c); k == 0 || e != cur {
-			if k > 0 && !yield(cur, vals[lo:k:k]) {
+			if k > 0 && !yield(cur, vals.Slice(lo, k)) {
 				return
 			}
 			cur, lo = e, k
 		}
 	}
 	if k > 0 {
-		yield(cur, vals[lo:k:k])
+		yield(cur, vals.Slice(lo, k))
 	}
 }
 
-// Get returns the values of element e (nil when unset). The slice is the
-// document's own: callers must not write to it.
-func (m Meta) Get(e Element) []string {
+// Get returns the values of element e (an empty run when unset).
+func (m Meta) Get(e Element) xmldoc.Slots {
 	for el, vals := range m.All {
 		if el == e {
 			return vals
 		}
 	}
-	return nil
+	return xmldoc.Slots{}
 }
 
 // First returns the first value of element e, or "".
 func (m Meta) First(e Element) string {
-	if vs := m.Get(e); len(vs) > 0 {
-		return vs[0]
+	if vs := m.Get(e); vs.Len() > 0 {
+		return vs.At(0)
 	}
 	return ""
 }
@@ -281,7 +280,7 @@ func (m Meta) First(e Element) string {
 // Len returns the total number of element values.
 func (m Meta) Len() int {
 	if meta := m.meta(); meta.Valid() {
-		return len(meta.Values())
+		return meta.Slots().Len()
 	}
 	return 0
 }

@@ -357,14 +357,23 @@ func (s *server) recoverStore(w http.ResponseWriter, r *http.Request) {
 
 // decodeJSON decodes a size-capped JSON request body into v, writing
 // the HTTP error itself on failure: 413 when the cap is hit, 400 for
-// malformed JSON.
+// malformed JSON or anything but whitespace after the value.
 func (s *server) decodeJSON(w http.ResponseWriter, r *http.Request, v interface{}) bool {
 	limit := s.opts.MaxBodyBytes
 	if limit <= 0 {
 		limit = DefaultMaxBodyBytes
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, limit)
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+	dec := json.NewDecoder(r.Body)
+	err := dec.Decode(v)
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			return true
+		} else if err == nil || !errors.As(err, new(*http.MaxBytesError)) {
+			err = errors.New("data after the JSON value")
+		}
+	}
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			jsonError(w, r, http.StatusRequestEntityTooLarge,

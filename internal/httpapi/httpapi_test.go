@@ -395,3 +395,58 @@ func TestSnapshotEndpoint(t *testing.T) {
 }
 
 func span(lo, hi int64) interval.Interval { return interval.Interval{Lo: lo, Hi: hi} }
+
+// TestJSONBodyEndsAtItsValue: a route that decodes a JSON body takes one
+// value and whitespace. Junk or a second value after it is a 400 that
+// applies nothing; the same body followed by whitespace is served.
+func TestJSONBodyEndsAtItsValue(t *testing.T) {
+	ts, seed := newTestServer(t, overCore)
+	var snap bytes.Buffer
+	if err := persist.Write(seed, &snap); err != nil {
+		t.Fatal(err)
+	}
+	want := seed.Stats().Annotations
+	post := func(path, body string) int {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		_, _ = io.Copy(io.Discard, resp.Body)
+		return resp.StatusCode
+	}
+	rules := func() int {
+		var rs []json.RawMessage
+		if code := getJSON(t, ts.URL+"/api/rules", &rs); code != 200 {
+			t.Fatalf("rules: %d", code)
+		}
+		return len(rs)
+	}
+	for _, tc := range []struct {
+		path, body string
+		ok         int
+	}{
+		{"/api/annotations", `{"creator":"x","date":"2008-01-01","marks":[{"type":"interval","domain":"segment1","lo":10,"hi":90}]}`, 201},
+		{"/api/search", `{"expr":"contains(/annotation/body, 'protease')"}`, 200},
+		{"/api/query", `{"query":"select contents where { ?a isa annotation ; contains \"protease\" . }"}`, 200},
+		{"/api/rules", `{"id":"ov","edge":"overlap","domain":"segment1"}`, 201},
+		{"/api/restore", strings.TrimSpace(snap.String()), 200},
+	} {
+		for _, tail := range []string{"garbage", tc.body, "}", " ,"} {
+			anns, rs := annotationCount(t, ts), rules()
+			if code := post(tc.path, tc.body+tail); code != http.StatusBadRequest {
+				t.Errorf("POST %s with %.10q after the body: %d, want 400", tc.path, tail, code)
+			}
+			if annotationCount(t, ts) != anns || rules() != rs {
+				t.Errorf("POST %s with %.10q after the body was applied", tc.path, tail)
+			}
+		}
+		if code := post(tc.path, tc.body+" \n\t\r\n"); code != tc.ok {
+			t.Errorf("POST %s followed by whitespace: %d, want %d", tc.path, code, tc.ok)
+		}
+	}
+	if n := annotationCount(t, ts); n != want {
+		t.Errorf("after the restore the store holds %d annotations, want the snapshot's %d", n, want)
+	}
+}

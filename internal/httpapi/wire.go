@@ -10,7 +10,8 @@
 // (wire_test.go keeps that struct as the oracle). The encoder appends it
 // straight from the *core.Annotation into a pooled buffer: creator, date
 // and title are read through value slots resolved once per document
-// shape, and the xml string is the content document's own JSON form
+// shape, the referent IDs are the document's own digits, copied, and the
+// xml string is the content document's own JSON form
 // (xmldoc.Document.AppendJSON), whose static text is escaped once per
 // shape, so a read escapes only the annotation's values. Nothing is kept
 // per annotation: a read leaves the store as it found it.
@@ -108,22 +109,32 @@ func (wb *wireBuf) release() {
 	}
 }
 
-// dcSlots holds, per document shape, where the first creator, date and
-// title sit among a document's values (dublincore.Meta.Slot; -1: none).
-var dcSlots = xmldoc.NewShapeMemo(func(d *xmldoc.Document) *[3]int {
+// wireSlots is where a document of one shape keeps what an annotation's
+// object carries besides its xml, among its values: the first creator,
+// date and title (dublincore.Meta.Slot; -1: none), the ontology
+// references and the referents' IDs (core.ReferenceSlots).
+type wireSlots struct {
+	dc    [3]int
+	terms [][2]int32
+	refs  []int32
+}
+
+var wireLayout = xmldoc.NewShapeMemo(func(d *xmldoc.Document) *wireSlots {
 	m := dublincore.MetaOf(d)
-	return &[3]int{m.Slot(dublincore.Creator), m.Slot(dublincore.Date), m.Slot(dublincore.Title)}
+	ws := &wireSlots{dc: [3]int{m.Slot(dublincore.Creator), m.Slot(dublincore.Date), m.Slot(dublincore.Title)}}
+	ws.refs, ws.terms = core.ReferenceSlots(d)
+	return ws
 })
 
 // annotation appends ann's JSON object to wb.out.
 func (wb *wireBuf) annotation(ann *core.Annotation) {
 	wb.anns++
-	slots, vals := dcSlots.Get(ann.Content), ann.Content.Root.Values()
+	ws, vals := wireLayout.Get(ann.Content), ann.Content.Root.Slots()
 	first := func(k int) string {
-		if slots[k] < 0 {
+		if ws.dc[k] < 0 {
 			return ""
 		}
-		return vals[slots[k]]
+		return vals.At(ws.dc[k])
 	}
 	dst := append(wb.out, `{"id":`...)
 	dst = strconv.AppendUint(dst, ann.ID, 10)
@@ -135,27 +146,27 @@ func (wb *wireBuf) annotation(ann *core.Annotation) {
 		dst = append(dst, `,"title":`...)
 		dst = jsonstr.Append(dst, title)
 	}
-	if len(ann.Terms) > 0 {
+	if len(ws.terms) > 0 {
 		dst = append(dst, `,"terms":[`...)
-		for i, t := range ann.Terms {
+		for i, t := range ws.terms {
 			if i > 0 {
 				dst = append(dst, ',')
 			}
 			dst = append(dst, `{"Ontology":`...)
-			dst = jsonstr.Append(dst, t.Ontology)
+			dst = jsonstr.Append(dst, vals.At(int(t[0])))
 			dst = append(dst, `,"TermID":`...)
-			dst = jsonstr.Append(dst, t.TermID)
+			dst = jsonstr.Append(dst, vals.At(int(t[1])))
 			dst = append(dst, '}')
 		}
 		dst = append(dst, ']')
 	}
-	if len(ann.ReferentIDs) > 0 {
+	if len(ws.refs) > 0 {
 		dst = append(dst, `,"referents":[`...)
-		for i, id := range ann.ReferentIDs {
+		for i, s := range ws.refs {
 			if i > 0 {
 				dst = append(dst, ',')
 			}
-			dst = strconv.AppendUint(dst, id, 10)
+			dst = append(dst, vals.At(int(s))...) // the decimal ID, as the document holds it
 		}
 		dst = append(dst, ']')
 	}

@@ -43,8 +43,8 @@ func viewOf(ann *core.Annotation) annotationView {
 		Creator:  ann.DC.First("creator"),
 		Date:     ann.DC.First("date"),
 		Title:    ann.DC.First("title"),
-		Terms:    ann.Terms,
-		Referent: ann.ReferentIDs,
+		Terms:    slices.Collect(ann.Terms),
+		Referent: slices.Collect(ann.ReferentIDs),
 		XML:      ann.Content.String(),
 	}
 }
@@ -522,8 +522,7 @@ func BenchmarkWireEncode(b *testing.B) {
 						b.StopTimer()
 						fresh := make([]*core.Annotation, len(round))
 						for i, a := range round {
-							fresh[i] = &core.Annotation{ID: a.ID, Content: a.Content, DC: a.DC,
-								ReferentIDs: a.ReferentIDs, Terms: a.Terms}
+							fresh[i] = &core.Annotation{ID: a.ID, Content: a.Content, DC: a.DC}
 						}
 						round = fresh
 						b.StartTimer()

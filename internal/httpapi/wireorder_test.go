@@ -47,8 +47,8 @@ func digitBoundarySeed(t *testing.T) *core.Store {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ann.ID != uint64(i) || !slices.Equal(ann.ReferentIDs, []uint64{uint64(i)}) {
-			t.Fatalf("annotation %d holds referents %v, want %d and [%d]", ann.ID, ann.ReferentIDs, i, i)
+		if refs := slices.Collect(ann.ReferentIDs); ann.ID != uint64(i) || !slices.Equal(refs, []uint64{uint64(i)}) {
+			t.Fatalf("annotation %d holds referents %v, want %d and [%d]", ann.ID, refs, i, i)
 		}
 	}
 	if err := prop.Attach(s).AddRule(prop.Rule{ID: "ov", Edge: prop.EdgeOverlap, Domain: "segment1"}); err != nil {

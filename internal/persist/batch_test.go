@@ -124,10 +124,10 @@ func TestBatchLoadEqualsSerialLoad(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if i == 1 && ann.ReferentIDs[0] != shared {
-				t.Fatalf("marks did not dedup: %d vs %d", ann.ReferentIDs[0], shared)
+			if i == 1 && slices.Collect(ann.ReferentIDs)[0] != shared {
+				t.Fatalf("marks did not dedup: %d vs %d", slices.Collect(ann.ReferentIDs)[0], shared)
 			}
-			shared = ann.ReferentIDs[0]
+			shared = slices.Collect(ann.ReferentIDs)[0]
 		}
 		assertBatchEqualsSerial(t, exportOf(t, s))
 	})

@@ -19,6 +19,7 @@ import (
 	"graphitti/internal/core"
 	"graphitti/internal/dublincore"
 	"graphitti/internal/prop"
+	"graphitti/internal/xmldoc"
 )
 
 // The binary form is what a data directory holds and GET /api/snapshot
@@ -623,8 +624,8 @@ func (r *viewAnnotation) appendTags(b []byte) []byte {
 }
 
 func (r *viewAnnotation) appendReferents(b []byte) ([]byte, error) {
-	b = binary.AppendUvarint(b, uint64(len(r.a.ReferentIDs)))
-	for _, id := range r.a.ReferentIDs {
+	b = binary.AppendUvarint(b, uint64(r.a.NumReferents()))
+	for id := range r.a.ReferentIDs {
 		ref, err := r.v.Referent(id)
 		if err != nil {
 			return b, err
@@ -636,8 +637,8 @@ func (r *viewAnnotation) appendReferents(b []byte) ([]byte, error) {
 }
 
 func (r *viewAnnotation) appendTerms(b []byte) []byte {
-	b = binary.AppendUvarint(b, uint64(len(r.a.Terms)))
-	for _, tr := range r.a.Terms {
+	b = binary.AppendUvarint(b, uint64(r.a.NumTerms()))
+	for tr := range r.a.Terms {
 		b = appendTermRef(b, &TermRefDump{Ontology: tr.Ontology, Term: tr.TermID})
 	}
 	return b
@@ -660,13 +661,15 @@ type dcCode struct {
 // dcFields is a Dublin Core record laid out in dcByName: an element's
 // values at its position there, and a bit for each element present.
 // literal is set when an element is outside the table.
-type dcFields struct {
-	vals    [len(dcByName)][]string
+// A dump's values are a slice each, a committed annotation's a run of its
+// document's value slots.
+type dcFields[V []string | xmldoc.Slots] struct {
+	vals    [len(dcByName)]V
 	has     uint32
 	literal bool
 }
 
-func (f *dcFields) add(name string, vals []string) {
+func (f *dcFields[V]) add(name string, vals V) {
 	i, ok := slices.BinarySearchFunc(dcByName[:], name, func(e dcCode, name string) int {
 		return strings.Compare(e.name, name)
 	})
@@ -679,11 +682,11 @@ func (f *dcFields) add(name string, vals []string) {
 
 // appendDCFields writes a Dublin Core record as its element count, then
 // each element, in name order, as its code and its values.
-func appendDCFields(b []byte, f *dcFields) []byte {
+func appendDCFields[V []string | xmldoc.Slots](b []byte, f *dcFields[V], appendVals func([]byte, V) []byte) []byte {
 	b = binary.AppendUvarint(b, uint64(bits.OnesCount32(f.has)))
 	for i := range dcByName {
 		if f.has&(1<<i) != 0 {
-			b = appendStrings(binary.AppendUvarint(b, dcByName[i].code), f.vals[i])
+			b = appendVals(binary.AppendUvarint(b, dcByName[i].code), f.vals[i])
 		}
 	}
 	return b
@@ -693,12 +696,12 @@ func appendDCFields(b []byte, f *dcFields) []byte {
 // table, which only a decoded record can hold, is written as code 0 and the
 // literal, in the same name order among the others.
 func appendDC(b []byte, dc map[string][]string) []byte {
-	var f dcFields
+	var f dcFields[[]string]
 	for e, vals := range dc {
 		f.add(e, vals)
 	}
 	if !f.literal {
-		return appendDCFields(b, &f)
+		return appendDCFields(b, &f, appendStrings)
 	}
 	b = binary.AppendUvarint(b, uint64(len(dc)))
 	for _, e := range slices.Sorted(maps.Keys(dc)) {
@@ -710,14 +713,14 @@ func appendDC(b []byte, dc map[string][]string) []byte {
 // appendDCMeta writes a committed annotation's Dublin Core record, read
 // through the view of its document, as appendDC writes its dump's.
 func appendDCMeta(b []byte, m dublincore.Meta) []byte {
-	var f dcFields
+	var f dcFields[xmldoc.Slots]
 	for e, vals := range m.All {
 		f.add(string(e), vals)
 	}
 	if f.literal { // a commit refuses an element outside the fifteen
-		return appendDC(b, dumpDC(m))
+		return appendDC(b, dumpMeta(m))
 	}
-	return appendDCFields(b, &f)
+	return appendDCFields(b, &f, appendSlots)
 }
 
 func (d *decoder) dc() map[string][]string {
@@ -806,6 +809,16 @@ func appendStrings(b []byte, ss []string) []byte {
 	b = binary.AppendUvarint(b, uint64(len(ss)))
 	for _, s := range ss {
 		b = appendString(b, s)
+	}
+	return b
+}
+
+// appendSlots writes a run of a document's values as appendStrings writes
+// the same values in a slice.
+func appendSlots(b []byte, vals xmldoc.Slots) []byte {
+	b = binary.AppendUvarint(b, uint64(vals.Len()))
+	for v := range vals.All {
+		b = appendString(b, v)
 	}
 	return b
 }

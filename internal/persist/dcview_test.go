@@ -130,7 +130,7 @@ func TestDCViewMatchesRecord(t *testing.T) {
 						want[i] = st.read(want[i])
 					}
 				}
-				if got := ann.DC.Get(e); !slices.Equal(got, want) || (got == nil) != (want == nil) {
+				if got := slices.Collect(ann.DC.Get(e).All); !slices.Equal(got, want) || (got == nil) != (want == nil) {
 					t.Errorf("%s: Get(%s) = %q, want %q", where, e, got, want)
 				}
 				if got, want := ann.DC.First(e), st.read(r.First(e)); got != want {

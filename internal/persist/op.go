@@ -196,8 +196,10 @@ func (op Op) Run(x *core.Tx) (Op, *core.Annotation, error) {
 	d := *op.Annotation
 	d.ID = ann.ID
 	d.Referents = slices.Clone(d.Referents)
-	for i := range d.Referents {
-		d.Referents[i].ID = ann.ReferentIDs[i]
+	i := 0
+	for id := range ann.ReferentIDs {
+		d.Referents[i].ID = id
+		i++
 	}
 	op.Annotation = &d
 	return op, ann, nil
@@ -211,7 +213,7 @@ func CommitOp(b *core.Builder) (Op, error) {
 	if err := b.Err(); err != nil {
 		return Op{}, err
 	}
-	d := AnnotationDump{DC: dumpDC(b.DC()), Body: b.BodyText(), Terms: dumpTerms(b.TermRefs())}
+	d := AnnotationDump{DC: dumpDC(b.DC()), Body: b.BodyText(), Terms: dumpTerms(slices.Values(b.TermRefs()))}
 	for _, t := range b.Tags() {
 		d.Tags = append(d.Tags, TagDump{Name: t.Name, Value: t.Value})
 	}

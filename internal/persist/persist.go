@@ -33,8 +33,10 @@ package persist
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"iter"
 	"maps"
 	"slices"
 	"sort"
@@ -511,9 +513,9 @@ func RestoreValue(d ValueDump) (relstore.Value, error) {
 // DumpAnnotation serialises an annotation of view v, including its ID and
 // the IDs of its referents (format v2), which it resolves in v.
 func DumpAnnotation(v *core.View, ann *core.Annotation) (AnnotationDump, error) {
-	d := AnnotationDump{ID: ann.ID, DC: dumpDC(ann.DC), Body: bodyOf(ann.Content), Terms: dumpTerms(ann.Terms)}
+	d := AnnotationDump{ID: ann.ID, DC: dumpMeta(ann.DC), Body: bodyOf(ann.Content), Terms: dumpTerms(ann.Terms)}
 	eachTag(ann.Content, func(t TagDump) { d.Tags = append(d.Tags, t) })
-	for _, refID := range ann.ReferentIDs {
+	for refID := range ann.ReferentIDs {
 		ref, err := v.Referent(refID)
 		if err != nil {
 			return d, err
@@ -542,15 +544,22 @@ func eachTag(doc *xmldoc.Document, fn func(TagDump)) {
 	}
 }
 
-// dumpDC serialises Dublin Core values: a builder's record, or the view a
-// committed annotation reads its document through.
-func dumpDC(dc interface {
-	Elements() []dublincore.Element
-	Get(dublincore.Element) []string
-}) map[string][]string {
+// dumpDC serialises a builder's Dublin Core record.
+func dumpDC(dc *dublincore.Record) map[string][]string {
 	d := map[string][]string{}
 	for _, e := range dc.Elements() {
 		d[string(e)] = dc.Get(e)
+	}
+	return d
+}
+
+// dumpMeta serialises the Dublin Core values of a committed annotation,
+// read through the view of its document, as dumpDC serialises the record
+// they were written from.
+func dumpMeta(m dublincore.Meta) map[string][]string {
+	d := map[string][]string{}
+	for e, vals := range m.All {
+		d[string(e)] = slices.Collect(vals.All)
 	}
 	return d
 }
@@ -567,9 +576,9 @@ func dumpReferent(ref *core.Referent) ReferentDump {
 }
 
 // dumpTerms serialises ontology references.
-func dumpTerms(terms []core.TermRef) []TermRefDump {
+func dumpTerms(terms iter.Seq[core.TermRef]) []TermRefDump {
 	var d []TermRefDump
-	for _, tr := range terms {
+	for tr := range terms {
 		d = append(d, TermRefDump{Ontology: tr.Ontology, Term: tr.TermID})
 	}
 	return d
@@ -744,7 +753,7 @@ func ApplyAnnotation(x *core.Tx, ad AnnotationDump, sp *trace.Span) (*core.Annot
 			Keys:       rd.Keys,
 		}
 		if ref.Kind == core.RegionReferent {
-			ref.Region = rtree.Rect{Min: rd.Rect[0], Max: rd.Rect[1], Dims: rd.RectDims}
+			ref.Region = &rtree.Rect{Min: rd.Rect[0], Max: rd.Rect[1], Dims: rd.RectDims}
 		}
 		if ad.ID == 0 {
 			ref.ID = rd.ID
@@ -845,8 +854,16 @@ func DecodeLimited(r io.Reader, limit int64) (*Snapshot, error) {
 		return decodeCheckpoint(data, limit)
 	}
 	var snap Snapshot
-	if err := json.NewDecoder(br).Decode(&snap); err != nil {
+	dec := json.NewDecoder(br)
+	if err := dec.Decode(&snap); err != nil {
 		return nil, fmt.Errorf("persist: decode: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		var syntax *json.SyntaxError
+		if err != nil && !errors.As(err, &syntax) {
+			return nil, fmt.Errorf("persist: decode: %w", err) // a read error, an upload cap
+		}
+		return nil, errors.New("persist: decode: data after the snapshot")
 	}
 	return &snap, nil
 }

@@ -3,6 +3,8 @@ package persist_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -142,7 +144,7 @@ func TestSharedReferentsSurviveReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a1.ReferentIDs[0] != a2.ReferentIDs[0] {
+	if slices.Collect(a1.ReferentIDs)[0] != slices.Collect(a2.ReferentIDs)[0] {
 		t.Fatal("setup: marks not shared")
 	}
 	var buf bytes.Buffer
@@ -156,11 +158,28 @@ func TestSharedReferentsSurviveReplay(t *testing.T) {
 	ids := restored.View().AnnotationIDs()
 	r1, _ := restored.Annotation(ids[0])
 	r2, _ := restored.Annotation(ids[1])
-	if r1.ReferentIDs[0] != r2.ReferentIDs[0] {
+	if slices.Collect(r1.ReferentIDs)[0] != slices.Collect(r2.ReferentIDs)[0] {
 		t.Fatal("shared referent split during replay")
 	}
 	if restored.Stats().Referents != 1 {
 		t.Fatalf("referents = %d after replay", restored.Stats().Referents)
+	}
+}
+
+// TestDecodeRefusesTrailingData: the JSON form is one snapshot object and
+// whitespace. Junk or a second snapshot after it is refused, not ignored.
+func TestDecodeRefusesTrailingData(t *testing.T) {
+	one := fmt.Sprintf(`{"version":%d}`, persist.Version)
+	for _, src := range []string{one + "garbage", one + `{"version":1}`, one + " ]", one + "\n{"} {
+		if snap, err := persist.Decode(strings.NewReader(src)); err == nil {
+			t.Errorf("Decode(%q) = %+v, want an error", src, snap)
+		}
+		if _, err := persist.Read(strings.NewReader(src)); err == nil {
+			t.Errorf("Read(%q) loaded a store", src)
+		}
+	}
+	if snap, err := persist.Decode(strings.NewReader(one + " \n\t\r\n")); err != nil || snap.Version != persist.Version {
+		t.Errorf("a snapshot followed by whitespace: %+v, %v", snap, err)
 	}
 }
 

@@ -180,7 +180,7 @@ func (e *Engine) Delta(pre, post *core.View, ann *core.Annotation,
 		base = pre
 	}
 	if needOverlap || needShared {
-		for _, refID := range ann.ReferentIDs {
+		for refID := range ann.ReferentIDs {
 			ref, err := base.Referent(refID)
 			if err != nil {
 				continue
@@ -283,8 +283,8 @@ func spatialKind(k core.ReferentKind) bool {
 func (e *Engine) evalSource(v *core.View, ann *core.Annotation, rules []Rule,
 	stats map[string]*ruleStat) []core.DerivedFact {
 	var facts []core.DerivedFact
-	ownRefs := make(map[uint64]bool, len(ann.ReferentIDs))
-	for _, id := range ann.ReferentIDs {
+	ownRefs := make(map[uint64]bool, ann.NumReferents())
+	for id := range ann.ReferentIDs {
 		ownRefs[id] = true
 	}
 	for _, rule := range rules {
@@ -338,7 +338,7 @@ func triggeringReferent(ref *core.Referent, rule Rule) bool {
 
 func (e *Engine) evalOverlap(v *core.View, ann *core.Annotation, rule Rule,
 	ownRefs map[uint64]bool, facts []core.DerivedFact) []core.DerivedFact {
-	for _, refID := range ann.ReferentIDs {
+	for refID := range ann.ReferentIDs {
 		ref, err := v.Referent(refID)
 		if err != nil || !spatialKind(ref.Kind) || !triggeringReferent(ref, rule) {
 			continue
@@ -360,7 +360,7 @@ func (e *Engine) evalOverlap(v *core.View, ann *core.Annotation, rule Rule,
 
 func (e *Engine) evalCoRegistered(v *core.View, ann *core.Annotation, rule Rule,
 	facts []core.DerivedFact) []core.DerivedFact {
-	for _, refID := range ann.ReferentIDs {
+	for refID := range ann.ReferentIDs {
 		ref, err := v.Referent(refID)
 		if err != nil || ref.Kind != core.RegionReferent || !triggeringReferent(ref, rule) {
 			continue
@@ -370,7 +370,7 @@ func (e *Engine) evalCoRegistered(v *core.View, ann *core.Annotation, rule Rule,
 				continue
 			}
 			im, err := v.Image(imgID)
-			if err != nil || im.System != ref.Domain || !im.Footprint().Overlaps(ref.Region) {
+			if err != nil || im.System != ref.Domain || !im.Footprint().Overlaps(*ref.Region) {
 				continue
 			}
 			facts = append(facts, core.DerivedFact{
@@ -386,7 +386,7 @@ func (e *Engine) evalCoRegistered(v *core.View, ann *core.Annotation, rule Rule,
 
 func (e *Engine) evalClosure(v *core.View, ann *core.Annotation, rule Rule,
 	facts []core.DerivedFact) []core.DerivedFact {
-	for _, tr := range ann.Terms {
+	for tr := range ann.Terms {
 		if rule.Ontology != "" && tr.Ontology != rule.Ontology {
 			continue
 		}
@@ -412,7 +412,7 @@ func (e *Engine) evalClosure(v *core.View, ann *core.Annotation, rule Rule,
 
 func (e *Engine) evalShared(v *core.View, ann *core.Annotation, rule Rule,
 	facts []core.DerivedFact) []core.DerivedFact {
-	for _, refID := range ann.ReferentIDs {
+	for refID := range ann.ReferentIDs {
 		ref, err := v.Referent(refID)
 		if err != nil || !triggeringReferent(ref, rule) {
 			continue
@@ -450,7 +450,7 @@ func canonicalize(facts []core.DerivedFact) []core.DerivedFact {
 }
 
 func referencesTerm(ann *core.Annotation, ont, term string) bool {
-	for _, tr := range ann.Terms {
+	for tr := range ann.Terms {
 		if tr.Ontology == ont && tr.TermID == term {
 			return true
 		}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -95,7 +96,7 @@ func TestOverlapEdge(t *testing.T) {
 	}
 	// a1 and a2 overlap; each derives onto the other's referent.
 	f1 := s.View().DerivedFrom(a1.ID)
-	if len(f1) != 1 || f1[0].Target != agraph.Referent(a2.ReferentIDs[0]) {
+	if len(f1) != 1 || f1[0].Target != agraph.Referent(slices.Collect(a2.ReferentIDs)[0]) {
 		t.Fatalf("a1 facts = %v, want one fact targeting a2's referent", f1)
 	}
 	if f1[0].Rule != "ov" || f1[0].Source != a1.ID {
@@ -143,7 +144,7 @@ func TestSharedReferentEdge(t *testing.T) {
 	if len(f1) != 1 || f1[0].Target != agraph.ContentRoot(a2.ID) {
 		t.Fatalf("a1 facts = %v, want one fact targeting a2", f1)
 	}
-	wantWitness := fmt.Sprintf("shared ref%d", a1.ReferentIDs[0])
+	wantWitness := fmt.Sprintf("shared ref%d", slices.Collect(a1.ReferentIDs)[0])
 	if f1[0].Witness != wantWitness {
 		t.Fatalf("witness = %q, want %q", f1[0].Witness, wantWitness)
 	}
@@ -399,6 +400,15 @@ func TestParseRules(t *testing.T) {
 	}
 	if _, err := ParseRules(strings.NewReader(`{not json`)); !errors.Is(err, ErrBadRule) {
 		t.Fatalf("bad json: %v", err)
+	}
+	// The array is the whole input: whitespace may follow it, nothing else.
+	for _, tail := range []string{"garbage", `[{"id":"x","edge":"overlap"}]`, "]", " , "} {
+		if _, err := ParseRules(strings.NewReader(src + tail)); !errors.Is(err, ErrBadRule) {
+			t.Errorf("rules followed by %q: %v, want ErrBadRule", tail, err)
+		}
+	}
+	if rules, err := ParseRules(strings.NewReader(src + "\n\t \r\n")); err != nil || len(rules) != 2 {
+		t.Errorf("rules followed by whitespace: %d rules, %v", len(rules), err)
 	}
 }
 

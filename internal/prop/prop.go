@@ -160,12 +160,16 @@ func (r Rule) closureRelations() []string {
 	return DefaultClosureRelations
 }
 
-// ParseRules decodes a JSON array of rules (the -rules file format) and
-// validates each.
+// ParseRules decodes a JSON array of rules (the -rules file format),
+// followed by nothing but whitespace, and validates each.
 func ParseRules(rd io.Reader) ([]Rule, error) {
 	var rules []Rule
-	if err := json.NewDecoder(rd).Decode(&rules); err != nil {
+	dec := json.NewDecoder(rd)
+	if err := dec.Decode(&rules); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadRule, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("%w: data after the rule array", ErrBadRule)
 	}
 	for _, r := range rules {
 		if err := r.Validate(); err != nil {

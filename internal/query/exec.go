@@ -460,7 +460,7 @@ func (e *execution) annotationMatches(ann *core.Annotation, props []Prop) (bool,
 			}
 		case PropCreator:
 			match := false
-			for _, c := range ann.DC.Get(dublincore.Creator) {
+			for c := range ann.DC.Get(dublincore.Creator).All {
 				if c == prop.Str {
 					match = true
 					break

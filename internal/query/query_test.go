@@ -446,7 +446,7 @@ where {
 
 	anns := v.SearchKeyword("protease", true)
 	must(t, s.DeleteAnnotation(anns[1].ID))
-	shared, err := v.Referent(anns[0].ReferentIDs[0])
+	shared, err := v.Referent(slices.Collect(anns[0].ReferentIDs)[0])
 	must(t, err)
 	decoy, err := s.View().MarkSequenceInterval("NC_1", interval.Interval{Lo: 5, Hi: 15})
 	must(t, err)

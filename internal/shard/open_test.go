@@ -16,6 +16,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -274,7 +275,7 @@ func TestCommitRefusesCrossShardCommittedReferent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shared, err := s.Views()[0].Referent(annA.ReferentIDs[0])
+	shared, err := s.Views()[0].Referent(slices.Collect(annA.ReferentIDs)[0])
 	if err != nil {
 		t.Fatal(err)
 	}

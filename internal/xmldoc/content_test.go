@@ -2,6 +2,7 @@ package xmldoc_test
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -227,14 +228,14 @@ func TestContentDocumentsFlatVsTree(t *testing.T) {
 			t.Fatalf("%s: %v", in.name, err)
 		}
 		var refs []*core.Referent
-		for _, id := range ann.ReferentIDs {
+		for id := range ann.ReferentIDs {
 			r, err := s.View().Referent(id)
 			if err != nil {
 				t.Fatal(err)
 			}
 			refs = append(refs, r)
 		}
-		tree := treeContentDoc(ann.ID, b.DC(), in.body, in.tags, refs, ann.Terms)
+		tree := treeContentDoc(ann.ID, b.DC(), in.body, in.tags, refs, slices.Collect(ann.Terms))
 		t.Run(in.name, func(t *testing.T) { xmldoc.SameAsTree(t, ann.Content, tree) })
 	}
 }

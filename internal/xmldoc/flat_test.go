@@ -251,8 +251,8 @@ func TestFlatVsTreeRandom(t *testing.T) {
 	}
 }
 
-// TestNodeSize pins the sizes: the header and the values are paid once per
-// annotation a server holds, a shape's node entry once per node of each
+// TestNodeSize pins the sizes: the header and the value block are paid
+// once per annotation a server holds, a shape's node entry once per node of each
 // distinct shape.
 func TestNodeSize(t *testing.T) {
 	if size := unsafe.Sizeof(node{}); size != 16 {
@@ -261,8 +261,8 @@ func TestNodeSize(t *testing.T) {
 	if size := unsafe.Sizeof(Node{}); size != 16 {
 		t.Errorf("a handle is %d bytes, want 16", size)
 	}
-	if size := unsafe.Sizeof(Document{}); size != 48 {
-		t.Errorf("a document header is %d bytes, want 48", size)
+	if size := unsafe.Sizeof(Document{}); size != 40 {
+		t.Errorf("a document header is %d bytes, want 40", size)
 	}
 	build := func() {
 		d := NewDocument("annotation")
@@ -274,6 +274,6 @@ func TestNodeSize(t *testing.T) {
 	}
 	build()
 	if allocs := testing.AllocsPerRun(100, build); allocs > 2 && !raceEnabled {
-		t.Errorf("a document of an interned shape took %.0f allocations, want 2 (header, values)", allocs)
+		t.Errorf("a document of an interned shape took %.0f allocations, want 2 (header, value block)", allocs)
 	}
 }

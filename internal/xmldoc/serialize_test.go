@@ -124,8 +124,8 @@ func wantJSON(t *testing.T, d *Document) {
 		if !bytes.Equal(got, append([]byte("prefix"), want...)) {
 			t.Fatalf("%s encoding of\n%s\nAppendJSON = %q\nwant %q", pass, d, got, want)
 		}
-		if e := d.sh.memos.Load(); e == nil || e.memo != skeletons || len(e.val.(*skeleton).cuts) != len(d.vals) {
-			t.Fatalf("%s encoding: the shape keeps %+v for %d values", pass, e, len(d.vals))
+		if e := d.sh.memos.Load(); e == nil || e.memo != skeletons || len(e.val.(*skeleton).cuts) != len(d.sh.slots) {
+			t.Fatalf("%s encoding: the shape keeps %+v for %d values", pass, e, len(d.sh.slots))
 		}
 	}
 }

@@ -25,10 +25,14 @@
 // of indices needs no further sort.
 //
 // The values are what makes each document its own: the character data of
-// its text and comment nodes and the values of its attributes, one string
-// each, in one slice in document order (an element's attributes before its
-// children). Node i's values are the slots from its entry's slot up to the
-// next entry's, so an element's attributes need no table of their own.
+// its text and comment nodes and the values of its attributes, one slot
+// each, in document order (an element's attributes before its children).
+// Node i's values are the slots from its entry's slot up to the next
+// entry's, so an element's attributes need no table of their own. A sealed
+// document keeps them in one immutable block: the value bytes back to
+// back, then each slot's end offset, 2 bytes wide when the values total
+// under 64 KiB and 4 bytes otherwise. A value is read as a substring of the
+// block; no slot has a string header or an allocation of its own.
 //
 // # Building and sealing
 //
@@ -42,14 +46,14 @@
 //
 // Seal ends the building. It looks the shape up in one process-wide intern
 // table keyed by its encoding: a document whose shape is there already
-// shares that one and keeps only a 48-byte header and its values, copied
-// out of the scratch at their final size; otherwise the shape is copied out
-// of the scratch once and entered. The table holds its shapes weakly, and
-// an entry is dropped once its shape has been collected: a shape lives
-// exactly as long as some document uses it, so documents with names never
-// seen before — hostile tag names included — cost the table nothing once
-// they are gone. Every write to a sealed document panics; Parse returns
-// its documents sealed.
+// shares that one and keeps only a 40-byte header and its value block,
+// packed out of the scratch in one allocation; otherwise the shape is
+// copied out of the scratch once and entered. The table holds its shapes
+// weakly, and an entry is dropped once its shape has been collected: a
+// shape lives exactly as long as some document uses it, so documents with
+// names never seen before — hostile tag names included — cost the table
+// nothing once they are gone. Every write to a sealed document panics;
+// Parse returns its documents sealed.
 //
 // # Serialising
 //
@@ -285,8 +289,90 @@ type Document struct {
 	// Root is the root element.
 	Root Node
 	sh   *shape
-	vals []string
+	// vals is a sealed document's value block (see pack); "" while the
+	// document is being built, whose values are its scratch's.
+	vals string
 }
+
+// pack lays vals out as a value block: their bytes back to back, then the
+// end offset of each, little-endian, 2 bytes wide when the values total
+// under 64 KiB and 4 bytes otherwise. It is one allocation.
+func pack(vals []string) string {
+	size := 0
+	for _, v := range vals {
+		size += len(v)
+	}
+	if uint64(size) >= 1<<31 {
+		panic("xmldoc: a document's values total 2 GiB or more")
+	}
+	w := 2
+	if size >= 1<<16 {
+		w = 4
+	}
+	var b strings.Builder
+	b.Grow(size + w*len(vals))
+	for _, v := range vals {
+		b.WriteString(v)
+	}
+	end := 0
+	for _, v := range vals {
+		end += len(v)
+		for k := range w {
+			b.WriteByte(byte(end >> (8 * k)))
+		}
+	}
+	return b.String()
+}
+
+// values is a value block opened for reading.
+type values struct {
+	blk  string
+	ends int32 // where the end offsets start: the values' total size
+	wide bool  // 4-byte end offsets
+}
+
+// values opens d's value block. The width of its end offsets follows from
+// its length and the shape's slot count n: 2-byte ends leave the values
+// len-2n bytes, under 64 KiB, and 4-byte ends leave them len-4n, at least
+// 64 KiB, so len-2n is at least that too. A document being built packs its
+// scratch's values into a block of their own on every call, so readers
+// have one form to read; nothing reads a document while it is built but
+// tests and diagnostics.
+func (d *Document) values() values {
+	blk := d.vals
+	if b := d.sh.b; b != nil {
+		blk = pack(b.vals)
+	}
+	n := len(d.sh.slots)
+	ends := len(blk) - 2*n
+	if ends >= 1<<16 {
+		return values{blk, int32(len(blk) - 4*n), true}
+	}
+	return values{blk: blk, ends: int32(ends)}
+}
+
+// end returns the end offset of slot s's value: slot s's value is
+// blk[end(s-1):end(s)], slot 0's starting at 0.
+func (v values) end(s int) int {
+	if !v.wide {
+		e := v.blk[int(v.ends)+2*s:]
+		return int(e[0]) | int(e[1])<<8
+	}
+	e := v.blk[int(v.ends)+4*s:]
+	return int(e[0]) | int(e[1])<<8 | int(e[2])<<16 | int(e[3])<<24
+}
+
+// at returns slot s's value.
+func (v values) at(s int) string {
+	lo := 0
+	if s > 0 {
+		lo = v.end(s - 1)
+	}
+	return v.blk[lo:v.end(s)]
+}
+
+// value returns the value of d's slot s.
+func (d *Document) value(s int32) string { return d.values().at(int(s)) }
 
 // Node is a handle on one node of a document, or on one attribute of an
 // element (path expressions select those). The zero Node addresses
@@ -351,7 +437,6 @@ func (d *Document) add(parent int32, kind Kind, text string) int32 {
 		nd.name, nd.end = -int32(kind), i+1
 		b.slots = append(b.slots, -int32(kind))
 		b.vals = append(b.vals, text)
-		d.vals = b.vals
 	}
 	b.nodes = append(b.nodes, nd)
 	return i
@@ -372,7 +457,6 @@ func (d *Document) addAttr(i int32, name, value string) {
 		b.slots = append(b.slots, int32(len(b.enc))+1)
 		b.enc = appendName(append(b.enc, attrRecord), name)
 		b.vals = append(b.vals, value)
-		d.vals = b.vals
 		return
 	}
 	lo, hi := b.attrs(i)
@@ -402,13 +486,12 @@ func (d *Document) addAttr(i int32, name, value string) {
 	}
 	b.slots = slices.Insert(b.slots, int(hi), at+1)
 	b.vals = slices.Insert(b.vals, int(hi), value)
-	d.vals = b.vals
 }
 
 // Seal ends the building of d. Its shape is looked up in the intern table,
 // and entered if it is not there yet; d keeps that shape and its values,
-// copied out of the scratch at their final size, and the scratch goes back
-// to be reused. Every write to a sealed document panics. Sealing a sealed
+// packed out of the scratch into one block, and the scratch goes back to
+// be reused. Every write to a sealed document panics. Sealing a sealed
 // document does nothing.
 func (d *Document) Seal() {
 	b := d.sh.b
@@ -416,7 +499,7 @@ func (d *Document) Seal() {
 		return
 	}
 	d.sh = intern(b)
-	d.vals = slices.Clone(b.vals)
+	d.vals = pack(b.vals)
 	clear(b.vals)
 	b.nodes, b.slots, b.enc, b.vals = b.nodes[:0], b.slots[:0], b.enc[:0], b.vals[:0]
 	scratches.Put(b)
@@ -535,32 +618,68 @@ func (n Node) Name() string {
 // elements).
 func (n Node) Value() string {
 	if n.attr != 0 {
-		return n.d.vals[n.attr-1]
+		return n.d.value(n.attr - 1)
 	}
 	if nd := &n.d.sh.nodes[n.i]; nd.name < 0 {
-		return n.d.vals[nd.slot]
+		return n.d.value(nd.slot)
 	}
 	return ""
 }
 
-// Values returns the values of the subtree rooted at n — its own
+// Slots is a run of one document's value slots, read in place: each value
+// is a substring of the document's value block, not a copy. It holds the
+// block open, so reading many slots of one run opens it once. The zero
+// Slots is empty.
+type Slots struct {
+	vals   values
+	lo, hi int32
+}
+
+// Slots returns the value slots of the subtree rooted at n — its own
 // attributes' and every descendant's text, comment and attribute values —
-// in document order. They are one run of the document's values and are
-// returned as such, not copied: callers must not write to them.
-func (n Node) Values() []string {
+// in document order: one run of its document's slots.
+func (n Node) Slots() Slots {
 	if n.attr != 0 {
-		return n.d.vals[n.attr-1 : n.attr : n.attr]
+		return Slots{n.d.values(), n.attr - 1, n.attr}
 	}
 	sh := n.d.sh
-	lo, hi := sh.nodes[n.i].slot, int32(len(n.d.vals))
+	lo, hi := sh.nodes[n.i].slot, int32(len(sh.slots))
 	if end := sh.end(n.i); int(end) < len(sh.nodes) {
 		hi = sh.nodes[end].slot
 	}
-	return n.d.vals[lo:hi:hi]
+	return Slots{n.d.values(), lo, hi}
 }
 
-// Slot returns where n's values start among its document's: n.Values()
-// is a run of d.Root.Values() beginning at n.Slot(). Like the node's ID it
+// Len returns the number of slots in the run.
+func (r Slots) Len() int { return int(r.hi - r.lo) }
+
+// At returns the value of the run's k-th slot.
+func (r Slots) At(k int) string {
+	if uint(k) >= uint(r.Len()) {
+		panic(fmt.Sprintf("xmldoc: slot %d of a run of %d", k, r.Len()))
+	}
+	return r.vals.at(int(r.lo) + k)
+}
+
+// Slice returns the run's slots i up to j.
+func (r Slots) Slice(i, j int) Slots {
+	if i < 0 || i > j || j > r.Len() {
+		panic(fmt.Sprintf("xmldoc: slots [%d:%d] of a run of %d", i, j, r.Len()))
+	}
+	return Slots{r.vals, r.lo + int32(i), r.lo + int32(j)}
+}
+
+// All visits the run's values in order until yield returns false.
+func (r Slots) All(yield func(string) bool) {
+	for s := int(r.lo); s < int(r.hi); s++ {
+		if !yield(r.vals.at(s)) {
+			return
+		}
+	}
+}
+
+// Slot returns where n's values start among its document's: n.Slots() is
+// the run of d.Root.Slots() beginning at n.Slot(). Like the node's ID it
 // depends on the shape alone.
 func (n Node) Slot() int {
 	if n.attr != 0 {
@@ -628,7 +747,7 @@ func (n Node) attrSlot(k int) int32 {
 // were set.
 func (n Node) AttrAt(k int) Attr {
 	s := n.attrSlot(k)
-	return Attr{n.d.sh.name(n.d.sh.slots[s]), n.d.vals[s]}
+	return Attr{n.d.sh.name(n.d.sh.slots[s]), n.d.value(s)}
 }
 
 // AttrNode returns a handle on the k-th attribute.
@@ -655,7 +774,7 @@ func (n Node) Attr(name string) (string, bool) {
 	lo, hi := sh.attrs(n.i)
 	for s := lo; s < hi; s++ {
 		if sh.name(sh.slots[s]) == name {
-			return n.d.vals[s], true
+			return n.d.value(s), true
 		}
 	}
 	return "", false
@@ -682,22 +801,24 @@ func (n Node) SetAttr(name, value string) {
 
 // Text returns the concatenation of all text content in the subtree rooted
 // at n, in document order. The text of a subtree with a single text node
-// is that node's string, not a copy.
+// is that node's value, read in place, not a copy.
 func (n Node) Text() string {
 	if n.attr != 0 {
 		return n.Value()
 	}
 	d := n.d
 	sub := d.sh.nodes[n.i:d.sh.end(n.i)]
+	v := d.values()
 	var first string
 	pieces, size := 0, 0
 	for k := range sub {
 		if sub[k].name == -int32(TextNode) {
+			text := v.at(int(sub[k].slot))
 			if pieces == 0 {
-				first = d.vals[sub[k].slot]
+				first = text
 			}
 			pieces++
-			size += len(d.vals[sub[k].slot])
+			size += len(text)
 		}
 	}
 	if pieces <= 1 {
@@ -707,7 +828,7 @@ func (n Node) Text() string {
 	sb.Grow(size)
 	for k := range sub {
 		if sub[k].name == -int32(TextNode) {
-			sb.WriteString(d.vals[sub[k].slot])
+			sb.WriteString(v.at(int(sub[k].slot)))
 		}
 	}
 	return sb.String()
@@ -864,7 +985,7 @@ func (d *Document) String() string {
 // extended buffer — the one serializer behind String and WriteTo, for
 // callers that own a buffer.
 func (d *Document) AppendTo(dst []byte) []byte {
-	p := printer{sh: d.sh, vals: d.vals}
+	p := printer{sh: d.sh, vals: d.values()}
 	return p.appendNode(dst, 0, 0)
 }
 
@@ -877,14 +998,15 @@ func (d *Document) AppendTo(dst []byte) []byte {
 // JSON-escaped, fused, a comment JSON-escaped alone.
 func (d *Document) AppendJSON(dst []byte) []byte {
 	sk := skeletons.Get(d)
-	size := len(sk.text)
-	for _, v := range d.vals {
-		size += len(v)
-	}
-	dst = slices.Grow(dst, size)
-	cuts, slots := sk.cuts[:len(d.vals)], d.sh.slots[:len(d.vals)]
-	at := int32(0)
-	for s, v := range d.vals {
+	vals := d.values()
+	dst = slices.Grow(dst, len(sk.text)+int(vals.ends))
+	slots := d.sh.slots
+	cuts := sk.cuts[:len(slots)]
+	at, lo := int32(0), 0
+	for s := range slots {
+		hi := vals.end(s)
+		v := vals.blk[lo:hi]
+		lo = hi
 		dst = append(dst, sk.text[at:cuts[s]]...)
 		at = cuts[s]
 		if slots[s] == -int32(CommentNode) {
@@ -938,7 +1060,7 @@ var skeletons = NewShapeMemo(func(d *Document) *skeleton {
 // writing it.
 type printer struct {
 	sh   *shape
-	vals []string
+	vals values
 	cuts []int32
 }
 
@@ -950,9 +1072,9 @@ func (p *printer) value(dst []byte, s int32) []byte {
 		p.cuts = append(p.cuts, int32(len(dst)))
 		return dst
 	case p.sh.slots[s] == -int32(CommentNode):
-		return append(dst, p.vals[s]...)
+		return append(dst, p.vals.at(int(s))...)
 	default:
-		return appendEscaped(dst, p.vals[s])
+		return appendEscaped(dst, p.vals.at(int(s)))
 	}
 }
 
@@ -1176,10 +1298,13 @@ func nodeEqual(a, b Node) bool {
 func (d *Document) Keywords() []string {
 	var buf [64]string
 	words := buf[:0]
-	for s, v := range d.vals {
-		if d.sh.slots[s] != -int32(CommentNode) {
-			words = appendTokens(words, v)
+	vals, lo := d.values(), 0
+	for s, kind := range d.sh.slots {
+		hi := vals.end(s)
+		if kind != -int32(CommentNode) {
+			words = appendTokens(words, vals.blk[lo:hi])
 		}
+		lo = hi
 	}
 	slices.Sort(words)
 	return slices.Clone(slices.Compact(words))
@@ -1189,10 +1314,13 @@ func (d *Document) Keywords() []string {
 // word token of the document's text content or attribute values — with
 // no allocation: each value's tokens are compared in place.
 func (d *Document) HasKeyword(token string) bool {
-	for s, v := range d.vals {
-		if d.sh.slots[s] != -int32(CommentNode) && hasToken(v, token) {
+	vals, lo := d.values(), 0
+	for s, kind := range d.sh.slots {
+		hi := vals.end(s)
+		if kind != -int32(CommentNode) && hasToken(vals.blk[lo:hi], token) {
 			return true
 		}
+		lo = hi
 	}
 	return false
 }

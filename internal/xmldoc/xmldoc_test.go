@@ -103,8 +103,8 @@ func TestBuildOrder(t *testing.T) {
 			{d.Root, "1,3,deep,2"}, {b, "1,3,deep,2"}, {c, "1,3,deep"}, {c.FirstChild(), "deep"},
 			{c.AttrNode(1), "3"}, {e, "2"}, {d.Root.FirstChildElement("f"), ""},
 		} {
-			if got := strings.Join(tc.n.Values(), ","); got != tc.want {
-				t.Errorf("sealed=%v: %s Values() = %q, want %q", sealed, tc.n.Path(), got, tc.want)
+			if got := strings.Join(slices.Collect(tc.n.Slots().All), ","); got != tc.want {
+				t.Errorf("sealed=%v: %s Slots() = %q, want %q", sealed, tc.n.Path(), got, tc.want)
 			}
 		}
 	}
@@ -282,7 +282,7 @@ func checkHasKeyword(t testing.TB, d *Document) {
 	for _, w := range kws {
 		probes = append(probes, w, strings.ToUpper(w), " "+w, w+" ", w[:len(w)-1], w+"x")
 	}
-	for _, v := range d.vals {
+	for v := range d.Root.Slots().All {
 		probes = append(probes, strings.Fields(v)...)
 	}
 	for _, p := range probes {

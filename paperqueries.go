@@ -107,7 +107,7 @@ func QueryTP53Images(st *Store, opts TP53Options) (*TP53Result, error) {
 				if err != nil {
 					return true // not an annotation's root: nothing else annotates
 				}
-				for _, tr := range ann.Terms {
+				for tr := range ann.Terms {
 					if tr.Ontology == opts.Ontology && closure[tr.TermID] {
 						found = true
 						return false
@@ -248,7 +248,7 @@ func QueryConsecutiveKeyword(st *Store, opts ConsecutiveOptions) ([]*Chain, erro
 		if opts.Ontology != "" && !annotationInClass(s, ann, opts.Ontology, opts.ClassTerm) {
 			continue
 		}
-		for _, refID := range ann.ReferentIDs {
+		for refID := range ann.ReferentIDs {
 			ref, err := s.Referent(refID)
 			if err != nil || ref.Kind != core.IntervalReferent {
 				continue
@@ -338,7 +338,7 @@ func annotationInClass(s *core.View, ann *Annotation, ontName, classTerm string)
 			closure[t] = true
 		}
 	}
-	for _, tr := range ann.Terms {
+	for tr := range ann.Terms {
 		if tr.Ontology == ontName && closure[tr.TermID] {
 			return true
 		}

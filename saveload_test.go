@@ -2,6 +2,7 @@ package graphitti
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -86,10 +87,10 @@ func TestSaveLoadPreservesIDs(t *testing.T) {
 		if got.Content.String() != orig.Content.String() {
 			t.Fatalf("annotation %d content differs", id)
 		}
-		for i, refID := range orig.ReferentIDs {
-			if got.ReferentIDs[i] != refID {
+		for i, refID := range slices.Collect(orig.ReferentIDs) {
+			if slices.Collect(got.ReferentIDs)[i] != refID {
 				t.Fatalf("annotation %d referent %d: got ID %d want %d",
-					id, i, got.ReferentIDs[i], refID)
+					id, i, slices.Collect(got.ReferentIDs)[i], refID)
 			}
 		}
 	}
