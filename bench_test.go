@@ -292,11 +292,11 @@ where {
 	for _, n := range []int{200, 1000, 5000} {
 		study := fluStudy(b, n)
 		p := query.NewProcessor(study.Store)
-		q := query.MustParse(src)
+		q := mustParseQuery(b, src)
 		b.Run(fmt.Sprintf("query/anns=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := p.ExecuteParsed(q, query.DefaultOptions); err != nil {
+				if _, err := p.ExecuteParsedCtx(context.Background(), q, query.DefaultOptions); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -363,41 +363,11 @@ func BenchmarkO1SubXOps(b *testing.B) {
 			_ = a.Overlaps(q)
 		}
 	})
-	b.Run("interval-intersect", func(b *testing.B) {
-		a := interval.Interval{Lo: 0, Hi: 100}
-		for i := 0; i < b.N; i++ {
-			q := interval.Interval{Lo: int64(i % 200), Hi: int64(i%200 + 50)}
-			_, _ = a.Intersect(q)
-		}
-	})
 	b.Run("rect-ifOverlap", func(b *testing.B) {
 		a := rtree.Rect2D(0, 0, 100, 100)
 		for i := 0; i < b.N; i++ {
 			x := float64(i % 200)
 			_ = a.Overlaps(rtree.Rect2D(x, x, x+50, x+50))
-		}
-	})
-	b.Run("rect-intersect", func(b *testing.B) {
-		a := rtree.Rect2D(0, 0, 100, 100)
-		for i := 0; i < b.N; i++ {
-			x := float64(i % 200)
-			_, _ = a.Intersect(rtree.Rect2D(x, x, x+50, x+50))
-		}
-	})
-	// next on a populated domain tree.
-	var tr interval.Tree[string]
-	for i := 0; i < 10_000; i++ {
-		lo := int64(i * 10)
-		var err error
-		if tr, err = tr.Insert(interval.Interval{Lo: lo, Hi: lo + 8}, uint64(i), "x"); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.Run("interval-next", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			lo := int64((i * 97) % 99_000)
-			_, _ = tr.Next(interval.Interval{Lo: lo, Hi: lo + 5})
 		}
 	})
 }
@@ -426,29 +396,6 @@ func BenchmarkO2OntologyOps(b *testing.B) {
 		b.Run("SubTree/"+name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := o.SubTree("root", []string{ontology.IsA}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run("SubTreeDiff/"+name, func(b *testing.B) {
-			ci, err := o.CI("root")
-			if err != nil || len(ci) == 0 {
-				b.Fatal("no descendants")
-			}
-			y := ci[0]
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := o.SubTreeDiff("root", y, []string{ontology.IsA}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run("mCmRI/"+name, func(b *testing.B) {
-			ci, _ := o.CI("root")
-			cs := []string{"root", ci[len(ci)/2]}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := o.MCmRI(cs, ontology.InstanceRelations); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -554,7 +501,7 @@ func BenchmarkA1IndexConsolidation(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			d := fmt.Sprintf("chr%d", i%domains)
 			lo := int64((i * 911) % (domainLength - 500))
-			total += consolidated[d].CountOverlapping(interval.Interval{Lo: lo, Hi: lo + 500})
+			total += countOverlapping(consolidated[d], interval.Interval{Lo: lo, Hi: lo + 500})
 		}
 		_ = total
 	})
@@ -567,7 +514,7 @@ func BenchmarkA1IndexConsolidation(b *testing.B) {
 			lo := int64((i * 911) % (domainLength - 500))
 			q := interval.Interval{Lo: lo, Hi: lo + 500}
 			for _, seqID := range perDomainSeqs[d] {
-				total += fragmented[seqID].CountOverlapping(q)
+				total += countOverlapping(fragmented[seqID], q)
 			}
 		}
 		_ = total
@@ -595,7 +542,7 @@ func BenchmarkA2IntervalVsScan(b *testing.B) {
 		b.Run(fmt.Sprintf("tree/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				lo := int64((i * 7919) % 999_000)
-				tr.CountOverlapping(interval.Interval{Lo: lo, Hi: lo + 300})
+				countOverlapping(tr, interval.Interval{Lo: lo, Hi: lo + 300})
 			}
 		})
 		b.Run(fmt.Sprintf("scan/n=%d", n), func(b *testing.B) {
@@ -633,7 +580,7 @@ func BenchmarkA3RTreeVsScan(b *testing.B) {
 		b.Run(fmt.Sprintf("rtree/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				x := float64((i * 7919) % 9900)
-				tr.Count(rtree.Rect2D(x, x, x+100, x+100))
+				countRect(tr, rtree.Rect2D(x, x, x+100, x+100))
 			}
 		})
 		b.Run(fmt.Sprintf("scan/n=%d", n), func(b *testing.B) {
@@ -676,7 +623,7 @@ where {
 	for _, n := range []int{1000, 5000} {
 		study := fluStudy(b, n)
 		p := query.NewProcessor(study.Store)
-		q := query.MustParse(src)
+		q := mustParseQuery(b, src)
 		for _, ordered := range []bool{true, false} {
 			name := "selectivity"
 			if !ordered {
@@ -685,7 +632,7 @@ where {
 			b.Run(fmt.Sprintf("%s/anns=%d", name, n), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := p.ExecuteParsed(q, query.Options{OrderBySelectivity: ordered}); err != nil {
+					if _, err := p.ExecuteParsedCtx(context.Background(), q, query.Options{OrderBySelectivity: ordered}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -741,13 +688,13 @@ func BenchmarkA7BulkLoadVsIncremental(b *testing.B) {
 		b.Run(fmt.Sprintf("query-incremental/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				x := float64((i * 7919) % 9900)
-				inc.Count(rtree.Rect2D(x, x, x+80, x+80))
+				countRect(inc, rtree.Rect2D(x, x, x+80, x+80))
 			}
 		})
 		b.Run(fmt.Sprintf("query-str/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				x := float64((i * 7919) % 9900)
-				bulk.Count(rtree.Rect2D(x, x, x+80, x+80))
+				countRect(bulk, rtree.Rect2D(x, x, x+80, x+80))
 			}
 		})
 	}
@@ -1131,14 +1078,14 @@ where {
 func BenchmarkPlanner(b *testing.B) {
 	study := fluStudy(b, 10_000)
 	p := query.NewProcessor(study.Store)
-	join := query.MustParse(join3)
+	join := mustParseQuery(b, join3)
 	semiOpts := query.Options{OrderBySelectivity: true}
 	nestedOpts := query.Options{OrderBySelectivity: true, Join: query.JoinNestedLoop}
-	semi, err := p.ExecuteParsed(join, semiOpts)
+	semi, err := p.ExecuteParsedCtx(context.Background(), join, semiOpts)
 	if err != nil {
 		b.Fatal(err)
 	}
-	nested, err := p.ExecuteParsed(join, nestedOpts)
+	nested, err := p.ExecuteParsedCtx(context.Background(), join, nestedOpts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -1152,7 +1099,7 @@ func BenchmarkPlanner(b *testing.B) {
 	b.Run("join3/semijoin/anns=10000", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := p.ExecuteParsed(join, semiOpts); err != nil {
+			if _, err := p.ExecuteParsedCtx(context.Background(), join, semiOpts); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -1160,13 +1107,13 @@ func BenchmarkPlanner(b *testing.B) {
 	b.Run("join3/nested/anns=10000", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := p.ExecuteParsed(join, nestedOpts); err != nil {
+			if _, err := p.ExecuteParsedCtx(context.Background(), join, nestedOpts); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 
-	prov := query.MustParse(`
+	prov := mustParseQuery(b, `
 select referents
 where {
   ?r isa referent ; provenance "p-overlap" .
@@ -1174,15 +1121,15 @@ where {
 	for _, n := range []int{2000, 10_000} {
 		ps := propStudy(b, n)
 		pp := query.NewProcessor(ps.Store)
-		if res, err := pp.ExecuteParsed(prov, semiOpts); err != nil {
+		if res, err := pp.ExecuteParsedCtx(context.Background(), prov, semiOpts); err != nil {
 			b.Fatal(err)
 		} else if len(res.Referents) == 0 {
 			b.Fatal("provenance query found nothing; fixture has no overlap facts")
 		}
-		b.Run(fmt.Sprintf("provenance/anns=%d/facts=%d", n, ps.Store.View().DerivedCount()), func(b *testing.B) {
+		b.Run(fmt.Sprintf("provenance/anns=%d/facts=%d", n, ps.Store.View().Stats().Derived), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := pp.ExecuteParsed(prov, semiOpts); err != nil {
+				if _, err := pp.ExecuteParsedCtx(context.Background(), prov, semiOpts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -1227,7 +1174,8 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 func BenchmarkReadPath(b *testing.B) {
 	study := fluStudy(b, 10_000)
 	h := httpapi.NewHandler(study.Store)
-	ids := study.Store.View().AnnotationIDs()
+	var ids []uint64
+	study.Store.View().AnnotationsEach(func(a *core.Annotation) bool { ids = append(ids, a.ID); return true })
 	var related []string
 	for i := 0; i < 32; i++ {
 		related = append(related, fmt.Sprintf("/api/annotations/%d/related", ids[i*len(ids)/32]))
@@ -1262,4 +1210,34 @@ func BenchmarkReadPath(b *testing.B) {
 			b.ReportMetric(float64(sent)/float64(b.N), "resp-B/op")
 		})
 	}
+}
+
+// countOverlapping counts a tree's entries overlapping q.
+func countOverlapping[V any](t interval.Tree[V], q interval.Interval) int {
+	n := 0
+	t.VisitOverlapping(q, func(interval.Entry[V]) bool {
+		n++
+		return true
+	})
+	return n
+}
+
+// countRect counts a tree's entries overlapping q.
+func countRect[V any](t rtree.Tree[V], q rtree.Rect) int {
+	n := 0
+	t.Visit(q, func(rtree.Entry[V]) bool {
+		n++
+		return true
+	})
+	return n
+}
+
+// mustParseQuery parses a benchmark's fixed query.
+func mustParseQuery(b *testing.B, src string) *query.Query {
+	b.Helper()
+	q, err := query.Parse(src)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return q
 }

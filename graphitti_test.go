@@ -254,7 +254,7 @@ func TestFacadeConstructors(t *testing.T) {
 	if _, err := NewImage("i", "cs", Rect2D(0, 0, 1, 1), IdentityRegistration(2)); err != nil {
 		t.Fatal(err)
 	}
-	if Span(1, 5).Len() != 4 {
+	if Span(1, 5) != (Interval{Lo: 1, Hi: 5}) {
 		t.Fatal("Span wrong")
 	}
 	if Rect3D(0, 0, 0, 1, 1, 1).Volume() != 1 {

@@ -371,17 +371,6 @@ func (g *Graph) NodesEach(visit func(NodeRef) bool) {
 	g.nodes.Each(func(_ uint64, n *node) bool { return visit(g.ref(n)) })
 }
 
-// Nodes returns all node refs, sorted (kind, key).
-func (g *Graph) Nodes() []NodeRef {
-	out := make([]NodeRef, 0, g.NodeCount())
-	g.NodesEach(func(ref NodeRef) bool {
-		out = append(out, ref)
-		return true
-	})
-	sortRefs(out)
-	return out
-}
-
 func sortRefs(refs []NodeRef) { slices.SortFunc(refs, NodeRef.Compare) }
 
 // Edit is the writer's handle on a graph: it batches mutations against the

@@ -259,7 +259,7 @@ func TestConnectStrategies(t *testing.T) {
 			t.Fatalf("%v: %v", strat, err)
 		}
 		for _, term := range terms {
-			if !sg.Contains(term) {
+			if !slices.Contains(sg.Nodes, term) {
 				t.Fatalf("%v: missing terminal %v", strat, term)
 			}
 		}
@@ -449,7 +449,7 @@ func TestQuickConnectInvariants(t *testing.T) {
 				return false
 			}
 			for _, term := range terms {
-				if !sg.Contains(term) {
+				if !slices.Contains(sg.Nodes, term) {
 					return false
 				}
 			}
@@ -495,4 +495,15 @@ func BenchmarkConnectStrategies(b *testing.B) {
 			}
 		})
 	}
+}
+
+// Nodes returns all node refs, sorted (kind, key).
+func (g *Graph) Nodes() []NodeRef {
+	out := make([]NodeRef, 0, g.NodeCount())
+	g.NodesEach(func(ref NodeRef) bool {
+		out = append(out, ref)
+		return true
+	})
+	sortRefs(out)
+	return out
 }

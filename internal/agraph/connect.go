@@ -21,16 +21,6 @@ func (s *Subgraph) NodeCount() int { return len(s.Nodes) }
 // EdgeCount returns the number of edges in the subgraph.
 func (s *Subgraph) EdgeCount() int { return len(s.Edges) }
 
-// Contains reports whether the subgraph includes the node.
-func (s *Subgraph) Contains(ref NodeRef) bool {
-	for _, n := range s.Nodes {
-		if n == ref {
-			return true
-		}
-	}
-	return false
-}
-
 // Connected reports whether the subgraph's nodes form one connected
 // component under its own edges (ignoring direction).
 func (s *Subgraph) Connected() bool {

@@ -40,15 +40,6 @@ func (s *Subgraph) DOT(name string) string {
 	return sb.String()
 }
 
-// DOT renders the path as a DOT digraph.
-func (p *Path) DOT(name string) string {
-	s := &Subgraph{Nodes: p.Nodes, Edges: p.Edges}
-	if len(p.Nodes) > 0 {
-		s.Terminals = []NodeRef{p.Nodes[0], p.Nodes[len(p.Nodes)-1]}
-	}
-	return s.DOT(name)
-}
-
 func dotShape(k NodeKind) string {
 	switch k {
 	case ContentNode:

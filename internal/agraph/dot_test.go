@@ -63,3 +63,12 @@ func TestPathDOT(t *testing.T) {
 		t.Error("term shape missing")
 	}
 }
+
+// DOT renders the path as a DOT digraph.
+func (p *Path) DOT(name string) string {
+	s := &Subgraph{Nodes: p.Nodes, Edges: p.Edges}
+	if len(p.Nodes) > 0 {
+		s.Terminals = []NodeRef{p.Nodes[0], p.Nodes[len(p.Nodes)-1]}
+	}
+	return s.DOT(name)
+}

@@ -107,21 +107,6 @@ func (im *Image) ToSystem(local rtree.Rect) (rtree.Rect, error) {
 	return out, nil
 }
 
-// FromSystem maps a system rectangle back into image-local coordinates,
-// clipping to the image extent; ok is false when the rectangle misses the
-// image.
-func (im *Image) FromSystem(sys rtree.Rect) (rtree.Rect, bool) {
-	if sys.Dims != im.Local.Dims {
-		return rtree.Rect{}, false
-	}
-	local := rtree.Rect{Dims: sys.Dims}
-	for d := 0; d < sys.Dims; d++ {
-		local.Min[d] = (sys.Min[d] - im.Reg.Offset[d]) / im.Reg.Scale[d]
-		local.Max[d] = (sys.Max[d] - im.Reg.Offset[d]) / im.Reg.Scale[d]
-	}
-	return local.Intersect(im.Local)
-}
-
 // Footprint returns the image's extent in system coordinates.
 func (im *Image) Footprint() rtree.Rect {
 	out, _ := im.ToSystem(im.Local)
@@ -145,22 +130,4 @@ func (im *Image) Region(local rtree.Rect) (*Region, error) {
 		return nil, err
 	}
 	return &Region{ImageID: im.ID, System: im.System, Local: local, Sys: sys}, nil
-}
-
-// Overlaps reports whether two regions overlap in system space (regions in
-// different systems never overlap — the paper's per-system trees make
-// cross-system comparison meaningless).
-func (r *Region) Overlaps(o *Region) bool {
-	if r.System != o.System {
-		return false
-	}
-	return r.Sys.Overlaps(o.Sys)
-}
-
-// Intersect returns the system-space intersection of two regions.
-func (r *Region) Intersect(o *Region) (rtree.Rect, bool) {
-	if r.System != o.System {
-		return rtree.Rect{}, false
-	}
-	return r.Sys.Intersect(o.Sys)
 }

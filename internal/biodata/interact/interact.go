@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 )
 
 // MoleculeType classifies a node.
@@ -66,7 +65,6 @@ type Graph struct {
 	ID        string
 	molecules map[string]*Molecule
 	adj       map[string][]Interaction
-	edgeCount int
 }
 
 // NewGraph returns an empty interaction graph.
@@ -107,12 +105,6 @@ func (g *Graph) Molecules() []string {
 	return out
 }
 
-// NumMolecules returns the number of nodes.
-func (g *Graph) NumMolecules() int { return len(g.molecules) }
-
-// NumInteractions returns the number of edges.
-func (g *Graph) NumInteractions() int { return g.edgeCount }
-
 // AddInteraction adds an undirected typed edge between two molecules.
 func (g *Graph) AddInteraction(a, b, kind string, score float64) error {
 	if a == b {
@@ -130,33 +122,8 @@ func (g *Graph) AddInteraction(a, b, kind string, score float64) error {
 	e := Interaction{A: a, B: b, Kind: kind, Score: score}
 	g.adj[a] = append(g.adj[a], e)
 	g.adj[b] = append(g.adj[b], e)
-	g.edgeCount++
 	return nil
 }
-
-// Neighbors returns the distinct molecules interacting with id, sorted.
-func (g *Graph) Neighbors(id string) ([]string, error) {
-	if _, ok := g.molecules[id]; !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNoMolecule, id)
-	}
-	seen := map[string]bool{}
-	var out []string
-	for _, e := range g.adj[id] {
-		peer := e.A
-		if peer == id {
-			peer = e.B
-		}
-		if !seen[peer] {
-			seen[peer] = true
-			out = append(out, peer)
-		}
-	}
-	sort.Strings(out)
-	return out, nil
-}
-
-// Degree returns the number of interactions incident to id.
-func (g *Graph) Degree(id string) int { return len(g.adj[id]) }
 
 // Interactions returns all edges, sorted by (A, B, Kind).
 func (g *Graph) Interactions() []Interaction {
@@ -187,9 +154,6 @@ type Subgraph struct {
 	Molecules []string // sorted
 	Edges     []Interaction
 }
-
-// MarkID returns the canonical identity of the subgraph mark.
-func (s *Subgraph) MarkID() string { return strings.Join(s.Molecules, "|") }
 
 // InducedSubgraph returns the subgraph induced by the given molecule IDs.
 func (g *Graph) InducedSubgraph(ids ...string) (*Subgraph, error) {
@@ -222,68 +186,4 @@ func (g *Graph) InducedSubgraph(ids ...string) (*Subgraph, error) {
 		return sg.Edges[i].B < sg.Edges[j].B
 	})
 	return sg, nil
-}
-
-// Neighborhood returns the subgraph induced by id and everything within
-// the given number of hops.
-func (g *Graph) Neighborhood(id string, hops int) (*Subgraph, error) {
-	if _, ok := g.molecules[id]; !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNoMolecule, id)
-	}
-	seen := map[string]bool{id: true}
-	frontier := []string{id}
-	for h := 0; h < hops; h++ {
-		var next []string
-		for _, cur := range frontier {
-			nbs, _ := g.Neighbors(cur)
-			for _, nb := range nbs {
-				if !seen[nb] {
-					seen[nb] = true
-					next = append(next, nb)
-				}
-			}
-		}
-		frontier = next
-	}
-	ids := make([]string, 0, len(seen))
-	for m := range seen {
-		ids = append(ids, m)
-	}
-	return g.InducedSubgraph(ids...)
-}
-
-// Components returns the connected components as sorted slices of molecule
-// IDs, largest first (ties by first element).
-func (g *Graph) Components() [][]string {
-	seen := map[string]bool{}
-	var comps [][]string
-	for _, start := range g.Molecules() {
-		if seen[start] {
-			continue
-		}
-		var comp []string
-		queue := []string{start}
-		seen[start] = true
-		for len(queue) > 0 {
-			cur := queue[0]
-			queue = queue[1:]
-			comp = append(comp, cur)
-			nbs, _ := g.Neighbors(cur)
-			for _, nb := range nbs {
-				if !seen[nb] {
-					seen[nb] = true
-					queue = append(queue, nb)
-				}
-			}
-		}
-		sort.Strings(comp)
-		comps = append(comps, comp)
-	}
-	sort.Slice(comps, func(i, j int) bool {
-		if len(comps[i]) != len(comps[j]) {
-			return len(comps[i]) > len(comps[j])
-		}
-		return comps[i][0] < comps[j][0]
-	})
-	return comps
 }

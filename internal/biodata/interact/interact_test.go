@@ -3,6 +3,8 @@ package interact
 import (
 	"errors"
 	"fmt"
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -85,14 +87,14 @@ func TestNeighborsAndDegree(t *testing.T) {
 			t.Fatalf("neighbors = %v, want %v", nbs, want)
 		}
 	}
-	if g.Degree("NS1") != 3 || g.Degree("EIF2A") != 1 {
+	if len(g.adj["NS1"]) != 3 || len(g.adj["EIF2A"]) != 1 {
 		t.Fatal("degree wrong")
 	}
 	if _, err := g.Neighbors("ghost"); !errors.Is(err, ErrNoMolecule) {
 		t.Fatalf("ghost: err = %v", err)
 	}
-	if g.NumMolecules() != 7 || g.NumInteractions() != 5 {
-		t.Fatalf("counts = %d/%d", g.NumMolecules(), g.NumInteractions())
+	if len(g.Molecules()) != 7 || len(g.Interactions()) != 5 {
+		t.Fatalf("counts = %d/%d", len(g.Molecules()), len(g.Interactions()))
 	}
 }
 
@@ -118,8 +120,8 @@ func TestInducedSubgraph(t *testing.T) {
 	if len(sg.Molecules) != 3 || len(sg.Edges) != 2 {
 		t.Fatalf("subgraph = %+v", sg)
 	}
-	if sg.MarkID() != "EIF2A|NS1|PKR" {
-		t.Fatalf("MarkID = %q", sg.MarkID())
+	if strings.Join(sg.Molecules, "|") != "EIF2A|NS1|PKR" {
+		t.Fatalf("molecules = %q", sg.Molecules)
 	}
 	// Edges must stay inside the set: NS1-TRIM25 excluded.
 	for _, e := range sg.Edges {
@@ -212,9 +214,94 @@ func TestQuickInducedSubgraphInvariants(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return len(full.Edges) == g.NumInteractions()
+		return len(full.Edges) == len(g.Interactions())
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Neighborhood returns the subgraph induced by id and everything within
+// the given number of hops.
+func (g *Graph) Neighborhood(id string, hops int) (*Subgraph, error) {
+	if _, ok := g.molecules[id]; !ok {
+		return nil, fmt.Errorf("%w: %s", ErrNoMolecule, id)
+	}
+	seen := map[string]bool{id: true}
+	frontier := []string{id}
+	for h := 0; h < hops; h++ {
+		var next []string
+		for _, cur := range frontier {
+			nbs, _ := g.Neighbors(cur)
+			for _, nb := range nbs {
+				if !seen[nb] {
+					seen[nb] = true
+					next = append(next, nb)
+				}
+			}
+		}
+		frontier = next
+	}
+	ids := make([]string, 0, len(seen))
+	for m := range seen {
+		ids = append(ids, m)
+	}
+	return g.InducedSubgraph(ids...)
+}
+
+// Components returns the connected components as sorted slices of molecule
+// IDs, largest first (ties by first element).
+func (g *Graph) Components() [][]string {
+	seen := map[string]bool{}
+	var comps [][]string
+	for _, start := range g.Molecules() {
+		if seen[start] {
+			continue
+		}
+		var comp []string
+		queue := []string{start}
+		seen[start] = true
+		for len(queue) > 0 {
+			cur := queue[0]
+			queue = queue[1:]
+			comp = append(comp, cur)
+			nbs, _ := g.Neighbors(cur)
+			for _, nb := range nbs {
+				if !seen[nb] {
+					seen[nb] = true
+					queue = append(queue, nb)
+				}
+			}
+		}
+		sort.Strings(comp)
+		comps = append(comps, comp)
+	}
+	sort.Slice(comps, func(i, j int) bool {
+		if len(comps[i]) != len(comps[j]) {
+			return len(comps[i]) > len(comps[j])
+		}
+		return comps[i][0] < comps[j][0]
+	})
+	return comps
+}
+
+// Neighbors returns the distinct molecules interacting with id, sorted.
+func (g *Graph) Neighbors(id string) ([]string, error) {
+	if _, ok := g.molecules[id]; !ok {
+		return nil, fmt.Errorf("%w: %s", ErrNoMolecule, id)
+	}
+	seen := map[string]bool{}
+	var out []string
+	for _, e := range g.adj[id] {
+		peer := e.A
+		if peer == id {
+			peer = e.B
+		}
+		if !seen[peer] {
+			seen[peer] = true
+			out = append(out, peer)
+		}
+	}
+	sort.Strings(out)
+	return out, nil
 }

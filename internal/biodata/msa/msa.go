@@ -4,16 +4,12 @@
 //
 // An alignment is a rectangular matrix of residues and gaps. Annotation
 // marks on alignments are blocks: a subset of rows crossed with a column
-// interval. The package provides the column-to-residue coordinate maps
-// needed to normalise block marks onto the underlying sequences.
+// interval.
 package msa
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
-	"io"
-	"strings"
 
 	"graphitti/internal/interval"
 )
@@ -25,7 +21,6 @@ const Gap = '-'
 var (
 	ErrShape    = errors.New("msa: rows have differing lengths")
 	ErrNoRow    = errors.New("msa: no such row")
-	ErrRange    = errors.New("msa: column range out of bounds")
 	ErrEmpty    = errors.New("msa: alignment has no rows")
 	ErrBadBlock = errors.New("msa: invalid block")
 )
@@ -65,100 +60,12 @@ func New(id string, rowIDs []string, rows []string) (*Alignment, error) {
 		Rows: append([]string(nil), rows...), rowIndex: idx}, nil
 }
 
-// NumRows returns the number of sequences.
-func (a *Alignment) NumRows() int { return len(a.Rows) }
-
 // NumCols returns the alignment width.
 func (a *Alignment) NumCols() int {
 	if len(a.Rows) == 0 {
 		return 0
 	}
 	return len(a.Rows[0])
-}
-
-// Row returns the aligned row for a sequence ID.
-func (a *Alignment) Row(id string) (string, error) {
-	i, ok := a.rowIndex[id]
-	if !ok {
-		return "", fmt.Errorf("%w: %q", ErrNoRow, id)
-	}
-	return a.Rows[i], nil
-}
-
-// ColToResidue maps an alignment column to the 0-based ungapped residue
-// index in the named row. ok is false when the row has a gap at that
-// column.
-func (a *Alignment) ColToResidue(id string, col int) (int, bool, error) {
-	i, ok := a.rowIndex[id]
-	if !ok {
-		return 0, false, fmt.Errorf("%w: %q", ErrNoRow, id)
-	}
-	if col < 0 || col >= a.NumCols() {
-		return 0, false, fmt.Errorf("%w: column %d", ErrRange, col)
-	}
-	row := a.Rows[i]
-	res := 0
-	for c := 0; c < col; c++ {
-		if row[c] != Gap {
-			res++
-		}
-	}
-	if row[col] == Gap {
-		return res, false, nil
-	}
-	return res, true, nil
-}
-
-// ResidueToCol maps a 0-based ungapped residue index in the named row to
-// its alignment column.
-func (a *Alignment) ResidueToCol(id string, residue int) (int, error) {
-	i, ok := a.rowIndex[id]
-	if !ok {
-		return 0, fmt.Errorf("%w: %q", ErrNoRow, id)
-	}
-	row := a.Rows[i]
-	res := 0
-	for c := 0; c < len(row); c++ {
-		if row[c] != Gap {
-			if res == residue {
-				return c, nil
-			}
-			res++
-		}
-	}
-	return 0, fmt.Errorf("%w: residue %d beyond row %q (%d residues)", ErrRange, residue, id, res)
-}
-
-// ColumnsToResidueInterval projects an alignment column interval onto the
-// named row as an ungapped residue interval. ok is false when the row is
-// all gaps within the columns.
-func (a *Alignment) ColumnsToResidueInterval(id string, cols interval.Interval) (interval.Interval, bool, error) {
-	i, ok := a.rowIndex[id]
-	if !ok {
-		return interval.Interval{}, false, fmt.Errorf("%w: %q", ErrNoRow, id)
-	}
-	if !cols.Valid() || cols.Lo < 0 || cols.Hi > int64(a.NumCols()) {
-		return interval.Interval{}, false, fmt.Errorf("%w: %v", ErrRange, cols)
-	}
-	row := a.Rows[i]
-	res := 0
-	first, last := -1, -1
-	for c := 0; c < int(cols.Hi); c++ {
-		if row[c] == Gap {
-			continue
-		}
-		if c >= int(cols.Lo) {
-			if first == -1 {
-				first = res
-			}
-			last = res
-		}
-		res++
-	}
-	if first == -1 {
-		return interval.Interval{}, false, nil
-	}
-	return interval.Interval{Lo: int64(first), Hi: int64(last) + 1}, true, nil
 }
 
 // Block is an annotation mark on an alignment: a set of rows crossed with a
@@ -182,86 +89,4 @@ func (a *Alignment) Block(rowIDs []string, cols interval.Interval) (*Block, erro
 		}
 	}
 	return &Block{RowIDs: append([]string(nil), rowIDs...), Cols: cols}, nil
-}
-
-// Conservation returns, for each column in cols, the fraction of non-gap
-// residues matching the column's majority residue.
-func (a *Alignment) Conservation(cols interval.Interval) ([]float64, error) {
-	if !cols.Valid() || cols.Lo < 0 || cols.Hi > int64(a.NumCols()) {
-		return nil, fmt.Errorf("%w: %v", ErrRange, cols)
-	}
-	out := make([]float64, 0, cols.Len())
-	for c := cols.Lo; c < cols.Hi; c++ {
-		counts := map[byte]int{}
-		total := 0
-		for _, row := range a.Rows {
-			b := row[c]
-			if b == Gap {
-				continue
-			}
-			counts[b]++
-			total++
-		}
-		best := 0
-		for _, n := range counts {
-			if n > best {
-				best = n
-			}
-		}
-		if total == 0 {
-			out = append(out, 0)
-		} else {
-			out = append(out, float64(best)/float64(total))
-		}
-	}
-	return out, nil
-}
-
-// ParseFASTA reads an alignment from aligned-FASTA text (all records the
-// same length, '-' for gaps).
-func ParseFASTA(r io.Reader, id string) (*Alignment, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<22)
-	var ids []string
-	var rows []string
-	var body strings.Builder
-	cur := ""
-	flush := func() {
-		if cur != "" {
-			ids = append(ids, cur)
-			rows = append(rows, strings.ToUpper(body.String()))
-			body.Reset()
-		}
-	}
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		if line[0] == '>' {
-			flush()
-			fields := strings.Fields(line[1:])
-			if len(fields) == 0 {
-				return nil, fmt.Errorf("msa: empty header at line %d", lineNo)
-			}
-			cur = fields[0]
-			continue
-		}
-		if cur == "" {
-			return nil, fmt.Errorf("msa: sequence data before header at line %d", lineNo)
-		}
-		body.WriteString(line)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("msa: read: %w", err)
-	}
-	flush()
-	return New(id, ids, rows)
-}
-
-// ParseFASTAString parses aligned FASTA from a string.
-func ParseFASTAString(s, id string) (*Alignment, error) {
-	return ParseFASTA(strings.NewReader(s), id)
 }

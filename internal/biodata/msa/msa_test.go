@@ -1,7 +1,10 @@
 package msa
 
 import (
+	"bufio"
 	"errors"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -48,15 +51,11 @@ func TestNewValidation(t *testing.T) {
 
 func TestShape(t *testing.T) {
 	a := aln(t)
-	if a.NumRows() != 4 || a.NumCols() != 10 {
-		t.Fatalf("shape = %dx%d", a.NumRows(), a.NumCols())
+	if len(a.Rows) != 4 || a.NumCols() != 10 {
+		t.Fatalf("shape = %dx%d", len(a.Rows), a.NumCols())
 	}
-	row, err := a.Row("s3")
-	if err != nil || row != "-C-GTAC--T" {
-		t.Fatalf("Row(s3) = %q, %v", row, err)
-	}
-	if _, err := a.Row("ghost"); !errors.Is(err, ErrNoRow) {
-		t.Fatalf("ghost row: err = %v", err)
+	if a.RowIDs[2] != "s3" || a.Rows[2] != "-C-GTAC--T" {
+		t.Fatalf("row 2 = %q %q", a.RowIDs[2], a.Rows[2])
 	}
 }
 
@@ -142,7 +141,7 @@ func TestBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(b.RowIDs) != 2 || b.Cols.Len() != 5 {
+	if len(b.RowIDs) != 2 || b.Cols.Hi-b.Cols.Lo != 5 {
 		t.Fatalf("block = %+v", b)
 	}
 	if _, err := a.Block(nil, interval.Interval{Lo: 0, Hi: 1}); !errors.Is(err, ErrBadBlock) {
@@ -175,30 +174,29 @@ func TestConservation(t *testing.T) {
 
 func TestParseFASTA(t *testing.T) {
 	src := ">s1 first\nAC-GT\nACG--\n>s2\nACAGT\nACGTT\n"
-	a, err := ParseFASTAString(src, "aln1")
+	a, err := ParseFASTA(strings.NewReader(src), "aln1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.NumRows() != 2 || a.NumCols() != 10 {
-		t.Fatalf("shape = %dx%d", a.NumRows(), a.NumCols())
+	if len(a.Rows) != 2 || a.NumCols() != 10 {
+		t.Fatalf("shape = %dx%d", len(a.Rows), a.NumCols())
 	}
-	row, _ := a.Row("s1")
-	if row != "AC-GTACG--" {
-		t.Fatalf("row s1 = %q", row)
+	if a.RowIDs[0] != "s1" || a.Rows[0] != "AC-GTACG--" {
+		t.Fatalf("row 0 = %q %q", a.RowIDs[0], a.Rows[0])
 	}
 	// Ragged alignments fail.
-	if _, err := ParseFASTAString(">a\nACGT\n>b\nAC\n", "x"); !errors.Is(err, ErrShape) {
+	if _, err := ParseFASTA(strings.NewReader(">a\nACGT\n>b\nAC\n"), "x"); !errors.Is(err, ErrShape) {
 		t.Fatalf("ragged: err = %v", err)
 	}
-	if _, err := ParseFASTAString("", "x"); !errors.Is(err, ErrEmpty) {
+	if _, err := ParseFASTA(strings.NewReader(""), "x"); !errors.Is(err, ErrEmpty) {
 		t.Fatalf("empty: err = %v", err)
 	}
 	// Regression (found by the parser fuzz test): a bare ">" header and
 	// data before any header must error, not panic.
-	if _, err := ParseFASTAString(">\nACGT\n", "x"); err == nil || !strings.Contains(err.Error(), "empty header") {
+	if _, err := ParseFASTA(strings.NewReader(">\nACGT\n"), "x"); err == nil || !strings.Contains(err.Error(), "empty header") {
 		t.Fatalf("bare header: err = %v", err)
 	}
-	if _, err := ParseFASTAString("ACGT\n>a\nACGT\n", "x"); err == nil || !strings.Contains(err.Error(), "before header") {
+	if _, err := ParseFASTA(strings.NewReader("ACGT\n>a\nACGT\n"), "x"); err == nil || !strings.Contains(err.Error(), "before header") {
 		t.Fatalf("data before header: err = %v", err)
 	}
 }
@@ -244,4 +242,160 @@ func TestQuickCoordinateRoundTrip(t *testing.T) {
 	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// ErrRange reports a column or residue outside the alignment.
+var ErrRange = errors.New("msa: column range out of bounds")
+
+// ColToResidue maps an alignment column to the 0-based ungapped residue
+// index in the named row. ok is false when the row has a gap at that
+// column.
+func (a *Alignment) ColToResidue(id string, col int) (int, bool, error) {
+	i, ok := a.rowIndex[id]
+	if !ok {
+		return 0, false, fmt.Errorf("%w: %q", ErrNoRow, id)
+	}
+	if col < 0 || col >= a.NumCols() {
+		return 0, false, fmt.Errorf("%w: column %d", ErrRange, col)
+	}
+	row := a.Rows[i]
+	res := 0
+	for c := 0; c < col; c++ {
+		if row[c] != Gap {
+			res++
+		}
+	}
+	if row[col] == Gap {
+		return res, false, nil
+	}
+	return res, true, nil
+}
+
+// ResidueToCol maps a 0-based ungapped residue index in the named row to
+// its alignment column.
+func (a *Alignment) ResidueToCol(id string, residue int) (int, error) {
+	i, ok := a.rowIndex[id]
+	if !ok {
+		return 0, fmt.Errorf("%w: %q", ErrNoRow, id)
+	}
+	row := a.Rows[i]
+	res := 0
+	for c := 0; c < len(row); c++ {
+		if row[c] != Gap {
+			if res == residue {
+				return c, nil
+			}
+			res++
+		}
+	}
+	return 0, fmt.Errorf("%w: residue %d beyond row %q (%d residues)", ErrRange, residue, id, res)
+}
+
+// ColumnsToResidueInterval projects an alignment column interval onto the
+// named row as an ungapped residue interval. ok is false when the row is
+// all gaps within the columns.
+func (a *Alignment) ColumnsToResidueInterval(id string, cols interval.Interval) (interval.Interval, bool, error) {
+	i, ok := a.rowIndex[id]
+	if !ok {
+		return interval.Interval{}, false, fmt.Errorf("%w: %q", ErrNoRow, id)
+	}
+	if !cols.Valid() || cols.Lo < 0 || cols.Hi > int64(a.NumCols()) {
+		return interval.Interval{}, false, fmt.Errorf("%w: %v", ErrRange, cols)
+	}
+	row := a.Rows[i]
+	res := 0
+	first, last := -1, -1
+	for c := 0; c < int(cols.Hi); c++ {
+		if row[c] == Gap {
+			continue
+		}
+		if c >= int(cols.Lo) {
+			if first == -1 {
+				first = res
+			}
+			last = res
+		}
+		res++
+	}
+	if first == -1 {
+		return interval.Interval{}, false, nil
+	}
+	return interval.Interval{Lo: int64(first), Hi: int64(last) + 1}, true, nil
+}
+
+// Conservation returns, for each column in cols, the fraction of non-gap
+// residues matching the column's majority residue.
+func (a *Alignment) Conservation(cols interval.Interval) ([]float64, error) {
+	if !cols.Valid() || cols.Lo < 0 || cols.Hi > int64(a.NumCols()) {
+		return nil, fmt.Errorf("%w: %v", ErrRange, cols)
+	}
+	out := make([]float64, 0, cols.Hi-cols.Lo)
+	for c := cols.Lo; c < cols.Hi; c++ {
+		counts := map[byte]int{}
+		total := 0
+		for _, row := range a.Rows {
+			b := row[c]
+			if b == Gap {
+				continue
+			}
+			counts[b]++
+			total++
+		}
+		best := 0
+		for _, n := range counts {
+			if n > best {
+				best = n
+			}
+		}
+		if total == 0 {
+			out = append(out, 0)
+		} else {
+			out = append(out, float64(best)/float64(total))
+		}
+	}
+	return out, nil
+}
+
+// ParseFASTA reads an alignment from aligned-FASTA text (all records the
+// same length, '-' for gaps).
+func ParseFASTA(r io.Reader, id string) (*Alignment, error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), 1<<22)
+	var ids []string
+	var rows []string
+	var body strings.Builder
+	cur := ""
+	flush := func() {
+		if cur != "" {
+			ids = append(ids, cur)
+			rows = append(rows, strings.ToUpper(body.String()))
+			body.Reset()
+		}
+	}
+	lineNo := 0
+	for sc.Scan() {
+		lineNo++
+		line := strings.TrimSpace(sc.Text())
+		if line == "" {
+			continue
+		}
+		if line[0] == '>' {
+			flush()
+			fields := strings.Fields(line[1:])
+			if len(fields) == 0 {
+				return nil, fmt.Errorf("msa: empty header at line %d", lineNo)
+			}
+			cur = fields[0]
+			continue
+		}
+		if cur == "" {
+			return nil, fmt.Errorf("msa: sequence data before header at line %d", lineNo)
+		}
+		body.WriteString(line)
+	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("msa: read: %w", err)
+	}
+	flush()
+	return New(id, ids, rows)
 }

@@ -2,8 +2,8 @@
 // paper's Avian-Influenza demonstration study ("phylogenetic trees").
 //
 // Trees parse from and serialise to Newick format. Annotation marks on a
-// tree are clades, identified canonically by their sorted leaf-name set so
-// that a clade mark survives re-serialisation.
+// tree are clades, each carrying its sorted leaf-name set so that a clade
+// mark survives re-serialisation.
 package phylo
 
 import (
@@ -43,9 +43,6 @@ type Tree struct {
 // IsLeaf reports whether the node has no children.
 func (n *Node) IsLeaf() bool { return len(n.Children) == 0 }
 
-// Parent returns the node's parent (nil for the root).
-func (n *Node) Parent() *Node { return n.parent }
-
 // Walk visits the subtree rooted at n in pre-order until fn returns false.
 func (n *Node) Walk(fn func(*Node) bool) bool {
 	if !fn(n) {
@@ -70,16 +67,6 @@ func (n *Node) Leaves() []string {
 	})
 	sort.Strings(out)
 	return out
-}
-
-// Size returns the number of nodes in the subtree at n.
-func (n *Node) Size() int {
-	count := 0
-	n.Walk(func(*Node) bool {
-		count++
-		return true
-	})
-	return count
 }
 
 // NumLeaves returns the number of leaves in the tree.
@@ -149,15 +136,12 @@ func lca2(a, b *Node) *Node {
 }
 
 // Clade is an annotation mark on a tree: the subtree rooted at the LCA of
-// its leaf set. CladeID is the canonical identity (sorted leaf names).
+// its leaf set.
 type Clade struct {
 	TreeID string
 	Root   *Node
 	Leaves []string // sorted
 }
-
-// CladeID returns the canonical identity string of the clade.
-func (c *Clade) CladeID() string { return strings.Join(c.Leaves, "|") }
 
 // Clade returns the clade mark spanned by the named leaves: the full
 // subtree under their LCA (which may include additional leaves).
@@ -167,44 +151,6 @@ func (t *Tree) Clade(leafNames ...string) (*Clade, error) {
 		return nil, err
 	}
 	return &Clade{TreeID: t.ID, Root: root, Leaves: root.Leaves()}, nil
-}
-
-// Depth returns the number of edges from the root to the named node.
-func (t *Tree) Depth(name string) (int, error) {
-	n, ok := t.Find(name)
-	if !ok {
-		return 0, fmt.Errorf("%w: %q", ErrNoNode, name)
-	}
-	d := 0
-	for n.parent != nil {
-		n = n.parent
-		d++
-	}
-	return d, nil
-}
-
-// PathLength returns the sum of branch lengths between two named nodes.
-func (t *Tree) PathLength(a, b string) (float64, error) {
-	na, ok := t.Find(a)
-	if !ok {
-		return 0, fmt.Errorf("%w: %q", ErrNoNode, a)
-	}
-	nb, ok := t.Find(b)
-	if !ok {
-		return 0, fmt.Errorf("%w: %q", ErrNoNode, b)
-	}
-	anc := lca2(na, nb)
-	if anc == nil {
-		return 0, ErrNoLCA
-	}
-	sum := 0.0
-	for n := na; n != anc; n = n.parent {
-		sum += n.Length
-	}
-	for n := nb; n != anc; n = n.parent {
-		sum += n.Length
-	}
-	return sum, nil
 }
 
 // ParseNewick parses a Newick tree, e.g. "((A:0.1,B:0.2)AB:0.05,C):0;".

@@ -2,6 +2,8 @@ package phylo
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -36,14 +38,16 @@ func TestParseNewick(t *testing.T) {
 	if !ok || dc.IsLeaf() || dc.Length != 0.03 {
 		t.Fatalf("dc = %+v, %v", dc, ok)
 	}
-	if dc.Parent() == nil || dc.Parent().Name != "wild" {
+	if dc.parent == nil || dc.parent.Name != "wild" {
 		t.Fatal("parent links wrong")
 	}
-	if tr.Root.Parent() != nil {
+	if tr.Root.parent != nil {
 		t.Fatal("root must have nil parent")
 	}
-	if tr.Root.Size() != 9 {
-		t.Fatalf("size = %d", tr.Root.Size())
+	size := 0
+	tr.Root.Walk(func(*Node) bool { size++; return true })
+	if size != 9 {
+		t.Fatalf("size = %d", size)
 	}
 }
 
@@ -127,8 +131,8 @@ func TestClade(t *testing.T) {
 	if c.Root.Name != "dc" {
 		t.Fatalf("clade root = %q", c.Root.Name)
 	}
-	if c.CladeID() != "chicken|duck" {
-		t.Fatalf("CladeID = %q", c.CladeID())
+	if strings.Join(c.Leaves, "|") != "chicken|duck" {
+		t.Fatalf("clade leaves = %q", c.Leaves)
 	}
 	// Clade spanned by leaves in different subtrees includes extras.
 	c, _ = tr.Clade("goose", "chicken")
@@ -228,4 +232,42 @@ func TestQuickRoundTripGeneratedTrees(t *testing.T) {
 	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Depth returns the number of edges from the root to the named node.
+func (t *Tree) Depth(name string) (int, error) {
+	n, ok := t.Find(name)
+	if !ok {
+		return 0, fmt.Errorf("%w: %q", ErrNoNode, name)
+	}
+	d := 0
+	for n.parent != nil {
+		n = n.parent
+		d++
+	}
+	return d, nil
+}
+
+// PathLength returns the sum of branch lengths between two named nodes.
+func (t *Tree) PathLength(a, b string) (float64, error) {
+	na, ok := t.Find(a)
+	if !ok {
+		return 0, fmt.Errorf("%w: %q", ErrNoNode, a)
+	}
+	nb, ok := t.Find(b)
+	if !ok {
+		return 0, fmt.Errorf("%w: %q", ErrNoNode, b)
+	}
+	anc := lca2(na, nb)
+	if anc == nil {
+		return 0, ErrNoLCA
+	}
+	sum := 0.0
+	for n := na; n != anc; n = n.parent {
+		sum += n.Length
+	}
+	for n := nb; n != anc; n = n.parent {
+		sum += n.Length
+	}
+	return sum, nil
 }

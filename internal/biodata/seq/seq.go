@@ -47,7 +47,6 @@ func (k Kind) String() string {
 var (
 	ErrAlphabet = errors.New("seq: residue outside alphabet")
 	ErrRange    = errors.New("seq: interval outside sequence")
-	ErrKind     = errors.New("seq: operation not defined for this kind")
 	ErrFormat   = errors.New("seq: bad FASTA")
 )
 
@@ -94,86 +93,12 @@ func (s *Sequence) Span() interval.Interval {
 	return interval.Interval{Lo: s.Offset, Hi: s.Offset + s.Len()}
 }
 
-// Subsequence returns the residues of the local interval [iv.Lo, iv.Hi)
-// (0-based, relative to the sequence start).
-func (s *Sequence) Subsequence(iv interval.Interval) (string, error) {
-	if !iv.Valid() || iv.Lo < 0 || iv.Hi > s.Len() {
-		return "", fmt.Errorf("%w: %v in %s (len %d)", ErrRange, iv, s.ID, s.Len())
-	}
-	return s.Residues[iv.Lo:iv.Hi], nil
-}
-
 // ToDomain maps a local interval into the shared coordinate domain.
 func (s *Sequence) ToDomain(iv interval.Interval) (interval.Interval, error) {
 	if !iv.Valid() || iv.Lo < 0 || iv.Hi > s.Len() {
 		return interval.Interval{}, fmt.Errorf("%w: %v in %s", ErrRange, iv, s.ID)
 	}
 	return interval.Interval{Lo: s.Offset + iv.Lo, Hi: s.Offset + iv.Hi}, nil
-}
-
-// FromDomain maps a domain interval back into local coordinates, clipping
-// to the sequence extent; ok is false when the interval misses the
-// sequence entirely.
-func (s *Sequence) FromDomain(iv interval.Interval) (interval.Interval, bool) {
-	clipped, ok := iv.Intersect(s.Span())
-	if !ok {
-		return interval.Interval{}, false
-	}
-	return interval.Interval{Lo: clipped.Lo - s.Offset, Hi: clipped.Hi - s.Offset}, true
-}
-
-// GC returns the G+C fraction of a DNA/RNA sequence.
-func (s *Sequence) GC() (float64, error) {
-	if s.Kind == Protein {
-		return 0, fmt.Errorf("%w: GC of protein %s", ErrKind, s.ID)
-	}
-	if s.Len() == 0 {
-		return 0, nil
-	}
-	n := 0
-	for i := 0; i < len(s.Residues); i++ {
-		if s.Residues[i] == 'G' || s.Residues[i] == 'C' {
-			n++
-		}
-	}
-	return float64(n) / float64(s.Len()), nil
-}
-
-var dnaComplement = map[byte]byte{'A': 'T', 'T': 'A', 'C': 'G', 'G': 'C', 'N': 'N'}
-var rnaComplement = map[byte]byte{'A': 'U', 'U': 'A', 'C': 'G', 'G': 'C', 'N': 'N'}
-
-// ReverseComplement returns the reverse complement of a DNA or RNA
-// sequence.
-func (s *Sequence) ReverseComplement() (*Sequence, error) {
-	var table map[byte]byte
-	switch s.Kind {
-	case DNA:
-		table = dnaComplement
-	case RNA:
-		table = rnaComplement
-	default:
-		return nil, fmt.Errorf("%w: reverse complement of protein %s", ErrKind, s.ID)
-	}
-	out := make([]byte, len(s.Residues))
-	for i := 0; i < len(s.Residues); i++ {
-		out[len(out)-1-i] = table[s.Residues[i]]
-	}
-	rc := *s
-	rc.ID = s.ID + ".rc"
-	rc.Residues = string(out)
-	return &rc, nil
-}
-
-// Transcribe converts a DNA sequence to RNA (T -> U).
-func (s *Sequence) Transcribe() (*Sequence, error) {
-	if s.Kind != DNA {
-		return nil, fmt.Errorf("%w: transcribe %s", ErrKind, s.Kind)
-	}
-	out := *s
-	out.ID = s.ID + ".rna"
-	out.Kind = RNA
-	out.Residues = strings.ReplaceAll(s.Residues, "T", "U")
-	return &out, nil
 }
 
 // ParseFASTA reads sequences of the given kind from FASTA text.
@@ -234,30 +159,4 @@ func ParseFASTA(r io.Reader, kind Kind) ([]*Sequence, error) {
 		return nil, fmt.Errorf("%w: no sequences", ErrFormat)
 	}
 	return out, nil
-}
-
-// ParseFASTAString parses FASTA text from a string.
-func ParseFASTAString(s string, kind Kind) ([]*Sequence, error) {
-	return ParseFASTA(strings.NewReader(s), kind)
-}
-
-// WriteFASTA writes sequences in FASTA format with 70-column wrapping.
-func WriteFASTA(w io.Writer, seqs ...*Sequence) error {
-	bw := bufio.NewWriter(w)
-	for _, s := range seqs {
-		if s.Description != "" {
-			fmt.Fprintf(bw, ">%s %s\n", s.ID, s.Description)
-		} else {
-			fmt.Fprintf(bw, ">%s\n", s.ID)
-		}
-		for i := 0; i < len(s.Residues); i += 70 {
-			end := i + 70
-			if end > len(s.Residues) {
-				end = len(s.Residues)
-			}
-			bw.WriteString(s.Residues[i:end])
-			bw.WriteByte('\n')
-		}
-	}
-	return bw.Flush()
 }

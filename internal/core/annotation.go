@@ -180,12 +180,6 @@ func (b *Builder) Title(title string) *Builder {
 	return b
 }
 
-// Subject adds a Dublin Core subject element.
-func (b *Builder) Subject(subject string) *Builder {
-	b.recordErr(b.dc.Add(dublincore.Subject, subject))
-	return b
-}
-
 // DCElement sets an arbitrary Dublin Core element.
 func (b *Builder) DCElement(e dublincore.Element, values ...string) *Builder {
 	b.recordErr(b.dc.Set(e, values...))

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"graphitti/internal/xquery"
 	"slices"
 	"strings"
 	"sync"
@@ -186,13 +187,13 @@ func TestRegistrationFillsRelationalTables(t *testing.T) {
 	if _, typ, err := v.Sequence("P03452"); err != nil || typ != TypeProtein {
 		t.Fatalf("protein: %s, %v", typ, err)
 	}
-	if a, err := v.Alignment("HA-aln"); err != nil || a.NumRows() != 2 || a.NumCols() != 10 {
+	if a, err := v.Alignment("HA-aln"); err != nil || len(a.Rows) != 2 || a.NumCols() != 10 {
 		t.Fatalf("alignment: %+v, %v", a, err)
 	}
 	if tr, err := v.Tree("H5N1-tree"); err != nil || tr.NumLeaves() != 3 {
 		t.Fatalf("tree: %+v, %v", tr, err)
 	}
-	if g, err := v.InteractionGraph("NS1-net"); err != nil || g.NumMolecules() != 3 || g.NumInteractions() != 2 {
+	if g, err := v.InteractionGraph("NS1-net"); err != nil || len(g.Molecules()) != 3 || len(g.Interactions()) != 2 {
 		t.Fatalf("interaction graph: %+v, %v", g, err)
 	}
 	for id, subject := range map[string]string{"brain-1": "mouse-17", "brain-2": "mouse-18"} {
@@ -263,7 +264,7 @@ func TestMarkConstructors(t *testing.T) {
 
 	r, err = s.View().MarkAlignmentBlock("HA-aln", []string{"NC_007362"}, interval.Interval{Lo: 2, Hi: 6})
 	mustNoErr(t, err)
-	if r.Interval.Len() != 4 {
+	if r.Interval.Hi-r.Interval.Lo != 4 {
 		t.Fatalf("block mark = %+v", r)
 	}
 
@@ -335,9 +336,9 @@ func TestCommitPipeline(t *testing.T) {
 	if s.View().Graph().OutCount(agraph2Content(ann.ID)) == 0 {
 		t.Fatal("content node not wired")
 	}
-	anns := s.View().AnnotationsOnObject(TypeDNA, "NC_007362")
+	anns := s.View().AnnotationsOfReferent(ref.ID)
 	if len(anns) != 1 || anns[0].ID != ann.ID {
-		t.Fatalf("AnnotationsOnObject = %v", anns)
+		t.Fatalf("AnnotationsOfReferent = %v", anns)
 	}
 	// Stats.
 	st := s.Stats()
@@ -528,34 +529,6 @@ func TestRegionQueriesAcrossImages(t *testing.T) {
 	}
 }
 
-func TestNextReferent(t *testing.T) {
-	s := newDemoStore(t)
-	var refs []*Referent
-	for _, iv := range []interval.Interval{{Lo: 0, Hi: 10}, {Lo: 10, Hi: 20}, {Lo: 50, Hi: 60}} {
-		m, err := s.MarkDomainInterval("segment4", iv)
-		mustNoErr(t, err)
-		ann, err := s.Commit(s.NewAnnotation().Creator("u").Date("2008-01-01").Refer(m))
-		mustNoErr(t, err)
-		r, err := s.View().Referent(slices.Collect(ann.ReferentIDs)[0])
-		mustNoErr(t, err)
-		refs = append(refs, r)
-	}
-	next, ok := s.View().NextReferent(refs[0])
-	if !ok || next.ID != refs[1].ID {
-		t.Fatalf("next of first = %v, %v", next, ok)
-	}
-	next, ok = s.View().NextReferent(refs[1])
-	if !ok || next.ID != refs[2].ID {
-		t.Fatalf("next of second = %v, %v", next, ok)
-	}
-	if _, ok := s.View().NextReferent(refs[2]); ok {
-		t.Fatal("next past the last referent")
-	}
-	if _, ok := s.View().NextReferent(nil); ok {
-		t.Fatal("next of nil")
-	}
-}
-
 func TestCorrelatedData(t *testing.T) {
 	s := newDemoStore(t)
 	m1, _ := s.View().MarkSequenceInterval("NC_007362", interval.Interval{Lo: 0, Hi: 50})
@@ -627,7 +600,7 @@ func TestConnectAnnotations(t *testing.T) {
 		t.Fatal("connection subgraph disconnected")
 	}
 	for _, id := range ids {
-		if !sg.Contains(agraph2Content(id)) {
+		if !slices.Contains(sg.Nodes, agraph2Content(id)) {
 			t.Fatalf("subgraph missing annotation %d", id)
 		}
 	}
@@ -642,15 +615,15 @@ func TestContentFragments(t *testing.T) {
 	ann, err := s.Commit(s.NewAnnotation().Creator("gupta").Date("2008-01-01").
 		Body("fragment me").Refer(m))
 	mustNoErr(t, err)
-	nodes, err := s.View().ContentFragments(ann.ID, "/annotation/body")
+	q, err := xquery.Compile("/annotation/body = 'fragment me'")
 	mustNoErr(t, err)
-	if len(nodes) != 1 || nodes[0].Text() != "fragment me" {
-		t.Fatalf("fragments = %v", nodes)
+	if got, err := q.EvalBool(ann.Content); err != nil || !got {
+		t.Fatalf("/annotation/body = 'fragment me' is %v, %v", got, err)
 	}
-	if _, err := s.View().ContentFragments(ann.ID, "((("); err == nil {
+	if _, err := xquery.Compile("((("); err == nil {
 		t.Fatal("bad expr accepted")
 	}
-	if _, err := s.View().ContentFragments(999, "/a"); !errors.Is(err, ErrNoSuchAnnotation) {
+	if _, err := s.View().Annotation(999); !errors.Is(err, ErrNoSuchAnnotation) {
 		t.Fatalf("ghost: %v", err)
 	}
 }

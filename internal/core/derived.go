@@ -91,19 +91,12 @@ func (s *Store) EnsurePropagator(mk func() Propagator) Propagator {
 }
 
 // UpdateDerivedRules runs swap — a mutation of the attached propagator's
-// rule set — as a session of one, with a full derived recompute. Because
-// commits and deletes consult the propagator in writer sessions too,
-// every published view's derived table is consistent with exactly one
-// rule set: there is no window where a delta is computed under rules the
-// table does not yet (or no longer) reflects.
-func (s *Store) UpdateDerivedRules(swap func() error) error {
-	return s.Batch(func(x *Tx) error { return x.UpdateDerivedRules(swap) })
-}
-
-// UpdateDerivedRules is Store.UpdateDerivedRules as one op of the session:
-// the recompute runs over the session's sealed state. A swap error aborts
-// without recomputing; without a propagator there is nothing to recompute
-// and no op.
+// rule set — as one op of the session, with a full derived recompute over
+// the session's sealed state. Because commits and deletes consult the
+// propagator in writer sessions too, every published view's derived table
+// is consistent with exactly one rule set. A swap error aborts without
+// recomputing; without a propagator there is nothing to recompute and no
+// op.
 func (x *Tx) UpdateDerivedRules(swap func() error) error {
 	if err := swap(); err != nil {
 		return err
@@ -289,36 +282,11 @@ func (v *View) DerivedEach(fn func(DerivedFact) bool) {
 	})
 }
 
-// DerivedAll returns every derived fact, ascending source ID then
-// canonical fact order — the deterministic export the equivalence tests
-// compare against a full recompute.
-func (v *View) DerivedAll() []DerivedFact {
-	out := make([]DerivedFact, 0, v.derivedCount)
-	v.DerivedEach(func(f DerivedFact) bool {
-		out = append(out, f)
-		return true
-	})
-	return out
-}
-
-// DerivedTargeting returns the derived facts whose target is the given
-// node — the provenance of everything derived onto it. One target-index
-// lookup: cost is the facts on that target, not the table size. The
-// order (ascending source, canonical fact order) is identical to a
-// filtered DerivedEach scan.
-func (v *View) DerivedTargeting(target agraph.NodeRef) []DerivedFact {
-	facts, _ := v.derivedByTarget.Get(target.String())
-	if len(facts) == 0 {
-		return nil
-	}
-	out := make([]DerivedFact, len(facts))
-	copy(out, facts)
-	return out
-}
-
-// DerivedTargetingEach visits the facts targeting the given node in
-// (source, rule, witness) order until fn returns false — the zero-copy
-// variant of DerivedTargeting for predicate probes on hot paths.
+// DerivedTargetingEach visits the derived facts whose target is the given
+// node — the provenance of everything derived onto it — in (source, rule,
+// witness) order until fn returns false, without copying. One target-index
+// lookup: cost is the facts on that target, not the table size, and the
+// order is identical to a filtered DerivedEach scan.
 func (v *View) DerivedTargetingEach(target agraph.NodeRef, fn func(DerivedFact) bool) {
 	facts, _ := v.derivedByTarget.Get(target.String())
 	for _, f := range facts {
@@ -342,20 +310,6 @@ func (v *View) HasDerivedTarget(target agraph.NodeRef, rule string) bool {
 		}
 	}
 	return false
-}
-
-// DerivedTargets returns every node targeted by at least one derived
-// fact, sorted by (kind, key) — diagnostics and the index-parity tests.
-func (v *View) DerivedTargets() []agraph.NodeRef {
-	var out []agraph.NodeRef
-	v.derivedByTarget.Each(func(_ string, facts []DerivedFact) bool {
-		if len(facts) > 0 {
-			out = append(out, facts[0].Target)
-		}
-		return true
-	})
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
-	return out
 }
 
 // DerivedOnto returns the derived facts targeting an annotation's
@@ -401,9 +355,6 @@ func DerivedFactLess(a, b DerivedFact) bool {
 	}
 	return a.Witness < b.Witness
 }
-
-// DerivedCount returns the number of materialized derived facts.
-func (v *View) DerivedCount() int { return v.derivedCount }
 
 // DerivedSourceEpoch returns the epoch at which the given source's fact
 // set was last recomputed (0 when the source has no facts).

@@ -160,21 +160,6 @@ func (v *View) RegionsOverlapping(system string, r rtree.Rect) []*Referent {
 	return v.ReferentsOverlapping(subx.RegionMark{System: system, R: r})
 }
 
-// NextReferent implements the SUB_X next operator on an interval referent:
-// the first interval referent that starts at or after the end of r in the
-// same domain. ok is false when none follows or r is not an interval mark.
-func (v *View) NextReferent(r *Referent) (*Referent, bool) {
-	if r == nil || r.Kind != IntervalReferent {
-		return nil, false
-	}
-	tree, _ := v.itrees.Get(r.Domain)
-	e, ok := tree.Next(r.Interval)
-	if !ok {
-		return nil, false
-	}
-	return v.referents.Get(e.ID), true
-}
-
 // IntervalDomains returns the names of coordinate domains that currently
 // have an interval tree, sorted (diagnostics for ablation A1).
 func (v *View) IntervalDomains() []string {
@@ -185,10 +170,4 @@ func (v *View) IntervalDomains() []string {
 	})
 	sort.Strings(out)
 	return out
-}
-
-// IntervalTreeSize returns the number of entries in one domain's tree.
-func (v *View) IntervalTreeSize(domain string) int {
-	tree, _ := v.itrees.Get(domain)
-	return tree.Len()
 }

@@ -79,15 +79,10 @@ func (k OpKind) String() string {
 	}
 }
 
-// RestoreIDCounters sets the ID counters after a snapshot load. Counters
-// may only move forward: lowering them would re-issue IDs that earlier
-// annotations (possibly deleted ones recorded in a log) already used.
-// They may not pass MaxID, the ceiling on pinned IDs.
-func (s *Store) RestoreIDCounters(nextAnn, nextRef uint64) error {
-	return s.Batch(func(x *Tx) error { return x.RestoreIDCounters(nextAnn, nextRef) })
-}
-
-// RestoreIDCounters is Store.RestoreIDCounters as one op of the session.
+// RestoreIDCounters sets the ID counters after a snapshot load, as one op
+// of the session. Counters may only move forward: lowering them would
+// re-issue IDs that earlier annotations (possibly deleted ones recorded in
+// a log) already used. They may not pass MaxID, the ceiling on pinned IDs.
 func (x *Tx) RestoreIDCounters(nextAnn, nextRef uint64) error {
 	if max(nextAnn, nextRef) > MaxID {
 		return fmt.Errorf("core: ID counters (%d, %d) exceed MaxID (%d)", nextAnn, nextRef, uint64(MaxID))

@@ -11,7 +11,7 @@ import (
 
 	"graphitti/internal/agraph"
 	"graphitti/internal/trace"
-	"graphitti/internal/xmldoc"
+
 	"graphitti/internal/xquery"
 )
 
@@ -185,31 +185,6 @@ func (v *View) SearchKeyword(word string, useIndex bool) []*Annotation {
 // View.SearchKeyword).
 func (s *Store) SearchKeyword(word string, useIndex bool) []*Annotation {
 	return s.View().SearchKeyword(word, useIndex)
-}
-
-// AnnotationsOnObject returns the annotations having at least one referent
-// marking the given data object, via the a-graph join index: object <-
-// referent <- content.
-func (v *View) AnnotationsOnObject(typ ObjectType, objectID string) []*Annotation {
-	objNode := agraph.Object(string(typ), objectID)
-	seen := make(map[uint64]bool)
-	var out []*Annotation
-	v.graph.InEach(objNode, func(re agraph.Edge) bool {
-		v.graph.InEach(re.From, func(ce agraph.Edge) bool {
-			annID, _, ok := agraph.ContentID(ce.From)
-			if !ok || seen[annID] {
-				return true
-			}
-			seen[annID] = true
-			if ann := v.annotations.Get(annID); ann != nil {
-				out = append(out, ann)
-			}
-			return true
-		}, agraph.LabelAnnotates)
-		return true
-	}, agraph.LabelMarks)
-	sortAnnotations(out)
-	return out
 }
 
 // AnnotationsOfReferent returns the annotations attached to a referent.
@@ -406,19 +381,4 @@ func (v *View) ConnectAnnotations(ids ...uint64) (*agraph.Subgraph, error) {
 		refs = append(refs, agraph.ContentRoot(id))
 	}
 	return v.graph.Connect(refs...)
-}
-
-// ContentFragments evaluates a path expression against one annotation and
-// returns the matching XML nodes (the paper's "XQuery fragments to
-// retrieve fragments of annotation").
-func (v *View) ContentFragments(annID uint64, expr string) ([]xmldoc.Node, error) {
-	ann, err := v.Annotation(annID)
-	if err != nil {
-		return nil, err
-	}
-	q, err := xquery.Compile(expr)
-	if err != nil {
-		return nil, err
-	}
-	return q.Eval(ann.Content)
 }

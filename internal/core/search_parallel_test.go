@@ -118,9 +118,9 @@ func TestSearchContentsCancellation(t *testing.T) {
 func TestKeywordIndexSorted(t *testing.T) {
 	s := seqStore(t, 120)
 	// Churn: delete a third of the annotations.
-	for _, id := range s.View().AnnotationIDs() {
-		if id%5 == 0 {
-			if err := s.DeleteAnnotation(id); err != nil {
+	for _, ann := range s.View().Annotations() {
+		if ann.ID%5 == 0 {
+			if err := s.DeleteAnnotation(ann.ID); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -48,7 +48,7 @@ func TestPinnedIDCeiling(t *testing.T) {
 				case "referent":
 					err = pinned(7, []uint64{tc.id})
 				case "counters":
-					err = s.RestoreIDCounters(tc.id, tc.id)
+					err = s.Batch(func(x *Tx) error { return x.RestoreIDCounters(tc.id, tc.id) })
 				}
 				if tc.ok {
 					mustNoErr(t, err)

@@ -279,25 +279,12 @@ func (v *View) AnnotationsEach(fn func(*Annotation) bool) {
 	v.annotations.Each(func(_ uint64, a *Annotation) bool { return fn(a) })
 }
 
-// AnnotationIDs returns the IDs of all committed annotations, sorted.
-func (v *View) AnnotationIDs() []uint64 { return v.annotations.IDs() }
-
 // Referent returns a committed referent by ID.
 func (v *View) Referent(id uint64) (*Referent, error) {
 	if r := v.referents.Get(id); r != nil {
 		return r, nil
 	}
 	return nil, errNoSuchReferent(id)
-}
-
-// Referents returns all committed referents, sorted by ID.
-func (v *View) Referents() []*Referent {
-	out := make([]*Referent, 0, v.referents.Len())
-	v.referents.Each(func(_ uint64, r *Referent) bool {
-		out = append(out, r)
-		return true
-	})
-	return out
 }
 
 // ReferentsEach visits every committed referent in ascending ID order,

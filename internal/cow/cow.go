@@ -134,17 +134,6 @@ func (t Table[T]) Each(fn func(uint64, *T) bool) {
 	}
 }
 
-// IDs materializes the ascending ID list (for API compatibility; internal
-// paths iterate with Each instead).
-func (t Table[T]) IDs() []uint64 {
-	out := make([]uint64, 0, t.count)
-	t.Each(func(id uint64, _ *T) bool {
-		out = append(out, id)
-		return true
-	})
-	return out
-}
-
 // --- Map: persistent hash trie with packed leaves, keyed by string ---
 
 // A Map is a hash trie whose leaves are packed. An inner node consumes

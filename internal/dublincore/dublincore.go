@@ -146,23 +146,6 @@ func (r *Record) Get(e Element) []string {
 	return nil
 }
 
-// First returns the first value of element e, or "".
-func (r *Record) First(e Element) string {
-	if vs := r.Get(e); len(vs) > 0 {
-		return vs[0]
-	}
-	return ""
-}
-
-// Len returns the total number of element values.
-func (r *Record) Len() int {
-	n := 0
-	for i := range r.fields {
-		n += len(r.fields[i].vals)
-	}
-	return n
-}
-
 // Elements returns the elements that have at least one value, in canonical
 // order.
 func (r *Record) Elements() []Element {
@@ -275,24 +258,6 @@ func (m Meta) First(e Element) string {
 		return vs.At(0)
 	}
 	return ""
-}
-
-// Len returns the total number of element values.
-func (m Meta) Len() int {
-	if meta := m.meta(); meta.Valid() {
-		return meta.Slots().Len()
-	}
-	return 0
-}
-
-// Elements returns the elements that have at least one value, in canonical
-// order.
-func (m Meta) Elements() []Element {
-	var out []Element
-	for e := range m.All {
-		out = append(out, e)
-	}
-	return out
 }
 
 // Validate checks that a record intended for a Graphitti annotation has the

@@ -259,7 +259,7 @@ func TestCompactionCountsDecodedBytes(t *testing.T) {
 			got = append(got, st.SnapshotSeq)
 		}
 	}
-	if err := s.Sync(); err != nil {
+	if err := s.w.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	_, tail := walPayloads(t, dir)

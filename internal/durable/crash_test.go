@@ -6,6 +6,7 @@ import (
 	"os"
 	"os/exec"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -153,14 +154,14 @@ func TestCrashRecovery(t *testing.T) {
 			if k > lastRuleSeq(ops) && len(gotRules) == 0 {
 				t.Fatal("crash landed after the rule ops but none were recovered")
 			}
-			if !reflect.DeepEqual(got.View().DerivedAll(), want.View().DerivedAll()) {
+			if !reflect.DeepEqual(slices.Collect(got.View().DerivedEach), slices.Collect(want.View().DerivedEach)) {
 				t.Fatalf("derived facts diverged after replay: %d vs %d facts",
-					len(got.View().DerivedAll()), len(want.View().DerivedAll()))
+					len(slices.Collect(got.View().DerivedEach)), len(slices.Collect(want.View().DerivedEach)))
 			}
 			// Derived-query parity: provenance lookups answer identically.
 			for _, ann := range want.Annotations() {
-				gp := got.View().DerivedTargeting(agraph.ContentRoot(ann.ID))
-				wp := want.View().DerivedTargeting(agraph.ContentRoot(ann.ID))
+				gp := derivedTargeting(got.View(), agraph.ContentRoot(ann.ID))
+				wp := derivedTargeting(want.View(), agraph.ContentRoot(ann.ID))
 				if !reflect.DeepEqual(gp, wp) {
 					t.Fatalf("provenance of annotation %d diverged: got %v want %v", ann.ID, gp, wp)
 				}
@@ -230,4 +231,14 @@ func annIDs(anns []*core.Annotation) []uint64 {
 		ids[i] = a.ID
 	}
 	return ids
+}
+
+// derivedTargeting collects the derived facts targeting one node.
+func derivedTargeting(v *core.View, target agraph.NodeRef) []core.DerivedFact {
+	var out []core.DerivedFact
+	v.DerivedTargetingEach(target, func(f core.DerivedFact) bool {
+		out = append(out, f)
+		return true
+	})
+	return out
 }

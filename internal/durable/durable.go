@@ -742,11 +742,6 @@ func (s *Store) AddRule(r prop.Rule) error {
 	return s.Apply(persist.RuleOp(r))
 }
 
-// DeleteRule logs and removes a propagation rule (and its derived facts).
-func (s *Store) DeleteRule(id string) error {
-	return s.Apply(persist.Op{Kind: core.OpDeleteRule, RuleID: id})
-}
-
 // Compact checkpoints the current state as a snapshot and rotates to an
 // empty log. Called automatically when the log crosses the threshold;
 // callers may also force it (e.g. before backup).
@@ -888,36 +883,6 @@ func (s *Store) Stats() Stats {
 		st.LogSize = s.w.Size()
 	}
 	return st
-}
-
-// Sync blocks until every acknowledged mutation is on disk (a no-op given
-// mutations already wait, but useful as a barrier around direct WAL use).
-// It retries when a concurrent compaction rotates the writer out from
-// under it — everything the old writer held was flushed by its Close.
-func (s *Store) Sync() error {
-	if s.dir == "" {
-		return nil
-	}
-	var last *wal.Writer
-	for {
-		s.mu.Lock()
-		w := s.w
-		closed := s.closed
-		s.mu.Unlock()
-		if closed {
-			return wal.ErrClosed
-		}
-		if w == last {
-			// Not a rotation: this writer itself is dead (e.g. a failed
-			// rotation closed it without replacement).
-			return wal.ErrClosed
-		}
-		err := w.Sync()
-		if !errors.Is(err, wal.ErrClosed) {
-			return err
-		}
-		last = w
-	}
 }
 
 // Close flushes and closes the log. The store rejects mutations

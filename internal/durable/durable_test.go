@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"syscall"
@@ -160,7 +161,7 @@ func TestReplayEqualsSerial(t *testing.T) {
 	}
 	got := replayed.Core()
 	mustEqualStores(t, got, serial)
-	if g, w := got.View().DerivedAll(), serial.View().DerivedAll(); len(w) == 0 || !reflect.DeepEqual(g, w) {
+	if g, w := slices.Collect(got.View().DerivedEach), slices.Collect(serial.View().DerivedEach); len(w) == 0 || !reflect.DeepEqual(g, w) {
 		t.Fatalf("derived tables differ: replay %d facts, serial %d", len(g), len(w))
 	}
 	if g, w := got.View().Epoch(), serial.View().Epoch(); g != w || g != uint64(len(ops)) {

@@ -99,7 +99,7 @@ func fixtureSteps(s *Store) {
 	must(s.Commit(s.NewAnnotation().Creator("chen").Date("2007-09-02").Body("motif in seq-b").Refer(m)))
 	check(s.DeleteAnnotation(1))
 	check(s.AddRule(prop.Rule{ID: "closure-go", Edge: prop.EdgeOntologyClosure, Ontology: "go"}))
-	check(s.DeleteRule("overlap-atlas"))
+	check(s.Apply(persist.Op{Kind: core.OpDeleteRule, RuleID: "overlap-atlas"}))
 }
 
 // walPayloads returns the payloads of dir's log as logged and as

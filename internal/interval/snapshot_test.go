@@ -26,11 +26,10 @@ func TestSnapshotImmutable(t *testing.T) {
 	}
 
 	snap := tr
-	wantAll := snap.All()
+	wantAll := snap.Overlapping(everything)
 	wantSpan, _ := snap.Span()
 	q := Interval{Lo: 2000, Hi: 2600}
 	wantOverlap := snap.Overlapping(q)
-	wantNext, wantNextOK := snap.Next(Interval{Lo: 0, Hi: 5000})
 
 	// Churn: deletions, insertions, enough to force many rotations.
 	for i := uint64(0); i < 400; i++ {
@@ -40,7 +39,7 @@ func TestSnapshotImmutable(t *testing.T) {
 		insertRand(i)
 	}
 
-	if got := snap.All(); !reflect.DeepEqual(got, wantAll) {
+	if got := snap.Overlapping(everything); !reflect.DeepEqual(got, wantAll) {
 		t.Fatalf("snapshot All changed after mutation: %d vs %d entries", len(got), len(wantAll))
 	}
 	if got, _ := snap.Span(); got != wantSpan {
@@ -49,15 +48,12 @@ func TestSnapshotImmutable(t *testing.T) {
 	if got := snap.Overlapping(q); !reflect.DeepEqual(got, wantOverlap) {
 		t.Fatalf("snapshot Overlapping changed")
 	}
-	if got, ok := snap.Next(Interval{Lo: 0, Hi: 5000}); ok != wantNextOK || got != wantNext {
-		t.Fatalf("snapshot Next changed")
-	}
 	if snap.Len() != len(wantAll) {
 		t.Fatalf("snapshot Len %d != %d", snap.Len(), len(wantAll))
 	}
 
 	// The latest value, meanwhile, reflects the churn.
-	if tr.Len() != 500-400+800 || len(tr.All()) != tr.Len() {
-		t.Fatalf("latest tree Len = %d, All = %d", tr.Len(), len(tr.All()))
+	if tr.Len() != 500-400+800 || len(tr.Overlapping(everything)) != tr.Len() {
+		t.Fatalf("latest tree Len = %d, Overlapping = %d", tr.Len(), len(tr.Overlapping(everything)))
 	}
 }

@@ -392,16 +392,6 @@ func (r *Registry) collect() {
 	}
 }
 
-// Names returns the registered family names, sorted. This is the surface
-// the docs/METRICS.md parity test diffs against.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, len(r.names))
-	copy(out, r.names)
-	return out
-}
-
 // sorted returns the families in name order.
 func (r *Registry) sorted() []*family {
 	r.mu.RLock()

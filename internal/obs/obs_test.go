@@ -89,7 +89,16 @@ func TestNamesSorted(t *testing.T) {
 	r.Counter("zz_total", "z")
 	r.Gauge("aa_depth", "a")
 	r.Counter("mm_total", "m")
-	got := r.Names()
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, line := range strings.Split(b.String(), "\n") {
+		if name, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			got = append(got, strings.Fields(name)[0])
+		}
+	}
 	want := []string{"aa_depth", "mm_total", "zz_total"}
 	if len(got) != len(want) {
 		t.Fatalf("names = %v, want %v", got, want)

@@ -3,6 +3,8 @@ package ontology
 import (
 	"errors"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -66,7 +68,7 @@ relationship: part_of CC:1
 
 func mustFixture(t *testing.T) *Ontology {
 	t.Helper()
-	o, err := ParseOBOString(multiParentOBO)
+	o, err := ParseOBO(strings.NewReader(multiParentOBO))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +141,7 @@ func TestSubTreeOverMultiParentDAG(t *testing.T) {
 	if edgesFrom5 != 2 {
 		t.Fatalf("SubTree kept %d edges from the multi-parent term, want 2", edgesFrom5)
 	}
-	if !st.Contains("GO:6") || st.Contains("CC:1") {
+	if !slices.Contains(st.Terms, "GO:6") || slices.Contains(st.Terms, "CC:1") {
 		t.Fatal("SubTree membership wrong")
 	}
 
@@ -194,7 +196,7 @@ is_a: A:1
 id: A:3
 is_a: A:2
 `
-	o, err := ParseOBOString(cyclic)
+	o, err := ParseOBO(strings.NewReader(cyclic))
 	if err != nil {
 		t.Fatal(err)
 	}

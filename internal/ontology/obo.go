@@ -117,35 +117,6 @@ func ParseOBO(r io.Reader) (*Ontology, error) {
 	return o, nil
 }
 
-// ParseOBOString parses OBO text from a string.
-func ParseOBOString(s string) (*Ontology, error) {
-	return ParseOBO(strings.NewReader(s))
-}
-
-// WriteOBO serialises the ontology to the OBO subset read by ParseOBO.
-func (o *Ontology) WriteOBO(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "format-version: 1.2\nontology: %s\n", o.name)
-	for _, id := range o.Terms() {
-		t, _ := o.Term(id)
-		fmt.Fprintf(bw, "\n[Term]\nid: %s\nname: %s\n", t.ID, t.Name)
-		if t.Def != "" {
-			fmt.Fprintf(bw, "def: %q []\n", t.Def)
-		}
-		for _, s := range t.Synonyms {
-			fmt.Fprintf(bw, "synonym: %q EXACT []\n", s)
-		}
-		for _, e := range o.Parents(id) {
-			if e.Rel == IsA {
-				fmt.Fprintf(bw, "is_a: %s\n", e.To)
-			} else {
-				fmt.Fprintf(bw, "relationship: %s %s\n", e.Rel, e.To)
-			}
-		}
-	}
-	return bw.Flush()
-}
-
 func stripQuoted(s string) string {
 	if len(s) >= 2 && s[0] == '"' {
 		if i := strings.Index(s[1:], `"`); i >= 0 {

@@ -3,14 +3,12 @@
 // The paper models ontologies "as graphs whose nodes correspond to terms
 // and edges are domain-specific quantified binary relationships between
 // term pairs"; annotations "only point to ontology nodes". This package
-// implements that model together with the operation set the paper lists:
+// implements that model together with the operations the system calls:
 //
 //	CI(c)                 all instances of concept c
-//	CRI(c, R)             instances of c reachable by relation R
 //	CmRI(c, R+)           instances of c restricted to a relation set
-//	mCmRI(C+, R+)         instances of any concept in C+ via relations R+
+//	                      (the paper's CRI is CmRI with one relation)
 //	SubTree(X, R')        the subtree under X restricted to relation R'
-//	SubTree(X)−SubTree(Y) subtree difference for a descendant Y of X
 //
 // Edges point from the more specific term to the more general one (child →
 // parent), so "the instances/subtree under X" are the terms that can reach
@@ -57,7 +55,6 @@ var (
 	ErrNoSuchTerm    = errors.New("ontology: no such term")
 	ErrDuplicateTerm = errors.New("ontology: duplicate term")
 	ErrCycle         = errors.New("ontology: cycle in hierarchy")
-	ErrNotDescendant = errors.New("ontology: term is not a descendant")
 )
 
 // Term is an ontology node.
@@ -199,14 +196,6 @@ func (o *Ontology) Parents(id string, rels ...string) []Edge {
 	return filterEdges(o.out[id], rels)
 }
 
-// Children returns the edges entering id (child -> parent), optionally
-// filtered to a relation set.
-func (o *Ontology) Children(id string, rels ...string) []Edge {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	return filterEdges(o.in[id], rels)
-}
-
 func filterEdges(es []Edge, rels []string) []Edge {
 	if len(rels) == 0 {
 		return append([]Edge(nil), es...)
@@ -231,11 +220,6 @@ func (o *Ontology) CI(c string) ([]string, error) {
 	return o.CmRI(c, InstanceRelations)
 }
 
-// CRI returns the set of all instances of concept c by relation rel.
-func (o *Ontology) CRI(c string, rel string) ([]string, error) {
-	return o.CmRI(c, []string{rel})
-}
-
 // CmRI returns the set of all instances of concept c restricted to the
 // given relation types: every term that reaches c using only edges whose
 // relation is in rels.
@@ -248,28 +232,6 @@ func (o *Ontology) CmRI(c string, rels []string) ([]string, error) {
 	seen := o.descendantsLocked(c, rels)
 	delete(seen, c)
 	return sortedKeys(seen), nil
-}
-
-// MCmRI returns all instances reachable from any concept in cs using only
-// edges from rels (the paper's mCmRI). Concepts themselves are excluded
-// unless they are instances of another listed concept.
-func (o *Ontology) MCmRI(cs []string, rels []string) ([]string, error) {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	union := make(map[string]bool)
-	for _, c := range cs {
-		if _, ok := o.terms[c]; !ok {
-			return nil, fmt.Errorf("%w: %s", ErrNoSuchTerm, c)
-		}
-	}
-	for _, c := range cs {
-		seen := o.descendantsLocked(c, rels)
-		delete(seen, c)
-		for id := range seen {
-			union[id] = true
-		}
-	}
-	return sortedKeys(union), nil
 }
 
 // descendantsLocked returns c plus every term that reaches c via rels.
@@ -339,12 +301,6 @@ type SubTree struct {
 	Edges []Edge
 }
 
-// Contains reports whether the subtree includes the term.
-func (s *SubTree) Contains(id string) bool {
-	i := sort.SearchStrings(s.Terms, id)
-	return i < len(s.Terms) && s.Terms[i] == id
-}
-
 // Size returns the number of terms in the subtree.
 func (s *SubTree) Size() int { return len(s.Terms) }
 
@@ -386,62 +342,6 @@ func (o *Ontology) subTreeLocked(x string, rels []string) *SubTree {
 		return st.Edges[i].Rel < st.Edges[j].Rel
 	})
 	return st
-}
-
-// SubTreeDiff returns SubTree(x, rels) minus SubTree(y, rels). Per the
-// paper, y must be a descendant of x under rels.
-func (o *Ontology) SubTreeDiff(x, y string, rels []string) (*SubTree, error) {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	if _, ok := o.terms[x]; !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNoSuchTerm, x)
-	}
-	if _, ok := o.terms[y]; !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNoSuchTerm, y)
-	}
-	under := o.descendantsLocked(x, rels)
-	if !under[y] || y == x {
-		return nil, fmt.Errorf("%w: %s under %s", ErrNotDescendant, y, x)
-	}
-	minus := o.descendantsLocked(y, rels)
-	kept := make(map[string]bool)
-	for id := range under {
-		if !minus[id] {
-			kept[id] = true
-		}
-	}
-	st := &SubTree{Root: x, Terms: sortedKeys(kept)}
-	allowed := make(map[string]bool, len(rels))
-	for _, r := range rels {
-		allowed[r] = true
-	}
-	for _, id := range st.Terms {
-		for _, e := range o.out[id] {
-			if len(rels) > 0 && !allowed[e.Rel] {
-				continue
-			}
-			if kept[e.To] {
-				st.Edges = append(st.Edges, e)
-			}
-		}
-	}
-	return st, nil
-}
-
-// IsDescendant reports whether y can reach x via the given relations.
-func (o *Ontology) IsDescendant(y, x string, rels []string) bool {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	if _, ok := o.terms[x]; !ok {
-		return false
-	}
-	if _, ok := o.terms[y]; !ok {
-		return false
-	}
-	if x == y {
-		return false
-	}
-	return o.descendantsLocked(x, rels)[y]
 }
 
 // Validate checks the is_a hierarchy for cycles.

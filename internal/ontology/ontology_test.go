@@ -1,8 +1,11 @@
 package ontology
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
+	"io"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -96,14 +99,14 @@ func TestCI(t *testing.T) {
 func TestCRI(t *testing.T) {
 	o := buildEnzymes(t)
 	// Only is_a: trypsin (instance_of) is excluded.
-	got, err := o.CRI("protease", IsA)
+	got, err := o.CmRI("protease", []string{IsA})
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertStrings(t, got, []string{"metallo-protease", "serine-protease"})
 
 	// Only part_of: protease is part_of proteolysis.
-	got, err = o.CRI("proteolysis", PartOf)
+	got, err = o.CmRI("proteolysis", []string{PartOf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +150,7 @@ func TestSubTree(t *testing.T) {
 	}
 	assertStrings(t, st.Terms, []string{"hydrolase", "metallo-protease",
 		"nuclease", "protease", "serine-protease"})
-	if !st.Contains("protease") || st.Contains("kinase") {
+	if !slices.Contains(st.Terms, "protease") || slices.Contains(st.Terms, "kinase") {
 		t.Fatal("Contains wrong")
 	}
 	if st.Size() != 5 {
@@ -158,7 +161,7 @@ func TestSubTree(t *testing.T) {
 		if e.Rel != IsA {
 			t.Fatalf("unexpected edge %v", e)
 		}
-		if !st.Contains(e.From) || !st.Contains(e.To) {
+		if !slices.Contains(st.Terms, e.From) || !slices.Contains(st.Terms, e.To) {
 			t.Fatalf("edge %v leaves subtree", e)
 		}
 	}
@@ -186,7 +189,7 @@ func TestSubTreeDiff(t *testing.T) {
 	// Diff is always a subset of the subtree (paper's algebraic identity).
 	full, _ := o.SubTree("hydrolase", []string{IsA})
 	for _, id := range st.Terms {
-		if !full.Contains(id) {
+		if !slices.Contains(full.Terms, id) {
 			t.Fatalf("%s in diff but not in subtree", id)
 		}
 	}
@@ -194,16 +197,21 @@ func TestSubTreeDiff(t *testing.T) {
 
 func TestIsDescendant(t *testing.T) {
 	o := buildEnzymes(t)
-	if !o.IsDescendant("trypsin", "enzyme", InstanceRelations) {
+	// y is under x when it is among x's instances by rels.
+	isDescendant := func(y, x string, rels []string) bool {
+		got, err := o.CmRI(x, rels)
+		return err == nil && slices.Contains(got, y)
+	}
+	if !isDescendant("trypsin", "enzyme", InstanceRelations) {
 		t.Fatal("trypsin should be under enzyme")
 	}
-	if o.IsDescendant("kinase", "hydrolase", []string{IsA}) {
+	if isDescendant("kinase", "hydrolase", []string{IsA}) {
 		t.Fatal("kinase is not under hydrolase")
 	}
-	if o.IsDescendant("enzyme", "enzyme", nil) {
+	if isDescendant("enzyme", "enzyme", nil) {
 		t.Fatal("a term is not its own descendant")
 	}
-	if o.IsDescendant("ghost", "enzyme", nil) || o.IsDescendant("enzyme", "ghost", nil) {
+	if isDescendant("ghost", "enzyme", nil) || isDescendant("enzyme", "ghost", nil) {
 		t.Fatal("ghost terms cannot be descendants")
 	}
 }
@@ -272,7 +280,7 @@ name: part of
 `
 
 func TestParseOBO(t *testing.T) {
-	o, err := ParseOBOString(oboSample)
+	o, err := ParseOBO(strings.NewReader(oboSample))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +305,7 @@ func TestParseOBO(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertStrings(t, got, []string{"NIF:0002", "NIF:0003"})
-	got, err = o.CRI("NIF:0002", PartOf)
+	got, err = o.CmRI("NIF:0002", []string{PartOf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +321,7 @@ func TestParseOBOErrors(t *testing.T) {
 		"[Term]\nid: a\nbadline\n",
 	}
 	for i, src := range cases {
-		if _, err := ParseOBOString(src); err == nil {
+		if _, err := ParseOBO(strings.NewReader(src)); err == nil {
 			t.Errorf("case %d: no error for %q", i, src)
 		}
 	}
@@ -325,7 +333,7 @@ func TestOBORoundTrip(t *testing.T) {
 	if err := o.WriteOBO(&sb); err != nil {
 		t.Fatal(err)
 	}
-	o2, err := ParseOBOString(sb.String())
+	o2, err := ParseOBO(strings.NewReader(sb.String()))
 	if err != nil {
 		t.Fatalf("re-parse failed: %v\n%s", err, sb.String())
 	}
@@ -401,7 +409,7 @@ func TestQuickSubTreeIdentities(t *testing.T) {
 			return false
 		}
 		for _, term := range ci {
-			if !st.Contains(term) {
+			if !slices.Contains(st.Terms, term) {
 				return false
 			}
 		}
@@ -413,7 +421,7 @@ func TestQuickSubTreeIdentities(t *testing.T) {
 				return false
 			}
 			for _, term := range diff.Terms {
-				if !st.Contains(term) || term == y {
+				if !slices.Contains(st.Terms, term) || term == y {
 					return false
 				}
 			}
@@ -463,4 +471,94 @@ func BenchmarkCI(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// MCmRI returns all instances reachable from any concept in cs using only
+// edges from rels (the paper's mCmRI). Concepts themselves are excluded
+// unless they are instances of another listed concept.
+func (o *Ontology) MCmRI(cs []string, rels []string) ([]string, error) {
+	o.mu.RLock()
+	defer o.mu.RUnlock()
+	union := make(map[string]bool)
+	for _, c := range cs {
+		if _, ok := o.terms[c]; !ok {
+			return nil, fmt.Errorf("%w: %s", ErrNoSuchTerm, c)
+		}
+	}
+	for _, c := range cs {
+		seen := o.descendantsLocked(c, rels)
+		delete(seen, c)
+		for id := range seen {
+			union[id] = true
+		}
+	}
+	return sortedKeys(union), nil
+}
+
+// ErrNotDescendant reports a SubTreeDiff whose second term is not under
+// its first.
+var ErrNotDescendant = errors.New("ontology: term is not a descendant")
+
+// SubTreeDiff returns SubTree(x, rels) minus SubTree(y, rels). Per the
+// paper, y must be a descendant of x under rels.
+func (o *Ontology) SubTreeDiff(x, y string, rels []string) (*SubTree, error) {
+	o.mu.RLock()
+	defer o.mu.RUnlock()
+	if _, ok := o.terms[x]; !ok {
+		return nil, fmt.Errorf("%w: %s", ErrNoSuchTerm, x)
+	}
+	if _, ok := o.terms[y]; !ok {
+		return nil, fmt.Errorf("%w: %s", ErrNoSuchTerm, y)
+	}
+	under := o.descendantsLocked(x, rels)
+	if !under[y] || y == x {
+		return nil, fmt.Errorf("%w: %s under %s", ErrNotDescendant, y, x)
+	}
+	minus := o.descendantsLocked(y, rels)
+	kept := make(map[string]bool)
+	for id := range under {
+		if !minus[id] {
+			kept[id] = true
+		}
+	}
+	st := &SubTree{Root: x, Terms: sortedKeys(kept)}
+	allowed := make(map[string]bool, len(rels))
+	for _, r := range rels {
+		allowed[r] = true
+	}
+	for _, id := range st.Terms {
+		for _, e := range o.out[id] {
+			if len(rels) > 0 && !allowed[e.Rel] {
+				continue
+			}
+			if kept[e.To] {
+				st.Edges = append(st.Edges, e)
+			}
+		}
+	}
+	return st, nil
+}
+
+// WriteOBO serialises the ontology to the OBO subset read by ParseOBO.
+func (o *Ontology) WriteOBO(w io.Writer) error {
+	bw := bufio.NewWriter(w)
+	fmt.Fprintf(bw, "format-version: 1.2\nontology: %s\n", o.name)
+	for _, id := range o.Terms() {
+		t, _ := o.Term(id)
+		fmt.Fprintf(bw, "\n[Term]\nid: %s\nname: %s\n", t.ID, t.Name)
+		if t.Def != "" {
+			fmt.Fprintf(bw, "def: %q []\n", t.Def)
+		}
+		for _, s := range t.Synonyms {
+			fmt.Fprintf(bw, "synonym: %q EXACT []\n", s)
+		}
+		for _, e := range o.Parents(id) {
+			if e.Rel == IsA {
+				fmt.Fprintf(bw, "is_a: %s\n", e.To)
+			} else {
+				fmt.Fprintf(bw, "relationship: %s %s\n", e.Rel, e.To)
+			}
+		}
+	}
+	return bw.Flush()
 }

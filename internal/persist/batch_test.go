@@ -34,7 +34,7 @@ func loadSerial(t *testing.T, snap *persist.Snapshot) *core.Store {
 		}
 	}
 	if snap.NextAnn != 0 || snap.NextRef != 0 {
-		if err := s.RestoreIDCounters(snap.NextAnn, snap.NextRef); err != nil {
+		if err := s.Batch(func(x *core.Tx) error { return x.RestoreIDCounters(snap.NextAnn, snap.NextRef) }); err != nil {
 			t.Fatalf("serial load: counters: %v", err)
 		}
 	}
@@ -58,7 +58,7 @@ func assertSameState(t *testing.T, got, want *core.Store) {
 	if gs, ws := got.Stats(), want.Stats(); gs != ws {
 		t.Fatalf("stats differ:\n   got %+v\nserial %+v", gs, ws)
 	}
-	if gd, wd := got.View().DerivedAll(), want.View().DerivedAll(); !reflect.DeepEqual(gd, wd) {
+	if gd, wd := slices.Collect(got.View().DerivedEach), slices.Collect(want.View().DerivedEach); !reflect.DeepEqual(gd, wd) {
 		t.Fatalf("derived tables differ: %d facts, serial %d", len(gd), len(wd))
 	}
 	if ge, we := got.View().Epoch(), want.View().Epoch(); ge != we {
@@ -97,7 +97,7 @@ func TestBatchLoadEqualsSerialLoad(t *testing.T) {
 	})
 	t.Run("id-gaps", func(t *testing.T) {
 		s := influenzaStore(t)
-		for i, id := range s.View().AnnotationIDs() {
+		for i, id := range annotationIDs(s.View()) {
 			if i%3 == 1 {
 				if err := s.DeleteAnnotation(id); err != nil {
 					t.Fatal(err)
@@ -136,7 +136,7 @@ func TestBatchLoadEqualsSerialLoad(t *testing.T) {
 		if err := prop.Attach(s).AddRule(prop.Rule{ID: "ov", Edge: prop.EdgeOverlap}); err != nil {
 			t.Fatal(err)
 		}
-		if len(assertBatchEqualsSerial(t, exportOf(t, s)).View().DerivedAll()) == 0 {
+		if len(slices.Collect(assertBatchEqualsSerial(t, exportOf(t, s)).View().DerivedEach)) == 0 {
 			t.Fatal("the loaded rule derives nothing")
 		}
 	})
@@ -192,7 +192,7 @@ func TestRuleAttachedBatchEqualsSerial(t *testing.T) {
 					t.Fatalf("serial: %s: %v", op.Kind, err)
 				}
 			}
-			if len(serial.View().DerivedAll()) == 0 {
+			if len(slices.Collect(serial.View().DerivedEach)) == 0 {
 				t.Fatal("the stream derives nothing")
 			}
 			batch := core.NewStore()

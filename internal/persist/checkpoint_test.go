@@ -83,7 +83,7 @@ func pinnedStore() *core.Store {
 		Body("expression in the Deep Cerebellar nuclei").Tag("status", "reviewed").
 		Refer(region).OntologyRef("nif", "deep-cerebellar-nuclei")))
 	must(s.Commit(s.NewAnnotation().Creator("ma").Creator("lee").Date("2007-09-01").Title("").
-		Subject("s2").Subject("s1").Body("protease <b>activity</b> & more").Tag("empty", "").Tag("k", "v").
+		DCElement(dublincore.Subject, "s2", "s1").Body("protease <b>activity</b> & more").Tag("empty", "").Tag("k", "v").
 		Refer(span).Refer(must(v.MarkDomainInterval("chr1", interval.Interval{Lo: 30, Hi: 31}))).
 		OntologyRef("go", "protease").OntologyRef("nif", "deep-cerebellar-nuclei")))
 	must(s.Commit(s.NewAnnotation().Creator("chen").Date("2007-09-02").DCElement(dublincore.Rights, "", "cc-by").
@@ -108,7 +108,7 @@ func pinnedStore() *core.Store {
 // checkpointStores are the stores the persist tests build, by name.
 func checkpointStores(t testing.TB) map[string]*core.Store {
 	gaps := influenzaStore(t)
-	for i, id := range gaps.View().AnnotationIDs() {
+	for i, id := range annotationIDs(gaps.View()) {
 		if i%3 == 1 {
 			if err := gaps.DeleteAnnotation(id); err != nil {
 				t.Fatal(err)

@@ -3,6 +3,7 @@ package persist
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -40,8 +41,8 @@ func TestRuleRoundTrip(t *testing.T) {
 	if err := prop.Attach(s).AddRule(rule); err != nil {
 		t.Fatal(err)
 	}
-	if s.View().DerivedCount() != 2 {
-		t.Fatalf("derived count = %d, want 2", s.View().DerivedCount())
+	if s.View().Stats().Derived != 2 {
+		t.Fatalf("derived count = %d, want 2", s.View().Stats().Derived)
 	}
 
 	var buf bytes.Buffer
@@ -58,7 +59,7 @@ func TestRuleRoundTrip(t *testing.T) {
 	if got := prop.RulesOf(loaded); len(got) != 1 || !reflect.DeepEqual(got[0], rule) {
 		t.Fatalf("loaded rules = %v, want [%+v]", got, rule)
 	}
-	if !reflect.DeepEqual(loaded.View().DerivedAll(), s.View().DerivedAll()) {
-		t.Fatalf("re-derived facts diverged:\n got %v\nwant %v", loaded.View().DerivedAll(), s.View().DerivedAll())
+	if !reflect.DeepEqual(slices.Collect(loaded.View().DerivedEach), slices.Collect(s.View().DerivedEach)) {
+		t.Fatalf("re-derived facts diverged:\n got %v\nwant %v", slices.Collect(loaded.View().DerivedEach), slices.Collect(s.View().DerivedEach))
 	}
 }

@@ -3,6 +3,7 @@ package prop
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -80,7 +81,7 @@ func TestRuleAttachedBatchIsOnePublish(t *testing.T) {
 	if err := run(twin, twin, twinIDs); err != nil {
 		t.Fatal(err)
 	}
-	postStats, postDerived := twin.Stats(), twin.View().DerivedAll()
+	postStats, postDerived := twin.Stats(), slices.Collect(twin.View().DerivedEach)
 	if len(postDerived) == 0 {
 		t.Fatal("the ops derive nothing")
 	}
@@ -111,7 +112,7 @@ func TestRuleAttachedBatchIsOnePublish(t *testing.T) {
 						v.Epoch(), pre.Epoch(), pre.Epoch()+ops)
 					return
 				}
-				if st := v.Stats(); st != want || len(v.DerivedAll()) != want.Derived {
+				if st := v.Stats(); st != want || len(slices.Collect(v.DerivedEach)) != want.Derived {
 					t.Errorf("epoch %d: stats %+v inconsistent with %+v", v.Epoch(), st, want)
 					return
 				}
@@ -139,7 +140,7 @@ func TestRuleAttachedBatchIsOnePublish(t *testing.T) {
 	if got := v.Stats(); got != postStats {
 		t.Fatalf("stats after batch %+v, twin %+v", got, postStats)
 	}
-	if got := v.DerivedAll(); !reflect.DeepEqual(got, postDerived) {
+	if got := slices.Collect(v.DerivedEach); !reflect.DeepEqual(got, postDerived) {
 		t.Fatalf("derived table after batch: %d facts, twin %d", len(got), len(postDerived))
 	}
 	assertTargetIndexParity(t, v)

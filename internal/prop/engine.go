@@ -112,14 +112,6 @@ func DeleteRule(x *core.Tx, id string) error {
 	})
 }
 
-// Rule returns a registered rule by ID.
-func (e *Engine) Rule(id string) (Rule, bool) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	r, ok := e.rules[id]
-	return r, ok
-}
-
 // Rules returns the registered rules, sorted by ID.
 func (e *Engine) Rules() []Rule {
 	return e.rulesSnapshot()

@@ -55,7 +55,7 @@ func commitInterval(t *testing.T, s *core.Store, lo, hi int64, body string, term
 func assertExact(t *testing.T, s *core.Store, e *Engine) {
 	t.Helper()
 	v := s.View()
-	got := v.DerivedAll()
+	got := slices.Collect(v.DerivedEach)
 	want := flatten(e.Recompute(v))
 	if len(got) == 0 && len(want) == 0 {
 		return
@@ -105,8 +105,8 @@ func TestOverlapEdge(t *testing.T) {
 	if got := s.View().DerivedFrom(3); got != nil {
 		t.Fatalf("non-overlapping annotation has facts: %v", got)
 	}
-	if s.View().DerivedCount() != 2 {
-		t.Fatalf("derived count = %d, want 2", s.View().DerivedCount())
+	if s.View().Stats().Derived != 2 {
+		t.Fatalf("derived count = %d, want 2", s.View().Stats().Derived)
 	}
 	assertExact(t, s, e)
 
@@ -287,7 +287,7 @@ func TestTriggerFilters(t *testing.T) {
 	if err := e.AddRule(Rule{ID: "other", Edge: EdgeOverlap, Domain: "chr2"}); err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range s.View().DerivedAll() {
+	for _, f := range slices.Collect(s.View().DerivedEach) {
 		if f.Rule == "other" {
 			t.Fatalf("rule for foreign domain produced fact %+v", f)
 		}
@@ -296,7 +296,7 @@ func TestTriggerFilters(t *testing.T) {
 	if err := e.AddRule(Rule{ID: "regonly", Edge: EdgeOverlap, Kind: "region"}); err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range s.View().DerivedAll() {
+	for _, f := range slices.Collect(s.View().DerivedEach) {
 		if f.Rule == "regonly" {
 			t.Fatalf("region-only rule fired on interval mark: %+v", f)
 		}
@@ -378,7 +378,7 @@ func TestRuleCRUD(t *testing.T) {
 	if err := e.DeleteRule("ov"); !errors.Is(err, ErrNoSuchRule) {
 		t.Fatalf("double delete: %v", err)
 	}
-	if n := s.View().DerivedCount(); n != 0 {
+	if n := s.View().Stats().Derived; n != 0 {
 		t.Fatalf("derived count after rule delete = %d", n)
 	}
 }
@@ -423,11 +423,21 @@ func TestProvenanceTrace(t *testing.T) {
 	a1 := commitInterval(t, s, 100, 200, "first")
 	a2 := commitInterval(t, s, 100, 200, "second")
 
-	incoming := s.View().DerivedTargeting(agraph.ContentRoot(a2.ID))
+	incoming := derivedTargeting(s.View(), agraph.ContentRoot(a2.ID))
 	if len(incoming) != 1 || incoming[0].Source != a1.ID || incoming[0].Rule != "sh" {
 		t.Fatalf("provenance of a2 = %v, want one fact from a1 via sh", incoming)
 	}
 	if ep := s.View().DerivedSourceEpoch(a1.ID); ep == 0 {
 		t.Fatal("source epoch not recorded")
 	}
+}
+
+// derivedTargeting collects the derived facts targeting one node.
+func derivedTargeting(v *core.View, target agraph.NodeRef) []core.DerivedFact {
+	var out []core.DerivedFact
+	v.DerivedTargetingEach(target, func(f core.DerivedFact) bool {
+		out = append(out, f)
+		return true
+	})
+	return out
 }

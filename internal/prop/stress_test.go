@@ -3,6 +3,7 @@ package prop
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -128,7 +129,7 @@ func TestStressDeltaExactness(t *testing.T) {
 	wg.Wait()
 
 	v := s.View()
-	got := v.DerivedAll()
+	got := slices.Collect(v.DerivedEach)
 	want := flatten(e.Recompute(v))
 	if len(got) == 0 {
 		t.Fatal("stress produced no derived facts; workload is not exercising the engine")
@@ -137,8 +138,8 @@ func TestStressDeltaExactness(t *testing.T) {
 		t.Fatalf("delta-maintained derived table diverged from recompute: %d maintained vs %d recomputed facts",
 			len(got), len(want))
 	}
-	if v.DerivedCount() != len(got) {
-		t.Fatalf("DerivedCount %d != len(DerivedAll) %d", v.DerivedCount(), len(got))
+	if v.Stats().Derived != len(got) {
+		t.Fatalf("DerivedCount %d != len(DerivedAll) %d", v.Stats().Derived, len(got))
 	}
 	assertTargetIndexParity(t, v)
 }
@@ -154,17 +155,48 @@ func assertTargetIndexParity(t *testing.T, v *core.View) {
 		byTarget[f.Target] = append(byTarget[f.Target], f)
 		return true
 	})
-	indexed := v.DerivedTargets()
-	if len(indexed) != len(byTarget) {
-		t.Fatalf("target index holds %d targets, table scan finds %d", len(indexed), len(byTarget))
+	// The index has one lookup, so ask it about every node a rule can
+	// target: content roots and referents up to the ID counters, images
+	// and ontology terms.
+	nextAnn, nextRef := v.IDCounters()
+	var candidates []agraph.NodeRef
+	for id := uint64(1); id <= nextAnn; id++ {
+		candidates = append(candidates, agraph.ContentRoot(id))
 	}
-	for _, target := range indexed {
-		want, ok := byTarget[target]
-		if !ok {
-			t.Fatalf("target index holds stale target %v", target)
+	for id := uint64(1); id <= nextRef; id++ {
+		candidates = append(candidates, agraph.Referent(id))
+	}
+	for _, img := range v.Images() {
+		candidates = append(candidates, agraph.Object(string(core.TypeImage), img))
+	}
+	for _, name := range v.Ontologies() {
+		o, err := v.Ontology(name)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got := v.DerivedTargeting(target); !reflect.DeepEqual(got, want) {
+		for _, term := range o.Terms() {
+			candidates = append(candidates, agraph.Term(name, term))
+		}
+	}
+	indexed := 0
+	for _, target := range candidates {
+		var got []core.DerivedFact
+		v.DerivedTargetingEach(target, func(f core.DerivedFact) bool {
+			got = append(got, f)
+			return true
+		})
+		want := byTarget[target]
+		if len(got) > 0 {
+			indexed++
+			if want == nil {
+				t.Fatalf("target index holds stale target %v", target)
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("index facts for %v diverged from table scan:\n got %v\nwant %v", target, got, want)
 		}
+	}
+	if indexed != len(byTarget) {
+		t.Fatalf("target index holds %d targets, table scan finds %d", indexed, len(byTarget))
 	}
 }

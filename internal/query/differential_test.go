@@ -62,14 +62,14 @@ func checkFourWays(t *testing.T, s *core.Store, src string) {
 	// everything under the cap the exploration is exhaustive and the cap
 	// is invisible.
 	const matchCap = 3000
-	auto, err := p.ExecuteParsed(parsed, Options{OrderBySelectivity: true, MaxResults: matchCap})
+	auto, err := p.ExecuteParsedCtx(context.Background(), parsed, Options{OrderBySelectivity: true, MaxResults: matchCap})
 	must(t, err)
 	if auto.Stats.Matches >= matchCap || auto.Stats.BindingsTried > 100_000 {
 		return
 	}
-	nested, err := p.ExecuteParsed(parsed, Options{OrderBySelectivity: true, Join: JoinNestedLoop, MaxResults: matchCap})
+	nested, err := p.ExecuteParsedCtx(context.Background(), parsed, Options{OrderBySelectivity: true, Join: JoinNestedLoop, MaxResults: matchCap})
 	must(t, err)
-	decl, err := p.ExecuteParsed(parsed, Options{OrderBySelectivity: false, MaxResults: matchCap})
+	decl, err := p.ExecuteParsedCtx(context.Background(), parsed, Options{OrderBySelectivity: false, MaxResults: matchCap})
 	must(t, err)
 	// Replay the retired greedy connected-smallest order (sizes are all
 	// it consulted).

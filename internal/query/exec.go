@@ -88,11 +88,6 @@ func (p *Processor) ExecuteCtx(ctx context.Context, src string, opts Options) (*
 	return p.ExecuteParsedCtx(ctx, q, opts)
 }
 
-// ExecuteParsed runs a parsed query.
-func (p *Processor) ExecuteParsed(q *Query, opts Options) (*Result, error) {
-	return p.ExecuteParsedCtx(context.Background(), q, opts)
-}
-
 // ExecuteParsedCtx runs a parsed query against one pinned view of the
 // store, honoring ctx cancellation (see Run).
 func (p *Processor) ExecuteParsedCtx(ctx context.Context, q *Query, opts Options) (*Result, error) {

@@ -32,15 +32,6 @@ func Parse(src string) (*Query, error) {
 	return q, nil
 }
 
-// MustParse is Parse that panics on error; for tests and fixed queries.
-func MustParse(src string) *Query {
-	q, err := Parse(src)
-	if err != nil {
-		panic(err)
-	}
-	return q
-}
-
 type qtokKind uint8
 
 const (

@@ -56,9 +56,9 @@ func TestSemiJoinPrunesBindings(t *testing.T) {
 	p := NewProcessor(s)
 	q := MustParse(plannerJoinSrc)
 
-	auto, err := p.ExecuteParsed(q, Options{OrderBySelectivity: true})
+	auto, err := p.ExecuteParsedCtx(context.Background(), q, Options{OrderBySelectivity: true})
 	must(t, err)
-	nested, err := p.ExecuteParsed(q, Options{OrderBySelectivity: true, Join: JoinNestedLoop})
+	nested, err := p.ExecuteParsedCtx(context.Background(), q, Options{OrderBySelectivity: true, Join: JoinNestedLoop})
 	must(t, err)
 
 	if !reflect.DeepEqual(auto.Matches, nested.Matches) {

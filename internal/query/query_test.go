@@ -479,3 +479,12 @@ func TestComponents(t *testing.T) {
 		}
 	}
 }
+
+// MustParse is Parse that panics on error; for tests and fixed queries.
+func MustParse(src string) *Query {
+	q, err := Parse(src)
+	if err != nil {
+		panic(err)
+	}
+	return q
+}

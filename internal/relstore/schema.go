@@ -67,12 +67,6 @@ func MustSchema(name string, key string, cols ...Column) *Schema {
 	return s
 }
 
-// HasColumn reports whether the named column exists.
-func (s *Schema) HasColumn(name string) bool {
-	_, ok := s.byName[name]
-	return ok
-}
-
 // KeyIndex returns the position of the primary key column.
 func (s *Schema) KeyIndex() int { return s.byName[s.Key] }
 

@@ -101,33 +101,6 @@ func (v Value) BytesVal() []byte { return v.b }
 // numeric reports whether the value is Int64 or Float64.
 func (v Value) numeric() bool { return v.typ == Int64 || v.typ == Float64 }
 
-// Equal reports whether two values are equal. NULL equals nothing,
-// including NULL (SQL semantics); use IsNull to test for NULL explicitly.
-func (v Value) Equal(o Value) bool {
-	if v.null || o.null {
-		return false
-	}
-	if v.numeric() && o.numeric() {
-		if v.typ == Int64 && o.typ == Int64 {
-			return v.i == o.i
-		}
-		return v.Float() == o.Float()
-	}
-	if v.typ != o.typ {
-		return false
-	}
-	switch v.typ {
-	case String:
-		return v.s == o.s
-	case Bool:
-		return v.truth == o.truth
-	case Bytes:
-		return bytes.Equal(v.b, o.b)
-	default:
-		return false
-	}
-}
-
 // Compare orders two non-NULL values of comparable types. It returns
 // (-1, 0, +1) and ok=false when the values are not comparable (NULL or
 // mismatched non-numeric types).

@@ -7,8 +7,7 @@
 // of the same resolution are referenced with respect to the same brain
 // coordinate system, and placed in a single R-tree"). This package provides
 // that tree (Guttman R-tree with quadratic split, plus an STR bulk loader)
-// and the SUB_X operators on rectangular sub-structures: ifOverlap and
-// intersect.
+// and the SUB_X ifOverlap operator on rectangular sub-structures.
 package rtree
 
 import (
@@ -71,23 +70,6 @@ func (r Rect) Overlaps(o Rect) bool {
 		}
 	}
 	return true
-}
-
-// Intersect implements the paper's intersect operator for convex
-// sub-structures: it returns the common box and whether it is non-empty.
-func (r Rect) Intersect(o Rect) (Rect, bool) {
-	if r.Dims != o.Dims {
-		return Rect{}, false
-	}
-	out := Rect{Dims: r.Dims}
-	for d := 0; d < r.Dims; d++ {
-		out.Min[d] = maxf(r.Min[d], o.Min[d])
-		out.Max[d] = minf(r.Max[d], o.Max[d])
-		if out.Max[d] <= out.Min[d] {
-			return Rect{}, false
-		}
-	}
-	return out, true
 }
 
 // Union returns the minimum bounding box of the two rectangles, which must

@@ -77,9 +77,6 @@ func (t Tree[V]) Dims() int {
 	return t.dims
 }
 
-// Len reports the number of entries.
-func (t Tree[V]) Len() int { return t.size }
-
 // Insert returns the tree with an entry added. The rectangle must be valid
 // and match the tree's dimensionality; the (rectangle, ID) key must not be
 // present already.
@@ -417,38 +414,6 @@ func visit[V any](n *rnode[V], q Rect, fn func(Entry[V]) bool) bool {
 		}
 	}
 	return true
-}
-
-// Count returns the number of entries overlapping q.
-func (t Tree[V]) Count(q Rect) int {
-	n := 0
-	t.Visit(q, func(Entry[V]) bool {
-		n++
-		return true
-	})
-	return n
-}
-
-// Bounds returns the bounding box of all entries; ok is false for an empty
-// tree.
-func (t Tree[V]) Bounds() (Rect, bool) {
-	if t.root == nil || t.size == 0 {
-		return Rect{}, false
-	}
-	return t.root.bounds, true
-}
-
-// Height returns the height of the tree (0 when empty).
-func (t Tree[V]) Height() int {
-	h, n := 0, t.root
-	for n != nil {
-		h++
-		if n.leaf {
-			break
-		}
-		n = n.children[0]
-	}
-	return h
 }
 
 // BulkLoad builds a tree from entries using the Sort-Tile-Recursive (STR)

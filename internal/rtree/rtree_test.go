@@ -319,7 +319,7 @@ func TestQuickTreeVsScan(t *testing.T) {
 				if !sameIDs(entryIDs(tr.Search(q)), entryIDs(sc.Search(q))) {
 					return false
 				}
-				if tr.Count(q) != sc.Count(q) {
+				if len(tr.Search(q)) != sc.Count(q) {
 					return false
 				}
 			}
@@ -444,6 +444,53 @@ func BenchmarkTreeSearch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		x := float64(i*7919%10_000 + 1)
-		tr.Count(Rect2D(x, x, x+50, x+50))
+		n := 0
+		tr.Visit(Rect2D(x, x, x+50, x+50), func(Entry[int]) bool {
+			n++
+			return true
+		})
+		_ = n
 	}
+}
+
+// Len reports the number of entries.
+func (t Tree[V]) Len() int { return t.size }
+
+// Bounds returns the bounding box of all entries; ok is false for an empty
+// tree.
+func (t Tree[V]) Bounds() (Rect, bool) {
+	if t.root == nil || t.size == 0 {
+		return Rect{}, false
+	}
+	return t.root.bounds, true
+}
+
+// Height returns the height of the tree (0 when empty).
+func (t Tree[V]) Height() int {
+	h, n := 0, t.root
+	for n != nil {
+		h++
+		if n.leaf {
+			break
+		}
+		n = n.children[0]
+	}
+	return h
+}
+
+// Intersect implements the paper's intersect operator for convex
+// sub-structures: it returns the common box and whether it is non-empty.
+func (r Rect) Intersect(o Rect) (Rect, bool) {
+	if r.Dims != o.Dims {
+		return Rect{}, false
+	}
+	out := Rect{Dims: r.Dims}
+	for d := 0; d < r.Dims; d++ {
+		out.Min[d] = maxf(r.Min[d], o.Min[d])
+		out.Max[d] = minf(r.Max[d], o.Max[d])
+		if out.Max[d] <= out.Min[d] {
+			return Rect{}, false
+		}
+	}
+	return out, true
 }

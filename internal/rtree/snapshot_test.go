@@ -48,7 +48,7 @@ func TestSnapshotImmutable(t *testing.T) {
 		t.Fatalf("snapshot Len changed: %d vs %d", snap.Len(), wantLen)
 	}
 	all := Rect2D(-1, -1, 2000, 2000)
-	if tr.Len() != 600-500+900 || tr.Count(all) != tr.Len() {
-		t.Fatalf("latest tree Len = %d, Count = %d", tr.Len(), tr.Count(all))
+	if tr.Len() != 600-500+900 || len(tr.Search(all)) != tr.Len() {
+		t.Fatalf("latest tree Len = %d, Search = %d", tr.Len(), len(tr.Search(all)))
 	}
 }

@@ -187,9 +187,6 @@ func (vs Views) ObjectList() []core.ObjectHandle {
 	return out
 }
 
-// Ontologies returns the registered ontology names (broadcast; shard 0).
-func (vs Views) Ontologies() []string { return vs[0].Ontologies() }
-
 // ReferentsAt merges every shard's stab of the domain by ID. The domain's
 // owner shard holds the referents of the annotations homed there, but a
 // cross-shard annotation commits whole to its home shard, interval trees
@@ -238,31 +235,6 @@ func (vs Views) RelatedAnnotations(id uint64) ([]*core.Annotation, error) {
 // CorrelatedData answers from the annotation's owner shard.
 func (vs Views) CorrelatedData(id uint64) ([]core.CorrelatedItem, error) {
 	return vs.owner(id).CorrelatedData(id)
-}
-
-// DerivedAll merges the per-shard derived tables in source-ID order,
-// preserving each source's fact order — the global DerivedEach order,
-// since every source annotation lives on exactly one shard.
-func (vs Views) DerivedAll() []core.DerivedFact {
-	var out []core.DerivedFact
-	for _, v := range vs {
-		out = append(out, v.DerivedAll()...)
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Source < out[j].Source })
-	return out
-}
-
-// DerivedTargeting merges the provenance of one target node across
-// shards: per-shard lists are (ascending source, canonical fact order)
-// already, and sources are globally unique, so a stable source-order
-// merge reproduces the unsharded order.
-func (vs Views) DerivedTargeting(target agraph.NodeRef) []core.DerivedFact {
-	var out []core.DerivedFact
-	for _, v := range vs {
-		out = append(out, v.DerivedTargeting(target)...)
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Source < out[j].Source })
-	return out
 }
 
 // DerivedFrom returns the facts derived from one source annotation

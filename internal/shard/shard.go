@@ -620,16 +620,6 @@ func (s *Store) DeleteAnnotation(id uint64) error {
 	return s.mutate(k, "", func(p *durable.Store) error { return p.DeleteAnnotation(id) })
 }
 
-// Sync flushes every shard's WAL.
-func (s *Store) Sync() error {
-	for k, p := range s.pipes {
-		if err := p.Sync(); err != nil {
-			return tag(k, err)
-		}
-	}
-	return nil
-}
-
 // Close closes every shard; the first error is reported, but all shards
 // are closed regardless.
 func (s *Store) Close() error {

@@ -4,8 +4,11 @@
 // substructures (called SUB_X …) in our purview":
 //
 //	ifOverlap : SUB_X x SUB_X -> {0,1}
-//	next      : SUB_X -> SUB_X     (ordered domains only; see core.Store)
+//	next      : SUB_X -> SUB_X     (ordered domains only)
 //	intersect : SUB_X x SUB_X -> SUB_X  (convex types only)
+//
+// The system evaluates ifOverlap, which this package implements; nothing
+// in it asks for next or intersect.
 //
 // A Mark is a typed sub-structure: a 1-D interval in a named coordinate
 // domain, a 2-D/3-D region in a named coordinate system, or a discrete key
@@ -108,50 +111,14 @@ func IfOverlap(a, b Mark) bool {
 		return am.R.Overlaps(bm.R)
 	case SetMark:
 		bm := b.(SetMark)
-		return intersectKeys(am.Keys, bm.Keys, false) != nil
+		return shareKey(am.Keys, bm.Keys)
 	default:
 		return false
 	}
 }
 
-// Intersect implements the paper's intersect operator. It returns the
-// common sub-structure and whether it is non-empty. Interval and region
-// marks are convex; set marks intersect as sets.
-func Intersect(a, b Mark) (Mark, bool) {
-	if a == nil || b == nil || a.Kind() != b.Kind() || a.Space() != b.Space() {
-		return nil, false
-	}
-	switch am := a.(type) {
-	case IntervalMark:
-		bm := b.(IntervalMark)
-		iv, ok := am.IV.Intersect(bm.IV)
-		if !ok {
-			return nil, false
-		}
-		return IntervalMark{Domain: am.Domain, IV: iv}, true
-	case RegionMark:
-		bm := b.(RegionMark)
-		r, ok := am.R.Intersect(bm.R)
-		if !ok {
-			return nil, false
-		}
-		return RegionMark{System: am.System, R: r}, true
-	case SetMark:
-		bm := b.(SetMark)
-		keys := intersectKeys(am.Keys, bm.Keys, true)
-		if len(keys) == 0 {
-			return nil, false
-		}
-		return SetMark{SpaceName: am.SpaceName, Keys: keys}, true
-	default:
-		return nil, false
-	}
-}
-
-// intersectKeys intersects two sorted key slices. When full is false it
-// returns early with a single witness (existence check).
-func intersectKeys(a, b []string, full bool) []string {
-	var out []string
+// shareKey reports whether two sorted key slices have a key in common.
+func shareKey(a, b []string) bool {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
@@ -160,13 +127,8 @@ func intersectKeys(a, b []string, full bool) []string {
 		case a[i] > b[j]:
 			j++
 		default:
-			out = append(out, a[i])
-			if !full {
-				return out
-			}
-			i++
-			j++
+			return true
 		}
 	}
-	return out
+	return false
 }

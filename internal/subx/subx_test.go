@@ -22,18 +22,12 @@ func TestHeterogeneityRules(t *testing.T) {
 	if IfOverlap(iv, ivOther) {
 		t.Fatal("marks in different domains must not overlap")
 	}
-	if _, ok := Intersect(iv, rg); ok {
-		t.Fatal("cross-kind intersect must be empty")
-	}
-	if _, ok := Intersect(iv, ivOther); ok {
-		t.Fatal("cross-domain intersect must be empty")
-	}
 	// Nil safety.
 	if IfOverlap(nil, iv) || IfOverlap(iv, nil) {
 		t.Fatal("nil marks must not overlap")
 	}
-	if _, ok := Intersect(nil, nil); ok {
-		t.Fatal("nil intersect must be empty")
+	if IfOverlap(nil, nil) {
+		t.Fatal("nil marks must not overlap")
 	}
 }
 
@@ -46,14 +40,6 @@ func TestIntervalMarks(t *testing.T) {
 	}
 	if IfOverlap(a, c) {
 		t.Fatal("touching intervals do not overlap")
-	}
-	m, ok := Intersect(a, b)
-	if !ok {
-		t.Fatal("intersect empty")
-	}
-	im := m.(IntervalMark)
-	if im.IV != (interval.Interval{Lo: 50, Hi: 100}) || im.Domain != "chr1" {
-		t.Fatalf("intersect = %+v", im)
 	}
 	if a.Empty() {
 		t.Fatal("valid mark reported empty")
@@ -70,11 +56,7 @@ func TestRegionMarks(t *testing.T) {
 	if !IfOverlap(a, b) || IfOverlap(a, c) {
 		t.Fatal("region overlap wrong")
 	}
-	m, ok := Intersect(a, b)
-	if !ok || m.(RegionMark).R != rtree.Rect2D(5, 5, 10, 10) {
-		t.Fatalf("intersect = %+v, %v", m, ok)
-	}
-	if m.Kind() != "region" || m.Space() != "atlas" {
+	if a.Kind() != "region" || a.Space() != "atlas" {
 		t.Fatal("kind/space wrong")
 	}
 }
@@ -89,26 +71,18 @@ func TestSetMarks(t *testing.T) {
 	if !IfOverlap(a, b) || IfOverlap(a, c) {
 		t.Fatal("set overlap wrong")
 	}
-	m, ok := Intersect(a, b)
-	if !ok {
-		t.Fatal("intersect empty")
-	}
-	sm := m.(SetMark)
-	if len(sm.Keys) != 1 || sm.Keys[0] != "goose" {
-		t.Fatalf("intersect keys = %v", sm.Keys)
-	}
 	if !NewSetMark("x").Empty() {
 		t.Fatal("empty set mark should be empty")
 	}
 }
 
-// TestQuickOperatorConsistency: intersect non-empty iff ifOverlap, for all
-// three mark kinds, mirroring the per-type property tests.
+// TestQuickOperatorConsistency: ifOverlap is symmetric and agrees with the
+// intersection of the marks' intervals and of their key sets.
 func TestQuickOperatorConsistency(t *testing.T) {
 	ivCheck := func(alo, blo int16, aw, bw uint8) bool {
 		a := IntervalMark{Domain: "d", IV: interval.Interval{Lo: int64(alo), Hi: int64(alo) + int64(aw) + 1}}
 		b := IntervalMark{Domain: "d", IV: interval.Interval{Lo: int64(blo), Hi: int64(blo) + int64(bw) + 1}}
-		_, ok := Intersect(a, b)
+		ok := max(a.IV.Lo, b.IV.Lo) < min(a.IV.Hi, b.IV.Hi)
 		return ok == IfOverlap(a, b) && IfOverlap(a, b) == IfOverlap(b, a)
 	}
 	if err := quick.Check(ivCheck, nil); err != nil {
@@ -124,20 +98,11 @@ func TestQuickOperatorConsistency(t *testing.T) {
 		}
 		a := NewSetMark("s", toKeys(aRaw)...)
 		b := NewSetMark("s", toKeys(bRaw)...)
-		m, ok := Intersect(a, b)
-		if ok != IfOverlap(a, b) {
-			return false
+		shared := false
+		for _, k := range a.Keys {
+			shared = shared || contains(b.Keys, k)
 		}
-		if ok {
-			sm := m.(SetMark)
-			// Intersection is a subset of both.
-			for _, k := range sm.Keys {
-				if !contains(a.Keys, k) || !contains(b.Keys, k) {
-					return false
-				}
-			}
-		}
-		return true
+		return shared == IfOverlap(a, b) && IfOverlap(a, b) == IfOverlap(b, a)
 	}
 	if err := quick.Check(setCheck, &quick.Config{MaxCount: 200}); err != nil {
 		t.Errorf("set: %v", err)

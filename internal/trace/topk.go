@@ -3,7 +3,6 @@ package trace
 import (
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
 // TopK is a space-saving heavy-hitters sketch (Metwally, Agrawal and
@@ -20,10 +19,9 @@ import (
 // call it once per routed mutation (the surrounding commit does far
 // more work than the sketch).
 type TopK struct {
-	mu    sync.Mutex
-	k     int
-	m     map[string]*tkEntry
-	total atomic.Uint64
+	mu sync.Mutex
+	k  int
+	m  map[string]*tkEntry
 }
 
 type tkEntry struct {
@@ -54,7 +52,6 @@ func (t *TopK) Record(key string) {
 	if t == nil || key == "" {
 		return
 	}
-	t.total.Add(1)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if e, ok := t.m[key]; ok {
@@ -97,12 +94,4 @@ func (t *TopK) Top() []KeyCount {
 		return out[i].Key < out[j].Key
 	})
 	return out
-}
-
-// Total returns the number of recorded observations (distinct or not).
-func (t *TopK) Total() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.total.Load()
 }

@@ -183,14 +183,6 @@ func (s *Span) TraceID() string {
 	return hex.EncodeToString(s.traceID[:])
 }
 
-// Name returns the span kind ("" on nil).
-func (s *Span) Name() string {
-	if s == nil {
-		return ""
-	}
-	return s.name
-}
-
 // StartChild opens a child span of the same trace. Returns nil on a nil
 // receiver, so call chains cost one nil check when untraced.
 func (s *Span) StartChild(name string) *Span {
@@ -365,30 +357,6 @@ func (s *Span) node() *Node {
 		n.Children = append(n.Children, c.node())
 	}
 	return n
-}
-
-// Kinds returns every span kind present in the tree, deduplicated.
-func (s *Span) Kinds() []string {
-	seen := map[string]bool{}
-	s.kinds(seen)
-	out := make([]string, 0, len(seen))
-	for k := range seen {
-		out = append(out, k)
-	}
-	return out
-}
-
-func (s *Span) kinds(seen map[string]bool) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	seen[s.name] = true
-	kids := append([]*Span(nil), s.children...)
-	s.mu.Unlock()
-	for _, c := range kids {
-		c.kinds(seen)
-	}
 }
 
 // Breakdown renders the tree on one line — "http=1.2ms{commit=0.9ms{…}}"

@@ -100,14 +100,6 @@ func TestTreeShapeAndAttrs(t *testing.T) {
 	if root.ShardHint() != 2 {
 		t.Fatalf("ShardHint = %d, want 2", root.ShardHint())
 	}
-	kinds := root.Kinds()
-	want := map[string]bool{"http": true, "shard.writer": true, "commit": true, "wal.flush": true}
-	for _, k := range kinds {
-		delete(want, k)
-	}
-	if len(want) != 0 {
-		t.Fatalf("Kinds missing %v (got %v)", want, kinds)
-	}
 	// The tree must be JSON-serializable (what /debug/traces emits).
 	if _, err := json.Marshal(n); err != nil {
 		t.Fatal(err)
@@ -215,12 +207,11 @@ func TestTopKHeavyHitters(t *testing.T) {
 	if top[0].Count < 100 || top[1].Count < 60 {
 		t.Fatalf("under-counted: %+v", top)
 	}
-	if tk.Total() != 193 {
-		t.Fatalf("Total = %d, want 193", tk.Total())
-	}
 	tk.Record("")
-	if tk.Total() != 193 {
-		t.Fatal("empty key counted")
+	for _, e := range tk.Top() {
+		if e.Key == "" {
+			t.Fatal("empty key counted")
+		}
 	}
 }
 
@@ -238,9 +229,6 @@ func TestTopKConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if tk.Total() != 4000 {
-		t.Fatalf("Total = %d, want 4000", tk.Total())
-	}
 	if got := len(tk.Top()); got != 4 {
 		t.Fatalf("sketch holds %d entries, want 4", got)
 	}

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"graphitti/internal/biodata/msa"
 	"graphitti/internal/biodata/phylo"
 	"graphitti/internal/biodata/seq"
 	"graphitti/internal/ontology"
@@ -33,12 +32,11 @@ func TestParsersNeverPanicOnRandomInput(t *testing.T) {
 	check := func(raw []byte) bool {
 		s := string(raw)
 		ok := true
-		neverPanics(t, "xmldoc", func() { _, _ = xmldoc.ParseString(s) })
+		neverPanics(t, "xmldoc", func() { _, _ = xmldoc.Parse(strings.NewReader(s)) })
 		neverPanics(t, "xquery", func() { _, _ = xquery.Compile(s) })
 		neverPanics(t, "newick", func() { _, _ = phylo.ParseNewick("f", s) })
-		neverPanics(t, "obo", func() { _, _ = ontology.ParseOBOString(s) })
-		neverPanics(t, "fasta", func() { _, _ = seq.ParseFASTAString(s, seq.DNA) })
-		neverPanics(t, "msa", func() { _, _ = msa.ParseFASTAString(s, "m") })
+		neverPanics(t, "obo", func() { _, _ = ontology.ParseOBO(strings.NewReader(s)) })
+		neverPanics(t, "fasta", func() { _, _ = seq.ParseFASTA(strings.NewReader(s), seq.DNA) })
 		neverPanics(t, "query", func() { _, _ = query.Parse(s) })
 		return ok
 	}
@@ -56,7 +54,7 @@ func TestParsersNeverPanicOnMutatedValidInput(t *testing.T) {
 	}{
 		"xmldoc": {
 			`<annotation id="1"><meta><dc:creator>g</dc:creator></meta><body>text</body></annotation>`,
-			func(s string) { _, _ = xmldoc.ParseString(s) },
+			func(s string) { _, _ = xmldoc.Parse(strings.NewReader(s)) },
 		},
 		"xquery": {
 			`//referent[@kind='interval' and @lo > 10]`,
@@ -68,11 +66,11 @@ func TestParsersNeverPanicOnMutatedValidInput(t *testing.T) {
 		},
 		"obo": {
 			"[Term]\nid: A:1\nname: alpha\n\n[Term]\nid: A:2\nis_a: A:1\n",
-			func(s string) { _, _ = ontology.ParseOBOString(s) },
+			func(s string) { _, _ = ontology.ParseOBO(strings.NewReader(s)) },
 		},
 		"fasta": {
 			">s1 desc\nACGTACGT\n>s2\nGGCC\n",
-			func(s string) { _, _ = seq.ParseFASTAString(s, seq.DNA) },
+			func(s string) { _, _ = seq.ParseFASTA(strings.NewReader(s), seq.DNA) },
 		},
 		"query": {
 			`select graph where { ?a isa annotation ; contains "x" . ?r isa referent ; overlaps [1, 9) . ?a annotates ?r . } constrain disjoint(?r, ?r)`,
@@ -119,6 +117,6 @@ func TestDeepNestingDoesNotOverflow(t *testing.T) {
 		_, _ = xquery.Compile(strings.Repeat("(", depth) + "1" + strings.Repeat(")", depth))
 	})
 	neverPanics(t, "xml-deep", func() {
-		_, _ = xmldoc.ParseString(strings.Repeat("<a>", depth) + strings.Repeat("</a>", depth))
+		_, _ = xmldoc.Parse(strings.NewReader(strings.Repeat("<a>", depth) + strings.Repeat("</a>", depth)))
 	})
 }

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -24,12 +25,12 @@ func TestPropagationStudy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(study.Store.View().DerivedAll(), again.Store.View().DerivedAll()) {
+	if !reflect.DeepEqual(slices.Collect(study.Store.View().DerivedEach), slices.Collect(again.Store.View().DerivedEach)) {
 		t.Fatal("propagation study is not deterministic")
 	}
 	// The closure rule fired: at least one fact targets an ontology term.
 	sawClosure := false
-	for _, f := range study.Store.View().DerivedAll() {
+	for _, f := range slices.Collect(study.Store.View().DerivedEach) {
 		if f.Rule == "p-closure" {
 			sawClosure = true
 			break

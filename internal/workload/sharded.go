@@ -227,23 +227,3 @@ func ShardedScenario(cfg RecoveryConfig, systems int) []RecoveryOp {
 	}
 	return ops
 }
-
-// BroadcastPrefixLen returns how many leading ops of a scenario are
-// broadcast ops' upper bound: the position after the last broadcast op
-// (ontology registrations and rule changes). A sharded crash harness
-// must only kill after this point, so a kill never lands between the
-// per-shard applications of one broadcast.
-func BroadcastPrefixLen(ops []RecoveryOp) int {
-	last := 0
-	for _, op := range ops {
-		switch {
-		case hasPrefix(op.Name, "register-ontology"),
-			hasPrefix(op.Name, "add-rule"),
-			hasPrefix(op.Name, "delete-rule"):
-			last = op.Seq
-		}
-	}
-	return last
-}
-
-func hasPrefix(s, p string) bool { return len(s) >= len(p) && s[:len(p)] == p }

@@ -203,7 +203,7 @@ func TestContentDocumentsFlatVsTree(t *testing.T) {
 			terms: []core.TermRef{{Ontology: `go<&">`, TermID: "enzyme"}, {Ontology: `go<&">`, TermID: `pro"tease'`}},
 			dc: func(b *core.Builder) {
 				b.Creator("zed").Creator(hostile).Creator("abe").Date("2008-04-07").Title(hostile).
-					Subject("s2").Subject("s1").Subject("s1").
+					DCElement(dublincore.Subject, "s2", "s1", "s1").
 					DCElement(dublincore.Rights, "", "<r>").DCElement(dublincore.Language, "en")
 			}},
 		{name: "shared referents", body: "again", marks: []string{"interval", "clade", "interval"}, dc: plainDC},

@@ -163,7 +163,7 @@ var parseCorpus = []string{
 
 func TestFlatVsTreeParse(t *testing.T) {
 	for _, src := range parseCorpus {
-		flat, ferr := ParseString(src)
+		flat, ferr := Parse(strings.NewReader(src))
 		tree, terr := ParseTreeString(src)
 		if (ferr == nil) != (terr == nil) || ferr != nil && ferr.Error() != terr.Error() {
 			t.Fatalf("%q: flat error %v, tree error %v", src, ferr, terr)
@@ -233,7 +233,7 @@ func TestFlatVsTreeRandom(t *testing.T) {
 		SameAsTree(t, flat, tree)
 
 		src := tree.String()
-		flat2, ferr := ParseString(src)
+		flat2, ferr := Parse(strings.NewReader(src))
 		tree2, terr := ParseTreeString(src)
 		if (ferr == nil) != (terr == nil) {
 			t.Fatalf("seed %d: %q: flat error %v, tree error %v", seed, src, ferr, terr)

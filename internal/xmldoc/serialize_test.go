@@ -150,7 +150,7 @@ func FuzzAppendJSON(f *testing.F) {
 	f.Add(`<a><![CDATA[one]]><![CDATA[two]]><!--x--></a>`, "bad\xff", "\xff\xfe\xc3 \xe2\x82 \xed\xa0\x80")
 	f.Add("<a>\x01</a>", "t\n", "\x00\x1f\x7f\\\t\r\n\b\f")
 	f.Fuzz(func(t *testing.T, src, name, value string) {
-		if d, err := ParseString(src); err == nil {
+		if d, err := Parse(strings.NewReader(src)); err == nil {
 			wantJSON(t, d)
 		}
 		if name == "" {

@@ -3,6 +3,7 @@ package xmldoc
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -108,7 +109,7 @@ func TestSealedDocumentIsImmutable(t *testing.T) {
 	b.SetAttr("k", "v")
 	built.Seal()
 	built.Seal() // a second Seal does nothing
-	parsed, err := ParseString(`<a><b k="v">text</b></a>`)
+	parsed, err := Parse(strings.NewReader(`<a><b k="v">text</b></a>`))
 	if err != nil {
 		t.Fatal(err)
 	}

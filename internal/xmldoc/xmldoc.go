@@ -88,8 +88,7 @@ import (
 	"io"
 	"runtime"
 	"slices"
-	"sort"
-	"strconv"
+
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -505,12 +504,6 @@ func (d *Document) Seal() {
 	scratches.Put(b)
 }
 
-// SameShape reports whether two sealed documents share one interned shape:
-// the same nodes, names and attributes, whatever their values.
-func SameShape(a, b *Document) bool {
-	return a.sh == b.sh && a.sh.b == nil
-}
-
 // A ShapeMemo keeps a value derived from a document's shape alone — its
 // nodes, names and attributes and where each value sits, never the values
 // themselves — on the shape: it is derived once per shape, on first use,
@@ -577,11 +570,6 @@ func (d *Document) AddElement(parent Node, name string) Node {
 	return Node{d: d, i: d.add(d.own(parent), ElementNode, name)}
 }
 
-// AddText appends a text node as the last child of parent and returns it.
-func (d *Document) AddText(parent Node, text string) Node {
-	return Node{d: d, i: d.add(d.own(parent), TextNode, text)}
-}
-
 // AddElementText is the common "leaf element with text content" helper: it
 // creates <name>text</name> under parent and returns the element.
 func (d *Document) AddElementText(parent Node, name, text string) Node {
@@ -592,9 +580,6 @@ func (d *Document) AddElementText(parent Node, name, text string) Node {
 
 // Valid reports whether the handle addresses a node or attribute.
 func (n Node) Valid() bool { return n.d != nil }
-
-// ID returns the node's ID within its document: its table index plus one.
-func (n Node) ID() uint64 { return uint64(n.i) + 1 }
 
 // Kind returns the node's type.
 func (n Node) Kind() Kind {
@@ -755,31 +740,6 @@ func (n Node) AttrNode(k int) Node {
 	return Node{d: n.d, i: n.i, attr: n.attrSlot(k) + 1}
 }
 
-// Attrs returns a copy of the element's attributes, in the order they were
-// set.
-func (n Node) Attrs() []Attr {
-	var out []Attr
-	for k := range n.NumAttrs() {
-		out = append(out, n.AttrAt(k))
-	}
-	return out
-}
-
-// Attr returns the value of the named attribute and whether it is present.
-func (n Node) Attr(name string) (string, bool) {
-	if n.attr != 0 {
-		return "", false
-	}
-	sh := n.d.sh
-	lo, hi := sh.attrs(n.i)
-	for s := lo; s < hi; s++ {
-		if sh.name(sh.slots[s]) == name {
-			return n.d.value(s), true
-		}
-	}
-	return "", false
-}
-
 // SetAttr sets (or replaces) an attribute on an element node of a document
 // still being built.
 func (n Node) SetAttr(name, value string) {
@@ -834,18 +794,6 @@ func (n Node) Text() string {
 	return sb.String()
 }
 
-// ChildElements returns the element children of n, in order. If name is
-// non-empty only elements with that name are returned.
-func (n Node) ChildElements(name string) []Node {
-	var out []Node
-	for c := n.FirstChild(); c.Valid(); c = c.NextSibling() {
-		if c.Kind() == ElementNode && (name == "" || c.Name() == name) {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // FirstChildElement returns the first element child named name, if any.
 func (n Node) FirstChildElement(name string) Node {
 	for c := n.FirstChild(); c.Valid(); c = c.NextSibling() {
@@ -878,37 +826,6 @@ func (n Node) Compare(m Node) int {
 		return int(n.i) - int(m.i)
 	}
 	return int(n.attr) - int(m.attr)
-}
-
-// Path returns a simple absolute location path for the node, e.g.
-// "/annotation/content[2]" or "/annotation/@id". Positional predicates
-// count same-named siblings.
-func (n Node) Path() string {
-	p := n.Parent()
-	if !p.Valid() {
-		return "/" + n.Name()
-	}
-	if n.attr != 0 {
-		return p.Path() + "/@" + n.Name()
-	}
-	name := n.Name()
-	idx, count := 0, 0
-	for sib := p.FirstChild(); sib.Valid(); sib = sib.NextSibling() {
-		if sib.Kind() == ElementNode && sib.Name() == name {
-			count++
-			if sib == n {
-				idx = count
-			}
-		}
-	}
-	step := name
-	if n.Kind() == TextNode {
-		step = "text()"
-	}
-	if count > 1 {
-		return p.Path() + "/" + step + "[" + strconv.Itoa(idx) + "]"
-	}
-	return p.Path() + "/" + step
 }
 
 // Parse reads an XML document from r and returns it sealed.
@@ -962,11 +879,6 @@ func Parse(r io.Reader) (*Document, error) {
 	}
 	d.Seal()
 	return d, nil
-}
-
-// ParseString parses an XML document from a string.
-func ParseString(s string) (*Document, error) {
-	return Parse(strings.NewReader(s))
 }
 
 // WriteTo serialises the document to w with two-space indentation.
@@ -1261,34 +1173,6 @@ func appendEscapedJSON(dst []byte, s string) []byte {
 	return append(dst, s[start:]...)
 }
 
-// Equal reports whether two documents have the same structure and content,
-// ignoring node IDs.
-func Equal(a, b *Document) bool {
-	return nodeEqual(a.Root, b.Root)
-}
-
-func nodeEqual(a, b Node) bool {
-	if a.Kind() != b.Kind() || a.Name() != b.Name() || a.Value() != b.Value() {
-		return false
-	}
-	as, bs := a.Attrs(), b.Attrs()
-	if len(as) != len(bs) {
-		return false
-	}
-	sort.Slice(as, func(i, j int) bool { return as[i].Name < as[j].Name })
-	sort.Slice(bs, func(i, j int) bool { return bs[i].Name < bs[j].Name })
-	if !slices.Equal(as, bs) {
-		return false
-	}
-	ca, cb := a.FirstChild(), b.FirstChild()
-	for ; ca.Valid() && cb.Valid(); ca, cb = ca.NextSibling(), cb.NextSibling() {
-		if !nodeEqual(ca, cb) {
-			return false
-		}
-	}
-	return !ca.Valid() && !cb.Valid()
-}
-
 // Keywords returns the distinct lower-cased word tokens appearing in the
 // document's text content and attribute values, sorted. Used by the
 // annotation store's keyword index (ablation A6), which calls it on every
@@ -1357,11 +1241,6 @@ func lowerIs(w, lower string) bool {
 	}
 	return true
 }
-
-// Tokenize splits s into lower-cased word tokens. Letters, digits, '.', '-'
-// and '_' are word characters (so terms like "protein.TP53" survive as one
-// token); everything else separates tokens.
-func Tokenize(s string) []string { return appendTokens(nil, s) }
 
 // appendTokens appends s's tokens to dst. Word characters are ASCII, so a
 // token is a substring of s, copied only when it has to be lower-cased.

@@ -119,7 +119,7 @@ func TestParseRoundTrip(t *testing.T) {
   <body>The <b>protease</b> site overlaps segment 3.</body>
   <!--reviewed-->
 </annotation>`
-	d, err := ParseString(src)
+	d, err := Parse(strings.NewReader(src))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestParseRoundTrip(t *testing.T) {
 		t.Fatalf("body text = %q", body.Text())
 	}
 	// Round trip: serialise and reparse, then compare structure.
-	d2, err := ParseString(d.String())
+	d2, err := Parse(strings.NewReader(d.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,14 +156,14 @@ func TestParseErrors(t *testing.T) {
 		"<unclosed>",
 	}
 	for _, src := range cases {
-		if _, err := ParseString(src); err == nil {
-			t.Errorf("ParseString(%q) succeeded, want error", src)
+		if _, err := Parse(strings.NewReader(src)); err == nil {
+			t.Errorf("Parse(%q) succeeded, want error", src)
 		}
 	}
 }
 
 func TestParseSkipsInterElementWhitespace(t *testing.T) {
-	d, err := ParseString("<a>\n  <b>x</b>\n</a>")
+	d, err := Parse(strings.NewReader("<a>\n  <b>x</b>\n</a>"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestEscaping(t *testing.T) {
 	if strings.Contains(out, `<x>`) || !strings.Contains(out, "&lt;x&gt;") {
 		t.Fatalf("text not escaped: %s", out)
 	}
-	d2, err := ParseString(out)
+	d2, err := Parse(strings.NewReader(out))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestEscaping(t *testing.T) {
 }
 
 func TestDescendantsOrderAndStop(t *testing.T) {
-	d, err := ParseString(`<r><a><b>1</b></a><c/><d>2</d></r>`)
+	d, err := Parse(strings.NewReader(`<r><a><b>1</b></a><c/><d>2</d></r>`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestDescendantsOrderAndStop(t *testing.T) {
 }
 
 func TestPath(t *testing.T) {
-	d, err := ParseString(`<r><s>one</s><s>two</s><u><v/></u></r>`)
+	d, err := Parse(strings.NewReader(`<r><s>one</s><s>two</s><u><v/></u></r>`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestPath(t *testing.T) {
 	}
 	// An attribute handle reads as a text node, but its step is the
 	// attribute's.
-	d, err = ParseString(`<a><r lo="1" hi="2"/><r lo="3"/></a>`)
+	d, err = Parse(strings.NewReader(`<a><r lo="1" hi="2"/><r lo="3"/></a>`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestPath(t *testing.T) {
 			t.Errorf("Path = %q, want %q", got, c.want)
 		}
 	}
-	d, err = ParseString(`<a><r lo="1"/></a>`)
+	d, err = Parse(strings.NewReader(`<a><r lo="1"/></a>`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,9 +260,9 @@ func TestPath(t *testing.T) {
 }
 
 func TestEqual(t *testing.T) {
-	a, _ := ParseString(`<r x="1" y="2"><a>t</a></r>`)
-	b, _ := ParseString(`<r y="2" x="1"><a>t</a></r>`) // attr order ignored
-	c, _ := ParseString(`<r x="1" y="2"><a>T</a></r>`)
+	a, _ := Parse(strings.NewReader(`<r x="1" y="2"><a>t</a></r>`))
+	b, _ := Parse(strings.NewReader(`<r y="2" x="1"><a>t</a></r>`)) // attr order ignored
+	c, _ := Parse(strings.NewReader(`<r x="1" y="2"><a>T</a></r>`))
 	if !Equal(a, b) {
 		t.Fatal("attribute order should not affect equality")
 	}
@@ -301,13 +301,13 @@ func TestHasKeyword(t *testing.T) {
 		`<a>K Ünïcode mixed WORDS, words.</a>`,
 		`<a/>`,
 	} {
-		d, err := ParseString(src)
+		d, err := Parse(strings.NewReader(src))
 		if err != nil {
 			t.Fatal(err)
 		}
 		checkHasKeyword(t, d)
 	}
-	d, _ := ParseString(`<a><!-- hidden --><b>Shown</b></a>`)
+	d, _ := Parse(strings.NewReader(`<a><!-- hidden --><b>Shown</b></a>`))
 	if d.HasKeyword("hidden") || !d.HasKeyword("shown") {
 		t.Fatalf("HasKeyword: comment text %v, element text %v", d.HasKeyword("hidden"), d.HasKeyword("shown"))
 	}
@@ -317,7 +317,7 @@ func TestHasKeyword(t *testing.T) {
 }
 
 func TestKeywords(t *testing.T) {
-	d, _ := ParseString(`<a term="protein.TP53"><b>Protease in NS1; protease!</b></a>`)
+	d, _ := Parse(strings.NewReader(`<a term="protein.TP53"><b>Protease in NS1; protease!</b></a>`))
 	kws := d.Keywords()
 	has := func(w string) bool {
 		for _, k := range kws {
@@ -389,7 +389,7 @@ func TestQuickSerialiseParse(t *testing.T) {
 				cur = el // go deeper
 			}
 		}
-		d2, err := ParseString(d.String())
+		d2, err := Parse(strings.NewReader(d.String()))
 		if err != nil {
 			return false
 		}

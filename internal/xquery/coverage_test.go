@@ -10,8 +10,8 @@ import (
 
 func TestSourceAndSyntaxError(t *testing.T) {
 	q := MustCompile("/a/b")
-	if q.Source() != "/a/b" {
-		t.Fatalf("Source = %q", q.Source())
+	if q.String() != "/a/b" {
+		t.Fatalf("Source = %q", q.String())
 	}
 	_, err := Compile("//a[")
 	if err == nil {
@@ -27,7 +27,7 @@ func TestSourceAndSyntaxError(t *testing.T) {
 }
 
 func TestUnaryMinusAndArithmetic(t *testing.T) {
-	d, _ := xmldoc.ParseString("<r><n>5</n></r>")
+	d, _ := xmldoc.Parse(strings.NewReader("<r><n>5</n></r>"))
 	cases := []struct {
 		expr string
 		want float64
@@ -50,7 +50,7 @@ func TestUnaryMinusAndArithmetic(t *testing.T) {
 }
 
 func TestNodeSetComparisons(t *testing.T) {
-	d, _ := xmldoc.ParseString(`<r><v>1</v><v>5</v><v>9</v><w>5</w></r>`)
+	d, _ := xmldoc.Parse(strings.NewReader(`<r><v>1</v><v>5</v><v>9</v><w>5</w></r>`))
 	cases := []struct {
 		expr string
 		want bool
@@ -78,7 +78,7 @@ func TestNodeSetComparisons(t *testing.T) {
 }
 
 func TestBooleanComparisons(t *testing.T) {
-	d, _ := xmldoc.ParseString(`<r><v>x</v></r>`)
+	d, _ := xmldoc.Parse(strings.NewReader(`<r><v>x</v></r>`))
 	cases := []struct {
 		expr string
 		want bool
@@ -100,34 +100,29 @@ func TestBooleanComparisons(t *testing.T) {
 }
 
 func TestNameFunction(t *testing.T) {
-	d, _ := xmldoc.ParseString(`<root><child/></root>`)
-	got, err := MustCompile("name(/root/child)").EvalString(d)
-	if err != nil || got != "child" {
-		t.Fatalf("name(path) = %q, %v", got, err)
+	d, _ := xmldoc.Parse(strings.NewReader(`<root><child/></root>`))
+	if got := evalStr(t, d, "name(/root/child)"); got != "child" {
+		t.Fatalf("name(path) = %q", got)
 	}
-	got, err = MustCompile("name()").EvalString(d)
-	if err != nil || got != "root" {
-		t.Fatalf("name() = %q, %v", got, err)
+	if got := evalStr(t, d, "name()"); got != "root" {
+		t.Fatalf("name() = %q", got)
 	}
-	got, err = MustCompile("name(/nothing)").EvalString(d)
-	if err != nil || got != "" {
-		t.Fatalf("name(empty) = %q, %v", got, err)
+	if got := evalStr(t, d, "name(/nothing)"); got != "" {
+		t.Fatalf("name(empty) = %q", got)
 	}
 }
 
 func TestNumberStringFunctions(t *testing.T) {
-	d, _ := xmldoc.ParseString(`<r><n> 42 </n></r>`)
+	d, _ := xmldoc.Parse(strings.NewReader(`<r><n> 42 </n></r>`))
 	v, err := MustCompile("number(/r/n)").EvalValue(d)
 	if err != nil || v.AsNumber() != 42 {
 		t.Fatalf("number = %v, %v", v, err)
 	}
-	s, err := MustCompile("string(3.5)").EvalString(d)
-	if err != nil || s != "3.5" {
-		t.Fatalf("string(3.5) = %q, %v", s, err)
+	if s := evalStr(t, d, "string(3.5)"); s != "3.5" {
+		t.Fatalf("string(3.5) = %q", s)
 	}
-	s, err = MustCompile("string(count(/r/n))").EvalString(d)
-	if err != nil || s != "1" {
-		t.Fatalf("string(count) = %q, %v", s, err)
+	if s := evalStr(t, d, "string(count(/r/n))"); s != "1" {
+		t.Fatalf("string(count) = %q", s)
 	}
 	// NaN conversions are safe.
 	v, err = MustCompile("number('abc')").EvalValue(d)
@@ -153,13 +148,10 @@ func TestEvalOnNilDocument(t *testing.T) {
 	if _, err := q.EvalBool(nil); err == nil {
 		t.Fatal("nil document accepted by EvalBool")
 	}
-	if _, err := q.EvalString(nil); err == nil {
-		t.Fatal("nil document accepted by EvalString")
-	}
 }
 
 func TestEvalTypeErrorNames(t *testing.T) {
-	d, _ := xmldoc.ParseString("<a/>")
+	d, _ := xmldoc.Parse(strings.NewReader("<a/>"))
 	// Eval on each non-node-set kind mentions the kind name.
 	for _, expr := range []string{"count(/a)", "'str'", "true()"} {
 		_, err := MustCompile(expr).Eval(d)
@@ -170,20 +162,19 @@ func TestEvalTypeErrorNames(t *testing.T) {
 }
 
 func TestDescendantAttributeStep(t *testing.T) {
-	d, _ := xmldoc.ParseString(`<r><a k="1"/><b><a k="2"/></b></r>`)
+	d, _ := xmldoc.Parse(strings.NewReader(`<r><a k="1"/><b><a k="2"/></b></r>`))
 	ns, err := MustCompile("//a/@k").Eval(d)
 	if err != nil || len(ns) != 2 {
 		t.Fatalf("//a/@k = %d nodes, %v", len(ns), err)
 	}
 	// Attribute node string values.
-	got, _ := MustCompile("//b/a/@k").EvalString(d)
-	if got != "2" {
+	if got := evalStr(t, d, "//b/a/@k"); got != "2" {
 		t.Fatalf("//b/a/@k = %q", got)
 	}
 }
 
 func TestPositionLastInNestedPredicates(t *testing.T) {
-	d, _ := xmldoc.ParseString(`<r><s><i>a</i><i>b</i></s><s><i>c</i></s></r>`)
+	d, _ := xmldoc.Parse(strings.NewReader(`<r><s><i>a</i><i>b</i></s><s><i>c</i></s></r>`))
 	ns, err := MustCompile("/r/s[last()]/i[1]").Eval(d)
 	if err != nil || len(ns) != 1 || ns[0].Text() != "c" {
 		t.Fatalf("nested positional = %v, %v", ns, err)

@@ -127,38 +127,10 @@ type evalCtx struct {
 	size int
 }
 
-// Eval evaluates the query against doc and returns the resulting node set.
-// Non-node-set results produce an error; use EvalValue for those.
-func (q *Query) Eval(doc *xmldoc.Document) ([]xmldoc.Node, error) {
-	v, err := q.EvalValue(doc)
-	if err != nil {
-		return nil, err
-	}
-	if v.Kind != NodeSetValue {
-		return nil, fmt.Errorf("xquery: %q evaluates to a %s, not a node set", q.src, kindName(v.Kind))
-	}
-	return v.Nodes, nil
-}
-
-// EvalValue evaluates the query against doc and returns the raw value.
-func (q *Query) EvalValue(doc *xmldoc.Document) (Value, error) {
-	var s Scratch // fresh, so the value's node list is the caller's to keep
-	return s.eval(q, doc)
-}
-
 // EvalBool evaluates the query and converts the result to a boolean.
 func (q *Query) EvalBool(doc *xmldoc.Document) (bool, error) {
 	var s Scratch
 	return s.EvalBool(q, doc)
-}
-
-// EvalString evaluates the query and converts the result to a string.
-func (q *Query) EvalString(doc *xmldoc.Document) (string, error) {
-	v, err := q.EvalValue(doc)
-	if err != nil {
-		return "", err
-	}
-	return v.AsString(), nil
 }
 
 // EvalBool is Query.EvalBool in s's memory.
@@ -178,19 +150,6 @@ func (s *Scratch) eval(q *Query, doc *xmldoc.Document) (Value, error) {
 	}
 	s.nodes = s.nodes[:0]
 	return s.evalExpr(q.expr, evalCtx{node: doc.Root, pos: 1, size: 1})
-}
-
-func kindName(k ValueKind) string {
-	switch k {
-	case NodeSetValue:
-		return "node-set"
-	case StringValue:
-		return "string"
-	case NumberValue:
-		return "number"
-	default:
-		return "boolean"
-	}
 }
 
 func (s *Scratch) evalExpr(e Expr, ctx evalCtx) (Value, error) {

@@ -100,31 +100,31 @@ func sameResult(t testing.TB, sc *Scratch, q *Query, flat *xmldoc.Document, root
 	fv, ferr := q.EvalValue(flat)
 	tv, terr := treeEval(q, root)
 	if (ferr == nil) != (terr == nil) || ferr != nil && ferr.Error() != terr.Error() {
-		t.Fatalf("%s: error %v, tree %v", q.Source(), ferr, terr)
+		t.Fatalf("%s: error %v, tree %v", q.String(), ferr, terr)
 	}
 	if ferr != nil {
 		return
 	}
 	if fv.Kind != tv.Kind || fv.Str != tv.Str || !sameNaN(fv.Num, tv.Num) || fv.Bool != tv.Bool || len(fv.Nodes) != len(tv.Nodes) {
-		t.Fatalf("%s: %s %q %v %v with %d nodes, tree %s %q %v %v with %d nodes", q.Source(),
+		t.Fatalf("%s: %s %q %v %v with %d nodes, tree %s %q %v %v with %d nodes", q.String(),
 			kindName(fv.Kind), fv.Str, fv.Num, fv.Bool, len(fv.Nodes),
 			kindName(tv.Kind), tv.Str, tv.Num, tv.Bool, len(tv.Nodes))
 	}
 	for i, fn := range fv.Nodes {
 		tn := tv.Nodes[i]
-		if fn.ID() != tn.ID || fn.Kind() != tn.Kind || fn.Name() != tn.Name || fn.Value() != tn.Value ||
+		if nodeID(fn) != tn.ID || fn.Kind() != tn.Kind || fn.Name() != tn.Name || fn.Value() != tn.Value ||
 			nodeString(fn) != treeNodeString(tn) || fn.Parent().Valid() != (tn.Parent != nil) ||
-			tn.Parent != nil && fn.Parent().ID() != tn.Parent.ID {
-			t.Fatalf("%s: result %d is node %d %v %q %q, tree has node %d %v %q %q", q.Source(), i,
-				fn.ID(), fn.Kind(), fn.Name(), fn.Value(), tn.ID, tn.Kind, tn.Name, tn.Value)
+			tn.Parent != nil && nodeID(fn.Parent()) != tn.Parent.ID {
+			t.Fatalf("%s: result %d is node %d %v %q %q, tree has node %d %v %q %q", q.String(), i,
+				nodeID(fn), fn.Kind(), fn.Name(), fn.Value(), tn.ID, tn.Kind, tn.Name, tn.Value)
 		}
 	}
 	if fv.AsBool() != tv.AsBool() || fv.AsString() != tv.AsString() || !sameNaN(fv.AsNumber(), tv.AsNumber()) {
-		t.Fatalf("%s: converts to %v %q %v, tree %v %q %v", q.Source(),
+		t.Fatalf("%s: converts to %v %q %v, tree %v %q %v", q.String(),
 			fv.AsBool(), fv.AsString(), fv.AsNumber(), tv.AsBool(), tv.AsString(), tv.AsNumber())
 	}
 	if got, err := sc.EvalBool(q, flat); err != nil || got != tv.AsBool() {
-		t.Fatalf("%s: EvalBool in reused scratch = %v, %v; tree %v", q.Source(), got, err, tv.AsBool())
+		t.Fatalf("%s: EvalBool in reused scratch = %v, %v; tree %v", q.String(), got, err, tv.AsBool())
 	}
 }
 
@@ -139,9 +139,9 @@ func sameDocument(t testing.TB, flat *xmldoc.Document, nodes []*treeNode) {
 	flat.Root.Descendants(func(n xmldoc.Node) bool { all = append(all, n); return true })
 	for i, fn := range all {
 		tn := nodes[i]
-		if fn.ID() != tn.ID || fn.Kind() != tn.Kind || fn.Name() != tn.Name || fn.Value() != tn.Value ||
-			!slices.Equal(fn.Attrs(), tn.Attrs) || fn.Text() != tn.Text() {
-			t.Fatalf("node %d is %v %q %q %v, tree %d %v %q %q %v", fn.ID(), fn.Kind(), fn.Name(), fn.Value(), fn.Attrs(),
+		if nodeID(fn) != tn.ID || fn.Kind() != tn.Kind || fn.Name() != tn.Name || fn.Value() != tn.Value ||
+			!slices.Equal(attrsOf(fn), tn.Attrs) || fn.Text() != tn.Text() {
+			t.Fatalf("node %d is %v %q %q %v, tree %d %v %q %q %v", nodeID(fn), fn.Kind(), fn.Name(), fn.Value(), attrsOf(fn),
 				tn.ID, tn.Kind, tn.Name, tn.Value, tn.Attrs)
 		}
 	}
@@ -152,7 +152,7 @@ func TestFlatVsTreeCorpus(t *testing.T) {
 	for _, expr := range diffExprs {
 		q := MustCompile(expr)
 		for _, src := range diffDocs {
-			flat, err := xmldoc.ParseString(src)
+			flat, err := xmldoc.Parse(strings.NewReader(src))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -194,7 +194,7 @@ func TestScratchResultsAreStable(t *testing.T) {
 // TestScanAllocations pins what the scan loop costs per document once the
 // scratch is warm: nothing for the collection search the benchmark issues.
 func TestScanAllocations(t *testing.T) {
-	d, err := xmldoc.ParseString(diffDocs[len(diffDocs)-1])
+	d, err := xmldoc.Parse(strings.NewReader(diffDocs[len(diffDocs)-1]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,4 +246,31 @@ func FuzzFlatVsTree(f *testing.F) {
 		var sc Scratch
 		sameResult(t, &sc, q, flat, root)
 	})
+}
+
+// nodeID numbers n as the tree evaluator numbers its nodes: by position in
+// document order from 1, an attribute by its element's.
+func nodeID(n xmldoc.Node) uint64 {
+	root := n
+	for p := n.Parent(); p.Valid(); p = p.Parent() {
+		root = p
+	}
+	id := uint64(1)
+	root.Descendants(func(m xmldoc.Node) bool {
+		if m.Compare(n) > 0 {
+			return false
+		}
+		id++
+		return true
+	})
+	return id
+}
+
+// attrsOf returns an element's attributes in the order they were set.
+func attrsOf(n xmldoc.Node) []xmldoc.Attr {
+	var out []xmldoc.Attr
+	for k := range n.NumAttrs() {
+		out = append(out, n.AttrAt(k))
+	}
+	return out
 }

@@ -88,12 +88,8 @@ func (*FuncCall) exprNode()   {}
 
 // Query is a compiled expression ready for evaluation.
 type Query struct {
-	src  string
 	expr Expr
 }
-
-// Source returns the original expression text.
-func (q *Query) Source() string { return q.src }
 
 // SyntaxError describes a compile failure with its position.
 type SyntaxError struct {
@@ -119,17 +115,7 @@ func Compile(src string) (*Query, error) {
 	if p.tok.kind != tokEOF {
 		return nil, p.errorf("unexpected %q after expression", p.tok.text)
 	}
-	return &Query{src: src, expr: expr}, nil
-}
-
-// MustCompile is Compile for expressions known to be valid; it panics on
-// error. Intended for tests and package-level variables.
-func MustCompile(src string) *Query {
-	q, err := Compile(src)
-	if err != nil {
-		panic(err)
-	}
-	return q
+	return &Query{expr: expr}, nil
 }
 
 // --- lexer ---

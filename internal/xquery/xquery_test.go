@@ -22,7 +22,7 @@ const sample = `<annotation id="a7" kind="comment">
 
 func doc(t *testing.T) *xmldoc.Document {
 	t.Helper()
-	d, err := xmldoc.ParseString(sample)
+	d, err := xmldoc.Parse(strings.NewReader(sample))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,11 +48,11 @@ func evalStr(t *testing.T, d *xmldoc.Document, expr string) string {
 	if err != nil {
 		t.Fatalf("Compile(%q): %v", expr, err)
 	}
-	s, err := q.EvalString(d)
+	v, err := q.EvalValue(d)
 	if err != nil {
-		t.Fatalf("EvalString(%q): %v", expr, err)
+		t.Fatalf("EvalValue(%q): %v", expr, err)
 	}
-	return s
+	return v.AsString()
 }
 
 func evalBool(t *testing.T, d *xmldoc.Document, expr string) bool {
@@ -221,7 +221,7 @@ func TestParentAndSelf(t *testing.T) {
 }
 
 func TestDescendantDeduplication(t *testing.T) {
-	d, err := xmldoc.ParseString(`<a><b><c/><c/></b><b><c/></b></a>`)
+	d, err := xmldoc.Parse(strings.NewReader(`<a><b><c/><c/></b><b><c/></b></a>`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,15 +236,15 @@ func TestDescendantDeduplication(t *testing.T) {
 	}
 	seen := map[uint64]bool{}
 	for _, n := range ns {
-		if seen[n.ID()] {
+		if seen[nodeID(n)] {
 			t.Fatal("duplicate node in result")
 		}
-		seen[n.ID()] = true
+		seen[nodeID(n)] = true
 	}
 }
 
 func TestDocumentOrder(t *testing.T) {
-	d, err := xmldoc.ParseString(`<a><x>1</x><y>2</y><x>3</x></a>`)
+	d, err := xmldoc.Parse(strings.NewReader(`<a><x>1</x><y>2</y><x>3</x></a>`))
 	if err != nil {
 		t.Fatal(err)
 	}

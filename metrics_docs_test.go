@@ -2,6 +2,7 @@ package graphitti
 
 import (
 	"bufio"
+	"bytes"
 	"os"
 	"regexp"
 	"sort"
@@ -47,7 +48,19 @@ func TestMetricsDocParity(t *testing.T) {
 		t.Fatal("no metric rows found in docs/METRICS.md — table format changed?")
 	}
 
-	registered := obs.Default.Names()
+	var expo bytes.Buffer
+	if err := obs.Default.WritePrometheus(&expo); err != nil {
+		t.Fatal(err)
+	}
+	exp, err := obs.ValidateExposition(&expo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var registered []string
+	for name := range exp.Families {
+		registered = append(registered, name)
+	}
+	sort.Strings(registered)
 	for _, name := range registered {
 		if !documented[name] {
 			t.Errorf("metric %s is registered but not documented in docs/METRICS.md", name)

@@ -2,6 +2,7 @@ package graphitti
 
 import (
 	"fmt"
+	"graphitti/internal/core"
 	"testing"
 
 	"graphitti/internal/interval"
@@ -38,7 +39,7 @@ func BenchmarkPropagation(b *testing.B) {
 			b.Fatal(err)
 		}
 		s := study.Store
-		baseline := s.View().DerivedCount()
+		baseline := s.View().Stats().Derived
 		if baseline == 0 {
 			b.Fatal("propagation study produced no derived facts")
 		}
@@ -73,7 +74,7 @@ func BenchmarkPropagation(b *testing.B) {
 		b.Run(fmt.Sprintf("delta/anns=%d", n), func(b *testing.B) {
 			probe(b, s, study.Domain)
 			b.StopTimer()
-			if got := s.View().DerivedCount(); got != baseline {
+			if got := s.View().Stats().Derived; got != baseline {
 				b.Fatalf("delta maintenance leaked facts: %d != %d", got, baseline)
 			}
 		})
@@ -81,7 +82,7 @@ func BenchmarkPropagation(b *testing.B) {
 		b.Run(fmt.Sprintf("control/anns=%d", n), func(b *testing.B) {
 			probe(b, control.Store, control.Domain)
 			b.StopTimer()
-			if got := control.Store.View().DerivedCount(); got != 0 {
+			if got := control.Store.View().Stats().Derived; got != 0 {
 				b.Fatalf("control store derived facts: %d", got)
 			}
 		})
@@ -89,12 +90,12 @@ func BenchmarkPropagation(b *testing.B) {
 		b.Run(fmt.Sprintf("recompute/anns=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if err := s.UpdateDerivedRules(func() error { return nil }); err != nil {
+				if err := s.Batch(func(x *core.Tx) error { return x.UpdateDerivedRules(func() error { return nil }) }); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.StopTimer()
-			if got := s.View().DerivedCount(); got != baseline {
+			if got := s.View().Stats().Derived; got != baseline {
 				b.Fatalf("recompute changed the fact count: %d != %d", got, baseline)
 			}
 		})
