@@ -24,6 +24,7 @@ import (
 	"graphitti/internal/interval"
 	"graphitti/internal/ontology"
 	"graphitti/internal/persist"
+	"graphitti/internal/prop"
 	"graphitti/internal/query"
 	"graphitti/internal/relstore"
 	"graphitti/internal/rtree"
@@ -702,37 +703,49 @@ func BenchmarkA7BulkLoadVsIncremental(b *testing.B) {
 
 // --- Snapshot load: restart / restore cost per annotation ---
 
-// BenchmarkLoadSnapshot measures persist.Load of an exported influenza
-// study — what every restart, restore and -snapshot start pays — and
-// reports it per annotation, so the two sizes read directly as "is load
-// cost linear in the store". One op is one whole load.
+// BenchmarkLoadSnapshot measures a load of an exported influenza study
+// from its bytes — what every restart, restore and -snapshot start pays:
+// the decode and the replay through the normal pipeline — in both forms,
+// the JSON export and the binary checkpoint, and reports it per
+// annotation, so the two sizes read directly as "is load cost linear in
+// the store". One op is one whole load.
 func BenchmarkLoadSnapshot(b *testing.B) {
 	for _, n := range []int{10_000, 40_000} {
-		b.Run(fmt.Sprintf("anns=%d", n), func(b *testing.B) {
-			src := fluStudy(b, n).Store
-			snap, err := persist.Export(src)
-			if err != nil {
-				b.Fatal(err)
-			}
-			want := src.Stats()
-			var ms0, ms1 runtime.MemStats
-			runtime.ReadMemStats(&ms0)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s, err := persist.Load(snap)
-				if err != nil {
-					b.Fatal(err)
+		src := fluStudy(b, n).Store
+		want := src.Stats()
+		var js, bin bytes.Buffer
+		if err := persist.Write(src, &js); err != nil {
+			b.Fatal(err)
+		}
+		if err := persist.WriteCheckpoint([]*core.View{src.View()}, prop.RulesOf(src), &bin); err != nil {
+			b.Fatal(err)
+		}
+		for _, form := range []struct {
+			name string
+			file []byte
+		}{{"json", js.Bytes()}, {"checkpoint", bin.Bytes()}} {
+			b.Run(fmt.Sprintf("anns=%d/form=%s", n, form.name), func(b *testing.B) {
+				b.ReportAllocs()
+				var ms0, ms1 runtime.MemStats
+				runtime.ReadMemStats(&ms0)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					s, err := persist.Read(bytes.NewReader(form.file))
+					if err != nil {
+						b.Fatal(err)
+					}
+					if got := s.Stats(); got != want {
+						b.Fatalf("loaded store differs:\n got %+v\nwant %+v", got, want)
+					}
 				}
-				if got := s.Stats(); got != want {
-					b.Fatalf("loaded store differs:\n got %+v\nwant %+v", got, want)
-				}
-			}
-			b.StopTimer()
-			runtime.ReadMemStats(&ms1)
-			anns := float64(b.N) * float64(len(snap.Annotations))
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/anns, "ns/ann")
-			b.ReportMetric(float64(ms1.TotalAlloc-ms0.TotalAlloc)/anns, "B/ann")
-		})
+				b.StopTimer()
+				runtime.ReadMemStats(&ms1)
+				anns := float64(b.N) * float64(want.Annotations)
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/anns, "ns/ann")
+				b.ReportMetric(float64(ms1.TotalAlloc-ms0.TotalAlloc)/anns, "B/ann")
+				b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/anns, "allocs/ann")
+			})
+		}
 	}
 }
 

@@ -213,11 +213,7 @@ func buildHandler(cfg serverConfig) (http.Handler, *shard.Store, string, error) 
 	if fresh && (cfg.snapshot != "" || cfg.study != "") {
 		// Nothing served yet: seed from the requested study/snapshot
 		// (checkpointed immediately where there is a log).
-		snap, err := seedSnapshot(cfg)
-		if err == nil {
-			err = sh.Restore(snap)
-		}
-		if err != nil {
+		if err := seed(cfg, sh); err != nil {
 			_ = sh.Close() // the seeding error is the one to report
 			return nil, nil, "", err
 		}
@@ -268,23 +264,27 @@ func seedSource(study, snapshot string) string {
 	return "study " + study
 }
 
-// seedSnapshot returns what a fresh deployment is restored from. A
-// snapshot file is only decoded — Restore is its one load; a generated
-// study has to be built into a store first and exported.
-func seedSnapshot(cfg serverConfig) (*persist.Snapshot, error) {
+// seed restores a fresh deployment. A snapshot file is streamed into
+// Restore, its one load, op by op as it is read; a generated study has to
+// be built into a store first, and its export is restored.
+func seed(cfg serverConfig, sh *shard.Store) error {
 	if cfg.snapshot != "" {
 		f, err := os.Open(cfg.snapshot)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		defer f.Close()
-		return persist.Decode(f)
+		return sh.Restore(persist.ReadOps(f, 0))
 	}
-	seed, err := buildStudy(cfg.study, cfg.anns, cfg.images)
+	study, err := buildStudy(cfg.study, cfg.anns, cfg.images)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return persist.Export(seed)
+	snap, err := persist.Export(study)
+	if err != nil {
+		return err
+	}
+	return sh.Restore(snap)
 }
 
 func buildStudy(study string, anns, images int) (*graphitti.Store, error) {

@@ -35,7 +35,7 @@
 // snapshot, written straight from a pinned view of the store, deflated,
 // behind a format byte and ahead of a CRC32C of the compressed bytes
 // (persist.WriteCheckpoint); the uncompressed format earlier builds wrote
-// still loads. persist.Decode reads it like any snapshot file, so
+// still loads. persist.ReadOps streams it like any snapshot file, so
 // `graphitti -load <checkpoint> -save out.json stats` turns one into
 // JSON. Open loads the checkpoint, replays WAL records with Seq beyond
 // the manifest's snapshotSeq, truncates a torn tail instead of failing,
@@ -818,10 +818,11 @@ func (s *Store) checkpointLocked(cs *core.Store, seq uint64) error {
 	return nil
 }
 
-// Restore replaces the store's entire state with snap and checkpoints it
-// immediately (fresh snapshot + empty log). The previous state is gone.
-func (s *Store) Restore(snap *persist.Snapshot) (*core.Store, error) {
-	cs, err := s.Stage(snap, nil)
+// Restore replaces the store's entire state with the snapshot src yields
+// and checkpoints it immediately (fresh snapshot + empty log). The
+// previous state is gone.
+func (s *Store) Restore(src persist.Source) (*core.Store, error) {
+	cs, err := s.Stage(src)
 	if err != nil {
 		return nil, err
 	}
@@ -831,12 +832,12 @@ func (s *Store) Restore(snap *persist.Snapshot) (*core.Store, error) {
 	return cs, nil
 }
 
-// Stage loads the part of snap that keep accepts (nil: all of it) into a
-// fresh store built like this pipeline's own, without touching the
-// pipeline: the half of Restore that can reject a snapshot. A shard set
-// stages every shard's part before it installs any.
-func (s *Store) Stage(snap *persist.Snapshot, keep func(persist.Op) bool) (*core.Store, error) {
-	return persist.LoadPart(snap, s.opts.Store, keep)
+// Stage loads the ops of src into a fresh store built like this
+// pipeline's own, without touching the pipeline: the half of Restore that
+// can reject a snapshot. A shard set stages every shard's part before it
+// installs any.
+func (s *Store) Stage(src persist.Source) (*core.Store, error) {
+	return persist.LoadWith(src, s.opts.Store)
 }
 
 // Install makes a staged store the pipeline's state: checkpointed first

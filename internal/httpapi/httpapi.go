@@ -770,7 +770,7 @@ func (s *server) objects(w http.ResponseWriter, r *http.Request) {
 // failed request. One after it cannot change the 200 already sent, so
 // the handler aborts the response: the client sees the body cut short,
 // and a checkpoint without its checksum trailer is refused by
-// persist.Decode.
+// persist.ReadOps.
 func (s *server) snapshot(w http.ResponseWriter, r *http.Request) {
 	vs := s.sh.Views()
 	body := &countingWriter{w: w}
@@ -796,42 +796,47 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 }
 
 // restore loads a persist snapshot (the body is what GET /api/snapshot
-// produces) and swaps it in: the shard set partitions it, loads every
-// partition, and only then installs them — checkpointed (snapshot + empty
-// WAL) before the request is acknowledged where there is a log. The
-// previous state is discarded. Only what is wrong with the snapshot is a
-// 400; a fault of the store while installing goes through writeErr like
-// any failed mutation. The one limit bounds both the upload and what a
-// compressed checkpoint in it inflates to: past it, a 413.
+// produces) and swaps it in: the shard set loads the body as it arrives,
+// each op on the shard it is placed on, and only once the whole body has
+// loaded — its checksum checked — installs every shard's part,
+// checkpointed (snapshot + empty WAL) before the request is acknowledged
+// where there is a log. The previous state is discarded. Only what is
+// wrong with the snapshot is a 400; a fault of the store while installing
+// goes through writeErr like any failed mutation. The one limit bounds
+// both the upload and what a compressed checkpoint in it inflates to:
+// past it, a 413, wherever in the body it falls, with nothing installed.
 func (s *server) restore(w http.ResponseWriter, r *http.Request) {
 	limit := s.opts.MaxRestoreBytes
 	if limit <= 0 {
 		limit = DefaultMaxRestoreBytes
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, limit)
-	snap, err := persist.DecodeLimited(r.Body, limit)
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) || errors.Is(err, persist.ErrInflateLimit) {
-			jsonError(w, r, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("snapshot exceeds %d bytes", limit))
-			return
-		}
-		jsonError(w, r, http.StatusBadRequest, err.Error())
-		return
-	}
-	// An aborted upload cancels the request context; don't swap in a
-	// store the client no longer wants (decoding above fails on a torn
-	// body, but a complete body with a gone client lands here).
-	if err := r.Context().Err(); err != nil {
+	body := untilDone{r.Context(), http.MaxBytesReader(w, r.Body, limit)}
+	err := s.sh.Restore(persist.ReadOps(body, limit))
+	var tooBig *http.MaxBytesError
+	switch {
+	case err == nil:
+		s.stats(w, r)
+	case errors.As(err, &tooBig) || errors.Is(err, persist.ErrInflateLimit):
+		jsonError(w, r, http.StatusRequestEntityTooLarge, fmt.Sprintf("snapshot exceeds %d bytes", limit))
+	case r.Context().Err() != nil:
+		writeErr(w, r, r.Context().Err())
+	default:
 		writeErr(w, r, err)
-		return
 	}
-	if err := s.sh.Restore(snap); err != nil {
-		writeErr(w, r, err)
-		return
+}
+
+// untilDone reads r until ctx is done: an upload whose client is gone
+// fails its restore rather than swap in a store nobody wants.
+type untilDone struct {
+	ctx context.Context
+	r   io.Reader
+}
+
+func (u untilDone) Read(p []byte) (int, error) {
+	if err := u.ctx.Err(); err != nil {
+		return 0, err
 	}
-	s.stats(w, r)
+	return u.r.Read(p)
 }
 
 // factView is the JSON projection of one derived fact.

@@ -2,7 +2,6 @@ package persist
 
 import (
 	"bufio"
-	"bytes"
 	"compress/flate"
 	"encoding/binary"
 	"errors"
@@ -24,17 +23,19 @@ import (
 
 // The binary form is what a data directory holds and GET /api/snapshot
 // serves: an op in a WAL record (AppendOp, DecodeOp) and a checkpoint
-// (WriteCheckpoint writes one from a pinned view set; Decode reads it as
-// a Snapshot). JSON stays where a person reads the snapshot (Write, and
-// graphitti -save, which turns a checkpoint into it).
+// (WriteCheckpoint writes one from a pinned view set; ReadOps reads it as
+// a stream of ops). JSON stays where a person reads the snapshot (Write,
+// and graphitti -save, which turns a checkpoint into it).
 //
 // A checkpoint is the magic GSNAP, a format byte, a body, and a CRC32C of
 // every byte before it. The body is the snapshot's version, its sections
 // (each a count and its entries, in load order), the rules and the two ID
 // counters. Format 2, the one written, holds the body as one raw DEFLATE
 // stream; format 1, which earlier builds wrote, holds it in the clear and
-// is still read. The checksum covers the bytes on disk, so a damaged file
-// is refused before anything is inflated.
+// is still read. The checksum covers the bytes on disk: a reader sums
+// them as they pass and checks the trailer once the body has ended, so a
+// damaged file fails its load before the loader returns, and nothing it
+// fed is installed.
 //
 // Every dump type has one hand-written append/read pair below (an
 // annotation is appended from a dump or straight from a view, through one
@@ -49,11 +50,18 @@ import (
 // and the object types. Code 0 escapes to a literal string, so a value
 // outside a table still encodes.
 //
-// The decoder takes nothing on trust: every count and length is checked
-// against the input left before anything is allocated — an element takes
-// at least one byte — so what a record can make it allocate is linear in
-// the record's length. Empty slices and maps decode as nil, as they do
-// from the JSON form, which omits them.
+// The decoder takes nothing on trust: no allocation is sized from a count
+// or a length it has not read the bytes for. A WAL record is decoded
+// whole, and every count and length in it is checked against the bytes
+// left before anything is allocated — an element takes at least one byte —
+// so what a record can make it allocate is linear in the record's length.
+// A checkpoint is decoded entry by entry as its bytes arrive: a slice
+// starts no larger than the bytes in hand can fill and grows as its
+// elements are read, a string longer than the decoder's buffer is copied
+// out as its bytes come in, so a count or length the input does not back
+// runs out of input — or, inflating, into the cap ReadOps was given —
+// before it runs up memory. Empty slices and maps decode as nil, as they
+// do from the JSON form, which omits them.
 
 // dcElements and objectTypes are the code tables: a value's code is its
 // position plus one. Append only (and dcByName with dcElements).
@@ -77,7 +85,7 @@ const (
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrInflateLimit refuses a checkpoint whose body inflates past the cap
-// DecodeLimited was given.
+// ReadOps was given.
 var ErrInflateLimit = errors.New("persist: checkpoint inflates past the limit")
 
 // spareCompressor holds the compressor the last checkpoint used: making
@@ -144,8 +152,18 @@ func AppendOp(b []byte, op Op) []byte {
 // DecodeOp reads one op from its binary form, which must be all of b.
 func DecodeOp(b []byte) (Op, error) {
 	d := decoder{b: b}
-	op := Op{Kind: core.OpKind(d.u8())}
-	switch op.Kind {
+	op := d.op(core.OpKind(d.u8()))
+	if err := d.end("op"); err != nil {
+		return Op{}, err
+	}
+	return op, nil
+}
+
+// op reads the dump of an op of kind: what follows the kind byte in a WAL
+// record, and an entry of a checkpoint's section.
+func (d *decoder) op(kind core.OpKind) Op {
+	op := Op{Kind: kind}
+	switch kind {
 	case core.OpRegisterOntology:
 		op.Ontology = ptr(d.ontology())
 	case core.OpRegisterSystem:
@@ -164,7 +182,7 @@ func DecodeOp(b []byte) (Op, error) {
 		op.Table = ptr(d.table())
 	case core.OpInsertRecord:
 		op.RecTable = d.str()
-		op.Row = readSlice(&d, (*decoder).value)
+		op.Row = readSlice(d, (*decoder).value)
 	case core.OpCommitAnnotation:
 		op.Annotation = ptr(d.annotation())
 	case core.OpDeleteAnnotation:
@@ -174,12 +192,9 @@ func DecodeOp(b []byte) (Op, error) {
 	case core.OpDeleteRule:
 		op.RuleID = d.str()
 	default:
-		d.fail("unknown op kind %d", op.Kind)
+		d.fail("unknown op kind %d", kind)
 	}
-	if err := d.end("op"); err != nil {
-		return Op{}, err
-	}
-	return op, nil
+	return op
 }
 
 // WriteCheckpoint writes a pinned view set as a format-2 binary
@@ -331,73 +346,6 @@ func annotationsByID(views []*core.View) iter.Seq2[*core.View, *core.Annotation]
 			heads[best], _ = nexts[best]()
 		}
 	}
-}
-
-// decodeCheckpoint reads a whole binary checkpoint, checksum first. A
-// format-2 body is inflated, to at most limit bytes when limit is
-// positive, and then read like a format-1 one.
-func decodeCheckpoint(data []byte, limit int64) (*Snapshot, error) {
-	head := len(checkpointMagic) + 1
-	if len(data) < head+4 {
-		return nil, fmt.Errorf("persist: checkpoint of %d bytes is truncated", len(data))
-	}
-	body := data[:len(data)-4]
-	if got, want := crc32.Checksum(body, castagnoli), binary.LittleEndian.Uint32(data[len(body):]); got != want {
-		return nil, fmt.Errorf("persist: checkpoint checksum %08x, want %08x: the file is truncated or corrupt", got, want)
-	}
-	switch v := body[head-1]; v {
-	case checkpointPlain:
-		body = body[head:]
-	case checkpointDeflate:
-		var err error
-		if body, err = inflate(body[head:], limit); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("persist: checkpoint format %d, want %d or %d", v, checkpointPlain, checkpointDeflate)
-	}
-	d := decoder{b: body}
-	snap := &Snapshot{Version: d.int()}
-	snap.Ontologies = readSlice(&d, (*decoder).ontology)
-	snap.Systems = readSlice(&d, (*decoder).system)
-	snap.Sequences = readSlice(&d, (*decoder).sequence)
-	snap.Alignments = readSlice(&d, (*decoder).alignment)
-	snap.Trees = readSlice(&d, (*decoder).tree)
-	snap.Graphs = readSlice(&d, (*decoder).graph)
-	snap.Images = readSlice(&d, (*decoder).image)
-	snap.RecordTables = readSlice(&d, (*decoder).table)
-	snap.Annotations = readSlice(&d, (*decoder).annotation)
-	snap.Rules = readSlice(&d, (*decoder).rule)
-	snap.NextAnn, snap.NextRef = d.uvarint(), d.uvarint()
-	if err := d.end("checkpoint"); err != nil {
-		return nil, err
-	}
-	return snap, nil
-}
-
-// inflate reads the DEFLATE stream that must be all of z: one that ends
-// early, fails to inflate or has bytes after its final block is refused,
-// and so is one that inflates past limit bytes when limit is positive.
-// The decompressor reads z through its ReadByte, so it reads no byte past
-// the final block, and what it left is what follows the stream.
-func inflate(z []byte, limit int64) ([]byte, error) {
-	r := bytes.NewReader(z)
-	var src io.Reader = flate.NewReader(r)
-	if limit > 0 {
-		src = io.LimitReader(src, limit+1)
-	}
-	body, err := io.ReadAll(src)
-	switch {
-	case limit > 0 && int64(len(body)) > limit:
-		return nil, fmt.Errorf("%w of %d bytes", ErrInflateLimit, limit)
-	case errors.Is(err, io.ErrUnexpectedEOF):
-		return nil, errors.New("persist: checkpoint's deflate stream ends early")
-	case err != nil:
-		return nil, fmt.Errorf("persist: checkpoint does not inflate: %w", err)
-	case r.Len() > 0:
-		return nil, fmt.Errorf("persist: checkpoint has %d bytes after its deflate stream", r.Len())
-	}
-	return body, nil
 }
 
 // The append/read pairs, one per dump type, fields in declaration order.
@@ -728,8 +676,8 @@ func (d *decoder) dc() map[string][]string {
 	if n == 0 {
 		return nil
 	}
-	dc := make(map[string][]string, n)
-	for range n {
+	dc := make(map[string][]string, min(n, len(d.b)))
+	for i := 0; i < n && d.err == nil; i++ {
 		e := d.coded(dcElements)
 		if _, dup := dc[e]; dup {
 			d.fail("Dublin Core element %q twice", e)
@@ -859,34 +807,100 @@ func orZero[T any](p *T) *T {
 
 func ptr[T any](v T) *T { return &v }
 
-// decoder reads the binary form. The first failure sticks: it empties the
+// decoder reads the binary form: a whole record in b, or, when src is
+// set, a stream whose bytes it reads into buf as it needs them (b is then
+// what of buf is not read yet). The first failure sticks: it empties the
 // input, so every later read returns a zero value at once, and end
 // reports it.
 type decoder struct {
 	b   []byte
+	src io.Reader
+	buf []byte
 	err error
+	// ioErr marks err as src's own: end reports it as it is.
+	ioErr bool
+}
+
+// streamChunk is the size of a streaming decoder's buffer: the most it
+// reads ahead of what it has decoded.
+const streamChunk = 32 << 10
+
+// streaming returns a decoder over the bytes src yields.
+func streaming(src io.Reader) *decoder {
+	return &decoder{src: src, buf: make([]byte, 0, streamChunk)}
 }
 
 func (d *decoder) fail(format string, args ...any) {
 	if d.err == nil {
 		d.err = fmt.Errorf(format, args...)
 	}
-	d.b = nil
+	d.b, d.src = nil, nil
 }
 
-// end is the decoder's verdict on a whole record of the named form.
+// fill reads from src, as far as its buffer holds, until n bytes are in
+// hand or src ends, and reports whether n are. A whole record has none
+// past b. Asked for more than the buffer holds, it fills the buffer and
+// reports false.
+func (d *decoder) fill(n int) bool {
+	if d.src == nil {
+		return false
+	}
+	k := copy(d.buf[:cap(d.buf)], d.b)
+	d.buf = d.buf[:k]
+	for len(d.buf) < n && len(d.buf) < cap(d.buf) {
+		m, err := d.src.Read(d.buf[len(d.buf):cap(d.buf)])
+		d.buf = d.buf[:len(d.buf)+m]
+		if err == io.EOF {
+			d.src = nil
+			break
+		}
+		if err != nil {
+			if d.err == nil {
+				d.err, d.ioErr = err, true
+			}
+			d.buf, d.src = d.buf[:0], nil
+			break
+		}
+	}
+	d.b = d.buf
+	return len(d.b) >= n
+}
+
+// end is the decoder's verdict on a whole record of the named form: it
+// must have failed nowhere, and nothing may follow what was read. An
+// error of the stream it read is reported as it is.
 func (d *decoder) end(form string) error {
-	if d.err == nil && len(d.b) > 0 {
-		d.err = fmt.Errorf("%d bytes after the end", len(d.b))
+	if d.err == nil {
+		if n := d.rest(); n > 0 && d.err == nil {
+			d.err = fmt.Errorf("%d bytes after the end", n)
+		}
 	}
-	if d.err != nil {
-		return fmt.Errorf("persist: binary %s: %w", form, d.err)
+	switch {
+	case d.err == nil:
+		return nil
+	case d.ioErr:
+		return d.err
 	}
-	return nil
+	return fmt.Errorf("persist: binary %s: %w", form, d.err)
+}
+
+// rest reads what is left of the input and counts it.
+func (d *decoder) rest() int64 {
+	n := int64(len(d.b))
+	d.b = nil
+	if d.src != nil {
+		m, err := io.Copy(io.Discard, d.src)
+		n += m
+		if err != nil {
+			d.err, d.ioErr = err, true
+		}
+		d.src = nil
+	}
+	return n
 }
 
 func (d *decoder) u8() byte {
-	if len(d.b) == 0 {
+	if len(d.b) == 0 && !d.fill(1) {
 		d.fail("truncated")
 		return 0
 	}
@@ -907,6 +921,9 @@ func (d *decoder) bool() bool {
 }
 
 func (d *decoder) uvarint() uint64 {
+	if len(d.b) < binary.MaxVarintLen64 {
+		d.fill(binary.MaxVarintLen64)
+	}
 	v, n := binary.Uvarint(d.b)
 	if n <= 0 {
 		d.fail("bad uvarint")
@@ -917,6 +934,9 @@ func (d *decoder) uvarint() uint64 {
 }
 
 func (d *decoder) varint() int64 {
+	if len(d.b) < binary.MaxVarintLen64 {
+		d.fill(binary.MaxVarintLen64)
+	}
 	v, n := binary.Varint(d.b)
 	if n <= 0 {
 		d.fail("bad varint")
@@ -935,7 +955,7 @@ func (d *decoder) int() int {
 }
 
 func (d *decoder) f64() float64 {
-	if len(d.b) < 8 {
+	if len(d.b) < 8 && !d.fill(8) {
 		d.fail("truncated")
 		return 0
 	}
@@ -944,12 +964,18 @@ func (d *decoder) f64() float64 {
 	return v
 }
 
-// count reads a length and refuses one larger than the input left: every
-// element or byte it counts takes at least one byte.
+// count reads a length. In a whole record it refuses one larger than the
+// input left: every element or byte it counts takes at least one byte. A
+// stream's input left is not known; its readers size nothing from the
+// count (readSlice, dc, long).
 func (d *decoder) count() int {
 	n := d.uvarint()
-	if n > uint64(len(d.b)) {
+	if d.src == nil && n > uint64(len(d.b)) {
 		d.fail("count %d exceeds the %d bytes left", n, len(d.b))
+		return 0
+	}
+	if n > math.MaxInt32 {
+		d.fail("count %d out of range", n)
 		return 0
 	}
 	return int(n)
@@ -957,9 +983,30 @@ func (d *decoder) count() int {
 
 func (d *decoder) str() string {
 	n := d.count()
+	if n > len(d.b) && !d.fill(n) {
+		return d.long(n)
+	}
 	s := string(d.b[:n])
 	d.b = d.b[n:]
 	return s
+}
+
+// long reads a string of n bytes, more than a stream's buffer holds or
+// than its input has left, copying them out as they arrive: what it
+// allocates grows with the bytes read, never with n.
+func (d *decoder) long(n int) string {
+	var s []byte
+	for {
+		k := min(n-len(s), len(d.b))
+		s, d.b = append(s, d.b[:k]...), d.b[k:]
+		if len(s) == n {
+			return string(s)
+		}
+		if !d.fill(1) {
+			d.fail("truncated")
+			return ""
+		}
+	}
 }
 
 func (d *decoder) strings() []string { return readSlice(d, (*decoder).str) }
@@ -985,14 +1032,17 @@ func (d *decoder) coded(table []string) string {
 	return ""
 }
 
+// readSlice reads a count and then as many elements. The slice starts no
+// larger than the bytes in hand can fill, an element taking at least one,
+// and stops at the first failure.
 func readSlice[T any](d *decoder, read func(*decoder) T) []T {
 	n := d.count()
-	if n == 0 {
+	if n == 0 || d.err != nil {
 		return nil
 	}
-	s := make([]T, n)
-	for i := range s {
-		s[i] = read(d)
+	s := make([]T, 0, min(n, len(d.b)))
+	for len(s) < n && d.err == nil {
+		s = append(s, read(d))
 	}
 	return s
 }

@@ -207,9 +207,10 @@ func TestCheckpointsConcurrently(t *testing.T) {
 	wg.Wait()
 }
 
-// TestDecodeLimited: a checkpoint whose body inflates past the cap is
-// refused with ErrInflateLimit, one that inflates to the cap exactly
-// decodes, and the cap leaves the JSON form and a format-1 body alone.
+// TestDecodeLimited: a checkpoint whose body inflates past the cap
+// ReadOps was given is refused with ErrInflateLimit, one that inflates to
+// the cap exactly loads, and the cap leaves the JSON form and a format-1
+// body alone.
 func TestDecodeLimited(t *testing.T) {
 	s := neuroStore(t)
 	var bin, js bytes.Buffer
@@ -220,7 +221,7 @@ func TestDecodeLimited(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := int64(len(plainBody(t, bin.Bytes())))
-	if _, err := persist.DecodeLimited(bytes.NewReader(bin.Bytes()), n-1); !errors.Is(err, persist.ErrInflateLimit) {
+	if _, err := persist.Load(persist.ReadOps(bytes.NewReader(bin.Bytes()), n-1)); !errors.Is(err, persist.ErrInflateLimit) {
 		t.Fatalf("a body of %d bytes under a cap of %d: %v, want ErrInflateLimit", n, n-1, err)
 	}
 	for form, file := range map[string][]byte{
@@ -228,12 +229,12 @@ func TestDecodeLimited(t *testing.T) {
 		"format 1":            sealed(1, plainBody(t, bin.Bytes())),
 		"JSON":                js.Bytes(),
 	} {
-		if _, err := persist.DecodeLimited(bytes.NewReader(file), n); err != nil {
+		if _, err := persist.Load(persist.ReadOps(bytes.NewReader(file), n)); err != nil {
 			t.Errorf("%s: %v", form, err)
 		}
 	}
 	bomb := sealed(2, deflated(t, make([]byte, 1<<20)))
-	if _, err := persist.DecodeLimited(bytes.NewReader(bomb), n); !errors.Is(err, persist.ErrInflateLimit) {
+	if _, err := persist.Load(persist.ReadOps(bytes.NewReader(bomb), n)); !errors.Is(err, persist.ErrInflateLimit) {
 		t.Fatalf("a %d-byte stream of zeros: %v, want ErrInflateLimit", len(bomb), err)
 	}
 }

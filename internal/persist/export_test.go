@@ -1,13 +1,25 @@
 package persist
 
-import "graphitti/internal/core"
+import (
+	"errors"
+
+	"graphitti/internal/core"
+)
 
 // The tests are package persist_test: they build stores with
 // internal/workload, which imports this package.
 
 // Ops is the snapshot's op sequence in load order, for the serial oracle
 // the one-session load is held to.
-func (snap *Snapshot) Ops(yield func(Op) bool) { snap.ops(yield) }
+func (snap *Snapshot) Ops(yield func(Op) bool) {
+	stop := errors.New("stop")
+	snap.Each(func(op Op) error {
+		if !yield(op) {
+			return stop
+		}
+		return nil
+	})
+}
 
 // ExportView is the exporter itself, over a view the test pinned.
 var ExportView = exportView

@@ -292,11 +292,10 @@ func RecordOp(table string, row relstore.Row) Op {
 	return Op{Kind: core.OpInsertRecord, RecTable: table, Row: DumpRow(row)}
 }
 
-// ops yields the op that registers each object of the snapshot and the
-// op that commits each annotation, in load order: ontologies, systems,
-// sequences, alignments, trees, graphs, images, record tables (rows
-// included), annotations.
-func (snap *Snapshot) ops(yield func(Op) bool) {
+// objectOps yields the op that registers each object of the snapshot, in
+// load order: ontologies, systems, sequences, alignments, trees, graphs,
+// images, record tables (rows included). The annotations come after them.
+func (snap *Snapshot) objectOps(yield func(Op) bool) {
 	_ = section(snap.Ontologies, yield, func(d *OntologyDump) Op { return Op{Kind: core.OpRegisterOntology, Ontology: d} }) &&
 		section(snap.Systems, yield, func(d *SystemDump) Op { return Op{Kind: core.OpRegisterSystem, System: d} }) &&
 		section(snap.Sequences, yield, func(d *SequenceDump) Op { return Op{Kind: core.OpRegisterSequence, Sequence: d} }) &&
@@ -304,8 +303,7 @@ func (snap *Snapshot) ops(yield func(Op) bool) {
 		section(snap.Trees, yield, func(d *TreeDump) Op { return Op{Kind: core.OpRegisterTree, Tree: d} }) &&
 		section(snap.Graphs, yield, func(d *GraphDump) Op { return Op{Kind: core.OpRegisterInteractionGraph, Graph: d} }) &&
 		section(snap.Images, yield, func(d *ImageDump) Op { return Op{Kind: core.OpRegisterImage, Image: d} }) &&
-		section(snap.RecordTables, yield, func(d *TableDump) Op { return Op{Kind: core.OpCreateRecordTable, Table: d} }) &&
-		section(snap.Annotations, yield, func(d *AnnotationDump) Op { return Op{Kind: core.OpCommitAnnotation, Annotation: d} })
+		section(snap.RecordTables, yield, func(d *TableDump) Op { return Op{Kind: core.OpCreateRecordTable, Table: d} })
 }
 
 // section yields one section's ops until yield declines.

@@ -4,13 +4,17 @@
 // and GET /api/snapshot serves (WriteCheckpoint, which writes it straight
 // from a pinned view set — a store's one view or a shard set's, merged —
 // without building a Snapshot), and JSON, the form for a human reader
-// (Write, graphitti -save). Decode reads either into a Snapshot.
+// (Write, graphitti -save). ReadOps reads either as a stream of ops (a
+// Source), decoded as the bytes arrive; Decode collects one into a
+// Snapshot for a reader that wants the dumps.
 //
 // The snapshot is a logical export — registered ontologies, coordinate
 // systems, data objects, record tables and annotations — not a byte-level
-// image. Load replays the snapshot through the normal registration and
-// commit pipeline, so every index (interval trees, R-trees, keyword index,
-// a-graph) is rebuilt consistently and all invariants re-checked.
+// image. The loader (LoadWith) replays a Source's ops through the normal
+// registration and commit pipeline one at a time, so every index
+// (interval trees, R-trees, keyword index, a-graph) is rebuilt
+// consistently, all invariants re-checked, and a load holds the store it
+// builds and the op in hand, never the whole snapshot.
 //
 // Since format version 2, snapshots preserve annotation and referent IDs
 // and the store's ID counters, so a loaded store is ID-for-ID identical to
@@ -31,9 +35,7 @@
 package persist
 
 import (
-	"bufio"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"iter"
@@ -775,55 +777,26 @@ func ApplyAnnotation(x *core.Tx, ad AnnotationDump, sp *trace.Span) (*core.Annot
 	return ann, nil
 }
 
-// Load rebuilds a store from a snapshot by replaying every registration,
-// record and annotation of it through the normal pipeline, as one writer
-// session: one published view for the whole snapshot.
-func Load(snap *Snapshot) (*core.Store, error) {
-	return LoadWith(snap, core.StoreOptions{})
+// Load rebuilds a store from the ops of src (LoadWith).
+func Load(src Source) (*core.Store, error) {
+	return LoadWith(src, core.StoreOptions{})
 }
 
-// LoadWith is Load into a store built with opts — how one shard of a
-// sharded deployment rebuilds with its shard label and shared ID source.
-func LoadWith(snap *Snapshot, opts core.StoreOptions) (*core.Store, error) {
-	return LoadPart(snap, opts, nil)
-}
-
-// LoadPart is LoadWith over the registrations and annotations whose op
-// keep accepts (nil accepts all) — how one shard loads its part of a
-// deployment's snapshot, placed by the rule it places live ops with.
-// Rules and the ID counters load whatever keep says. The load is one
-// Batch: the snapshot's ops in load order, then the rules as one swap,
-// then the counters — so the view it publishes is as many epochs on as
-// it applied ops.
-func LoadPart(snap *Snapshot, opts core.StoreOptions, keep func(Op) bool) (*core.Store, error) {
-	if snap.Version < 1 || snap.Version > Version {
-		return nil, fmt.Errorf("persist: snapshot version %d, want 1..%d", snap.Version, Version)
-	}
+// LoadWith is the loader: it rebuilds a store, built with opts, from the
+// ops of src — every registration, record and annotation replayed through
+// the normal pipeline as they arrive — in one writer session (Batch):
+// the ops in order, then the rules as one swap, then the ID counters. So
+// the view it publishes is as many epochs on as it applied ops, and a
+// load holds the store being built and the op in hand, not the snapshot.
+// What src or an op refuses fails the load, and the store is dropped.
+func LoadWith(src Source, opts core.StoreOptions) (*core.Store, error) {
 	s := core.NewStoreWithOptions(opts)
 	err := s.Batch(func(x *core.Tx) error {
-		for op := range snap.ops {
-			if keep == nil || keep(op) {
-				if err := op.Apply(x); err != nil {
-					return err
-				}
-			}
+		tail, err := src.Each(func(op Op) error { return op.Apply(x) })
+		if err != nil {
+			return err
 		}
-		// Rules last, installed as one swap: the derived table is rebuilt
-		// once over the full store, instead of every replayed commit paying
-		// the delta path or every rule paying its own recompute.
-		if len(snap.Rules) > 0 {
-			rules := make([]prop.Rule, len(snap.Rules))
-			for i, rd := range snap.Rules {
-				rules[i] = RestoreRule(rd)
-			}
-			if err := prop.AddRules(x, rules...); err != nil {
-				return fmt.Errorf("persist: rules: %w", err)
-			}
-		}
-		if snap.NextAnn != 0 || snap.NextRef != 0 {
-			return x.RestoreIDCounters(snap.NextAnn, snap.NextRef)
-		}
-		return nil
+		return tail.install(x)
 	})
 	if err != nil {
 		return nil, err
@@ -831,53 +804,84 @@ func LoadPart(snap *Snapshot, opts core.StoreOptions, keep func(Op) bool) (*core
 	return s, nil
 }
 
-// Decode parses a snapshot without loading it into a store. It reads
-// either form, told apart by the leading bytes: the JSON export, or a
-// binary checkpoint copied out of a data directory (WriteCheckpoint).
-// Nothing bounds what a checkpoint inflates to: Decode is for files the
-// operator owns; an upload goes through DecodeLimited.
+// Each is the snapshot as a Source: its version checked, its ops in load
+// order, then its tail. It is how a snapshot built in memory — an export,
+// or a test's — loads.
+func (snap *Snapshot) Each(apply func(Op) error) (Tail, error) {
+	if err := snap.applyObjects(apply); err != nil {
+		return Tail{}, err
+	}
+	for i := range snap.Annotations {
+		if err := apply(Op{Kind: core.OpCommitAnnotation, Annotation: &snap.Annotations[i]}); err != nil {
+			return Tail{}, err
+		}
+	}
+	return snap.tail(), nil
+}
+
+// applyObjects checks the snapshot's version and applies the ops that
+// register its objects, in load order: every section but the annotations.
+func (snap *Snapshot) applyObjects(apply func(Op) error) error {
+	if err := checkVersion(snap.Version); err != nil {
+		return err
+	}
+	for op := range snap.objectOps {
+		if err := apply(op); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (snap *Snapshot) tail() Tail {
+	return Tail{Version: snap.Version, Rules: snap.Rules, NextAnn: snap.NextAnn, NextRef: snap.NextRef}
+}
+
+// Decode reads a snapshot in either form (ReadOps) into a Snapshot, for a
+// reader that wants the dumps themselves; a load takes the stream
+// (Read, or LoadWith of ReadOps). Nothing bounds what a checkpoint
+// inflates to: Decode is for files the operator owns.
 func Decode(r io.Reader) (*Snapshot, error) {
-	return DecodeLimited(r, 0)
+	snap := new(Snapshot)
+	tail, err := ReadOps(r, 0).Each(snap.add)
+	if err != nil {
+		return nil, err
+	}
+	snap.Version, snap.Rules, snap.NextAnn, snap.NextRef = tail.Version, tail.Rules, tail.NextAnn, tail.NextRef
+	return snap, nil
 }
 
-// DecodeLimited is Decode with a cap on what a compressed checkpoint body
-// may inflate to: past limit bytes (when limit is positive) it stops
-// inflating and refuses the snapshot with ErrInflateLimit. The caller
-// bounds what r itself holds.
-func DecodeLimited(r io.Reader, limit int64) (*Snapshot, error) {
-	br := bufio.NewReader(r)
-	if head, _ := br.Peek(len(checkpointMagic)); string(head) == checkpointMagic {
-		data, err := io.ReadAll(br)
-		if err != nil {
-			return nil, fmt.Errorf("persist: decode: %w", err)
-		}
-		return decodeCheckpoint(data, limit)
+// add appends the dump op holds to its section.
+func (snap *Snapshot) add(op Op) error {
+	switch op.Kind {
+	case core.OpRegisterOntology:
+		snap.Ontologies = append(snap.Ontologies, *op.Ontology)
+	case core.OpRegisterSystem:
+		snap.Systems = append(snap.Systems, *op.System)
+	case core.OpRegisterSequence:
+		snap.Sequences = append(snap.Sequences, *op.Sequence)
+	case core.OpRegisterAlignment:
+		snap.Alignments = append(snap.Alignments, *op.Alignment)
+	case core.OpRegisterTree:
+		snap.Trees = append(snap.Trees, *op.Tree)
+	case core.OpRegisterInteractionGraph:
+		snap.Graphs = append(snap.Graphs, *op.Graph)
+	case core.OpRegisterImage:
+		snap.Images = append(snap.Images, *op.Image)
+	case core.OpCreateRecordTable:
+		snap.RecordTables = append(snap.RecordTables, *op.Table)
+	case core.OpCommitAnnotation:
+		snap.Annotations = append(snap.Annotations, *op.Annotation)
 	}
-	var snap Snapshot
-	dec := json.NewDecoder(br)
-	if err := dec.Decode(&snap); err != nil {
-		return nil, fmt.Errorf("persist: decode: %w", err)
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		var syntax *json.SyntaxError
-		if err != nil && !errors.As(err, &syntax) {
-			return nil, fmt.Errorf("persist: decode: %w", err) // a read error, an upload cap
-		}
-		return nil, errors.New("persist: decode: data after the snapshot")
-	}
-	return &snap, nil
+	return nil
 }
 
-// Read loads a snapshot in either form and rebuilds the store.
+// Read loads a snapshot in either form, streamed, and rebuilds the store.
 func Read(r io.Reader) (*core.Store, error) {
 	return ReadWith(r, core.StoreOptions{})
 }
 
 // ReadWith is Read into a store built with opts.
 func ReadWith(r io.Reader, opts core.StoreOptions) (*core.Store, error) {
-	snap, err := Decode(r)
-	if err != nil {
-		return nil, err
-	}
-	return LoadWith(snap, opts)
+	return LoadWith(ReadOps(r, 0), opts)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"slices"
 	"strings"
 	"testing"
@@ -251,7 +252,8 @@ func TestSnapshotFormsLoadAlike(t *testing.T) {
 
 			// The older forms, rebuilt from the new one: every referent
 			// gets its zero rect back, the file its indentation, and for
-			// v1 the IDs and counters go.
+			// v1 the IDs and counters go. The keys stay in the order every
+			// writer wrote them in, the Snapshot's fields'.
 			oldForm := func(v1 bool) []byte {
 				var doc map[string]any
 				if err := json.Unmarshal(compact.Bytes(), &doc); err != nil {
@@ -279,11 +281,7 @@ func TestSnapshotFormsLoadAlike(t *testing.T) {
 						}
 					}
 				}
-				out, err := json.MarshalIndent(doc, "", " ")
-				if err != nil {
-					t.Fatal(err)
-				}
-				return out
+				return indentInWriteOrder(t, doc)
 			}
 			v2, v1 := oldForm(false), oldForm(true)
 			if got := bytes.Count(v2, []byte(`"rect": [`)); got != marks || len(v2) <= compact.Len() {
@@ -316,4 +314,36 @@ func annotationIDs(v *core.View) []uint64 {
 		return true
 	})
 	return ids
+}
+
+// indentInWriteOrder marshals a snapshot document indented, its keys in
+// the order Write writes them — the order a streamed load needs, since
+// it applies each annotation as it arrives — where json.MarshalIndent of
+// a map would sort them.
+func indentInWriteOrder(t *testing.T, doc map[string]any) []byte {
+	t.Helper()
+	keys := []string{"version", "ontologies", "systems", "sequences", "alignments", "trees", "graphs",
+		"images", "recordTables", "annotations", "rules", "nextAnn", "nextRef"}
+	var b bytes.Buffer
+	b.WriteString("{")
+	n := 0
+	for _, k := range keys {
+		v, ok := doc[k]
+		if !ok {
+			continue
+		}
+		if n++; n > 1 {
+			b.WriteString(",")
+		}
+		out, err := json.MarshalIndent(v, " ", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&b, "\n %q: %s", k, out)
+	}
+	if n != len(doc) {
+		t.Fatalf("the document has keys outside the snapshot's: %v", slices.Sorted(maps.Keys(doc)))
+	}
+	b.WriteString("\n}")
+	return b.Bytes()
 }

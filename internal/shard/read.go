@@ -407,36 +407,36 @@ func (vs Views) MarkObject(typ core.ObjectType, objectID string) (*core.Referent
 // opposed to a fault of the store it was being restored into.
 var ErrBadSnapshot = errors.New("shard: snapshot refused")
 
-// Restore replaces the deployment's entire state with snap: each shard
-// loads the entries route — the rule live ops are placed by — puts on it
-// (broadcast ones, rules and the ID counters on every shard) and, with a
-// log, checkpoints them. Runs under the inter-shard channel (excluding
-// broadcasts and cross-shard commits) and every shard's writer latch
-// (excluding routed mutations), so nothing can be acknowledged into a
-// core this swap replaces — a commit concurrent with Restore either
-// completes before the swap and is replaced with the rest of the old
-// state, or waits and lands in the restored state.
+// Restore replaces the deployment's entire state with the snapshot src
+// yields: each shard loads the ops route — the rule live ops are placed
+// by — puts on it (broadcast ones, rules and the ID counters on every
+// shard) and, with a log, checkpoints them. Runs under the inter-shard
+// channel (excluding broadcasts and cross-shard commits) and every
+// shard's writer latch (excluding routed mutations), so nothing can be
+// acknowledged into a core this swap replaces — a commit concurrent with
+// Restore either completes before the swap and is replaced with the rest
+// of the old state, or waits and lands in the restored state. The stream
+// is read under them too, so a routed write waits out an upload's
+// transfer as well as its load, rather than being acknowledged and then
+// replaced.
 //
 // A bad snapshot changes nothing: every shard's part is loaded before any
-// is installed, and a part the loader rejects fails the call with
-// ErrBadSnapshot while memory and disk still hold the previous state on
-// every shard. The install itself is per directory, so a checkpoint I/O
-// fault during it can still stop with some shards restored and others
-// not (the error names the shard); closing that needs a deployment-level
-// commit record.
-func (s *Store) Restore(snap *persist.Snapshot) error {
+// is installed, and a stream that fails anywhere — its decoding, its
+// checksum, a limit on its size, an op the loader rejects — fails the
+// call with ErrBadSnapshot while memory and disk still hold the previous
+// state on every shard. The install itself is per directory, so a
+// checkpoint I/O fault during it can still stop with some shards restored
+// and others not (the error names the shard); closing that needs a
+// deployment-level commit record.
+func (s *Store) Restore(src persist.Source) error {
 	s.gmu.Lock()
 	defer s.gmu.Unlock()
 	for k := range s.smu {
 		s.smu[k].Lock()
 		defer s.smu[k].Unlock()
 	}
-	staged := make([]*core.Store, s.NumShards())
-	if err := s.eachShard(func(k int) error {
-		var err error
-		staged[k], err = s.pipes[k].Stage(snap, s.placedOn(k))
-		return err
-	}); err != nil {
+	staged, err := s.stage(src)
+	if err != nil {
 		return fmt.Errorf("%w: %w", ErrBadSnapshot, err)
 	}
 	s.gseq.Add(1)
@@ -447,16 +447,108 @@ func (s *Store) Restore(snap *persist.Snapshot) error {
 	return nil
 }
 
-// placedOn reports, for an op, whether route puts it on shard k. Over one
-// shard everything is, and nil says so without asking.
-func (s *Store) placedOn(k int) func(persist.Op) bool {
+// feedDepth is how many ops the walk of a snapshot may run ahead of a
+// shard's staging session.
+const feedDepth = 64
+
+// errStopped ends the walk of a snapshot once a shard's session has
+// failed: what is left of the stream cannot make the restore succeed.
+var errStopped = errors.New("shard: restore stopped")
+
+// stage loads src into one fresh store per shard, each holding what route
+// places on it, and installs nothing. Over one shard that is src loaded as
+// it is. Over several, src is walked once, here, and each op is handed to
+// its shard's staging session — a goroutine running its own Batch, fed
+// through a channel — or, broadcast, to every shard's; the tail (rules,
+// ID counters) goes to every session once the walk is done. The sessions
+// build in parallel, nothing holds more of the snapshot than the ops in
+// flight, and the first failure, the walk's or a session's, stops them
+// all. The error is the walk's, or the lowest failed shard's, tagged.
+func (s *Store) stage(src persist.Source) ([]*core.Store, error) {
 	if s.NumShards() == 1 {
+		cs, err := s.pipes[0].Stage(src)
+		return []*core.Store{cs}, err
+	}
+	staged := make([]*core.Store, s.NumShards())
+	errs := make([]error, s.NumShards())
+	feeds := make([]chan persist.Op, s.NumShards())
+	end := new(walkEnd)
+	stop := make(chan struct{})
+	var once sync.Once
+	var wg sync.WaitGroup
+	for k := range feeds {
+		feeds[k] = make(chan persist.Op, feedDepth)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if staged[k], errs[k] = s.pipes[k].Stage(feed{feeds[k], end}); errs[k] != nil {
+				once.Do(func() { close(stop) })
+			}
+		}()
+	}
+	send := func(k int, op persist.Op) error {
+		select {
+		case feeds[k] <- op:
+			return nil
+		case <-stop:
+			return errStopped
+		}
+	}
+	end.tail, end.err = src.Each(func(op persist.Op) error {
+		key, all, err := route(op)
+		switch {
+		case err != nil:
+			return err
+		case !all:
+			return send(s.router.ShardOfKey(key), op)
+		}
+		for k := range feeds {
+			if err := send(k, op); err != nil {
+				return err
+			}
+		}
 		return nil
+	})
+	walkErr := end.err
+	if walkErr != nil {
+		end.err = errStopped
 	}
-	return func(op persist.Op) bool {
-		key, all, _ := route(op) // the loader builds only kinds route knows
-		return all || s.router.ShardOfKey(key) == k
+	for _, f := range feeds {
+		close(f)
 	}
+	wg.Wait()
+	if walkErr != nil && !errors.Is(walkErr, errStopped) {
+		return nil, walkErr
+	}
+	for k, err := range errs {
+		if err != nil && !errors.Is(err, errStopped) {
+			return nil, tag(k, err)
+		}
+	}
+	return staged, nil
+}
+
+// feed is one shard's part of a snapshot walked by stage: the ops on ops,
+// and, once ops is closed, the walk's end.
+type feed struct {
+	ops <-chan persist.Op
+	end *walkEnd
+}
+
+// walkEnd is how the walk of a snapshot ended: its tail, or errStopped
+// when it failed. It is set before the feeds close.
+type walkEnd struct {
+	tail persist.Tail
+	err  error
+}
+
+func (f feed) Each(apply func(persist.Op) error) (persist.Tail, error) {
+	for op := range f.ops {
+		if err := apply(op); err != nil {
+			return persist.Tail{}, err
+		}
+	}
+	return f.end.tail, f.end.err
 }
 
 // ShardHealth is one shard's durability health, tagged with its ID.
