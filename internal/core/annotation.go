@@ -95,6 +95,13 @@ func (a *Annotation) Terms(yield func(TermRef) bool) {
 	}
 }
 
+// term returns the ontology reference Terms visits k-th (from 0).
+func (a *Annotation) term(k int) TermRef {
+	s := contentSlots.Get(a.Content).terms[k]
+	vals := a.Content.Root.Slots()
+	return TermRef{Ontology: vals.At(int(s[0])), TermID: vals.At(int(s[1]))}
+}
+
 // NumTerms returns how many ontology references Terms visits.
 func (a *Annotation) NumTerms() int { return len(contentSlots.Get(a.Content).terms) }
 

@@ -117,12 +117,11 @@ func benchmarkStore(t *testing.T) *Store {
 	return s
 }
 
-// commitBenchmarkShaped commits n annotations of the live benchmark's
-// shape to s in one batch: four creators, one date, a unique title, a
-// phrase and a Zipf-drawn token for a body, and one interval mark in a
-// Zipf-drawn segment.
-func commitBenchmarkShaped(t *testing.T, s *Store, n int) {
-	t.Helper()
+// benchmarkShaped returns n builders of the live benchmark's shape: four
+// creators, one date, a unique title, a phrase and a Zipf-drawn token for
+// a body, and one interval mark in a Zipf-drawn segment, starting below
+// extent.
+func benchmarkShaped(n int, extent int64) []*Builder {
 	creators := []string{"gupta", "condit", "martone", "chen"}
 	phrases := []string{
 		"conserved motif near the polymerase binding site", "putative protease cleavage region",
@@ -133,16 +132,26 @@ func commitBenchmarkShaped(t *testing.T, s *Store, n int) {
 	rng := rand.New(rand.NewSource(1))
 	token := rand.NewZipf(rng, 1.1, 8, 1999)
 	domain := rand.NewZipf(rng, 1.2, 1, 7)
+	out := make([]*Builder, n)
+	for i := range out {
+		lo := rng.Int63n(extent - 100)
+		m := &Referent{Kind: IntervalReferent, ObjectType: TypeDNA,
+			Interval: interval.Interval{Lo: lo, Hi: lo + 20 + rng.Int63n(80)}}
+		m.ObjectID = fmt.Sprintf("seg%d", domain.Uint64()+1)
+		m.Domain = "segment" + m.ObjectID[3:]
+		out[i] = NewBuilder().Creator(creators[rng.Intn(len(creators))]).Date("2008-04-07").
+			Title(fmt.Sprintf("p%07d", i)).
+			Body(fmt.Sprintf("%s gene%04d", phrases[rng.Intn(len(phrases))], token.Uint64())).Refer(m)
+	}
+	return out
+}
+
+// commitBenchmarkShaped commits n benchmark-shaped annotations to s in
+// one batch, their marks spread over 200,000 positions of each segment.
+func commitBenchmarkShaped(t *testing.T, s *Store, n int) {
+	t.Helper()
 	err := s.Batch(func(tx *Tx) error {
-		for i := 0; i < n; i++ {
-			lo := rng.Int63n(200000 - 100)
-			m := &Referent{Kind: IntervalReferent, ObjectType: TypeDNA,
-				Interval: interval.Interval{Lo: lo, Hi: lo + 20 + rng.Int63n(80)}}
-			m.ObjectID = fmt.Sprintf("seg%d", domain.Uint64()+1)
-			m.Domain = "segment" + m.ObjectID[3:]
-			b := NewBuilder().Creator(creators[rng.Intn(len(creators))]).Date("2008-04-07").
-				Title(fmt.Sprintf("p%07d", i)).
-				Body(fmt.Sprintf("%s gene%04d", phrases[rng.Intn(len(phrases))], token.Uint64())).Refer(m)
+		for _, b := range benchmarkShaped(n, 200000) {
 			if _, err := tx.Commit(b); err != nil {
 				return err
 			}

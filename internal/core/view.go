@@ -103,14 +103,14 @@ type View struct {
 	derivedCount int
 	derivedEpoch uint64
 
-	// derivedByTarget is the target index of the derived table: every
-	// fact, keyed by its target node ("kind:key"). It is maintained in
-	// the same writer critical section as derived and published with the
-	// same view, so the two are always exactly consistent. Per-target
-	// lists are kept in (source, rule, witness) order — the per-target
-	// subsequence of the global DerivedEach order — which keeps
-	// index-driven reads byte-identical to table scans.
-	derivedByTarget cow.Map[[]DerivedFact]
+	// derivedByTarget is the target index of the derived table: for each
+	// target node ("kind:key"), the ascending IDs of the sources with a
+	// fact on it. It holds no fact: a reader finds them in those sources'
+	// entries, in canonical order, which keeps index-driven reads in the
+	// global DerivedEach order. It is maintained in the same writer
+	// critical section as derived and published with the same view, so
+	// the two are always exactly consistent.
+	derivedByTarget cow.Map[cow.Postings]
 
 	nextAnn, nextRef uint64
 

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"reflect"
 	"slices"
 	"testing"
@@ -35,16 +37,32 @@ var rulesSeeds = []string{
 	`{not json`,
 }
 
-// FuzzRules: any POST /api/rules body sent to a durable one-pipeline
-// deployment over a small study with a rule of its own is answered, never
-// with a panic or a 5xx. A refused body leaves GET /api/rules and GET
-// /api/snapshot byte-identical and is answered with the JSON error
-// envelope. An accepted rule is listed, and survives a compaction — the
-// rules section of a checkpoint — and a reopen: the reopened store lists
-// the same rules and derives the same facts.
+// rulesDeletions pair a POST /api/rules body with the ID a DELETE
+// /api/rules/{id} names after it: the seed's own rule, the rule just
+// added, one after a refused body, and an ID no rule has.
+var rulesDeletions = [][2]string{
+	{`{"id":"ov2","edge":"overlap","domain":"segment2"}`, "ov"},
+	{`{"id":"sr","edge":"shared-referent","keyword":"protease","kind":"interval"}`, "sr"},
+	{`{}`, "ov"},
+	{`null`, "no-such-rule"},
+}
+
+// FuzzRules: any POST /api/rules body, and then any DELETE /api/rules/{id},
+// sent to a durable one-pipeline deployment over a small study with a
+// rule of its own, is answered, never with a panic or a 5xx. A refused
+// body or deletion leaves GET /api/rules and GET /api/snapshot
+// byte-identical; a refused body is answered with the JSON error
+// envelope. An accepted rule is listed, and an accepted deletion unlists
+// its rule and leaves the derived facts a from-scratch recompute over the
+// remaining rules derives (a load of the store's export). Either survives
+// a compaction — the rules section of a checkpoint — and a reopen: the
+// reopened store lists the same rules and derives the same facts.
 func FuzzRules(f *testing.F) {
 	for _, body := range rulesSeeds {
-		f.Add(body)
+		f.Add(body, "")
+	}
+	for _, c := range rulesDeletions {
+		f.Add(c[0], c[1])
 	}
 	seed := influenzaStore(f, 12)
 	if err := prop.Attach(seed).AddRule(prop.Rule{ID: "ov", Edge: prop.EdgeOverlap, Domain: "segment1"}); err != nil {
@@ -55,7 +73,7 @@ func FuzzRules(f *testing.F) {
 		f.Fatal(err)
 	}
 	opts := durable.Options{NoSync: true, CompactThreshold: -1}
-	f.Fuzz(func(t *testing.T, body string) {
+	f.Fuzz(func(t *testing.T, body, del string) {
 		dir := t.TempDir()
 		d, err := durable.Open(dir, opts)
 		if err != nil {
@@ -68,6 +86,16 @@ func FuzzRules(f *testing.F) {
 		h := New(shard.Single(d), Options{})
 		rulesBefore := serve(h, "GET", "/api/rules", "").Body.Bytes()
 		snapBefore := serve(h, "GET", "/api/snapshot", "").Body.Bytes()
+		unchanged := func(what string, rr *httptest.ResponseRecorder) {
+			t.Helper()
+			if got := serve(h, "GET", "/api/rules", "").Body.Bytes(); !bytes.Equal(got, rulesBefore) {
+				t.Fatalf("a refused %s (%d) changed the rule list:\n%s\nto\n%s", what, rr.Code, rulesBefore, got)
+			}
+			if got := serve(h, "GET", "/api/snapshot", "").Body.Bytes(); !bytes.Equal(got, snapBefore) {
+				t.Fatalf("a refused %s (%d: %s) changed the snapshot", what, rr.Code, rr.Body.Bytes())
+			}
+		}
+		changed := false
 
 		rr := serve(h, "POST", "/api/rules", body)
 		if rr.Code >= http.StatusInternalServerError {
@@ -78,23 +106,51 @@ func FuzzRules(f *testing.F) {
 			if err := json.Unmarshal(rr.Body.Bytes(), &env); err != nil || env.Error == "" {
 				t.Fatalf("status %d without the JSON error envelope: %s", rr.Code, rr.Body.Bytes())
 			}
-			if got := serve(h, "GET", "/api/rules", "").Body.Bytes(); !bytes.Equal(got, rulesBefore) {
-				t.Fatalf("a refused rule (%d) changed the rule list:\n%s\nto\n%s", rr.Code, rulesBefore, got)
+			unchanged("rule", rr)
+		} else {
+			var added prop.Rule
+			if err := json.Unmarshal(rr.Body.Bytes(), &added); err != nil {
+				t.Fatal(err)
 			}
-			if got := serve(h, "GET", "/api/snapshot", "").Body.Bytes(); !bytes.Equal(got, snapBefore) {
-				t.Fatalf("a refused rule (%d: %s) changed the snapshot", rr.Code, rr.Body.Bytes())
+			if rules := prop.RulesOf(d.Core()); !slices.ContainsFunc(rules, func(r prop.Rule) bool { return r.ID == added.ID }) {
+				t.Fatalf("accepted rule %q is not listed: %v", added.ID, rules)
 			}
+			changed = true
+		}
+
+		if del != "" {
+			rulesBefore = serve(h, "GET", "/api/rules", "").Body.Bytes()
+			snapBefore = serve(h, "GET", "/api/snapshot", "").Body.Bytes()
+			rr := serve(h, "DELETE", "/api/rules/"+url.PathEscape(del), "")
+			switch {
+			case rr.Code >= http.StatusInternalServerError:
+				t.Fatalf("deleting %q: status %d: %s", del, rr.Code, rr.Body.Bytes())
+			case rr.Code != http.StatusNoContent:
+				unchanged("deletion", rr)
+			default:
+				if rules := prop.RulesOf(d.Core()); slices.ContainsFunc(rules, func(r prop.Rule) bool { return r.ID == del }) {
+					t.Fatalf("deleted rule %q is still listed: %v", del, rules)
+				}
+				export, err := persist.Export(d.Core())
+				if err != nil {
+					t.Fatal(err)
+				}
+				scratch, err := persist.Load(export)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := slices.Collect(d.Core().View().DerivedEach), slices.Collect(scratch.View().DerivedEach); !reflect.DeepEqual(got, want) {
+					t.Fatalf("after deleting %q %d derived facts, a recompute over the remaining rules %d",
+						del, len(got), len(want))
+				}
+				changed = true
+			}
+		}
+		if !changed {
 			return
 		}
 
-		var added prop.Rule
-		if err := json.Unmarshal(rr.Body.Bytes(), &added); err != nil {
-			t.Fatal(err)
-		}
 		rules, derived := prop.RulesOf(d.Core()), slices.Collect(d.Core().View().DerivedEach)
-		if !slices.ContainsFunc(rules, func(r prop.Rule) bool { return r.ID == added.ID }) {
-			t.Fatalf("accepted rule %q is not listed: %v", added.ID, rules)
-		}
 		if err := d.Compact(); err != nil {
 			t.Fatal(err)
 		}
@@ -103,10 +159,12 @@ func FuzzRules(f *testing.F) {
 		}
 		again, err := durable.Open(dir, opts)
 		if err != nil {
-			t.Fatalf("reopen after the rule %s: %v", body, err)
+			t.Fatalf("reopen after the rule %s and the deletion %q: %v", body, del, err)
 		}
 		defer again.Close()
-		if got := prop.RulesOf(again.Core()); !reflect.DeepEqual(got, rules) {
+		// The last rule deleted, the reopened store has no engine: no rules
+		// is nil there, an empty list here.
+		if got := prop.RulesOf(again.Core()); (len(got) > 0 || len(rules) > 0) && !reflect.DeepEqual(got, rules) {
 			t.Fatalf("rules after a compaction and a reopen:\n%v\nwant\n%v", got, rules)
 		}
 		if got := slices.Collect(again.Core().View().DerivedEach); !reflect.DeepEqual(got, derived) {

@@ -2,7 +2,6 @@ package prop
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -151,7 +150,7 @@ func (e *Engine) rulesSnapshot() []Rule {
 // affected sources) and rule.<id>.micros (cumulative evaluation time),
 // plus the size of the affected-source set.
 func (e *Engine) Delta(pre, post *core.View, ann *core.Annotation,
-	deleted bool, sp *trace.Span) map[uint64][]core.DerivedFact {
+	deleted bool, sp *trace.Span) map[uint64][]core.PackedFact {
 	rules := e.rulesSnapshot()
 	if len(rules) == 0 {
 		return nil
@@ -201,7 +200,8 @@ func (e *Engine) Delta(pre, post *core.View, ann *core.Annotation,
 	if sp != nil {
 		stats = make(map[string]*ruleStat, len(rules))
 	}
-	out := make(map[uint64][]core.DerivedFact, len(affected))
+	out := make(map[uint64][]core.PackedFact, len(affected))
+	var buf []core.PackedFact
 	for src := range affected {
 		if deleted && src == ann.ID {
 			out[src] = nil
@@ -212,7 +212,7 @@ func (e *Engine) Delta(pre, post *core.View, ann *core.Annotation,
 			out[src] = nil
 			continue
 		}
-		out[src] = e.evalSource(post, srcAnn, rules, stats)
+		out[src] = e.evalSource(post, srcAnn, rules, stats, &buf)
 	}
 	if sp != nil {
 		sp.SetAttrInt("sources", int64(len(affected)))
@@ -234,15 +234,16 @@ type ruleStat struct {
 // Recompute implements core.Propagator: the from-scratch path the delta
 // path is proven against, also used after rule changes and image
 // registrations.
-func (e *Engine) Recompute(v *core.View) map[uint64][]core.DerivedFact {
+func (e *Engine) Recompute(v *core.View) map[uint64][]core.PackedFact {
 	rules := e.rulesSnapshot()
 	if len(rules) == 0 {
 		return nil
 	}
 	mRecomputes.Inc()
-	out := make(map[uint64][]core.DerivedFact)
+	out := make(map[uint64][]core.PackedFact)
+	var buf []core.PackedFact
 	for _, ann := range v.Annotations() {
-		if facts := e.evalSource(v, ann, rules, nil); len(facts) > 0 {
+		if facts := e.evalSource(v, ann, rules, nil, &buf); len(facts) > 0 {
 			out[ann.ID] = facts
 		}
 	}
@@ -267,14 +268,16 @@ func spatialKind(k core.ReferentKind) bool {
 }
 
 // evalSource computes one source annotation's complete derived fact set
-// under the given rules, in canonical order. It reads only the view, so
-// evaluating the same source against the same view always produces the
-// same bytes regardless of the path (delta or recompute) that asked. When
-// stats is not nil each rule's fact output and evaluation time are
-// accumulated into it (a traced delta; nil costs nothing).
+// under the given rules, in the table's form (core.View.CanonicalFacts).
+// It reads only the view, so evaluating the same source against the same
+// view always produces the same facts regardless of the path (delta or
+// recompute) that asked. The facts are gathered in *buf, which is kept
+// for the next call. When stats is not nil each rule's fact output and
+// evaluation time are accumulated into it (a traced delta; nil costs
+// nothing).
 func (e *Engine) evalSource(v *core.View, ann *core.Annotation, rules []Rule,
-	stats map[string]*ruleStat) []core.DerivedFact {
-	var facts []core.DerivedFact
+	stats map[string]*ruleStat, buf *[]core.PackedFact) []core.PackedFact {
+	facts := (*buf)[:0]
 	ownRefs := make(map[uint64]bool, ann.NumReferents())
 	for id := range ann.ReferentIDs {
 		ownRefs[id] = true
@@ -313,7 +316,8 @@ func (e *Engine) evalSource(v *core.View, ann *core.Annotation, rules []Rule,
 			rs.nanos += time.Since(t0).Nanoseconds()
 		}
 	}
-	return canonicalize(facts)
+	*buf = facts
+	return v.CanonicalFacts(ann.ID, facts)
 }
 
 // triggeringReferent reports whether ref participates in rule's spatial
@@ -329,7 +333,7 @@ func triggeringReferent(ref *core.Referent, rule Rule) bool {
 }
 
 func (e *Engine) evalOverlap(v *core.View, ann *core.Annotation, rule Rule,
-	ownRefs map[uint64]bool, facts []core.DerivedFact) []core.DerivedFact {
+	ownRefs map[uint64]bool, facts []core.PackedFact) []core.PackedFact {
 	for refID := range ann.ReferentIDs {
 		ref, err := v.Referent(refID)
 		if err != nil || !spatialKind(ref.Kind) || !triggeringReferent(ref, rule) {
@@ -339,19 +343,14 @@ func (e *Engine) evalOverlap(v *core.View, ann *core.Annotation, rule Rule,
 			if s == nil || ownRefs[s.ID] {
 				continue // its own marks are directly annotated, not derived
 			}
-			facts = append(facts, core.DerivedFact{
-				Rule:    rule.ID,
-				Source:  ann.ID,
-				Target:  agraph.Referent(s.ID),
-				Witness: fmt.Sprintf("overlap ref%d~ref%d", ref.ID, s.ID),
-			})
+			facts = append(facts, core.PackedFact{Rule: rule.ID, Target: agraph.Referent(s.ID), Via: ref.ID})
 		}
 	}
 	return facts
 }
 
 func (e *Engine) evalCoRegistered(v *core.View, ann *core.Annotation, rule Rule,
-	facts []core.DerivedFact) []core.DerivedFact {
+	facts []core.PackedFact) []core.PackedFact {
 	for refID := range ann.ReferentIDs {
 		ref, err := v.Referent(refID)
 		if err != nil || ref.Kind != core.RegionReferent || !triggeringReferent(ref, rule) {
@@ -365,20 +364,19 @@ func (e *Engine) evalCoRegistered(v *core.View, ann *core.Annotation, rule Rule,
 			if err != nil || im.System != ref.Domain || !im.Footprint().Overlaps(*ref.Region) {
 				continue
 			}
-			facts = append(facts, core.DerivedFact{
-				Rule:    rule.ID,
-				Source:  ann.ID,
-				Target:  agraph.Object(string(core.TypeImage), imgID),
-				Witness: fmt.Sprintf("coreg ref%d in %s", ref.ID, ref.Domain),
-			})
+			facts = append(facts, core.PackedFact{Rule: rule.ID,
+				Target: agraph.Object(string(core.TypeImage), imgID), Via: ref.ID})
 		}
 	}
 	return facts
 }
 
 func (e *Engine) evalClosure(v *core.View, ann *core.Annotation, rule Rule,
-	facts []core.DerivedFact) []core.DerivedFact {
+	facts []core.PackedFact) []core.PackedFact {
+	var k uint64 // the position of tr in ann.Terms, which renders the witness
 	for tr := range ann.Terms {
+		via := k
+		k++
 		if rule.Ontology != "" && tr.Ontology != rule.Ontology {
 			continue
 		}
@@ -391,19 +389,14 @@ func (e *Engine) evalClosure(v *core.View, ann *core.Annotation, rule Rule,
 			continue
 		}
 		for _, anc := range ancestors {
-			facts = append(facts, core.DerivedFact{
-				Rule:    rule.ID,
-				Source:  ann.ID,
-				Target:  agraph.Term(tr.Ontology, anc),
-				Witness: fmt.Sprintf("closure %s/%s -> %s", tr.Ontology, tr.TermID, anc),
-			})
+			facts = append(facts, core.PackedFact{Rule: rule.ID, Target: agraph.Term(tr.Ontology, anc), Via: via})
 		}
 	}
 	return facts
 }
 
 func (e *Engine) evalShared(v *core.View, ann *core.Annotation, rule Rule,
-	facts []core.DerivedFact) []core.DerivedFact {
+	facts []core.PackedFact) []core.PackedFact {
 	for refID := range ann.ReferentIDs {
 		ref, err := v.Referent(refID)
 		if err != nil || !triggeringReferent(ref, rule) {
@@ -413,32 +406,10 @@ func (e *Engine) evalShared(v *core.View, ann *core.Annotation, rule Rule,
 			if other.ID == ann.ID {
 				continue
 			}
-			facts = append(facts, core.DerivedFact{
-				Rule:    rule.ID,
-				Source:  ann.ID,
-				Target:  agraph.ContentRoot(other.ID),
-				Witness: fmt.Sprintf("shared ref%d", refID),
-			})
+			facts = append(facts, core.PackedFact{Rule: rule.ID, Target: agraph.ContentRoot(other.ID), Via: refID})
 		}
 	}
 	return facts
-}
-
-// canonicalize sorts facts by (rule, target, witness) and drops exact
-// duplicates (a shared referent reached through two of the source's own
-// marks, say), making fact sets comparable byte-for-byte.
-func canonicalize(facts []core.DerivedFact) []core.DerivedFact {
-	if len(facts) == 0 {
-		return nil
-	}
-	sort.Slice(facts, func(i, j int) bool { return core.DerivedFactLess(facts[i], facts[j]) })
-	out := facts[:1]
-	for _, f := range facts[1:] {
-		if f != out[len(out)-1] {
-			out = append(out, f)
-		}
-	}
-	return out
 }
 
 func referencesTerm(ann *core.Annotation, ont, term string) bool {

@@ -1,8 +1,10 @@
 package prop
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"maps"
 	"reflect"
 	"slices"
 	"strings"
@@ -56,32 +58,76 @@ func assertExact(t *testing.T, s *core.Store, e *Engine) {
 	t.Helper()
 	v := s.View()
 	got := slices.Collect(v.DerivedEach)
-	want := flatten(e.Recompute(v))
+	want := flatten(v, e.Recompute(v))
 	if len(got) == 0 && len(want) == 0 {
 		return
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("maintained derived set diverged from recompute:\n got %v\nwant %v", got, want)
 	}
+	assertCanonical(t, got)
 }
 
-// flatten orders a recompute map the way View.DerivedAll does: ascending
-// source, canonical fact order within a source.
-func flatten(m map[uint64][]core.DerivedFact) []core.DerivedFact {
-	var srcs []uint64
-	for src := range m {
-		srcs = append(srcs, src)
-	}
-	for i := 1; i < len(srcs); i++ {
-		for j := i; j > 0 && srcs[j-1] > srcs[j]; j-- {
-			srcs[j-1], srcs[j] = srcs[j], srcs[j-1]
+// flatten renders a recompute map in the order View.DerivedEach visits
+// the table — ascending source, each source's facts as stored — with
+// every witness printed as the engine printed it before facts were
+// packed, so the table's own rendering is checked against this one.
+func flatten(v *core.View, m map[uint64][]core.PackedFact) []core.DerivedFact {
+	var out []core.DerivedFact
+	for _, src := range slices.Sorted(maps.Keys(m)) {
+		for _, f := range m[src] {
+			out = append(out, core.DerivedFact{Rule: f.Rule, Source: src, Target: f.Target,
+				Witness: printedWitness(v, src, f)})
 		}
 	}
-	var out []core.DerivedFact
-	for _, src := range srcs {
-		out = append(out, m[src]...)
-	}
 	return out
+}
+
+// printedWitness is the witness of src's fact f, in the engine's formats.
+func printedWitness(v *core.View, src uint64, f core.PackedFact) string {
+	switch f.Target.Kind {
+	case agraph.ReferentNode:
+		to, _ := agraph.ReferentID(f.Target)
+		return fmt.Sprintf("overlap ref%d~ref%d", f.Via, to)
+	case agraph.ContentNode:
+		return fmt.Sprintf("shared ref%d", f.Via)
+	case agraph.ObjectNode:
+		ref, err := v.Referent(f.Via)
+		if err != nil {
+			panic(err)
+		}
+		return fmt.Sprintf("coreg ref%d in %s", f.Via, ref.Domain)
+	case agraph.TermNode:
+		ann, err := v.Annotation(src)
+		if err != nil {
+			panic(err)
+		}
+		tr := slices.Collect(ann.Terms)[f.Via]
+		return fmt.Sprintf("closure %s/%s -> %s", tr.Ontology, tr.TermID,
+			strings.TrimPrefix(f.Target.Key(), tr.Ontology+"/"))
+	}
+	panic(fmt.Sprintf("no witness form for target %v", f.Target))
+}
+
+// assertCanonical checks facts, in DerivedEach order, ascend by source
+// and, within a source, strictly by (rule, target, witness) with the
+// witnesses compared as strings: the order fact sets were kept in while
+// every fact carried its witness printed.
+func assertCanonical(t *testing.T, facts []core.DerivedFact) {
+	t.Helper()
+	for i := 1; i < len(facts); i++ {
+		a, b := facts[i-1], facts[i]
+		if a.Source != b.Source {
+			if a.Source > b.Source {
+				t.Fatalf("source %d listed after %d", b.Source, a.Source)
+			}
+			continue
+		}
+		if c := cmp.Or(strings.Compare(a.Rule, b.Rule), a.Target.Compare(b.Target),
+			strings.Compare(a.Witness, b.Witness)); c >= 0 {
+			t.Fatalf("facts out of canonical order or repeated:\n%v\n%v", a, b)
+		}
+	}
 }
 
 func TestOverlapEdge(t *testing.T) {

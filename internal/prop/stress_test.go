@@ -130,7 +130,7 @@ func TestStressDeltaExactness(t *testing.T) {
 
 	v := s.View()
 	got := slices.Collect(v.DerivedEach)
-	want := flatten(e.Recompute(v))
+	want := flatten(v, e.Recompute(v))
 	if len(got) == 0 {
 		t.Fatal("stress produced no derived facts; workload is not exercising the engine")
 	}
@@ -141,6 +141,7 @@ func TestStressDeltaExactness(t *testing.T) {
 	if v.Stats().Derived != len(got) {
 		t.Fatalf("DerivedCount %d != len(DerivedAll) %d", v.Stats().Derived, len(got))
 	}
+	assertCanonical(t, got)
 	assertTargetIndexParity(t, v)
 }
 

@@ -392,20 +392,6 @@ func (e *execution) candidates(v *VarDecl) (*domain, error) {
 	return &domain{size: len(out), listed: true, nodes: out}, nil
 }
 
-// derivesMatch reports whether an annotation sources at least one
-// derived fact of the given rule ("*" = any).
-func (e *execution) derivesMatch(annID uint64, rule string) bool {
-	match := false
-	e.view.DerivedFromEach(annID, func(f core.DerivedFact) bool {
-		if rule == "*" || f.Rule == rule {
-			match = true
-			return false
-		}
-		return true
-	})
-	return match
-}
-
 func (e *execution) annotationCandidates(v *VarDecl) ([]agraph.NodeRef, error) {
 	// Start from the most selective source available: a keyword.
 	var anns []*core.Annotation
@@ -442,7 +428,7 @@ func (e *execution) annotationMatches(ann *core.Annotation, props []Prop) (bool,
 	for _, prop := range props {
 		switch prop.Kind {
 		case PropDerived:
-			if !e.derivesMatch(ann.ID, prop.Str) {
+			if !e.view.HasDerivedFrom(ann.ID, prop.Str) {
 				return false, nil
 			}
 		case PropContains:

@@ -456,19 +456,16 @@ const feedDepth = 64
 var errStopped = errors.New("shard: restore stopped")
 
 // stage loads src into one fresh store per shard, each holding what route
-// places on it, and installs nothing. Over one shard that is src loaded as
-// it is. Over several, src is walked once, here, and each op is handed to
-// its shard's staging session — a goroutine running its own Batch, fed
-// through a channel — or, broadcast, to every shard's; the tail (rules,
-// ID counters) goes to every session once the walk is done. The sessions
-// build in parallel, nothing holds more of the snapshot than the ops in
-// flight, and the first failure, the walk's or a session's, stops them
-// all. The error is the walk's, or the lowest failed shard's, tagged.
+// places on it, and installs nothing. src is walked once, here, on the
+// caller's goroutine, and each op is handed to its shard's staging
+// session — a goroutine running its own Batch, fed through a channel — or,
+// broadcast, to every shard's; the tail (rules, ID counters) goes to every
+// session once the walk is done. So the decode and the apply overlap, over
+// one shard as over several, the sessions build in parallel, nothing holds
+// more of the snapshot than the ops in flight, and the first failure, the
+// walk's or a session's, stops them all. The error is the walk's, or the
+// lowest failed shard's, tagged when there is more than one shard.
 func (s *Store) stage(src persist.Source) ([]*core.Store, error) {
-	if s.NumShards() == 1 {
-		cs, err := s.pipes[0].Stage(src)
-		return []*core.Store{cs}, err
-	}
 	staged := make([]*core.Store, s.NumShards())
 	errs := make([]error, s.NumShards())
 	feeds := make([]chan persist.Op, s.NumShards())
@@ -521,7 +518,11 @@ func (s *Store) stage(src persist.Source) ([]*core.Store, error) {
 		return nil, walkErr
 	}
 	for k, err := range errs {
-		if err != nil && !errors.Is(err, errStopped) {
+		switch {
+		case err == nil || errors.Is(err, errStopped):
+		case s.NumShards() == 1:
+			return nil, err
+		default:
 			return nil, tag(k, err)
 		}
 	}
