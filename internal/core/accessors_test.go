@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"graphitti/internal/biodata/seq"
 	"graphitti/internal/dublincore"
 	"graphitti/internal/interval"
 	"graphitti/internal/relstore"
@@ -198,12 +199,16 @@ func TestReferentStringForms(t *testing.T) {
 
 func TestMarkObjectAllTypes(t *testing.T) {
 	s := newDemoStore(t)
+	rna, err := seq.New("M-rna", seq.RNA, "ACGU")
+	mustNoErr(t, err)
+	mustNoErr(t, s.RegisterSequence(rna))
 	ok := []struct {
 		typ ObjectType
 		id  string
 	}{
 		{TypeDNA, "NC_007362"},
 		{TypeProtein, "P03452"},
+		{TypeRNA, "M-rna"},
 		{TypeAlignment, "HA-aln"},
 		{TypeTree, "H5N1-tree"},
 		{TypeInteraction, "NS1-net"},
@@ -221,6 +226,22 @@ func TestMarkObjectAllTypes(t *testing.T) {
 	}
 	if _, err := s.View().MarkObject(ObjectType("ghost-table"), "x"); err == nil {
 		t.Error("unknown record table accepted")
+	}
+	// Every object of the eight types, in (type, id) order.
+	want := []ObjectHandle{
+		{TypeAlignment, "HA-aln"},
+		{TypeDNA, "NC_007362"},
+		{TypeDNA, "NC_007363"},
+		{TypeImage, "brain-1"},
+		{TypeImage, "brain-2"},
+		{TypeInteraction, "NS1-net"},
+		{TypeTree, "H5N1-tree"},
+		{TypeProtein, "P03452"},
+		{TypeRecord, "isolates"},
+		{TypeRNA, "M-rna"},
+	}
+	if got := s.View().ObjectList(); !slices.Equal(got, want) {
+		t.Errorf("ObjectList = %v, want %v", got, want)
 	}
 }
 

@@ -313,9 +313,9 @@ func (x *Tx) commit(b *Builder, pinnedAnn uint64, pinnedRefs []uint64) (*Annotat
 
 	// Validate ontology references before mutating anything.
 	for _, tr := range b.terms {
-		o, ok := nv.ontologies[tr.Ontology]
-		if !ok {
-			return nil, fmt.Errorf("%w: %s", ErrNoSuchOntology, tr.Ontology)
+		o, err := nv.Ontology(tr.Ontology)
+		if err != nil {
+			return nil, err
 		}
 		if _, ok := o.Term(tr.TermID); !ok {
 			return nil, fmt.Errorf("%w: %s in %s", ErrNoSuchTerm, tr.TermID, tr.Ontology)

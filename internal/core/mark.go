@@ -2,9 +2,10 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
+	"graphitti/internal/biodata/seq"
 	"graphitti/internal/interval"
 	"graphitti/internal/relstore"
 	"graphitti/internal/rtree"
@@ -46,25 +47,23 @@ func (v *View) MarkDomainInterval(domain string, iv interval.Interval) (*Referen
 	if !iv.Valid() {
 		return nil, fmt.Errorf("%w: %v", ErrBadMark, iv)
 	}
-	var owner string
-	var typ ObjectType
-	// seqIDs is maintained sorted, so the first covering owner is
-	// deterministic without a per-call sort.
-	for _, id := range v.seqIDs {
-		sq := v.seqs[id]
-		if sq.Domain == domain && sq.Span().Overlaps(iv) {
-			owner = id
-			typ = v.seqType[id]
-			break
+	// The least covering ID, so the owner does not depend on the map's
+	// order.
+	var owner *seq.Sequence
+	v.registry[kindSequence].EachValue(func(o any) bool {
+		sq := o.(*seq.Sequence)
+		if sq.Domain == domain && sq.Span().Overlaps(iv) && (owner == nil || sq.ID < owner.ID) {
+			owner = sq
 		}
-	}
-	if owner == "" {
+		return true
+	})
+	if owner == nil {
 		return nil, fmt.Errorf("%w: no registered sequence covers %s %v", ErrBadMark, domain, iv)
 	}
 	return &Referent{
 		Kind:       IntervalReferent,
-		ObjectType: typ,
-		ObjectID:   owner,
+		ObjectType: seqObjectType(owner.Kind),
+		ObjectID:   owner.ID,
 		Domain:     domain,
 		Interval:   iv,
 	}, nil
@@ -147,8 +146,9 @@ func (v *View) MarkAlignmentBlock(alnID string, rows []string, cols interval.Int
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadMark, err)
 	}
-	keys := append([]string(nil), block.RowIDs...)
-	sort.Strings(keys)
+	keys := slices.Clone(block.RowIDs)
+	slices.Sort(keys)
+	keys = slices.Compact(keys)
 	return &Referent{
 		Kind:       BlockReferent,
 		ObjectType: TypeAlignment,
@@ -162,9 +162,9 @@ func (v *View) MarkAlignmentBlock(alnID string, rows []string, cols interval.Int
 // MarkRecords marks a set of rows of a user record table by primary key
 // (the demo's "block set markers for relational records").
 func (v *View) MarkRecords(table string, keys ...relstore.Value) (*Referent, error) {
-	t, ok := v.recordTables.Get(table)
-	if !ok {
-		return nil, errNoSuchObject("record table", table)
+	t, err := lookup[recordTable](v, kindTable, table)
+	if err != nil {
+		return nil, err
 	}
 	if len(keys) == 0 {
 		return nil, fmt.Errorf("%w: no record keys", ErrBadMark)
@@ -176,7 +176,8 @@ func (v *View) MarkRecords(table string, keys ...relstore.Value) (*Referent, err
 		}
 		strKeys = append(strKeys, k.String())
 	}
-	sort.Strings(strKeys)
+	slices.Sort(strKeys)
+	strKeys = slices.Compact(strKeys)
 	return &Referent{
 		Kind:       RecordSetReferent,
 		ObjectType: TypeRecord,
@@ -188,21 +189,13 @@ func (v *View) MarkRecords(table string, keys ...relstore.Value) (*Referent, err
 
 // MarkObject marks a whole registered data object.
 func (v *View) MarkObject(typ ObjectType, objectID string) (*Referent, error) {
-	ok := false
-	switch typ {
-	case TypeDNA, TypeRNA, TypeProtein:
-		_, present := v.seqs[objectID]
-		ok = present && v.seqType[objectID] == typ
-	case TypeAlignment:
-		_, ok = v.alignments[objectID]
-	case TypeTree:
-		_, ok = v.trees[objectID]
-	case TypeInteraction:
-		_, ok = v.igraphs[objectID]
-	case TypeImage:
-		_, ok = v.images[objectID]
-	default:
-		_, ok = v.recordTables.Get(string(typ))
+	k, name := objectKind(typ), objectID
+	if k == kindTable {
+		name = string(typ) // a table takes any ID: its rows are marked by MarkRecords
+	}
+	o, ok := v.registry[k].Get(name)
+	if ok && k == kindSequence {
+		ok = objectType(k, o) == typ
 	}
 	if !ok {
 		return nil, fmt.Errorf("%w: %s/%s", ErrNoSuchObject, typ, objectID)

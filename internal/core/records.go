@@ -20,13 +20,7 @@ type recordTable struct {
 // reservedTableName reports whether name is a built-in object type's. A
 // record table of that name would be unreachable through MarkObject,
 // which resolves the built-in types first.
-func reservedTableName(name string) bool {
-	switch ObjectType(name) {
-	case TypeDNA, TypeRNA, TypeProtein, TypeAlignment, TypeTree, TypeInteraction, TypeImage:
-		return true
-	}
-	return false
-}
+func reservedTableName(name string) bool { return objectKind(ObjectType(name)) != kindTable }
 
 // CreateRecordTable creates a user-defined relational table whose rows can
 // be annotated as record-set referents (the demo's "relational records").
@@ -37,17 +31,10 @@ func (s *Store) CreateRecordTable(schema *relstore.Schema) error {
 
 // CreateRecordTable is Store.CreateRecordTable as one op of the session.
 func (x *Tx) CreateRecordTable(schema *relstore.Schema) error {
-	nv := x.open()
-	if _, dup := nv.recordTables.Get(schema.Name); dup || reservedTableName(schema.Name) {
+	if reservedTableName(schema.Name) {
 		return fmt.Errorf("%w: table %s", relstore.ErrDuplicateName, schema.Name)
 	}
-	tables := nv.recordTables.Edit()
-	tables.Set(schema.Name, recordTable{schema: schema})
-	nv.recordTables = tables.Map
-	nv.recTableNames = insertSortedStr(nv.recTableNames, schema.Name)
-	nv.objects = insertSortedObject(nv.objects, ObjectHandle{TypeRecord, schema.Name})
-	x.ops++
-	return nil
+	return x.register(kindTable, schema.Name, recordTable{schema: schema})
 }
 
 // InsertRecord inserts a row into a user record table, making it markable
@@ -58,10 +45,9 @@ func (s *Store) InsertRecord(table string, row relstore.Row) error {
 
 // InsertRecord is Store.InsertRecord as one op of the session.
 func (x *Tx) InsertRecord(table string, row relstore.Row) error {
-	nv := x.open()
-	t, ok := nv.recordTables.Get(table)
-	if !ok {
-		return errNoSuchObject("record table", table)
+	t, err := lookup[recordTable](x.open(), kindTable, table)
+	if err != nil {
+		return err
 	}
 	if err := t.schema.CheckRow(row); err != nil {
 		return err
@@ -74,9 +60,7 @@ func (x *Tx) InsertRecord(table string, row relstore.Row) error {
 	rows := t.rows.Edit()
 	rows.Set(key, row.Clone())
 	t.rows = rows.Map
-	tables := nv.recordTables.Edit()
-	tables.Set(table, t)
-	nv.recordTables = tables.Map
+	x.file(kindTable, table, t)
 	x.ops++
 	return nil
 }
@@ -84,9 +68,9 @@ func (x *Tx) InsertRecord(table string, row relstore.Row) error {
 // RecordTable returns a user record table's schema and its rows in
 // primary-key order. The rows belong to the view: read, don't modify.
 func (v *View) RecordTable(name string) (*relstore.Schema, []relstore.Row, error) {
-	t, ok := v.recordTables.Get(name)
-	if !ok {
-		return nil, nil, errNoSuchObject("record table", name)
+	t, err := lookup[recordTable](v, kindTable, name)
+	if err != nil {
+		return nil, nil, err
 	}
 	rows := make([]relstore.Row, 0, t.rows.Len())
 	t.rows.Each(func(_ string, r relstore.Row) bool {

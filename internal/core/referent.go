@@ -21,9 +21,9 @@ import (
 
 // ObjectType names a registered data type. The paper's "DNA sequences,
 // protein sequences, images etc. all have their metadata stored in
-// separate tables" is the view's per-type registries: one keyed
-// collection per type, holding the objects in their native form, and the
-// copy every reader uses — mark constructors, the query processor, the
+// separate tables" is the view's registries: one persistent map per
+// kind (DNA, RNA and protein sequences share one), holding the objects in
+// their native form, and the copy every reader uses — mark constructors, the query processor, the
 // exporter, every route. There is no second, relational copy of them.
 type ObjectType string
 

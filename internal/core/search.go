@@ -329,7 +329,7 @@ func (v *View) CorrelatedData(annID uint64) ([]CorrelatedItem, error) {
 		key := termEdge.To.Key()
 		desc := "term " + key
 		if parts := strings.SplitN(key, "/", 2); len(parts) == 2 {
-			if o, ok := v.ontologies[parts[0]]; ok {
+			if o, err := v.Ontology(parts[0]); err == nil {
 				if t, ok := o.Term(parts[1]); ok && t.Name != "" {
 					desc = fmt.Sprintf("term %s (%s)", t.Name, key)
 				}

@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-	"maps"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -14,6 +12,7 @@ import (
 	"graphitti/internal/biodata/phylo"
 	"graphitti/internal/biodata/seq"
 	"graphitti/internal/ontology"
+	"graphitti/internal/relstore"
 	"graphitti/internal/rtree"
 )
 
@@ -97,14 +96,7 @@ func (s *Store) RegisterOntology(o *ontology.Ontology) error {
 
 // RegisterOntology is Store.RegisterOntology as one op of the session.
 func (x *Tx) RegisterOntology(o *ontology.Ontology) error {
-	nv := x.open()
-	if _, dup := nv.ontologies[o.Name()]; dup {
-		return fmt.Errorf("%w: ontology %s", ErrDuplicate, o.Name())
-	}
-	nv.ontologies = mapWith(nv.ontologies, o.Name(), o)
-	nv.ontNames = insertSortedStr(nv.ontNames, o.Name())
-	x.ops++
-	return nil
+	return x.register(kindOntology, o.Name(), o)
 }
 
 // RegisterCoordinateSystem makes a shared spatial reference available for
@@ -116,18 +108,14 @@ func (s *Store) RegisterCoordinateSystem(cs *imaging.CoordinateSystem) error {
 // RegisterCoordinateSystem is Store.RegisterCoordinateSystem as one op of
 // the session. The system's R-tree goes in through the session's handle.
 func (x *Tx) RegisterCoordinateSystem(cs *imaging.CoordinateSystem) error {
-	nv := x.open()
-	if _, dup := nv.systems[cs.Name]; dup {
-		return fmt.Errorf("%w: coordinate system %s", ErrDuplicate, cs.Name)
-	}
 	tree, err := rtree.NewTree[struct{}](cs.Dims)
 	if err != nil {
 		return err
 	}
-	nv.systems = mapWith(nv.systems, cs.Name, cs)
-	nv.sysNames = insertSortedStr(nv.sysNames, cs.Name)
+	if err := x.register(kindSystem, cs.Name, cs); err != nil {
+		return err
+	}
 	x.rt.Set(cs.Name, tree)
-	x.ops++
 	return nil
 }
 
@@ -150,18 +138,12 @@ func (s *Store) RegisterSequence(sq *seq.Sequence) error {
 
 // RegisterSequence is Store.RegisterSequence as one op of the session.
 func (x *Tx) RegisterSequence(sq *seq.Sequence) error {
-	nv := x.open()
-	if _, dup := nv.seqs[sq.ID]; dup {
-		return fmt.Errorf("%w: sequence %s", ErrDuplicate, sq.ID)
+	if err := x.register(kindSequence, sq.ID, sq); err != nil {
+		return err
 	}
 	if sq.Domain == "" {
 		sq.Domain = sq.ID
 	}
-	typ := seqObjectType(sq.Kind)
-	nv.seqs = mapWith(nv.seqs, sq.ID, sq)
-	nv.seqType = mapWith(nv.seqType, sq.ID, typ)
-	nv.seqIDs = insertSortedStr(nv.seqIDs, sq.ID)
-	x.addObject(typ, sq.ID)
 	return nil
 }
 
@@ -172,14 +154,7 @@ func (s *Store) RegisterAlignment(a *msa.Alignment) error {
 
 // RegisterAlignment is Store.RegisterAlignment as one op of the session.
 func (x *Tx) RegisterAlignment(a *msa.Alignment) error {
-	nv := x.open()
-	if _, dup := nv.alignments[a.ID]; dup {
-		return fmt.Errorf("%w: alignment %s", ErrDuplicate, a.ID)
-	}
-	nv.alignments = mapWith(nv.alignments, a.ID, a)
-	nv.alnIDs = insertSortedStr(nv.alnIDs, a.ID)
-	x.addObject(TypeAlignment, a.ID)
-	return nil
+	return x.register(kindAlignment, a.ID, a)
 }
 
 // RegisterTree registers a phylogenetic tree.
@@ -189,14 +164,7 @@ func (s *Store) RegisterTree(t *phylo.Tree) error {
 
 // RegisterTree is Store.RegisterTree as one op of the session.
 func (x *Tx) RegisterTree(t *phylo.Tree) error {
-	nv := x.open()
-	if _, dup := nv.trees[t.ID]; dup {
-		return fmt.Errorf("%w: tree %s", ErrDuplicate, t.ID)
-	}
-	nv.trees = mapWith(nv.trees, t.ID, t)
-	nv.treeIDs = insertSortedStr(nv.treeIDs, t.ID)
-	x.addObject(TypeTree, t.ID)
-	return nil
+	return x.register(kindTree, t.ID, t)
 }
 
 // RegisterInteractionGraph registers a molecular interaction graph.
@@ -207,14 +175,7 @@ func (s *Store) RegisterInteractionGraph(g *interact.Graph) error {
 // RegisterInteractionGraph is Store.RegisterInteractionGraph as one op of
 // the session.
 func (x *Tx) RegisterInteractionGraph(g *interact.Graph) error {
-	nv := x.open()
-	if _, dup := nv.igraphs[g.ID]; dup {
-		return fmt.Errorf("%w: interaction graph %s", ErrDuplicate, g.ID)
-	}
-	nv.igraphs = mapWith(nv.igraphs, g.ID, g)
-	nv.igraphIDs = insertSortedStr(nv.igraphIDs, g.ID)
-	x.addObject(TypeInteraction, g.ID)
-	return nil
+	return x.register(kindInteraction, g.ID, g)
 }
 
 // RegisterImage registers an image; its coordinate system must have been
@@ -225,16 +186,12 @@ func (s *Store) RegisterImage(im *imaging.Image) error {
 
 // RegisterImage is Store.RegisterImage as one op of the session.
 func (x *Tx) RegisterImage(im *imaging.Image) error {
-	nv := x.open()
-	if _, dup := nv.images[im.ID]; dup {
-		return fmt.Errorf("%w: image %s", ErrDuplicate, im.ID)
-	}
-	if _, ok := nv.systems[im.System]; !ok {
+	if _, ok := x.open().registry[kindSystem].Get(im.System); !ok {
 		return fmt.Errorf("%w: %s (register it before image %s)", ErrNoSuchSystem, im.System, im.ID)
 	}
-	nv.images = mapWith(nv.images, im.ID, im)
-	nv.imageIDs = insertSortedStr(nv.imageIDs, im.ID)
-	x.addObject(TypeImage, im.ID)
+	if err := x.register(kindImage, im.ID, im); err != nil {
+		return err
+	}
 	// A new image in a shared coordinate system can become the target of
 	// existing coordinate-registration rules; registrations are rare, so
 	// a full recompute over the session's sealed state keeps the derived
@@ -244,6 +201,32 @@ func (x *Tx) RegisterImage(im *imaging.Image) error {
 		x.seal().recomputeDerived(p)
 	}
 	return nil
+}
+
+// register files o under name in the session's registry of kind k, as
+// one op: a name a kind already holds is refused, and an object of a
+// built-in type (a sequence through an image) becomes a node of the
+// a-graph, where marks will reach it.
+func (x *Tx) register(k kind, name string, o any) error {
+	nv := x.open()
+	if _, dup := nv.registry[k].Get(name); dup {
+		if k == kindTable {
+			return fmt.Errorf("%w: table %s", relstore.ErrDuplicateName, name)
+		}
+		return fmt.Errorf("%w: %s %s", ErrDuplicate, nouns[k], name)
+	}
+	x.file(k, name, o)
+	if k >= kindSequence && k < kindTable {
+		x.g.AddNode(agraph.Object(string(objectType(k, o)), name))
+	}
+	x.ops++
+	return nil
+}
+
+// file stores o under name in the session's registry of kind k.
+func (x *Tx) file(k kind, name string, o any) {
+	x.reg[k].Set(name, o)
+	x.nv.registry[k] = x.reg[k].Map
 }
 
 // Stats summarises the store for the admin workflow.
@@ -266,47 +249,3 @@ type Stats struct {
 
 // Stats returns current component sizes.
 func (s *Store) Stats() Stats { return s.View().Stats() }
-
-// --- helpers for the rarely-mutated registration maps/slices ---
-
-// mapWith clones m and sets k=v; registration-rate mutations only.
-func mapWith[K comparable, V any](m map[K]V, k K, v V) map[K]V {
-	out := maps.Clone(m)
-	if out == nil {
-		out = make(map[K]V, 1)
-	}
-	out[k] = v
-	return out
-}
-
-// insertSortedStr returns a fresh sorted slice with s inserted.
-func insertSortedStr(xs []string, s string) []string {
-	i := sort.SearchStrings(xs, s)
-	out := make([]string, 0, len(xs)+1)
-	out = append(out, xs[:i]...)
-	out = append(out, s)
-	return append(out, xs[i:]...)
-}
-
-// addObject completes the registration of a data object, as one op: it
-// lists the object in the (type, id)-sorted handle list and, through the
-// session's handle, as a node of the a-graph, where marks will reach it.
-func (x *Tx) addObject(typ ObjectType, id string) {
-	x.nv.objects = insertSortedObject(x.nv.objects, ObjectHandle{typ, id})
-	x.g.AddNode(agraph.Object(string(typ), id))
-	x.ops++
-}
-
-// insertSortedObject returns a fresh (type, id)-sorted slice with h added.
-func insertSortedObject(xs []ObjectHandle, h ObjectHandle) []ObjectHandle {
-	i := sort.Search(len(xs), func(k int) bool {
-		if xs[k].Type != h.Type {
-			return xs[k].Type > h.Type
-		}
-		return xs[k].ID >= h.ID
-	})
-	out := make([]ObjectHandle, 0, len(xs)+1)
-	out = append(out, xs[:i]...)
-	out = append(out, h)
-	return append(out, xs[i:]...)
-}

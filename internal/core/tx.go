@@ -42,6 +42,10 @@ type Tx struct {
 	it   cow.MapEdit[intervalTree]
 	rt   cow.MapEdit[regionTree]
 	g    agraph.Edit
+
+	// reg edits the registries. A registration writes through to nv's
+	// registry (file), so the session's later ops read it there.
+	reg [numKinds]cow.MapEdit[any]
 }
 
 // Batch runs fn as one writer session: it holds the writer mutex across
@@ -76,6 +80,9 @@ func (x *Tx) open() *View {
 	x.kw, x.rbm = x.pre.keywordIdx.Edit(), x.pre.refByMark.Edit()
 	x.it, x.rt = x.pre.itrees.Edit(), x.pre.rtrees.Edit()
 	x.g = x.pre.graph.Edit()
+	for k := range x.reg {
+		x.reg[k] = x.pre.registry[k].Edit()
+	}
 	return x.nv
 }
 

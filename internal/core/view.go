@@ -8,8 +8,8 @@
 // What a view guarantees:
 //
 //   - Immutability: nothing reachable from a View changes after Publish.
-//     Maps are copy-on-write (a persistent hash trie for the high-churn
-//     keyword, mark-dedup and derived-target indexes, chunked posting
+//     Maps are copy-on-write (a persistent hash trie for the keyword,
+//     mark-dedup and derived-target indexes and the registries, chunked posting
 //     lists under the keyword index, chunked ID tables for
 //     annotations/referents; see internal/cow), the interval/R-trees are
 //     persistent values the view holds by domain in one more such trie,
@@ -29,11 +29,14 @@
 //     document and every a-graph edge that joins it to them, or not at
 //     all — never half-applied, and a deleted one is gone from all of
 //     them together.
-//   - Registered data is in the view and nowhere else: every object
-//     registry and every record table (schema and rows) is a value the
-//     view holds, so a mark constructor, an export or a listing run
-//     against a pinned view sees exactly the registrations and record
-//     inserts published up to its epoch.
+//   - Registered data is in the view and nowhere else: each kind of
+//     registered object (ontologies, coordinate systems, sequences,
+//     alignments, trees, interaction graphs, images, record tables with
+//     their schemas and rows) is one persistent map the view holds, so a
+//     mark constructor, an export or a listing run against a pinned view
+//     sees exactly the registrations and record inserts published up to
+//     its epoch. A listing sorts the names it collects when it is asked
+//     for; a registration copies one trie path of its kind's map.
 //
 // Every read — table, index, tree or graph-backed — is a pure function of
 // the view it runs on: it answers from the op prefix the view's epoch
@@ -41,7 +44,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"graphitti/internal/agraph"
@@ -61,34 +66,18 @@ type View struct {
 	// graph is the a-graph: the labeled join index over everything below.
 	graph agraph.Graph
 
-	ontologies map[string]*ontology.Ontology
-	ontNames   []string // sorted
-	systems    map[string]*imaging.CoordinateSystem
-	sysNames   []string // sorted
-
 	// The sub-structure indexes (see index.go): an interval tree per
 	// coordinate domain that has a mark, an R-tree per coordinate system.
 	itrees cow.Map[intervalTree]
 	rtrees cow.Map[regionTree]
 
-	seqs       map[string]*seq.Sequence
-	seqType    map[string]ObjectType
-	seqIDs     []string // sorted
-	alignments map[string]*msa.Alignment
-	alnIDs     []string // sorted
-	trees      map[string]*phylo.Tree
-	treeIDs    []string // sorted
-	igraphs    map[string]*interact.Graph
-	igraphIDs  []string // sorted
-	images     map[string]*imaging.Image
-	imageIDs   []string // sorted
-
-	recordTables  cow.Map[recordTable] // by table name
-	recTableNames []string             // sorted
-
-	// objects is the (type, id)-sorted list of every registered data
-	// object, maintained at registration time so ObjectList never sorts.
-	objects []ObjectHandle
+	// registry is the registered data, one persistent map per kind
+	// (ontologies, coordinate systems, sequences, alignments, trees,
+	// interaction graphs, images, record tables), each keyed by name or
+	// ID. DNA, RNA and protein sequences share one ID namespace; the
+	// other kinds are namespaces of their own. A listing collects a map's
+	// keys and sorts them when it is asked for (names, ObjectList).
+	registry [numKinds]cow.Map[any]
 
 	annotations cow.Table[Annotation]
 	referents   cow.Table[Referent]
@@ -133,19 +122,7 @@ type View struct {
 func (v *View) Epoch() uint64 { return v.epoch }
 
 // emptyView returns the view of a fresh store.
-func emptyView(m *storeMetrics) *View {
-	return &View{
-		m:          m,
-		ontologies: map[string]*ontology.Ontology{},
-		systems:    map[string]*imaging.CoordinateSystem{},
-		seqs:       map[string]*seq.Sequence{},
-		seqType:    map[string]ObjectType{},
-		alignments: map[string]*msa.Alignment{},
-		trees:      map[string]*phylo.Tree{},
-		igraphs:    map[string]*interact.Graph{},
-		images:     map[string]*imaging.Image{},
-	}
-}
+func emptyView(m *storeMetrics) *View { return &View{m: m} }
 
 // clone returns a shallow successor view for the writer to specialize:
 // every field still shares structure with v until the writer replaces it.
@@ -157,101 +134,164 @@ func (v *View) clone() *View {
 // Graph exposes the view's a-graph for path/connect queries.
 func (v *View) Graph() *agraph.Graph { return &v.graph }
 
+// kind names one of the view's registries. The data kinds, sequences
+// through record tables, are the objects ObjectList lists and MarkObject
+// marks.
+type kind uint8
+
+const (
+	kindOntology kind = iota
+	kindSystem
+	kindSequence
+	kindAlignment
+	kindTree
+	kindInteraction
+	kindImage
+	kindTable
+	numKinds
+)
+
+// nouns name a value of each kind in errors.
+var nouns = [numKinds]string{"ontology", "coordinate system", "sequence", "alignment",
+	"tree", "interaction graph", "image", "record table"}
+
+// objectTypes are the object types of the data kinds but sequences, whose
+// type follows from each one's alphabet (seqObjectType).
+var objectTypes = [numKinds]ObjectType{kindAlignment: TypeAlignment, kindTree: TypeTree,
+	kindInteraction: TypeInteraction, kindImage: TypeImage, kindTable: TypeRecord}
+
+// objectType returns the type of o, registered as a data object of kind k.
+func objectType(k kind, o any) ObjectType {
+	if k == kindSequence {
+		return seqObjectType(o.(*seq.Sequence).Kind)
+	}
+	return objectTypes[k]
+}
+
+// objectKind returns the registry an object of type typ is in: a built-in
+// type's, or the record tables', where the type is the table's name.
+func objectKind(typ ObjectType) kind {
+	switch typ {
+	case TypeDNA, TypeRNA, TypeProtein:
+		return kindSequence
+	}
+	for k := kindAlignment; k < kindTable; k++ {
+		if objectTypes[k] == typ {
+			return k
+		}
+	}
+	return kindTable
+}
+
+// lookup returns the value registered under name in v's registry of kind
+// k.
+func lookup[T any](v *View, k kind, name string) (T, error) {
+	o, ok := v.registry[k].Get(name)
+	if !ok {
+		var zero T
+		switch k {
+		case kindOntology:
+			return zero, fmt.Errorf("%w: %s", ErrNoSuchOntology, name)
+		case kindSystem:
+			return zero, fmt.Errorf("%w: %s", ErrNoSuchSystem, name)
+		}
+		return zero, errNoSuchObject(nouns[k], name)
+	}
+	return o.(T), nil
+}
+
+// names returns the names registered in v's registry of kind k, sorted.
+func (v *View) names(k kind) []string {
+	out := make([]string, 0, v.registry[k].Len())
+	v.registry[k].Each(func(name string, _ any) bool {
+		out = append(out, name)
+		return true
+	})
+	slices.Sort(out)
+	return out
+}
+
 // Ontology returns a registered ontology.
 func (v *View) Ontology(name string) (*ontology.Ontology, error) {
-	o, ok := v.ontologies[name]
-	if !ok {
-		return nil, errNoSuchOntology(name)
-	}
-	return o, nil
+	return lookup[*ontology.Ontology](v, kindOntology, name)
 }
 
 // Ontologies returns the names of registered ontologies, sorted.
-func (v *View) Ontologies() []string { return copyStrings(v.ontNames) }
+func (v *View) Ontologies() []string { return v.names(kindOntology) }
 
 // CoordinateSystem returns a registered coordinate system.
 func (v *View) CoordinateSystem(name string) (*imaging.CoordinateSystem, error) {
-	cs, ok := v.systems[name]
-	if !ok {
-		return nil, errNoSuchSystem(name)
-	}
-	return cs, nil
+	return lookup[*imaging.CoordinateSystem](v, kindSystem, name)
 }
 
 // CoordinateSystems returns the names of all registered coordinate
 // systems, sorted.
-func (v *View) CoordinateSystems() []string { return copyStrings(v.sysNames) }
+func (v *View) CoordinateSystems() []string { return v.names(kindSystem) }
 
 // Sequence returns a registered sequence and its object type.
 func (v *View) Sequence(id string) (*seq.Sequence, ObjectType, error) {
-	sq, ok := v.seqs[id]
-	if !ok {
-		return nil, "", errNoSuchObject("sequence", id)
+	sq, err := lookup[*seq.Sequence](v, kindSequence, id)
+	if err != nil {
+		return nil, "", err
 	}
-	return sq, v.seqType[id], nil
+	return sq, seqObjectType(sq.Kind), nil
 }
 
 // Alignment returns a registered alignment.
 func (v *View) Alignment(id string) (*msa.Alignment, error) {
-	a, ok := v.alignments[id]
-	if !ok {
-		return nil, errNoSuchObject("alignment", id)
-	}
-	return a, nil
+	return lookup[*msa.Alignment](v, kindAlignment, id)
 }
 
 // Tree returns a registered phylogenetic tree.
 func (v *View) Tree(id string) (*phylo.Tree, error) {
-	t, ok := v.trees[id]
-	if !ok {
-		return nil, errNoSuchObject("tree", id)
-	}
-	return t, nil
+	return lookup[*phylo.Tree](v, kindTree, id)
 }
 
 // InteractionGraph returns a registered interaction graph.
 func (v *View) InteractionGraph(id string) (*interact.Graph, error) {
-	g, ok := v.igraphs[id]
-	if !ok {
-		return nil, errNoSuchObject("interaction graph", id)
-	}
-	return g, nil
+	return lookup[*interact.Graph](v, kindInteraction, id)
 }
 
 // Image returns a registered image.
 func (v *View) Image(id string) (*imaging.Image, error) {
-	im, ok := v.images[id]
-	if !ok {
-		return nil, errNoSuchObject("image", id)
-	}
-	return im, nil
+	return lookup[*imaging.Image](v, kindImage, id)
 }
 
 // Images returns the IDs of all registered images, sorted.
-func (v *View) Images() []string { return copyStrings(v.imageIDs) }
+func (v *View) Images() []string { return v.names(kindImage) }
 
 // SequenceIDs returns the IDs of all registered sequences, sorted.
-func (v *View) SequenceIDs() []string { return copyStrings(v.seqIDs) }
+func (v *View) SequenceIDs() []string { return v.names(kindSequence) }
 
 // AlignmentIDs returns the IDs of all registered alignments, sorted.
-func (v *View) AlignmentIDs() []string { return copyStrings(v.alnIDs) }
+func (v *View) AlignmentIDs() []string { return v.names(kindAlignment) }
 
 // TreeIDs returns the IDs of all registered phylogenetic trees, sorted.
-func (v *View) TreeIDs() []string { return copyStrings(v.treeIDs) }
+func (v *View) TreeIDs() []string { return v.names(kindTree) }
 
 // InteractionGraphIDs returns the IDs of all registered interaction
 // graphs, sorted.
-func (v *View) InteractionGraphIDs() []string { return copyStrings(v.igraphIDs) }
+func (v *View) InteractionGraphIDs() []string { return v.names(kindInteraction) }
 
 // RecordTables returns the names of all user record tables, sorted.
-func (v *View) RecordTables() []string { return copyStrings(v.recTableNames) }
+func (v *View) RecordTables() []string { return v.names(kindTable) }
 
 // ObjectList returns every registered data object, sorted by (type, id).
-// The list is maintained at registration time, so this is a copy, not a
-// scan-and-sort.
 func (v *View) ObjectList() []ObjectHandle {
-	out := make([]ObjectHandle, len(v.objects))
-	copy(out, v.objects)
+	n := 0
+	for k := kindSequence; k < numKinds; k++ {
+		n += v.registry[k].Len()
+	}
+	out := make([]ObjectHandle, 0, n)
+	for k := kindSequence; k < numKinds; k++ {
+		v.registry[k].Each(func(id string, o any) bool {
+			out = append(out, ObjectHandle{objectType(k, o), id})
+			return true
+		})
+	}
+	slices.SortFunc(out, func(a, b ObjectHandle) int {
+		return cmp.Or(cmp.Compare(a.Type, b.Type), cmp.Compare(a.ID, b.ID))
+	})
 	return out
 }
 
@@ -317,12 +357,12 @@ func (v *View) Stats() Stats {
 	return Stats{
 		Annotations:       v.annotations.Len(),
 		Referents:         v.referents.Len(),
-		Sequences:         len(v.seqs),
-		Alignments:        len(v.alignments),
-		Trees:             len(v.trees),
-		InteractionGraphs: len(v.igraphs),
-		Images:            len(v.images),
-		Ontologies:        len(v.ontologies),
+		Sequences:         v.registry[kindSequence].Len(),
+		Alignments:        v.registry[kindAlignment].Len(),
+		Trees:             v.registry[kindTree].Len(),
+		InteractionGraphs: v.registry[kindInteraction].Len(),
+		Images:            v.registry[kindImage].Len(),
+		Ontologies:        v.registry[kindOntology].Len(),
 		IntervalTrees:     v.itrees.Len(),
 		RTrees:            v.rtrees.Len(),
 		GraphNodes:        v.graph.NodeCount(),
@@ -332,16 +372,8 @@ func (v *View) Stats() Stats {
 	}
 }
 
-func errNoSuchOntology(name string) error {
-	return fmt.Errorf("%w: %s", ErrNoSuchOntology, name)
-}
-
-func errNoSuchSystem(name string) error {
-	return fmt.Errorf("%w: %s", ErrNoSuchSystem, name)
-}
-
-func errNoSuchObject(kind, id string) error {
-	return fmt.Errorf("%w: %s %s", ErrNoSuchObject, kind, id)
+func errNoSuchObject(noun, id string) error {
+	return fmt.Errorf("%w: %s %s", ErrNoSuchObject, noun, id)
 }
 
 func errNoSuchAnnotation(id uint64) error {
@@ -350,12 +382,6 @@ func errNoSuchAnnotation(id uint64) error {
 
 func errNoSuchReferent(id uint64) error {
 	return fmt.Errorf("%w: %d", ErrNoSuchReferent, id)
-}
-
-func copyStrings(xs []string) []string {
-	out := make([]string, len(xs))
-	copy(out, xs)
-	return out
 }
 
 // sortAnnotations orders a result slice by annotation ID (graph joins

@@ -3,7 +3,8 @@
 // (Map) and the chunked ascending ID list (Postings). A core.View is built
 // from them — annotations and referents by ID, the keyword index and its
 // posting lists, the mark-dedup index, the derived-fact target index, the
-// spatial trees by domain, the record tables — and so is the agraph.Graph
+// spatial trees by domain, one registry per kind of registered object
+// (record tables and their rows included) — and so is the agraph.Graph
 // value the view holds (its node table and one node index per kind).
 //
 // A value shares structure with its predecessor and never changes once a
@@ -302,6 +303,31 @@ func (n *mnode[V]) each(fn func(string, V) bool) bool {
 	for i, off := 0, 0; off < len(keys); i++ {
 		key, off = keyAt(keys, off)
 		if !fn(key, n.vals[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// EachValue visits every value, in Each's order, until fn returns false.
+// It copies no key.
+func (m Map[V]) EachValue(fn func(V) bool) {
+	if m.root != nil {
+		m.root.eachValue(fn)
+	}
+}
+
+func (n *mnode[V]) eachValue(fn func(V) bool) bool {
+	if n.keys == nil {
+		for _, kid := range n.kids {
+			if kid != nil && !kid.eachValue(fn) {
+				return false
+			}
+		}
+		return true
+	}
+	for _, v := range n.vals {
+		if !fn(v) {
 			return false
 		}
 	}

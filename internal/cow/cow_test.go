@@ -192,16 +192,23 @@ func checkIndex(t testing.TB, m Map[Postings], model map[string][]uint64) {
 		}
 		checkPostings(t, got, want)
 	}
-	seen := 0
-	m.Each(func(k string, _ Postings) bool {
+	var lens, valueLens []int
+	m.Each(func(k string, p Postings) bool {
 		if _, ok := model[k]; !ok {
 			t.Fatalf("each visits %q, not in the model", k)
 		}
-		seen++
+		lens = append(lens, p.Len())
 		return true
 	})
-	if seen != len(model) {
-		t.Fatalf("each visited %d keys, want %d", seen, len(model))
+	if len(lens) != len(model) {
+		t.Fatalf("each visited %d keys, want %d", len(lens), len(model))
+	}
+	m.EachValue(func(p Postings) bool {
+		valueLens = append(valueLens, p.Len())
+		return true
+	})
+	if !slices.Equal(valueLens, lens) {
+		t.Fatalf("EachValue visits lists of lengths %v, Each %v", valueLens, lens)
 	}
 	for _, k := range containerKeys() {
 		if _, ok := m.Get(k + "?"); ok {

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -191,6 +192,32 @@ func TestCreateAndDeleteAnnotation(t *testing.T) {
 		resp2.Body.Close()
 		if resp2.StatusCode != 400 {
 			t.Fatalf("bad json status = %d", resp2.StatusCode)
+		}
+	})
+}
+
+// TestRepeatedBlockRowsShareReferent: a block mark whose keys name a row
+// twice marks the block that names it once, so the two creates answer
+// with one referent ID.
+func TestRepeatedBlockRowsShareReferent(t *testing.T) {
+	deployments(t, func(t *testing.T, d deployment) {
+		ts, _ := newTestServer(t, d)
+		var ids [2][]float64
+		for i, keys := range [][]string{{"NC_00001"}, {"NC_00001", "NC_00001"}} {
+			req := map[string]interface{}{
+				"creator": "http-user", "date": "2008-04-07",
+				"marks": []map[string]interface{}{
+					{"type": "block", "objectId": "HA-alignment", "keys": keys, "lo": 3, "hi": 9},
+				},
+			}
+			var created struct{ Referents []float64 }
+			if code := postJSON(t, ts.URL+"/api/annotations", req, &created); code != 201 {
+				t.Fatalf("create with rows %v: status %d", keys, code)
+			}
+			ids[i] = created.Referents
+		}
+		if len(ids[0]) != 1 || !slices.Equal(ids[0], ids[1]) {
+			t.Fatalf("one block, referents %v and %v", ids[0], ids[1])
 		}
 	})
 }
