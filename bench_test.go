@@ -24,7 +24,6 @@ import (
 	"graphitti/internal/interval"
 	"graphitti/internal/ontology"
 	"graphitti/internal/persist"
-	"graphitti/internal/prop"
 	"graphitti/internal/query"
 	"graphitti/internal/relstore"
 	"graphitti/internal/rtree"
@@ -717,7 +716,7 @@ func BenchmarkLoadSnapshot(b *testing.B) {
 		if err := persist.Write(src, &js); err != nil {
 			b.Fatal(err)
 		}
-		if err := persist.WriteCheckpoint([]*core.View{src.View()}, prop.RulesOf(src), &bin); err != nil {
+		if err := persist.WriteCheckpoint([]*core.View{src.View()}, &bin); err != nil {
 			b.Fatal(err)
 		}
 		for _, form := range []struct {

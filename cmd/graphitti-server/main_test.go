@@ -125,7 +125,7 @@ func TestShardedDirSurvivesDefaultFlags(t *testing.T) {
 	if got := s2.NumShards(); got != 2 {
 		t.Fatalf("adopted %d shards, want the directory's 2", got)
 	}
-	if got := len(s2.Rules()); got != 1 {
+	if got := len(s2.Views().Rules()); got != 1 {
 		t.Fatalf("recovered %d rules, want 1", got)
 	}
 	if err := s2.Close(); err != nil {

@@ -8,7 +8,6 @@ import (
 
 	"graphitti/internal/core"
 	"graphitti/internal/persist"
-	"graphitti/internal/prop"
 	"graphitti/internal/workload"
 )
 
@@ -25,7 +24,7 @@ func TestLoadCheckpointSaveJSON(t *testing.T) {
 	dir := t.TempDir()
 	checkpoint, out := filepath.Join(dir, "graphitti-0000000000000001.snap"), filepath.Join(dir, "out.json")
 	var bin, want bytes.Buffer
-	if err := persist.WriteCheckpoint([]*core.View{study.Store.View()}, prop.RulesOf(study.Store), &bin); err != nil {
+	if err := persist.WriteCheckpoint([]*core.View{study.Store.View()}, &bin); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(checkpoint, bin.Bytes(), 0o644); err != nil {

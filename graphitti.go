@@ -98,7 +98,7 @@ type (
 	// plus an edge (overlap, coregistered, closure, shared-referent)
 	// producing derived annotations.
 	Rule = prop.Rule
-	// PropagationEngine maintains derived annotations incrementally.
+	// PropagationEngine is a handle that adds and deletes a store's rules.
 	PropagationEngine = prop.Engine
 	// DerivedFact is one materialized derived annotation with provenance.
 	DerivedFact = core.DerivedFact
@@ -140,17 +140,17 @@ const (
 // New returns an empty Graphitti store.
 func New() *Store { return core.NewStore() }
 
-// AddRule registers a propagation rule on the store (attaching the
-// propagation engine on first use) and materializes its derived
-// annotations. Subsequent commits and deletes maintain them
+// AddRule registers a propagation rule on the store and materializes its
+// derived annotations. Subsequent commits and deletes maintain them
 // incrementally.
 func AddRule(s *Store, r Rule) error { return prop.Attach(s).AddRule(r) }
 
 // DeleteRule removes a propagation rule and every fact it derived.
 func DeleteRule(s *Store, id string) error { return prop.Attach(s).DeleteRule(id) }
 
-// Rules returns the store's propagation rules, sorted by ID.
-func Rules(s *Store) []Rule { return prop.RulesOf(s) }
+// Rules returns the propagation rules of the store's current view, sorted
+// by ID: the ones its derived annotations were computed under.
+func Rules(s *Store) []Rule { return prop.RulesOf(s.View()) }
 
 // NewProcessor returns a query processor bound to a store.
 func NewProcessor(s *Store) *Processor { return query.NewProcessor(s) }

@@ -20,14 +20,14 @@ import (
 // the propagation edge — so a reader can always trace a derived
 // annotation back to its source.
 //
-// The store does not compute derived facts itself: a Propagator attached
-// via EnsurePropagator is consulted by the writer session (Tx), and its
-// result is a step of the session, published with the mutation that
-// caused it. A reader therefore never observes an annotation without its
-// derived consequences, or a derived fact whose source is gone. Derived
-// facts are recomputable from committed state, which is why the durable
-// layer never logs them: only rules are durable ops, and recovery
-// re-derives.
+// The store does not compute derived facts itself: the Propagator of the
+// session's state (a rule set, set by Tx.SetPropagator) is consulted by
+// the writer session (Tx), and its result is a step of the session,
+// published with the mutation that caused it. A reader therefore never
+// observes an annotation without its derived consequences, or a derived
+// fact whose source is gone. Derived facts are recomputable from
+// committed state, which is why the durable layer never logs them: only
+// rules are durable ops, and recovery re-derives.
 
 // DerivedFact is one materialized derived annotation as a reader sees it:
 // the table stores it packed (PackedFact) and builds this on read.
@@ -70,6 +70,8 @@ type PackedFact struct {
 // Propagator computes derived facts for the store. Implementations are
 // called by the writer session, against sealed (but unpublished) states
 // of it; they must not call any Store mutation method, only View reads.
+// A propagator is a value of the views that hold it (View.Propagator), so
+// it must not change once set: a rule change sets another.
 type Propagator interface {
 	// Delta returns the updated derived sets of every source annotation
 	// affected by the commit (deleted=false) or deletion (deleted=true)
@@ -96,58 +98,41 @@ type derivedEntry struct {
 	facts []PackedFact
 }
 
-// Propagator returns the attached propagation engine, or nil. Lock-free:
-// it never waits on the writer.
-func (s *Store) Propagator() Propagator {
-	if p := s.propagator.Load(); p != nil {
-		return *p
+// Propagator returns the rule set v's derived table was computed under,
+// or nil when there are no rules.
+func (v *View) Propagator() Propagator { return v.propagator }
+
+// Propagator returns the propagator of the session's state.
+func (x *Tx) Propagator() Propagator {
+	if x.pre == nil {
+		return x.s.v.Load().propagator
 	}
-	return nil
+	return x.pre.propagator
 }
 
-// EnsurePropagator returns the attached propagator, attaching mk() first
-// if none is present. The check-and-set is one compare-and-swap, so
-// concurrent callers agree on one instance, and a writer session may
-// attach one without the writer mutex it already holds.
-func (s *Store) EnsurePropagator(mk func() Propagator) Propagator {
-	if p := s.Propagator(); p != nil {
-		return p
-	}
-	p := mk()
-	if !s.propagator.CompareAndSwap(nil, &p) {
-		return s.Propagator()
-	}
-	return p
-}
-
-// UpdateDerivedRules runs swap — a mutation of the attached propagator's
-// rule set — as one op of the session, with a full derived recompute over
-// the session's sealed state. Because commits and deletes consult the
-// propagator in writer sessions too, every published view's derived table
-// is consistent with exactly one rule set. A swap error aborts without
-// recomputing; without a propagator there is nothing to recompute and no
-// op.
-func (x *Tx) UpdateDerivedRules(swap func() error) error {
-	if err := swap(); err != nil {
-		return err
-	}
-	p := x.s.Propagator()
-	if p == nil {
-		return nil
-	}
-	x.open()
-	x.seal().recomputeDerived(p)
+// SetPropagator makes p — a rule set, nil for none — the propagator of the
+// session's state, as one op, and recomputes the derived table over that
+// state. The rule set and the table it produced are one value of the
+// view, so every published view's derived table is the one its own
+// propagator computes.
+func (x *Tx) SetPropagator(p Propagator) {
+	x.open().propagator = p
+	x.seal().recomputeDerived()
 	x.ops++
-	return nil
 }
 
 // recomputeDerived replaces nv's derived table (and its target index)
-// with p's from-scratch recompute. nv is a sealed state of a session.
-func (nv *View) recomputeDerived(p Propagator) {
+// with its propagator's from-scratch recompute. nv is a sealed state of a
+// session.
+func (nv *View) recomputeDerived() {
 	nv.derivedEpoch++
 	t := cow.Table[derivedEntry]{}.Edit()
 	count := 0
-	for src, facts := range p.Recompute(nv) {
+	var all map[uint64][]PackedFact
+	if nv.propagator != nil {
+		all = nv.propagator.Recompute(nv)
+	}
+	for src, facts := range all {
 		if len(facts) == 0 {
 			continue
 		}

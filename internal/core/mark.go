@@ -1,9 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
-	"strings"
 
 	"graphitti/internal/biodata/seq"
 	"graphitti/internal/interval"
@@ -211,28 +211,34 @@ func (v *View) MarkObject(typ ObjectType, objectID string) (*Referent, error) {
 
 // markKey canonicalises a referent's identity so that identical marks made
 // by different users resolve to the same stored referent — the mechanism
-// behind the paper's indirect relations through shared referents.
+// behind the paper's indirect relations through shared referents. Every
+// variable-length field is length-prefixed, so distinct marks never share
+// a key whatever their names and keys hold (rows "a,b" are not rows a and
+// b).
 func markKey(r *Referent) string {
-	var sb strings.Builder
-	sb.WriteString(r.Kind.String())
-	sb.WriteByte('|')
-	sb.WriteString(string(r.ObjectType))
-	sb.WriteByte('|')
-	sb.WriteString(r.ObjectID)
-	sb.WriteByte('|')
-	sb.WriteString(r.Domain)
-	sb.WriteByte('|')
+	k := []byte{byte(r.Kind)}
+	for _, f := range [...]string{string(r.ObjectType), r.ObjectID, r.Domain} {
+		k = appendField(k, f)
+	}
 	switch r.Kind {
 	case IntervalReferent:
-		fmt.Fprintf(&sb, "%d:%d", r.Interval.Lo, r.Interval.Hi)
+		k = binary.AppendVarint(binary.AppendVarint(k, r.Interval.Lo), r.Interval.Hi)
 	case RegionReferent:
 		if r.Region != nil {
-			fmt.Fprintf(&sb, "%v", *r.Region)
+			k = fmt.Appendf(k, "%v", *r.Region)
 		}
 	case BlockReferent:
-		fmt.Fprintf(&sb, "%d:%d|%s", r.Interval.Lo, r.Interval.Hi, strings.Join(r.Keys, ","))
+		k = binary.AppendVarint(binary.AppendVarint(k, r.Interval.Lo), r.Interval.Hi)
+		fallthrough
 	default:
-		sb.WriteString(strings.Join(r.Keys, ","))
+		for _, key := range r.Keys {
+			k = appendField(k, key)
+		}
 	}
-	return sb.String()
+	return string(k)
+}
+
+// appendField appends f to k, prefixed by its length.
+func appendField(k []byte, f string) []byte {
+	return append(binary.AppendUvarint(k, uint64(len(f))), f...)
 }

@@ -3,8 +3,8 @@ package core
 import "fmt"
 
 // OpKind enumerates the store's mutating operations, each one a method of
-// Tx (the two rule kinds are Tx.UpdateDerivedRules, with the propagation
-// engine's rule swap). The durable layer (internal/durable) logs one op
+// Tx (the two rule kinds are Tx.SetPropagator, with the propagation
+// engine's next rule set). The durable layer (internal/durable) logs one op
 // per mutation and replays them on recovery; the enumeration lives in core
 // so the set of loggable mutations and the set of store mutations evolve
 // together.

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"graphitti/internal/biodata/imaging"
+	"graphitti/internal/biodata/msa"
 	"graphitti/internal/biodata/seq"
 	"graphitti/internal/interval"
 	"graphitti/internal/ontology"
@@ -149,6 +150,64 @@ func TestRepeatedKeysMarkOneReferent(t *testing.T) {
 	}
 	if got := s.View().Stats().Referents - before; got != len(pairs) {
 		t.Fatalf("%d referents stored for %d sub-structures", got, len(pairs))
+	}
+}
+
+// TestDistinctMarksDistinctReferents: a mark's identity is each of its
+// fields and keys whole, whatever characters they hold. A block over the
+// one row "a,b" is not the block over rows a and b, a record set keyed
+// "x,y" is not the set of x and y, and the interval of sequence "s|t"
+// in domain "u" is not the same interval of sequence "s" in domain "t|u".
+// Each mark committed gets a referent of its own, holding the keys it
+// was marked with.
+func TestDistinctMarksDistinctReferents(t *testing.T) {
+	s := NewStore()
+	aln, err := msa.New("commas", []string{"a,b", "a", "b"}, []string{"ACGT", "ACGT", "ACGT"})
+	mustNoErr(t, err)
+	mustNoErr(t, s.RegisterAlignment(aln))
+	mustNoErr(t, s.CreateRecordTable(relstore.MustSchema("pairs", "k",
+		relstore.Column{Name: "k", Type: relstore.String})))
+	for _, k := range []string{"x,y", "x", "y"} {
+		mustNoErr(t, s.InsertRecord("pairs", relstore.Row{relstore.S(k)}))
+	}
+	for _, ids := range [][2]string{{"s|t", "u"}, {"s", "t|u"}} {
+		sq, err := seq.New(ids[0], seq.DNA, "ACGT")
+		mustNoErr(t, err)
+		sq.Domain = ids[1]
+		mustNoErr(t, s.RegisterSequence(sq))
+	}
+	v := s.View()
+	cols := interval.Interval{Lo: 0, Hi: 2}
+	marks := []func() (*Referent, error){
+		func() (*Referent, error) { return v.MarkAlignmentBlock("commas", []string{"a,b"}, cols) },
+		func() (*Referent, error) { return v.MarkAlignmentBlock("commas", []string{"a", "b"}, cols) },
+		func() (*Referent, error) { return v.MarkAlignmentBlock("commas", []string{"a"}, cols) },
+		func() (*Referent, error) { return v.MarkRecords("pairs", relstore.S("x,y")) },
+		func() (*Referent, error) { return v.MarkRecords("pairs", relstore.S("x"), relstore.S("y")) },
+		func() (*Referent, error) { return v.MarkRecords("pairs", relstore.S("y")) },
+		func() (*Referent, error) { return v.MarkSequenceInterval("s|t", cols) },
+		func() (*Referent, error) { return v.MarkSequenceInterval("s", cols) },
+	}
+	seen := map[uint64]int{}
+	for i, mark := range marks {
+		r, err := mark()
+		mustNoErr(t, err)
+		ann, err := s.Commit(s.NewAnnotation().Creator("a").Date("2008-01-01").Refer(r))
+		mustNoErr(t, err)
+		for id := range ann.ReferentIDs {
+			if j, ok := seen[id]; ok {
+				t.Errorf("marks %d and %d share referent %d", j, i, id)
+			}
+			seen[id] = i
+			stored, err := s.View().Referent(id)
+			mustNoErr(t, err)
+			if !slices.Equal(stored.Keys, r.Keys) || stored.ObjectID != r.ObjectID || stored.Domain != r.Domain {
+				t.Errorf("mark %d: stored referent %v, marked %v", i, stored, r)
+			}
+		}
+	}
+	if got := s.View().Stats().Referents; got != len(marks) {
+		t.Fatalf("%d referents stored for %d distinct marks", got, len(marks))
 	}
 }
 

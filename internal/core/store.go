@@ -42,13 +42,6 @@ type Store struct {
 	tx Tx
 	v  atomic.Pointer[View]
 
-	// propagator, when attached, computes derived annotations inside the
-	// writer's critical section (see derived.go). It is attached by a
-	// compare-and-swap, not under w, so read-side accessors (Propagator,
-	// prop.RulesOf) never block behind a commit or a long-running derived
-	// recompute, and a writer session may attach one.
-	propagator atomic.Pointer[Propagator]
-
 	// m holds this store's shard-labelled metric children ("0" when
 	// unsharded). ids, when set, allocates annotation/referent IDs from a
 	// source shared across a set of sharded stores so IDs stay globally
@@ -197,8 +190,8 @@ func (x *Tx) RegisterImage(im *imaging.Image) error {
 	// a full recompute over the session's sealed state keeps the derived
 	// table exact without a dedicated delta path — skipped entirely when
 	// no rule can be affected.
-	if p := x.s.Propagator(); p != nil && p.RecomputeOnRegister() {
-		x.seal().recomputeDerived(p)
+	if p := x.Propagator(); p != nil && p.RecomputeOnRegister() {
+		x.seal().recomputeDerived()
 	}
 	return nil
 }

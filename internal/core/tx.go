@@ -17,7 +17,7 @@ import (
 // of one; Batch runs many ops in one session.
 //
 // Derived state is a step of the session, not a publish: an op that needs
-// it (a commit or delete with a propagator attached, a rule change, an
+// it (a commit or delete under a propagator, a rule change, an
 // image a co-registration rule can reach) seals the session's state, lets
 // the propagator read the sealed state and the one before it, folds the
 // result in, and leaves the sealed state as the one the next op reopens
@@ -53,8 +53,7 @@ type Tx struct {
 // returns. If fn returns an error the ops applied before it are published
 // all the same — each op is atomic, a batch is not — and the error is
 // returned. fn must not call the Store's own mutation methods (each is a
-// session of its own); besides tx's ops it may attach a propagator
-// (prop.Attach), which does not take the writer mutex.
+// session of its own).
 func (s *Store) Batch(fn func(tx *Tx) error) error {
 	s.w.Lock()
 	defer s.w.Unlock()
@@ -62,9 +61,6 @@ func (s *Store) Batch(fn func(tx *Tx) error) error {
 	defer s.tx.publish()
 	return fn(&s.tx)
 }
-
-// Store returns the store the session writes.
-func (x *Tx) Store() *Store { return x.s }
 
 // open returns the successor view, starting it from the session's last
 // sealed state if none is open.
@@ -116,7 +112,7 @@ func (x *Tx) publish() {
 	*x = Tx{}
 }
 
-// propagate folds the attached propagator's delta for the op just applied
+// propagate folds the session propagator's delta for the op just applied
 // into the session: the delta runs between the session's last sealed
 // state and the one this op leaves, so a mutation and its derived
 // consequences are one step of the session and publish with it. The ops
@@ -124,7 +120,7 @@ func (x *Tx) publish() {
 // counters) add no annotation, referent or mark, which is all a delta
 // reads of its pre state. No-op without a propagator.
 func (x *Tx) propagate(ann *Annotation, deleted bool, sp *trace.Span) {
-	p := x.s.Propagator()
+	p := x.Propagator()
 	if p == nil {
 		return
 	}

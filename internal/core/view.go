@@ -37,6 +37,10 @@
 //     sees exactly the registrations and record inserts published up to
 //     its epoch. A listing sorts the names it collects when it is asked
 //     for; a registration copies one trie path of its kind's map.
+//   - The rules are in the view too: a view holds the propagator (rule
+//     set) its derived table was computed under, and a rule change
+//     publishes the next set with the table it produces, so a reader
+//     never sees a rule without its facts or facts without their rule.
 //
 // Every read — table, index, tree or graph-backed — is a pure function of
 // the view it runs on: it answers from the op prefix the view's epoch
@@ -84,9 +88,14 @@ type View struct {
 	refByMark   cow.Map[uint64]       // canonical mark -> shared referent ID
 	keywordIdx  cow.Map[cow.Postings] // keyword -> ascending annotation IDs
 
+	// propagator is the rule set the derived table was computed under,
+	// nil when there are no rules. A rule change replaces it and the
+	// table together (Tx.SetPropagator).
+	propagator Propagator
+
 	// derived is the materialized derived-annotation table, keyed by
-	// source annotation ID (see derived.go). Maintained by the attached
-	// Propagator inside the writer's critical section, so it is always
+	// source annotation ID (see derived.go). Maintained by the view's
+	// propagator inside the writer's critical section, so it is always
 	// exactly consistent with the committed annotations of this view.
 	derived      cow.Table[derivedEntry]
 	derivedCount int

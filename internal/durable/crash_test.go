@@ -147,7 +147,7 @@ func TestCrashRecovery(t *testing.T) {
 			// snapshot state) and the replayed derived-annotation table —
 			// rebuilt from snapshot recompute plus per-op deltas — matches
 			// the in-memory store's fact-for-fact.
-			gotRules, wantRules := prop.RulesOf(got), prop.RulesOf(want)
+			gotRules, wantRules := prop.RulesOf(got.View()), prop.RulesOf(want.View())
 			if !reflect.DeepEqual(gotRules, wantRules) {
 				t.Fatalf("rules diverged after replay: got %v want %v", gotRules, wantRules)
 			}

@@ -782,7 +782,7 @@ func (s *Store) checkpointLocked(cs *core.Store, seq uint64) error {
 	//    no second copy of the store is built to write it.
 	name := snapName(seq)
 	if err := writeFileSync(s.opts.Inject, filepath.Join(s.dir, name), func(f *os.File) error {
-		return persist.WriteCheckpoint([]*core.View{cs.View()}, prop.RulesOf(cs), f)
+		return persist.WriteCheckpoint([]*core.View{cs.View()}, f)
 	}); err != nil {
 		return fmt.Errorf("durable: compact snapshot: %w", err)
 	}

@@ -763,19 +763,19 @@ func (s *server) objects(w http.ResponseWriter, r *http.Request) {
 }
 
 // snapshot streams the deployment as one format-2 binary checkpoint
-// (persist.WriteCheckpoint) of the request's one pinned view set and the
-// rule list read beside it: a point-in-time image per shard that
-// /api/restore, -snapshot and graphitti -load accept, whatever was being
-// written meanwhile. A failure before the first byte answers like any
-// failed request. One after it cannot change the 200 already sent, so
-// the handler aborts the response: the client sees the body cut short,
-// and a checkpoint without its checksum trailer is refused by
-// persist.ReadOps.
+// (persist.WriteCheckpoint) of the request's one pinned view set, with
+// the rules those views' derived tables were computed under: a
+// point-in-time image per shard that /api/restore, -snapshot and
+// graphitti -load accept, whatever was being written meanwhile. A failure
+// before the first byte answers like any failed request. One after it
+// cannot change the 200 already sent, so the handler aborts the response:
+// the client sees the body cut short, and a checkpoint without its
+// checksum trailer is refused by persist.ReadOps.
 func (s *server) snapshot(w http.ResponseWriter, r *http.Request) {
 	vs := s.sh.Views()
 	body := &countingWriter{w: w}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	if err := persist.WriteCheckpoint(vs, s.sh.Rules(), body); err != nil {
+	if err := persist.WriteCheckpoint(vs, body); err != nil {
 		if body.n > 0 {
 			panic(http.ErrAbortHandler)
 		}
@@ -865,7 +865,7 @@ func factViews(facts []core.DerivedFact) []factView {
 }
 
 func (s *server) listRules(w http.ResponseWriter, _ *http.Request) {
-	rules := s.sh.Rules()
+	rules := s.sh.Views().Rules()
 	if rules == nil {
 		rules = []prop.Rule{}
 	}

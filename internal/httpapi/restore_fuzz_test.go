@@ -11,7 +11,6 @@ import (
 
 	"graphitti/internal/core"
 	"graphitti/internal/persist"
-	"graphitti/internal/prop"
 )
 
 // sealedCheckpoint frames body as a binary checkpoint of the given format:
@@ -42,7 +41,7 @@ func deflateBomb(t testing.TB, n int) []byte {
 func checkpointOf(t testing.TB, s *core.Store) []byte {
 	t.Helper()
 	var b bytes.Buffer
-	if err := persist.WriteCheckpoint([]*core.View{s.View()}, prop.RulesOf(s), &b); err != nil {
+	if err := persist.WriteCheckpoint([]*core.View{s.View()}, &b); err != nil {
 		t.Fatal(err)
 	}
 	return b.Bytes()

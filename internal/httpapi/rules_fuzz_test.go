@@ -112,7 +112,7 @@ func FuzzRules(f *testing.F) {
 			if err := json.Unmarshal(rr.Body.Bytes(), &added); err != nil {
 				t.Fatal(err)
 			}
-			if rules := prop.RulesOf(d.Core()); !slices.ContainsFunc(rules, func(r prop.Rule) bool { return r.ID == added.ID }) {
+			if rules := prop.RulesOf(d.Core().View()); !slices.ContainsFunc(rules, func(r prop.Rule) bool { return r.ID == added.ID }) {
 				t.Fatalf("accepted rule %q is not listed: %v", added.ID, rules)
 			}
 			changed = true
@@ -128,7 +128,7 @@ func FuzzRules(f *testing.F) {
 			case rr.Code != http.StatusNoContent:
 				unchanged("deletion", rr)
 			default:
-				if rules := prop.RulesOf(d.Core()); slices.ContainsFunc(rules, func(r prop.Rule) bool { return r.ID == del }) {
+				if rules := prop.RulesOf(d.Core().View()); slices.ContainsFunc(rules, func(r prop.Rule) bool { return r.ID == del }) {
 					t.Fatalf("deleted rule %q is still listed: %v", del, rules)
 				}
 				export, err := persist.Export(d.Core())
@@ -150,7 +150,7 @@ func FuzzRules(f *testing.F) {
 			return
 		}
 
-		rules, derived := prop.RulesOf(d.Core()), slices.Collect(d.Core().View().DerivedEach)
+		rules, derived := prop.RulesOf(d.Core().View()), slices.Collect(d.Core().View().DerivedEach)
 		if err := d.Compact(); err != nil {
 			t.Fatal(err)
 		}
@@ -162,9 +162,9 @@ func FuzzRules(f *testing.F) {
 			t.Fatalf("reopen after the rule %s and the deletion %q: %v", body, del, err)
 		}
 		defer again.Close()
-		// The last rule deleted, the reopened store has no engine: no rules
-		// is nil there, an empty list here.
-		if got := prop.RulesOf(again.Core()); (len(got) > 0 || len(rules) > 0) && !reflect.DeepEqual(got, rules) {
+		// The last rule deleted, a view holds no rule set: both lists are
+		// empty.
+		if got := prop.RulesOf(again.Core().View()); (len(got) > 0 || len(rules) > 0) && !reflect.DeepEqual(got, rules) {
 			t.Fatalf("rules after a compaction and a reopen:\n%v\nwant\n%v", got, rules)
 		}
 		if got := slices.Collect(again.Core().View().DerivedEach); !reflect.DeepEqual(got, derived) {

@@ -17,7 +17,6 @@ import (
 
 	"graphitti/internal/core"
 	"graphitti/internal/dublincore"
-	"graphitti/internal/prop"
 	"graphitti/internal/xmldoc"
 )
 
@@ -200,10 +199,10 @@ func (d *decoder) op(kind core.OpKind) Op {
 // WriteCheckpoint writes a pinned view set as a format-2 binary
 // checkpoint: the magic and format byte, the body deflated (BestSpeed),
 // and a CRC32C of everything before it. views is a store's one view, or a
-// deployment's views, one per shard; rules is the rule list read beside
-// them. The checkpoint decodes to the snapshot Export takes of the store
-// those views together hold: every section in its primary key's order,
-// the ontologies (broadcast to every shard) and rules once, and the ID
+// deployment's views, one per shard. The checkpoint decodes to the
+// snapshot Export takes of the store those views together hold: every
+// section in its primary key's order, the ontologies and rules (broadcast
+// to every shard) once, read from the first view, and the ID
 // counters the highest of any view. Over one view its bytes are the ones
 // a compaction writes. No snapshot is built: the annotations, the one
 // section that grows with the store, are encoded straight from their
@@ -211,8 +210,8 @@ func (d *decoder) op(kind core.OpKind) Op {
 // the compressor, so neither the file nor a dump of the store is ever
 // held whole in memory, and what a checkpoint allocates does not grow
 // with the number of annotations.
-func WriteCheckpoint(views []*core.View, rules []prop.Rule, w io.Writer) error {
-	head, err := exportHead(views, rules)
+func WriteCheckpoint(views []*core.View, w io.Writer) error {
+	head, err := exportHead(views)
 	if err != nil {
 		return err
 	}
@@ -254,9 +253,9 @@ func WriteCheckpoint(views []*core.View, rules []prop.Rule, w io.Writer) error {
 // exportHead is every section of views but the annotations, and the ID
 // counters. Each registered object is homed on one view, so a section
 // over several is the views' sections together, sorted by primary key;
-// the ontologies are on every view and are read from the first.
-func exportHead(views []*core.View, rules []prop.Rule) (*Snapshot, error) {
-	head, err := exportObjects(views[0], rules)
+// the ontologies and rules are on every view and are read from the first.
+func exportHead(views []*core.View) (*Snapshot, error) {
+	head, err := exportObjects(views[0])
 	if err != nil || len(views) == 1 {
 		return head, err
 	}

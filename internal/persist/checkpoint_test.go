@@ -28,7 +28,7 @@ import (
 // writeCheckpoint writes the checkpoint of s as a compaction does: of its
 // one view and the rules read beside it.
 func writeCheckpoint(s *core.Store, w io.Writer) error {
-	return persist.WriteCheckpoint([]*core.View{s.View()}, prop.RulesOf(s), w)
+	return persist.WriteCheckpoint([]*core.View{s.View()}, w)
 }
 
 // must and check build the pinned store the way its generator

@@ -255,17 +255,16 @@ type ReferentDump struct {
 // nothing it names can be missing. Over a shard set (WriteCheckpoint of
 // its views) that is one view per shard: every annotation, referent and
 // record table is homed on one shard, so nothing exported can dangle. The
-// rule list is read off the propagator and is the one section not in the
-// view; derived facts are never exported, so a rule that lands beside the
-// pin changes only what a load re-derives.
+// rules are the view's too (prop.RulesOf), the ones its derived table was
+// computed under; derived facts are never exported, a load re-derives
+// them.
 func Export(s *core.Store) (*Snapshot, error) {
-	return exportView(s.View(), prop.RulesOf(s))
+	return exportView(s.View())
 }
 
-// exportView is Export of a view already pinned, with the rule list read
-// beside it.
-func exportView(v *core.View, rules []prop.Rule) (*Snapshot, error) {
-	snap, err := exportObjects(v, rules)
+// exportView is Export of a view already pinned.
+func exportView(v *core.View) (*Snapshot, error) {
+	snap, err := exportObjects(v)
 	if err != nil {
 		return nil, err
 	}
@@ -282,7 +281,7 @@ func exportView(v *core.View, rules []prop.Rule) (*Snapshot, error) {
 // exportObjects is exportView without the annotations: the sections a
 // checkpoint writes from dumps, which are few and small, and the ID
 // counters. WriteCheckpoint writes the annotations straight from v.
-func exportObjects(v *core.View, rules []prop.Rule) (*Snapshot, error) {
+func exportObjects(v *core.View) (*Snapshot, error) {
 	snap := &Snapshot{Version: Version}
 	for _, name := range v.Ontologies() {
 		o, err := v.Ontology(name)
@@ -294,7 +293,7 @@ func exportObjects(v *core.View, rules []prop.Rule) (*Snapshot, error) {
 	if err := exportRegistered(v, snap); err != nil {
 		return nil, err
 	}
-	for _, r := range rules {
+	for _, r := range prop.RulesOf(v) {
 		snap.Rules = append(snap.Rules, DumpRule(r))
 	}
 	return snap, nil

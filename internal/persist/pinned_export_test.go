@@ -7,7 +7,6 @@ import (
 
 	"graphitti/internal/core"
 	"graphitti/internal/persist"
-	"graphitti/internal/prop"
 	"graphitti/internal/workload"
 )
 
@@ -53,7 +52,7 @@ func TestExportUnderWritersIsAPrefix(t *testing.T) {
 		if _, seen := pinned[v.Epoch()]; seen {
 			continue
 		}
-		snap, err := persist.ExportView(v, prop.RulesOf(live))
+		snap, err := persist.ExportView(v)
 		if err != nil {
 			t.Fatalf("export at epoch %d: %v", v.Epoch(), err)
 		}

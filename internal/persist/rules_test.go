@@ -56,7 +56,7 @@ func TestRuleRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := prop.RulesOf(loaded); len(got) != 1 || !reflect.DeepEqual(got[0], rule) {
+	if got := prop.RulesOf(loaded.View()); len(got) != 1 || !reflect.DeepEqual(got[0], rule) {
 		t.Fatalf("loaded rules = %v, want [%+v]", got, rule)
 	}
 	if !reflect.DeepEqual(slices.Collect(loaded.View().DerivedEach), slices.Collect(s.View().DerivedEach)) {

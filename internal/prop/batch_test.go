@@ -148,3 +148,109 @@ func TestRuleAttachedBatchIsOnePublish(t *testing.T) {
 		t.Fatalf("pre-batch view mutated: %+v, was %+v", got, preStats)
 	}
 }
+
+// TestPinnedViewHoldsItsRules: readers pin views while one writer adds
+// and deletes rules over a few thousand annotations. The rule set is a
+// value of the view, published with the derived table it produced, so
+// every pinned view agrees with itself: RulesOf lists exactly the rules
+// of the view's own op prefix, each of them has facts in the view's
+// derived table and no other rule does, and a from-scratch recompute
+// under the view's own propagator equals the table. Run with -race.
+func TestPinnedViewHoldsItsRules(t *testing.T) {
+	const anns, steps = 2000, 24
+	s := core.NewStore()
+	sq, err := seq.New("NC_1", seq.DNA, strings.Repeat("ACGT", 10_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sq.Domain = "chr1"
+	if err := s.RegisterSequence(sq); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < anns; i++ {
+		lo := int64(i) * 20
+		m, err := s.MarkDomainInterval("chr1", interval.Interval{Lo: lo, Hi: lo + 30})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Commit(core.NewBuilder().Creator("u").Date("2026-01-01").Body("note").Refer(m)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Step k toggles rule ids[k%3]: {a}, {a b}, {a b c}, {b c}, {c}, {},
+	// {a}, … — wantAt[k] is the rule set after k steps.
+	ids := []string{"a", "b", "c"}
+	wantAt := [][]string{nil}
+	for k := 0; k < steps; k++ {
+		cur, id := wantAt[k], ids[k%len(ids)]
+		next := slices.DeleteFunc(slices.Clone(cur), func(r string) bool { return r == id })
+		if len(next) == len(cur) {
+			next = append(next, id)
+			slices.Sort(next)
+		}
+		wantAt = append(wantAt, next)
+	}
+	base := s.View().Epoch()
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				v := s.View()
+				k := v.Epoch() - base
+				if k > steps {
+					t.Errorf("epoch %d past the writer's last step", v.Epoch())
+					return
+				}
+				var listed []string
+				for _, r := range RulesOf(v) {
+					listed = append(listed, r.ID)
+				}
+				got := slices.Collect(v.DerivedEach)
+				var fired []string
+				for _, f := range got {
+					fired = append(fired, f.Rule)
+				}
+				slices.Sort(fired)
+				if !slices.Equal(listed, wantAt[k]) || !slices.Equal(slices.Compact(fired), wantAt[k]) {
+					t.Errorf("step %d: RulesOf lists %v and the table holds facts of %v, want %v",
+						k, listed, slices.Compact(fired), wantAt[k])
+					return
+				}
+				if want := flatten(v, recompute(v)); !reflect.DeepEqual(got, want) {
+					t.Errorf("step %d: derived table (%d facts) is not its own rules' recompute (%d facts)",
+						k, len(got), len(want))
+					return
+				}
+			}
+		}()
+	}
+	e := Attach(s)
+	for k := 0; k < steps; k++ {
+		id := ids[k%len(ids)]
+		if slices.Contains(wantAt[k], id) {
+			err = e.DeleteRule(id)
+		} else {
+			err = e.AddRule(Rule{ID: id, Edge: EdgeOverlap, Domain: "chr1"})
+		}
+		if err != nil {
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.View().Epoch() - base; got != steps {
+		t.Fatalf("writer published %d steps, want %d", got, steps)
+	}
+}

@@ -2,7 +2,7 @@ package prop
 
 import (
 	"fmt"
-	"sync"
+	"slices"
 	"time"
 
 	"graphitti/internal/agraph"
@@ -10,39 +10,28 @@ import (
 	"graphitti/internal/trace"
 )
 
-// Engine holds the rule set and implements core.Propagator: the store's
-// writer session calls Delta on every commit/delete, and Recompute after
-// coarse events (rule changes, image registration).
-// All methods are safe for concurrent use.
+// ruleSet is a rule set as a view holds it: sorted by ID (the canonical
+// evaluation order), never empty, and never written once built — a rule
+// change builds the next set. It implements core.Propagator: the writer
+// session calls Delta on every commit/delete, and Recompute after coarse
+// events (rule changes, image registration).
+type ruleSet []Rule
+
+// Engine is a handle on a store's rules: AddRule and DeleteRule run the
+// rule ops as sessions of one. It holds no state of its own — the rules
+// are a value of each view — so any number of handles agree.
 type Engine struct {
 	store *core.Store
-
-	mu    sync.RWMutex
-	rules map[string]Rule
 }
 
-// Attach returns the store's propagation engine, creating and attaching
-// one if the store has none. The check-and-attach is atomic; concurrent
-// callers get the same instance. It panics if a non-prop Propagator is
-// already attached.
-func Attach(s *core.Store) *Engine {
-	p := s.EnsurePropagator(func() core.Propagator {
-		return &Engine{store: s, rules: make(map[string]Rule)}
-	})
-	e, ok := p.(*Engine)
-	if !ok {
-		panic("prop: store has a non-prop propagator attached")
-	}
-	return e
-}
+// Attach returns a rule handle on the store.
+func Attach(s *core.Store) *Engine { return &Engine{store: s} }
 
-// RulesOf returns the rules of the store's engine without attaching one
-// (nil when no engine is attached).
-func RulesOf(s *core.Store) []Rule {
-	if e, ok := s.Propagator().(*Engine); ok {
-		return e.Rules()
-	}
-	return nil
+// RulesOf returns the rules of the view, sorted by ID: exactly the rules
+// its derived table was computed under (nil when there are none).
+func RulesOf(v *core.View) []Rule {
+	rs, _ := v.Propagator().(ruleSet)
+	return slices.Clone(rs)
 }
 
 // AddRule validates and registers a rule, then rebuilds the derived
@@ -61,70 +50,55 @@ func (e *Engine) DeleteRule(id string) error {
 
 // AddRules registers rules as one op of session x, with one derived-table
 // rebuild for all of them — what snapshot load uses so N rules cost one
-// recompute, not N. The engine is that of x's store, attached first if it
-// has none. Validation and duplicate checks run first; any failure leaves
-// the rule set and the derived table untouched. The rule swap and the
-// rebuild are one op of the writer session (core.Tx.UpdateDerivedRules),
-// so no commit can publish a view whose derived table disagrees with the
-// rule set.
+// recompute, not N. Validation and duplicate checks run first; any
+// failure leaves the rule set and the derived table untouched. The next
+// rule set and the rebuild are one op of the writer session
+// (core.Tx.SetPropagator), so no view holds a derived table that
+// disagrees with its rule set.
 func AddRules(x *core.Tx, rules ...Rule) error {
-	e := Attach(x.Store())
+	cur, _ := x.Propagator().(ruleSet)
 	for _, r := range rules {
 		if err := r.Validate(); err != nil {
 			return err
 		}
 	}
-	return x.UpdateDerivedRules(func() error {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		for i, r := range rules {
-			if _, dup := e.rules[r.ID]; dup {
-				return fmt.Errorf("%w: %s", ErrDuplicateRule, r.ID)
-			}
-			for _, earlier := range rules[:i] {
-				if earlier.ID == r.ID {
-					return fmt.Errorf("%w: %s", ErrDuplicateRule, r.ID)
-				}
-			}
+	for i, r := range rules {
+		if indexOf(cur, r.ID) >= 0 || indexOf(rules[:i], r.ID) >= 0 {
+			return fmt.Errorf("%w: %s", ErrDuplicateRule, r.ID)
 		}
-		for _, r := range rules {
-			e.rules[r.ID] = r
-		}
-		mRules.Set(int64(len(e.rules)))
-		return nil
-	})
+	}
+	next := append(slices.Clone(cur), rules...)
+	sortRules(next)
+	setRules(x, next)
+	return nil
 }
 
 // DeleteRule removes a rule and every fact it derived as one op of
 // session x (see AddRules).
 func DeleteRule(x *core.Tx, id string) error {
-	e := Attach(x.Store())
-	return x.UpdateDerivedRules(func() error {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		if _, ok := e.rules[id]; !ok {
-			return fmt.Errorf("%w: %s", ErrNoSuchRule, id)
-		}
-		delete(e.rules, id)
-		mRules.Set(int64(len(e.rules)))
-		return nil
-	})
-}
-
-// Rules returns the registered rules, sorted by ID.
-func (e *Engine) Rules() []Rule {
-	return e.rulesSnapshot()
-}
-
-func (e *Engine) rulesSnapshot() []Rule {
-	e.mu.RLock()
-	out := make([]Rule, 0, len(e.rules))
-	for _, r := range e.rules {
-		out = append(out, r)
+	cur, _ := x.Propagator().(ruleSet)
+	i := indexOf(cur, id)
+	if i < 0 {
+		return fmt.Errorf("%w: %s", ErrNoSuchRule, id)
 	}
-	e.mu.RUnlock()
-	sortRules(out)
-	return out
+	setRules(x, slices.Delete(slices.Clone(cur), i, i+1))
+	return nil
+}
+
+// setRules makes next the rule set of session x's state: no propagator
+// when it is empty, as an empty ruleSet in the interface would not be nil.
+func setRules(x *core.Tx, next ruleSet) {
+	mRules.Set(int64(len(next)))
+	if len(next) == 0 {
+		x.SetPropagator(nil)
+		return
+	}
+	x.SetPropagator(next)
+}
+
+// indexOf returns the position of the rule named id in rules, or -1.
+func indexOf(rules []Rule, id string) int {
+	return slices.IndexFunc(rules, func(r Rule) bool { return r.ID == id })
 }
 
 // Delta implements core.Propagator: the incremental maintenance path.
@@ -149,14 +123,10 @@ func (e *Engine) rulesSnapshot() []Rule {
 // rule that evaluated, rule.<id>.facts (facts produced across all
 // affected sources) and rule.<id>.micros (cumulative evaluation time),
 // plus the size of the affected-source set.
-func (e *Engine) Delta(pre, post *core.View, ann *core.Annotation,
+func (rs ruleSet) Delta(pre, post *core.View, ann *core.Annotation,
 	deleted bool, sp *trace.Span) map[uint64][]core.PackedFact {
-	rules := e.rulesSnapshot()
-	if len(rules) == 0 {
-		return nil
-	}
 	needOverlap, needShared := false, false
-	for _, r := range rules {
+	for _, r := range rs {
 		switch r.Edge {
 		case EdgeOverlap:
 			needOverlap = true
@@ -198,7 +168,7 @@ func (e *Engine) Delta(pre, post *core.View, ann *core.Annotation,
 	mAffectedSources.Observe(float64(len(affected)))
 	var stats map[string]*ruleStat
 	if sp != nil {
-		stats = make(map[string]*ruleStat, len(rules))
+		stats = make(map[string]*ruleStat, len(rs))
 	}
 	out := make(map[uint64][]core.PackedFact, len(affected))
 	var buf []core.PackedFact
@@ -212,7 +182,7 @@ func (e *Engine) Delta(pre, post *core.View, ann *core.Annotation,
 			out[src] = nil
 			continue
 		}
-		out[src] = e.evalSource(post, srcAnn, rules, stats, &buf)
+		out[src] = rs.evalSource(post, srcAnn, stats, &buf)
 	}
 	if sp != nil {
 		sp.SetAttrInt("sources", int64(len(affected)))
@@ -234,16 +204,12 @@ type ruleStat struct {
 // Recompute implements core.Propagator: the from-scratch path the delta
 // path is proven against, also used after rule changes and image
 // registrations.
-func (e *Engine) Recompute(v *core.View) map[uint64][]core.PackedFact {
-	rules := e.rulesSnapshot()
-	if len(rules) == 0 {
-		return nil
-	}
+func (rs ruleSet) Recompute(v *core.View) map[uint64][]core.PackedFact {
 	mRecomputes.Inc()
 	out := make(map[uint64][]core.PackedFact)
 	var buf []core.PackedFact
 	for _, ann := range v.Annotations() {
-		if facts := e.evalSource(v, ann, rules, nil, &buf); len(facts) > 0 {
+		if facts := rs.evalSource(v, ann, nil, &buf); len(facts) > 0 {
 			out[ann.ID] = facts
 		}
 	}
@@ -252,15 +218,8 @@ func (e *Engine) Recompute(v *core.View) map[uint64][]core.PackedFact {
 
 // RecomputeOnRegister implements core.Propagator: object registrations
 // only matter to co-registration rules.
-func (e *Engine) RecomputeOnRegister() bool {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	for _, r := range e.rules {
-		if r.Edge == EdgeCoRegistered {
-			return true
-		}
-	}
-	return false
+func (rs ruleSet) RecomputeOnRegister() bool {
+	return slices.ContainsFunc(rs, func(r Rule) bool { return r.Edge == EdgeCoRegistered })
 }
 
 func spatialKind(k core.ReferentKind) bool {
@@ -268,21 +227,21 @@ func spatialKind(k core.ReferentKind) bool {
 }
 
 // evalSource computes one source annotation's complete derived fact set
-// under the given rules, in the table's form (core.View.CanonicalFacts).
+// under the rule set, in the table's form (core.View.CanonicalFacts).
 // It reads only the view, so evaluating the same source against the same
 // view always produces the same facts regardless of the path (delta or
 // recompute) that asked. The facts are gathered in *buf, which is kept
 // for the next call. When stats is not nil each rule's fact output and
 // evaluation time are accumulated into it (a traced delta; nil costs
 // nothing).
-func (e *Engine) evalSource(v *core.View, ann *core.Annotation, rules []Rule,
+func (rs ruleSet) evalSource(v *core.View, ann *core.Annotation,
 	stats map[string]*ruleStat, buf *[]core.PackedFact) []core.PackedFact {
 	facts := (*buf)[:0]
 	ownRefs := make(map[uint64]bool, ann.NumReferents())
 	for id := range ann.ReferentIDs {
 		ownRefs[id] = true
 	}
-	for _, rule := range rules {
+	for _, rule := range rs {
 		// The keyword trigger matches as SearchKeyword and the query
 		// engine's contains do, under the keyword index's normalization.
 		if rule.Keyword != "" && !ann.Content.HasKeyword(core.NormalizeKeyword(rule.Keyword)) {
@@ -298,13 +257,13 @@ func (e *Engine) evalSource(v *core.View, ann *core.Annotation, rules []Rule,
 		}
 		switch rule.Edge {
 		case EdgeOverlap:
-			facts = e.evalOverlap(v, ann, rule, ownRefs, facts)
+			facts = evalOverlap(v, ann, rule, ownRefs, facts)
 		case EdgeCoRegistered:
-			facts = e.evalCoRegistered(v, ann, rule, facts)
+			facts = evalCoRegistered(v, ann, rule, facts)
 		case EdgeOntologyClosure:
-			facts = e.evalClosure(v, ann, rule, facts)
+			facts = evalClosure(v, ann, rule, facts)
 		case EdgeSharedReferent:
-			facts = e.evalShared(v, ann, rule, facts)
+			facts = evalShared(v, ann, rule, facts)
 		}
 		if stats != nil {
 			rs := stats[rule.ID]
@@ -332,7 +291,7 @@ func triggeringReferent(ref *core.Referent, rule Rule) bool {
 	return true
 }
 
-func (e *Engine) evalOverlap(v *core.View, ann *core.Annotation, rule Rule,
+func evalOverlap(v *core.View, ann *core.Annotation, rule Rule,
 	ownRefs map[uint64]bool, facts []core.PackedFact) []core.PackedFact {
 	for refID := range ann.ReferentIDs {
 		ref, err := v.Referent(refID)
@@ -349,7 +308,7 @@ func (e *Engine) evalOverlap(v *core.View, ann *core.Annotation, rule Rule,
 	return facts
 }
 
-func (e *Engine) evalCoRegistered(v *core.View, ann *core.Annotation, rule Rule,
+func evalCoRegistered(v *core.View, ann *core.Annotation, rule Rule,
 	facts []core.PackedFact) []core.PackedFact {
 	for refID := range ann.ReferentIDs {
 		ref, err := v.Referent(refID)
@@ -371,7 +330,7 @@ func (e *Engine) evalCoRegistered(v *core.View, ann *core.Annotation, rule Rule,
 	return facts
 }
 
-func (e *Engine) evalClosure(v *core.View, ann *core.Annotation, rule Rule,
+func evalClosure(v *core.View, ann *core.Annotation, rule Rule,
 	facts []core.PackedFact) []core.PackedFact {
 	var k uint64 // the position of tr in ann.Terms, which renders the witness
 	for tr := range ann.Terms {
@@ -395,7 +354,7 @@ func (e *Engine) evalClosure(v *core.View, ann *core.Annotation, rule Rule,
 	return facts
 }
 
-func (e *Engine) evalShared(v *core.View, ann *core.Annotation, rule Rule,
+func evalShared(v *core.View, ann *core.Annotation, rule Rule,
 	facts []core.PackedFact) []core.PackedFact {
 	for refID := range ann.ReferentIDs {
 		ref, err := v.Referent(refID)

@@ -3,8 +3,8 @@ package prop
 import "graphitti/internal/obs"
 
 // Process-wide propagation metrics (see internal/obs for the scope
-// model). The rules gauge is last-writer-wins across engines, which
-// matches the one-store-per-process server. Delta/recompute *timing*
+// model). The rules gauge is last-writer-wins across stores (the shards
+// of a server hold the same rules). Delta/recompute *timing*
 // lives in core (graphitti_store_propagation_delta_seconds), because the
 // writer owns the critical section; these count what the engine itself
 // decides. All are documented in docs/METRICS.md, which a test keeps in

@@ -33,6 +33,16 @@
 //     of its referents (read from the a-graph of the same view: the
 //     delta's pre and post views each hold their own).
 //
+// # Rules in the view
+//
+// A rule set is a value, not engine state: each core.View holds the
+// ID-sorted rule set its derived table was computed under
+// (View.Propagator, read back with RulesOf), and a rule change is one op
+// of the writer session that builds the next set and recomputes the
+// table under it (core.Tx.SetPropagator). A reader that pins a view
+// therefore sees one rule set and exactly the facts it derives; there is
+// no rule map beside the views and no lock in this package.
+//
 // # Durability
 //
 // Rules are durable operations: the durable layer logs OpAddRule /

@@ -65,7 +65,7 @@ func TestStressDeltaExactness(t *testing.T) {
 	var wg sync.WaitGroup
 	// A rule-churn writer races adds/deletes of one rule against the
 	// annotation writers: every swap + recompute must be atomic with
-	// respect to concurrent deltas (core.UpdateDerivedRules), or the
+	// respect to concurrent deltas (core.Tx.SetPropagator), or the
 	// final table diverges from the final rule set's recompute.
 	wg.Add(1)
 	go func() {
@@ -130,7 +130,7 @@ func TestStressDeltaExactness(t *testing.T) {
 
 	v := s.View()
 	got := slices.Collect(v.DerivedEach)
-	want := flatten(v, e.Recompute(v))
+	want := flatten(v, recompute(v))
 	if len(got) == 0 {
 		t.Fatal("stress produced no derived facts; workload is not exercising the engine")
 	}

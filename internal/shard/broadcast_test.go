@@ -40,10 +40,10 @@ func TestBroadcastConvergesAfterPartialFailure(t *testing.T) {
 	if err := s.Reopen(1); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(prop.RulesOf(s.shardCore(0))); got != 1 {
+	if got := len(prop.RulesOf(s.shardCore(0).View())); got != 1 {
 		t.Fatalf("shard 0 has %d rules after torn broadcast, want 1", got)
 	}
-	if got := len(prop.RulesOf(s.shardCore(1))); got != 0 {
+	if got := len(prop.RulesOf(s.shardCore(1).View())); got != 0 {
 		t.Fatalf("shard 1 has %d rules after recovery, want 0", got)
 	}
 	// The remedy from the runbook: re-issue the broadcast. Shard 0
@@ -52,7 +52,7 @@ func TestBroadcastConvergesAfterPartialFailure(t *testing.T) {
 		t.Fatalf("re-issued broadcast did not converge: %v", err)
 	}
 	for k := 0; k < 2; k++ {
-		if got := len(prop.RulesOf(s.shardCore(k))); got != 1 {
+		if got := len(prop.RulesOf(s.shardCore(k).View())); got != 1 {
 			t.Fatalf("shard %d has %d rules after convergence, want 1", k, got)
 		}
 	}

@@ -38,10 +38,10 @@ func exportJSON(t *testing.T, snap *persist.Snapshot) []byte {
 }
 
 // checkpoint is the checkpoint persist writes of a pinned view set.
-func checkpoint(t *testing.T, views []*core.View, rules []prop.Rule) []byte {
+func checkpoint(t *testing.T, views []*core.View) []byte {
 	t.Helper()
 	var b bytes.Buffer
-	if err := persist.WriteCheckpoint(views, rules, &b); err != nil {
+	if err := persist.WriteCheckpoint(views, &b); err != nil {
 		t.Fatal(err)
 	}
 	return b.Bytes()
@@ -66,7 +66,7 @@ func TestShardedDifferentialExport(t *testing.T) {
 				t.Fatal(err)
 			}
 			wantJSON := exportJSON(t, wantSnap)
-			wantCheckpoint := checkpoint(t, []*core.View{want.View()}, prop.RulesOf(want))
+			wantCheckpoint := checkpoint(t, []*core.View{want.View()})
 
 			for n := 1; n <= 4; n++ {
 				s := shard.New(n)
@@ -83,7 +83,7 @@ func TestShardedDifferentialExport(t *testing.T) {
 					continue
 				}
 				// The merged checkpoint is the one store's, byte for byte.
-				if got := checkpoint(t, s.Views(), s.Rules()); !bytes.Equal(got, wantCheckpoint) {
+				if got := checkpoint(t, s.Views()); !bytes.Equal(got, wantCheckpoint) {
 					t.Errorf("n=%d merged checkpoint is %d bytes that differ from the %d of the unsharded store's",
 						n, len(got), len(wantCheckpoint))
 				}
@@ -368,5 +368,41 @@ func TestDisconnectedQueryRefusedOverShards(t *testing.T) {
 	connected := `select contents where { ?a isa annotation . ?r isa referent . ?a annotates ?r . }`
 	if _, err := shard.New(3).Views().Query(context.Background(), connected, query.DefaultOptions); err != nil {
 		t.Errorf("a connected pattern over 3 shards: %v", err)
+	}
+}
+
+// TestCheckpointKeepsPinnedRules: a checkpoint of a pinned view set holds
+// the rules those views' derived tables were computed under, not the ones
+// installed when it is written. Over 1 and 3 shards, a rule deleted after
+// the pin is still in the checkpoint, and the store it loads into has the
+// pinned views' rules and derived facts.
+func TestCheckpointKeepsPinnedRules(t *testing.T) {
+	ops := workload.RecoveryScenario(workload.DefaultRecovery)
+	for _, n := range []int{1, 3} {
+		s := shard.New(n)
+		if err := workload.ApplyOps(shard.AsSink(s), ops); err != nil {
+			t.Fatalf("n=%d apply: %v", n, err)
+		}
+		vs := s.Views()
+		rules, derived := vs.Rules(), vs.DerivedAll()
+		if len(rules) < 2 || len(derived) == 0 {
+			t.Fatalf("n=%d: the scenario left %d rules and %d derived facts", n, len(rules), len(derived))
+		}
+		if err := s.DeleteRule(rules[0].ID); err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Views().Rules(); len(got) != len(rules)-1 {
+			t.Fatalf("n=%d: %d rules after deleting one of %d", n, len(got), len(rules))
+		}
+		loaded, err := persist.Read(bytes.NewReader(checkpoint(t, vs)))
+		if err != nil {
+			t.Fatalf("n=%d load: %v", n, err)
+		}
+		if got := prop.RulesOf(loaded.View()); !reflect.DeepEqual(got, rules) {
+			t.Errorf("n=%d: loaded rules %v, the pinned views' %v", n, got, rules)
+		}
+		if got := slices.Collect(loaded.View().DerivedEach); !reflect.DeepEqual(got, derived) {
+			t.Errorf("n=%d: loaded %d derived facts, the pinned views hold %d", n, len(got), len(derived))
+		}
 	}
 }

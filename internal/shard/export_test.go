@@ -16,7 +16,7 @@ import (
 // compare deployments through this.
 func Export(s *Store) (*persist.Snapshot, error) {
 	var b bytes.Buffer
-	if err := persist.WriteCheckpoint(s.Views(), s.Rules(), &b); err != nil {
+	if err := persist.WriteCheckpoint(s.Views(), &b); err != nil {
 		return nil, err
 	}
 	return persist.Decode(&b)

@@ -28,6 +28,7 @@ import (
 	"graphitti/internal/durable"
 	"graphitti/internal/interval"
 	"graphitti/internal/persist"
+	"graphitti/internal/prop"
 	"graphitti/internal/query"
 	"graphitti/internal/rtree"
 )
@@ -72,6 +73,10 @@ func (s *Store) SearchKeyword(word string, useIndex bool) []*core.Annotation {
 func (s *Store) MarkDomainInterval(domain string, iv interval.Interval) (*core.Referent, error) {
 	return s.Views().MarkDomainInterval(domain, iv)
 }
+
+// Rules returns the propagation rules of the pinned views: a rule op is
+// broadcast, so every shard holds the same set, read from shard 0's view.
+func (vs Views) Rules() []prop.Rule { return prop.RulesOf(vs[0]) }
 
 // Epoch returns the sum of the per-shard view epochs: the total number
 // of mutations published across the deployment up to this view set.

@@ -427,10 +427,6 @@ func (s *Store) DeleteRule(id string) error {
 	return s.Apply(persist.Op{Kind: core.OpDeleteRule, RuleID: id})
 }
 
-// Rules returns the installed propagation rules (identical on every
-// shard; read from shard 0).
-func (s *Store) Rules() []prop.Rule { return prop.RulesOf(s.shardCore(0)) }
-
 // Apply places one op by route and applies it there: on every shard for a
 // broadcast op, otherwise on the one its key hashes to (a commit on its
 // home shard, see commit). It is the entry point for every mutation

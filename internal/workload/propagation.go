@@ -43,8 +43,7 @@ var DefaultPropagation = PropagationConfig{
 
 // PropagationStudy is the generated propagation workload.
 type PropagationStudy struct {
-	Store  *core.Store
-	Engine *prop.Engine
+	Store *core.Store
 	// Domain is the shared coordinate domain all marks land in.
 	Domain string
 	// AnnotationIDs lists every committed annotation.
@@ -122,7 +121,6 @@ func Propagation(cfg PropagationConfig) (*PropagationStudy, error) {
 	if cfg.SkipRules {
 		return study, nil
 	}
-	study.Engine = prop.Attach(s)
 	rules := []prop.Rule{
 		{ID: "p-overlap", Edge: prop.EdgeOverlap, Domain: study.Domain},
 		{ID: "p-hotspot", Edge: prop.EdgeOverlap, Keyword: "hotspot", Domain: study.Domain},
