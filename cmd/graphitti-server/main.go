@@ -229,8 +229,15 @@ func buildHandler(cfg serverConfig) (http.Handler, *shard.Store, string, error) 
 	}
 	vs := sh.Views()
 	st := vs.Stats()
-	report += fmt.Sprintf("serving %d annotations, %d referents, %d a-graph edges, %d derived facts via %d rules\n",
-		st.Annotations, st.Referents, st.GraphEdges, st.Derived, len(vs.Rules()))
+	served, splitErr := vs.Rules()
+	via := fmt.Sprintf("via %d rules", len(served))
+	if splitErr != nil {
+		// A rule broadcast that reached only some shards before a crash:
+		// serve, but say so; re-issuing the rule op converges the shards.
+		via = fmt.Sprintf("under split rules (%v)", splitErr)
+	}
+	report += fmt.Sprintf("serving %d annotations, %d referents, %d a-graph edges, %d derived facts %s\n",
+		st.Annotations, st.Referents, st.GraphEdges, st.Derived, via)
 	return httpapi.New(sh, cfg.opts), sh, report, nil
 }
 

@@ -125,8 +125,8 @@ func TestShardedDirSurvivesDefaultFlags(t *testing.T) {
 	if got := s2.NumShards(); got != 2 {
 		t.Fatalf("adopted %d shards, want the directory's 2", got)
 	}
-	if got := len(s2.Views().Rules()); got != 1 {
-		t.Fatalf("recovered %d rules, want 1", got)
+	if got, err := s2.Views().Rules(); err != nil || len(got) != 1 {
+		t.Fatalf("recovered %d rules (%v), want 1", len(got), err)
 	}
 	if err := s2.Close(); err != nil {
 		t.Fatal(err)

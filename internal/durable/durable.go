@@ -23,13 +23,16 @@
 //	{"seq":n,"kind":k,<dump>}         JSON, the form the first builds logged
 //
 // A compressed record inflates to the n bytes of a binary one. Its chunk
-// is what one flate.Writer, kept for the life of the log, wrote for that
-// record up to the Flush that ends it, less the sync flush's closing
-// 00 00 ff ff (as in RFC 7692), so it may refer back into the last 32 KiB
-// of the log's earlier decoded payloads, of whatever form. Replay decodes
-// every record, skipped ones included, to keep that window; a writer
-// resumed over a log starts from it as its dictionary, and one on a fresh
-// log from nothing. Builds before the compressed form refuse it.
+// is raw DEFLATE: Huffman blocks, or stored ones when those are smaller,
+// then the empty stored block of a sync flush less its closing
+// 00 00 ff ff (as in RFC 7692). Its matches may refer back into the last
+// 32 KiB of the log's earlier decoded payloads, of whatever form. The
+// log's compressor (deflate.go) keeps that window and hash chains over
+// it, and matches as compress/flate level 5 does, so any inflater primed
+// with the window reads a record. Replay decodes every record, skipped
+// ones included, to keep the window; a compressor resumed over a log
+// starts from it, and one on a fresh log from nothing. Builds before the
+// compressed form refuse it.
 //
 // The checkpoint is the same per-dump encoding around a whole
 // snapshot, written straight from a pinned view of the store, deflated,

@@ -31,18 +31,13 @@ const (
 	recordCompressed = 0x02
 )
 
-// walLevel is the DEFLATE level of compressed records. flate.BestSpeed,
-// which checkpoints use, finds no match across a Flush, and a record
-// alone is too short to compress: the gain is all in the matches.
-const walLevel = 5
-
 // windowSize is how far back a compressed record may refer: DEFLATE's
 // window, over the decoded payloads before it.
 const windowSize = 32 << 10
 
-// syncTail ends every flate.Writer Flush: the LEN and NLEN of the empty
-// stored block it writes. A record drops it and the reader puts it back,
-// as RFC 7692 does.
+// syncTail ends every sync flush: the LEN and NLEN of the empty stored
+// block it writes. A record leaves it off and the reader puts it back, as
+// RFC 7692 does.
 var syncTail = []byte{0, 0, 0xff, 0xff}
 
 // encodeRecord is the binary WAL payload of op at sequence seq.
@@ -71,56 +66,6 @@ func decodeRecord(payload []byte) (record, error) {
 	return record{Seq: seq, Op: op}, err
 }
 
-// deflater compresses one log's binary records into compressed ones. Its
-// flate.Writer lives as long as the log: each record ends with a Flush,
-// so it is whole on its own yet may refer back into the records before it.
-type deflater struct {
-	fw  *flate.Writer
-	buf bytes.Buffer
-	// dict is set when fw was made over a recovered window. Reset
-	// re-applies a writer's dictionary, so such a writer is replaced, not
-	// reset, onto a fresh log.
-	dict bool
-}
-
-// newDeflater returns the compressor of a log whose decoded payloads so
-// far end with window (empty for a fresh log).
-func newDeflater(window []byte) *deflater {
-	d := &deflater{dict: len(window) > 0}
-	var err error
-	if d.dict {
-		d.fw, err = flate.NewWriterDict(&d.buf, walLevel, window)
-	} else {
-		d.fw, err = flate.NewWriter(&d.buf, walLevel)
-	}
-	if err != nil {
-		panic(err) // only a bad level fails
-	}
-	return d
-}
-
-// fresh returns the compressor of a new, empty log, reusing d's writer
-// when that is allowed.
-func (d *deflater) fresh() *deflater {
-	if d.dict {
-		return newDeflater(nil)
-	}
-	d.fw.Reset(&d.buf)
-	return d
-}
-
-// frame returns the compressed record of raw, a binary one. The slice is
-// valid until the next call; the WAL copies it on append.
-func (d *deflater) frame(raw []byte) []byte {
-	d.buf.Reset()
-	d.buf.Write(binary.AppendUvarint([]byte{recordCompressed}, uint64(len(raw))))
-	// Writes to a bytes.Buffer cannot fail.
-	_, _ = d.fw.Write(raw)
-	_ = d.fw.Flush()
-	b := d.buf.Bytes()
-	return b[:len(b)-len(syncTail)]
-}
-
 // inflater decodes one log's payloads in order. It keeps the window a
 // compressed record refers back into: the last 32 KiB of the decoded
 // payloads before it, skipped records included, whatever their form.
@@ -129,7 +74,7 @@ type inflater struct {
 	src    bytes.Reader
 	chunk  []byte
 	out    bytes.Buffer
-	window []byte
+	window window
 }
 
 // decode returns payload's decoded form — a compressed record inflated,
@@ -137,7 +82,7 @@ type inflater struct {
 // until the next call.
 func (in *inflater) decode(payload []byte) ([]byte, error) {
 	if len(payload) == 0 || payload[0] != recordCompressed {
-		in.push(payload)
+		in.window.push(payload)
 		return payload, nil
 	}
 	n, k := binary.Uvarint(payload[1:])
@@ -169,28 +114,10 @@ func (in *inflater) decode(payload []byte) ([]byte, error) {
 	case out[0] != recordBinary:
 		return nil, fmt.Errorf("compressed record holds format byte 0x%02x", out[0])
 	}
-	in.push(out)
+	in.window.push(out)
 	return out, nil
-}
-
-// push adds a decoded payload to the window, keeping at most twice its
-// size so the slide is an occasional copy.
-func (in *inflater) push(p []byte) {
-	if len(p) >= windowSize {
-		in.window = append(in.window[:0], p[len(p)-windowSize:]...)
-		return
-	}
-	if len(in.window)+len(p) > 2*windowSize {
-		in.window = append(in.window[:0], in.window[len(in.window)-(windowSize-len(p)):]...)
-	}
-	in.window = append(in.window, p...)
 }
 
 // dict returns the window: the last 32 KiB of the decoded payloads so
 // far.
-func (in *inflater) dict() []byte {
-	if len(in.window) > windowSize {
-		return in.window[len(in.window)-windowSize:]
-	}
-	return in.window
-}
+func (in *inflater) dict() []byte { return in.window.dict() }

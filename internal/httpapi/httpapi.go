@@ -245,7 +245,8 @@ func writeErr(w http.ResponseWriter, r *http.Request, err error) {
 		errors.Is(err, shard.ErrCrossShardReferent),
 		errors.Is(err, shard.ErrCrossProduct):
 		status = http.StatusBadRequest
-	case errors.Is(err, prop.ErrDuplicateRule):
+	case errors.Is(err, prop.ErrDuplicateRule),
+		errors.Is(err, prop.ErrSplitRules):
 		status = http.StatusConflict
 	case errors.Is(err, prop.ErrNoSuchRule):
 		status = http.StatusNotFound
@@ -864,8 +865,12 @@ func factViews(facts []core.DerivedFact) []factView {
 	return out
 }
 
-func (s *server) listRules(w http.ResponseWriter, _ *http.Request) {
-	rules := s.sh.Views().Rules()
+func (s *server) listRules(w http.ResponseWriter, r *http.Request) {
+	rules, err := s.sh.Views().Rules()
+	if err != nil {
+		writeErr(w, r, err)
+		return
+	}
 	if rules == nil {
 		rules = []prop.Rule{}
 	}

@@ -17,6 +17,7 @@ import (
 
 	"graphitti/internal/core"
 	"graphitti/internal/dublincore"
+	"graphitti/internal/prop"
 	"graphitti/internal/xmldoc"
 )
 
@@ -203,7 +204,9 @@ func (d *decoder) op(kind core.OpKind) Op {
 // snapshot Export takes of the store those views together hold: every
 // section in its primary key's order, the ontologies and rules (broadcast
 // to every shard) once, read from the first view, and the ID
-// counters the highest of any view. Over one view its bytes are the ones
+// counters the highest of any view. Views whose rule sets differ are
+// refused before the first byte (prop.ErrSplitRules): no one rule set is
+// the one their derived facts were computed under. Over one view its bytes are the ones
 // a compaction writes. No snapshot is built: the annotations, the one
 // section that grows with the store, are encoded straight from their
 // views, merged by ID, one at a time into a buffered writer in front of
@@ -253,9 +256,14 @@ func WriteCheckpoint(views []*core.View, w io.Writer) error {
 // exportHead is every section of views but the annotations, and the ID
 // counters. Each registered object is homed on one view, so a section
 // over several is the views' sections together, sorted by primary key;
-// the ontologies and rules are on every view and are read from the first.
+// the ontologies and rules are on every view and are read from the first,
+// the rules once prop.SharedRules has found every view's set the same.
 func exportHead(views []*core.View) (*Snapshot, error) {
-	head, err := exportObjects(views[0])
+	rules, err := prop.SharedRules(views)
+	if err != nil {
+		return nil, err
+	}
+	head, err := exportObjects(views[0], rules)
 	if err != nil || len(views) == 1 {
 		return head, err
 	}

@@ -264,7 +264,7 @@ func Export(s *core.Store) (*Snapshot, error) {
 
 // exportView is Export of a view already pinned.
 func exportView(v *core.View) (*Snapshot, error) {
-	snap, err := exportObjects(v)
+	snap, err := exportObjects(v, prop.RulesOf(v))
 	if err != nil {
 		return nil, err
 	}
@@ -280,8 +280,9 @@ func exportView(v *core.View) (*Snapshot, error) {
 
 // exportObjects is exportView without the annotations: the sections a
 // checkpoint writes from dumps, which are few and small, and the ID
-// counters. WriteCheckpoint writes the annotations straight from v.
-func exportObjects(v *core.View) (*Snapshot, error) {
+// counters, with rules as the rule section. WriteCheckpoint writes the
+// annotations straight from v.
+func exportObjects(v *core.View, rules []prop.Rule) (*Snapshot, error) {
 	snap := &Snapshot{Version: Version}
 	for _, name := range v.Ontologies() {
 		o, err := v.Ontology(name)
@@ -293,7 +294,7 @@ func exportObjects(v *core.View) (*Snapshot, error) {
 	if err := exportRegistered(v, snap); err != nil {
 		return nil, err
 	}
-	for _, r := range prop.RulesOf(v) {
+	for _, r := range rules {
 		snap.Rules = append(snap.Rules, DumpRule(r))
 	}
 	return snap, nil

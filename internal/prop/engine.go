@@ -34,6 +34,38 @@ func RulesOf(v *core.View) []Rule {
 	return slices.Clone(rs)
 }
 
+// SharedRules returns the rules of views, one per shard, sorted by ID:
+// views[0]'s, when every view holds the same set. A rule op is broadcast
+// to every shard, so the shards hold one set, unless a broadcast reached
+// some and not others (re-issuing it converges them); until then their
+// derived facts were computed under different rules, and SharedRules
+// refuses with ErrSplitRules.
+func SharedRules(views []*core.View) ([]Rule, error) {
+	first, _ := views[0].Propagator().(ruleSet)
+	for k, v := range views[1:] {
+		rs, _ := v.Propagator().(ruleSet)
+		if !slices.EqualFunc(first, rs, sameRule) {
+			return nil, fmt.Errorf("%w: shard 0 holds %v, shard %d holds %v", ErrSplitRules, first.ids(), k+1, rs.ids())
+		}
+	}
+	return slices.Clone(first), nil
+}
+
+// sameRule reports whether a and b are the same rule, field by field.
+func sameRule(a, b Rule) bool {
+	return a.ID == b.ID && a.Keyword == b.Keyword && a.Ontology == b.Ontology && a.Term == b.Term &&
+		a.Domain == b.Domain && a.Kind == b.Kind && a.Edge == b.Edge && slices.Equal(a.Relations, b.Relations)
+}
+
+// ids returns the rules' IDs.
+func (rs ruleSet) ids() []string {
+	ids := make([]string, len(rs))
+	for i, r := range rs {
+		ids[i] = r.ID
+	}
+	return ids
+}
+
 // AddRule validates and registers a rule, then rebuilds the derived
 // table so every existing annotation is evaluated under it: AddRules as a
 // session of one of the engine's store. The rule is active once AddRule

@@ -73,6 +73,9 @@ var (
 	ErrBadRule       = errors.New("prop: invalid rule")
 	ErrDuplicateRule = errors.New("prop: duplicate rule")
 	ErrNoSuchRule    = errors.New("prop: no such rule")
+	// ErrSplitRules reports views whose rule sets differ: a rule op
+	// broadcast to every shard reached some and not others.
+	ErrSplitRules = errors.New("prop: the shards' rule sets differ")
 )
 
 // EdgeKind names a propagation edge.

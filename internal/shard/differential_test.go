@@ -384,15 +384,19 @@ func TestCheckpointKeepsPinnedRules(t *testing.T) {
 			t.Fatalf("n=%d apply: %v", n, err)
 		}
 		vs := s.Views()
-		rules, derived := vs.Rules(), vs.DerivedAll()
+		rules, err := vs.Rules()
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		derived := vs.DerivedAll()
 		if len(rules) < 2 || len(derived) == 0 {
 			t.Fatalf("n=%d: the scenario left %d rules and %d derived facts", n, len(rules), len(derived))
 		}
 		if err := s.DeleteRule(rules[0].ID); err != nil {
 			t.Fatal(err)
 		}
-		if got := s.Views().Rules(); len(got) != len(rules)-1 {
-			t.Fatalf("n=%d: %d rules after deleting one of %d", n, len(got), len(rules))
+		if got, err := s.Views().Rules(); err != nil || len(got) != len(rules)-1 {
+			t.Fatalf("n=%d: %d rules (%v) after deleting one of %d", n, len(got), err, len(rules))
 		}
 		loaded, err := persist.Read(bytes.NewReader(checkpoint(t, vs)))
 		if err != nil {

@@ -74,9 +74,11 @@ func (s *Store) MarkDomainInterval(domain string, iv interval.Interval) (*core.R
 	return s.Views().MarkDomainInterval(domain, iv)
 }
 
-// Rules returns the propagation rules of the pinned views: a rule op is
-// broadcast, so every shard holds the same set, read from shard 0's view.
-func (vs Views) Rules() []prop.Rule { return prop.RulesOf(vs[0]) }
+// Rules returns the propagation rules the pinned views share
+// (prop.SharedRules): a rule op is broadcast, so every shard holds the same
+// set, unless a broadcast reached only some, which is refused with
+// prop.ErrSplitRules until the op is re-issued.
+func (vs Views) Rules() ([]prop.Rule, error) { return prop.SharedRules(vs) }
 
 // Epoch returns the sum of the per-shard view epochs: the total number
 // of mutations published across the deployment up to this view set.
