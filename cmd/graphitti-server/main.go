@@ -21,10 +21,10 @@
 // GET /healthz / GET /readyz report liveness and the store's
 // healthy/degraded state for orchestrators. Startup and shutdown are
 // logged structured (key=value) on stderr. GET /metrics exposes every
-// internal counter in Prometheus text format (GET /debug/vars serves
-// the same as JSON), every response carries an X-Request-Id, and -pprof
-// mounts the profiling handlers. See docs/OPERATIONS.md for the full
-// operator guide and docs/METRICS.md for the metric reference.
+// internal counter in Prometheus text format, every response carries an
+// X-Request-Id, and -pprof mounts the profiling handlers. See
+// docs/OPERATIONS.md for the full operator guide and docs/METRICS.md for
+// the metric reference.
 package main
 
 import (

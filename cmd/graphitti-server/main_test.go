@@ -148,8 +148,9 @@ func TestShardedDirSurvivesDefaultFlags(t *testing.T) {
 	}
 }
 
-// commitsTotal sums graphitti_store_commits_total over every shard label:
-// the number of annotations this process has committed, batch or not.
+// commitsTotal sums graphitti_store_commit_duration_seconds_count over
+// every shard label: the number of annotations this process has
+// committed, batch or not.
 func commitsTotal(t *testing.T) uint64 {
 	t.Helper()
 	var buf bytes.Buffer
@@ -158,7 +159,7 @@ func commitsTotal(t *testing.T) uint64 {
 	}
 	var total uint64
 	for _, line := range strings.Split(buf.String(), "\n") {
-		if !strings.HasPrefix(line, "graphitti_store_commits_total{") {
+		if !strings.HasPrefix(line, "graphitti_store_commit_duration_seconds_count{") {
 			continue
 		}
 		n, err := strconv.ParseUint(line[strings.LastIndexByte(line, ' ')+1:], 10, 64)

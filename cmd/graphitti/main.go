@@ -18,8 +18,7 @@
 //	correlated -ann ID             correlated-data view of an annotation
 //	q1                             the paper's intro query (neuro study)
 //	q2 [-k K] [-keyword W]         the query-tab query (influenza study)
-//	metrics [-format prom|json]
-//	                               dump the process metric registry
+//	metrics                        dump the process metric registry
 //	metrics-lint                   validate the Prometheus exposition format
 //	traces [-url U | -f FILE]      render /debug/traces output as ASCII
 //	                               span trees (see docs/TRACING.md)
@@ -144,7 +143,9 @@ func run(args []string) (err error) {
 	case "ontology":
 		return cmdOntology(store, cmdArgs)
 	case "metrics":
-		return cmdMetrics(cmdArgs)
+		// Building the study above already exercised the store, so the
+		// gauges and commit histograms reflect it.
+		return obs.Default.WritePrometheus(os.Stdout)
 	default:
 		return fmt.Errorf("unknown command %q", cmd)
 	}
@@ -161,25 +162,6 @@ func saveStore(s *graphitti.Store, path string) error {
 		return err
 	}
 	return f.Close()
-}
-
-// cmdMetrics dumps the process metric registry. Building the study above
-// already exercised the store, so the gauges and commit counters reflect
-// it — useful for eyeballing instrument output without a server.
-func cmdMetrics(args []string) error {
-	fs := flag.NewFlagSet("metrics", flag.ContinueOnError)
-	format := fs.String("format", "prom", "output format: prom (Prometheus text) or json")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	switch *format {
-	case "prom":
-		return obs.Default.WritePrometheus(os.Stdout)
-	case "json":
-		return obs.Default.WriteJSON(os.Stdout)
-	default:
-		return fmt.Errorf("unknown format %q (want prom or json)", *format)
-	}
 }
 
 // cmdMetricsLint runs the strict Prometheus exposition validator — the

@@ -472,7 +472,6 @@ func (x *Tx) commit(b *Builder, pinnedAnn uint64, pinnedRefs []uint64) (*Annotat
 	x.propagate(ann, false, csp)
 	csp.SetAttrInt("ann", int64(annID))
 	csp.SetAttrInt("referents", int64(len(resolved)))
-	s.m.commits.Inc()
 	s.m.commitSeconds.Observe(time.Since(start).Seconds())
 	return ann, nil
 }

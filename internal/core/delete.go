@@ -66,7 +66,6 @@ func (x *Tx) DeleteAnnotation(id uint64) error {
 	// propagator finds the affected neighbors.
 	x.ops++
 	x.propagate(ann, true, nil)
-	s.m.deletes.Inc()
 	s.m.deleteSeconds.Observe(time.Since(start).Seconds())
 	return nil
 }

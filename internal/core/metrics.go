@@ -10,12 +10,8 @@ import "graphitti/internal/obs"
 // apart; an unsharded store reports as shard "0". All are documented in
 // docs/METRICS.md, which a test keeps in sync.
 var (
-	mCommitsVec = obs.NewCounterVec("graphitti_store_commits_total",
-		"Annotations committed.", "shard")
 	mCommitSecondsVec = obs.NewHistogramVec("graphitti_store_commit_duration_seconds",
 		"Annotation commit latency, critical section end to end.", nil, "shard")
-	mDeletesVec = obs.NewCounterVec("graphitti_store_deletes_total",
-		"Annotations deleted.", "shard")
 	mDeleteSecondsVec = obs.NewHistogramVec("graphitti_store_delete_duration_seconds",
 		"Annotation delete latency, critical section end to end.", nil, "shard")
 	mPropDeltaSecondsVec = obs.NewHistogramVec("graphitti_store_propagation_delta_seconds",
@@ -35,9 +31,7 @@ var (
 // handle so read-side instruments (search latency) attribute to the
 // shard that built the view.
 type storeMetrics struct {
-	commits       *obs.Counter
 	commitSeconds *obs.Histogram
-	deletes       *obs.Counter
 	deleteSeconds *obs.Histogram
 	propDelta     *obs.Histogram
 	searchSeconds *obs.Histogram
@@ -51,9 +45,7 @@ func metricsForShard(shard string) *storeMetrics {
 		shard = "0"
 	}
 	return &storeMetrics{
-		commits:       mCommitsVec.With(shard),
 		commitSeconds: mCommitSecondsVec.With(shard),
-		deletes:       mDeletesVec.With(shard),
 		deleteSeconds: mDeleteSecondsVec.With(shard),
 		propDelta:     mPropDeltaSecondsVec.With(shard),
 		searchSeconds: mSearchSecondsVec.With(shard),

@@ -371,6 +371,7 @@ func (s *Store) load() error {
 	s.snapshotSeq = man.SnapshotSeq
 	s.seq = man.SnapshotSeq
 
+	var snap persist.Source
 	switch {
 	case man.Snapshot != "":
 		f, err := os.Open(filepath.Join(s.dir, man.Snapshot))
@@ -379,29 +380,36 @@ func (s *Store) load() error {
 			// loss, not a fresh directory.
 			return fmt.Errorf("durable: manifest names snapshot %s: %w", man.Snapshot, err)
 		}
-		cs, lerr := persist.ReadWith(f, s.opts.Store)
-		f.Close()
-		if lerr != nil {
-			return fmt.Errorf("durable: load snapshot %s: %w", man.Snapshot, lerr)
-		}
-		s.core.Store(cs)
+		defer f.Close()
+		snap = persist.ReadOps(f, 0)
 	case man.SnapshotSeq != 0:
 		return fmt.Errorf("durable: manifest claims checkpoint at seq %d but names no snapshot", man.SnapshotSeq)
-	default:
-		s.core.Store(core.NewStoreWithOptions(s.opts.Store))
 	}
-	s.removeStaleSnapshots(man.Snapshot)
-	s.removeTmpOrphans()
+	cs := core.NewStoreWithOptions(s.opts.Store)
+	s.core.Store(cs)
 
-	// The replayed records are one writer session: one published view for
-	// the whole log, as many epochs on as records applied.
+	// The checkpoint's ops and then the log's records are one writer
+	// session: one published view for the whole recovery, as many epochs
+	// on as ops applied. A checkpoint that fails to load is its own error,
+	// never the missing or header-torn log that starts a fresh one below.
 	logPath := filepath.Join(s.dir, logFile)
 	var info wal.RecoveryInfo
 	var in inflater
-	err := s.Core().Batch(func(x *core.Tx) (err error) {
+	var snapErr error
+	err := cs.Batch(func(x *core.Tx) (err error) {
+		if snap != nil {
+			if snapErr = persist.Replay(x, snap); snapErr != nil {
+				return snapErr
+			}
+		}
+		s.removeStaleSnapshots(man.Snapshot)
+		s.removeTmpOrphans()
 		info, err = wal.Scan(logPath, func(payload []byte) error { return s.replayRecord(x, &in, payload) })
 		return err
 	})
+	if snapErr != nil {
+		return fmt.Errorf("durable: load snapshot %s: %w", man.Snapshot, snapErr)
+	}
 	switch {
 	case err == nil:
 		s.tornBytes = info.TornBytes
@@ -475,8 +483,8 @@ func (s *Store) removeStaleSnapshots(current string) {
 }
 
 // removeTmpOrphans best-effort deletes the tmp files a crash left behind
-// in the middle of writeFileSync: a checkpoint or manifest that was still
-// being filled. writeFileSync renames a tmp file only after its fsync, so
+// in the middle of WriteFileSync: a checkpoint or manifest that was still
+// being filled. WriteFileSync renames a tmp file only after its fsync, so
 // one present at open was never committed and never will be.
 func (s *Store) removeTmpOrphans() {
 	for _, pattern := range []string{snapPattern + ".tmp", manifestFile + ".tmp"} {
@@ -784,7 +792,7 @@ func (s *Store) checkpointLocked(cs *core.Store, seq uint64) error {
 	//    is invisible. The checkpoint streams from one pinned view of cs:
 	//    no second copy of the store is built to write it.
 	name := snapName(seq)
-	if err := writeFileSync(s.opts.Inject, filepath.Join(s.dir, name), func(f *os.File) error {
+	if err := WriteFileSync(s.opts.Inject, filepath.Join(s.dir, name), func(f *os.File) error {
 		return persist.WriteCheckpoint([]*core.View{cs.View()}, f)
 	}); err != nil {
 		return fmt.Errorf("durable: compact snapshot: %w", err)
@@ -793,7 +801,7 @@ func (s *Store) checkpointLocked(cs *core.Store, seq uint64) error {
 	//    as one pair. A crash before this keeps the old checkpoint and a
 	//    harmless orphan file; a crash after it makes replay skip every
 	//    record the new snapshot covers.
-	if err := writeFileSync(s.opts.Inject, filepath.Join(s.dir, manifestFile), func(f *os.File) error {
+	if err := WriteFileSync(s.opts.Inject, filepath.Join(s.dir, manifestFile), func(f *os.File) error {
 		return json.NewEncoder(f).Encode(manifest{SnapshotSeq: seq, Snapshot: name})
 	}); err != nil {
 		return fmt.Errorf("durable: compact manifest: %w", err)
@@ -905,10 +913,11 @@ func (s *Store) Close() error {
 	return s.w.Close()
 }
 
-// writeFileSync writes path atomically: tmp file, fill, fdatasync, rename
-// over path, fsync the directory so the rename itself is durable. Each
-// step consults the optional fault injector the way the WAL writer does.
-func writeFileSync(inj faultfs.Injector, path string, fill func(*os.File) error) error {
+// WriteFileSync writes path atomically: tmp file (path + ".tmp"), fill,
+// fdatasync, rename over path, fsync the directory so the rename itself
+// is durable. Each step consults the optional fault injector the way the
+// WAL writer does.
+func WriteFileSync(inj faultfs.Injector, path string, fill func(*os.File) error) error {
 	tmp := path + ".tmp"
 	if err := faultfs.Check(inj, faultfs.OpCreate, tmp); err != nil {
 		return err

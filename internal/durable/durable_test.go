@@ -214,13 +214,13 @@ func TestStaleLogAfterCompactionCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	seq := s.Stats().Seq
-	if err := writeFileSync(nil, filepath.Join(dir, snapName(seq)), func(f *os.File) error {
+	if err := WriteFileSync(nil, filepath.Join(dir, snapName(seq)), func(f *os.File) error {
 		_, err := fmt.Fprint(f, mustJSON(snap))
 		return err
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeFileSync(nil, filepath.Join(dir, manifestFile), func(f *os.File) error {
+	if err := WriteFileSync(nil, filepath.Join(dir, manifestFile), func(f *os.File) error {
 		_, err := fmt.Fprint(f, mustJSON(manifest{SnapshotSeq: seq, Snapshot: snapName(seq)}))
 		return err
 	}); err != nil {
@@ -277,7 +277,7 @@ func TestOrphanSnapshotBeforeManifestCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	orphan := snapName(s.Stats().Seq)
-	if err := writeFileSync(nil, filepath.Join(dir, orphan), func(f *os.File) error {
+	if err := WriteFileSync(nil, filepath.Join(dir, orphan), func(f *os.File) error {
 		_, err := fmt.Fprint(f, mustJSON(snap))
 		return err
 	}); err != nil {

@@ -148,7 +148,6 @@ var routeDefs = []struct {
 	{"POST /api/recover", func(s *server) http.HandlerFunc { return s.recoverStore }},
 	{"GET /api/stats", func(s *server) http.HandlerFunc { return s.stats }},
 	{"GET /metrics", func(s *server) http.HandlerFunc { return s.metrics }},
-	{"GET /debug/vars", func(s *server) http.HandlerFunc { return s.debugVars }},
 	{"GET /debug/traces", func(s *server) http.HandlerFunc { return s.debugTraces }},
 	{"GET /api/annotations", func(s *server) http.HandlerFunc { return s.listAnnotations }},
 	{"POST /api/annotations", func(s *server) http.HandlerFunc { return s.createAnnotation }},
@@ -401,7 +400,6 @@ type statsView struct {
 type shardingView struct {
 	Shards            int             `json:"shards"`
 	CrossShardCommits uint64          `json:"crossShardCommits"`
-	DeltaSeq          uint64          `json:"deltaSeq"`
 	Durability        []durable.Stats `json:"durability,omitempty"`
 	// Load is each shard's load profile: mutation count, writer busy
 	// time, and the top routing keys by estimated mutation count — the
@@ -417,7 +415,6 @@ func (s *server) stats(w http.ResponseWriter, _ *http.Request) {
 		Sharding: shardingView{
 			Shards:            s.sh.NumShards(),
 			CrossShardCommits: s.sh.CrossShardCommits(),
-			DeltaSeq:          s.sh.DeltaSeq(),
 			Durability:        s.sh.DurabilityStats(),
 			Load:              s.sh.LoadStats(),
 		},

@@ -1,6 +1,6 @@
 // Request instrumentation: the metrics middleware every route is
 // wrapped in, request-ID propagation, and the observability endpoints
-// (GET /metrics, GET /debug/vars, optional /debug/pprof).
+// (GET /metrics, optional /debug/pprof).
 
 package httpapi
 
@@ -192,12 +192,6 @@ func (s *server) instrument(next http.Handler) http.Handler {
 func (s *server) metrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = obs.Default.WritePrometheus(w)
-}
-
-// debugVars serves the registry as one JSON object, expvar-style.
-func (s *server) debugVars(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = obs.Default.WriteJSON(w)
 }
 
 // mountPprof registers the net/http/pprof handlers; gated behind

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -16,6 +17,8 @@ import (
 
 	"graphitti/internal/core"
 	"graphitti/internal/obs"
+	"graphitti/internal/prop"
+	"graphitti/internal/shard"
 )
 
 // jsonDecode strictly decodes one JSON value from r.
@@ -235,7 +238,7 @@ func TestMetricsEndpointValidExposition(t *testing.T) {
 		"graphitti_http_request_duration_seconds",
 		"graphitti_store_commit_duration_seconds",
 		"graphitti_store_view_epoch",
-		"graphitti_queries_total",
+		"graphitti_query_duration_seconds",
 	} {
 		if _, ok := exp.Families[name]; !ok {
 			t.Errorf("family %s missing from /metrics", name)
@@ -243,21 +246,80 @@ func TestMetricsEndpointValidExposition(t *testing.T) {
 	}
 }
 
-// TestDebugVarsJSON checks the expvar-style endpoint serves one valid
-// JSON object.
-func TestDebugVarsJSON(t *testing.T) {
-	ts, _ := newTestServer(t, overCore)
-	resp, err := http.Get(ts.URL + "/debug/vars")
-	if err != nil {
+// histogramCount sums a histogram family's _count over every label set in
+// the process registry.
+func histogramCount(t *testing.T, family string) float64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := obs.Default.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	var m map[string]any
-	if err := jsonDecode(resp.Body, &m); err != nil {
-		t.Fatalf("debug/vars not JSON: %v", err)
+	var total float64
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if !strings.HasPrefix(line, family+"_count{") && !strings.HasPrefix(line, family+"_count ") {
+			continue
+		}
+		v, err := strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64)
+		if err != nil {
+			t.Fatalf("bad sample %q: %v", line, err)
+		}
+		total += v
 	}
-	if len(m) == 0 {
-		t.Fatal("debug/vars empty")
+	return total
+}
+
+// TestHistogramCountsCountOps: each latency histogram's _count, summed
+// over shards, counts the ops it times — commits, deletes, propagation
+// deltas (one per commit or delete on a shard with rules) and query runs
+// (one per shard a query asks) — which is what an operator reads in place
+// of a separate counter.
+func TestHistogramCountsCountOps(t *testing.T) {
+	const shards, commits, deletes, queries = 2, 6, 2, 3
+	sh := shard.New(shards)
+	domains := make([]string, shards)
+	for k := range domains {
+		domains[k] = keyOnShard(t, shards, k, "dom")
+		registerDomainSeq(t, sh, domains[k])
+	}
+	if err := sh.AddRule(prop.Rule{ID: "ov", Edge: prop.EdgeOverlap, Domain: domains[0]}); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(sh, Options{}))
+	defer ts.Close()
+
+	families := []string{
+		"graphitti_store_commit_duration_seconds",
+		"graphitti_store_delete_duration_seconds",
+		"graphitti_store_propagation_delta_seconds",
+		"graphitti_query_duration_seconds",
+	}
+	before := make([]float64, len(families))
+	for i, f := range families {
+		before[i] = histogramCount(t, f)
+	}
+	var ids []uint64
+	for i := 0; i < commits; i++ {
+		var out struct{ ID uint64 }
+		if code := postJSON(t, ts.URL+"/api/annotations", seqAnnReq(domains[i%shards]), &out); code != http.StatusCreated {
+			t.Fatalf("commit %d: status %d", i, code)
+		}
+		ids = append(ids, out.ID)
+	}
+	for _, id := range ids[:deletes] {
+		if code := doDelete(t, fmt.Sprintf("%s/api/annotations/%d", ts.URL, id)); code != http.StatusNoContent {
+			t.Fatalf("delete %d: status %d", id, code)
+		}
+	}
+	q := map[string]string{"query": `select contents where { ?a isa annotation ; contains "written" . }`}
+	for i := 0; i < queries; i++ {
+		if code := postJSON(t, ts.URL+"/api/query", q, nil); code != http.StatusOK {
+			t.Fatalf("query %d: status %d", i, code)
+		}
+	}
+	for i, want := range []float64{commits, deletes, commits + deletes, shards * queries} {
+		if got := histogramCount(t, families[i]) - before[i]; got != want {
+			t.Errorf("%s_count moved by %v, want %v", families[i], got, want)
+		}
 	}
 }
 

@@ -212,7 +212,7 @@ func TestRequestIDEchoAllRoutes(t *testing.T) {
 	ts := httptest.NewServer(New(memorySet(smallStore(t)), Options{EnablePprof: true}))
 	defer ts.Close()
 	for _, path := range []string{
-		"/metrics", "/debug/vars", "/debug/traces", "/debug/pprof/",
+		"/metrics", "/debug/traces", "/debug/pprof/",
 		"/api/stats", "/no/such/route",
 	} {
 		resp, err := http.Get(ts.URL + path)

@@ -234,7 +234,8 @@ func (p *Package) finding(pos token.Pos, rule, format string, args ...any) Findi
 }
 
 // pkgNamed reports whether the package's name matches any of names.
-// Applicability is keyed on the package name (httpapi, wal, durable, obs)
+// Applicability is keyed on the package name (httpapi, wal, durable,
+// shard, obs)
 // rather than the import path so the testdata fixture modules exercise the
 // same code paths as the real tree.
 func (p *Package) pkgNamed(names ...string) bool {

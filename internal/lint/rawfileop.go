@@ -5,9 +5,9 @@ import (
 	"go/types"
 )
 
-// rawfileop: in the wal and durable packages every file operation on the
-// durability path must be mediated by the faultfs injector — that is what
-// lets the fault-injection harness prove the ack contract ("committed
+// rawfileop: in the wal, durable and shard packages every file operation
+// on the durability path must be mediated by the faultfs injector — that
+// is what lets the fault-injection harness prove the ack contract ("committed
 // means fsynced") under EIO, ENOSPC and torn writes. A raw os call that
 // skips the injector silently removes that operation from fault coverage:
 // the harness goes green while the failure path it was guarding goes
@@ -22,7 +22,7 @@ import (
 // Read) are not durability-relevant and stay unrestricted.
 var analyzerRawFileOp = &Analyzer{
 	Name:    "rawfileop",
-	Doc:     "wal/durable file operations must go through faultfs shims so fault injection keeps full coverage",
+	Doc:     "wal/durable/shard file operations must go through faultfs shims so fault injection keeps full coverage",
 	Default: true,
 	Run:     runRawFileOp,
 }
@@ -86,7 +86,7 @@ func (p *Package) isFaultfsShim(fd *ast.FuncDecl) bool {
 }
 
 func runRawFileOp(p *Package) []Finding {
-	if !p.pkgNamed("wal", "durable") {
+	if !p.pkgNamed("wal", "durable", "shard") {
 		return nil
 	}
 	var out []Finding

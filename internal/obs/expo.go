@@ -1,6 +1,5 @@
 // Exposition: the registry rendered as Prometheus text format (the
-// /metrics endpoint), expvar-style JSON (/debug/vars), and flat CSV
-// (bench artifacts), plus a text-format validator used by the golden
+// /metrics endpoint), plus a text-format validator used by the golden
 // tests and the CI scrape check.
 
 package obs
@@ -122,64 +121,6 @@ func (f *family) eachChild(visit func(values []string, inst any)) {
 	f.mu.RUnlock()
 	for i, k := range keys {
 		visit(splitLabelKey(k), children[i])
-	}
-}
-
-// WriteJSON renders the registry as one JSON object in expvar style:
-// scalar metrics map name to value; labeled families map name to an
-// object keyed by "k=v,..."; histograms render {count, sum, p50, p99}.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	r.collect()
-	bw := bufio.NewWriter(w)
-	bw.WriteString("{")
-	firstFam := true
-	for _, f := range r.sorted() {
-		if !firstFam {
-			bw.WriteString(",")
-		}
-		firstFam = false
-		fmt.Fprintf(bw, "\n  %s: ", strconv.Quote(f.name))
-		if f.single != nil {
-			writeJSONInst(bw, f.single)
-			continue
-		}
-		bw.WriteString("{")
-		firstChild := true
-		f.eachChild(func(values []string, inst any) {
-			if !firstChild {
-				bw.WriteString(", ")
-			}
-			firstChild = false
-			pairs := make([]string, len(values))
-			for i, v := range values {
-				pairs[i] = f.labels[i] + "=" + v
-			}
-			fmt.Fprintf(bw, "%s: ", strconv.Quote(strings.Join(pairs, ",")))
-			writeJSONInst(bw, inst)
-		})
-		bw.WriteString("}")
-	}
-	bw.WriteString("\n}\n")
-	return bw.Flush()
-}
-
-// jsonFloat renders a float as JSON (no NaN/Inf literals in JSON: null).
-func jsonFloat(v float64) string {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return "null"
-	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-func writeJSONInst(w io.Writer, inst any) {
-	switch m := inst.(type) {
-	case *Counter:
-		fmt.Fprintf(w, "%d", m.Value())
-	case *Gauge:
-		fmt.Fprintf(w, "%d", m.Value())
-	case *Histogram:
-		fmt.Fprintf(w, `{"count": %d, "sum": %s, "p50": %s, "p99": %s}`,
-			m.Count(), jsonFloat(m.Sum()), jsonFloat(m.Quantile(0.5)), jsonFloat(m.Quantile(0.99)))
 	}
 }
 

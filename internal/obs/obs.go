@@ -1,7 +1,6 @@
 // Package obs is Graphitti's dependency-free metrics layer: a registry
 // of atomic counters, gauges and fixed-bucket histograms, with
-// Prometheus text-format exposition (see expo.go), an expvar-style JSON
-// dump, and a flat-CSV dump for bench comparisons.
+// Prometheus text-format exposition (see expo.go).
 //
 // # Model
 //
@@ -111,7 +110,6 @@ type Histogram struct {
 	bounds []float64 // sorted upper bounds, exclusive of +Inf
 	counts []atomic.Uint64
 	inf    atomic.Uint64
-	count  atomic.Uint64
 	sum    atomicFloat
 }
 
@@ -126,55 +124,19 @@ func (h *Histogram) Observe(v float64) {
 	for i, b := range h.bounds {
 		if v <= b {
 			h.counts[i].Add(1)
-			h.count.Add(1)
 			h.sum.add(v)
 			return
 		}
 	}
 	h.inf.Add(1)
-	h.count.Add(1)
 	h.sum.add(v)
 }
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return h.sum.load() }
 
-// Quantile estimates the q-quantile (0 < q < 1) by linear interpolation
-// within the bucket containing it, the standard histogram_quantile
-// estimate. Observations beyond the last finite bound clamp to that
-// bound. Returns NaN when the histogram is empty.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 {
-		return math.NaN()
-	}
-	rank := q * float64(total)
-	cum := uint64(0)
-	for i, b := range h.bounds {
-		n := h.counts[i].Load()
-		if float64(cum)+float64(n) >= rank {
-			lo := 0.0
-			if i > 0 {
-				lo = h.bounds[i-1]
-			}
-			if n == 0 {
-				return b
-			}
-			return lo + (b-lo)*(rank-float64(cum))/float64(n)
-		}
-		cum += n
-	}
-	if len(h.bounds) == 0 {
-		return math.NaN()
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
 // bucketCumulative returns the cumulative count at each finite bound,
-// plus the total (the +Inf bucket). Used by the exposition writers.
+// plus the total (the +Inf bucket). Used by the exposition writer.
 func (h *Histogram) bucketCumulative() ([]uint64, uint64) {
 	out := make([]uint64, len(h.bounds))
 	cum := uint64(0)
@@ -371,7 +333,7 @@ func (r *Registry) register(f *family) {
 }
 
 // RegisterCollector adds a hook run at the start of every exposition
-// (WritePrometheus, WriteJSON), for values that are cheaper to
+// (WritePrometheus), for values that are cheaper to
 // compute at scrape time than to keep current — process gauges sampled
 // from the runtime, top-K sketches synced into a gauge vec. Collectors
 // run serially in registration order; they must not block.

@@ -791,17 +791,21 @@ func Load(src Source) (*core.Store, error) {
 // What src or an op refuses fails the load, and the store is dropped.
 func LoadWith(src Source, opts core.StoreOptions) (*core.Store, error) {
 	s := core.NewStoreWithOptions(opts)
-	err := s.Batch(func(x *core.Tx) error {
-		tail, err := src.Each(func(op Op) error { return op.Apply(x) })
-		if err != nil {
-			return err
-		}
-		return tail.install(x)
-	})
-	if err != nil {
+	if err := s.Batch(func(x *core.Tx) error { return Replay(x, src) }); err != nil {
 		return nil, err
 	}
 	return s, nil
+}
+
+// Replay applies the ops of src in the writer session x, then installs
+// its tail: the loop of LoadWith, for a caller whose session goes on
+// after the snapshot (a data directory's open replays its log next).
+func Replay(x *core.Tx, src Source) error {
+	tail, err := src.Each(func(op Op) error { return op.Apply(x) })
+	if err != nil {
+		return err
+	}
+	return tail.install(x)
 }
 
 // Each is the snapshot as a Source: its version checked, its ops in load
@@ -878,10 +882,5 @@ func (snap *Snapshot) add(op Op) error {
 
 // Read loads a snapshot in either form, streamed, and rebuilds the store.
 func Read(r io.Reader) (*core.Store, error) {
-	return ReadWith(r, core.StoreOptions{})
-}
-
-// ReadWith is Read into a store built with opts.
-func ReadWith(r io.Reader, opts core.StoreOptions) (*core.Store, error) {
-	return LoadWith(ReadOps(r, 0), opts)
+	return LoadWith(ReadOps(r, 0), core.StoreOptions{})
 }

@@ -196,7 +196,6 @@ func (rs ruleSet) Delta(pre, post *core.View, ann *core.Annotation,
 		}
 	}
 
-	mDeltas.Inc()
 	mAffectedSources.Observe(float64(len(affected)))
 	var stats map[string]*ruleStat
 	if sp != nil {

@@ -12,8 +12,6 @@ import "graphitti/internal/obs"
 var (
 	mRules = obs.NewGauge("graphitti_prop_rules",
 		"Propagation rules currently installed.")
-	mDeltas = obs.NewCounter("graphitti_prop_deltas_total",
-		"Incremental derived-fact delta computations (one per commit or delete with rules installed).")
 	mRecomputes = obs.NewCounter("graphitti_prop_recomputes_total",
 		"Full derived-table recomputations (rule changes and image registrations).")
 	mAffectedSources = obs.NewHistogram("graphitti_prop_delta_affected_sources",

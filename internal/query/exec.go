@@ -295,7 +295,6 @@ func (e *execution) executeOrdered(q *Query, opts Options, forcedOrder []string)
 
 // observeQuery records one completed execution into the query metrics.
 func observeQuery(q *Query, stats *Stats, elapsed time.Duration) {
-	mQueries.Inc()
 	mQuerySeconds.With(q.Select.String()).Observe(elapsed.Seconds())
 	mBindingsTried.Add(uint64(stats.BindingsTried))
 	var cost float64

@@ -11,8 +11,6 @@ var costBuckets = []float64{1, 4, 16, 64, 256, 1024, 4096, 16384, 65536, 262144}
 // "semi-join" label to keep cardinality bounded. All are documented in
 // docs/METRICS.md, which a test keeps in sync.
 var (
-	mQueries = obs.NewCounter("graphitti_queries_total",
-		"Graph queries executed to completion.")
 	mQuerySeconds = obs.NewHistogramVec("graphitti_query_duration_seconds",
 		"Query latency end to end (candidates, planning, join, collation), by select kind.",
 		nil, "select")

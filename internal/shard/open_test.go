@@ -18,11 +18,13 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"syscall"
 	"testing"
 
 	"graphitti/internal/biodata/seq"
 	"graphitti/internal/core"
 	"graphitti/internal/durable"
+	"graphitti/internal/faultfs"
 	"graphitti/internal/interval"
 	"graphitti/internal/persist"
 	"graphitti/internal/shard"
@@ -317,5 +319,44 @@ func TestCommitRefusesCrossShardCommittedReferent(t *testing.T) {
 				t.Fatalf("a commit whose marks span shards moved CrossShardCommits %d -> %d, want one", before, got)
 			}
 		})
+	}
+}
+
+// TestOpenManifestWriteFault: the manifest is written through durable's
+// fault-injected atomic writer. A failed rename fails Open with nothing
+// written — no SHARDS.json, no shard-<k>/ — and the same Open with the
+// disk repaired starts the two shards, removing the tmp file a crash
+// mid-write would have left.
+func TestOpenManifestWriteFault(t *testing.T) {
+	dir := t.TempDir()
+	sc := faultfs.NewScript().FailPath(faultfs.OpRename, "SHARDS.json", 1,
+		faultfs.Fault{Err: faultfs.Errno(faultfs.OpRename, syscall.EIO)})
+	s, err := shard.Open(dir, 2, durable.Options{Inject: sc})
+	if err == nil {
+		s.Close()
+		t.Fatal("Open succeeded over a failed manifest rename")
+	}
+	if !errors.Is(err, faultfs.ErrInjected) {
+		t.Fatalf("Open failed, but not with the injected fault: %v", err)
+	}
+	if left, err := os.ReadDir(dir); err != nil || len(left) != 0 {
+		t.Fatalf("a failed Open left %v behind (%v)", left, err)
+	}
+
+	sc.Clear()
+	tmp := filepath.Join(dir, "SHARDS.json.tmp")
+	if err := os.WriteFile(tmp, []byte(`{"shards":`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err = shard.Open(dir, 2, durable.Options{Inject: sc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if s.NumShards() != 2 || !hasManifest(t, dir) {
+		t.Fatalf("retry opened %d shards, manifest %v; want 2 and true", s.NumShards(), hasManifest(t, dir))
+	}
+	if _, err := os.Stat(tmp); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("%s survived Open: %v", filepath.Base(tmp), err)
 	}
 }

@@ -446,7 +446,6 @@ func (s *Store) Restore(src persist.Source) error {
 	if err != nil {
 		return fmt.Errorf("%w: %w", ErrBadSnapshot, err)
 	}
-	s.gseq.Add(1)
 	if err := s.eachShard(func(k int) error { return s.pipes[k].Install(staged[k]) }); err != nil {
 		return err
 	}

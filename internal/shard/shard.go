@@ -16,14 +16,14 @@
 // every shard (shard 0 first), so ontology-closure propagation and rule
 // recomputation see the same rule set everywhere.
 //
-// The sequenced inter-shard channel. Broadcasts and cross-shard commits
-// (an annotation whose marks span shards) serialize through one global
-// mutex with a monotone sequence number — the bounded fallback the
-// design allows instead of asynchronous delta shipping. A cross-shard
-// annotation commits whole to its home shard (no dangling references, no
-// partial visibility), interval trees for its other domains included, so
-// a read by domain (Views.ReferentsAt, and Views.Stats' union of interval
-// domains) asks every shard, not the domain's owner alone. The
+// The inter-shard channel. Broadcasts and cross-shard commits (an
+// annotation whose marks span shards) serialize through one global
+// mutex — the bounded fallback the design allows instead of asynchronous
+// delta shipping. A cross-shard annotation commits whole to its home
+// shard (no dangling references, no partial visibility), interval trees
+// for its other domains included, so a read by domain (Views.ReferentsAt,
+// and Views.Stats' union of interval domains) asks every shard, not the
+// domain's owner alone. The
 // completeness bound is that its marks dedup per-shard rather than
 // globally, and derived facts pairing it with referents homed elsewhere
 // are not materialized. Reusing an already-committed referent is
@@ -72,6 +72,7 @@ import (
 
 	"graphitti/internal/core"
 	"graphitti/internal/durable"
+	"graphitti/internal/faultfs"
 	"graphitti/internal/persist"
 	"graphitti/internal/prop"
 )
@@ -115,11 +116,10 @@ type Store struct {
 	// under readers (Restore, Reopen); the slice itself never changes.
 	pipes []*durable.Store
 
-	// gmu is the sequenced inter-shard channel: broadcasts (ontologies,
-	// rules) and cross-shard commits serialize through it, stamped by
-	// gseq. Routed single-shard mutations never take it.
+	// gmu is the inter-shard channel: broadcasts (ontologies, rules),
+	// cross-shard commits and restores serialize through it. Routed
+	// single-shard mutations never take it.
 	gmu   sync.Mutex
-	gseq  atomic.Uint64
 	cross atomic.Uint64
 
 	// smu is the per-shard writer latch: every routed mutation holds its
@@ -189,6 +189,7 @@ func Open(dir string, n int, opts durable.Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
+	removeShardsTmp(dir, opts.Inject)
 	recorded, err := readShardsFile(dir)
 	if err != nil {
 		return nil, err
@@ -207,8 +208,12 @@ func Open(dir string, n int, opts durable.Options) (*Store, error) {
 	case durable.HasStore(dir):
 		return nil, fmt.Errorf("shard: directory %s holds a one-pipeline store at its root, asked to open %d shards; open it with one, or migrate it via snapshot export/restore", dir, n)
 	default:
-		// Record the count before any shard writes.
-		if err := writeShardsFile(dir, n); err != nil {
+		// Record the count before any shard writes, as durably as the
+		// data it makes discoverable.
+		err = durable.WriteFileSync(opts.Inject, filepath.Join(dir, shardsFile), func(f *os.File) error {
+			return json.NewEncoder(f).Encode(shardsManifest{Shards: n})
+		})
+		if err != nil {
 			return nil, err
 		}
 		dirs = shardDirs(dir, n)
@@ -292,41 +297,16 @@ func hasShardDirs(dir string) bool {
 	return false
 }
 
-func writeShardsFile(dir string, n int) error {
-	data, err := json.Marshal(shardsManifest{Shards: n})
-	if err != nil {
-		return err
-	}
-	// tmp → fsync → rename → fsync(dir): the manifest is what makes
-	// shard-<k>/ data discoverable, so it must survive a crash as
-	// reliably as the data it names.
+// removeShardsTmp best-effort deletes the tmp file a crash left behind in
+// the middle of writing SHARDS.json. The rename comes only after its fsync,
+// so a tmp file present at open was never committed and never will be.
+// An injected failure leaves it, as a real unlink error would.
+func removeShardsTmp(dir string, inj faultfs.Injector) {
 	tmp := filepath.Join(dir, shardsFile+".tmp")
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
+	if faultfs.Check(inj, faultfs.OpRemove, tmp) != nil {
+		return
 	}
-	if _, err = f.Write(data); err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, shardsFile)); err != nil {
-		return err
-	}
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	_ = os.Remove(tmp)
 }
 
 // advanceIDs raises the shared allocator past every ID any shard has
@@ -350,10 +330,6 @@ func (s *Store) NumShards() int { return s.router.Shards }
 
 // Durable reports whether the pipelines log to a directory.
 func (s *Store) Durable() bool { return s.pipes[0].Dir() != "" }
-
-// DeltaSeq returns the sequence number of the inter-shard channel: the
-// count of broadcasts and cross-shard commits sequenced so far.
-func (s *Store) DeltaSeq() uint64 { return s.gseq.Load() }
 
 // CrossShardCommits counts annotations whose marks spanned shards and
 // were serialized through the inter-shard channel.
@@ -385,7 +361,7 @@ func (s *Store) mutate(k int, key string, fn func(p *durable.Store) error) error
 }
 
 // broadcast applies one mutation to every shard, shard 0 first, under
-// the sequenced inter-shard channel. A real failure on one shard stops
+// the inter-shard channel. A real failure on one shard stops
 // the walk (later shards are not touched), but an "already applied"
 // answer — duplicate registration, duplicate rule, rule already gone —
 // is skipped and remembered instead: a crash between the per-shard
@@ -397,7 +373,6 @@ func (s *Store) mutate(k int, key string, fn func(p *durable.Store) error) error
 func (s *Store) broadcast(fn func(k int) error) error {
 	s.gmu.Lock()
 	defer s.gmu.Unlock()
-	s.gseq.Add(1)
 	var dup error
 	dups := 0
 	for k := 0; k < s.NumShards(); k++ {
@@ -554,7 +529,6 @@ func (s *Store) commit(op persist.Op) (*core.Annotation, error) {
 	if span > 1 {
 		s.gmu.Lock()
 		defer s.gmu.Unlock()
-		s.gseq.Add(1)
 		s.cross.Add(1)
 	}
 	// The "shard.writer" span covers the per-shard pipeline end to end —

@@ -53,13 +53,11 @@ import (
 	"graphitti/internal/obs"
 )
 
-// Span metric families: every Finish observes its kind's counter and
-// duration histogram, traced request or not, which is what keeps the
+// Span metric families: every Finish observes its kind's duration
+// histogram, traced request or not, which is what keeps the
 // trace/metrics invariant ("every span kind has a histogram family
 // sample") testable. Documented in docs/METRICS.md.
 var (
-	mSpans = obs.NewCounterVec("graphitti_trace_spans_total",
-		"Spans finished, by span kind.", "kind")
 	mSpanSeconds = obs.NewHistogramVec("graphitti_trace_span_duration_seconds",
 		"Span duration, by span kind.", nil, "kind")
 	mTracesRecorded = obs.NewCounter("graphitti_trace_traces_recorded_total",
@@ -210,7 +208,6 @@ func (s *Span) FinishedChild(name string, start, end time.Time, attrs ...Attr) {
 	s.mu.Lock()
 	s.children = append(s.children, c)
 	s.mu.Unlock()
-	mSpans.With(name).Inc()
 	mSpanSeconds.With(name).Observe(end.Sub(start).Seconds())
 }
 
@@ -228,7 +225,6 @@ func (s *Span) Finish() {
 	s.end = time.Now()
 	d := s.end.Sub(s.start)
 	s.mu.Unlock()
-	mSpans.With(s.name).Inc()
 	mSpanSeconds.With(s.name).Observe(d.Seconds())
 }
 

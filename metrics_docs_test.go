@@ -5,7 +5,9 @@ import (
 	"bytes"
 	"os"
 	"regexp"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"graphitti/internal/obs"
@@ -21,9 +23,11 @@ import (
 var docRow = regexp.MustCompile("^\\| `((?:graphitti_|process_|go_)[a-zA-Z0-9_:]+)` \\|")
 
 // TestMetricsDocParity keeps docs/METRICS.md honest: every registered
-// metric family must have a table row, and every table row must name a
-// registered family. A metric added without documentation — or a doc row
-// for a metric that was renamed or removed — fails here.
+// metric family must have a table row, every table row must name a
+// registered family, and every row must name the question the family
+// answers in its table's Question column. A metric added without
+// documentation or a question — or a doc row for a metric that was
+// renamed or removed — fails here.
 func TestMetricsDocParity(t *testing.T) {
 	f, err := os.Open("docs/METRICS.md")
 	if err != nil {
@@ -32,13 +36,28 @@ func TestMetricsDocParity(t *testing.T) {
 	defer f.Close()
 
 	documented := make(map[string]bool)
+	question := -1 // the Question column of the table being read
 	sc := bufio.NewScanner(f)
 	for sc.Scan() {
-		if m := docRow.FindStringSubmatch(sc.Text()); m != nil {
-			if documented[m[1]] {
-				t.Errorf("docs/METRICS.md documents %s twice", m[1])
-			}
-			documented[m[1]] = true
+		line := sc.Text()
+		cells := strings.Split(strings.Trim(line, "|"), "|")
+		for i := range cells {
+			cells[i] = strings.TrimSpace(cells[i])
+		}
+		if strings.HasPrefix(line, "| Name |") {
+			question = slices.Index(cells, "Question")
+			continue
+		}
+		m := docRow.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		if documented[m[1]] {
+			t.Errorf("docs/METRICS.md documents %s twice", m[1])
+		}
+		documented[m[1]] = true
+		if question < 0 || question >= len(cells) || !strings.HasSuffix(cells[question], "?") {
+			t.Errorf("docs/METRICS.md names no question for %s", m[1])
 		}
 	}
 	if err := sc.Err(); err != nil {
