@@ -13,22 +13,25 @@
 // a session touches it and write in place after that. So an op costs the
 // pieces it is first to touch: a chunk of 256 slots per table, a
 // root-to-leaf path per key (a handful of four-way inner nodes and one
-// leaf of at most 32 keys), one posting chunk per list it removes from and
-// nothing but the ID per list it appends to. A writer session (core.Tx)
-// copies no piece twice however many ops it carries, and a publish is a
-// handful of pointer stores. None of it is proportional to the store,
+// leaf of at most 32 keys), one posting chunk's bytes per list it removes
+// from and nothing but the ID's bytes per list it appends to. A writer
+// session (core.Tx) copies no piece twice however many ops it carries, and
+// a publish is a handful of pointer stores. None of it is proportional to the store,
 // except logarithmically (trie depth, tree height) and through two spines
-// of chunk pointers (8 bytes per 256 IDs a table holds, 24 per 256 IDs of
-// a posting list that loses one from its middle).
+// (8 bytes of chunk pointer per 256 IDs a table holds, 32 of chunk header
+// per 256 IDs of a posting list that loses one from its middle).
 //
 // Nothing is boxed per key: a map's keys live packed in its leaves, which
-// copy the key bytes they are given, and a posting list of one ID is that
-// ID, held in the value itself.
+// copy the key bytes they are given. A posting list holds its IDs as
+// delta-uvarints, about a byte per ID of a frequent keyword, and a list of
+// one ID, or of a few whose bytes fit in seven, is held in the value
+// itself.
 package cow
 
 import (
 	"bytes"
 	"encoding/binary"
+	"math/bits"
 	"slices"
 	"sort"
 )
@@ -220,16 +223,7 @@ func keyAt[S ~string | ~[]byte](keys S, off int) (S, int) {
 	if c := keys[off]; c < 0x80 {
 		return keys[off+1 : off+1+int(c)], off + 1 + int(c)
 	}
-	var l, shift uint
-	for {
-		c := keys[off]
-		off++
-		l |= uint(c&0x7f) << shift
-		if c < 0x80 {
-			break
-		}
-		shift += 7
-	}
+	l, off := uvarintAt(keys, off)
 	return keys[off : off+int(l)], off + int(l)
 }
 
@@ -582,225 +576,367 @@ func (e *MapEdit[V]) fold(n *mnode[V]) *mnode[V] {
 // this many IDs plus the spine of chunk headers, whatever the list holds.
 const postChunk = 256
 
-// Postings is one keyword's annotation IDs, ascending, in chunks. The
-// zero value is the empty list, and a list of one ID is that ID: with no
-// list, n is the ID (ID 0, which the store never assigns, takes a list).
-// Otherwise n is how many IDs this value holds — the head's chunks, then
-// the first n minus the head's IDs of the tail.
+// Postings is one keyword's annotation IDs, ascending, written as
+// delta-uvarints: each ID is its distance from the one before it (the
+// first of a chunk, the tail included, from zero) in groups of seven bits,
+// so the close IDs of a frequent keyword take a byte each. The zero value is the empty list.
+// A short list is held in the value itself, with no list header: one ID
+// below 2^56 is that ID, and a list whose bytes fit in inlineMax is those
+// bytes, the low ones of n, with their length in n's top byte. Otherwise
+// n is how many IDs this value holds — the head's chunks, then the first
+// n minus the head's IDs of the tail.
 //
 // A tail's array is allocated with the list header (see newPostList)
-// and never reassigned. Appending the highest ID yet writes into
-// its spare room in place: a reader pinned to an older Postings value
-// never indexes past its own n, so sharing the array along the
-// single-writer chain is safe. Every other edit copies what it changes.
-// Only the latest value of a chain may be extended.
+// and never reassigned. Appending the highest ID yet writes its bytes into
+// the spare room in place: a reader pinned to an older Postings value
+// decodes its own count of IDs and never reaches them, so sharing the
+// array along the single-writer chain is safe. Every other edit copies
+// what it changes. Only the latest value of a chain may be extended.
 type Postings struct {
 	n    uint64
 	list *postList
 }
 
+const (
+	inlineMax   = 7             // bytes of delta-uvarints a value holds in n
+	inlineShift = 8 * inlineMax // n's top byte: how many it holds
+)
+
 type postList struct {
 	head *postHead // nil for a list of one chunk
-	tail []uint64  // len == cap: the array, spare room included
+	tail []byte    // len == cap: the array, spare room included
+	// What the tail held after the last write through this header, its
+	// making or an append: its last ID, its bytes and its IDs. A value with
+	// that many tail IDs is the one that write made, as only the latest
+	// value of a chain is extended, so the next append reads here where to
+	// write and what to subtract; any other value decodes its tail.
+	last       uint64
+	end, count int32
 }
 
 type postHead struct {
-	chunks [][]uint64 // none empty; ascending within and across, all below tail
-	n      int        // IDs in chunks
+	chunks []headChunk // none empty; ascending within and across, all below tail
+	n      int         // IDs in chunks
+}
+
+// headChunk is a head chunk: the delta-uvarints of 1 to postChunk IDs,
+// with their count and the last one, which locate searches by.
+type headChunk struct {
+	ids  string
+	last uint64
+	n    int
+}
+
+// uvarintAt decodes the uvarint at off in b and returns it and the offset
+// after it.
+func uvarintAt[S ~string | ~[]byte](b S, off int) (uint64, int) {
+	var v uint64
+	for shift := uint(0); ; shift += 7 {
+		c := b[off]
+		off++
+		v |= uint64(c&0x7f) << shift
+		if c < 0x80 {
+			return v, off
+		}
+	}
+}
+
+// appendIDs appends the first n IDs the delta-uvarints in b encode to dst.
+func appendIDs[S ~string | ~[]byte](dst []uint64, b S, n int) []uint64 {
+	var id uint64
+	for off := 0; n > 0; n-- {
+		if c := b[off]; c < 0x80 {
+			id, off = id+uint64(c), off+1
+		} else {
+			var d uint64
+			d, off = uvarintAt(b, off)
+			id += d
+		}
+		dst = append(dst, id)
+	}
+	return dst
+}
+
+// eachID visits the first n IDs the delta-uvarints in b encode until fn
+// returns false, and reports whether it visited them all.
+func eachID[S ~string | ~[]byte](b S, n int, fn func(uint64) bool) bool {
+	var id uint64
+	for off := 0; n > 0; n-- {
+		if c := b[off]; c < 0x80 {
+			id, off = id+uint64(c), off+1
+		} else {
+			var d uint64
+			d, off = uvarintAt(b, off)
+			id += d
+		}
+		if !fn(id) {
+			return false
+		}
+	}
+	return true
+}
+
+// appendDeltas appends ascending ids to dst as delta-uvarints.
+func appendDeltas(dst []byte, ids []uint64) []byte {
+	var prev uint64
+	for _, id := range ids {
+		dst, prev = binary.AppendUvarint(dst, id-prev), id
+	}
+	return dst
+}
+
+// deltasLen returns the number of bytes appendDeltas writes for ids.
+func deltasLen(ids []uint64) int {
+	n := 0
+	var prev uint64
+	for _, id := range ids {
+		n, prev = n+(bits.Len64((id-prev)|1)+6)/7, id
+	}
+	return n
 }
 
 // newPostList allocates a list header and a tail array of room for at
-// least c IDs. Up to 140 the two are one object, sized to fill an
-// allocator size class. A full-size tail is an array of its own: it joins
-// the head when it fills, and a head chunk must not keep the header it
-// was allocated with (whose head holds every spine before it) alive.
+// least c bytes. Up to 976 the two are one object, sized to fill an
+// allocator size class (the header is 48 bytes); only a tail of wide gaps
+// outgrows that, and its array is an object of its own.
 func newPostList(head *postHead, c int) *postList {
 	switch {
-	case c <= 2:
-		return withTail(head, func(a *[2]uint64) []uint64 { return a[:] })
-	case c <= 4:
-		return withTail(head, func(a *[4]uint64) []uint64 { return a[:] })
-	case c <= 8:
-		return withTail(head, func(a *[8]uint64) []uint64 { return a[:] })
 	case c <= 16:
-		return withTail(head, func(a *[16]uint64) []uint64 { return a[:] })
+		return withTail(head, func(a *[16]byte) []byte { return a[:] })
 	case c <= 32:
-		return withTail(head, func(a *[32]uint64) []uint64 { return a[:] })
-	case c <= 68:
-		return withTail(head, func(a *[68]uint64) []uint64 { return a[:] })
-	case c <= 140:
-		return withTail(head, func(a *[140]uint64) []uint64 { return a[:] })
+		return withTail(head, func(a *[32]byte) []byte { return a[:] })
+	case c <= 64:
+		return withTail(head, func(a *[64]byte) []byte { return a[:] })
+	case c <= 112:
+		return withTail(head, func(a *[112]byte) []byte { return a[:] })
+	case c <= 208:
+		return withTail(head, func(a *[208]byte) []byte { return a[:] })
+	case c <= 336:
+		return withTail(head, func(a *[336]byte) []byte { return a[:] })
+	case c <= 464:
+		return withTail(head, func(a *[464]byte) []byte { return a[:] })
+	case c <= 720:
+		return withTail(head, func(a *[720]byte) []byte { return a[:] })
+	case c <= 976:
+		return withTail(head, func(a *[976]byte) []byte { return a[:] })
 	}
-	return &postList{head, make([]uint64, postChunk)}
+	tail := slices.Grow([]byte(nil), c)
+	return &postList{head: head, tail: tail[:cap(tail)]}
 }
 
 // withTail allocates a list header and its tail array A as one object.
-func withTail[A any](head *postHead, ids func(*A) []uint64) *postList {
+func withTail[A any](head *postHead, room func(*A) []byte) *postList {
 	b := new(struct {
 		postList
 		a A
 	})
-	b.postList = postList{head, ids(&b.a)}
+	b.postList = postList{head: head, tail: room(&b.a)}
 	return &b.postList
 }
 
 // Len returns the number of IDs.
 func (p Postings) Len() int {
-	switch {
+	switch k := p.n >> inlineShift; {
 	case p.list != nil:
 		return int(p.n)
+	case k != 0: // the bytes that end a uvarint, whose high bit is clear
+		return bits.OnesCount64(^p.n & 0x0080808080808080 & (1<<(8*k) - 1))
 	case p.n != 0:
 		return 1
 	}
 	return 0
 }
 
+// appendInline appends the IDs of a value with no list header to dst.
+func (p Postings) appendInline(dst []uint64) []uint64 {
+	switch k := p.n >> inlineShift; {
+	case k != 0:
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], p.n)
+		return appendIDs(dst, b[:k], p.Len())
+	case p.n != 0:
+		return append(dst, p.n)
+	}
+	return dst
+}
+
 // chunks returns the head chunks (nil for a short list).
-func (p Postings) chunks() [][]uint64 {
+func (p Postings) chunks() []headChunk {
 	if p.list == nil || p.list.head == nil {
 		return nil
 	}
 	return p.list.head.chunks
 }
 
-// tail returns the IDs after the head chunks, with the array's spare room
-// as their capacity (nil for the empty list and a list of one ID).
-func (p Postings) tail() []uint64 {
-	if p.list == nil {
-		return nil
-	}
+// tailLen returns the number of IDs p holds in its tail.
+func (p Postings) tailLen() int {
 	n := int(p.n)
 	if h := p.list.head; h != nil {
 		n -= h.n
 	}
-	return p.list.tail[:n]
+	return n
+}
+
+// tailEnd returns the length in bytes and the last ID of p's tail of t
+// IDs: the header's record when p is the value its last append made, else
+// decoded.
+func (p Postings) tailEnd(t int) (int, uint64) {
+	l := p.list
+	if int(l.count) == t {
+		return int(l.end), l.last
+	}
+	var id uint64
+	off := 0
+	for ; t > 0; t-- {
+		var d uint64
+		d, off = uvarintAt(l.tail, off)
+		id += d
+	}
+	return off, id
 }
 
 // Each visits the IDs in ascending order until fn returns false.
 func (p Postings) Each(fn func(uint64) bool) {
 	if p.list == nil {
-		if p.n != 0 {
-			fn(p.n)
-		}
-		return
-	}
-	for _, c := range p.chunks() {
-		for _, id := range c {
+		var buf [inlineMax]uint64
+		for _, id := range p.appendInline(buf[:0]) {
 			if !fn(id) {
 				return
 			}
 		}
+		return
 	}
-	for _, id := range p.tail() {
-		if !fn(id) {
+	for _, c := range p.chunks() {
+		if !eachID(c.ids, c.n, fn) {
 			return
 		}
 	}
+	eachID(p.list.tail, p.tailLen(), fn)
 }
 
-// locate returns the chunk that holds id or would take it — the first
-// whose last ID is >= id — and its index; the tail is chunk
-// len(p.chunks()).
-func (p Postings) locate(id uint64) (int, []uint64) {
+// locate appends to dst the IDs of the chunk that holds id or would take
+// it — the first whose last ID is >= id — and returns them and the
+// chunk's index; the tail is chunk len(p.chunks()).
+func (p Postings) locate(id uint64, dst []uint64) (int, []uint64) {
 	cs := p.chunks()
-	i := sort.Search(len(cs), func(k int) bool { return cs[k][len(cs[k])-1] >= id })
+	i := sort.Search(len(cs), func(k int) bool { return cs[k].last >= id })
 	if i < len(cs) {
-		return i, cs[i]
+		return i, appendIDs(dst, cs[i].ids, cs[i].n)
 	}
-	return i, p.tail()
+	return i, appendIDs(dst, p.list.tail, p.tailLen())
+}
+
+// newChunk encodes 1 to postChunk ascending IDs as a head chunk.
+func newChunk(ids []uint64) headChunk {
+	var buf [postChunk * binary.MaxVarintLen64]byte
+	return headChunk{string(appendDeltas(buf[:0], ids)), ids[len(ids)-1], len(ids)}
 }
 
 // makePostings returns the list of the given head chunks and tail: the
-// tail is copied into a new array of room for at least room IDs, unless
-// the list is empty or one ID.
-func makePostings(chunks [][]uint64, tail []uint64, room int) Postings {
+// tail is encoded into a new array of room for at least room bytes,
+// unless the value can hold the list itself.
+func makePostings(chunks []headChunk, tail []uint64, room int) Postings {
+	size := deltasLen(tail)
 	var head *postHead
 	n := len(tail)
-	if len(chunks) > 0 {
+	switch {
+	case len(chunks) > 0:
 		head = &postHead{chunks: chunks}
 		for _, c := range chunks {
-			head.n += len(c)
+			head.n += c.n
 		}
 		n += head.n
-	}
-	switch {
-	case head == nil && len(tail) == 0:
+	case n == 0:
 		return Postings{}
-	case head == nil && len(tail) == 1 && tail[0] != 0:
+	case n == 1 && tail[0] != 0 && tail[0]>>inlineShift == 0:
 		return Postings{n: tail[0]}
+	case size <= inlineMax:
+		var b [8]byte
+		appendDeltas(b[:0], tail)
+		b[inlineMax] = byte(size)
+		return Postings{n: binary.LittleEndian.Uint64(b[:])}
 	}
-	l := newPostList(head, max(room, len(tail)))
-	copy(l.tail, tail)
+	l := newPostList(head, max(room, size))
+	appendDeltas(l.tail[:0], tail)
+	l.end, l.count = int32(size), int32(len(tail))
+	if len(tail) > 0 {
+		l.last = tail[len(tail)-1]
+	}
 	return Postings{uint64(n), l}
 }
 
 // withChunk returns the list with head chunk i replaced by repl (none,
 // one, or the two halves of a split); the tail is shared.
-func (p Postings) withChunk(i int, repl ...[]uint64) Postings {
-	cs := p.chunks()
-	spine := make([][]uint64, 0, len(cs)-1+len(repl))
-	spine = append(append(append(spine, cs[:i]...), repl...), cs[i+1:]...)
-	tail := p.tail()
-	if len(spine) == 0 {
-		return makePostings(nil, tail, cap(tail))
+func (p Postings) withChunk(i int, repl ...headChunk) Postings {
+	cs, l, t := p.chunks(), p.list, p.tailLen()
+	if len(cs) == 1 && len(repl) == 0 {
+		var buf [postChunk]uint64
+		return makePostings(nil, appendIDs(buf[:0], l.tail, t), len(l.tail))
 	}
+	spine := make([]headChunk, 0, len(cs)-1+len(repl))
+	spine = append(append(append(spine, cs[:i]...), repl...), cs[i+1:]...)
 	head := &postHead{chunks: spine}
 	for _, c := range spine {
-		head.n += len(c)
+		head.n += c.n
 	}
-	return Postings{uint64(head.n + len(tail)), &postList{head, p.list.tail}}
+	return Postings{uint64(head.n + t), &postList{head, l.tail, l.last, l.end, l.count}}
 }
 
 // With returns the list with id added; a duplicate returns p unchanged.
 func (p Postings) With(id uint64) Postings {
 	if p.list == nil {
-		switch {
-		case p.n == 0 && id != 0:
-			return Postings{n: id}
-		case p.n == id && id != 0:
-			return p
-		case p.n == 0:
-			return makePostings(nil, []uint64{id}, 2)
+		var buf [inlineMax + 1]uint64
+		ids := p.appendInline(buf[:0])
+		if at, found := slices.BinarySearch(ids, id); !found {
+			return makePostings(nil, slices.Insert(ids, at, id), 0)
 		}
-		return makePostings(nil, []uint64{min(p.n, id), max(p.n, id)}, 2)
-	}
-	tail := p.tail()
-	if t := len(tail); t > 0 && t < postChunk && tail[t-1] < id { // the usual insert: an append
-		if t < cap(tail) {
-			p.list.tail[t] = id
-			return Postings{p.n + 1, p.list}
-		}
-		l := newPostList(p.list.head, 2*t)
-		copy(l.tail, tail)
-		l.tail[t] = id
-		return Postings{p.n + 1, l}
-	}
-	i, c := p.locate(id)
-	at, found := slices.BinarySearch(c, id)
-	chunks := p.chunks()
-	switch {
-	case found:
 		return p
-	case at == postChunk: // above a full tail: it joins the head
-		return makePostings(append(slices.Clip(chunks), c), []uint64{id}, 2)
-	case i == len(chunks): // into the tail, built here and copied into its new array
-		var buf [postChunk + 1]uint64
-		grown := append(append(append(buf[:0], c[:at]...), id), c[at:]...)
-		if len(grown) > postChunk { // a full tail splits: its lower half joins the head
-			half := len(grown) / 2
-			chunks, grown = append(slices.Clip(chunks), slices.Clone(grown[:half])), grown[half:]
-		}
-		return makePostings(chunks, grown, cap(c))
 	}
-	grown := make([]uint64, len(c)+1)
-	copy(grown, c[:at])
-	grown[at] = id
-	copy(grown[at+1:], c[at:])
-	if len(grown) > postChunk {
-		half := len(grown) / 2
-		return p.withChunk(i, grown[:half:half], grown[half:])
+	l, t := p.list, p.tailLen()
+	if t == 0 {
+		return p.insert(id)
 	}
-	return p.withChunk(i, grown)
+	end, last := p.tailEnd(t)
+	switch {
+	case last >= id:
+		return p.insert(id)
+	case t == postChunk: // above a full tail: it joins the head
+		full := headChunk{string(l.tail[:end]), last, t}
+		return makePostings(append(slices.Clip(p.chunks()), full), []uint64{id}, 0)
+	}
+	// The usual insert: an append, in place while the array has room.
+	var d [binary.MaxVarintLen64]byte
+	delta := binary.AppendUvarint(d[:0], id-last)
+	if end+len(delta) > len(l.tail) { // the next size class up
+		grown := newPostList(l.head, max(end+len(delta), len(l.tail)*5/4))
+		copy(grown.tail, l.tail[:end])
+		l = grown
+	}
+	l.last, l.end, l.count = id, int32(end+copy(l.tail[end:], delta)), int32(t+1)
+	return Postings{p.n + 1, l}
+}
+
+// insert is With for an ID that does not append to a tail's IDs: the
+// chunk that takes it, decoded, is written anew.
+func (p Postings) insert(id uint64) Postings {
+	var buf [postChunk + 1]uint64
+	i, ids := p.locate(id, buf[:0])
+	at, found := slices.BinarySearch(ids, id)
+	if found {
+		return p
+	}
+	chunks := p.chunks()
+	grown := slices.Insert(ids, at, id)
+	half := len(grown) / 2
+	switch {
+	case i < len(chunks) && len(grown) > postChunk:
+		return p.withChunk(i, newChunk(grown[:half]), newChunk(grown[half:]))
+	case i < len(chunks):
+		return p.withChunk(i, newChunk(grown))
+	case len(grown) > postChunk: // a full tail splits: its lower half joins the head
+		chunks, grown = append(slices.Clip(chunks), newChunk(grown[:half])), grown[half:]
+	}
+	return makePostings(chunks, grown, len(p.list.tail))
 }
 
 // Without returns the list with id removed, if present. Chunks shrink
@@ -808,25 +944,49 @@ func (p Postings) With(id uint64) Postings {
 // follows the chunks it ever filled that still hold an ID.
 func (p Postings) Without(id uint64) Postings {
 	if p.list == nil {
-		if p.n == id {
-			return Postings{}
+		var buf [inlineMax]uint64
+		ids := p.appendInline(buf[:0])
+		if at, found := slices.BinarySearch(ids, id); found {
+			return makePostings(nil, slices.Delete(ids, at, at+1), 0)
 		}
 		return p
 	}
-	i, c := p.locate(id)
-	at, found := slices.BinarySearch(c, id)
-	switch {
-	case !found:
-		return p
-	case i == len(p.chunks()):
+	return p.remove(id)
+}
+
+// remove is Without for a list with a header. A head chunk is copied
+// with id's uvarint and the next one's replaced by one of their sum; the
+// tail, decoded, is written anew without id.
+func (p Postings) remove(id uint64) Postings {
+	cs := p.chunks()
+	i := sort.Search(len(cs), func(k int) bool { return cs[k].last >= id })
+	if i == len(cs) {
 		var buf [postChunk]uint64
-		shrunk := append(append(buf[:0], c[:at]...), c[at+1:]...)
-		return makePostings(p.chunks(), shrunk, cap(c))
-	case len(c) == 1:
-		return p.withChunk(i)
+		ids := appendIDs(buf[:0], p.list.tail, p.tailLen())
+		if at, found := slices.BinarySearch(ids, id); found {
+			return makePostings(cs, slices.Delete(ids, at, at+1), len(p.list.tail))
+		}
+		return p
 	}
-	shrunk := make([]uint64, len(c)-1)
-	copy(shrunk, c[:at])
-	copy(shrunk[at:], c[at+1:])
-	return p.withChunk(i, shrunk)
+	c := cs[i]
+	var prev uint64
+	for off := 0; off < len(c.ids); {
+		d, next := uvarintAt(c.ids, off)
+		switch {
+		case prev+d < id:
+			prev, off = prev+d, next
+			continue
+		case prev+d > id:
+			return p
+		case c.n == 1:
+			return p.withChunk(i)
+		case next == len(c.ids): // the chunk's last ID
+			return p.withChunk(i, headChunk{c.ids[:off], prev, c.n - 1})
+		}
+		var sum [binary.MaxVarintLen64]byte
+		d2, after := uvarintAt(c.ids, next)
+		merged := binary.AppendUvarint(sum[:0], d+d2)
+		return p.withChunk(i, headChunk{c.ids[:off] + string(merged) + c.ids[after:], c.last, c.n - 1})
+	}
+	return p
 }

@@ -85,25 +85,42 @@ func checkPostings(t testing.TB, p Postings, want []uint64) {
 	if got := p.ids(); !slices.Equal(got, want) || p.Len() != len(want) {
 		t.Fatalf("Postings %v (len %d), want %v", got, p.Len(), want)
 	}
+	enc := appendDeltas(nil, want)
 	if p.list == nil {
+		one := len(want) == 1 && want[0] != 0 && want[0]>>inlineShift == 0
+		if k := int(p.n >> inlineShift); k != 0 && (one || k != len(enc)) {
+			t.Fatalf("%v held as %d inline bytes (%x), encoded in %d", want, k, p.n, len(enc))
+		}
 		return
+	}
+	if p.list.head == nil && len(enc) <= inlineMax {
+		t.Fatalf("list header for %v, whose %d bytes the value holds", want, len(enc))
 	}
 	n := 0
 	for _, c := range p.chunks() {
-		if len(c) == 0 || len(c) > postChunk {
-			t.Fatalf("head chunk of %d IDs", len(c))
+		if c.n == 0 || c.n > postChunk {
+			t.Fatalf("head chunk of %d IDs", c.n)
 		}
-		n += len(c)
+		ids := appendIDs(nil, c.ids, c.n)
+		if len(appendDeltas(nil, ids)) != len(c.ids) || c.last != ids[c.n-1] {
+			t.Fatalf("head chunk of %d IDs in %d bytes, last %d: decodes %v", c.n, len(c.ids), c.last, ids)
+		}
+		if n > 0 && ids[0] <= want[n-1] || !slices.IsSorted(ids) {
+			t.Fatalf("head chunk %v after ID %d", ids, want[max(n-1, 0)])
+		}
+		n += c.n
 	}
 	if h := p.list.head; h != nil && (n != h.n || n == 0) {
 		t.Fatalf("head counts %d IDs, holds %d", h.n, n)
 	}
-	tail, room := p.tail(), len(p.list.tail)
-	if len(tail) > room || room != cap(p.list.tail) || room < 2 || room > postChunk {
-		t.Fatalf("tail of %d IDs in an array of %d (cap %d)", len(tail), room, cap(p.list.tail))
+	l, tail := p.list, want[n:]
+	end, room := len(appendDeltas(nil, tail)), len(l.tail)
+	if len(tail) > postChunk || end > room || room != cap(l.tail) || room < 16 {
+		t.Fatalf("tail of %d IDs in %d bytes of an array of %d (cap %d)", len(tail), end, room, cap(l.tail))
 	}
-	if p.list.head == nil && (len(tail) == 0 || len(tail) == 1 && tail[0] != 0) {
-		t.Fatalf("list header for %v: the empty list and one ID take none", tail)
+	if int(l.count) == len(tail) && (int(l.end) != end || len(tail) > 0 && l.last != tail[len(tail)-1]) {
+		t.Fatalf("header records a tail of %d IDs ending at byte %d with %d, holds %v in %d bytes",
+			l.count, l.end, l.last, tail, end)
 	}
 }
 
@@ -406,8 +423,8 @@ func TestPostingsChunkEdges(t *testing.T) {
 		model = append(model, id)
 	}
 	checkPostings(t, p, model)
-	if len(p.chunks()) != 1 || len(p.tail()) != postChunk {
-		t.Fatalf("fixture: %d head chunks and a tail of %d", len(p.chunks()), len(p.tail()))
+	if len(p.chunks()) != 1 || p.tailLen() != postChunk {
+		t.Fatalf("fixture: %d head chunks and a tail of %d", len(p.chunks()), p.tailLen())
 	}
 	full := p
 	p = p.With(2*postChunk + 3) // into the full tail
@@ -430,6 +447,16 @@ func TestPostingsChunkEdges(t *testing.T) {
 	if p != (Postings{}) {
 		t.Fatalf("emptied list is %+v, not the zero value", p)
 	}
+
+	// ID 0 — one byte, the first of a head chunk — removed from the front.
+	for id := uint64(0); id <= postChunk; id++ {
+		p, model = p.With(id), append(model, id)
+	}
+	checkPostings(t, p, model)
+	if len(p.chunks()) != 1 || p.Without(0).Len() != postChunk {
+		t.Fatalf("fixture: %d head chunks; without ID 0, %d IDs", len(p.chunks()), p.Without(0).Len())
+	}
+	checkPostings(t, p.Without(0), model[1:])
 }
 
 // TestPostingsAllocations: a list of one ID is the ID, allocated nowhere,
@@ -485,7 +512,8 @@ func liveHeap() uint64 {
 // load does. The CHAMP trie this replaced, with a boxed entry per key,
 // took 56 to 59 bytes per node-index entry and 88 to 91 per keyword
 // entry, not counting the keyword's string, which it shared with the
-// caller; these take 18 to 20 and 45 to 52, key bytes included.
+// caller; these take 18 to 20 and 36 to 40, key bytes included (45 to 48
+// while a posting list held its IDs as 8-byte words).
 func TestMapFootprint(t *testing.T) {
 	const n = 20000
 	rng := rand.New(rand.NewSource(3))
@@ -516,7 +544,7 @@ func TestMapFootprint(t *testing.T) {
 			}
 			return e.Map
 		}},
-		{"keyword index", 56, func(perKey bool) any {
+		{"keyword index", 42, func(perKey bool) any {
 			e := Map[Postings]{}.Edit()
 			for i, w := range words {
 				if perKey {
@@ -629,4 +657,140 @@ func TestMapReadersUnderEdits(t *testing.T) {
 	if reads.Load() == 0 {
 		t.Fatal("no reader finished a pass")
 	}
+}
+
+// TestPostingsReadersUnderAppends: readers decode older values of one
+// posting list while the writer extends it in place — through every size
+// class of a tail array and past the largest, with gaps of one to four
+// bytes — through full tails joining the head, through an out-of-order
+// insert that splits a full tail, and through appends to a value whose
+// successor was dropped, which write over the dropped one's bytes. Each
+// reader must decode exactly the IDs of the values it pinned; the race
+// detector checks that no write reaches a byte a pinned value holds.
+func TestPostingsReadersUnderAppends(t *testing.T) {
+	type version struct {
+		p   Postings
+		ids []uint64
+	}
+	var cur atomic.Pointer[version]
+	cur.Store(&version{})
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	var reads atomic.Int64
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func(rng *rand.Rand) {
+			defer wg.Done()
+			var pinned []*version
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if v := cur.Load(); len(pinned) < 16 {
+					pinned = append(pinned, v)
+				} else {
+					pinned[rng.Intn(len(pinned))] = v
+				}
+				for _, v := range pinned {
+					if got := v.p.ids(); !slices.Equal(got, v.ids) || v.p.Len() != len(v.ids) {
+						t.Errorf("a pinned list of %d IDs reads %d: %v", len(v.ids), len(got), got)
+						return
+					}
+				}
+				reads.Add(1)
+			}
+		}(rand.New(rand.NewSource(int64(r))))
+	}
+
+	rooms := map[int]bool{}
+	for round := 0; round < 3 || reads.Load() < 50 && round < 1000; round++ {
+		var p Postings
+		var model []uint64
+		next := uint64(0)
+		publish := func() {
+			checkPostings(t, p, model)
+			if p.list != nil {
+				rooms[len(p.list.tail)] = true
+			}
+			cur.Store(&version{p, slices.Clip(model)}) // later appends write past its end
+		}
+		appendTo := func(gap uint64, until func() bool) {
+			for !until() {
+				next += gap
+				p, model = p.With(next), append(model, next)
+				publish()
+			}
+		}
+		joined := func(chunks int) func() bool { return func() bool { return len(p.chunks()) == chunks } }
+		appendTo(1, joined(1))       // one-byte gaps: a tail through the small classes, then the head
+		appendTo(1<<21+1, joined(2)) // four-byte gaps: through every class and past the largest
+		appendTo(3, func() bool { return p.tailLen() == postChunk })
+		mid := model[len(model)-postChunk/2] - 1 // into the full tail, which splits
+		at, _ := slices.BinarySearch(model, mid)
+		p, model = p.With(mid), slices.Insert(slices.Clone(model), at, mid)
+		publish()
+		if len(p.chunks()) != 3 || p.tailLen() != postChunk/2+1 {
+			t.Fatalf("an insert into a full tail left %d head chunks and a tail of %d", len(p.chunks()), p.tailLen())
+		}
+		for i := 0; i < 40; i++ { // a successor dropped, in place or grown, then the value extended again
+			_ = p.With(next + 1 + uint64(i%3)<<(7*uint(i%4)))
+			want := len(model) + 1 + i%3
+			appendTo(1+uint64(i%2)<<14, func() bool { return len(model) == want })
+		}
+	}
+	close(done)
+	wg.Wait()
+	for _, room := range []int{16, 32, 64, 112, 208, 336, 464, 720, 976} {
+		if !rooms[room] {
+			t.Errorf("no tail array of %d bytes: the appends saw %v", room, rooms)
+		}
+	}
+	if reads.Load() == 0 {
+		t.Fatal("no reader finished a pass")
+	}
+}
+
+// BenchmarkPostings: an append to the end of a list, amortized over
+// building lists of 10k IDs (their tails' growth and joins to the head
+// included), a delete from a head chunk of such a list, which copies that
+// chunk and the spine, and a walk of every ID of it.
+func BenchmarkPostings(b *testing.B) {
+	const n = 10000
+	var list Postings
+	for id := uint64(1); id <= n; id++ {
+		list = list.With(7 * id)
+	}
+	b.Run("append", func(b *testing.B) {
+		b.ReportAllocs()
+		var p Postings
+		for i := 0; i < b.N; i++ {
+			if p.Len() == n {
+				p = Postings{}
+			}
+			p = p.With(7 * uint64(p.Len()+1))
+		}
+	})
+	b.Run("delete-head", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if p := list.Without(7 * uint64(1+i%(n/2))); p.Len() != n-1 {
+				b.Fatalf("a delete leaves %d IDs", p.Len())
+			}
+		}
+	})
+	b.Run("each", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var sum uint64
+			list.Each(func(id uint64) bool {
+				sum += id
+				return true
+			})
+			if sum != 7*n*(n+1)/2 {
+				b.Fatalf("sum %d", sum)
+			}
+		}
+	})
 }
