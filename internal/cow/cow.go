@@ -579,12 +579,12 @@ const postChunk = 256
 // Postings is one keyword's annotation IDs, ascending, written as
 // delta-uvarints: each ID is its distance from the one before it (the
 // first of a chunk, the tail included, from zero) in groups of seven bits,
-// so the close IDs of a frequent keyword take a byte each. The zero value is the empty list.
-// A short list is held in the value itself, with no list header: one ID
-// below 2^56 is that ID, and a list whose bytes fit in inlineMax is those
-// bytes, the low ones of n, with their length in n's top byte. Otherwise
-// n is how many IDs this value holds — the head's chunks, then the first
-// n minus the head's IDs of the tail.
+// so the close IDs of a frequent keyword take a byte each. A short list is
+// held in the value itself, with no list header: a list whose bytes fit in
+// inlineMax — any one ID below 2^49 among them — is those bytes, the low
+// ones of n, with their length in n's top byte; the zero value, no bytes,
+// is the empty list. Otherwise n is how many IDs this value holds — the
+// head's chunks, then the first n minus the head's IDs of the tail.
 //
 // A tail's array is allocated with the list header (see newPostList)
 // and never reassigned. Appending the highest ID yet writes its bytes into
@@ -641,22 +641,6 @@ func uvarintAt[S ~string | ~[]byte](b S, off int) (uint64, int) {
 	}
 }
 
-// appendIDs appends the first n IDs the delta-uvarints in b encode to dst.
-func appendIDs[S ~string | ~[]byte](dst []uint64, b S, n int) []uint64 {
-	var id uint64
-	for off := 0; n > 0; n-- {
-		if c := b[off]; c < 0x80 {
-			id, off = id+uint64(c), off+1
-		} else {
-			var d uint64
-			d, off = uvarintAt(b, off)
-			id += d
-		}
-		dst = append(dst, id)
-	}
-	return dst
-}
-
 // eachID visits the first n IDs the delta-uvarints in b encode until fn
 // returns false, and reports whether it visited them all.
 func eachID[S ~string | ~[]byte](b S, n int, fn func(uint64) bool) bool {
@@ -674,6 +658,15 @@ func eachID[S ~string | ~[]byte](b S, n int, fn func(uint64) bool) bool {
 		}
 	}
 	return true
+}
+
+// appendIDs appends the first n IDs the delta-uvarints in b encode to dst.
+func appendIDs[S ~string | ~[]byte](dst []uint64, b S, n int) []uint64 {
+	eachID(b, n, func(id uint64) bool {
+		dst = append(dst, id)
+		return true
+	})
+	return dst
 }
 
 // appendDeltas appends ascending ids to dst as delta-uvarints.
@@ -736,28 +729,19 @@ func withTail[A any](head *postHead, room func(*A) []byte) *postList {
 
 // Len returns the number of IDs.
 func (p Postings) Len() int {
-	switch k := p.n >> inlineShift; {
-	case p.list != nil:
+	if p.list != nil {
 		return int(p.n)
-	case k != 0: // the bytes that end a uvarint, whose high bit is clear
-		return bits.OnesCount64(^p.n & 0x0080808080808080 & (1<<(8*k) - 1))
-	case p.n != 0:
-		return 1
 	}
-	return 0
+	// The inline bytes that end a uvarint, whose high bit is clear.
+	k := p.n >> inlineShift
+	return bits.OnesCount64(^p.n & 0x0080808080808080 & (1<<(8*k) - 1))
 }
 
 // appendInline appends the IDs of a value with no list header to dst.
 func (p Postings) appendInline(dst []uint64) []uint64 {
-	switch k := p.n >> inlineShift; {
-	case k != 0:
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], p.n)
-		return appendIDs(dst, b[:k], p.Len())
-	case p.n != 0:
-		return append(dst, p.n)
-	}
-	return dst
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], p.n)
+	return appendIDs(dst, b[:p.n>>inlineShift], p.Len())
 }
 
 // chunks returns the head chunks (nil for a short list).
@@ -777,7 +761,7 @@ func (p Postings) tailLen() int {
 	return n
 }
 
-// tailEnd returns the length in bytes and the last ID of p's tail of t
+// tailEnd returns the length in bytes and the last ID of p's tail of t > 0
 // IDs: the header's record when p is the value its last append made, else
 // decoded.
 func (p Postings) tailEnd(t int) (int, uint64) {
@@ -785,25 +769,17 @@ func (p Postings) tailEnd(t int) (int, uint64) {
 	if int(l.count) == t {
 		return int(l.end), l.last
 	}
-	var id uint64
-	off := 0
-	for ; t > 0; t-- {
-		var d uint64
-		d, off = uvarintAt(l.tail, off)
-		id += d
-	}
-	return off, id
+	var buf [postChunk]uint64
+	ids := appendIDs(buf[:0], l.tail, t)
+	return deltasLen(ids), ids[t-1]
 }
 
 // Each visits the IDs in ascending order until fn returns false.
 func (p Postings) Each(fn func(uint64) bool) {
 	if p.list == nil {
-		var buf [inlineMax]uint64
-		for _, id := range p.appendInline(buf[:0]) {
-			if !fn(id) {
-				return
-			}
-		}
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], p.n)
+		eachID(b[:p.n>>inlineShift], p.Len(), fn)
 		return
 	}
 	for _, c := range p.chunks() {
@@ -846,10 +822,6 @@ func makePostings(chunks []headChunk, tail []uint64, room int) Postings {
 			head.n += c.n
 		}
 		n += head.n
-	case n == 0:
-		return Postings{}
-	case n == 1 && tail[0] != 0 && tail[0]>>inlineShift == 0:
-		return Postings{n: tail[0]}
 	case size <= inlineMax:
 		var b [8]byte
 		appendDeltas(b[:0], tail)

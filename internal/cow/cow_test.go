@@ -1,6 +1,7 @@
 package cow
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -79,6 +80,13 @@ func equalKeys() []string {
 	return keys[len(keys)-(leafMax+8):]
 }
 
+// maxTailRoom is the largest tail array a list can come to: the size
+// class of a quarter more than the bytes of postChunk IDs of the widest
+// gaps.
+var maxTailRoom = sync.OnceValue(func() int {
+	return cap(slices.Grow([]byte(nil), postChunk*binary.MaxVarintLen64*5/4))
+})
+
 // checkPostings verifies a posting list's shape and contents.
 func checkPostings(t testing.TB, p Postings, want []uint64) {
 	t.Helper()
@@ -87,8 +95,7 @@ func checkPostings(t testing.TB, p Postings, want []uint64) {
 	}
 	enc := appendDeltas(nil, want)
 	if p.list == nil {
-		one := len(want) == 1 && want[0] != 0 && want[0]>>inlineShift == 0
-		if k := int(p.n >> inlineShift); k != 0 && (one || k != len(enc)) {
+		if k := int(p.n >> inlineShift); k != len(enc) {
 			t.Fatalf("%v held as %d inline bytes (%x), encoded in %d", want, k, p.n, len(enc))
 		}
 		return
@@ -117,6 +124,12 @@ func checkPostings(t testing.TB, p Postings, want []uint64) {
 	end, room := len(appendDeltas(nil, tail)), len(l.tail)
 	if len(tail) > postChunk || end > room || room != cap(l.tail) || room < 16 {
 		t.Fatalf("tail of %d IDs in %d bytes of an array of %d (cap %d)", len(tail), end, room, cap(l.tail))
+	}
+	// The array is a size newPostList makes, and no larger than a tail
+	// can come to need: growth is by a quarter, and only while the bytes
+	// of at most postChunk IDs outgrow it.
+	if len(newPostList(nil, room).tail) != room || room > maxTailRoom() {
+		t.Fatalf("tail array of %d bytes: not a size newPostList makes, or above %d", room, maxTailRoom())
 	}
 	if int(l.count) == len(tail) && (int(l.end) != end || len(tail) > 0 && l.last != tail[len(tail)-1]) {
 		t.Fatalf("header records a tail of %d IDs ending at byte %d with %d, holds %v in %d bytes",
@@ -459,10 +472,10 @@ func TestPostingsChunkEdges(t *testing.T) {
 	checkPostings(t, p.Without(0), model[1:])
 }
 
-// TestPostingsAllocations: a list of one ID is the ID, allocated nowhere,
-// and building a list by appends allocates no more often than the layout
-// this one replaced, whose tail was a slice in the value (the counts it
-// took are the bounds here).
+// TestPostingsAllocations: a list of one ID is held in the value,
+// allocated nowhere, and building a list by appends allocates no more
+// often than the layout this one replaced, whose tail was a slice in the
+// value (the counts it took are the bounds here).
 func TestPostingsAllocations(t *testing.T) {
 	var one, two Postings
 	if allocs := testing.AllocsPerRun(100, func() { one = Postings{}.With(7) }); allocs != 0 || one.Len() != 1 {
