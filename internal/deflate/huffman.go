@@ -1,4 +1,4 @@
-package durable
+package deflate
 
 import (
 	"encoding/binary"
@@ -140,17 +140,20 @@ var cgOrder = [numCodeLen]uint8{16, 17, 18, 0, 8, 7, 9, 6, 10, 5, 11, 4, 12, 3, 
 var cgExtra = [numCodeLen]uint8{16: 2, 17: 3, 18: 7}
 
 // writeBlock writes the block's tokens, if any, as one Huffman block with
-// the fixed codes or its own, whichever is shorter.
-func (d *deflater) writeBlock() {
+// the fixed codes or its own, whichever is shorter, or, when storeBlocks
+// is set and the bytes it covers are still in win, as stored blocks when
+// those are shorter still. final marks it the stream's last.
+func (d *encoder) writeBlock(final bool) {
 	if len(d.tokens) == 0 {
 		return
 	}
 	h := &d.huff
 	h.used = append(h.used[:0], endBlock)
 	h.litFreq[endBlock] = 1
-	extra, fixed := 0, 3+int(fixedLit[endBlock].n)
+	extra, fixed, covered := 0, 3+int(fixedLit[endBlock].n), 0
 	for _, t := range d.tokens {
 		s := int(t)
+		covered++
 		if t&matchFlag != 0 {
 			l := lengthSym[t>>15&0xff]
 			ds, de := distSym(uint32(t & 0x7fff))
@@ -158,6 +161,7 @@ func (d *deflater) writeBlock() {
 			s = 257 + int(l.sym)
 			extra += int(l.extra) + int(de)
 			fixed += int(fixedDist[ds].n) + int(l.extra) + int(de)
+			covered += int(t>>15&0xff) + 2
 		}
 		if h.litFreq[s] == 0 {
 			h.used = append(h.used, uint16(s))
@@ -165,17 +169,33 @@ func (d *deflater) writeBlock() {
 		h.litFreq[s]++
 		fixed += int(fixedLit[s].n)
 	}
+	start := d.blockStart
+	d.blockStart += covered
+	dynamic := h.dynamicSize(extra)
+	blocks := (covered + maxStored - 1) / maxStored
+	stored := d.storeBlocks && start >= 0 && 8*(covered+5*blocks) < min(dynamic, fixed)
+	var last uint64
+	if final {
+		last = 1
+	}
 	lit, dist := fixedLit[:numLit], fixedDist[:]
-	if h.dynamicSize(extra) < fixed {
-		h.writeHeader(d)
+	switch {
+	case stored: // written below, once the counts are cleared
+	case dynamic < fixed:
+		h.writeHeader(d, last)
 		lit, dist = h.lit[:], h.dist[:]
-	} else {
-		d.put(0b010, 3) // not final, fixed codes
+	default:
+		d.put(0b010|last, 3) // fixed codes
 	}
 	for _, s := range h.used {
 		h.litFreq[s] = 0
 	}
 	h.distFreq = [numDist]uint32{}
+	if stored {
+		d.writeStored(d.win[start:start+covered], last)
+		d.tokens = d.tokens[:0]
+		return
+	}
 
 	for _, t := range d.tokens {
 		if t&matchFlag == 0 {
@@ -290,13 +310,14 @@ func (h *huffman) numCodeLens() int {
 }
 
 // writeHeader builds the block's own codes from the lengths dynamicSize
-// chose and writes a dynamic block's header: the lengths, coded.
-func (h *huffman) writeHeader(d *deflater) {
+// chose and writes a dynamic block's header, last its final bit: the
+// lengths, coded.
+func (h *huffman) writeHeader(d *encoder, last uint64) {
 	canonical(h.lens[:h.litLens], h.lit[:h.litLens])
 	canonical(h.lens[h.litLens:h.litLens+h.distLens], h.dist[:h.distLens])
 	canonical(h.cgLens[:], h.cg[:])
 	n := h.numCodeLens()
-	d.put(0b100, 3) // not final, dynamic codes
+	d.put(0b100|last, 3) // dynamic codes
 	d.put(uint64(h.litLens-257)|uint64(h.distLens-1)<<5|uint64(n-4)<<10, 14)
 	for _, s := range cgOrder[:n] {
 		d.put(uint64(h.cgLens[s]), 3)
@@ -386,8 +407,35 @@ func (h *huffman) lengths(syms []uint32, lens []uint8, limit int) {
 	}
 }
 
+// writeStored writes p as stored blocks, the last of them final when last
+// is 1.
+func (d *encoder) writeStored(p []byte, last uint64) {
+	for {
+		n := min(len(p), maxStored)
+		if n < len(p) {
+			d.put(0, 3)
+		} else {
+			d.put(last, 3)
+		}
+		d.align()
+		d.out = append(d.out, byte(n), byte(n>>8), ^byte(n), ^byte(n>>8))
+		if d.out, p = append(d.out, p[:n]...), p[n:]; len(p) == 0 {
+			return
+		}
+	}
+}
+
+// align pads the bits written to a whole byte and appends them.
+func (d *encoder) align() {
+	for d.nbits > 0 {
+		d.out = append(d.out, byte(d.bits))
+		d.bits >>= 8
+		d.nbits -= min(d.nbits, 8)
+	}
+}
+
 // put appends the n low bits of b, least significant first; n <= 32.
-func (d *deflater) put(b uint64, n uint) {
+func (d *encoder) put(b uint64, n uint) {
 	d.bits |= b << d.nbits
 	d.nbits += n
 	if d.nbits >= 32 {

@@ -7,10 +7,10 @@ import (
 	"io"
 	"math/rand"
 	"runtime"
-	"slices"
 	"testing"
 
 	"graphitti/internal/core"
+	"graphitti/internal/deflate"
 	"graphitti/internal/persist"
 	"graphitti/internal/workload"
 )
@@ -169,12 +169,19 @@ func BenchmarkFrame(b *testing.B) {
 // with a fresh log, and none is longer than its bytes written as stored
 // blocks: 5 bytes per 65,535 and the closing empty block's one byte.
 //
+// The same records, concatenated, are also one checkpoint-like stream
+// (deflate.Writer), written in pseudo-random splits and then closed:
+// compress/flate's reader inflates it to their bytes and reaches its end
+// at the stream's final block, with no byte left after it; and it is no
+// longer than the fixed codes could make it, 9 bits per byte at most.
+//
 // The bytes are a sequence of steps, each a byte h and then:
 //   - h%4 == 0: restart over the recovered window;
 //   - h%4 == 1: restart for a fresh log;
 //   - otherwise, a record: a uvarint size (mod 200 KiB + 1) and as many
 //     of the bytes that follow as there are; the rest of the size is that
-//     prefix repeated when h&4 is set, else pseudo-random bytes.
+//     prefix repeated when h&4 is set, else pseudo-random bytes. Its
+//     splits in the stream are drawn from a source seeded by h and size.
 func FuzzWALDeflate(f *testing.F) {
 	f.Add([]byte{2, 100, 'a', 'b', 'c', 6, 100, 'a', 'b', 'c', 0, 6, 100, 'a', 'b', 'c'})
 	f.Add([]byte{2, 0x80, 0x80, 0x04, 1, 2, 3, 0, 2, 0x80, 0x80, 0x04, 1, 2, 3})
@@ -183,6 +190,8 @@ func FuzzWALDeflate(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := newDeflater(nil)
 		var in inflater
+		var all, z bytes.Buffer
+		zw := deflate.NewWriter(&z)
 		for len(data) > 0 {
 			h := data[0]
 			data = data[1:]
@@ -196,7 +205,7 @@ func FuzzWALDeflate(f *testing.F) {
 			}
 			size, k := binary.Uvarint(data)
 			if k <= 0 {
-				return
+				break
 			}
 			data = data[k:]
 			size %= 200<<10 + 1
@@ -220,58 +229,31 @@ func FuzzWALDeflate(f *testing.F) {
 			if out, err := in.decode(p); err != nil || !bytes.Equal(out, raw) || n != uint64(len(raw)) {
 				t.Fatalf("a %d-byte record inflates to %d bytes, %v", len(raw), len(out), err)
 			}
+			all.Write(raw)
+			for cut := rand.New(rand.NewSource(int64(h)<<32 | int64(size))); len(raw) > 0; {
+				n := 1 + cut.Intn(min(len(raw), 70<<10))
+				if _, err := zw.Write(raw[:n]); err != nil {
+					t.Fatal(err)
+				}
+				raw = raw[n:]
+			}
+		}
+		if err := zw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if bound := all.Len() + all.Len()/8 + 2; z.Len() > bound {
+			t.Fatalf("%d bytes stream to %d, more than the fixed codes' %d", all.Len(), z.Len(), bound)
+		}
+		r := bytes.NewReader(z.Bytes())
+		if out, err := io.ReadAll(flate.NewReader(r)); err != nil || !bytes.Equal(out, all.Bytes()) || r.Len() != 0 {
+			t.Fatalf("%d bytes stream to %d that inflate to %d, %v, with %d bytes after the final block",
+				all.Len(), z.Len(), len(out), err, r.Len())
 		}
 	})
 }
 
-// TestHuffmanLengthsLimited: code lengths built for counts as skewed as
-// Fibonacci numbers, whose unlimited code is far deeper than DEFLATE
-// allows, and for random counts, are at most the limit and make a
-// complete prefix code, the most frequent symbols the shortest.
-func TestHuffmanLengthsLimited(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	var h huffman
-	for trial := 0; trial < 200; trial++ {
-		n, limit := 3+rng.Intn(numLit-2), 15
-		if trial%2 == 1 {
-			n, limit = 3+rng.Intn(numCodeLen-2), 7
-		}
-		freq := make([]uint32, n)
-		a, b := uint32(1), uint32(1)
-		for s := range freq {
-			if trial%4 < 2 {
-				freq[s], a, b = a, b, min(a+b, 1<<20)
-			} else {
-				freq[s] = uint32(rng.Intn(50))
-			}
-		}
-		var syms []uint32
-		for s, f := range freq {
-			if f > 0 {
-				syms = append(syms, f<<9|uint32(s))
-			}
-		}
-		lens := make([]uint8, n)
-		h.lengths(syms, lens, limit)
-		kraft := 0
-		for s, l := range lens {
-			if (l == 0) != (freq[s] == 0) || int(l) > limit {
-				t.Fatalf("trial %d: symbol %d of count %d gets length %d, limit %d", trial, s, freq[s], l, limit)
-			}
-			if l > 0 {
-				kraft += 1 << (limit - int(l))
-			}
-			for r, m := range lens {
-				if freq[r] > freq[s] && m > l && l > 0 {
-					t.Fatalf("trial %d: symbol %d of count %d is longer than %d of count %d", trial, r, freq[r], s, freq[s])
-				}
-			}
-		}
-		if len(syms) > 1 && kraft != 1<<limit {
-			t.Fatalf("trial %d: the lengths fill %d of %d code space", trial, kraft, 1<<limit)
-		}
-	}
-}
+// maxStored is the most bytes one stored block holds.
+const maxStored = 65535
 
 // TestDeflaterSkewedRecords: records whose bytes are drawn so that byte k
 // is twice as likely as byte k+1 need literal codes past DEFLATE's 15
@@ -296,35 +278,5 @@ func TestDeflaterSkewedRecords(t *testing.T) {
 		if len(p) >= size/2 {
 			t.Errorf("a skewed %d-byte record framed to %d bytes", size, len(p))
 		}
-	}
-}
-
-// TestDeflaterDeepCodes writes one block of literals, byte c 2^c times
-// for c up to 16, for which an unlimited Huffman code (the end of block
-// counted once) is 17 bits deep: the block's own codes, limited to 15
-// bits, inflate to the literals.
-func TestDeflaterDeepCodes(t *testing.T) {
-	var raw []byte
-	for c := 0; c <= 16; c++ {
-		raw = append(raw, bytes.Repeat([]byte{byte(c)}, 1<<c)...)
-	}
-	rand.New(rand.NewSource(5)).Shuffle(len(raw), func(i, j int) { raw[i], raw[j] = raw[j], raw[i] })
-	d := newDeflater(nil)
-	for _, c := range raw {
-		d.tokens = append(d.tokens, literal(c))
-	}
-	d.writeBlock()
-	if d.out[0]&0b110 != 0b100 || slices.Max(d.huff.lens[:d.huff.litLens]) != 15 {
-		t.Fatalf("the block's first byte is %08b, its longest code %d bits: want its own codes, limited to 15",
-			d.out[0], slices.Max(d.huff.lens[:d.huff.litLens]))
-	}
-	d.put(0, 3)
-	for ; d.nbits > 0; d.nbits -= min(d.nbits, 8) {
-		d.out = append(d.out, byte(d.bits))
-		d.bits >>= 8
-	}
-	got := make([]byte, len(raw))
-	if _, err := io.ReadFull(flate.NewReader(bytes.NewReader(append(d.out, syncTail...))), got); err != nil || !bytes.Equal(got, raw) {
-		t.Fatalf("the block inflates to %d of %d bytes: %v", len(got), len(raw), err)
 	}
 }

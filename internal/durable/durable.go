@@ -27,9 +27,10 @@
 // then the empty stored block of a sync flush less its closing
 // 00 00 ff ff (as in RFC 7692). Its matches may refer back into the last
 // 32 KiB of the log's earlier decoded payloads, of whatever form. The
-// log's compressor (deflate.go) keeps that window and hash chains over
-// it, and matches as compress/flate level 5 does, so any inflater primed
-// with the window reads a record. Replay decodes every record, skipped
+// log's compressor, the record face of the program's one DEFLATE encoder
+// (deflate.Records, which checkpoints are deflated by as well), keeps
+// that window and hash chains over it, and matches as compress/flate
+// level 5 does, so any inflater primed with the window reads a record. Replay decodes every record, skipped
 // ones included, to keep the window; a compressor resumed over a log
 // starts from it, and one on a fresh log from nothing. Builds before the
 // compressed form refuse it.

@@ -589,7 +589,8 @@ func TestOpenRemovesTmpOrphans(t *testing.T) {
 // an error that names the file, never panic and never open a store that
 // serves what the damage made of it. So does damage the checksum was
 // recomputed over, which only the decoder can catch: a deflate stream cut
-// short, or bytes after its final block.
+// short, by half or by the last byte of its final block, or bytes after
+// that block (an empty final block's first byte among them).
 func TestCorruptCheckpointRefused(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, fastOpts)
@@ -627,11 +628,13 @@ func TestCorruptCheckpointRefused(t *testing.T) {
 		bad []byte
 		why string // what the error says, for the damage the checksum covers
 	}{
-		"flipped":                {bad: flip(head + len(stream)/2)},
-		"flipped header":         {bad: flip(0)},
-		"truncated":              {bad: good[:len(good)/2]},
-		"stream cut short":       {reseal(bytes.Clone(good[:head+len(stream)/2])), "ends early"},
-		"bytes after the stream": {reseal(append(bytes.Clone(good[:len(good)-4]), 0, 0, 0)), "3 bytes after"},
+		"flipped":                      {bad: flip(head + len(stream)/2)},
+		"flipped header":               {bad: flip(0)},
+		"truncated":                    {bad: good[:len(good)/2]},
+		"stream cut short":             {reseal(bytes.Clone(good[:head+len(stream)/2])), "ends early"},
+		"bytes after the stream":       {reseal(append(bytes.Clone(good[:len(good)-4]), 0, 0, 0)), "3 bytes after"},
+		"stream less its last byte":    {reseal(bytes.Clone(good[:len(good)-5])), "ends early"},
+		"a byte after the final block": {reseal(append(bytes.Clone(good[:len(good)-4]), 0x03)), "1 bytes after"},
 	} {
 		t.Run(form, func(t *testing.T) {
 			d := t.TempDir()

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 
+	"graphitti/internal/deflate"
 	"graphitti/internal/persist"
 )
 
@@ -33,7 +34,42 @@ const (
 
 // windowSize is how far back a compressed record may refer: DEFLATE's
 // window, over the decoded payloads before it.
-const windowSize = 32 << 10
+const windowSize = deflate.WindowSize
+
+// keepOut is the largest record buffer a deflater keeps between records;
+// a larger record's is dropped after it.
+const keepOut = 16 << 10
+
+// deflater compresses one log's binary records into compressed ones: the
+// header, then the record's chunk from the log's encoder
+// (deflate.Records).
+type deflater struct {
+	enc *deflate.Records
+	out []byte
+}
+
+// newDeflater returns the compressor of a log whose decoded payloads so
+// far end with dict (empty for a fresh log).
+func newDeflater(dict []byte) *deflater {
+	return &deflater{enc: deflate.NewRecords(dict)}
+}
+
+// fresh readies d for a new, empty log.
+func (d *deflater) fresh() *deflater {
+	d.enc.Reset()
+	return d
+}
+
+// frame returns the compressed record of raw, a binary one. The slice is
+// valid until the next call; the WAL copies it on append.
+func (d *deflater) frame(raw []byte) []byte {
+	if cap(d.out) > keepOut {
+		d.out = nil
+	}
+	d.out = binary.AppendUvarint(append(d.out[:0], recordCompressed), uint64(len(raw)))
+	d.out = d.enc.Append(d.out, raw)
+	return d.out
+}
 
 // syncTail ends every sync flush: the LEN and NLEN of the empty stored
 // block it writes. A record leaves it off and the reader puts it back, as
@@ -74,7 +110,7 @@ type inflater struct {
 	src    bytes.Reader
 	chunk  []byte
 	out    bytes.Buffer
-	window window
+	window deflate.Window
 }
 
 // decode returns payload's decoded form — a compressed record inflated,
@@ -82,7 +118,7 @@ type inflater struct {
 // until the next call.
 func (in *inflater) decode(payload []byte) ([]byte, error) {
 	if len(payload) == 0 || payload[0] != recordCompressed {
-		in.window.push(payload)
+		in.window.Push(payload)
 		return payload, nil
 	}
 	n, k := binary.Uvarint(payload[1:])
@@ -114,10 +150,10 @@ func (in *inflater) decode(payload []byte) ([]byte, error) {
 	case out[0] != recordBinary:
 		return nil, fmt.Errorf("compressed record holds format byte 0x%02x", out[0])
 	}
-	in.window.push(out)
+	in.window.Push(out)
 	return out, nil
 }
 
 // dict returns the window: the last 32 KiB of the decoded payloads so
 // far.
-func (in *inflater) dict() []byte { return in.window.dict() }
+func (in *inflater) dict() []byte { return in.window.Dict() }

@@ -2,7 +2,6 @@ package persist
 
 import (
 	"bufio"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -16,6 +15,7 @@ import (
 	"strings"
 
 	"graphitti/internal/core"
+	"graphitti/internal/deflate"
 	"graphitti/internal/dublincore"
 	"graphitti/internal/prop"
 	"graphitti/internal/xmldoc"
@@ -87,31 +87,6 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // ErrInflateLimit refuses a checkpoint whose body inflates past the cap
 // ReadOps was given.
 var ErrInflateLimit = errors.New("persist: checkpoint inflates past the limit")
-
-// spareCompressor holds the compressor the last checkpoint used: making
-// one allocates 1.2 MB, and a sync.Pool would drop it at the next GC, which
-// comes long before the next compaction. A checkpoint that finds it taken
-// makes its own.
-var spareCompressor = make(chan *flate.Writer, 1)
-
-func takeCompressor(w io.Writer) *flate.Writer {
-	select {
-	case zw := <-spareCompressor:
-		zw.Reset(w)
-		return zw
-	default:
-		zw, _ := flate.NewWriter(w, flate.BestSpeed) // fails only for an unknown level
-		return zw
-	}
-}
-
-func returnCompressor(zw *flate.Writer) {
-	zw.Reset(io.Discard) // let go of the file
-	select {
-	case spareCompressor <- zw:
-	default:
-	}
-}
 
 // AppendOp appends the binary form of op to b: its kind, then the kind's
 // dump. Only an op that applied is logged, and it has its dump; one
@@ -198,9 +173,10 @@ func (d *decoder) op(kind core.OpKind) Op {
 }
 
 // WriteCheckpoint writes a pinned view set as a format-2 binary
-// checkpoint: the magic and format byte, the body deflated (BestSpeed),
-// and a CRC32C of everything before it. views is a store's one view, or a
-// deployment's views, one per shard. The checkpoint decodes to the
+// checkpoint: the magic and format byte, the body deflated by the
+// program's one DEFLATE encoder (a deflate.Writer, which matches as
+// compress/flate level 5 does), and a CRC32C of everything before it.
+// views is a store's one view, or a deployment's views, one per shard. The checkpoint decodes to the
 // snapshot Export takes of the store those views together hold: every
 // section in its primary key's order, the ontologies and rules (broadcast
 // to every shard) once, read from the first view, and the ID
@@ -210,9 +186,11 @@ func (d *decoder) op(kind core.OpKind) Op {
 // a compaction writes. No snapshot is built: the annotations, the one
 // section that grows with the store, are encoded straight from their
 // views, merged by ID, one at a time into a buffered writer in front of
-// the compressor, so neither the file nor a dump of the store is ever
-// held whole in memory, and what a checkpoint allocates does not grow
-// with the number of annotations.
+// the encoder, so neither the file nor a dump of the store is ever held
+// whole in memory, and what a checkpoint allocates does not grow with
+// the number of annotations. Each checkpoint makes its own encoder,
+// about 300 KiB, and drops it when it returns: nothing is kept between
+// checkpoints.
 func WriteCheckpoint(views []*core.View, w io.Writer) error {
 	head, err := exportHead(views)
 	if err != nil {
@@ -222,8 +200,7 @@ func WriteCheckpoint(views []*core.View, w io.Writer) error {
 	out := bufio.NewWriter(io.MultiWriter(w, crc))
 	out.WriteString(checkpointMagic)
 	out.WriteByte(checkpointDeflate)
-	zw := takeCompressor(out)
-	defer returnCompressor(zw)
+	zw := deflate.NewWriter(out)
 	bw := bufio.NewWriter(zw)
 	buf := appendInt(make([]byte, 0, 1024), int64(head.Version))
 	bw.Write(buf)

@@ -2,8 +2,12 @@ package persist_test
 
 import (
 	"bytes"
+	"compress/flate"
+	"flag"
+	"fmt"
 	"io"
 	"os"
+	"os/exec"
 	"runtime"
 	"slices"
 	"strings"
@@ -119,22 +123,43 @@ func checkpointStores(t testing.TB) map[string]*core.Store {
 		"influenza with ID gaps": gaps, "pinned": pinnedStore()}
 }
 
+// update rewrites the pinned checkpoint under testdata.
+var update = flag.Bool("update", false, "rewrite testdata/deflate-stream/checkpoint.snap")
+
 // TestCheckpointBytesPinned: the checkpoint of the pinned store is byte for
-// byte the one the last build that wrote checkpoints from an exported
-// snapshot wrote. Of every store the tests build, the checkpoint decodes
-// to the snapshot Write exports, and every annotation's record written
-// from the view is the record written from its dump.
+// byte the one pinned under testdata/deflate-stream, and its body, the
+// bytes its DEFLATE stream inflates to, is byte for byte the body of the
+// one the last build that wrote checkpoints from an exported snapshot
+// wrote (which deflated it with compress/flate). Of every store the tests
+// build, the checkpoint decodes to the snapshot Write exports, and every
+// annotation's record written from the view is the record written from
+// its dump.
 func TestCheckpointBytesPinned(t *testing.T) {
-	want, err := os.ReadFile("testdata/parent-27596f6/checkpoint.snap")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var got bytes.Buffer
 	if err := writeCheckpoint(pinnedStore(), &got); err != nil {
 		t.Fatal(err)
 	}
+	const pinned = "testdata/deflate-stream/checkpoint.snap"
+	if *update {
+		if err := os.WriteFile(pinned, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(pinned)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !bytes.Equal(got.Bytes(), want) {
-		t.Errorf("the pinned store's checkpoint is %d bytes that differ from the %d its parent build wrote", got.Len(), len(want))
+		t.Errorf("the pinned store's checkpoint is %d bytes that differ from the %d pinned", got.Len(), len(want))
+	}
+	parent, err := os.ReadFile("testdata/parent-27596f6/checkpoint.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotBody, _ := checkpointBody(t, got.Bytes())
+	if wantBody, _ := checkpointBody(t, parent); !bytes.Equal(gotBody, wantBody) {
+		t.Errorf("the pinned store's checkpoint body is %d bytes that differ from the %d its parent build's inflates to",
+			len(gotBody), len(wantBody))
 	}
 
 	for name, s := range checkpointStores(t) {
@@ -198,16 +223,114 @@ func benchmarkShapedStore(t testing.TB, n int) *core.Store {
 	return s
 }
 
+// checkpointBody is the body a format-2 checkpoint's DEFLATE stream
+// inflates to, and that stream.
+func checkpointBody(t testing.TB, file []byte) (body, stream []byte) {
+	t.Helper()
+	const head = len("GSNAP\x02")
+	if len(file) < head+4 || string(file[:head]) != "GSNAP\x02" {
+		t.Fatalf("a checkpoint of %d bytes is no format-2 one", len(file))
+	}
+	stream = file[head : len(file)-4]
+	body, err := io.ReadAll(flate.NewReader(bytes.NewReader(stream)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body, stream
+}
+
+// TestCheckpointSizeParity: the checkpoint of ten thousand
+// benchmark-shaped annotations takes at most 19.8 bytes per annotation,
+// and its DEFLATE stream at most 0.1% more than compress/flate level 5
+// writes for the same body. The last build that deflated checkpoints with
+// compress/flate at BestSpeed wrote 224,904 bytes, 22.49 per annotation.
+func TestCheckpointSizeParity(t *testing.T) {
+	const n = 10000
+	var file bytes.Buffer
+	if err := writeCheckpoint(benchmarkShapedStore(t, n), &file); err != nil {
+		t.Fatal(err)
+	}
+	body, stream := checkpointBody(t, file.Bytes())
+	var oracle bytes.Buffer
+	zw, _ := flate.NewWriter(&oracle, 5)
+	zw.Write(body)
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	perAnn := float64(file.Len()) / n
+	t.Logf("a %d-byte body: a %d-byte checkpoint (%.2f B/annotation), its stream %d bytes, compress/flate level 5's %d (%+.3f%%)",
+		len(body), file.Len(), perAnn, len(stream), oracle.Len(), 100*(float64(len(stream))/float64(oracle.Len())-1))
+	if float64(len(stream)) > 1.001*float64(oracle.Len()) {
+		t.Errorf("the checkpoint's stream is %d bytes, want at most 1.001 × compress/flate level 5's %d", len(stream), oracle.Len())
+	}
+	if perAnn > 19.8 {
+		t.Errorf("the checkpoint takes %.2f bytes per annotation, want at most 19.8", perAnn)
+	}
+}
+
+// BenchmarkWriteCheckpoint writes the checkpoint of ten thousand
+// benchmark-shaped annotations, what a compaction of the benchmark's
+// durable store writes under durable.Store's lock.
+func BenchmarkWriteCheckpoint(b *testing.B) {
+	s := benchmarkShapedStore(b, 10000)
+	b.ReportAllocs()
+	for b.Loop() {
+		if err := writeCheckpoint(s, io.Discard); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// firstCheckpointEnv makes TestCheckpointAllocations, in the process it
+// starts, write one checkpoint and print what it allocated.
+const firstCheckpointEnv = "GRAPHITTI_FIRST_CHECKPOINT"
+
+// checkpointAllocBytes is what write, which writes a checkpoint,
+// allocates.
+func checkpointAllocBytes(t *testing.T, write func() error) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := write(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
 // TestCheckpointAllocations: what writing a checkpoint allocates is a
 // count that does not grow with the store — the same for a thousand
 // benchmark-shaped annotations as for ten thousand, and at most 32. The
 // last build that wrote checkpoints from an exported snapshot took 120,037
-// allocations at ten thousand. A compaction of a durable store that holds
-// ten thousand allocates under 1 MiB in all.
+// allocations at ten thousand. The first checkpoint a process writes, of
+// ten thousand, and a compaction of a durable store that holds ten
+// thousand each allocate under 512 KiB in all: a checkpoint makes its own
+// encoder and keeps nothing after it. The last build with a compress/flate
+// writer allocated 1.2 MB for its first.
 func TestCheckpointAllocations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds stores of 10k annotations")
 	}
+	const limit = 512 << 10
+	if os.Getenv(firstCheckpointEnv) != "" {
+		s := benchmarkShapedStore(t, 10000)
+		fmt.Printf("first checkpoint allocates %d bytes\n", checkpointAllocBytes(t, func() error { return writeCheckpoint(s, io.Discard) }))
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestCheckpointAllocations$")
+	cmd.Env = append(os.Environ(), firstCheckpointEnv+"=1")
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("the child process: %v\n%s", err, out)
+	}
+	var first uint64
+	if _, err := fmt.Sscanf(string(out), "first checkpoint allocates %d bytes", &first); err != nil {
+		t.Fatalf("the child process printed %q: %v", out, err)
+	}
+	t.Logf("the first checkpoint of 10k annotations in a process allocates %d bytes", first)
+	if first >= limit {
+		t.Errorf("the first checkpoint of 10k annotations in a process allocates %d bytes, want under 512 KiB", first)
+	}
+
 	counts := map[int]float64{}
 	for _, n := range []int{1000, 10000} {
 		s := benchmarkShapedStore(t, n)
@@ -231,15 +354,9 @@ func TestCheckpointAllocations(t *testing.T) {
 	if _, err := d.Restore(exportOf(t, benchmarkShapedStore(t, 10000))); err != nil {
 		t.Fatal(err)
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	if err := d.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	runtime.ReadMemStats(&after)
-	total := after.TotalAlloc - before.TotalAlloc
+	total := checkpointAllocBytes(t, d.Compact)
 	t.Logf("a compaction of 10k annotations allocates %d bytes", total)
-	if total >= 1<<20 {
-		t.Errorf("a compaction of 10k annotations allocates %d bytes, want under 1 MiB", total)
+	if total >= limit {
+		t.Errorf("a compaction of 10k annotations allocates %d bytes, want under 512 KiB", total)
 	}
 }
