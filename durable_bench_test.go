@@ -11,7 +11,6 @@ import (
 	"graphitti/internal/durable"
 	"graphitti/internal/persist"
 	"graphitti/internal/rtree"
-	"graphitti/internal/workload"
 )
 
 // BenchmarkW1DurableCommit measures logged-commit throughput against
@@ -23,26 +22,32 @@ import (
 func BenchmarkW1DurableCommit(b *testing.B) {
 	const writers = 8
 
+	// A target is a store as the writers see it: Apply for registrations,
+	// commit for the annotations, and the view a mark resolves against.
+	type target struct {
+		apply  func(persist.Op) error
+		commit func(*core.Builder) (*core.Annotation, error)
+		view   func() *core.View
+	}
+	logged := func(b *testing.B, opts durable.Options) target {
+		s, err := durable.Open(b.TempDir(), opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { s.Close() })
+		return target{s.Apply, s.Commit, func() *core.View { return s.Core().View() }}
+	}
 	modes := []struct {
 		name string
-		open func(b *testing.B) workload.Sink
+		open func(b *testing.B) target
 	}{
-		{"inmemory", func(b *testing.B) workload.Sink { return workload.AsSink(core.NewStore()) }},
-		{"durable", func(b *testing.B) workload.Sink {
-			s, err := durable.Open(b.TempDir(), durable.Options{CompactThreshold: -1})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(func() { s.Close() })
-			return s
+		{"inmemory", func(b *testing.B) target {
+			cs := core.NewStore()
+			return target{func(op persist.Op) error { return cs.Batch(op.Apply) }, cs.Commit, cs.View}
 		}},
-		{"durable-nosync", func(b *testing.B) workload.Sink {
-			s, err := durable.Open(b.TempDir(), durable.Options{CompactThreshold: -1, NoSync: true})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(func() { s.Close() })
-			return s
+		{"durable", func(b *testing.B) target { return logged(b, durable.Options{CompactThreshold: -1}) }},
+		{"durable-nosync", func(b *testing.B) target {
+			return logged(b, durable.Options{CompactThreshold: -1, NoSync: true})
 		}},
 	}
 
@@ -53,14 +58,14 @@ func BenchmarkW1DurableCommit(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if err := s.Apply(persist.SystemOp(cs)); err != nil {
+			if err := s.apply(persist.SystemOp(cs)); err != nil {
 				b.Fatal(err)
 			}
 			im, err := imaging.NewImage("img-0", "atlas", rtree.Rect2D(0, 0, 1000, 1000), imaging.Identity(2))
 			if err != nil {
 				b.Fatal(err)
 			}
-			if err := s.Apply(persist.ImageOp(im)); err != nil {
+			if err := s.apply(persist.ImageOp(im)); err != nil {
 				b.Fatal(err)
 			}
 
@@ -79,12 +84,12 @@ func BenchmarkW1DurableCommit(b *testing.B) {
 						}
 						x := float64(i % 900)
 						y := float64((i / 900) % 900)
-						m, err := s.MarkImageRegion("img-0", rtree.Rect2D(x, y, x+7, y+7))
+						m, err := s.view().MarkImageRegion("img-0", rtree.Rect2D(x, y, x+7, y+7))
 						if err != nil {
 							b.Error(err)
 							return
 						}
-						_, err = s.Commit(s.NewAnnotation().
+						_, err = s.commit(core.NewBuilder().
 							Creator(fmt.Sprintf("writer-%d", g)).
 							Date("2026-07-29").
 							Body(fmt.Sprintf("durable commit %d", i)).

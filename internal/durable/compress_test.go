@@ -216,7 +216,7 @@ func TestCompactionCountsDecodedBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := workload.ApplyOps(raw, ops); err != nil {
+	if err := workload.ApplyOps(raw.Apply, ops); err != nil {
 		t.Fatal(err)
 	}
 	if err := raw.Close(); err != nil {
@@ -252,7 +252,7 @@ func TestCompactionCountsDecodedBytes(t *testing.T) {
 			}
 		}
 		before := s.Stats().SnapshotSeq
-		if err := op.Apply(s); err != nil {
+		if err := s.Apply(op); err != nil {
 			t.Fatal(err)
 		}
 		if st := s.Stats(); st.SnapshotSeq != before {
@@ -291,12 +291,8 @@ func TestAppendAfterTornCompressedTail(t *testing.T) {
 		if e, ok := exports[k]; ok {
 			return e
 		}
-		cs := core.NewStore()
-		if err := workload.ApplyOps(workload.AsSink(cs), ops[:k]); err != nil {
-			t.Fatal(err)
-		}
 		var b bytes.Buffer
-		if err := persist.Write(cs, &b); err != nil {
+		if err := persist.Write(serial(t, ops[:k]), &b); err != nil {
 			t.Fatal(err)
 		}
 		exports[k] = b.Bytes()
@@ -307,7 +303,7 @@ func TestAppendAfterTornCompressedTail(t *testing.T) {
 	appendAndReopen := func(t *testing.T, what string, dir string, s *Store) {
 		t.Helper()
 		k := int(s.Stats().Seq)
-		if err := workload.ApplyOps(s, ops[k:k+m]); err != nil {
+		if err := workload.ApplyOps(s.Apply, ops[k:k+m]); err != nil {
 			t.Fatalf("%s: append: %v", what, err)
 		}
 		if err := s.Close(); err != nil {
@@ -334,7 +330,7 @@ func TestAppendAfterTornCompressedTail(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := workload.ApplyOps(s, ops[:compactAt]); err != nil {
+		if err := workload.ApplyOps(s.Apply, ops[:compactAt]); err != nil {
 			t.Fatal(err)
 		}
 		if compactAt > 0 {
@@ -342,7 +338,7 @@ func TestAppendAfterTornCompressedTail(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := workload.ApplyOps(s, ops[compactAt:n]); err != nil {
+		if err := workload.ApplyOps(s.Apply, ops[compactAt:n]); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.Close(); err != nil {
@@ -401,7 +397,7 @@ func TestAppendAfterTornCompressedTail(t *testing.T) {
 			t.Fatal(err)
 		}
 		before := s.Stats().LogSize
-		if err := ops[n].Apply(s); err != nil {
+		if err := s.Apply(ops[n]); err != nil {
 			t.Fatal(err)
 		}
 		frame := int(s.Stats().LogSize - before)
@@ -414,7 +410,7 @@ func TestAppendAfterTornCompressedTail(t *testing.T) {
 				t.Fatal(err)
 			}
 			sc.FailAt(faultfs.OpWrite, 1, faultfs.Fault{Err: faultfs.Errno(faultfs.OpWrite, syscall.EIO), Short: short})
-			if err := ops[n].Apply(s); !errors.Is(err, ErrDegraded) {
+			if err := s.Apply(ops[n]); !errors.Is(err, ErrDegraded) {
 				t.Fatalf("write torn at %d of %d bytes: %v", short, frame, err)
 			}
 			if _, err := s.Reopen(); err != nil {

@@ -48,11 +48,11 @@ func TestDurableCrashChild(t *testing.T) {
 	}
 	// Never closed: the parent kills us, or we exit with the log open —
 	// either way the next Open must recover.
-	for _, op := range workload.RecoveryScenario(workload.DefaultRecovery) {
-		if err := op.Apply(s); err != nil {
-			t.Fatalf("child op %d (%s): %v", op.Seq, op.Name, err)
+	for i, op := range workload.RecoveryScenario(workload.DefaultRecovery) {
+		if err := s.Apply(op); err != nil {
+			t.Fatalf("child op %d (%s): %v", i+1, op.Kind, err)
 		}
-		fmt.Printf("acked %d\n", op.Seq)
+		fmt.Printf("acked %d\n", i+1)
 	}
 	fmt.Println("done")
 }
@@ -100,10 +100,7 @@ func TestCrashRecovery(t *testing.T) {
 				t.Fatal("expected at least one pre-crash compaction (snapshotSeq is 0)")
 			}
 
-			want := core.NewStore()
-			if err := workload.ApplyOps(workload.AsSink(want), ops[:k]); err != nil {
-				t.Fatalf("building expected store: %v", err)
-			}
+			want := serial(t, ops[:k])
 			got := s.Core()
 
 			if g, w := got.Stats(), want.Stats(); g != w {
@@ -172,14 +169,25 @@ func TestCrashRecovery(t *testing.T) {
 
 // lastRuleSeq returns the scenario position of the last add-rule op (0
 // when the scenario has none).
-func lastRuleSeq(ops []workload.RecoveryOp) int {
+func lastRuleSeq(ops []persist.Op) int {
 	last := 0
-	for _, op := range ops {
-		if strings.HasPrefix(op.Name, "add-rule") {
-			last = op.Seq
+	for i, op := range ops {
+		if op.Kind == core.OpAddRule {
+			last = i + 1
 		}
 	}
 	return last
+}
+
+// serial is the scenario's oracle, an in-memory store fed ops one session
+// each (workload.Serial).
+func serial(t *testing.T, ops []persist.Op) *core.Store {
+	t.Helper()
+	cs, err := workload.Serial(ops)
+	if err != nil {
+		t.Fatalf("building expected store: %v", err)
+	}
+	return cs
 }
 
 // runAndKillChild re-executes this test binary as the crash child, reads

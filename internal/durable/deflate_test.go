@@ -67,7 +67,7 @@ func TestDeflaterSizeParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := workload.ApplyOps(s, workload.RecoveryScenario(workload.DefaultRecovery)); err != nil {
+	if err := workload.ApplyOps(s.Apply, workload.RecoveryScenario(workload.DefaultRecovery)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {

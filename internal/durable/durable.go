@@ -123,7 +123,6 @@ import (
 	"graphitti/internal/interval"
 	"graphitti/internal/persist"
 	"graphitti/internal/prop"
-	"graphitti/internal/rtree"
 	"graphitti/internal/wal"
 )
 
@@ -715,22 +714,10 @@ func (s *Store) Apply(op persist.Op) error {
 // It outlives a Restore or Reopen of the pipeline.
 func (s *Store) NewAnnotation() *core.Builder { return core.NewBuilder() }
 
-// Mark constructors resolve against the wrapped store's current view
-// (marks are read-only until committed).
-
-// MarkSequenceInterval marks a sequence span.
-func (s *Store) MarkSequenceInterval(seqID string, local interval.Interval) (*core.Referent, error) {
-	return s.Core().View().MarkSequenceInterval(seqID, local)
-}
-
-// MarkDomainInterval marks a span of a coordinate domain.
+// MarkDomainInterval marks a span of a coordinate domain against the
+// wrapped store's current view (marks are read-only until committed).
 func (s *Store) MarkDomainInterval(domain string, iv interval.Interval) (*core.Referent, error) {
 	return s.Core().View().MarkDomainInterval(domain, iv)
-}
-
-// MarkImageRegion marks a rectangular image region.
-func (s *Store) MarkImageRegion(imageID string, local rtree.Rect) (*core.Referent, error) {
-	return s.Core().View().MarkImageRegion(imageID, local)
 }
 
 // Commit logs and commits the annotation b assembles: Run of its op.

@@ -52,7 +52,7 @@ func seedStore(t *testing.T, s *Store, anns int) {
 	}
 	for i := 0; i < anns; i++ {
 		x := float64(i)
-		m, err := s.MarkImageRegion("img-0", rtree.Rect2D(x, x, x+5, x+5))
+		m, err := s.Core().View().MarkImageRegion("img-0", rtree.Rect2D(x, x, x+5, x+5))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +113,7 @@ func TestReopenReplaysLog(t *testing.T) {
 
 	// IDs must continue where the first incarnation stopped, despite the
 	// deletion gap.
-	m, err := s2.MarkImageRegion("img-0", rtree.Rect2D(900, 900, 905, 905))
+	m, err := s2.Core().View().MarkImageRegion("img-0", rtree.Rect2D(900, 900, 905, 905))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,16 +140,13 @@ func TestReplayEqualsSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := workload.ApplyOps(s, ops); err != nil {
+	if err := workload.ApplyOps(s.Apply, ops); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	serial := core.NewStore()
-	if err := workload.ApplyOps(workload.AsSink(serial), ops); err != nil {
-		t.Fatal(err)
-	}
+	want := serial(t, ops)
 
 	replayed, err := Open(dir, opts)
 	if err != nil {
@@ -160,11 +157,11 @@ func TestReplayEqualsSerial(t *testing.T) {
 		t.Fatalf("replayed %d records over checkpoint %d, want all %d over none", st.ReplayedRecords, st.SnapshotSeq, len(ops))
 	}
 	got := replayed.Core()
-	mustEqualStores(t, got, serial)
-	if g, w := slices.Collect(got.View().DerivedEach), slices.Collect(serial.View().DerivedEach); len(w) == 0 || !reflect.DeepEqual(g, w) {
+	mustEqualStores(t, got, want)
+	if g, w := slices.Collect(got.View().DerivedEach), slices.Collect(want.View().DerivedEach); len(w) == 0 || !reflect.DeepEqual(g, w) {
 		t.Fatalf("derived tables differ: replay %d facts, serial %d", len(g), len(w))
 	}
-	if g, w := got.View().Epoch(), serial.View().Epoch(); g != w || g != uint64(len(ops)) {
+	if g, w := got.View().Epoch(), want.View().Epoch(); g != w || g != uint64(len(ops)) {
 		t.Fatalf("epoch after replay %d, serial %d, ops %d", g, w, len(ops))
 	}
 }
@@ -262,7 +259,7 @@ func TestOrphanSnapshotBeforeManifestCrash(t *testing.T) {
 	}
 	committed := s.Stats().SnapshotSeq
 	seedStore2 := func() { // a few more logged ops past the checkpoint
-		m, err := s.MarkImageRegion("img-0", rtree.Rect2D(500, 500, 505, 505))
+		m, err := s.Core().View().MarkImageRegion("img-0", rtree.Rect2D(500, 500, 505, 505))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -342,7 +339,7 @@ func TestTornTailTruncated(t *testing.T) {
 		t.Fatalf("recovered %d annotations, want %d (last record torn)", got, preTornAnns-1)
 	}
 	// The torn op is gone; the store must accept new writes at its seq.
-	m, err := s2.MarkImageRegion("img-0", rtree.Rect2D(1, 1, 2, 2))
+	m, err := s2.Core().View().MarkImageRegion("img-0", rtree.Rect2D(1, 1, 2, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +396,7 @@ func TestBuilderOutlivesRestore(t *testing.T) {
 			}
 			defer s.Close()
 			seedStore(t, s, 2)
-			m, err := s.MarkImageRegion("img-0", rtree.Rect2D(500, 500, 510, 510))
+			m, err := s.Core().View().MarkImageRegion("img-0", rtree.Rect2D(500, 500, 510, 510))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -454,7 +451,7 @@ func TestReusedReferentReplays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := s.MarkImageRegion("img-0", rtree.Rect2D(300, 300, 310, 310))
+	m, err := s.Core().View().MarkImageRegion("img-0", rtree.Rect2D(300, 300, 310, 310))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,7 +489,7 @@ func TestConcurrentCommits(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
 				x := float64(g*100 + i)
-				m, err := s.MarkImageRegion("img-0", rtree.Rect2D(x, x, x+1, x+1))
+				m, err := s.Core().View().MarkImageRegion("img-0", rtree.Rect2D(x, x, x+1, x+1))
 				if err != nil {
 					t.Errorf("mark: %v", err)
 					return
@@ -702,7 +699,7 @@ func TestNonFiniteFloatRefused(t *testing.T) {
 	if _, err := v.InteractionGraph("ppi"); err == nil {
 		t.Error("the refused graph is served")
 	}
-	m, err := s.MarkImageRegion("img-0", rtree.Rect2D(20, 20, 30, 30))
+	m, err := s.Core().View().MarkImageRegion("img-0", rtree.Rect2D(20, 20, 30, 30))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,25 +56,24 @@ func TestFaultInjectionRecovery(t *testing.T) {
 			// be a clean prefix of acks followed (if a degrading fault
 			// fires) by nothing but ErrDegraded refusals.
 			acked := 0
-			for _, op := range ops {
+			for i, op := range ops {
 				wasDegraded := s.Health().State == StateDegraded
-				err := op.Apply(s)
+				err := s.Apply(op)
 				if err == nil {
 					if wasDegraded {
-						t.Fatalf("op %d (%s) acknowledged while store degraded", op.Seq, op.Name)
+						t.Fatalf("op %d (%s) acknowledged while store degraded", i+1, op.Kind)
 					}
 					acked++
 					continue
 				}
 				// The op that trips the fault must surface ErrDegraded and
-				// flip the state machine. Later ops may instead fail inside
-				// their own setup (a mark on a sequence whose registration
-				// was refused) — any error is fine then, an ack is not.
+				// flip the state machine. Later ops are refused by the
+				// degraded store: any error is fine then, an ack is not.
 				if !wasDegraded && !errors.Is(err, ErrDegraded) {
-					t.Fatalf("op %d (%s) failed without ErrDegraded: %v", op.Seq, op.Name, err)
+					t.Fatalf("op %d (%s) failed without ErrDegraded: %v", i+1, op.Kind, err)
 				}
 				if h := s.Health(); h.State != StateDegraded || h.Reason == "" {
-					t.Fatalf("op %d failed but health is %+v", op.Seq, h)
+					t.Fatalf("op %d (%s) failed but health is %+v", i+1, op.Kind, h)
 				}
 			}
 			t.Logf("seed %d: acked %d/%d, injected %v", seed, acked, len(ops), inj.Injected())
@@ -104,22 +103,12 @@ func TestFaultInjectionRecovery(t *testing.T) {
 			if k > len(ops) {
 				t.Fatalf("recovered %d ops, scenario only has %d", k, len(ops))
 			}
-			want := core.NewStore()
-			if err := workload.ApplyOps(workload.AsSink(want), ops[:k]); err != nil {
-				t.Fatalf("building expected store: %v", err)
-			}
-			assertStoreParity(t, "after recovery", s.Core(), want)
+			assertStoreParity(t, "after recovery", s.Core(), serial(t, ops[:k]))
 
 			// Phase 4: resume the scenario where the disk state left off;
 			// the run must end exactly where a fault-free run ends.
-			for _, op := range ops[k:] {
-				if err := op.Apply(s); err != nil {
-					t.Fatalf("resumed op %d (%s): %v", op.Seq, op.Name, err)
-				}
-			}
-			if err := workload.ApplyOps(workload.AsSink(want), ops[k:]); err != nil {
-				t.Fatalf("building expected store: %v", err)
-			}
+			run(t, s, ops, k, len(ops))
+			want := serial(t, ops)
 			assertStoreParity(t, "after resume", s.Core(), want)
 
 			gotQ, err := graphitti.QueryTP53Images(s.Core(), graphitti.TP53Options{})
@@ -135,6 +124,17 @@ func TestFaultInjectionRecovery(t *testing.T) {
 					gotQ.QualifyingImages, wantQ.QualifyingImages)
 			}
 		})
+	}
+}
+
+// run applies ops[from:to] to s, failing at the first error with the op's
+// scenario position and kind.
+func run(t *testing.T, s *Store, ops []persist.Op, from, to int) {
+	t.Helper()
+	for i := from; i < to; i++ {
+		if err := s.Apply(ops[i]); err != nil {
+			t.Fatalf("op %d (%s): %v", i+1, ops[i].Kind, err)
+		}
 	}
 }
 
@@ -170,14 +170,10 @@ func TestDegradeOnFsyncError(t *testing.T) {
 	}
 	defer s.Close()
 	ops := workload.RecoveryScenario(workload.DefaultRecovery)
-	for _, op := range ops[:20] {
-		if err := op.Apply(s); err != nil {
-			t.Fatalf("setup op %d: %v", op.Seq, err)
-		}
-	}
+	run(t, s, ops, 0, 20)
 
 	sc.FailAt(faultfs.OpSync, 1, faultfs.Fault{Err: faultfs.Errno(faultfs.OpSync, syscall.EIO)})
-	err = ops[20].Apply(s)
+	err = s.Apply(ops[20])
 	if !errors.Is(err, ErrDegraded) || !errors.Is(err, faultfs.ErrInjected) || !errors.Is(err, syscall.EIO) {
 		t.Fatalf("faulted op error chain: %v", err)
 	}
@@ -189,7 +185,7 @@ func TestDegradeOnFsyncError(t *testing.T) {
 	// must not move (a write+fsync after a failed fsync could ack records
 	// over a silently dropped tail).
 	writes, syncs := sc.Count(faultfs.OpWrite), sc.Count(faultfs.OpSync)
-	if err := ops[21].Apply(s); !errors.Is(err, ErrDegraded) {
+	if err := s.Apply(ops[21]); !errors.Is(err, ErrDegraded) {
 		t.Fatalf("op against degraded store: %v", err)
 	}
 	if sc.Count(faultfs.OpWrite) != writes || sc.Count(faultfs.OpSync) != syncs {
@@ -216,14 +212,10 @@ func TestDegradeOnFsyncError(t *testing.T) {
 	if k < 20 {
 		t.Fatalf("recovered %d ops, 20 were acked", k)
 	}
-	want := core.NewStore()
-	if err := workload.ApplyOps(workload.AsSink(want), ops[:k]); err != nil {
-		t.Fatal(err)
-	}
-	assertStoreParity(t, "after reopen", s.Core(), want)
+	assertStoreParity(t, "after reopen", s.Core(), serial(t, ops[:k]))
 
 	// And the recovered store accepts writes again.
-	if err := ops[k].Apply(s); err != nil {
+	if err := s.Apply(ops[k]); err != nil {
 		t.Fatalf("op after recovery: %v", err)
 	}
 }
@@ -238,15 +230,11 @@ func TestTornWriteRecovered(t *testing.T) {
 	}
 	defer s.Close()
 	ops := workload.RecoveryScenario(workload.DefaultRecovery)
-	for _, op := range ops[:8] {
-		if err := op.Apply(s); err != nil {
-			t.Fatalf("setup op %d: %v", op.Seq, err)
-		}
-	}
+	run(t, s, ops, 0, 8)
 
 	const torn = 5 // a partial frame header: unambiguously torn
 	sc.FailAt(faultfs.OpWrite, 1, faultfs.Fault{Err: faultfs.Errno(faultfs.OpWrite, syscall.EIO), Short: torn})
-	if err := ops[8].Apply(s); !errors.Is(err, ErrDegraded) {
+	if err := s.Apply(ops[8]); !errors.Is(err, ErrDegraded) {
 		t.Fatalf("torn-write op: %v", err)
 	}
 
@@ -260,12 +248,8 @@ func TestTornWriteRecovered(t *testing.T) {
 	if st.Seq != 8 {
 		t.Fatalf("recovered seq = %d, want 8 (torn op must not replay)", st.Seq)
 	}
-	want := core.NewStore()
-	if err := workload.ApplyOps(workload.AsSink(want), ops[:8]); err != nil {
-		t.Fatal(err)
-	}
-	assertStoreParity(t, "after torn-write recovery", s.Core(), want)
-	if err := ops[8].Apply(s); err != nil {
+	assertStoreParity(t, "after torn-write recovery", s.Core(), serial(t, ops[:8]))
+	if err := s.Apply(ops[8]); err != nil {
 		t.Fatalf("replaying the torn op after recovery: %v", err)
 	}
 }
@@ -281,14 +265,10 @@ func TestReopenFailsWhileDiskBroken(t *testing.T) {
 	}
 	defer s.Close()
 	ops := workload.RecoveryScenario(workload.DefaultRecovery)
-	for _, op := range ops[:5] {
-		if err := op.Apply(s); err != nil {
-			t.Fatalf("setup op %d: %v", op.Seq, err)
-		}
-	}
+	run(t, s, ops, 0, 5)
 
 	sc.FailAt(faultfs.OpSync, 1, faultfs.Fault{Err: faultfs.Errno(faultfs.OpSync, syscall.EIO)})
-	if err := ops[5].Apply(s); !errors.Is(err, ErrDegraded) {
+	if err := s.Apply(ops[5]); !errors.Is(err, ErrDegraded) {
 		t.Fatalf("faulted op: %v", err)
 	}
 
@@ -303,7 +283,7 @@ func TestReopenFailsWhileDiskBroken(t *testing.T) {
 	if h := s.Health(); h.State != StateDegraded {
 		t.Fatalf("store not degraded after failed reopen: %+v", h)
 	}
-	if err := ops[6].Apply(s); !errors.Is(err, ErrDegraded) {
+	if err := s.Apply(ops[6]); !errors.Is(err, ErrDegraded) {
 		t.Fatalf("write after failed reopen: %v", err)
 	}
 
@@ -314,11 +294,7 @@ func TestReopenFailsWhileDiskBroken(t *testing.T) {
 	if h := s.Health(); h.State != StateHealthy {
 		t.Fatalf("health after recovery: %+v", h)
 	}
-	for _, op := range ops[s.Stats().Seq:10] {
-		if err := op.Apply(s); err != nil {
-			t.Fatalf("op %d after recovery: %v", op.Seq, err)
-		}
-	}
+	run(t, s, ops, int(s.Stats().Seq), 10)
 }
 
 // TestCompactionFaultKeepsPriorCheckpoint breaks each step of a
@@ -349,19 +325,11 @@ func TestCompactionFaultKeepsPriorCheckpoint(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, op := range ops[:30] {
-				if err := op.Apply(s); err != nil {
-					t.Fatalf("op %d: %v", op.Seq, err)
-				}
-			}
+			run(t, s, ops, 0, 30)
 			if err := s.Compact(); err != nil {
 				t.Fatalf("baseline compaction: %v", err)
 			}
-			for _, op := range ops[30:60] {
-				if err := op.Apply(s); err != nil {
-					t.Fatalf("op %d: %v", op.Seq, err)
-				}
-			}
+			run(t, s, ops, 30, 60)
 
 			tc.arm(sc)
 			if err := s.Compact(); !errors.Is(err, faultfs.ErrInjected) {
@@ -372,11 +340,7 @@ func TestCompactionFaultKeepsPriorCheckpoint(t *testing.T) {
 			if h := s.Health(); h.State != StateHealthy {
 				t.Fatalf("compaction fault degraded the store: %+v", h)
 			}
-			for _, op := range ops[60:70] {
-				if err := op.Apply(s); err != nil {
-					t.Fatalf("op %d after failed compaction: %v", op.Seq, err)
-				}
-			}
+			run(t, s, ops, 60, 70)
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -393,11 +357,7 @@ func TestCompactionFaultKeepsPriorCheckpoint(t *testing.T) {
 			if st.Seq != 70 {
 				t.Fatalf("recovered seq %d, want 70", st.Seq)
 			}
-			want := core.NewStore()
-			if err := workload.ApplyOps(workload.AsSink(want), ops[:70]); err != nil {
-				t.Fatal(err)
-			}
-			assertStoreParity(t, "after failed compaction", reopened.Core(), want)
+			assertStoreParity(t, "after failed compaction", reopened.Core(), serial(t, ops[:70]))
 		})
 	}
 }
@@ -424,19 +384,11 @@ func TestStaleSnapshotRemoveFaultIsBestEffort(t *testing.T) {
 		}
 		return m
 	}
-	for _, op := range ops[:30] {
-		if err := op.Apply(s); err != nil {
-			t.Fatalf("op %d: %v", op.Seq, err)
-		}
-	}
+	run(t, s, ops, 0, 30)
 	if err := s.Compact(); err != nil {
 		t.Fatalf("baseline compaction: %v", err)
 	}
-	for _, op := range ops[30:60] {
-		if err := op.Apply(s); err != nil {
-			t.Fatalf("op %d: %v", op.Seq, err)
-		}
-	}
+	run(t, s, ops, 30, 60)
 
 	sc.FailPath(faultfs.OpRemove, ".snap", 1, faultfs.Fault{Err: faultfs.Errno(faultfs.OpRemove, syscall.EIO)})
 	if err := s.Compact(); err != nil {
@@ -451,11 +403,7 @@ func TestStaleSnapshotRemoveFaultIsBestEffort(t *testing.T) {
 
 	// Repaired disk: the next compaction sweeps the stale checkpoint.
 	sc.Clear()
-	for _, op := range ops[60:90] {
-		if err := op.Apply(s); err != nil {
-			t.Fatalf("op %d: %v", op.Seq, err)
-		}
-	}
+	run(t, s, ops, 60, 90)
 	if err := s.Compact(); err != nil {
 		t.Fatalf("compaction after repair: %v", err)
 	}
@@ -476,11 +424,7 @@ func TestRotationFaultDegradesButRecovers(t *testing.T) {
 	}
 	defer s.Close()
 	ops := workload.RecoveryScenario(workload.DefaultRecovery)
-	for _, op := range ops[:40] {
-		if err := op.Apply(s); err != nil {
-			t.Fatalf("op %d: %v", op.Seq, err)
-		}
-	}
+	run(t, s, ops, 0, 40)
 
 	// The rotation's create is the first OpCreate on the .wal path after
 	// arming (snapshot/manifest writes use .snap/.json tmp files).
@@ -491,7 +435,7 @@ func TestRotationFaultDegradesButRecovers(t *testing.T) {
 	if h := s.Health(); h.State != StateDegraded {
 		t.Fatalf("rotation fault must degrade (no live log): %+v", h)
 	}
-	if err := ops[40].Apply(s); !errors.Is(err, ErrDegraded) {
+	if err := s.Apply(ops[40]); !errors.Is(err, ErrDegraded) {
 		t.Fatalf("write after failed rotation: %v", err)
 	}
 
@@ -502,14 +446,6 @@ func TestRotationFaultDegradesButRecovers(t *testing.T) {
 	if st.Seq != 40 || st.SnapshotSeq != 40 {
 		t.Fatalf("recovered seq=%d snapshotSeq=%d, want 40/40 (manifest committed before rotation)", st.Seq, st.SnapshotSeq)
 	}
-	want := core.NewStore()
-	if err := workload.ApplyOps(workload.AsSink(want), ops[:40]); err != nil {
-		t.Fatal(err)
-	}
-	assertStoreParity(t, "after rotation-fault recovery", s.Core(), want)
-	for _, op := range ops[40:50] {
-		if err := op.Apply(s); err != nil {
-			t.Fatalf("op %d after recovery: %v", op.Seq, err)
-		}
-	}
+	assertStoreParity(t, "after rotation-fault recovery", s.Core(), serial(t, ops[:40]))
+	run(t, s, ops, 40, 50)
 }

@@ -26,7 +26,7 @@ func FuzzOpEnvelope(f *testing.F) {
 		f.Fatal(err)
 	}
 	ops := workload.RecoveryScenario(workload.RecoveryConfig{Seed: 7, Images: 3, Ops: 60})
-	if err := workload.ApplyOps(s, ops); err != nil {
+	if err := workload.ApplyOps(s.Apply, ops); err != nil {
 		f.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -110,7 +110,7 @@ func FuzzCompressedRecords(f *testing.F) {
 		f.Fatal(err)
 	}
 	ops := workload.RecoveryScenario(workload.RecoveryConfig{Seed: 11, Images: 2, Ops: 40})
-	if err := workload.ApplyOps(s, ops); err != nil {
+	if err := workload.ApplyOps(s.Apply, ops); err != nil {
 		f.Fatal(err)
 	}
 	if err := s.Close(); err != nil {

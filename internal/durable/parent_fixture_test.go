@@ -72,7 +72,7 @@ func fixtureSteps(s *Store) {
 	check(s.Apply(persist.SystemOp(must(imaging.NewCoordinateSystem("atlas", rtree.Rect2D(0, 0, 10_000, 10_000))))))
 	check(s.Apply(persist.ImageOp(image("img-0", "atlas"))))
 	check(s.Apply(persist.SequenceOp(sequence("seq-a", "chr1"))))
-	m := must(s.MarkImageRegion("img-0", rtree.Rect2D(10, 10, 60, 60)))
+	m := must(s.Core().View().MarkImageRegion("img-0", rtree.Rect2D(10, 10, 60, 60)))
 	must(s.Commit(s.NewAnnotation().Creator("martone").Date("2007-10-12").Title("region").
 		Body("expression in the Deep Cerebellar nuclei").Refer(m).OntologyRef("nif", "deep-cerebellar-nuclei")))
 	m = must(s.MarkDomainInterval("chr1", interval.Interval{Lo: 5, Hi: 25}))
@@ -92,10 +92,10 @@ func fixtureSteps(s *Store) {
 		relstore.Column{Name: "id", Type: relstore.String},
 		relstore.Column{Name: "score", Type: relstore.Float64, NotNull: true})))))
 	check(s.Apply(persist.RecordOp("findings", relstore.Row{relstore.S("f-1"), relstore.F(0.25)})))
-	m = must(s.MarkImageRegion("img-1", rtree.Rect2D(100, 100, 140, 150)))
+	m = must(s.Core().View().MarkImageRegion("img-1", rtree.Rect2D(100, 100, 140, 150)))
 	must(s.Commit(s.NewAnnotation().Creator("gupta").Date("2007-11-20").Body("protease activity <b>here</b>").
 		Tag("status", "reviewed").Refer(m).OntologyRef("go", "protease")))
-	m = must(s.MarkSequenceInterval("seq-b", interval.Interval{Lo: 3, Hi: 9}))
+	m = must(s.Core().View().MarkSequenceInterval("seq-b", interval.Interval{Lo: 3, Hi: 9}))
 	must(s.Commit(s.NewAnnotation().Creator("chen").Date("2007-09-02").Body("motif in seq-b").Refer(m)))
 	check(s.DeleteAnnotation(1))
 	check(s.AddRule(prop.Rule{ID: "closure-go", Edge: prop.EdgeOntologyClosure, Ontology: "go"}))
@@ -279,9 +279,10 @@ func TestParentBinaryDirectory(t *testing.T) {
 	}
 }
 
-// mixedTail is one op of every kind, applied over the fixture's state
-// (annotations 2–4 live, rule closure-go attached).
-func mixedTail(s workload.Sink) {
+// mixedTail is one op of every kind, handed to apply over the fixture's
+// state (annotations 2–4 live, rule closure-go attached); its marks
+// resolve against view once what they name is registered.
+func mixedTail(apply func(persist.Op) error, view func() *core.View) {
 	sequence := must(seq.New("seq-c", seq.DNA, strings.Repeat("GATTACA", 8)))
 	graph := interact.NewGraph("ppi-2")
 	must(graph.AddMolecule("Q1", "kinase", interact.ProteinMol))
@@ -289,25 +290,25 @@ func mixedTail(s workload.Sink) {
 	check(graph.AddInteraction("Q1", "Q2", "binds", 0.75))
 	image := must(imaging.NewImage("img-2", "stage", rtree.Rect2D(0, 0, 500, 500), imaging.Identity(2)))
 
-	check(s.Apply(persist.OntologyOp(workload.LayeredOntology("layers", 2, 2, 1))))
-	check(s.Apply(persist.SystemOp(must(imaging.NewCoordinateSystem("stage", rtree.Rect2D(0, 0, 2_000, 2_000))))))
-	check(s.Apply(persist.SequenceOp(sequence)))
-	check(s.Apply(persist.AlignmentOp(must(msa.New("aln-2", []string{"r1", "r2"}, []string{"GA-TC", "GATTC"})))))
-	check(s.Apply(persist.TreeOp(must(phylo.ParseNewick("tree-2", "((x:1,y:1):2,z:3);")))))
-	check(s.Apply(persist.GraphOp(graph)))
-	check(s.Apply(persist.ImageOp(image)))
-	check(s.Apply(persist.TableOp(must(relstore.NewSchema("notes", "id",
+	check(apply(persist.OntologyOp(workload.LayeredOntology("layers", 2, 2, 1))))
+	check(apply(persist.SystemOp(must(imaging.NewCoordinateSystem("stage", rtree.Rect2D(0, 0, 2_000, 2_000))))))
+	check(apply(persist.SequenceOp(sequence)))
+	check(apply(persist.AlignmentOp(must(msa.New("aln-2", []string{"r1", "r2"}, []string{"GA-TC", "GATTC"})))))
+	check(apply(persist.TreeOp(must(phylo.ParseNewick("tree-2", "((x:1,y:1):2,z:3);")))))
+	check(apply(persist.GraphOp(graph)))
+	check(apply(persist.ImageOp(image)))
+	check(apply(persist.TableOp(must(relstore.NewSchema("notes", "id",
 		relstore.Column{Name: "id", Type: relstore.String},
 		relstore.Column{Name: "n", Type: relstore.Int64})))))
-	check(s.Apply(persist.RecordOp("findings", relstore.Row{relstore.S("f-2"), relstore.F(-1.5)})))
-	m := must(s.MarkImageRegion("img-2", rtree.Rect2D(5, 5, 50, 80)))
-	must(s.Commit(s.NewAnnotation().Creator("ma").Creator("lee").Date("2008-04-07").Title("collaborative").
-		Body("a mark shared by two annotators").Tag("round", "2").Refer(m).OntologyRef("go", "protease")))
-	m = must(s.MarkSequenceInterval("seq-c", interval.Interval{Lo: 1, Hi: 30}))
-	must(s.Commit(s.NewAnnotation().Creator("chen").Date("2008-04-08").Body("repeat in seq-c").Refer(m)))
-	check(s.DeleteAnnotation(3))
-	check(s.AddRule(prop.Rule{ID: "overlap-stage", Edge: prop.EdgeOverlap, Domain: "stage"}))
-	check(s.Apply(persist.Op{Kind: core.OpDeleteRule, RuleID: "closure-go"}))
+	check(apply(persist.RecordOp("findings", relstore.Row{relstore.S("f-2"), relstore.F(-1.5)})))
+	m := must(view().MarkImageRegion("img-2", rtree.Rect2D(5, 5, 50, 80)))
+	check(apply(must(persist.CommitOp(core.NewBuilder().Creator("ma").Creator("lee").Date("2008-04-07").Title("collaborative").
+		Body("a mark shared by two annotators").Tag("round", "2").Refer(m).OntologyRef("go", "protease")))))
+	m = must(view().MarkSequenceInterval("seq-c", interval.Interval{Lo: 1, Hi: 30}))
+	check(apply(must(persist.CommitOp(core.NewBuilder().Creator("chen").Date("2008-04-08").Body("repeat in seq-c").Refer(m)))))
+	check(apply(persist.Op{Kind: core.OpDeleteAnnotation, DeleteID: 3}))
+	check(apply(persist.RuleOp(prop.Rule{ID: "overlap-stage", Edge: prop.EdgeOverlap, Domain: "stage"})))
+	check(apply(persist.Op{Kind: core.OpDeleteRule, RuleID: "closure-go"}))
 }
 
 // TestMixedLog: a server upgraded over the parent's directory appends
@@ -361,7 +362,7 @@ func appendBehind(t *testing.T, fixture string, snapshotSeq uint64, forms string
 	if !bytes.Equal(got.Bytes(), wantExport) {
 		t.Fatalf("export of the parent's directory differs from the parent's own:\n got %s\nwant %s", got.Bytes(), wantExport)
 	}
-	mixedTail(s)
+	mixedTail(s.Apply, s.Core().View)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +384,7 @@ func appendBehind(t *testing.T, fixture string, snapshotSeq uint64, forms string
 	if err != nil {
 		t.Fatal(err)
 	}
-	mixedTail(workload.AsSink(serial))
+	mixedTail(func(op persist.Op) error { return serial.Batch(op.Apply) }, serial.View)
 
 	replayed, err := Open(dir, opts)
 	if err != nil {

@@ -2,7 +2,6 @@ package persist_test
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
 	"graphitti/internal/core"
@@ -24,20 +23,20 @@ func TestExportUnderWritersIsAPrefix(t *testing.T) {
 	// part of its setup — are in.
 	setup := 0
 	for i, op := range ops {
-		if strings.HasPrefix(op.Name, "add-rule") {
+		if op.Kind == core.OpAddRule {
 			setup = i + 1
 		}
 	}
-	live := core.NewStore()
-	if err := workload.ApplyOps(workload.AsSink(live), ops[:setup]); err != nil {
+	live, err := workload.Serial(ops[:setup])
+	if err != nil {
 		t.Fatal(err)
 	}
 
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		if err := workload.ApplyOps(workload.AsSink(live), ops[setup:]); err != nil {
-			t.Error(err)
+		if err := workload.ApplyOps(func(op persist.Op) error { return live.Batch(op.Apply) }, ops[setup:]); err != nil {
+			t.Errorf("past the %d setup ops: %v", setup, err)
 		}
 	}()
 
@@ -73,8 +72,8 @@ func TestExportUnderWritersIsAPrefix(t *testing.T) {
 
 	replay := core.NewStore()
 	for i, op := range ops {
-		if err := op.Apply(workload.AsSink(replay)); err != nil {
-			t.Fatalf("replay op %d %s: %v", op.Seq, op.Name, err)
+		if err := replay.Batch(op.Apply); err != nil {
+			t.Fatalf("replay op %d (%s): %v", i+1, op.Kind, err)
 		}
 		got, ok := pinned[uint64(i+1)]
 		if !ok {

@@ -31,7 +31,6 @@ import (
 	"testing"
 
 	"graphitti"
-	"graphitti/internal/core"
 	"graphitti/internal/durable"
 	"graphitti/internal/persist"
 	"graphitti/internal/shard"
@@ -45,7 +44,7 @@ const (
 	shardCrashShards       = 2
 )
 
-func shardCrashOps() []workload.RecoveryOp {
+func shardCrashOps() []persist.Op {
 	return workload.ShardedScenario(workload.RecoveryConfig{Seed: 19, Images: 8, Ops: 400}, 4)
 }
 
@@ -65,11 +64,11 @@ func TestShardCrashChild(t *testing.T) {
 		t.Fatalf("child open: %v", err)
 	}
 	// Never closed: the parent kills us; the next Open must recover.
-	for _, op := range shardCrashOps() {
-		if err := op.Apply(shard.AsSink(s)); err != nil {
-			t.Fatalf("child op %d (%s): %v", op.Seq, op.Name, err)
+	for i, op := range shardCrashOps() {
+		if err := s.Apply(op); err != nil {
+			t.Fatalf("child op %d (%s): %v", i+1, op.Kind, err)
 		}
-		fmt.Printf("acked %d\n", op.Seq)
+		fmt.Printf("acked %d\n", i+1)
 	}
 	fmt.Println("done")
 }
@@ -131,8 +130,8 @@ func TestShardedCrashRecovery(t *testing.T) {
 				t.Fatalf("recovered only %d ops but child acked %d — lost acknowledged writes", k, acked)
 			}
 
-			want := core.NewStore()
-			if err := workload.ApplyOps(workload.AsSink(want), ops[:k]); err != nil {
+			want, err := workload.Serial(ops[:k])
+			if err != nil {
 				t.Fatalf("building expected store: %v", err)
 			}
 
@@ -185,16 +184,14 @@ func TestShardedCrashRecovery(t *testing.T) {
 // recoveredPrefix inverts sum = K + (shards-1)·B(K). The map K → sum is
 // strictly increasing, so the match is unique; no match means the crash
 // split a broadcast across shards, which the kill threshold rules out.
-func recoveredPrefix(t *testing.T, ops []workload.RecoveryOp, sum, shards int) int {
+func recoveredPrefix(t *testing.T, ops []persist.Op, sum, shards int) int {
 	t.Helper()
 	broadcasts := 0
 	if sum == 0 {
 		return 0
 	}
 	for i, op := range ops {
-		if strings.HasPrefix(op.Name, "register-ontology") ||
-			strings.HasPrefix(op.Name, "add-rule") ||
-			strings.HasPrefix(op.Name, "delete-rule") {
+		if shard.Broadcast(op) {
 			broadcasts++
 		}
 		k := i + 1
@@ -246,19 +243,15 @@ func runAndKillShardChild(t *testing.T, dir string, threshold int64, killAfter i
 	return acked
 }
 
-// broadcastPrefixLen returns how many leading ops of a scenario are
-// broadcast ops' upper bound: the position after the last broadcast op
-// (ontology registrations and rule changes). A sharded crash harness
-// must only kill after this point, so a kill never lands between the
-// per-shard applications of one broadcast.
-func broadcastPrefixLen(ops []workload.RecoveryOp) int {
+// broadcastPrefixLen returns the position after the last broadcast op
+// (ontology registrations and rule changes, by the set's own placement
+// rule). A sharded crash harness must only kill after this point, so a
+// kill never lands between the per-shard applications of one broadcast.
+func broadcastPrefixLen(ops []persist.Op) int {
 	last := 0
-	for _, op := range ops {
-		switch {
-		case strings.HasPrefix(op.Name, "register-ontology"),
-			strings.HasPrefix(op.Name, "add-rule"),
-			strings.HasPrefix(op.Name, "delete-rule"):
-			last = op.Seq
+	for i, op := range ops {
+		if shard.Broadcast(op) {
+			last = i + 1
 		}
 	}
 	return last

@@ -50,15 +50,15 @@ func checkpoint(t *testing.T, views []*core.View) []byte {
 func TestShardedDifferentialExport(t *testing.T) {
 	scenarios := []struct {
 		name string
-		ops  []workload.RecoveryOp
+		ops  []persist.Op
 	}{
 		{"recovery", workload.RecoveryScenario(workload.DefaultRecovery)},
 		{"sharded-spread", workload.ShardedScenario(workload.RecoveryConfig{Seed: 7, Images: 8, Ops: 350}, 4)},
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			want := core.NewStore()
-			if err := workload.ApplyOps(workload.AsSink(want), sc.ops); err != nil {
+			want, err := workload.Serial(sc.ops)
+			if err != nil {
 				t.Fatalf("unsharded apply: %v", err)
 			}
 			wantSnap, err := persist.Export(want)
@@ -70,7 +70,7 @@ func TestShardedDifferentialExport(t *testing.T) {
 
 			for n := 1; n <= 4; n++ {
 				s := shard.New(n)
-				if err := workload.ApplyOps(shard.AsSink(s), sc.ops); err != nil {
+				if err := workload.ApplyOps(s.Apply, sc.ops); err != nil {
 					t.Fatalf("n=%d sharded apply: %v", n, err)
 				}
 				gotSnap, err := shard.Export(s)
@@ -152,7 +152,7 @@ func TestShardedDifferentialExport(t *testing.T) {
 func TestShardedRestoreRoundTrip(t *testing.T) {
 	ops := workload.ShardedScenario(workload.RecoveryConfig{Seed: 11, Images: 6, Ops: 250}, 3)
 	src := shard.New(3)
-	if err := workload.ApplyOps(shard.AsSink(src), ops); err != nil {
+	if err := workload.ApplyOps(src.Apply, ops); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := shard.Export(src)
@@ -224,7 +224,7 @@ func annIDs(anns []*core.Annotation) []uint64 {
 // annotations: the merge re-caps only what the shards together exceed.
 func TestOneShardQueryIsTheStoresOwn(t *testing.T) {
 	want := core.NewStore()
-	registerSeq(t, workload.AsSink(want).Apply, "seq-0", "dom-0")
+	registerSeq(t, func(op persist.Op) error { return want.Batch(op.Apply) }, "seq-0", "dom-0")
 	for _, c := range []struct {
 		body   string
 		lo, hi int64
@@ -300,7 +300,7 @@ func TestCrossShardReferentsAt(t *testing.T) {
 		}
 	}
 	want, s := core.NewStore(), shard.New(n)
-	for _, apply := range []func(persist.Op) error{workload.AsSink(want).Apply, s.Apply} {
+	for _, apply := range []func(persist.Op) error{func(op persist.Op) error { return want.Batch(op.Apply) }, s.Apply} {
 		registerSeq(t, apply, "seq-1", d1)
 		registerSeq(t, apply, "seq-2", d2)
 	}
@@ -351,7 +351,7 @@ func TestDisconnectedQueryRefusedOverShards(t *testing.T) {
 	ops := workload.ShardedScenario(workload.RecoveryConfig{Seed: 5, Images: 4, Ops: 60}, 3)
 	for n := 1; n <= 3; n++ {
 		s := shard.New(n)
-		if err := workload.ApplyOps(shard.AsSink(s), ops); err != nil {
+		if err := workload.ApplyOps(s.Apply, ops); err != nil {
 			t.Fatal(err)
 		}
 		res, err := s.Views().Query(context.Background(), src, query.DefaultOptions)
@@ -380,7 +380,7 @@ func TestCheckpointKeepsPinnedRules(t *testing.T) {
 	ops := workload.RecoveryScenario(workload.DefaultRecovery)
 	for _, n := range []int{1, 3} {
 		s := shard.New(n)
-		if err := workload.ApplyOps(shard.AsSink(s), ops); err != nil {
+		if err := workload.ApplyOps(s.Apply, ops); err != nil {
 			t.Fatalf("n=%d apply: %v", n, err)
 		}
 		vs := s.Views()

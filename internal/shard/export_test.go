@@ -49,3 +49,9 @@ func (vs Views) DerivedTargeting(target agraph.NodeRef) []core.DerivedFact {
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Source < out[j].Source })
 	return out
 }
+
+// Broadcast reports whether the placement rule sends op to every shard.
+func Broadcast(op persist.Op) bool {
+	_, all, _ := route(op)
+	return all
+}

@@ -86,7 +86,7 @@ func TestOpenRefusesUnshardedDirectory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := workload.ApplyOps(d, workload.RecoveryScenario(workload.RecoveryConfig{Seed: 5, Images: 4, Ops: 120})); err != nil {
+	if err := workload.ApplyOps(d.Apply, workload.RecoveryScenario(workload.RecoveryConfig{Seed: 5, Images: 4, Ops: 120})); err != nil {
 		t.Fatal(err)
 	}
 	wantSnap, err := persist.Export(d.Core())

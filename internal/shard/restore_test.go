@@ -321,7 +321,7 @@ func perShardExports(t *testing.T, s *Store) [][]byte {
 // domain, ride along.
 func TestRestoredShardsEqualLiveShards(t *testing.T) {
 	live := New(3)
-	if err := workload.ApplyOps(AsSink(live), workload.ShardedScenario(workload.RecoveryConfig{Seed: 11, Images: 6, Ops: 250}, 3)); err != nil {
+	if err := workload.ApplyOps(live.Apply, workload.ShardedScenario(workload.RecoveryConfig{Seed: 11, Images: 6, Ops: 250}, 3)); err != nil {
 		t.Fatal(err)
 	}
 	registerDomainSeq(t, live, "seq-named", "chr-named")

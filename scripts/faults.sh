@@ -14,14 +14,29 @@ cd "$(dirname "$0")/.."
 
 COUNT="${COUNT:-3}"
 
-go test -race -count="$COUNT" -v \
-    -run 'TestFaultInjectionRecovery|TestDegradeOnFsyncError|TestTornWriteRecovered|TestReopenFailsWhileDiskBroken|TestCompactionFaultKeepsPriorCheckpoint|TestRotationFaultDegradesButRecovers' \
-    ./internal/durable/
+# expect N PATTERN PKG fails unless -run PATTERN names exactly N tests of
+# PKG: a pattern matching nothing passes silently, so a renamed harness
+# test would drop out of the gauntlet unnoticed.
+expect() {
+    local got
+    got="$(go test -list "$2" "$3" | grep -c '^Test' || true)"
+    if [ "$got" -ne "$1" ]; then
+        echo "faults.sh: -run '$2' names $got tests of $3, want $1" >&2
+        exit 1
+    fi
+}
+
+durable='TestFaultInjectionRecovery|TestDegradeOnFsyncError|TestTornWriteRecovered|TestReopenFailsWhileDiskBroken|TestCompactionFaultKeepsPriorCheckpoint|TestRotationFaultDegradesButRecovers'
+httpapi='TestDegradedServerServesReadsRefusesWrites|TestRecoverRequiresDurableStore|TestBodyCap'
+server='TestGracefulShutdownClosesStore'
+expect 6 "$durable" ./internal/durable/
+expect 3 "$httpapi" ./internal/httpapi/
+expect 1 "$server" ./cmd/graphitti-server/
+
+go test -race -count="$COUNT" -v -run "$durable" ./internal/durable/
 
 go test -race -count="$COUNT" ./internal/faultfs/
 
-go test -race -count="$COUNT" \
-    -run 'TestDegradedServerServesReadsRefusesWrites|TestRecoverRequiresDurableStore|TestBodyCap' \
-    ./internal/httpapi/
+go test -race -count="$COUNT" -run "$httpapi" ./internal/httpapi/
 
-go test -race -count="$COUNT" -run 'TestGracefulShutdownClosesStore' ./cmd/graphitti-server/
+go test -race -count="$COUNT" -run "$server" ./cmd/graphitti-server/
