@@ -2,7 +2,9 @@
 // publishes no quantitative tables; the experiment set is the three
 // figures' scenarios (F1–F3), the two fully-specified queries (Q1, Q2),
 // the operator inventories (O1–O3), and ablations of the design choices
-// stated in prose (A1–A7). scripts/bench.sh records their rows.
+// stated in prose (A1–A3, A6, A7; A5 and the planner suite live beside
+// the planner in internal/query, and internal/agraph's BenchmarkConnect
+// measures connect()). scripts/bench.sh records their rows.
 package graphitti
 
 import (
@@ -592,55 +594,6 @@ func BenchmarkA3RTreeVsScan(b *testing.B) {
 	}
 }
 
-// --- A4: connect() strategies ---
-
-func BenchmarkA4ConnectStrategies(b *testing.B) {
-	for _, size := range []int{200, 2000} {
-		g, terms := benchGraph(8, size)
-		for _, strat := range []agraph.ConnectStrategy{agraph.PairwiseBFS, agraph.ExpandingRing} {
-			b.Run(fmt.Sprintf("%v/nodes=%d", strat, g.NodeCount()), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := g.ConnectWithStrategy(strat, terms...); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// --- A5: planner sub-query ordering ---
-
-func BenchmarkA5PlannerOrdering(b *testing.B) {
-	const src = `
-select contents
-where {
-  ?a isa annotation .
-  ?r isa referent ; kind interval ; domain "segment1" ; overlaps [0, 120) .
-  ?a annotates ?r .
-}`
-	for _, n := range []int{1000, 5000} {
-		study := fluStudy(b, n)
-		p := query.NewProcessor(study.Store)
-		q := mustParseQuery(b, src)
-		for _, ordered := range []bool{true, false} {
-			name := "selectivity"
-			if !ordered {
-				name = "naive"
-			}
-			b.Run(fmt.Sprintf("%s/anns=%d", name, n), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := p.ExecuteParsedCtx(context.Background(), q, query.Options{OrderBySelectivity: ordered}); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
 // --- A7: STR bulk load vs incremental R-tree construction ---
 
 func BenchmarkA7BulkLoadVsIncremental(b *testing.B) {
@@ -1036,34 +989,8 @@ func BenchmarkA6ContentIndex(b *testing.B) {
 	}
 }
 
-// --- Planner: cost-based join planning with index-driven enumeration ---
-
-var (
-	propStudyMu    sync.Mutex
-	propStudyCache = map[int]*workload.PropagationStudy{}
-)
-
-func propStudy(b *testing.B, annotations int) *workload.PropagationStudy {
-	b.Helper()
-	propStudyMu.Lock()
-	defer propStudyMu.Unlock()
-	if s, ok := propStudyCache[annotations]; ok {
-		return s
-	}
-	cfg := workload.PropagationConfig{
-		Seed: 42, Sequences: 8, SeqLen: 12 * annotations / 1000 * 125,
-		Annotations: annotations, Span: 40, TermFraction: 30,
-	}
-	s, err := workload.Propagation(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	propStudyCache[annotations] = s
-	return s
-}
-
-// join3 is the planner suite's three-variable join, also the query of
-// BenchmarkReadPath.
+// join3 is the three-variable join of internal/query's BenchmarkPlanner,
+// run here end to end as BenchmarkReadPath's query route.
 const join3 = `
 select contents
 where {
@@ -1073,81 +1000,6 @@ where {
   ?a annotates ?r .
   ?r marks ?o .
 }`
-
-// BenchmarkPlanner measures the cost-based planner's two tentpole wins
-// at 10k annotations:
-//
-//   - join3: a 3-variable join (annotation -> referent -> object) where
-//     the referent variable is unselective (~10k candidates). Semi-join
-//     enumeration binds it from the bound annotation's a-graph edges;
-//     the nested sub-benchmark forces the retired candidate×candidate
-//     HasEdgeBetween baseline. Results are verified identical and the
-//     bindings-tried reduction (≥5x, in practice ~1000x) is asserted.
-//   - provenance: a provenance-predicate query at two derived-table
-//     sizes. Each candidate is one target-index probe, so the per-op
-//     cost tracks the candidate count, not the table size (the retired
-//     path rebuilt a target set from a full table scan per variable).
-func BenchmarkPlanner(b *testing.B) {
-	study := fluStudy(b, 10_000)
-	p := query.NewProcessor(study.Store)
-	join := mustParseQuery(b, join3)
-	semiOpts := query.Options{OrderBySelectivity: true}
-	nestedOpts := query.Options{OrderBySelectivity: true, Join: query.JoinNestedLoop}
-	semi, err := p.ExecuteParsedCtx(context.Background(), join, semiOpts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	nested, err := p.ExecuteParsedCtx(context.Background(), join, nestedOpts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if semi.Stats.Matches == 0 || semi.Stats.Matches != nested.Stats.Matches {
-		b.Fatalf("join strategies disagree: semi %d matches, nested %d", semi.Stats.Matches, nested.Stats.Matches)
-	}
-	if semi.Stats.BindingsTried*5 > nested.Stats.BindingsTried {
-		b.Fatalf("semi-join tried %d bindings, nested %d — want ≥5x reduction",
-			semi.Stats.BindingsTried, nested.Stats.BindingsTried)
-	}
-	b.Run("join3/semijoin/anns=10000", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := p.ExecuteParsedCtx(context.Background(), join, semiOpts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("join3/nested/anns=10000", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := p.ExecuteParsedCtx(context.Background(), join, nestedOpts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	prov := mustParseQuery(b, `
-select referents
-where {
-  ?r isa referent ; provenance "p-overlap" .
-}`)
-	for _, n := range []int{2000, 10_000} {
-		ps := propStudy(b, n)
-		pp := query.NewProcessor(ps.Store)
-		if res, err := pp.ExecuteParsedCtx(context.Background(), prov, semiOpts); err != nil {
-			b.Fatal(err)
-		} else if len(res.Referents) == 0 {
-			b.Fatal("provenance query found nothing; fixture has no overlap facts")
-		}
-		b.Run(fmt.Sprintf("provenance/anns=%d/facts=%d", n, ps.Store.View().Stats().Derived), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := pp.ExecuteParsedCtx(context.Background(), prov, semiOpts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
 
 // countingWriter is an http.ResponseWriter that keeps nothing: it records
 // the status and counts the body's bytes. A recorder's buffer would grow by

@@ -105,7 +105,7 @@ type (
 
 	// Processor executes the graph query language.
 	Processor = query.Processor
-	// QueryOptions tune query execution.
+	// QueryOptions tune query execution: a cap on the matches.
 	QueryOptions = query.Options
 	// QueryResult is a query outcome.
 	QueryResult = query.Result
@@ -155,7 +155,7 @@ func Rules(s *Store) []Rule { return prop.RulesOf(s.View()) }
 // NewProcessor returns a query processor bound to a store.
 func NewProcessor(s *Store) *Processor { return query.NewProcessor(s) }
 
-// DefaultQueryOptions enable selectivity-ordered planning.
+// DefaultQueryOptions sets no cap beyond the query's own limit.
 var DefaultQueryOptions = query.DefaultOptions
 
 // Span returns the half-open interval [lo, hi).

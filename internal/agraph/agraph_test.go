@@ -251,25 +251,23 @@ func connectTestGraph() (*Graph, []NodeRef) {
 	return g, []NodeRef{c1, c2, c3}
 }
 
-func TestConnectStrategies(t *testing.T) {
+func TestConnectSpansTerminals(t *testing.T) {
 	g, terms := connectTestGraph()
-	for _, strat := range []ConnectStrategy{PairwiseBFS, ExpandingRing} {
-		sg, err := g.ConnectWithStrategy(strat, terms...)
-		if err != nil {
-			t.Fatalf("%v: %v", strat, err)
+	sg, err := g.Connect(terms...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, term := range terms {
+		if !slices.Contains(sg.Nodes, term) {
+			t.Fatalf("missing terminal %v", term)
 		}
-		for _, term := range terms {
-			if !slices.Contains(sg.Nodes, term) {
-				t.Fatalf("%v: missing terminal %v", strat, term)
-			}
-		}
-		if !sg.Connected() {
-			t.Fatalf("%v: subgraph not connected", strat)
-		}
-		// The minimal connector here is every node but the lone one.
-		if sg.NodeCount() != 7 {
-			t.Fatalf("%v: %d nodes", strat, sg.NodeCount())
-		}
+	}
+	if !sg.Connected() {
+		t.Fatal("subgraph not connected")
+	}
+	// The minimal connector here is every node but the lone one.
+	if sg.NodeCount() != 7 {
+		t.Fatalf("%d nodes", sg.NodeCount())
 	}
 }
 
@@ -284,11 +282,8 @@ func TestConnectErrors(t *testing.T) {
 	if _, err := g.Connect(terms[0], Referent(12345)); !errors.Is(err, ErrNoSuchNode) {
 		t.Fatalf("ghost terminal: err = %v", err)
 	}
-	lone := Referent(777)
-	for _, strat := range []ConnectStrategy{PairwiseBFS, ExpandingRing} {
-		if _, err := g.ConnectWithStrategy(strat, terms[0], lone); !errors.Is(err, ErrNoPath) {
-			t.Fatalf("%v disconnected: err = %v", strat, err)
-		}
+	if _, err := g.Connect(terms[0], Referent(777)); !errors.Is(err, ErrNoPath) {
+		t.Fatalf("disconnected: err = %v", err)
 	}
 }
 
@@ -298,7 +293,7 @@ func TestConnectTwoTerminalsEqualsPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sg, err := g.ConnectWithStrategy(PairwiseBFS, terms[0], terms[1])
+	sg, err := g.Connect(terms[0], terms[1])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,8 +409,9 @@ func TestQuickPathOnRandomGraphs(t *testing.T) {
 	}
 }
 
-// TestQuickConnectInvariants: on random connected graphs, both strategies
-// must return connected subgraphs containing all terminals.
+// TestQuickConnectInvariants: on random connected graphs, Connect returns
+// a connected subgraph containing all terminals, and for two terminals
+// one with as many edges as the shortest path between them.
 func TestQuickConnectInvariants(t *testing.T) {
 	check := func(seed int64, n uint8, k uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -443,17 +439,21 @@ func TestQuickConnectInvariants(t *testing.T) {
 		if len(terms) < 2 {
 			return true
 		}
-		for _, strat := range []ConnectStrategy{PairwiseBFS, ExpandingRing} {
-			sg, err := g.ConnectWithStrategy(strat, terms...)
-			if err != nil {
+		sg, err := g.Connect(terms...)
+		if err != nil {
+			return false
+		}
+		for _, term := range terms {
+			if !slices.Contains(sg.Nodes, term) {
 				return false
 			}
-			for _, term := range terms {
-				if !slices.Contains(sg.Nodes, term) {
-					return false
-				}
-			}
-			if !sg.Connected() {
+		}
+		if !sg.Connected() {
+			return false
+		}
+		if len(terms) == 2 {
+			p, err := g.FindPath(terms[0], terms[1])
+			if err != nil || sg.EdgeCount() != p.Len() {
 				return false
 			}
 		}
@@ -483,17 +483,13 @@ func buildStarOfStars(nStars, size int) (*Graph, []NodeRef) {
 	return g, terms
 }
 
-func BenchmarkConnectStrategies(b *testing.B) {
+func BenchmarkConnect(b *testing.B) {
 	g, terms := buildStarOfStars(8, 500)
-	for _, strat := range []ConnectStrategy{PairwiseBFS, ExpandingRing} {
-		b.Run(strat.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := g.ConnectWithStrategy(strat, terms...); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := g.Connect(terms...); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

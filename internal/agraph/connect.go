@@ -52,35 +52,10 @@ func (s *Subgraph) Connected() bool {
 	return true
 }
 
-// ConnectStrategy selects the connection-subgraph search algorithm.
-type ConnectStrategy uint8
-
-// Strategies compared by ablation A4.
-const (
-	// PairwiseBFS unions shortest paths from the first terminal to each
-	// other terminal (k−1 full BFS runs).
-	PairwiseBFS ConnectStrategy = iota
-	// ExpandingRing grows frontiers from all terminals simultaneously and
-	// joins components where the frontiers meet; it touches far fewer
-	// nodes on large graphs.
-	ExpandingRing
-)
-
-func (s ConnectStrategy) String() string {
-	if s == ExpandingRing {
-		return "expanding-ring"
-	}
-	return "pairwise-bfs"
-}
-
-// Connect returns a connection subgraph containing all terminals, using
-// the ExpandingRing strategy (the paper's connect(node1, node2, …)).
+// Connect returns a connection subgraph containing all terminals (the
+// paper's connect(node1, node2, …)): BFS frontiers grow from every
+// terminal at once, and components join where the frontiers meet.
 func (g *Graph) Connect(terminals ...NodeRef) (*Subgraph, error) {
-	return g.ConnectWithStrategy(ExpandingRing, terminals...)
-}
-
-// ConnectWithStrategy is Connect with an explicit algorithm choice.
-func (g *Graph) ConnectWithStrategy(strategy ConnectStrategy, terminals ...NodeRef) (*Subgraph, error) {
 	distinct := dedupRefs(terminals)
 	if len(distinct) < 2 {
 		return nil, ErrTerminals
@@ -93,12 +68,7 @@ func (g *Graph) ConnectWithStrategy(strategy ConnectStrategy, terminals ...NodeR
 		}
 		idxs[i] = ti
 	}
-	switch strategy {
-	case PairwiseBFS:
-		return g.connectPairwise(distinct, idxs)
-	default:
-		return g.connectExpanding(distinct, idxs)
-	}
+	return g.connectExpanding(distinct, idxs)
 }
 
 func dedupRefs(refs []NodeRef) []NodeRef {
@@ -111,20 +81,6 @@ func dedupRefs(refs []NodeRef) []NodeRef {
 		}
 	}
 	return out
-}
-
-func (g *Graph) connectPairwise(terminals []NodeRef, idxs []int32) (*Subgraph, error) {
-	nodes := map[int32]bool{idxs[0]: true}
-	edges := make(map[uint64]Edge)
-	ar := getArena()
-	defer arenas.Put(ar)
-	for k, dst := range idxs[1:] {
-		if !g.bfs(ar, idxs[0], dst) {
-			return nil, fmt.Errorf("%w: %v to %v", ErrNoPath, terminals[0], terminals[k+1])
-		}
-		g.addChain(ar, dst, nodes, edges)
-	}
-	return g.assembleSubgraph(terminals, nodes, edges), nil
 }
 
 // addChain adds the nodes and edges of the parent links from node n back

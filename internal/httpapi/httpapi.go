@@ -663,6 +663,12 @@ func (s *server) runQuery(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeJSON(w, r, &req) {
 		return
 	}
+	if req.MaxResults < 0 {
+		// The query's own limit must be at least 1; a negative cap would
+		// lift it.
+		jsonError(w, r, http.StatusBadRequest, "maxResults must not be negative")
+		return
+	}
 	ctx, cancel := s.queryCtx(r)
 	defer cancel()
 	opts := query.DefaultOptions

@@ -262,6 +262,15 @@ func TestQueryEndpoint(t *testing.T) {
 		if code != 200 || capped.Matches != 2 {
 			t.Fatalf("capped = %+v (code %d)", capped, code)
 		}
+		// A negative cap is refused, not taken as lifting the query's own
+		// limit.
+		code = postJSON(t, ts.URL+"/api/query", map[string]interface{}{
+			"query":      `select contents where { ?a isa annotation . } limit 2`,
+			"maxResults": -1,
+		}, nil)
+		if code != 400 {
+			t.Fatalf("negative maxResults status = %d", code)
+		}
 		// Syntax error -> 400.
 		if code := postJSON(t, ts.URL+"/api/query", map[string]string{"query": "select nothing"}, nil); code != 400 {
 			t.Fatalf("bad query status = %d", code)

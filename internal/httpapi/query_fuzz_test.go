@@ -35,6 +35,7 @@ var queryRouteSeeds = []string{
 	`{"query":""}`,
 	`{"query":1}`,
 	`{"query":"select contents where { }","maxResults":-1}`,
+	`{"query":"select contents where { ?a isa annotation . } limit 2","maxResults":-1}`,
 	`{}`,
 	`null`,
 	`{not json`,
@@ -43,7 +44,8 @@ var queryRouteSeeds = []string{
 // FuzzQueryRoute: any POST /api/query body sent to an in-memory
 // one-pipeline deployment over a small study is answered, never with a
 // panic or a 5xx. A body that is not one JSON value followed by nothing
-// but whitespace, or whose query does not parse, is a 400; every answer but a 200 is the JSON error envelope; and a
+// but whitespace, whose query does not parse, or whose maxResults is
+// negative, is a 400; every answer but a 200 is the JSON error envelope; and a
 // 200 is the in-memory three-shard deployment's answer to the same body,
 // byte for byte but for what each store gives of its own (see
 // Views.Query): the planner's variable order, the order of the subgraphs
@@ -83,7 +85,7 @@ func FuzzQueryRoute(f *testing.F) {
 		if err == nil {
 			q, err = query.Parse(req.Query)
 		}
-		if err != nil && rr.Code != http.StatusBadRequest {
+		if (err != nil || req.MaxResults < 0) && rr.Code != http.StatusBadRequest {
 			t.Fatalf("malformed query answered %d: %s", rr.Code, rr.Body.Bytes())
 		}
 		if rr.Code != http.StatusOK {

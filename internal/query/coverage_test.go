@@ -222,7 +222,7 @@ select contents
 where {
   ?a isa annotation .
 }
-limit 5`, Options{OrderBySelectivity: true, MaxResults: 2})
+limit 5`, Options{MaxResults: 2})
 	must(t, err)
 	if res.Stats.Matches != 2 {
 		t.Fatalf("tighter caller cap: matches = %d", res.Stats.Matches)

@@ -21,8 +21,8 @@ import (
 // TestDifferentialPlannerEquivalence is the planner's correctness
 // oracle: random stores × random queries, executed four ways — the
 // cost-based planner with semi-join enumeration, the same order with
-// the candidate×candidate nested loop, declaration order (ablation A5),
-// and the retired greedy connected-smallest order — must produce
+// the candidate×candidate nested loop, declaration order, and the
+// retired greedy connected-smallest order — must produce
 // identical matches, annotations and referents. The nested loop scans
 // every domain as a slice and probes edges one by one, so it is also the
 // materialised reference for the lazy referent domains the other three
@@ -62,14 +62,16 @@ func checkFourWays(t *testing.T, s *core.Store, src string) {
 	// everything under the cap the exploration is exhaustive and the cap
 	// is invisible.
 	const matchCap = 3000
-	auto, err := p.ExecuteParsedCtx(context.Background(), parsed, Options{OrderBySelectivity: true, MaxResults: matchCap})
+	opts := Options{MaxResults: matchCap}
+	auto, err := p.ExecuteParsedCtx(context.Background(), parsed, opts)
 	must(t, err)
 	if auto.Stats.Matches >= matchCap || auto.Stats.BindingsTried > 100_000 {
 		return
 	}
-	nested, err := p.ExecuteParsedCtx(context.Background(), parsed, Options{OrderBySelectivity: true, Join: JoinNestedLoop, MaxResults: matchCap})
+	v := s.View()
+	nested, err := runRef(v, parsed, opts, true, nil)
 	must(t, err)
-	decl, err := p.ExecuteParsedCtx(context.Background(), parsed, Options{OrderBySelectivity: false, MaxResults: matchCap})
+	decl, err := runRef(v, parsed, opts, false, declarationOrder(parsed))
 	must(t, err)
 	// Replay the retired greedy connected-smallest order (sizes are all
 	// it consulted).
@@ -77,8 +79,7 @@ func checkFourWays(t *testing.T, s *core.Store, src string) {
 	for name, n := range auto.Stats.CandidateCounts {
 		fakeDomains[name] = &domain{size: n, listed: true}
 	}
-	run := &execution{view: s.View(), ctx: context.Background()}
-	greedy, err := run.executeOrdered(parsed, Options{OrderBySelectivity: true, MaxResults: matchCap}, planOrderGreedy(parsed, fakeDomains))
+	greedy, err := runRef(v, parsed, opts, false, planOrderGreedy(parsed, fakeDomains))
 	must(t, err)
 
 	// Same order ⇒ the match stream itself must be identical.
@@ -108,6 +109,65 @@ func checkFourWays(t *testing.T, s *core.Store, src string) {
 				name, src, refIDs(res.Referents), refIDs(auto.Referents))
 		}
 	}
+}
+
+// runRef executes q on v as a reference run: with the binding order
+// forced when order is non-nil, and with every step a candidate scan
+// (the nested-loop join) when nested is set.
+func runRef(v *core.View, q *Query, opts Options, nested bool, order []string) (*Result, error) {
+	e := &execution{view: v, ctx: context.Background(), nestedLoop: nested}
+	return e.executeOrdered(q, opts, order)
+}
+
+// planOrderGreedy is the retired connected-smallest heuristic (the
+// planner before cost-based ordering): the smallest unresolved candidate
+// set joined to the bound set goes next, falling back to the global
+// smallest. The cost planner's joins must produce identical results
+// under this order too.
+func planOrderGreedy(q *Query, domains map[string]*domain) []string {
+	names := declarationOrder(q)
+	adjacent := make(map[string]map[string]bool)
+	for _, e := range q.Edges {
+		if adjacent[e.From] == nil {
+			adjacent[e.From] = make(map[string]bool)
+		}
+		if adjacent[e.To] == nil {
+			adjacent[e.To] = make(map[string]bool)
+		}
+		adjacent[e.From][e.To] = true
+		adjacent[e.To][e.From] = true
+	}
+	var order []string
+	bound := make(map[string]bool)
+	for len(order) < len(names) {
+		best := ""
+		bestConnected := false
+		for _, name := range names {
+			if bound[name] {
+				continue
+			}
+			connected := false
+			for b := range bound {
+				if adjacent[name][b] {
+					connected = true
+					break
+				}
+			}
+			if best == "" {
+				best, bestConnected = name, connected
+				continue
+			}
+			switch {
+			case connected && !bestConnected:
+				best, bestConnected = name, connected
+			case connected == bestConnected && domains[name].size < domains[best].size:
+				best, bestConnected = name, connected
+			}
+		}
+		order = append(order, best)
+		bound[best] = true
+	}
+	return order
 }
 
 // lazyRoleQueries put a predicate-only referent variable — one each of
@@ -168,11 +228,9 @@ func TestLazyDomainRoles(t *testing.T) {
 			// referents, still without listing it.
 			{"sampled as bound endpoint", []string{"a", "r", "o"}, true, 1},
 		} {
-			run := &execution{view: s.View(), ctx: context.Background()}
-			got, err := run.executeOrdered(parsed, Options{OrderBySelectivity: true}, role.order)
+			got, err := runRef(s.View(), parsed, Options{}, false, role.order)
 			must(t, err)
-			run = &execution{view: s.View(), ctx: context.Background()}
-			want, err := run.executeOrdered(parsed, Options{OrderBySelectivity: true, Join: JoinNestedLoop}, role.order)
+			want, err := runRef(s.View(), parsed, Options{}, true, role.order)
 			must(t, err)
 			if !reflect.DeepEqual(got.Matches, want.Matches) {
 				t.Fatalf("%s: match stream diverged from the nested loop on:\n%s\n got %v\nwant %v",

@@ -37,22 +37,12 @@ func NewProcessor(s *core.Store) *Processor { return &Processor{store: s} }
 
 // Options tune execution.
 type Options struct {
-	// OrderBySelectivity enables the paper's "finding a feasible order
-	// among these subqueries": the cost-based planner orders variables
-	// by estimated cost, combining candidate counts with per-edge
-	// fan-out estimated from a-graph degree counts. Disabling it
-	// (ablation A5) binds variables in declaration order; results are
-	// identical either way.
-	OrderBySelectivity bool
 	// MaxResults caps the number of matches (0 = unlimited).
 	MaxResults int
-	// Join selects the join mechanism (see JoinStrategy). The zero
-	// value, JoinAuto, uses index-driven semi-join enumeration.
-	Join JoinStrategy
 }
 
-// DefaultOptions enable selectivity ordering.
-var DefaultOptions = Options{OrderBySelectivity: true}
+// DefaultOptions is the zero Options: no cap beyond the query's own limit.
+var DefaultOptions Options
 
 // Match binds each query variable to an a-graph node.
 type Match map[string]agraph.NodeRef
@@ -103,7 +93,7 @@ func Run(ctx context.Context, v *core.View, q *Query, opts Options) (*Result, er
 	sp := trace.FromContext(ctx).StartChild("query")
 	defer sp.Finish()
 	run := &execution{view: v, ctx: ctx}
-	res, err := run.execute(q, opts)
+	res, err := run.executeOrdered(q, opts, nil)
 	if err == nil && sp != nil {
 		sp.SetAttrInt("vars", int64(len(q.Vars)))
 		sp.SetAttrInt("matches", int64(len(res.Matches)))
@@ -121,6 +111,10 @@ type execution struct {
 	// to intersect enumerated neighbors with the candidate set and restore
 	// candidate order.
 	posIndex map[string]map[agraph.NodeRef]int
+	// nestedLoop binds every variable by candidate scan, probing each
+	// candidate's edges with HasEdgeBetween: the candidate×candidate join
+	// the planner replaced, kept as the tests' reference.
+	nestedLoop bool
 }
 
 // domain is one variable's candidate set: its exact size and, once listed,
@@ -231,13 +225,9 @@ func (e *execution) eachReferent(props []Prop, fn func(*core.Referent)) error {
 	return err
 }
 
-func (e *execution) execute(q *Query, opts Options) (*Result, error) {
-	return e.executeOrdered(q, opts, nil)
-}
-
 // executeOrdered runs q, optionally forcing the variable binding order
-// (the differential tests replay legacy orders through it; nil lets the
-// planner decide).
+// (the tests replay declaration order and the retired greedy order
+// through it; nil lets the planner decide).
 func (e *execution) executeOrdered(q *Query, opts Options, forcedOrder []string) (*Result, error) {
 	start := time.Now()
 	// Phase 1 — sub-query separation: resolve per-type candidate sets.
@@ -258,7 +248,7 @@ func (e *execution) executeOrdered(q *Query, opts Options, forcedOrder []string)
 
 	// Phase 2 — cost-based planning: a feasible order plus a per-variable
 	// join strategy (see plan.go).
-	pl, err := e.buildPlan(q, domains, opts, forcedOrder)
+	pl, err := e.buildPlan(q, domains, forcedOrder)
 	if err != nil {
 		return nil, err
 	}

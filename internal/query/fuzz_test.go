@@ -26,14 +26,14 @@ func FuzzQuery(f *testing.F) {
 		if err != nil {
 			return
 		}
-		opts := Options{
-			OrderBySelectivity: mode&1 == 0,
-			Join:               JoinStrategy(mode >> 1 & 1),
-			MaxResults:         8,
+		var order []string
+		if mode&1 == 1 {
+			order = declarationOrder(q)
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 		defer cancel()
-		_, _ = Run(ctx, v, q, opts)
+		e := &execution{view: v, ctx: ctx, nestedLoop: mode>>1&1 == 1}
+		_, _ = e.executeOrdered(q, Options{MaxResults: 8}, order)
 	})
 }
 

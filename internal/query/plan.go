@@ -13,7 +13,7 @@
 // Candidates surviving a semi-join are re-ordered into candidate-set
 // order before binding, so the match stream is byte-identical to a
 // candidate scan under the same order — which is how the differential
-// tests prove the planner against declaration-order execution.
+// tests prove the semi-join against the nested-loop reference.
 package query
 
 import (
@@ -54,28 +54,22 @@ type plan struct {
 	strategies map[string]string
 }
 
-// buildPlan plans q's join. With selectivity ordering the binding order
-// minimises estimated cost; otherwise it is declaration order (ablation
-// A5) or the caller's forced order (differential tests). Join strategy
-// selection is independent of the order source, so every order produces
-// identical results.
-func (e *execution) buildPlan(q *Query, domains map[string]*domain,
-	opts Options, forced []string) (*plan, error) {
+// buildPlan plans q's join. The binding order is the caller's forced
+// order when there is one, else the one that minimises estimated cost.
+// Join strategy selection is independent of the order source, so every
+// order produces identical results.
+func (e *execution) buildPlan(q *Query, domains map[string]*domain, forced []string) (*plan, error) {
 	pl := &plan{
+		order:      forced,
 		costs:      make(map[string]float64, len(q.Vars)),
 		strategies: make(map[string]string, len(q.Vars)),
 	}
-	switch {
-	case forced != nil:
-		pl.order = forced
-	case opts.OrderBySelectivity:
+	if forced == nil {
 		order, err := e.planOrderCost(q, domains, pl.costs)
 		if err != nil {
 			return nil, err
 		}
 		pl.order = order
-	default:
-		pl.order = declarationOrder(q)
 	}
 	bound := make(map[string]bool, len(pl.order))
 	prefixRows := 1.0
@@ -84,7 +78,7 @@ func (e *execution) buildPlan(q *Query, domains map[string]*domain,
 		if err != nil {
 			return nil, err
 		}
-		if opts.Join == JoinNestedLoop {
+		if e.nestedLoop {
 			enum = nil
 		}
 		if _, ok := pl.costs[name]; !ok {
@@ -180,57 +174,6 @@ func (e *execution) planOrderCost(q *Query, domains map[string]*domain,
 		bound[best] = true
 	}
 	return order, nil
-}
-
-// planOrderGreedy is the retired connected-smallest heuristic (the
-// planner before cost-based ordering): the smallest unresolved candidate
-// set joined to the bound set goes next, falling back to the global
-// smallest. Kept as a differential-test oracle — the cost planner must
-// produce identical results under this order too.
-func planOrderGreedy(q *Query, domains map[string]*domain) []string {
-	names := declarationOrder(q)
-	adjacent := make(map[string]map[string]bool)
-	for _, e := range q.Edges {
-		if adjacent[e.From] == nil {
-			adjacent[e.From] = make(map[string]bool)
-		}
-		if adjacent[e.To] == nil {
-			adjacent[e.To] = make(map[string]bool)
-		}
-		adjacent[e.From][e.To] = true
-		adjacent[e.To][e.From] = true
-	}
-	var order []string
-	bound := make(map[string]bool)
-	for len(order) < len(names) {
-		best := ""
-		bestConnected := false
-		for _, name := range names {
-			if bound[name] {
-				continue
-			}
-			connected := false
-			for b := range bound {
-				if adjacent[name][b] {
-					connected = true
-					break
-				}
-			}
-			if best == "" {
-				best, bestConnected = name, connected
-				continue
-			}
-			switch {
-			case connected && !bestConnected:
-				best, bestConnected = name, connected
-			case connected == bestConnected && domains[name].size < domains[best].size:
-				best, bestConnected = name, connected
-			}
-		}
-		order = append(order, best)
-		bound[best] = true
-	}
-	return order
 }
 
 func declarationOrder(q *Query) []string {

@@ -56,9 +56,9 @@ func TestSemiJoinPrunesBindings(t *testing.T) {
 	p := NewProcessor(s)
 	q := MustParse(plannerJoinSrc)
 
-	auto, err := p.ExecuteParsedCtx(context.Background(), q, Options{OrderBySelectivity: true})
+	auto, err := p.ExecuteParsedCtx(context.Background(), q, DefaultOptions)
 	must(t, err)
-	nested, err := p.ExecuteParsedCtx(context.Background(), q, Options{OrderBySelectivity: true, Join: JoinNestedLoop})
+	nested, err := runRef(s.View(), q, DefaultOptions, true, nil)
 	must(t, err)
 
 	if !reflect.DeepEqual(auto.Matches, nested.Matches) {
@@ -104,8 +104,8 @@ func TestPlannerExplainSurface(t *testing.T) {
 	if got := res.Stats.Strategies["r"]; !strings.HasPrefix(got, "semi-join(") {
 		t.Fatalf("strategy for ?r = %q, want semi-join", got)
 	}
-	// The nested-loop ablation reports scans everywhere.
-	res, err = p.Execute(plannerJoinSrc, Options{OrderBySelectivity: true, Join: JoinNestedLoop})
+	// The nested-loop reference reports scans everywhere.
+	res, err = runRef(s.View(), MustParse(plannerJoinSrc), DefaultOptions, true, nil)
 	must(t, err)
 	for name, strat := range res.Stats.Strategies {
 		if strat != "scan" {

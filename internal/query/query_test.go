@@ -1,7 +1,6 @@
 package query
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"slices"
@@ -327,9 +326,10 @@ where {
   ?r isa referent ; kind region ; domain "atlas" ; overlaps [0, 0, 70, 70] .
   ?a annotates ?r .
 }`
-	smart, err := p.Execute(src, Options{OrderBySelectivity: true})
+	smart, err := p.Execute(src, DefaultOptions)
 	must(t, err)
-	naive, err := p.Execute(src, Options{OrderBySelectivity: false})
+	q := MustParse(src)
+	naive, err := runRef(s.View(), q, DefaultOptions, false, declarationOrder(q))
 	must(t, err)
 	// Same answers: brain-1's [10,60)² and brain-2's [50,90)² overlap the box.
 	if len(smart.Annotations) != len(naive.Annotations) || len(smart.Annotations) != 2 {
@@ -356,7 +356,7 @@ func TestMaxResults(t *testing.T) {
 select contents
 where {
   ?a isa annotation .
-}`, Options{OrderBySelectivity: true, MaxResults: 3})
+}`, Options{MaxResults: 3})
 	must(t, err)
 	if res.Stats.Matches != 3 {
 		t.Fatalf("matches = %d, want 3", res.Stats.Matches)
@@ -410,7 +410,7 @@ where {
 // read the a-graph of the view the execution pinned. With a view pinned,
 // one of the four protease annotations is deleted and a new one commits on
 // its neighbour's referent and on the decoy's; the same query over the
-// pinned view answers exactly as before them — in either join strategy —
+// pinned view answers exactly as before them — semi-join or nested loop —
 // and only a fresh view sees the new state.
 func TestPinnedViewQuery(t *testing.T) {
 	s := newQueryStore(t)
@@ -427,11 +427,9 @@ where {
 	v := s.View()
 	// run renders the matches and their subgraphs (a match's terminals
 	// come in map order; DOT sorts them).
-	run := func(v *core.View, join JoinStrategy) []string {
+	run := func(v *core.View, nested bool) []string {
 		t.Helper()
-		opts := DefaultOptions
-		opts.Join = join
-		res, err := (&execution{view: v, ctx: context.Background()}).execute(q, opts)
+		res, err := runRef(v, q, DefaultOptions, nested, nil)
 		must(t, err)
 		out := make([]string, len(res.Matches))
 		for i, m := range res.Matches {
@@ -439,7 +437,7 @@ where {
 		}
 		return out
 	}
-	before := run(v, JoinAuto)
+	before := run(v, false)
 	if len(before) != 4 {
 		t.Fatalf("fixture: %d matches", len(before))
 	}
@@ -454,12 +452,12 @@ where {
 		Body("protease motif epsilon").Refer(shared).Refer(decoy))
 	must(t, err)
 
-	for _, join := range []JoinStrategy{JoinAuto, JoinNestedLoop} {
-		if after := run(v, join); !slices.Equal(after, before) {
-			t.Fatalf("join %v over the pinned view after the delete and the commit:\n%v\nbefore them:\n%v", join, after, before)
+	for _, nested := range []bool{false, true} {
+		if after := run(v, nested); !slices.Equal(after, before) {
+			t.Fatalf("nested loop %v over the pinned view after the delete and the commit:\n%v\nbefore them:\n%v", nested, after, before)
 		}
 	}
-	if now := run(s.View(), JoinAuto); len(now) != 5 {
+	if now := run(s.View(), false); len(now) != 5 {
 		t.Fatalf("current view: %d matches, want 5 (three survivors, the new annotation on two referents)", len(now))
 	}
 }

@@ -1,25 +1,9 @@
 package query
 
-// JoinStrategy selects how the join phase binds a variable that is
-// pattern-connected to already-bound variables.
-type JoinStrategy uint8
-
-const (
-	// JoinAuto enumerates the bound endpoint's a-graph edges and
-	// intersects with the unbound variable's candidate set (semi-join
-	// pruning), falling back to a candidate scan when enumeration is
-	// estimated to be more expensive. The default.
-	JoinAuto JoinStrategy = iota
-	// JoinNestedLoop probes every candidate with HasEdgeBetween — the
-	// pre-planner candidate×candidate baseline, kept for ablations and
-	// the planner benchmark. Results are identical to JoinAuto.
-	JoinNestedLoop
-)
-
 // Stats reports how execution went: the sub-query sizes, the plan the
 // processor chose (with its cost estimates — the explain surface), and
-// the join work actually performed. Used by ablation A5, the planner
-// benchmark and the HTTP API's ?explain=1 response.
+// the join work actually performed. The HTTP API's ?explain=1 response
+// shows it, and the planner's tests and benchmarks read it.
 type Stats struct {
 	// CandidateCounts is the per-variable sub-query result size.
 	CandidateCounts map[string]int

@@ -61,13 +61,28 @@ if [ -n "$BASELINE" ]; then
     JSON="BENCH_current.json"
 fi
 
-PATTERN='BenchmarkF1AGraphScenario|BenchmarkF2AnnotateWorkflow|BenchmarkF3QueryTab|BenchmarkQ1TP53|BenchmarkQ2Protease|BenchmarkO1SubXOps|BenchmarkO2OntologyOps|BenchmarkO3AGraphPrimitives|BenchmarkA1IndexConsolidation|BenchmarkA2IntervalVsScan|BenchmarkA3RTreeVsScan|BenchmarkA4ConnectStrategies|BenchmarkA5PlannerOrdering|BenchmarkA6ContentIndex|BenchmarkA7BulkLoadVsIncremental|BenchmarkLoadSnapshot|BenchmarkCommitAtStoreSize|BenchmarkW1DurableCommit|BenchmarkW2MixedReadWrite|BenchmarkSearchContentsParallel|BenchmarkPropagation|BenchmarkPlanner|BenchmarkReadPath|BenchmarkWireEncode'
+PATTERN='BenchmarkF1AGraphScenario|BenchmarkF2AnnotateWorkflow|BenchmarkF3QueryTab|BenchmarkQ1TP53|BenchmarkQ2Protease|BenchmarkO1SubXOps|BenchmarkO2OntologyOps|BenchmarkO3AGraphPrimitives|BenchmarkA1IndexConsolidation|BenchmarkA2IntervalVsScan|BenchmarkA3RTreeVsScan|BenchmarkA5PlannerOrdering|BenchmarkA6ContentIndex|BenchmarkA7BulkLoadVsIncremental|BenchmarkLoadSnapshot|BenchmarkCommitAtStoreSize|BenchmarkW1DurableCommit|BenchmarkW2MixedReadWrite|BenchmarkSearchContentsParallel|BenchmarkPropagation|BenchmarkPlanner|BenchmarkReadPath|BenchmarkWireEncode'
 
 # BenchmarkWireEncode (one annotation's wire form, cold and warm) lives
-# beside the unexported encoder it measures, in internal/httpapi.
+# beside the unexported encoder it measures, in internal/httpapi, and the
+# planner's (BenchmarkPlanner, BenchmarkA5PlannerOrdering) beside the
+# nested-loop reference they compare against, in internal/query.
+PKGS=". ./internal/httpapi ./internal/query"
+
+# A benchmark that is renamed or moves out of $PKGS would drop out of the
+# run and the guard set without a word: every alternative of PATTERN and
+# GUARDS must match a benchmark that `go test -list` finds there.
+LISTED="$(go test -list '^Benchmark' $PKGS)"
+for alt in $(printf '%s|%s' "$PATTERN" "$GUARDS" | tr '|' ' '); do
+    if ! grep -Eq -- "$alt" <<<"$LISTED"; then
+        echo "bench.sh: $alt matches no benchmark in $PKGS" >&2
+        exit 2
+    fi
+done
+
 echo "running benchmark suites (benchtime=${BENCHTIME}, count=${COUNT})…" >&2
 go test -run '^$' -bench "$PATTERN" -benchmem \
-    -benchtime "$BENCHTIME" -count "$COUNT" -timeout "$TIMEOUT" . ./internal/httpapi | tee "$TXT"
+    -benchtime "$BENCHTIME" -count "$COUNT" -timeout "$TIMEOUT" $PKGS | tee "$TXT"
 
 # Convert the standard benchmark lines to JSON:
 #   BenchmarkName/sub=1-8  123  456 ns/op  789 B/op  12 allocs/op
