@@ -122,14 +122,7 @@ func TestQ2AgainstGroundTruth(t *testing.T) {
 		}
 		// Every link's witness annotation carries the keyword.
 		for _, ann := range c.Annotations {
-			found := false
-			for _, w := range ann.Content.Keywords() {
-				if w == "protease" {
-					found = true
-					break
-				}
-			}
-			if !found {
+			if !ann.HasKeyword("protease") {
 				t.Fatal("witness annotation lacks the keyword")
 			}
 		}

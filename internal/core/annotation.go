@@ -61,13 +61,54 @@ func ReferenceSlots(d *xmldoc.Document) (refs []int32, terms [][2]int32) {
 type refSlots struct {
 	refs  []int32
 	terms [][2]int32
+	// words are the slots of what the annotator wrote: the values of every
+	// element under the root but <referents> (<meta>, <body>, <tags>,
+	// <ontologyRefs>), not the root's id or the stanza the store prints;
+	// buildContentDoc writes no comment. A keyword is a token
+	// (xmldoc.AppendTokens) of these slots; nothing else defines one.
+	words []int32
 }
 
-// contentSlots keeps ReferenceSlots on each document shape.
+// contentSlots keeps ReferenceSlots and the keyword slots on each shape.
 var contentSlots = xmldoc.NewShapeMemo(func(d *xmldoc.Document) *refSlots {
 	refs, terms := ReferenceSlots(d)
-	return &refSlots{refs, terms}
+	var words []int32
+	for el := d.Root.FirstChild(); el.Valid(); el = el.NextSibling() {
+		if el.Name() == "referents" {
+			continue
+		}
+		for k := range el.Slots().Len() {
+			words = append(words, int32(el.Slot()+k))
+		}
+	}
+	return &refSlots{refs, terms, words}
 })
+
+// keywords returns the annotation's keywords, distinct and sorted: what the
+// keyword index holds. They are gathered in a stack buffer and only the
+// distinct ones copied out; a token may share memory with the document.
+func (a *Annotation) keywords() []string {
+	var buf [64]string
+	words, vals := buf[:0], a.Content.Root.Slots()
+	for _, s := range contentSlots.Get(a.Content).words {
+		words = xmldoc.AppendTokens(words, vals.At(int(s)))
+	}
+	slices.Sort(words)
+	return slices.Clone(slices.Compact(words))
+}
+
+// HasKeyword reports whether word, trimmed and lower-cased as SearchKeyword
+// does, is a keyword of the annotation; only lower-casing allocates. The
+// query's contains and a rule's keyword trigger match through it.
+func (a *Annotation) HasKeyword(word string) bool {
+	token, vals := normalizeKeyword(word), a.Content.Root.Slots()
+	for _, s := range contentSlots.Get(a.Content).words {
+		if xmldoc.HasToken(vals.At(int(s)), token) {
+			return true
+		}
+	}
+	return false
+}
 
 // ReferentIDs visits the IDs of the annotation's committed referents, in
 // builder order, until yield returns false.
@@ -462,10 +503,10 @@ func (x *Tx) commit(b *Builder, pinnedAnn uint64, pinnedRefs []uint64) (*Annotat
 	}
 	its.store(&x.it)
 	rts.store(&x.rt)
-	// Keyword index over the content document (ablation A6). IDs ascend
-	// across the writer chain, so the usual insert is a tail append.
+	// Keyword index over what the annotator wrote. IDs ascend across the
+	// writer chain, so the usual insert is a tail append.
 	with := func(ids cow.Postings, _ bool) cow.Postings { return ids.With(annID) }
-	for _, word := range doc.Keywords() {
+	for _, word := range ann.keywords() {
 		x.kw.Update(word, with)
 	}
 	x.ops++

@@ -29,7 +29,7 @@ func (x *Tx) DeleteAnnotation(id uint64) error {
 
 	// Keyword index entries: each posting list copies the one chunk that
 	// held the ID.
-	for _, word := range ann.Content.Keywords() {
+	for _, word := range ann.keywords() {
 		ids, _ := x.kw.Get(word)
 		if pruned := ids.Without(id); pruned.Len() == 0 {
 			x.kw.Delete(word)

@@ -140,40 +140,25 @@ func searchChunk(ctx context.Context, q *xquery.Query, expr string, anns []*Anno
 	return out, nil
 }
 
-// NormalizeKeyword canonicalises a user-supplied keyword the way the
-// inverted index stores tokens: trimmed and lower-cased. Every keyword
-// comparison path (the index seed, the document scan, and the query
-// layer's contains re-check) must share this helper — normalising in
-// one path but not another makes seeded and scanned candidate sets
-// disagree on padded input like " tp53 ".
-func NormalizeKeyword(word string) string {
+// normalizeKeyword trims and lower-cases a searched word, as the index
+// stores tokens; SearchKeyword and Annotation.HasKeyword both apply it.
+func normalizeKeyword(word string) string {
 	return strings.ToLower(strings.TrimSpace(word))
 }
 
-// SearchKeyword returns the annotations whose content contains the word
-// (case-insensitive, token match). When useIndex is true the inverted
-// keyword index answers directly; otherwise every document is scanned
-// (ablation A6 compares the two).
-func (v *View) SearchKeyword(word string, useIndex bool) []*Annotation {
-	token := NormalizeKeyword(word)
+// SearchKeyword returns the annotations of which the word is a keyword
+// (Annotation.HasKeyword: case-insensitive, token match), in ID order,
+// from the inverted keyword index.
+func (v *View) SearchKeyword(word string) []*Annotation {
+	// Posting lists ascend by annotation ID, so the result needs no
+	// per-call sort.
+	ids, _ := v.keywordIdx.Get(normalizeKeyword(word))
 	var out []*Annotation
-	if useIndex {
-		// Posting lists ascend by annotation ID, so the result needs no
-		// per-call sort.
-		ids, _ := v.keywordIdx.Get(token)
-		if n := ids.Len(); n > 0 {
-			out = make([]*Annotation, 0, n)
-		}
-		ids.Each(func(id uint64) bool {
-			if ann := v.annotations.Get(id); ann != nil {
-				out = append(out, ann)
-			}
-			return true
-		})
-		return out
+	if n := ids.Len(); n > 0 {
+		out = make([]*Annotation, 0, n)
 	}
-	v.annotations.Each(func(_ uint64, ann *Annotation) bool {
-		if ann.Content.HasKeyword(token) {
+	ids.Each(func(id uint64) bool {
+		if ann := v.annotations.Get(id); ann != nil {
 			out = append(out, ann)
 		}
 		return true
@@ -181,10 +166,10 @@ func (v *View) SearchKeyword(word string, useIndex bool) []*Annotation {
 	return out
 }
 
-// SearchKeyword returns the annotations containing the word (see
-// View.SearchKeyword).
-func (s *Store) SearchKeyword(word string, useIndex bool) []*Annotation {
-	return s.View().SearchKeyword(word, useIndex)
+// SearchKeyword is View.SearchKeyword. The bool is ignored; the benchmark
+// harness's reader interface still names it.
+func (s *Store) SearchKeyword(word string, _ bool) []*Annotation {
+	return s.View().SearchKeyword(word)
 }
 
 // AnnotationsOfReferent returns the annotations attached to a referent.

@@ -149,10 +149,10 @@ func TestKeywordIndexSorted(t *testing.T) {
 	if checked == 0 {
 		t.Fatal("keyword index empty: bad fixture")
 	}
-	// And the indexed search path returns ID-sorted results equal to the
-	// scan path on the same view.
-	idx := v.SearchKeyword("special", true)
-	scan := v.SearchKeyword("special", false)
+	// And the indexed search returns ID-sorted results equal to a scan
+	// of the same view.
+	idx := v.SearchKeyword("special")
+	scan := scanKeyword(v, "special")
 	if len(idx) != len(scan) || len(idx) == 0 {
 		t.Fatalf("index %d hits, scan %d", len(idx), len(scan))
 	}

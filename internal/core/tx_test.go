@@ -223,7 +223,7 @@ func TestBatchIsOnePublishForReaders(t *testing.T) {
 					return
 				}
 				var got []uint64
-				for _, ann := range v.SearchKeyword("2008-01-01", true) {
+				for _, ann := range v.SearchKeyword("2008-01-01") {
 					got = append(got, ann.ID)
 				}
 				if !slices.Equal(got, wantIDs) {

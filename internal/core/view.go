@@ -354,8 +354,8 @@ func (v *View) EachKeyword(fn func(word string) bool) {
 	v.keywordIdx.Each(func(word string, _ cow.Postings) bool { return fn(word) })
 }
 
-// IndexesKeyword reports whether the keyword index holds word, a token
-// as xmldoc.Document.Keywords produces it (see NormalizeKeyword).
+// IndexesKeyword reports whether the keyword index holds word, a keyword
+// of some annotation as Annotation.HasKeyword defines it (normalized).
 func (v *View) IndexesKeyword(word string) bool {
 	_, ok := v.keywordIdx.Get(word)
 	return ok

@@ -240,6 +240,7 @@ func writeErr(w http.ResponseWriter, r *http.Request, err error) {
 		errors.Is(err, core.ErrEmptyAnnotation),
 		errors.Is(err, query.ErrSyntax),
 		errors.Is(err, query.ErrXPath),
+		errors.Is(err, query.ErrNegativeMaxResults),
 		errors.Is(err, prop.ErrBadRule),
 		errors.Is(err, shard.ErrCrossShardReferent),
 		errors.Is(err, shard.ErrCrossProduct):
@@ -424,7 +425,7 @@ func (s *server) stats(w http.ResponseWriter, _ *http.Request) {
 func (s *server) listAnnotations(w http.ResponseWriter, r *http.Request) {
 	vs := s.sh.Views()
 	if keyword := r.URL.Query().Get("keyword"); keyword != "" {
-		writeAnnotations(w, r, vs.SearchKeyword(keyword, true))
+		writeAnnotations(w, r, vs.SearchKeyword(keyword))
 	} else {
 		writeAnnotations(w, r, vs.Annotations())
 	}
@@ -661,12 +662,6 @@ type subgraphView struct {
 func (s *server) runQuery(w http.ResponseWriter, r *http.Request) {
 	var req queryRequest
 	if !s.decodeJSON(w, r, &req) {
-		return
-	}
-	if req.MaxResults < 0 {
-		// The query's own limit must be at least 1; a negative cap would
-		// lift it.
-		jsonError(w, r, http.StatusBadRequest, "maxResults must not be negative")
 		return
 	}
 	ctx, cancel := s.queryCtx(r)

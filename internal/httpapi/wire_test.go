@@ -357,7 +357,7 @@ func TestSkeletonUnderConcurrentReads(t *testing.T) {
 		}
 		return answers{
 			list:    refList(t, v.Annotations()),
-			keyword: refList(t, v.SearchKeyword("shared", true)),
+			keyword: refList(t, v.SearchKeyword("shared")),
 			first:   refOne(t, first),
 		}
 	}

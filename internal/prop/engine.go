@@ -273,9 +273,8 @@ func (rs ruleSet) evalSource(v *core.View, ann *core.Annotation,
 		ownRefs[id] = true
 	}
 	for _, rule := range rs {
-		// The keyword trigger matches as SearchKeyword and the query
-		// engine's contains do, under the keyword index's normalization.
-		if rule.Keyword != "" && !ann.Content.HasKeyword(core.NormalizeKeyword(rule.Keyword)) {
+		// The keyword trigger matches as SearchKeyword and contains do.
+		if rule.Keyword != "" && !ann.HasKeyword(rule.Keyword) {
 			continue
 		}
 		if rule.Term != "" && !referencesTerm(ann, rule.Ontology, rule.Term) {

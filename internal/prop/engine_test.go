@@ -370,7 +370,7 @@ func TestPaddedKeywordTrigger(t *testing.T) {
 	}
 	a1 := commitInterval(t, s, 100, 200, "protease cleavage site")
 	a2 := commitInterval(t, s, 150, 250, "unrelated signal")
-	if hits := s.View().SearchKeyword(word, true); len(hits) != 1 || hits[0].ID != a1.ID {
+	if hits := s.View().SearchKeyword(word); len(hits) != 1 || hits[0].ID != a1.ID {
 		t.Fatalf("SearchKeyword(%q) = %v, want annotation %d", word, hits, a1.ID)
 	}
 	if got := s.View().DerivedFrom(a1.ID); len(got) != 1 {

@@ -106,8 +106,8 @@ type Rule struct {
 	// ID names the rule; it is recorded in every fact's provenance.
 	ID string `json:"id"`
 
-	// Keyword, when set, requires the source annotation's content to
-	// contain the (case-insensitive) keyword token.
+	// Keyword, when set, must be a keyword of the source annotation
+	// (core.Annotation.HasKeyword).
 	Keyword string `json:"keyword,omitempty"`
 	// Ontology/Term, when Term is set, require the source annotation to
 	// reference exactly that term. With EdgeOntologyClosure, Ontology

@@ -37,8 +37,24 @@ func NewProcessor(s *core.Store) *Processor { return &Processor{store: s} }
 
 // Options tune execution.
 type Options struct {
-	// MaxResults caps the number of matches (0 = unlimited).
+	// MaxResults caps the number of matches (0 = unlimited; see Limit).
 	MaxResults int
+}
+
+// ErrNegativeMaxResults refuses a negative Options.MaxResults: a query's
+// own limit is at least 1, and a negative cap must not lift it.
+var ErrNegativeMaxResults = errors.New("query: maxResults must not be negative")
+
+// Limit returns how many matches a run of q under o keeps (0: all): the
+// query's own limit clause, or MaxResults when that is set and lower.
+func (o Options) Limit(q *Query) (int, error) {
+	switch {
+	case o.MaxResults < 0:
+		return 0, ErrNegativeMaxResults
+	case o.MaxResults == 0 || q.Limit > 0 && q.Limit < o.MaxResults:
+		return q.Limit, nil
+	}
+	return o.MaxResults, nil
 }
 
 // DefaultOptions is the zero Options: no cap beyond the query's own limit.
@@ -230,6 +246,10 @@ func (e *execution) eachReferent(props []Prop, fn func(*core.Referent)) error {
 // through it; nil lets the planner decide).
 func (e *execution) executeOrdered(q *Query, opts Options, forcedOrder []string) (*Result, error) {
 	start := time.Now()
+	limit, err := opts.Limit(q)
+	if err != nil {
+		return nil, err
+	}
 	// Phase 1 — sub-query separation: resolve per-type candidate sets.
 	// The per-variable sub-queries are independent reads of the same
 	// immutable view, so they fan out across the available cores; results
@@ -256,12 +276,8 @@ func (e *execution) executeOrdered(q *Query, opts Options, forcedOrder []string)
 	stats.Costs = pl.costs
 	stats.Strategies = pl.strategies
 
-	// Phase 3 — joining along a-graph edges with backtracking. The query's
-	// own "limit N" clause applies unless the caller set a tighter cap.
-	limit := opts.MaxResults
-	if q.Limit > 0 && (limit == 0 || q.Limit < limit) {
-		limit = q.Limit
-	}
+	// Phase 3 — joining along a-graph edges with backtracking, to the
+	// limit.
 	var matches []Match
 	binding := make(Match, len(q.Vars))
 	if err := e.backtrack(q, domains, pl, 0, binding, &matches, &stats, limit); err != nil {
@@ -384,15 +400,9 @@ func (e *execution) candidates(v *VarDecl) (*domain, error) {
 func (e *execution) annotationCandidates(v *VarDecl) ([]agraph.NodeRef, error) {
 	// Start from the most selective source available: a keyword.
 	var anns []*core.Annotation
-	seeded := false
-	for _, prop := range v.Props {
-		if prop.Kind == PropContains {
-			anns = e.view.SearchKeyword(prop.Str, true)
-			seeded = true
-			break
-		}
-	}
-	if !seeded {
+	if k := slices.IndexFunc(v.Props, func(p Prop) bool { return p.Kind == PropContains }); k >= 0 {
+		anns = e.view.SearchKeyword(v.Props[k].Str)
+	} else {
 		anns = e.view.Annotations()
 	}
 	var out []agraph.NodeRef
@@ -421,11 +431,9 @@ func (e *execution) annotationMatches(ann *core.Annotation, props []Prop) (bool,
 				return false, nil
 			}
 		case PropContains:
-			// Must match View.SearchKeyword's normalization exactly:
-			// the keyword index seeds this variable's candidates, and a
-			// re-check under a different normalization would reject the
-			// index's own hits (padded input like `contains " tp53 "`).
-			if !ann.Content.HasKeyword(core.NormalizeKeyword(prop.Str)) {
+			// HasKeyword is the keyword index's own definition, so the
+			// re-check keeps every hit the index seeded.
+			if !ann.HasKeyword(prop.Str) {
 				return false, nil
 			}
 		case PropCreator:

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"slices"
@@ -442,7 +443,7 @@ where {
 		t.Fatalf("fixture: %d matches", len(before))
 	}
 
-	anns := v.SearchKeyword("protease", true)
+	anns := v.SearchKeyword("protease")
 	must(t, s.DeleteAnnotation(anns[1].ID))
 	shared, err := v.Referent(slices.Collect(anns[0].ReferentIDs)[0])
 	must(t, err)
@@ -485,4 +486,23 @@ func MustParse(src string) *Query {
 		panic(err)
 	}
 	return q
+}
+
+// TestLimitRule: a run keeps the query's own limit, or MaxResults when
+// that is set and lower; a negative MaxResults is refused, by Limit and
+// by Run, rather than lifting the limit.
+func TestLimitRule(t *testing.T) {
+	for _, c := range []struct{ max, limit, want int }{
+		{0, 0, 0}, {0, 2, 2}, {5, 2, 2}, {1, 2, 1}, {3, 0, 3},
+	} {
+		if got, err := (Options{MaxResults: c.max}).Limit(&Query{Limit: c.limit}); got != c.want || err != nil {
+			t.Errorf("MaxResults %d, limit %d: Limit = %d, %v; want %d", c.max, c.limit, got, err, c.want)
+		}
+	}
+	q, err := Parse(`select contents where { ?a isa annotation . } limit 2`)
+	must(t, err)
+	res, err := Run(context.Background(), newQueryStore(t).View(), q, Options{MaxResults: -1})
+	if !errors.Is(err, ErrNegativeMaxResults) || res != nil {
+		t.Fatalf("Run with MaxResults -1 = %v, %v; want ErrNegativeMaxResults", res, err)
+	}
 }

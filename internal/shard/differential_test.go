@@ -219,9 +219,11 @@ func annIDs(anns []*core.Annotation) []uint64 {
 }
 
 // TestOneShardQueryIsTheStoresOwn: over one pipeline Query returns what
-// the store's own processor returns — the planner's account included, and
-// with a cap that one match of two annotation variables overshoots in
-// annotations: the merge re-caps only what the shards together exceed.
+// the store's own processor returns — the planner's account included,
+// lazy domains too, and with a cap that one match of two annotation
+// variables overshoots in annotations: the merge re-caps only what the
+// shards together exceed. A negative cap is refused on both paths, not
+// taken as lifting the query's own limit.
 func TestOneShardQueryIsTheStoresOwn(t *testing.T) {
 	want := core.NewStore()
 	registerSeq(t, func(op persist.Op) error { return want.Batch(op.Apply) }, "seq-0", "dom-0")
@@ -246,7 +248,7 @@ func TestOneShardQueryIsTheStoresOwn(t *testing.T) {
 		t.Fatal(err)
 	}
 	proc := query.NewProcessor(want)
-	overshot := false
+	overshot, lazy := false, false
 	for _, c := range []struct {
 		src string
 		max int
@@ -275,13 +277,31 @@ func TestOneShardQueryIsTheStoresOwn(t *testing.T) {
 				c.src, c.max, len(g.Annotations), len(g.Referents), len(g.Subgraphs), len(g.Matches),
 				len(w.Annotations), len(w.Referents), len(w.Subgraphs), len(w.Matches))
 		}
-		g.Stats.LazyDomains = w.Stats.LazyDomains // a span attribute; the merge does not carry it
+		lazy = lazy || w.Stats.LazyDomains > 0
 		if !reflect.DeepEqual(g.Stats, w.Stats) {
 			t.Errorf("%s (max %d): planner account differs:\n got %+v\nwant %+v", c.src, c.max, g.Stats, w.Stats)
 		}
 	}
-	if !overshot {
-		t.Fatal("no capped query returned more annotations than its cap: the re-cap was never at stake")
+	if !overshot || !lazy {
+		t.Fatalf("overshot a cap %v, left a domain lazy %v: what the test holds the merge to was never at stake", overshot, lazy)
+	}
+	const limited = `select contents where { ?a isa annotation . } limit 2`
+	q, err := query.Parse(limited)
+	if err != nil {
+		t.Fatal(err)
+	}
+	matches := func(r *query.Result) int {
+		if r == nil {
+			return 0
+		}
+		return len(r.Matches)
+	}
+	neg := query.Options{MaxResults: -1}
+	if res, err := query.Run(context.Background(), want.View(), q, neg); !errors.Is(err, query.ErrNegativeMaxResults) {
+		t.Errorf("query.Run with MaxResults -1: %d matches, %v", matches(res), err)
+	}
+	if res, err := s.Views().Query(context.Background(), limited, neg); !errors.Is(err, query.ErrNegativeMaxResults) {
+		t.Errorf("Views.Query with MaxResults -1: %d matches, %v", matches(res), err)
 	}
 }
 

@@ -64,9 +64,10 @@ func (s *Store) ReferentsAt(domain string, pos int64) []*core.Referent {
 	return s.Views().ReferentsAt(domain, pos)
 }
 
-// SearchKeyword merges the per-shard keyword hits in ID order.
-func (s *Store) SearchKeyword(word string, useIndex bool) []*core.Annotation {
-	return s.Views().SearchKeyword(word, useIndex)
+// SearchKeyword is Views.SearchKeyword. The bool is ignored; the benchmark
+// harness's reader interface still names it.
+func (s *Store) SearchKeyword(word string, _ bool) []*core.Annotation {
+	return s.Views().SearchKeyword(word)
 }
 
 // MarkDomainInterval marks an interval of a coordinate domain.
@@ -206,8 +207,8 @@ func (vs Views) ReferentsAt(domain string, pos int64) []*core.Referent {
 }
 
 // SearchKeyword merges the per-shard keyword hits in ID order.
-func (vs Views) SearchKeyword(word string, useIndex bool) []*core.Annotation {
-	hits := func(v *core.View) []*core.Annotation { return v.SearchKeyword(word, useIndex) }
+func (vs Views) SearchKeyword(word string) []*core.Annotation {
+	hits := func(v *core.View) []*core.Annotation { return v.SearchKeyword(word) }
 	return mergeByID(perShard(vs, hits), annotationID)
 }
 
@@ -268,12 +269,15 @@ var ErrCrossProduct = errors.New("shard: a query pattern whose variables are not
 // Over more than one shard a pattern that is a cross product is refused
 // with ErrCrossProduct.
 // Planner statistics sum across shards; Order and Strategies report
-// shard 0's plan. The cap — MaxResults, or the query's own limit clause
-// when that is lower — caps each shard's enumeration and the merged
-// result is re-capped, so the cap holds but which matches survive can
-// differ from the unsharded store.
+// shard 0's plan. The cap (query.Options.Limit) caps each shard's
+// enumeration and the merged result is re-capped, so the cap holds but
+// which matches survive can differ from the unsharded store.
 func (vs Views) Query(ctx context.Context, src string, opts query.Options) (*query.Result, error) {
 	q, err := query.Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	limit, err := opts.Limit(q)
 	if err != nil {
 		return nil, err
 	}
@@ -317,6 +321,7 @@ func (vs Views) Query(ctx context.Context, src string, opts query.Options) (*que
 		out.Subgraphs = append(out.Subgraphs, r.Subgraphs...)
 		out.Stats.Matches += r.Stats.Matches
 		out.Stats.BindingsTried += r.Stats.BindingsTried
+		out.Stats.LazyDomains += r.Stats.LazyDomains
 		for v, c := range r.Stats.CandidateCounts {
 			out.Stats.CandidateCounts[v] += c
 		}
@@ -329,10 +334,6 @@ func (vs Views) Query(ctx context.Context, src string, opts query.Options) (*que
 	// Each shard kept to the cap on its own; only when together they
 	// exceed it is there anything to cut (never over one shard, whose
 	// answer is then the unsharded store's to the byte).
-	limit := opts.MaxResults
-	if q.Limit > 0 && (limit == 0 || q.Limit < limit) {
-		limit = q.Limit
-	}
 	if limit > 0 && len(out.Matches) > limit {
 		capTo := func(n int) int { return min(n, limit) }
 		out.Matches = out.Matches[:capTo(len(out.Matches))]

@@ -37,10 +37,10 @@ func SameAsTree(t testing.TB, flat *Document, tree *TreeDocument) {
 	if got, want := string(flat.AppendTo([]byte("x"))), "x"+tree.String(); got != want {
 		t.Fatalf("AppendTo:\n%q\ntree:\n%q", got, want)
 	}
-	if got, want := flat.Keywords(), tree.Keywords(); !slices.Equal(got, want) {
-		t.Fatalf("Keywords() = %q, tree %q", got, want)
+	if got, want := tokens(flat), tree.tokens(); !slices.Equal(got, want) {
+		t.Fatalf("tokens = %q, tree %q", got, want)
 	}
-	checkHasKeyword(t, flat)
+	checkHasToken(t, flat)
 	if flat.Len() != tree.Len() {
 		t.Fatalf("Len() = %d, tree %d", flat.Len(), tree.Len())
 	}

@@ -84,10 +84,19 @@ func Equal(a, b *Document) bool {
 	return nodeEqual(a.Root, b.Root)
 }
 
-// Tokenize splits s into lower-cased word tokens. Letters, digits, '.', '-'
-// and '_' are word characters (so terms like "protein.TP53" survive as one
-// token); everything else separates tokens.
-func Tokenize(s string) []string { return appendTokens(nil, s) }
+// tokens returns the distinct tokens, sorted, of every value of d but its
+// comments': what the tokenizer makes of a whole document.
+func tokens(d *Document) []string {
+	var words []string
+	vals := d.values()
+	for s, kind := range d.sh.slots {
+		if kind != -int32(CommentNode) {
+			words = AppendTokens(words, vals.at(s))
+		}
+	}
+	slices.Sort(words)
+	return slices.Compact(words)
+}
 
 func nodeEqual(a, b Node) bool {
 	if a.Kind() != b.Kind() || a.Name() != b.Name() || a.Value() != b.Value() {

@@ -6,7 +6,7 @@ package xmldoc
 // content_test.go from outside the package, hence the exported names).
 // Only the names changed: Node → TreeNode, Document → TreeDocument,
 // NewDocument → NewTreeDocument, Parse → ParseTree, Equal → TreeEqual.
-// appendIndent, appendEscaped and appendTokens are shared with the slab's
+// appendIndent, appendEscaped and AppendTokens are shared with the slab's
 // serializer; they did not change.
 
 import (
@@ -439,28 +439,23 @@ func treeNodeEqual(a, b *TreeNode) bool {
 	return true
 }
 
-// Keywords returns the distinct lower-cased word tokens appearing in the
-// document's text content and attribute values, sorted. Used by the
-// annotation store's keyword index (ablation A6), which calls it on every
-// commit and delete: the tokens are gathered in a stack buffer and only
-// the distinct ones are copied out. A token may share memory with the
-// text it was cut from.
-func (d *TreeDocument) Keywords() []string {
-	var buf [64]string
-	words := d.Root.appendKeywords(buf[:0])
+// tokens returns the distinct tokens, sorted, of the document's text
+// content and attribute values, as tokens does of a flat document.
+func (d *TreeDocument) tokens() []string {
+	words := d.Root.appendTokens(nil)
 	slices.Sort(words)
-	return slices.Clone(slices.Compact(words))
+	return slices.Compact(words)
 }
 
-func (n *TreeNode) appendKeywords(dst []string) []string {
+func (n *TreeNode) appendTokens(dst []string) []string {
 	if n.Kind == TextNode {
-		dst = appendTokens(dst, n.Value)
+		dst = AppendTokens(dst, n.Value)
 	}
 	for _, a := range n.Attrs {
-		dst = appendTokens(dst, a.Value)
+		dst = AppendTokens(dst, a.Value)
 	}
 	for _, c := range n.Children {
-		dst = c.appendKeywords(dst)
+		dst = c.appendTokens(dst)
 	}
 	return dst
 }

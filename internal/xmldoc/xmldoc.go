@@ -1173,55 +1173,12 @@ func appendEscapedJSON(dst []byte, s string) []byte {
 	return append(dst, s[start:]...)
 }
 
-// Keywords returns the distinct lower-cased word tokens appearing in the
-// document's text content and attribute values, sorted. Used by the
-// annotation store's keyword index (ablation A6), which calls it on every
-// commit and delete: the tokens are gathered in a stack buffer and only
-// the distinct ones are copied out. A token may share memory with the
-// text it was cut from.
-func (d *Document) Keywords() []string {
-	var buf [64]string
-	words := buf[:0]
-	vals, lo := d.values(), 0
-	for s, kind := range d.sh.slots {
-		hi := vals.end(s)
-		if kind != -int32(CommentNode) {
-			words = appendTokens(words, vals.blk[lo:hi])
-		}
-		lo = hi
-	}
-	slices.Sort(words)
-	return slices.Clone(slices.Compact(words))
-}
-
-// HasKeyword reports whether token is one of Keywords() — a lower-cased
-// word token of the document's text content or attribute values — with
-// no allocation: each value's tokens are compared in place.
-func (d *Document) HasKeyword(token string) bool {
-	vals, lo := d.values(), 0
-	for s, kind := range d.sh.slots {
-		hi := vals.end(s)
-		if kind != -int32(CommentNode) && hasToken(vals.blk[lo:hi], token) {
+// HasToken reports whether a token of s (see AppendTokens), lower-cased,
+// is token, with no allocation: the tokens are compared in place.
+func HasToken(s, token string) bool {
+	for lo, hi := nextToken(s, 0); lo < hi; lo, hi = nextToken(s, hi) {
+		if hi-lo == len(token) && lowerIs(s[lo:hi], token) {
 			return true
-		}
-		lo = hi
-	}
-	return false
-}
-
-// hasToken reports whether a token of s, lower-cased, is token.
-func hasToken(s, token string) bool {
-	start := -1
-	for i := 0; i <= len(s); i++ {
-		if i < len(s) && isWordByte(s[i]) {
-			if start < 0 {
-				start = i
-			}
-		} else if start >= 0 {
-			if i-start == len(token) && lowerIs(s[start:i], token) {
-				return true
-			}
-			start = -1
 		}
 	}
 	return false
@@ -1242,21 +1199,29 @@ func lowerIs(w, lower string) bool {
 	return true
 }
 
-// appendTokens appends s's tokens to dst. Word characters are ASCII, so a
-// token is a substring of s, copied only when it has to be lower-cased.
-func appendTokens(dst []string, s string) []string {
-	start := -1
-	for i := 0; i <= len(s); i++ {
-		if i < len(s) && isWordByte(s[i]) {
-			if start < 0 {
-				start = i
-			}
-		} else if start >= 0 {
-			dst = append(dst, strings.ToLower(s[start:i]))
-			start = -1
-		}
+// AppendTokens appends s's word tokens to dst, lower-cased. Letters,
+// digits, '.', '-' and '_' are word characters (so a term like
+// "protein.TP53" is one token); every other byte separates tokens. Word
+// characters are ASCII, so a token is a substring of s, copied only when
+// it has to be lower-cased.
+func AppendTokens(dst []string, s string) []string {
+	for lo, hi := nextToken(s, 0); lo < hi; lo, hi = nextToken(s, hi) {
+		dst = append(dst, strings.ToLower(s[lo:hi]))
 	}
 	return dst
+}
+
+// nextToken returns the bounds of the first token of s at or after i;
+// lo == hi when there is none.
+func nextToken(s string, i int) (lo, hi int) {
+	for i < len(s) && !isWordByte(s[i]) {
+		i++
+	}
+	lo = i
+	for i < len(s) && isWordByte(s[i]) {
+		i++
+	}
+	return lo, i
 }
 
 func isWordByte(c byte) bool {

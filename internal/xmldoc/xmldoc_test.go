@@ -87,8 +87,8 @@ func TestBuildOrder(t *testing.T) {
 	if got := d.String(); got != want {
 		t.Fatalf("String() =\n%s\nwant\n%s", got, want)
 	}
-	if kws := strings.Join(d.Keywords(), ","); kws != "1,2,3,deep" {
-		t.Fatalf("Keywords = %s", kws)
+	if kws := strings.Join(tokens(d), ","); kws != "1,2,3,deep" {
+		t.Fatalf("tokens = %s", kws)
 	}
 	// A subtree's values are one run in document order, attributes set late
 	// included, before and after sealing.
@@ -271,77 +271,43 @@ func TestEqual(t *testing.T) {
 	}
 }
 
-// checkHasKeyword holds HasKeyword to membership in Keywords(): every
-// keyword, the same words in other cases, padded and cut short, the
-// tokens of every value before they are lower-cased, and a few that are
-// never keywords.
-func checkHasKeyword(t testing.TB, d *Document) {
+// checkHasToken holds HasToken to membership in AppendTokens on every
+// value of d: its tokens, the same words in other cases, padded and cut
+// short, its fields before they are lower-cased, and a few that are never
+// tokens.
+func checkHasToken(t testing.TB, d *Document) {
 	t.Helper()
-	kws := d.Keywords()
-	probes := []string{"", " ", "-", "\u212a", "K", "k", "protease", "tp53", "a b"}
-	for _, w := range kws {
-		probes = append(probes, w, strings.ToUpper(w), " "+w, w+" ", w[:len(w)-1], w+"x")
-	}
 	for v := range d.Root.Slots().All {
-		probes = append(probes, strings.Fields(v)...)
-	}
-	for _, p := range probes {
-		if got, want := d.HasKeyword(p), slices.Contains(kws, p); got != want {
-			t.Fatalf("HasKeyword(%q) = %v, Keywords() %q", p, got, kws)
+		toks := AppendTokens(nil, v)
+		probes := append([]string{"", " ", "-", "\u212a", "K", "k", "protease", "tp53", "a b"}, strings.Fields(v)...)
+		for _, w := range toks {
+			probes = append(probes, w, strings.ToUpper(w), " "+w, w+" ", w[:len(w)-1], w+"x")
+		}
+		for _, p := range probes {
+			if got, want := HasToken(v, p), slices.Contains(toks, p); got != want {
+				t.Fatalf("HasToken(%q, %q) = %v, AppendTokens %q", v, p, got, toks)
+			}
 		}
 	}
 }
 
-// TestHasKeyword: HasKeyword answers as membership in Keywords() does,
-// comment text is not a keyword, and no answer allocates.
-func TestHasKeyword(t *testing.T) {
+// TestHasToken: HasToken answers as membership in AppendTokens does, and
+// no answer allocates.
+func TestHasToken(t *testing.T) {
 	for _, src := range []string{
 		`<a term="protein.TP53"><b>Protease in NS1; protease!</b></a>`,
 		`<annotation id="7"><body>Kinase--activity  suspected_here</body><!-- hidden --><x k="K"/></annotation>`,
-		`<a>K Ünïcode mixed WORDS, words.</a>`,
+		`<a>K Ünïcode mixed WORDS, words.</a>`,
 		`<a/>`,
 	} {
 		d, err := Parse(strings.NewReader(src))
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkHasKeyword(t, d)
+		checkHasToken(t, d)
 	}
-	d, _ := Parse(strings.NewReader(`<a><!-- hidden --><b>Shown</b></a>`))
-	if d.HasKeyword("hidden") || !d.HasKeyword("shown") {
-		t.Fatalf("HasKeyword: comment text %v, element text %v", d.HasKeyword("hidden"), d.HasKeyword("shown"))
-	}
-	if allocs := testing.AllocsPerRun(100, func() { d.HasKeyword("shown") }); allocs != 0 {
-		t.Fatalf("HasKeyword allocates %.0f objects", allocs)
-	}
-}
-
-func TestKeywords(t *testing.T) {
-	d, _ := Parse(strings.NewReader(`<a term="protein.TP53"><b>Protease in NS1; protease!</b></a>`))
-	kws := d.Keywords()
-	has := func(w string) bool {
-		for _, k := range kws {
-			if k == w {
-				return true
-			}
-		}
-		return false
-	}
-	if !has("protein.tp53") {
-		t.Fatalf("keywords %v missing protein.tp53", kws)
-	}
-	if !has("protease") || !has("ns1") {
-		t.Fatalf("keywords %v missing expected words", kws)
-	}
-	// Deduplicated.
-	count := 0
-	for _, k := range kws {
-		if k == "protease" {
-			count++
-		}
-	}
-	if count != 1 {
-		t.Fatalf("keyword protease appears %d times", count)
+	if allocs := testing.AllocsPerRun(100, func() { HasToken("a Shown word", "shown") }); allocs != 0 {
+		t.Fatalf("HasToken allocates %.0f objects", allocs)
 	}
 }
 
@@ -356,11 +322,12 @@ func TestTokenize(t *testing.T) {
 		{"", ""},
 		{"...", "..."},
 		{"x;y,z", "x,y,z"},
+		{"protein.TP53 Protease in NS1; protease!", "protein.tp53,protease,in,ns1,protease"},
 	}
 	for _, tc := range tests {
-		got := strings.Join(Tokenize(tc.in), ",")
+		got := strings.Join(AppendTokens(nil, tc.in), ",")
 		if got != tc.want {
-			t.Errorf("Tokenize(%q) = %q, want %q", tc.in, got, tc.want)
+			t.Errorf("AppendTokens(%q) = %q, want %q", tc.in, got, tc.want)
 		}
 	}
 }

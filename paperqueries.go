@@ -128,7 +128,7 @@ func QueryTP53Images(st *Store, opts TP53Options) (*TP53Result, error) {
 	sort.Strings(res.QualifyingImages)
 
 	// Sub-query 3 (contents): keyword candidates.
-	candidates := s.SearchKeyword(opts.Keyword, true)
+	candidates := s.SearchKeyword(opts.Keyword)
 
 	// Join: keep candidates with a path to every qualifying image. A path
 	// exists iff the two nodes share an undirected component, so instead
@@ -241,7 +241,7 @@ func QueryConsecutiveKeyword(st *Store, opts ConsecutiveOptions) ([]*Chain, erro
 
 	// Sub-query 1 (contents): annotations carrying the keyword, and the
 	// interval referents they annotate, grouped by domain.
-	anns := s.SearchKeyword(opts.Keyword, true)
+	anns := s.SearchKeyword(opts.Keyword)
 	witness := make(map[uint64]*Annotation) // referent -> one annotation
 	perDomain := make(map[string][]*Referent)
 	for _, ann := range anns {
