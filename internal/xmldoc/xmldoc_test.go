@@ -311,6 +311,19 @@ func TestHasToken(t *testing.T) {
 	}
 }
 
+// TestKeywords: the tokens of a document's attribute and text values are
+// lower-cased, split at punctuation but not inside protein.TP53, and
+// counted once however often they occur; comment text yields none.
+func TestKeywords(t *testing.T) {
+	d, err := Parse(strings.NewReader(`<a term="protein.TP53"><b>Protease in NS1; protease!</b><!-- hidden --></a>`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := strings.Join(tokens(d), ","), "in,ns1,protease,protein.tp53"; got != want {
+		t.Fatalf("tokens = %s, want %s", got, want)
+	}
+}
+
 func TestTokenize(t *testing.T) {
 	tests := []struct {
 		in   string
