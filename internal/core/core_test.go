@@ -488,8 +488,8 @@ func TestSearchKeywordIndexVsScan(t *testing.T) {
 			Body(body).Refer(m))
 		mustNoErr(t, err)
 	}
-	idx := s.SearchKeyword("protease", true)
-	scan := s.SearchKeyword("protease", false)
+	idx := s.View().SearchKeyword("protease")
+	scan := scanKeyword(s.View(), "protease")
 	if len(idx) != 5 || len(scan) != 5 {
 		t.Fatalf("index %d, scan %d (want 5)", len(idx), len(scan))
 	}
