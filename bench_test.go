@@ -983,7 +983,7 @@ func BenchmarkA6ContentIndex(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				var hits int
 				for _, ann := range study.Store.View().Annotations() {
-					if ann.HasKeyword("protease") {
+					if ann.HasToken("protease") {
 						hits++
 					}
 				}

@@ -122,7 +122,7 @@ func TestQ2AgainstGroundTruth(t *testing.T) {
 		}
 		// Every link's witness annotation carries the keyword.
 		for _, ann := range c.Annotations {
-			if !ann.HasKeyword("protease") {
+			if !ann.HasToken("protease") {
 				t.Fatal("witness annotation lacks the keyword")
 			}
 		}

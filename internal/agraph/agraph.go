@@ -283,6 +283,54 @@ func (r NodeRef) appendNumKey(b []byte) []byte {
 	return b
 }
 
+// AppendCode appends the ref's binary code to b: its kind byte, then its
+// index key (appendNumKey) for a content or referent node, or its name,
+// length-prefixed, for a term or an object. Two refs are equal exactly
+// when their codes are, and no code is a prefix of another.
+func (r NodeRef) AppendCode(b []byte) []byte {
+	b = append(b, byte(r.Kind))
+	if r.numbered() {
+		return r.appendNumKey(b)
+	}
+	return append(binary.AppendUvarint(b, uint64(len(r.name))), r.name...)
+}
+
+// ReadCode decodes the ref code (AppendCode) s starts with, and returns
+// the ref and the code's length; n is 0 when s does not start with one. A
+// term's or an object's name is a substring of s.
+func ReadCode(s string) (r NodeRef, n int) {
+	if s == "" || NodeKind(s[0]) >= nodeKinds {
+		return NodeRef{}, 0
+	}
+	r.Kind, n = NodeKind(s[0]), 1
+	var ok bool
+	if r.id, n, ok = uvarintAt(s, n); !ok {
+		return NodeRef{}, 0
+	}
+	switch r.Kind {
+	case ReferentNode:
+	case ContentNode:
+		if r.sub, n, ok = uvarintAt(s, n); !ok {
+			return NodeRef{}, 0
+		}
+	default:
+		size := r.id
+		if r.id = 0; size > uint64(len(s)-n) {
+			return NodeRef{}, 0
+		}
+		r.name, n = s[n:n+int(size)], n+int(size)
+	}
+	return r, n
+}
+
+// uvarintAt decodes the uvarint at off in s, and returns it and the offset
+// after it; ok is false when s ends first or the value overflows 64 bits.
+// The bytes it reads are copied on the stack.
+func uvarintAt(s string, off int) (x uint64, next int, ok bool) {
+	x, n := binary.Uvarint([]byte(s[off:min(off+binary.MaxVarintLen64, len(s))]))
+	return x, off + n, n > 0
+}
+
 // lookup finds ref in idx, its kind's node index.
 func lookup(idx cow.Map[int32], ref NodeRef) (int32, bool) {
 	if !ref.numbered() {

@@ -97,11 +97,13 @@ func (a *Annotation) keywords() []string {
 	return slices.Clone(slices.Compact(words))
 }
 
-// HasKeyword reports whether word, trimmed and lower-cased as SearchKeyword
-// does, is a keyword of the annotation; only lower-casing allocates. The
-// query's contains and a rule's keyword trigger match through it.
-func (a *Annotation) HasKeyword(word string) bool {
-	token, vals := normalizeKeyword(word), a.Content.Root.Slots()
+// HasToken reports whether token, a word as NormalizeKeyword returns it,
+// is a keyword of the annotation; it allocates nothing. The query's
+// contains and a rule's keyword trigger match through it, each with its
+// word normalized once: when the query is parsed, when the rule set is
+// built.
+func (a *Annotation) HasToken(token string) bool {
+	vals := a.Content.Root.Slots()
 	for _, s := range contentSlots.Get(a.Content).words {
 		if xmldoc.HasToken(vals.At(int(s)), token) {
 			return true

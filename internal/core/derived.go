@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"cmp"
+	"encoding/binary"
+	"fmt"
 	"slices"
 	"strconv"
 	"strings"
@@ -30,7 +32,7 @@ import (
 // rules are durable ops, and recovery re-derives.
 
 // DerivedFact is one materialized derived annotation as a reader sees it:
-// the table stores it packed (PackedFact) and builds this on read.
+// the table stores it packed (see factSet) and builds this on read.
 type DerivedFact struct {
 	// Rule is the ID of the propagation rule that produced the fact.
 	Rule string
@@ -45,11 +47,12 @@ type DerivedFact struct {
 	Witness string
 }
 
-// PackedFact is a derived fact as the table stores it, under its source
-// annotation: it has no Source (the table's key says it) and no witness
-// string. The witness is rendered when a reader asks for it, from Via and
-// the view, and which form it takes follows from the target's kind, as
-// each propagation edge has targets of one kind:
+// PackedFact is a derived fact as a propagator produces it, for its
+// source annotation: it has no Source (the delta's or recompute's key
+// says it) and no witness string. The witness is rendered when a reader
+// asks for it, from Via and the view, and which form it takes follows
+// from the target's kind, as each propagation edge has targets of one
+// kind:
 //
 //   - a referent: "overlap ref<Via>~ref<target>";
 //   - an annotation's content root: "shared ref<Via>";
@@ -57,6 +60,8 @@ type DerivedFact struct {
 //   - a term: "closure <ontology>/<term> -> <ancestor>", where
 //     <ontology>/<term> is the source's ontology reference at position Via
 //     of Annotation.Terms and the target is <ontology>/<ancestor>.
+//
+// The table stores a source's facts encoded, as one string (factSet).
 type PackedFact struct {
 	// Rule is the ID of the propagation rule that produced the fact.
 	Rule string
@@ -76,26 +81,95 @@ type Propagator interface {
 	// Delta returns the updated derived sets of every source annotation
 	// affected by the commit (deleted=false) or deletion (deleted=true)
 	// of ann. pre is the session's state before the mutation; post is the
-	// state it leaves. Each set is in the form CanonicalFacts returns, for
-	// post. A nil/empty slice removes the source's entry.
+	// state it leaves. Each set is the string CanonicalFacts returns, for
+	// post. An empty set removes the source's entry.
 	// Returning nil means "no change". sp, when not nil, is the span the
 	// delta runs under, for the propagator to attribute its work on.
-	Delta(pre, post *View, ann *Annotation, deleted bool, sp *trace.Span) map[uint64][]PackedFact
+	Delta(pre, post *View, ann *Annotation, deleted bool, sp *trace.Span) map[uint64]string
 	// Recompute returns the complete derived map of a view from scratch,
-	// each set in the form CanonicalFacts returns for v.
-	Recompute(v *View) map[uint64][]PackedFact
+	// each set the string CanonicalFacts returns for v.
+	Recompute(v *View) map[uint64]string
 	// RecomputeOnRegister reports whether registering a data object can
 	// change derived facts (e.g. a co-registration rule is installed) —
 	// when false, registrations skip the full recompute.
 	RecomputeOnRegister() bool
+	// RuleIDs returns the IDs of the rules the propagator's facts name,
+	// ascending and each once. A stored fact names its rule by its place
+	// in this list, so the list must not change.
+	RuleIDs() []string
 }
 
-// derivedEntry is one source annotation's fact set — exact-length, in
-// canonical order, no fact twice — tagged with the derived epoch at which
-// it was last (re)computed.
+// derivedEntry is one source annotation's fact set, tagged with the
+// derived epoch at which it was last (re)computed.
 type derivedEntry struct {
 	epoch uint64
-	facts []PackedFact
+	facts factSet
+}
+
+// factSet is one source's facts as the table stores them: one immutable
+// string, in canonical order (rule, target, then witness as a string),
+// no fact twice, each fact written as
+//
+//   - its rule's code, a uvarint: the rule's place in the view's rule
+//     table (View.ruleIDs, its propagator's RuleIDs);
+//   - its target's code (agraph.NodeRef.AppendCode): the kind byte, then
+//     a uvarint ID (and XML node) or a length-prefixed name;
+//   - Via, a uvarint.
+//
+// An overlap fact is about 6 bytes. A target's code is also its key in
+// the target index, so a reader matches a fact to a target by comparing
+// bytes, and decodes the facts it reads on the stack.
+type factSet string
+
+// storedFact is one fact of a factSet, decoded.
+type storedFact struct {
+	rule   uint64         // the rule's code
+	target agraph.NodeRef // a term's or object's name is a substring of the set
+	code   string         // the target's code: a substring of the set
+	via    uint64
+}
+
+// appendFact appends f, whose rule's code is rule, to the encoded set b.
+func appendFact(b []byte, rule uint64, f PackedFact) []byte {
+	return binary.AppendUvarint(f.Target.AppendCode(binary.AppendUvarint(b, rule)), f.Via)
+}
+
+// readFact decodes the fact s starts with, and returns it and its length;
+// n is 0 when s does not start with a well-formed fact.
+func readFact(s factSet) (f storedFact, n int) {
+	rule, n, ok := uvarintAt(s, 0)
+	if !ok {
+		return storedFact{}, 0
+	}
+	target, size := agraph.ReadCode(string(s[n:]))
+	if size == 0 {
+		return storedFact{}, 0
+	}
+	code := string(s[n : n+size])
+	via, n, ok := uvarintAt(s, n+size)
+	if !ok {
+		return storedFact{}, 0
+	}
+	return storedFact{rule: rule, target: target, code: code, via: via}, n
+}
+
+// all visits the set's facts in order until yield returns false.
+func (s factSet) all(yield func(storedFact) bool) {
+	for s != "" {
+		f, n := readFact(s)
+		if n == 0 || !yield(f) {
+			return
+		}
+		s = s[n:]
+	}
+}
+
+// uvarintAt decodes the uvarint at off in s, and returns it and the offset
+// after it; ok is false when s ends first or the value overflows 64 bits.
+// The bytes it reads are copied on the stack.
+func uvarintAt(s factSet, off int) (x uint64, next int, ok bool) {
+	x, n := binary.Uvarint([]byte(s[off:min(off+binary.MaxVarintLen64, len(s))]))
+	return x, off + n, n > 0
 }
 
 // Propagator returns the rule set v's derived table was computed under,
@@ -121,44 +195,46 @@ func (x *Tx) SetPropagator(p Propagator) {
 	x.ops++
 }
 
-// recomputeDerived replaces nv's derived table (and its target index)
-// with its propagator's from-scratch recompute. nv is a sealed state of a
-// session.
+// recomputeDerived replaces nv's derived table, its rule table and its
+// target index with its propagator's from-scratch recompute. nv is a
+// sealed state of a session.
 func (nv *View) recomputeDerived() {
 	nv.derivedEpoch++
 	t := cow.Table[derivedEntry]{}.Edit()
-	count := 0
-	var all map[uint64][]PackedFact
+	var all map[uint64]string
+	nv.ruleIDs = nil
 	if nv.propagator != nil {
+		nv.ruleIDs = nv.propagator.RuleIDs()
 		all = nv.propagator.Recompute(nv)
 	}
 	for src, facts := range all {
-		if len(facts) == 0 {
-			continue
+		if facts != "" {
+			t.Set(src, &derivedEntry{epoch: nv.derivedEpoch, facts: factSet(facts)})
 		}
-		t.Set(src, &derivedEntry{epoch: nv.derivedEpoch, facts: facts})
-		count += len(facts)
 	}
 	nv.derived = t.Table
-	nv.derivedCount = count
 	// Build the target index in table order: sources ascend, so every
 	// target's source list grows by appends.
 	idx := cow.Map[cow.Postings]{}.Edit()
-	var targets []agraph.NodeRef
+	count := 0
+	var targets []string
 	t.Each(func(src uint64, e *derivedEntry) bool {
-		targets = distinctTargets(targets[:0], e.facts)
+		var n int
+		targets, n = e.facts.targets(targets[:0])
 		for _, target := range targets {
 			indexSource(&idx, target, src)
 		}
+		count += n
 		return true
 	})
+	nv.derivedCount = count
 	nv.derivedByTarget = idx.Map
 }
 
 // applyDerivedDelta folds a propagator delta into nv, updating the
 // derived table and its target index together. nv is the sealed state
 // the delta was computed against.
-func (nv *View) applyDerivedDelta(delta map[uint64][]PackedFact) {
+func (nv *View) applyDerivedDelta(delta map[uint64]string) {
 	if len(delta) == 0 {
 		return
 	}
@@ -166,17 +242,26 @@ func (nv *View) applyDerivedDelta(delta map[uint64][]PackedFact) {
 	t := nv.derived.Edit()
 	count := nv.derivedCount
 	idx := nv.derivedByTarget.Edit()
-	var had, has []agraph.NodeRef
-	for src, facts := range delta {
-		had = had[:0]
-		if old := t.Get(src); old != nil {
-			had = distinctTargets(had, old.facts)
-			count -= len(old.facts)
+	var had, has []string
+	for src, s := range delta {
+		facts := factSet(s)
+		old := t.Get(src)
+		if old != nil && old.facts == facts {
+			// A delta usually re-confirms an affected neighbor's set whole:
+			// it keeps its facts and index entries, and takes the epoch.
+			t.Set(src, &derivedEntry{epoch: nv.derivedEpoch, facts: old.facts})
+			continue
 		}
-		has = distinctTargets(has[:0], facts)
+		var n int
+		had = had[:0]
+		if old != nil {
+			had, n = old.facts.targets(had)
+			count -= n
+		}
+		has, n = facts.targets(has[:0])
+		count += n
 		// The index lists a source under each target it has a fact on, so
-		// only a target the source gained or lost touches it. (A delta
-		// usually re-confirms most of an affected neighbor's facts.)
+		// only a target the source gained or lost touches it.
 		i, j := 0, 0
 		for i < len(had) || j < len(has) {
 			c := -1 // < 0: had[i] is lost; > 0: has[j] is gained; 0: kept
@@ -184,7 +269,7 @@ func (nv *View) applyDerivedDelta(delta map[uint64][]PackedFact) {
 			case i == len(had):
 				c = 1
 			case j < len(has):
-				c = had[i].Compare(has[j])
+				c = strings.Compare(had[i], has[j])
 			}
 			switch {
 			case c < 0:
@@ -198,59 +283,71 @@ func (nv *View) applyDerivedDelta(delta map[uint64][]PackedFact) {
 				j++
 			}
 		}
-		if len(facts) == 0 {
+		if facts == "" {
 			t.Delete(src)
 			continue
 		}
 		t.Set(src, &derivedEntry{epoch: nv.derivedEpoch, facts: facts})
-		count += len(facts)
 	}
 	nv.derived = t.Table
 	nv.derivedCount = count
 	nv.derivedByTarget = idx.Map
 }
 
-// distinctTargets appends the targets of facts to dst, sorted, each once.
-func distinctTargets(dst []agraph.NodeRef, facts []PackedFact) []agraph.NodeRef {
-	for _, f := range facts {
-		dst = append(dst, f.Target)
+// targets appends the codes of the set's targets to dst, sorted, each
+// once, and returns them with the set's fact count.
+func (s factSet) targets(dst []string) ([]string, int) {
+	n := 0
+	for f := range s.all {
+		dst = append(dst, f.code)
+		n++
 	}
-	slices.SortFunc(dst, agraph.NodeRef.Compare)
-	return slices.Compact(dst)
+	slices.Sort(dst)
+	return slices.Compact(dst), n
 }
 
-// indexSource adds src to target's source list.
-func indexSource(idx *cow.MapEdit[cow.Postings], target agraph.NodeRef, src uint64) {
-	idx.Update(target.String(), func(srcs cow.Postings, _ bool) cow.Postings { return srcs.With(src) })
+// indexSource adds src to the source list of the target whose code is
+// target.
+func indexSource(idx *cow.MapEdit[cow.Postings], target string, src uint64) {
+	idx.Update(target, func(srcs cow.Postings, _ bool) cow.Postings { return srcs.With(src) })
 }
 
-// unindexSource removes src from target's source list, and the target
-// with its last source.
-func unindexSource(idx *cow.MapEdit[cow.Postings], target agraph.NodeRef, src uint64) {
-	key := target.String()
-	srcs, _ := idx.Get(key)
+// unindexSource removes src from the source list of the target whose
+// code is target, and the target with its last source.
+func unindexSource(idx *cow.MapEdit[cow.Postings], target string, src uint64) {
+	srcs, _ := idx.Get(target)
 	if srcs = srcs.Without(src); srcs.Len() == 0 {
-		idx.Delete(key)
+		idx.Delete(target)
 		return
 	}
-	idx.Set(key, srcs)
+	idx.Set(target, srcs)
 }
 
 // CanonicalFacts returns src's facts, as a propagator gathered them from
-// v, in the form the table stores: sorted canonically — rule, target,
-// then witness in string order — with a fact whose rendering repeats
-// another's (a target reached through two of the source's own marks, say)
-// dropped, in an exact-length copy; nil when there are none. facts is
-// reordered in place.
-func (v *View) CanonicalFacts(src uint64, facts []PackedFact) []PackedFact {
+// v, in the form the table stores (factSet): sorted canonically — rule,
+// target, then witness in string order — with a fact whose rendering
+// repeats another's (a target reached through two of the source's own
+// marks, say) dropped, and encoded; "" when there are none. Every fact's
+// rule must be one of v's propagator's RuleIDs. facts is reordered in
+// place.
+func (v *View) CanonicalFacts(src uint64, facts []PackedFact) string {
 	if len(facts) == 0 {
-		return nil
+		return ""
 	}
 	slices.SortFunc(facts, func(a, b PackedFact) int {
 		return cmp.Or(v.compareFacts(src, a, b), cmp.Compare(a.Via, b.Via))
 	})
 	facts = slices.CompactFunc(facts, func(a, b PackedFact) bool { return v.compareFacts(src, a, b) == 0 })
-	return slices.Clone(facts)
+	var buf [256]byte
+	b := buf[:0]
+	for _, f := range facts {
+		rule, ok := v.ruleCode(f.Rule)
+		if !ok {
+			panic(fmt.Sprintf("core: a fact of rule %q, which the view's propagator does not name", f.Rule))
+		}
+		b = appendFact(b, rule, f)
+	}
+	return string(b)
 }
 
 // compareFacts orders two of src's facts canonically: by rule, target,
@@ -264,37 +361,44 @@ func (v *View) compareFacts(src uint64, a, b PackedFact) int {
 		return c
 	}
 	var x, y [64]byte
-	return bytes.Compare(v.appendWitness(x[:0], src, a), v.appendWitness(y[:0], src, b))
+	return bytes.Compare(v.appendWitness(x[:0], src, a.Target, a.Via), v.appendWitness(y[:0], src, b.Target, b.Via))
 }
 
-// appendWitness appends the witness of src's fact f to b (see PackedFact).
-func (v *View) appendWitness(b []byte, src uint64, f PackedFact) []byte {
-	switch f.Target.Kind {
+// appendWitness appends the witness of src's fact onto target through via
+// to b (see PackedFact).
+func (v *View) appendWitness(b []byte, src uint64, target agraph.NodeRef, via uint64) []byte {
+	switch target.Kind {
 	case agraph.ReferentNode:
-		to, _ := agraph.ReferentID(f.Target)
-		b = strconv.AppendUint(append(b, "overlap ref"...), f.Via, 10)
+		to, _ := agraph.ReferentID(target)
+		b = strconv.AppendUint(append(b, "overlap ref"...), via, 10)
 		return strconv.AppendUint(append(b, "~ref"...), to, 10)
 	case agraph.ContentNode:
-		return strconv.AppendUint(append(b, "shared ref"...), f.Via, 10)
+		return strconv.AppendUint(append(b, "shared ref"...), via, 10)
 	case agraph.ObjectNode:
-		b = append(strconv.AppendUint(append(b, "coreg ref"...), f.Via, 10), " in "...)
-		if r := v.referents.Get(f.Via); r != nil {
+		b = append(strconv.AppendUint(append(b, "coreg ref"...), via, 10), " in "...)
+		if r := v.referents.Get(via); r != nil {
 			b = append(b, r.Domain...)
 		}
 		return b
 	case agraph.TermNode:
-		tr := v.annotations.Get(src).term(int(f.Via))
+		tr := v.annotations.Get(src).term(int(via))
 		b = append(append(append(append(b, "closure "...), tr.Ontology...), '/'), tr.TermID...)
-		return append(append(b, " -> "...), f.Target.Key()[len(tr.Ontology)+1:]...)
+		return append(append(b, " -> "...), target.Key()[len(tr.Ontology)+1:]...)
 	}
 	return b
 }
 
 // fact builds src's stored fact f as a reader sees it.
-func (v *View) fact(src uint64, f PackedFact) DerivedFact {
+func (v *View) fact(src uint64, f storedFact) DerivedFact {
 	var buf [64]byte
-	return DerivedFact{Rule: f.Rule, Source: src, Target: f.Target,
-		Witness: string(v.appendWitness(buf[:0], src, f))}
+	return DerivedFact{Rule: v.ruleIDs[f.rule], Source: src, Target: f.target,
+		Witness: string(v.appendWitness(buf[:0], src, f.target, f.via))}
+}
+
+// ruleCode returns the code of the rule named id in v's rule table.
+func (v *View) ruleCode(id string) (uint64, bool) {
+	i, ok := slices.BinarySearch(v.ruleIDs, id)
+	return uint64(i), ok
 }
 
 // DerivedFrom returns the derived facts sourced at the given annotation,
@@ -304,9 +408,9 @@ func (v *View) DerivedFrom(src uint64) []DerivedFact {
 	if e == nil {
 		return nil
 	}
-	out := make([]DerivedFact, len(e.facts))
-	for i, f := range e.facts {
-		out[i] = v.fact(src, f)
+	var out []DerivedFact
+	for f := range e.facts.all {
+		out = append(out, v.fact(src, f))
 	}
 	return out
 }
@@ -316,17 +420,26 @@ func (v *View) DerivedFrom(src uint64) []DerivedFact {
 // derives-predicate probe. It renders no witness.
 func (v *View) HasDerivedFrom(src uint64, rule string) bool {
 	e := v.derived.Get(src)
-	if e == nil {
+	if e == nil || rule == "*" {
+		return e != nil
+	}
+	code, ok := v.ruleCode(rule)
+	if !ok {
 		return false
 	}
-	return rule == "*" || slices.ContainsFunc(e.facts, func(f PackedFact) bool { return f.Rule == rule })
+	for f := range e.facts.all {
+		if f.rule == code {
+			return true
+		}
+	}
+	return false
 }
 
 // DerivedEach visits every derived fact — ascending source ID, canonical
 // fact order within a source — until fn returns false.
 func (v *View) DerivedEach(fn func(DerivedFact) bool) {
 	v.derived.Each(func(src uint64, e *derivedEntry) bool {
-		for _, f := range e.facts {
+		for f := range e.facts.all {
 			if !fn(v.fact(src, f)) {
 				return false
 			}
@@ -338,11 +451,13 @@ func (v *View) DerivedEach(fn func(DerivedFact) bool) {
 // targetingEach visits the stored facts on target: the sources the
 // target index lists for it, ascending, and each one's facts on it in
 // canonical order, until fn returns false.
-func (v *View) targetingEach(target agraph.NodeRef, fn func(src uint64, f PackedFact) bool) {
-	srcs, _ := v.derivedByTarget.Get(target.String())
+func (v *View) targetingEach(target agraph.NodeRef, fn func(src uint64, f storedFact) bool) {
+	var buf [32]byte
+	key := target.AppendCode(buf[:0])
+	srcs, _ := v.derivedByTarget.Get(string(key))
 	srcs.Each(func(src uint64) bool {
-		for _, f := range v.derived.Get(src).facts {
-			if f.Target == target && !fn(src, f) {
+		for f := range v.derived.Get(src).facts.all {
+			if f.code == string(key) && !fn(src, f) {
 				return false
 			}
 		}
@@ -357,7 +472,7 @@ func (v *View) targetingEach(target agraph.NodeRef, fn func(src uint64, f Packed
 // sources, not the table size, and the order is identical to a filtered
 // DerivedEach scan.
 func (v *View) DerivedTargetingEach(target agraph.NodeRef, fn func(DerivedFact) bool) {
-	v.targetingEach(target, func(src uint64, f PackedFact) bool { return fn(v.fact(src, f)) })
+	v.targetingEach(target, func(src uint64, f storedFact) bool { return fn(v.fact(src, f)) })
 }
 
 // HasDerivedTarget reports whether at least one derived fact of the
@@ -365,12 +480,17 @@ func (v *View) DerivedTargetingEach(target agraph.NodeRef, fn func(DerivedFact) 
 // provenance-predicate probe. Flat in the derived-table size.
 func (v *View) HasDerivedTarget(target agraph.NodeRef, rule string) bool {
 	if rule == "*" {
-		srcs, _ := v.derivedByTarget.Get(target.String())
+		var buf [32]byte
+		srcs, _ := v.derivedByTarget.Get(string(target.AppendCode(buf[:0])))
 		return srcs.Len() > 0
 	}
+	code, ok := v.ruleCode(rule)
+	if !ok {
+		return false
+	}
 	found := false
-	v.targetingEach(target, func(_ uint64, f PackedFact) bool {
-		found = f.Rule == rule
+	v.targetingEach(target, func(_ uint64, f storedFact) bool {
+		found = f.rule == code
 		return !found
 	})
 	return found
@@ -394,7 +514,8 @@ func (v *View) DerivedOnto(annID uint64) ([]DerivedFact, error) {
 	}
 	var srcs []uint64
 	for _, target := range targets {
-		on, _ := v.derivedByTarget.Get(target.String())
+		var buf [32]byte // a numbered target's code is at most 21 bytes
+		on, _ := v.derivedByTarget.Get(string(target.AppendCode(buf[:0])))
 		on.Each(func(src uint64) bool {
 			srcs = append(srcs, src)
 			return true
@@ -403,8 +524,8 @@ func (v *View) DerivedOnto(annID uint64) ([]DerivedFact, error) {
 	slices.Sort(srcs)
 	var out []DerivedFact
 	for _, src := range slices.Compact(srcs) {
-		for _, f := range v.derived.Get(src).facts {
-			if slices.Contains(targets, f.Target) {
+		for f := range v.derived.Get(src).facts.all {
+			if slices.Contains(targets, f.target) {
 				out = append(out, v.fact(src, f))
 			}
 		}

@@ -87,11 +87,12 @@ func TestKeywordIndexVsScanEveryWord(t *testing.T) {
 
 // scanKeyword is the document scan the keyword index answers in place of,
 // kept as its oracle: the annotations of v of which word is a keyword
-// (Annotation.HasKeyword), in ID order.
+// (Annotation.HasToken), in ID order.
 func scanKeyword(v *View, word string) []*Annotation {
 	var out []*Annotation
+	token := NormalizeKeyword(word)
 	v.annotations.Each(func(_ uint64, ann *Annotation) bool {
-		if ann.HasKeyword(word) {
+		if ann.HasToken(token) {
 			out = append(out, ann)
 		}
 		return true
@@ -99,10 +100,10 @@ func scanKeyword(v *View, word string) []*Annotation {
 	return out
 }
 
-// TestHasKeyword holds Annotation.HasKeyword to membership in the
-// annotation's keywords: every keyword, the same words in other cases,
-// padded and cut short, and every token of the document, the printed
-// ones among them. A printed value alone — the referent's kind and object
+// TestHasKeyword holds Annotation.HasToken of a normalized word to
+// membership in the annotation's keywords: every keyword, the same words
+// in other cases, padded and cut short, and every token of the document,
+// the printed ones among them. A printed value alone — the referent's kind and object
 // type, the annotation's ID — is not a keyword. No answer to a lower-case
 // word allocates.
 func TestHasKeyword(t *testing.T) {
@@ -125,17 +126,17 @@ func TestHasKeyword(t *testing.T) {
 			probes = xmldoc.AppendTokens(probes, v)
 		}
 		for _, p := range probes {
-			if got, want := ann.HasKeyword(p), slices.Contains(kws, normalizeKeyword(p)); got != want {
-				t.Fatalf("annotation %d: HasKeyword(%q) = %v, keywords %q", ann.ID, p, got, kws)
+			if got, want := ann.HasToken(NormalizeKeyword(p)), slices.Contains(kws, NormalizeKeyword(p)); got != want {
+				t.Fatalf("annotation %d: HasToken(NormalizeKeyword(%q)) = %v, keywords %q", ann.ID, p, got, kws)
 			}
 		}
 		for _, printed := range []string{"interval", "dna_sequences", strconv.FormatUint(ann.ID, 10)} {
-			if ann.HasKeyword(printed) {
+			if ann.HasToken(printed) {
 				t.Fatalf("annotation %d: the printed %q is a keyword: %q", ann.ID, printed, kws)
 			}
 		}
-		if allocs := testing.AllocsPerRun(10, func() { ann.HasKeyword(" kinase--activity ") }); allocs != 0 {
-			t.Fatalf("HasKeyword allocates %.0f objects", allocs)
+		if allocs := testing.AllocsPerRun(10, func() { ann.HasToken(NormalizeKeyword(" kinase--activity ")) }); allocs != 0 {
+			t.Fatalf("HasToken allocates %.0f objects", allocs)
 		}
 	}
 }

@@ -140,19 +140,20 @@ func searchChunk(ctx context.Context, q *xquery.Query, expr string, anns []*Anno
 	return out, nil
 }
 
-// normalizeKeyword trims and lower-cases a searched word, as the index
-// stores tokens; SearchKeyword and Annotation.HasKeyword both apply it.
-func normalizeKeyword(word string) string {
+// NormalizeKeyword trims and lower-cases a searched word, as the index
+// stores tokens: SearchKeyword applies it, and Annotation.HasToken takes
+// what it returns.
+func NormalizeKeyword(word string) string {
 	return strings.ToLower(strings.TrimSpace(word))
 }
 
 // SearchKeyword returns the annotations of which the word is a keyword
-// (Annotation.HasKeyword: case-insensitive, token match), in ID order,
-// from the inverted keyword index.
+// (Annotation.HasToken of the normalized word: case-insensitive, token
+// match), in ID order, from the inverted keyword index.
 func (v *View) SearchKeyword(word string) []*Annotation {
 	// Posting lists ascend by annotation ID, so the result needs no
 	// per-call sort.
-	ids, _ := v.keywordIdx.Get(normalizeKeyword(word))
+	ids, _ := v.keywordIdx.Get(NormalizeKeyword(word))
 	var out []*Annotation
 	if n := ids.Len(); n > 0 {
 		out = make([]*Annotation, 0, n)

@@ -136,7 +136,7 @@ func TestSnapshotIsolationStress(t *testing.T) {
 				idx := v.SearchKeyword("stress")
 				var scan []*core.Annotation
 				for _, ann := range v.Annotations() {
-					if ann.HasKeyword("stress") {
+					if ann.HasToken("stress") {
 						scan = append(scan, ann)
 					}
 				}

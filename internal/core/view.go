@@ -101,11 +101,17 @@ type View struct {
 	derivedCount int
 	derivedEpoch uint64
 
+	// ruleIDs is the rule table of the derived table: its propagator's
+	// RuleIDs, set with it. A stored fact names its rule by its place
+	// here.
+	ruleIDs []string
+
 	// derivedByTarget is the target index of the derived table: for each
-	// target node ("kind:key"), the ascending IDs of the sources with a
-	// fact on it. It holds no fact: a reader finds them in those sources'
-	// entries, in canonical order, which keeps index-driven reads in the
-	// global DerivedEach order. It is maintained in the same writer
+	// target node, keyed by its code (agraph.NodeRef.AppendCode: the kind
+	// byte, then the uvarints of its numbers or its name), the ascending
+	// IDs of the sources with a fact on it. It holds no fact: a reader
+	// finds them in those sources' entries, in canonical order, which
+	// keeps index-driven reads in the global DerivedEach order. It is maintained in the same writer
 	// critical section as derived and published with the same view, so
 	// the two are always exactly consistent.
 	derivedByTarget cow.Map[cow.Postings]
@@ -355,7 +361,7 @@ func (v *View) EachKeyword(fn func(word string) bool) {
 }
 
 // IndexesKeyword reports whether the keyword index holds word, a keyword
-// of some annotation as Annotation.HasKeyword defines it (normalized).
+// of some annotation as Annotation.HasToken defines it (normalized).
 func (v *View) IndexesKeyword(word string) bool {
 	_, ok := v.keywordIdx.Get(word)
 	return ok

@@ -15,7 +15,33 @@ import (
 // change builds the next set. It implements core.Propagator: the writer
 // session calls Delta on every commit/delete, and Recompute after coarse
 // events (rule changes, image registration).
-type ruleSet []Rule
+type ruleSet struct {
+	rules []Rule
+	// ids are the rules' IDs, the table core stores facts' rules by
+	// (RuleIDs); tokens are their keywords, normalized once, here, for
+	// core.Annotation.HasToken (core.NormalizeKeyword).
+	ids, tokens []string
+}
+
+// newRuleSet builds the rule set of rules, which are sorted by ID.
+func newRuleSet(rules []Rule) *ruleSet {
+	rs := &ruleSet{rules: rules, ids: make([]string, len(rules)), tokens: make([]string, len(rules))}
+	for i, r := range rules {
+		rs.ids[i], rs.tokens[i] = r.ID, core.NormalizeKeyword(r.Keyword)
+	}
+	return rs
+}
+
+// noRules is the rule set of a view without a propagator.
+var noRules = &ruleSet{}
+
+// ruleSetOf returns the rule set p is, noRules for nil.
+func ruleSetOf(p core.Propagator) *ruleSet {
+	if rs, ok := p.(*ruleSet); ok {
+		return rs
+	}
+	return noRules
+}
 
 // Engine is a handle on a store's rules: AddRule and DeleteRule run the
 // rule ops as sessions of one. It holds no state of its own — the rules
@@ -29,10 +55,7 @@ func Attach(s *core.Store) *Engine { return &Engine{store: s} }
 
 // RulesOf returns the rules of the view, sorted by ID: exactly the rules
 // its derived table was computed under (nil when there are none).
-func RulesOf(v *core.View) []Rule {
-	rs, _ := v.Propagator().(ruleSet)
-	return slices.Clone(rs)
-}
+func RulesOf(v *core.View) []Rule { return slices.Clone(ruleSetOf(v.Propagator()).rules) }
 
 // SharedRules returns the rules of views, one per shard, sorted by ID:
 // views[0]'s, when every view holds the same set. A rule op is broadcast
@@ -41,29 +64,19 @@ func RulesOf(v *core.View) []Rule {
 // derived facts were computed under different rules, and SharedRules
 // refuses with ErrSplitRules.
 func SharedRules(views []*core.View) ([]Rule, error) {
-	first, _ := views[0].Propagator().(ruleSet)
+	first := ruleSetOf(views[0].Propagator())
 	for k, v := range views[1:] {
-		rs, _ := v.Propagator().(ruleSet)
-		if !slices.EqualFunc(first, rs, sameRule) {
-			return nil, fmt.Errorf("%w: shard 0 holds %v, shard %d holds %v", ErrSplitRules, first.ids(), k+1, rs.ids())
+		if rs := ruleSetOf(v.Propagator()); !slices.EqualFunc(first.rules, rs.rules, sameRule) {
+			return nil, fmt.Errorf("%w: shard 0 holds %v, shard %d holds %v", ErrSplitRules, first.ids, k+1, rs.ids)
 		}
 	}
-	return slices.Clone(first), nil
+	return slices.Clone(first.rules), nil
 }
 
 // sameRule reports whether a and b are the same rule, field by field.
 func sameRule(a, b Rule) bool {
 	return a.ID == b.ID && a.Keyword == b.Keyword && a.Ontology == b.Ontology && a.Term == b.Term &&
 		a.Domain == b.Domain && a.Kind == b.Kind && a.Edge == b.Edge && slices.Equal(a.Relations, b.Relations)
-}
-
-// ids returns the rules' IDs.
-func (rs ruleSet) ids() []string {
-	ids := make([]string, len(rs))
-	for i, r := range rs {
-		ids[i] = r.ID
-	}
-	return ids
 }
 
 // AddRule validates and registers a rule, then rebuilds the derived
@@ -88,7 +101,7 @@ func (e *Engine) DeleteRule(id string) error {
 // (core.Tx.SetPropagator), so no view holds a derived table that
 // disagrees with its rule set.
 func AddRules(x *core.Tx, rules ...Rule) error {
-	cur, _ := x.Propagator().(ruleSet)
+	cur := ruleSetOf(x.Propagator()).rules
 	for _, r := range rules {
 		if err := r.Validate(); err != nil {
 			return err
@@ -108,7 +121,7 @@ func AddRules(x *core.Tx, rules ...Rule) error {
 // DeleteRule removes a rule and every fact it derived as one op of
 // session x (see AddRules).
 func DeleteRule(x *core.Tx, id string) error {
-	cur, _ := x.Propagator().(ruleSet)
+	cur := ruleSetOf(x.Propagator()).rules
 	i := indexOf(cur, id)
 	if i < 0 {
 		return fmt.Errorf("%w: %s", ErrNoSuchRule, id)
@@ -119,13 +132,13 @@ func DeleteRule(x *core.Tx, id string) error {
 
 // setRules makes next the rule set of session x's state: no propagator
 // when it is empty, as an empty ruleSet in the interface would not be nil.
-func setRules(x *core.Tx, next ruleSet) {
+func setRules(x *core.Tx, next []Rule) {
 	mRules.Set(int64(len(next)))
 	if len(next) == 0 {
 		x.SetPropagator(nil)
 		return
 	}
-	x.SetPropagator(next)
+	x.SetPropagator(newRuleSet(next))
 }
 
 // indexOf returns the position of the rule named id in rules, or -1.
@@ -155,10 +168,10 @@ func indexOf(rules []Rule, id string) int {
 // rule that evaluated, rule.<id>.facts (facts produced across all
 // affected sources) and rule.<id>.micros (cumulative evaluation time),
 // plus the size of the affected-source set.
-func (rs ruleSet) Delta(pre, post *core.View, ann *core.Annotation,
-	deleted bool, sp *trace.Span) map[uint64][]core.PackedFact {
+func (rs *ruleSet) Delta(pre, post *core.View, ann *core.Annotation,
+	deleted bool, sp *trace.Span) map[uint64]string {
 	needOverlap, needShared := false, false
-	for _, r := range rs {
+	for _, r := range rs.rules {
 		switch r.Edge {
 		case EdgeOverlap:
 			needOverlap = true
@@ -199,18 +212,18 @@ func (rs ruleSet) Delta(pre, post *core.View, ann *core.Annotation,
 	mAffectedSources.Observe(float64(len(affected)))
 	var stats map[string]*ruleStat
 	if sp != nil {
-		stats = make(map[string]*ruleStat, len(rs))
+		stats = make(map[string]*ruleStat, len(rs.rules))
 	}
-	out := make(map[uint64][]core.PackedFact, len(affected))
+	out := make(map[uint64]string, len(affected))
 	var buf []core.PackedFact
 	for src := range affected {
 		if deleted && src == ann.ID {
-			out[src] = nil
+			out[src] = ""
 			continue
 		}
 		srcAnn, err := post.Annotation(src)
 		if err != nil {
-			out[src] = nil
+			out[src] = ""
 			continue
 		}
 		out[src] = rs.evalSource(post, srcAnn, stats, &buf)
@@ -235,12 +248,12 @@ type ruleStat struct {
 // Recompute implements core.Propagator: the from-scratch path the delta
 // path is proven against, also used after rule changes and image
 // registrations.
-func (rs ruleSet) Recompute(v *core.View) map[uint64][]core.PackedFact {
+func (rs *ruleSet) Recompute(v *core.View) map[uint64]string {
 	mRecomputes.Inc()
-	out := make(map[uint64][]core.PackedFact)
+	out := make(map[uint64]string)
 	var buf []core.PackedFact
 	for _, ann := range v.Annotations() {
-		if facts := rs.evalSource(v, ann, nil, &buf); len(facts) > 0 {
+		if facts := rs.evalSource(v, ann, nil, &buf); facts != "" {
 			out[ann.ID] = facts
 		}
 	}
@@ -249,9 +262,12 @@ func (rs ruleSet) Recompute(v *core.View) map[uint64][]core.PackedFact {
 
 // RecomputeOnRegister implements core.Propagator: object registrations
 // only matter to co-registration rules.
-func (rs ruleSet) RecomputeOnRegister() bool {
-	return slices.ContainsFunc(rs, func(r Rule) bool { return r.Edge == EdgeCoRegistered })
+func (rs *ruleSet) RecomputeOnRegister() bool {
+	return slices.ContainsFunc(rs.rules, func(r Rule) bool { return r.Edge == EdgeCoRegistered })
 }
+
+// RuleIDs implements core.Propagator: the rules' IDs, ascending.
+func (rs *ruleSet) RuleIDs() []string { return rs.ids }
 
 func spatialKind(k core.ReferentKind) bool {
 	return k == core.IntervalReferent || k == core.RegionReferent
@@ -265,16 +281,16 @@ func spatialKind(k core.ReferentKind) bool {
 // for the next call. When stats is not nil each rule's fact output and
 // evaluation time are accumulated into it (a traced delta; nil costs
 // nothing).
-func (rs ruleSet) evalSource(v *core.View, ann *core.Annotation,
-	stats map[string]*ruleStat, buf *[]core.PackedFact) []core.PackedFact {
+func (rs *ruleSet) evalSource(v *core.View, ann *core.Annotation,
+	stats map[string]*ruleStat, buf *[]core.PackedFact) string {
 	facts := (*buf)[:0]
 	ownRefs := make(map[uint64]bool, ann.NumReferents())
 	for id := range ann.ReferentIDs {
 		ownRefs[id] = true
 	}
-	for _, rule := range rs {
+	for i, rule := range rs.rules {
 		// The keyword trigger matches as SearchKeyword and contains do.
-		if rule.Keyword != "" && !ann.HasKeyword(rule.Keyword) {
+		if rule.Keyword != "" && !ann.HasToken(rs.tokens[i]) {
 			continue
 		}
 		if rule.Term != "" && !referencesTerm(ann, rule.Ontology, rule.Term) {

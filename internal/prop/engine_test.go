@@ -2,6 +2,7 @@ package prop
 
 import (
 	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"maps"
@@ -69,7 +70,7 @@ func assertExact(t *testing.T, s *core.Store) {
 }
 
 // recompute is the from-scratch derived table of v under v's own rule set.
-func recompute(v *core.View) map[uint64][]core.PackedFact {
+func recompute(v *core.View) map[uint64]string {
 	if p := v.Propagator(); p != nil {
 		return p.Recompute(v)
 	}
@@ -79,13 +80,25 @@ func recompute(v *core.View) map[uint64][]core.PackedFact {
 // flatten renders a recompute map in the order View.DerivedEach visits
 // the table — ascending source, each source's facts as stored — with
 // every witness printed as the engine printed it before facts were
-// packed, so the table's own rendering is checked against this one.
-func flatten(v *core.View, m map[uint64][]core.PackedFact) []core.DerivedFact {
+// packed, so the table's own rendering is checked against this one. Each
+// set is read as its format is documented: per fact, the uvarint place
+// of its rule in the view's rules, its target's agraph code, and the
+// uvarint Via.
+func flatten(v *core.View, m map[uint64]string) []core.DerivedFact {
+	rules := RulesOf(v)
 	var out []core.DerivedFact
 	for _, src := range slices.Sorted(maps.Keys(m)) {
-		for _, f := range m[src] {
+		for set := m[src]; set != ""; {
+			code, n := binary.Uvarint([]byte(set))
+			target, size := agraph.ReadCode(set[max(n, 0):])
+			via, k := binary.Uvarint([]byte(set[max(n, 0)+size:]))
+			if n <= 0 || size == 0 || k <= 0 || code >= uint64(len(rules)) {
+				panic(fmt.Sprintf("source %d: malformed fact set %q", src, set))
+			}
+			f := core.PackedFact{Rule: rules[code].ID, Target: target, Via: via}
 			out = append(out, core.DerivedFact{Rule: f.Rule, Source: src, Target: f.Target,
 				Witness: printedWitness(v, src, f)})
+			set = set[n+size+k:]
 		}
 	}
 	return out

@@ -107,7 +107,8 @@ type Rule struct {
 	ID string `json:"id"`
 
 	// Keyword, when set, must be a keyword of the source annotation
-	// (core.Annotation.HasKeyword).
+	// (core.Annotation.HasToken of core.NormalizeKeyword(Keyword), the
+	// token normalized once, when the rule set is built).
 	Keyword string `json:"keyword,omitempty"`
 	// Ontology/Term, when Term is set, require the source annotation to
 	// reference exactly that term. With EdgeOntologyClosure, Ontology

@@ -188,6 +188,7 @@ type Prop struct {
 	Rect rtree.Rect
 
 	xpath *xquery.Query // PropXPath's expression, compiled by Parse
+	token string        // PropContains's word, normalized by Parse (core.NormalizeKeyword)
 }
 
 // VarDecl declares a query variable with its class and property

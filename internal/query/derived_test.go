@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -127,4 +128,61 @@ func annIDs(anns []*core.Annotation) []uint64 {
 		out[i] = a.ID
 	}
 	return out
+}
+
+// TestKeywordNormalizedOnce: a mixed-case word is normalized once — a
+// contains word when the query is parsed, a rule's keyword when its rule
+// set is built — and not once per annotation it is checked against. A
+// contains query whose every candidate a later property refuses, and the
+// rule change's recompute under a keyword rule no annotation fires,
+// allocate as much at 1,000 annotations as at 100.
+func TestKeywordNormalizedOnce(t *testing.T) {
+	q, err := Parse(`select contents where { ?a isa annotation ; contains "Protease" ; derived "none" . }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(n int) (query, rule float64) {
+		s := core.NewStore()
+		sq, err := seq.New("NC_1", seq.DNA, strings.Repeat("ACGT", 500))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sq.Domain = "chr1"
+		if err := s.RegisterSequence(sq); err != nil {
+			t.Fatal(err)
+		}
+		for i := range n {
+			m, err := s.MarkDomainInterval("chr1", interval.Interval{Lo: int64(i), Hi: int64(i) + 10})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Commit(s.NewAnnotation().Creator("t").Date("2026-01-01").Body("protease site").Refer(m)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := prop.Attach(s).AddRule(prop.Rule{ID: "kw", Edge: prop.EdgeOverlap, Keyword: "Kinase"}); err != nil {
+			t.Fatal(err)
+		}
+		v := s.View()
+		query = testing.AllocsPerRun(5, func() {
+			if res, err := Run(context.Background(), v, q, DefaultOptions); err != nil || len(res.Annotations) != 0 {
+				t.Fatalf("%v, %v", res, err)
+			}
+		})
+		rule = testing.AllocsPerRun(5, func() {
+			if facts := v.Propagator().Recompute(v); len(facts) != 0 {
+				t.Fatalf("the rule derived %d sets", len(facts))
+			}
+		})
+		return query, rule
+	}
+	q100, r100 := allocs(100)
+	q1000, r1000 := allocs(1000)
+	t.Logf("allocations at 100 and 1,000 annotations: query %.0f and %.0f, recompute %.0f and %.0f", q100, q1000, r100, r1000)
+	if q1000 != q100 {
+		t.Errorf("a contains query allocates %.0f at 100 annotations and %.0f at 1,000", q100, q1000)
+	}
+	if r1000 != r100 {
+		t.Errorf("a keyword rule's recompute allocates %.0f at 100 annotations and %.0f at 1,000", r100, r1000)
+	}
 }

@@ -431,9 +431,9 @@ func (e *execution) annotationMatches(ann *core.Annotation, props []Prop) (bool,
 				return false, nil
 			}
 		case PropContains:
-			// HasKeyword is the keyword index's own definition, so the
+			// HasToken is the keyword index's own definition, so the
 			// re-check keeps every hit the index seeded.
-			if !ann.HasKeyword(prop.Str) {
+			if !ann.HasToken(prop.token) {
 				return false, nil
 			}
 		case PropCreator:

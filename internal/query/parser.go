@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 
+	"graphitti/internal/core"
 	"graphitti/internal/interval"
 	"graphitti/internal/rtree"
 	"graphitti/internal/xquery"
@@ -374,7 +375,7 @@ func (p *qparser) parseProp(class NodeClass) (Prop, error) {
 	switch name {
 	case "contains":
 		s, err := strArg()
-		return Prop{Kind: PropContains, Str: s}, err
+		return Prop{Kind: PropContains, Str: s, token: core.NormalizeKeyword(s)}, err
 	case "creator":
 		s, err := strArg()
 		return Prop{Kind: PropCreator, Str: s}, err

@@ -137,7 +137,7 @@ func TestContainsPaddedKeyword(t *testing.T) {
 	// a scan of every document under the same normalization.
 	var scan []*core.Annotation
 	for _, ann := range s.View().Annotations() {
-		if ann.HasKeyword(" Needle ") {
+		if ann.HasToken(core.NormalizeKeyword(" Needle ")) {
 			scan = append(scan, ann)
 		}
 	}
