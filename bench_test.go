@@ -973,7 +973,7 @@ func BenchmarkA6ContentIndex(b *testing.B) {
 		b.Run(fmt.Sprintf("indexed/anns=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if got := study.Store.SearchKeyword("protease", true); len(got) == 0 {
+				if got := study.Store.View().SearchKeyword("protease"); len(got) == 0 {
 					b.Fatal("no hits")
 				}
 			}

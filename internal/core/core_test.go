@@ -499,10 +499,10 @@ func TestSearchKeywordIndexVsScan(t *testing.T) {
 		}
 	}
 	// Case insensitive.
-	if got := s.SearchKeyword("PROTEASE", true); len(got) != 5 {
+	if got := s.View().SearchKeyword("PROTEASE"); len(got) != 5 {
 		t.Fatalf("case-insensitive index = %d", len(got))
 	}
-	if got := s.SearchKeyword("nonexistent-word", true); len(got) != 0 {
+	if got := s.View().SearchKeyword("nonexistent-word"); len(got) != 0 {
 		t.Fatalf("ghost keyword = %d", len(got))
 	}
 }
@@ -661,7 +661,7 @@ func TestConcurrentCommits(t *testing.T) {
 		t.Fatalf("annotations = %d, want 400", got)
 	}
 	// Reads are consistent afterwards.
-	if got := len(s.SearchKeyword("concurrent", true)); got != 400 {
+	if got := len(s.View().SearchKeyword("concurrent")); got != 400 {
 		t.Fatalf("keyword hits = %d", got)
 	}
 }

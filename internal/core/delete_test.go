@@ -26,7 +26,7 @@ func TestDeleteAnnotationBasic(t *testing.T) {
 		t.Fatalf("double delete: %v", err)
 	}
 	// Keyword index cleaned.
-	if got := s.SearchKeyword("protease", true); len(got) != 0 {
+	if got := s.View().SearchKeyword("protease"); len(got) != 0 {
 		t.Fatalf("stale keyword entries: %d", len(got))
 	}
 	// Referent garbage-collected from the interval tree.
@@ -124,7 +124,7 @@ func TestDeletePreservesUnrelatedState(t *testing.T) {
 	mustNoErr(t, s.DeleteAnnotation(drop.ID))
 
 	// The surviving annotation is fully intact.
-	if got := s.SearchKeyword("protease", true); len(got) != 1 || got[0].ID != keep.ID {
+	if got := s.View().SearchKeyword("protease"); len(got) != 1 || got[0].ID != keep.ID {
 		t.Fatalf("keyword survivors = %v", got)
 	}
 	if got := s.View().AnnotationsWithTerm("go", "protease"); len(got) != 1 {

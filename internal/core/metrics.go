@@ -40,6 +40,13 @@ type storeMetrics struct {
 	derivedFacts  *obs.Gauge
 }
 
+// set points the view gauges at v.
+func (m *storeMetrics) set(v *View) {
+	m.viewEpoch.Set(int64(v.epoch))
+	m.annotations.Set(int64(v.annotations.Len()))
+	m.derivedFacts.Set(int64(v.derivedCount))
+}
+
 func metricsForShard(shard string) *storeMetrics {
 	if shard == "" {
 		shard = "0"

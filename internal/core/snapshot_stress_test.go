@@ -1,15 +1,14 @@
 // Snapshot-isolation stress test: 8 writers churn commits and deletions
-// while 8 readers pin views and check that no pinned view ever observes a
-// half-applied mutation — in its tables, its indexes or its a-graph — then
-// the interleaved history is replayed serially and the final states
-// compared export-for-export.
+// while 8 readers pin views and check that no pinned view ever shows an
+// anomaly (workload.Check: nothing half-applied, orphaned or mislocated,
+// in its tables, its indexes or its a-graph), then the interleaved
+// history, as ops, is replayed serially (workload.Serial) and the final
+// states compared (workload.Diff).
 package core_test
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -18,16 +17,10 @@ import (
 	"graphitti/internal/core"
 	"graphitti/internal/interval"
 	"graphitti/internal/persist"
+	"graphitti/internal/workload"
 )
 
 const stressDomain = "chrStress"
-
-// stressOp is one entry of the interleaved history, recorded in
-// completion order for the serial replay.
-type stressOp struct {
-	commit *persist.AnnotationDump // set for commits
-	delete uint64                  // set for deletions
-}
 
 func TestSnapshotIsolationStress(t *testing.T) {
 	const writers, readers = 8, 8
@@ -42,15 +35,13 @@ func TestSnapshotIsolationStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	sq.Domain = stressDomain
-	if err := s.RegisterSequence(sq); err != nil {
+	// The interleaved history, in completion order, for the serial replay.
+	history := []persist.Op{persist.SequenceOp(sq)}
+	if err := s.Batch(history[0].Apply); err != nil {
 		t.Fatal(err)
 	}
-
-	var (
-		histMu  sync.Mutex
-		history []stressOp
-	)
-	record := func(op stressOp) {
+	var histMu sync.Mutex
+	record := func(op persist.Op) {
 		histMu.Lock()
 		history = append(history, op)
 		histMu.Unlock()
@@ -100,7 +91,7 @@ func TestSnapshotIsolationStress(t *testing.T) {
 					t.Errorf("writer %d: dump: %v", w, err)
 					return
 				}
-				record(stressOp{commit: &dump})
+				record(persist.Op{Kind: core.OpCommitAnnotation, Annotation: &dump})
 				if i%2 == 1 {
 					deletable = append(deletable, ann.ID)
 				}
@@ -111,13 +102,15 @@ func TestSnapshotIsolationStress(t *testing.T) {
 						t.Errorf("writer %d: delete %d: %v", w, victim, err)
 						return
 					}
-					record(stressOp{delete: victim})
+					record(persist.Op{Kind: core.OpDeleteAnnotation, DeleteID: victim})
 				}
 			}
 		}(w)
 	}
 
-	// Readers: pin a view per round and verify its internal consistency.
+	// Readers: pin a view per round, check it (workload.Check), and check
+	// what this workload implies of it: every annotation carries the
+	// keyword "stress" and the body word "alpha", and marks the sequence.
 	for r := 0; r < readers; r++ {
 		readersWG.Add(1)
 		go func(r int) {
@@ -129,73 +122,12 @@ func TestSnapshotIsolationStress(t *testing.T) {
 				default:
 				}
 				v := s.View()
-
-				// Index and scan answers over the SAME view must agree
-				// exactly: a half-applied commit (annotation in the table
-				// but postings missing, or vice versa) would break this.
+				if err := workload.Check([]*core.View{v}); err != nil {
+					t.Errorf("reader %d: %v", r, err)
+					return
+				}
 				idx := v.SearchKeyword("stress")
-				var scan []*core.Annotation
-				for _, ann := range v.Annotations() {
-					if ann.HasToken("stress") {
-						scan = append(scan, ann)
-					}
-				}
-				if len(idx) != len(scan) {
-					t.Errorf("reader %d: index %d hits, scan %d", r, len(idx), len(scan))
-					return
-				}
-				for i := range idx {
-					if idx[i].ID != scan[i].ID {
-						t.Errorf("reader %d: hit %d: index %d vs scan %d", r, i, idx[i].ID, scan[i].ID)
-						return
-					}
-				}
-
-				// Annotation atomicity: every visible annotation is
-				// complete — content, its Dublin Core values, and all
-				// referents resolvable in the same view.
-				for _, ann := range idx {
-					if ann.Content == nil || ann.NumReferents() == 0 {
-						t.Errorf("reader %d: annotation %d half-applied", r, ann.ID)
-						return
-					}
-					if got := ann.DC.First("creator"); !strings.HasPrefix(got, "writer-") {
-						t.Errorf("reader %d: annotation %d creator %q", r, ann.ID, got)
-						return
-					}
-					for refID := range ann.ReferentIDs {
-						ref, err := v.Referent(refID)
-						if err != nil {
-							t.Errorf("reader %d: annotation %d referent %d missing from its own view: %v",
-								r, ann.ID, refID, err)
-							return
-						}
-						if ref.Kind != core.IntervalReferent || ref.Domain != stressDomain {
-							t.Errorf("reader %d: referent %d malformed: %+v", r, refID, ref)
-							return
-						}
-					}
-				}
-
-				// Aggregates agree with enumerations on the same view.
 				st := v.Stats()
-				if anns := v.Annotations(); len(anns) != st.Annotations {
-					t.Errorf("reader %d: Stats.Annotations=%d but %d enumerated", r, st.Annotations, len(anns))
-					return
-				} else {
-					for i := 1; i < len(anns); i++ {
-						if anns[i-1].ID >= anns[i].ID {
-							t.Errorf("reader %d: annotations not sorted", r)
-							return
-						}
-					}
-				}
-				nrefs := 0
-				v.ReferentsEach(func(*core.Referent) bool { nrefs++; return true })
-				if nrefs != st.Referents {
-					t.Errorf("reader %d: Stats.Referents=%d but %d enumerated", r, st.Referents, nrefs)
-					return
-				}
 
 				// The a-graph is the pinned epoch's too. Its size is what
 				// this view's tables imply: a node per annotation, per
@@ -217,10 +149,6 @@ func TestSnapshotIsolationStress(t *testing.T) {
 					related, err := v.RelatedAnnotations(first.ID)
 					if err != nil || len(related) != len(idx)-1 {
 						t.Errorf("reader %d: annotation %d related to %d of %d others: %v", r, first.ID, len(related), len(idx)-1, err)
-						return
-					}
-					if of := v.AnnotationsOfReferent(slices.Collect(last.ReferentIDs)[0]); !slices.Contains(of, last) {
-						t.Errorf("reader %d: annotation %d missing from its own referent's annotators", r, last.ID)
 						return
 					}
 					if p, err := v.PathBetweenAnnotations(first.ID, last.ID); err != nil || p.Len() > 4 {
@@ -253,50 +181,14 @@ func TestSnapshotIsolationStress(t *testing.T) {
 
 	// Serial reference: replay the recorded history, in completion
 	// order, into a fresh store through the same writer path (pinned
-	// IDs), and compare the final exports byte-for-byte.
-	ref := core.NewStore()
-	sq2, err := seq.New("stress-seq", seq.DNA, strings.Repeat("ACGT", 50_000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sq2.Domain = stressDomain
-	if err := ref.RegisterSequence(sq2); err != nil {
-		t.Fatal(err)
-	}
-	for i, op := range history {
-		if op.commit != nil {
-			if err := ref.Batch(func(x *core.Tx) (err error) {
-				_, err = persist.ApplyAnnotation(x, *op.commit, nil)
-				return err
-			}); err != nil {
-				t.Fatalf("serial replay op %d: %v", i, err)
-			}
-		} else {
-			if err := ref.DeleteAnnotation(op.delete); err != nil {
-				t.Fatalf("serial replay delete %d (op %d): %v", op.delete, i, err)
-			}
-		}
-	}
-	gotSnap, err := persist.Export(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantSnap, err := persist.Export(ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Counters match too: failed commits never burn IDs under the
+	// IDs). Counters match too: failed commits never burn IDs under the
 	// publish-on-success design, and replay re-derives the same maxima
 	// from the pinned IDs.
-	got, err := json.Marshal(gotSnap)
+	ref, err := workload.Serial(history)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("serial replay: %v", err)
 	}
-	want, err := json.Marshal(wantSnap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(want) {
-		t.Fatalf("concurrent final state differs from serial replay:\nconcurrent: %.2000s\nserial: %.2000s", got, want)
+	if err := workload.Diff([]*core.View{s.View()}, []*core.View{ref.View()}); err != nil {
+		t.Fatalf("concurrent final state against the serial replay: %v", err)
 	}
 }

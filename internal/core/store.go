@@ -77,6 +77,18 @@ func NewStoreWithOptions(opts StoreOptions) *Store {
 	return s
 }
 
+// PublishGauges points the view gauges of the store's shard label
+// (graphitti_store_view_epoch, _annotations, _derived_facts) at its
+// current view. Every publish does so, and the newest store to publish
+// under a label wins: a pipeline calls this when it starts to serve a
+// store, and when a store it loaded for a restore and then dropped has
+// published under its label.
+func (s *Store) PublishGauges() {
+	s.w.Lock()
+	defer s.w.Unlock()
+	s.m.set(s.v.Load())
+}
+
 // View pins the current read snapshot: one atomic load, no locks. The
 // returned view is immutable; hold it for as many reads as need to be
 // mutually consistent.

@@ -102,12 +102,10 @@ func (x *Tx) publish() {
 		if x.nv != nil {
 			x.seal()
 		}
-		nv, m := x.pre, x.s.m
+		nv := x.pre
 		nv.epoch = x.s.v.Load().epoch + x.ops
 		x.s.v.Store(nv)
-		m.viewEpoch.Set(int64(nv.epoch))
-		m.annotations.Set(int64(nv.annotations.Len()))
-		m.derivedFacts.Set(int64(nv.derivedCount))
+		x.s.m.set(nv)
 	}
 	*x = Tx{}
 }

@@ -18,7 +18,6 @@ import (
 	"graphitti/internal/core"
 	"graphitti/internal/faultfs"
 	"graphitti/internal/obs"
-	"graphitti/internal/persist"
 	"graphitti/internal/wal"
 	"graphitti/internal/workload"
 )
@@ -286,17 +285,12 @@ func TestCompactionCountsDecodedBytes(t *testing.T) {
 func TestAppendAfterTornCompressedTail(t *testing.T) {
 	ops := workload.RecoveryScenario(workload.RecoveryConfig{Seed: 5, Images: 3, Ops: 60})
 	const n, m = 40, 6 // ops logged before the cut, ops appended after it
-	exports := map[int][]byte{}
-	serialExport := func(k int) []byte {
-		if e, ok := exports[k]; ok {
-			return e
+	serials := map[int]*core.Store{}
+	serialOf := func(k int) *core.Store {
+		if serials[k] == nil {
+			serials[k] = serial(t, ops[:k])
 		}
-		var b bytes.Buffer
-		if err := persist.Write(serial(t, ops[:k]), &b); err != nil {
-			t.Fatal(err)
-		}
-		exports[k] = b.Bytes()
-		return b.Bytes()
+		return serials[k]
 	}
 	// appendAndReopen appends m ops behind the k that s recovered, closes
 	// it and checks the reopened directory against the serial replay.
@@ -314,12 +308,8 @@ func TestAppendAfterTornCompressedTail(t *testing.T) {
 			t.Fatalf("%s: reopen after the append: %v", what, err)
 		}
 		defer s.Close()
-		var got bytes.Buffer
-		if err := persist.Write(s.Core(), &got); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got.Bytes(), serialExport(k+m)) {
-			t.Fatalf("%s: export differs from a serial replay of %d ops", what, k+m)
+		if err := workload.Diff([]*core.View{s.Core().View()}, []*core.View{serialOf(k + m).View()}); err != nil {
+			t.Fatalf("%s: against a serial replay of %d ops: %v", what, k+m, err)
 		}
 	}
 	// template writes ops[:n] to a closed directory, compacting after

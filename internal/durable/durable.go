@@ -429,6 +429,7 @@ func (s *Store) load() error {
 	default:
 		return err
 	}
+	cs.PublishGauges()
 	return nil
 }
 
@@ -662,6 +663,7 @@ func (s *Store) Reopen() (*core.Store, error) {
 	}
 	fresh := &Store{dir: s.dir, opts: s.opts, m: s.m}
 	if err := fresh.load(); err != nil {
+		s.Core().PublishGauges()
 		return nil, fmt.Errorf("durable: reopen: %w", err)
 	}
 	// Probe the log end-to-end (append + fdatasync) before declaring
@@ -823,6 +825,7 @@ func (s *Store) checkpointLocked(cs *core.Store, seq uint64) error {
 func (s *Store) Restore(src persist.Source) (*core.Store, error) {
 	cs, err := s.Stage(src)
 	if err != nil {
+		s.Core().PublishGauges()
 		return nil, err
 	}
 	if err := s.Install(cs); err != nil {
@@ -853,10 +856,12 @@ func (s *Store) Install(cs *core.Store) error {
 	// so stale log records can never replay over the restored state.
 	if s.dir != "" {
 		if err := s.checkpointLocked(cs, s.seq+1); err != nil {
+			s.Core().PublishGauges()
 			return err
 		}
 	}
 	s.core.Store(cs)
+	cs.PublishGauges()
 	s.seq++
 	return nil
 }

@@ -103,13 +103,16 @@ func TestFaultInjectionRecovery(t *testing.T) {
 			if k > len(ops) {
 				t.Fatalf("recovered %d ops, scenario only has %d", k, len(ops))
 			}
-			assertStoreParity(t, "after recovery", s.Core(), serial(t, ops[:k]))
+			if err := workload.Check([]*core.View{s.Core().View()}); err != nil {
+				t.Fatalf("after recovery: %v", err)
+			}
+			mustEqualStores(t, s.Core(), serial(t, ops[:k]))
 
 			// Phase 4: resume the scenario where the disk state left off;
 			// the run must end exactly where a fault-free run ends.
 			run(t, s, ops, k, len(ops))
 			want := serial(t, ops)
-			assertStoreParity(t, "after resume", s.Core(), want)
+			mustEqualStores(t, s.Core(), want)
 
 			gotQ, err := graphitti.QueryTP53Images(s.Core(), graphitti.TP53Options{})
 			if err != nil {
@@ -135,27 +138,6 @@ func run(t *testing.T, s *Store, ops []persist.Op, from, to int) {
 		if err := s.Apply(ops[i]); err != nil {
 			t.Fatalf("op %d (%s): %v", i+1, ops[i].Kind, err)
 		}
-	}
-}
-
-// assertStoreParity compares a recovered store against the in-memory
-// reference the same op stream built: counters and the full exported
-// snapshot.
-func assertStoreParity(t *testing.T, when string, got, want *core.Store) {
-	t.Helper()
-	if g, w := got.Stats(), want.Stats(); g != w {
-		t.Fatalf("%s: stats diverged:\n got %+v\nwant %+v", when, g, w)
-	}
-	gotSnap, err := persist.Export(got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantSnap, err := persist.Export(want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gotSnap, wantSnap) {
-		t.Fatalf("%s: full store snapshots diverged", when)
 	}
 }
 
@@ -212,7 +194,7 @@ func TestDegradeOnFsyncError(t *testing.T) {
 	if k < 20 {
 		t.Fatalf("recovered %d ops, 20 were acked", k)
 	}
-	assertStoreParity(t, "after reopen", s.Core(), serial(t, ops[:k]))
+	mustEqualStores(t, s.Core(), serial(t, ops[:k]))
 
 	// And the recovered store accepts writes again.
 	if err := s.Apply(ops[k]); err != nil {
@@ -248,7 +230,7 @@ func TestTornWriteRecovered(t *testing.T) {
 	if st.Seq != 8 {
 		t.Fatalf("recovered seq = %d, want 8 (torn op must not replay)", st.Seq)
 	}
-	assertStoreParity(t, "after torn-write recovery", s.Core(), serial(t, ops[:8]))
+	mustEqualStores(t, s.Core(), serial(t, ops[:8]))
 	if err := s.Apply(ops[8]); err != nil {
 		t.Fatalf("replaying the torn op after recovery: %v", err)
 	}
@@ -357,7 +339,7 @@ func TestCompactionFaultKeepsPriorCheckpoint(t *testing.T) {
 			if st.Seq != 70 {
 				t.Fatalf("recovered seq %d, want 70", st.Seq)
 			}
-			assertStoreParity(t, "after failed compaction", reopened.Core(), serial(t, ops[:70]))
+			mustEqualStores(t, reopened.Core(), serial(t, ops[:70]))
 		})
 	}
 }
@@ -446,6 +428,6 @@ func TestRotationFaultDegradesButRecovers(t *testing.T) {
 	if st.Seq != 40 || st.SnapshotSeq != 40 {
 		t.Fatalf("recovered seq=%d snapshotSeq=%d, want 40/40 (manifest committed before rotation)", st.Seq, st.SnapshotSeq)
 	}
-	assertStoreParity(t, "after rotation-fault recovery", s.Core(), serial(t, ops[:40]))
+	mustEqualStores(t, s.Core(), serial(t, ops[:40]))
 	run(t, s, ops, 40, 50)
 }

@@ -306,7 +306,7 @@ func TestDurableHandler(t *testing.T) {
 	if got := d2.Core().Stats(); got != preStats {
 		t.Fatalf("reopened store differs:\n got %+v\nwant %+v", got, preStats)
 	}
-	if got := d2.Core().SearchKeyword("durable", true); len(got) != 1 {
+	if got := d2.Core().View().SearchKeyword("durable"); len(got) != 1 {
 		t.Fatalf("API-committed annotation did not survive reopen (found %d)", len(got))
 	}
 }

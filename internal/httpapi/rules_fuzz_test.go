@@ -6,14 +6,15 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
-	"reflect"
 	"slices"
 	"testing"
 
+	"graphitti/internal/core"
 	"graphitti/internal/durable"
 	"graphitti/internal/persist"
 	"graphitti/internal/prop"
 	"graphitti/internal/shard"
+	"graphitti/internal/workload"
 )
 
 // rulesSeeds are POST /api/rules bodies: a rule of every edge kind, one
@@ -50,13 +51,14 @@ var rulesDeletions = [][2]string{
 // FuzzRules: any POST /api/rules body, and then any DELETE /api/rules/{id},
 // sent to a durable one-pipeline deployment over a small study with a
 // rule of its own, is answered, never with a panic or a 5xx. A refused
-// body or deletion leaves GET /api/rules and GET /api/snapshot
-// byte-identical; a refused body is answered with the JSON error
+// body or deletion leaves GET /api/rules byte-identical and the state as
+// it was (workload.Diff); a refused body is answered with the JSON error
 // envelope. An accepted rule is listed, and an accepted deletion unlists
-// its rule and leaves the derived facts a from-scratch recompute over the
-// remaining rules derives (a load of the store's export). Either survives
-// a compaction — the rules section of a checkpoint — and a reopen: the
-// reopened store lists the same rules and derives the same facts.
+// its rule and leaves a view with no anomaly (workload.Check: its derived
+// facts are what a from-scratch recompute over the remaining rules
+// derives). Either survives a compaction — the rules section of a
+// checkpoint — and a reopen: the reopened store holds the same state
+// (workload.Diff: the same rules and the same derived facts).
 func FuzzRules(f *testing.F) {
 	for _, body := range rulesSeeds {
 		f.Add(body, "")
@@ -85,14 +87,14 @@ func FuzzRules(f *testing.F) {
 		}
 		h := New(shard.Single(d), Options{})
 		rulesBefore := serve(h, "GET", "/api/rules", "").Body.Bytes()
-		snapBefore := serve(h, "GET", "/api/snapshot", "").Body.Bytes()
+		stateBefore := []*core.View{d.Core().View()}
 		unchanged := func(what string, rr *httptest.ResponseRecorder) {
 			t.Helper()
 			if got := serve(h, "GET", "/api/rules", "").Body.Bytes(); !bytes.Equal(got, rulesBefore) {
 				t.Fatalf("a refused %s (%d) changed the rule list:\n%s\nto\n%s", what, rr.Code, rulesBefore, got)
 			}
-			if got := serve(h, "GET", "/api/snapshot", "").Body.Bytes(); !bytes.Equal(got, snapBefore) {
-				t.Fatalf("a refused %s (%d: %s) changed the snapshot", what, rr.Code, rr.Body.Bytes())
+			if err := workload.Diff([]*core.View{d.Core().View()}, stateBefore); err != nil {
+				t.Fatalf("a refused %s (%d: %s) changed the state: %v", what, rr.Code, rr.Body.Bytes(), err)
 			}
 		}
 		changed := false
@@ -120,7 +122,7 @@ func FuzzRules(f *testing.F) {
 
 		if del != "" {
 			rulesBefore = serve(h, "GET", "/api/rules", "").Body.Bytes()
-			snapBefore = serve(h, "GET", "/api/snapshot", "").Body.Bytes()
+			stateBefore = []*core.View{d.Core().View()}
 			rr := serve(h, "DELETE", "/api/rules/"+url.PathEscape(del), "")
 			switch {
 			case rr.Code >= http.StatusInternalServerError:
@@ -131,17 +133,8 @@ func FuzzRules(f *testing.F) {
 				if rules := prop.RulesOf(d.Core().View()); slices.ContainsFunc(rules, func(r prop.Rule) bool { return r.ID == del }) {
 					t.Fatalf("deleted rule %q is still listed: %v", del, rules)
 				}
-				export, err := persist.Export(d.Core())
-				if err != nil {
-					t.Fatal(err)
-				}
-				scratch, err := persist.Load(export)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got, want := slices.Collect(d.Core().View().DerivedEach), slices.Collect(scratch.View().DerivedEach); !reflect.DeepEqual(got, want) {
-					t.Fatalf("after deleting %q %d derived facts, a recompute over the remaining rules %d",
-						del, len(got), len(want))
+				if err := workload.Check([]*core.View{d.Core().View()}); err != nil {
+					t.Fatalf("after deleting %q: %v", del, err)
 				}
 				changed = true
 			}
@@ -150,7 +143,7 @@ func FuzzRules(f *testing.F) {
 			return
 		}
 
-		rules, derived := prop.RulesOf(d.Core().View()), slices.Collect(d.Core().View().DerivedEach)
+		before := []*core.View{d.Core().View()}
 		if err := d.Compact(); err != nil {
 			t.Fatal(err)
 		}
@@ -162,13 +155,8 @@ func FuzzRules(f *testing.F) {
 			t.Fatalf("reopen after the rule %s and the deletion %q: %v", body, del, err)
 		}
 		defer again.Close()
-		// The last rule deleted, a view holds no rule set: both lists are
-		// empty.
-		if got := prop.RulesOf(again.Core().View()); (len(got) > 0 || len(rules) > 0) && !reflect.DeepEqual(got, rules) {
-			t.Fatalf("rules after a compaction and a reopen:\n%v\nwant\n%v", got, rules)
-		}
-		if got := slices.Collect(again.Core().View().DerivedEach); !reflect.DeepEqual(got, derived) {
-			t.Fatalf("after a compaction and a reopen %d derived facts, want %d", len(got), len(derived))
+		if err := workload.Diff([]*core.View{again.Core().View()}, before); err != nil {
+			t.Fatalf("after a compaction and a reopen: %v", err)
 		}
 	})
 }

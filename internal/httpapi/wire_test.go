@@ -228,7 +228,7 @@ func TestAnnotationRoutesShareTheEncoder(t *testing.T) {
 		}
 		wantBody(t, "related", serve(h, "GET", "/api/annotations/1/related", ""), refList(t, rel))
 		wantBody(t, "keyword", serve(h, "GET", "/api/annotations?keyword=protease", ""),
-			refList(t, s.SearchKeyword("protease", true)))
+			refList(t, s.View().SearchKeyword("protease")))
 		found, err := s.View().SearchContents(`contains(/annotation/body, "protease")`)
 		if err != nil || len(found) == 0 {
 			t.Fatalf("search oracle: %d hits, %v", len(found), err)
@@ -244,7 +244,7 @@ func TestAnnotationRoutesShareTheEncoder(t *testing.T) {
 		if err := json.Unmarshal(rr.Body.Bytes(), &q); err != nil || q.Matches == 0 {
 			t.Fatalf("query: %v (%s)", err, rr.Body.Bytes())
 		}
-		if want := bytes.TrimSuffix(refList(t, s.SearchKeyword("protease", true)), []byte("\n")); !bytes.Equal(q.Annotations, want) {
+		if want := bytes.TrimSuffix(refList(t, s.View().SearchKeyword("protease")), []byte("\n")); !bytes.Equal(q.Annotations, want) {
 			t.Fatalf("query annotations differ from encoding/json's\n got %s\nwant %s", q.Annotations, want)
 		}
 	}

@@ -3,7 +3,6 @@ package persist_test
 import (
 	"bytes"
 	"encoding/json"
-	"reflect"
 	"slices"
 	"testing"
 
@@ -11,6 +10,7 @@ import (
 	"graphitti/internal/interval"
 	"graphitti/internal/persist"
 	"graphitti/internal/prop"
+	"graphitti/internal/workload"
 )
 
 // loadSerial is the oracle the one-session load must match byte for
@@ -41,33 +41,9 @@ func loadSerial(t *testing.T, snap *persist.Snapshot) *core.Store {
 	return s
 }
 
-// assertSameState requires identical exports, stats, derived tables and
-// epochs: the epoch counts ops, however many publishes carried them.
-func assertSameState(t *testing.T, got, want *core.Store) {
-	t.Helper()
-	var g, w bytes.Buffer
-	if err := persist.Write(want, &w); err != nil {
-		t.Fatal(err)
-	}
-	if err := persist.Write(got, &g); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(g.Bytes(), w.Bytes()) {
-		t.Fatalf("export differs from the serial oracle's (%d vs %d bytes)", g.Len(), w.Len())
-	}
-	if gs, ws := got.Stats(), want.Stats(); gs != ws {
-		t.Fatalf("stats differ:\n   got %+v\nserial %+v", gs, ws)
-	}
-	if gd, wd := slices.Collect(got.View().DerivedEach), slices.Collect(want.View().DerivedEach); !reflect.DeepEqual(gd, wd) {
-		t.Fatalf("derived tables differ: %d facts, serial %d", len(gd), len(wd))
-	}
-	if ge, we := got.View().Epoch(), want.View().Epoch(); ge != we {
-		t.Fatalf("epoch %d, serial %d", ge, we)
-	}
-}
-
 // assertBatchEqualsSerial loads snap both ways and requires the same
-// state.
+// state (workload.Diff) and epoch: the epoch counts ops, however many
+// publishes carried them.
 func assertBatchEqualsSerial(t *testing.T, snap *persist.Snapshot) *core.Store {
 	t.Helper()
 	serial := loadSerial(t, snap)
@@ -75,7 +51,12 @@ func assertBatchEqualsSerial(t *testing.T, snap *persist.Snapshot) *core.Store {
 	if err != nil {
 		t.Fatalf("batch load: %v", err)
 	}
-	assertSameState(t, batch, serial)
+	if err := workload.Diff([]*core.View{batch.View()}, []*core.View{serial.View()}); err != nil {
+		t.Fatal(err)
+	}
+	if b, s := batch.View().Epoch(), serial.View().Epoch(); b != s {
+		t.Fatalf("epoch %d, serial %d", b, s)
+	}
 	return batch
 }
 
@@ -206,7 +187,12 @@ func TestRuleAttachedBatchEqualsSerial(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-			assertSameState(t, batch, serial)
+			if err := workload.Diff([]*core.View{batch.View()}, []*core.View{serial.View()}); err != nil {
+				t.Fatal(err)
+			}
+			if b, s := batch.View().Epoch(), serial.View().Epoch(); b != s {
+				t.Fatalf("epoch %d, serial %d", b, s)
+			}
 		})
 	}
 }
@@ -261,7 +247,7 @@ func TestBatchFailureKeepsPrefix(t *testing.T) {
 	if g, w := mustJSON(t, exportOf(t, batch)), mustJSON(t, exportOf(t, serial)); !bytes.Equal(g, w) {
 		t.Fatal("prefix left by the failed batch differs from the serial prefix")
 	}
-	if got := len(batch.SearchKeyword("protease", true)); got != len(serial.SearchKeyword("protease", true)) {
+	if got := len(batch.View().SearchKeyword("protease")); got != len(serial.View().SearchKeyword("protease")) {
 		t.Fatalf("keyword search after failed batch: %d hits", got)
 	}
 	m, err := batch.MarkDomainInterval("segment1", interval.Interval{Lo: 1, Hi: 5})

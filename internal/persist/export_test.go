@@ -21,9 +21,6 @@ func (snap *Snapshot) Ops(yield func(Op) bool) {
 	})
 }
 
-// ExportView is the exporter itself, over a view the test pinned.
-var ExportView = exportView
-
 // The binary form's code tables.
 var DCElements, ObjectTypes = dcElements, objectTypes
 

@@ -36,33 +36,6 @@ func neuroStore(t testing.TB) *core.Store {
 	return study.Store
 }
 
-// assertStoresEquivalent compares the observable state of two stores.
-func assertStoresEquivalent(t *testing.T, a, b *core.Store) {
-	t.Helper()
-	sa, sb := a.Stats(), b.Stats()
-	if sa != sb {
-		t.Fatalf("stats differ:\n a=%+v\n b=%+v", sa, sb)
-	}
-	idsA, idsB := annotationIDs(a.View()), annotationIDs(b.View())
-	if len(idsA) != len(idsB) {
-		t.Fatalf("annotation counts differ: %d vs %d", len(idsA), len(idsB))
-	}
-	for i := range idsA {
-		annA, err := a.Annotation(idsA[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		annB, err := b.Annotation(idsB[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if annA.Content.String() != annB.Content.String() {
-			t.Fatalf("annotation %d content differs:\n%s\nvs\n%s",
-				idsA[i], annA.Content.String(), annB.Content.String())
-		}
-	}
-}
-
 func TestRoundTripInfluenza(t *testing.T) {
 	orig := influenzaStore(t)
 	var buf bytes.Buffer
@@ -73,11 +46,13 @@ func TestRoundTripInfluenza(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertStoresEquivalent(t, orig, restored)
+	if err := workload.Diff([]*core.View{restored.View()}, []*core.View{orig.View()}); err != nil {
+		t.Fatal(err)
+	}
 
 	// Queries behave identically on the restored store.
-	a := orig.SearchKeyword("protease", true)
-	b := restored.SearchKeyword("protease", true)
+	a := orig.View().SearchKeyword("protease")
+	b := restored.View().SearchKeyword("protease")
 	if len(a) != len(b) {
 		t.Fatalf("keyword results differ: %d vs %d", len(a), len(b))
 	}
@@ -98,7 +73,9 @@ func TestRoundTripNeuro(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertStoresEquivalent(t, orig, restored)
+	if err := workload.Diff([]*core.View{restored.View()}, []*core.View{orig.View()}); err != nil {
+		t.Fatal(err)
+	}
 	// The R-tree rebuilt: same region query results.
 	imgs := orig.View().Images()
 	if len(imgs) == 0 {

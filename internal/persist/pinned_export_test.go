@@ -1,7 +1,6 @@
 package persist_test
 
 import (
-	"bytes"
 	"testing"
 
 	"graphitti/internal/core"
@@ -11,11 +10,12 @@ import (
 
 // TestExportUnderWritersIsAPrefix is the one oracle applied to export: a
 // writer applies the recovery scenario (commits, deletes, sequence
-// registrations, record inserts) while the test pins views and exports
-// them. Every scenario step is one op and every op publishes once, so a
-// view's epoch is the length of the op prefix it holds, and its export
-// must equal, byte for byte, the export of a serial replay of exactly
-// that prefix into a fresh store.
+// registrations, record inserts) while the test pins views, checks each
+// as it is pinned — workload.Check writes its checkpoint under the writer
+// — and keeps it. Every scenario step is one op and every op publishes
+// once, so a view's epoch is the length of the op prefix it holds, and
+// it must hold the state of a serial replay of exactly that prefix into a
+// fresh store (workload.Diff, which compares checkpoints byte for byte).
 func TestExportUnderWritersIsAPrefix(t *testing.T) {
 	ops := workload.RecoveryScenario(workload.RecoveryConfig{Seed: 42, Images: 6, Ops: 1200})
 	// The rule list is the one exported section read off the propagator
@@ -40,7 +40,7 @@ func TestExportUnderWritersIsAPrefix(t *testing.T) {
 		}
 	}()
 
-	pinned := map[uint64][]byte{} // view epoch -> its export
+	pinned := map[uint64]*core.View{} // by epoch, each checked as it is pinned
 	for writing := true; writing; {
 		select {
 		case <-done:
@@ -51,15 +51,10 @@ func TestExportUnderWritersIsAPrefix(t *testing.T) {
 		if _, seen := pinned[v.Epoch()]; seen {
 			continue
 		}
-		snap, err := persist.ExportView(v)
-		if err != nil {
-			t.Fatalf("export at epoch %d: %v", v.Epoch(), err)
-		}
-		var buf bytes.Buffer
-		if err := persist.WriteSnapshot(snap, &buf); err != nil {
+		if err := workload.Check([]*core.View{v}); err != nil {
 			t.Fatal(err)
 		}
-		pinned[v.Epoch()] = buf.Bytes()
+		pinned[v.Epoch()] = v
 	}
 	if t.Failed() {
 		return
@@ -68,28 +63,23 @@ func TestExportUnderWritersIsAPrefix(t *testing.T) {
 		t.Fatalf("final view's epoch is not the scenario's %d ops", len(ops))
 	}
 
-	t.Logf("%d views exported between epoch %d and %d", len(pinned), setup, len(ops))
+	t.Logf("%d views pinned between epoch %d and %d", len(pinned), setup, len(ops))
 
 	replay := core.NewStore()
 	for i, op := range ops {
 		if err := replay.Batch(op.Apply); err != nil {
 			t.Fatalf("replay op %d (%s): %v", i+1, op.Kind, err)
 		}
-		got, ok := pinned[uint64(i+1)]
+		v, ok := pinned[uint64(i+1)]
 		if !ok {
 			continue
 		}
-		var want bytes.Buffer
-		if err := persist.Write(replay, &want); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want.Bytes()) {
-			t.Fatalf("export pinned at epoch %d (%d bytes) is not the export of the first %d ops (%d bytes)",
-				i+1, len(got), i+1, want.Len())
+		if err := workload.Diff([]*core.View{v}, []*core.View{replay.View()}); err != nil {
+			t.Fatalf("view pinned at epoch %d against the first %d ops: %v", i+1, i+1, err)
 		}
 		delete(pinned, uint64(i+1))
 	}
 	if len(pinned) != 0 {
-		t.Fatalf("%d exports at epochs no op prefix has", len(pinned))
+		t.Fatalf("%d views at epochs no op prefix has", len(pinned))
 	}
 }

@@ -10,15 +10,12 @@ package shard_test
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"reflect"
-	"slices"
 	"strings"
 	"testing"
 
-	"graphitti/internal/agraph"
 	"graphitti/internal/core"
 	"graphitti/internal/interval"
 	"graphitti/internal/persist"
@@ -27,15 +24,6 @@ import (
 	"graphitti/internal/shard"
 	"graphitti/internal/workload"
 )
-
-func exportJSON(t *testing.T, snap *persist.Snapshot) []byte {
-	t.Helper()
-	data, err := json.Marshal(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
-}
 
 // checkpoint is the checkpoint persist writes of a pinned view set.
 func checkpoint(t *testing.T, views []*core.View) []byte {
@@ -65,44 +53,24 @@ func TestShardedDifferentialExport(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantJSON := exportJSON(t, wantSnap)
-			wantCheckpoint := checkpoint(t, []*core.View{want.View()})
-
+			wantViews := []*core.View{want.View()}
 			for n := 1; n <= 4; n++ {
 				s := shard.New(n)
 				if err := workload.ApplyOps(s.Apply, sc.ops); err != nil {
 					t.Fatalf("n=%d sharded apply: %v", n, err)
 				}
-				gotSnap, err := shard.Export(s)
-				if err != nil {
-					t.Fatalf("n=%d export: %v", n, err)
-				}
-				if gotJSON := exportJSON(t, gotSnap); !bytes.Equal(gotJSON, wantJSON) {
-					t.Errorf("n=%d merged export diverged from unsharded store", n)
-					diffSnapshots(t, gotSnap, wantSnap)
-					continue
+				if err := workload.Check(s.Views()); err != nil {
+					t.Errorf("n=%d: %v", n, err)
 				}
 				// The merged checkpoint is the one store's, byte for byte.
-				if got := checkpoint(t, s.Views()); !bytes.Equal(got, wantCheckpoint) {
-					t.Errorf("n=%d merged checkpoint is %d bytes that differ from the %d of the unsharded store's",
-						n, len(got), len(wantCheckpoint))
+				if err := workload.Diff(s.Views(), wantViews); err != nil {
+					t.Errorf("n=%d: %v", n, err)
+					continue
 				}
 				if g, w := s.Views().Stats(), want.Stats(); g != w {
 					t.Errorf("n=%d stats diverged:\n got %+v\nwant %+v", n, g, w)
 				}
-				if g, w := s.Views().DerivedAll(), slices.Collect(want.View().DerivedEach); !reflect.DeepEqual(g, w) {
-					t.Errorf("n=%d derived facts diverged: %d vs %d", n, len(g), len(w))
-				}
-				for _, ann := range want.Annotations() {
-					target := agraph.ContentRoot(ann.ID)
-					g := s.Views().DerivedTargeting(target)
-					w := shard.Views{want.View()}.DerivedTargeting(target)
-					if !reflect.DeepEqual(g, w) {
-						t.Errorf("n=%d provenance of annotation %d diverged: got %v want %v",
-							n, ann.ID, g, w)
-					}
-				}
-				if g, w := annIDs(s.SearchKeyword("protein.TP53", true)), annIDs(want.SearchKeyword("protein.TP53", true)); !reflect.DeepEqual(g, w) {
+				if g, w := annIDs(s.Views().SearchKeyword("protein.TP53")), annIDs(want.View().SearchKeyword("protein.TP53")); !reflect.DeepEqual(g, w) {
 					t.Errorf("n=%d keyword search diverged: got %v want %v", n, g, w)
 				}
 				gc, err := s.Views().SearchContentsCtx(context.Background(), "contains(/annotation/body, 'Cerebellar')")
@@ -127,19 +95,8 @@ func TestShardedDifferentialExport(t *testing.T) {
 				if err := restored.Restore(wantSnap); err != nil {
 					t.Fatalf("n=%d restore: %v", n, err)
 				}
-				gotSnap, err = shard.Export(restored)
-				if err != nil {
-					t.Fatalf("n=%d restored export: %v", n, err)
-				}
-				if !bytes.Equal(exportJSON(t, gotSnap), wantJSON) {
-					t.Errorf("n=%d batch-loaded partitions diverged from the serial store", n)
-					diffSnapshots(t, gotSnap, wantSnap)
-				}
-				if g, w := restored.Views().Stats(), want.Stats(); g != w {
-					t.Errorf("n=%d restored stats diverged:\n got %+v\nwant %+v", n, g, w)
-				}
-				if g, w := restored.Views().DerivedAll(), slices.Collect(want.View().DerivedEach); !reflect.DeepEqual(g, w) {
-					t.Errorf("n=%d restored derived facts diverged: %d vs %d", n, len(g), len(w))
+				if err := workload.Diff(restored.Views(), wantViews); err != nil {
+					t.Errorf("n=%d batch-loaded partitions: %v", n, err)
 				}
 			}
 		})
@@ -147,7 +104,7 @@ func TestShardedDifferentialExport(t *testing.T) {
 }
 
 // TestShardedRestoreRoundTrip: a merged export restored into a fresh
-// sharded store (any shard count) must export identically — the
+// sharded store (any shard count) must hold the same state — the
 // partition function is an inverse of the merge.
 func TestShardedRestoreRoundTrip(t *testing.T) {
 	ops := workload.ShardedScenario(workload.RecoveryConfig{Seed: 11, Images: 6, Ops: 250}, 3)
@@ -159,19 +116,13 @@ func TestShardedRestoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantJSON := exportJSON(t, snap)
 	for n := 1; n <= 4; n++ {
 		dst := shard.New(n)
 		if err := dst.Restore(snap); err != nil {
 			t.Fatalf("n=%d restore: %v", n, err)
 		}
-		got, err := shard.Export(dst)
-		if err != nil {
-			t.Fatalf("n=%d re-export: %v", n, err)
-		}
-		if !bytes.Equal(exportJSON(t, got), wantJSON) {
-			t.Errorf("n=%d restore round-trip diverged", n)
-			diffSnapshots(t, got, snap)
+		if err := workload.Diff(dst.Views(), src.Views()); err != nil {
+			t.Errorf("n=%d restore round-trip: %v", n, err)
 		}
 		// Restored stores must keep allocating fresh IDs above the
 		// snapshot's counters.
@@ -185,29 +136,6 @@ func TestShardedRestoreRoundTrip(t *testing.T) {
 			t.Errorf("n=%d post-restore annotation ID %d below counter %d", n, ann.ID, snap.NextAnn)
 		}
 	}
-}
-
-func diffSnapshots(t *testing.T, got, want *persist.Snapshot) {
-	t.Helper()
-	report := func(name string, g, w any) {
-		gj, _ := json.Marshal(g)
-		wj, _ := json.Marshal(w)
-		if !bytes.Equal(gj, wj) {
-			t.Logf("section %s diverged:\n got %.2000s\nwant %.2000s", name, gj, wj)
-		}
-	}
-	report("Ontologies", got.Ontologies, want.Ontologies)
-	report("Rules", got.Rules, want.Rules)
-	report("Systems", got.Systems, want.Systems)
-	report("Sequences", got.Sequences, want.Sequences)
-	report("Alignments", got.Alignments, want.Alignments)
-	report("Trees", got.Trees, want.Trees)
-	report("Graphs", got.Graphs, want.Graphs)
-	report("Images", got.Images, want.Images)
-	report("RecordTables", got.RecordTables, want.RecordTables)
-	report("Annotations", got.Annotations, want.Annotations)
-	report("NextAnn", got.NextAnn, want.NextAnn)
-	report("NextRef", got.NextRef, want.NextRef)
 }
 
 func annIDs(anns []*core.Annotation) []uint64 {
@@ -408,9 +336,8 @@ func TestCheckpointKeepsPinnedRules(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		derived := vs.DerivedAll()
-		if len(rules) < 2 || len(derived) == 0 {
-			t.Fatalf("n=%d: the scenario left %d rules and %d derived facts", n, len(rules), len(derived))
+		if derived := vs.Stats().Derived; len(rules) < 2 || derived == 0 {
+			t.Fatalf("n=%d: the scenario left %d rules and %d derived facts", n, len(rules), derived)
 		}
 		if err := s.DeleteRule(rules[0].ID); err != nil {
 			t.Fatal(err)
@@ -425,8 +352,8 @@ func TestCheckpointKeepsPinnedRules(t *testing.T) {
 		if got := prop.RulesOf(loaded.View()); !reflect.DeepEqual(got, rules) {
 			t.Errorf("n=%d: loaded rules %v, the pinned views' %v", n, got, rules)
 		}
-		if got := slices.Collect(loaded.View().DerivedEach); !reflect.DeepEqual(got, derived) {
-			t.Errorf("n=%d: loaded %d derived facts, the pinned views hold %d", n, len(got), len(derived))
+		if err := workload.Diff([]*core.View{loaded.View()}, vs); err != nil {
+			t.Errorf("n=%d: the loaded store against the pinned views: %v", n, err)
 		}
 	}
 }

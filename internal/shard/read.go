@@ -445,6 +445,10 @@ func (s *Store) Restore(src persist.Source) error {
 	}
 	staged, err := s.stage(src)
 	if err != nil {
+		// The staged stores published under the shards' labels.
+		for _, p := range s.pipes {
+			p.Core().PublishGauges()
+		}
 		return fmt.Errorf("%w: %w", ErrBadSnapshot, err)
 	}
 	if err := s.eachShard(func(k int) error { return s.pipes[k].Install(staged[k]) }); err != nil {

@@ -1,10 +1,10 @@
 package shard
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -174,24 +174,16 @@ func TestRestoreBadSnapshotChangesNothing(t *testing.T) {
 		if err := s.Restore(good); err != nil {
 			t.Fatalf("%s: restore of the good snapshot: %v", name, err)
 		}
-		want := perShardAnnotations(s)
-		wantSnap, err := Export(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = s.Restore(bad)
+		want, wantViews := perShardAnnotations(s), s.Views()
+		err := s.Restore(bad)
 		if !errors.Is(err, ErrBadSnapshot) || !errors.Is(err, core.ErrNoSuchOntology) {
 			t.Fatalf("%s: restore of the bad snapshot: err = %v, want ErrBadSnapshot wrapping the loader's", name, err)
 		}
 		if got := perShardAnnotations(s); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: per-shard annotations after the refused restore = %v, want %v", name, got, want)
 		}
-		gotSnap, err := Export(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(gotSnap, wantSnap) {
-			t.Errorf("%s: export changed across the refused restore", name)
+		if err := workload.Diff(s.Views(), wantViews); err != nil {
+			t.Errorf("%s: the state changed across the refused restore: %v", name, err)
 		}
 		// The store still takes the next good restore.
 		if err := s.Restore(good); err != nil {
@@ -291,31 +283,28 @@ func TestStatsCountsTheUnionByLookup(t *testing.T) {
 	}
 }
 
-// perShardExports renders each shard's own export, in shard order,
-// without the ID counters: a live shard's stop at the last ID it was
-// handed, a restored shard's are the deployment's.
-func perShardExports(t *testing.T, s *Store) [][]byte {
-	t.Helper()
-	out := make([][]byte, s.NumShards())
-	for k := range out {
-		snap, err := persist.Export(s.shardCore(k))
-		if err != nil {
-			t.Fatal(err)
+// placement is what each shard holds, by name: its registered objects
+// and its annotations' IDs.
+func placement(s *Store) [][]string {
+	out := make([][]string, s.NumShards())
+	for k, v := range s.Views() {
+		for _, o := range v.ObjectList() {
+			out[k] = append(out[k], fmt.Sprintf("%s %s", o.Type, o.ID))
 		}
-		snap.NextAnn, snap.NextRef = 0, 0
-		var buf bytes.Buffer
-		if err := persist.WriteSnapshot(snap, &buf); err != nil {
-			t.Fatal(err)
-		}
-		out[k] = buf.Bytes()
+		v.AnnotationsEach(func(a *core.Annotation) bool {
+			out[k] = append(out[k], fmt.Sprintf("annotation %d", a.ID))
+			return true
+		})
 	}
 	return out
 }
 
 // TestRestoredShardsEqualLiveShards: one routing rule. A scenario applied
 // live and its merged export restored into a fresh set of the same size
-// must agree shard by shard — the merged export alone would also match if
-// live ops and snapshot entries were placed by two tables that disagreed.
+// must hold the same state (workload.Diff) with every object and
+// annotation on the same shard — the merged state alone would also match
+// if live ops and snapshot entries were placed by two tables that
+// disagreed.
 // The scenario registers every sequence with an empty Domain (routed by
 // its ID); the kinds it never registers, and a sequence that names its
 // domain, ride along.
@@ -352,10 +341,13 @@ func TestRestoredShardsEqualLiveShards(t *testing.T) {
 	if err := restored.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
-	got, want := perShardExports(t, restored), perShardExports(t, live)
+	if err := workload.Diff(restored.Views(), live.Views()); err != nil {
+		t.Error(err)
+	}
+	got, want := placement(restored), placement(live)
 	for k := range want {
-		if !bytes.Equal(got[k], want[k]) {
-			t.Errorf("shard %d: restored export differs from the live shard's:\n got %.1500s\nwant %.1500s", k, got[k], want[k])
+		if !slices.Equal(got[k], want[k]) {
+			t.Errorf("shard %d: restored, it holds\n%v\nlive, it holds\n%v", k, got[k], want[k])
 		}
 	}
 }
@@ -383,20 +375,23 @@ func TestPipelineOwnsWhatItRegisters(t *testing.T) {
 				t.Fatalf("%s: %v", name, err)
 			}
 		}
-		want, err := Export(s)
+		// A copy, loaded from the export: the pinned views would hold the
+		// caller's objects too if the pipeline had kept them.
+		snap, err := Export(s)
 		if err != nil {
 			t.Fatal(err)
 		}
+		copied, err := persist.Load(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := []*core.View{copied.View()}
 		if _, err := o.AddTerm("added-later", "added later"); err != nil {
 			t.Fatal(err)
 		}
 		sq.Description = "changed later"
-		got, err := Export(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: the caller's later changes reached the store:\n got %+v\nwant %+v", name, got, want)
+		if err := workload.Diff(s.Views(), want); err != nil {
+			t.Errorf("%s: the caller's later changes reached the store: %v", name, err)
 		}
 		if s != durableSet {
 			continue
@@ -409,12 +404,8 @@ func TestPipelineOwnsWhatItRegisters(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer reopened.Close()
-		got, err = Export(reopened)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: export after reopen differs from the one served:\n got %+v\nwant %+v", name, got, want)
+		if err := workload.Diff(reopened.Views(), want); err != nil {
+			t.Errorf("%s: after reopen: %v", name, err)
 		}
 	}
 }

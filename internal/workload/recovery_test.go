@@ -3,13 +3,41 @@ package workload
 import (
 	"crypto/sha256"
 	"fmt"
-	"reflect"
 	"strings"
 	"testing"
 
 	"graphitti/internal/core"
 	"graphitti/internal/persist"
 )
+
+// pinnedStream is a scenario stream a harness drives, and its digest.
+type pinnedStream struct {
+	cfg     RecoveryConfig
+	systems int // 0: RecoveryScenario
+	sha256  string
+}
+
+// ops generates the stream.
+func (c pinnedStream) ops() []persist.Op {
+	if c.systems > 0 {
+		return ShardedScenario(c.cfg, c.systems)
+	}
+	return RecoveryScenario(c.cfg)
+}
+
+var pinnedStreams = []pinnedStream{
+	{DefaultRecovery, 0, "7dc50018f2f4f73892ff7300c02dafd09309a7bff5eddee04169e93ddea408b8"},
+	{RecoveryConfig{Seed: 42, Images: 6, Ops: 1200}, 0, "1ab517f96467f65ccb01e55767391a972aa21e827cd38bd53cc027070d7e06ce"},
+	{RecoveryConfig{Seed: 7, Images: 3, Ops: 60}, 0, "c5d0868a6e167d9add6ff50db7ad5ad140775e9450add19c1e512b018efb4054"},
+	{RecoveryConfig{Seed: 11, Images: 2, Ops: 40}, 0, "a13b283b938b83fe86d55b00cf8ac381d7224f36db815b0034c55875a1dd929a"},
+	{RecoveryConfig{Seed: 5, Images: 3, Ops: 60}, 0, "ab04203eeae73c87cca9e3fd5e0de73fbcafff12ae2a21c54a88f556261e4bac"},
+	{RecoveryConfig{Seed: 5, Images: 4, Ops: 120}, 0, "944f7455cdad91f2628877543d9a1c64332a0a75a7f9e6bfb418695921df62fa"},
+	{RecoveryConfig{Seed: 7, Images: 6, Ops: 150}, 0, "b17337e7db81a200891523172e3e087fc812e374e1040901132cdd3fe21ace1b"},
+	{RecoveryConfig{Seed: 11, Images: 6, Ops: 250}, 3, "488f0266e6e831671c329a55bc22e3be4d3ac23a4f94d7ffc6bf5db66ce38567"},
+	{RecoveryConfig{Seed: 19, Images: 8, Ops: 400}, 4, "4e6d4854fe7f2c8865683cf1af21f30bfcddcc54f30d9511a9f51e82bf91236c"},
+	{RecoveryConfig{Seed: 7, Images: 8, Ops: 350}, 4, "193e92fd3169f3409d3b64fd560eb3b6150ad7c9714fa09cf2464b798cf9b4dd"},
+	{RecoveryConfig{Seed: 5, Images: 4, Ops: 60}, 3, "1af8dfab21932ce0474dcaba2d91847e94dec226d9b3b593828d4c4f4b36b3d2"},
+}
 
 // TestScenarioStreamsPinned pins every scenario stream a test drives, as
 // the SHA-256 of its ops' binary forms (persist.AppendOp) one after the
@@ -18,27 +46,8 @@ import (
 // builder, a rule as persist.RuleOp, a delete as the delete op — so the
 // op streams are the mutations those generators made, byte for byte.
 func TestScenarioStreamsPinned(t *testing.T) {
-	for _, c := range []struct {
-		cfg     RecoveryConfig
-		systems int // 0: RecoveryScenario
-		sha256  string
-	}{
-		{DefaultRecovery, 0, "7dc50018f2f4f73892ff7300c02dafd09309a7bff5eddee04169e93ddea408b8"},
-		{RecoveryConfig{Seed: 42, Images: 6, Ops: 1200}, 0, "1ab517f96467f65ccb01e55767391a972aa21e827cd38bd53cc027070d7e06ce"},
-		{RecoveryConfig{Seed: 7, Images: 3, Ops: 60}, 0, "c5d0868a6e167d9add6ff50db7ad5ad140775e9450add19c1e512b018efb4054"},
-		{RecoveryConfig{Seed: 11, Images: 2, Ops: 40}, 0, "a13b283b938b83fe86d55b00cf8ac381d7224f36db815b0034c55875a1dd929a"},
-		{RecoveryConfig{Seed: 5, Images: 3, Ops: 60}, 0, "ab04203eeae73c87cca9e3fd5e0de73fbcafff12ae2a21c54a88f556261e4bac"},
-		{RecoveryConfig{Seed: 5, Images: 4, Ops: 120}, 0, "944f7455cdad91f2628877543d9a1c64332a0a75a7f9e6bfb418695921df62fa"},
-		{RecoveryConfig{Seed: 7, Images: 6, Ops: 150}, 0, "b17337e7db81a200891523172e3e087fc812e374e1040901132cdd3fe21ace1b"},
-		{RecoveryConfig{Seed: 11, Images: 6, Ops: 250}, 3, "488f0266e6e831671c329a55bc22e3be4d3ac23a4f94d7ffc6bf5db66ce38567"},
-		{RecoveryConfig{Seed: 19, Images: 8, Ops: 400}, 4, "4e6d4854fe7f2c8865683cf1af21f30bfcddcc54f30d9511a9f51e82bf91236c"},
-		{RecoveryConfig{Seed: 7, Images: 8, Ops: 350}, 4, "193e92fd3169f3409d3b64fd560eb3b6150ad7c9714fa09cf2464b798cf9b4dd"},
-		{RecoveryConfig{Seed: 5, Images: 4, Ops: 60}, 3, "1af8dfab21932ce0474dcaba2d91847e94dec226d9b3b593828d4c4f4b36b3d2"},
-	} {
-		ops := RecoveryScenario(c.cfg)
-		if c.systems > 0 {
-			ops = ShardedScenario(c.cfg, c.systems)
-		}
+	for _, c := range pinnedStreams {
+		ops := c.ops()
 		if len(ops) != c.cfg.Ops {
 			t.Errorf("%+v over %d systems: %d ops", c.cfg, c.systems, len(ops))
 		}
@@ -61,21 +70,17 @@ func TestRecoveryScenarioDeterministic(t *testing.T) {
 	if len(ops) != cfg.Ops {
 		t.Fatalf("generated %d ops, want %d", len(ops), cfg.Ops)
 	}
-	var snaps []*persist.Snapshot
+	var views [][]*core.View
 	for _, ops := range [][]persist.Op{ops, ops, RecoveryScenario(cfg)} {
 		s, err := Serial(ops)
 		if err != nil {
 			t.Fatal(err)
 		}
-		snap, err := persist.Export(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		snaps = append(snaps, snap)
+		views = append(views, []*core.View{s.View()})
 	}
 	for i := 1; i < 3; i++ {
-		if !reflect.DeepEqual(snaps[0], snaps[i]) {
-			t.Fatalf("store %d diverged from store 0", i)
+		if err := Diff(views[i], views[0]); err != nil {
+			t.Fatalf("store %d diverged from store 0: %v", i, err)
 		}
 	}
 }

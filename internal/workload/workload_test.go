@@ -78,7 +78,7 @@ func TestInfluenzaStudy(t *testing.T) {
 		t.Fatalf("chain segments = %v", study.ChainSegments)
 	}
 	// Planted chains are discoverable by keyword.
-	hits := study.Store.SearchKeyword("protease", true)
+	hits := study.Store.View().SearchKeyword("protease")
 	if len(hits) < cfg.ProteaseChains*4 {
 		t.Fatalf("protease annotations = %d", len(hits))
 	}
@@ -112,7 +112,7 @@ func TestNeuroscienceStudy(t *testing.T) {
 		t.Fatalf("TP53 annotations = %d", len(study.TP53Annotations))
 	}
 	// The planted TP53 annotations carry the keyword.
-	hits := study.Store.SearchKeyword("protein.tp53", true)
+	hits := study.Store.View().SearchKeyword("protein.tp53")
 	if len(hits) != cfg.TP53Annotations {
 		t.Fatalf("keyword hits = %d", len(hits))
 	}

@@ -31,7 +31,7 @@ func TestSaveLoadFacade(t *testing.T) {
 	if restored.Stats() != s.Stats() {
 		t.Fatalf("restored stats %+v, want %+v", restored.Stats(), s.Stats())
 	}
-	hits := restored.SearchKeyword("snapshot", true)
+	hits := restored.View().SearchKeyword("snapshot")
 	if len(hits) != 1 {
 		t.Fatalf("restored keyword hits = %d", len(hits))
 	}
