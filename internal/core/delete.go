@@ -38,9 +38,17 @@ func (x *Tx) DeleteAnnotation(id uint64) error {
 		}
 	}
 
-	// a-graph: drop the content node (and its annotates/refersTo edges).
+	// a-graph: drop the content node (and its annotates/refersTo edges),
+	// and each term node it was the last to refer to: a term is a node
+	// only through its refersTo edges, so the graph is a function of the
+	// state, the one a load of its checkpoint builds.
 	contentNode := agraph.ContentRoot(id)
 	_ = x.g.RemoveNode(contentNode) // node exists for every commit
+	for tr := range ann.Terms {
+		if term := agraph.Term(tr.Ontology, tr.TermID); x.g.Graph().InCount(term) == 0 {
+			_ = x.g.RemoveNode(term)
+		}
+	}
 
 	x.anns.Delete(id)
 

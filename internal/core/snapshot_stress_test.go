@@ -109,8 +109,9 @@ func TestSnapshotIsolationStress(t *testing.T) {
 	}
 
 	// Readers: pin a view per round, check it (workload.Check), and check
-	// what this workload implies of it: every annotation carries the
-	// keyword "stress" and the body word "alpha", and marks the sequence.
+	// what this workload implies of it: every annotation is a writer's,
+	// complete, carries the keyword "stress" and the body word "alpha",
+	// and marks the sequence through interval referents.
 	for r := 0; r < readers; r++ {
 		readersWG.Add(1)
 		go func(r int) {
@@ -128,6 +129,26 @@ func TestSnapshotIsolationStress(t *testing.T) {
 				}
 				idx := v.SearchKeyword("stress")
 				st := v.Stats()
+				if len(idx) != st.Annotations {
+					t.Errorf("reader %d: %d of %d annotations carry the keyword", r, len(idx), st.Annotations)
+					return
+				}
+				for _, ann := range idx {
+					if ann.Content == nil || ann.NumReferents() == 0 {
+						t.Errorf("reader %d: annotation %d half-applied", r, ann.ID)
+						return
+					}
+					if got := ann.DC.First("creator"); !strings.HasPrefix(got, "writer-") {
+						t.Errorf("reader %d: annotation %d creator %q", r, ann.ID, got)
+						return
+					}
+					for refID := range ann.ReferentIDs {
+						if ref, err := v.Referent(refID); err != nil || ref.Kind != core.IntervalReferent || ref.Domain != stressDomain {
+							t.Errorf("reader %d: annotation %d referent %d malformed: %+v, %v", r, ann.ID, refID, ref, err)
+							return
+						}
+					}
+				}
 
 				// The a-graph is the pinned epoch's too. Its size is what
 				// this view's tables imply: a node per annotation, per

@@ -387,6 +387,55 @@ func (v *View) Stats() Stats {
 	}
 }
 
+// MergedStats is the component sizes of a set of views that partition
+// one store's state, as that store's own Stats would read them: what
+// lives on one view (annotations, referents, objects, edges, derived
+// facts) sums, ontologies (on every view) read from the first, and what
+// may appear on several (keywords, graph nodes for shared terms and
+// objects, interval-tree domains) counts the union, which over one view
+// is that view's own count. A keyword or a node is counted on the first
+// view that holds it: each view's are looked up in the views before it,
+// so no set of the whole store is built.
+func MergedStats(vs []*View) Stats {
+	if len(vs) == 1 {
+		return vs[0].Stats()
+	}
+	var st Stats
+	domains := map[string]bool{}
+	for k, v := range vs {
+		earlier := vs[:k]
+		vst := v.Stats()
+		st.Annotations += vst.Annotations
+		st.Referents += vst.Referents
+		st.Sequences += vst.Sequences
+		st.Alignments += vst.Alignments
+		st.Trees += vst.Trees
+		st.InteractionGraphs += vst.InteractionGraphs
+		st.Images += vst.Images
+		st.RTrees += vst.RTrees
+		st.GraphEdges += vst.GraphEdges
+		st.Derived += vst.Derived
+		for _, d := range v.IntervalDomains() {
+			domains[d] = true
+		}
+		v.EachKeyword(func(w string) bool {
+			if !slices.ContainsFunc(earlier, func(u *View) bool { return u.IndexesKeyword(w) }) {
+				st.Keywords++
+			}
+			return true
+		})
+		v.graph.NodesEach(func(n agraph.NodeRef) bool {
+			if !slices.ContainsFunc(earlier, func(u *View) bool { return u.graph.HasNode(n) }) {
+				st.GraphNodes++
+			}
+			return true
+		})
+	}
+	st.Ontologies = vs[0].Stats().Ontologies
+	st.IntervalTrees = len(domains)
+	return st
+}
+
 func errNoSuchObject(noun, id string) error {
 	return fmt.Errorf("%w: %s %s", ErrNoSuchObject, noun, id)
 }

@@ -140,15 +140,15 @@ func TestCompressedRecordRefusals(t *testing.T) {
 	}
 }
 
-// walSizeGauge reads graphitti_wal_size_bytes for one shard label off the
+// gauge reads the sample of the family name for one shard label off the
 // process registry.
-func walSizeGauge(t *testing.T, shard string) int64 {
+func gauge(t *testing.T, name, shard string) int64 {
 	t.Helper()
 	var b bytes.Buffer
 	if err := obs.Default.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
-	prefix := `graphitti_wal_size_bytes{shard="` + shard + `"} `
+	prefix := name + `{shard="` + shard + `"} `
 	for _, line := range strings.Split(b.String(), "\n") {
 		if v, ok := strings.CutPrefix(line, prefix); ok {
 			n, err := strconv.ParseInt(v, 10, 64)
@@ -190,13 +190,13 @@ func TestWALSizeGaugeFollowsTheLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if size, g := s.Stats().LogSize, walSizeGauge(t, shard); size <= wal.HeaderSize || g != size {
+	if size, g := s.Stats().LogSize, gauge(t, "graphitti_wal_size_bytes", shard); size <= wal.HeaderSize || g != size {
 		t.Fatalf("after reopening a %d-byte log the gauge reads %d", size, g)
 	}
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if size, g := s.Stats().LogSize, walSizeGauge(t, shard); size != wal.HeaderSize || g != size {
+	if size, g := s.Stats().LogSize, gauge(t, "graphitti_wal_size_bytes", shard); size != wal.HeaderSize || g != size {
 		t.Fatalf("after rotating to a %d-byte log the gauge reads %d", size, g)
 	}
 }

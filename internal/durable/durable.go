@@ -340,6 +340,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err := s.load(); err != nil {
 		return nil, err
 	}
+	s.Core().PublishGauges()
 	s.m.setHealthGauge(StateHealthy)
 	s.m.seq.Set(int64(s.seq))
 	return s, nil
@@ -429,7 +430,6 @@ func (s *Store) load() error {
 	default:
 		return err
 	}
-	cs.PublishGauges()
 	return nil
 }
 
@@ -661,9 +661,12 @@ func (s *Store) Reopen() (*core.Store, error) {
 	if s.w != nil {
 		_ = s.w.Close()
 	}
+	// The reload publishes under the store's label; whichever store
+	// serves when Reopen returns, reloaded or kept, is what the view
+	// gauges read.
+	defer func() { s.Core().PublishGauges() }()
 	fresh := &Store{dir: s.dir, opts: s.opts, m: s.m}
 	if err := fresh.load(); err != nil {
-		s.Core().PublishGauges()
 		return nil, fmt.Errorf("durable: reopen: %w", err)
 	}
 	// Probe the log end-to-end (append + fdatasync) before declaring

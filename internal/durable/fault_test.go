@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"syscall"
 	"testing"
 
@@ -277,6 +278,59 @@ func TestReopenFailsWhileDiskBroken(t *testing.T) {
 		t.Fatalf("health after recovery: %+v", h)
 	}
 	run(t, s, ops, int(s.Stats().Seq), 10)
+}
+
+// TestReopenKeepsTheGauges: the view gauges (graphitti_store_view_epoch,
+// _annotations and _derived_facts) read the view the store serves after
+// a Reopen, whether it reloaded the directory or kept the old state. A
+// torn write leaves memory one op ahead of the log, so the reload, which
+// publishes under the store's label, differs from the kept state; a
+// failed log probe then drops it.
+func TestReopenKeepsTheGauges(t *testing.T) {
+	const shard = "reopen-gauges"
+	sc := faultfs.NewScript()
+	s, err := Open(t.TempDir(), Options{Inject: sc, Store: core.StoreOptions{Shard: shard}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	want := func(what string) {
+		t.Helper()
+		v := s.Core().View()
+		for name, n := range map[string]int{
+			"graphitti_store_view_epoch":    int(v.Epoch()),
+			"graphitti_store_annotations":   v.Stats().Annotations,
+			"graphitti_store_derived_facts": v.Stats().Derived,
+		} {
+			if g := gauge(t, name, shard); g != int64(n) {
+				t.Errorf("%s: %s reads %d, the serving view %d", what, name, g, n)
+			}
+		}
+	}
+	ops := workload.RecoveryScenario(workload.DefaultRecovery)
+	run(t, s, ops, 0, 40)
+
+	sc.FailAt(faultfs.OpWrite, 1, faultfs.Fault{Err: faultfs.Errno(faultfs.OpWrite, syscall.EIO), Short: 5})
+	if err := s.Apply(ops[40]); !errors.Is(err, ErrDegraded) {
+		t.Fatalf("torn-write op: %v", err)
+	}
+	kept := s.Core().View().Epoch()
+	// The reload syncs the log it truncates; the probe's is the next.
+	sc.FailAt(faultfs.OpSync, 2, faultfs.Fault{Err: faultfs.Errno(faultfs.OpSync, syscall.EIO)})
+	if _, err := s.Reopen(); err == nil || !strings.Contains(err.Error(), "log probe") {
+		t.Fatalf("reopen with the probe failing: %v", err)
+	}
+	if e := s.Core().View().Epoch(); e != kept {
+		t.Fatalf("a failed reopen serves epoch %d, want the kept %d", e, kept)
+	}
+	want("failed log probe")
+	if _, err := s.Reopen(); err != nil {
+		t.Fatal(err)
+	}
+	if e := s.Core().View().Epoch(); e == kept {
+		t.Fatalf("the reload serves the kept epoch %d", e)
+	}
+	want("reopen")
 }
 
 // TestCompactionFaultKeepsPriorCheckpoint breaks each step of a

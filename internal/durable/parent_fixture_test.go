@@ -334,9 +334,9 @@ func TestParentUncompressedLog(t *testing.T) {
 // appendBehind opens a copy of fixture's directory — a checkpoint at
 // snapshotSeq and a log of the given record forms — to its export, and
 // applies mixedTail through it. The log then holds the fixture's records
-// and 14 compressed ones behind them; reopened, the directory holds the
-// state of an in-memory pipeline fed fixtureSteps and the same tail
-// (workload.Diff).
+// and 14 compressed ones behind them; reopened, the directory holds what
+// the fixture's own export, loaded into an in-memory store, holds after
+// the same ops applied to it one session each (workload.Diff).
 func appendBehind(t *testing.T, fixture string, snapshotSeq uint64, forms string) {
 	t.Helper()
 	wantExport, err := os.ReadFile(filepath.Join(fixture, "export.json"))
@@ -380,9 +380,11 @@ func appendBehind(t *testing.T, fixture string, snapshotSeq uint64, forms string
 		}
 	}
 
-	serial := Memory(core.NewStore(), core.StoreOptions{})
-	fixtureSteps(serial)
-	mixedTail(serial.Apply, serial.Core().View)
+	serial, err := persist.Read(bytes.NewReader(wantExport))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mixedTail(func(op persist.Op) error { return serial.Batch(op.Apply) }, serial.View)
 
 	replayed, err := Open(dir, opts)
 	if err != nil {
@@ -392,5 +394,5 @@ func appendBehind(t *testing.T, fixture string, snapshotSeq uint64, forms string
 	if st := replayed.Stats(); st.ReplayedRecords != len(logged) {
 		t.Fatalf("replayed %d of %d records", st.ReplayedRecords, len(logged))
 	}
-	mustEqualStores(t, replayed.Core(), serial.Core())
+	mustEqualStores(t, replayed.Core(), serial)
 }

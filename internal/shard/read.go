@@ -18,12 +18,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
 
-	"graphitti/internal/agraph"
 	"graphitti/internal/core"
 	"graphitti/internal/durable"
 	"graphitti/internal/interval"
@@ -91,52 +89,8 @@ func (vs Views) Epoch() uint64 {
 	return sum
 }
 
-// Stats merges the per-shard component sizes. Routed components sum;
-// broadcast components (ontologies) read from shard 0; components that
-// can appear on several shards (graph nodes for shared terms, keywords,
-// interval-tree domains touched by cross-shard commits) count the union —
-// which over one view is that view's own count. A keyword or a node is
-// counted on the first shard that holds it: each shard's are looked up in
-// the shards before it, so no set of the whole store is built.
-func (vs Views) Stats() core.Stats {
-	if len(vs) == 1 {
-		return vs[0].Stats()
-	}
-	var st core.Stats
-	domains := map[string]bool{}
-	for k, v := range vs {
-		earlier := vs[:k]
-		vst := v.Stats()
-		st.Annotations += vst.Annotations
-		st.Referents += vst.Referents
-		st.Sequences += vst.Sequences
-		st.Alignments += vst.Alignments
-		st.Trees += vst.Trees
-		st.InteractionGraphs += vst.InteractionGraphs
-		st.Images += vst.Images
-		st.RTrees += vst.RTrees
-		st.GraphEdges += vst.GraphEdges
-		st.Derived += vst.Derived
-		for _, d := range v.IntervalDomains() {
-			domains[d] = true
-		}
-		v.EachKeyword(func(w string) bool {
-			if !slices.ContainsFunc(earlier, func(u *core.View) bool { return u.IndexesKeyword(w) }) {
-				st.Keywords++
-			}
-			return true
-		})
-		v.Graph().NodesEach(func(n agraph.NodeRef) bool {
-			if !slices.ContainsFunc(earlier, func(u *core.View) bool { return u.Graph().HasNode(n) }) {
-				st.GraphNodes++
-			}
-			return true
-		})
-	}
-	st.Ontologies = vs[0].Stats().Ontologies
-	st.IntervalTrees = len(domains)
-	return st
-}
+// Stats merges the per-shard component sizes (core.MergedStats).
+func (vs Views) Stats() core.Stats { return core.MergedStats(vs) }
 
 // ownerOfAnnotation finds the shard whose view holds a committed
 // annotation (0 when none does).

@@ -52,7 +52,7 @@ func Diff(got, want []*core.View) error {
 			}
 		}
 	}
-	if gs, ws := stats(got), stats(want); gs != ws {
+	if gs, ws := core.MergedStats(got), core.MergedStats(want); gs != ws {
 		return fmt.Errorf("workload: stats differ:\n got %+v\nwant %+v", gs, ws)
 	}
 	return nil
@@ -135,41 +135,6 @@ func factsDiff(what string, got, want []core.DerivedFact) error {
 	return nil
 }
 
-// stats is the component counts of vs as one store's: a count of what
-// lives on one view summed, of what may sit on several (keywords, graph
-// nodes, interval domains, ontologies) the union.
-func stats(vs []*core.View) core.Stats {
-	var st core.Stats
-	words, nodes, domains := map[string]bool{}, map[agraph.NodeRef]bool{}, map[string]bool{}
-	for _, v := range vs {
-		s := v.Stats()
-		st.Annotations += s.Annotations
-		st.Referents += s.Referents
-		st.Sequences += s.Sequences
-		st.Alignments += s.Alignments
-		st.Trees += s.Trees
-		st.InteractionGraphs += s.InteractionGraphs
-		st.Images += s.Images
-		st.RTrees += s.RTrees
-		st.GraphEdges += s.GraphEdges
-		st.Derived += s.Derived
-		v.EachKeyword(func(w string) bool {
-			words[w] = true
-			return true
-		})
-		v.Graph().NodesEach(func(n agraph.NodeRef) bool {
-			nodes[n] = true
-			return true
-		})
-		for _, d := range v.IntervalDomains() {
-			domains[d] = true
-		}
-	}
-	st.Ontologies = vs[0].Stats().Ontologies
-	st.Keywords, st.GraphNodes, st.IntervalTrees = len(words), len(nodes), len(domains)
-	return st
-}
-
 // Check reports the first anomaly a reader of vs could see, through the
 // read API alone, or nil when there is none (Brust & Rothkugel's
 // taxonomy):
@@ -179,8 +144,8 @@ func stats(vs []*core.View) core.Stats {
 //   - mislocated: an interval or region referent its index does not find
 //     by its own mark, or an a-graph edge of a referent other than the
 //     "marks" edge to its object and one "annotates" edge per citation;
-//   - half-applied: counts (Stats) other than the tables hold, a
-//     keyword whose postings are not the documents holding it, a
+//   - half-applied: counts (Stats) other than the tables hold, an
+//     annotation table that does not ascend by ID, a keyword whose postings are not the documents holding it, a
 //     derived table other than a from-scratch recompute (the store
 //     persist loads from the view's own checkpoint), or a reader of
 //     derived facts (DerivedFrom, DerivedOnto, the target index) that
@@ -210,7 +175,7 @@ func checkView(v *core.View) (err error) {
 			err = fmt.Errorf("a reader panicked: %v", r)
 		}
 	}()
-	for _, check := range []func(*core.View) error{checkReferents, checkKeywords, checkDerived} {
+	for _, check := range []func(*core.View) error{checkReferents, checkNodes, checkKeywords, checkDerived} {
 		if err := check(v); err != nil {
 			return err
 		}
@@ -218,14 +183,19 @@ func checkView(v *core.View) (err error) {
 	return nil
 }
 
-// checkReferents finds orphans and mislocated referents, and counts
-// the stats disagree with.
+// checkReferents finds orphans and mislocated referents, counts the
+// stats disagree with, and an annotation table that does not ascend by
+// ID (the citations it collects are compared in that order).
 func checkReferents(v *core.View) error {
 	citing := map[uint64][]uint64{} // referent -> the annotations citing it, ascending
 	var err error
-	anns, refs := 0, 0
+	anns, refs, last := 0, 0, uint64(0)
 	v.AnnotationsEach(func(a *core.Annotation) bool {
-		anns++
+		if anns++; a.ID <= last {
+			err = fmt.Errorf("half-applied: the annotation table visits %d after %d", a.ID, last)
+			return false
+		}
+		last = a.ID
 		for id := range a.ReferentIDs {
 			if _, e := v.Referent(id); e != nil {
 				err = fmt.Errorf("orphan: annotation %d cites referent %d, which its view does not hold", a.ID, id)
@@ -290,6 +260,35 @@ func checkReferents(v *core.View) error {
 	}
 	return err
 }
+
+// checkNodes finds a-graph nodes no table holds: the content node of an
+// annotation or the node of a referent the view does not hold, or a term
+// no annotation refers to.
+func checkNodes(v *core.View) error {
+	g := v.Graph()
+	var err error
+	g.NodesEach(func(n agraph.NodeRef) bool {
+		switch n.Kind {
+		case agraph.ContentNode:
+			if id, _, _ := agraph.ContentID(n); notStored(v.Annotation(id)) {
+				err = fmt.Errorf("orphan: a-graph node %s, and annotation %d is not stored", n, id)
+			}
+		case agraph.ReferentNode:
+			if id, _ := agraph.ReferentID(n); notStored(v.Referent(id)) {
+				err = fmt.Errorf("orphan: a-graph node %s, and referent %d is not stored", n, id)
+			}
+		case agraph.TermNode:
+			if g.InCount(n, agraph.LabelRefersTo) == 0 {
+				err = fmt.Errorf("orphan: a-graph node %s, and no annotation refers to it", n)
+			}
+		}
+		return err == nil
+	})
+	return err
+}
+
+// notStored reports whether a table lookup failed.
+func notStored[T any](_ T, err error) bool { return err != nil }
 
 // checkKeywords compares the keyword index with the documents: each
 // annotation's keywords are the tokens of its values that HasToken, the
