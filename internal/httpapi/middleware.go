@@ -159,9 +159,9 @@ func (s *server) instrument(next http.Handler) http.Handler {
 			sp.SetAttr("route", route)
 			sp.SetAttrInt("status", int64(status))
 			sp.Finish()
-			s.tracer.Record(sp, tb != nil)
+			tr := s.tracer.Record(sp, tb != nil)
 			if tb != nil {
-				tb.flush(sp)
+				tb.flush(tr)
 			}
 
 			elapsed := time.Since(start)
@@ -177,10 +177,13 @@ func (s *server) instrument(next http.Handler) http.Handler {
 					"status", status, "duration", elapsed)
 			}
 			if s.opts.SlowRequest > 0 && elapsed >= s.opts.SlowRequest && s.opts.Logger != nil {
+				if tr == nil { // sampled out of the rings
+					tr = trace.Pack(sp)
+				}
 				s.opts.Logger.Warn("slow request",
 					"requestId", id, "traceId", sp.TraceID(), "route", route,
 					"method", r.Method, "status", status, "duration", elapsed,
-					"spans", sp.Breakdown())
+					"spans", tr.Breakdown())
 			}
 		}()
 		next.ServeHTTP(out, r)

@@ -58,7 +58,7 @@ type tracedEnvelope struct {
 // flush releases the buffered response. JSON bodies are wrapped in the
 // traced envelope; anything else (snapshots, 204s) is sent verbatim —
 // the trace is still in the ring for GET /debug/traces either way.
-func (b *traceBuffer) flush(root *trace.Span) {
+func (b *traceBuffer) flush(tr *trace.Trace) {
 	status := b.status
 	if status == 0 {
 		status = http.StatusOK
@@ -69,7 +69,7 @@ func (b *traceBuffer) flush(root *trace.Span) {
 		b.Header().Del("Content-Length")
 		b.dst.WriteHeader(status)
 		_ = json.NewEncoder(b.dst).Encode(tracedEnvelope{
-			Trace:    root.Tree(),
+			Trace:    tr.Node(),
 			Response: json.RawMessage(b.buf),
 		})
 		return
@@ -114,14 +114,14 @@ func (s *server) debugTraces(w http.ResponseWriter, r *http.Request) {
 	}
 	route := q.Get("route")
 	out := tracesView{Traces: []*trace.Node{}}
-	for _, sp := range s.tracer.Traces(shard) {
-		if minDur > 0 && sp.Duration() < minDur {
+	for _, tr := range s.tracer.Traces(shard) {
+		if minDur > 0 && tr.Duration() < minDur {
 			continue
 		}
-		if route != "" && sp.Attr("route") != route {
+		if route != "" && tr.Route() != route {
 			continue
 		}
-		out.Traces = append(out.Traces, sp.Tree())
+		out.Traces = append(out.Traces, tr.Node())
 	}
 	out.Count = len(out.Traces)
 	writeJSON(w, http.StatusOK, out)

@@ -40,10 +40,23 @@ func TestTraceParentRejectsGarbage(t *testing.T) {
 			t.Errorf("adopted trace ID from invalid traceparent %q", bad)
 		}
 	}
-	// The unknown-version case specifically must not adopt the ID.
-	s := NewRoot("http", "01-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01")
-	if s.TraceID() == "0af7651916cd43dd8448eb211c80319c" {
-		t.Fatal("adopted trace ID from non-version-00 traceparent")
+	// The unknown-version case specifically must not adopt the ID, and
+	// neither may a header W3C Trace Context says to ignore: an all-zero
+	// parent ID, or hex that is not lower-case.
+	const tid = "0af7651916cd43dd8448eb211c80319c"
+	for _, bad := range []string{
+		"01-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",
+		"00-0af7651916cd43dd8448eb211c80319c-0000000000000000-01",
+		"00-0AF7651916CD43DD8448EB211C80319C-B7AD6B7169203331-01",
+		"00-0af7651916cd43dd8448eb211c80319c-B7AD6B7169203331-01",
+		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-0A",
+	} {
+		if NewRoot("http", bad).TraceID() == tid {
+			t.Errorf("adopted trace ID from invalid traceparent %q", bad)
+		}
+	}
+	if got := NewRoot("http", "00-"+tid+"-b7ad6b7169203331-01").TraceID(); got != tid {
+		t.Fatalf("valid traceparent not adopted: trace ID %s", got)
 	}
 }
 
@@ -56,11 +69,14 @@ func TestNilSpanIsNoOp(t *testing.T) {
 	if c := sp.StartChild("x"); c != nil {
 		t.Fatal("nil span returned a live child")
 	}
-	if sp.Tree() != nil || sp.TraceParent() != "" || sp.ShardHint() != -1 {
+	if Pack(sp) != nil || Pack(sp).Node() != nil || sp.TraceParent() != "" {
 		t.Fatal("nil span leaked state")
 	}
-	if sp.Breakdown() != "" {
+	if Pack(sp).Breakdown() != "" {
 		t.Fatal("nil span breakdown non-empty")
+	}
+	if NewTracer(Options{}).Record(sp, true) != nil {
+		t.Fatal("nil span recorded")
 	}
 }
 
@@ -76,7 +92,8 @@ func TestTreeShapeAndAttrs(t *testing.T) {
 	w.Finish()
 	root.Finish()
 
-	n := root.Tree()
+	tr, hint := pack(root)
+	n := tr.Node()
 	if n.Name != "http" || n.TraceID == "" || n.Attrs["route"] != "POST /api/annotations" {
 		t.Fatalf("bad root node: %+v", n)
 	}
@@ -97,14 +114,14 @@ func TestTreeShapeAndAttrs(t *testing.T) {
 	if wn.Children[1].Attrs["batch"] != "2#7" {
 		t.Fatalf("batch attr lost: %+v", wn.Children[1])
 	}
-	if root.ShardHint() != 2 {
-		t.Fatalf("ShardHint = %d, want 2", root.ShardHint())
+	if hint != 2 {
+		t.Fatalf("shard hint = %d, want 2", hint)
 	}
 	// The tree must be JSON-serializable (what /debug/traces emits).
 	if _, err := json.Marshal(n); err != nil {
 		t.Fatal(err)
 	}
-	if bd := root.Breakdown(); !strings.Contains(bd, "http=") || !strings.Contains(bd, "shard.writer[2]=") {
+	if bd := tr.Breakdown(); !strings.Contains(bd, "http=") || !strings.Contains(bd, "shard.writer[2]=") {
 		t.Fatalf("breakdown %q", bd)
 	}
 }
@@ -122,15 +139,23 @@ func TestContextCarriesSpan(t *testing.T) {
 
 func TestTracerRingRetention(t *testing.T) {
 	tr := NewTracer(Options{RingSize: 4})
+	var ids []string
 	for i := 0; i < 10; i++ {
 		root := NewRoot("http", "")
 		root.SetShard(1)
 		root.Finish()
 		tr.Record(root, false)
+		ids = append(ids, root.TraceID())
 	}
 	got := tr.Traces(1)
 	if len(got) != 4 {
 		t.Fatalf("ring held %d traces, want 4", len(got))
+	}
+	// The ring has wrapped: it serves the last four, oldest first.
+	for i, g := range got {
+		if id := g.Node().TraceID; id != ids[6+i] {
+			t.Fatalf("trace %d of the ring is %s, want record %d's %s", i, id, 6+i, ids[6+i])
+		}
 	}
 	if len(tr.Traces(-1)) != 0 {
 		t.Fatal("shardless ring should be empty")
@@ -181,8 +206,8 @@ func TestTracerConcurrent(t *testing.T) {
 	if total == 0 || total > 3*8 {
 		t.Fatalf("rings hold %d traces, want 1..24", total)
 	}
-	for _, sp := range tr.Traces(ShardAll) {
-		if sp.Tree() == nil {
+	for _, got := range tr.Traces(ShardAll) {
+		if got.Node() == nil {
 			t.Fatal("nil tree from ring")
 		}
 	}

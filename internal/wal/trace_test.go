@@ -50,9 +50,10 @@ func flushChild(t *testing.T, root *trace.Span) *trace.Node {
 		}
 		return nil
 	}
-	got := find(root.Tree())
+	tr := trace.Pack(root)
+	got := find(tr.Node())
 	if got == nil {
-		t.Fatalf("no wal.flush span in %s", root.Breakdown())
+		t.Fatalf("no wal.flush span in %s", tr.Breakdown())
 	}
 	return got
 }
